@@ -24,6 +24,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/linalg"
 	"repro/internal/ortho"
+	"repro/internal/parallel"
 	"repro/internal/partition"
 	"repro/internal/pivot"
 	"repro/internal/sssp"
@@ -213,7 +214,7 @@ func BenchmarkTable7Ortho(b *testing.B) {
 	}{{"MGS", ortho.MGS}, {"CGS", ortho.CGS}} {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ortho.DOrthogonalize(m, deg, c.method)
+				ortho.DOrthogonalizeBudget(parallel.Live(), m, deg, c.method, nil)
 			}
 		})
 	}
@@ -334,7 +335,7 @@ func BenchmarkPermutationLS(b *testing.B) {
 		deg := c.g.WeightedDegrees()
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				linalg.LapMulDense(c.g, deg, s)
+				lapMul(c.g, deg, s)
 			}
 		})
 	}
@@ -372,7 +373,7 @@ func BenchmarkBFSDirection(b *testing.B) {
 		{"top_down_only", bfs.Options{ForceTopDown: true}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			runner := bfs.NewRunner(gKron, c.opt)
+			runner := bfs.NewRunner(gKron, c.opt, nil, parallel.Live())
 			dist := make([]int32, gKron.NumV)
 			b.ResetTimer()
 			var scanned int64
@@ -394,7 +395,7 @@ func BenchmarkLSKernel(b *testing.B) {
 	}
 	b.Run("fused", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			linalg.LapMulDense(gKron, deg, s)
+			lapMul(gKron, deg, s)
 		}
 	})
 	b.Run("explicit_laplacian", func(b *testing.B) {
@@ -430,7 +431,7 @@ func BenchmarkGemmAtB(b *testing.B) {
 		x.Data[i] = float64(i%11) * 0.3
 	}
 	for i := 0; i < b.N; i++ {
-		linalg.AtB(x, x)
+		linalg.AtBPackedBudget(parallel.Live(), x, x, nil, nil, nil)
 	}
 }
 
@@ -554,7 +555,7 @@ func BenchmarkMSBFSvsSerialBatch(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			bfs.MSBFS(gKron, sources, dists)
+			bfs.MSBFS(parallel.Live(), gKron, sources, dists, nil, bfs.Options{})
 		}
 	})
 	b.Run("serial_64", func(b *testing.B) {
@@ -577,14 +578,22 @@ func BenchmarkLSTiled(b *testing.B) {
 	}
 	b.Run("columnwise_s50", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			linalg.LapMulDense(gWeb, deg, s)
+			p := linalg.NewDense(s.Rows, s.Cols)
+			for j := 0; j < s.Cols; j++ {
+				linalg.LapMulVecBudget(parallel.Live(), gWeb, deg, s.Col(j), p.Col(j))
+			}
 		}
 	})
 	b.Run("tiled_s50", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			linalg.LapMulDenseTiled(gWeb, deg, s)
+			lapMul(gWeb, deg, s)
 		}
 	})
+}
+
+// lapMul is the production L·S kernel with fresh buffers.
+func lapMul(g *graph.CSR, deg []float64, s *linalg.Dense) *linalg.Dense {
+	return linalg.LapMulDenseTiledPackedBudget(parallel.Live(), g, deg, s, nil, nil, nil)
 }
 
 // --- Coupled vs decoupled pipeline ------------------------------------------------

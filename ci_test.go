@@ -1,0 +1,183 @@
+package repro_bench
+
+import (
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// shellWords splits a command line on spaces, keeping quoted spans whole
+// and dropping the quotes — enough shell for the workflow's go test lines.
+func shellWords(line string) []string {
+	var words []string
+	var cur strings.Builder
+	quote := rune(0)
+	for _, r := range line {
+		switch {
+		case quote != 0:
+			if r == quote {
+				quote = 0
+			} else {
+				cur.WriteRune(r)
+			}
+		case r == '\'' || r == '"':
+			quote = r
+		case r == ' ' || r == '\t':
+			if cur.Len() > 0 {
+				words = append(words, cur.String())
+				cur.Reset()
+			}
+		default:
+			cur.WriteRune(r)
+		}
+	}
+	if cur.Len() > 0 {
+		words = append(words, cur.String())
+	}
+	return words
+}
+
+// splitAlternatives splits a go test pattern on the top-level '|'.
+func splitAlternatives(pattern string) []string {
+	var alts []string
+	depth, start := 0, 0
+	for i, r := range pattern {
+		switch r {
+		case '(', '[':
+			depth++
+		case ')', ']':
+			depth--
+		case '|':
+			if depth == 0 {
+				alts = append(alts, pattern[start:i])
+				start = i + 1
+			}
+		}
+	}
+	return append(alts, pattern[start:])
+}
+
+var testFuncDecl = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
+
+// testFuncs lists the Test/Fuzz/Benchmark functions of the _test.go files
+// a go test package argument covers (./dir/ or ./dir/...), build tags
+// ignored.
+func testFuncs(t *testing.T, pkgArg string) []string {
+	t.Helper()
+	dir := strings.TrimSuffix(pkgArg, "...")
+	recursive := dir != pkgArg
+	var names []string
+	err := filepath.WalkDir(filepath.Clean(dir), func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != filepath.Clean(dir) && (!recursive || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range testFuncDecl.FindAllSubmatch(src, -1) {
+			names = append(names, string(m[1]))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("listing tests of %s: %v", pkgArg, err)
+	}
+	return names
+}
+
+// TestCIWorkflowPatternsMatchTests guards the workflow's -run / -fuzz /
+// -bench lists against renames: `go test -run` passes when nothing
+// matches, so a step naming a removed test would keep going green while
+// checking nothing. Every '|' alternative of every pattern must match a
+// function of the right kind in the packages its step names.
+func TestCIWorkflowPatternsMatchTests(t *testing.T) {
+	raw, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string][]string{
+		"-run":   {"Test", "Fuzz"},
+		"-fuzz":  {"Fuzz"},
+		"-bench": {"Benchmark"},
+	}
+	checked := 0
+	for _, line := range strings.Split(strings.ReplaceAll(string(raw), "\\\n", " "), "\n") {
+		i := strings.Index(line, "go test ")
+		if i < 0 {
+			continue
+		}
+		words := shellWords(line[i:])
+		patterns := map[string]string{}
+		var pkgs []string
+	scan:
+		for w := 2; w < len(words); w++ {
+			word := words[w]
+			switch {
+			case word == "|" || word == ">" || word == "&&":
+				break scan
+			case strings.HasPrefix(word, "./"):
+				pkgs = append(pkgs, word)
+			default:
+				flagName, value, inline := strings.Cut(word, "=")
+				if _, ok := kinds[flagName]; !ok {
+					continue
+				}
+				if !inline && w+1 < len(words) {
+					w++
+					value = words[w]
+				}
+				patterns[flagName] = value
+			}
+		}
+		if _, benching := patterns["-bench"]; benching {
+			// `-run xxx` beside -bench is the idiom for "no tests, only
+			// benchmarks": matching nothing is its purpose.
+			delete(patterns, "-run")
+		}
+		for flagName, pattern := range patterns {
+			var names []string
+			for _, pkg := range pkgs {
+				for _, name := range testFuncs(t, pkg) {
+					for _, kind := range kinds[flagName] {
+						if strings.HasPrefix(name, kind) {
+							names = append(names, name)
+						}
+					}
+				}
+			}
+			for _, alt := range splitAlternatives(pattern) {
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					t.Errorf("ci.yml: %s %q: %v", flagName, pattern, err)
+					continue
+				}
+				checked++
+				matched := false
+				for _, name := range names {
+					if re.MatchString(name) {
+						matched = true
+						break
+					}
+				}
+				if !matched {
+					t.Errorf("ci.yml: %s alternative %q matches no %v function in %v", flagName, alt, kinds[flagName], pkgs)
+				}
+			}
+		}
+	}
+	if checked < 20 {
+		t.Fatalf("only %d pattern alternatives found in ci.yml; the parser has lost track of the workflow", checked)
+	}
+}

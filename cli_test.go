@@ -108,7 +108,14 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// 6. Error paths: bad algorithm, missing file.
+	// 6. Every documented -ortho / -pivots value runs.
+	for _, args := range [][]string{{"-ortho", "mgs"}, {"-ortho", "cgs"}, {"-pivots", "kcenters"}, {"-pivots", "random"}} {
+		runTool(t, parhdeBin, append([]string{"-in", binPath, "-format", "bin", "-s", "15", "-q"}, args...)...)
+	}
+
+	// 7. Error paths: bad algorithm, missing file, and unknown -ortho /
+	// -pivots values, which must be rejected with the accepted set named
+	// (mgs-l1 was a value once; it must not quietly run MGS).
 	cmd := exec.Command(parhdeBin, "-in", edgesPath, "-algo", "nope")
 	if err := cmd.Run(); err == nil {
 		t.Fatal("unknown algorithm accepted")
@@ -116,6 +123,19 @@ func TestCLIPipeline(t *testing.T) {
 	cmd = exec.Command(parhdeBin, "-in", filepath.Join(dir, "missing.txt"))
 	if err := cmd.Run(); err == nil {
 		t.Fatal("missing input accepted")
+	}
+	for _, c := range []struct{ flag, value, want string }{
+		{"-ortho", "mgs-l1", "want mgs or cgs"},
+		{"-ortho", "CGS", "want mgs or cgs"},
+		{"-pivots", "kcentres", "want kcenters or random"},
+	} {
+		out, err := exec.Command(parhdeBin, "-in", edgesPath, c.flag, c.value).CombinedOutput()
+		if err == nil {
+			t.Fatalf("%s %s accepted", c.flag, c.value)
+		}
+		if !strings.Contains(string(out), c.value) || !strings.Contains(string(out), c.want) {
+			t.Fatalf("%s %s: error does not name the value and the accepted set:\n%s", c.flag, c.value, out)
+		}
 	}
 }
 

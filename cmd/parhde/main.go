@@ -39,7 +39,7 @@ func run() error {
 		algo     = flag.String("algo", "parhde", "algorithm: parhde, phde, pivotmds, prior, multilevel")
 		s        = flag.Int("s", 50, "subspace dimension (number of pivots)")
 		pivots   = flag.String("pivots", "kcenters", "pivot strategy: kcenters, random")
-		orthoM   = flag.String("ortho", "mgs", "orthogonalization: mgs, cgs, mgs-l1")
+		orthoM   = flag.String("ortho", "mgs", "orthogonalization: mgs, cgs")
 		plain    = flag.Bool("plain", false, "plain orthogonalization instead of D-orthogonalization")
 		weighted = flag.Bool("weighted", false, "keep edge weights and use Δ-stepping SSSP")
 		delta    = flag.Float64("delta", 0, "Δ-stepping bucket width (0 = heuristic)")
@@ -59,25 +59,31 @@ func run() error {
 		return fmt.Errorf("missing -in")
 	}
 
+	opt := core.Options{
+		Subspace:   *s,
+		Seed:       *seed,
+		Delta:      *delta,
+		PlainOrtho: *plain,
+	}
+	switch *pivots {
+	case "kcenters":
+	case "random":
+		opt.Pivots = pivot.Random
+	default:
+		return fmt.Errorf("unknown pivot strategy %q (want kcenters or random)", *pivots)
+	}
+	switch *orthoM {
+	case "mgs":
+	case "cgs":
+		opt.Ortho = ortho.CGS
+	default:
+		return fmt.Errorf("unknown orthogonalization %q (want mgs or cgs)", *orthoM)
+	}
+
 	g, err := loadGraph(*in, *format, *weighted)
 	if err != nil {
 		return err
 	}
-	opt := core.Options{
-		Subspace: *s,
-		Seed:     *seed,
-		Delta:    *delta,
-	}
-	if *pivots == "random" {
-		opt.Pivots = pivot.Random
-	}
-	switch *orthoM {
-	case "cgs":
-		opt.Ortho = ortho.CGS
-	case "mgs-l1":
-		opt.Ortho = ortho.MGSLevel1
-	}
-	opt.PlainOrtho = *plain
 
 	if *zoomV >= 0 {
 		z, err := core.Zoom(g, int32(*zoomV), *hops, opt)

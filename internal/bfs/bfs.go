@@ -37,13 +37,24 @@ func (s *Stats) Add(o Stats) {
 	s.ScannedEdges += o.ScannedEdges
 }
 
-// Options configures a traversal.
+// Options configures a traversal, single- or multi-source.
 type Options struct {
 	Alpha int64 // top-down → bottom-up switch threshold (0 = DefaultAlpha)
 	Beta  int64 // bottom-up → top-down switch threshold (0 = DefaultBeta)
 	// ForceTopDown disables the bottom-up direction entirely, yielding a
 	// plain level-synchronous parallel BFS (used for ablation benches).
 	ForceTopDown bool
+}
+
+// withDefaults normalizes zero values to the GAP-style defaults.
+func (o Options) withDefaults() Options {
+	if o.Alpha <= 0 {
+		o.Alpha = DefaultAlpha
+	}
+	if o.Beta <= 0 {
+		o.Beta = DefaultBeta
+	}
+	return o
 }
 
 // Runner holds the reusable state for repeated traversals over one graph,
@@ -57,32 +68,17 @@ type Runner struct {
 	workers int
 }
 
-// NewRunner creates a Runner for g with private scratch.
-func NewRunner(g *graph.CSR, opt Options) *Runner {
-	return NewRunnerScratch(g, opt, nil)
-}
-
-// NewRunnerScratch creates a Runner for g backed by sc, regrowing it if it
-// is too small for g (nil allocates private scratch). The caller may hand
-// the same Scratch to successive Runners over different graphs — the PR-2
-// job engine reuses one per worker — but must not share it between
-// concurrently live Runners.
-func NewRunnerScratch(g *graph.CSR, opt Options, sc *Scratch) *Runner {
-	return NewRunnerBudget(g, opt, sc, parallel.SnapshotBudget())
-}
-
-// NewRunnerBudget is NewRunnerScratch with an explicit worker budget. The
-// budget is pinned for the Runner's lifetime: the per-worker queue arenas
-// and every traversal step use the same worker count, so a GOMAXPROCS
-// change mid-run can never desynchronize the partition from the scratch
-// (live budgets are snapshotted once here for exactly that reason).
-func NewRunnerBudget(g *graph.CSR, opt Options, sc *Scratch, bud parallel.Budget) *Runner {
-	if opt.Alpha <= 0 {
-		opt.Alpha = DefaultAlpha
-	}
-	if opt.Beta <= 0 {
-		opt.Beta = DefaultBeta
-	}
+// NewRunner creates a Runner for g backed by sc, regrowing it if it is
+// too small for g (nil allocates private scratch). The caller may hand the
+// same Scratch to successive Runners over different graphs — the job
+// engine reuses one per worker — but must not share it between
+// concurrently live Runners. The budget is pinned for the Runner's
+// lifetime: the per-worker queue arenas and every traversal step use the
+// same worker count, so a GOMAXPROCS change mid-run can never
+// desynchronize the partition from the scratch (live budgets are
+// snapshotted once here for exactly that reason).
+func NewRunner(g *graph.CSR, opt Options, sc *Scratch, bud parallel.Budget) *Runner {
+	opt = opt.withDefaults()
 	if !bud.Fixed() {
 		bud = parallel.SnapshotBudget()
 	}
@@ -233,31 +229,12 @@ func (r *Runner) bottomUpStep(level int32, dist []int32) (nf, ne, scanned int64)
 		r.sc.front.Swap(r.sc.next)
 		return nf, ne, scanned
 	}
+	// Membership in the frontier bitmap (fully built before this phase's
+	// barrier) is the parent test; consulting dist for it would race with
+	// other workers claiming their own vertices.
 	var totNF, totNE, totScan int64
 	r.bud.ForBlock(g.NumV, func(lo, hi int) {
-		var localNF, localNE, localScan int64
-		for v := lo; v < hi; v++ {
-			if dist[v] != Unreached {
-				continue
-			}
-			adj := g.Adj[g.Offsets[v]:g.Offsets[v+1]]
-			for k, u := range adj {
-				// Membership in the frontier bitmap (fully built before this
-				// phase's barrier) is the parent test; consulting dist here
-				// would race with other workers claiming their own vertices.
-				if r.sc.front.Get(u) {
-					dist[v] = level + 1
-					r.sc.next.Set(int32(v))
-					localNF++
-					localNE += g.Offsets[v+1] - g.Offsets[v]
-					localScan += int64(k + 1)
-					break
-				}
-				if k == len(adj)-1 {
-					localScan += int64(len(adj))
-				}
-			}
-		}
+		localNF, localNE, localScan := r.bottomUpRange(level, dist, lo, hi)
 		atomic.AddInt64(&totNF, localNF)
 		atomic.AddInt64(&totNE, localNE)
 		atomic.AddInt64(&totScan, localScan)

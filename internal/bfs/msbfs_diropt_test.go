@@ -19,10 +19,20 @@ func msRows(s, n int) [][]int32 {
 }
 
 // msRun traverses sources under one budget/options pair into fresh rows.
-func msRun(g *graph.CSR, sources []int32, bud parallel.Budget, opt MSOptions) ([][]int32, Stats) {
+func msRun(g *graph.CSR, sources []int32, bud parallel.Budget, opt Options) ([][]int32, Stats) {
 	rows := msRows(len(sources), g.NumV)
-	st := MSBFSOpts(bud, g, sources, rows, NewScratch(g.NumV, bud.Workers()), opt)
+	st := MSBFS(bud, g, sources, rows, NewScratch(g.NumV, bud.Workers()), opt)
 	return rows, st
+}
+
+// serialRows is the oracle of the equivalence tests: one textbook
+// sequential BFS per source, sharing no code with the bit-parallel engine.
+func serialRows(g *graph.CSR, sources []int32) [][]int32 {
+	rows := msRows(len(sources), g.NumV)
+	for i, src := range sources {
+		Serial(g, src, rows[i])
+	}
+	return rows
 }
 
 // assertRowsEqual fails unless every distance row is bitwise identical.
@@ -48,9 +58,9 @@ func msbfsBudgets() []parallel.Budget {
 	}
 }
 
-// TestMSBFSDirOptAdversarial pins the direction-optimizing engine to the
-// retained top-down oracle on the shapes that stress its block/summary
-// machinery: a star (one level floods everything — instant bottom-up
+// TestMSBFSDirOptAdversarial pins the engine, direction-optimizing and
+// pinned top-down, to the sequential oracle on the shapes that stress its
+// block/summary machinery: a star (one level floods everything — instant bottom-up
 // switch), a long path (frontier of one vertex forever — summaries must
 // skip nearly every block), a disconnected graph (bottom-up keeps seeing
 // unreachable missing bits), a 64-source full-mask batch (the `full`
@@ -83,14 +93,11 @@ func TestMSBFSDirOptAdversarial(t *testing.T) {
 				sources[i] = int32((i * 257) % tc.g.NumV)
 			}
 		}
-		want, wantSt := msRun(tc.g, sources, parallel.FixedBudget(1), MSOptions{ForceTopDown: true})
-		if wantSt.BottomUpSteps != 0 {
-			t.Fatalf("%s: ForceTopDown ran %d bottom-up steps", tc.name, wantSt.BottomUpSteps)
-		}
+		want := serialRows(tc.g, sources)
 		for _, bud := range msbfsBudgets() {
-			got, _ := msRun(tc.g, sources, bud, MSOptions{})
+			got, _ := msRun(tc.g, sources, bud, Options{})
 			assertRowsEqual(t, tc.name+"/diropt", want, got)
-			gotTD, st := msRun(tc.g, sources, bud, MSOptions{ForceTopDown: true})
+			gotTD, st := msRun(tc.g, sources, bud, Options{ForceTopDown: true})
 			assertRowsEqual(t, tc.name+"/topdown", want, gotTD)
 			if st.BottomUpSteps != 0 {
 				t.Fatalf("%s: ForceTopDown under budget ran bottom-up", tc.name)
@@ -101,7 +108,7 @@ func TestMSBFSDirOptAdversarial(t *testing.T) {
 
 // TestMSBFSDirOptSwitchesOnKron asserts the engine actually takes the
 // bottom-up direction on a skewed low-diameter graph and that doing so
-// scans fewer edges than the retained top-down path (the γ < 1 work
+// scans fewer edges than the same engine pinned top-down (the γ < 1 work
 // reduction the direction switch exists for).
 func TestMSBFSDirOptSwitchesOnKron(t *testing.T) {
 	g := gen.Kron(12, 12, 3)
@@ -109,8 +116,11 @@ func TestMSBFSDirOptSwitchesOnKron(t *testing.T) {
 	for i := range sources {
 		sources[i] = int32((i * 997) % g.NumV)
 	}
-	_, opt := msRun(g, sources, parallel.FixedBudget(1), MSOptions{})
-	_, td := msRun(g, sources, parallel.FixedBudget(1), MSOptions{ForceTopDown: true})
+	_, opt := msRun(g, sources, parallel.FixedBudget(1), Options{})
+	_, td := msRun(g, sources, parallel.FixedBudget(1), Options{ForceTopDown: true})
+	if td.BottomUpSteps != 0 {
+		t.Fatalf("ForceTopDown ran %d bottom-up steps", td.BottomUpSteps)
+	}
 	if opt.BottomUpSteps == 0 {
 		t.Fatalf("no bottom-up steps on kron: %+v", opt)
 	}
@@ -145,7 +155,7 @@ func TestMSBFSScratchShrinkReuse(t *testing.T) {
 		for _, g := range []*graph.CSR{big, small} {
 			sources := []int32{0, int32(g.NumV / 2)}
 			rows := msRows(len(sources), g.NumV)
-			MSBFSOpts(bud, g, sources, rows, sc, MSOptions{})
+			MSBFS(bud, g, sources, rows, sc, Options{})
 			want := make([]int32, g.NumV)
 			for i, src := range sources {
 				Serial(g, src, want)
@@ -160,24 +170,22 @@ func TestMSBFSScratchShrinkReuse(t *testing.T) {
 	}
 }
 
-// TestMSBFSOptsSharesRunnerDefaults pins the option plumbing: Options.MS
-// must carry the single-source α/β straight across, and the zero MSOptions
-// must normalize to the shared defaults.
-func TestMSBFSOptsSharesRunnerDefaults(t *testing.T) {
-	ms := Options{Alpha: 7, Beta: 9, ForceTopDown: true}.MS()
-	if ms.Alpha != 7 || ms.Beta != 9 || !ms.ForceTopDown {
-		t.Fatalf("Options.MS dropped fields: %+v", ms)
-	}
-	def := MSOptions{}.withDefaults()
+// TestOptionsDefaults: the zero Options normalizes to the GAP α/β both
+// engines share, and explicit values pass through.
+func TestOptionsDefaults(t *testing.T) {
+	def := Options{}.withDefaults()
 	if def.Alpha != DefaultAlpha || def.Beta != DefaultBeta {
 		t.Fatalf("defaults = %+v, want α=%d β=%d", def, DefaultAlpha, DefaultBeta)
+	}
+	if o := (Options{Alpha: 7, Beta: 9, ForceTopDown: true}).withDefaults(); o.Alpha != 7 || o.Beta != 9 || !o.ForceTopDown {
+		t.Fatalf("withDefaults changed explicit fields: %+v", o)
 	}
 }
 
 // FuzzMSBFSDirOptEquivalence fuzzes graph family × source count × budget
-// and asserts the direction-optimizing engine's distance rows are bitwise
-// identical to the retained top-down path — the PR's central invariant —
-// and identical across every worker budget.
+// and asserts the engine's distance rows, direction-optimizing and pinned
+// top-down, are bitwise identical to one sequential BFS per source under
+// every worker budget.
 func FuzzMSBFSDirOptEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(4), uint8(0))
 	f.Add(int64(2), uint8(1), uint8(64), uint8(2))
@@ -214,16 +222,16 @@ func FuzzMSBFSDirOptEquivalence(f *testing.F) {
 		for i := range sources {
 			sources[i] = int32(r.Intn(g.NumV))
 		}
-		want, _ := msRun(g, sources, parallel.FixedBudget(1), MSOptions{ForceTopDown: true})
+		want := serialRows(g, sources)
 		budgets := []parallel.Budget{
 			parallel.FixedBudget(1),
 			parallel.FixedBudget(1 + int(workers)%8),
 			parallel.Live(),
 		}
 		for _, bud := range budgets {
-			got, _ := msRun(g, sources, bud, MSOptions{})
+			got, _ := msRun(g, sources, bud, Options{})
 			assertRowsEqual(t, "diropt", want, got)
-			gotTD, _ := msRun(g, sources, bud, MSOptions{ForceTopDown: true})
+			gotTD, _ := msRun(g, sources, bud, Options{ForceTopDown: true})
 			assertRowsEqual(t, "topdown", want, gotTD)
 		}
 	})

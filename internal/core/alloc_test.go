@@ -39,8 +39,6 @@ func TestWorkspaceReuseBitIdentical(t *testing.T) {
 		{"coupled", Options{Coupled: true}},
 		{"cgs", Options{Ortho: ortho.CGS}},
 		{"plain-ortho", Options{PlainOrtho: true}},
-		{"tiled", Options{LS: LSTiled}},
-		{"columnwise", Options{LS: LSColumnWise}},
 		{"random-pivots", Options{Pivots: pivot.Random}},
 		{"random-ms-pivots", Options{Pivots: pivot.RandomMS}},
 	}

@@ -423,26 +423,6 @@ func TestDistanceCorrelation(t *testing.T) {
 	}
 }
 
-func TestLSKernelVariantsAgree(t *testing.T) {
-	g := gen.PlateWithHoles(25, 25)
-	a, _, err := ParHDE(g, Options{Subspace: 20, Seed: 5, LS: LSColumnWise})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := ParHDE(g, Options{Subspace: 20, Seed: 5, LS: LSTiled})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Coords.Data {
-		if math.Abs(a.Coords.Data[i]-b.Coords.Data[i]) > 1e-9 {
-			t.Fatalf("LS kernels diverge at %d: %g vs %g", i, a.Coords.Data[i], b.Coords.Data[i])
-		}
-	}
-	if LSAuto.String() != "auto" || LSTiled.String() != "tiled" || LSColumnWise.String() != "columnwise" {
-		t.Fatal("kernel names")
-	}
-}
-
 func TestCoupledMatchesDecoupled(t *testing.T) {
 	g := gen.PlateWithHoles(25, 25)
 	a, arep, err := ParHDE(g, Options{Subspace: 15, Seed: 6})

@@ -54,8 +54,6 @@ type Options struct {
 	// SkipConnectivityCheck suppresses the reachability verification after
 	// the first traversal (benchmarks on known-connected inputs).
 	SkipConnectivityCheck bool
-	// LS selects the TripleProd step-1 kernel (see LSKernel).
-	LS LSKernel
 	// Coupled interleaves the BFS and DOrtho phases: each distance vector
 	// is orthogonalized as soon as its traversal finishes and the raw
 	// distance matrix is never stored, cutting the O(sn) extra memory of
@@ -65,19 +63,13 @@ type Options struct {
 	// decoupled run.
 	Coupled bool
 	// Workspace supplies pooled scratch for the run's large buffers
-	// (BFS frontiers, the distance matrix, the DOrtho column arena, the
+	// (BFS frontiers, the distance matrix, the DOrtho column store, the
 	// TripleProd panels, the output coordinates). nil allocates fresh
 	// buffers per run. With a workspace the steady state performs no
 	// O(n)-sized allocations, and results are bit-identical to a
 	// fresh-allocation run; the returned Layout aliases workspace storage
 	// and is valid only until the workspace's next run (Clone to retain).
 	Workspace *workspace.Workspace
-	// NoPack keeps the dense phases on the unpacked kernels: flat-arena
-	// panel MGS (ortho.MGSUnpacked), the two-pass tiled TripleProd, and
-	// the streaming AᵀB. The packed kernels are bitwise identical, so
-	// this changes timing only — it exists as the ablation baseline the
-	// scaling harness and the packed perf gates measure against.
-	NoPack bool
 	// TrackAllocs records per-phase heap-allocation deltas into
 	// Report.PhaseAllocs. Each phase is bracketed by
 	// runtime.ReadMemStats, which is process-global and stops the world
@@ -108,36 +100,6 @@ type Options struct {
 	// WarmSweeps is the number of refinement sweeps of the warm path; ≤ 0
 	// uses DefaultWarmSweeps.
 	WarmSweeps int
-}
-
-// LSKernel selects how P = L·S is computed.
-type LSKernel int
-
-const (
-	// LSAuto selects the blocked (tiled) kernel when a workspace is
-	// attached or the subspace is wide (s ≥ 8) — one edge-list pass
-	// advances all s columns, and with a workspace its repack panels are
-	// pooled — and the column-wise kernel otherwise. The two kernels are
-	// bitwise interchangeable, so the heuristic never changes results
-	// (the ls ablation experiment measures the crossover per machine).
-	LSAuto LSKernel = iota
-	// LSColumnWise runs s independent fused SpMVs (the paper's kernel).
-	LSColumnWise
-	// LSTiled repacks S row-major and advances all columns in one graph
-	// pass — the §3.1 "s ≫ 1" special-case optimization.
-	LSTiled
-)
-
-// String names the kernel the way the -ls command-line flag spells it.
-func (k LSKernel) String() string {
-	switch k {
-	case LSColumnWise:
-		return "columnwise"
-	case LSTiled:
-		return "tiled"
-	default:
-		return "auto"
-	}
 }
 
 // withDefaults normalizes zero values.

@@ -221,11 +221,7 @@ func ParHDECtx(ctx context.Context, g *graph.CSR, opt Options) (*Layout, *Report
 				if ws != nil {
 					osc = ws.Ortho
 				}
-				method := opt.Ortho
-				if opt.NoPack && method == ortho.MGS {
-					method = ortho.MGSUnpacked
-				}
-				res := ortho.DOrthogonalizeBudget(bud, b, d, method, osc)
+				res := ortho.DOrthogonalizeBudget(bud, b, d, opt.Ortho, osc)
 				rep.KeptColumns = len(res.Kept)
 				rep.DroppedColumns = res.Dropped
 				layoutCols := opt.Dims
@@ -252,22 +248,13 @@ func ParHDECtx(ctx context.Context, g *graph.CSR, opt Options) (*Layout, *Report
 		NotifyPhase(ctx, "tripleprod")
 		var p *linalg.Dense
 		tr.timed("ls", &bd.LS, func() {
-			tiled := opt.LS == LSTiled ||
-				(opt.LS == LSAuto && (ws != nil || sMat.Cols >= 8))
-			switch {
-			case tiled && ws != nil && !opt.NoPack:
-				p = linalg.LapMulDenseTiledPackedBudget(bud, g, deg, sMat,
-					linalg.ViewDense(ws.P, n, sMat.Cols), ws.SRM, ws.Pack)
-			case tiled && ws != nil:
-				p = linalg.LapMulDenseTiledBudget(bud, g, deg, sMat,
-					linalg.ViewDense(ws.P, n, sMat.Cols), ws.SRM, ws.PRM)
-			case tiled && !opt.NoPack:
-				p = linalg.LapMulDenseTiledPackedBudget(bud, g, deg, sMat, nil, nil, nil)
-			case tiled:
-				p = linalg.LapMulDenseTiledBudget(bud, g, deg, sMat, nil, nil, nil)
-			default:
-				p = linalg.LapMulDenseBudget(bud, g, deg, sMat)
+			var pOut *linalg.Dense
+			var srm []float64
+			var arena *linalg.PackArena
+			if ws != nil {
+				pOut, srm, arena = linalg.ViewDense(ws.P, n, sMat.Cols), ws.SRM, ws.Pack
 			}
+			p = linalg.LapMulDenseTiledPackedBudget(bud, g, deg, sMat, pOut, srm, arena)
 		})
 		var z *linalg.Dense
 		tr.timed("gemm", &bd.Gemm, func() {
@@ -279,11 +266,7 @@ func ParHDECtx(ctx context.Context, g *graph.CSR, opt Options) (*Layout, *Report
 				partials = ws.GemmPartials
 				arena = ws.Pack
 			}
-			if opt.NoPack {
-				z = linalg.AtBBudget(bud, sMat, p, zOut, partials)
-			} else {
-				z = linalg.AtBPackedBudget(bud, sMat, p, zOut, partials, arena)
-			}
+			z = linalg.AtBPackedBudget(bud, sMat, p, zOut, partials, arena)
 		})
 
 		// --- Eigensolve ---------------------------------------------------
@@ -381,18 +364,18 @@ func coupledPhase(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int,
 		amVals     []int32
 	)
 	if ws := opt.Workspace; ws != nil {
-		runner = bfs.NewRunnerBudget(g, opt.BFS, ws.Pivot.BFS, bud)
+		runner = bfs.NewRunner(g, opt.BFS, ws.Pivot.BFS, bud)
 		dist, dmin = ws.Pivot.Dist, ws.Pivot.DMin
 		col = ws.Col
-		inc = ortho.NewIncrementalBudget(bud, n, deg, ws.Ortho)
+		inc = ortho.NewIncremental(bud, n, s, deg, ws.Ortho)
 		ws.Pivot.Ensure(n)
 		amIdx, amVals = ws.Pivot.ArgmaxArenas()
 	} else {
-		runner = bfs.NewRunnerBudget(g, opt.BFS, nil, bud)
+		runner = bfs.NewRunner(g, opt.BFS, nil, bud)
 		dist = make([]int32, n)
 		dmin = make([]int32, n)
 		col = make([]float64, n)
-		inc = ortho.NewIncrementalBudget(bud, n, deg, nil)
+		inc = ortho.NewIncremental(bud, n, s, deg, nil)
 	}
 	parallelFillInt32(bud, dmin, int32(1)<<30)
 

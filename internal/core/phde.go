@@ -7,6 +7,7 @@ import (
 	"repro/internal/eigen"
 	"repro/internal/graph"
 	"repro/internal/linalg"
+	"repro/internal/parallel"
 	"repro/internal/pivot"
 )
 
@@ -76,7 +77,7 @@ func pcaEmbed(g *graph.CSR, opt Options, doubleCenter bool) (*Layout, *Report, e
 
 		// --- MatMul: Z = CᵀC ----------------------------------------------
 		var z *linalg.Dense
-		timed(&bd.Gemm, func() { z = linalg.AtB(c, c) })
+		timed(&bd.Gemm, func() { z = linalg.AtBPackedBudget(parallel.Live(), c, c, nil, nil, nil) })
 
 		// --- Eigensolve: top two eigenvectors of the covariance -----------
 		var axes *linalg.Dense
@@ -90,7 +91,7 @@ func pcaEmbed(g *graph.CSR, opt Options, doubleCenter bool) (*Layout, *Report, e
 
 		// --- Projection [x, y] = C·Y --------------------------------------
 		timed(&bd.Project, func() {
-			layout = &Layout{Coords: linalg.MulSmall(c, axes)}
+			layout = &Layout{Coords: linalg.MulSmallBudget(parallel.Live(), c, axes, nil)}
 		})
 	})
 	if err != nil {

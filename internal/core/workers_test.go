@@ -22,7 +22,6 @@ func TestParHDEBitIdenticalAcrossWorkerBudgets(t *testing.T) {
 	}{
 		{"decoupled", Options{Subspace: 8, Seed: 11}},
 		{"coupled", Options{Subspace: 8, Seed: 11, Coupled: true}},
-		{"decoupled-nopack", Options{Subspace: 8, Seed: 11, NoPack: true}},
 	}
 	g := gen.Kron(13, 8, 3) // n=8192: spans two reduction tiles, admits 4-way block fan-out
 	ws := workspace.New()   // shared across budgets: arenas must be budget-independent
@@ -55,48 +54,6 @@ func TestParHDEBitIdenticalAcrossWorkerBudgets(t *testing.T) {
 					t.Fatalf("%s workers=%d: Coords[%d] = %v, want %v (bitwise)",
 						c.name, p, k, lay.Coords.Data[k], ref.Coords.Data[k])
 				}
-			}
-		}
-	}
-}
-
-// TestParHDEPackedMatchesUnpacked: the packed default and the NoPack
-// ablation produce bitwise identical coordinates from one shared
-// workspace — the packed kernels change timing only. Alternating the two
-// paths over the same workspace is the case where a stale packed arena
-// or misrouted scratch buffer would leak one run's state into the next.
-func TestParHDEPackedMatchesUnpacked(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-	g := gen.Kron(13, 8, 3)
-	ws := workspace.New()
-	opt := Options{Subspace: 8, Seed: 11, Workers: 4, Workspace: ws}
-	ref, _, err := ParHDE(g, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refCoords := append([]float64(nil), ref.Coords.Data...) // ref aliases ws
-	for _, c := range []struct {
-		name   string
-		noPack bool
-	}{
-		{"unpacked", true},
-		{"packed-again", false},
-		{"unpacked-again", true},
-	} {
-		o := opt
-		o.NoPack = c.noPack
-		lay, _, err := ParHDE(g, o)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if len(lay.Coords.Data) != len(refCoords) {
-			t.Fatalf("%s: coordinate count diverged", c.name)
-		}
-		for k := range refCoords {
-			if lay.Coords.Data[k] != refCoords[k] {
-				t.Fatalf("%s: Coords[%d] = %v, want %v (bitwise)",
-					c.name, k, lay.Coords.Data[k], refCoords[k])
 			}
 		}
 	}

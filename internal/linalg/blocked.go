@@ -1,8 +1,8 @@
 package linalg
 
-// Register-blocked micro-kernels for the dense TripleProd/projection
-// phases. The naive AᵀB kernel streams one column of A and one column of
-// B per output element, so A is read t times and B s times — 2·s·t·n
+// Register-blocked micro-kernels for the dense TripleProd phase. A
+// textbook AᵀB triple loop streams one column of A and one column of B
+// per output element, so A is read t times and B s times — 2·s·t·n
 // float64 loads for an s×t output. The kernels here compute a 4×2 output
 // tile per pass instead: four A columns and two B columns are streamed
 // together into eight independent accumulators, cutting the loads to
@@ -10,7 +10,7 @@ package linalg
 // the row loop is unrolled by 4 to expose independent FMA chains. Each
 // output element still owns exactly one accumulator advancing in
 // ascending row order, so the blocked kernels sum in the same order as
-// the naive ones and stay deterministic for a fixed worker count.
+// the triple loop and stay deterministic for every worker count.
 //
 // All kernels are tail-safe: row counts that are not a multiple of the
 // unroll factor and column counts that are not a multiple of the tile
@@ -87,7 +87,7 @@ func dot4x1(a0, a1, a2, a3, b0 []float64, c0, c1, c2, c3 float64) (float64, floa
 	r := 0
 	// Each accumulator advances one product at a time (no multi-product
 	// sums): Go cannot reassociate these, so the summation order is
-	// exactly the naive kernel's and results stay bitwise identical.
+	// exactly the triple loop's and results stay bitwise identical.
 	for ; r+4 <= n; r += 4 {
 		x0, x1, x2, x3 := b0[r], b0[r+1], b0[r+2], b0[r+3]
 		c0 += a0[r] * x0
@@ -157,41 +157,4 @@ func dot1x1(a0, b0 []float64, c float64) float64 {
 		c += a0[r] * b0[r]
 	}
 	return c
-}
-
-// atbPanel writes the s×t column-major panel out[j*s+i] = Σ_{r∈[lo,hi)}
-// a_i[r]·b_j[r], tiling the output 4×2 so each pass over the row range
-// serves eight elements. Called once per row block by AtBInto; with one
-// block it produces the final product directly.
-func atbPanel(a, b *Dense, out []float64, lo, hi int) {
-	s, t := a.Cols, b.Cols
-	j := 0
-	for ; j+2 <= t; j += 2 {
-		b0, b1 := b.Col(j)[lo:hi], b.Col(j + 1)[lo:hi]
-		o0, o1 := out[j*s:(j+1)*s], out[(j+1)*s:(j+2)*s]
-		i := 0
-		for ; i+4 <= s; i += 4 {
-			c00, c10, c20, c30, c01, c11, c21, c31 := dot4x2(
-				a.Col(i)[lo:hi], a.Col(i + 1)[lo:hi], a.Col(i + 2)[lo:hi], a.Col(i + 3)[lo:hi], b0, b1,
-				0, 0, 0, 0, 0, 0, 0, 0)
-			o0[i], o0[i+1], o0[i+2], o0[i+3] = c00, c10, c20, c30
-			o1[i], o1[i+1], o1[i+2], o1[i+3] = c01, c11, c21, c31
-		}
-		for ; i < s; i++ {
-			o0[i], o1[i] = dot1x2(a.Col(i)[lo:hi], b0, b1, 0, 0)
-		}
-	}
-	if j < t {
-		b0 := b.Col(j)[lo:hi]
-		o0 := out[j*s : (j+1)*s]
-		i := 0
-		for ; i+4 <= s; i += 4 {
-			o0[i], o0[i+1], o0[i+2], o0[i+3] = dot4x1(
-				a.Col(i)[lo:hi], a.Col(i + 1)[lo:hi], a.Col(i + 2)[lo:hi], a.Col(i + 3)[lo:hi], b0,
-				0, 0, 0, 0)
-		}
-		for ; i < s; i++ {
-			o0[i] = dot1x1(a.Col(i)[lo:hi], b0, 0)
-		}
-	}
 }

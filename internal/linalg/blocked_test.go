@@ -2,8 +2,9 @@ package linalg
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
+
+	"repro/internal/parallel"
 )
 
 // Adversarial row counts for the blocked kernels: everything that can go
@@ -11,11 +12,21 @@ import (
 // row partition — sizes below, at, and just past each boundary.
 var adversarialRows = []int{1, 2, 3, 4, 5, 7, 8, 9, 63, 1023, 1024, 1025, 2047, 2048, 2049, 4097}
 
+// packCols appends every flat column to a fresh packed store unscaled.
+func packCols(n int, cols [][]float64) *PackedCols {
+	pc := &PackedCols{}
+	pc.Ensure(n, len(cols))
+	for _, col := range cols {
+		pc.AppendScaledDDotBudget(parallel.Live(), col, nil, 1, nil)
+	}
+	return pc
+}
+
 // TestBlockedAtBBitwiseMatchesNaive is the blocked micro-kernel's
 // correctness property: because each output element is accumulated by a
 // single dedicated register in ascending row order, the 4×2-tiled kernel
-// must be BITWISE equal to the naive reference — no tolerance — across
-// shapes where n is not a multiple of the unroll, s and t are not
+// must be BITWISE equal to the triple-loop reference — no tolerance —
+// across shapes where n is not a multiple of the unroll, s and t are not
 // multiples of the tile, and the parallel row partition kicks in.
 func TestBlockedAtBBitwiseMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
@@ -23,61 +34,16 @@ func TestBlockedAtBBitwiseMatchesNaive(t *testing.T) {
 		for _, st := range [][2]int{{1, 1}, {1, 2}, {2, 1}, {3, 5}, {4, 2}, {5, 4}, {7, 9}, {8, 8}, {9, 3}} {
 			s, u := st[0], st[1]
 			a, b := NewDense(n, s), NewDense(n, u)
-			for i := range a.Data {
-				a.Data[i] = r.NormFloat64()
-			}
-			for i := range b.Data {
-				b.Data[i] = r.NormFloat64()
-			}
-			want := NewDense(s, u)
-			AtBNaiveInto(a, b, want, nil)
-			got := AtB(a, b)
+			fillRand(a, r)
+			fillRand(b, r)
+			want := refAtB(a, b)
+			got := AtBPackedBudget(parallel.Live(), a, b, nil, nil, nil)
 			for i := range want.Data {
 				if got.Data[i] != want.Data[i] {
-					t.Fatalf("n=%d s=%d t=%d: AtB[%d] = %g, naive %g (must be bitwise equal)",
+					t.Fatalf("n=%d s=%d t=%d: AtB[%d] = %g, triple loop %g (must be bitwise equal)",
 						n, s, u, i, got.Data[i], want.Data[i])
 				}
 			}
-		}
-	}
-}
-
-// TestBlockedAtBSerialMatchesParallel pins the determinism contract for
-// the row-parallel path: per-block partials are combined serially in
-// block order, so for a fixed worker count the result is reproducible,
-// and because each block is itself a single-accumulator sum the one-worker
-// result equals the naive kernel exactly.
-func TestBlockedAtBSerialMatchesParallel(t *testing.T) {
-	r := rand.New(rand.NewSource(12))
-	n, s, u := 3*2048+17, 5, 3
-	a, b := NewDense(n, s), NewDense(n, u)
-	for i := range a.Data {
-		a.Data[i] = r.NormFloat64()
-	}
-	for i := range b.Data {
-		b.Data[i] = r.NormFloat64()
-	}
-	par := AtB(a, b)
-	wantPar := NewDense(s, u)
-	AtBNaiveInto(a, b, wantPar, nil) // same worker count as par
-	prev := runtime.GOMAXPROCS(1)
-	ser := AtB(a, b)
-	wantSer := NewDense(s, u)
-	AtBNaiveInto(a, b, wantSer, nil)
-	runtime.GOMAXPROCS(prev)
-	for i := range wantSer.Data {
-		// Blocked equals naive bitwise at each worker count (same block
-		// partition, same in-order combine)...
-		if ser.Data[i] != wantSer.Data[i] {
-			t.Fatalf("serial AtB[%d] = %g, naive %g", i, ser.Data[i], wantSer.Data[i])
-		}
-		if par.Data[i] != wantPar.Data[i] {
-			t.Fatalf("parallel AtB[%d] = %g, naive %g", i, par.Data[i], wantPar.Data[i])
-		}
-		// ...and worker counts only reassociate the block combine, which
-		// must stay within rounding of the serial sum.
-		if !approxEq(par.Data[i], ser.Data[i], 1e-12) {
-			t.Fatalf("parallel AtB[%d] = %g, serial %g", i, par.Data[i], ser.Data[i])
 		}
 	}
 }
@@ -95,13 +61,14 @@ func TestDDotPanelMatchesReference(t *testing.T) {
 			for j := range cols {
 				cols[j] = randVec(n, r)
 			}
+			pc := packCols(n, cols)
 			work := randVec(n, r)
 			d := randVec(n, r)
 			for i := range d {
 				d[i] = 1 + d[i]*d[i] // positive weights
 			}
 			for _, dd := range [][]float64{nil, d} {
-				got := DDotPanel(cols, work, dd, nil, nil)
+				got := pc.DDotPanelRangeBudget(parallel.Live(), 0, k, work, dd, nil, nil)
 				if len(got) != k {
 					t.Fatalf("n=%d k=%d: got %d dots", n, k, len(got))
 				}
@@ -140,7 +107,7 @@ func TestSubtractScaledMatchesReference(t *testing.T) {
 			for j := range cols {
 				Axpy(-coeffs[j], cols[j], want)
 			}
-			SubtractScaled(work, cols, coeffs)
+			packCols(n, cols).SubtractScaledRangeBudget(parallel.Live(), 0, k, work, coeffs)
 			for i := range work {
 				if !approxEq(work[i], want[i], 1e-12) {
 					t.Fatalf("n=%d k=%d: work[%d] = %g, want %g", n, k, i, work[i], want[i])
@@ -151,7 +118,7 @@ func TestSubtractScaledMatchesReference(t *testing.T) {
 }
 
 // TestWidenMinArgmaxMatchesUnfused checks the fused BFS bookkeeping pass
-// against the three separate kernels it replaces, including argmax
+// against the three separate passes it replaces, including argmax
 // tie-breaking (ties toward the smallest index) and parallel row counts.
 func TestWidenMinArgmaxMatchesUnfused(t *testing.T) {
 	r := rand.New(rand.NewSource(15))
@@ -164,8 +131,12 @@ func TestWidenMinArgmaxMatchesUnfused(t *testing.T) {
 		}
 		wantMin := append([]int32(nil), dmin...)
 		wantDst := make([]float64, n)
-		Int32ToFloat64(wantDst, src)
-		MinUpdateInt32(wantMin, src)
+		for i, v := range src {
+			wantDst[i] = float64(v)
+			if v < wantMin[i] {
+				wantMin[i] = v
+			}
+		}
 		wantIdx := 0
 		for i, v := range wantMin {
 			if v > wantMin[wantIdx] {
@@ -173,7 +144,7 @@ func TestWidenMinArgmaxMatchesUnfused(t *testing.T) {
 			}
 		}
 		dst := make([]float64, n)
-		gotIdx := WidenMinArgmax(dst, dmin, src)
+		gotIdx := WidenMinArgmaxBudget(parallel.Live(), dst, dmin, src, nil, nil)
 		if gotIdx != wantIdx {
 			t.Fatalf("n=%d: argmax %d, want %d", n, gotIdx, wantIdx)
 		}
@@ -206,8 +177,11 @@ func TestScaledCopyDDotMatchesUnfused(t *testing.T) {
 				}
 				wantDN += w
 			}
+			var pc PackedCols
+			pc.Ensure(n, 1)
+			dn := pc.AppendScaledDDotBudget(parallel.Live(), src, dd, a, nil)
 			dst := make([]float64, n)
-			dn := ScaledCopyDDot(dst, src, dd, a, nil)
+			pc.CopyColIntoBudget(parallel.Live(), dst, 0)
 			for i := range dst {
 				if dst[i] != want[i] {
 					t.Fatalf("n=%d: dst[%d] = %g, want %g", n, i, dst[i], want[i])

@@ -37,55 +37,31 @@ func TestDotBudgetInvariance(t *testing.T) {
 			x, y, d := randVec(n, rng), randVec(n, rng), randVec(n, rng)
 			partials := make([]float64, ReduceBlocks(n))
 			ref := DotBudget(parallel.FixedBudget(1), x, y, nil)
-			refD := DDotBudget(parallel.FixedBudget(1), x, d, y, nil)
 			for _, bud := range testBudgets() {
 				if got := DotBudget(bud, x, y, partials); got != ref {
 					t.Fatalf("n=%d workers=%d: Dot %v != %v", n, bud.Workers(), got, ref)
-				}
-				if got := DDotBudget(bud, x, d, y, partials); got != refD {
-					t.Fatalf("n=%d workers=%d: DDot %v != %v", n, bud.Workers(), got, refD)
 				}
 			}
 			if got := Dot(x, y); got != ref {
 				t.Fatalf("n=%d: live Dot %v != %v", n, got, ref)
 			}
-		}
-	})
-}
-
-// TestAtBBudgetInvariance: the blocked AᵀB product is bitwise identical
-// across worker budgets, and reusing a pooled partials arena changes
-// nothing.
-func TestAtBBudgetInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	withProcs(4, func() {
-		for _, n := range []int{64, TileRows, 3*TileRows + 5} {
-			s, u := 7, 5
-			a, b := NewDense(n, s), NewDense(n, u)
-			copy(a.Data, randVec(n*s, rng))
-			copy(b.Data, randVec(n*u, rng))
-			partials := make([]float64, ReduceBlocks(n)*s*u)
-			ref := AtBBudget(parallel.FixedBudget(1), a, b, nil, nil)
-			for _, bud := range testBudgets() {
-				got := AtBBudget(bud, a, b, nil, partials)
-				for k := range ref.Data {
-					if got.Data[k] != ref.Data[k] {
-						t.Fatalf("n=%d workers=%d: AtB[%d] %v != %v", n, bud.Workers(), k, got.Data[k], ref.Data[k])
+			// DDot runs on the live budget only: sweep it through GOMAXPROCS.
+			var refD float64
+			withProcs(1, func() { refD = DDot(x, d, y) })
+			for _, p := range []int{2, 4} {
+				withProcs(p, func() {
+					if got := DDot(x, d, y); got != refD {
+						t.Fatalf("n=%d procs=%d: DDot %v != %v", n, p, got, refD)
 					}
-				}
-				naive := AtBNaiveBudget(bud, a, b, nil, partials)
-				for k := range ref.Data {
-					if naive.Data[k] != ref.Data[k] {
-						t.Fatalf("n=%d workers=%d: naive[%d] %v != %v", n, bud.Workers(), k, naive.Data[k], ref.Data[k])
-					}
-				}
+				})
 			}
 		}
 	})
 }
 
-// TestDDotPanelBudgetInvariance: the fused panel multi-dot matches across
-// budgets bitwise for panel widths around PanelCols.
+// TestDDotPanelBudgetInvariance: the fused panel multi-dot matches the
+// column-at-a-time reference bitwise under every budget, for panel widths
+// around PanelCols.
 func TestDDotPanelBudgetInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	withProcs(4, func() {
@@ -96,17 +72,18 @@ func TestDDotPanelBudgetInvariance(t *testing.T) {
 			for j := range cols {
 				cols[j] = randVec(n, rng)
 			}
+			pc := packCols(n, cols)
 			partials := make([]float64, ReduceBlocks(n)*k)
-			ref := DDotPanelBudget(parallel.FixedBudget(1), cols, work, d, nil, nil)
-			refPlain := DDotPanelBudget(parallel.FixedBudget(1), cols, work, nil, nil, nil)
+			ref := refPanelDots(cols, work, d)
+			refPlain := refPanelDots(cols, work, nil)
 			for _, bud := range testBudgets() {
-				got := DDotPanelBudget(bud, cols, work, d, nil, partials)
+				got := pc.DDotPanelRangeBudget(bud, 0, k, work, d, nil, partials)
 				for j := range ref {
 					if got[j] != ref[j] {
 						t.Fatalf("k=%d workers=%d: DDotPanel[%d] %v != %v", k, bud.Workers(), j, got[j], ref[j])
 					}
 				}
-				got = DDotPanelBudget(bud, cols, work, nil, nil, partials)
+				got = pc.DDotPanelRangeBudget(bud, 0, k, work, nil, nil, partials)
 				for j := range refPlain {
 					if got[j] != refPlain[j] {
 						t.Fatalf("k=%d workers=%d: plain DDotPanel[%d] %v != %v", k, bud.Workers(), j, got[j], refPlain[j])
@@ -159,9 +136,9 @@ func TestWidenMinArgmaxBudgetInvariance(t *testing.T) {
 	})
 }
 
-// TestScaledCopyDDotBudgetInvariance: the fused keep-step kernel is
-// bitwise identical across budgets for both the D-weighted and plain
-// variants.
+// TestScaledCopyDDotBudgetInvariance: the fused keep-step kernel matches
+// the unfused reference bitwise under every budget, for both the
+// D-weighted and plain variants.
 func TestScaledCopyDDotBudgetInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	withProcs(4, func() {
@@ -169,19 +146,22 @@ func TestScaledCopyDDotBudgetInvariance(t *testing.T) {
 			src, d := randVec(n, rng), randVec(n, rng)
 			partials := make([]float64, ReduceBlocks(n))
 			refDst := make([]float64, n)
-			ref := ScaledCopyDDotBudget(parallel.FixedBudget(1), refDst, src, d, 1.25, nil)
-			refPlain := ScaledCopyDDotBudget(parallel.FixedBudget(1), refDst, src, nil, 1.25, nil)
+			ref := refScaledDDot(refDst, src, d, 1.25)
+			refPlain := refScaledDDot(refDst, src, nil, 1.25)
+			var pc PackedCols
 			for _, bud := range testBudgets() {
-				dst := make([]float64, n)
-				if got := ScaledCopyDDotBudget(bud, dst, src, d, 1.25, partials); got != ref {
+				pc.Ensure(n, 2)
+				if got := pc.AppendScaledDDotBudget(bud, src, d, 1.25, partials); got != ref {
 					t.Fatalf("n=%d workers=%d: ScaledCopyDDot %v != %v", n, bud.Workers(), got, ref)
 				}
+				dst := make([]float64, n)
+				pc.CopyColIntoBudget(bud, dst, 0)
 				for i := range dst {
 					if dst[i] != refDst[i] {
 						t.Fatalf("n=%d workers=%d: dst[%d] diverged", n, bud.Workers(), i)
 					}
 				}
-				if got := ScaledCopyDDotBudget(bud, dst, src, nil, 1.25, partials); got != refPlain {
+				if got := pc.AppendScaledDDotBudget(bud, src, nil, 1.25, partials); got != refPlain {
 					t.Fatalf("n=%d workers=%d: plain ScaledCopyDDot %v != %v", n, bud.Workers(), got, refPlain)
 				}
 			}
@@ -189,8 +169,8 @@ func TestScaledCopyDDotBudgetInvariance(t *testing.T) {
 	})
 }
 
-// TestLapMulBudgetInvariance: the Laplacian kernels (column-wise and
-// tiled) agree bitwise with each other and across budgets.
+// TestLapMulBudgetInvariance: the column-at-a-time SpMV agrees bitwise
+// across budgets, and the tiled kernel agrees with it.
 func TestLapMulBudgetInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := gen.Path(2*TileRows + 13)
@@ -199,18 +179,15 @@ func TestLapMulBudgetInvariance(t *testing.T) {
 	withProcs(4, func() {
 		s := NewDense(n, 6)
 		copy(s.Data, randVec(n*6, rng))
-		ref := LapMulDenseBudget(parallel.FixedBudget(1), g, deg, s)
+		ref := refLapMul(g, deg, s)
 		for _, bud := range testBudgets() {
-			got := LapMulDenseBudget(bud, g, deg, s)
-			tiled := LapMulDenseTiledBudget(bud, g, deg, s, nil, nil, nil)
-			for k := range ref.Data {
-				if got.Data[k] != ref.Data[k] {
-					t.Fatalf("workers=%d: LapMulDense[%d] diverged", bud.Workers(), k)
-				}
-				if tiled.Data[k] != ref.Data[k] {
-					t.Fatalf("workers=%d: LapMulDenseTiled[%d] diverged", bud.Workers(), k)
-				}
+			got := NewDense(n, 6)
+			for j := 0; j < s.Cols; j++ {
+				LapMulVecBudget(bud, g, deg, s.Col(j), got.Col(j))
 			}
+			assertDenseEqual(t, "LapMulVec", got, ref)
+			tiled := LapMulDenseTiledPackedBudget(bud, g, deg, s, nil, nil, nil)
+			assertDenseEqual(t, "LapMulDenseTiledPacked", tiled, ref)
 		}
 	})
 }

@@ -8,7 +8,9 @@ import (
 // LapMulVec computes p ← L·x for the graph Laplacian L = D − A without
 // materializing L: (L·x)(i) = deg(i)·x(i) − Σ_{j∈Adj(i)} w(i,j)·x(j).
 // deg is the weighted degree vector (the dense degrees array the paper
-// uses for the diagonal). One call is one SpMV.
+// uses for the diagonal). One call is one SpMV; the irregular reads
+// x[g.Adj[k]] are the accesses whose cost tracks the adjacency-gap
+// distribution of Figure 2.
 func LapMulVec(g *graph.CSR, deg []float64, x, p []float64) {
 	LapMulVecBudget(parallel.Live(), g, deg, x, p)
 }
@@ -41,22 +43,6 @@ func LapMulVecBudget(bud parallel.Budget, g *graph.CSR, deg []float64, x, p []fl
 			p[i] = deg[i]*x[i] - sum
 		}
 	})
-}
-
-// LapMulDense computes P = L·S column by column — the s fused SpMVs of
-// step 1 of the TripleProd phase. The irregular reads x[g.Adj[k]] are the
-// accesses whose cost tracks the adjacency-gap distribution of Figure 2.
-func LapMulDense(g *graph.CSR, deg []float64, s *Dense) *Dense {
-	return LapMulDenseBudget(parallel.Live(), g, deg, s)
-}
-
-// LapMulDenseBudget is LapMulDense under an explicit worker budget.
-func LapMulDenseBudget(bud parallel.Budget, g *graph.CSR, deg []float64, s *Dense) *Dense {
-	p := NewDense(s.Rows, s.Cols)
-	for j := 0; j < s.Cols; j++ {
-		LapMulVecBudget(bud, g, deg, s.Col(j), p.Col(j))
-	}
-	return p
 }
 
 // WalkMulVec computes p ← D⁻¹A·x, the transition-matrix product used by

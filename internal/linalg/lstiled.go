@@ -5,94 +5,24 @@ import (
 	"repro/internal/parallel"
 )
 
-// LapMulDenseTiled computes P = L·S like LapMulDense but exploits the
-// s ≫ 1 special case the paper points at ("performance can be further
-// improved for special cases such as m/n ≫ s or s ≫ 1", §3.1): instead
-// of s independent SpMV passes that each re-read the adjacency structure,
-// the matrix is repacked row-major so one pass over the edge list
-// advances all s columns — each neighbor access loads a vertex's full
-// s-wide row contiguously, raising the kernel's arithmetic intensity from
-// O(1) to O(s) (Table 1's analysis). The repacking costs two extra
-// streaming passes over the n×s data, which the single graph traversal
-// amortizes for s ≳ 8. Per-element accumulation order matches
-// LapMulDense exactly, so the two kernels are bitwise interchangeable.
-func LapMulDenseTiled(g *graph.CSR, deg []float64, s *Dense) *Dense {
-	return LapMulDenseTiledInto(g, deg, s, nil, nil, nil)
-}
-
-// LapMulDenseTiledInto is LapMulDenseTiled with caller-provided storage:
-// p receives the product (allocated when nil), and srm/prm are the n·s
-// row-major repack panels (allocated when their capacity is short). A
-// workspace-backed caller passes all three and the steady-state kernel
-// performs no O(n·s) allocations.
-func LapMulDenseTiledInto(g *graph.CSR, deg []float64, s, p *Dense, srm, prm []float64) *Dense {
-	return LapMulDenseTiledBudget(parallel.Live(), g, deg, s, p, srm, prm)
-}
-
-// LapMulDenseTiledBudget is LapMulDenseTiledInto under an explicit worker
-// budget. Every output element is produced by exactly one worker with a
-// fixed per-element accumulation order, so the result is
-// partition-independent.
-func LapMulDenseTiledBudget(bud parallel.Budget, g *graph.CSR, deg []float64, s, p *Dense, srm, prm []float64) *Dense {
-	n, cols := s.Rows, s.Cols
-	if n != g.NumV {
-		panic("linalg: LapMulDenseTiled dimension mismatch")
-	}
-	if p == nil {
-		p = NewDense(n, cols)
-	} else if p.Rows != n || p.Cols != cols {
-		panic("linalg: LapMulDenseTiledInto output shape mismatch")
-	}
-	if cols == 0 {
-		return p
-	}
-	if cap(srm) < n*cols {
-		srm = make([]float64, n*cols)
-	}
-	if cap(prm) < n*cols {
-		prm = make([]float64, n*cols)
-	}
-	srm, prm = srm[:n*cols], prm[:n*cols]
-	// Pack S row-major.
-	if bud.Serial(n) {
-		packRowMajor(s, srm, 0, n, cols)
-	} else {
-		bud.ForBlock(n, func(lo, hi int) { packRowMajor(s, srm, lo, hi, cols) })
-	}
-	// One edge-list pass advances all cols columns. Each vertex's output
-	// row doubles as its accumulator — rows partition across blocks, so
-	// this is race-free and saves a per-block scratch allocation.
-	if bud.Serial(n) {
-		fusedRows(g, deg, srm, prm, 0, 0, n, cols)
-	} else {
-		bud.ForBlock(n, func(lo, hi int) { fusedRows(g, deg, srm, prm, 0, lo, hi, cols) })
-	}
-	// Unpack to the column-major result.
-	if bud.Serial(n) {
-		unpackRowMajor(p, prm, 0, 0, n, cols)
-	} else {
-		bud.ForBlock(n, func(lo, hi int) { unpackRowMajor(p, prm, 0, lo, hi, cols) })
-	}
-	return p
-}
-
-// LapMulDenseTiledPacked is LapMulDenseTiledPackedBudget with private
-// storage — the convenience form the property tests exercise.
-func LapMulDenseTiledPacked(g *graph.CSR, deg []float64, s *Dense) *Dense {
-	return LapMulDenseTiledPackedBudget(parallel.Live(), g, deg, s, nil, nil, nil)
-}
-
-// LapMulDenseTiledPackedBudget is LapMulDenseTiledBudget with the output
-// pass kept cache-resident: instead of fusing all n rows into a full n·s
-// row-major panel and transposing it back in a second sweep — an extra
-// n·s·16-byte DRAM round trip that dominates at layout sizes — each
+// LapMulDenseTiledPackedBudget computes P = L·S for the graph Laplacian
+// L = D − A and the n×s column-major S — step 1 of the TripleProd phase —
+// exploiting the s ≫ 1 special case the paper points at ("performance can
+// be further improved for special cases such as m/n ≫ s or s ≫ 1", §3.1):
+// instead of s independent SpMV passes that each re-read the adjacency
+// structure, S is repacked row-major into srm (n·s floats, allocated when
+// its capacity is short) so one pass over the edge list advances all s
+// columns — each neighbor access loads a vertex's full s-wide row
+// contiguously, raising the kernel's arithmetic intensity from O(1) to
+// O(s) (Table 1's analysis). The output pass stays cache-resident: each
 // worker fuses a PackRows-high chunk into its arena slot and unpacks it
-// into the column-major result while it is still in cache. The source
-// pack srm stays global (fusedRows gathers arbitrary neighbors' rows, so
-// it cannot be chunked), but the prm panel disappears entirely. Every
-// output element is produced by one worker with the per-element
-// accumulation order of fusedRows, so the result is bitwise identical to
-// LapMulDenseTiledBudget for every worker budget.
+// into the column-major p (allocated when nil) while it is still in
+// cache, so no n·s row-major product panel ever exists. The source pack
+// srm stays global because fusedRows gathers arbitrary neighbors' rows.
+// Every output element is produced by one worker with the per-element
+// accumulation order of a column-at-a-time SpMV (adjacency order, degree
+// term last), so the result equals s LapMulVecBudget calls bit for bit
+// under every worker budget. arena may be nil (private storage).
 func LapMulDenseTiledPackedBudget(bud parallel.Budget, g *graph.CSR, deg []float64, s, p *Dense, srm []float64, arena *PackArena) *Dense {
 	n, cols := s.Rows, s.Cols
 	if n != g.NumV {
@@ -114,14 +44,14 @@ func LapMulDenseTiledPackedBudget(bud parallel.Budget, g *graph.CSR, deg []float
 		arena = &PackArena{}
 	}
 	workers := bud.BlockWorkers(n)
-	arena.Ensure(workers, PackRows*cols)
+	arena.Ensure(workers, min(PackRows, n)*cols)
 	if workers <= 1 {
 		packRowMajor(s, srm, 0, n, cols)
 		slot := arena.slot(0)
 		for r0 := 0; r0 < n; r0 += PackRows {
 			r1 := min(r0+PackRows, n)
-			fusedRows(g, deg, srm, slot, r0, r0, r1, cols)
-			unpackRowMajor(p, slot, r0, r0, r1, cols)
+			fusedRows(g, deg, srm, slot, r0, r1, cols)
+			unpackRowMajor(p, slot, r0, r1, cols)
 		}
 		return p
 	}
@@ -132,8 +62,8 @@ func LapMulDenseTiledPackedBudget(bud parallel.Budget, g *graph.CSR, deg []float
 		slot := arena.slot(w)
 		for r0 := lo; r0 < hi; r0 += PackRows {
 			r1 := min(r0+PackRows, hi)
-			fusedRows(g, deg, srm, slot, r0, r0, r1, cols)
-			unpackRowMajor(p, slot, r0, r0, r1, cols)
+			fusedRows(g, deg, srm, slot, r0, r1, cols)
+			unpackRowMajor(p, slot, r0, r1, cols)
 		}
 	})
 	return p
@@ -149,17 +79,15 @@ func packRowMajor(s *Dense, srm []float64, lo, hi, cols int) {
 	}
 }
 
-// fusedRows computes rows [lo, hi) of the row-major product prm = L·S
-// over the row-major pack srm: prm_i = deg_i·srm_i − Σ_{u∈adj(i)} srm_u,
-// accumulating into prm_i itself. prm is indexed relative to base —
-// base 0 addresses a full n-row panel, base lo a chunk holding only
-// [lo, hi) (the packed path's arena slot). The accumulation order per
-// element matches LapMulDense exactly (adjacency order, degree term
-// last) and does not depend on base.
-func fusedRows(g *graph.CSR, deg, srm, prm []float64, base, lo, hi, cols int) {
+// fusedRows computes rows [lo, hi) of the row-major product L·S over the
+// row-major pack srm into the chunk prm, whose row 0 is vertex lo:
+// prm_i = deg_i·srm_i − Σ_{u∈adj(i)} srm_u, accumulating into prm_i
+// itself. The accumulation order per element matches LapMulVecBudget
+// exactly (adjacency order, degree term last).
+func fusedRows(g *graph.CSR, deg, srm, prm []float64, lo, hi, cols int) {
 	weighted := g.Weighted()
 	for i := lo; i < hi; i++ {
-		acc := prm[(i-base)*cols : (i-base+1)*cols]
+		acc := prm[(i-lo)*cols : (i-lo+1)*cols]
 		for k := range acc {
 			acc[k] = 0
 		}
@@ -188,13 +116,13 @@ func fusedRows(g *graph.CSR, deg, srm, prm []float64, base, lo, hi, cols int) {
 	}
 }
 
-// unpackRowMajor transposes rows [lo, hi) of prm into the column-major
-// p. prm is indexed relative to base, like fusedRows.
-func unpackRowMajor(p *Dense, prm []float64, base, lo, hi, cols int) {
+// unpackRowMajor transposes the chunk prm (row 0 is vertex lo, like
+// fusedRows) into rows [lo, hi) of the column-major p.
+func unpackRowMajor(p *Dense, prm []float64, lo, hi, cols int) {
 	for j := 0; j < cols; j++ {
 		col := p.Col(j)
 		for i := lo; i < hi; i++ {
-			col[i] = prm[(i-base)*cols+j]
+			col[i] = prm[(i-lo)*cols+j]
 		}
 	}
 }

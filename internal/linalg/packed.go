@@ -4,23 +4,22 @@ import (
 	"repro/internal/parallel"
 )
 
-// Cache-resident packed kernels. The blocked kernels in blocked.go cut
-// redundant loads with register tiling, but they still stream their
-// operands out of the column-major matrices in place: for an n×s matrix
-// the columns sit n·8 bytes apart, and at the power-of-two sizes the
-// layouts run at (n = 2^16…2^20) every column of a 4×2 tile pass maps to
-// the same cache sets, so the per-tile working set that should be served
-// from L1/L2 is evicted by its own conflict misses and each B-column pair
-// re-reads the A tile from DRAM. The kernels here close that gap by
-// packing: each worker copies the chunk of rows it is about to consume
-// into its own contiguous arena slot once, then runs the same 4×2
-// micro-kernels out of the packed copy, which stays cache-resident for
-// every subsequent pass over the chunk. Packing is a copy and every
-// accumulator chain still advances one product at a time in ascending row
-// order, so the packed kernels are bitwise identical to their unpacked
-// counterparts (and, transitively, to the naive references) for every
-// worker budget — the property the packed-equivalence fuzz and
-// budget-invariance suites pin down.
+// Cache-resident packed kernels. Register tiling (blocked.go) cuts
+// redundant loads, but streaming the operands out of the column-major
+// matrices in place still loses: for an n×s matrix the columns sit n·8
+// bytes apart, and at the power-of-two sizes the layouts run at (n =
+// 2^16…2^20) every column of a 4×2 tile pass maps to the same cache sets,
+// so the per-tile working set that should be served from L1/L2 is evicted
+// by its own conflict misses and each B-column pair re-reads the A tile
+// from DRAM. The kernels here close that gap by packing: each worker
+// copies the chunk of rows it is about to consume into its own contiguous
+// arena slot once, then runs the 4×2 micro-kernels out of the packed
+// copy, which stays cache-resident for every subsequent pass over the
+// chunk. Packing is a copy and every accumulator chain still advances one
+// product at a time in ascending row order, so the results equal a
+// tile-ordered triple loop bit for bit under every worker budget — the
+// property the packed-equivalence fuzz and budget-invariance suites pin
+// down.
 
 // PackRows is the row height of one packed chunk: 512 rows are 4 KiB per
 // packed column, so a chunk of a 48-column A panel plus a 48-column B
@@ -64,24 +63,26 @@ func (pa *PackArena) slot(w int) []float64 {
 	return pa.buf[w*pa.per : (w+1)*pa.per]
 }
 
-// AtBPacked is AtBInto running the packed kernel with private storage —
-// the convenience form the property tests exercise; production callers
-// use AtBPackedBudget with a pooled arena.
-func AtBPacked(a, b *Dense) *Dense {
-	return AtBPackedBudget(parallel.Live(), a, b, nil, nil, nil)
-}
-
-// AtBPackedBudget is AtBBudget with cache-resident packed tiles: each
-// worker packs the PackRows-high chunk of A and B columns it is about to
-// consume into its arena slot and runs the 4×2 micro-kernels out of the
-// packed copy, so the chunk is read from DRAM once and served from cache
-// for all s·t/8 kernel passes (the unpacked kernel re-reads the A tile
-// once per B-column pair). The tile grid, per-tile panels, and serial
-// ascending-order combine are exactly AtBBudget's, and the accumulator
-// chains are carried through the output panel between chunks, so the
-// result is bitwise identical to AtBBudget and AtBNaiveBudget for every
-// worker budget. arena may be nil (private storage) — a workspace-backed
-// caller passes the pooled arena and the steady state allocates nothing.
+// AtBPackedBudget computes the small dense product C = AᵀB, where A and B
+// are n×s and n×t column-major matrices with large n and small s, t. This
+// is the dgemm step of the TripleProd phase, Z = Sᵀ(LS): the paper notes
+// its arithmetic intensity is s and its depth is independent of s
+// (Table 1). c receives the product (allocated when nil; contents are
+// overwritten).
+//
+// The row dimension is cut into the fixed TileRows tiling; each tile is
+// reduced into its own s×t panel of partials (capacity ≥
+// ReduceBlocks(n)·s·t floats, grown when short) and the panels are
+// combined serially in tile order. Within a tile each worker packs the
+// PackRows-high chunk of A and B columns it is about to consume into its
+// arena slot and runs the 4×2 micro-kernels out of the packed copy, so
+// the chunk is read from DRAM once and served from cache for all s·t/8
+// kernel passes. The accumulator chains are carried through the output
+// panel between chunks, and the tile grid depends only on n, so the
+// result is bitwise identical for every worker budget, including the
+// serial path. arena may be nil (private storage) — a workspace-backed
+// caller passes the pooled arena and partials and the steady state
+// allocates nothing.
 func AtBPackedBudget(bud parallel.Budget, a, b, c *Dense, partials []float64, arena *PackArena) *Dense {
 	n, s, t, c := atbCheck(a, b, c)
 	tiles := ReduceBlocks(n)
@@ -117,13 +118,14 @@ func AtBPackedBudget(bud parallel.Budget, a, b, c *Dense, partials []float64, ar
 	return c
 }
 
-// atbPackedPanel is atbPanel running out of packed storage: rows
-// [lo, hi) are consumed in PackRows-high chunks, each chunk's A and B
-// columns copied contiguously into the worker's arena slot before the
-// 4×2 kernels sweep it. The output panel doubles as the accumulator
-// store between chunks — every element is loaded, extended by the
-// chunk's products in ascending row order, and stored back — so the
-// additions happen in exactly the order of one unpacked full-range pass.
+// atbPackedPanel writes the s×t column-major panel out[j*s+i] =
+// Σ_{r∈[lo,hi)} a_i[r]·b_j[r] out of packed storage: rows [lo, hi) are
+// consumed in PackRows-high chunks, each chunk's A and B columns copied
+// contiguously into the worker's arena slot before the 4×2 kernels sweep
+// it. The output panel doubles as the accumulator store between chunks —
+// every element is loaded, extended by the chunk's products in ascending
+// row order, and stored back — so the additions happen in exactly the
+// order of one full-range pass.
 func atbPackedPanel(a, b *Dense, out []float64, lo, hi int, pack []float64) {
 	s, t := a.Cols, b.Cols
 	for k := range out[: s*t : s*t] {
@@ -168,5 +170,32 @@ func atbPackedPanel(a, b *Dense, out []float64, lo, hi int, pack []float64) {
 				o0[i] = dot1x1(packA[i*w:(i+1)*w], b0, o0[i])
 			}
 		}
+	}
+}
+
+// atbCheck validates shapes and allocates c when nil.
+func atbCheck(a, b, c *Dense) (n, s, t int, out *Dense) {
+	if a.Rows != b.Rows {
+		panic("linalg: AtB dimension mismatch")
+	}
+	n, s, t = a.Rows, a.Cols, b.Cols
+	if c == nil {
+		c = NewDense(s, t)
+	} else if c.Rows != s || c.Cols != t {
+		panic("linalg: AtB output shape mismatch")
+	}
+	return n, s, t, c
+}
+
+// combinePanels sums the nb per-tile panels serially in ascending tile
+// order — the fixed combine order that keeps results identical across
+// worker budgets.
+func combinePanels(dst, buf []float64, nb, panel int) {
+	for k := 0; k < panel; k++ {
+		var sum float64
+		for w := 0; w < nb; w++ {
+			sum += buf[w*panel+k]
+		}
+		dst[k] = sum
 	}
 }

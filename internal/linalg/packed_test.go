@@ -12,7 +12,7 @@ import (
 // packing is silent numerical divergence on shapes where the chunk,
 // tile, and panel boundaries interact — row counts straddling PackRows
 // and TileRows, degenerate column counts, empty inputs — so every test
-// here compares bitwise against the naive or flat reference on exactly
+// here compares bitwise against the oracles of oracle_test.go on exactly
 // those shapes, under every worker budget, with arenas reused across
 // calls the way a pooled workspace reuses them.
 
@@ -54,7 +54,7 @@ func assertDenseEqual(t *testing.T, tag string, got, want *Dense) {
 }
 
 // TestAtBPackedAdversarialShapes: the packed AᵀB kernel is bitwise equal
-// to AtBNaiveInto on every adversarial shape, for every worker budget,
+// to the tile-ordered triple loop on every adversarial shape, for every worker budget,
 // with both private and reused arenas/partials.
 func TestAtBPackedAdversarialShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -64,7 +64,7 @@ func TestAtBPackedAdversarialShapes(t *testing.T) {
 			a, b := NewDense(sh.n, sh.s), NewDense(sh.n, sh.t)
 			fillRand(a, rng)
 			fillRand(b, rng)
-			ref := AtBNaiveInto(a, b, nil, nil)
+			ref := refAtB(a, b)
 			partials := make([]float64, ReduceBlocks(sh.n)*sh.s*sh.t)
 			for _, bud := range testBudgets() {
 				got := AtBPackedBudget(bud, a, b, nil, nil, nil)
@@ -72,14 +72,11 @@ func TestAtBPackedAdversarialShapes(t *testing.T) {
 				got = AtBPackedBudget(bud, a, b, NewDense(sh.s, sh.t), partials, arena)
 				assertDenseEqual(t, "pooled arena", got, ref)
 			}
-			if got := AtBPacked(a, b); true {
-				assertDenseEqual(t, "live convenience", got, ref)
-			}
 		}
 	})
 }
 
-// TestAtBPackedBudgetInvariance: packed, blocked, and naive AᵀB agree
+// TestAtBPackedBudgetInvariance: packed AᵀB agrees with the triple loop
 // bitwise across worker budgets while one arena is shared mid-run, so a
 // budget change between calls cannot leave stale packed state behind.
 func TestAtBPackedBudgetInvariance(t *testing.T) {
@@ -92,18 +89,18 @@ func TestAtBPackedBudgetInvariance(t *testing.T) {
 			fillRand(a, rng)
 			fillRand(b, rng)
 			partials := make([]float64, ReduceBlocks(n)*s*u)
-			ref := AtBBudget(parallel.FixedBudget(1), a, b, nil, nil)
+			ref := refAtB(a, b)
 			for _, bud := range testBudgets() {
 				got := AtBPackedBudget(bud, a, b, nil, partials, arena)
-				assertDenseEqual(t, "packed vs blocked", got, ref)
+				assertDenseEqual(t, "packed vs triple loop", got, ref)
 			}
 		}
 	})
 }
 
 // TestLapMulPackedBudgetInvariance: the fused packed TripleProd kernel
-// matches the two-pass tiled kernel bitwise for every budget, sharing
-// one arena across budgets and shapes.
+// matches one SpMV per column bitwise for every budget, sharing one arena
+// across budgets and shapes.
 func TestLapMulPackedBudgetInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	arena := &PackArena{}
@@ -114,14 +111,13 @@ func TestLapMulPackedBudgetInvariance(t *testing.T) {
 			for _, cols := range []int{1, 6, 9} {
 				s := NewDense(g.NumV, cols)
 				fillRand(s, rng)
-				ref := LapMulDenseTiledBudget(parallel.FixedBudget(1), g, deg, s, nil, nil, nil)
+				ref := refLapMul(g, deg, s)
 				srm := make([]float64, g.NumV*cols)
 				for _, bud := range testBudgets() {
 					got := LapMulDenseTiledPackedBudget(bud, g, deg, s, nil, srm, arena)
-					assertDenseEqual(t, "packed vs tiled LapMul", got, ref)
-				}
-				if got := LapMulDenseTiledPacked(g, deg, s); true {
-					assertDenseEqual(t, "live convenience", got, ref)
+					assertDenseEqual(t, "packed vs column-wise LapMul", got, ref)
+					got = LapMulDenseTiledPackedBudget(bud, g, deg, s, nil, nil, nil)
+					assertDenseEqual(t, "private storage", got, ref)
 				}
 			}
 		}
@@ -130,7 +126,7 @@ func TestLapMulPackedBudgetInvariance(t *testing.T) {
 
 // TestPackedColsBitwiseVsFlat: every PackedCols kernel — the fused
 // append, the panel multi-dot over a column range, and the fused
-// multi-axpy — reproduces its flat counterpart bitwise, on row counts
+// multi-axpy — reproduces its flat-column oracle bitwise, on row counts
 // chosen to make tile widths ragged and column counts exercising both
 // the full-width and tail chunks.
 func TestPackedColsBitwiseVsFlat(t *testing.T) {
@@ -155,13 +151,13 @@ func TestPackedColsBitwiseVsFlat(t *testing.T) {
 					// keep-step kernel, and the stored bits must round-trip.
 					for j := range srcs {
 						a := 0.5 + rng.Float64()
-						want := ScaledCopyDDotBudget(bud, flat[j], srcs[j], d, a, partials)
+						want := refScaledDDot(flat[j], srcs[j], d, a)
 						got := pc.AppendScaledDDotBudget(bud, srcs[j], d, a, partials)
 						if got != want {
 							t.Fatalf("n=%d k=%d workers=%d: append D-norm %v != %v", n, k, bud.Workers(), got, want)
 						}
 						unpacked := make([]float64, n)
-						pc.CopyColInto(unpacked, j)
+						pc.CopyColIntoBudget(bud, unpacked, j)
 						for i := range unpacked {
 							if unpacked[i] != flat[j][i] {
 								t.Fatalf("n=%d k=%d col=%d: stored bits diverge at %d", n, k, j, i)
@@ -178,14 +174,14 @@ func TestPackedColsBitwiseVsFlat(t *testing.T) {
 						if p1 > k {
 							p1 = k
 						}
-						want := DDotPanelBudget(bud, cols[p0:p1], work, d, nil, partials)
+						want := refPanelDots(cols[p0:p1], work, d)
 						got := pc.DDotPanelRangeBudget(bud, p0, p1, work, d, nil, partials)
 						for j := range want {
 							if got[j] != want[j] {
 								t.Fatalf("n=%d k=%d workers=%d panel %d:%d dot[%d] %v != %v", n, k, bud.Workers(), p0, p1, j, got[j], want[j])
 							}
 						}
-						wantPlain := DDotPanelBudget(bud, cols[p0:p1], work, nil, nil, partials)
+						wantPlain := refPanelDots(cols[p0:p1], work, nil)
 						gotPlain := pc.DDotPanelRangeBudget(bud, p0, p1, work, nil, nil, partials)
 						for j := range wantPlain {
 							if gotPlain[j] != wantPlain[j] {
@@ -199,7 +195,7 @@ func TestPackedColsBitwiseVsFlat(t *testing.T) {
 						}
 						wantWork := append([]float64(nil), work...)
 						gotWork := append([]float64(nil), work...)
-						SubtractScaledBudget(bud, wantWork, cols[p0:p1], coeffs)
+						refSubtract(wantWork, cols[p0:p1], coeffs)
 						pc.SubtractScaledRangeBudget(bud, p0, p1, gotWork, coeffs)
 						for i := range wantWork {
 							if gotWork[i] != wantWork[i] {
@@ -207,13 +203,21 @@ func TestPackedColsBitwiseVsFlat(t *testing.T) {
 							}
 						}
 					}
-					// CopyColIntoBudget matches the serial unpack.
-					dst1, dst2 := make([]float64, n), make([]float64, n)
-					pc.CopyColInto(dst1, k-1)
-					pc.CopyColIntoBudget(bud, dst2, k-1)
-					for i := range dst1 {
-						if dst1[i] != dst2[i] {
-							t.Fatalf("CopyColIntoBudget diverged at %d", i)
+					// The CGS projection: one range over every stored column.
+					wantAll := refPanelDots(cols, work, d)
+					gotAll := pc.DDotPanelRangeBudget(bud, 0, k, work, d, nil, partials)
+					for j := range wantAll {
+						if gotAll[j] != wantAll[j] {
+							t.Fatalf("n=%d k=%d workers=%d full range dot[%d] %v != %v", n, k, bud.Workers(), j, gotAll[j], wantAll[j])
+						}
+					}
+					wantWork := append([]float64(nil), work...)
+					gotWork := append([]float64(nil), work...)
+					refSubtract(wantWork, cols, wantAll)
+					pc.SubtractScaledRangeBudget(bud, 0, k, gotWork, gotAll)
+					for i := range wantWork {
+						if gotWork[i] != wantWork[i] {
+							t.Fatalf("n=%d k=%d workers=%d full range: subtract[%d] %v != %v", n, k, bud.Workers(), i, gotWork[i], wantWork[i])
 						}
 					}
 				}
@@ -223,7 +227,8 @@ func TestPackedColsBitwiseVsFlat(t *testing.T) {
 }
 
 // TestPackedColsRangeChecks: the packed store panics on out-of-range
-// column access instead of reading stale slots.
+// column access instead of reading stale slots, and on an append past its
+// capacity instead of overwriting the next tile's first slot.
 func TestPackedColsRangeChecks(t *testing.T) {
 	var pc PackedCols
 	pc.Ensure(16, 2)
@@ -235,6 +240,13 @@ func TestPackedColsRangeChecks(t *testing.T) {
 		},
 		"mismatch": func() {
 			pc.SubtractScaledRangeBudget(parallel.FixedBudget(1), 0, 1, make([]float64, 16), make([]float64, 2))
+		},
+		"full": func() {
+			var full PackedCols
+			full.Ensure(16, 1)
+			for i := 0; i < 2; i++ {
+				full.AppendScaledDDotBudget(parallel.FixedBudget(1), make([]float64, 16), nil, 1, nil)
+			}
 		},
 	} {
 		func() {
@@ -249,9 +261,9 @@ func TestPackedColsRangeChecks(t *testing.T) {
 }
 
 // FuzzAtBPackedEquivalence fuzzes (n, s, t, seed) and asserts the packed
-// kernel is bitwise equal to AtBNaiveInto under serial, parallel, and
-// live budgets with a shared arena — the randomized arm of the
-// adversarial shape table.
+// kernel is bitwise equal to the tile-ordered triple loop under serial,
+// parallel, and live budgets with a shared arena — the randomized arm of
+// the adversarial shape table.
 func FuzzAtBPackedEquivalence(f *testing.F) {
 	f.Add(0, 3, 2, int64(1))
 	f.Add(1, 1, 1, int64(2))
@@ -278,12 +290,12 @@ func FuzzAtBPackedEquivalence(f *testing.F) {
 		a, b := NewDense(n, s), NewDense(n, u)
 		fillRand(a, rng)
 		fillRand(b, rng)
-		ref := AtBNaiveInto(a, b, nil, nil)
+		ref := refAtB(a, b)
 		for _, bud := range []parallel.Budget{parallel.FixedBudget(1), parallel.FixedBudget(3), parallel.Live()} {
 			got := AtBPackedBudget(bud, a, b, nil, nil, arena)
 			for k := range ref.Data {
 				if got.Data[k] != ref.Data[k] {
-					t.Fatalf("n=%d s=%d t=%d workers=%d: packed[%d] %v != naive %v",
+					t.Fatalf("n=%d s=%d t=%d workers=%d: packed[%d] %v != triple loop %v",
 						n, s, u, bud.Workers(), k, got.Data[k], ref.Data[k])
 				}
 			}

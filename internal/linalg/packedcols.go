@@ -4,22 +4,33 @@ import (
 	"repro/internal/parallel"
 )
 
-// PackedCols is a tile-major store for the kept columns of a panel
-// Gram-Schmidt sweep. The flat arena the sweep previously projected
-// against keeps each kept column n·8 bytes from the next — a power of
-// two at layout sizes, so the eight columns of a panel chunk collide in
-// the same cache sets and each projection pass re-reads them from DRAM.
-// Here every column is split over the fixed ReduceBlocks(n) reduction
-// tiles and stored tile-major: tile t holds all columns' [t·n/tiles,
-// (t+1)·n/tiles) rows contiguously, each column slot padded by
-// packColPad floats so adjacent slots sit a non-power-of-two stride
-// apart and panel chunks stream conflict-free. A column is packed once
-// when it is kept (AppendScaledDDotBudget — the same fused write the
-// flat path performs) and then re-read in packed form by every later
-// projection, so packing costs nothing extra. All three kernels mirror
-// their flat counterparts' per-element accumulation orders exactly, so
-// the packed sweep is bitwise identical to the flat one for every
-// worker budget.
+// PanelCols is the column width of the fused panel kernels: eight
+// accumulators fit the register budget of the unrolled inner loops, and
+// wider panels would only re-stream columns that no longer fit cache.
+const PanelCols = 8
+
+// PackedCols is the tile-major store for the kept columns of a
+// Gram-Schmidt sweep, with the fused kernels that project against it: a
+// multi-dot computing the inner products of one vector against a range of
+// columns in a single pass over memory, and the multi-axpy applying the
+// combined update. A Level-1 formulation streams the work vector (and d)
+// twice per kept column; these stream them twice per panel of PanelCols
+// columns, and every kept column exactly as often as before — the
+// remaining bandwidth is the irreducible column traffic of Gram-Schmidt.
+//
+// A flat column-major arena keeps each kept column n·8 bytes from the
+// next — a power of two at layout sizes, so the eight columns of a panel
+// chunk collide in the same cache sets and each projection pass re-reads
+// them from DRAM. Here every column is split over the fixed
+// ReduceBlocks(n) reduction tiles and stored tile-major: tile t holds all
+// columns' [t·n/tiles, (t+1)·n/tiles) rows contiguously, each column slot
+// padded by packColPad floats so adjacent slots sit a non-power-of-two
+// stride apart and panel chunks stream conflict-free. A column is packed
+// once when it is kept (AppendScaledDDotBudget, the fused keep step) and
+// then re-read in packed form by every later projection, so packing costs
+// nothing extra. Every reduction runs over the fixed tiling with per-tile
+// partials combined serially in tile order, so all results are bitwise
+// identical for every worker budget.
 type PackedCols struct {
 	buf     []float64
 	n       int // rows per column
@@ -49,10 +60,6 @@ func (pc *PackedCols) Ensure(n, capCols int) {
 	pc.n, pc.tiles, pc.stride, pc.capCols, pc.k = n, tiles, stride, capCols, 0
 }
 
-// Reset drops the stored columns (capacity is kept) so the store can
-// host the next sweep.
-func (pc *PackedCols) Reset() { pc.k = 0 }
-
 // Len reports the number of stored columns.
 func (pc *PackedCols) Len() int { return pc.k }
 
@@ -65,11 +72,15 @@ func (pc *PackedCols) slot(t, j int) []float64 {
 
 // AppendScaledDDotBudget appends the column a·src to the store and
 // returns its D-norm ⟨a·src, a·src⟩_D (plain when d is nil) from the
-// same pass — ScaledCopyDDotBudget with the packed store as
-// destination. The tiling, per-tile expression, and serial in-tile-order
-// combine are ScaledCopyDDotBudget's, so the returned sum is bitwise
-// identical to the flat kernel's for every worker budget.
+// same pass: the fused form of the DOrtho keep step, which would
+// otherwise copy, scale, and then re-stream the column a third time for
+// its D-norm. partials is the reduction buffer (capacity ≥
+// ReduceBlocks(n), grown when short). The store must have a free column
+// slot (see Ensure).
 func (pc *PackedCols) AppendScaledDDotBudget(bud parallel.Budget, src, d []float64, a float64, partials []float64) float64 {
+	if pc.k == pc.capCols {
+		panic("linalg: PackedCols is full")
+	}
 	j := pc.k
 	pc.k++
 	n, tiles := pc.n, pc.tiles
@@ -99,8 +110,8 @@ func (pc *PackedCols) AppendScaledDDotBudget(bud parallel.Budget, src, d []float
 	return s
 }
 
-// packScaledDDotRange is scaledCopyDDotRange writing into a tile slot:
-// identical value stream and accumulation order, packed destination.
+// packScaledDDotRange is one tile of AppendScaledDDotBudget: rows
+// [lo, hi) of a·src written to the tile's slot, their D-norm returned.
 func packScaledDDotRange(slot, src, d []float64, a float64, lo, hi int) float64 {
 	var s float64
 	if d == nil {
@@ -119,13 +130,11 @@ func packScaledDDotRange(slot, src, d []float64, a float64, lo, hi int) float64 
 	return s
 }
 
-// DDotPanelRangeBudget appends ⟨col_j, work⟩_D for every stored column
-// j in [j0, j1) to out and returns it — DDotPanelBudget over a packed
-// column range. Tiling, chunking, per-element order, and the
-// ascending-tile combine mirror the flat kernel called on the same
-// column slice exactly, so results are bitwise identical for every
-// worker budget; only the column loads hit the padded tile-major
-// storage instead of n-strided flat columns.
+// DDotPanelRangeBudget appends ⟨col_j, work⟩_D (plain inner products
+// when d is nil) for every stored column j in [j0, j1) to out and returns
+// it. partials is the per-tile arena (capacity ≥ ReduceBlocks(n)·(j1−j0),
+// grown when short); out should have spare capacity for j1−j0 more
+// entries to keep the call allocation-free.
 func (pc *PackedCols) DDotPanelRangeBudget(bud parallel.Budget, j0, j1 int, work, d, out, partials []float64) []float64 {
 	k := j1 - j0
 	if j1 > pc.k {
@@ -168,10 +177,9 @@ func (pc *PackedCols) DDotPanelRangeBudget(bud parallel.Budget, j0, j1 int, work
 	return out
 }
 
-// dDotPackedRange is dDotPanelRange over tile t's slots: columns
-// [j0, j1) walked in PanelCols-wide chunks from j0, one fused pass per
-// chunk — the same chunk boundaries the flat kernel produces for the
-// slice cols[j0:j1].
+// dDotPackedRange fills acc[j−j0] = ⟨col_j, work⟩_D over rows [lo, hi)
+// of tile t, walking columns [j0, j1) in PanelCols-wide chunks from j0 so
+// each chunk is one fused pass.
 func (pc *PackedCols) dDotPackedRange(t, j0, j1 int, work, d []float64, lo, hi int, acc []float64) {
 	for c0 := j0; c0 < j1; c0 += PanelCols {
 		c1 := c0 + PanelCols
@@ -182,8 +190,9 @@ func (pc *PackedCols) dDotPackedRange(t, j0, j1 int, work, d []float64, lo, hi i
 	}
 }
 
-// dDotPackedChunk is dDotChunkRange against packed slots, with the slot
-// rows indexed relative to lo.
+// dDotPackedChunk is one fused pass computing up to PanelCols inner
+// products, with the slot rows indexed relative to lo; the full-width
+// chunk keeps all eight accumulators in registers.
 func (pc *PackedCols) dDotPackedChunk(t, j0, j1 int, work, d []float64, lo, hi int, acc []float64) {
 	if j1-j0 == PanelCols {
 		c0, c1, c2, c3 := pc.slot(t, j0), pc.slot(t, j0+1), pc.slot(t, j0+2), pc.slot(t, j0+3)
@@ -218,9 +227,8 @@ func (pc *PackedCols) dDotPackedChunk(t, j0, j1 int, work, d []float64, lo, hi i
 		acc[4], acc[5], acc[6], acc[7] = a4, a5, a6, a7
 		return
 	}
-	// Narrow tail chunk: row-outer with a j-inner loop, like the flat
-	// kernel. The slot headers live in a fixed-size stack array so the
-	// tail allocates nothing.
+	// Narrow tail chunk: row-outer with a j-inner loop. The slot headers
+	// live in a fixed-size stack array so the tail allocates nothing.
 	var cs [PanelCols][]float64
 	kk := j1 - j0
 	for j := 0; j < kk; j++ {
@@ -247,13 +255,11 @@ func (pc *PackedCols) dDotPackedChunk(t, j0, j1 int, work, d []float64, lo, hi i
 }
 
 // SubtractScaledRangeBudget computes work ← work − Σ_j coeffs[j−j0]·col_j
-// over the stored columns [j0, j1) — SubtractScaledBudget against a
-// packed column range. Each work element is combined with the same
-// chunk-ordered compound expression as the flat kernel, so results are
-// bitwise identical; the parallel partition runs over the fixed tiling
-// (whose boundaries the packed slots cover exactly) rather than
-// ForBlock, which is immaterial because every element is written by
-// exactly one worker.
+// over the stored columns [j0, j1) with one fused pass per PanelCols-wide
+// chunk: the multi-axpy update of block Gram-Schmidt (and the Level-2
+// "gemv" update of CGS). Each element of work is updated by exactly one
+// worker, and the per-element combination order is fixed by the chunk
+// walk, so results are deterministic regardless of the row partition.
 func (pc *PackedCols) SubtractScaledRangeBudget(bud parallel.Budget, j0, j1 int, work, coeffs []float64) {
 	if j1 > pc.k {
 		panic("linalg: PackedCols column range exceeds stored columns")
@@ -276,8 +282,8 @@ func (pc *PackedCols) SubtractScaledRangeBudget(bud parallel.Budget, j0, j1 int,
 	})
 }
 
-// subPackedRange is subScaledRange over tile t's slots for columns
-// [j0, j1), chunked from j0 like dDotPackedRange.
+// subPackedRange applies the multi-axpy over rows [lo, hi) of tile t for
+// columns [j0, j1), chunked from j0 like dDotPackedRange.
 func (pc *PackedCols) subPackedRange(t, j0, j1 int, work, coeffs []float64, lo, hi int) {
 	for c0 := j0; c0 < j1; c0 += PanelCols {
 		c1 := c0 + PanelCols
@@ -288,7 +294,8 @@ func (pc *PackedCols) subPackedRange(t, j0, j1 int, work, coeffs []float64, lo, 
 	}
 }
 
-// subPackedChunk is subChunkRange against packed slots.
+// subPackedChunk subtracts one chunk's combination from work over rows
+// [lo, hi).
 func (pc *PackedCols) subPackedChunk(t, j0, j1 int, work, f []float64, lo, hi int) {
 	if j1-j0 == PanelCols {
 		c0, c1, c2, c3 := pc.slot(t, j0), pc.slot(t, j0+1), pc.slot(t, j0+2), pc.slot(t, j0+3)
@@ -315,22 +322,15 @@ func (pc *PackedCols) subPackedChunk(t, j0, j1 int, work, f []float64, lo, hi in
 	}
 }
 
-// CopyColInto unpacks stored column j into the flat dst (length ≥ n).
-func (pc *PackedCols) CopyColInto(dst []float64, j int) {
-	n, tiles := pc.n, pc.tiles
-	for t := 0; t < tiles; t++ {
-		lo, hi := t*n/tiles, (t+1)*n/tiles
-		copy(dst[lo:hi], pc.slot(t, j)[:hi-lo])
-	}
-}
-
-// CopyColIntoBudget is CopyColInto with the tiles fanned out across the
-// budget's workers — used when unpacking a full kept panel at result
-// time.
+// CopyColIntoBudget unpacks stored column j into the flat dst (length ≥
+// n), the tiles fanned out across the budget's workers.
 func (pc *PackedCols) CopyColIntoBudget(bud parallel.Budget, dst []float64, j int) {
 	n, tiles := pc.n, pc.tiles
 	if tiles == 1 || bud.Workers() <= 1 {
-		pc.CopyColInto(dst, j)
+		for t := 0; t < tiles; t++ {
+			lo, hi := t*n/tiles, (t+1)*n/tiles
+			copy(dst[lo:hi], pc.slot(t, j)[:hi-lo])
+		}
 		return
 	}
 	forTiles(bud, n, tiles, func(t, lo, hi int) {

@@ -15,7 +15,6 @@
 package linalg
 
 import (
-	"math"
 	"sync"
 
 	"repro/internal/parallel"
@@ -36,17 +35,11 @@ func Dot(x, y []float64) float64 {
 	return dotBlocks(parallel.Live(), x, nil, y, nil)
 }
 
-// DotWith is Dot with a caller-provided partials buffer (capacity ≥
-// ReduceBlocks(n)), so a steady-state caller — e.g. the MGS sweep
-// reusing one buffer across all its inner products — allocates nothing.
-// The tiling and serial combine order are identical to Dot's, so the
-// two produce bitwise-identical sums.
-func DotWith(x, y, partials []float64) float64 {
-	checkLen(len(x), len(y))
-	return dotBlocks(parallel.Live(), x, nil, y, partials)
-}
-
-// DotBudget is DotWith running under an explicit worker budget.
+// DotBudget is Dot under an explicit worker budget and with a
+// caller-provided partials buffer (capacity ≥ ReduceBlocks(n), grown when
+// short), so a steady-state caller — the Gram-Schmidt sweep reusing one
+// buffer across all its norms — allocates nothing. The tiling and serial
+// combine order are Dot's, so the two produce bitwise-identical sums.
 func DotBudget(bud parallel.Budget, x, y, partials []float64) float64 {
 	checkLen(len(x), len(y))
 	return dotBlocks(bud, x, nil, y, partials)
@@ -58,20 +51,6 @@ func DDot(x, d, y []float64) float64 {
 	checkLen(len(x), len(y))
 	checkLen(len(x), len(d))
 	return dotBlocks(parallel.Live(), x, d, y, nil)
-}
-
-// DDotWith is DDot with a caller-provided partials buffer; see DotWith.
-func DDotWith(x, d, y, partials []float64) float64 {
-	checkLen(len(x), len(y))
-	checkLen(len(x), len(d))
-	return dotBlocks(parallel.Live(), x, d, y, partials)
-}
-
-// DDotBudget is DDotWith running under an explicit worker budget.
-func DDotBudget(bud parallel.Budget, x, d, y, partials []float64) float64 {
-	checkLen(len(x), len(y))
-	checkLen(len(x), len(d))
-	return dotBlocks(bud, x, d, y, partials)
 }
 
 // ReduceBlocks returns the number of tiles a length-n reduction is cut
@@ -94,27 +73,7 @@ func ReduceBlocks(n int) int {
 // must branch on bud.Workers() <= 1 themselves before constructing the
 // body closure.
 func forTiles(bud parallel.Budget, n, tiles int, body func(t, lo, hi int)) {
-	p := bud.Workers()
-	if p > tiles {
-		p = tiles
-	}
-	if p <= 1 {
-		for t := 0; t < tiles; t++ {
-			body(t, t*n/tiles, (t+1)*n/tiles)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for w := 0; w < p; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for t := w * tiles / p; t < (w+1)*tiles/p; t++ {
-				body(t, t*n/tiles, (t+1)*n/tiles)
-			}
-		}(w)
-	}
-	wg.Wait()
+	forTilesIndexed(bud.Workers(), n, tiles, func(_, t, lo, hi int) { body(t, lo, hi) })
 }
 
 // forTilesIndexed is forTiles with the owning worker's index passed to
@@ -122,7 +81,7 @@ func forTiles(bud parallel.Budget, n, tiles int, body func(t, lo, hi int)) {
 // once — before any worker-indexed arena is sized — so a live budget whose
 // GOMAXPROCS moves mid-call can never fan out across more workers than the
 // arena has slots. Worker w owns the contiguous tile range
-// [w·tiles/p, (w+1)·tiles/p), the same partition forTiles uses.
+// [w·tiles/p, (w+1)·tiles/p).
 func forTilesIndexed(p, n, tiles int, body func(w, t, lo, hi int)) {
 	if p > tiles {
 		p = tiles
@@ -203,20 +162,14 @@ func dotRange(x, d, y []float64, lo, hi int) float64 {
 // branch is written out so small or single-worker calls construct no
 // escaping closure and allocate nothing.
 func Axpy(a float64, x, y []float64) {
-	AxpyBudget(parallel.Live(), a, x, y)
-}
-
-// AxpyBudget is Axpy under an explicit worker budget. Each element is
-// written by exactly one worker, so the result is partition-independent.
-func AxpyBudget(bud parallel.Budget, a float64, x, y []float64) {
 	checkLen(len(x), len(y))
-	if bud.Serial(len(x)) {
+	if parallel.Serial(len(x)) {
 		for i := range x {
 			y[i] += a * x[i]
 		}
 		return
 	}
-	bud.ForBlock(len(x), func(lo, hi int) {
+	parallel.ForBlock(len(x), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			y[i] += a * x[i]
 		}
@@ -236,11 +189,6 @@ func Scale(a float64, x []float64) {
 			x[i] *= a
 		}
 	})
-}
-
-// Norm2 returns ‖x‖₂.
-func Norm2(x []float64) float64 {
-	return math.Sqrt(Dot(x, x))
 }
 
 // Fill sets every element of x to a.
@@ -265,49 +213,18 @@ func FillBudget(bud parallel.Budget, x []float64, a float64) {
 
 // CopyVec copies src into dst.
 func CopyVec(dst, src []float64) {
-	CopyVecBudget(parallel.Live(), dst, src)
-}
-
-// CopyVecBudget is CopyVec under an explicit worker budget.
-func CopyVecBudget(bud parallel.Budget, dst, src []float64) {
 	checkLen(len(dst), len(src))
-	if bud.Serial(len(src)) {
+	if parallel.Serial(len(src)) {
 		copy(dst, src)
 		return
 	}
-	bud.ForBlock(len(src), func(lo, hi int) {
+	parallel.ForBlock(len(src), func(lo, hi int) {
 		copy(dst[lo:hi], src[lo:hi])
 	})
 }
 
-// MinUpdateInt32 computes d[j] ← min(d[j], b[j]) elementwise over int32
-// vectors — the farthest-vertex bookkeeping of the BFS phase ("BFS: Other"
-// in Table 1).
-func MinUpdateInt32(d, b []int32) {
-	checkLen(len(d), len(b))
-	if parallel.Serial(len(d)) {
-		for i := range d {
-			if b[i] < d[i] {
-				d[i] = b[i]
-			}
-		}
-		return
-	}
-	parallel.ForBlock(len(d), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if b[i] < d[i] {
-				d[i] = b[i]
-			}
-		}
-	})
-}
-
-// Int32ToFloat64 widens an int32 hop-distance vector into a float64 column.
-func Int32ToFloat64(dst []float64, src []int32) {
-	Int32ToFloat64Budget(parallel.Live(), dst, src)
-}
-
-// Int32ToFloat64Budget is Int32ToFloat64 under an explicit worker budget.
+// Int32ToFloat64Budget widens an int32 hop-distance vector into a float64
+// column under an explicit worker budget.
 func Int32ToFloat64Budget(bud parallel.Budget, dst []float64, src []int32) {
 	checkLen(len(dst), len(src))
 	if bud.Serial(len(src)) {

@@ -21,7 +21,7 @@ func TestDOrthogonalizeBudgetInvariance(t *testing.T) {
 		parallel.FixedBudget(4),
 		parallel.Live(),
 	}
-	for _, method := range []Method{MGS, CGS, MGSLevel1, MGSUnpacked} {
+	for _, method := range []Method{MGS, CGS} {
 		for _, d := range [][]float64{nil, degrees} {
 			ref := DOrthogonalizeBudget(parallel.FixedBudget(1), randMatrix(n, s, 7), d, method, nil)
 			for _, bud := range budgets {
@@ -49,28 +49,30 @@ func TestDOrthogonalizeBudgetInvariance(t *testing.T) {
 	}
 }
 
-// TestMGSPackedMatchesUnpackedSharedScratch: the packed MGS sweep (the
-// default) and the flat-arena MGSUnpacked sweep produce bitwise
-// identical results while alternating mid-run over one shared pooled
-// scratch across worker budgets — the reuse pattern a workspace-backed
-// job worker produces, and the one where stale packed state or a
-// misrouted arena would surface.
-func TestMGSPackedMatchesUnpackedSharedScratch(t *testing.T) {
+// TestSharedScratchAcrossMethodsAndBudgets: MGS and CGS sweeps alternating
+// mid-run over one shared pooled scratch across worker budgets each
+// reproduce their private-scratch single-worker result bitwise — the reuse
+// pattern a workspace-backed job worker produces, and the one where stale
+// columns left in the packed store by the previous sweep would surface.
+func TestSharedScratchAcrossMethodsAndBudgets(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	n, s := 9000, 9
 	degrees := randDegrees(n, 3)
 	sc := NewScratch(n, s)
 	for _, d := range [][]float64{nil, degrees} {
-		// Non-pooled reference: fresh storage, nothing aliased.
-		ref := DOrthogonalizeBudget(parallel.FixedBudget(1), randMatrix(n, s, 7), d, MGSUnpacked, nil)
+		refs := map[Method]Result{}
+		for _, method := range []Method{MGS, CGS} {
+			refs[method] = DOrthogonalizeBudget(parallel.FixedBudget(1), randMatrix(n, s, 7), d, method, nil)
+		}
 		for _, bud := range []parallel.Budget{
 			parallel.FixedBudget(1),
 			parallel.FixedBudget(2),
 			parallel.FixedBudget(4),
 			parallel.Live(),
 		} {
-			for _, method := range []Method{MGS, MGSUnpacked, MGS} {
+			for _, method := range []Method{MGS, CGS, MGS} {
+				ref := refs[method]
 				got := DOrthogonalizeBudget(bud, randMatrix(n, s, 7), d, method, sc)
 				if len(got.Kept) != len(ref.Kept) || got.Dropped != ref.Dropped {
 					t.Fatalf("%v workers=%d: kept %d/dropped %d, want %d/%d",
@@ -101,7 +103,7 @@ func TestIncrementalBudgetInvariance(t *testing.T) {
 	n, s := 9000, 8
 	degrees := randDegrees(n, 5)
 	run := func(bud parallel.Budget, d []float64) *Incremental {
-		inc := NewIncrementalBudget(bud, n, d, nil)
+		inc := NewIncremental(bud, n, s, d, nil)
 		for j := 0; j < s; j++ {
 			inc.Add(randMatrix(n, 1, int64(20+j)).Col(0))
 		}

@@ -1,16 +1,16 @@
 // Package ortho implements the DOrtho phase of ParHDE: Gram-Schmidt-style
 // (D-)orthogonalization of the BFS distance vectors against the constant
 // vector and each other, with near-linearly-dependent columns dropped
-// (ICPP'20 Algorithm 3, lines 9-16). Three procedures are provided. The
-// default, MGS, is panel-blocked Gram-Schmidt: the candidate column is
-// projected against the kept columns one PanelCols-wide panel at a time,
-// each panel costing one fused multi-dot pass and one fused multi-axpy
-// pass instead of a dot/axpy pair per column — the bandwidth-lean
-// formulation of the paper's Level-1 procedure. MGSLevel1 keeps the
-// original column-at-a-time sweep as the reference/ablation baseline.
-// CGS is Classical Gram-Schmidt organized as Level-2 matrix-vector
-// products (Table 7), which trades numerical robustness for the fewest
-// synchronization points.
+// (ICPP'20 Algorithm 3, lines 9-16). Two procedures are provided, sharing
+// one column-at-a-time sweep (Incremental) over one packed kept-column
+// store and differing only in how a candidate is projected against the
+// kept columns. The default, MGS, is panel-blocked Gram-Schmidt: one
+// PanelCols-wide panel at a time, each panel costing one fused multi-dot
+// pass and one fused multi-axpy pass instead of a dot/axpy pair per
+// column — the bandwidth-lean formulation of the paper's Level-1
+// procedure. CGS is Classical Gram-Schmidt organized as Level-2
+// matrix-vector products (Table 7), which trades numerical robustness for
+// the fewest synchronization points.
 package ortho
 
 import (
@@ -35,37 +35,22 @@ const (
 	// column are computed from the original column at once (Level-2 BLAS),
 	// requiring all distance vectors to be precomputed.
 	CGS
-	// MGSLevel1 is the unblocked Modified Gram-Schmidt of the original
-	// implementation: each kept column costs a separate dot and axpy pass
-	// (Level-1 BLAS only). Kept as the numerical reference and as the
-	// baseline the kernel-budget perf gate measures panel MGS against.
-	MGSLevel1
-	// MGSUnpacked is panel-blocked MGS projecting against the flat
-	// kept-column arena — the pre-packing formulation, kept as the
-	// ablation baseline the packed perf gate measures MGS against.
-	// Bitwise identical to MGS, which runs the same sweep out of the
-	// cache-resident tile-major store.
-	MGSUnpacked
 )
 
 func (m Method) String() string {
-	switch m {
-	case CGS:
+	if m == CGS {
 		return "CGS"
-	case MGSLevel1:
-		return "MGS-L1"
-	case MGSUnpacked:
-		return "MGS-flat"
-	default:
-		return "MGS"
 	}
+	return "MGS"
 }
 
 // DropTolerance is the residual-norm threshold below which a column is
 // considered linearly dependent and discarded (Algorithm 3, line 12).
 const DropTolerance = 1e-3
 
-// Result is the output of an orthogonalization pass.
+// Result is the output of an orthogonalization pass. It aliases the
+// storage of the Scratch the pass ran over, so with a caller-provided
+// scratch it is valid only until that scratch's next use.
 type Result struct {
 	// S holds the kept orthonormal columns (the 0th constant column is
 	// already dropped, per Algorithm 3 line 16). Columns have unit
@@ -81,229 +66,143 @@ type Result struct {
 	Dropped int
 }
 
-// DOrthogonalize orthogonalizes the columns of b against 1/√n and each
-// other under the D-inner product ⟨x,y⟩_D = xᵀdiag(d)y. Passing d == nil
-// selects the plain orthogonalization variant of §4.5.1 (approximating
-// Laplacian rather than degree-normalized eigenvectors). b is not
-// modified.
-func DOrthogonalize(b *linalg.Dense, d []float64, method Method) Result {
-	return DOrthogonalizeScratch(b, d, method, nil)
-}
-
-// DOrthogonalizeScratch is DOrthogonalize running over sc's pooled
-// buffers (nil allocates private scratch, equivalent to DOrthogonalize).
-// With a scratch, the phase performs no O(n)-sized allocations and the
-// returned Result aliases scratch storage: it is valid only until the
-// scratch's next use and the numbers are bit-identical to the
-// fresh-allocation run.
-func DOrthogonalizeScratch(b *linalg.Dense, d []float64, method Method, sc *Scratch) Result {
-	return DOrthogonalizeBudget(parallel.Live(), b, d, method, sc)
-}
-
-// DOrthogonalizeBudget is DOrthogonalizeScratch running under an explicit
-// worker budget. The budget only sets how many goroutines each kernel
+// DOrthogonalizeBudget orthogonalizes the columns of b against 1/√n and
+// each other under the D-inner product ⟨x,y⟩_D = xᵀdiag(d)y. Passing
+// d == nil selects the plain orthogonalization variant of §4.5.1
+// (approximating Laplacian rather than degree-normalized eigenvectors). b
+// is not modified. The sweep runs over sc's pooled buffers (nil allocates
+// private scratch) and performs no O(n)-sized allocations when they are
+// already shaped. The budget only sets how many goroutines each kernel
 // fans out across; the fixed row tiling of every reduction makes the
-// numbers bitwise identical for every budget, including the serial path.
+// numbers bitwise identical for every budget, including the serial path,
+// and for pooled and private scratch.
 func DOrthogonalizeBudget(bud parallel.Budget, b *linalg.Dense, d []float64, method Method, sc *Scratch) Result {
-	n, s := b.Rows, b.Cols
-	pooled := sc != nil
-	if pooled {
-		sc.Ensure(n, s)
+	inc := newIncremental(bud, b.Rows, b.Cols, d, method, sc)
+	for i := 0; i < b.Cols; i++ {
+		inc.Add(b.Col(i))
+	}
+	return inc.Result()
+}
+
+// Incremental orthogonalizes one column at a time, so the BFS phase and
+// the DOrtho phase can be coupled: each distance vector is orthogonalized
+// (and either kept or dropped) as soon as its traversal finishes, and the
+// raw O(sn) distance matrix never needs to be stored. §4.4 notes this is
+// exactly the capability CGS gives up ("the use of CGS requires all
+// distance vectors to be precomputed… whereas the default procedure can
+// also be executed with a coupled BFS and D-orthogonalization steps").
+// DOrthogonalizeBudget is the same sweep fed from a stored matrix, so
+// coupled and decoupled runs are bitwise identical.
+type Incremental struct {
+	n       int
+	d       []float64 // nil = plain orthogonalization
+	bud     parallel.Budget
+	method  Method
+	sc      *Scratch
+	dropped int
+	seen    int
+}
+
+// NewIncremental starts a coupled MGS orthogonalization of up to capacity
+// length-n vectors with D-inner products diag(d) (nil for plain inner
+// products), over sc's pooled buffers (nil allocates private scratch).
+// The constant direction 1/√n is pre-seeded, exactly as in
+// DOrthogonalizeBudget. Every Add reuses bud, so a coupled layout's
+// orthogonalization fan-out is pinned for the whole run.
+func NewIncremental(bud parallel.Budget, n, capacity int, d []float64, sc *Scratch) *Incremental {
+	inc := newIncremental(bud, n, capacity, d, MGS, sc)
+	return &inc
+}
+
+// newIncremental shapes the scratch for capacity columns and seeds the
+// kept-column store with s0 = 1/√n, the degenerate direction every column
+// must be cleaned of.
+func newIncremental(bud parallel.Budget, n, capacity int, d []float64, method Method, sc *Scratch) Incremental {
+	if sc == nil {
+		sc = NewScratch(n, capacity)
 	} else {
-		sc = NewScratch(n, s)
+		sc.Ensure(n, capacity)
 	}
-	if method == MGS {
-		return dOrthoPacked(bud, b, d, sc, pooled)
-	}
-	sc.ensureCols()
-	// s0 = 1/√n: the degenerate direction every column must be cleaned of.
-	s0 := sc.cols[0]
-	linalg.FillBudget(bud, s0, 1/math.Sqrt(float64(n)))
+	sc.packed.Ensure(n, sc.s+1)
+	linalg.FillBudget(bud, sc.work, 1/math.Sqrt(float64(n)))
+	sc.dNorms = append(sc.dNorms[:0], sc.packed.AppendScaledDDotBudget(bud, sc.work, d, 1, sc.partials))
+	sc.keptIdx = sc.keptIdx[:0]
+	return Incremental{n: n, d: d, bud: bud, method: method, sc: sc}
+}
 
-	kept := sc.cols[:1]
-	keptDN := append(sc.dNorms[:0], dNormP(bud, s0, d, sc.partials))
-	keptIdx := sc.keptIdx[:0]
-
-	work := sc.work
-	coeffs := sc.coeffs[:0]
-	dropped := 0
-	for i := 0; i < s; i++ {
-		src := b.Col(i)
-		// Pre-normalize so the drop tolerance is scale-free (Algorithm 1
-		// normalizes each column before orthogonalizing). The norm is taken
-		// over the source column and folded into the copy, one fused pass
-		// instead of copy + norm + scale.
-		nrm := norm2P(bud, src, sc.partials)
-		if nrm <= DropTolerance {
-			dropped++
-			continue
-		}
-		linalg.ScaledCopyBudget(bud, work, src, 1/nrm)
-		switch method {
-		case CGS:
-			// All coefficients from the original vector at once, then one
-			// combined update — the Level-2 formulation of Table 7. Two
-			// sweeps over memory total, versus a sweep pair per panel.
-			coeffs = linalg.DDotPanelBudget(bud, kept, work, d, coeffs[:0], sc.panelPartials)
-			for j := range coeffs {
-				coeffs[j] /= keptDN[j]
-			}
-			linalg.SubtractScaledBudget(bud, work, kept, coeffs)
-		case MGSLevel1:
-			// The original Level-1 sweep: every D-inner product reuses one
-			// partials buffer, so the s² dots of the phase allocate nothing.
-			for j := range kept {
-				c := dDotP(bud, kept[j], work, d, sc.partials) / keptDN[j]
-				linalg.AxpyBudget(bud, -c, kept[j], work)
-			}
-		default:
-			coeffs = projectPanels(bud, kept, keptDN, work, d, coeffs, sc)
-		}
-		res := norm2P(bud, work, sc.partials)
-		if res <= DropTolerance {
-			dropped++
-			continue
-		}
-		// Keep: normalize into the arena column and compute its D-norm in
-		// the same fused pass.
-		col := sc.cols[len(kept)]
-		dn := linalg.ScaledCopyDDotBudget(bud, col, work, d, 1/res, sc.partials)
-		kept = sc.cols[:len(kept)+1]
-		keptDN = append(keptDN, dn)
-		keptIdx = append(keptIdx, i)
+// Add orthogonalizes col against everything kept so far and keeps it if it
+// survives the drop tolerance. col is not modified. Reports whether the
+// column was kept. Keeping more columns than the capacity the sweep was
+// started with panics.
+func (inc *Incremental) Add(col []float64) bool {
+	if len(col) != inc.n {
+		panic("ortho: Incremental.Add dimension mismatch")
 	}
-	sc.dNorms, sc.keptIdx, sc.coeffs = keptDN[:0], keptIdx[:0], coeffs[:0]
-
-	if pooled {
-		return sc.result(kept, keptDN, keptIdx, dropped)
+	idx := inc.seen
+	inc.seen++
+	sc, bud := inc.sc, inc.bud
+	// Pre-normalize so the drop tolerance is scale-free (Algorithm 1
+	// normalizes each column before orthogonalizing). The norm is taken
+	// over the source column and folded into the copy, one fused pass
+	// instead of copy + norm + scale.
+	nrm := norm2P(bud, col, sc.partials)
+	if nrm <= DropTolerance {
+		inc.dropped++
+		return false
 	}
-	out := linalg.NewDense(n, len(keptIdx))
-	for j := 0; j < len(keptIdx); j++ {
-		linalg.CopyVec(out.Col(j), kept[j+1]) // skip the constant column
+	linalg.ScaledCopyBudget(bud, sc.work, col, 1/nrm)
+	inc.project()
+	res := norm2P(bud, sc.work, sc.partials)
+	if res <= DropTolerance {
+		inc.dropped++
+		return false
+	}
+	// Keep: normalize into the packed store and compute the D-norm in the
+	// same fused pass.
+	dn := sc.packed.AppendScaledDDotBudget(bud, sc.work, inc.d, 1/res, sc.partials)
+	sc.dNorms = append(sc.dNorms, dn)
+	sc.keptIdx = append(sc.keptIdx, idx)
+	return true
+}
+
+// project removes the work vector's components along the kept columns,
+// one range of columns at a time: a fused multi-dot pass yields the
+// range's coefficients and a fused multi-axpy applies the combined
+// update. MGS walks PanelCols-wide panels, so later panels see the
+// updated vector; CGS takes every kept column in one range, so all
+// coefficients come from the original vector — the Level-2 formulation of
+// Table 7, two sweeps over memory in total.
+func (inc *Incremental) project() {
+	sc := inc.sc
+	k := sc.packed.Len()
+	width := linalg.PanelCols
+	if inc.method == CGS {
+		width = k
+	}
+	for p0 := 0; p0 < k; p0 += width {
+		p1 := min(p0+width, k)
+		sc.coeffs = sc.packed.DDotPanelRangeBudget(inc.bud, p0, p1, sc.work, inc.d, sc.coeffs[:0], sc.panelPartials)
+		for j := range sc.coeffs {
+			sc.coeffs[j] /= sc.dNorms[p0+j]
+		}
+		sc.packed.SubtractScaledRangeBudget(inc.bud, p0, p1, sc.work, sc.coeffs)
+	}
+}
+
+// Result unpacks the kept columns (constant column excluded) into the
+// scratch's output matrix. The Incremental must not be used after.
+func (inc *Incremental) Result() Result {
+	sc := inc.sc
+	out := linalg.ViewDense(sc.sOut.Data, inc.n, len(sc.keptIdx))
+	for j := range sc.keptIdx {
+		sc.packed.CopyColIntoBudget(inc.bud, out.Col(j), j+1) // skip the constant column
 	}
 	return Result{
 		S:       out,
-		DNorms:  append([]float64(nil), keptDN[1:]...),
-		Kept:    append([]int(nil), keptIdx...),
-		Dropped: dropped,
+		DNorms:  sc.dNorms[1:],
+		Kept:    sc.keptIdx,
+		Dropped: inc.dropped,
 	}
-}
-
-// dOrthoPacked is the default MGS sweep running against the scratch's
-// tile-major packed kept-column store instead of the flat arena: each
-// kept column is packed once when it survives (the same fused
-// scale-copy-D-norm write the flat path performs) and every later panel
-// projection streams it from padded cache-resident tile slots, so the
-// sweep's dominant re-read traffic stops aliasing on the power-of-two
-// column strides of layout-sized problems. Every kernel mirrors its
-// flat counterpart's tiling and per-element accumulation order, so the
-// packed sweep is bitwise identical to MGSUnpacked (and to the MGS
-// results of every release before packing) for every worker budget.
-func dOrthoPacked(bud parallel.Budget, b *linalg.Dense, d []float64, sc *Scratch, pooled bool) Result {
-	n, s := b.Rows, b.Cols
-	pk := sc.ensurePacked()
-	work := sc.work
-	// s0 = 1/√n: packed via the fused append (a·1.0 reproduces the flat
-	// fill's value exactly, and the append's D-norm pass is bitwise
-	// dNormP).
-	linalg.FillBudget(bud, work, 1/math.Sqrt(float64(n)))
-	keptDN := append(sc.dNorms[:0], pk.AppendScaledDDotBudget(bud, work, d, 1, sc.partials))
-	keptIdx := sc.keptIdx[:0]
-
-	coeffs := sc.coeffs[:0]
-	dropped := 0
-	for i := 0; i < s; i++ {
-		src := b.Col(i)
-		nrm := norm2P(bud, src, sc.partials)
-		if nrm <= DropTolerance {
-			dropped++
-			continue
-		}
-		linalg.ScaledCopyBudget(bud, work, src, 1/nrm)
-		coeffs = projectPanelsPacked(bud, pk, keptDN, work, d, coeffs, sc)
-		res := norm2P(bud, work, sc.partials)
-		if res <= DropTolerance {
-			dropped++
-			continue
-		}
-		// Keep: normalize into the packed store and compute the D-norm in
-		// the same fused pass.
-		dn := pk.AppendScaledDDotBudget(bud, work, d, 1/res, sc.partials)
-		keptDN = append(keptDN, dn)
-		keptIdx = append(keptIdx, i)
-	}
-	sc.dNorms, sc.keptIdx, sc.coeffs = keptDN[:0], keptIdx[:0], coeffs[:0]
-
-	if pooled {
-		return sc.resultPacked(bud, pk, keptDN, keptIdx, dropped)
-	}
-	out := linalg.NewDense(n, len(keptIdx))
-	for j := range keptIdx {
-		pk.CopyColIntoBudget(bud, out.Col(j), j+1) // skip the constant column
-	}
-	return Result{
-		S:       out,
-		DNorms:  append([]float64(nil), keptDN[1:]...),
-		Kept:    append([]int(nil), keptIdx...),
-		Dropped: dropped,
-	}
-}
-
-// projectPanelsPacked is projectPanels against the packed store: the
-// same PanelCols-wide panel walk with one fused multi-dot and one fused
-// multi-axpy per panel, reading the kept columns from their tile slots.
-// Panel boundaries, chunk shapes, and accumulation orders match
-// projectPanels exactly, so the two are bitwise interchangeable.
-func projectPanelsPacked(bud parallel.Budget, pk *linalg.PackedCols, keptDN []float64, work, d, coeffs []float64, sc *Scratch) []float64 {
-	k := pk.Len()
-	for p0 := 0; p0 < k; p0 += linalg.PanelCols {
-		p1 := p0 + linalg.PanelCols
-		if p1 > k {
-			p1 = k
-		}
-		coeffs = pk.DDotPanelRangeBudget(bud, p0, p1, work, d, coeffs[:0], sc.panelPartials)
-		for j := range coeffs {
-			coeffs[j] /= keptDN[p0+j]
-		}
-		pk.SubtractScaledRangeBudget(bud, p0, p1, work, coeffs)
-	}
-	return coeffs
-}
-
-// projectPanels removes work's components along the kept columns with
-// panel-blocked Gram-Schmidt: for each PanelCols-wide panel, one fused
-// multi-dot pass yields the panel's coefficients and one fused multi-axpy
-// applies the combined update. Both DOrthogonalizeScratch and the coupled
-// Incremental route through this function, so the two paths stay bitwise
-// identical. Returns the (reusable) coefficient slice.
-func projectPanels(bud parallel.Budget, kept [][]float64, keptDN []float64, work, d, coeffs []float64, sc *Scratch) []float64 {
-	for p0 := 0; p0 < len(kept); p0 += linalg.PanelCols {
-		p1 := p0 + linalg.PanelCols
-		if p1 > len(kept) {
-			p1 = len(kept)
-		}
-		panel := kept[p0:p1]
-		coeffs = linalg.DDotPanelBudget(bud, panel, work, d, coeffs[:0], sc.panelPartials)
-		for j := range coeffs {
-			coeffs[j] /= keptDN[p0+j]
-		}
-		linalg.SubtractScaledBudget(bud, work, panel, coeffs)
-	}
-	return coeffs
-}
-
-// dDotP computes ⟨x,y⟩ or ⟨x,y⟩_D reusing the given reduction-partials
-// buffer; results are bit-identical to linalg.Dot / linalg.DDot.
-func dDotP(bud parallel.Budget, x, y, d, partials []float64) float64 {
-	if d == nil {
-		return linalg.DotBudget(bud, x, y, partials)
-	}
-	return linalg.DDotBudget(bud, x, d, y, partials)
-}
-
-// dNormP computes ⟨x,x⟩_D with the shared partials buffer.
-func dNormP(bud parallel.Budget, x, d, partials []float64) float64 {
-	return dDotP(bud, x, x, d, partials)
 }
 
 // norm2P computes ‖x‖₂ with the shared partials buffer.

@@ -6,7 +6,63 @@ import (
 	"testing"
 
 	"repro/internal/linalg"
+	"repro/internal/parallel"
 )
+
+// dOrtho runs the batch sweep on the live budget with private scratch.
+func dOrtho(b *linalg.Dense, d []float64, method Method) Result {
+	return DOrthogonalizeBudget(parallel.Live(), b, d, method, nil)
+}
+
+// level1MGS is the oracle for the panel sweep: textbook modified
+// Gram-Schmidt, one dot and one axpy per kept column, sharing no code
+// with the packed kernels. It returns the kept unit columns (constant
+// direction excluded), their input indices, and the drop count.
+func level1MGS(b *linalg.Dense, d []float64) (cols [][]float64, kept []int, dropped int) {
+	n := b.Rows
+	dot := func(x, y []float64) float64 {
+		var s float64
+		for i := range x {
+			if d == nil {
+				s += x[i] * y[i]
+			} else {
+				s += x[i] * d[i] * y[i]
+			}
+		}
+		return s
+	}
+	norm := func(x []float64) float64 {
+		var s float64
+		for _, v := range x {
+			s += v * v
+		}
+		return math.Sqrt(s)
+	}
+	s0 := make([]float64, n)
+	linalg.Fill(s0, 1/math.Sqrt(float64(n)))
+	basis := [][]float64{s0}
+	for j := 0; j < b.Cols; j++ {
+		w := append([]float64(nil), b.Col(j)...)
+		nrm := norm(w)
+		if nrm <= DropTolerance {
+			dropped++
+			continue
+		}
+		linalg.Scale(1/nrm, w)
+		for _, q := range basis {
+			linalg.Axpy(-dot(q, w)/dot(q, q), q, w)
+		}
+		res := norm(w)
+		if res <= DropTolerance {
+			dropped++
+			continue
+		}
+		linalg.Scale(1/res, w)
+		basis = append(basis, w)
+		kept = append(kept, j)
+	}
+	return basis[1:], kept, dropped
+}
 
 func randMatrix(n, s int, seed int64) *linalg.Dense {
 	r := rand.New(rand.NewSource(seed))
@@ -38,7 +94,7 @@ func checkDOrthogonal(t *testing.T, res Result, d []float64, method Method) {
 	for i := 0; i < s.Cols; i++ {
 		ci := s.Col(i)
 		// Unit Euclidean norm.
-		if n := linalg.Norm2(ci); math.Abs(n-1) > tol {
+		if n := math.Sqrt(linalg.Dot(ci, ci)); math.Abs(n-1) > tol {
 			t.Fatalf("column %d norm %g", i, n)
 		}
 		// D-orthogonal to the constant vector.
@@ -77,7 +133,7 @@ func checkDOrthogonal(t *testing.T, res Result, d []float64, method Method) {
 
 func TestMGSPlainOrthonormal(t *testing.T) {
 	b := randMatrix(2000, 8, 1)
-	res := DOrthogonalize(b, nil, MGS)
+	res := dOrtho(b, nil, MGS)
 	if res.S.Cols != 8 || res.Dropped != 0 {
 		t.Fatalf("kept %d dropped %d", res.S.Cols, res.Dropped)
 	}
@@ -87,14 +143,14 @@ func TestMGSPlainOrthonormal(t *testing.T) {
 func TestMGSWeightedDOrthogonal(t *testing.T) {
 	b := randMatrix(2000, 8, 2)
 	d := randDegrees(2000, 3)
-	res := DOrthogonalize(b, d, MGS)
+	res := dOrtho(b, d, MGS)
 	checkDOrthogonal(t, res, d, MGS)
 }
 
 func TestCGSWeightedDOrthogonal(t *testing.T) {
 	b := randMatrix(2000, 8, 4)
 	d := randDegrees(2000, 5)
-	res := DOrthogonalize(b, d, CGS)
+	res := dOrtho(b, d, CGS)
 	checkDOrthogonal(t, res, d, CGS)
 }
 
@@ -107,7 +163,7 @@ func TestDropsDependentColumns(t *testing.T) {
 		c2[i] = 2*c0[i] + 3*c1[i]
 	}
 	for _, method := range []Method{MGS, CGS} {
-		res := DOrthogonalize(b, nil, method)
+		res := dOrtho(b, nil, method)
 		if res.Dropped != 1 {
 			t.Fatalf("%v: dropped %d, want 1", method, res.Dropped)
 		}
@@ -127,7 +183,7 @@ func TestDropsConstantColumn(t *testing.T) {
 	// the "degenerate vector" of Algorithm 3 line 16.
 	b := randMatrix(500, 3, 7)
 	linalg.Fill(b.Col(1), 42)
-	res := DOrthogonalize(b, nil, MGS)
+	res := dOrtho(b, nil, MGS)
 	if res.Dropped != 1 || res.S.Cols != 2 {
 		t.Fatalf("dropped %d kept %d", res.Dropped, res.S.Cols)
 	}
@@ -136,7 +192,7 @@ func TestDropsConstantColumn(t *testing.T) {
 func TestDropsZeroColumn(t *testing.T) {
 	b := randMatrix(500, 3, 8)
 	linalg.Fill(b.Col(0), 0)
-	res := DOrthogonalize(b, nil, MGS)
+	res := dOrtho(b, nil, MGS)
 	if res.Dropped != 1 || res.S.Cols != 2 {
 		t.Fatalf("dropped %d kept %d", res.Dropped, res.S.Cols)
 	}
@@ -148,8 +204,8 @@ func TestCGSAndMGSSpanSameSubspace(t *testing.T) {
 	// projecting onto the other basis reproduces the vector.
 	b := randMatrix(1500, 6, 9)
 	d := randDegrees(1500, 10)
-	mgs := DOrthogonalize(b, d, MGS)
-	cgs := DOrthogonalize(b, d, CGS)
+	mgs := dOrtho(b, d, MGS)
+	cgs := dOrtho(b, d, CGS)
 	if mgs.S.Cols != cgs.S.Cols {
 		t.Fatalf("kept mismatch: %d vs %d", mgs.S.Cols, cgs.S.Cols)
 	}
@@ -163,7 +219,7 @@ func TestCGSAndMGSSpanSameSubspace(t *testing.T) {
 			coef := linalg.DDot(cj, d, res) / cgs.DNorms[j]
 			linalg.Axpy(-coef, cj, res)
 		}
-		if r := linalg.Norm2(res); r > 1e-5 {
+		if r := math.Sqrt(linalg.Dot(res, res)); r > 1e-5 {
 			t.Fatalf("MGS column %d outside CGS span: residual %g", i, r)
 		}
 	}
@@ -171,7 +227,7 @@ func TestCGSAndMGSSpanSameSubspace(t *testing.T) {
 
 func TestEmptyInput(t *testing.T) {
 	b := linalg.NewDense(100, 0)
-	res := DOrthogonalize(b, nil, MGS)
+	res := dOrtho(b, nil, MGS)
 	if res.S.Cols != 0 || res.Dropped != 0 {
 		t.Fatalf("empty input: kept %d dropped %d", res.S.Cols, res.Dropped)
 	}
@@ -186,8 +242,8 @@ func TestMethodString(t *testing.T) {
 func TestIncrementalMatchesBatchMGS(t *testing.T) {
 	b := randMatrix(1500, 7, 11)
 	d := randDegrees(1500, 12)
-	batch := DOrthogonalize(b, d, MGS)
-	inc := NewIncremental(1500, d)
+	batch := dOrtho(b, d, MGS)
+	inc := NewIncremental(parallel.Live(), 1500, b.Cols, d, nil)
 	for j := 0; j < b.Cols; j++ {
 		inc.Add(b.Col(j))
 	}
@@ -213,7 +269,7 @@ func TestIncrementalMatchesBatchMGS(t *testing.T) {
 }
 
 func TestIncrementalDropsAndPanics(t *testing.T) {
-	inc := NewIncremental(100, nil)
+	inc := NewIncremental(parallel.Live(), 100, 3, nil, nil)
 	col := make([]float64, 100)
 	for i := range col {
 		col[i] = float64(i)
@@ -232,12 +288,27 @@ func TestIncrementalDropsAndPanics(t *testing.T) {
 	if res.S.Cols != 1 || res.Dropped != 2 || res.Kept[0] != 0 {
 		t.Fatalf("result %+v", res)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on dimension mismatch")
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("expected panic on %s", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("dimension mismatch", func() {
+		NewIncremental(parallel.Live(), 10, 1, nil, nil).Add(make([]float64, 5))
+	})
+	mustPanic("a kept column past the capacity", func() {
+		over := NewIncremental(parallel.Live(), 100, 1, nil, nil)
+		over.Add(col)
+		sq := make([]float64, 100)
+		for i := range sq {
+			sq[i] = float64(i * i)
 		}
-	}()
-	NewIncremental(10, nil).Add(make([]float64, 5))
+		over.Add(sq)
+	})
 }
 
 // TestPanelMGSMatchesLevel1 is the panel-blocking property test: panel
@@ -256,22 +327,22 @@ func TestPanelMGSMatchesLevel1(t *testing.T) {
 			}
 			b := randMatrix(n, s, int64(101*n+s))
 			for _, d := range [][]float64{nil, randDegrees(n, int64(7*n+s))} {
-				panel := DOrthogonalize(b, d, MGS)
-				l1 := DOrthogonalize(b, d, MGSLevel1)
-				if len(panel.Kept) != len(l1.Kept) || panel.Dropped != l1.Dropped {
+				panel := dOrtho(b, d, MGS)
+				l1Cols, l1Kept, l1Dropped := level1MGS(b, d)
+				if len(panel.Kept) != len(l1Kept) || panel.Dropped != l1Dropped {
 					t.Fatalf("n=%d s=%d d=%v: panel kept/dropped %d/%d, level-1 %d/%d",
-						n, s, d != nil, len(panel.Kept), panel.Dropped, len(l1.Kept), l1.Dropped)
+						n, s, d != nil, len(panel.Kept), panel.Dropped, len(l1Kept), l1Dropped)
 				}
 				for j := range panel.Kept {
-					if panel.Kept[j] != l1.Kept[j] {
-						t.Fatalf("n=%d s=%d: kept sets differ at %d: %d vs %d", n, s, j, panel.Kept[j], l1.Kept[j])
+					if panel.Kept[j] != l1Kept[j] {
+						t.Fatalf("n=%d s=%d: kept sets differ at %d: %d vs %d", n, s, j, panel.Kept[j], l1Kept[j])
 					}
 				}
 				checkDOrthogonal(t, panel, d, MGS)
 				// Well-conditioned random input: the two sweeps must agree
 				// column by column, not just span the same subspace.
 				for j := 0; j < panel.S.Cols; j++ {
-					pc, lc := panel.S.Col(j), l1.S.Col(j)
+					pc, lc := panel.S.Col(j), l1Cols[j]
 					for i := range pc {
 						if math.Abs(pc[i]-lc[i]) > 1e-9 {
 							t.Fatalf("n=%d s=%d col %d row %d: panel %g, level-1 %g", n, s, j, i, pc[i], lc[i])
@@ -295,14 +366,14 @@ func TestPanelMGSDegenerateColumns(t *testing.T) {
 	linalg.Fill(b.Col(6), 3.25) // constant column (parallel to s0)
 	copy(b.Col(8), b.Col(1))    // another duplicate
 	d := randDegrees(n, 4)
-	panel := DOrthogonalize(b, d, MGS)
-	l1 := DOrthogonalize(b, d, MGSLevel1)
-	if panel.Dropped != 4 || l1.Dropped != 4 {
-		t.Fatalf("dropped %d (panel) / %d (level-1), want 4", panel.Dropped, l1.Dropped)
+	panel := dOrtho(b, d, MGS)
+	_, l1Kept, l1Dropped := level1MGS(b, d)
+	if panel.Dropped != 4 || l1Dropped != 4 {
+		t.Fatalf("dropped %d (panel) / %d (level-1), want 4", panel.Dropped, l1Dropped)
 	}
 	for j := range panel.Kept {
-		if panel.Kept[j] != l1.Kept[j] {
-			t.Fatalf("kept sets differ: %v vs %v", panel.Kept, l1.Kept)
+		if panel.Kept[j] != l1Kept[j] {
+			t.Fatalf("kept sets differ: %v vs %v", panel.Kept, l1Kept)
 		}
 	}
 	checkDOrthogonal(t, panel, d, MGS)

@@ -2,30 +2,27 @@ package ortho
 
 import (
 	"repro/internal/linalg"
-	"repro/internal/parallel"
 )
 
-// Scratch owns the DOrtho phase's reusable storage: the kept-column arena
-// (s+1 length-n columns — the constant direction plus up to s survivors),
-// the working vector, the output matrix backing Result.S, and the
-// reduction-partials buffer every D-inner product of the MGS sweep reuses
+// Scratch owns the DOrtho phase's reusable storage: the packed
+// kept-column store (the constant direction plus up to s survivors), the
+// working vector, the output matrix backing Result.S, and the
+// reduction-partials buffers every inner product of the sweep reuses
 // instead of allocating per dot product. One Scratch serves both
-// DOrthogonalizeScratch and NewIncrementalScratch; a pooled workspace
-// keeps one per (n, s) shape.
+// DOrthogonalizeBudget and NewIncremental; a pooled workspace keeps one
+// per (n, s) shape.
 //
 // Results produced through a Scratch alias its storage (Result.S, DNorms,
 // Kept), so they are valid only until the Scratch's next use.
 type Scratch struct {
-	n, s     int
-	arena    []float64   // (s+1)·n backing for kept columns (flat paths, lazy)
-	cols     [][]float64 // views into arena, rebuilt on ensureCols
-	colsN    int         // shape the arena/cols were last built for
-	colsS    int
-	packed   *linalg.PackedCols // tile-major kept-column store (packed MGS, lazy)
+	n, s int
+	// packed is the tile-major kept-column store. Each sweep shapes it, so
+	// a scratch that never runs a sweep never pays for it.
+	packed   linalg.PackedCols
 	work     []float64
-	partials []float64 // reduction partials shared by every dot in a sweep
-	// panelPartials is the per-block arena of the fused panel multi-dot:
-	// ReduceBlocks(n) blocks × up to s+1 columns (CGS projects against
+	partials []float64 // reduction partials shared by every norm in a sweep
+	// panelPartials is the per-tile arena of the fused panel multi-dot:
+	// ReduceBlocks(n) tiles × up to s+1 columns (CGS projects against
 	// every kept column at once).
 	panelPartials []float64
 	coeffs        []float64 // panel/CGS coefficient vector
@@ -43,10 +40,7 @@ func NewScratch(n, s int) *Scratch {
 }
 
 // Ensure grows the scratch to cover (n, s); sufficient buffers are kept,
-// so same-shape reuse touches no allocator. The kept-column stores are
-// lazy — ensureCols (flat paths) and ensurePacked (packed MGS) size
-// their own storage on first use, so a scratch only pays for the sweep
-// variant actually running through it.
+// so same-shape reuse touches no allocator.
 func (sc *Scratch) Ensure(n, s int) {
 	if sc.n == n && sc.s >= s {
 		return
@@ -74,67 +68,4 @@ func (sc *Scratch) Ensure(n, s int) {
 		sc.keptIdx = make([]int, 0, s)
 	}
 	sc.n, sc.s = n, s
-}
-
-// ensureCols builds the flat kept-column arena for the current (n, s) —
-// called at the top of every flat sweep (CGS, MGSLevel1, MGSUnpacked,
-// Incremental) so the packed MGS path never pays for storage it does
-// not touch.
-func (sc *Scratch) ensureCols() {
-	n, s := sc.n, sc.s
-	if sc.colsN == n && sc.colsS >= s {
-		return
-	}
-	if cap(sc.arena) < (s+1)*n {
-		sc.arena = make([]float64, (s+1)*n)
-	}
-	sc.arena = sc.arena[:(s+1)*n]
-	if cap(sc.cols) < s+1 {
-		sc.cols = make([][]float64, 0, s+1)
-	}
-	sc.cols = sc.cols[:s+1]
-	for j := range sc.cols {
-		sc.cols[j] = sc.arena[j*n : (j+1)*n]
-	}
-	sc.colsN, sc.colsS = n, s
-}
-
-// ensurePacked shapes (and resets) the tile-major kept-column store for
-// the current (n, s) — called at the top of every packed MGS sweep.
-func (sc *Scratch) ensurePacked() *linalg.PackedCols {
-	if sc.packed == nil {
-		sc.packed = &linalg.PackedCols{}
-	}
-	sc.packed.Ensure(sc.n, sc.s+1)
-	return sc.packed
-}
-
-// resultPacked is result over the packed store: kept columns 1…k
-// (constant column excluded) are unpacked into the output views.
-func (sc *Scratch) resultPacked(bud parallel.Budget, pk *linalg.PackedCols, keptDN []float64, keptIdx []int, dropped int) Result {
-	out := linalg.ViewDense(sc.sOut.Data, sc.n, len(keptIdx))
-	for j := range keptIdx {
-		pk.CopyColIntoBudget(bud, out.Col(j), j+1) // skip the constant column
-	}
-	return Result{
-		S:       out,
-		DNorms:  keptDN[1:],
-		Kept:    keptIdx,
-		Dropped: dropped,
-	}
-}
-
-// result packages the kept arena columns (constant column excluded) as a
-// Result aliasing the scratch's output storage.
-func (sc *Scratch) result(kept [][]float64, keptDN []float64, keptIdx []int, dropped int) Result {
-	out := linalg.ViewDense(sc.sOut.Data, sc.n, len(keptIdx))
-	for j := range keptIdx {
-		linalg.CopyVec(out.Col(j), kept[j+1]) // skip the constant column
-	}
-	return Result{
-		S:       out,
-		DNorms:  keptDN[1:],
-		Kept:    keptIdx,
-		Dropped: dropped,
-	}
 }

@@ -59,7 +59,7 @@ type PhaseStats struct {
 // Scratch bundles the reusable buffers of the k-centers BFS phase: the
 // traversal scratch plus the per-pivot hop vector and the running
 // minimum-distance vector that drives farthest-first source selection. A
-// pooled workspace owns one and hands it to PhaseScratch so repeated
+// pooled workspace owns one and hands it to PhaseBudget so repeated
 // layouts on same-shaped graphs re-pay no BFS-phase allocations.
 type Scratch struct {
 	// BFS is the frontier/queue scratch shared by all s traversals.
@@ -128,27 +128,24 @@ func (sc *Scratch) Ensure(n int) {
 // coupled core path, which owns the pivot loop but reuses this scratch.
 func (sc *Scratch) ArgmaxArenas() ([]int, []int32) { return sc.amIdx, sc.amVals }
 
-// Phase runs the complete BFS phase: s traversals from pivots chosen by
-// the given strategy, writing hop distances into the n×s column-major
+// Phase runs the complete BFS phase on the live worker budget with
+// private buffers; see PhaseBudget.
+func Phase(g *graph.CSR, b *linalg.Dense, start int32, strat Strategy, opt bfs.Options, onTraversal, onOther func(f func())) PhaseStats {
+	return PhaseBudget(parallel.Live(), g, b, start, strat, opt, nil, onTraversal, onOther)
+}
+
+// PhaseBudget runs the complete BFS phase: s traversals from pivots chosen
+// by the given strategy, writing hop distances into the n×s column-major
 // matrix b. Unreachable is impossible by precondition (connected graph).
 // start is the randomly-chosen first vertex (Algorithm 3, line 4); timers
 // for traversal vs. other work are accumulated via the optional hooks.
-func Phase(g *graph.CSR, b *linalg.Dense, start int32, strat Strategy, opt bfs.Options, onTraversal, onOther func(f func())) PhaseStats {
-	return PhaseScratch(g, b, start, strat, opt, nil, onTraversal, onOther)
-}
-
-// PhaseScratch is Phase running over sc's pooled buffers (nil allocates
-// fresh ones, equivalent to Phase). The k-centers and multi-source random
-// strategies consume the scratch — plain Random keeps its per-worker
-// private distance vectors — and results are bit-identical either way.
-func PhaseScratch(g *graph.CSR, b *linalg.Dense, start int32, strat Strategy, opt bfs.Options, sc *Scratch, onTraversal, onOther func(f func())) PhaseStats {
-	return PhaseBudget(parallel.SnapshotBudget(), g, b, start, strat, opt, sc, onTraversal, onOther)
-}
-
-// PhaseBudget is PhaseScratch running under an explicit worker budget.
-// Live budgets are snapshotted once on entry, so every traversal, fill,
-// and reduction of the phase shares one worker count — a GOMAXPROCS
-// change mid-phase can no longer re-partition running kernels.
+// The phase runs over sc's pooled buffers (nil allocates fresh ones): the
+// k-centers and multi-source random strategies consume the scratch —
+// plain Random keeps its per-worker private distance vectors — and results
+// are bit-identical either way. Live budgets are snapshotted once on
+// entry, so every traversal, fill, and reduction of the phase shares one
+// worker count — a GOMAXPROCS change mid-phase cannot re-partition running
+// kernels.
 func PhaseBudget(bud parallel.Budget, g *graph.CSR, b *linalg.Dense, start int32, strat Strategy, opt bfs.Options, sc *Scratch, onTraversal, onOther func(f func())) PhaseStats {
 	if !bud.Fixed() {
 		bud = parallel.SnapshotBudget()
@@ -177,7 +174,7 @@ func kCentersPhase(bud parallel.Budget, g *graph.CSR, b *linalg.Dense, start int
 	} else {
 		sc.Ensure(n)
 	}
-	runner := bfs.NewRunnerBudget(g, opt, sc.BFS, bud)
+	runner := bfs.NewRunner(g, opt, sc.BFS, bud)
 	dist, dmin := sc.Dist, sc.DMin
 	if bud.Serial(n) {
 		for i := range dmin {
@@ -291,7 +288,6 @@ func randomMSPhase(bud parallel.Budget, g *graph.CSR, b *linalg.Dense, start int
 	if sc.BFS == nil {
 		sc.BFS = bfs.NewScratch(n, bud.Workers())
 	}
-	msOpt := opt.MS()
 	st := PhaseStats{
 		Sources:   make([]int32, s),
 		Traversal: make([]bfs.Stats, 0, (s+63)/64),
@@ -314,7 +310,7 @@ func randomMSPhase(bud parallel.Budget, g *graph.CSR, b *linalg.Dense, start int
 	// captured variables, so the steady-state loop allocates nothing.
 	var batch, hi int
 	traverse := func() {
-		ms := bfs.MSBFSOpts(bud, g, st.Sources[batch:hi], sc.msRows[:hi-batch], sc.BFS, msOpt)
+		ms := bfs.MSBFS(bud, g, st.Sources[batch:hi], sc.msRows[:hi-batch], sc.BFS, opt)
 		st.Traversal = append(st.Traversal, ms)
 		st.ScannedEdges += ms.ScannedEdges
 	}

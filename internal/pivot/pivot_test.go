@@ -201,7 +201,7 @@ func TestRandomMSPhaseDistancesCorrect(t *testing.T) {
 func TestRandomMSForceTopDownMatchesDefault(t *testing.T) {
 	// bfs.Options flow through to the multi-source engine: ForceTopDown
 	// must keep columns bitwise identical while running zero bottom-up
-	// steps — the per-phase ablation switch.
+	// steps.
 	g := gen.Kron(9, 8, 6)
 	s := 40
 	b1 := linalg.NewDense(g.NumV, s)

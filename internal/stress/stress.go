@@ -71,7 +71,7 @@ func Full(g *graph.CSR, l *core.Layout, opt Options) (Result, error) {
 	}
 	// All-pairs hop distances, row by row.
 	dist := make([][]int32, n)
-	runner := bfs.NewRunner(g, bfs.Options{})
+	runner := bfs.NewRunner(g, bfs.Options{}, nil, parallel.Live())
 	for v := 0; v < n; v++ {
 		row := make([]int32, n)
 		runner.Distances(int32(v), row)

@@ -1,8 +1,8 @@
 // Package workspace provides pooled, size-checked scratch memory for the
 // layout pipeline's hot path. A steady-state ParHDE run touches four
 // large buffer families — the BFS frontier/queue scratch and hop vectors,
-// the column-major distance matrix B, the DOrtho kept-column arena behind
-// S, and the TripleProd product P with its row-major repack panels — and
+// the column-major distance matrix B, the DOrtho kept-column store behind
+// S, and the TripleProd product P with its row-major repack panel — and
 // without reuse every queued layout job re-pays those O(n·s) allocations
 // and the GC traffic they induce, exactly the unbatched memory waste
 // BatchLayout attributes to shared-memory layout codes. A Workspace owns
@@ -47,12 +47,12 @@ type Workspace struct {
 	Deg []float64
 	// B backs the n×s distance matrix of the decoupled path.
 	B *linalg.Dense
-	// Ortho is the DOrtho kept-column arena, work vector, and the
-	// reduction-partials buffer reused across every MGS inner product.
+	// Ortho is the DOrtho packed kept-column store, work vector, and the
+	// reduction-partials buffers reused across every inner product.
 	Ortho *ortho.Scratch
-	// SRM and PRM are the n·s row-major repack panels of the blocked
-	// TripleProd kernel (one edge-list pass advances all s columns).
-	SRM, PRM []float64
+	// SRM is the n·s row-major repack panel of the tiled TripleProd
+	// kernel (one edge-list pass advances all s columns).
+	SRM []float64
 	// P backs the n×s TripleProd product L·S.
 	P []float64
 	// Z backs the s×s projected matrix Sᵀ(LS).
@@ -104,7 +104,6 @@ func (ws *Workspace) Reshape(n, s, p int) {
 		ws.Ortho.Ensure(n, s)
 	}
 	ws.SRM = growFloat(ws.SRM, n*s)
-	ws.PRM = growFloat(ws.PRM, n*s)
 	ws.P = growFloat(ws.P, n*s)
 	ws.Z = growFloat(ws.Z, s*s)
 	ws.GemmPartials = growFloat(ws.GemmPartials, linalg.ReduceBlocks(n)*s*s)

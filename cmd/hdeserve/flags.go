@@ -16,8 +16,6 @@ type options struct {
 	mode           string
 	workerID       string
 	peers          string
-	replication    int
-	virtualNodes   int
 	healthInterval time.Duration
 	routerCache    int64
 
@@ -62,10 +60,6 @@ func newFlagSet(opt *options) *flag.FlagSet {
 		"stable worker identity; prefixes job ids and the X-Hdeserve-Worker header (required in -mode worker)")
 	fs.StringVar(&opt.peers, "peers", "",
 		"comma-separated worker base URLs the router forwards to (required in -mode router)")
-	fs.IntVar(&opt.replication, "replication", 2,
-		"how many workers hold each graph; reads fall back across them")
-	fs.IntVar(&opt.virtualNodes, "virtual-nodes", 0,
-		"virtual nodes per worker on the consistent-hash ring (0 = default 128)")
 	fs.DurationVar(&opt.healthInterval, "health-interval", 2*time.Second,
 		"router worker health-probe interval")
 	fs.Int64Var(&opt.routerCache, "router-cache-bytes", 64<<20,

@@ -17,9 +17,9 @@
 // stable -worker-id that prefixes its job ids and a -data-dir it can
 // recover its catalog and interrupted jobs from after a crash;
 // "router" is the stateless front end that consistently hashes graph
-// names across -peers, replicates uploads, retries idempotent reads on
-// sibling replicas, and caches hot rendered tiles with ETag
-// revalidation. OPERATIONS.md covers the deployment topologies.
+// names across -peers, forwards each request to the one worker owning
+// its graph, and caches hot rendered tiles with ETag revalidation.
+// OPERATIONS.md covers the deployment topologies.
 //
 // The HTTP server is hardened for real traffic: read/write/idle
 // timeouts (so slow clients cannot pin connections), a byte-budget
@@ -149,8 +149,6 @@ func runRouter(opt options) {
 	}
 	cfg := shard.Config{
 		Peers:          peers,
-		Replication:    opt.replication,
-		VirtualNodes:   opt.virtualNodes,
 		HealthInterval: opt.healthInterval,
 		CacheBytes:     opt.routerCache,
 		MaxUploadBytes: opt.maxUpload,
@@ -162,8 +160,7 @@ func runRouter(opt options) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("routing for %d workers (replication %d) on http://%s/",
-		len(peers), opt.replication, opt.addr)
+	log.Printf("routing for %d workers on http://%s/", len(peers), opt.addr)
 	serveUntilSignal(opt, rt.Handler(), rt.Close)
 }
 

@@ -113,8 +113,9 @@ func (f *fleet) stop() {
 }
 
 // startFleet launches n workers (GOMAXPROCS=1 each — one worker models
-// one fixed-size box) and a router with replication 1, so that exactly
-// one persisted record per accepted job is the correct final count.
+// one fixed-size box) and a router. Each graph lives on one worker, so
+// exactly one persisted record per accepted job is the correct final
+// count.
 func startFleet(opt options, n int, tmp, label string) (*fleet, error) {
 	// Pre-flight: every port must be free, or a stray process from an
 	// earlier run would answer our health checks in the fleet's place.
@@ -167,7 +168,7 @@ func startFleet(opt options, n int, tmp, label string) (*fleet, error) {
 		url:  "http://" + raddr,
 		args: []string{
 			"-mode", "router", "-addr", raddr, "-quiet",
-			"-peers", strings.Join(peers, ","), "-replication", "1",
+			"-peers", strings.Join(peers, ","),
 		},
 	}
 	if err := f.router.start(opt.bin); err != nil {

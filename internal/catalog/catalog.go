@@ -9,7 +9,6 @@ package catalog
 import (
 	"errors"
 	"fmt"
-	"os"
 	"regexp"
 	"sort"
 	"sync"
@@ -220,19 +219,4 @@ func (c *Catalog) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.bytes
-}
-
-// LoadFile reads a graph file in the named format (see graph.Formats)
-// and registers it under name with the path as its source.
-func (c *Catalog) LoadFile(name, path, format string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	g, err := graph.Read(f, format, graph.BuildOptions{})
-	if err != nil {
-		return fmt.Errorf("catalog: loading %s: %w", path, err)
-	}
-	return c.Add(name, g, path)
 }

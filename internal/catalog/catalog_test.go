@@ -2,8 +2,6 @@ package catalog
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/gen"
@@ -117,27 +115,5 @@ func TestTooLarge(t *testing.T) {
 	c := New(GraphBytes(g) - 1)
 	if err := c.Add("big", g, "test"); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("Add error = %v, want ErrTooLarge", err)
-	}
-}
-
-func TestLoadFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "g.edges")
-	if err := os.WriteFile(path, []byte("0 1\n1 2\n2 0\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c := New(0)
-	if err := c.LoadFile("tri", path, "edges"); err != nil {
-		t.Fatal(err)
-	}
-	g, ok := c.Get("tri")
-	if !ok || g.NumV != 3 || g.NumEdges() != 3 {
-		t.Fatalf("loaded graph: %v ok=%v", g, ok)
-	}
-	if err := c.LoadFile("bad", path, "nope"); err == nil {
-		t.Fatal("unknown format accepted")
-	}
-	if err := c.LoadFile("gone", filepath.Join(dir, "missing"), "edges"); err == nil {
-		t.Fatal("missing file accepted")
 	}
 }

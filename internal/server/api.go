@@ -89,6 +89,11 @@ func (s *Server) handleGraphUpload(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, codeFor(err), err)
 		return
 	}
+	// A name the catalog evicted and now takes back must not inherit the
+	// evicted graph's layout.
+	s.mu.Lock()
+	delete(s.views, name)
+	s.mu.Unlock()
 	// Snapshot the upload so a restart rebuilds this shard of the catalog
 	// (best-effort: the upload itself already succeeded).
 	if s.cfg.DataDir != "" {
@@ -120,49 +125,6 @@ func (s *Server) handleGraphDelete(w http.ResponseWriter, r *http.Request) {
 	delete(s.views, name)
 	s.mu.Unlock()
 	w.WriteHeader(http.StatusNoContent)
-}
-
-// --- per-graph views ----------------------------------------------------
-
-// lookupView resolves {name} to an installed view, writing the right
-// error (404 unknown, 409 known-but-not-laid-out) when it cannot.
-func (s *Server) lookupView(w http.ResponseWriter, r *http.Request) (*view, bool) {
-	name := r.PathValue("name")
-	v, known, laidOut := s.viewOf(name)
-	switch {
-	case laidOut:
-		return v, true
-	case known:
-		writeErr(w, http.StatusConflict,
-			fmt.Errorf("graph %q has no layout yet; submit a job with POST /jobs", name))
-	default:
-		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown graph %q", name))
-	}
-	return nil, false
-}
-
-func (s *Server) handleGraphLayoutPNG(w http.ResponseWriter, r *http.Request) {
-	if v, ok := s.lookupView(w, r); ok {
-		s.servePNG(w, r, v)
-	}
-}
-
-func (s *Server) handleGraphLayoutSVG(w http.ResponseWriter, r *http.Request) {
-	if v, ok := s.lookupView(w, r); ok {
-		s.serveSVG(w, r, v)
-	}
-}
-
-func (s *Server) handleGraphZoom(w http.ResponseWriter, r *http.Request) {
-	if v, ok := s.lookupView(w, r); ok {
-		s.serveZoom(w, r, v)
-	}
-}
-
-func (s *Server) handleGraphStats(w http.ResponseWriter, r *http.Request) {
-	if v, ok := s.lookupView(w, r); ok {
-		s.serveStats(w, r, v)
-	}
 }
 
 // --- /jobs --------------------------------------------------------------

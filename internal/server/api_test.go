@@ -11,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/catalog"
+	"repro/internal/gen"
 	"repro/internal/jobs"
 )
 
@@ -304,5 +306,88 @@ func TestCancelRunningJobViaHTTP(t *testing.T) {
 	resp, _ = doReq(t, "GET", ts.URL+"/graphs/slow/layout.png")
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("cancelled graph layout: status %d, want 409", resp.StatusCode)
+	}
+}
+
+// TestCatalogEvictionHonoured: the catalog byte budget is what bounds a
+// worker's graphs, so the serving layer must follow it — viewing a graph
+// counts as using it (the idle graph is the eviction victim, not the
+// one being looked at), and an evicted graph stops rendering and gives
+// up its view instead of staying resident behind the catalog's back.
+func TestCatalogEvictionHonoured(t *testing.T) {
+	one := catalog.GraphBytes(gen.Grid2D(12, 12))
+	budget := catalog.GraphBytes(gen.PlateWithHoles(30, 30)) + 2*one + one/2 // default + two uploads
+	s, ts := newTestServerPair(t, Config{Workers: 1, CatalogBytes: budget})
+
+	layOut := func(name string) {
+		t.Helper()
+		resp, b := postJSON(t, ts.URL+"/jobs", `{"graph":"`+name+`","subspace":8,"seed":1}`)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("POST /jobs for %s: status %d: %s", name, resp.StatusCode, b)
+		}
+		var st jobs.Status
+		if err := json.Unmarshal(b, &st); err != nil {
+			t.Fatal(err)
+		}
+		waitJobState(t, ts.URL, st.ID, "done")
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			if resp, _ := doReq(t, "GET", ts.URL+"/graphs/"+name+"/layout.png"); resp.StatusCode == 200 {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("layout of %s never installed", name)
+			}
+		}
+	}
+	resident := func() string {
+		var names []string
+		for _, in := range s.cat.List() {
+			names = append(names, in.Name)
+		}
+		return strings.Join(names, ",")
+	}
+	hasView := func(name string) bool {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		return s.views[name] != nil
+	}
+	layoutStatus := func(name string) int {
+		resp, _ := doReq(t, "GET", ts.URL+"/graphs/"+name+"/layout.png")
+		return resp.StatusCode
+	}
+
+	uploadGraph(t, ts.URL, "A", gridGraph(12))
+	layOut("A")
+	uploadGraph(t, ts.URL, "B", gridGraph(12))
+	for i := 0; i < 3; i++ {
+		if code := layoutStatus("A"); code != 200 {
+			t.Fatalf("read %d of A: status %d", i, code)
+		}
+	}
+	uploadGraph(t, ts.URL, "C", gridGraph(12))
+	if got := resident(); got != "A,C,default" {
+		t.Fatalf("after uploading C the catalog holds %s; want idle B evicted, viewed A kept", got)
+	}
+
+	// A is now the least recently used: D evicts it.
+	uploadGraph(t, ts.URL, "D", gridGraph(12))
+	if got := resident(); got != "C,D,default" {
+		t.Fatalf("after uploading D the catalog holds %s; want A evicted", got)
+	}
+	if code := layoutStatus("A"); code != http.StatusNotFound {
+		t.Fatalf("layout of evicted A: status %d, want 404", code)
+	}
+	if hasView("A") {
+		t.Fatal("evicted A's view (CSR + layout) is still resident")
+	}
+
+	// A name that is evicted and uploaded again is a new graph: it must
+	// not render the evicted graph's layout.
+	layOut("C")
+	uploadGraph(t, ts.URL, "E", gridGraph(12)) // evicts D
+	uploadGraph(t, ts.URL, "F", gridGraph(12)) // evicts C
+	uploadGraph(t, ts.URL, "C", pathGraph(40)) // evicts E
+	if code := layoutStatus("C"); code != http.StatusConflict {
+		t.Fatalf("layout of re-uploaded C: status %d, want 409 (no layout yet)", code)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // PATCH /graphs/{name}: apply a batch of mutations to a (possibly
 // just-promoted) dynamic graph, refresh the catalog snapshot, and queue a
 // refinement layout. The response is 202 with the queued job — mutations
-// are durable immediately (and visible to /graphs and future jobs), the
+// apply immediately (and are visible to /graphs and future jobs), the
 // picture catches up when the refinement installs and streams its delta.
 
 // maxMutationBody bounds one PATCH body.
@@ -117,7 +117,7 @@ func (s *Server) handleGraphMutate(w http.ResponseWriter, r *http.Request) {
 	}
 	j, err := s.eng.Submit(name, cfg)
 	if err != nil {
-		// The mutation itself is applied and durable; only the refinement
+		// The mutation itself is applied; only the refinement
 		// could not be queued. 429/503 tell the client to retry the (now
 		// delta-free) layout submission, not the mutation.
 		writeErr(w, codeFor(err), fmt.Errorf("mutations applied but refinement not queued: %w", err))

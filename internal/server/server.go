@@ -38,6 +38,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/httpcache"
 	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
@@ -150,8 +151,8 @@ type Server struct {
 	pending  map[string]int64
 	jobDelta map[string]int64
 
-	cache  *byteLRU
-	flight flightGroup
+	cache  *httpcache.LRU[[]byte]
+	flight httpcache.Flight[[]byte]
 	sem    chan struct{} // expensive-render concurrency limit
 
 	// streams holds the per-graph SSE subscriber sets (see stream.go).
@@ -205,10 +206,8 @@ func NewWithConfig(g *graph.CSR, opt core.Options, cfg Config) (*Server, error) 
 		done:     make(chan struct{}),
 		sem:      make(chan struct{}, cfg.MaxConcurrentRenders),
 		reg:      reg,
-		cache: newByteLRU(cfg.CacheBytes,
-			reg.Counter("render_cache_hits_total"),
-			reg.Counter("render_cache_misses_total"),
-			reg.Counter("render_cache_evictions_total")),
+		cache: httpcache.NewLRU(cfg.CacheBytes,
+			func(b []byte) int64 { return int64(len(b)) }, reg, "render_cache"),
 		zoomRenders:      reg.Counter("zoom_layouts_total"),
 		viewRenders:      reg.Counter("view_renders_total"),
 		renderErrors:     reg.Counter("render_errors_total"),
@@ -222,7 +221,6 @@ func NewWithConfig(g *graph.CSR, opt core.Options, cfg Config) (*Server, error) 
 		streamSubs:       reg.Gauge("stream_subscribers"),
 		broadcastLatency: reg.Histogram("stream_broadcast_seconds"),
 	}
-	reg.GaugeFunc("render_cache_bytes", func() float64 { return float64(s.cache.Bytes()) })
 	reg.GaugeFunc("render_cache_entries", func() float64 { return float64(s.cache.Len()) })
 	reg.GaugeFunc("catalog_graphs", func() float64 { return float64(s.cat.Len()) })
 	reg.GaugeFunc("catalog_bytes", func() float64 { return float64(s.cat.Bytes()) })
@@ -356,16 +354,24 @@ func (s *Server) install(name string, g *graph.CSR, layout *core.Layout, rep *co
 
 // viewOf returns the named graph's current view. The boolean pair
 // distinguishes "graph unknown" (404) from "known but not laid out yet"
-// (409).
+// (409). The catalog decides whether the graph exists — the lookup
+// counts as a use, so a graph being viewed is not the LRU eviction
+// victim — and a view whose graph the catalog has evicted is released
+// here rather than served.
 func (s *Server) viewOf(name string) (v *view, known, laidOut bool) {
-	s.mu.RLock()
-	v, laidOut = s.views[name]
-	s.mu.RUnlock()
-	if laidOut {
-		return v, true, true
-	}
 	_, known = s.cat.Get(name)
-	return nil, known, false
+	s.mu.RLock()
+	v = s.views[name]
+	s.mu.RUnlock()
+	if known || v == nil {
+		return v, known, v != nil
+	}
+	s.mu.Lock()
+	if s.views[name] == v {
+		delete(s.views, name)
+	}
+	s.mu.Unlock()
+	return nil, false, false
 }
 
 // Report returns the startup layout run's per-phase report.
@@ -421,7 +427,7 @@ var apiRoutes = []struct {
 	fn      func(*Server, http.ResponseWriter, *http.Request)
 }{
 	{"/", (*Server).handleIndex},
-	{"/layout.png", (*Server).handleLayout},
+	{"/layout.png", (*Server).handleLayoutPNG},
 	{"/layout.svg", (*Server).handleLayoutSVG},
 	{"/zoom.png", (*Server).handleZoom},
 	{"/stats", (*Server).handleStats},
@@ -430,10 +436,10 @@ var apiRoutes = []struct {
 	{"GET /graphs", (*Server).handleGraphsList},
 	{"POST /graphs", (*Server).handleGraphUpload},
 	{"DELETE /graphs/{name}", (*Server).handleGraphDelete},
-	{"GET /graphs/{name}/layout.png", (*Server).handleGraphLayoutPNG},
-	{"GET /graphs/{name}/layout.svg", (*Server).handleGraphLayoutSVG},
-	{"GET /graphs/{name}/zoom.png", (*Server).handleGraphZoom},
-	{"GET /graphs/{name}/stats", (*Server).handleGraphStats},
+	{"GET /graphs/{name}/layout.png", (*Server).handleLayoutPNG},
+	{"GET /graphs/{name}/layout.svg", (*Server).handleLayoutSVG},
+	{"GET /graphs/{name}/zoom.png", (*Server).handleZoom},
+	{"GET /graphs/{name}/stats", (*Server).handleStats},
 	{"PATCH /graphs/{name}", (*Server).handleGraphMutate},
 	{"GET /graphs/{name}/stream", (*Server).handleGraphStream},
 	{"POST /jobs", (*Server).handleJobSubmit},
@@ -516,20 +522,15 @@ var page = template.Must(template.New("index").Parse(`<!doctype html>
 <img src="/layout.png" width="45%">
 </body></html>`))
 
-// defaultView returns the "default" graph's view (always present: it is
-// installed before the server starts serving).
-func (s *Server) defaultView() *view {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.views[DefaultGraph]
-}
-
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path != "/" {
 		http.NotFound(w, r)
 		return
 	}
-	v := s.defaultView()
+	v, ok := s.lookupView(w, r)
+	if !ok {
+		return
+	}
 	vtx, hops, ok := parseZoomParams(r, v.g.NumV)
 	data := struct {
 		N, M     int64
@@ -543,87 +544,74 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) handleLayout(w http.ResponseWriter, r *http.Request) {
-	s.servePNG(w, r, s.defaultView())
+// lookupView resolves the request's graph — {name} on a /graphs/{name}/…
+// route, "default" on the single-graph viewer twin of it — to an
+// installed view, writing the right error (404 unknown, 409
+// known-but-not-laid-out) when it cannot.
+func (s *Server) lookupView(w http.ResponseWriter, r *http.Request) (*view, bool) {
+	name := defaultStr(r.PathValue("name"), DefaultGraph)
+	v, known, laidOut := s.viewOf(name)
+	switch {
+	case laidOut:
+		return v, true
+	case known:
+		writeErr(w, http.StatusConflict,
+			fmt.Errorf("graph %q has no layout yet; submit a job with POST /jobs", name))
+	default:
+		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown graph %q", name))
+	}
+	return nil, false
+}
+
+// serveView writes one rendered representation of a view through the
+// render cache, with an ETag derived from the render-cache key — which
+// already encodes graph name, view generation, and catalog generation.
+// A fronting router replicates hot tiles into its own LRU and
+// revalidates each hit with a conditional GET: an unchanged generation
+// costs a 304 instead of a re-download, a mutation or fresh layout
+// changes the key and the 200 carries new bytes.
+func (s *Server) serveView(w http.ResponseWriter, r *http.Request, v *view, kind, ctype string,
+	render func() ([]byte, error)) {
+	key := s.cacheKey(v, kind)
+	body, err := s.renderCached(key, render)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	httpcache.WriteRevalidated(w, r, `"`+key+`"`, ctype, body)
+}
+
+func (s *Server) handleLayoutPNG(w http.ResponseWriter, r *http.Request) {
+	if v, ok := s.lookupView(w, r); ok {
+		s.serveView(w, r, v, "global.png", "image/png", func() ([]byte, error) {
+			return encodePNG(v.g, v.layout)
+		})
+	}
 }
 
 func (s *Server) handleLayoutSVG(w http.ResponseWriter, r *http.Request) {
-	s.serveSVG(w, r, s.defaultView())
+	if v, ok := s.lookupView(w, r); ok {
+		s.serveView(w, r, v, "global.svg", "image/svg+xml", func() ([]byte, error) {
+			var buf bytes.Buffer
+			if err := render.DrawSVG(&buf, v.g, v.layout, render.Options{Size: 700}); err != nil {
+				return nil, err
+			}
+			return buf.Bytes(), nil
+		})
+	}
 }
 
 func (s *Server) handleZoom(w http.ResponseWriter, r *http.Request) {
-	s.serveZoom(w, r, s.defaultView())
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.serveStats(w, r, s.defaultView())
-}
-
-// writeRevalidated serves body with an ETag derived from the render-cache
-// key — which already encodes graph name, view generation, and catalog
-// generation — and honors If-None-Match. A fronting router replicates
-// hot tiles into its own LRU and revalidates each hit with a conditional
-// GET: an unchanged generation costs a 304 instead of a re-download, a
-// mutation or fresh layout changes the key and the 200 carries new bytes.
-func writeRevalidated(w http.ResponseWriter, r *http.Request, key, ctype string, body []byte) {
-	etag := `"` + key + `"`
-	w.Header().Set("ETag", etag)
-	w.Header().Set("Content-Type", ctype)
-	if matchesETag(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
+	v, ok := s.lookupView(w, r)
+	if !ok {
 		return
 	}
-	_, _ = w.Write(body)
-}
-
-// matchesETag reports whether the If-None-Match header value (a possibly
-// comma-separated list, possibly "*") matches etag.
-func matchesETag(header, etag string) bool {
-	for _, tok := range strings.Split(header, ",") {
-		if tok = strings.TrimSpace(tok); tok == etag || tok == "*" {
-			return true
-		}
-	}
-	return false
-}
-
-// servePNG renders (or serves the cached) global PNG of a view.
-func (s *Server) servePNG(w http.ResponseWriter, r *http.Request, v *view) {
-	key := s.cacheKey(v, "global.png")
-	png, err := s.renderCached(key, func() ([]byte, error) {
-		return encodePNG(v.g, v.layout)
-	})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeRevalidated(w, r, key, "image/png", png)
-}
-
-func (s *Server) serveSVG(w http.ResponseWriter, r *http.Request, v *view) {
-	key := s.cacheKey(v, "global.svg")
-	svg, err := s.renderCached(key, func() ([]byte, error) {
-		var buf bytes.Buffer
-		if err := render.DrawSVG(&buf, v.g, v.layout, render.Options{Size: 700}); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
-	})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeRevalidated(w, r, key, "image/svg+xml", svg)
-}
-
-func (s *Server) serveZoom(w http.ResponseWriter, r *http.Request, v *view) {
 	vtx, hops, ok := parseZoomParams(r, v.g.NumV)
 	if !ok {
 		http.Error(w, "bad v/hops parameters", http.StatusBadRequest)
 		return
 	}
-	key := s.cacheKey(v, fmt.Sprintf("zoom:%d:%d", vtx, hops))
-	png, err := s.renderCached(key, func() ([]byte, error) {
+	s.serveView(w, r, v, fmt.Sprintf("zoom:%d:%d", vtx, hops), "image/png", func() ([]byte, error) {
 		s.zoomRenders.Inc()
 		z, err := core.Zoom(v.g, vtx, hops, v.opt)
 		if err != nil {
@@ -631,15 +619,14 @@ func (s *Server) serveZoom(w http.ResponseWriter, r *http.Request, v *view) {
 		}
 		return encodePNG(z.Subgraph, z.Layout)
 	})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeRevalidated(w, r, key, "image/png", png)
 }
 
-func (s *Server) serveStats(w http.ResponseWriter, r *http.Request, v *view) {
-	writeRevalidated(w, r, s.cacheKey(v, "stats"), "application/json", v.stats)
+// handleStats serves the stats body precomputed at install: there is
+// nothing to render, so it bypasses the render cache.
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	if v, ok := s.lookupView(w, r); ok {
+		httpcache.WriteRevalidated(w, r, `"`+s.cacheKey(v, "stats")+`"`, "application/json", v.stats)
+	}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -664,7 +651,7 @@ func (s *Server) renderCached(key string, render func() ([]byte, error)) ([]byte
 	b, _, err := s.flight.Do(key, func() ([]byte, error) {
 		// Double-check: the previous flight for this key may have filled
 		// the cache between our Get miss and winning the flight slot.
-		if b, ok := s.cache.getQuiet(key); ok {
+		if b, ok := s.cache.Peek(key); ok {
 			return b, nil
 		}
 		s.sem <- struct{}{}

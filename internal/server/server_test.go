@@ -114,7 +114,7 @@ func TestZoomCaching(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	if !s.cache.Contains("g:default:1:1:zoom:10:4") {
+	if _, ok := s.cache.Peek("g:default:1:1:zoom:10:4"); !ok {
 		t.Fatal("zoom render not cached")
 	}
 	if got := s.zoomRenders.Value(); got != 1 {

@@ -223,7 +223,8 @@ func TestMutateErrors(t *testing.T) {
 		})
 	}
 	// Weighted graphs cannot be promoted: 409.
-	if err := s.cat.Add("wg", s.defaultView().g.WithUnitWeights(), "test"); err != nil {
+	def, _ := s.cat.Get(DefaultGraph)
+	if err := s.cat.Add("wg", def.WithUnitWeights(), "test"); err != nil {
 		t.Fatal(err)
 	}
 	if code, _ := patchGraph(t, ts.URL, "wg", `{"mutations":[{"op":"addEdge","u":0,"v":9}]}`); code != http.StatusConflict {

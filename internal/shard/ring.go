@@ -1,8 +1,7 @@
 // Package shard splits hdeserve into a stateless router and a fleet of
 // layout workers. A consistent-hash ring over graph names decides which
-// worker owns each graph (with a configurable number of replicas for
-// redundancy and read fan-out), and the Router forwards the catalog,
-// job, mutation, and streaming API to the owning worker while keeping a
+// worker owns each graph, and the Router forwards the catalog, job,
+// mutation, and streaming API to that one worker while keeping a
 // byte-budget LRU of hot rendered tiles that it revalidates with
 // generation-keyed ETags. Workers stay plain single-process hdeserve
 // servers; all fleet topology lives here.
@@ -18,7 +17,7 @@ import (
 // in hdeserve they are worker base URLs, which keeps ring membership
 // stable across worker restarts (a worker that comes back on the same
 // address owns the same arc without any remapping). Each node is placed
-// at VirtualNodes points on the ring so load spreads evenly even with a
+// at many virtual-node points on the ring so load spreads evenly even with a
 // handful of nodes.
 type Ring struct {
 	nodes  []string // distinct node ids, sorted
@@ -100,36 +99,13 @@ func (r *Ring) Nodes() []string {
 	return out
 }
 
-// Owner returns the node owning key, or "" on an empty ring.
+// Owner returns the node owning key — the first virtual node clockwise
+// from the key's ring position — or "" on an empty ring.
 func (r *Ring) Owner(key string) string {
-	reps := r.Replicas(key, 1)
-	if len(reps) == 0 {
+	if len(r.points) == 0 {
 		return ""
 	}
-	return reps[0]
-}
-
-// Replicas returns up to n distinct nodes for key, clockwise from the
-// key's ring position. The first entry is the primary owner; the rest
-// are the natural fallbacks a router tries when the owner is down. n
-// larger than the node count returns every node.
-func (r *Ring) Replicas(key string, n int) []string {
-	if len(r.points) == 0 || n <= 0 {
-		return nil
-	}
-	if n > len(r.nodes) {
-		n = len(r.nodes)
-	}
 	h := hash64(key)
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	taken := make([]bool, len(r.nodes))
-	out := make([]string, 0, n)
-	for j := 0; j < len(r.points) && len(out) < n; j++ {
-		p := r.points[(start+j)%len(r.points)]
-		if !taken[p.node] {
-			taken[p.node] = true
-			out = append(out, r.nodes[p.node])
-		}
-	}
-	return out
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	return r.nodes[r.points[i%len(r.points)].node]
 }

@@ -48,28 +48,9 @@ func TestRingStabilityUnderNodeLoss(t *testing.T) {
 	}
 }
 
-func TestRingReplicasDistinct(t *testing.T) {
-	nodes := []string{"http://a:1", "http://b:1", "http://c:1"}
-	r := NewRing(nodes, 0)
-	for i := 0; i < 200; i++ {
-		key := fmt.Sprintf("k%d", i)
-		reps := r.Replicas(key, 2)
-		if len(reps) != 2 || reps[0] == reps[1] {
-			t.Fatalf("Replicas(%q, 2) = %v", key, reps)
-		}
-		if reps[0] != r.Owner(key) {
-			t.Fatalf("Replicas[0] %q != Owner %q", reps[0], r.Owner(key))
-		}
-		// Asking for more replicas than nodes returns every node once.
-		if all := r.Replicas(key, 99); len(all) != 3 {
-			t.Fatalf("Replicas(%q, 99) = %v", key, all)
-		}
-	}
-}
-
 func TestRingDegenerateCases(t *testing.T) {
 	empty := NewRing(nil, 0)
-	if empty.Owner("x") != "" || empty.Replicas("x", 2) != nil {
+	if empty.Owner("x") != "" {
 		t.Fatal("empty ring must route nothing")
 	}
 	dup := NewRing([]string{"http://a:1", "http://a:1", ""}, 16)

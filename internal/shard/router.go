@@ -8,12 +8,13 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/httpcache"
 	"repro/internal/obs"
 )
 
@@ -23,21 +24,18 @@ type Config struct {
 	// are the ring's node ids, so the list must be identical (order
 	// aside) on every router instance.
 	Peers []string
-	// Replication is how many distinct workers hold each graph (and how
-	// many a read may fall back across). Default 2, clamped to the fleet
-	// size.
+	// Replication no longer selects behaviour: every graph lives on
+	// exactly its ring owner. 0 and 1 are accepted, anything else is an
+	// error.
 	Replication int
-	// VirtualNodes is the per-worker virtual node count on the ring.
-	// Default DefaultVirtualNodes.
-	VirtualNodes int
 	// HealthInterval is how often each worker's /shardz is probed.
 	// Default 2s.
 	HealthInterval time.Duration
 	// CacheBytes bounds the router's hot-tile LRU. Default 64 MiB;
 	// negative disables caching entirely.
 	CacheBytes int64
-	// MaxUploadBytes bounds a POST /graphs body the router will buffer
-	// for replication. Default 64 MiB.
+	// MaxUploadBytes bounds a POST /graphs or PATCH body the router will
+	// buffer. Default 64 MiB.
 	MaxUploadBytes int64
 	// Metrics receives router metrics; a fresh registry is created when
 	// nil. It is also served on the router's /metrics.
@@ -84,24 +82,24 @@ func (p *peer) workerID() string {
 // Router is the stateless front end of a sharded hdeserve deployment.
 // It owns no graphs and runs no layouts: every request is routed by
 // consistent hash of the graph name (or by worker prefix of a job id)
-// to the owning worker, with idempotent reads retried on sibling
-// replicas and hot rendered tiles replicated into a local
-// ETag-revalidated LRU. "Stateless" is load-bearing: a router restart
-// loses only cache heat, so any number of routers can front one fleet.
+// to the one worker that owns it, and hot rendered tiles are kept in a
+// local ETag-revalidated LRU — which is also the only read path that
+// survives the owner being down. "Stateless" is load-bearing: a router
+// restart loses only cache heat, so any number of routers can front one
+// fleet.
 type Router struct {
 	cfg    Config
 	ring   *Ring
 	peers  map[string]*peer // by base URL
 	reg    *obs.Registry
-	cache  *tileLRU
-	flight fetchGroup
+	cache  *httpcache.LRU[*tile]
+	flight httpcache.Flight[fetched]
 
 	client       *http.Client
 	streamClient *http.Client
 
 	forwards    func(peerURL string) *obs.Counter
 	forwardErrs func(peerURL string) *obs.Counter
-	retries     *obs.Counter
 	forwardDur  *obs.Histogram
 
 	stop chan struct{}
@@ -116,8 +114,8 @@ func NewRouter(cfg Config) (*Router, error) {
 	if len(cfg.Peers) == 0 {
 		return nil, errors.New("shard: router needs at least one peer")
 	}
-	if cfg.Replication <= 0 {
-		cfg.Replication = 2
+	if cfg.Replication != 0 && cfg.Replication != 1 {
+		return nil, fmt.Errorf("shard: replication %d is not supported; each graph lives on its ring owner only", cfg.Replication)
 	}
 	if cfg.HealthInterval <= 0 {
 		cfg.HealthInterval = 2 * time.Second
@@ -137,7 +135,7 @@ func NewRouter(cfg Config) (*Router, error) {
 
 	rt := &Router{
 		cfg:          cfg,
-		ring:         NewRing(cfg.Peers, cfg.VirtualNodes),
+		ring:         NewRing(cfg.Peers, 0),
 		peers:        map[string]*peer{},
 		reg:          cfg.Metrics,
 		client:       cfg.Client,
@@ -148,18 +146,13 @@ func NewRouter(cfg Config) (*Router, error) {
 	for _, u := range rt.ring.Nodes() {
 		rt.peers[u] = &peer{url: u}
 	}
-	rt.cache = newTileLRU(cfg.CacheBytes,
-		rt.reg.Counter("router_cache_hits_total"),
-		rt.reg.Counter("router_cache_misses_total"),
-		rt.reg.Counter("router_cache_evictions_total"))
-	rt.reg.GaugeFunc("router_cache_bytes", func() float64 { return float64(rt.cache.Bytes()) })
+	rt.cache = httpcache.NewLRU(cfg.CacheBytes, (*tile).weight, rt.reg, "router_cache")
 	rt.forwards = func(u string) *obs.Counter {
 		return rt.reg.Counter(fmt.Sprintf("router_forward_total{worker=%q}", u))
 	}
 	rt.forwardErrs = func(u string) *obs.Counter {
 		return rt.reg.Counter(fmt.Sprintf("router_forward_errors_total{worker=%q}", u))
 	}
-	rt.retries = rt.reg.Counter("router_read_retries_total")
 	rt.forwardDur = rt.reg.Histogram("router_forward_seconds")
 
 	rt.probeAll()
@@ -244,21 +237,9 @@ func (rt *Router) probe(p *peer) {
 	rt.reg.Gauge(fmt.Sprintf("router_worker_healthy{worker=%q}", p.url)).Set(v)
 }
 
-// replicasFor returns the replica set for a graph name, healthy peers
-// first so the common case never waits on a dead worker's timeout.
-func (rt *Router) replicasFor(name string) []*peer {
-	urls := rt.ring.Replicas(name, rt.cfg.Replication)
-	out := make([]*peer, 0, len(urls))
-	var down []*peer
-	for _, u := range urls {
-		p := rt.peers[u]
-		if p.healthy.Load() {
-			out = append(out, p)
-		} else {
-			down = append(down, p)
-		}
-	}
-	return append(out, down...)
+// owner returns the one worker that holds the named graph.
+func (rt *Router) owner(name string) *peer {
+	return rt.peers[rt.ring.Owner(name)]
 }
 
 // Workers returns the last-probed worker id for each peer URL (peers
@@ -273,19 +254,11 @@ func (rt *Router) Workers() map[string]string {
 
 // --- forwarding core ---------------------------------------------------
 
-// retryableStatus reports whether an idempotent read may be retried on
-// a sibling replica after this upstream status. 429 is deliberately
-// absent: admission-control rejection must reach the client untouched,
-// retrying it elsewhere would defeat the worker's backpressure.
-func retryableStatus(code int) bool {
-	return code == http.StatusBadGateway ||
-		code == http.StatusServiceUnavailable ||
-		code == http.StatusGatewayTimeout
-}
-
-// do forwards method+pathQuery with body to a peer and returns the
-// response, recording per-worker forward metrics.
-func (rt *Router) do(client *http.Client, method string, p *peer, pathQuery string, hdr http.Header, body []byte) (*http.Response, error) {
+// do sends method+pathQuery with body to a peer and returns the
+// response, recording per-worker forward metrics. Every proxied request
+// except the SSE stream goes through it, exactly once: nothing is
+// retried, so a worker's 429 or 5xx reaches the client untouched.
+func (rt *Router) do(method string, p *peer, pathQuery string, hdr http.Header, body []byte) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -299,12 +272,46 @@ func (rt *Router) do(client *http.Client, method string, p *peer, pathQuery stri
 	}
 	rt.forwards(p.url).Inc()
 	start := time.Now()
-	resp, err := client.Do(req)
+	resp, err := rt.client.Do(req)
 	rt.forwardDur.ObserveDuration(time.Since(start))
 	if err != nil {
 		rt.forwardErrs(p.url).Inc()
 	}
 	return resp, err
+}
+
+// relay forwards the client's request — same method, path and query,
+// plus the buffered body under the client's Content-Type when there is
+// one — to p and copies the worker's answer back. An unreachable worker
+// is the router's own 502.
+func (rt *Router) relay(w http.ResponseWriter, r *http.Request, p *peer, body []byte) {
+	var hdr http.Header
+	if body != nil {
+		hdr = http.Header{"Content-Type": r.Header.Values("Content-Type")}
+	}
+	resp, err := rt.do(r.Method, p, r.URL.RequestURI(), hdr, body)
+	if err != nil {
+		writeRouterErr(w, http.StatusBadGateway, err)
+		return
+	}
+	defer resp.Body.Close()
+	copyResponse(w, resp)
+}
+
+// readBody buffers a request body of at most limit bytes, answering 413
+// (or 400 for a broken upload) itself when it cannot.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err == nil {
+		return body, true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeRouterErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", limit))
+	} else {
+		writeRouterErr(w, http.StatusBadRequest, err)
+	}
+	return nil, false
 }
 
 // passHeaders are the upstream response headers forwarded to clients.
@@ -322,32 +329,8 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 	_, _ = io.Copy(w, resp.Body)
 }
 
-// errNoWorker is returned when every candidate replica failed.
+// errNoWorker is returned when no worker answered a fan-out.
 var errNoWorker = errors.New("shard: no worker could serve the request")
-
-// forwardRead sends an idempotent GET to the replicas in order,
-// retrying across siblings on network errors and retryable 5xx; any
-// other response — including 429 — is final and returned as-is.
-func (rt *Router) forwardRead(pathQuery string, hdr http.Header, replicas []*peer) (*http.Response, error) {
-	var lastErr error = errNoWorker
-	for i, p := range replicas {
-		if i > 0 {
-			rt.retries.Inc()
-		}
-		resp, err := rt.do(rt.client, http.MethodGet, p, pathQuery, hdr, nil)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if retryableStatus(resp.StatusCode) && i < len(replicas)-1 {
-			resp.Body.Close()
-			lastErr = fmt.Errorf("shard: %s answered %d", p.url, resp.StatusCode)
-			continue
-		}
-		return resp, nil
-	}
-	return nil, lastErr
-}
 
 // writeRouterErr writes the router's own JSON error envelope (same
 // shape as the worker API's).
@@ -359,8 +342,25 @@ func writeRouterErr(w http.ResponseWriter, code int, err error) {
 
 // --- cached reads ------------------------------------------------------
 
+// tile is one cached render (or stats body) as served by a worker: the
+// payload plus the headers the router needs to revalidate and re-serve
+// it. The ETag is the worker's generation-keyed cache key, so the
+// router never has to understand generations — a conditional GET
+// answering 304 proves the bytes are still current.
+type tile struct {
+	etag  string
+	ctype string
+	body  []byte
+}
+
+// weight is the tile's charge against the cache byte budget.
+func (t *tile) weight() int64 {
+	return int64(len(t.body) + len(t.etag) + len(t.ctype))
+}
+
 // fetched is the result of one upstream read as seen by the
-// singleflight: either a cacheable 200 tile or a pass-through response.
+// singleflight: a servable tile, or (tile == nil) the worker's non-200
+// status to pass on.
 type fetched struct {
 	status int
 	tile   *tile
@@ -373,12 +373,9 @@ type fetched struct {
 // one costs a 304 (no body) — this is how hot tiles are "replicated"
 // into the router without the router understanding generations.
 func (rt *Router) serveCachedView(name string, w http.ResponseWriter, r *http.Request) {
-	key := r.URL.Path
-	if r.URL.RawQuery != "" {
-		key += "?" + r.URL.RawQuery
-	}
-	f, _, err := rt.flight.Do(key, func() (*fetched, error) {
-		return rt.fetchTile(name, key)
+	key := r.URL.RequestURI()
+	f, _, err := rt.flight.Do(key, func() (fetched, error) {
+		return rt.fetchTile(rt.owner(name), key)
 	})
 	if err != nil {
 		writeRouterErr(w, http.StatusBadGateway, err)
@@ -388,56 +385,36 @@ func (rt *Router) serveCachedView(name string, w http.ResponseWriter, r *http.Re
 		writeRouterErr(w, f.status, fmt.Errorf("worker answered %d for %s", f.status, key))
 		return
 	}
-	t := f.tile
-	w.Header().Set("ETag", t.etag)
-	w.Header().Set("Content-Type", t.ctype)
-	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, t.etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(t.body)
+	httpcache.WriteRevalidated(w, r, f.tile.etag, f.tile.ctype, f.tile.body)
 }
 
-// etagMatches reports whether an If-None-Match header value matches
-// etag ("*" matches anything).
-func etagMatches(inm, etag string) bool {
-	for _, c := range strings.Split(inm, ",") {
-		c = strings.TrimSpace(c)
-		if c == "*" || c == etag {
-			return true
-		}
-	}
-	return false
-}
-
-// fetchTile resolves one cacheable read against the replica set,
-// revalidating any cached copy. Non-200 finals are reported via
+// fetchTile resolves one cacheable read against the graph's owner,
+// revalidating any cached copy. Non-200 answers are reported via
 // fetched.status with a nil tile (and are never cached — a 404 must
 // vanish the moment the graph is uploaded).
-func (rt *Router) fetchTile(name, key string) (*fetched, error) {
+func (rt *Router) fetchTile(p *peer, key string) (fetched, error) {
 	cached, ok := rt.cache.Get(key)
 	hdr := http.Header{}
 	if ok {
 		hdr.Set("If-None-Match", cached.etag)
 	}
-	resp, err := rt.forwardRead(key, hdr, rt.replicasFor(name))
+	resp, err := rt.do(http.MethodGet, p, key, hdr, nil)
 	if err != nil {
 		if ok {
-			// Every replica is down but we hold a copy: stale beats 502.
+			// The owner is down but we hold a copy: stale beats 502.
 			rt.logf("serving stale %s: %v", key, err)
-			return &fetched{status: http.StatusOK, tile: cached}, nil
+			return fetched{tile: cached}, nil
 		}
-		return nil, err
+		return fetched{}, err
 	}
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusNotModified:
-		return &fetched{status: http.StatusOK, tile: cached}, nil
+		return fetched{tile: cached}, nil
 	case http.StatusOK:
 		body, err := io.ReadAll(resp.Body)
 		if err != nil {
-			return nil, err
+			return fetched{}, err
 		}
 		t := &tile{
 			etag:  resp.Header.Get("ETag"),
@@ -447,16 +424,16 @@ func (rt *Router) fetchTile(name, key string) (*fetched, error) {
 		if t.etag != "" && rt.cfg.CacheBytes > 0 {
 			rt.cache.Put(key, t)
 		}
-		return &fetched{status: http.StatusOK, tile: t}, nil
+		return fetched{tile: t}, nil
 	default:
 		_, _ = io.Copy(io.Discard, resp.Body)
-		return &fetched{status: resp.StatusCode}, nil
+		return fetched{status: resp.StatusCode}, nil
 	}
 }
 
 // --- handlers ----------------------------------------------------------
 
-// routerRoutes bounds the access-log route label, mirroring the
+// routerRouteOf bounds the access-log route label, mirroring the
 // worker's routeOf.
 func routerRouteOf(r *http.Request) string {
 	switch r.URL.Path {
@@ -478,12 +455,16 @@ func routerRouteOf(r *http.Request) string {
 // clients cannot tell a router from a single-process hdeserve.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
+	// The HTML viewer page is proxied to the default graph's owner, uncached.
 	mux.HandleFunc("/{$}", func(w http.ResponseWriter, r *http.Request) {
-		rt.forwardDefault(w, r)
+		rt.relay(w, r, rt.owner(defaultGraph), nil)
 	})
 	for _, p := range []string{"/layout.png", "/layout.svg", "/zoom.png", "/stats"} {
 		mux.HandleFunc("GET "+p, func(w http.ResponseWriter, r *http.Request) {
 			rt.serveCachedView(defaultGraph, w, r)
+		})
+		mux.HandleFunc("GET /graphs/{name}"+p, func(w http.ResponseWriter, r *http.Request) {
+			rt.serveCachedView(r.PathValue("name"), w, r)
 		})
 	}
 	mux.HandleFunc("GET /healthz", rt.handleHealthz)
@@ -493,11 +474,6 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("GET /graphs", rt.handleGraphsList)
 	mux.HandleFunc("POST /graphs", rt.handleGraphUpload)
 	mux.HandleFunc("DELETE /graphs/{name}", rt.handleGraphDelete)
-	for _, suffix := range []string{"layout.png", "layout.svg", "zoom.png", "stats"} {
-		mux.HandleFunc("GET /graphs/{name}/"+suffix, func(w http.ResponseWriter, r *http.Request) {
-			rt.serveCachedView(r.PathValue("name"), w, r)
-		})
-	}
 	mux.HandleFunc("PATCH /graphs/{name}", rt.handleGraphMutate)
 	mux.HandleFunc("GET /graphs/{name}/stream", rt.handleStream)
 
@@ -507,22 +483,6 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("DELETE /jobs/{id}", rt.handleJobByID)
 
 	return obs.Middleware(rt.reg, rt.cfg.Logger, routerRouteOf, mux)
-}
-
-// forwardDefault proxies the HTML viewer page to the default graph's
-// owner, uncached.
-func (rt *Router) forwardDefault(w http.ResponseWriter, r *http.Request) {
-	pathQuery := r.URL.Path
-	if r.URL.RawQuery != "" {
-		pathQuery += "?" + r.URL.RawQuery
-	}
-	resp, err := rt.forwardRead(pathQuery, nil, rt.replicasFor(defaultGraph))
-	if err != nil {
-		writeRouterErr(w, http.StatusBadGateway, err)
-		return
-	}
-	defer resp.Body.Close()
-	copyResponse(w, resp)
 }
 
 // handleHealthz answers 200 while at least one worker is healthy — the
@@ -565,25 +525,24 @@ func (rt *Router) handleShardz(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(out)
 }
 
-// --- /graphs -----------------------------------------------------------
+// --- fleet-wide listings -----------------------------------------------
 
-// handleGraphsList fans out to every healthy worker and merges the
-// catalogs, deduplicating replicated names. bytes is the fleet-wide
-// resident total (replicas count once per copy, since each costs real
-// memory on its worker).
-func (rt *Router) handleGraphsList(w http.ResponseWriter, r *http.Request) {
-	type listResp struct {
-		Graphs []json.RawMessage `json:"graphs"`
-		Bytes  int64             `json:"bytes"`
-	}
+// listing is the union of the worker GET /graphs and GET /jobs bodies.
+type listing struct {
+	Graphs []json.RawMessage `json:"graphs"`
+	Jobs   []json.RawMessage `json:"jobs"`
+	Bytes  int64             `json:"bytes"`
+}
+
+// gather GETs path from every healthy worker concurrently and
+// concatenates what they list, sorted; bytes is the fleet-wide resident
+// total. Every worker holds its own pinned "default" graph, so that
+// name appears once per worker. ok is false when no worker answered.
+func (rt *Router) gather(path string) (all listing, ok bool) {
 	var (
-		mu        sync.Mutex
-		merged    []json.RawMessage
-		seen      = map[string]bool{}
-		bytesSum  int64
-		reachable int
+		mu sync.Mutex
+		wg sync.WaitGroup
 	)
-	var wg sync.WaitGroup
 	for _, p := range rt.peers {
 		if !p.healthy.Load() {
 			continue
@@ -591,152 +550,91 @@ func (rt *Router) handleGraphsList(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(p *peer) {
 			defer wg.Done()
-			resp, err := rt.do(rt.client, http.MethodGet, p, "/graphs", nil, nil)
+			resp, err := rt.do(http.MethodGet, p, path, nil, nil)
 			if err != nil {
 				return
 			}
 			defer resp.Body.Close()
-			var lr listResp
-			if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&lr) != nil {
+			var one listing
+			if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&one) != nil {
 				return
 			}
 			mu.Lock()
 			defer mu.Unlock()
-			reachable++
-			bytesSum += lr.Bytes
-			for _, g := range lr.Graphs {
-				var meta struct {
-					Name string `json:"name"`
-				}
-				if json.Unmarshal(g, &meta) != nil || seen[meta.Name] {
-					continue
-				}
-				seen[meta.Name] = true
-				merged = append(merged, g)
-			}
+			ok = true
+			all.Graphs = append(all.Graphs, one.Graphs...)
+			all.Jobs = append(all.Jobs, one.Jobs...)
+			all.Bytes += one.Bytes
 		}(p)
 	}
 	wg.Wait()
-	if reachable == 0 {
+	byText := func(a, b json.RawMessage) int { return bytes.Compare(a, b) }
+	slices.SortFunc(all.Graphs, byText)
+	slices.SortFunc(all.Jobs, byText)
+	return all, ok
+}
+
+// handleGraphsList merges every healthy worker's catalog.
+func (rt *Router) handleGraphsList(w http.ResponseWriter, r *http.Request) {
+	all, ok := rt.gather("/graphs")
+	if !ok {
 		writeRouterErr(w, http.StatusBadGateway, errNoWorker)
 		return
 	}
-	sort.Slice(merged, func(i, j int) bool { return string(merged[i]) < string(merged[j]) })
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]interface{}{
-		"graphs": merged, "bytes": bytesSum,
-	})
+	_ = json.NewEncoder(w).Encode(map[string]interface{}{"graphs": all.Graphs, "bytes": all.Bytes})
 }
 
-// handleGraphUpload buffers the upload once and writes it to every
-// replica of the name, primary first. The client sees the primary's
-// response; a secondary failure is logged and counted but does not fail
-// the upload (the next health-driven re-upload path is the operator
-// re-POSTing, documented in OPERATIONS.md).
+// handleJobsList merges every healthy worker's job list, sorted by id.
+func (rt *Router) handleJobsList(w http.ResponseWriter, r *http.Request) {
+	all, ok := rt.gather("/jobs")
+	if !ok {
+		writeRouterErr(w, http.StatusBadGateway, errNoWorker)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(map[string]interface{}{"jobs": all.Jobs})
+}
+
+// --- /graphs -----------------------------------------------------------
+
+// handleGraphUpload buffers the upload and hands it to the name's owner.
 func (rt *Router) handleGraphUpload(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("name")
 	if name == "" {
 		writeRouterErr(w, http.StatusBadRequest, errors.New("missing required query parameter: name"))
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxUploadBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeRouterErr(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("upload exceeds %d bytes", rt.cfg.MaxUploadBytes))
-			return
-		}
-		writeRouterErr(w, http.StatusBadRequest, err)
-		return
+	if body, ok := readBody(w, r, rt.cfg.MaxUploadBytes); ok {
+		rt.relay(w, r, rt.owner(name), body)
 	}
-	pathQuery := r.URL.Path + "?" + r.URL.RawQuery
-	hdr := http.Header{"Content-Type": r.Header.Values("Content-Type")}
-	replicas := rt.replicasFor(name)
-
-	resp, err := rt.do(rt.client, http.MethodPost, replicas[0], pathQuery, hdr, body)
-	if err != nil {
-		writeRouterErr(w, http.StatusBadGateway, err)
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusCreated {
-		for _, p := range replicas[1:] {
-			if sr, err := rt.do(rt.client, http.MethodPost, p, pathQuery, hdr, body); err != nil {
-				rt.logf("replicating graph %q to %s: %v", name, p.url, err)
-			} else {
-				if sr.StatusCode != http.StatusCreated && sr.StatusCode != http.StatusConflict {
-					rt.logf("replicating graph %q to %s: status %d", name, p.url, sr.StatusCode)
-				}
-				_, _ = io.Copy(io.Discard, sr.Body)
-				sr.Body.Close()
-			}
-		}
-	}
-	copyResponse(w, resp)
 }
 
-// handleGraphDelete deletes the graph from every replica and drops its
-// tiles from the router cache. The primary's response is the client's.
+// handleGraphDelete forwards the delete to the owner and drops the
+// graph's tiles so they cannot outlive it on the router.
 func (rt *Router) handleGraphDelete(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	replicas := rt.replicasFor(name)
-	resp, err := rt.do(rt.client, http.MethodDelete, replicas[0], r.URL.Path, nil, nil)
-	if err != nil {
-		writeRouterErr(w, http.StatusBadGateway, err)
-		return
-	}
-	defer resp.Body.Close()
-	for _, p := range replicas[1:] {
-		if sr, err := rt.do(rt.client, http.MethodDelete, p, r.URL.Path, nil, nil); err != nil {
-			rt.logf("deleting graph %q on %s: %v", name, p.url, err)
-		} else {
-			_, _ = io.Copy(io.Discard, sr.Body)
-			sr.Body.Close()
-		}
-	}
+	rt.relay(w, r, rt.owner(name), nil)
 	rt.cache.DropPrefix("/graphs/" + name + "/")
-	copyResponse(w, resp)
 }
 
-// handleGraphMutate forwards a PATCH to the primary only: mutations are
-// not idempotent, so there is no retry and no secondary write — a
-// replica's copy goes stale until the operator re-uploads or the
-// primary's stream is re-consumed (see OPERATIONS.md).
+// handleGraphMutate forwards a PATCH to the owner. Mutations are not
+// idempotent, so — like every other forward — it is sent exactly once.
 func (rt *Router) handleGraphMutate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxUploadBytes))
-	if err != nil {
-		writeRouterErr(w, http.StatusBadRequest, err)
-		return
+	if body, ok := readBody(w, r, rt.cfg.MaxUploadBytes); ok {
+		rt.relay(w, r, rt.owner(name), body)
+		rt.cache.DropPrefix("/graphs/" + name + "/")
 	}
-	pathQuery := r.URL.Path
-	if r.URL.RawQuery != "" {
-		pathQuery += "?" + r.URL.RawQuery
-	}
-	hdr := http.Header{"Content-Type": r.Header.Values("Content-Type")}
-	resp, err := rt.do(rt.client, http.MethodPatch, rt.replicasFor(name)[0], pathQuery, hdr, body)
-	if err != nil {
-		writeRouterErr(w, http.StatusBadGateway, err)
-		return
-	}
-	defer resp.Body.Close()
-	rt.cache.DropPrefix("/graphs/" + name + "/")
-	copyResponse(w, resp)
 }
 
-// handleStream proxies the SSE layout stream from the graph's primary,
+// handleStream proxies the SSE layout stream from the graph's owner,
 // flushing every chunk so deltas reach the client as they happen. The
 // proxy uses an untimed client: a stream is expected to stay open for
 // the whole editing session.
 func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	pathQuery := r.URL.Path
-	if r.URL.RawQuery != "" {
-		pathQuery += "?" + r.URL.RawQuery
-	}
-	p := rt.replicasFor(name)[0]
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, p.url+pathQuery, nil)
+	p := rt.owner(r.PathValue("name"))
+	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, p.url+r.URL.RequestURI(), nil)
 	if err != nil {
 		writeRouterErr(w, http.StatusBadGateway, err)
 		return
@@ -775,16 +673,12 @@ func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
 
 // --- /jobs -------------------------------------------------------------
 
-// handleJobSubmit peeks the job body's graph name, forwards the
-// submission to the graph's primary, and — when the primary accepted —
-// re-submits best-effort to the other replicas so their copies get
-// layouts too (that is what makes replica reads useful). The client
-// sees only the primary's response; a 429 from it is backpressure and
-// passes through verbatim, never retried elsewhere.
+// handleJobSubmit peeks the job body's graph name and forwards the
+// submission to that graph's owner. Whatever the owner answers — a 429
+// from its admission control included — is the client's answer.
 func (rt *Router) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		writeRouterErr(w, http.StatusBadRequest, err)
+	body, ok := readBody(w, r, 1<<20)
+	if !ok {
 		return
 	}
 	var peek struct {
@@ -798,87 +692,23 @@ func (rt *Router) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeRouterErr(w, http.StatusBadRequest, errors.New("missing required field: graph"))
 		return
 	}
-	hdr := http.Header{"Content-Type": []string{"application/json"}}
-	replicas := rt.replicasFor(peek.Graph)
-	resp, err := rt.do(rt.client, http.MethodPost, replicas[0], "/jobs", hdr, body)
-	if err != nil {
-		writeRouterErr(w, http.StatusBadGateway, err)
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusAccepted {
-		for _, p := range replicas[1:] {
-			if sr, err := rt.do(rt.client, http.MethodPost, p, "/jobs", hdr, body); err != nil {
-				rt.logf("replicating job for %q to %s: %v", peek.Graph, p.url, err)
-			} else {
-				_, _ = io.Copy(io.Discard, sr.Body)
-				sr.Body.Close()
-			}
-		}
-	}
-	copyResponse(w, resp)
+	rt.relay(w, r, rt.owner(peek.Graph), body)
 }
 
-// handleJobsList fans out to every healthy worker and concatenates the
-// job lists, sorted by id. Replicated submissions appear once per
-// worker that ran them — distinct ids, distinct work.
-func (rt *Router) handleJobsList(w http.ResponseWriter, r *http.Request) {
-	type listResp struct {
-		Jobs []json.RawMessage `json:"jobs"`
-	}
-	var (
-		mu        sync.Mutex
-		merged    []json.RawMessage
-		reachable int
-	)
-	var wg sync.WaitGroup
-	for _, p := range rt.peers {
-		if !p.healthy.Load() {
-			continue
-		}
-		wg.Add(1)
-		go func(p *peer) {
-			defer wg.Done()
-			resp, err := rt.do(rt.client, http.MethodGet, p, "/jobs", nil, nil)
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			var lr listResp
-			if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&lr) != nil {
-				return
-			}
-			mu.Lock()
-			reachable++
-			merged = append(merged, lr.Jobs...)
-			mu.Unlock()
-		}(p)
-	}
-	wg.Wait()
-	if reachable == 0 {
-		writeRouterErr(w, http.StatusBadGateway, errNoWorker)
-		return
-	}
-	sort.Slice(merged, func(i, j int) bool { return string(merged[i]) < string(merged[j]) })
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]interface{}{"jobs": merged})
-}
-
-// peerForJobID resolves a job id to the worker that issued it via the
-// id's worker prefix ("w1-j000042" came from worker "w1"). Nil when the
-// prefix is absent or names no known worker — then the caller fans out.
+// peerForJobID resolves a job id to the worker that issued it: ids are
+// workerID + "-j" + sequence ("w1-j000042" came from worker "w1"). The
+// longest matching worker id wins, since ids may themselves contain
+// dashes ("us-east-1-j000042") or prefix one another. Nil when no known
+// worker matches — then the caller fans out.
 func (rt *Router) peerForJobID(id string) *peer {
-	i := strings.IndexByte(id, '-')
-	if i <= 0 {
-		return nil
-	}
-	prefix := id[:i]
+	var best *peer
+	bestLen := 0
 	for _, p := range rt.peers {
-		if p.workerID() == prefix {
-			return p
+		if wid := p.workerID(); len(wid) > bestLen && strings.HasPrefix(id, wid+"-j") {
+			best, bestLen = p, len(wid)
 		}
 	}
-	return nil
+	return best
 }
 
 // handleJobByID routes GET/DELETE /jobs/{id} by worker prefix; ids
@@ -887,13 +717,7 @@ func (rt *Router) peerForJobID(id string) *peer {
 func (rt *Router) handleJobByID(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if p := rt.peerForJobID(id); p != nil {
-		resp, err := rt.do(rt.client, r.Method, p, r.URL.Path, nil, nil)
-		if err != nil {
-			writeRouterErr(w, http.StatusBadGateway, err)
-			return
-		}
-		defer resp.Body.Close()
-		copyResponse(w, resp)
+		rt.relay(w, r, p, nil)
 		return
 	}
 	for _, u := range rt.ring.Nodes() {
@@ -901,7 +725,7 @@ func (rt *Router) handleJobByID(w http.ResponseWriter, r *http.Request) {
 		if !p.healthy.Load() {
 			continue
 		}
-		resp, err := rt.do(rt.client, r.Method, p, r.URL.Path, nil, nil)
+		resp, err := rt.do(r.Method, p, r.URL.Path, nil, nil)
 		if err != nil {
 			continue
 		}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -143,7 +144,8 @@ func TestRouterShardsGraphsAcrossWorkers(t *testing.T) {
 		t.Fatalf("six graphs all hashed to one worker: %v", placed)
 	}
 
-	// The merged catalog spans both workers, deduplicating "default".
+	// The merged catalog spans both workers; each worker's own pinned
+	// "default" graph is listed once per worker.
 	resp, err := http.Get(rts.URL + "/graphs")
 	if err != nil {
 		t.Fatal(err)
@@ -157,8 +159,8 @@ func TestRouterShardsGraphsAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if len(list.Graphs) != len(names)+1 { // six uploads + one "default"
-		t.Fatalf("merged catalog has %d entries, want %d", len(list.Graphs), len(names)+1)
+	if len(list.Graphs) != len(names)+2 { // six uploads + two "default"
+		t.Fatalf("merged catalog has %d entries, want %d", len(list.Graphs), len(names)+2)
 	}
 
 	// A job for g0 runs on g0's owner — the id carries its prefix — and
@@ -316,45 +318,6 @@ func TestRouterBackpressurePassThrough(t *testing.T) {
 	}
 }
 
-// TestRouterReplicaFallbackRead: when a graph's owner is down or
-// erroring, an idempotent read lands on the next replica instead of
-// failing, and the retry is counted.
-func TestRouterReplicaFallbackRead(t *testing.T) {
-	wa := fakeWorker(t, "wa", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusServiceUnavailable)
-	})
-	wb := fakeWorker(t, "wb", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("ETag", `"g:x:1:1:stats"`)
-		fmt.Fprint(w, `{"ok":true}`)
-	})
-	_, rts := newRouter(t, 2, wa.URL, wb.URL)
-
-	name := nameOwnedBy(t, NewRing([]string{wa.URL, wb.URL}, 0), wa.URL)
-	resp, err := http.Get(rts.URL + "/graphs/" + name + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d; want 200 from the replica", resp.StatusCode)
-	}
-	if retries := metricValue(t, rts.URL, "router_read_retries_total"); retries < 1 {
-		t.Fatalf("router_read_retries_total = %g, want >= 1", retries)
-	}
-
-	// Same story when the owner is flat-out dead (connection refused).
-	wa.Close()
-	resp2, err := http.Get(rts.URL + "/graphs/" + name + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("status %d with owner dead; want 200 from the replica", resp2.StatusCode)
-	}
-}
-
 // TestRouterSSEPassThrough: the event stream proxies through with
 // frames intact.
 func TestRouterSSEPassThrough(t *testing.T) {
@@ -389,13 +352,18 @@ func TestRouterSSEPassThrough(t *testing.T) {
 	}
 }
 
-// TestRouterJobIDFanout: a job id whose prefix names no known worker is
-// hunted across the fleet; the first non-404 wins.
+// TestRouterJobIDFanout: a job id carrying a known worker's prefix —
+// dashes in the worker id included — costs exactly one forward to that
+// worker; an id whose prefix names no known worker is hunted across the
+// fleet and the first non-404 wins.
 func TestRouterJobIDFanout(t *testing.T) {
+	var hitsA, hitsB, hitsDashed atomic.Int64
 	wa := fakeWorker(t, "wa", func(w http.ResponseWriter, r *http.Request) {
+		hitsA.Add(1)
 		http.NotFound(w, r)
 	})
 	wb := fakeWorker(t, "wb", func(w http.ResponseWriter, r *http.Request) {
+		hitsB.Add(1)
 		if r.URL.Path != "/jobs/old-j000007" {
 			http.NotFound(w, r)
 			return
@@ -403,31 +371,52 @@ func TestRouterJobIDFanout(t *testing.T) {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprint(w, `{"id":"old-j000007","state":"done"}`)
 	})
-	_, rts := newRouter(t, 1, wa.URL, wb.URL)
+	wd := fakeWorker(t, "us-east-1", func(w http.ResponseWriter, r *http.Request) {
+		hitsDashed.Add(1)
+		if r.URL.Path != "/jobs/us-east-1-j000003" {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprint(w, `{"id":"us-east-1-j000003","state":"done"}`)
+	})
+	_, rts := newRouter(t, 1, wa.URL, wb.URL, wd.URL)
 
-	resp, err := http.Get(rts.URL + "/jobs/old-j000007")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("fanout status %d", resp.StatusCode)
-	}
-	var st struct {
-		ID string `json:"id"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || st.ID != "old-j000007" {
-		t.Fatalf("fanout body: %v %v", st, err)
-	}
-
-	// A truly unknown id 404s with the router's own envelope.
-	resp2, err := http.Get(rts.URL + "/jobs/zz-j999999")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown id status %d", resp2.StatusCode)
+	for _, tc := range []struct {
+		id       string
+		want     int
+		forwards [3]int64 // to wa, wb, us-east-1; -1 = any (fan-out order is the ring's)
+	}{
+		{"us-east-1-j000003", http.StatusOK, [3]int64{0, 0, 1}},
+		{"wa-j000001", http.StatusNotFound, [3]int64{1, 0, 0}},
+		{"old-j000007", http.StatusOK, [3]int64{-1, 1, -1}},
+		// A truly unknown id 404s with the router's own envelope.
+		{"zz-j999999", http.StatusNotFound, [3]int64{1, 1, 1}},
+	} {
+		hitsA.Store(0)
+		hitsB.Store(0)
+		hitsDashed.Store(0)
+		resp, err := http.Get(rts.URL + "/jobs/" + tc.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st struct {
+			ID string `json:"id"`
+		}
+		derr := json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Fatalf("%s: status %d, want %d", tc.id, resp.StatusCode, tc.want)
+		}
+		if tc.want == http.StatusOK && (derr != nil || st.ID != tc.id) {
+			t.Fatalf("%s: body %v %v", tc.id, st, derr)
+		}
+		got := [3]int64{hitsA.Load(), hitsB.Load(), hitsDashed.Load()}
+		for i, want := range tc.forwards {
+			if want >= 0 && got[i] != want {
+				t.Fatalf("%s: forwards %v, want %v", tc.id, got, tc.forwards)
+			}
+		}
 	}
 }
 
@@ -454,5 +443,99 @@ func TestRouterHealthz(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("healthz %d with fleet down, want 503", resp2.StatusCode)
+	}
+}
+
+// TestRouterOwnerDown pins what replaces replica failover: with a
+// graph's owner dead, a tile already in the router cache is still
+// served (200, stale), a view the router never fetched is 502, and
+// /healthz stays 200 because another worker is healthy.
+func TestRouterOwnerDown(t *testing.T) {
+	tileWorker := func(id string) *httptest.Server {
+		return fakeWorker(t, id, func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			w.Header().Set("ETag", `"g:x:1:1:stats"`)
+			fmt.Fprint(w, `{"from":"`+id+`"}`)
+		})
+	}
+	wa, wb := tileWorker("wa"), tileWorker("wb")
+	rt, rts := newRouter(t, 1, wa.URL, wb.URL)
+	name := nameOwnedBy(t, NewRing([]string{wa.URL, wb.URL}, 0), wa.URL)
+
+	get := func(path string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(rts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		return resp.StatusCode, buf.String()
+	}
+	if code, _ := get("/graphs/" + name + "/stats"); code != http.StatusOK {
+		t.Fatalf("warming read: status %d", code)
+	}
+
+	wa.Close()
+	rt.probeAll()
+	if code, body := get("/graphs/" + name + "/stats"); code != http.StatusOK || body != `{"from":"wa"}` {
+		t.Fatalf("cached tile with owner down: %d %q, want the stale 200 from wa", code, body)
+	}
+	if code, _ := get("/graphs/" + name + "/layout.png"); code != http.StatusBadGateway {
+		t.Fatalf("uncached view with owner down: status %d, want 502", code)
+	}
+	if code, _ := get("/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz %d with one of two workers healthy, want 200", code)
+	}
+}
+
+// TestNewRouterRejectsReplication: the field survives for its callers,
+// but no longer selects a mode.
+func TestNewRouterRejectsReplication(t *testing.T) {
+	wa := fakeWorker(t, "wa", nil)
+	if rt, err := NewRouter(Config{Peers: []string{wa.URL}, Replication: 2}); err == nil {
+		rt.Close()
+		t.Fatal("NewRouter accepted Replication: 2")
+	}
+	for _, r := range []int{0, 1} {
+		rt, err := NewRouter(Config{Peers: []string{wa.URL}, Replication: r, HealthInterval: time.Hour})
+		if err != nil {
+			t.Fatalf("Replication %d: %v", r, err)
+		}
+		rt.Close()
+	}
+}
+
+// TestRouterServesEveryWorkerRoute walks the worker's route table
+// against a worker that answers 200 to everything: a route the router
+// mux does not serve shows up as the mux's own 404/405 — "clients cannot
+// tell a router from a single-process hdeserve", as a check.
+func TestRouterServesEveryWorkerRoute(t *testing.T) {
+	wa := fakeWorker(t, "wa", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprint(w, `{}`)
+	})
+	_, rts := newRouter(t, 1, wa.URL)
+	for _, pattern := range server.RoutePatterns() {
+		method, path, ok := strings.Cut(pattern, " ")
+		if !ok {
+			method, path = http.MethodGet, pattern
+		}
+		path = strings.NewReplacer("{name}", "g", "{id}", "wa-j000001").Replace(path)
+		// The query and body satisfy the two routes the router validates
+		// itself (POST /graphs, POST /jobs); the rest ignore them.
+		req, err := http.NewRequest(method, rts.URL+path+"?name=g", strings.NewReader(`{"graph":"g"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("worker route %q through the router: status %d, want the worker's 200", pattern, resp.StatusCode)
+		}
 	}
 }

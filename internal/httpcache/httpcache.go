@@ -8,6 +8,7 @@ import (
 	"container/list"
 	"errors"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -184,7 +185,10 @@ func (g *Flight[V]) Do(key string, fn func() (V, error)) (val V, shared bool, er
 }
 
 // WriteRevalidated serves body under etag, or a bodiless 304 to a client
-// (or fronting router) whose If-None-Match list names etag or "*".
+// (or fronting router) whose If-None-Match list names etag or "*". The
+// 200 declares its Content-Length, so a tile larger than net/http's
+// 2 KB sniff buffer is not sent chunked and the reader can size its
+// buffer up front.
 func WriteRevalidated(w http.ResponseWriter, r *http.Request, etag, ctype string, body []byte) {
 	w.Header().Set("ETag", etag)
 	w.Header().Set("Content-Type", ctype)
@@ -196,5 +200,6 @@ func WriteRevalidated(w http.ResponseWriter, r *http.Request, etag, ctype string
 			return
 		}
 	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	_, _ = w.Write(body)
 }

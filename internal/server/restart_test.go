@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -161,9 +162,15 @@ func TestRenderETagRevalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	etag := resp.Header.Get("ETag")
+	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if etag == "" || !strings.Contains(etag, "g:default:") {
 		t.Fatalf("ETag = %q", etag)
+	}
+	// The router sizes its tile buffer from this; without it a tile over
+	// 2 KB goes out chunked.
+	if resp.ContentLength != int64(len(body)) || len(body) == 0 {
+		t.Fatalf("Content-Length %d for a %d-byte tile", resp.ContentLength, len(body))
 	}
 
 	req, _ := http.NewRequest("GET", ts.URL+"/layout.png", nil)

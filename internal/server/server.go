@@ -153,7 +153,10 @@ type Server struct {
 
 	cache  *httpcache.LRU[[]byte]
 	flight httpcache.Flight[[]byte]
-	sem    chan struct{} // expensive-render concurrency limit
+	// canvases is the expensive-render concurrency limit and the canvas
+	// pool in one: a render holds one of the MaxConcurrentRenders
+	// canvases for its duration, so their memory is bounded by that flag.
+	canvases chan *render.Canvas
 
 	// streams holds the per-graph SSE subscriber sets (see stream.go).
 	streamMu sync.Mutex
@@ -174,6 +177,7 @@ type Server struct {
 	bfsScannedEdges  *obs.Counter   // adjacency entries BFS actually examined
 	streamSubs       *obs.Gauge     // currently connected SSE subscribers
 	broadcastLatency *obs.Histogram // install→fan-out delta latency
+	renderSeconds    *obs.Histogram // render-cache misses only: layout (zoom) + draw + encode
 
 	ready atomic.Bool
 }
@@ -204,7 +208,7 @@ func NewWithConfig(g *graph.CSR, opt core.Options, cfg Config) (*Server, error) 
 		jobDelta: map[string]int64{},
 		streams:  map[string]map[chan []byte]struct{}{},
 		done:     make(chan struct{}),
-		sem:      make(chan struct{}, cfg.MaxConcurrentRenders),
+		canvases: make(chan *render.Canvas, cfg.MaxConcurrentRenders),
 		reg:      reg,
 		cache: httpcache.NewLRU(cfg.CacheBytes,
 			func(b []byte) int64 { return int64(len(b)) }, reg, "render_cache"),
@@ -220,6 +224,10 @@ func NewWithConfig(g *graph.CSR, opt core.Options, cfg Config) (*Server, error) 
 		bfsScannedEdges:  reg.Counter("bfs_scanned_edges_total"),
 		streamSubs:       reg.Gauge("stream_subscribers"),
 		broadcastLatency: reg.Histogram("stream_broadcast_seconds"),
+		renderSeconds:    reg.Histogram("render_seconds"),
+	}
+	for i := 0; i < cfg.MaxConcurrentRenders; i++ {
+		s.canvases <- new(render.Canvas)
 	}
 	reg.GaugeFunc("render_cache_entries", func() float64 { return float64(s.cache.Len()) })
 	reg.GaugeFunc("catalog_graphs", func() float64 { return float64(s.cat.Len()) })
@@ -571,9 +579,9 @@ func (s *Server) lookupView(w http.ResponseWriter, r *http.Request) (*view, bool
 // costs a 304 instead of a re-download, a mutation or fresh layout
 // changes the key and the 200 carries new bytes.
 func (s *Server) serveView(w http.ResponseWriter, r *http.Request, v *view, kind, ctype string,
-	render func() ([]byte, error)) {
+	draw func(*render.Canvas) ([]byte, error)) {
 	key := s.cacheKey(v, kind)
-	body, err := s.renderCached(key, render)
+	body, err := s.renderCached(key, draw)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -583,17 +591,17 @@ func (s *Server) serveView(w http.ResponseWriter, r *http.Request, v *view, kind
 
 func (s *Server) handleLayoutPNG(w http.ResponseWriter, r *http.Request) {
 	if v, ok := s.lookupView(w, r); ok {
-		s.serveView(w, r, v, "global.png", "image/png", func() ([]byte, error) {
-			return encodePNG(v.g, v.layout)
+		s.serveView(w, r, v, "global.png", "image/png", func(c *render.Canvas) ([]byte, error) {
+			return c.PNG(v.g, v.layout, render.Options{Size: tileSize})
 		})
 	}
 }
 
 func (s *Server) handleLayoutSVG(w http.ResponseWriter, r *http.Request) {
 	if v, ok := s.lookupView(w, r); ok {
-		s.serveView(w, r, v, "global.svg", "image/svg+xml", func() ([]byte, error) {
+		s.serveView(w, r, v, "global.svg", "image/svg+xml", func(*render.Canvas) ([]byte, error) {
 			var buf bytes.Buffer
-			if err := render.DrawSVG(&buf, v.g, v.layout, render.Options{Size: 700}); err != nil {
+			if err := render.DrawSVG(&buf, v.g, v.layout, render.Options{Size: tileSize}); err != nil {
 				return nil, err
 			}
 			return buf.Bytes(), nil
@@ -611,13 +619,13 @@ func (s *Server) handleZoom(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad v/hops parameters", http.StatusBadRequest)
 		return
 	}
-	s.serveView(w, r, v, fmt.Sprintf("zoom:%d:%d", vtx, hops), "image/png", func() ([]byte, error) {
+	s.serveView(w, r, v, fmt.Sprintf("zoom:%d:%d", vtx, hops), "image/png", func(c *render.Canvas) ([]byte, error) {
 		s.zoomRenders.Inc()
 		z, err := core.Zoom(v.g, vtx, hops, v.opt)
 		if err != nil {
 			return nil, err
 		}
-		return encodePNG(z.Subgraph, z.Layout)
+		return c.PNG(z.Subgraph, z.Layout, render.Options{Size: tileSize})
 	})
 }
 
@@ -643,8 +651,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // join the in-flight render (singleflight) instead of each running the
 // full layout+encode, and distinct in-flight renders queue on the
 // concurrency limit so a burst of cold keys cannot fork an unbounded
-// number of core.Zoom layouts.
-func (s *Server) renderCached(key string, render func() ([]byte, error)) ([]byte, error) {
+// number of core.Zoom layouts. The limit's slot is a canvas, which draw
+// may use until it returns.
+func (s *Server) renderCached(key string, draw func(*render.Canvas) ([]byte, error)) ([]byte, error) {
 	if b, ok := s.cache.Get(key); ok {
 		return b, nil
 	}
@@ -654,10 +663,12 @@ func (s *Server) renderCached(key string, render func() ([]byte, error)) ([]byte
 		if b, ok := s.cache.Peek(key); ok {
 			return b, nil
 		}
-		s.sem <- struct{}{}
-		defer func() { <-s.sem }()
+		c := <-s.canvases
+		defer func() { s.canvases <- c }()
 		s.viewRenders.Inc()
-		b, err := render()
+		start := time.Now()
+		b, err := draw(c)
+		s.renderSeconds.ObserveDuration(time.Since(start))
 		if err != nil {
 			s.renderErrors.Inc()
 			return nil, err
@@ -668,14 +679,8 @@ func (s *Server) renderCached(key string, render func() ([]byte, error)) ([]byte
 	return b, err
 }
 
-// encodePNG renders a layout to PNG bytes at the standard viewer size.
-func encodePNG(g *graph.CSR, l *core.Layout) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := render.Draw(&buf, g, l, render.Options{Size: 700}); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
+// tileSize is the side in pixels every view renders at.
+const tileSize = 700
 
 func parseZoomParams(r *http.Request, n int) (int32, int, bool) {
 	q := r.URL.Query()

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"image/png"
@@ -13,6 +14,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/render"
 )
 
 func newTestServerPair(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -372,5 +375,104 @@ func TestPprofGating(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
 		t.Fatalf("pprof enabled: status %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestRenderSecondsCountsMissesOnly: render_seconds times what the
+// per-route request histogram cannot separate — one observation per
+// render-cache miss, none for a hit or a 304.
+func TestRenderSecondsCountsMissesOnly(t *testing.T) {
+	s, ts := newTestServerPair(t, Config{})
+	get := func(etag string) *http.Response {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/layout.png", nil)
+		if etag != "" {
+			req.Header.Set("If-None-Match", etag)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp
+	}
+	if got := s.renderSeconds.Count(); got != 0 {
+		t.Fatalf("render_seconds count %d before any request", got)
+	}
+	cold := get("")
+	if got := s.renderSeconds.Count(); got != 1 {
+		t.Fatalf("render_seconds count %d after one cold layout.png, want 1", got)
+	}
+	get("")
+	get(cold.Header.Get("ETag"))
+	if got := s.renderSeconds.Count(); got != 1 {
+		t.Fatalf("render_seconds count %d after a hit and a 304, want still 1", got)
+	}
+	if sum := s.renderSeconds.Sum(); sum <= 0 {
+		t.Fatalf("render_seconds sum %g", sum)
+	}
+}
+
+// TestConcurrentColdRendersMatchSerial drives more distinct cold keys
+// than there are canvases through renderCached at once (run under -race
+// in CI): every render borrows a pooled canvas another key just used,
+// and must still produce the bytes a fresh canvas draws on its own.
+func TestConcurrentColdRendersMatchSerial(t *testing.T) {
+	const maxRenders = 3
+	s, _ := newTestServerPair(t, Config{MaxConcurrentRenders: maxRenders})
+	v, _, ok := s.viewOf(DefaultGraph)
+	if !ok {
+		t.Fatal("no default view")
+	}
+	type job struct {
+		key   string
+		g     *graph.CSR
+		l     *core.Layout
+		zoomV int32
+	}
+	jobs := []job{{key: "t:global.png", g: v.g, l: v.layout}}
+	for i := 1; i < maxRenders+4; i++ {
+		jobs = append(jobs, job{key: fmt.Sprintf("t:zoom:%d", i), zoomV: int32(37 * i)})
+	}
+	opt := render.Options{Size: tileSize}
+	want := make([][]byte, len(jobs))
+	for i := range jobs {
+		if j := &jobs[i]; j.g == nil {
+			z, err := core.Zoom(v.g, j.zoomV, 3, v.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j.g, j.l = z.Subgraph, z.Layout
+		}
+		var buf bytes.Buffer
+		if err := render.Draw(&buf, jobs[i].g, jobs[i].l, opt); err != nil {
+			t.Fatal(err)
+		}
+		want[i] = buf.Bytes()
+	}
+	for round := 0; round < 2; round++ { // round 2 hits the cache
+		var wg sync.WaitGroup
+		for i, j := range jobs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got, err := s.renderCached(j.key, func(c *render.Canvas) ([]byte, error) {
+					return c.PNG(j.g, j.l, opt)
+				})
+				if err != nil {
+					t.Error(err)
+				} else if !bytes.Equal(got, want[i]) {
+					t.Errorf("round %d: %s differs from its serial render (%d vs %d bytes)", round, j.key, len(got), len(want[i]))
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if got := s.viewRenders.Value(); got != int64(len(jobs)) {
+		t.Errorf("%d renders for %d distinct keys", got, len(jobs))
+	}
+	if got := len(s.canvases); got != maxRenders {
+		t.Errorf("%d canvases back in the pool, want %d", got, maxRenders)
 	}
 }

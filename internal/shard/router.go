@@ -412,7 +412,7 @@ func (rt *Router) fetchTile(p *peer, key string) (fetched, error) {
 	case http.StatusNotModified:
 		return fetched{tile: cached}, nil
 	case http.StatusOK:
-		body, err := io.ReadAll(resp.Body)
+		body, err := readTile(resp, rt.cfg.MaxUploadBytes)
 		if err != nil {
 			return fetched{}, err
 		}
@@ -429,6 +429,20 @@ func (rt *Router) fetchTile(p *peer, key string) (fetched, error) {
 		_, _ = io.Copy(io.Discard, resp.Body)
 		return fetched{status: resp.StatusCode}, nil
 	}
+}
+
+// readTile reads a worker's 200 body. With a declared Content-Length it
+// reads into a slice of exactly that size, so a cached tile holds no
+// capacity beyond the bytes (*tile).weight charges. A chunked body, or a
+// length above limit that is not to be trusted with an up-front
+// allocation, is read by io.ReadAll's doubling as before.
+func readTile(resp *http.Response, limit int64) ([]byte, error) {
+	if n := resp.ContentLength; n > 0 && n <= limit {
+		body := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, body)
+		return body, err
+	}
+	return io.ReadAll(resp.Body)
 }
 
 // --- handlers ----------------------------------------------------------

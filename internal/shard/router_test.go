@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -218,6 +220,18 @@ func TestRouterShardsGraphsAcrossWorkers(t *testing.T) {
 	}
 	if hits := metricValue(t, rts.URL, "router_cache_hits_total"); hits < 1 {
 		t.Fatalf("router_cache_hits_total = %g after repeat read", hits)
+	}
+	// A real worker declares its tile's length, so the cached copy is
+	// exactly as large as the byte budget says.
+	r3, err := http.Get(rts.URL + "/graphs/" + names[0] + "/layout.png")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r3.Body.Close()
+	if tl, ok := rt.cache.Peek("/graphs/" + names[0] + "/layout.png"); !ok {
+		t.Fatal("layout.png was not cached")
+	} else if len(tl.body) < 2048 || cap(tl.body) != len(tl.body) {
+		t.Fatalf("cached layout.png has len %d cap %d", len(tl.body), cap(tl.body))
 	}
 
 	// Unknown graphs pass the worker's 404 through.
@@ -537,5 +551,60 @@ func TestRouterServesEveryWorkerRoute(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("worker route %q through the router: status %d, want the worker's 200", pattern, resp.StatusCode)
 		}
+	}
+}
+
+// TestRouterTileReadIsSized: a tile with a Content-Length is read into a
+// slice of exactly that length — so what the cache holds is what
+// (*tile).weight and router_cache_bytes count — while a chunked tile, and
+// one whose declared length is above the limit for an up-front
+// allocation, still arrive whole.
+func TestRouterTileReadIsSized(t *testing.T) {
+	const limit = 40_000
+	tiles := map[string][]byte{
+		"layout.png": bytes.Repeat([]byte("tile"), 5_500),  // 22 KB, declared
+		"layout.svg": bytes.Repeat([]byte("<svg>"), 4_000), // 20 KB, chunked
+		"stats":      bytes.Repeat([]byte("{}"), limit),    // declared, over the limit
+	}
+	w1 := fakeWorker(t, "w1", func(w http.ResponseWriter, r *http.Request) {
+		view := r.URL.Path[strings.LastIndexByte(r.URL.Path, '/')+1:]
+		w.Header().Set("ETag", `"g:x:1:1:`+view+`"`)
+		if view == "layout.svg" {
+			w.(http.Flusher).Flush() // headers leave without a length: chunked
+		} else {
+			w.Header().Set("Content-Length", strconv.Itoa(len(tiles[view])))
+		}
+		w.Write(tiles[view])
+	})
+	rt, err := NewRouter(Config{Peers: []string{w1.URL}, HealthInterval: time.Hour, MaxUploadBytes: limit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rts := httptest.NewServer(rt.Handler())
+	t.Cleanup(func() { rts.Close(); rt.Close() })
+
+	var held int64
+	for view, want := range tiles {
+		path := "/graphs/g/" + view
+		resp, err := http.Get(rts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+			t.Fatalf("%s: status %d, %d bytes; want the worker's %d", view, resp.StatusCode, len(got), len(want))
+		}
+		cached, ok := rt.cache.Peek(path)
+		if !ok || !bytes.Equal(cached.body, want) {
+			t.Fatalf("%s: tile not cached intact", view)
+		}
+		if view == "layout.png" && cap(cached.body) != len(cached.body) {
+			t.Errorf("%s: cached body has len %d but cap %d: the byte budget undercounts it", view, len(cached.body), cap(cached.body))
+		}
+		held += cached.weight()
+	}
+	if got := metricValue(t, rts.URL, "router_cache_bytes"); int64(got) != held {
+		t.Errorf("router_cache_bytes = %v, the cached tiles weigh %d", got, held)
 	}
 }

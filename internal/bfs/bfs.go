@@ -1,6 +1,7 @@
 package bfs
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -24,6 +25,7 @@ type Stats struct {
 	Levels        int   // eccentricity of the source + 1 iterations
 	TopDownSteps  int   // levels run in top-down mode
 	BottomUpSteps int   // levels run in bottom-up mode
+	Switches      int   // direction changes (a healthy traversal makes at most 2)
 	ScannedEdges  int64 // adjacency entries actually examined
 }
 
@@ -34,6 +36,7 @@ func (s *Stats) Add(o Stats) {
 	s.Levels += o.Levels
 	s.TopDownSteps += o.TopDownSteps
 	s.BottomUpSteps += o.BottomUpSteps
+	s.Switches += o.Switches
 	s.ScannedEdges += o.ScannedEdges
 }
 
@@ -113,29 +116,29 @@ func (r *Runner) Distances(src int32, dist []int32) Stats {
 	// frontier state: either queue (top-down) or bitmap (bottom-up)
 	r.sc.queue = append(r.sc.queue[:0], src)
 	bottomUp := false
-	frontierSize := int64(1)
+	frontierSize, prevSize := int64(1), int64(0)
 	frontierEdges := int64(g.Degree(src))
 	unexploredEdges := int64(len(g.Adj)) - frontierEdges
 
 	for frontierSize > 0 {
 		st.Levels++
-		if !r.opt.ForceTopDown {
-			if !bottomUp && frontierEdges > unexploredEdges/r.opt.Alpha {
-				// Switch: materialize the frontier bitmap from the queue.
+		if !r.opt.ForceTopDown && bottomUp != goBottomUp(bottomUp, frontierSize, prevSize,
+			frontierEdges, unexploredEdges, int64(n), r.opt.Alpha, r.opt.Beta) {
+			bottomUp = !bottomUp
+			st.Switches++
+			if bottomUp {
+				// Materialize the frontier bitmap from the queue.
 				r.sc.front.Reset()
 				q := r.sc.queue
 				if r.workers == 1 {
 					for _, v := range q {
-						r.sc.front.Set(v)
+						r.sc.front.SetSerial(v)
 					}
 				} else {
 					r.bud.For(len(q), func(i int) { r.sc.front.Set(q[i]) })
 				}
-				bottomUp = true
-			} else if bottomUp && frontierSize < int64(n)/r.opt.Beta {
-				// Switch back: rebuild the queue from the bitmap.
-				r.rebuildQueue(level)
-				bottomUp = false
+			} else {
+				r.rebuildQueue()
 			}
 		}
 		var nf, ne, scanned int64
@@ -148,10 +151,31 @@ func (r *Runner) Distances(src int32, dist []int32) Stats {
 		}
 		st.ScannedEdges += scanned
 		unexploredEdges -= ne
+		prevSize = frontierSize
 		frontierSize, frontierEdges = nf, ne
 		level++
 	}
 	return st
+}
+
+// goBottomUp is the whole direction rule: given the direction the last
+// level ran in, it reports whether the next one runs bottom-up. nf and mf
+// are the frontier's vertex count and total degree, prevNF the previous
+// frontier's vertex count, mu the total degree of the still-unvisited
+// vertices. Entering and leaving are the two edges of Beamer, Asanović &
+// Patterson's state machine (SC'12, Fig. 5): top-down → bottom-up when the
+// frontier's edges outweigh the unexplored ones by α and the frontier is
+// growing, back when it has fallen below n/β vertices and is shrinking.
+// The third entry term prices what a bottom-up step pays whatever mu is —
+// a sweep of all n distance slots: a top-down step that scans no more
+// than n/β adjacency entries is cheaper than that sweep, so on
+// high-diameter graphs, whose frontier never grows that large, the
+// traversal never leaves top-down.
+func goBottomUp(bottomUp bool, nf, prevNF, mf, mu, n, alpha, beta int64) bool {
+	if bottomUp {
+		return !(nf < n/beta && nf < prevNF)
+	}
+	return mf > mu/alpha && nf > prevNF && mf > n/beta
 }
 
 // topDownStep expands the queue frontier, claiming unvisited neighbors
@@ -161,9 +185,10 @@ func (r *Runner) topDownStep(level int32, dist []int32) (nf, ne, scanned int64) 
 	g := r.g
 	q := r.sc.queue
 	w := r.workers
-	if w == 1 {
-		// Single-worker fast path: expand inline, no goroutine spawn (and
-		// hence no per-level allocation on the steady-state hot path).
+	if r.bud.Serial(len(q)) {
+		// One worker, or a frontier too short to be worth a goroutine per
+		// worker (a road graph runs thousands of ~80-vertex levels): expand
+		// inline — no spawn, no atomics, no per-level allocation.
 		local := r.sc.nextQ[0][:0]
 		var localNE, localScan int64
 		for _, u := range q {
@@ -177,8 +202,7 @@ func (r *Runner) topDownStep(level int32, dist []int32) (nf, ne, scanned int64) 
 				}
 			}
 		}
-		r.sc.nextQ[0] = local
-		r.sc.queue = append(r.sc.queue[:0], local...)
+		r.sc.queue, r.sc.nextQ[0] = local, q
 		return int64(len(local)), localNE, localScan
 	}
 	var totNF, totNE, totScan int64
@@ -248,6 +272,7 @@ func (r *Runner) bottomUpStep(level int32, dist []int32) (nf, ne, scanned int64)
 // frontier bitmap.
 func (r *Runner) bottomUpRange(level int32, dist []int32, lo, hi int) (nf, ne, scanned int64) {
 	g := r.g
+	serial := r.workers == 1 // sole writer of next: no CAS needed
 	for v := lo; v < hi; v++ {
 		if dist[v] != Unreached {
 			continue
@@ -256,7 +281,11 @@ func (r *Runner) bottomUpRange(level int32, dist []int32, lo, hi int) (nf, ne, s
 		for k, u := range adj {
 			if r.sc.front.Get(u) {
 				dist[v] = level + 1
-				r.sc.next.Set(int32(v))
+				if serial {
+					r.sc.next.SetSerial(int32(v))
+				} else {
+					r.sc.next.Set(int32(v))
+				}
 				nf++
 				ne += g.Offsets[v+1] - g.Offsets[v]
 				scanned += int64(k + 1)
@@ -270,42 +299,18 @@ func (r *Runner) bottomUpRange(level int32, dist []int32, lo, hi int) (nf, ne, s
 	return nf, ne, scanned
 }
 
-// rebuildQueue converts the bitmap frontier (vertices at the given level)
-// back into queue form.
-func (r *Runner) rebuildQueue(level int32) {
-	g := r.g
-	w := r.workers
-	if w == 1 {
-		q := r.sc.queue[:0]
-		for v := 0; v < g.NumV; v++ {
-			if r.sc.front.Get(int32(v)) {
-				q = append(q, int32(v))
-			}
+// rebuildQueue converts the bitmap frontier back into queue form, in
+// ascending vertex order, by peeling the set bits of each word:
+// O(n/64 + frontier), not a probe per vertex. The rule only leaves
+// bottom-up below n/β vertices, so the walk is serial under every budget.
+func (r *Runner) rebuildQueue() {
+	q := r.sc.queue[:0]
+	for i, x := range r.sc.front.words[:(r.g.NumV+63)/64] {
+		for ; x != 0; x &= x - 1 {
+			q = append(q, int32(i<<6+bits.TrailingZeros64(x)))
 		}
-		r.sc.queue = q
-		return
 	}
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for wk := 0; wk < w; wk++ {
-		go func(wk int) {
-			defer wg.Done()
-			local := r.sc.nextQ[wk][:0]
-			lo := wk * g.NumV / w
-			hi := (wk + 1) * g.NumV / w
-			for v := lo; v < hi; v++ {
-				if r.sc.front.Get(int32(v)) {
-					local = append(local, int32(v))
-				}
-			}
-			r.sc.nextQ[wk] = local
-		}(wk)
-	}
-	wg.Wait()
-	r.sc.queue = r.sc.queue[:0]
-	for wk := 0; wk < w; wk++ {
-		r.sc.queue = append(r.sc.queue, r.sc.nextQ[wk]...)
-	}
+	r.sc.queue = q
 }
 
 // Serial runs a textbook sequential BFS from src into dist, returning the

@@ -21,9 +21,7 @@ func NewBitmap(n int) *Bitmap {
 
 // Reset clears all bits.
 func (b *Bitmap) Reset() {
-	for i := range b.words {
-		b.words[i] = 0
-	}
+	clear(b.words)
 }
 
 // Set atomically sets bit i.
@@ -39,6 +37,14 @@ func (b *Bitmap) Set(i int32) {
 			return
 		}
 	}
+}
+
+// SetSerial sets bit i with a plain OR, for a bitmap only one goroutine
+// is writing: a load + CAS loop per vertex is not free on the one-worker
+// path (20 searches from leaves of Star(5000): 1.32 ms with the CAS,
+// 0.40 ms without).
+func (b *Bitmap) SetSerial(i int32) {
+	b.words[i>>6] |= uint64(1) << (uint(i) & 63)
 }
 
 // Get reports bit i.

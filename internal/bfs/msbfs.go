@@ -271,11 +271,15 @@ func MSBFS(bud parallel.Budget, g *graph.CSR, sources []int32, dists [][]int32, 
 		level++
 		// Beamer α/β direction switch on the scanned-edge estimates; no
 		// frontier conversion is needed — both directions read and write
-		// the same bitmap slabs.
+		// the same bitmap slabs, which is why this engine keeps the plain
+		// two-term rule: a switch converts nothing here, and goBottomUp's
+		// growing/shrinking and sweep-cost terms measured neutral on it.
 		if !bottomUp && !opt.ForceTopDown && frontierEdges > unexplored/opt.Alpha {
 			bottomUp = true
+			st.Switches++
 		} else if bottomUp && frontierVerts < int64(n)/opt.Beta {
 			bottomUp = false
+			st.Switches++
 		}
 		if p <= 1 {
 			// Plain single-worker sweeps: no atomics, no closure dispatch.

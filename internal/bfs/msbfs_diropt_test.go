@@ -130,13 +130,16 @@ func TestMSBFSDirOptSwitchesOnKron(t *testing.T) {
 	if opt.Levels != td.Levels {
 		t.Fatalf("level count diverged: %d vs %d", opt.Levels, td.Levels)
 	}
+	if opt.Switches == 0 || opt.Switches > 2 || td.Switches != 0 {
+		t.Fatalf("direction changes: %d default (want 1 or 2), %d pinned top-down (want 0)", opt.Switches, td.Switches)
+	}
 }
 
 // TestMSBFSStatsAdd covers the aggregation the observability rollups use.
 func TestMSBFSStatsAdd(t *testing.T) {
-	a := Stats{Levels: 3, TopDownSteps: 2, BottomUpSteps: 1, ScannedEdges: 10}
-	a.Add(Stats{Levels: 2, TopDownSteps: 1, BottomUpSteps: 1, ScannedEdges: 5})
-	want := Stats{Levels: 5, TopDownSteps: 3, BottomUpSteps: 2, ScannedEdges: 15}
+	a := Stats{Levels: 3, TopDownSteps: 2, BottomUpSteps: 1, Switches: 1, ScannedEdges: 10}
+	a.Add(Stats{Levels: 2, TopDownSteps: 1, BottomUpSteps: 1, Switches: 2, ScannedEdges: 5})
+	want := Stats{Levels: 5, TopDownSteps: 3, BottomUpSteps: 2, Switches: 3, ScannedEdges: 15}
 	if a != want {
 		t.Fatalf("Add = %+v, want %+v", a, want)
 	}

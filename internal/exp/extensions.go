@@ -224,22 +224,33 @@ func plateSide(side int) *graph.CSR {
 
 // AlphaBetaExperiment sweeps the direction-optimizing BFS switch
 // thresholds (Beamer's α and β, defaulting to the GAP values 15 and 18)
-// on a skewed low-diameter graph — the ablation behind §3.1's choice of
-// the GAP heuristic.
+// on a skewed low-diameter graph and on a high-diameter road network —
+// the ablation behind §3.1's choice of the heuristic. The last row of
+// each sweep is pinned top-down, so γ (Table 1's work-reduction factor)
+// is each row's scanned count over the last row's; the rule must keep it
+// ≤ 1 on both graphs.
 func AlphaBetaExperiment(w io.Writer, cfg Config) error {
 	cfg = cfg.withDefaults()
-	g := LargeCollection(cfg.Factor)[1].G // kron analogue
-	dist := make([]int32, g.NumV)
-	fprintf(w, "Direction-optimizing switch sweep (kron analogue, n=%d m=%d)\n", g.NumV, g.NumEdges())
-	fprintf(w, "%8s %8s %12s %16s %10s\n", "alpha", "beta", "time (s)", "edges scanned", "bottom-up")
-	configs := []struct{ a, b int64 }{
-		{1, 18}, {15, 18}, {64, 18}, {15, 2}, {15, 64}, {1 << 30, 18 /* effectively top-down */},
+	large := LargeCollection(cfg.Factor)
+	configs := []bfs.Options{
+		{Alpha: 1, Beta: 18}, {Alpha: 15, Beta: 18}, {Alpha: 64, Beta: 18}, {Alpha: 15, Beta: 2}, {Alpha: 15, Beta: 64},
+		{Alpha: 15, Beta: 18, ForceTopDown: true},
 	}
-	for _, c := range configs {
-		runner := bfs.NewRunner(g, bfs.Options{Alpha: c.a, Beta: c.b}, nil, parallel.Live())
-		var st bfs.Stats
-		t := minTime(cfg.Reps, func() { st = runner.Distances(0, dist) })
-		fprintf(w, "%8d %8d %12.4f %16d %10d\n", c.a, c.b, seconds(t), st.ScannedEdges, st.BottomUpSteps)
+	for _, ng := range []NamedGraph{large[1], large[4]} { // kron, road
+		g := ng.G
+		dist := make([]int32, g.NumV)
+		fprintf(w, "Direction-optimizing switch sweep (%s analogue, n=%d m=%d)\n", ng.Name, g.NumV, g.NumEdges())
+		fprintf(w, "%8s %8s %12s %16s %10s %9s\n", "alpha", "beta", "time (s)", "edges scanned", "bottom-up", "switches")
+		for _, opt := range configs {
+			runner := bfs.NewRunner(g, opt, nil, parallel.Live())
+			var st bfs.Stats
+			t := minTime(cfg.Reps, func() { st = runner.Distances(0, dist) })
+			if opt.ForceTopDown {
+				fprintf(w, "%17s %12.4f %16d %10d %9d\n", "top-down only", seconds(t), st.ScannedEdges, st.BottomUpSteps, st.Switches)
+				continue
+			}
+			fprintf(w, "%8d %8d %12.4f %16d %10d %9d\n", opt.Alpha, opt.Beta, seconds(t), st.ScannedEdges, st.BottomUpSteps, st.Switches)
+		}
 	}
 	return nil
 }

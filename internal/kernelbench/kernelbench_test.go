@@ -163,6 +163,25 @@ func TestKernelBudgetGate(t *testing.T) {
 		tTD := minTime(3, func() { bfs.MSBFS(bud, g, sources, rows, sc, bfs.Options{ForceTopDown: true}) })
 		check("msbfs_diropt_vs_topdown", float64(tTD)/float64(tOpt))
 	}
+
+	// Single-source Runner vs itself pinned top-down, 10 strided sources.
+	// On a road network the direction rule must cost nothing (a ratio well
+	// below 1 means bottom-up round trips are back: the two-term rule
+	// measured 0.40); on kron it must keep the bottom-up win.
+	dirOptSpeedup := func(g *graph.CSR) float64 {
+		dist := make([]int32, g.NumV)
+		run := func(opt bfs.Options) time.Duration {
+			r := bfs.NewRunner(g, opt, nil, parallel.FixedBudget(1))
+			return minTime(reps, func() {
+				for i := 0; i < 10; i++ {
+					r.Distances(int32(i*(g.NumV/10)), dist)
+				}
+			})
+		}
+		return float64(run(bfs.Options{ForceTopDown: true})) / float64(run(bfs.Options{}))
+	}
+	check("bfs_diropt_vs_topdown_road", dirOptSpeedup(gen.Road(256, 256, 1)))
+	check("bfs_diropt_vs_topdown_kron", dirOptSpeedup(gen.Kron(16, 16, 102)))
 }
 
 // msbfsFixture builds the MSBFS gate/bench inputs: a kron graph, one full

@@ -2,12 +2,14 @@ package pivot
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/bfs"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/linalg"
+	"repro/internal/parallel"
 	"repro/internal/sssp"
 )
 
@@ -244,6 +246,32 @@ func TestRandomMSMatchesRandomPhase(t *testing.T) {
 	for i := range b1.Data {
 		if b1.Data[i] != b2.Data[i] {
 			t.Fatal("distance matrices diverge")
+		}
+	}
+}
+
+// TestKCentersPhaseBudgetInvariance: the k-centers phase — pivots,
+// distance matrix and every traversal's Stats — is the same under worker
+// budgets 1, 2 and 4, on a road network (thousands of levels below the
+// BFS runner's inline cutoff) and on a kron graph (both directions, both
+// frontier conversions). CI runs it under -race.
+func TestKCentersPhaseBudgetInvariance(t *testing.T) {
+	for name, g := range map[string]*graph.CSR{"road": gen.Road(64, 64, 3), "kron": gen.Kron(12, 16, 4)} {
+		var refB *linalg.Dense
+		var ref PhaseStats
+		for _, w := range []int{1, 2, 4} {
+			b := linalg.NewDense(g.NumV, 6)
+			ps := PhaseBudget(parallel.FixedBudget(w), g, b, 7, KCenters, bfs.Options{}, nil, nil, nil)
+			if w == 1 {
+				refB, ref = b, ps
+				continue
+			}
+			if !reflect.DeepEqual(ps, ref) {
+				t.Fatalf("%s: phase stats at %d workers %+v, at 1 worker %+v", name, w, ps, ref)
+			}
+			if !reflect.DeepEqual(b.Data, refB.Data) {
+				t.Fatalf("%s: distance matrix at %d workers differs from 1 worker", name, w)
+			}
 		}
 	}
 }

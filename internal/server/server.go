@@ -174,6 +174,7 @@ type Server struct {
 	refineSweeps     *obs.Counter   // cumulative warm-refinement sweeps
 	bfsTopDown       *obs.Counter   // BFS-phase levels run top-down
 	bfsBottomUp      *obs.Counter   // BFS-phase levels run bottom-up
+	bfsSwitches      *obs.Counter   // BFS-phase direction changes (≤ 2 per healthy traversal)
 	bfsScannedEdges  *obs.Counter   // adjacency entries BFS actually examined
 	streamSubs       *obs.Gauge     // currently connected SSE subscribers
 	broadcastLatency *obs.Histogram // install→fan-out delta latency
@@ -221,6 +222,7 @@ func NewWithConfig(g *graph.CSR, opt core.Options, cfg Config) (*Server, error) 
 		refineSweeps:     reg.Counter("refine_sweeps_total"),
 		bfsTopDown:       reg.Counter(`bfs_steps_total{direction="topdown"}`),
 		bfsBottomUp:      reg.Counter(`bfs_steps_total{direction="bottomup"}`),
+		bfsSwitches:      reg.Counter("bfs_direction_switches_total"),
 		bfsScannedEdges:  reg.Counter("bfs_scanned_edges_total"),
 		streamSubs:       reg.Gauge("stream_subscribers"),
 		broadcastLatency: reg.Histogram("stream_broadcast_seconds"),
@@ -320,6 +322,7 @@ func (s *Server) recordBFS(rep *core.Report) {
 	t := rep.BFSTotals()
 	s.bfsTopDown.Add(int64(t.TopDownSteps))
 	s.bfsBottomUp.Add(int64(t.BottomUpSteps))
+	s.bfsSwitches.Add(int64(t.Switches))
 	s.bfsScannedEdges.Add(t.ScannedEdges)
 }
 

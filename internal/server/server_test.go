@@ -225,6 +225,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"zoom_layouts_total 1",
 		`bfs_steps_total{direction="topdown"}`,
 		`bfs_steps_total{direction="bottomup"}`,
+		"bfs_direction_switches_total",
 		"bfs_scanned_edges_total",
 	} {
 		if !strings.Contains(body, want) {
@@ -244,6 +245,11 @@ func TestBFSDirectionCountersRecorded(t *testing.T) {
 	}
 	if got := s.bfsScannedEdges.Value(); got <= 0 {
 		t.Fatalf("bfs scanned edges = %d, want > 0", got)
+	}
+	// Every bottom-up phase is entered once and left at most once.
+	sw, bu := s.bfsSwitches.Value(), s.bfsBottomUp.Value()
+	if (sw > 0) != (bu > 0) || sw > 2*bu {
+		t.Fatalf("bfs direction switches = %d with %d bottom-up steps", sw, bu)
 	}
 }
 

@@ -23,6 +23,7 @@ fuzz:
 	$(GO) test ./internal/graph/ -fuzz FuzzReadBinary -fuzztime 30s
 	$(GO) test ./internal/graph/ -fuzz FuzzReadEdgeList -fuzztime 15s
 	$(GO) test ./internal/graph/ -fuzz FuzzReadMatrixMarket -fuzztime 15s
+	$(GO) test ./internal/journal/ -fuzz FuzzJournalScan -fuzztime 15s
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

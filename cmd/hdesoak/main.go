@@ -3,8 +3,8 @@
 // binary, drives mixed upload/job/read traffic through the router,
 // SIGKILLs one worker mid-run and restarts it on the same address and
 // data directory, and verifies the zero-dropped-jobs invariant — every
-// accepted submission ends as exactly one persisted record with no
-// journaled intent left behind.
+// accepted submission ends as exactly one result frame in a worker's job
+// journal with no intent left pending.
 //
 // It also measures scale-out: the same job batch runs against a 1-worker
 // fleet and an N-worker fleet (each worker pinned to GOMAXPROCS=1, so a
@@ -38,6 +38,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/jobs"
 )
 
 type options struct {
@@ -114,8 +115,7 @@ func (f *fleet) stop() {
 
 // startFleet launches n workers (GOMAXPROCS=1 each — one worker models
 // one fixed-size box) and a router. Each graph lives on one worker, so
-// exactly one persisted record per accepted job is the correct final
-// count.
+// exactly one result frame per accepted job is the correct final count.
 func startFleet(opt options, n int, tmp, label string) (*fleet, error) {
 	// Pre-flight: every port must be free, or a stray process from an
 	// earlier run would answer our health checks in the fleet's place.
@@ -200,7 +200,7 @@ func post(url, ctype string, body []byte) (int, []byte, string, error) {
 }
 
 // drain polls every worker until no job is queued or running and no
-// intent file remains in any data dir.
+// journal leaves an intent pending.
 func (f *fleet) drain(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
@@ -232,33 +232,35 @@ func (f *fleet) drain(timeout time.Duration) error {
 				}
 			}
 		}
-		if !busy {
-			if n := countFiles(f.dirs, ".intent.json"); n == 0 {
-				return nil
-			}
+		_, pending, _ := readJournals(f.dirs)
+		if !busy && pending == 0 {
+			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("fleet did not drain within %v (%d intents left)",
-				timeout, countFiles(f.dirs, ".intent.json"))
+			return fmt.Errorf("fleet did not drain within %v (%d intents pending)", timeout, pending)
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
 }
 
-// countFiles counts files across the fleet's data dirs: records are
-// "*.json" minus the "*.intent.json" journal entries.
-func countFiles(dirs []string, suffix string) int {
-	n := 0
+// readJournals sums the fleet's job journals: result frames, intents no
+// later frame resolved, and bytes. Every checksum is verified; a worker
+// caught mid-append shows a torn tail, which ReadJournal stops at quietly,
+// and one that has not created its journal yet counts as empty.
+func readJournals(dirs []string) (results, pending int, bytes int64) {
 	for _, dir := range dirs {
-		paths, _ := filepath.Glob(filepath.Join(dir, "*.json"))
-		for _, p := range paths {
-			isIntent := strings.HasSuffix(p, ".intent.json")
-			if (suffix == ".intent.json") == isIntent {
-				n++
-			}
+		snap, err := jobs.ReadJournal(dir)
+		if err != nil {
+			continue
 		}
+		for _, err := range snap.Errs {
+			log.Printf("journal %s: %v", dir, err)
+		}
+		results += len(snap.Results)
+		pending += len(snap.Pending)
+		bytes += snap.Bytes
 	}
-	return n
+	return results, pending, bytes
 }
 
 type phaseResult struct {
@@ -270,6 +272,9 @@ type phaseResult struct {
 	Replayed   int     `json:"replayedIntents"`
 	Records    int     `json:"records"`
 	Intents    int     `json:"intentsLeft"`
+	// JournalBytesPerJob is the fleet's journal bytes over accepted jobs:
+	// intent + result frame (8 bytes per coordinate plus a JSON header).
+	JournalBytesPerJob float64 `json:"journalBytesPerJob"`
 }
 
 // runPhase uploads graphs, pushes the job batch through the router, and
@@ -358,7 +363,7 @@ func runPhase(opt options, f *fleet, restart bool) (phaseResult, error) {
 		log.Printf("SIGKILL %s mid-run", victim.name)
 		victim.kill()
 		time.Sleep(300 * time.Millisecond) // let the OS release the port
-		res.Replayed = countFiles(f.dirs[len(f.dirs)-1:], ".intent.json")
+		_, res.Replayed, _ = readJournals(f.dirs[len(f.dirs)-1:])
 		log.Printf("%s died with %d journaled jobs unresolved", victim.name, res.Replayed)
 		if res.Replayed == 0 {
 			return res, fmt.Errorf("SIGKILL interrupted nothing; the victim drained its backlog first")
@@ -377,8 +382,9 @@ func runPhase(opt options, f *fleet, restart bool) (phaseResult, error) {
 	}
 	res.Seconds = time.Since(start).Seconds()
 	res.JobsPerSec = float64(accepted) / res.Seconds
-	res.Records = countFiles(f.dirs, ".json")
-	res.Intents = countFiles(f.dirs, ".intent.json")
+	var journalBytes int64
+	res.Records, res.Intents, journalBytes = readJournals(f.dirs)
+	res.JournalBytesPerJob = float64(journalBytes) / float64(accepted)
 	if res.Intents != 0 {
 		return res, fmt.Errorf("%d intents left after drain", res.Intents)
 	}
@@ -427,8 +433,8 @@ func main() {
 			os.RemoveAll(tmp)
 			log.Fatal(err)
 		}
-		log.Printf("phase done: %.1fs, %.2f jobs/s, %d records, 0 dropped",
-			res.Seconds, res.JobsPerSec, res.Records)
+		log.Printf("phase done: %.1fs, %.2f jobs/s, %d records, 0 dropped, %.0f journal bytes/job",
+			res.Seconds, res.JobsPerSec, res.Records, res.JournalBytesPerJob)
 		return res
 	}
 

@@ -4,8 +4,8 @@
 // fixed worker pool; each job runs the full pipeline under a
 // context.Context so cancellation interrupts the engine mid-phase (and,
 // in coupled mode, mid-BFS-loop). Finished jobs are retained under a
-// TTL + count budget and can optionally be persisted to disk, and the
-// engine exports queue/state/latency metrics through internal/obs.
+// TTL + count budget and can optionally be journaled to disk (recover.go),
+// and the engine exports queue/state/latency metrics through internal/obs.
 package jobs
 
 import (
@@ -14,8 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
@@ -24,6 +22,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/workspace"
@@ -76,8 +75,9 @@ type Config struct {
 	// MaxResults caps retained finished jobs; the oldest are dropped
 	// first (0 = DefaultMaxResults, negative = unbounded).
 	MaxResults int
-	// DataDir, when non-empty, receives one <jobID>.json per completed
-	// job (status, phase timings, coordinates).
+	// DataDir, when non-empty, holds the job journal (JournalFile): one
+	// appended frame per accepted submission, per finished job (status,
+	// phase timings, coordinates) and per failed or cancelled one.
 	DataDir string
 	// Metrics receives queue/state/latency series (nil = private registry).
 	Metrics *obs.Registry
@@ -134,11 +134,16 @@ type Engine struct {
 	jobs     map[string]*Job
 	finished []string // terminal job ids in completion order, for purging
 
-	submitted *obs.Counter
-	rejected  *obs.Counter
-	byState   map[State]*obs.Counter
-	running   *obs.Gauge
-	latency   *obs.Histogram
+	jrn     *journal.Journal // closed (the zero Journal) when DataDir's could not be opened
+	pending []Intent         // what the journal left unresolved at start-up
+
+	submitted     *obs.Counter
+	rejected      *obs.Counter
+	byState       map[State]*obs.Counter
+	running       *obs.Gauge
+	latency       *obs.Histogram
+	journalErrs   *obs.Counter
+	appendSeconds *obs.Histogram
 }
 
 // New starts an engine with cfg.Workers workers resolving graph names
@@ -153,10 +158,15 @@ func New(cat *catalog.Catalog, cfg Config) *Engine {
 		baseCancel: cancel,
 		queue:      make(chan *Job, cfg.QueueDepth),
 		jobs:       map[string]*Job{},
+		jrn:        new(journal.Journal),
 		submitted:  cfg.Metrics.Counter("jobs_submitted_total"),
 		rejected:   cfg.Metrics.Counter("jobs_rejected_total"),
 		running:    cfg.Metrics.Gauge("jobs_running"),
 		latency:    cfg.Metrics.Histogram("job_duration_seconds"),
+		// Every frame that should be in the journal and is not; appends
+		// are timed whole: payload copy, checksum and write.
+		journalErrs:   cfg.Metrics.Counter("jobs_journal_errors_total"),
+		appendSeconds: cfg.Metrics.Histogram("jobs_journal_append_seconds"),
 		byState: map[State]*obs.Counter{
 			StateDone:      cfg.Metrics.Counter(`jobs_finished_total{state="done"}`),
 			StateFailed:    cfg.Metrics.Counter(`jobs_finished_total{state="failed"}`),
@@ -164,11 +174,9 @@ func New(cat *catalog.Catalog, cfg Config) *Engine {
 		},
 	}
 	cfg.Metrics.GaugeFunc("jobs_queue_depth", func() float64 { return float64(len(e.queue)) })
-	// Continue the id sequence past any persisted records of a previous
-	// life so a restarted worker never reuses an id (and never overwrites
-	// an old record on disk).
+	cfg.Metrics.GaugeFunc("jobs_journal_bytes", func() float64 { return float64(e.jrn.Size()) })
 	if cfg.DataDir != "" {
-		e.seq = maxPersistedSeq(cfg.DataDir, cfg.IDPrefix)
+		e.openJournal()
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		e.wg.Add(1)
@@ -186,10 +194,10 @@ func (e *Engine) Submit(graphName string, cfg pipeline.Config) (*Job, error) {
 
 // SubmitSpec is Submit plus a self-contained, re-parseable description of
 // the request (the validated API body, typically). With DataDir set the
-// spec is journaled as an intent record before the job is enqueued, so a
-// worker that dies mid-run can recover the job on restart (see
-// PendingIntents). A nil spec submits without an intent: the job runs
-// normally but is not crash-recoverable.
+// spec is journaled as an intent frame before the submission returns, so
+// a worker that dies mid-run can recover the job on restart (see
+// Pending). A nil spec submits without an intent: the job runs normally
+// but is not crash-recoverable.
 func (e *Engine) SubmitSpec(graphName string, cfg pipeline.Config, spec []byte) (*Job, error) {
 	g, ok := e.cat.Get(graphName)
 	if !ok {
@@ -218,11 +226,9 @@ func (e *Engine) SubmitSpec(graphName string, cfg pipeline.Config, spec []byte) 
 	case e.queue <- j:
 		// Journal the intent before Submit returns: once the caller holds
 		// a 202, the job either completes or survives as a pending intent.
-		// (A small file write under e.mu — submissions are not a hot path.)
-		if spec != nil && e.cfg.DataDir != "" {
-			if err := e.writeIntent(j); err != nil && e.cfg.Logger != nil {
-				e.cfg.Logger.Printf("jobs: journaling intent for %s: %v", j.id, err)
-			}
+		// (One small write under e.mu — submissions are not a hot path.)
+		if spec != nil {
+			e.record(kindIntent, j.id, Intent{Version: PersistVersion, ID: j.id, Graph: graphName, Spec: spec, Created: j.created}, nil)
 		}
 		e.jobs[j.id] = j
 		e.submitted.Inc()
@@ -271,7 +277,7 @@ func (e *Engine) Cancel(id string) (*Job, error) {
 	}
 	// Mark this as an explicit caller cancellation before the context
 	// fires: finalize distinguishes it from a shutdown-time cancellation,
-	// which must keep the job's intent record for restart recovery.
+	// which must leave the job's intent unresolved for restart recovery.
 	j.mu.Lock()
 	j.userCancel = true
 	j.mu.Unlock()
@@ -290,16 +296,14 @@ func (e *Engine) Cancel(id string) (*Job, error) {
 // waits for the workers to exit. It is safe to call more than once.
 func (e *Engine) Close() {
 	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		e.wg.Wait()
-		return
+	if !e.closed {
+		e.closed = true
+		close(e.queue)
 	}
-	e.closed = true
-	close(e.queue)
 	e.mu.Unlock()
 	e.baseCancel()
 	e.wg.Wait()
+	e.jrn.Close() // after the last worker's last frame
 }
 
 func (e *Engine) worker() {
@@ -371,19 +375,19 @@ func (e *Engine) finalize(j *Job, ran bool) {
 	e.mu.Lock()
 	e.finished = append(e.finished, j.id)
 	e.mu.Unlock()
-	if state == StateDone && e.cfg.DataDir != "" {
-		if err := e.persist(j); err != nil && e.cfg.Logger != nil {
-			e.cfg.Logger.Printf("jobs: persisting %s: %v", j.id, err)
+	// Resolve the job in the journal: a result frame for a finished layout,
+	// a retire frame for any other outcome the operator asked for (failed,
+	// or explicitly cancelled). The one exception is a shutdown-time
+	// cancellation — the job was interrupted, not resolved — whose intent
+	// must stay pending for restart recovery.
+	if res := j.Result(); state == StateDone && res != nil && res.Layout != nil {
+		rec := Record{Version: PersistVersion, Status: j.Status(), Quality: res.Quality, Dims: res.Layout.Dims()}
+		if _, err := json.Marshal(rec.Quality); err != nil {
+			rec.Quality = nil // a NaN metric must not cost the job its coordinates
 		}
-	}
-	// Retire the intent record: the job reached a terminal state the
-	// operator asked for (done, failed, or explicitly cancelled). The one
-	// exception is a shutdown-time cancellation — the job was interrupted,
-	// not resolved — whose intent must survive for restart recovery.
-	if e.cfg.DataDir != "" && j.hasSpec() {
-		if state != StateCancelled || userCancel {
-			e.removeIntent(j.id)
-		}
+		e.record(kindResult, j.id, rec, res.Layout.Coords.Data)
+	} else if j.spec != nil && (state != StateCancelled || userCancel) {
+		e.record(kindRetire, j.id, nil, nil)
 	}
 	if e.cfg.OnDone != nil {
 		e.cfg.OnDone(j)
@@ -418,77 +422,4 @@ func (j *Job) finishedAt() time.Time {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.finished
-}
-
-// PersistVersion is the schema version persist stamps into every record
-// it writes. The schema evolves additively: bumping the version marks
-// records whose fields a strictly older reader could misinterpret, not
-// every new optional field.
-const PersistVersion = 1
-
-// Record is the on-disk shape of a completed job (DataDir/<jobID>.json).
-type Record struct {
-	// Version is the schema version the record was written with. Records
-	// from before versioning decode as 0 and remain readable.
-	Version int `json:"version"`
-	// Status snapshots the job at completion time.
-	Status Status `json:"status"`
-	// Quality carries the layout quality metrics, when evaluated.
-	Quality interface{} `json:"quality,omitempty"`
-	// Dims is the layout dimensionality p.
-	Dims int `json:"dims"`
-	// Coords is column-major: coordinate k of all vertices occupies
-	// Coords[k*n : (k+1)*n], matching linalg.Dense storage.
-	Coords []float64 `json:"coords"`
-}
-
-// ReadRecord loads one persisted job record. The reader is tolerant by
-// policy: legacy records without a version field (version 0) and any
-// record up to PersistVersion are accepted, and unknown fields from
-// additive newer writers are ignored. Records declaring a version beyond
-// PersistVersion are rejected rather than silently misread.
-func ReadRecord(path string) (*Record, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rec Record
-	if err := json.Unmarshal(b, &rec); err != nil {
-		return nil, fmt.Errorf("jobs: decoding %s: %w", filepath.Base(path), err)
-	}
-	if rec.Version > PersistVersion {
-		return nil, fmt.Errorf("jobs: record %s has schema version %d, newer than supported %d", filepath.Base(path), rec.Version, PersistVersion)
-	}
-	if rec.Dims > 0 && len(rec.Coords)%rec.Dims != 0 {
-		return nil, fmt.Errorf("jobs: record %s has %d coords, not divisible by %d dims", filepath.Base(path), len(rec.Coords), rec.Dims)
-	}
-	return &rec, nil
-}
-
-// persist writes the finished job's result to DataDir/<id>.json.
-func (e *Engine) persist(j *Job) error {
-	res := j.Result()
-	if res == nil || res.Layout == nil {
-		return nil
-	}
-	if err := os.MkdirAll(e.cfg.DataDir, 0o755); err != nil {
-		return err
-	}
-	rec := Record{
-		Version: PersistVersion,
-		Status:  j.Status(),
-		Quality: res.Quality,
-		Dims:    res.Layout.Dims(),
-		Coords:  res.Layout.Coords.Data,
-	}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(e.cfg.DataDir, j.id+".json")
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }

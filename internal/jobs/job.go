@@ -82,7 +82,7 @@ type Job struct {
 	graph string // catalog name, for display
 	g     *graph.CSR
 	cfg   pipeline.Config
-	spec  []byte // re-parseable request body journaled as the intent record
+	spec  []byte // re-parseable request body journaled as the intent frame
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -96,13 +96,9 @@ type Job struct {
 	started  time.Time
 	finished time.Time
 	// userCancel marks an explicit Cancel call (as opposed to the engine
-	// shutting down); only user-cancelled jobs retire their intent record.
+	// shutting down); only user-cancelled jobs retire their intent.
 	userCancel bool
 }
-
-// hasSpec reports whether the job carries a journaled request spec (and
-// therefore may own an intent record on disk).
-func (j *Job) hasSpec() bool { return j.spec != nil }
 
 // ID returns the job's engine-assigned identifier.
 func (j *Job) ID() string { return j.id }

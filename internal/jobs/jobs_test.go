@@ -2,10 +2,7 @@ package jobs
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -301,31 +298,19 @@ func TestPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, j, StateDone)
-	// finalize persists before OnDone/terminal state is visible? The
-	// write happens on the worker before finalize returns, so poll
-	// briefly for the file.
-	path := filepath.Join(dir, j.ID()+".json")
-	var b []byte
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if b, err = os.ReadFile(path); err == nil {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
+	// The state flips before finalize appends the result frame (on the
+	// worker, ahead of OnDone); Close waits for the worker.
+	e.Close()
+	snap := readJournal(t, dir)
+	if len(snap.Results) != 1 || len(snap.Errs) != 0 {
+		t.Fatalf("journal holds %d results, errs %v", len(snap.Results), snap.Errs)
 	}
-	if err != nil {
-		t.Fatalf("persisted record: %v", err)
+	rec := snap.Results[0]
+	if rec.Status.ID != j.ID() || rec.Dims != 2 || len(rec.Coords) != 2*144 || len(rec.Status.Phases) == 0 || rec.Quality == nil {
+		t.Fatalf("record = id %s dims %d coords %d phases %d quality %v", rec.Status.ID, rec.Dims, len(rec.Coords), len(rec.Status.Phases), rec.Quality)
 	}
-	var rec struct {
-		Status Status    `json:"status"`
-		Dims   int       `json:"dims"`
-		Coords []float64 `json:"coords"`
-	}
-	if err := json.Unmarshal(b, &rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Status.ID != j.ID() || rec.Dims != 2 || len(rec.Coords) != 2*144 {
-		t.Fatalf("record = id %s dims %d coords %d", rec.Status.ID, rec.Dims, len(rec.Coords))
+	if snap.Bytes < int64(8*len(rec.Coords)) {
+		t.Fatalf("journal is %d bytes, less than its coordinates", snap.Bytes)
 	}
 }
 

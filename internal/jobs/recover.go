@@ -1,160 +1,217 @@
 package jobs
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
-	"regexp"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
+
+	"repro/internal/journal"
 )
 
-// Intent journaling: with DataDir set, SubmitSpec writes one
-// <jobID>.intent.json before the submission returns, and finalize removes
-// it when the job is genuinely resolved (done, failed, or cancelled by an
-// explicit Cancel call). A worker that dies — crash or shutdown — with
-// jobs queued or running therefore leaves exactly those jobs' intents
-// behind, and the next process on the same DataDir replays them through
-// PendingIntents. Together with the completed-job Record files this makes
-// the versioned persistence directory the full wire/recovery format of a
-// layout worker: records describe what finished, intents describe what
-// must run again.
+// The job journal: with DataDir set, every durable fact about a job is
+// one frame appended to DataDir/JournalFile, keyed by the job id.
+// SubmitSpec appends an intent before the submission returns; finalize
+// appends a result when the job is done, or a retire when it failed or a
+// caller cancelled it. Pending work after a crash or a shutdown is exactly
+// the intents with no later result or retire for the same key: the next
+// engine on the same DataDir finds them in one scan (Pending), and the
+// layer that built the submissions replays them and retires the old ids.
 
-// Intent is the on-disk shape of a submitted-but-unresolved job
-// (DataDir/<jobID>.intent.json).
+// JournalFile is the name of the job journal inside DataDir.
+const JournalFile = "jobs.journal"
+
+// Frame kinds of the job journal.
+const (
+	kindIntent byte = 'i' // payload: Intent JSON
+	kindResult byte = 'r' // payload: Record JSON, '\n', the coordinates as little-endian float64
+	kindRetire byte = 'x' // no payload
+)
+
+// PersistVersion is the schema version stamped into every intent and
+// result header. The schema evolves additively: bumping the version marks
+// frames whose fields a strictly older reader could misinterpret, not
+// every new optional field. Readers accept any version up to their own
+// (a missing one reads as 0), ignore unknown fields, and refuse — never
+// silently misread — a newer version.
+const PersistVersion = 1
+
+// Intent is the journaled shape of a submitted job. Spec is the original
+// validated request body, verbatim; the engine treats it as opaque and the
+// layer that built the submission (the HTTP server) re-parses it on
+// recovery, so the wire format and the recovery format are the same bytes.
 type Intent struct {
-	// Version is the schema version the intent was written with; the same
-	// tolerance policy as Record applies (see ReadRecord).
-	Version int `json:"version"`
-	// ID is the job id the intent was journaled under.
-	ID string `json:"id"`
-	// Graph is the catalog name the job was submitted against.
-	Graph string `json:"graph"`
-	// Spec is the original validated request body, verbatim. The engine
-	// treats it as opaque: the layer that built the submission (the HTTP
-	// server) re-parses it on recovery, so the wire format and the
-	// recovery format are the same bytes.
-	Spec json.RawMessage `json:"spec"`
-	// Created is the original submission time.
-	Created time.Time `json:"created"`
+	Version int             `json:"version"` // schema version written with
+	ID      string          `json:"id"`      // job id; also the frame's key
+	Graph   string          `json:"graph"`   // catalog name submitted against
+	Spec    json.RawMessage `json:"spec"`
+	Created time.Time       `json:"created"` // original submission time
 }
 
-// intentPath returns the intent file path for a job id inside dir.
-func intentPath(dir, id string) string {
-	return filepath.Join(dir, id+".intent.json")
+// Record is a completed job as its result frame holds it: everything but
+// Coords is the frame's JSON header. Coords is column-major — coordinate k
+// of all vertices occupies Coords[k*n : (k+1)*n], matching linalg.Dense
+// storage — and stored as bit patterns, so NaN and ±Inf survive.
+type Record struct {
+	Version int         `json:"version"`           // schema version written with
+	Status  Status      `json:"status"`            // the job at completion time
+	Quality interface{} `json:"quality,omitempty"` // layout quality metrics, when evaluated
+	Dims    int         `json:"dims"`              // layout dimensionality p
+	Coords  []float64   `json:"-"`
 }
 
-// writeIntent journals j's spec under DataDir/<id>.intent.json, creating
-// the directory on first use.
-func (e *Engine) writeIntent(j *Job) error {
-	if err := os.MkdirAll(e.cfg.DataDir, 0o755); err != nil {
-		return err
+// appendCoords is the part of a result payload that follows the header.
+func appendCoords(b []byte, coords []float64) []byte {
+	b = append(b, '\n')
+	for _, c := range coords {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c))
 	}
-	b, err := json.Marshal(Intent{
-		Version: PersistVersion,
-		ID:      j.id,
-		Graph:   j.graph,
-		Spec:    json.RawMessage(j.spec),
-		Created: j.created,
-	})
-	if err != nil {
-		return err
-	}
-	path := intentPath(e.cfg.DataDir, j.id)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return b
 }
 
-// removeIntent retires a resolved job's intent record (missing files are
-// fine: the job may have been submitted without a spec, or by an engine
-// without a DataDir).
-func (e *Engine) removeIntent(id string) {
-	if err := os.Remove(intentPath(e.cfg.DataDir, id)); err != nil && !os.IsNotExist(err) {
-		if e.cfg.Logger != nil {
-			e.cfg.Logger.Printf("jobs: removing intent %s: %v", id, err)
-		}
+// decode parses a frame's JSON (for a result, its header) into v, whose
+// Version field is version; a newer schema is refused.
+func decode(f journal.Frame, head []byte, v interface{}, version *int) error {
+	if err := json.Unmarshal(head, v); err != nil {
+		return fmt.Errorf("jobs: decoding %c frame %s: %w", f.Kind, f.Key, err)
 	}
+	if *version > PersistVersion {
+		return fmt.Errorf("jobs: %c frame %s has schema version %d, newer than supported %d", f.Kind, f.Key, *version, PersistVersion)
+	}
+	return nil
 }
 
-// RemoveIntent deletes the intent record for id inside dir. Recovery
-// calls it after resubmitting (the resubmission journals a fresh intent
-// under its new id) or after deciding an intent is unrecoverable.
-func RemoveIntent(dir, id string) error {
-	err := os.Remove(intentPath(dir, id))
-	if os.IsNotExist(err) {
-		return nil
+func decodeRecord(f journal.Frame) (rec Record, err error) {
+	head, raw, _ := bytes.Cut(f.Payload, []byte{'\n'})
+	if err = decode(f, head, &rec, &rec.Version); err != nil {
+		return rec, err
 	}
-	return err
+	if len(raw)%8 != 0 || rec.Dims > 0 && len(raw)/8%rec.Dims != 0 {
+		return rec, fmt.Errorf("jobs: result %s has %d coordinate bytes, not divisible by %d dims", f.Key, len(raw), rec.Dims)
+	}
+	rec.Coords = make([]float64, len(raw)/8)
+	for i := range rec.Coords {
+		rec.Coords[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+	}
+	return rec, nil
 }
 
-// PendingIntents scans dir for journaled intents whose jobs never
-// resolved, oldest first. An intent whose completed Record exists (the
-// crash hit between persisting the result and retiring the intent) is
-// skipped and cleaned up. Corrupt or future-versioned intent files are
-// skipped — reported in errs, never fatal — so one bad record cannot
-// block a worker from recovering the rest.
-func PendingIntents(dir string) (pending []Intent, errs []error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "*.intent.json"))
-	if err != nil {
-		return nil, []error{err}
-	}
-	for _, path := range paths {
-		b, err := os.ReadFile(path)
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
+// Snapshot is what a job journal says, folded frame by frame in file order.
+type Snapshot struct {
+	Results []Record // one per result frame whose payload was read
+	Pending []Intent // intents no later result or retire resolved, oldest first: what a restart must run again
+	Seq     int64    // highest id sequence number (the digits that end a key)
+	Bytes   int64    // length of the journal's valid prefix
+	// Errs lists the frames that were refused (undecodable, or written by
+	// a newer schema) and stepped over; one bad frame never hides the rest.
+	Errs []error
+}
+
+func (s *Snapshot) apply(f journal.Frame) {
+	n, _ := strconv.ParseInt(f.Key[strings.LastIndexByte(f.Key, 'j')+1:], 10, 64)
+	s.Seq = max(s.Seq, n)
+	var err error
+	switch f.Kind {
+	case kindIntent:
 		var in Intent
-		if err := json.Unmarshal(b, &in); err != nil {
-			errs = append(errs, fmt.Errorf("jobs: decoding %s: %w", filepath.Base(path), err))
-			continue
+		if err = decode(f, f.Payload, &in, &in.Version); err == nil && (in.ID != f.Key || in.Graph == "") {
+			err = fmt.Errorf("jobs: intent %s names id %q and graph %q", f.Key, in.ID, in.Graph)
 		}
-		if in.Version > PersistVersion {
-			errs = append(errs, fmt.Errorf("jobs: intent %s has schema version %d, newer than supported %d",
-				filepath.Base(path), in.Version, PersistVersion))
-			continue
+		if err == nil {
+			s.Pending = append(s.Pending, in)
 		}
-		if in.ID == "" || in.Graph == "" {
-			errs = append(errs, fmt.Errorf("jobs: intent %s missing id or graph", filepath.Base(path)))
-			continue
+	case kindResult:
+		if f.Payload != nil { // nil: an engine's start-up scan skipped it
+			var rec Record
+			if rec, err = decodeRecord(f); err == nil {
+				s.Results = append(s.Results, rec)
+			}
 		}
-		if _, err := os.Stat(filepath.Join(dir, in.ID+".json")); err == nil {
-			// The job completed; only the intent cleanup was lost.
-			_ = os.Remove(path)
-			continue
-		}
-		pending = append(pending, in)
+		fallthrough // resolved, even by a result whose header is refused: the job ran
+	case kindRetire:
+		s.Pending = slices.DeleteFunc(s.Pending, func(in Intent) bool { return in.ID == f.Key })
 	}
-	sort.Slice(pending, func(i, j int) bool { return pending[i].Created.Before(pending[j].Created) })
-	return pending, errs
+	if err != nil {
+		s.Errs = append(s.Errs, err)
+	}
 }
 
-// seqRe extracts the numeric sequence from a persisted job filename
-// (records and intents both embed the id, which ends in jNNNNNN).
-var seqRe = regexp.MustCompile(`j(\d+)(?:\.intent)?\.json$`)
+// skipResult keeps an engine's start-up scan from reading coordinates:
+// to know what is pending it needs a result frame's key, not its payload.
+func skipResult(kind byte) bool { return kind == kindResult }
 
-// maxPersistedSeq returns the highest id sequence number any record or
-// intent in dir was written with under the given prefix, so a restarted
-// engine continues numbering where its predecessor stopped.
-func maxPersistedSeq(dir, prefix string) int64 {
-	paths, err := filepath.Glob(filepath.Join(dir, prefix+"j*.json"))
+// openJournal opens DataDir's journal, continuing the id sequence past
+// every key it holds (a restarted worker never reuses an id) and keeping
+// the intents it leaves unresolved for Pending. A journal that cannot be
+// opened is an error the engine logs and outlives: jobs run, every frame
+// they would have written counts in jobs_journal_errors_total.
+func (e *Engine) openJournal() {
+	var snap Snapshot
+	jrn, err := journal.Open(filepath.Join(e.cfg.DataDir, JournalFile), skipResult, snap.apply)
+	if err == nil {
+		e.jrn, e.seq, e.pending = jrn, snap.Seq, snap.Pending
+	}
+	for _, err := range append(snap.Errs, err) {
+		if err != nil && e.cfg.Logger != nil {
+			e.cfg.Logger.Printf("jobs: opening the journal: %v", err)
+		}
+	}
+}
+
+// record appends one frame for job id: head as JSON (nil for none), then
+// for a result the coordinates. A frame that does not reach the file is
+// counted and logged, never fatal to the job. Without DataDir it is a no-op.
+func (e *Engine) record(kind byte, id string, head interface{}, coords []float64) {
+	if e.cfg.DataDir == "" {
+		return
+	}
+	start := time.Now()
+	var h []byte
+	var err error
+	if head != nil {
+		h, err = json.Marshal(head)
+	}
+	if err == nil {
+		err = e.jrn.Append(kind, id, func(b []byte) []byte {
+			if b = append(b, h...); kind == kindResult {
+				b = appendCoords(b, coords)
+			}
+			return b
+		})
+	}
+	e.appendSeconds.ObserveDuration(time.Since(start))
 	if err != nil {
-		return 0
-	}
-	var max int64
-	for _, path := range paths {
-		m := seqRe.FindStringSubmatch(filepath.Base(path))
-		if m == nil {
-			continue
-		}
-		if n, err := strconv.ParseInt(m[1], 10, 64); err == nil && n > max {
-			max = n
+		e.journalErrs.Inc()
+		if e.cfg.Logger != nil {
+			e.cfg.Logger.Printf("jobs: journaling %c frame for %s: %v", kind, id, err)
 		}
 	}
-	return max
+}
+
+// Pending returns the intents the journal held unresolved when the engine
+// started, oldest first: jobs a previous process accepted and never
+// finished. The caller resubmits each and retires the old id.
+func (e *Engine) Pending() []Intent { return e.pending }
+
+// Retire marks id resolved in the journal so no later start replays it.
+func (e *Engine) Retire(id string) { e.record(kindRetire, id, nil, nil) }
+
+// ReadJournal reads dir's job journal without modifying it, verifying
+// every frame's checksum and stopping quietly at a torn tail (which a
+// live engine may be in the middle of appending).
+func ReadJournal(dir string) (*Snapshot, error) {
+	b, err := os.ReadFile(filepath.Join(dir, JournalFile))
+	if err != nil {
+		return nil, err
+	}
+	s := &Snapshot{}
+	s.Bytes = journal.Scan(bytes.NewReader(b), int64(len(b)), nil, s.apply)
+	return s, nil
 }

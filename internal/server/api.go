@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"repro/internal/catalog"
@@ -45,7 +46,7 @@ func codeFor(err error) int {
 		return http.StatusConflict
 	case errors.Is(err, catalog.ErrTooLarge):
 		return http.StatusRequestEntityTooLarge
-	case errors.Is(err, catalog.ErrBadName):
+	case errors.Is(err, catalog.ErrBadName), errors.As(err, new(badRequest)):
 		return http.StatusBadRequest
 	case errors.Is(err, jobs.ErrClosed):
 		return http.StatusServiceUnavailable
@@ -177,32 +178,37 @@ func validateJobRequest(req jobRequest) error {
 	return nil
 }
 
-func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+// badRequest marks a job body that failed decoding or validation.
+type badRequest struct{ error }
+
+// submitJob decodes, validates and enqueues one POST /jobs body — from a
+// live request, or from the journal on restart (recover.go). The intent
+// spec it journals is the canonical (validated, re-marshaled) request: if
+// this process dies before the job resolves, the restart replays exactly
+// this submission.
+func (s *Server) submitJob(body io.Reader) (*jobs.Job, error) {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	var req jobRequest
 	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("malformed job request: %w", err))
-		return
+		return nil, badRequest{fmt.Errorf("malformed job request: %w", err)}
 	}
 	alg, err := parseAlgorithm(req.Algorithm)
+	if err == nil {
+		err = validateJobRequest(req)
+	}
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return nil, badRequest{err}
 	}
-	if err := validateJobRequest(req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	// Journal the canonical (validated, re-marshaled) request as the
-	// job's intent spec: if this process dies before the job resolves,
-	// the restart replays exactly this submission (see recover.go).
 	spec, err := json.Marshal(req)
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
+		return nil, err
 	}
-	j, err := s.eng.SubmitSpec(req.Graph, submitConfig(alg, req), spec)
+	return s.eng.SubmitSpec(req.Graph, submitConfig(alg, req), spec)
+}
+
+func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
+	j, err := s.submitJob(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
 		writeErr(w, codeFor(err), err)
 		return

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"path/filepath"
 
@@ -12,8 +11,8 @@ import (
 
 // Worker restart recovery. A layout worker's durable state is its
 // DataDir: graph snapshots under graphs/ (written on upload) and the jobs
-// engine's record/intent files. recoverState replays both at startup —
-// graphs back into the catalog first, then every unresolved intent
+// engine's journal. recoverState replays both at startup — graphs back
+// into the catalog first, then every intent the journal leaves unresolved
 // resubmitted through the same validation path as a live POST /jobs — so
 // a worker that dies mid-job comes back owning the same shard with the
 // interrupted work re-queued. Mutation-refinement jobs are the deliberate
@@ -43,54 +42,27 @@ func (s *Server) recoverState() {
 		s.logf("restored %d graph(s) from %s", len(restored), s.graphsDir())
 	}
 
-	pending, ierrs := jobs.PendingIntents(s.cfg.DataDir)
-	for _, err := range ierrs {
-		s.logf("scanning intents: %v", err)
-	}
-	for _, in := range pending {
+	for _, in := range s.eng.Pending() {
 		if s.resubmitIntent(in) {
 			// The resubmission journaled a fresh intent under its new id;
 			// retiring the old one makes replay idempotent.
-			if err := jobs.RemoveIntent(s.cfg.DataDir, in.ID); err != nil {
-				s.logf("retiring replayed intent %s: %v", in.ID, err)
-			}
+			s.eng.Retire(in.ID)
 		}
 	}
 }
 
-// resubmitIntent replays one journaled submission. It reports whether the
-// old intent should be retired: true on success and on permanent
-// failures (malformed spec, vanished graph), false on transient ones
-// (queue full) so the next restart tries again.
+// resubmitIntent replays one journaled submission through the path a live
+// POST /jobs takes. It reports whether the old intent should be retired:
+// true on success and on permanent failures (a spec that no longer
+// validates, a vanished graph), false on transient ones (queue full) so
+// the next restart tries again.
 func (s *Server) resubmitIntent(in jobs.Intent) bool {
-	dec := json.NewDecoder(bytes.NewReader(in.Spec))
-	dec.DisallowUnknownFields()
-	var req jobRequest
-	if err := dec.Decode(&req); err != nil {
-		s.logf("intent %s has an unreadable spec, dropping: %v", in.ID, err)
-		return true
-	}
-	alg, err := parseAlgorithm(req.Algorithm)
+	j, err := s.submitJob(bytes.NewReader(in.Spec))
 	if err == nil {
-		err = validateJobRequest(req)
-	}
-	if err != nil {
-		s.logf("intent %s no longer validates, dropping: %v", in.ID, err)
+		s.logf("recovered job %s as %s (graph %q)", in.ID, j.ID(), j.Graph())
 		return true
 	}
-	j, err := s.eng.SubmitSpec(req.Graph, submitConfig(alg, req), in.Spec)
-	switch {
-	case err == nil:
-		s.logf("recovered job %s as %s (graph %q)", in.ID, j.ID(), req.Graph)
-		return true
-	case errors.Is(err, jobs.ErrQueueFull):
-		s.logf("intent %s not replayed, queue full; kept for next restart", in.ID)
-		return false
-	case errors.Is(err, catalog.ErrNotFound):
-		s.logf("intent %s references vanished graph %q, dropping", in.ID, req.Graph)
-		return true
-	default:
-		s.logf("intent %s not replayed: %v; kept for next restart", in.ID, err)
-		return false
-	}
+	permanent := errors.Is(err, catalog.ErrNotFound) || errors.As(err, new(badRequest))
+	s.logf("intent %s not replayed (dropped for good: %v): %v", in.ID, permanent, err)
+	return permanent
 }

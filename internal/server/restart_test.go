@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -52,7 +53,7 @@ func submitJob(t *testing.T, url, graphName string, subspace int) string {
 // TestWorkerRestartRecoversJobs kills a worker with jobs queued and
 // running, restarts it on the same DataDir, and asserts the interrupted
 // work replays to completion: the uploaded graphs come back, the jobs
-// re-run under fresh ids, and no intent is left behind. This is the
+// re-run under fresh ids, and the journal leaves no intent pending. This is the
 // single-process core of the sharded soak's zero-dropped-jobs guarantee.
 func TestWorkerRestartRecoversJobs(t *testing.T) {
 	dir := t.TempDir()
@@ -81,20 +82,10 @@ func TestWorkerRestartRecoversJobs(t *testing.T) {
 	ts.Close()
 	s.Close()
 
-	pending, errs := jobs.PendingIntents(dir)
-	if len(errs) != 0 {
-		t.Fatalf("intent scan errors: %v", errs)
-	}
-	finished := 0
-	if recs, _ := filepath.Glob(filepath.Join(dir, "w1-j*.json")); true {
-		for _, p := range recs {
-			if !strings.HasSuffix(p, ".intent.json") {
-				finished++
-			}
-		}
-	}
+	snap := readJournal(t, dir)
+	pending, finished := snap.Pending, len(snap.Results)
 	if finished+len(pending) != len(ids) {
-		t.Fatalf("records(%d) + pending intents(%d) != submitted(%d)", finished, len(pending), len(ids))
+		t.Fatalf("results(%d) + pending intents(%d) != submitted(%d)", finished, len(pending), len(ids))
 	}
 	if len(pending) == 0 {
 		t.Fatal("shutdown interrupted nothing; test needs slower jobs")
@@ -117,7 +108,7 @@ func TestWorkerRestartRecoversJobs(t *testing.T) {
 	}
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		left, _ := jobs.PendingIntents(dir)
+		left := readJournal(t, dir).Pending
 		busy := false
 		for _, st := range s2.Jobs().List() {
 			if st.State == "queued" || st.State == "running" {
@@ -135,20 +126,99 @@ func TestWorkerRestartRecoversJobs(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	// Every submission is now a completed record: nothing was dropped.
-	recs, _ := filepath.Glob(filepath.Join(dir, "w1-j*.json"))
-	finished = 0
-	for _, p := range recs {
-		if !strings.HasSuffix(p, ".intent.json") {
-			finished++
+	// Every submission is now exactly one result frame: nothing was
+	// dropped, nothing ran twice, no id was issued twice.
+	snap = readJournal(t, dir)
+	seen := map[string]bool{}
+	for _, rec := range snap.Results {
+		if seen[rec.Status.ID] {
+			t.Fatalf("job id %s has two result frames", rec.Status.ID)
+		}
+		seen[rec.Status.ID] = true
+	}
+	if len(snap.Results) != len(ids) {
+		t.Fatalf("result frames = %d, want %d (one per accepted job)", len(snap.Results), len(ids))
+	}
+	for _, in := range pending {
+		if seen[in.ID] {
+			t.Fatalf("interrupted job %s kept its id across the restart", in.ID)
 		}
 	}
-	if finished != len(ids) {
-		t.Fatalf("finished records = %d, want %d (one per accepted job)", finished, len(ids))
+	// The worker's DataDir holds the journal and the graph snapshots.
+	entries, _ := os.ReadDir(dir)
+	for _, ent := range entries {
+		if ent.Name() != jobs.JournalFile && ent.Name() != "graphs" {
+			t.Fatalf("DataDir holds %s beside %s and graphs/", ent.Name(), jobs.JournalFile)
+		}
 	}
 	// The restarted engine's ids continued past the first life's.
 	if id := submitJob(t, ts2.URL, "ga", 8); id <= ids[len(ids)-1] {
 		t.Fatalf("id sequence reset: new id %s after %s", id, ids[len(ids)-1])
+	}
+}
+
+// readJournal reads a worker's job journal, every checksum verified.
+func readJournal(t *testing.T, dir string) *jobs.Snapshot {
+	t.Helper()
+	snap, err := jobs.ReadJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Errs) != 0 {
+		t.Fatalf("journal errors: %v", snap.Errs)
+	}
+	return snap
+}
+
+// TestUnwritableDataDirCostsFramesNotJobs: when the journal cannot be
+// written (here: DataDir sits under a regular file) an accepted job still
+// runs, finishes and installs, and the loss shows on /metrics.
+func TestUnwritableDataDirCostsFramesNotJobs(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "full")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewWithConfig(gen.PlateWithHoles(20, 20), core.Options{Subspace: 8, Seed: 1},
+		Config{WorkerID: "w1", DataDir: filepath.Join(file, "w1"), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	id := submitJob(t, ts.URL, DefaultGraph, 8)
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		j, ok := s.Jobs().Get(id)
+		if ok && j.State() == jobs.StateDone {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never finished", id)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	metrics := func() string {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return string(b)
+	}
+	// The install runs right after the result append, on the worker.
+	for !strings.Contains(metrics(), `layouts_installed_total{mode="cold"} 1`) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the job's layout was never installed:\n%s", metrics())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	m := metrics()
+	for _, want := range []string{"jobs_journal_errors_total 2\n", "jobs_journal_bytes 0\n", "jobs_journal_append_seconds_count 2\n"} {
+		if !strings.Contains(m, want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
 	}
 }
 

@@ -85,7 +85,8 @@ type Config struct {
 	JobsTTL time.Duration
 	// MaxResults caps retained finished jobs (0 = the jobs package default).
 	MaxResults int
-	// DataDir, when non-empty, persists completed job results to disk.
+	// DataDir, when non-empty, holds the job journal and the graph
+	// snapshots a restarted worker recovers from (recover.go).
 	DataDir string
 	// RebuildThreshold is the dirty-edge count at which a mutated graph's
 	// CSR is rebuilt inside a PATCH batch (0 = the dyngraph package

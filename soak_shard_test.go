@@ -7,7 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -58,10 +58,24 @@ func (w *soakWorker) start(t *testing.T) {
 
 // kill closes the listener and the server without draining, the
 // in-process stand-in for SIGKILL + journal recovery: running and queued
-// jobs become shutdown-cancelled and leave their intents on disk.
+// jobs become shutdown-cancelled and leave their intents pending in the journal.
 func (w *soakWorker) kill() {
 	w.hs.Close()
 	w.srv.Close()
+}
+
+// soakJournal reads a worker's job journal (possibly mid-append: a torn
+// tail is not an error), every checksum verified.
+func soakJournal(t *testing.T, dir string) *jobs.Snapshot {
+	t.Helper()
+	snap, err := jobs.ReadJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Errs) != 0 {
+		t.Fatalf("journal %s: %v", dir, snap.Errs)
+	}
+	return snap
 }
 
 func soakPost(t *testing.T, url, ctype, body string) (int, []byte) {
@@ -80,8 +94,9 @@ func soakPost(t *testing.T, url, ctype, body string) (int, []byte) {
 // mixed traffic (uploads, jobs, cached reads), SIGKILLs one worker with
 // jobs queued and running, restarts it on the same address and DataDir,
 // and asserts the fleet-wide zero-dropped-jobs invariant: every accepted
-// submission ends as exactly one persisted record, no intent left behind,
-// and every graph is fully servable through the router afterwards.
+// submission ends as exactly one result frame in some worker's journal
+// (every checksum verified), no intent left pending, no job id issued
+// twice, and every graph is fully servable through the router afterwards.
 func TestSoakShardedFleetRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
@@ -179,10 +194,7 @@ func TestSoakShardedFleetRestart(t *testing.T) {
 	}
 	time.Sleep(50 * time.Millisecond)
 	victim.kill()
-	pending, errs := jobs.PendingIntents(victim.dir)
-	if len(errs) != 0 {
-		t.Fatalf("intent scan: %v", errs)
-	}
+	pending := soakJournal(t, victim.dir).Pending
 	if len(pending) == 0 {
 		t.Fatal("kill interrupted nothing; test needs slower victim jobs")
 	}
@@ -230,7 +242,7 @@ func TestSoakShardedFleetRestart(t *testing.T) {
 					t.Fatalf("job %s ended %s: %s", st.ID, st.State, st.Error)
 				}
 			}
-			if left, _ := jobs.PendingIntents(w.dir); len(left) != 0 {
+			if len(soakJournal(t, w.dir).Pending) != 0 {
 				busy = true
 			}
 		}
@@ -243,19 +255,35 @@ func TestSoakShardedFleetRestart(t *testing.T) {
 		time.Sleep(25 * time.Millisecond)
 	}
 
-	// Zero dropped, zero duplicated: records across the fleet's data
-	// dirs match the accepted submissions exactly.
+	// Zero dropped, zero duplicated: result frames across the fleet's
+	// journals match the accepted submissions exactly, each under an id of
+	// its own — the replayed jobs ran under fresh ids, never the ones they
+	// were interrupted under — and a DataDir holds nothing but the journal
+	// and the graph snapshots.
 	records := 0
+	ids := map[string]bool{}
 	for _, w := range workers {
-		paths, _ := filepath.Glob(filepath.Join(w.dir, "*.json"))
-		for _, p := range paths {
-			if !strings.HasSuffix(p, ".intent.json") {
-				records++
+		for _, rec := range soakJournal(t, w.dir).Results {
+			if ids[rec.Status.ID] {
+				t.Fatalf("job id %s has two result frames", rec.Status.ID)
+			}
+			ids[rec.Status.ID] = true
+			records++
+		}
+		entries, _ := os.ReadDir(w.dir)
+		for _, ent := range entries {
+			if ent.Name() != jobs.JournalFile && ent.Name() != "graphs" {
+				t.Fatalf("%s holds %s beside %s and graphs/", w.dir, ent.Name(), jobs.JournalFile)
 			}
 		}
 	}
 	if records != accepted {
-		t.Fatalf("persisted records = %d, want %d (one per accepted job)", records, accepted)
+		t.Fatalf("result frames = %d, want %d (one per accepted job)", records, accepted)
+	}
+	for _, in := range pending {
+		if ids[in.ID] {
+			t.Fatalf("interrupted job %s kept its id across the restart", in.ID)
+		}
 	}
 
 	// The router must re-admit the restarted worker and serve every

@@ -25,8 +25,9 @@ fuzz:
 	$(GO) test ./internal/graph/ -fuzz FuzzReadMatrixMarket -fuzztime 15s
 	$(GO) test ./internal/journal/ -fuzz FuzzJournalScan -fuzztime 15s
 
+# Every performance number comes from the benchmark harness (BENCHMARK.json).
 bench:
-	$(GO) test -bench=. -benchmem ./...
+	bash benchmark/run.sh -all
 
 # The full evaluation: every table and figure plus extension experiments.
 # Scale up with FACTOR on bigger machines.
@@ -38,4 +39,4 @@ drawings:
 	$(GO) run ./examples/drawing -out drawings
 
 clean:
-	rm -rf drawings test_output.txt bench_output.txt
+	rm -rf drawings test_output.txt

@@ -59,6 +59,17 @@ func splitAlternatives(pattern string) []string {
 	return append(alts, pattern[start:])
 }
 
+// workflowLines returns ci.yml's lines with backslash continuations
+// joined, so a multi-line command is one line.
+func workflowLines(t *testing.T) []string {
+	t.Helper()
+	raw, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Split(strings.ReplaceAll(string(raw), "\\\n", " "), "\n")
+}
+
 var testFuncDecl = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
 
 // testFuncs lists the Test/Fuzz/Benchmark functions of the _test.go files
@@ -103,17 +114,13 @@ func testFuncs(t *testing.T, pkgArg string) []string {
 // checking nothing. Every '|' alternative of every pattern must match a
 // function of the right kind in the packages its step names.
 func TestCIWorkflowPatternsMatchTests(t *testing.T) {
-	raw, err := os.ReadFile(".github/workflows/ci.yml")
-	if err != nil {
-		t.Fatal(err)
-	}
 	kinds := map[string][]string{
 		"-run":   {"Test", "Fuzz"},
 		"-fuzz":  {"Fuzz"},
 		"-bench": {"Benchmark"},
 	}
 	checked := 0
-	for _, line := range strings.Split(strings.ReplaceAll(string(raw), "\\\n", " "), "\n") {
+	for _, line := range workflowLines(t) {
 		i := strings.Index(line, "go test ")
 		if i < 0 {
 			continue
@@ -179,5 +186,63 @@ func TestCIWorkflowPatternsMatchTests(t *testing.T) {
 	}
 	if checked < 20 {
 		t.Fatalf("only %d pattern alternatives found in ci.yml; the parser has lost track of the workflow", checked)
+	}
+}
+
+var flagDecl = regexp.MustCompile(`\b(?:flag|fs)\.\w+\((?:&[\w.]+, )?"([\w-]+)"`)
+
+// toolFlags lists the flag names the sources of ./cmd/<tool> register.
+func toolFlags(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("ci.yml names %s, which has no Go sources (%v)", dir, err)
+	}
+	names := map[string]bool{}
+	for _, path := range files {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range flagDecl.FindAllSubmatch(src, -1) {
+			names[string(m[1])] = true
+		}
+	}
+	return names
+}
+
+// TestCIWorkflowToolStepsMatchSources is the same guard for the steps
+// that run the repo's own tools: a `go run ./cmd/<tool> -flag …` or
+// `go build … ./cmd/<tool>` line naming a deleted tool or an unregistered
+// flag would fail only on the runner.
+func TestCIWorkflowToolStepsMatchSources(t *testing.T) {
+	checked := 0
+	for _, line := range workflowLines(t) {
+		for _, verb := range []string{"go run ", "go build "} {
+			i := strings.Index(line, verb)
+			if i < 0 {
+				continue
+			}
+			words := shellWords(line[i:])
+			var flags map[string]bool // the tool's, once its directory is seen
+			for _, word := range words[2:] {
+				if word == "|" || word == ">" || word == "&&" {
+					break
+				}
+				switch {
+				case strings.HasPrefix(word, "./cmd/"):
+					checked++
+					flags = toolFlags(t, word)
+				case verb == "go run " && flags != nil && strings.HasPrefix(word, "-"):
+					name, _, _ := strings.Cut(strings.TrimLeft(word, "-"), "=")
+					if !flags[name] {
+						t.Errorf("ci.yml: %q passes -%s, which the tool does not register", line[i:], name)
+					}
+				}
+			}
+		}
+	}
+	if checked < 3 {
+		t.Fatalf("only %d tool steps found in ci.yml; the parser has lost track of the workflow", checked)
 	}
 }

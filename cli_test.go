@@ -146,9 +146,21 @@ func TestCLIHdebenchList(t *testing.T) {
 	dir := t.TempDir()
 	bin := buildTool(t, dir, "hdebench")
 	out := runTool(t, bin, "-list")
-	for _, id := range []string{"table3", "fig4", "sssp", "multilevel", "quality"} {
+	for _, id := range []string{"table3", "fig4", "sssp", "subspace", "incremental"} {
 		if !strings.Contains(out, id) {
 			t.Fatalf("hdebench -list missing %s:\n%s", id, out)
+		}
+	}
+	// Every description starts at the same column, whatever the longest id.
+	col := -1
+	for _, line := range strings.Split(strings.TrimRight(out, "\n"), "\n") {
+		id, desc, _ := strings.Cut(line, " ")
+		at := len(line) - len(strings.TrimLeft(desc, " "))
+		if col < 0 {
+			col = at
+		}
+		if desc == "" || at != col {
+			t.Fatalf("hdebench -list: description of %s starts at column %d, others at %d:\n%s", id, at, col, out)
 		}
 	}
 	// A cheap experiment end to end.

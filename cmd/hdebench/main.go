@@ -20,20 +20,23 @@ func main() {
 		s       = flag.Int("s", 10, "subspace dimension where not pinned by the experiment")
 		outDir  = flag.String("out", "", "directory for PNG drawings (fig1/7/8)")
 		threads = flag.Int("threads", 0, "max GOMAXPROCS for sweeps (0 = all cores)")
-		benchJS = flag.String("bench-json", "",
-			"run the standard ParHDE perf suite and write a machine-readable BENCH_<date>.json to this directory")
-		scaling = flag.String("scaling", "",
-			"run the worker-budget scaling sweep and write BENCH_SCALING_<date>.json to this directory; exits nonzero if coordinates differ across budgets")
 	)
 	flag.Parse()
 	if *list {
-		for _, id := range exp.Names() {
+		ids := exp.Names()
+		width := 0
+		for _, id := range ids {
+			if len(id) > width {
+				width = len(id)
+			}
+		}
+		for _, id := range ids {
 			desc, _ := exp.Describe(id)
-			fmt.Printf("%-8s %s\n", id, desc)
+			fmt.Printf("%-*s %s\n", width, id, desc)
 		}
 		return
 	}
-	if *name == "" && *benchJS == "" && *scaling == "" {
+	if *name == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -44,40 +47,8 @@ func main() {
 		OutDir:     *outDir,
 		MaxThreads: *threads,
 	}
-	if *name != "" {
-		if err := exp.Run(*name, os.Stdout, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "hdebench:", err)
-			os.Exit(1)
-		}
-	}
-	if *benchJS != "" {
-		rep, err := exp.Bench(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hdebench:", err)
-			os.Exit(1)
-		}
-		path, err := exp.WriteBenchJSON(*benchJS, rep)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hdebench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d graphs)\n", path, len(rep.Entries))
-	}
-	if *scaling != "" {
-		rep, err := exp.Scaling(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hdebench:", err)
-			os.Exit(1)
-		}
-		path, err := exp.WriteScalingJSON(*scaling, rep)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hdebench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d graphs, deterministic=%v)\n", path, len(rep.Graphs), rep.Deterministic)
-		if !rep.Deterministic {
-			fmt.Fprintln(os.Stderr, "hdebench: scaling sweep produced different coordinates across worker budgets")
-			os.Exit(1)
-		}
+	if err := exp.Run(*name, os.Stdout, cfg); err != nil {
+		fmt.Fprintln(os.Stderr, "hdebench:", err)
+		os.Exit(1)
 	}
 }

@@ -161,35 +161,6 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 	}
 }
 
-// TestTrackAllocsReportsPhases checks the per-phase allocation capture
-// used by the hdebench alloc snapshots.
-func TestTrackAllocsReportsPhases(t *testing.T) {
-	g := gen.Grid2D(12, 12)
-	_, rep, err := ParHDE(g, Options{Subspace: 6, Seed: 1, TrackAllocs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.PhaseAllocs) == 0 {
-		t.Fatal("TrackAllocs produced no PhaseAllocs")
-	}
-	seen := map[string]bool{}
-	for _, pa := range rep.PhaseAllocs {
-		seen[pa.Name] = true
-	}
-	for _, name := range []string{"bfs_traversal", "dortho", "ls", "gemm", "project"} {
-		if !seen[name] {
-			t.Errorf("phase %q missing from PhaseAllocs (have %v)", name, rep.PhaseAllocs)
-		}
-	}
-	_, rep, err = ParHDE(g, Options{Subspace: 6, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.PhaseAllocs != nil {
-		t.Fatal("PhaseAllocs populated without TrackAllocs")
-	}
-}
-
 func benchmarkParHDE(b *testing.B, ws *workspace.Workspace) {
 	g := gen.Grid2D(100, 100)
 	opt := Options{Subspace: 10, Seed: 1, SkipConnectivityCheck: true, Workspace: ws}

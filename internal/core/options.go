@@ -70,11 +70,6 @@ type Options struct {
 	// fresh-allocation run; the returned Layout aliases workspace storage
 	// and is valid only until the workspace's next run (Clone to retain).
 	Workspace *workspace.Workspace
-	// TrackAllocs records per-phase heap-allocation deltas into
-	// Report.PhaseAllocs. Each phase is bracketed by
-	// runtime.ReadMemStats, which is process-global and stops the world
-	// briefly: intended for the benchmark harness, not production serving.
-	TrackAllocs bool
 	// Prior supplies an earlier layout of (an earlier version of) the same
 	// graph as a warm start. When the graph delta is small — see
 	// PriorDeltaEdges / MaxPriorDelta — the run skips the full BFS + MGS

@@ -34,9 +34,6 @@ type Report struct {
 	// counts: one entry per pivot (k-centers, coupled) or per 64-source
 	// multi-source batch (random-msbfs).
 	BFSStats []bfs.Stats
-	// PhaseAllocs holds per-phase heap-allocation deltas; nil unless
-	// Options.TrackAllocs was set.
-	PhaseAllocs []PhaseAlloc
 	// Workers is the worker budget the run actually used (the snapshot
 	// taken when Options.Workers ≤ 0).
 	Workers int
@@ -82,7 +79,6 @@ func ParHDECtx(ctx context.Context, g *graph.CSR, opt Options) (*Layout, *Report
 	}
 	rep := &Report{}
 	bd := &rep.Breakdown
-	tr := newAllocTracker(opt.TrackAllocs)
 	n := g.NumV
 	s := opt.Subspace
 	if s >= n {
@@ -113,11 +109,10 @@ func ParHDECtx(ctx context.Context, g *graph.CSR, opt Options) (*Layout, *Report
 				return
 			}
 			NotifyPhase(ctx, "warm_refine")
-			tr.timed("warm_refine", &bd.WarmRefine, func() {
+			timed(&bd.WarmRefine, func() {
 				layout, err = warmRefine(ctx, bud, g, opt, rep)
 			})
 		})
-		rep.PhaseAllocs = tr.phases
 		if err != nil {
 			return nil, nil, err
 		}
@@ -147,8 +142,8 @@ func ParHDECtx(ctx context.Context, g *graph.CSR, opt Options) (*Layout, *Report
 			return g.WeightedDegreesIntoBudget(bud, nil)
 		}
 		start := int32(splitmix(opt.Seed) % uint64(n))
-		onTrav := func(f func()) { tr.timed("bfs_traversal", &bd.BFSTraversal, f) }
-		onOther := func(f func()) { tr.timed("bfs_other", &bd.BFSOther, f) }
+		onTrav := func(f func()) { timed(&bd.BFSTraversal, f) }
+		onOther := func(f func()) { timed(&bd.BFSOther, f) }
 
 		if err = ctx.Err(); err != nil {
 			return
@@ -162,7 +157,7 @@ func ParHDECtx(ctx context.Context, g *graph.CSR, opt Options) (*Layout, *Report
 				deg = degrees()
 			}
 			var res ortho.Result
-			res, err = coupledPhase(ctx, bud, g, s, start, deg, opt, rep, bd, tr)
+			res, err = coupledPhase(ctx, bud, g, s, start, deg, opt, rep, bd)
 			if err != nil {
 				return
 			}
@@ -211,7 +206,7 @@ func ParHDECtx(ctx context.Context, g *graph.CSR, opt Options) (*Layout, *Report
 				return
 			}
 			NotifyPhase(ctx, "dortho")
-			tr.timed("dortho", &bd.DOrtho, func() {
+			timed(&bd.DOrtho, func() {
 				var d []float64
 				if !opt.PlainOrtho {
 					deg = degrees()
@@ -247,7 +242,7 @@ func ParHDECtx(ctx context.Context, g *graph.CSR, opt Options) (*Layout, *Report
 		}
 		NotifyPhase(ctx, "tripleprod")
 		var p *linalg.Dense
-		tr.timed("ls", &bd.LS, func() {
+		timed(&bd.LS, func() {
 			var pOut *linalg.Dense
 			var srm []float64
 			var arena *linalg.PackArena
@@ -257,7 +252,7 @@ func ParHDECtx(ctx context.Context, g *graph.CSR, opt Options) (*Layout, *Report
 			p = linalg.LapMulDenseTiledPackedBudget(bud, g, deg, sMat, pOut, srm, arena)
 		})
 		var z *linalg.Dense
-		tr.timed("gemm", &bd.Gemm, func() {
+		timed(&bd.Gemm, func() {
 			var zOut *linalg.Dense
 			var partials []float64
 			var arena *linalg.PackArena
@@ -275,7 +270,7 @@ func ParHDECtx(ctx context.Context, g *graph.CSR, opt Options) (*Layout, *Report
 		}
 		NotifyPhase(ctx, "eigensolve")
 		var axes *linalg.Dense
-		tr.timed("eigensolve", &bd.Eigensolve, func() {
+		timed(&bd.Eigensolve, func() {
 			axes, rep.Eigenvalues, err = projectedAxes(z, dNorms, opt.Dims)
 		})
 		if err != nil {
@@ -287,7 +282,7 @@ func ParHDECtx(ctx context.Context, g *graph.CSR, opt Options) (*Layout, *Report
 			return
 		}
 		NotifyPhase(ctx, "project")
-		tr.timed("project", &bd.Project, func() {
+		timed(&bd.Project, func() {
 			if ws != nil {
 				c := linalg.MulSmallBudget(bud, sMat, axes, linalg.ViewDense(ws.Coords, n, axes.Cols))
 				layout = &Layout{Coords: c}
@@ -296,7 +291,6 @@ func ParHDECtx(ctx context.Context, g *graph.CSR, opt Options) (*Layout, *Report
 			}
 		})
 	})
-	rep.PhaseAllocs = tr.phases
 	if err != nil {
 		return nil, nil, err
 	}
@@ -353,7 +347,7 @@ func splitmix(seed uint64) uint64 {
 // every pivot traversal, so cancelling a long run (s up to 50 traversals
 // over a million-vertex graph) takes effect within one BFS — milliseconds
 // — rather than after the whole phase.
-func coupledPhase(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int, start int32, deg []float64, opt Options, rep *Report, bd *Breakdown, tr *allocTracker) (ortho.Result, error) {
+func coupledPhase(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int, start int32, deg []float64, opt Options, rep *Report, bd *Breakdown) (ortho.Result, error) {
 	n := g.NumV
 	var (
 		runner     *bfs.Runner
@@ -398,7 +392,7 @@ func coupledPhase(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int,
 			return ortho.Result{}, err
 		}
 		rep.Sources = append(rep.Sources, src)
-		tr.timed("bfs_traversal", &bd.BFSTraversal, traverse)
+		timed(&bd.BFSTraversal, traverse)
 		rep.BFSStats = append(rep.BFSStats, ts)
 		if i == 0 && !opt.SkipConnectivityCheck {
 			for v := range dist {
@@ -407,8 +401,8 @@ func coupledPhase(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int,
 				}
 			}
 		}
-		tr.timed("bfs_other", &bd.BFSOther, other)
-		tr.timed("dortho", &bd.DOrtho, addCol)
+		timed(&bd.BFSOther, other)
+		timed(&bd.DOrtho, addCol)
 	}
 	return inc.Result(), nil
 }

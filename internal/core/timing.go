@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 )
 
@@ -86,57 +85,4 @@ func timed(acc *time.Duration, f func()) {
 	start := time.Now()
 	f()
 	*acc += time.Since(start)
-}
-
-// PhaseAlloc records one phase's cumulative heap activity during a
-// TrackAllocs run. Deltas are captured with runtime.ReadMemStats around
-// each phase, so they are process-global: allocations by concurrent
-// goroutines are attributed to whatever phase was running. Exact in the
-// single-run benchmark harness, indicative elsewhere.
-type PhaseAlloc struct {
-	// Name matches the Breakdown phase names of Phases.
-	Name string
-	// Allocs counts heap objects allocated while the phase ran.
-	Allocs uint64
-	// Bytes counts heap bytes allocated while the phase ran.
-	Bytes uint64
-}
-
-// allocTracker accumulates per-phase heap deltas; when disabled its timed
-// costs one branch over the plain helper.
-type allocTracker struct {
-	enabled bool
-	phases  []PhaseAlloc
-	index   map[string]int
-}
-
-func newAllocTracker(enabled bool) *allocTracker {
-	t := &allocTracker{enabled: enabled}
-	if enabled {
-		t.index = make(map[string]int)
-	}
-	return t
-}
-
-// timed is the tracking variant of the package-level timed: it adds f's
-// wall time to *acc and, when tracking is enabled, its heap-allocation
-// delta to the named phase (phases hit repeatedly, like the per-pivot BFS
-// timers, accumulate).
-func (t *allocTracker) timed(name string, acc *time.Duration, f func()) {
-	if !t.enabled {
-		timed(acc, f)
-		return
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	timed(acc, f)
-	runtime.ReadMemStats(&after)
-	i, ok := t.index[name]
-	if !ok {
-		i = len(t.phases)
-		t.phases = append(t.phases, PhaseAlloc{Name: name})
-		t.index[name] = i
-	}
-	t.phases[i].Allocs += after.Mallocs - before.Mallocs
-	t.phases[i].Bytes += after.TotalAlloc - before.TotalAlloc
 }

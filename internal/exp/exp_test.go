@@ -2,27 +2,35 @@ package exp
 
 import (
 	"bytes"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/graph"
 )
 
+// TestRegistryNamesAndDescribe pins the registry to the paper: seven
+// tables, eight figures, the §4.4 / §4.5.3 experiments and the two
+// engineering ablations the docs cite. Adding an id means editing this
+// list, DESIGN.md's experiment index and EXPERIMENTS.md
+// (TestExperimentIndexMatchesRegistry).
 func TestRegistryNamesAndDescribe(t *testing.T) {
-	names := Names()
-	if len(names) != len(registry) {
-		t.Fatalf("Names() returned %d of %d", len(names), len(registry))
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i] <= names[i-1] {
-			t.Fatal("names not sorted")
-		}
-	}
-	for _, want := range []string{"table1", "table2", "table3", "table4", "table5", "table6", "table7",
+	want := []string{"alphabeta",
 		"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
-		"sssp", "perm", "refine", "ls", "delta", "alphabeta", "ldd",
-		"multilevel", "stress", "fr", "subspace", "partition", "quality", "stream", "memory", "reorder"} {
-		if _, ok := Describe(want); !ok {
-			t.Fatalf("experiment %q missing from registry", want)
+		"incremental", "perm", "refine", "reorder", "sssp", "subspace",
+		"table1", "table2", "table3", "table4", "table5", "table6", "table7"}
+	if got := Names(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("registry ids (sorted)\n got %v\nwant %v", got, want)
+	}
+	for _, id := range want {
+		if desc, ok := Describe(id); !ok || desc == "" {
+			t.Fatalf("experiment %q has no description", id)
 		}
 	}
 	if _, ok := Describe("nope"); ok {
@@ -30,6 +38,59 @@ func TestRegistryNamesAndDescribe(t *testing.T) {
 	}
 	if err := Run("nope", &bytes.Buffer{}, Config{}); err == nil {
 		t.Fatal("unknown experiment ran")
+	}
+}
+
+// TestExperimentIndexMatchesRegistry holds the three documents that name
+// experiment ids to the registry, in both directions: an `-exp <id>` that
+// hdebench would reject fails, and an id without a row in DESIGN.md's
+// experiment index or a heading / bullet in EXPERIMENTS.md fails.
+func TestExperimentIndexMatchesRegistry(t *testing.T) {
+	read := func(name string) string {
+		raw, err := os.ReadFile(filepath.Join("..", "..", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+	ref := regexp.MustCompile(`-exp ([a-z0-9]+)`)
+	for _, doc := range []string{"DESIGN.md", "EXPERIMENTS.md", "README.md"} {
+		for _, m := range ref.FindAllStringSubmatch(read(doc), -1) {
+			if _, ok := Describe(m[1]); !ok && m[1] != "all" {
+				t.Errorf("%s names `-exp %s`, which is not a registry id", doc, m[1])
+			}
+		}
+	}
+
+	// idsOn collects the ids named on the lines of body that keep returns
+	// true for.
+	idsOn := func(body string, keep func(line string) bool) map[string]bool {
+		out := map[string]bool{}
+		for _, line := range strings.Split(body, "\n") {
+			if keep(line) {
+				for _, m := range ref.FindAllStringSubmatch(line, -1) {
+					out[m[1]] = true
+				}
+			}
+		}
+		return out
+	}
+	_, index, found := strings.Cut(read("DESIGN.md"), "## Experiment index")
+	if !found {
+		t.Fatal("DESIGN.md has no \"## Experiment index\" section")
+	}
+	index, _, _ = strings.Cut(index, "\n## ")
+	indexed := idsOn(index, func(l string) bool { return strings.HasPrefix(l, "|") })
+	measured := idsOn(read("EXPERIMENTS.md"), func(l string) bool {
+		return strings.HasPrefix(l, "#") || strings.HasPrefix(l, "- ")
+	})
+	for _, id := range Names() {
+		if !indexed[id] {
+			t.Errorf("DESIGN.md's experiment index has no row for `hdebench -exp %s`", id)
+		}
+		if !measured[id] {
+			t.Errorf("EXPERIMENTS.md has no heading or bullet for `-exp %s`", id)
+		}
 	}
 }
 
@@ -132,7 +193,7 @@ func TestConfigDefaults(t *testing.T) {
 func TestCheapExperimentsSmoke(t *testing.T) {
 	// Fast experiments run end-to-end in the test suite; the heavier ones
 	// are exercised by cmd/hdebench and the CLI integration tests.
-	for _, id := range []string{"stream", "memory", "ldd"} {
+	for _, id := range []string{"table2", "fig2", "alphabeta"} {
 		var buf bytes.Buffer
 		if err := Run(id, &buf, Config{Factor: 1, Reps: 1}); err != nil {
 			t.Fatalf("%s: %v", id, err)
@@ -143,15 +204,52 @@ func TestCheapExperimentsSmoke(t *testing.T) {
 	}
 }
 
-func TestQualityExperimentSmoke(t *testing.T) {
+// TestFig4ChecksumAcrossWorkerBudgets runs the core-count sweep at two
+// points and checks its determinism gate from both sides: the real
+// pipeline prints one checksum per graph whatever the budget, and a
+// layout function that flips one coordinate bit at two workers makes the
+// experiment fail.
+func TestFig4ChecksumAcrossWorkerBudgets(t *testing.T) {
+	cfg := Config{Factor: 1, Reps: 1, MaxThreads: 2}
 	var buf bytes.Buffer
-	if err := Run("quality", &buf, Config{Factor: 1, Reps: 1}); err != nil {
+	if err := Fig4(&buf, cfg); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{"parhde", "random", "dist-corr"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("quality output missing %q:\n%s", want, out)
+	sums := map[string]map[string]int{} // graph → checksum → rows
+	for _, line := range strings.Split(buf.String(), "\n")[2:] {
+		f := strings.Fields(line)
+		if len(f) == 0 {
+			continue
 		}
+		if sums[f[0]] == nil {
+			sums[f[0]] = map[string]int{}
+		}
+		sums[f[0]][f[len(f)-1]]++
+	}
+	if len(sums) != 5 {
+		t.Fatalf("fig4 printed %d graphs, want the 5 large analogues:\n%s", len(sums), buf.String())
+	}
+	for name, bySum := range sums {
+		if len(bySum) != 1 {
+			t.Errorf("%s: %d distinct checksums across the sweep: %v", name, len(bySum), bySum)
+		}
+		for sum, rows := range bySum {
+			if rows != 2 || len(sum) != 24 {
+				t.Errorf("%s: checksum %q on %d rows, want 24 hex digits on the 1- and 2-worker rows", name, sum, rows)
+			}
+		}
+	}
+
+	perturbed := func(g *graph.CSR, opt core.Options) (*core.Layout, *core.Report, error) {
+		lay, rep, err := core.ParHDE(g, opt)
+		if err == nil && opt.Workers == 2 {
+			d := lay.Coords.Data
+			d[len(d)/2] = math.Float64frombits(math.Float64bits(d[len(d)/2]) ^ 1)
+		}
+		return lay, rep, err
+	}
+	err := fig4(&bytes.Buffer{}, cfg, perturbed)
+	if err == nil || !strings.Contains(err.Error(), "at 2 workers") {
+		t.Fatalf("fig4 with a one-bit coordinate change at 2 workers returned %v, want a determinism error", err)
 	}
 }

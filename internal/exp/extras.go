@@ -9,9 +9,6 @@ import (
 	"repro/internal/eigen"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/linalg"
-	"repro/internal/parallel"
-	"repro/internal/sssp"
 )
 
 // SSSPExperiment reproduces the §4.4 weighted-graph study on the road
@@ -48,7 +45,7 @@ func SSSPExperiment(w io.Writer, cfg Config) error {
 		wopt.Delta = delta
 		label := "SSSP, rand weights Δ=heur"
 		if delta > 0 {
-			label = fprintfStr("SSSP, rand weights Δ=%g", delta)
+			label = fmt.Sprintf("SSSP, rand weights Δ=%g", delta)
 		}
 		tW := minTime(cfg.Reps, func() {
 			if _, _, err := core.ParHDE(weighted, wopt); err != nil {
@@ -147,83 +144,4 @@ func RefineExperiment(w io.Writer, cfg Config) error {
 	fprintf(w, "%-34s %12.4f %12.2e %10d\n", "cold power iteration", seconds(tCold), coldRes, coldIters)
 	fprintf(w, "speedup of warm start: %.1fx (paper reports 22x-131x for the full scheme)\n", ratio(tCold, tWarm))
 	return nil
-}
-
-// LSAblation isolates the fused LS kernel against the explicit-Laplacian
-// SpMM (the paper reports its fused kernel beats MKL's sparse SpMM by
-// 2.5× on average, partly by never materializing L), with the production
-// tiled kernel alongside the paper's column-wise formulation.
-func LSAblation(w io.Writer, cfg Config) error {
-	cfg = cfg.withDefaults()
-	fprintf(w, "LS kernel ablation: fused column-wise vs tiled (s ≫ 1 special case) vs explicit-Laplacian SpMM, s=%d\n", cfg.Subspace)
-	fprintf(w, "%-10s %12s %12s %14s %12s %11s %11s\n", "graph", "fused (s)", "tiled (s)", "explicit (s)", "build L (s)", "exp/fused", "fused/tiled")
-	pattern := func(n, cols int) *linalg.Dense {
-		s := linalg.NewDense(n, cols)
-		for i := range s.Data {
-			s.Data[i] = float64(i%17) * 0.25
-		}
-		return s
-	}
-	graphs := LargeCollection(cfg.Factor)
-	for _, ng := range graphs {
-		g := ng.G
-		deg := g.WeightedDegrees()
-		s := pattern(g.NumV, cfg.Subspace)
-		tFused := minTime(cfg.Reps, func() { lapMulColumnwise(g, deg, s) })
-		tTiled := minTime(cfg.Reps, func() { lapMulTiled(g, deg, s) })
-		var lap *linalg.ExplicitLaplacian
-		tBuild := minTime(1, func() { lap = linalg.NewExplicitLaplacian(g) })
-		tExp := minTime(cfg.Reps, func() { lap.MulDense(s) })
-		fprintf(w, "%-10s %12.4f %12.4f %14.4f %12.4f %10.2fx %10.2fx\n",
-			ng.Name, seconds(tFused), seconds(tTiled), seconds(tExp), seconds(tBuild),
-			ratio(tExp, tFused), ratio(tFused, tTiled))
-	}
-	// The pipeline once ran the column-wise kernel for s < 8 without a
-	// workspace; this records what that choice was worth. Informational:
-	// no gate checks it.
-	ng := graphs[0]
-	deg := ng.G.WeightedDegrees()
-	s := pattern(ng.G.NumV, 4)
-	tFused := minTime(cfg.Reps, func() { lapMulColumnwise(ng.G, deg, s) })
-	tTiled := minTime(cfg.Reps, func() { lapMulTiled(ng.G, deg, s) })
-	fprintf(w, "narrow subspace (%s, s=4, fresh buffers): column-wise %.4fs, tiled %.4fs (%.2fx)\n",
-		ng.Name, seconds(tFused), seconds(tTiled), ratio(tFused, tTiled))
-	return nil
-}
-
-// lapMulColumnwise computes P = L·S the way the paper states it: s
-// independent fused SpMVs, each re-reading the adjacency structure.
-func lapMulColumnwise(g *graph.CSR, deg []float64, s *linalg.Dense) *linalg.Dense {
-	p := linalg.NewDense(s.Rows, s.Cols)
-	for j := 0; j < s.Cols; j++ {
-		linalg.LapMulVecBudget(parallel.Live(), g, deg, s.Col(j), p.Col(j))
-	}
-	return p
-}
-
-// lapMulTiled is the production L·S kernel with fresh buffers.
-func lapMulTiled(g *graph.CSR, deg []float64, s *linalg.Dense) *linalg.Dense {
-	return linalg.LapMulDenseTiledPackedBudget(parallel.Live(), g, deg, s, nil, nil, nil)
-}
-
-// DeltaSweep measures Δ-stepping sensitivity to the bucket width on the
-// weighted road analogue — the "performance is dependent on the setting
-// for Δ" observation of §4.4.
-func DeltaSweep(w io.Writer, cfg Config) error {
-	cfg = cfg.withDefaults()
-	side := scaled(220, cfg.Factor)
-	g := gen.WithRandomWeights(gen.Road(side, side, 105), 100, 7)
-	dist := make([]float64, g.NumV)
-	fprintf(w, "Δ-stepping sweep (weighted road analogue, n=%d, weights 1..100)\n", g.NumV)
-	fprintf(w, "%8s %12s %10s %14s\n", "delta", "time (s)", "buckets", "light phases")
-	for _, delta := range []float64{1, 5, 10, 25, 50, 100, 200} {
-		var st sssp.Stats
-		t := minTime(cfg.Reps, func() { st = sssp.DeltaStepping(g, 0, delta, dist) })
-		fprintf(w, "%8g %12.4f %10d %14d\n", delta, seconds(t), st.Buckets, st.LightPhases)
-	}
-	return nil
-}
-
-func fprintfStr(format string, args ...interface{}) string {
-	return fmt.Sprintf(format, args...)
 }

@@ -1,13 +1,8 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"runtime"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dyngraph"
@@ -24,31 +19,24 @@ import (
 // IncrementalEntry is one delta-fraction row of the incremental
 // experiment.
 type IncrementalEntry struct {
-	DeltaEdges    int64   `json:"deltaEdges"`
-	DeltaFraction float64 `json:"deltaFraction"`
-	ColdSeconds   float64 `json:"coldSeconds"`
-	WarmSeconds   float64 `json:"warmSeconds"`
-	Speedup       float64 `json:"speedup"`
-	RefineSweeps  int     `json:"refineSweeps"`
-	ColdStress    float64 `json:"coldStress"`
-	WarmStress    float64 `json:"warmStress"`
-	ColdNbhd      float64 `json:"coldNbhd"`
-	WarmNbhd      float64 `json:"warmNbhd"`
+	DeltaEdges    int64
+	DeltaFraction float64
+	ColdSeconds   float64
+	WarmSeconds   float64
+	Speedup       float64
+	RefineSweeps  int
+	ColdStress    float64
+	WarmStress    float64
+	ColdNbhd      float64
+	WarmNbhd      float64
 }
 
-// IncrementalReport is the machine-readable record `hdebench -exp
-// incremental` emits next to the standard bench JSON.
+// IncrementalReport is the result of one cold-vs-warm comparison.
 type IncrementalReport struct {
-	Date       string             `json:"date"`
-	GoVersion  string             `json:"goVersion"`
-	GOMAXPROCS int                `json:"gomaxprocs"`
-	Factor     int                `json:"factor"`
-	Reps       int                `json:"reps"`
-	Subspace   int                `json:"subspace"`
-	Graph      string             `json:"graph"`
-	Vertices   int                `json:"vertices"`
-	Edges      int64              `json:"edges"`
-	Entries    []IncrementalEntry `json:"entries"`
+	Subspace int
+	Vertices int
+	Edges    int64
+	Entries  []IncrementalEntry
 }
 
 // flipEdges applies `count` deterministic edge flips to a dynamic copy of
@@ -114,8 +102,8 @@ func flipEdges(base *graph.CSR, count int64, seed uint64) (*graph.CSR, int64, er
 	return snap, applied, nil
 }
 
-// RunIncremental executes the cold-vs-warm comparison and returns the
-// machine-readable report (IncrementalExperiment wraps it for the CLI).
+// RunIncremental executes the cold-vs-warm comparison
+// (IncrementalExperiment prints it for the CLI).
 func RunIncremental(cfg Config, fractions []float64) (*IncrementalReport, error) {
 	cfg = cfg.withDefaults()
 	base := gen.Kron(16, 8, 107)
@@ -126,17 +114,7 @@ func RunIncremental(cfg Config, fractions []float64) (*IncrementalReport, error)
 	}
 	prior = prior.Clone()
 
-	rep := &IncrementalReport{
-		Date:       time.Now().Format("2006-01-02"),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Factor:     cfg.Factor,
-		Reps:       cfg.Reps,
-		Subspace:   cfg.Subspace,
-		Graph:      "kron16",
-		Vertices:   base.NumV,
-		Edges:      base.NumEdges(),
-	}
+	rep := &IncrementalReport{Subspace: cfg.Subspace, Vertices: base.NumV, Edges: base.NumEdges()}
 	const stressSources, nbhdK, nbhdSample = 6, 6, 120
 	for _, frac := range fractions {
 		delta := int64(frac * float64(base.NumEdges()))
@@ -192,8 +170,7 @@ func RunIncremental(cfg Config, fractions []float64) (*IncrementalReport, error)
 
 // IncrementalExperiment is `hdebench -exp incremental`: cold relayout vs
 // warm-start refinement on the kron analogue across edge-delta sizes,
-// with quality deltas, written as a table and (with -out) as
-// BENCH_INCREMENTAL_<date>.json.
+// with quality deltas.
 func IncrementalExperiment(w io.Writer, cfg Config) error {
 	rep, err := RunIncremental(cfg, []float64{0.001, 0.005, 0.01})
 	if err != nil {
@@ -209,33 +186,5 @@ func IncrementalExperiment(w io.Writer, cfg Config) error {
 			e.DeltaEdges, 100*e.DeltaFraction, e.ColdSeconds, e.WarmSeconds,
 			e.Speedup, e.RefineSweeps, e.ColdStress, e.WarmStress, e.ColdNbhd, e.WarmNbhd)
 	}
-	if cfg.OutDir != "" {
-		path, err := writeIncrementalJSON(cfg.OutDir, rep)
-		if err != nil {
-			return err
-		}
-		fprintf(w, "wrote %s\n", path)
-	}
 	return nil
-}
-
-// writeIncrementalJSON writes rep to dir/BENCH_INCREMENTAL_<date>.json
-// atomically (tmp + rename), mirroring WriteBenchJSON.
-func writeIncrementalJSON(dir string, rep *IncrementalReport) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, "BENCH_INCREMENTAL_"+rep.Date+".json")
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
-		return "", err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return "", err
-	}
-	return path, nil
 }

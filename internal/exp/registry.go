@@ -25,8 +25,7 @@ var registry = map[string]struct {
 	"fig1":        {Fig1, "ParHDE vs full spectral drawing of the plate mesh"},
 	"fig2":        {Fig2, "adjacency gap distributions (Fibonacci binning)"},
 	"fig3":        {Fig3, "phase breakdown: parallel / 1-thread / prior"},
-	"fig4":        {Fig4, "scaling of ParHDE and phases across cores"},
-	"scaling":     {ScalingExperiment, "worker-budget sweep with per-phase curves and determinism checksums"},
+	"fig4":        {Fig4, "scaling of ParHDE and phases across cores, with cross-budget determinism check"},
 	"fig5":        {Fig5, "s=50 breakdown; BFS and TripleProd internal splits"},
 	"fig6":        {Fig6, "PivotMDS and PHDE breakdowns"},
 	"fig7":        {Fig7, "random-pivot ParHDE / PHDE / PivotMDS drawings"},
@@ -34,20 +33,10 @@ var registry = map[string]struct {
 	"sssp":        {SSSPExperiment, "weighted SSSP vs BFS phase (§4.4)"},
 	"perm":        {PermExperiment, "random vertex permutation vs locality order (§4.4)"},
 	"refine":      {RefineExperiment, "HDE-seeded refinement vs cold power iteration (§4.5.3)"},
-	"ls":          {LSAblation, "fused LS kernel vs explicit-Laplacian SpMM"},
-	"delta":       {DeltaSweep, "Δ-stepping bucket-width sensitivity"},
-	"multilevel":  {MultilevelExperiment, "multilevel vs single-level ParHDE (§5 future work)"},
-	"stress":      {StressExperiment, "HDE vs random seed for stress majorization (§4.5.4)"},
-	"fr":          {ForceDirectedExperiment, "ParHDE vs force-directed baseline (§4.2)"},
 	"subspace":    {SubspaceExperiment, "HDE-seeded block eigensolver vs cold start (§4.5.3)"},
-	"partition":   {PartitionExperiment, "geometric partitioning + KL refinement (§4.5.4)"},
 	"alphabeta":   {AlphaBetaExperiment, "direction-optimizing BFS switch-threshold sweep (§3.1)"},
 	"reorder":     {ReorderExperiment, "RCM and Hilbert-from-layout locality recovery (§4.4)"},
-	"memory":      {MemoryExperiment, "allocation footprint: decoupled vs coupled vs prior"},
-	"stream":      {StreamExperiment, "STREAM Triad memory bandwidth (§4.1)"},
-	"quality":     {QualityExperiment, "layout-quality metric battery across algorithms"},
 	"incremental": {IncrementalExperiment, "warm-start refinement vs cold relayout after edge deltas (dynamic graphs)"},
-	"ldd":         {LDDExperiment, "low-diameter decomposition of the road analogue (§5)"},
 }
 
 // Names returns all experiment ids, sorted.

@@ -84,72 +84,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestLowDiameterDecomposition(t *testing.T) {
-	g := mustFromEdges(t, 0, nil, BuildOptions{KeepAllComponents: true})
-	if label, c := LowDiameterDecomposition(g, 0.2, 1); c != 0 || len(label) != 0 {
-		t.Fatal("empty graph decomposition wrong")
-	}
-
-	grid := func() *CSR {
-		var edges []Edge
-		id := func(r, c int) int32 { return int32(r*40 + c) }
-		for r := 0; r < 40; r++ {
-			for c := 0; c < 40; c++ {
-				if c+1 < 40 {
-					edges = append(edges, Edge{U: id(r, c), V: id(r, c+1)})
-				}
-				if r+1 < 40 {
-					edges = append(edges, Edge{U: id(r, c), V: id(r+1, c)})
-				}
-			}
-		}
-		return mustFromEdges(t, 1600, edges, BuildOptions{KeepAllComponents: true})
-	}()
-	for _, beta := range []float64{0.1, 0.3} {
-		label, clusters := LowDiameterDecomposition(grid, beta, 7)
-		if clusters < 2 {
-			t.Fatalf("beta=%g: only %d clusters", beta, clusters)
-		}
-		for v, l := range label {
-			if l < 0 || int(l) >= clusters {
-				t.Fatalf("beta=%g: vertex %d unlabeled (%d)", beta, v, l)
-			}
-		}
-		// Cut fraction is O(beta): allow a generous constant.
-		if cf := CutFraction(grid, label); cf > 6*beta {
-			t.Fatalf("beta=%g: cut fraction %.3f too high", beta, cf)
-		}
-		// Cluster radius is O(log n / beta) w.h.p.
-		bound := int32(4 * math.Log(1600) / beta)
-		if r := ClusterRadius(grid, label, clusters); r > bound {
-			t.Fatalf("beta=%g: cluster radius %d exceeds O(log n/β) bound %d", beta, r, bound)
-		}
-	}
-	// Larger beta → more clusters with smaller radius.
-	lSmall, cSmall := LowDiameterDecomposition(grid, 0.05, 7)
-	lBig, cBig := LowDiameterDecomposition(grid, 0.5, 7)
-	if cBig <= cSmall {
-		t.Fatalf("clusters did not grow with beta: %d vs %d", cSmall, cBig)
-	}
-	if ClusterRadius(grid, lBig, cBig) >= ClusterRadius(grid, lSmall, cSmall) {
-		t.Fatal("cluster radius did not shrink with beta")
-	}
-}
-
-func TestLDDDeterministicForSeed(t *testing.T) {
-	g := pathGraph(t, 300)
-	a, ca := LowDiameterDecomposition(g, 0.2, 5)
-	b, cb := LowDiameterDecomposition(g, 0.2, 5)
-	if ca != cb {
-		t.Fatal("cluster counts differ for same seed")
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("labels differ for same seed")
-		}
-	}
-}
-
 func TestParallelComponentsMatchesSerial(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		seed := int64(trial * 7)

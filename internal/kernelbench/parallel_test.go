@@ -15,24 +15,18 @@ import (
 	"repro/internal/parallel"
 )
 
-// TestParallelEfficiencyGate measures the multi-worker speedup of each
+// TestParallelEfficiencyGate measures the 2-worker speedup of each
 // parallel kernel path over its 1-worker (serial) path on the same
-// machine in the same run, and gates against the *_parallel_Nw and
-// msbfs_tiled_Nw entries of perf/kernel_budget.json. Ratios, not absolute
-// times, so the gate travels across machines. It needs 4 real cores for
-// the full-strength *_4w floors; on 2- and 3-core hosts it falls back
-// to the *_2w floors (measured at 2 workers) so smaller CI runners
-// still gate something, and only a single-core host skips — loudly,
-// with the reason in the test log.
+// machine in the same run, and gates against the *_parallel_2w and
+// msbfs_tiled_2w entries of perf/kernel_budget.json. Ratios, not absolute
+// times, so the gate travels across machines. It runs at 2 workers on any
+// host with at least 2 cores (the only worker count whose floors were ever
+// measured); a single-core host skips — loudly, with the reason in the
+// test log.
 func TestParallelEfficiencyGate(t *testing.T) {
-	workers, suffix := 4, "_4w"
-	switch {
-	case runtime.NumCPU() >= 4:
-	case runtime.NumCPU() >= 2:
-		workers, suffix = 2, "_2w"
-		t.Logf("FALLBACK: only %d cores — gating the 2-worker floors (*_2w) instead of the 4-worker acceptance floors (*_4w); run on a >=4-core host for the full gate", runtime.NumCPU())
-	default:
-		t.Skipf("SKIPPED (not silently): parallel-efficiency gate needs >= 2 cores, have %d — a single core cannot exhibit any parallel speedup; the *_4w acceptance floors are enforced on multicore CI runners", runtime.NumCPU())
+	const workers, suffix = 2, "_2w"
+	if runtime.NumCPU() < workers {
+		t.Skipf("SKIPPED (not silently): parallel-efficiency gate needs >= 2 cores, have %d — a single core cannot exhibit any parallel speedup; the *_2w floors are enforced on multicore CI runners", runtime.NumCPU())
 	}
 	budget := loadBudget(t)
 	prev := runtime.GOMAXPROCS(workers)

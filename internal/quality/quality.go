@@ -1,9 +1,9 @@
 // Package quality implements the standard drawing-quality measures of the
 // experimental literature the paper leans on (Brandes & Pich's study [6],
 // Hachul & Jünger [21]): neighborhood preservation (do graph neighbors
-// land nearby in the picture?) and sampled edge-crossing rate. Together
-// with core.Evaluate's Hall energy and core.DistanceCorrelation they give
-// a quantitative stand-in for the paper's visual drawing comparisons.
+// land nearby in the picture?) and sampled stress. Together with
+// core.Evaluate's Hall energy and core.DistanceCorrelation they give a
+// quantitative stand-in for the paper's visual drawing comparisons.
 package quality
 
 import (
@@ -230,65 +230,6 @@ func SampledStress(g *graph.CSR, l *core.Layout, sources int, seed uint64) float
 		total += e * e / (q.d * q.d)
 	}
 	return total / float64(len(pairs))
-}
-
-// SampledCrossingRate estimates the fraction of edge pairs that cross in
-// the drawing by sampling `samples` random pairs of independent edges.
-// A planar-quality mesh drawing should score orders of magnitude below a
-// random placement.
-func SampledCrossingRate(g *graph.CSR, l *core.Layout, samples int, seed uint64) float64 {
-	m := g.NumEdges()
-	if m < 2 || samples < 1 {
-		return 0
-	}
-	// Collect edges once (u < v).
-	edges := make([][2]int32, 0, m)
-	for v := int32(0); int(v) < g.NumV; v++ {
-		for _, u := range g.Neighbors(v) {
-			if u > v {
-				edges = append(edges, [2]int32{v, u})
-			}
-		}
-	}
-	state := seed
-	next := func() uint64 {
-		state = state*2862933555777941757 + 3037000493
-		return state
-	}
-	x, y := l.X(), l.Y()
-	crossings := 0
-	valid := 0
-	for t := 0; t < samples; t++ {
-		e1 := edges[next()%uint64(len(edges))]
-		e2 := edges[next()%uint64(len(edges))]
-		if e1[0] == e2[0] || e1[0] == e2[1] || e1[1] == e2[0] || e1[1] == e2[1] {
-			continue // shared endpoint: not a crossing candidate
-		}
-		valid++
-		if segmentsCross(
-			x[e1[0]], y[e1[0]], x[e1[1]], y[e1[1]],
-			x[e2[0]], y[e2[0]], x[e2[1]], y[e2[1]]) {
-			crossings++
-		}
-	}
-	if valid == 0 {
-		return 0
-	}
-	return float64(crossings) / float64(valid)
-}
-
-// segmentsCross reports proper intersection of segments ab and cd.
-func segmentsCross(ax, ay, bx, by, cx, cy, dx, dy float64) bool {
-	d1 := orient(cx, cy, dx, dy, ax, ay)
-	d2 := orient(cx, cy, dx, dy, bx, by)
-	d3 := orient(ax, ay, bx, by, cx, cy)
-	d4 := orient(ax, ay, bx, by, dx, dy)
-	return ((d1 > 0 && d2 < 0) || (d1 < 0 && d2 > 0)) &&
-		((d3 > 0 && d4 < 0) || (d3 < 0 && d4 > 0))
-}
-
-func orient(ax, ay, bx, by, cx, cy float64) float64 {
-	return (bx-ax)*(cy-ay) - (by-ay)*(cx-ax)
 }
 
 func minMax(v []float64) (float64, float64) {

@@ -58,59 +58,6 @@ func TestNeighborhoodPreservationEdgeCases(t *testing.T) {
 	}
 }
 
-func TestCrossingRateGridVsRandom(t *testing.T) {
-	rows, cols := 12, 12
-	g := gen.Grid2D(rows, cols)
-	coords := linalg.NewDense(g.NumV, 2)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			coords.Set(r*cols+c, 0, float64(c))
-			coords.Set(r*cols+c, 1, float64(r))
-		}
-	}
-	exact := &core.Layout{Coords: coords}
-	if cr := SampledCrossingRate(g, exact, 5000, 1); cr != 0 {
-		t.Fatalf("exact grid drawing has crossing rate %.4f", cr)
-	}
-	rnd := SampledCrossingRate(g, core.RandomLayout(g.NumV, 2, 5), 5000, 1)
-	if rnd < 0.05 {
-		t.Fatalf("random drawing crossing rate %.4f implausibly low", rnd)
-	}
-}
-
-func TestCrossingRateHDEBelowRandom(t *testing.T) {
-	g := gen.PlateWithHoles(20, 20)
-	lay, _, err := core.ParHDE(g, core.Options{Subspace: 20, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hde := SampledCrossingRate(g, lay, 8000, 2)
-	rnd := SampledCrossingRate(g, core.RandomLayout(g.NumV, 2, 3), 8000, 2)
-	if hde >= rnd/4 {
-		t.Fatalf("HDE crossing rate %.4f not well below random %.4f", hde, rnd)
-	}
-}
-
-func TestSegmentsCross(t *testing.T) {
-	if !segmentsCross(0, 0, 2, 2, 0, 2, 2, 0) {
-		t.Fatal("X segments should cross")
-	}
-	if segmentsCross(0, 0, 1, 0, 0, 1, 1, 1) {
-		t.Fatal("parallel segments should not cross")
-	}
-	if segmentsCross(0, 0, 1, 1, 2, 2, 3, 3) {
-		t.Fatal("collinear disjoint segments should not cross")
-	}
-}
-
-func TestCrossingRateDegenerate(t *testing.T) {
-	g := gen.Path(2) // one edge: no pairs
-	l := core.RandomLayout(2, 2, 1)
-	if cr := SampledCrossingRate(g, l, 100, 1); cr != 0 {
-		t.Fatalf("single-edge crossing rate %g", cr)
-	}
-}
-
 func TestProcrustesIdentityAndRotation(t *testing.T) {
 	g := gen.Grid2D(10, 10)
 	lay, _, err := core.ParHDE(g, core.Options{Subspace: 8, Seed: 1})

@@ -91,9 +91,9 @@ func TestCLIPipeline(t *testing.T) {
 	}
 
 	// 4. The binary CSR path and the other algorithms work too.
-	for _, algo := range []string{"phde", "pivotmds", "prior", "multilevel"} {
+	for _, algo := range []string{"phde", "pivotmds", "prior"} {
 		out := runTool(t, parhdeBin, "-in", binPath, "-format", "bin", "-algo", algo, "-s", "15", "-q")
-		if strings.TrimSpace(out) != "" && algo != "multilevel" {
+		if strings.TrimSpace(out) != "" {
 			t.Fatalf("%s -q produced output: %s", algo, out)
 		}
 	}
@@ -124,20 +124,27 @@ func TestCLIPipeline(t *testing.T) {
 	if err := cmd.Run(); err == nil {
 		t.Fatal("missing input accepted")
 	}
-	for _, c := range []struct{ flag, value, want string }{
-		{"-ortho", "mgs-l1", "want mgs or cgs"},
-		{"-ortho", "CGS", "want mgs or cgs"},
-		{"-pivots", "kcentres", "want kcenters or random"},
+	for _, c := range []struct{ bin, flag, value, want string }{
+		{parhdeBin, "-ortho", "mgs-l1", "want mgs or cgs"},
+		{parhdeBin, "-ortho", "CGS", "want mgs or cgs"},
+		{parhdeBin, "-pivots", "kcentres", "want kcenters or random"},
+		{parhdeBin, "-algo", "multilevel", "want parhde, phde, pivotmds or prior"},
+		{parhdeBin, "-format", "nope", formatList},
+		{graphinfoBin, "-format", "nope", formatList},
 	} {
-		out, err := exec.Command(parhdeBin, "-in", edgesPath, c.flag, c.value).CombinedOutput()
+		out, err := exec.Command(c.bin, "-in", edgesPath, c.flag, c.value).CombinedOutput()
 		if err == nil {
-			t.Fatalf("%s %s accepted", c.flag, c.value)
+			t.Fatalf("%s %s %s accepted", filepath.Base(c.bin), c.flag, c.value)
 		}
 		if !strings.Contains(string(out), c.value) || !strings.Contains(string(out), c.want) {
-			t.Fatalf("%s %s: error does not name the value and the accepted set:\n%s", c.flag, c.value, out)
+			t.Fatalf("%s %s %s: error does not name the value and the accepted set:\n%s", filepath.Base(c.bin), c.flag, c.value, out)
 		}
 	}
 }
+
+// formatList is how graph.Read's error spells graph.Formats; every tool
+// that reads a graph file reports an unknown format with it.
+const formatList = "have [edges mtx bin]"
 
 func TestCLIHdebenchList(t *testing.T) {
 	if testing.Short() {
@@ -226,5 +233,11 @@ func TestCLIHdeconvert(t *testing.T) {
 	outW := runTool(t, convertBin, "-in", src, "-out", wout, "-add-weights", "9")
 	if !strings.Contains(outW, "weighted=true") {
 		t.Fatalf("weights output: %q", outW)
+	}
+
+	// An unknown input format is rejected with the accepted set named.
+	outF, err := exec.Command(convertBin, "-in", src, "-from", "nope", "-out", back).CombinedOutput()
+	if err == nil || !strings.Contains(string(outF), `"nope"`) || !strings.Contains(string(outF), formatList) {
+		t.Fatalf("-from nope: err %v, output:\n%s", err, outF)
 	}
 }

@@ -4,7 +4,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -37,25 +36,7 @@ func run() error {
 	}
 	defer f.Close()
 
-	var g *graph.CSR
-	switch *format {
-	case "bin":
-		g, err = graph.ReadBinary(bufio.NewReader(f))
-	case "edges", "mtx":
-		var n int
-		var edges []graph.Edge
-		if *format == "edges" {
-			n, edges, err = graph.ReadEdgeList(bufio.NewReader(f))
-		} else {
-			n, edges, err = graph.ReadMatrixMarket(bufio.NewReader(f))
-		}
-		if err != nil {
-			return err
-		}
-		g, err = graph.FromEdges(n, edges, graph.BuildOptions{})
-	default:
-		return fmt.Errorf("unknown format %q", *format)
-	}
+	g, err := graph.Read(f, *format, graph.BuildOptions{})
 	if err != nil {
 		return err
 	}

@@ -105,21 +105,5 @@ func load(path, format string, weighted bool) (*graph.CSR, error) {
 		return nil, err
 	}
 	defer f.Close()
-	if format == "bin" {
-		return graph.ReadBinary(bufio.NewReader(f))
-	}
-	var n int
-	var edges []graph.Edge
-	switch format {
-	case "edges":
-		n, edges, err = graph.ReadEdgeList(bufio.NewReader(f))
-	case "mtx":
-		n, edges, err = graph.ReadMatrixMarket(bufio.NewReader(f))
-	default:
-		return nil, fmt.Errorf("unknown input format %q", format)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return graph.FromEdges(n, edges, graph.BuildOptions{Weighted: weighted})
+	return graph.Read(f, format, graph.BuildOptions{Weighted: weighted})
 }

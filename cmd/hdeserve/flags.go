@@ -33,13 +33,12 @@ type options struct {
 	quiet      bool
 
 	// jobs + catalog
-	workers          int
-	queueDepth       int
-	jobsTTL          time.Duration
-	dataDir          string
-	catalogBytes     int64
-	maxUpload        int64
-	rebuildThreshold int
+	workers      int
+	queueDepth   int
+	jobsTTL      time.Duration
+	dataDir      string
+	catalogBytes int64
+	maxUpload    int64
 
 	// HTTP hardening
 	readTimeout  time.Duration
@@ -90,8 +89,6 @@ func newFlagSet(opt *options) *flag.FlagSet {
 		"graph catalog byte budget; LRU-evicts unpinned graphs (0 = default, negative = unbounded)")
 	fs.Int64Var(&opt.maxUpload, "max-upload", 0,
 		"per-request graph upload size cap in bytes (0 = default)")
-	fs.IntVar(&opt.rebuildThreshold, "rebuild-threshold", 0,
-		"pending mutated edges before a dynamic graph's CSR is rebuilt (0 = default, negative = rebuild only on refresh)")
 
 	fs.DurationVar(&opt.readTimeout, "read-timeout", 10*time.Second, "HTTP read timeout")
 	fs.DurationVar(&opt.writeTimeout, "write-timeout", 60*time.Second, "HTTP write timeout")

@@ -115,7 +115,6 @@ func runServer(fs *flag.FlagSet, opt options) {
 		DataDir:              opt.dataDir,
 		CatalogBytes:         opt.catalogBytes,
 		MaxUploadBytes:       opt.maxUpload,
-		RebuildThreshold:     opt.rebuildThreshold,
 	}
 	if !opt.quiet {
 		cfg.AccessLog = log.New(os.Stderr, "access ", log.LstdFlags)

@@ -6,19 +6,14 @@
 // accepted submission ends as exactly one result frame in a worker's job
 // journal with no intent left pending.
 //
-// It also measures scale-out: the same job batch runs against a 1-worker
-// fleet and an N-worker fleet (each worker pinned to GOMAXPROCS=1, so a
-// worker models one fixed-size box) and the jobs/sec ratio is reported.
-// Results are written as JSON for CI artifacts and EXPERIMENTS.md.
+// It is the recovery contract, not a measuring stick: throughput numbers
+// come from bash benchmark/run.sh (serve_jobs). The run's counts are
+// written as JSON for CI artifacts.
 //
 // Usage:
 //
 //	go build -o /tmp/hdeserve ./cmd/hdeserve
 //	go run ./cmd/hdesoak -bin /tmp/hdeserve -out soak_shard.json
-//
-// With -min-speedup X the run fails if the N-vs-1 throughput ratio falls
-// below X — but only when the host has at least N CPUs; on smaller
-// hosts the ratio is recorded and the gate is skipped.
 package main
 
 import (
@@ -42,14 +37,13 @@ import (
 )
 
 type options struct {
-	bin        string
-	workers    int
-	jobs       int
-	gridSide   int
-	subspace   int
-	basePort   int
-	out        string
-	minSpeedup float64
+	bin      string
+	workers  int
+	jobs     int
+	gridSide int
+	subspace int
+	basePort int
+	out      string
 }
 
 // proc is one fleet member: a real hdeserve process we can SIGKILL and
@@ -113,14 +107,15 @@ func (f *fleet) stop() {
 	}
 }
 
-// startFleet launches n workers (GOMAXPROCS=1 each — one worker models
-// one fixed-size box) and a router. Each graph lives on one worker, so
-// exactly one result frame per accepted job is the correct final count.
-func startFleet(opt options, n int, tmp, label string) (*fleet, error) {
+// startFleet launches opt.workers workers (GOMAXPROCS=1 each — one worker
+// models one fixed-size box) and a router. Each graph lives on one worker,
+// so exactly one result frame per accepted job is the correct final count.
+func startFleet(opt options, tmp string) (*fleet, error) {
+	n := opt.workers
 	// Pre-flight: every port must be free, or a stray process from an
 	// earlier run would answer our health checks in the fleet's place.
-	// The previous phase's SIGKILLed fleet can take a moment to release
-	// its ports, so give each one a few seconds.
+	// An earlier run's SIGKILLed fleet can take a moment to release its
+	// ports, so give each one a few seconds.
 	for i := 0; i <= n; i++ {
 		addr := fmt.Sprintf("127.0.0.1:%d", opt.basePort+i)
 		deadline := time.Now().Add(10 * time.Second)
@@ -140,7 +135,7 @@ func startFleet(opt options, n int, tmp, label string) (*fleet, error) {
 	var peers []string
 	for i := 0; i < n; i++ {
 		addr := fmt.Sprintf("127.0.0.1:%d", opt.basePort+1+i)
-		dir := filepath.Join(tmp, fmt.Sprintf("%s-w%d", label, i+1))
+		dir := filepath.Join(tmp, fmt.Sprintf("w%d", i+1))
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, err
 		}
@@ -263,26 +258,30 @@ func readJournals(dirs []string) (results, pending int, bytes int64) {
 	return results, pending, bytes
 }
 
-type phaseResult struct {
-	Workers    int     `json:"workers"`
-	Jobs       int     `json:"jobs"`
-	Seconds    float64 `json:"seconds"`
-	JobsPerSec float64 `json:"jobsPerSec"`
-	Restarted  bool    `json:"restartedWorker"`
-	Replayed   int     `json:"replayedIntents"`
-	Records    int     `json:"records"`
-	Intents    int     `json:"intentsLeft"`
+// soakResult is the -out JSON.
+type soakResult struct {
+	Date     string `json:"date"`
+	NumCPU   int    `json:"numCPU"`
+	Workers  int    `json:"workers"`
+	Jobs     int    `json:"jobs"`
+	Replayed int    `json:"replayedIntents"`
+	Records  int    `json:"records"`
+	Intents  int    `json:"intentsLeft"`
 	// JournalBytesPerJob is the fleet's journal bytes over accepted jobs:
 	// intent + result frame (8 bytes per coordinate plus a JSON header).
 	JournalBytesPerJob float64 `json:"journalBytesPerJob"`
 }
 
-// runPhase uploads graphs, pushes the job batch through the router, and
-// (optionally) SIGKILLs + restarts one worker mid-run. The makespan is
-// first submit → fleet drained, i.e. restart recovery counts against
-// throughput, as it would in production.
-func runPhase(opt options, f *fleet, restart bool) (phaseResult, error) {
-	res := phaseResult{Workers: len(f.workers), Jobs: opt.jobs, Restarted: restart}
+// soak uploads graphs, pushes the job batch through the router, SIGKILLs
+// one worker with work queued and running, restarts it, and checks the
+// journals once the fleet has drained.
+func soak(opt options, f *fleet) (soakResult, error) {
+	res := soakResult{
+		Date:    time.Now().UTC().Format(time.RFC3339),
+		NumCPU:  runtime.NumCPU(),
+		Workers: len(f.workers),
+		Jobs:    opt.jobs,
+	}
 
 	var edges bytes.Buffer
 	if err := graph.WriteEdgeList(&edges, gen.Grid2D(opt.gridSide, opt.gridSide)); err != nil {
@@ -315,9 +314,9 @@ func runPhase(opt options, f *fleet, restart bool) (phaseResult, error) {
 		}
 		names = append(names, name)
 	}
-	// The restart phase needs a graph on the victim's shard to pin it
-	// down with; scan extra names until the ring lands one there.
-	for i := 0; restart && victimName == "" && i < 256; i++ {
+	// The kill needs a graph on the victim's shard to pin it down with;
+	// scan extra names until the ring lands one there.
+	for i := 0; victimName == "" && i < 256; i++ {
 		name := fmt.Sprintf("pin%d", i)
 		owner, err := uploadTo(name)
 		if err != nil {
@@ -327,11 +326,10 @@ func runPhase(opt options, f *fleet, restart bool) (phaseResult, error) {
 			victimName = name
 		}
 	}
-	if restart && victimName == "" {
+	if victimName == "" {
 		return res, fmt.Errorf("no probe name hashed to %s", victim.name)
 	}
 
-	start := time.Now()
 	accepted := 0
 	submit := func(name string) error {
 		spec := fmt.Sprintf(`{"graph":%q,"subspace":%d,"seed":1,"skipQuality":true}`,
@@ -352,36 +350,32 @@ func runPhase(opt options, f *fleet, restart bool) (phaseResult, error) {
 		}
 	}
 
-	if restart {
-		// Pin the victim's single pool worker with a backlog, then
-		// SIGKILL it with work queued and running.
-		for i := 0; i < 4; i++ {
-			if err := submit(victimName); err != nil {
-				return res, err
-			}
-		}
-		log.Printf("SIGKILL %s mid-run", victim.name)
-		victim.kill()
-		time.Sleep(300 * time.Millisecond) // let the OS release the port
-		_, res.Replayed, _ = readJournals(f.dirs[len(f.dirs)-1:])
-		log.Printf("%s died with %d journaled jobs unresolved", victim.name, res.Replayed)
-		if res.Replayed == 0 {
-			return res, fmt.Errorf("SIGKILL interrupted nothing; the victim drained its backlog first")
-		}
-		if err := victim.start(opt.bin); err != nil {
+	// Pin the victim's single pool worker with a backlog, then
+	// SIGKILL it with work queued and running.
+	for i := 0; i < 4; i++ {
+		if err := submit(victimName); err != nil {
 			return res, err
 		}
-		if err := waitHealthy(victim.url, 60*time.Second); err != nil {
-			return res, err
-		}
-		log.Printf("%s restarted; replaying journaled jobs", victim.name)
 	}
+	log.Printf("SIGKILL %s mid-run", victim.name)
+	victim.kill()
+	time.Sleep(300 * time.Millisecond) // let the OS release the port
+	_, res.Replayed, _ = readJournals(f.dirs[len(f.dirs)-1:])
+	log.Printf("%s died with %d journaled jobs unresolved", victim.name, res.Replayed)
+	if res.Replayed == 0 {
+		return res, fmt.Errorf("SIGKILL interrupted nothing; the victim drained its backlog first")
+	}
+	if err := victim.start(opt.bin); err != nil {
+		return res, err
+	}
+	if err := waitHealthy(victim.url, 60*time.Second); err != nil {
+		return res, err
+	}
+	log.Printf("%s restarted; replaying journaled jobs", victim.name)
 
 	if err := f.drain(5 * time.Minute); err != nil {
 		return res, err
 	}
-	res.Seconds = time.Since(start).Seconds()
-	res.JobsPerSec = float64(accepted) / res.Seconds
 	var journalBytes int64
 	res.Records, res.Intents, journalBytes = readJournals(f.dirs)
 	res.JournalBytesPerJob = float64(journalBytes) / float64(accepted)
@@ -398,14 +392,12 @@ func runPhase(opt options, f *fleet, restart bool) (phaseResult, error) {
 func main() {
 	var opt options
 	flag.StringVar(&opt.bin, "bin", "", "path to a built hdeserve binary (required)")
-	flag.IntVar(&opt.workers, "workers", 4, "fleet size for the scaled phase")
-	flag.IntVar(&opt.jobs, "jobs", 24, "layout jobs per phase")
+	flag.IntVar(&opt.workers, "workers", 4, "fleet size")
+	flag.IntVar(&opt.jobs, "jobs", 24, "layout jobs submitted before the kill")
 	flag.IntVar(&opt.gridSide, "grid", 80, "side of the square grid graph each job lays out")
 	flag.IntVar(&opt.subspace, "s", 128, "job subspace dimension (bigger = slower jobs)")
 	flag.IntVar(&opt.basePort, "port", 18300, "base port (router; workers use the ports above it)")
 	flag.StringVar(&opt.out, "out", "soak_shard.json", "result JSON path")
-	flag.Float64Var(&opt.minSpeedup, "min-speedup", 0,
-		"fail if N-vs-1 jobs/sec ratio is below this (0 = record only; gate skipped when NumCPU < workers)")
 	flag.Parse()
 	log.SetFlags(0)
 	log.SetPrefix("hdesoak: ")
@@ -419,61 +411,26 @@ func main() {
 	}
 	defer os.RemoveAll(tmp)
 
-	// log.Fatal skips defers, so phase errors stop the fleet explicitly —
-	// a leaked worker process would outlive the harness and hold its port.
-	run := func(label string, n int, restart bool) phaseResult {
-		log.Printf("phase %s: %d worker(s), %d jobs, restart=%v", label, n, opt.jobs, restart)
-		f, err := startFleet(opt, n, tmp, label)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := runPhase(opt, f, restart)
-		f.stop()
-		if err != nil {
-			os.RemoveAll(tmp)
-			log.Fatal(err)
-		}
-		log.Printf("phase done: %.1fs, %.2f jobs/s, %d records, 0 dropped, %.0f journal bytes/job",
-			res.Seconds, res.JobsPerSec, res.Records, res.JournalBytesPerJob)
-		return res
+	log.Printf("%d worker(s), %d jobs, one SIGKILL + restart", opt.workers, opt.jobs)
+	f, err := startFleet(opt, tmp)
+	if err != nil {
+		os.RemoveAll(tmp)
+		log.Fatal(err)
+	}
+	start := time.Now()
+	res, err := soak(opt, f)
+	// log.Fatal skips defers, so the fleet is stopped explicitly — a
+	// leaked worker process would outlive the harness and hold its port.
+	f.stop()
+	if err != nil {
+		os.RemoveAll(tmp)
+		log.Fatal(err)
 	}
 
-	// Three phases: the 1-vs-N throughput comparison runs clean (no
-	// restart, so the ratio measures scale-out, not recovery latency),
-	// then a separate N-worker phase proves the zero-dropped-jobs
-	// invariant across a SIGKILL + restart under load.
-	baseline := run("baseline", 1, false)
-	scaled := run("scaled", opt.workers, false)
-	restarted := run("restart", opt.workers, true)
-	speedup := scaled.JobsPerSec / baseline.JobsPerSec
-
-	out := struct {
-		Date      string      `json:"date"`
-		NumCPU    int         `json:"numCPU"`
-		Baseline  phaseResult `json:"baseline"`
-		Scaled    phaseResult `json:"scaled"`
-		Restarted phaseResult `json:"restarted"`
-		Speedup   float64     `json:"speedup"`
-	}{
-		Date:      time.Now().UTC().Format(time.RFC3339),
-		NumCPU:    runtime.NumCPU(),
-		Baseline:  baseline,
-		Scaled:    scaled,
-		Restarted: restarted,
-		Speedup:   speedup,
-	}
-	blob, _ := json.MarshalIndent(out, "", "  ")
+	blob, _ := json.MarshalIndent(res, "", "  ")
 	if err := os.WriteFile(opt.out, append(blob, '\n'), 0o644); err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("speedup %d-vs-1 workers: %.2fx (numCPU=%d) → %s",
-		opt.workers, speedup, runtime.NumCPU(), opt.out)
-
-	if opt.minSpeedup > 0 {
-		if runtime.NumCPU() < opt.workers {
-			log.Printf("speedup gate skipped: %d CPUs < %d workers", runtime.NumCPU(), opt.workers)
-		} else if speedup < opt.minSpeedup {
-			log.Fatalf("speedup %.2fx below required %.2fx", speedup, opt.minSpeedup)
-		}
-	}
+	log.Printf("done in %.1fs: %d intents replayed, %d records (one per accepted job), 0 dropped, %.0f journal bytes/job → %s",
+		time.Since(start).Seconds(), res.Replayed, res.Records, res.JournalBytesPerJob, opt.out)
 }

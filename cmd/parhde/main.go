@@ -36,7 +36,7 @@ func run() error {
 	var (
 		in       = flag.String("in", "", "input graph file (required)")
 		format   = flag.String("format", "edges", "input format: edges, mtx, bin")
-		algo     = flag.String("algo", "parhde", "algorithm: parhde, phde, pivotmds, prior, multilevel")
+		algo     = flag.String("algo", "parhde", "algorithm: parhde, phde, pivotmds, prior")
 		s        = flag.Int("s", 50, "subspace dimension (number of pivots)")
 		pivots   = flag.String("pivots", "kcenters", "pivot strategy: kcenters, random")
 		orthoM   = flag.String("ortho", "mgs", "orthogonalization: mgs, cgs")
@@ -108,17 +108,8 @@ func run() error {
 		lay, rep, err = core.PivotMDS(g, opt)
 	case "prior":
 		lay, rep, err = core.Prior(g, opt)
-	case "multilevel":
-		var mrep *core.MultilevelReport
-		lay, mrep, err = core.MultilevelParHDE(g, core.MultilevelOptions{Base: opt})
-		if err == nil {
-			rep = mrep.BaseReport
-			if !*quiet {
-				fmt.Printf("multilevel: hierarchy %v\n", mrep.Levels)
-			}
-		}
 	default:
-		return fmt.Errorf("unknown algorithm %q", *algo)
+		return fmt.Errorf("unknown algorithm %q (want parhde, phde, pivotmds or prior)", *algo)
 	}
 	if err != nil {
 		return err
@@ -145,23 +136,7 @@ func loadGraph(path, format string, weighted bool) (*graph.CSR, error) {
 		return nil, err
 	}
 	defer f.Close()
-	if format == "bin" {
-		return graph.ReadBinary(bufio.NewReader(f))
-	}
-	var n int
-	var edges []graph.Edge
-	switch format {
-	case "edges":
-		n, edges, err = graph.ReadEdgeList(bufio.NewReader(f))
-	case "mtx":
-		n, edges, err = graph.ReadMatrixMarket(bufio.NewReader(f))
-	default:
-		return nil, fmt.Errorf("unknown format %q", format)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return graph.FromEdges(n, edges, graph.BuildOptions{Weighted: weighted})
+	return graph.Read(f, format, graph.BuildOptions{Weighted: weighted})
 }
 
 func emit(g *graph.CSR, lay *core.Layout, pngOut, svgOut, dotOut, coordsOut string) error {

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/coarsen"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/linalg"
@@ -226,6 +225,11 @@ func TestPriorMatchesParHDEQuality(t *testing.T) {
 	if rep.Breakdown.LapBuild == 0 {
 		t.Fatal("prior did not record Laplacian build time")
 	}
+	// Its traversal is a plain BFS: a weighted graph is refused, not laid
+	// out by hop count.
+	if _, _, err := Prior(gen.WithRandomWeights(gen.Grid2D(5, 5), 3, 1), Options{Subspace: 4}); err == nil {
+		t.Fatal("weighted prior accepted")
+	}
 }
 
 func TestEigenvaluesApproximateSpectrum(t *testing.T) {
@@ -339,63 +343,6 @@ func TestQualityMetricsSane(t *testing.T) {
 	}
 	if q.EdgeLengthCV < 0 {
 		t.Fatalf("EdgeLengthCV %g", q.EdgeLengthCV)
-	}
-}
-
-func TestMultilevelParHDEQuality(t *testing.T) {
-	g := gen.PlateWithHoles(40, 40)
-	lay, rep, err := MultilevelParHDE(g, MultilevelOptions{
-		Base:    Options{Subspace: 10, Seed: 1},
-		Coarsen: coarsen.Options{MinVertices: 100, Seed: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lay.NumVertices() != g.NumV || lay.Dims() != 2 {
-		t.Fatal("multilevel layout wrong shape")
-	}
-	if len(rep.Levels) < 3 || rep.Levels[0] != g.NumV {
-		t.Fatalf("levels %v", rep.Levels)
-	}
-	q := Evaluate(g, lay)
-	r := Evaluate(g, RandomLayout(g.NumV, 2, 1))
-	if q.HallRatio >= r.HallRatio/2 {
-		t.Fatalf("multilevel quality %.4g vs random %.4g", q.HallRatio, r.HallRatio)
-	}
-	// Must land in the same quality regime as single-level ParHDE.
-	single, _, err := ParHDE(g, Options{Subspace: 10, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sq := Evaluate(g, single)
-	if q.HallRatio > 10*sq.HallRatio+1e-9 {
-		t.Fatalf("multilevel quality %.4g an order off single-level %.4g", q.HallRatio, sq.HallRatio)
-	}
-}
-
-func TestMultilevelAxesNotDegenerate(t *testing.T) {
-	g := gen.Grid2D(30, 30)
-	lay, _, err := MultilevelParHDE(g, MultilevelOptions{
-		Base:    Options{Subspace: 8, Seed: 2},
-		Coarsen: coarsen.Options{MinVertices: 50, Seed: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The two axes must not be (anti)parallel after smoothing.
-	x, y := lay.X(), lay.Y()
-	var dot, nx, ny float64
-	for i := range x {
-		dot += x[i] * y[i]
-		nx += x[i] * x[i]
-		ny += y[i] * y[i]
-	}
-	if nx == 0 || ny == 0 {
-		t.Fatal("degenerate axis")
-	}
-	cos := dot / math.Sqrt(nx*ny)
-	if math.Abs(cos) > 0.5 {
-		t.Fatalf("axes nearly parallel: cos=%.3f", cos)
 	}
 }
 

@@ -326,13 +326,10 @@ func (e *Engine) runJob(j *Job, ws *workspace.Workspace) {
 	e.running.Add(1)
 	ctx := core.WithPhaseNotify(j.ctx, j.setPhase)
 	// Work on a copy of the config: j.cfg is read concurrently by
-	// Status(), and the workspace is a per-run attachment, not part of
-	// the submitted configuration. Only the plain ParHDE algorithm
-	// honors a workspace (the others allocate privately).
+	// Config(), and the workspace is a per-run attachment, not part of
+	// the submitted configuration.
 	cfg := j.cfg
-	if cfg.Algorithm == pipeline.ParHDE {
-		cfg.Layout.Workspace = ws
-	}
+	cfg.Layout.Workspace = ws
 	// Cap each layout's kernel fan-out so Workers concurrent jobs don't
 	// oversubscribe the machine; a job that set its own budget keeps it.
 	if cfg.Layout.Workers <= 0 {
@@ -342,10 +339,10 @@ func (e *Engine) runJob(j *Job, ws *workspace.Workspace) {
 	e.running.Add(-1)
 	switch {
 	case err == nil:
-		// A workspace-backed layout aliases the worker's scratch and is
-		// only valid until the next job; deep-copy it so retained results
-		// stay immutable.
-		if cfg.Layout.Workspace != nil && res != nil && res.Layout != nil {
+		// The layout aliases the worker's workspace and is only valid
+		// until the next job; deep-copy it so retained results stay
+		// immutable.
+		if res != nil && res.Layout != nil {
 			res.Layout = res.Layout.Clone()
 		}
 		j.finish(StateDone, res, nil)

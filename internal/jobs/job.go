@@ -48,6 +48,11 @@ func (s State) String() string {
 // terminal reports whether no further transition is allowed.
 func (s State) terminal() bool { return s >= StateDone }
 
+// Algorithm is the one layout backend the engine runs (cold, or warm when
+// the job carries a prior). It stays in Status and in journaled result
+// frames because both are read by clients that predate the single backend.
+const Algorithm = "parhde"
+
 // PhaseSeconds is one per-phase timing entry of a finished job's report.
 type PhaseSeconds struct {
 	Name    string  `json:"name"`    // phase id, e.g. "bfs_traversal"
@@ -58,7 +63,7 @@ type PhaseSeconds struct {
 type Status struct {
 	ID        string `json:"id"`        // engine-assigned job id
 	Graph     string `json:"graph"`     // catalog name of the input graph
-	Algorithm string `json:"algorithm"` // pipeline algorithm name
+	Algorithm string `json:"algorithm"` // always Algorithm
 	State     string `json:"state"`     // State.String() of the snapshot
 	// Phase is the engine phase currently executing (running jobs only).
 	Phase string `json:"phase,omitempty"`
@@ -185,7 +190,7 @@ func (j *Job) Status() Status {
 	st := Status{
 		ID:        j.id,
 		Graph:     j.graph,
-		Algorithm: j.cfg.Algorithm.String(),
+		Algorithm: Algorithm,
 		State:     j.state.String(),
 		Phase:     j.phase,
 		Created:   j.created,
@@ -207,7 +212,7 @@ func (j *Job) Status() Status {
 		t := j.finished
 		st.Finished = &t
 	}
-	if j.result != nil && j.result.Report != nil {
+	if j.result != nil {
 		for _, p := range j.result.Report.Breakdown.Phases() {
 			st.Phases = append(st.Phases, PhaseSeconds{Name: p.Name, Seconds: p.D.Seconds()})
 		}

@@ -26,6 +26,12 @@ func testCatalog(t *testing.T) *catalog.Catalog {
 	return c
 }
 
+// fakeResult is what a run hook returns in place of a real layout: like
+// every pipeline result it carries a report.
+func fakeResult(l *core.Layout) *pipeline.Result {
+	return &pipeline.Result{Layout: l, Report: new(core.Report)}
+}
+
 // blockingRun returns a run hook that blocks until its context is
 // cancelled or release is closed, plus the release func.
 func blockingRun() (runFunc, chan struct{}) {
@@ -35,7 +41,7 @@ func blockingRun() (runFunc, chan struct{}) {
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		case <-release:
-			return &pipeline.Result{}, nil
+			return fakeResult(nil), nil
 		}
 	}, release
 }
@@ -261,7 +267,7 @@ func TestShutdownNoGoroutineLeak(t *testing.T) {
 
 func TestResultRetentionTTLAndCount(t *testing.T) {
 	fast := func(ctx context.Context, g *graph.CSR, cfg pipeline.Config) (*pipeline.Result, error) {
-		return &pipeline.Result{}, nil
+		return fakeResult(nil), nil
 	}
 	e := New(testCatalog(t), Config{Workers: 1, ResultTTL: 50 * time.Millisecond, MaxResults: 2, run: fast})
 	defer e.Close()

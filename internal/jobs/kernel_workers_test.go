@@ -49,7 +49,7 @@ func TestKernelWorkersAppliedToJobs(t *testing.T) {
 			if cfg.Layout.Workers == 2 {
 				atomic.AddInt32(&sawExplicit, 1)
 			}
-			return &pipeline.Result{}, nil
+			return fakeResult(nil), nil
 		},
 	})
 	defer e.Close()

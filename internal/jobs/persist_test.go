@@ -131,7 +131,9 @@ func TestResultRoundTripsBitExact(t *testing.T) {
 			if cfg.Layout.Seed == 99 {
 				l := &core.Layout{Coords: linalg.NewDense(len(weird)/2, 2)}
 				copy(l.Coords.Data, weird)
-				return &pipeline.Result{Layout: l, Quality: core.Quality{HallRatio: math.NaN()}}, nil
+				res := fakeResult(l)
+				res.Quality.HallRatio = math.NaN()
+				return res, nil
 			}
 			return pipeline.RunCtx(ctx, g, cfg)
 		}})
@@ -199,7 +201,7 @@ func TestJournalAppendAllocBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	maxAllocs, maxBytes := journalAppendBudget(t)
 	g := gen.Road(100, 100, 1)
-	res, err := pipeline.Run(g, pipeline.Config{Layout: core.Options{Subspace: 8, Seed: 1}})
+	res, err := pipeline.RunCtx(context.Background(), g, pipeline.Config{Layout: core.Options{Subspace: 8, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +239,7 @@ func TestJournalAppendAllocBudget(t *testing.T) {
 // pipeline run, proving the clone-out of workspace-backed results.
 func TestWorkerWorkspaceReuseMatchesFresh(t *testing.T) {
 	cfg := pipeline.Config{Layout: core.Options{Subspace: 8, Seed: 7}, SkipQuality: true}
-	want, err := pipeline.Run(gen.Grid2D(12, 12), cfg)
+	want, err := pipeline.RunCtx(context.Background(), gen.Grid2D(12, 12), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ import (
 // fastRun is a run hook that completes immediately with a (tiny) layout,
 // so the persistence path writes a real result frame.
 func fastRun(ctx context.Context, g *graph.CSR, cfg pipeline.Config) (*pipeline.Result, error) {
-	return &pipeline.Result{Layout: core.RandomLayout(g.NumV, 2, 1)}, nil
+	return fakeResult(core.RandomLayout(g.NumV, 2, 1)), nil
 }
 
 // pendingIDs lists the job ids dir's journal leaves unresolved.

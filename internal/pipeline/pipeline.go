@@ -1,71 +1,26 @@
-// Package pipeline is the high-level facade a downstream user drives: one
-// Config selects the algorithm and post-processing, one Run call goes from
-// preprocessed graph to coordinates, quality metrics, and files. The lower
-// internal packages stay importable for fine-grained control; this package
-// bundles the common paths the examples and CLI tools follow.
+// Package pipeline is the one layout path the serving tier and the
+// benchmark drive: ParHDE (cold, or warm when Layout.Prior is set) plus
+// the optional quality evaluation. The paper's baselines (PHDE, PivotMDS,
+// the prior-work code) are reached through cmd/parhde -algo and
+// hdebench -exp, which call internal/core directly.
 package pipeline
 
 import (
 	"context"
 	"fmt"
-	"os"
 	"time"
 
-	"repro/internal/coarsen"
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/render"
-	"repro/internal/stress"
 )
-
-// Algorithm selects the layout engine.
-type Algorithm int
-
-const (
-	// ParHDE is the paper's contribution (default).
-	ParHDE Algorithm = iota
-	// PHDE is the PCA-based predecessor (Algorithm 2).
-	PHDE
-	// PivotMDS is the double-centered sibling.
-	PivotMDS
-	// Multilevel runs ParHDE inside a coarsen/solve/prolong V-cycle (§5).
-	Multilevel
-	// Prior is the reproduced prior-work baseline (§4.2).
-	Prior
-)
-
-func (a Algorithm) String() string {
-	switch a {
-	case PHDE:
-		return "phde"
-	case PivotMDS:
-		return "pivotmds"
-	case Multilevel:
-		return "multilevel"
-	case Prior:
-		return "prior"
-	default:
-		return "parhde"
-	}
-}
 
 // Config bundles one end-to-end run.
 type Config struct {
-	Algorithm Algorithm
-	// Layout passes through to the engine (subspace dimension, pivots,
-	// orthogonalization, seed, …). Layout.Workspace is honored for the
-	// algorithms that run core.ParHDECtx directly; a workspace-backed
-	// result aliases workspace storage, so callers that retain it across
-	// runs must Clone it first (see internal/workspace).
+	// Layout passes through to core.ParHDECtx (subspace dimension, pivots,
+	// orthogonalization, seed, …). A result computed on Layout.Workspace
+	// aliases workspace storage, so callers that retain it across runs
+	// must Clone it first (see internal/workspace).
 	Layout core.Options
-	// Coarsen configures the Multilevel hierarchy (ignored otherwise).
-	Coarsen coarsen.Options
-	// RefineSweeps applies §4.5.3 weighted-centroid refinement after
-	// layout (0 = off).
-	RefineSweeps int
-	// StressPolish, when non-nil, runs sparse stress majorization seeded
-	// by the layout (§4.5.4).
-	StressPolish *stress.Options
 	// SkipQuality suppresses the quality evaluation (it costs a pass over
 	// the edges; benchmarks may not want it).
 	SkipQuality bool
@@ -74,112 +29,30 @@ type Config struct {
 // Result is everything a run produced.
 type Result struct {
 	Layout  *core.Layout
-	Report  *core.Report           // nil for Multilevel (see MLReport)
-	ML      *core.MultilevelReport // nil unless Multilevel
-	Quality core.Quality           // zero value when SkipQuality
-	Stress  *stress.Result         // nil unless StressPolish ran
+	Report  *core.Report
+	Quality core.Quality // zero value when SkipQuality
 	Elapsed time.Duration
 }
 
-// Run lays out g according to cfg.
-func Run(g *graph.CSR, cfg Config) (*Result, error) {
-	return RunCtx(context.Background(), g, cfg)
-}
-
-// RunCtx is Run with cooperative cancellation. The ParHDE path checks ctx
-// at every phase boundary (and inside the coupled BFS pivot loop); the
-// other algorithms and the post-processing steps check it between stages.
-// On cancellation the returned error satisfies errors.Is(err, ctx.Err()).
+// RunCtx lays out g according to cfg with cooperative cancellation: ctx
+// is checked at every phase boundary (and inside the coupled BFS pivot
+// loop). On cancellation the returned error satisfies
+// errors.Is(err, ctx.Err()).
 func RunCtx(ctx context.Context, g *graph.CSR, cfg Config) (*Result, error) {
 	start := time.Now()
 	res := &Result{}
 	var err error
-	switch cfg.Algorithm {
-	case PHDE:
-		res.Layout, res.Report, err = core.PHDE(g, cfg.Layout)
-	case PivotMDS:
-		res.Layout, res.Report, err = core.PivotMDS(g, cfg.Layout)
-	case Multilevel:
-		res.Layout, res.ML, err = core.MultilevelParHDE(g, core.MultilevelOptions{
-			Base:    cfg.Layout,
-			Coarsen: cfg.Coarsen,
-		})
-	case Prior:
-		res.Layout, res.Report, err = core.Prior(g, cfg.Layout)
-	default:
-		res.Layout, res.Report, err = core.ParHDECtx(ctx, g, cfg.Layout)
+	res.Layout, res.Report, err = core.ParHDECtx(ctx, g, cfg.Layout)
+	if err == nil {
+		err = ctx.Err()
 	}
 	if err != nil {
-		return nil, fmt.Errorf("pipeline: %s: %w", cfg.Algorithm, err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("pipeline: %s: %w", cfg.Algorithm, err)
-	}
-	if cfg.RefineSweeps > 0 {
-		core.NotifyPhase(ctx, "refine")
-		core.Refine(g, res.Layout, cfg.RefineSweeps, 1e-9)
-	}
-	if cfg.StressPolish != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("pipeline: %s: %w", cfg.Algorithm, err)
-		}
-		core.NotifyPhase(ctx, "stress")
-		sres, err := stress.Sparse(g, res.Layout, *cfg.StressPolish)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: stress polish: %w", err)
-		}
-		res.Stress = &sres
+		return nil, fmt.Errorf("pipeline: parhde: %w", err)
 	}
 	if !cfg.SkipQuality {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("pipeline: %s: %w", cfg.Algorithm, err)
-		}
 		core.NotifyPhase(ctx, "quality")
 		res.Quality = core.Evaluate(g, res.Layout)
 	}
 	res.Elapsed = time.Since(start)
 	return res, nil
-}
-
-// SavePNG renders the result to a PNG file.
-func (r *Result) SavePNG(path string, g *graph.CSR, opt render.Options) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return render.Draw(f, g, r.Layout, opt)
-}
-
-// SaveSVG renders the result to an SVG file.
-func (r *Result) SaveSVG(path string, g *graph.CSR, opt render.Options) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return render.DrawSVG(f, g, r.Layout, opt)
-}
-
-// SaveCoords writes "id x y [z]" rows.
-func (r *Result) SaveCoords(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	for i := 0; i < r.Layout.NumVertices(); i++ {
-		if _, err := fmt.Fprintf(f, "%d", i); err != nil {
-			return err
-		}
-		for k := 0; k < r.Layout.Dims(); k++ {
-			if _, err := fmt.Fprintf(f, " %.10g", r.Layout.Coords.At(i, k)); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintln(f); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,129 +1,50 @@
 package pipeline
 
 import (
-	"os"
-	"path/filepath"
-	"strings"
+	"context"
+	"errors"
 	"testing"
 
-	"repro/internal/coarsen"
 	"repro/internal/core"
 	"repro/internal/gen"
-	"repro/internal/render"
-	"repro/internal/stress"
 )
 
-func TestRunAllAlgorithms(t *testing.T) {
+func TestRunCtx(t *testing.T) {
 	g := gen.PlateWithHoles(25, 25)
-	for _, algo := range []Algorithm{ParHDE, PHDE, PivotMDS, Multilevel, Prior} {
-		cfg := Config{
-			Algorithm: algo,
-			Layout:    core.Options{Subspace: 10, Seed: 1},
-			Coarsen:   coarsen.Options{MinVertices: 100, Seed: 1},
-		}
-		res, err := Run(g, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", algo, err)
-		}
-		if res.Layout.NumVertices() != g.NumV {
-			t.Fatalf("%s: layout size %d", algo, res.Layout.NumVertices())
-		}
-		if res.Quality.HallRatio <= 0 {
-			t.Fatalf("%s: quality not evaluated", algo)
-		}
-		if algo == Multilevel {
-			if res.ML == nil || res.Report != nil {
-				t.Fatalf("%s: wrong report fields", algo)
-			}
-		} else if res.Report == nil {
-			t.Fatalf("%s: missing report", algo)
-		}
-		if res.Elapsed <= 0 {
-			t.Fatalf("%s: elapsed not recorded", algo)
-		}
+	res, err := RunCtx(context.Background(), g, Config{Layout: core.Options{Subspace: 10, Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
+	if res.Layout.NumVertices() != g.NumV {
+		t.Fatalf("layout size %d", res.Layout.NumVertices())
+	}
+	if res.Quality.HallRatio <= 0 {
+		t.Fatal("quality not evaluated")
+	}
+	if res.Report == nil {
+		t.Fatal("missing report")
+	}
+	if res.Elapsed <= 0 {
+		t.Fatal("elapsed not recorded")
+	}
 
-func TestRunWithRefineAndStress(t *testing.T) {
-	g := gen.PlateWithHoles(20, 20)
-	base, err := Run(g, Config{Layout: core.Options{Subspace: 15, Seed: 2}})
+	skipped, err := RunCtx(context.Background(), g, Config{Layout: core.Options{Subspace: 10, Seed: 1}, SkipQuality: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	polished, err := Run(g, Config{
-		Layout:       core.Options{Subspace: 15, Seed: 2},
-		RefineSweeps: 20,
-		StressPolish: &stress.Options{MaxIters: 5, Pivots: 8, Seed: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if polished.Stress == nil || polished.Stress.Iterations == 0 {
-		t.Fatal("stress polish did not run")
-	}
-	// Refinement should not hurt (and usually improves) the Hall ratio.
-	if polished.Quality.HallRatio > 2*base.Quality.HallRatio {
-		t.Fatalf("polish degraded quality: %.4g vs %.4g",
-			polished.Quality.HallRatio, base.Quality.HallRatio)
+	if skipped.Quality.HallRatio != 0 {
+		t.Fatal("SkipQuality ignored")
 	}
 }
 
 func TestRunErrorsPropagate(t *testing.T) {
-	g := gen.Path(1) // too small for any engine
-	if _, err := Run(g, Config{}); err == nil {
+	g := gen.Path(1) // too small for the engine
+	if _, err := RunCtx(context.Background(), g, Config{}); err == nil {
 		t.Fatal("tiny graph accepted")
 	}
-	wg := gen.WithRandomWeights(gen.Grid2D(5, 5), 3, 1)
-	if _, err := Run(wg, Config{Algorithm: Prior, Layout: core.Options{Subspace: 4}}); err == nil {
-		t.Fatal("weighted prior accepted")
-	}
-}
-
-func TestSaveOutputs(t *testing.T) {
-	g := gen.Grid2D(12, 12)
-	res, err := Run(g, Config{Layout: core.Options{Subspace: 8, Seed: 4}, SkipQuality: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Quality.HallRatio != 0 {
-		t.Fatal("SkipQuality ignored")
-	}
-	dir := t.TempDir()
-	png := filepath.Join(dir, "g.png")
-	svg := filepath.Join(dir, "g.svg")
-	xy := filepath.Join(dir, "g.xy")
-	if err := res.SavePNG(png, g, render.Options{Size: 100}); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.SaveSVG(svg, g, render.Options{Size: 100}); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.SaveCoords(xy); err != nil {
-		t.Fatal(err)
-	}
-	pngData, _ := os.ReadFile(png)
-	if len(pngData) < 8 || string(pngData[1:4]) != "PNG" {
-		t.Fatal("bad png")
-	}
-	svgData, _ := os.ReadFile(svg)
-	if !strings.HasPrefix(string(svgData), "<svg") {
-		t.Fatal("bad svg")
-	}
-	xyData, _ := os.ReadFile(xy)
-	lines := strings.Split(strings.TrimSpace(string(xyData)), "\n")
-	if len(lines) != g.NumV || len(strings.Fields(lines[0])) != 3 {
-		t.Fatalf("coords file malformed: %d lines", len(lines))
-	}
-}
-
-func TestAlgorithmStrings(t *testing.T) {
-	want := map[Algorithm]string{
-		ParHDE: "parhde", PHDE: "phde", PivotMDS: "pivotmds",
-		Multilevel: "multilevel", Prior: "prior",
-	}
-	for a, s := range want {
-		if a.String() != s {
-			t.Fatalf("%d.String() = %q", a, a.String())
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := RunCtx(ctx, gen.Grid2D(12, 12), Config{Layout: core.Options{Subspace: 4}}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
 	}
 }

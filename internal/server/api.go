@@ -10,7 +10,6 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/graph"
 	"repro/internal/jobs"
-	"repro/internal/pipeline"
 )
 
 // The catalog/jobs REST API. Error discipline (the point of the
@@ -133,47 +132,32 @@ func (s *Server) handleGraphDelete(w http.ResponseWriter, r *http.Request) {
 // jobRequest is the POST /jobs body. Unknown fields are rejected so a
 // typoed option fails loudly (400) instead of running with defaults.
 type jobRequest struct {
-	Graph        string `json:"graph"`
-	Algorithm    string `json:"algorithm"`
-	Subspace     int    `json:"subspace"`
-	Dims         int    `json:"dims"`
-	Seed         uint64 `json:"seed"`
-	Coupled      bool   `json:"coupled"`
-	PlainOrtho   bool   `json:"plainOrtho"`
-	RefineSweeps int    `json:"refineSweeps"`
-	SkipQuality  bool   `json:"skipQuality"`
+	Graph string `json:"graph"`
+	// Algorithm is accepted for the clients that send it; jobs.Algorithm
+	// is its only value.
+	Algorithm   string `json:"algorithm"`
+	Subspace    int    `json:"subspace"`
+	Dims        int    `json:"dims"`
+	Seed        uint64 `json:"seed"`
+	Coupled     bool   `json:"coupled"`
+	PlainOrtho  bool   `json:"plainOrtho"`
+	SkipQuality bool   `json:"skipQuality"`
 }
 
-// parseAlgorithm maps the API spelling onto pipeline.Algorithm.
-func parseAlgorithm(name string) (pipeline.Algorithm, error) {
-	switch name {
-	case "", "parhde":
-		return pipeline.ParHDE, nil
-	case "phde":
-		return pipeline.PHDE, nil
-	case "pivotmds":
-		return pipeline.PivotMDS, nil
-	case "multilevel":
-		return pipeline.Multilevel, nil
-	case "prior":
-		return pipeline.Prior, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q (have parhde, phde, pivotmds, multilevel, prior)", name)
-	}
-}
-
-// validateJobRequest bounds the numeric options so a hostile body cannot
-// request an absurd amount of work or trip internal panics.
+// validateJobRequest rejects a backend the worker does not run and bounds
+// the numeric options so a hostile body cannot request an absurd amount of
+// work or trip internal panics.
 func validateJobRequest(req jobRequest) error {
 	switch {
 	case req.Graph == "":
 		return errors.New("missing required field: graph")
+	case req.Algorithm != "" && req.Algorithm != jobs.Algorithm:
+		return fmt.Errorf("unknown algorithm %q (have %s; the paper's baselines run from cmd/parhde -algo and hdebench -exp)",
+			req.Algorithm, jobs.Algorithm)
 	case req.Subspace < 0 || req.Subspace > 4096:
 		return fmt.Errorf("subspace %d out of range [0, 4096]", req.Subspace)
 	case req.Dims < 0 || req.Dims > 16:
 		return fmt.Errorf("dims %d out of range [0, 16]", req.Dims)
-	case req.RefineSweeps < 0 || req.RefineSweeps > 1_000_000:
-		return fmt.Errorf("refineSweeps %d out of range [0, 1000000]", req.RefineSweeps)
 	}
 	return nil
 }
@@ -181,11 +165,7 @@ func validateJobRequest(req jobRequest) error {
 // badRequest marks a job body that failed decoding or validation.
 type badRequest struct{ error }
 
-// submitJob decodes, validates and enqueues one POST /jobs body — from a
-// live request, or from the journal on restart (recover.go). The intent
-// spec it journals is the canonical (validated, re-marshaled) request: if
-// this process dies before the job resolves, the restart replays exactly
-// this submission.
+// submitJob decodes and enqueues one live POST /jobs body.
 func (s *Server) submitJob(body io.Reader) (*jobs.Job, error) {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
@@ -193,18 +173,23 @@ func (s *Server) submitJob(body io.Reader) (*jobs.Job, error) {
 	if err := dec.Decode(&req); err != nil {
 		return nil, badRequest{fmt.Errorf("malformed job request: %w", err)}
 	}
-	alg, err := parseAlgorithm(req.Algorithm)
-	if err == nil {
-		err = validateJobRequest(req)
-	}
-	if err != nil {
+	return s.enqueueJob(req)
+}
+
+// enqueueJob validates and enqueues one job request — from a live POST
+// /jobs, or from the journal on restart (recover.go). The intent spec it
+// journals is the canonical (validated, re-marshaled) request: if this
+// process dies before the job resolves, the restart replays exactly this
+// submission.
+func (s *Server) enqueueJob(req jobRequest) (*jobs.Job, error) {
+	if err := validateJobRequest(req); err != nil {
 		return nil, badRequest{err}
 	}
 	spec, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
 	}
-	return s.eng.SubmitSpec(req.Graph, submitConfig(alg, req), spec)
+	return s.eng.SubmitSpec(req.Graph, submitConfig(req), spec)
 }
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {

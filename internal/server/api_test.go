@@ -210,6 +210,27 @@ func TestAPIStatusCodes(t *testing.T) {
 		}
 	}
 
+	// The routes closed in PR 21 fail loudly: a removed backend is a 400
+	// that names the accepted set and where the baselines live, the removed
+	// post-pass is an unknown field.
+	closed := []struct{ body, msg string }{
+		{`{"graph":"default","algorithm":"phde"}`, "have parhde"},
+		{`{"graph":"default","algorithm":"pivotmds"}`, "have parhde"},
+		{`{"graph":"default","algorithm":"multilevel"}`, "cmd/parhde -algo"},
+		{`{"graph":"default","algorithm":"prior"}`, "hdebench -exp"},
+		{`{"graph":"default","refineSweeps":5}`, `unknown field "refineSweeps"`},
+	}
+	for _, c := range closed {
+		resp, b := postJSON(t, ts.URL+"/jobs", c.body)
+		var e apiError
+		if err := json.Unmarshal(b, &e); err != nil {
+			t.Errorf("POST /jobs %s: body %s: %v", c.body, b, err)
+		}
+		if resp.StatusCode != 400 || !strings.Contains(e.Error, c.msg) {
+			t.Errorf("POST /jobs %s: status %d error %q, want 400 mentioning %q", c.body, resp.StatusCode, e.Error, c.msg)
+		}
+	}
+
 	// Upload + delete round trip: 201 then 204 then 404.
 	uploadGraph(t, ts.URL, "tmp", pathGraph(5))
 	if resp, b := doReq(t, "DELETE", ts.URL+"/graphs/tmp"); resp.StatusCode != 204 {

@@ -75,7 +75,7 @@ func (s *Server) handleGraphMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	d, err := s.cat.Promote(name, dyngraph.Options{RebuildThreshold: s.cfg.RebuildThreshold})
+	d, err := s.cat.Promote(name, dyngraph.Options{})
 	if err != nil {
 		if errors.Is(err, dyngraph.ErrWeighted) {
 			writeErr(w, http.StatusConflict, err)
@@ -108,10 +108,9 @@ func (s *Server) handleGraphMutate(w http.ResponseWriter, r *http.Request) {
 	v := s.views[name]
 	s.mu.Unlock()
 
-	cfg := pipeline.Config{Algorithm: pipeline.ParHDE}
+	var cfg pipeline.Config
 	if v != nil {
 		cfg.Layout = v.opt
-		cfg.Layout.Workspace = nil
 		cfg.Layout.Prior = v.layout
 		cfg.Layout.PriorDeltaEdges = delta
 	}

@@ -1,8 +1,9 @@
 package server
 
 import (
-	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"path/filepath"
 
 	"repro/internal/catalog"
@@ -51,13 +52,32 @@ func (s *Server) recoverState() {
 	}
 }
 
-// resubmitIntent replays one journaled submission through the path a live
-// POST /jobs takes. It reports whether the old intent should be retired:
-// true on success and on permanent failures (a spec that no longer
-// validates, a vanished graph), false on transient ones (queue full) so
-// the next restart tries again.
+// journaledRequest is a jobRequest as any version of this worker journaled
+// it. Before POST /jobs stopped routing the baselines and the refinement
+// post-pass, every canonical spec carried "refineSweeps" — zero on all but
+// the jobs that asked for the pass — so the key must decode, not 400.
+type journaledRequest struct {
+	jobRequest
+	LegacyRefine int `json:"refineSweeps"`
+}
+
+// resubmitIntent replays one journaled submission through the validation a
+// live POST /jobs gets. It reports whether the old intent should be
+// retired: true on success and on permanent failures (a spec that no longer
+// validates or asks for a closed route, a vanished graph), false on
+// transient ones (queue full) so the next restart tries again.
 func (s *Server) resubmitIntent(in jobs.Intent) bool {
-	j, err := s.submitJob(bytes.NewReader(in.Spec))
+	var req journaledRequest
+	var j *jobs.Job
+	err := json.Unmarshal(in.Spec, &req)
+	switch {
+	case err != nil:
+		err = badRequest{fmt.Errorf("malformed job request: %w", err)}
+	case req.LegacyRefine != 0:
+		err = badRequest{fmt.Errorf("refineSweeps %d: the post-pass is no longer routed (cmd/parhde -refine)", req.LegacyRefine)}
+	default:
+		j, err = s.enqueueJob(req.jobRequest)
+	}
 	if err == nil {
 		s.logf("recovered job %s as %s (graph %q)", in.ID, j.ID(), j.Graph())
 		return true

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/jobs"
+	"repro/internal/journal"
 )
 
 // uploadGrid POSTs an n-by-n grid as an edge list under name. The
@@ -154,6 +156,95 @@ func TestWorkerRestartRecoversJobs(t *testing.T) {
 	// The restarted engine's ids continued past the first life's.
 	if id := submitJob(t, ts2.URL, "ga", 8); id <= ids[len(ids)-1] {
 		t.Fatalf("id sequence reset: new id %s after %s", id, ids[len(ids)-1])
+	}
+}
+
+// parentSpec is the canonical intent spec a pre-PR-21 worker journaled:
+// json.Marshal of a jobRequest that still had refineSweeps (no omitempty),
+// so every job — plain ParHDE included — carries the key.
+func parentSpec(algorithm string, refineSweeps int) json.RawMessage {
+	return json.RawMessage(fmt.Sprintf(`{"graph":"default","algorithm":%q,"subspace":8,"dims":0,"seed":1,`+
+		`"coupled":false,"plainOrtho":false,"refineSweeps":%d,"skipQuality":false}`, algorithm, refineSweeps))
+}
+
+// TestRestartRetiresClosedRouteIntent: a journal written before POST /jobs
+// stopped routing the baselines and the refinement post-pass holds specs in
+// the old shape. The restarted worker comes up healthy, replays the ParHDE
+// intents (zero-valued refineSweeps and all) under fresh ids, and retires
+// the ones that ask for a closed route with one log line each instead of
+// running them or carrying them into every later restart.
+func TestRestartRetiresClosedRouteIntent(t *testing.T) {
+	dir := t.TempDir()
+	jrn, err := journal.Open(filepath.Join(dir, jobs.JournalFile), nil, func(journal.Frame) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const last = "w1-j000004"
+	stale := map[string]string{"w1-j000003": "multilevel", last: "refineSweeps 5"}
+	for _, in := range []jobs.Intent{
+		{ID: "w1-j000001", Spec: parentSpec("", 0)},
+		{ID: "w1-j000002", Spec: parentSpec("parhde", 0)},
+		{ID: "w1-j000003", Spec: parentSpec("multilevel", 0)},
+		{ID: last, Spec: parentSpec("parhde", 5)},
+	} {
+		in.Version, in.Graph, in.Created = jobs.PersistVersion, DefaultGraph, time.Now()
+		frame, err := json.Marshal(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := jrn.Append('i', in.ID, func(b []byte) []byte { return append(b, frame...) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jrn.Close()
+	if left := readJournal(t, dir).Pending; len(left) != 4 {
+		t.Fatalf("hand-written journal holds %d pending intents, want 4", len(left))
+	}
+
+	var logged bytes.Buffer
+	s, err := NewWithConfig(gen.PlateWithHoles(20, 20), core.Options{Subspace: 8, Seed: 1},
+		Config{WorkerID: "w1", DataDir: dir, Workers: 1, AccessLog: log.New(&logged, "", 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	if resp, _ := doReq(t, "GET", ts.URL+"/healthz"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("restarted worker /healthz: %d", resp.StatusCode)
+	}
+	list := s.Jobs().List()
+	if len(list) != 2 {
+		t.Fatalf("replayed jobs = %+v, want the two ParHDE intents", list)
+	}
+	replayed := map[string]bool{}
+	for _, st := range list {
+		if st.ID <= last || st.Graph != DefaultGraph {
+			t.Fatalf("replayed job %+v, want a fresh id on %s", st, DefaultGraph)
+		}
+		waitJobState(t, ts.URL, st.ID, "done")
+		replayed[st.ID] = true
+	}
+	ts.Close()
+	s.Close()
+
+	snap := readJournal(t, dir)
+	if len(snap.Pending) != 0 || len(snap.Results) != 2 {
+		t.Fatalf("after recovery: %d intents left, results %+v; want 0 and the replayed jobs'", len(snap.Pending), snap.Results)
+	}
+	for _, rec := range snap.Results {
+		if !replayed[rec.Status.ID] {
+			t.Fatalf("result frame for %s, which was not replayed", rec.Status.ID)
+		}
+	}
+	for id, why := range stale {
+		var naming []string
+		for _, line := range strings.Split(logged.String(), "\n") { // every writer has stopped
+			if strings.Contains(line, id) {
+				naming = append(naming, line)
+			}
+		}
+		if len(naming) != 1 || !strings.Contains(naming[0], "not replayed") || !strings.Contains(naming[0], why) {
+			t.Fatalf("log lines naming %s = %q, want one saying it was not replayed because of %q", id, naming, why)
+		}
 	}
 }
 

@@ -88,10 +88,6 @@ type Config struct {
 	// DataDir, when non-empty, holds the job journal and the graph
 	// snapshots a restarted worker recovers from (recover.go).
 	DataDir string
-	// RebuildThreshold is the dirty-edge count at which a mutated graph's
-	// CSR is rebuilt inside a PATCH batch (0 = the dyngraph package
-	// default; negative = rebuild only on the per-PATCH refresh).
-	RebuildThreshold int
 	// WorkerID names this process in a sharded deployment: job ids get it
 	// as a prefix (so the router can route them back), responses carry it
 	// in an X-Hdeserve-Worker header, and GET /shardz reports it. Empty
@@ -121,7 +117,7 @@ type view struct {
 	gen    int
 	g      *graph.CSR
 	layout *core.Layout
-	report *core.Report // nil for algorithms without a phase report
+	report *core.Report
 	opt    core.Options // zoom layouts reuse the view's layout options
 	stats  []byte       // per-graph /stats body, computed at install
 }
@@ -300,20 +296,15 @@ func (s *Server) onJobDone(j *jobs.Job) {
 	if res == nil || res.Layout == nil {
 		return
 	}
-	if rep := res.Report; rep != nil {
-		if rep.Warm {
-			s.warmLayouts.Inc()
-			s.refineSweeps.Add(int64(rep.RefineSweeps))
-		} else {
-			s.coldLayouts.Inc()
-		}
-		s.recordBFS(rep)
+	rep := res.Report
+	if rep.Warm {
+		s.warmLayouts.Inc()
+		s.refineSweeps.Add(int64(rep.RefineSweeps))
+	} else {
+		s.coldLayouts.Inc()
 	}
-	elapsed := res.Elapsed
-	if res.Report != nil {
-		elapsed = res.Report.Breakdown.Total
-	}
-	s.install(j.Graph(), j.Input(), res.Layout, res.Report, j.Config().Layout, res.Quality, elapsed)
+	s.recordBFS(rep)
+	s.install(j.Graph(), j.Input(), res.Layout, rep, j.Config().Layout, res.Quality, rep.Breakdown.Total)
 }
 
 // recordBFS folds a cold run's traversal-direction split into the
@@ -705,9 +696,8 @@ func defaultStr(s, def string) string {
 
 // submitConfig converts an API job request into a pipeline.Config; kept
 // here (not api.go) so the option surface lives next to the view types.
-func submitConfig(alg pipeline.Algorithm, req jobRequest) pipeline.Config {
+func submitConfig(req jobRequest) pipeline.Config {
 	return pipeline.Config{
-		Algorithm: alg,
 		Layout: core.Options{
 			Subspace:   req.Subspace,
 			Dims:       req.Dims,
@@ -715,7 +705,6 @@ func submitConfig(alg pipeline.Algorithm, req jobRequest) pipeline.Config {
 			Coupled:    req.Coupled,
 			PlainOrtho: req.PlainOrtho,
 		},
-		RefineSweeps: req.RefineSweeps,
-		SkipQuality:  req.SkipQuality,
+		SkipQuality: req.SkipQuality,
 	}
 }

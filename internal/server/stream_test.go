@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/jobs"
 )
 
 // sseClient reads events off one /stream connection.
@@ -314,6 +316,28 @@ func TestWarmInstallMetrics(t *testing.T) {
 	}
 	if got := s.mutationsApplied.Value(); got != 1 {
 		t.Fatalf("graph_mutations_total = %d, want 1", got)
+	}
+	// Every done job carries a report, the warm one the PATCH queued as
+	// much as a cold one: the server installs from it without a nil check.
+	var patched struct {
+		Job jobs.Status `json:"job"`
+	}
+	if err := json.Unmarshal(b, &patched); err != nil {
+		t.Fatal(err)
+	}
+	cold := submitJob(t, ts.URL, "default", 8)
+	waitJobState(t, ts.URL, cold, "done")
+	for _, id := range []string{patched.Job.ID, cold} {
+		j, ok := s.Jobs().Get(id)
+		if !ok {
+			t.Fatalf("job %s not retained", id)
+		}
+		if res := j.Result(); res == nil || res.Report == nil || res.Report.Warm != (id == patched.Job.ID) {
+			t.Fatalf("done job %s: result %+v lacks the expected report", id, res)
+		}
+		if st := j.Status(); len(st.Phases) == 0 {
+			t.Fatalf("done job %s reports no phases: %+v", id, st)
+		}
 	}
 	mresp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {

@@ -131,7 +131,7 @@ func runServer(fs *flag.FlagSet, opt options) {
 	log.Printf("serving layout of n=%d m=%d on http://%s/%s (layout took %v)",
 		g.NumV, g.NumEdges(), opt.addr, role,
 		srv.Report().Breakdown.Total.Round(time.Millisecond))
-	serveUntilSignal(opt, srv.Handler(), srv.Close)
+	serveUntilSignal(opt, srv.Handler(), srv.Hangup, srv.Close)
 }
 
 // runRouter is the stateless front-end path: no graph, no layout, just
@@ -160,13 +160,16 @@ func runRouter(opt options) {
 		log.Fatal(err)
 	}
 	log.Printf("routing for %d workers on http://%s/", len(peers), opt.addr)
-	serveUntilSignal(opt, rt.Handler(), rt.Close)
+	serveUntilSignal(opt, rt.Handler(), nil, rt.Close)
 }
 
 // serveUntilSignal runs the hardened HTTP server until SIGINT/SIGTERM,
 // then drains in-flight requests and calls shutdown (job-engine close
-// for a worker, health-loop stop for a router).
-func serveUntilSignal(opt options, h http.Handler, shutdown func()) {
+// for a worker, health-loop and feed stop for a router). hangup, when
+// non-nil, runs as the drain starts: a worker's SSE streams and
+// invalidation feeds never finish on their own and would hold the drain
+// for its whole timeout.
+func serveUntilSignal(opt options, h http.Handler, hangup, shutdown func()) {
 	httpSrv := &http.Server{
 		Addr:              opt.addr,
 		Handler:           h,
@@ -174,6 +177,9 @@ func serveUntilSignal(opt options, h http.Handler, shutdown func()) {
 		ReadHeaderTimeout: 5 * time.Second,
 		WriteTimeout:      opt.writeTimeout,
 		IdleTimeout:       opt.idleTimeout,
+	}
+	if hangup != nil {
+		httpSrv.RegisterOnShutdown(hangup)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

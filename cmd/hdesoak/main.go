@@ -6,6 +6,10 @@
 // accepted submission ends as exactly one result frame in a worker's job
 // journal with no intent left pending.
 //
+// Around the kill it also holds the router's tile cache to the restart: a
+// tile of the victim's cached before the kill must not be what the router
+// serves once the victim is back under a new boot id.
+//
 // It is the recovery contract, not a measuring stick: throughput numbers
 // come from bash benchmark/run.sh (serve_jobs). The run's counts are
 // written as JSON for CI artifacts.
@@ -194,6 +198,56 @@ func post(url, ctype string, body []byte) (int, []byte, string, error) {
 	return resp.StatusCode, buf.Bytes(), resp.Header.Get("X-Hdeserve-Worker"), nil
 }
 
+// get fetches url and returns the status and body.
+func get(url string) (int, []byte, error) {
+	resp, err := http.Get(url)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	_, err = buf.ReadFrom(resp.Body)
+	return resp.StatusCode, buf.Bytes(), err
+}
+
+// feedOf asks the router's /shardz what it knows of one worker's
+// invalidation feed: whether it is live, and the boot id of its hello.
+func (f *fleet) feedOf(worker *proc) (live bool, boot string, err error) {
+	code, body, err := get(f.router.url + "/shardz")
+	if err != nil || code != http.StatusOK {
+		return false, "", fmt.Errorf("router /shardz: status %d: %v", code, err)
+	}
+	var fleetView struct {
+		Peers []struct {
+			URL  string `json:"url"`
+			Feed bool   `json:"feed"`
+			Boot string `json:"boot"`
+		} `json:"peers"`
+	}
+	if err := json.Unmarshal(body, &fleetView); err != nil {
+		return false, "", err
+	}
+	for _, p := range fleetView.Peers {
+		if p.URL == worker.url {
+			return p.Feed, p.Boot, nil
+		}
+	}
+	return false, "", fmt.Errorf("router /shardz does not list %s", worker.url)
+}
+
+// await polls cond every 50 ms until it holds.
+func await(what string, timeout time.Duration, cond func() (bool, error)) error {
+	for deadline := time.Now().Add(timeout); ; time.Sleep(50 * time.Millisecond) {
+		ok, err := cond()
+		if ok {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("%s: not within %v (last error: %v)", what, timeout, err)
+		}
+	}
+}
+
 // drain polls every worker until no job is queued or running and no
 // journal leaves an intent pending.
 func (f *fleet) drain(timeout time.Duration) error {
@@ -344,6 +398,28 @@ func soak(opt options, f *fleet) (soakResult, error) {
 		accepted++
 		return nil
 	}
+	// Put a tile of the victim's into the router before anything else: the
+	// first picture of victimName, read through the router with the feed up.
+	victimStats := "/graphs/" + victimName + "/stats"
+	if err := submit(victimName); err != nil {
+		return res, err
+	}
+	if err := await("first layout of "+victimName+" through the router", time.Minute, func() (bool, error) {
+		code, _, err := get(f.router.url + victimStats)
+		return code == http.StatusOK, err
+	}); err != nil {
+		return res, err
+	}
+	// A router that probed before the workers were listening dials its
+	// feeds one health interval later.
+	var bootBefore string
+	if err := await("router to hear "+victim.name+"'s feed say hello", 30*time.Second, func() (live bool, err error) {
+		live, bootBefore, err = f.feedOf(victim)
+		return live, err
+	}); err != nil {
+		return res, err
+	}
+
 	for i := 0; i < opt.jobs; i++ {
 		if err := submit(names[i%len(names)]); err != nil {
 			return res, err
@@ -375,6 +451,27 @@ func soak(opt options, f *fleet) (soakResult, error) {
 
 	if err := f.drain(5 * time.Minute); err != nil {
 		return res, err
+	}
+	// The router must have noticed the new boot (its health loop redials
+	// the feed) and, with it, stopped vouching for what it cached before:
+	// a read through it now is the recovered worker's own answer.
+	if err := await("router to hear the restarted "+victim.name, 30*time.Second, func() (bool, error) {
+		live, boot, err := f.feedOf(victim)
+		return live && boot != bootBefore, err
+	}); err != nil {
+		return res, err
+	}
+	_, direct, err := get(victim.url + victimStats)
+	if err != nil {
+		return res, err
+	}
+	code, via, err := get(f.router.url + victimStats)
+	if err != nil {
+		return res, err
+	}
+	if code != http.StatusOK || !bytes.Equal(via, direct) {
+		return res, fmt.Errorf("after the restart the router serves %d %q for %s; the recovered worker serves %q",
+			code, via, victimStats, direct)
 	}
 	var journalBytes int64
 	res.Records, res.Intents, journalBytes = readJournals(f.dirs)

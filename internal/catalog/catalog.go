@@ -73,6 +73,9 @@ type Catalog struct {
 	bytes   int64
 	entries map[string]*entry
 	clock   int64 // logical clock so same-nanosecond touches still order
+	// onChange, when set, hears the name of every entry that was just
+	// added, removed, evicted or had its generation moved. See OnChange.
+	onChange func(name string)
 }
 
 // New returns an empty catalog with the given aggregate byte budget
@@ -82,6 +85,22 @@ func New(budget int64) *Catalog {
 		budget = DefaultBudget
 	}
 	return &Catalog{budget: budget, entries: map[string]*entry{}}
+}
+
+// OnChange registers the catalog's one change hook: fn is called with an
+// entry's name after the entry is added, removed, evicted, or has its
+// generation moved (Touch, Promote, Refresh) — everything a cache keyed by
+// (name, generation) must hear about. It runs under the catalog lock, after
+// the change is in place, so a Generation or Get that follows the call
+// sees the new state; fn must not block or call back into the catalog.
+// Set it before the catalog is shared.
+func (c *Catalog) OnChange(fn func(name string)) { c.onChange = fn }
+
+// changed reports name to the change hook. Caller holds c.mu.
+func (c *Catalog) changed(name string) {
+	if c.onChange != nil {
+		c.onChange(name)
+	}
 }
 
 // GraphBytes estimates the resident size of a CSR: offsets, adjacency,
@@ -139,6 +158,7 @@ func (c *Catalog) add(name string, g *graph.CSR, source string, pinned bool) err
 		lastUsed: time.Unix(0, c.clock),
 	}
 	c.bytes += gb
+	c.changed(name)
 	c.evictLocked(name)
 	return nil
 }
@@ -162,6 +182,7 @@ func (c *Catalog) evictLocked(keep string) {
 		}
 		c.bytes -= c.entries[victim].info.Bytes
 		delete(c.entries, victim)
+		c.changed(victim)
 	}
 }
 
@@ -192,6 +213,7 @@ func (c *Catalog) Remove(name string) error {
 	}
 	c.bytes -= e.info.Bytes
 	delete(c.entries, name)
+	c.changed(name)
 	return nil
 }
 

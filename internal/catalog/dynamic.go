@@ -37,6 +37,7 @@ func (c *Catalog) Touch(name string) (uint64, error) {
 		return 0, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	e.info.Generation++
+	c.changed(name)
 	return e.info.Generation, nil
 }
 
@@ -63,6 +64,7 @@ func (c *Catalog) Promote(name string, opt dyngraph.Options) (*dyngraph.Graph, e
 	e.dyn = d
 	e.info.Dynamic = true
 	e.info.Generation++
+	c.changed(name)
 	return d, nil
 }
 
@@ -104,6 +106,7 @@ func (c *Catalog) Refresh(name string) (*graph.CSR, uint64, error) {
 		e.info.Vertices = snap.NumV
 		e.info.Edges = snap.NumEdges()
 		e.info.Generation++
+		c.changed(name)
 		c.evictLocked(name)
 	}
 	return e.g, e.info.Generation, nil

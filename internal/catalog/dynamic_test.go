@@ -106,3 +106,75 @@ func TestPromoteErrors(t *testing.T) {
 		t.Fatal("static entry reported dynamic")
 	}
 }
+
+// TestOnChangeHearsEveryChange: the one hook reports every way an entry's
+// (name, generation) can stop describing what a cache holds — and nothing
+// else — after the change is in place.
+func TestOnChangeHearsEveryChange(t *testing.T) {
+	one := GraphBytes(grid(t, 6))
+	c := New(2*one + one/2) // room for two 6×6 grids
+	var heard []string
+	c.OnChange(func(name string) {
+		heard = append(heard, name)
+		// Under the catalog lock and after the change: the entry already
+		// is (or is no longer) there.
+		if e, ok := c.entries[name]; ok {
+			heard[len(heard)-1] += "@" + string(rune('0'+e.info.Generation))
+		}
+	})
+	expect := func(what string, want ...string) {
+		t.Helper()
+		if len(heard) != len(want) {
+			t.Fatalf("%s: heard %v, want %v", what, heard, want)
+		}
+		for i := range want {
+			if heard[i] != want[i] {
+				t.Fatalf("%s: heard %v, want %v", what, heard, want)
+			}
+		}
+		heard = nil
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	must(c.Add("a", grid(t, 6), "test"))
+	expect("Add", "a@1")
+	_, err := c.Touch("a")
+	must(err)
+	expect("Touch", "a@2")
+	d, err := c.Promote("a", dyngraph.Options{})
+	must(err)
+	expect("Promote", "a@3")
+	_, err = c.Promote("a", dyngraph.Options{})
+	must(err)
+	_, _, err = c.Refresh("a")
+	must(err)
+	c.Get("a")
+	c.List()
+	expect("re-Promote, empty Refresh, Get and List")
+	_, err = d.Apply([]dyngraph.Mutation{{Op: dyngraph.AddEdge, U: 0, V: 35}})
+	must(err)
+	_, _, err = c.Refresh("a")
+	must(err)
+	expect("Refresh", "a@4")
+
+	must(c.Add("b", grid(t, 6), "test"))
+	expect("second Add", "b@1")
+	must(c.Add("c", grid(t, 6), "test")) // over budget: a is the oldest
+	expect("evicting Add", "c@1", "a")
+	must(c.Remove("b"))
+	expect("Remove", "b")
+	must(c.Add("a", grid(t, 6), "test"))
+	expect("Add over an evicted name", "a@1")
+	if err := c.Add("a", grid(t, 6), "test"); !errors.Is(err, ErrExists) {
+		t.Fatalf("duplicate Add: %v", err)
+	}
+	if err := c.Remove("zz"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Remove of a missing name: %v", err)
+	}
+	expect("failed Add and Remove")
+}

@@ -99,12 +99,12 @@ func (c *LRU[V]) Put(key string, val V) {
 	}
 }
 
-// DropPrefix removes every entry whose key starts with prefix.
-func (c *LRU[V]) DropPrefix(prefix string) {
+// DropIf removes every entry whose value drop reports true for.
+func (c *LRU[V]) DropIf(drop func(V) bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for key, e := range c.items {
-		if strings.HasPrefix(key, prefix) {
+	for _, e := range c.items {
+		if drop(e.Value.(*lruEntry[V]).val) {
 			c.remove(e)
 		}
 	}

@@ -189,3 +189,20 @@ func TestFlightGroupDedup(t *testing.T) {
 		}
 	}
 }
+
+func TestLRUDropIf(t *testing.T) {
+	c, _, _, ev := newTestLRU(100)
+	c.Put("/layout.png", []byte("default"))
+	c.Put("/graphs/default/layout.png", []byte("default"))
+	c.Put("/graphs/other/layout.png", []byte("other"))
+	c.DropIf(func(v []byte) bool { return string(v) == "default" })
+	if contains(c, "/layout.png") || contains(c, "/graphs/default/layout.png") {
+		t.Fatal("a matching entry survived DropIf")
+	}
+	if !contains(c, "/graphs/other/layout.png") || c.Len() != 1 || c.Bytes() != 5 {
+		t.Fatalf("after DropIf: len=%d bytes=%d", c.Len(), c.Bytes())
+	}
+	if ev.Value() != 0 {
+		t.Fatalf("DropIf counted %d evictions; a drop is not budget pressure", ev.Value())
+	}
+}

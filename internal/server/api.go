@@ -91,9 +91,8 @@ func (s *Server) handleGraphUpload(w http.ResponseWriter, r *http.Request) {
 	}
 	// A name the catalog evicted and now takes back must not inherit the
 	// evicted graph's layout.
-	s.mu.Lock()
-	delete(s.views, name)
-	s.mu.Unlock()
+	s.dropView(name, nil)
+	s.stampVersion(w, name)
 	// Snapshot the upload so a restart rebuilds this shard of the catalog
 	// (best-effort: the upload itself already succeeded).
 	if s.cfg.DataDir != "" {
@@ -121,9 +120,8 @@ func (s *Server) handleGraphDelete(w http.ResponseWriter, r *http.Request) {
 			s.logf("removing persisted graph %q: %v", name, err)
 		}
 	}
-	s.mu.Lock()
-	delete(s.views, name)
-	s.mu.Unlock()
+	s.dropView(name, nil)
+	s.stampVersion(w, name)
 	w.WriteHeader(http.StatusNoContent)
 }
 

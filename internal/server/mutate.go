@@ -98,6 +98,7 @@ func (s *Server) handleGraphMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mutationsApplied.Add(int64(res.Applied))
+	s.stampVersion(w, name)
 
 	// Queue the refinement. The accumulated not-yet-installed delta rides
 	// along as the warm-start staleness input; the current view's layout

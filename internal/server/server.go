@@ -158,8 +158,12 @@ type Server struct {
 	// streams holds the per-graph SSE subscriber sets (see stream.go).
 	streamMu sync.Mutex
 	streams  map[string]map[chan []byte]struct{}
-	done     chan struct{} // closed by Close; unblocks SSE handlers
+	done     chan struct{} // closed by Close; unblocks SSE and feed handlers
 	closing  sync.Once
+
+	// feed numbers every change cacheKey can see and pushes it to the
+	// fronting routers (see feed.go).
+	feed *feed
 
 	reg              *obs.Registry
 	zoomRenders      *obs.Counter // core.Zoom layouts actually executed
@@ -208,6 +212,7 @@ func NewWithConfig(g *graph.CSR, opt core.Options, cfg Config) (*Server, error) 
 		done:     make(chan struct{}),
 		canvases: make(chan *render.Canvas, cfg.MaxConcurrentRenders),
 		reg:      reg,
+		feed:     newFeed(reg),
 		cache: httpcache.NewLRU(cfg.CacheBytes,
 			func(b []byte) int64 { return int64(len(b)) }, reg, "render_cache"),
 		zoomRenders:      reg.Counter("zoom_layouts_total"),
@@ -237,6 +242,7 @@ func NewWithConfig(g *graph.CSR, opt core.Options, cfg Config) (*Server, error) 
 			func() float64 { return d.Seconds() })
 	}
 
+	s.cat.OnChange(s.feed.changed)
 	if err := s.cat.AddPinned(DefaultGraph, g, "startup"); err != nil {
 		return nil, err
 	}
@@ -266,11 +272,18 @@ func NewWithConfig(g *graph.CSR, opt core.Options, cfg Config) (*Server, error) 
 }
 
 // Close shuts down the job engine — pending and running jobs are
-// cancelled and the worker pool drains — and disconnects every SSE
-// subscriber. The render endpoints keep working on the installed views.
+// cancelled and the worker pool drains — and hangs up as Hangup does.
+// The render endpoints keep working on the installed views.
 func (s *Server) Close() {
-	s.closing.Do(func() { close(s.done) })
+	s.Hangup()
 	s.eng.Close()
+}
+
+// Hangup ends every SSE stream and invalidation feed. These responses
+// never finish on their own, so a graceful http.Server.Shutdown that is
+// to return before its deadline must call it first (RegisterOnShutdown).
+func (s *Server) Hangup() {
+	s.closing.Do(func() { close(s.done) })
 }
 
 // onJobDone installs a completed job's layout as its graph's current
@@ -349,6 +362,7 @@ func (s *Server) install(name string, g *graph.CSR, layout *core.Layout, rep *co
 	}
 	s.views[name] = nv
 	s.mu.Unlock()
+	s.feed.changed(name)
 	// Fan the coordinate delta out to the graph's stream subscribers
 	// (no-op without any). Outside the view lock: a slow marshal must not
 	// block readers, and sends never block regardless.
@@ -369,12 +383,20 @@ func (s *Server) viewOf(name string) (v *view, known, laidOut bool) {
 	if known || v == nil {
 		return v, known, v != nil
 	}
+	s.dropView(name, v)
+	return nil, false, false
+}
+
+// dropView releases the named graph's view (only while it still is v, when
+// v is non-nil) and tells the feed, since a response rendered from the
+// released view may be sitting in a router.
+func (s *Server) dropView(name string, v *view) {
 	s.mu.Lock()
-	if s.views[name] == v {
+	if v == nil || s.views[name] == v {
 		delete(s.views, name)
 	}
 	s.mu.Unlock()
-	return nil, false, false
+	s.feed.changed(name)
 }
 
 // Report returns the startup layout run's per-phase report.
@@ -402,7 +424,7 @@ func (s *Server) Jobs() *jobs.Engine { return s.eng }
 var routes = map[string]bool{
 	"/": true, "/layout.png": true, "/layout.svg": true, "/zoom.png": true,
 	"/stats": true, "/healthz": true, "/shardz": true, "/metrics": true,
-	"/graphs": true, "/jobs": true,
+	"/graphs": true, "/jobs": true, httpcache.FeedPath: true,
 }
 
 func routeOf(r *http.Request) string {
@@ -451,9 +473,11 @@ var apiRoutes = []struct {
 	{"DELETE /jobs/{id}", (*Server).handleJobCancel},
 }
 
-// RoutePatterns returns every mux pattern the server registers (the
+// RoutePatterns returns every mux pattern of the client-facing API (the
 // apiRoutes table plus /metrics, which mounts the registry's own
-// handler). The docs cross-check test and the router reuse it.
+// handler). The docs cross-check test and the router reuse it. The
+// fleet-internal invalidation feed is mounted beside /metrics and is
+// deliberately not listed: a router consumes it and does not re-serve it.
 func RoutePatterns() []string {
 	out := make([]string, 0, len(apiRoutes)+1)
 	for _, rt := range apiRoutes {
@@ -472,6 +496,7 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc(rt.pattern, func(w http.ResponseWriter, r *http.Request) { fn(s, w, r) })
 	}
 	mux.Handle("/metrics", s.reg.Handler())
+	mux.HandleFunc("GET "+httpcache.FeedPath, s.handleInvalidations)
 
 	if s.cfg.EnablePprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -553,6 +578,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 // known-but-not-laid-out) when it cannot.
 func (s *Server) lookupView(w http.ResponseWriter, r *http.Request) (*view, bool) {
 	name := defaultStr(r.PathValue("name"), DefaultGraph)
+	s.stampVersion(w, name) // before the view is read: see feed.changed
 	v, known, laidOut := s.viewOf(name)
 	switch {
 	case laidOut:
@@ -569,10 +595,9 @@ func (s *Server) lookupView(w http.ResponseWriter, r *http.Request) (*view, bool
 // serveView writes one rendered representation of a view through the
 // render cache, with an ETag derived from the render-cache key — which
 // already encodes graph name, view generation, and catalog generation.
-// A fronting router replicates hot tiles into its own LRU and
-// revalidates each hit with a conditional GET: an unchanged generation
-// costs a 304 instead of a re-download, a mutation or fresh layout
-// changes the key and the 200 carries new bytes.
+// A fronting router replicates hot tiles into its own LRU; when it has to
+// ask (its feed is down, or the graph's version moved), an unchanged key
+// costs a 304 instead of a re-download.
 func (s *Server) serveView(w http.ResponseWriter, r *http.Request, v *view, kind, ctype string,
 	draw func(*render.Canvas) ([]byte, error)) {
 	key := s.cacheKey(v, kind)

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -55,14 +56,20 @@ const defaultGraph = "default"
 // the router forwards it so clients can see which shard answered.
 const workerHeader = "X-Hdeserve-Worker"
 
-// peer is one worker as the router sees it: its fixed base URL plus the
-// identity and health learned from /shardz probes.
+// peer is one worker as the router sees it: its fixed base URL, the
+// identity and health learned from /shardz probes, and what its
+// invalidation feed has said (feed.go).
 type peer struct {
 	url     string
 	healthy atomic.Bool
 
-	mu sync.Mutex
-	id string // worker id from the last successful probe ("" = never seen)
+	// Per-worker series, resolved once at construction.
+	forwards, forwardErrs       *obs.Counter
+	healthyGauge, feedConnected *obs.Gauge
+
+	mu   sync.Mutex
+	id   string // worker id from the last successful probe ("" = never seen)
+	feed feedState
 }
 
 // setID records the worker id learned from a probe.
@@ -83,10 +90,10 @@ func (p *peer) workerID() string {
 // It owns no graphs and runs no layouts: every request is routed by
 // consistent hash of the graph name (or by worker prefix of a job id)
 // to the one worker that owns it, and hot rendered tiles are kept in a
-// local ETag-revalidated LRU — which is also the only read path that
-// survives the owner being down. "Stateless" is load-bearing: a router
-// restart loses only cache heat, so any number of routers can front one
-// fleet.
+// local LRU that the owners' invalidation feeds keep coherent (feed.go) —
+// which is also the only read path that survives the owner being down.
+// "Stateless" is load-bearing: a router restart loses only cache heat, so
+// any number of routers can front one fleet.
 type Router struct {
 	cfg    Config
 	ring   *Ring
@@ -96,20 +103,24 @@ type Router struct {
 	flight httpcache.Flight[fetched]
 
 	client       *http.Client
-	streamClient *http.Client
+	streamClient *http.Client // SSE and feed: must outlive any request timeout
+	probeClient  *http.Client
 
-	forwards    func(peerURL string) *obs.Counter
-	forwardErrs func(peerURL string) *obs.Counter
-	forwardDur  *obs.Histogram
+	forwardDur    *obs.Histogram
+	invalidations *obs.Counter // change frames accepted from a graph's owner
+	revalidations *obs.Counter // forwards made only to revalidate a held tile
 
-	stop chan struct{}
-	done chan struct{}
+	ctx    context.Context // cancelled by Close: stops the health loop and the feeds
+	cancel context.CancelFunc
+	done   chan struct{}  // closed when the health loop has exited
+	feeds  sync.WaitGroup // running feed connections
 }
 
 // NewRouter builds a router over cfg.Peers, probes every worker once
 // synchronously (so routing decisions are informed from the first
-// request), and starts the background health loop. Callers must Close
-// it.
+// request), and starts the background health loop. Each probe also dials
+// the worker's invalidation feed when none is open, without waiting for
+// it. Callers must Close the router.
 func NewRouter(cfg Config) (*Router, error) {
 	if len(cfg.Peers) == 0 {
 		return nil, errors.New("shard: router needs at least one peer")
@@ -134,36 +145,41 @@ func NewRouter(cfg Config) (*Router, error) {
 	}
 
 	rt := &Router{
-		cfg:          cfg,
-		ring:         NewRing(cfg.Peers, 0),
-		peers:        map[string]*peer{},
-		reg:          cfg.Metrics,
-		client:       cfg.Client,
-		streamClient: &http.Client{}, // SSE must outlive any request timeout
-		stop:         make(chan struct{}),
-		done:         make(chan struct{}),
+		cfg:           cfg,
+		ring:          NewRing(cfg.Peers, 0),
+		peers:         map[string]*peer{},
+		reg:           cfg.Metrics,
+		client:        cfg.Client,
+		streamClient:  &http.Client{},
+		probeClient:   &http.Client{Timeout: cfg.HealthInterval},
+		forwardDur:    cfg.Metrics.Histogram("router_forward_seconds"),
+		invalidations: cfg.Metrics.Counter("router_invalidations_total"),
+		revalidations: cfg.Metrics.Counter("router_revalidations_total"),
+		done:          make(chan struct{}),
 	}
+	rt.ctx, rt.cancel = context.WithCancel(context.Background())
 	for _, u := range rt.ring.Nodes() {
-		rt.peers[u] = &peer{url: u}
+		rt.peers[u] = &peer{
+			url:           u,
+			forwards:      rt.reg.Counter(fmt.Sprintf("router_forward_total{worker=%q}", u)),
+			forwardErrs:   rt.reg.Counter(fmt.Sprintf("router_forward_errors_total{worker=%q}", u)),
+			healthyGauge:  rt.reg.Gauge(fmt.Sprintf("router_worker_healthy{worker=%q}", u)),
+			feedConnected: rt.reg.Gauge(fmt.Sprintf("router_feed_connected{worker=%q}", u)),
+		}
 	}
 	rt.cache = httpcache.NewLRU(cfg.CacheBytes, (*tile).weight, rt.reg, "router_cache")
-	rt.forwards = func(u string) *obs.Counter {
-		return rt.reg.Counter(fmt.Sprintf("router_forward_total{worker=%q}", u))
-	}
-	rt.forwardErrs = func(u string) *obs.Counter {
-		return rt.reg.Counter(fmt.Sprintf("router_forward_errors_total{worker=%q}", u))
-	}
-	rt.forwardDur = rt.reg.Histogram("router_forward_seconds")
 
 	rt.probeAll()
 	go rt.healthLoop()
 	return rt, nil
 }
 
-// Close stops the health loop. In-flight forwards are not interrupted.
+// Close stops the health loop and hangs up the feeds, and returns when
+// both have exited. In-flight forwards are not interrupted.
 func (rt *Router) Close() {
-	close(rt.stop)
+	rt.cancel()
 	<-rt.done
+	rt.feeds.Wait()
 }
 
 // logf writes a router event line when logging is configured.
@@ -188,7 +204,7 @@ func (rt *Router) healthLoop() {
 	defer t.Stop()
 	for {
 		select {
-		case <-rt.stop:
+		case <-rt.ctx.Done():
 			return
 		case <-t.C:
 			rt.probeAll()
@@ -211,10 +227,9 @@ func (rt *Router) probeAll() {
 
 // probe marks p healthy iff its /shardz answers 200 with ready=true,
 // and records the worker id it reports (the id→URL map is how job-id
-// prefixes route).
+// prefixes route). It then tends p's invalidation feed.
 func (rt *Router) probe(p *peer) {
-	client := &http.Client{Timeout: rt.cfg.HealthInterval}
-	resp, err := client.Get(p.url + "/shardz")
+	resp, err := rt.probeClient.Get(p.url + "/shardz")
 	healthy := false
 	if err == nil {
 		var body shardzBody
@@ -234,7 +249,8 @@ func (rt *Router) probe(p *peer) {
 	if healthy {
 		v = 1
 	}
-	rt.reg.Gauge(fmt.Sprintf("router_worker_healthy{worker=%q}", p.url)).Set(v)
+	p.healthyGauge.Set(v)
+	rt.tendFeed(p, healthy)
 }
 
 // owner returns the one worker that holds the named graph.
@@ -270,31 +286,59 @@ func (rt *Router) do(method string, p *peer, pathQuery string, hdr http.Header, 
 	for k, vs := range hdr {
 		req.Header[k] = vs
 	}
-	rt.forwards(p.url).Inc()
+	p.forwards.Inc()
 	start := time.Now()
 	resp, err := rt.client.Do(req)
 	rt.forwardDur.ObserveDuration(time.Since(start))
 	if err != nil {
-		rt.forwardErrs(p.url).Inc()
+		p.forwardErrs.Inc()
 	}
 	return resp, err
 }
 
-// relay forwards the client's request — same method, path and query,
-// plus the buffered body under the client's Content-Type when there is
-// one — to p and copies the worker's answer back. An unreachable worker
-// is the router's own 502.
-func (rt *Router) relay(w http.ResponseWriter, r *http.Request, p *peer, body []byte) {
+// forward sends the client's request — same method, path and query, plus
+// the buffered body under the client's Content-Type when there is one —
+// to p.
+func (rt *Router) forward(r *http.Request, p *peer, body []byte) (*http.Response, error) {
 	var hdr http.Header
 	if body != nil {
 		hdr = http.Header{"Content-Type": r.Header.Values("Content-Type")}
 	}
-	resp, err := rt.do(r.Method, p, r.URL.RequestURI(), hdr, body)
+	return rt.do(r.Method, p, r.URL.RequestURI(), hdr, body)
+}
+
+// relay forwards the client's request to p and copies the worker's answer
+// back. An unreachable worker is the router's own 502.
+func (rt *Router) relay(w http.ResponseWriter, r *http.Request, p *peer, body []byte) {
+	resp, err := rt.forward(r, p, body)
 	if err != nil {
 		writeRouterErr(w, http.StatusBadGateway, err)
 		return
 	}
 	defer resp.Body.Close()
+	copyResponse(w, resp)
+}
+
+// relayChange is relay for a request that changes the named graph (PATCH,
+// DELETE, upload). Before the client sees the answer the graph's tiles are
+// dropped and the version on the worker's answer is recorded, so the
+// client's next read through this router is a forward whether or not the
+// feed has delivered the change yet — and a fetch that was in flight
+// across the change comes back older than that version, so it is not
+// trusted either.
+func (rt *Router) relayChange(w http.ResponseWriter, r *http.Request, name string, body []byte) {
+	p := rt.owner(name)
+	epoch := p.feedEpoch()
+	resp, err := rt.forward(r, p, body)
+	if err == nil {
+		defer resp.Body.Close()
+		p.sawVersion(name, resp.Header, epoch)
+	}
+	rt.cache.DropIf(func(t *tile) bool { return t.graph == name })
+	if err != nil {
+		writeRouterErr(w, http.StatusBadGateway, err)
+		return
+	}
 	copyResponse(w, resp)
 }
 
@@ -343,64 +387,90 @@ func writeRouterErr(w http.ResponseWriter, code int, err error) {
 // --- cached reads ------------------------------------------------------
 
 // tile is one cached render (or stats body) as served by a worker: the
-// payload plus the headers the router needs to revalidate and re-serve
-// it. The ETag is the worker's generation-keyed cache key, so the
-// router never has to understand generations — a conditional GET
-// answering 304 proves the bytes are still current.
+// payload, the headers the router needs to revalidate and re-serve it,
+// and where it stands in the owner's change history. The ETag is the
+// worker's generation-keyed cache key, so the router never has to
+// understand generations — a conditional GET answering 304 proves the
+// bytes are still current. Tiles are immutable; a revalidation that moves
+// epoch or version replaces the tile.
 type tile struct {
+	graph string // the graph it renders, whatever alias the key used
 	etag  string
 	ctype string
 	body  []byte
+	// epoch is the owner's feed epoch the fetch started under and version
+	// the graph version the worker stamped on its answer (0 = none).
+	// peer.current reads them.
+	epoch, version uint64
 }
 
 // weight is the tile's charge against the cache byte budget.
 func (t *tile) weight() int64 {
-	return int64(len(t.body) + len(t.etag) + len(t.ctype))
+	return int64(len(t.body) + len(t.etag) + len(t.ctype) + len(t.graph))
 }
 
 // fetched is the result of one upstream read as seen by the
 // singleflight: a servable tile, or (tile == nil) the worker's non-200
-// status to pass on.
+// answer to pass on as it came.
 type fetched struct {
-	status int
 	tile   *tile
+	status int
+	ctype  string
+	body   []byte
 }
 
 // serveCachedView handles the four cacheable per-graph reads
 // (layout.png, layout.svg, zoom.png, stats). Cache key is the full
-// path+query; a hit is revalidated against the owner with
-// If-None-Match, so a stale tile costs one conditional GET and a fresh
-// one costs a 304 (no body) — this is how hot tiles are "replicated"
-// into the router without the router understanding generations.
+// path+query. A cached tile the owner's feed vouches for (peer.current)
+// is answered here, with no forward and no flight call; anything else —
+// a miss, a tile the graph's version has moved past, a feed that is not
+// live — goes through fetchTile.
 func (rt *Router) serveCachedView(name string, w http.ResponseWriter, r *http.Request) {
 	key := r.URL.RequestURI()
+	p := rt.owner(name)
+	cached, _ := rt.cache.Get(key)
+	if cached != nil && p.current(cached, time.Now()) {
+		httpcache.WriteRevalidated(w, r, cached.etag, cached.ctype, cached.body)
+		return
+	}
 	f, _, err := rt.flight.Do(key, func() (fetched, error) {
-		return rt.fetchTile(rt.owner(name), key)
+		return rt.fetchTile(p, name, key, cached)
 	})
 	if err != nil {
 		writeRouterErr(w, http.StatusBadGateway, err)
 		return
 	}
-	if f.tile == nil { // pass-through error response already consumed
-		writeRouterErr(w, f.status, fmt.Errorf("worker answered %d for %s", f.status, key))
+	if f.tile == nil {
+		w.Header().Set("Content-Type", f.ctype)
+		w.WriteHeader(f.status)
+		_, _ = w.Write(f.body)
 		return
 	}
 	httpcache.WriteRevalidated(w, r, f.tile.etag, f.tile.ctype, f.tile.body)
 }
 
-// fetchTile resolves one cacheable read against the graph's owner,
-// revalidating any cached copy. Non-200 answers are reported via
-// fetched.status with a nil tile (and are never cached — a 404 must
-// vanish the moment the graph is uploaded).
-func (rt *Router) fetchTile(p *peer, key string) (fetched, error) {
-	cached, ok := rt.cache.Get(key)
-	hdr := http.Header{}
-	if ok {
-		hdr.Set("If-None-Match", cached.etag)
+// maxErrorBody bounds the worker error envelope a cached view passes on.
+const maxErrorBody = 64 << 10
+
+// fetchTile resolves one cacheable read of the named graph against its
+// owner p, revalidating the cached copy when there is one: the one miss
+// path, and the path every read takes while p's feed is not live. The
+// tile it returns carries the feed epoch read before the forward and the
+// version on the worker's answer, so a change that overtakes the fetch
+// leaves the tile behind the graph's newest version: it is served to this
+// caller, cached for its ETag, and not trusted. Non-200 answers are
+// reported with a nil tile (and are never cached — a 404 must vanish the
+// moment the graph is uploaded).
+func (rt *Router) fetchTile(p *peer, name, key string, cached *tile) (fetched, error) {
+	var hdr http.Header
+	if cached != nil {
+		hdr = http.Header{"If-None-Match": {cached.etag}}
+		rt.revalidations.Inc()
 	}
+	epoch := p.feedEpoch()
 	resp, err := rt.do(http.MethodGet, p, key, hdr, nil)
 	if err != nil {
-		if ok {
+		if cached != nil {
 			// The owner is down but we hold a copy: stale beats 502.
 			rt.logf("serving stale %s: %v", key, err)
 			return fetched{tile: cached}, nil
@@ -408,27 +478,33 @@ func (rt *Router) fetchTile(p *peer, key string) (fetched, error) {
 		return fetched{}, err
 	}
 	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusNotModified:
-		return fetched{tile: cached}, nil
-	case http.StatusOK:
+	version := p.sawVersion(name, resp.Header, epoch)
+	var t *tile
+	switch {
+	case resp.StatusCode == http.StatusNotModified && cached != nil:
+		if cached.epoch == epoch && cached.version == version {
+			return fetched{tile: cached}, nil
+		}
+		t = &tile{graph: name, epoch: epoch, version: version,
+			etag: cached.etag, ctype: cached.ctype, body: cached.body}
+	case resp.StatusCode == http.StatusOK:
 		body, err := readTile(resp, rt.cfg.MaxUploadBytes)
 		if err != nil {
 			return fetched{}, err
 		}
-		t := &tile{
-			etag:  resp.Header.Get("ETag"),
-			ctype: resp.Header.Get("Content-Type"),
-			body:  body,
-		}
-		if t.etag != "" && rt.cfg.CacheBytes > 0 {
-			rt.cache.Put(key, t)
-		}
-		return fetched{tile: t}, nil
+		t = &tile{graph: name, epoch: epoch, version: version,
+			etag: resp.Header.Get("ETag"), ctype: resp.Header.Get("Content-Type"), body: body}
 	default:
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return fetched{status: resp.StatusCode}, nil
+		body, err := io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
+		if err != nil {
+			return fetched{}, err
+		}
+		return fetched{status: resp.StatusCode, ctype: resp.Header.Get("Content-Type"), body: body}, nil
 	}
+	if t.etag != "" && rt.cfg.CacheBytes > 0 {
+		rt.cache.Put(key, t)
+	}
+	return fetched{tile: t}, nil
 }
 
 // readTile reads a worker's 200 body. With a declared Content-Length it
@@ -523,6 +599,10 @@ type routerPeerState struct {
 	URL     string `json:"url"`
 	Worker  string `json:"worker,omitempty"`
 	Healthy bool   `json:"healthy"`
+	// Feed is whether the worker's invalidation feed is live, and Boot the
+	// boot id its hello carried: it changes when the worker restarts.
+	Feed bool   `json:"feed"`
+	Boot string `json:"boot,omitempty"`
 }
 
 // handleShardz reports per-worker health and identity — the operator's
@@ -531,8 +611,9 @@ func (rt *Router) handleShardz(w http.ResponseWriter, r *http.Request) {
 	out := routerShardz{Router: true}
 	for _, u := range rt.ring.Nodes() {
 		p := rt.peers[u]
+		feed, boot := p.feedStatus(time.Now())
 		out.Peers = append(out.Peers, routerPeerState{
-			URL: u, Worker: p.workerID(), Healthy: p.healthy.Load(),
+			URL: u, Worker: p.workerID(), Healthy: p.healthy.Load(), Feed: feed, Boot: boot,
 		})
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -612,7 +693,8 @@ func (rt *Router) handleJobsList(w http.ResponseWriter, r *http.Request) {
 
 // --- /graphs -----------------------------------------------------------
 
-// handleGraphUpload buffers the upload and hands it to the name's owner.
+// handleGraphUpload buffers the upload and hands it to the name's owner;
+// tiles held under the name belong to whatever graph had it before.
 func (rt *Router) handleGraphUpload(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("name")
 	if name == "" {
@@ -620,25 +702,21 @@ func (rt *Router) handleGraphUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if body, ok := readBody(w, r, rt.cfg.MaxUploadBytes); ok {
-		rt.relay(w, r, rt.owner(name), body)
+		rt.relayChange(w, r, name, body)
 	}
 }
 
 // handleGraphDelete forwards the delete to the owner and drops the
 // graph's tiles so they cannot outlive it on the router.
 func (rt *Router) handleGraphDelete(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	rt.relay(w, r, rt.owner(name), nil)
-	rt.cache.DropPrefix("/graphs/" + name + "/")
+	rt.relayChange(w, r, r.PathValue("name"), nil)
 }
 
 // handleGraphMutate forwards a PATCH to the owner. Mutations are not
 // idempotent, so — like every other forward — it is sent exactly once.
 func (rt *Router) handleGraphMutate(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
 	if body, ok := readBody(w, r, rt.cfg.MaxUploadBytes); ok {
-		rt.relay(w, r, rt.owner(name), body)
-		rt.cache.DropPrefix("/graphs/" + name + "/")
+		rt.relayChange(w, r, r.PathValue("name"), body)
 	}
 }
 
@@ -653,10 +731,10 @@ func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
 		writeRouterErr(w, http.StatusBadGateway, err)
 		return
 	}
-	rt.forwards(p.url).Inc()
+	p.forwards.Inc()
 	resp, err := rt.streamClient.Do(req)
 	if err != nil {
-		rt.forwardErrs(p.url).Inc()
+		p.forwardErrs.Inc()
 		writeRouterErr(w, http.StatusBadGateway, err)
 		return
 	}

@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/httpcache"
 	"repro/internal/server"
 )
 
@@ -260,10 +261,14 @@ func TestRouterShardsGraphsAcrossWorkers(t *testing.T) {
 }
 
 // fakeWorker is a scriptable worker: always ready on /shardz, with a
-// caller-supplied handler for everything else.
+// caller-supplied handler for everything else — except the invalidation
+// feed, which it lacks, as a worker built before the feed does. Every
+// test on one therefore pins the router's feed-less behaviour: each
+// cached read revalidated at the worker.
 func fakeWorker(t *testing.T, id string, h http.HandlerFunc) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
+	mux.HandleFunc(httpcache.FeedPath, http.NotFound)
 	mux.HandleFunc("GET /shardz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, `{"worker":%q,"ready":true}`, id)

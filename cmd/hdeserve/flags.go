@@ -84,7 +84,7 @@ func newFlagSet(opt *options) *flag.FlagSet {
 	fs.DurationVar(&opt.jobsTTL, "jobs-ttl", 0,
 		"how long finished jobs stay queryable (0 = default, negative = forever)")
 	fs.StringVar(&opt.dataDir, "data-dir", "",
-		"directory for the job journal (jobs.journal: submissions, results) and graph snapshots; a restarted worker recovers from it (empty = off)")
+		"directory for the worker's one durable file, jobs.journal (uploaded graphs, their PATCHes and DELETEs, job submissions and results); a restarted worker recovers from it (empty = off)")
 	fs.Int64Var(&opt.catalogBytes, "catalog-bytes", 0,
 		"graph catalog byte budget; LRU-evicts unpinned graphs (0 = default, negative = unbounded)")
 	fs.Int64Var(&opt.maxUpload, "max-upload", 0,

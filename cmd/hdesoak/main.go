@@ -3,8 +3,10 @@
 // binary, drives mixed upload/job/read traffic through the router,
 // SIGKILLs one worker mid-run and restarts it on the same address and
 // data directory, and verifies the zero-dropped-jobs invariant — every
-// accepted submission ends as exactly one result frame in a worker's job
-// journal with no intent left pending.
+// accepted submission ends as exactly one result frame in a worker's
+// journal with no intent left pending — and that the victim's graph comes
+// back with the PATCH it took before the kill, from a data directory that
+// holds the journal and nothing else.
 //
 // Around the kill it also holds the router's tile cache to the restart: a
 // tile of the victim's cached before the kill must not be what the router
@@ -199,8 +201,15 @@ func post(url, ctype string, body []byte) (int, []byte, string, error) {
 }
 
 // get fetches url and returns the status and body.
-func get(url string) (int, []byte, error) {
-	resp, err := http.Get(url)
+func get(url string) (int, []byte, error) { return do(http.MethodGet, url, "") }
+
+// do sends one request with a JSON body (none when empty).
+func do(method, url, body string) (int, []byte, error) {
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		return 0, nil, err
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -322,7 +331,8 @@ type soakResult struct {
 	Records  int    `json:"records"`
 	Intents  int    `json:"intentsLeft"`
 	// JournalBytesPerJob is the fleet's journal bytes over accepted jobs:
-	// intent + result frame (8 bytes per coordinate plus a JSON header).
+	// intent + result frame (8 bytes per coordinate plus a JSON header),
+	// and each job's share of the uploads' graph frames.
 	JournalBytesPerJob float64 `json:"journalBytesPerJob"`
 }
 
@@ -410,6 +420,28 @@ func soak(opt options, f *fleet) (soakResult, error) {
 	}); err != nil {
 		return res, err
 	}
+	// PATCH the victim's graph and let the refinement it queues finish (it
+	// carries no intent, so only a finished one is a result frame). The
+	// kill must not cost the graph these two edges.
+	last := opt.gridSide*opt.gridSide - 1
+	code, body, err := do(http.MethodPatch, f.router.url+"/graphs/"+victimName,
+		fmt.Sprintf(`{"mutations":[{"op":"addEdge","u":0,"v":%d},{"op":"addEdge","u":1,"v":%d}]}`, last, last-1))
+	var patched struct {
+		Job struct {
+			ID string `json:"id"`
+		} `json:"job"`
+	}
+	if err != nil || code != http.StatusAccepted || json.Unmarshal(body, &patched) != nil {
+		return res, fmt.Errorf("PATCH %s: status %d: %s (%v)", victimName, code, body, err)
+	}
+	accepted++
+	if err := await("refinement "+patched.Job.ID, time.Minute, func() (bool, error) {
+		_, body, err := get(f.router.url + "/jobs/" + patched.Job.ID)
+		return bytes.Contains(body, []byte(`"state":"done"`)), err
+	}); err != nil {
+		return res, err
+	}
+	patchedEdges := gen.Grid2D(opt.gridSide, opt.gridSide).NumEdges() + 2
 	// A router that probed before the workers were listening dials its
 	// feeds one health interval later.
 	var bootBefore string
@@ -447,7 +479,27 @@ func soak(opt options, f *fleet) (soakResult, error) {
 	if err := waitHealthy(victim.url, 60*time.Second); err != nil {
 		return res, err
 	}
-	log.Printf("%s restarted; replaying journaled jobs", victim.name)
+	var listing struct {
+		Graphs []struct {
+			Name    string `json:"name"`
+			Edges   int64  `json:"edges"`
+			Dynamic bool   `json:"dynamic"`
+		} `json:"graphs"`
+	}
+	if code, body, err := get(victim.url + "/graphs"); err != nil || code != http.StatusOK || json.Unmarshal(body, &listing) != nil {
+		return res, fmt.Errorf("GET /graphs on the restarted %s: status %d: %s (%v)", victim.name, code, body, err)
+	}
+	recovered := false
+	for _, g := range listing.Graphs {
+		if g.Name == victimName {
+			recovered = g.Dynamic && g.Edges == patchedEdges
+		}
+	}
+	if !recovered {
+		return res, fmt.Errorf("the restarted %s lists %+v; want %s dynamic with %d edges: the PATCH did not survive the kill",
+			victim.name, listing.Graphs, victimName, patchedEdges)
+	}
+	log.Printf("%s restarted with %s as PATCHed; replaying journaled jobs", victim.name, victimName)
 
 	if err := f.drain(5 * time.Minute); err != nil {
 		return res, err
@@ -482,6 +534,11 @@ func soak(opt options, f *fleet) (soakResult, error) {
 	if res.Records != accepted {
 		return res, fmt.Errorf("records = %d, want %d (one per accepted job): jobs were dropped or duplicated",
 			res.Records, accepted)
+	}
+	for _, dir := range f.dirs {
+		if entries, _ := os.ReadDir(dir); len(entries) != 1 || entries[0].Name() != jobs.JournalFile {
+			return res, fmt.Errorf("%s holds %v, want exactly %s", dir, entries, jobs.JournalFile)
+		}
 	}
 	return res, nil
 }

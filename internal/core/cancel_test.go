@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/gen"
+	"repro/internal/workspace"
 )
 
 func TestParHDECtxPreCancelled(t *testing.T) {
@@ -18,12 +19,33 @@ func TestParHDECtxPreCancelled(t *testing.T) {
 	}
 }
 
-// TestParHDECtxCancelDuringCoupledBFS cancels a deliberately slow coupled
-// run (large grid, many pivots) the moment the BFS phase starts: the
-// per-pivot ctx check inside coupledPhase must abandon the remaining
-// traversals in well under the time the full phase would take.
+// TestParHDECtxCancelDuringCoupledBFS cancels a coupled run (large grid,
+// many pivots) the moment the BFS phase starts: the per-pivot ctx check
+// inside coupledPhase must abandon the remaining traversals.
 func TestParHDECtxCancelDuringCoupledBFS(t *testing.T) {
+	cancelDuringBFS(t, Options{Subspace: 100, Seed: 1, Coupled: true})
+}
+
+// TestParHDECtxCancelDuringBFS is its default-options twin: the decoupled
+// path's pivot loop lives in pivot.PhaseBudget and stops through the
+// traversal hooks ParHDECtx hands it.
+func TestParHDECtxCancelDuringBFS(t *testing.T) {
+	cancelDuringBFS(t, Options{Subspace: 100, Seed: 1})
+}
+
+// cancelDuringBFS times the BFS phase of an undisturbed run, then cancels
+// the same run as that phase starts. Both go through one workspace, so the
+// second pays no allocation and its whole cost is what it ran before it
+// noticed: a run that waits the phase out takes about bfs, one that stops
+// at the next pivot about bfs/100.
+func cancelDuringBFS(t *testing.T, opt Options) {
 	g := gen.Grid2D(300, 300)
+	opt.Workspace = workspace.New()
+	_, rep, err := ParHDE(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bfs := rep.Breakdown.BFSTraversal
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ctx = WithPhaseNotify(ctx, func(phase string) {
@@ -32,7 +54,7 @@ func TestParHDECtxCancelDuringCoupledBFS(t *testing.T) {
 		}
 	})
 	start := time.Now()
-	layout, _, err := ParHDECtx(ctx, g, Options{Subspace: 100, Seed: 1, Coupled: true})
+	layout, _, err := ParHDECtx(ctx, g, opt)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want context.Canceled", err)
@@ -40,10 +62,8 @@ func TestParHDECtxCancelDuringCoupledBFS(t *testing.T) {
 	if layout != nil {
 		t.Fatal("cancelled run returned a layout")
 	}
-	// 100 traversals of a 90k-vertex grid take seconds; stopping at the
-	// next pivot boundary must be orders of magnitude quicker.
-	if elapsed > 3*time.Second {
-		t.Fatalf("cancellation honored only after %v", elapsed)
+	if elapsed > bfs/4 {
+		t.Fatalf("cancellation honored after %v; the whole BFS phase takes %v", elapsed, bfs)
 	}
 }
 

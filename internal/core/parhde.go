@@ -67,9 +67,10 @@ func ParHDE(g *graph.CSR, opt Options) (*Layout, *Report, error) {
 
 // ParHDECtx is ParHDE with cooperative cancellation: ctx is checked at
 // every phase boundary (BFS → DOrtho → TripleProd → eigensolve →
-// projection) and, in coupled mode, between every pivot traversal of the
-// BFS loop, so a cancelled run stops within one traversal rather than
-// after a phase completes. On cancellation the returned error satisfies
+// projection) and between the pivot traversals of the BFS loop, coupled or
+// not, so a cancelled run stops within one traversal rather than after a
+// phase completes (the Random strategy's concurrent whole-BFS fan-out is
+// one traversal in this sense). On cancellation the returned error satisfies
 // errors.Is(err, ctx.Err()). Phase transitions are reported to any
 // observer installed with WithPhaseNotify.
 func ParHDECtx(ctx context.Context, g *graph.CSR, opt Options) (*Layout, *Report, error) {
@@ -142,8 +143,20 @@ func ParHDECtx(ctx context.Context, g *graph.CSR, opt Options) (*Layout, *Report
 			return g.WeightedDegreesIntoBudget(bud, nil)
 		}
 		start := int32(splitmix(opt.Seed) % uint64(n))
-		onTrav := func(f func()) { timed(&bd.BFSTraversal, f) }
-		onOther := func(f func()) { timed(&bd.BFSOther, f) }
+		// The decoupled BFS phase owns its pivot loop; these hooks are where
+		// a cancelled run stops it: once ctx is done every remaining
+		// traversal and column fill is skipped, and the check after the
+		// phase returns before anything reads the half-filled matrix.
+		onTrav := func(f func()) {
+			if ctx.Err() == nil {
+				timed(&bd.BFSTraversal, f)
+			}
+		}
+		onOther := func(f func()) {
+			if ctx.Err() == nil {
+				timed(&bd.BFSOther, f)
+			}
+		}
 
 		if err = ctx.Err(); err != nil {
 			return
@@ -188,6 +201,9 @@ func ParHDECtx(ctx context.Context, g *graph.CSR, opt Options) (*Layout, *Report
 				ps = pivot.PhaseWeighted(g, b, start, opt.Delta, onTrav, onOther)
 			} else {
 				ps = pivot.PhaseBudget(bud, g, b, start, opt.Pivots, opt.BFS, psc, onTrav, onOther)
+			}
+			if err = ctx.Err(); err != nil {
+				return
 			}
 			rep.Sources = ps.Sources
 			rep.BFSStats = ps.Traversal

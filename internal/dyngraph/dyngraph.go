@@ -170,10 +170,11 @@ func (d *Graph) baseHas(u, v int32) bool {
 	return d.base.HasEdge(u, v)
 }
 
-// validate dry-runs the batch against the evolving id space so Apply is
-// atomic: an invalid mutation anywhere rejects the whole batch.
-func (d *Graph) validate(batch []Mutation) error {
-	numV := d.numV
+// Validate dry-runs the batch against an id space of numV vertices that
+// evolves with it, so Apply is atomic: an invalid mutation anywhere rejects
+// the whole batch. It needs no Graph, so a caller can refuse a batch before
+// making the graph it is meant for mutable.
+func Validate(numV int, batch []Mutation) error {
 	for i, m := range batch {
 		switch m.Op {
 		case AddEdge, DelEdge:
@@ -206,7 +207,7 @@ func (d *Graph) validate(batch []Mutation) error {
 func (d *Graph) Apply(batch []Mutation) (Result, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.validate(batch); err != nil {
+	if err := Validate(d.numV, batch); err != nil {
 		return Result{}, err
 	}
 	res := Result{FirstNewVertex: -1}

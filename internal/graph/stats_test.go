@@ -84,44 +84,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestParallelComponentsMatchesSerial(t *testing.T) {
-	for trial := 0; trial < 25; trial++ {
-		seed := int64(trial * 7)
-		n := 10 + trial*13
-		g := mustFromEdges(t, n, randomEdges(n, n+trial*5, seed), BuildOptions{KeepAllComponents: true})
-		want, wantCount := Components(g)
-		got, gotCount := ParallelComponents(g)
-		if wantCount != gotCount {
-			t.Fatalf("trial %d: %d components, serial %d", trial, gotCount, wantCount)
-		}
-		for v := range want {
-			if want[v] != got[v] {
-				t.Fatalf("trial %d: label[%d] = %d, serial %d", trial, v, got[v], want[v])
-			}
-		}
-	}
-}
-
-func TestParallelComponentsConnected(t *testing.T) {
-	g := pathGraph(t, 5000)
-	label, count := ParallelComponents(g)
-	if count != 1 {
-		t.Fatalf("connected path: %d components", count)
-	}
-	for _, l := range label {
-		if l != 0 {
-			t.Fatal("label nonzero on single component")
-		}
-	}
-}
-
-func TestParallelComponentsEmpty(t *testing.T) {
-	g := &CSR{NumV: 0, Offsets: []int64{0}}
-	if _, c := ParallelComponents(g); c != 0 {
-		t.Fatalf("empty graph: %d components", c)
-	}
-}
-
 func TestInducedSubgraph(t *testing.T) {
 	// Triangle 0-1-2 plus pendant 3; induce on {0,1,3}.
 	edges := []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, {U: 0, V: 3, W: 5}}

@@ -99,12 +99,12 @@ func (c *LRU[V]) Put(key string, val V) {
 	}
 }
 
-// DropIf removes every entry whose value drop reports true for.
-func (c *LRU[V]) DropIf(drop func(V) bool) {
+// DropIf removes every entry drop reports true for.
+func (c *LRU[V]) DropIf(drop func(key string, val V) bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, e := range c.items {
-		if drop(e.Value.(*lruEntry[V]).val) {
+	for key, e := range c.items {
+		if drop(key, e.Value.(*lruEntry[V]).val) {
 			c.remove(e)
 		}
 	}

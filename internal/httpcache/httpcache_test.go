@@ -195,8 +195,9 @@ func TestLRUDropIf(t *testing.T) {
 	c.Put("/layout.png", []byte("default"))
 	c.Put("/graphs/default/layout.png", []byte("default"))
 	c.Put("/graphs/other/layout.png", []byte("other"))
-	c.DropIf(func(v []byte) bool { return string(v) == "default" })
-	if contains(c, "/layout.png") || contains(c, "/graphs/default/layout.png") {
+	c.Put("/graphs/other/stats", []byte("other"))
+	c.DropIf(func(key string, v []byte) bool { return string(v) == "default" || key == "/graphs/other/stats" })
+	if contains(c, "/layout.png") || contains(c, "/graphs/default/layout.png") || contains(c, "/graphs/other/stats") {
 		t.Fatal("a matching entry survived DropIf")
 	}
 	if !contains(c, "/graphs/other/layout.png") || c.Len() != 1 || c.Bytes() != 5 {

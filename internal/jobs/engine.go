@@ -75,10 +75,11 @@ type Config struct {
 	// MaxResults caps retained finished jobs; the oldest are dropped
 	// first (0 = DefaultMaxResults, negative = unbounded).
 	MaxResults int
-	// DataDir, when non-empty, holds the job journal (JournalFile): one
-	// appended frame per accepted submission, per finished job (status,
-	// phase timings, coordinates) and per failed or cancelled one.
-	DataDir string
+	// Journal, when non-nil, is the worker's opened journal (OpenJournal):
+	// it gets one appended frame per accepted submission, per finished job
+	// (status, phase timings, coordinates) and per failed or cancelled
+	// one, and the engine closes it.
+	Journal *Journal
 	// Metrics receives queue/state/latency series (nil = private registry).
 	Metrics *obs.Registry
 	// OnDone, when non-nil, runs after every terminal transition, from
@@ -134,7 +135,7 @@ type Engine struct {
 	jobs     map[string]*Job
 	finished []string // terminal job ids in completion order, for purging
 
-	jrn     *journal.Journal // closed (the zero Journal) when DataDir's could not be opened
+	jrn     *journal.Journal // cfg.Journal's file; closed (the zero Journal) without one
 	pending []Intent         // what the journal left unresolved at start-up
 
 	submitted     *obs.Counter
@@ -175,8 +176,13 @@ func New(cat *catalog.Catalog, cfg Config) *Engine {
 	}
 	cfg.Metrics.GaugeFunc("jobs_queue_depth", func() float64 { return float64(len(e.queue)) })
 	cfg.Metrics.GaugeFunc("jobs_journal_bytes", func() float64 { return float64(e.jrn.Size()) })
-	if cfg.DataDir != "" {
-		e.openJournal()
+	if j := cfg.Journal; j != nil {
+		e.jrn, e.seq, e.pending = j.file, j.snap.Seq, j.snap.Pending
+		for _, err := range j.snap.Errs {
+			if cfg.Logger != nil {
+				cfg.Logger.Printf("jobs: opening the journal: %v", err)
+			}
+		}
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		e.wg.Add(1)
@@ -193,7 +199,7 @@ func (e *Engine) Submit(graphName string, cfg pipeline.Config) (*Job, error) {
 }
 
 // SubmitSpec is Submit plus a self-contained, re-parseable description of
-// the request (the validated API body, typically). With DataDir set the
+// the request (the validated API body, typically). With a journal the
 // spec is journaled as an intent frame before the submission returns, so
 // a worker that dies mid-run can recover the job on restart (see
 // Pending). A nil spec submits without an intent: the job runs normally

@@ -297,7 +297,7 @@ func TestResultRetentionTTLAndCount(t *testing.T) {
 func TestPersistence(t *testing.T) {
 	dir := t.TempDir()
 	c := testCatalog(t)
-	e := New(c, Config{Workers: 1, DataDir: dir})
+	e := New(c, Config{Workers: 1, Journal: OpenJournal(dir, nil)})
 	defer e.Close()
 	j, err := e.Submit("grid", pipeline.Config{Layout: core.Options{Subspace: 8, Seed: 1}})
 	if err != nil {

@@ -29,7 +29,7 @@ func writeFrames(t *testing.T, frames ...journal.Frame) string {
 		t.Fatal(err)
 	}
 	for _, f := range frames {
-		if err := j.Append(f.Kind, f.Key, func(b []byte) []byte { return append(b, f.Payload...) }); err != nil {
+		if err := j.Append(f.Kind, f.Key, func(b []byte) ([]byte, error) { return append(b, f.Payload...), nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -126,7 +126,7 @@ func TestResultRoundTripsBitExact(t *testing.T) {
 	weird := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Float64frombits(0x7ff8000000000abc),
 		math.Copysign(0, -1), 5e-324, math.MaxFloat64, 1.0 / 3}
 	dir := t.TempDir()
-	e := New(testCatalog(t), Config{Workers: 1, DataDir: dir,
+	e := New(testCatalog(t), Config{Workers: 1, Journal: OpenJournal(dir, nil),
 		run: func(ctx context.Context, g *graph.CSR, cfg pipeline.Config) (*pipeline.Result, error) {
 			if cfg.Layout.Seed == 99 {
 				l := &core.Layout{Coords: linalg.NewDense(len(weird)/2, 2)}
@@ -205,7 +205,7 @@ func TestJournalAppendAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(testCatalog(t), Config{Workers: 1, DataDir: t.TempDir(), run: fastRun})
+	e := New(testCatalog(t), Config{Workers: 1, Journal: OpenJournal(t.TempDir(), nil), run: fastRun})
 	defer e.Close()
 	// What a worker does after a job's last phase, minus the run itself:
 	// metrics, the result frame (status snapshot, header, coordinates), hook.

@@ -16,19 +16,23 @@ import (
 	"repro/internal/journal"
 )
 
-// The job journal: with DataDir set, every durable fact about a job is
-// one frame appended to DataDir/JournalFile, keyed by the job id.
+// The journal: with Config.Journal set, every durable fact about a job is
+// one frame appended to the worker's one journal file, keyed by the job id.
 // SubmitSpec appends an intent before the submission returns; finalize
 // appends a result when the job is done, or a retire when it failed or a
 // caller cancelled it. Pending work after a crash or a shutdown is exactly
 // the intents with no later result or retire for the same key: the next
-// engine on the same DataDir finds them in one scan (Pending), and the
-// layer that built the submissions replays them and retires the old ids.
+// engine on the same file finds them in the scan that opened it (Pending),
+// and the layer that built the submissions replays them and retires the old
+// ids. The file is the worker's, not only the engine's: the layer above
+// keeps its own frame kinds in it (the server's graph frames), reads them
+// back through OpenJournal's callback and writes them with Engine.Append.
 
-// JournalFile is the name of the job journal inside DataDir.
+// JournalFile is the name of the journal inside a worker's data directory.
 const JournalFile = "jobs.journal"
 
-// Frame kinds of the job journal.
+// The journal's frame kinds that are the engine's; every other kind
+// belongs to the layer above and is none of this package's business.
 const (
 	kindIntent byte = 'i' // payload: Intent JSON
 	kindResult byte = 'r' // payload: Record JSON, '\n', the coordinates as little-endian float64
@@ -115,6 +119,9 @@ type Snapshot struct {
 }
 
 func (s *Snapshot) apply(f journal.Frame) {
+	if !ownKind(f.Kind) {
+		return // a graph named proj7 is not job sequence 7
+	}
 	n, _ := strconv.ParseInt(f.Key[strings.LastIndexByte(f.Key, 'j')+1:], 10, 64)
 	s.Seq = max(s.Seq, n)
 	var err error
@@ -143,56 +150,85 @@ func (s *Snapshot) apply(f journal.Frame) {
 	}
 }
 
-// skipResult keeps an engine's start-up scan from reading coordinates:
-// to know what is pending it needs a result frame's key, not its payload.
-func skipResult(kind byte) bool { return kind == kindResult }
-
-// openJournal opens DataDir's journal, continuing the id sequence past
-// every key it holds (a restarted worker never reuses an id) and keeping
-// the intents it leaves unresolved for Pending. A journal that cannot be
-// opened is an error the engine logs and outlives: jobs run, every frame
-// they would have written counts in jobs_journal_errors_total.
-func (e *Engine) openJournal() {
-	var snap Snapshot
-	jrn, err := journal.Open(filepath.Join(e.cfg.DataDir, JournalFile), skipResult, snap.apply)
-	if err == nil {
-		e.jrn, e.seq, e.pending = jrn, snap.Seq, snap.Pending
-	}
-	for _, err := range append(snap.Errs, err) {
-		if err != nil && e.cfg.Logger != nil {
-			e.cfg.Logger.Printf("jobs: opening the journal: %v", err)
-		}
-	}
+// ownKind reports whether kind is one of the engine's frame kinds.
+func ownKind(kind byte) bool {
+	return kind == kindIntent || kind == kindResult || kind == kindRetire
 }
 
-// record appends one frame for job id: head as JSON (nil for none), then
-// for a result the coordinates. A frame that does not reach the file is
-// counted and logged, never fatal to the job. Without DataDir it is a no-op.
-func (e *Engine) record(kind byte, id string, head interface{}, coords []float64) {
-	if e.cfg.DataDir == "" {
+// skipResult keeps a start-up scan from reading coordinates: to know what
+// is pending it needs a result frame's key, not its payload.
+func skipResult(kind byte) bool { return kind == kindResult }
+
+// Journal is a worker's journal opened for one Engine: the file, and what
+// the scan that opened it folded out of the job frames.
+type Journal struct {
+	file *journal.Journal // closed (the zero Journal) when the file could not be opened
+	snap Snapshot
+}
+
+// OpenJournal opens dir's journal in one ordered scan. Job frames are
+// folded for the engine that gets the result as its Config.Journal — the
+// id sequence continues past every job key the file holds (a restarted
+// worker never reuses an id) and the intents it leaves unresolved become
+// Pending. Frames of every other kind go to other (nil drops them), in
+// file order and with their payload, so the caller rebuilds whatever it
+// keeps in the file before any pending job is resubmitted. A journal that
+// cannot be opened is not fatal: the engine logs why and outlives it —
+// jobs run, and every frame that should have been written counts in
+// jobs_journal_errors_total.
+func OpenJournal(dir string, other func(journal.Frame)) *Journal {
+	j := &Journal{file: new(journal.Journal)}
+	file, err := journal.Open(filepath.Join(dir, JournalFile), skipResult, func(f journal.Frame) {
+		if ownKind(f.Kind) {
+			j.snap.apply(f)
+		} else if other != nil {
+			other(f)
+		}
+	})
+	if err != nil {
+		j.snap = Snapshot{Errs: append(j.snap.Errs, err)}
+	} else {
+		j.file = file
+	}
+	return j
+}
+
+// Append writes one frame to the engine's journal: timed whole into
+// jobs_journal_append_seconds, and a frame that does not reach the file is
+// counted and logged, never fatal to the request or job that wrote it.
+// Without a journal it is a no-op. The engine's own frames go through it,
+// and so do the frames of the layer that shares the file.
+func (e *Engine) Append(kind byte, key string, fill func([]byte) ([]byte, error)) {
+	if e.cfg.Journal == nil {
 		return
 	}
 	start := time.Now()
-	var h []byte
-	var err error
-	if head != nil {
-		h, err = json.Marshal(head)
-	}
-	if err == nil {
-		err = e.jrn.Append(kind, id, func(b []byte) []byte {
-			if b = append(b, h...); kind == kindResult {
-				b = appendCoords(b, coords)
-			}
-			return b
-		})
-	}
+	err := e.jrn.Append(kind, key, fill)
 	e.appendSeconds.ObserveDuration(time.Since(start))
 	if err != nil {
 		e.journalErrs.Inc()
 		if e.cfg.Logger != nil {
-			e.cfg.Logger.Printf("jobs: journaling %c frame for %s: %v", kind, id, err)
+			e.cfg.Logger.Printf("jobs: journaling %c frame for %s: %v", kind, key, err)
 		}
 	}
+}
+
+// record appends one job frame for id: head as JSON (nil for none), then
+// for a result the coordinates.
+func (e *Engine) record(kind byte, id string, head interface{}, coords []float64) {
+	e.Append(kind, id, func(b []byte) ([]byte, error) {
+		if head != nil {
+			h, err := json.Marshal(head)
+			if err != nil {
+				return nil, err
+			}
+			b = append(b, h...)
+		}
+		if kind == kindResult {
+			b = appendCoords(b, coords)
+		}
+		return b, nil
+	})
 }
 
 // Pending returns the intents the journal held unresolved when the engine
@@ -201,7 +237,7 @@ func (e *Engine) record(kind byte, id string, head interface{}, coords []float64
 func (e *Engine) Pending() []Intent { return e.pending }
 
 // Retire marks id resolved in the journal so no later start replays it.
-func (e *Engine) Retire(id string) { e.record(kindRetire, id, nil, nil) }
+func (e *Engine) Retire(id string) { e.Append(kindRetire, id, nil) }
 
 // ReadJournal reads dir's job journal without modifying it, verifying
 // every frame's checksum and stopping quietly at a torn tail (which a

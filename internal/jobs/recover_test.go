@@ -7,6 +7,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -39,7 +40,7 @@ func pendingIDs(t *testing.T, dir string) []string {
 
 func TestIntentRetiredOnDone(t *testing.T) {
 	dir := t.TempDir()
-	e := New(testCatalog(t), Config{Workers: 1, DataDir: dir, run: fastRun})
+	e := New(testCatalog(t), Config{Workers: 1, Journal: OpenJournal(dir, nil), run: fastRun})
 	defer e.Close()
 	j, err := e.SubmitSpec("grid", pipeline.Config{}, []byte(`{"graph":"grid"}`))
 	if err != nil {
@@ -62,7 +63,7 @@ func TestIntentRetiredOnDone(t *testing.T) {
 func TestIntentRetiredOnUserCancel(t *testing.T) {
 	dir := t.TempDir()
 	run, release := blockingRun()
-	e := New(testCatalog(t), Config{Workers: 1, QueueDepth: 8, DataDir: dir, run: run})
+	e := New(testCatalog(t), Config{Workers: 1, QueueDepth: 8, Journal: OpenJournal(dir, nil), run: run})
 	defer e.Close()
 	defer close(release)
 	// First job occupies the worker; the second stays queued.
@@ -89,7 +90,7 @@ func TestIntentRetiredOnUserCancel(t *testing.T) {
 func TestIntentSurvivesShutdownAndRecovers(t *testing.T) {
 	dir := t.TempDir()
 	run, release := blockingRun()
-	e := New(testCatalog(t), Config{Workers: 1, QueueDepth: 8, IDPrefix: "w1-", DataDir: dir, run: run})
+	e := New(testCatalog(t), Config{Workers: 1, QueueDepth: 8, IDPrefix: "w1-", Journal: OpenJournal(dir, nil), run: run})
 	running, err := e.SubmitSpec("grid", pipeline.Config{}, []byte(`{"graph":"grid","subspace":8}`))
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +108,7 @@ func TestIntentSurvivesShutdownAndRecovers(t *testing.T) {
 
 	// A new engine on the same dir finds both, oldest first, specs
 	// verbatim, and continues the id sequence past them.
-	e2 := New(testCatalog(t), Config{Workers: 1, IDPrefix: "w1-", DataDir: dir, run: fastRun})
+	e2 := New(testCatalog(t), Config{Workers: 1, IDPrefix: "w1-", Journal: OpenJournal(dir, nil), run: fastRun})
 	defer e2.Close()
 	pending := e2.Pending()
 	if len(pending) != 2 {
@@ -135,7 +136,7 @@ func TestIntentSurvivesShutdownAndRecovers(t *testing.T) {
 		t.Fatalf("intents pending after recovery: %v", left)
 	}
 	// A third life replays nothing and still never reuses an id.
-	e3 := New(testCatalog(t), Config{Workers: 1, IDPrefix: "w1-", DataDir: dir, run: fastRun})
+	e3 := New(testCatalog(t), Config{Workers: 1, IDPrefix: "w1-", Journal: OpenJournal(dir, nil), run: fastRun})
 	defer e3.Close()
 	if len(e3.Pending()) != 0 {
 		t.Fatalf("third start replays %+v", e3.Pending())
@@ -190,7 +191,7 @@ func TestPendingIntentsToleratesCorruptAndFuture(t *testing.T) {
 
 	// The engine's own start-up scan (which skips result payloads) agrees.
 	var logged strings.Builder
-	e := New(testCatalog(t), Config{Workers: 1, DataDir: dir, run: fastRun, Logger: log.New(&logged, "", 0)})
+	e := New(testCatalog(t), Config{Workers: 1, Journal: OpenJournal(dir, nil), run: fastRun, Logger: log.New(&logged, "", 0)})
 	defer e.Close()
 	check("engine", e.Pending(), strings.Split(strings.TrimSpace(logged.String()), "\n"), e.seq)
 }
@@ -200,7 +201,7 @@ func TestPendingIntentsToleratesCorruptAndFuture(t *testing.T) {
 // pending again, and the next append lands on the cleaned boundary.
 func TestTornResultFrameReplaysTheJob(t *testing.T) {
 	dir := t.TempDir()
-	e := New(testCatalog(t), Config{Workers: 1, DataDir: dir, run: fastRun})
+	e := New(testCatalog(t), Config{Workers: 1, Journal: OpenJournal(dir, nil), run: fastRun})
 	j, err := e.SubmitSpec("grid", pipeline.Config{}, []byte(`{"graph":"grid"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +216,7 @@ func TestTornResultFrameReplaysTheJob(t *testing.T) {
 	if err := os.Truncate(path, st.Size()-9); err != nil {
 		t.Fatal(err)
 	}
-	e2 := New(testCatalog(t), Config{Workers: 1, DataDir: dir, run: fastRun})
+	e2 := New(testCatalog(t), Config{Workers: 1, Journal: OpenJournal(dir, nil), run: fastRun})
 	defer e2.Close()
 	if p := e2.Pending(); len(p) != 1 || p[0].ID != j.ID() {
 		t.Fatalf("pending after a torn result = %+v, want %s", p, j.ID())
@@ -259,13 +260,13 @@ func TestRestartDoesNotReadResultPayloads(t *testing.T) {
 	for i := 1; i <= jobs; i++ {
 		id := fmt.Sprintf("w1-j%06d", i)
 		in, _ := json.Marshal(Intent{Version: PersistVersion, ID: id, Graph: "grid", Spec: json.RawMessage(`{"graph":"grid"}`)})
-		if err := j.Append(kindIntent, id, func(b []byte) []byte { return append(b, in...) }); err != nil {
+		if err := j.Append(kindIntent, id, func(b []byte) ([]byte, error) { return append(b, in...), nil }); err != nil {
 			t.Fatal(err)
 		}
 		if i == jobs/2 {
 			continue // one job the previous life never finished
 		}
-		if err := j.Append(kindResult, id, func(b []byte) []byte { return appendCoords(append(b, `{"version":1,"dims":2}`...), xs) }); err != nil {
+		if err := j.Append(kindResult, id, func(b []byte) ([]byte, error) { return appendCoords(append(b, `{"version":1,"dims":2}`...), xs), nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -290,12 +291,54 @@ func TestRestartDoesNotReadResultPayloads(t *testing.T) {
 		t.Fatalf("scan found %d pending, seq %d, errs %v", len(snap.Pending), snap.Seq, snap.Errs)
 	}
 
-	e := New(testCatalog(t), Config{Workers: 1, IDPrefix: "w1-", DataDir: dir, run: fastRun})
+	e := New(testCatalog(t), Config{Workers: 1, IDPrefix: "w1-", Journal: OpenJournal(dir, nil), run: fastRun})
 	defer e.Close()
 	if p := e.Pending(); len(p) != 1 || p[0].ID != fmt.Sprintf("w1-j%06d", jobs/2) {
 		t.Fatalf("engine pending = %+v", p)
 	}
 	if nj, err := e.Submit("grid", pipeline.Config{}); err != nil || nj.ID() != fmt.Sprintf("w1-j%06d", jobs+1) {
 		t.Fatalf("next id %v (err %v)", nj, err)
+	}
+}
+
+// TestForeignFramesAreNotJobs: the journal is shared with a layer that keeps
+// its own kinds in it, under keys that are graph names. Those frames reach
+// OpenJournal's callback in file order with their payloads, written through
+// Engine.Append they count in the same metrics, and nothing about them reads
+// as a job: a graph named proj7 is not job sequence 7, and a key shared with
+// a job neither resolves nor resurrects its intent.
+func TestForeignFramesAreNotJobs(t *testing.T) {
+	dir := t.TempDir()
+	e := New(testCatalog(t), Config{Workers: 1, Journal: OpenJournal(dir, nil), run: fastRun})
+	put := func(kind byte, key, payload string) {
+		e.Append(kind, key, func(b []byte) ([]byte, error) { return append(b, payload...), nil })
+	}
+	put('g', "proj7", "graph bytes")
+	j, err := e.SubmitSpec("grid", pipeline.Config{}, []byte(`{"graph":"grid"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	put('m', j.ID(), "a batch keyed like the job")
+	waitState(t, j, StateDone)
+	put('d', "proj7", "")
+	e.Close()
+	if n := e.appendSeconds.Count(); n != 5 || e.journalErrs.Value() != 0 {
+		t.Fatalf("%d appends timed, %d failed; want all 5 frames through one path", n, e.journalErrs.Value())
+	}
+
+	snap := readJournal(t, dir)
+	if snap.Seq != 1 || len(snap.Pending) != 0 || len(snap.Results) != 1 || len(snap.Errs) != 0 {
+		t.Fatalf("ReadJournal: seq %d, pending %+v, %d results, errs %v; want the one job, resolved", snap.Seq, snap.Pending, len(snap.Results), snap.Errs)
+	}
+	var foreign []string
+	jrn := OpenJournal(dir, func(f journal.Frame) { foreign = append(foreign, fmt.Sprintf("%c %s %s", f.Kind, f.Key, f.Payload)) })
+	want := []string{"g proj7 graph bytes", "m " + j.ID() + " a batch keyed like the job", "d proj7 "}
+	if !slices.Equal(foreign, want) {
+		t.Fatalf("foreign frames = %q, want %q", foreign, want)
+	}
+	e2 := New(testCatalog(t), Config{Workers: 1, Journal: jrn, run: fastRun})
+	defer e2.Close()
+	if nj, err := e2.Submit("grid", pipeline.Config{}); err != nil || nj.ID() != "j000002" || len(e2.Pending()) != 0 {
+		t.Fatalf("next id %v (err %v), pending %+v; want j000002 and nothing to replay", nj, err, e2.Pending())
 	}
 }

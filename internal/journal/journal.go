@@ -26,6 +26,11 @@ import (
 const (
 	prefixLen = 8 // length + checksum
 	headLen   = 2 // kind + keyLen
+
+	// maxKeptBuf is the largest frame whose buffer Append keeps for the
+	// next frame. Steady traffic reuses one buffer; a frame beyond this is rare
+	// and large (an uploaded graph), and must not pin its size for good.
+	maxKeptBuf = 1 << 20
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -116,17 +121,24 @@ func Open(path string, skip func(kind byte) bool, visit func(Frame)) (*Journal, 
 }
 
 // Append writes one frame. fill appends the payload to the buffer it is
-// given and returns it (a nil fill is an empty payload); the buffer is the
-// journal's own and is reused, so fill must not retain it.
-func (j *Journal) Append(kind byte, key string, fill func([]byte) []byte) error {
+// given and returns it (a nil fill is an empty payload); if it fails,
+// nothing is written and Append returns its error. The buffer is the
+// journal's own and is reused while frames stay under maxKeptBuf, so fill
+// must not retain it.
+func (j *Journal) Append(kind byte, key string, fill func([]byte) ([]byte, error)) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	b := append(j.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0, kind, byte(len(key)))
 	b = append(b, key...)
 	if fill != nil {
-		b = fill(b)
+		var err error
+		if b, err = fill(b); err != nil {
+			return err
+		}
 	}
-	j.buf = b
+	if j.buf = b; len(b) > maxKeptBuf {
+		j.buf = nil
+	}
 	if len(key) > math.MaxUint8 || len(b)-prefixLen > math.MaxUint32 {
 		return fmt.Errorf("journal: frame of %d bytes keyed by %d does not fit the format", len(b), len(key))
 	}

@@ -3,6 +3,7 @@ package journal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -36,7 +37,7 @@ func writeFrames(t *testing.T, path string, n int) []int64 {
 	var ends []int64
 	for i := 0; i < n; i++ {
 		p := payloadOf(i)
-		if err := j.Append(byte('A'+i), fmt.Sprintf("k%d", i), func(b []byte) []byte { return append(b, p...) }); err != nil {
+		if err := j.Append(byte('A'+i), fmt.Sprintf("k%d", i), func(b []byte) ([]byte, error) { return append(b, p...), nil }); err != nil {
 			t.Fatal(err)
 		}
 		ends = append(ends, j.Size())
@@ -102,7 +103,7 @@ func TestTornTailTruncatedAtEveryOffset(t *testing.T) {
 			t.Fatalf("cut at %d: file is %d bytes, Size %d, want both %d", cut, st.Size(), j.Size(), ends[n-2])
 		}
 		p := payloadOf(n - 1)
-		if err := j.Append(byte('A'+n-1), fmt.Sprintf("k%d", n-1), func(b []byte) []byte { return append(b, p...) }); err != nil {
+		if err := j.Append(byte('A'+n-1), fmt.Sprintf("k%d", n-1), func(b []byte) ([]byte, error) { return append(b, p...), nil }); err != nil {
 			t.Fatal(err)
 		}
 		j.Close()
@@ -169,9 +170,9 @@ func TestScanSkipsPayloads(t *testing.T) {
 		if i%5 == 0 {
 			kind = 's' // small, wanted
 		}
-		fill := func(b []byte) []byte { return append(b, big...) }
+		fill := func(b []byte) ([]byte, error) { return append(b, big...), nil }
 		if kind == 's' {
-			fill = func(b []byte) []byte { return append(b, "tiny"...) }
+			fill = func(b []byte) ([]byte, error) { return append(b, "tiny"...), nil }
 		}
 		if err := j.Append(kind, fmt.Sprintf("k%03d", i), fill); err != nil {
 			t.Fatal(err)
@@ -218,7 +219,7 @@ func TestConcurrentAppends(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				p := bytes.Repeat([]byte{byte(w)}, 1+37*i)
-				if err := j.Append(byte(w), fmt.Sprintf("w%d-%d", w, i), func(b []byte) []byte { return append(b, p...) }); err != nil {
+				if err := j.Append(byte(w), fmt.Sprintf("w%d-%d", w, i), func(b []byte) ([]byte, error) { return append(b, p...), nil }); err != nil {
 					t.Error(err)
 				}
 			}
@@ -237,6 +238,48 @@ func TestConcurrentAppends(t *testing.T) {
 			t.Fatalf("writer %d frame %d came back as key %q, %d bytes", w, next[w], f.Key, len(f.Payload))
 		}
 		next[w]++
+	}
+}
+
+// TestFailedFillWritesNothing: a payload that cannot be built costs its
+// own frame and nothing else.
+func TestFailedFillWritesNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j")
+	j, _ := openAll(t, path, nil)
+	boom := errors.New("boom")
+	err := j.Append('a', "k1", func(b []byte) ([]byte, error) { return append(b, "half a payl"...), boom })
+	if err != boom || j.Size() != 0 {
+		t.Fatalf("failed fill: err %v, size %d; want its own error and an empty file", err, j.Size())
+	}
+	if err := j.Append('a', "k2", func(b []byte) ([]byte, error) { return append(b, "whole"...), nil }); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	_, got := openAll(t, path, nil)
+	if len(got) != 1 || got[0].Key != "k2" || string(got[0].Payload) != "whole" {
+		t.Fatalf("replayed %+v, want the one frame that was filled", got)
+	}
+}
+
+// TestLargeFrameBufferNotKept: the buffer is reused from frame to frame
+// until one outgrows maxKeptBuf; that one's is let go, not pinned.
+func TestLargeFrameBufferNotKept(t *testing.T) {
+	j, _ := openAll(t, filepath.Join(t.TempDir(), "j"), nil)
+	defer j.Close()
+	payload := func(n int) func([]byte) ([]byte, error) {
+		return func(b []byte) ([]byte, error) { return append(b, make([]byte, n)...), nil }
+	}
+	if err := j.Append('r', "k", payload(maxKeptBuf/2)); err != nil {
+		t.Fatal(err)
+	}
+	if cap(j.buf) < maxKeptBuf/2 {
+		t.Fatalf("a %d-byte frame left a %d-byte buffer: not reused", maxKeptBuf/2, cap(j.buf))
+	}
+	if err := j.Append('g', "k", payload(maxKeptBuf)); err != nil {
+		t.Fatal(err)
+	}
+	if j.buf != nil {
+		t.Fatalf("a frame over maxKeptBuf left its %d-byte buffer pinned", cap(j.buf))
 	}
 }
 
@@ -287,7 +330,7 @@ func FuzzJournalScan(f *testing.F) {
 			f.Fatal(err)
 		}
 		for _, fr := range frames {
-			j.Append(fr.Kind, fr.Key, func(b []byte) []byte { return append(b, fr.Payload...) })
+			j.Append(fr.Kind, fr.Key, func(b []byte) ([]byte, error) { return append(b, fr.Payload...), nil })
 		}
 		j.Close()
 		b, _ := os.ReadFile(path)

@@ -3,7 +3,6 @@ package parallel
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // Budget is an explicit worker-count budget for the fan-out primitives.
@@ -128,54 +127,6 @@ func (b Budget) ForBlock(n int, body func(lo, hi int)) {
 	wg.Wait()
 }
 
-// ForDynamic executes body(i) for every i in [0, n) with dynamic
-// scheduling; see ForDynamicBlock.
-func (b Budget) ForDynamic(n, chunk int, body func(i int)) {
-	b.ForDynamicBlock(n, chunk, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-	})
-}
-
-// ForDynamicBlock is the block form of ForDynamic: workers repeatedly
-// claim [lo, hi) chunks of the given size until the range is exhausted.
-// Worker count is clamped to the number of chunks, so a short irregular
-// loop never spawns goroutines that would find the counter exhausted.
-func (b Budget) ForDynamicBlock(n, chunk int, body func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if chunk <= 0 {
-		chunk = MinGrain
-	}
-	p := dynamicWorkers(n, chunk, b.Workers())
-	if p <= 1 {
-		body(0, n)
-		return
-	}
-	var next int64
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for w := 0; w < p; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				lo := int(atomic.AddInt64(&next, int64(chunk))) - chunk
-				if lo >= n {
-					return
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				body(lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // blockWorkers clamps a static partition's worker count so every worker
 // gets at least MinGrain iterations (and short loops run serially).
 func blockWorkers(n, p int) int {
@@ -184,19 +135,6 @@ func blockWorkers(n, p int) int {
 	}
 	if maxB := (n + MinGrain - 1) / MinGrain; p > maxB {
 		p = maxB
-	}
-	return p
-}
-
-// dynamicWorkers clamps a dynamic loop's worker count to the number of
-// chunks: with fewer chunks than workers the surplus goroutines would
-// only spin the claim counter once and exit, pure spawn overhead.
-func dynamicWorkers(n, chunk, p int) int {
-	if p <= 1 || n <= chunk {
-		return 1
-	}
-	if chunks := (n + chunk - 1) / chunk; p > chunks {
-		p = chunks
 	}
 	return p
 }

@@ -71,51 +71,6 @@ func TestBlockWorkersClamp(t *testing.T) {
 	}
 }
 
-// TestDynamicWorkersClamp is the regression test for ForDynamicBlock
-// spawning p goroutines even when there were fewer chunks than workers.
-func TestDynamicWorkersClamp(t *testing.T) {
-	cases := []struct{ n, chunk, p, want int }{
-		{100, 100, 8, 1}, // one chunk: serial
-		{100, 200, 8, 1}, // n <= chunk: serial
-		{100, 1, 8, 8},   // 100 chunks: keep p
-		{100, 40, 8, 3},  // ceil(100/40) = 3 chunks: clamp 8 -> 3
-		{101, 50, 8, 3},  // ceil rounding
-		{100, 50, 2, 2},  // exactly as many chunks as workers
-		{100, 10, 1, 1},  // serial budget stays serial
-		{100, 10, 0, 1},  // degenerate p
-	}
-	for _, c := range cases {
-		if got := dynamicWorkers(c.n, c.chunk, c.p); got != c.want {
-			t.Errorf("dynamicWorkers(%d, %d, %d) = %d, want %d", c.n, c.chunk, c.p, got, c.want)
-		}
-	}
-}
-
-// TestForDynamicBlockCoversRangeAcrossBudgets: every element is visited
-// exactly once for any budget, including budgets larger than the chunk
-// count (the case the clamp protects).
-func TestForDynamicBlockCoversRangeAcrossBudgets(t *testing.T) {
-	withProcs(t, 4, func() {
-		for _, n := range []int{0, 1, 99, 100, 4096} {
-			for _, chunk := range []int{1, 7, 64, 4096} {
-				for _, bud := range []Budget{FixedBudget(1), FixedBudget(2), FixedBudget(16), Live()} {
-					seen := make([]int32, n)
-					bud.ForDynamicBlock(n, chunk, func(lo, hi int) {
-						for i := lo; i < hi; i++ {
-							atomic.AddInt32(&seen[i], 1)
-						}
-					})
-					for i, c := range seen {
-						if c != 1 {
-							t.Fatalf("n=%d chunk=%d workers=%d: index %d visited %d times", n, chunk, bud.Workers(), i, c)
-						}
-					}
-				}
-			}
-		}
-	})
-}
-
 // TestBudgetForBlockCoversRange: the static partition covers [0, n)
 // exactly once and in-block order for fixed and live budgets.
 func TestBudgetForBlockCoversRange(t *testing.T) {

@@ -50,20 +50,6 @@ func ForBlock(n int, body func(lo, hi int)) {
 	Live().ForBlock(n, body)
 }
 
-// ForDynamic executes body(i) for every i in [0, n) with dynamic
-// (work-stealing style) scheduling: workers grab chunks of the given size
-// from a shared counter. Use it for loops with irregular per-iteration
-// cost, e.g. per-vertex adjacency scans on skewed-degree graphs.
-func ForDynamic(n, chunk int, body func(i int)) {
-	Live().ForDynamic(n, chunk, body)
-}
-
-// ForDynamicBlock is the block form of ForDynamic: workers repeatedly claim
-// [lo, hi) chunks of the given size until the range is exhausted.
-func ForDynamicBlock(n, chunk int, body func(lo, hi int)) {
-	Live().ForDynamicBlock(n, chunk, body)
-}
-
 // Run executes the given thunks concurrently and waits for all of them.
 func Run(thunks ...func()) {
 	var wg sync.WaitGroup

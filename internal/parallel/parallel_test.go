@@ -47,28 +47,6 @@ func TestForBlockNegativeAndZero(t *testing.T) {
 	}
 }
 
-func TestForDynamicCoversRange(t *testing.T) {
-	for _, chunk := range []int{1, 3, 100, 5000} {
-		n := 3*MinGrain + 11
-		hits := make([]int32, n)
-		ForDynamic(n, chunk, func(i int) { atomic.AddInt32(&hits[i], 1) })
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("chunk=%d: index %d visited %d times", chunk, i, h)
-			}
-		}
-	}
-}
-
-func TestForDynamicDefaultChunk(t *testing.T) {
-	n := 2 * MinGrain
-	var count int64
-	ForDynamic(n, 0, func(i int) { atomic.AddInt64(&count, 1) })
-	if count != int64(n) {
-		t.Fatalf("visited %d of %d", count, n)
-	}
-}
-
 func TestRunExecutesAllThunks(t *testing.T) {
 	var a, b, c int32
 	Run(
@@ -189,11 +167,6 @@ func TestParallelPathsUnderMultipleWorkers(t *testing.T) {
 			if h != 1 {
 				t.Fatalf("For under 4 procs: index %d hit %d times", i, h)
 			}
-		}
-		var count int64
-		ForDynamic(n, 100, func(i int) { atomic.AddInt64(&count, 1) })
-		if count != int64(n) {
-			t.Fatalf("ForDynamic covered %d of %d", count, n)
 		}
 		vals := make([]float64, n)
 		for i := range vals {

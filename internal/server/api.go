@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -41,7 +42,7 @@ func codeFor(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, jobs.ErrQueueFull):
 		return http.StatusTooManyRequests
-	case errors.Is(err, catalog.ErrExists), errors.Is(err, catalog.ErrPinned):
+	case errors.Is(err, catalog.ErrExists), errors.Is(err, catalog.ErrPinned), errors.Is(err, catalog.ErrWeighted):
 		return http.StatusConflict
 	case errors.Is(err, catalog.ErrTooLarge):
 		return http.StatusRequestEntityTooLarge
@@ -85,7 +86,18 @@ func (s *Server) handleGraphUpload(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("parsing %s upload: %w", format, err))
 		return
 	}
-	if err := s.cat.Add(name, g, "upload"); err != nil {
+	s.graphMu.Lock()
+	err = s.cat.Add(name, g, "upload")
+	if err == nil {
+		// Best-effort, like every frame: the upload itself has succeeded.
+		s.eng.Append(kindGraphPut, name, func(b []byte) ([]byte, error) {
+			buf := bytes.NewBuffer(b)
+			err := graph.WriteBinary(buf, g)
+			return buf.Bytes(), err
+		})
+	}
+	s.graphMu.Unlock()
+	if err != nil {
 		writeErr(w, codeFor(err), err)
 		return
 	}
@@ -93,13 +105,6 @@ func (s *Server) handleGraphUpload(w http.ResponseWriter, r *http.Request) {
 	// evicted graph's layout.
 	s.dropView(name, nil)
 	s.stampVersion(w, name)
-	// Snapshot the upload so a restart rebuilds this shard of the catalog
-	// (best-effort: the upload itself already succeeded).
-	if s.cfg.DataDir != "" {
-		if err := catalog.SaveGraph(s.graphsDir(), name, g); err != nil {
-			s.logf("persisting graph %q: %v", name, err)
-		}
-	}
 	writeJSON(w, http.StatusCreated, map[string]interface{}{
 		"name":     name,
 		"vertices": g.NumV,
@@ -111,14 +116,15 @@ func (s *Server) handleGraphUpload(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleGraphDelete(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	if err := s.cat.Remove(name); err != nil {
+	s.graphMu.Lock()
+	err := s.cat.Remove(name)
+	if err == nil {
+		s.eng.Append(kindGraphDelete, name, nil)
+	}
+	s.graphMu.Unlock()
+	if err != nil {
 		writeErr(w, codeFor(err), err)
 		return
-	}
-	if s.cfg.DataDir != "" {
-		if err := catalog.RemoveSaved(s.graphsDir(), name); err != nil {
-			s.logf("removing persisted graph %q: %v", name, err)
-		}
 	}
 	s.dropView(name, nil)
 	s.stampVersion(w, name)

@@ -4,20 +4,29 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
+	"repro/internal/catalog"
 	"repro/internal/dyngraph"
+	"repro/internal/graph"
+	"repro/internal/jobs"
 	"repro/internal/pipeline"
 )
 
 // PATCH /graphs/{name}: apply a batch of mutations to a (possibly
-// just-promoted) dynamic graph, refresh the catalog snapshot, and queue a
-// refinement layout. The response is 202 with the queued job — mutations
+// just-promoted) dynamic graph, refresh the catalog snapshot, journal the
+// batch, and queue a refinement layout. The response is 202 with the queued job — mutations
 // apply immediately (and are visible to /graphs and future jobs), the
 // picture catches up when the refinement installs and streams its delta.
 
 // maxMutationBody bounds one PATCH body.
 const maxMutationBody = 8 << 20
+
+// maxBatchVertices bounds the vertices one PATCH may add: the id space is
+// materialized (8 bytes of CSR offsets per vertex) as soon as the batch is
+// folded, whatever the body's size.
+const maxBatchVertices = 1 << 20
 
 // mutationOp is one entry of the PATCH body's "mutations" array.
 type mutationOp struct {
@@ -40,6 +49,7 @@ func decodeMutations(ops []mutationOp) ([]dyngraph.Mutation, error) {
 		return nil, errors.New("empty mutation batch")
 	}
 	out := make([]dyngraph.Mutation, len(ops))
+	added := 0
 	for i, op := range ops {
 		m := dyngraph.Mutation{U: op.U, V: op.V, Count: op.Count}
 		switch op.Op {
@@ -49,6 +59,10 @@ func decodeMutations(ops []mutationOp) ([]dyngraph.Mutation, error) {
 			m.Op = dyngraph.DelEdge
 		case "addVertices":
 			m.Op = dyngraph.AddVertices
+			if op.Count > maxBatchVertices-added {
+				return nil, fmt.Errorf("mutation %d: the batch adds more than %d vertices", i, maxBatchVertices)
+			}
+			added += max(op.Count, 0)
 		case "delVertex":
 			m.Op = dyngraph.DelVertex
 		default:
@@ -59,41 +73,67 @@ func decodeMutations(ops []mutationOp) ([]dyngraph.Mutation, error) {
 	return out, nil
 }
 
-// handleGraphMutate is PATCH /graphs/{name}.
-func (s *Server) handleGraphMutate(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxMutationBody))
+// decodeMutationRequest parses one PATCH body. Unknown fields are rejected
+// so a typoed op fails loudly instead of applying half a batch.
+func decodeMutationRequest(body io.Reader) (mutationRequest, error) {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	var req mutationRequest
 	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("malformed mutation request: %w", err))
-		return
+		return req, badRequest{fmt.Errorf("malformed mutation request: %w", err)}
 	}
-	batch, err := decodeMutations(req.Mutations)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
+	return req, nil
+}
 
+// mutateGraph is the one way a mutation batch reaches the catalog, from a
+// live PATCH or from the journal at start-up. g is the named entry's
+// current graph. A batch that does not validate against it is refused
+// before anything changes — the entry is not even promoted — and a valid
+// one promotes the entry, is applied, and is folded into the catalog
+// snapshot, so every later layout job runs against the mutated graph and
+// the entry's generation (part of every render-cache key) moves past any
+// cached tile of the old one.
+func (s *Server) mutateGraph(name string, g *graph.CSR, ops []mutationOp) (dyngraph.Result, error) {
+	batch, err := decodeMutations(ops)
+	if err == nil {
+		err = dyngraph.Validate(g.NumV, batch)
+	}
+	if err != nil {
+		return dyngraph.Result{}, badRequest{err}
+	}
 	d, err := s.cat.Promote(name, dyngraph.Options{})
 	if err != nil {
-		if errors.Is(err, dyngraph.ErrWeighted) {
-			writeErr(w, http.StatusConflict, err)
-			return
-		}
-		writeErr(w, codeFor(err), err)
-		return
+		return dyngraph.Result{}, err
 	}
 	res, err := d.Apply(batch)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		return res, badRequest{err}
+	}
+	_, _, err = s.cat.Refresh(name)
+	return res, err
+}
+
+// handleGraphMutate is PATCH /graphs/{name}.
+func (s *Server) handleGraphMutate(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("name")
+	req, err := decodeMutationRequest(http.MaxBytesReader(w, r.Body, maxMutationBody))
+	if err != nil {
+		writeErr(w, codeFor(err), err)
 		return
 	}
-	// Fold the delta into the catalog snapshot so this and every later
-	// layout job runs against the mutated graph, and so the entry's
-	// generation (part of every render-cache key) moves past any cached
-	// tile of the old graph.
-	if _, _, err := s.cat.Refresh(name); err != nil {
+	s.graphMu.Lock()
+	var res dyngraph.Result
+	if g, ok := s.cat.Get(name); !ok {
+		err = fmt.Errorf("%w: %q", catalog.ErrNotFound, name)
+	} else if res, err = s.mutateGraph(name, g, req.Mutations); err == nil {
+		frame := mutationFrame{mutationRequest: req, Version: jobs.PersistVersion, Vertices: g.NumV, Edges: g.NumEdges()}
+		s.eng.Append(kindMutation, name, func(b []byte) ([]byte, error) {
+			p, err := json.Marshal(frame)
+			return append(b, p...), err
+		})
+	}
+	s.graphMu.Unlock()
+	if err != nil {
 		writeErr(w, codeFor(err), err)
 		return
 	}

@@ -1,28 +1,52 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 
 	"repro/internal/catalog"
+	"repro/internal/graph"
 	"repro/internal/jobs"
+	"repro/internal/journal"
 )
 
-// Worker restart recovery. A layout worker's durable state is its
-// DataDir: graph snapshots under graphs/ (written on upload) and the jobs
-// engine's journal. recoverState replays both at startup — graphs back
-// into the catalog first, then every intent the journal leaves unresolved
-// resubmitted through the same validation path as a live POST /jobs — so
-// a worker that dies mid-job comes back owning the same shard with the
+// Worker restart recovery. A layout worker's durable state is one file,
+// DataDir's journal (internal/journal, opened by jobs.OpenJournal). The job
+// engine keeps its intent, result and retire frames in it; this file keeps
+// the catalog's: one frame per accepted upload, per DELETE and per applied
+// PATCH, keyed by graph name, each appended — under graphMu, so file order
+// is the order the catalog changed in — through the engine's one append
+// path. A restart replays the graph frames in that order through the code
+// a live request runs, then resubmits every intent the journal leaves
+// unresolved through the validation of a live POST /jobs, so a worker that
+// dies comes back owning the same graphs, PATCHes included, with the
 // interrupted work re-queued. Mutation-refinement jobs are the deliberate
-// exception: their prior layout died with the process, so they are not
-// journaled and a PATCH-heavy client re-drives them (see OPERATIONS.md).
+// exception: their prior layout died with the process, so they carry no
+// intent and the next layout of a patched graph is a cold one (see
+// OPERATIONS.md).
 
-// graphsDir is where uploaded graph snapshots live inside DataDir.
-func (s *Server) graphsDir() string {
-	return filepath.Join(s.cfg.DataDir, "graphs")
+// The journal's frame kinds that are the catalog's (the engine's are
+// i, r and x).
+const (
+	kindGraphPut    byte = 'g' // payload: the graph, as graph.WriteBinary writes it
+	kindGraphDelete byte = 'd' // no payload
+	kindMutation    byte = 'm' // payload: mutationFrame JSON
+)
+
+// mutationFrame is a journaled PATCH: the validated request re-marshaled,
+// so wire format and recovery format are the same bytes, plus the size of
+// the graph the batch was applied to. A batch meant for another graph (the
+// worker restarted on a different -in) is refused at replay, not applied to
+// whatever now has the name.
+type mutationFrame struct {
+	mutationRequest
+	Version  int   `json:"version"` // jobs.PersistVersion it was written with
+	Vertices int   `json:"vertices"`
+	Edges    int64 `json:"edges"`
 }
 
 // logf writes a server-level (non-access) log line when logging is on.
@@ -32,17 +56,66 @@ func (s *Server) logf(format string, args ...interface{}) {
 	}
 }
 
-// recoverState rebuilds this worker's shard from DataDir; errors are
-// logged, never fatal — a corrupt snapshot must not keep the worker down.
-func (s *Server) recoverState() {
-	restored, errs := s.cat.LoadDir(s.graphsDir())
-	for _, err := range errs {
-		s.logf("restoring graphs: %v", err)
+// replayGraphFrame applies one journaled catalog change at start-up, before
+// the engine exists. A frame that cannot be applied is logged and skipped:
+// one corrupt upload must not keep the rest of the shard down.
+func (s *Server) replayGraphFrame(f journal.Frame) {
+	var err error
+	switch f.Kind {
+	case kindGraphPut:
+		var g *graph.CSR
+		if g, err = graph.ReadBinary(bytes.NewReader(f.Payload)); err == nil {
+			// A live upload only succeeds on a free name, so a put that
+			// meets an entry here follows an eviction the journal never saw.
+			_ = s.cat.Remove(f.Key)
+			err = s.cat.Add(f.Key, g, "journal")
+		}
+	case kindGraphDelete:
+		if err = s.cat.Remove(f.Key); errors.Is(err, catalog.ErrNotFound) {
+			err = nil // evicted before it was deleted
+		}
+	case kindMutation:
+		var m mutationFrame
+		if err = json.Unmarshal(f.Payload, &m); err == nil {
+			err = s.replayMutation(f.Key, m)
+		}
+	default:
+		err = errors.New("unknown frame kind")
 	}
-	if len(restored) > 0 {
-		s.logf("restored %d graph(s) from %s", len(restored), s.graphsDir())
+	if err != nil {
+		s.logf("journal: %c frame for graph %q not replayed: %v", f.Kind, f.Key, err)
 	}
+}
 
+// replayMutation re-applies one journaled batch if the graph it meets is
+// the one it was applied to.
+func (s *Server) replayMutation(name string, m mutationFrame) error {
+	g, ok := s.cat.Get(name)
+	switch {
+	case m.Version > jobs.PersistVersion:
+		return fmt.Errorf("schema version %d, newer than supported %d", m.Version, jobs.PersistVersion)
+	case !ok:
+		return fmt.Errorf("%w: %q", catalog.ErrNotFound, name)
+	case g.NumV != m.Vertices || g.NumEdges() != m.Edges:
+		return fmt.Errorf("batch was applied to %d vertices and %d edges, the graph here has %d and %d",
+			m.Vertices, m.Edges, g.NumV, g.NumEdges())
+	}
+	_, err := s.mutateGraph(name, g, m.Mutations)
+	return err
+}
+
+// openJournal opens DataDir's journal for the engine; the scan that opens
+// it rebuilds this worker's shard of the catalog on the way.
+func (s *Server) openJournal() *jobs.Journal {
+	old := filepath.Join(s.cfg.DataDir, "graphs")
+	if _, err := os.Stat(old); err == nil {
+		s.logf("%s was written by an older version and is ignored: uploads and PATCHes are frames of %s now", old, jobs.JournalFile)
+	}
+	return jobs.OpenJournal(s.cfg.DataDir, s.replayGraphFrame)
+}
+
+// resubmitPending replays what the journal left unresolved at start-up.
+func (s *Server) resubmitPending() {
 	for _, in := range s.eng.Pending() {
 		if s.resubmitIntent(in) {
 			// The resubmission journaled a fresh intent under its new id;

@@ -126,7 +126,7 @@ func TestWorkerRestartRecoversJobs(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("recovery never drained: %d intents left, busy=%v", len(left), busy)
 		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(50 * time.Millisecond) // each poll reads the whole journal
 	}
 	// Every submission is now exactly one result frame: nothing was
 	// dropped, nothing ran twice, no id was issued twice.
@@ -146,12 +146,9 @@ func TestWorkerRestartRecoversJobs(t *testing.T) {
 			t.Fatalf("interrupted job %s kept its id across the restart", in.ID)
 		}
 	}
-	// The worker's DataDir holds the journal and the graph snapshots.
-	entries, _ := os.ReadDir(dir)
-	for _, ent := range entries {
-		if ent.Name() != jobs.JournalFile && ent.Name() != "graphs" {
-			t.Fatalf("DataDir holds %s beside %s and graphs/", ent.Name(), jobs.JournalFile)
-		}
+	// The worker's DataDir holds the journal and nothing else.
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 || entries[0].Name() != jobs.JournalFile {
+		t.Fatalf("DataDir holds %v, want exactly %s", entries, jobs.JournalFile)
 	}
 	// The restarted engine's ids continued past the first life's.
 	if id := submitJob(t, ts2.URL, "ga", 8); id <= ids[len(ids)-1] {
@@ -172,9 +169,22 @@ func parentSpec(algorithm string, refineSweeps int) json.RawMessage {
 // the old shape. The restarted worker comes up healthy, replays the ParHDE
 // intents (zero-valued refineSweeps and all) under fresh ids, and retires
 // the ones that ask for a closed route with one log line each instead of
-// running them or carrying them into every later restart.
+// running them or carrying them into every later restart. Such a data dir
+// holds no graph frames — its uploads are snapshots under graphs/, which
+// are ignored with one log line, neither loaded nor touched.
 func TestRestartRetiresClosedRouteIntent(t *testing.T) {
 	dir := t.TempDir()
+	oldSnapshot := filepath.Join(dir, "graphs", `web.csr`) // what the deleted catalog snapshot writer used to leave
+	if err := os.MkdirAll(filepath.Dir(oldSnapshot), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var web bytes.Buffer
+	if err := graph.WriteBinary(&web, gen.Grid2D(5, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(oldSnapshot, web.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	jrn, err := journal.Open(filepath.Join(dir, jobs.JournalFile), nil, func(journal.Frame) {})
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +202,7 @@ func TestRestartRetiresClosedRouteIntent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := jrn.Append('i', in.ID, func(b []byte) []byte { return append(b, frame...) }); err != nil {
+		if err := jrn.Append('i', in.ID, func(b []byte) ([]byte, error) { return append(b, frame...), nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -210,6 +220,12 @@ func TestRestartRetiresClosedRouteIntent(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	if resp, _ := doReq(t, "GET", ts.URL+"/healthz"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("restarted worker /healthz: %d", resp.StatusCode)
+	}
+	if _, ok := s.Catalog().Get("web"); ok {
+		t.Fatal("a graphs/ snapshot of an older version was loaded")
+	}
+	if _, err := os.Stat(oldSnapshot); err != nil {
+		t.Fatalf("the ignored snapshot was touched: %v", err)
 	}
 	list := s.Jobs().List()
 	if len(list) != 2 {
@@ -234,6 +250,9 @@ func TestRestartRetiresClosedRouteIntent(t *testing.T) {
 		if !replayed[rec.Status.ID] {
 			t.Fatalf("result frame for %s, which was not replayed", rec.Status.ID)
 		}
+	}
+	if n := strings.Count(logged.String(), "is ignored"); n != 1 || !strings.Contains(logged.String(), filepath.Dir(oldSnapshot)) {
+		t.Fatalf("%d log lines say graphs/ is ignored, want one naming it:\n%s", n, logged.String())
 	}
 	for id, why := range stale {
 		var naming []string

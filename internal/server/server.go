@@ -85,8 +85,9 @@ type Config struct {
 	JobsTTL time.Duration
 	// MaxResults caps retained finished jobs (0 = the jobs package default).
 	MaxResults int
-	// DataDir, when non-empty, holds the job journal and the graph
-	// snapshots a restarted worker recovers from (recover.go).
+	// DataDir, when non-empty, holds the journal a restarted worker
+	// recovers its graphs, their PATCHes and its unfinished jobs from
+	// (recover.go).
 	DataDir string
 	// WorkerID names this process in a sharded deployment: job ids get it
 	// as a prefix (so the router can route them back), responses carry it
@@ -110,8 +111,8 @@ func (c Config) withDefaults() Config {
 
 // view is one graph's current layout, immutable once installed; a new
 // layout for the same graph replaces the whole view under s.mu. gen
-// namespaces the render-cache keys so stale renders of a replaced layout
-// age out of the LRU instead of being served.
+// namespaces the render-cache keys so a render of a replaced layout that
+// was in flight across the install is never served.
 type view struct {
 	name   string
 	gen    int
@@ -129,7 +130,22 @@ type view struct {
 // immediately — even before a new layout installs.
 func (s *Server) cacheKey(v *view, kind string) string {
 	catGen, _ := s.cat.Generation(v.name)
-	return fmt.Sprintf("g:%s:%d:%d:%s", v.name, v.gen, catGen, kind)
+	return fmt.Sprintf("%s%d:%d:%s", keyPrefix(v.name), v.gen, catGen, kind)
+}
+
+// keyPrefix starts every cache key of the named graph and of no other:
+// catalog names hold no ':'.
+func keyPrefix(name string) string { return "g:" + name + ":" }
+
+// changed is what install, the view releases and the catalog's OnChange
+// hook (under the catalog lock) call once the named graph's view or
+// catalog generation has moved. Every render cached before that carries a
+// key no request will form again, so it is dropped here rather than left to
+// fill the budget, and the fronting routers are told.
+func (s *Server) changed(name string) {
+	prefix := keyPrefix(name)
+	s.cache.DropIf(func(key string, _ []byte) bool { return strings.HasPrefix(key, prefix) })
+	s.feed.changed(name)
 }
 
 // Server fronts a catalog of graphs: it renders installed layouts and
@@ -147,6 +163,10 @@ type Server struct {
 	// install retires exactly the delta it absorbed. Both under mu.
 	pending  map[string]int64
 	jobDelta map[string]int64
+	// graphMu orders catalog changes (upload, DELETE, PATCH) with their
+	// journal frames: a restart replays the file in order and must meet
+	// each batch with the graph it was applied to.
+	graphMu sync.Mutex
 
 	cache  *httpcache.LRU[[]byte]
 	flight httpcache.Flight[[]byte]
@@ -242,7 +262,7 @@ func NewWithConfig(g *graph.CSR, opt core.Options, cfg Config) (*Server, error) 
 			func() float64 { return d.Seconds() })
 	}
 
-	s.cat.OnChange(s.feed.changed)
+	s.cat.OnChange(s.changed)
 	if err := s.cat.AddPinned(DefaultGraph, g, "startup"); err != nil {
 		return nil, err
 	}
@@ -253,20 +273,22 @@ func NewWithConfig(g *graph.CSR, opt core.Options, cfg Config) (*Server, error) 
 	if cfg.WorkerID != "" {
 		idPrefix = cfg.WorkerID + "-"
 	}
+	var jrn *jobs.Journal
+	if cfg.DataDir != "" {
+		jrn = s.openJournal()
+	}
 	s.eng = jobs.New(s.cat, jobs.Config{
 		Workers:    cfg.Workers,
 		IDPrefix:   idPrefix,
 		QueueDepth: cfg.QueueDepth,
 		ResultTTL:  cfg.JobsTTL,
 		MaxResults: cfg.MaxResults,
-		DataDir:    cfg.DataDir,
+		Journal:    jrn,
 		Metrics:    reg,
 		Logger:     cfg.AccessLog,
 		OnDone:     s.onJobDone,
 	})
-	if cfg.DataDir != "" {
-		s.recoverState()
-	}
+	s.resubmitPending()
 	s.ready.Store(true)
 	return s, nil
 }
@@ -362,7 +384,7 @@ func (s *Server) install(name string, g *graph.CSR, layout *core.Layout, rep *co
 	}
 	s.views[name] = nv
 	s.mu.Unlock()
-	s.feed.changed(name)
+	s.changed(name)
 	// Fan the coordinate delta out to the graph's stream subscribers
 	// (no-op without any). Outside the view lock: a slow marshal must not
 	// block readers, and sends never block regardless.
@@ -396,7 +418,7 @@ func (s *Server) dropView(name string, v *view) {
 		delete(s.views, name)
 	}
 	s.mu.Unlock()
-	s.feed.changed(name)
+	s.changed(name)
 }
 
 // Report returns the startup layout run's per-phase report.

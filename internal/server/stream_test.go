@@ -202,6 +202,41 @@ func TestStaleTileNeverServed(t *testing.T) {
 	}
 }
 
+// TestRenderCacheBoundedOverPatchCycles: every PATCH and every install
+// moves a generation in the cache key, so the tiles cached before it can
+// never be asked for again. They are dropped then, not kept until the byte
+// budget fills: over 200 PATCH → install → read cycles the cache holds the
+// tiles of the current generation and no more.
+func TestRenderCacheBoundedOverPatchCycles(t *testing.T) {
+	s, ts := newTestServerPair(t, Config{})
+	c := dialStream(t, ts.URL, "default")
+	if ev, _ := c.next(t); ev != "snapshot" {
+		t.Fatalf("expected snapshot, got %q", ev)
+	}
+	reads := []string{"/graphs/default/layout.png", "/graphs/default/zoom.png?v=0&hops=2", "/graphs/default/zoom.png?v=7&hops=2"}
+	for i := 0; i < 200; i++ {
+		op := "addEdge"
+		if i%2 == 1 {
+			op = "delEdge"
+		}
+		if code, b := patchGraph(t, ts.URL, "default", `{"mutations":[{"op":"`+op+`","u":0,"v":451}]}`); code != http.StatusAccepted {
+			t.Fatalf("cycle %d: patch status %d: %s", i, code, b)
+		}
+		c.next(t) // delta ⇒ the refinement installed
+		for _, path := range reads {
+			if resp, _ := doReq(t, "GET", ts.URL+path); resp.StatusCode != http.StatusOK {
+				t.Fatalf("cycle %d: GET %s: status %d", i, path, resp.StatusCode)
+			}
+		}
+		if n := s.cache.Len(); n > len(reads) {
+			t.Fatalf("cycle %d: render_cache_entries = %d with %d tiles current: superseded tiles are kept", i, n, len(reads))
+		}
+	}
+	if hits := s.Metrics().Counter("render_cache_evictions_total").Value(); hits != 0 {
+		t.Fatalf("%d budget evictions: the cache was bounded by its budget, not by the drop", hits)
+	}
+}
+
 // TestMutateErrors locks in the PATCH error discipline.
 func TestMutateErrors(t *testing.T) {
 	s, ts := newTestServerPair(t, Config{})

@@ -157,7 +157,7 @@ func (rt *Router) runFeed(ctx context.Context, p *peer) {
 	f := &p.feed
 	restarted := f.boot != "" && f.boot != hello.Boot
 	if restarted {
-		rt.cache.DropIf(func(t *tile) bool { return rt.owner(t.graph) == p })
+		rt.cache.DropIf(func(_ string, t *tile) bool { return rt.owner(t.graph) == p })
 	}
 	f.epoch++
 	f.connected, f.boot = true, hello.Boot

@@ -334,7 +334,7 @@ func (rt *Router) relayChange(w http.ResponseWriter, r *http.Request, name strin
 		defer resp.Body.Close()
 		p.sawVersion(name, resp.Header, epoch)
 	}
-	rt.cache.DropIf(func(t *tile) bool { return t.graph == name })
+	rt.cache.DropIf(func(_ string, t *tile) bool { return t.graph == name })
 	if err != nil {
 		writeRouterErr(w, http.StatusBadGateway, err)
 		return

@@ -1,4 +1,4 @@
-// Package workspace provides pooled, size-checked scratch memory for the
+// Package workspace provides reusable, size-checked scratch memory for the
 // layout pipeline's hot path. A steady-state ParHDE run touches four
 // large buffer families — the BFS frontier/queue scratch and hop vectors,
 // the column-major distance matrix B, the DOrtho kept-column store behind
@@ -6,9 +6,7 @@
 // without reuse every queued layout job re-pays those O(n·s) allocations
 // and the GC traffic they induce, exactly the unbatched memory waste
 // BatchLayout attributes to shared-memory layout codes. A Workspace owns
-// one instance of every buffer; a Pool is a sync.Pool-backed arena of
-// Workspaces keyed by graph shape (n, m, s) so concurrent users exchange
-// correctly sized scratch without cross-shape churn.
+// one instance of every buffer; each job-engine worker owns one Workspace.
 //
 // Ownership contract: a Workspace serves one layout run at a time. The
 // run's outputs that alias workspace storage (the layout coordinates and
@@ -23,8 +21,6 @@
 package workspace
 
 import (
-	"sync"
-
 	"repro/internal/linalg"
 	"repro/internal/ortho"
 	"repro/internal/pivot"
@@ -36,8 +32,6 @@ import (
 // worker that owns one Workspace and reshapes it per job allocates only
 // when the graph shape actually changes.
 type Workspace struct {
-	n, s int
-
 	// Pivot is the BFS-phase scratch: traversal frontiers/queues plus the
 	// per-pivot hop vector and the k-centers min-distance vector.
 	Pivot *pivot.Scratch
@@ -75,9 +69,6 @@ type Workspace struct {
 	// sweeps (each sweep reads one coordinate buffer and writes the
 	// other; Coords always holds the final result).
 	Warm []float64
-
-	pool *Pool
-	key  Shape
 }
 
 // New returns an empty workspace; the first Reshape sizes it.
@@ -112,20 +103,11 @@ func (ws *Workspace) Reshape(n, s, p int) {
 	}
 	ws.Coords = growFloat(ws.Coords, n*p)
 	ws.Warm = growFloat(ws.Warm, n*p)
-	ws.n, ws.s = n, s
 }
 
 // DistView returns the n×cols distance-matrix view over B's storage.
 func (ws *Workspace) DistView(n, cols int) *linalg.Dense {
 	return linalg.ViewDense(ws.B.Data, n, cols)
-}
-
-// Release returns the workspace to the pool it was acquired from (no-op
-// for workspaces made with New). The caller must not use it afterwards.
-func (ws *Workspace) Release() {
-	if ws.pool != nil {
-		ws.pool.put(ws)
-	}
 }
 
 // growFloat returns buf resliced to n elements, reallocating only when
@@ -135,61 +117,4 @@ func growFloat(buf []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return buf[:n]
-}
-
-// Shape keys a pool bucket: vertex count, edge count, and subspace
-// dimension. No current buffer scales with m, but it participates in the
-// key so kernels that later add edge-sized scratch cannot silently share
-// misshapen arenas across graphs with equal n.
-type Shape struct {
-	N int   // vertex count
-	M int64 // undirected edge count
-	S int   // subspace dimension
-}
-
-// Pool is a sync.Pool-backed arena of Workspaces bucketed by Shape.
-// Get/put pairs on the same shape recycle fully warmed workspaces across
-// goroutines; idle buckets drain under GC pressure like any sync.Pool, so
-// a burst of odd-shaped jobs cannot pin memory forever.
-type Pool struct {
-	mu      sync.Mutex
-	buckets map[Shape]*sync.Pool
-}
-
-// NewPool returns an empty workspace pool.
-func NewPool() *Pool {
-	return &Pool{buckets: map[Shape]*sync.Pool{}}
-}
-
-// Default is the process-wide workspace pool.
-var Default = NewPool()
-
-// Get returns a workspace shaped for an n-vertex, m-edge, s-pivot,
-// p-dimension run: a recycled same-shape workspace when one is pooled, a
-// freshly sized one otherwise. Pair with Release.
-func (p *Pool) Get(n int, m int64, s, dims int) *Workspace {
-	key := Shape{N: n, M: m, S: s}
-	p.mu.Lock()
-	b, ok := p.buckets[key]
-	if !ok {
-		b = &sync.Pool{}
-		p.buckets[key] = b
-	}
-	p.mu.Unlock()
-	ws, _ := b.Get().(*Workspace)
-	if ws == nil {
-		ws = New()
-	}
-	ws.pool, ws.key = p, key
-	ws.Reshape(n, s, dims)
-	return ws
-}
-
-func (p *Pool) put(ws *Workspace) {
-	p.mu.Lock()
-	b, ok := p.buckets[ws.key]
-	p.mu.Unlock()
-	if ok {
-		b.Put(ws)
-	}
 }

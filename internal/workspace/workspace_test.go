@@ -34,31 +34,3 @@ func TestDistViewAliasesB(t *testing.T) {
 		t.Fatal("DistView does not alias the workspace distance matrix")
 	}
 }
-
-func TestPoolRecyclesByShape(t *testing.T) {
-	p := NewPool()
-	ws := p.Get(100, 200, 4, 2)
-	if len(ws.Col) != 100 {
-		t.Fatalf("pooled workspace not reshaped: col len %d", len(ws.Col))
-	}
-	ws.Col[0] = 7 // dirty it
-	ws.Release()
-	again := p.Get(100, 200, 4, 2)
-	// sync.Pool gives no guarantee, but single-goroutine get-put-get on
-	// one bucket recycles in practice; either way the shape must hold.
-	if len(again.Col) != 100 || again.B.Cols != 4 {
-		t.Fatalf("recycled workspace misshapen: col %d, B cols %d", len(again.Col), again.B.Cols)
-	}
-	other := p.Get(100, 300, 4, 2) // different m: distinct bucket
-	if other == again {
-		t.Fatal("workspaces with different shapes shared one pool bucket")
-	}
-	again.Release()
-	other.Release()
-}
-
-func TestReleaseWithoutPoolIsNoop(t *testing.T) {
-	ws := New()
-	ws.Reshape(10, 2, 2)
-	ws.Release() // must not panic
-}

@@ -80,7 +80,17 @@ func soakJournal(t *testing.T, dir string) *jobs.Snapshot {
 
 func soakPost(t *testing.T, url, ctype, body string) (int, []byte) {
 	t.Helper()
-	resp, err := http.Post(url, ctype, strings.NewReader(body))
+	return soakDo(t, http.MethodPost, url, ctype, body)
+}
+
+func soakDo(t *testing.T, method, url, ctype, body string) (int, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", ctype)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,12 +101,13 @@ func soakPost(t *testing.T, url, ctype, body string) (int, []byte) {
 }
 
 // TestSoakShardedFleetRestart drives a router + 3-worker fleet with
-// mixed traffic (uploads, jobs, cached reads), SIGKILLs one worker with
-// jobs queued and running, restarts it on the same address and DataDir,
-// and asserts the fleet-wide zero-dropped-jobs invariant: every accepted
-// submission ends as exactly one result frame in some worker's journal
-// (every checksum verified), no intent left pending, no job id issued
-// twice, and every graph is fully servable through the router afterwards.
+// mixed traffic (uploads, a PATCH, jobs, cached reads), SIGKILLs one worker
+// with jobs queued and running, restarts it on the same address and
+// DataDir, and asserts the fleet-wide zero-dropped-jobs invariant: every
+// accepted submission ends as exactly one result frame in some worker's
+// journal (every checksum verified), no intent left pending, no job id
+// issued twice, the victim's graph comes back as PATCHed, and every graph
+// is fully servable through the router afterwards.
 func TestSoakShardedFleetRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
@@ -157,6 +168,32 @@ func TestSoakShardedFleetRestart(t *testing.T) {
 	}
 
 	accepted := 0
+	// PATCH the victim's graph through the router and let the refinement it
+	// queues finish (it carries no intent, so only a finished one is a
+	// result frame): the two edges must still be there after the kill.
+	code, resp := soakDo(t, http.MethodPatch, ts.URL+"/graphs/"+victimGraph, "application/json",
+		`{"mutations":[{"op":"addEdge","u":0,"v":9999},{"op":"addEdge","u":1,"v":9998}]}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("PATCH %s: status %d: %s", victimGraph, code, resp)
+	}
+	var patched struct {
+		Job jobs.Status `json:"job"`
+	}
+	if err := json.Unmarshal(resp, &patched); err != nil {
+		t.Fatal(err)
+	}
+	accepted++
+	for deadline := time.Now().Add(30 * time.Second); patched.Job.State != "done"; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("refinement %s never finished: %+v", patched.Job.ID, patched.Job)
+		}
+		code, resp := soakDo(t, http.MethodGet, ts.URL+"/jobs/"+patched.Job.ID, "", "")
+		if code != http.StatusOK || json.Unmarshal(resp, &patched.Job) != nil {
+			t.Fatalf("GET job %s: status %d: %s", patched.Job.ID, code, resp)
+		}
+	}
+	patchedEdges := gen.Grid2D(100, 100).NumEdges() + 2
+
 	submit := func(name string, subspace int) {
 		body := fmt.Sprintf(`{"graph":%q,"subspace":%d,"seed":1}`, name, subspace)
 		code, resp := soakPost(t, ts.URL+"/jobs", "application/json", body)
@@ -217,8 +254,29 @@ func TestSoakShardedFleetRestart(t *testing.T) {
 	}
 
 	// Restart on the same address and DataDir: the shard recovers its
-	// catalog and replays every interrupted job under fresh ids.
+	// catalog — the victim's graph with its PATCH — and replays every
+	// interrupted job under fresh ids.
 	victim.start(t)
+	code, resp = soakDo(t, http.MethodGet, victim.url()+"/graphs", "", "")
+	var listing struct {
+		Graphs []struct {
+			Name    string `json:"name"`
+			Edges   int64  `json:"edges"`
+			Dynamic bool   `json:"dynamic"`
+		} `json:"graphs"`
+	}
+	if code != http.StatusOK || json.Unmarshal(resp, &listing) != nil {
+		t.Fatalf("GET /graphs on the restarted victim: status %d: %s", code, resp)
+	}
+	recovered := false
+	for _, g := range listing.Graphs {
+		if g.Name == victimGraph {
+			recovered = g.Dynamic && g.Edges == patchedEdges
+		}
+	}
+	if !recovered {
+		t.Fatalf("the restarted victim lists %+v; want %s dynamic with %d edges", listing.Graphs, victimGraph, patchedEdges)
+	}
 
 	// Drain: every worker idle, no intent anywhere, no job failed.
 	deadline := time.Now().Add(120 * time.Second)
@@ -258,8 +316,7 @@ func TestSoakShardedFleetRestart(t *testing.T) {
 	// Zero dropped, zero duplicated: result frames across the fleet's
 	// journals match the accepted submissions exactly, each under an id of
 	// its own — the replayed jobs ran under fresh ids, never the ones they
-	// were interrupted under — and a DataDir holds nothing but the journal
-	// and the graph snapshots.
+	// were interrupted under — and a DataDir holds nothing but the journal.
 	records := 0
 	ids := map[string]bool{}
 	for _, w := range workers {
@@ -270,11 +327,8 @@ func TestSoakShardedFleetRestart(t *testing.T) {
 			ids[rec.Status.ID] = true
 			records++
 		}
-		entries, _ := os.ReadDir(w.dir)
-		for _, ent := range entries {
-			if ent.Name() != jobs.JournalFile && ent.Name() != "graphs" {
-				t.Fatalf("%s holds %s beside %s and graphs/", w.dir, ent.Name(), jobs.JournalFile)
-			}
+		if entries, _ := os.ReadDir(w.dir); len(entries) != 1 || entries[0].Name() != jobs.JournalFile {
+			t.Fatalf("%s holds %v, want exactly %s", w.dir, entries, jobs.JournalFile)
 		}
 	}
 	if records != accepted {

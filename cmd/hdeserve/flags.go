@@ -13,7 +13,6 @@ import (
 // exactly that list.
 type options struct {
 	// topology
-	mode           string
 	workerID       string
 	peers          string
 	healthInterval time.Duration
@@ -53,12 +52,10 @@ type options struct {
 func newFlagSet(opt *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("hdeserve", flag.ContinueOnError)
 
-	fs.StringVar(&opt.mode, "mode", "single",
-		"process role: single (router+worker in one), worker (one shard of a fleet), router (stateless front end)")
 	fs.StringVar(&opt.workerID, "worker-id", "",
-		"stable worker identity; prefixes job ids and the X-Hdeserve-Worker header (required in -mode worker)")
+		"stable worker identity in a fleet; prefixes job ids and the X-Hdeserve-Worker header (empty = unsharded)")
 	fs.StringVar(&opt.peers, "peers", "",
-		"comma-separated worker base URLs the router forwards to (required in -mode router)")
+		"comma-separated worker base URLs; when set, this process is a router (stateless front end) that forwards to them")
 	fs.DurationVar(&opt.healthInterval, "health-interval", 2*time.Second,
 		"router worker health-probe interval")
 	fs.Int64Var(&opt.routerCache, "router-cache-bytes", 64<<20,

@@ -12,12 +12,12 @@
 // stream to GET /graphs/{name}/stream subscribers as versioned
 // Server-Sent Events. See API.md for the full endpoint reference.
 //
-// The same binary scales out (-mode): "single" is the classic one
-// process doing everything; "worker" is one shard of a fleet, with a
-// stable -worker-id that prefixes its job ids and a -data-dir it can
-// recover its catalog and interrupted jobs from after a crash;
-// "router" is the stateless front end that consistently hashes graph
-// names across -peers, forwards each request to the one worker owning
+// The same binary scales out. Without -peers it is a worker: the whole
+// server in one process, unsharded, or — given a stable -worker-id that
+// prefixes its job ids — one shard of a fleet; either can recover its
+// catalog and interrupted jobs from a -data-dir after a crash. With -peers
+// it is the router: the stateless front end that consistently hashes graph
+// names across the peers, forwards each request to the one worker owning
 // its graph, and caches hot rendered tiles with ETag revalidation.
 // OPERATIONS.md covers the deployment topologies.
 //
@@ -31,8 +31,8 @@
 //
 //	hdeserve -in graph.txt -addr :8080
 //	hdeserve -demo            # built-in plate mesh, no input file
-//	hdeserve -mode worker -worker-id w1 -demo -addr :8081 -data-dir /var/lib/hde/w1
-//	hdeserve -mode router -peers http://h1:8081,http://h2:8081 -addr :8080
+//	hdeserve -worker-id w1 -demo -addr :8081 -data-dir /var/lib/hde/w1
+//	hdeserve -peers http://h1:8081,http://h2:8081 -addr :8080
 package main
 
 import (
@@ -63,27 +63,23 @@ func main() {
 		log.Fatal(err)
 	}
 
-	switch opt.mode {
-	case "single", "worker":
+	if opt.peers == "" {
 		runServer(fs, opt)
-	case "router":
-		runRouter(opt)
-	default:
-		log.Fatalf("unknown -mode %q (have single, worker, router)", opt.mode)
+		return
 	}
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "in", "demo", "worker-id", "data-dir":
+			log.Fatalf("-%s is a worker flag, and -peers makes this process a router", f.Name)
+		}
+	})
+	runRouter(opt)
 }
 
-// runServer is the single/worker path: load a startup graph, lay it
-// out, serve. The only difference between the two modes is a worker's
-// stable identity (job-id prefix + response header + /shardz).
+// runServer is the worker path: load a startup graph, lay it out, serve.
+// A -worker-id (job-id prefix + response header + /shardz) makes it one
+// shard of a fleet; without one it is unsharded.
 func runServer(fs *flag.FlagSet, opt options) {
-	if opt.mode == "worker" && opt.workerID == "" {
-		log.Fatal("-mode worker requires -worker-id")
-	}
-	if opt.mode == "single" && opt.workerID != "" {
-		log.Fatal("-worker-id only applies to -mode worker")
-	}
-
 	var g *graph.CSR
 	switch {
 	case opt.demo:
@@ -144,7 +140,7 @@ func runRouter(opt options) {
 		}
 	}
 	if len(peers) == 0 {
-		log.Fatal("-mode router requires -peers (comma-separated worker URLs)")
+		log.Fatal("-peers names no worker URL")
 	}
 	cfg := shard.Config{
 		Peers:          peers,

@@ -150,7 +150,7 @@ func startFleet(opt options, tmp string) (*fleet, error) {
 			url:  "http://" + addr,
 			env:  []string{"GOMAXPROCS=1"},
 			args: []string{
-				"-mode", "worker", "-worker-id", fmt.Sprintf("w%d", i+1),
+				"-worker-id", fmt.Sprintf("w%d", i+1),
 				"-demo", "-s", "8", "-addr", addr, "-data-dir", dir,
 				"-workers", "1", "-queue-depth", "256", "-quiet",
 			},
@@ -168,8 +168,7 @@ func startFleet(opt options, tmp string) (*fleet, error) {
 		name: "router",
 		url:  "http://" + raddr,
 		args: []string{
-			"-mode", "router", "-addr", raddr, "-quiet",
-			"-peers", strings.Join(peers, ","),
+			"-peers", strings.Join(peers, ","), "-addr", raddr, "-quiet",
 		},
 	}
 	if err := f.router.start(opt.bin); err != nil {

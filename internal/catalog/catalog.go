@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/dyngraph"
 	"repro/internal/graph"
 )
 
@@ -49,20 +48,20 @@ type Info struct {
 	Source   string    `json:"source"`   // where the graph came from
 	Pinned   bool      `json:"pinned"`   // pinned entries never evict
 	Added    time.Time `json:"added"`    // insertion time
-	// Dynamic marks an entry promoted to a mutable dyngraph.Graph.
+	// Dynamic marks an entry whose graph Replace has swapped (a PATCH that
+	// changed it).
 	Dynamic bool `json:"dynamic"`
 	// Generation counts content changes of this entry: it starts at 1 and
-	// is bumped by Touch, Refresh, and dynamic rebuilds. Cache layers key
-	// derived artifacts (render tiles, layouts) by (name, generation), so
-	// any mutation path that bumps it invalidates them all.
+	// Replace bumps it. Cache layers key derived artifacts (render tiles,
+	// layouts) by (name, generation), so every replacement invalidates
+	// them all.
 	Generation uint64 `json:"generation"`
 }
 
 type entry struct {
 	info     Info
 	g        *graph.CSR
-	dyn      *dyngraph.Graph // non-nil once promoted to a mutable entry
-	lastUsed time.Time       // for LRU eviction; guarded by the catalog mutex
+	lastUsed time.Time // for LRU eviction; guarded by the catalog mutex
 }
 
 // Catalog is a byte-budgeted registry of named graphs, safe for
@@ -89,7 +88,7 @@ func New(budget int64) *Catalog {
 
 // OnChange registers the catalog's one change hook: fn is called with an
 // entry's name after the entry is added, removed, evicted, or has its
-// generation moved (Touch, Promote, Refresh) — everything a cache keyed by
+// generation moved (Replace) — everything a cache keyed by
 // (name, generation) must hear about. It runs under the catalog lock, after
 // the change is in place, so a Generation or Get that follows the call
 // sees the new state; fn must not block or call back into the catalog.
@@ -198,6 +197,40 @@ func (c *Catalog) Get(name string) (*graph.CSR, bool) {
 	c.clock++
 	e.lastUsed = time.Unix(0, c.clock)
 	return e.g, true
+}
+
+// Generation returns the named entry's content generation.
+func (c *Catalog) Generation(name string) (uint64, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[name]
+	if !ok {
+		return 0, false
+	}
+	return e.info.Generation, true
+}
+
+// Replace installs g as the named entry's graph — what a mutation batch
+// that changed the graph does. The counts and byte accounting follow g, the
+// entry is marked dynamic, its generation moves by one, the change hook
+// hears of it, and the budget is re-enforced without ever evicting name.
+func (c *Catalog) Replace(name string, g *graph.CSR) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[name]
+	if !ok {
+		return fmt.Errorf("%w: %q", ErrNotFound, name)
+	}
+	gb := GraphBytes(g)
+	c.bytes += gb - e.info.Bytes
+	e.g = g
+	e.info.Vertices, e.info.Edges, e.info.Bytes = g.NumV, g.NumEdges(), gb
+	e.info.Weighted = g.Weighted()
+	e.info.Dynamic = true
+	e.info.Generation++
+	c.changed(name)
+	c.evictLocked(name)
+	return nil
 }
 
 // Remove deletes the named graph. Pinned graphs cannot be removed.

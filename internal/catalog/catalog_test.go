@@ -71,7 +71,7 @@ func TestByteBudgetEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Touch g1 so g2 is the LRU victim.
+	// Read g1 so g2 is the LRU victim.
 	c.Get("g1")
 	if err := c.Add("g3", g, "test"); err != nil {
 		t.Fatal(err)

@@ -2,241 +2,151 @@ package dyngraph
 
 import (
 	"errors"
-	"sync"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
-func mustNew(t *testing.T, g *graph.CSR, opt Options) *Graph {
+func apply(t *testing.T, g *graph.CSR, batch ...Mutation) (*graph.CSR, int) {
 	t.Helper()
-	d, err := New(g, opt)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	return d
-}
-
-func apply(t *testing.T, d *Graph, batch ...Mutation) Result {
-	t.Helper()
-	res, err := d.Apply(batch)
+	next, applied, err := Apply(g, batch)
 	if err != nil {
 		t.Fatalf("Apply(%v): %v", batch, err)
 	}
-	return res
+	if err := next.Validate(); err != nil {
+		t.Fatalf("Apply(%v) returned an invalid CSR: %v", batch, err)
+	}
+	return next, applied
 }
 
+// TestEdgeInsertDeleteOverlay: within a batch, inserts and deletes meet in
+// the batch's add/delete sets — a duplicate is a no-op, and a delete
+// cancels the insert before it (and vice versa) — and only the net change
+// reaches the folded graph.
 func TestEdgeInsertDeleteOverlay(t *testing.T) {
 	g := gen.Grid2D(4, 4) // 16 vertices, no diagonal edges
-	d := mustNew(t, g, Options{})
-	if d.HasEdge(0, 5) {
-		t.Fatal("diagonal edge present before insert")
+	next, applied := apply(t, g, Mutation{Op: AddEdge, U: 0, V: 5})
+	if applied != 1 || !next.HasEdge(0, 5) || !next.HasEdge(5, 0) {
+		t.Fatalf("insert: applied=%d, edge present=%v", applied, next.HasEdge(0, 5))
 	}
-	res := apply(t, d, Mutation{Op: AddEdge, U: 0, V: 5})
-	if res.Applied != 1 || res.Pending != 1 {
-		t.Fatalf("insert: applied=%d pending=%d, want 1/1", res.Applied, res.Pending)
+	if g.HasEdge(0, 5) {
+		t.Fatal("Apply wrote its input")
 	}
-	if !d.HasEdge(0, 5) || !d.HasEdge(5, 0) {
-		t.Fatal("overlay edge not visible before rebuild")
+	// Re-inserting an edge of the graph is a no-op and changes nothing.
+	if again, applied := apply(t, next, Mutation{Op: AddEdge, U: 5, V: 0}); applied != 0 || again != next {
+		t.Fatalf("duplicate insert: applied=%d, same graph=%v; want 0, true", applied, again == next)
 	}
-	// Re-inserting is a no-op; deleting cancels the buffered insert.
-	if res := apply(t, d, Mutation{Op: AddEdge, U: 5, V: 0}); res.Applied != 0 {
-		t.Fatalf("duplicate insert applied=%d, want 0", res.Applied)
+	// Insert then delete in one batch: both count, neither lands.
+	if same, applied := apply(t, g,
+		Mutation{Op: AddEdge, U: 0, V: 5},
+		Mutation{Op: AddEdge, U: 5, V: 0},
+		Mutation{Op: DelEdge, U: 0, V: 5},
+	); applied != 2 || same != g {
+		t.Fatalf("cancel: applied=%d, same graph=%v; want 2, true", applied, same == g)
 	}
-	if res := apply(t, d, Mutation{Op: DelEdge, U: 0, V: 5}); res.Applied != 1 || res.Pending != 0 {
-		t.Fatalf("cancel: applied=%d pending=%d, want 1/0", res.Applied, res.Pending)
+	// Delete then re-insert a base edge: likewise.
+	if same, applied := apply(t, g, Mutation{Op: DelEdge, U: 0, V: 1}, Mutation{Op: AddEdge, U: 1, V: 0}); applied != 2 || same != g {
+		t.Fatalf("resurrect: applied=%d, same graph=%v; want 2, true", applied, same == g)
 	}
-	// Deleting a base edge buffers a delete; re-inserting cancels it.
-	apply(t, d, Mutation{Op: DelEdge, U: 0, V: 1})
-	if d.HasEdge(0, 1) {
-		t.Fatal("deleted base edge still visible")
+	// Deleting a missing edge is a no-op.
+	if same, applied := apply(t, g, Mutation{Op: DelEdge, U: 0, V: 15}); applied != 0 || same != g {
+		t.Fatalf("missing delete: applied=%d, same graph=%v", applied, same == g)
 	}
-	if res := apply(t, d, Mutation{Op: AddEdge, U: 1, V: 0}); res.Pending != 0 {
-		t.Fatalf("resurrect left pending=%d, want 0", res.Pending)
-	}
-	if !d.HasEdge(0, 1) {
-		t.Fatal("resurrected edge missing")
-	}
-}
-
-func TestThresholdTriggersRebuild(t *testing.T) {
-	g := gen.Grid2D(8, 8)
-	d := mustNew(t, g, Options{RebuildThreshold: 3})
-	if d.Gen() != 1 {
-		t.Fatalf("initial gen %d, want 1", d.Gen())
-	}
-	apply(t, d, Mutation{Op: AddEdge, U: 0, V: 9})
-	apply(t, d, Mutation{Op: AddEdge, U: 0, V: 18})
-	if d.Gen() != 1 || d.Pending() != 2 {
-		t.Fatalf("below threshold: gen=%d pending=%d", d.Gen(), d.Pending())
-	}
-	res := apply(t, d, Mutation{Op: AddEdge, U: 0, V: 27})
-	if !res.Rebuilt || res.Gen != 2 || res.Pending != 0 {
-		t.Fatalf("threshold batch: rebuilt=%v gen=%d pending=%d", res.Rebuilt, res.Gen, res.Pending)
-	}
-	snap, gen := d.Snapshot()
-	if gen != 2 {
-		t.Fatalf("snapshot gen %d, want 2", gen)
-	}
-	if !snap.HasEdge(0, 27) {
-		t.Fatal("rebuilt snapshot missing folded edge")
-	}
-	if err := snap.Validate(); err != nil {
-		t.Fatalf("rebuilt snapshot invalid: %v", err)
+	if next, _ := apply(t, g, Mutation{Op: DelEdge, U: 0, V: 1}); next.HasEdge(0, 1) || next.HasEdge(1, 0) {
+		t.Fatal("deleted base edge still present")
 	}
 }
 
 func TestVertexAddDelete(t *testing.T) {
 	g := gen.Grid2D(3, 3) // 9 vertices
-	d := mustNew(t, g, Options{})
-	res := apply(t, d,
+	next, applied := apply(t, g,
 		Mutation{Op: AddVertices, Count: 2},
 		Mutation{Op: AddEdge, U: 9, V: 0},
 		Mutation{Op: AddEdge, U: 9, V: 10},
+		Mutation{Op: AddVertices, Count: 1},
+		Mutation{Op: AddEdge, U: 11, V: 10},
 	)
-	if res.FirstNewVertex != 9 || res.NumV != 11 {
-		t.Fatalf("addVertices: first=%d numV=%d, want 9/11", res.FirstNewVertex, res.NumV)
-	}
-	snap, _ := d.Flush()
-	if snap.NumV != 11 || !snap.HasEdge(9, 10) || !snap.HasEdge(0, 9) {
-		t.Fatalf("flushed snapshot wrong: n=%d", snap.NumV)
-	}
-	if err := snap.Validate(); err != nil {
-		t.Fatalf("flushed snapshot invalid: %v", err)
+	// Ids are assigned contiguously from the old NumV; each addVertices op
+	// counts once, whatever its Count.
+	if applied != 5 || next.NumV != 12 || !next.HasEdge(9, 10) || !next.HasEdge(0, 9) || !next.HasEdge(10, 11) {
+		t.Fatalf("addVertices: applied=%d n=%d", applied, next.NumV)
 	}
 	// Deleting vertex 9 strips both its edges; the slot stays.
-	res = apply(t, d, Mutation{Op: DelVertex, U: 9})
-	if res.Applied != 2 {
-		t.Fatalf("delVertex removed %d edges, want 2", res.Applied)
+	after, applied := apply(t, next, Mutation{Op: DelVertex, U: 9})
+	if applied != 2 || after.NumV != 12 || after.Degree(9) != 0 || !after.HasEdge(10, 11) {
+		t.Fatalf("delVertex: applied=%d n=%d deg=%d, want 2/12/0", applied, after.NumV, after.Degree(9))
 	}
-	snap, _ = d.Flush()
-	if snap.NumV != 11 || snap.Degree(9) != 0 {
-		t.Fatalf("deleted vertex: n=%d deg=%d, want 11/0", snap.NumV, snap.Degree(9))
+	// Isolated new vertices alone are a change.
+	if more, applied := apply(t, g, Mutation{Op: AddVertices, Count: 3}); applied != 1 || more == g || more.NumV != 12 || more.NumEdges() != g.NumEdges() {
+		t.Fatalf("isolated vertices: applied=%d n=%d m=%d", applied, more.NumV, more.NumEdges())
 	}
 }
 
+// TestDelVertexDropsPendingInserts: delVertex removes the edges the same
+// batch added to the vertex before it, and counts them.
 func TestDelVertexDropsPendingInserts(t *testing.T) {
 	g := gen.Grid2D(3, 3)
-	d := mustNew(t, g, Options{})
-	apply(t, d, Mutation{Op: AddEdge, U: 0, V: 4})
-	res := apply(t, d, Mutation{Op: DelVertex, U: 4})
-	// Pending insert {0,4} plus base edges of vertex 4 (grid center: 4
-	// neighbors... vertex 4 of a 3x3 grid has neighbors 1,3,5,7).
-	if res.Applied != 5 {
-		t.Fatalf("delVertex applied %d, want 5", res.Applied)
+	next, applied := apply(t, g, Mutation{Op: AddEdge, U: 0, V: 4}, Mutation{Op: DelVertex, U: 4})
+	// The insert {0,4}, then the batch's insert plus the four base edges of
+	// the grid center (neighbors 1, 3, 5, 7).
+	if applied != 1+5 {
+		t.Fatalf("applied %d, want 6", applied)
 	}
-	if d.HasEdge(0, 4) {
-		t.Fatal("pending insert survived delVertex")
+	if next.HasEdge(0, 4) || next.Degree(4) != 0 {
+		t.Fatal("a same-batch insert survived delVertex")
+	}
+	// The same delVertex twice: the second finds nothing left.
+	if _, applied := apply(t, g, Mutation{Op: DelVertex, U: 4}, Mutation{Op: DelVertex, U: 4}); applied != 4 {
+		t.Fatalf("delVertex twice applied %d, want 4", applied)
 	}
 }
 
 func TestBatchAtomicity(t *testing.T) {
 	g := gen.Grid2D(3, 3)
-	d := mustNew(t, g, Options{})
-	_, err := d.Apply([]Mutation{
-		{Op: AddEdge, U: 0, V: 4},
-		{Op: AddEdge, U: 0, V: 99}, // out of range
-	})
-	if !errors.Is(err, ErrBadMutation) {
-		t.Fatalf("err = %v, want ErrBadMutation", err)
+	for _, batch := range [][]Mutation{
+		{{Op: AddEdge, U: 0, V: 4}, {Op: AddEdge, U: 0, V: 99}}, // out of range
+		{{Op: AddEdge, U: 0, V: 4}, {Op: AddEdge, U: 1, V: 1}},  // self loop
+		{{Op: AddEdge, U: 0, V: 4}, {Op: AddVertices, Count: 0}},
+		{{Op: AddEdge, U: 0, V: 4}, {Op: DelVertex, U: 9}},
+		{{Op: AddEdge, U: 0, V: 4}, {Op: Op(9)}},
+	} {
+		next, applied, err := Apply(g, batch)
+		if !errors.Is(err, ErrBadMutation) || next != nil || applied != 0 {
+			t.Fatalf("Apply(%v) = %v, %d, %v; want ErrBadMutation", batch, next, applied, err)
+		}
 	}
-	if d.Pending() != 0 || d.HasEdge(0, 4) {
-		t.Fatal("rejected batch partially applied")
+	if g.HasEdge(0, 4) || g.Validate() != nil {
+		t.Fatal("a rejected batch wrote its input")
 	}
 	// Edges may reference vertices added earlier in the same batch.
-	if _, err := d.Apply([]Mutation{
-		{Op: AddVertices, Count: 1},
-		{Op: AddEdge, U: 9, V: 0},
-	}); err != nil {
+	if _, _, err := Apply(g, []Mutation{{Op: AddVertices, Count: 1}, {Op: AddEdge, U: 9, V: 0}}); err != nil {
 		t.Fatalf("intra-batch new-vertex edge rejected: %v", err)
-	}
-	if _, err := d.Apply([]Mutation{{Op: AddEdge, U: 1, V: 1}}); !errors.Is(err, ErrBadMutation) {
-		t.Fatal("self loop accepted")
 	}
 }
 
 func TestWeightedRejected(t *testing.T) {
 	g := gen.Grid2D(3, 3).WithUnitWeights()
-	if _, err := New(g, Options{}); !errors.Is(err, ErrWeighted) {
-		t.Fatalf("weighted New err = %v, want ErrWeighted", err)
+	if _, _, err := Apply(g, []Mutation{{Op: AddEdge, U: 0, V: 4}}); !errors.Is(err, ErrWeighted) {
+		t.Fatalf("weighted Apply err = %v, want ErrWeighted", err)
+	}
+	// An invalid batch is a bad batch first, whatever the graph.
+	if _, _, err := Apply(g, []Mutation{{Op: AddEdge, U: 0, V: 99}}); !errors.Is(err, ErrBadMutation) {
+		t.Fatalf("invalid batch on a weighted graph err = %v, want ErrBadMutation", err)
 	}
 }
 
+// TestNumEdgesTracksOverlay: the folded graph's edge count is the input's
+// plus the batch's net inserts minus its net deletes.
 func TestNumEdgesTracksOverlay(t *testing.T) {
 	g := gen.Grid2D(4, 4)
-	d := mustNew(t, g, Options{})
-	m0 := d.NumEdges()
-	apply(t, d, Mutation{Op: AddEdge, U: 0, V: 5}, Mutation{Op: DelEdge, U: 0, V: 1})
-	if got := d.NumEdges(); got != m0 {
-		t.Fatalf("NumEdges = %d, want %d (one add, one del)", got, m0)
+	m0 := g.NumEdges()
+	next, _ := apply(t, g, Mutation{Op: AddEdge, U: 0, V: 5}, Mutation{Op: DelEdge, U: 0, V: 1})
+	if next.NumEdges() != m0 {
+		t.Fatalf("NumEdges = %d, want %d (one add, one del)", next.NumEdges(), m0)
 	}
-	snap, _ := d.Flush()
-	if snap.NumEdges() != m0 {
-		t.Fatalf("flushed NumEdges = %d, want %d", snap.NumEdges(), m0)
-	}
-}
-
-// TestConcurrentMutateAndRead exercises the mutate/snapshot paths under
-// -race: writers apply batches (crossing the rebuild threshold
-// repeatedly) while readers take snapshots and run overlay queries.
-// Snapshots must stay internally consistent because they are immutable.
-func TestConcurrentMutateAndRead(t *testing.T) {
-	g := gen.Grid2D(16, 16)
-	d := mustNew(t, g, Options{RebuildThreshold: 64})
-	n := int32(g.NumV)
-	const writers, readers, opsPerWriter = 4, 4, 300
-
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := seed
-			for i := 0; i < opsPerWriter; i++ {
-				rng = rng*6364136223846793005 + 1442695040888963407
-				u := int32((uint64(rng) >> 33) % uint64(n))
-				v := (u + 1 + int32((uint64(rng)>>15)%uint64(n-1))) % n
-				op := AddEdge
-				if rng&1 == 0 {
-					op = DelEdge
-				}
-				if _, err := d.Apply([]Mutation{{Op: op, U: u, V: v}}); err != nil {
-					t.Errorf("Apply: %v", err)
-					return
-				}
-			}
-		}(int64(w + 1))
-	}
-	stop := make(chan struct{})
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				snap, gen := d.Snapshot()
-				if gen == 0 || snap.Offsets[snap.NumV] != int64(len(snap.Adj)) {
-					t.Errorf("inconsistent snapshot at gen %d", gen)
-					return
-				}
-				d.HasEdge(0, 1)
-				d.NumEdges()
-				d.Pending()
-			}
-		}()
-	}
-	waitAll := make(chan struct{})
-	go func() { wg.Wait(); close(waitAll) }()
-	close(stop)
-	<-waitAll
-
-	snap, _ := d.Flush()
-	if err := snap.Validate(); err != nil {
-		t.Fatalf("final snapshot invalid: %v", err)
+	next, _ = apply(t, next, Mutation{Op: AddEdge, U: 0, V: 10}, Mutation{Op: AddEdge, U: 3, V: 12})
+	if next.NumEdges() != m0+2 {
+		t.Fatalf("NumEdges = %d, want %d", next.NumEdges(), m0+2)
 	}
 }

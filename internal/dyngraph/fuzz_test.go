@@ -79,36 +79,52 @@ func decodeMutation(b []byte, numV int) (Mutation, bool) {
 	}
 }
 
-// FuzzRebuildEquivalence drives a dyngraph.Graph and the reference model
-// with the same mutation sequence — with auto-rebuilds, interleaved
-// Flushes, and batching all derived from the fuzz input — and requires
-// the flushed CSR to be structurally identical to a from-scratch build.
-func FuzzRebuildEquivalence(f *testing.F) {
+// FuzzApplyEquivalence chains Apply over fuzz-sized batches of one
+// mutation sequence and drives the reference model with the same sequence.
+// Every step's CSR must be valid and structurally identical to a
+// from-scratch build of the model, the input CSR must come back untouched,
+// and a batch that changes nothing must return its input pointer.
+func FuzzApplyEquivalence(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 2, 2, 0, 1, 0, 2, 3, 1, 0, 0, 0})
 	f.Add([]byte{4, 0, 3, 0, 0, 0, 0, 5, 0, 1, 1, 0, 2, 0, 5})
 	f.Add(make([]byte, 60))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 2 {
+		if len(data) < 1 {
 			t.Skip()
 		}
-		base := gen.Grid2D(3, 4) // 12 vertices
-		threshold := int(data[0]%8) + 1
-		flushEvery := int(data[1]%5) + 2
-		data = data[2:]
+		batchSize := int(data[0]%8) + 1
+		data = data[1:]
 
-		d, err := New(base, Options{RebuildThreshold: threshold})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := &model{numV: base.NumV, edges: map[uint64]struct{}{}}
-		for v := int32(0); v < int32(base.NumV); v++ {
-			for _, w := range base.Neighbors(v) {
+		g := gen.Grid2D(3, 4) // 12 vertices
+		ref := &model{numV: g.NumV, edges: map[uint64]struct{}{}}
+		for v := int32(0); v < int32(g.NumV); v++ {
+			for _, w := range g.Neighbors(v) {
 				ref.edges[edgeKey(v, w)] = struct{}{}
 			}
 		}
 
 		var batch []Mutation
-		steps := 0
+		step := func() {
+			before := clone(g)
+			next, _, err := Apply(g, batch)
+			if err != nil {
+				t.Fatalf("Apply(%v): %v", batch, err)
+			}
+			if !reflect.DeepEqual(g, before) {
+				t.Fatalf("Apply(%v) wrote its input", batch)
+			}
+			if err := next.Validate(); err != nil {
+				t.Fatalf("Apply(%v) returned an invalid CSR: %v", batch, err)
+			}
+			want := ref.csr(t)
+			if next.NumV != want.NumV || !reflect.DeepEqual(next.Offsets, want.Offsets) || !reflect.DeepEqual(next.Adj, want.Adj) {
+				t.Fatalf("after %v:\n got %v %v\nwant %v %v", batch, next.Offsets, next.Adj, want.Offsets, want.Adj)
+			}
+			if unchanged := reflect.DeepEqual(next, before); unchanged != (next == g) {
+				t.Fatalf("Apply(%v): unchanged=%v but same pointer=%v", batch, unchanged, next == g)
+			}
+			g, batch = next, batch[:0]
+		}
 		for off := 0; off+5 <= len(data); off += 5 {
 			mu, ok := decodeMutation(data[off:off+5], ref.numV)
 			if !ok {
@@ -118,39 +134,17 @@ func FuzzRebuildEquivalence(f *testing.F) {
 			// decode against the post-mutation vertex count, matching
 			// Apply's intra-batch semantics.
 			ref.apply(mu)
-			batch = append(batch, mu)
-			if len(batch) == 3 {
-				if _, err := d.Apply(batch); err != nil {
-					t.Fatalf("Apply(%v): %v", batch, err)
-				}
-				batch = batch[:0]
-			}
-			if steps++; steps%flushEvery == 0 {
-				d.Flush()
+			if batch = append(batch, mu); len(batch) == batchSize {
+				step()
 			}
 		}
 		if len(batch) > 0 {
-			if _, err := d.Apply(batch); err != nil {
-				t.Fatalf("Apply(%v): %v", batch, err)
-			}
-		}
-
-		got, _ := d.Flush()
-		want := ref.csr(t)
-		if got.NumV != want.NumV {
-			t.Fatalf("NumV: got %d want %d", got.NumV, want.NumV)
-		}
-		if !reflect.DeepEqual(got.Offsets, want.Offsets) {
-			t.Fatalf("Offsets diverge:\n got %v\nwant %v", got.Offsets, want.Offsets)
-		}
-		if !reflect.DeepEqual(got.Adj, want.Adj) {
-			t.Fatalf("Adj diverge:\n got %v\nwant %v", got.Adj, want.Adj)
-		}
-		if err := got.Validate(); err != nil {
-			t.Fatalf("flushed CSR invalid: %v", err)
-		}
-		if d.Pending() != 0 {
-			t.Fatalf("pending %d after flush", d.Pending())
+			step()
 		}
 	})
+}
+
+// clone deep-copies a CSR, so a test can tell whether Apply wrote it.
+func clone(g *graph.CSR) *graph.CSR {
+	return &graph.CSR{NumV: g.NumV, Offsets: append([]int64(nil), g.Offsets...), Adj: append([]int32(nil), g.Adj...)}
 }

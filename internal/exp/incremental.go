@@ -39,15 +39,11 @@ type IncrementalReport struct {
 	Entries  []IncrementalEntry
 }
 
-// flipEdges applies `count` deterministic edge flips to a dynamic copy of
-// base: mostly inserts of random non-edges, with every eighth flip
-// deleting an existing edge, mimicking an evolving graph. Returns the
-// mutated snapshot and the number of flips applied.
+// flipEdges applies `count` deterministic edge flips to base as one
+// mutation batch: mostly inserts of random non-edges, with every eighth
+// flip deleting an existing edge, mimicking an evolving graph. Returns the
+// mutated graph and the number of flips applied.
 func flipEdges(base *graph.CSR, count int64, seed uint64) (*graph.CSR, int64, error) {
-	d, err := dyngraph.New(base, dyngraph.Options{})
-	if err != nil {
-		return nil, 0, err
-	}
 	// Existing edges (u < v) to draw deletions from.
 	edges := make([][2]int32, 0, base.NumEdges())
 	for u := int32(0); int(u) < base.NumV; u++ {
@@ -95,11 +91,8 @@ func flipEdges(base *graph.CSR, count int64, seed uint64) (*graph.CSR, int64, er
 		batch = append(batch, dyngraph.Mutation{Op: dyngraph.AddEdge, U: u, V: v})
 		applied++
 	}
-	if _, err := d.Apply(batch); err != nil {
-		return nil, 0, err
-	}
-	snap, _ := d.Flush()
-	return snap, applied, nil
+	mutated, _, err := dyngraph.Apply(base, batch)
+	return mutated, applied, err
 }
 
 // RunIncremental executes the cold-vs-warm comparison

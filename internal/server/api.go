@@ -9,6 +9,7 @@ import (
 	"net/http"
 
 	"repro/internal/catalog"
+	"repro/internal/dyngraph"
 	"repro/internal/graph"
 	"repro/internal/jobs"
 )
@@ -42,7 +43,7 @@ func codeFor(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, jobs.ErrQueueFull):
 		return http.StatusTooManyRequests
-	case errors.Is(err, catalog.ErrExists), errors.Is(err, catalog.ErrPinned), errors.Is(err, catalog.ErrWeighted):
+	case errors.Is(err, catalog.ErrExists), errors.Is(err, catalog.ErrPinned), errors.Is(err, dyngraph.ErrWeighted):
 		return http.StatusConflict
 	case errors.Is(err, catalog.ErrTooLarge):
 		return http.StatusRequestEntityTooLarge

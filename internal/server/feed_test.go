@@ -88,6 +88,19 @@ func headerVersion(t *testing.T, url, name string) uint64 {
 	return v
 }
 
+// replaceWithItself moves the named graph's catalog generation and leaves
+// the graph as it is: Replace with the graph the entry already holds.
+func replaceWithItself(t *testing.T, cat *catalog.Catalog, name string) {
+	t.Helper()
+	g, ok := cat.Get(name)
+	if !ok {
+		t.Fatalf("no graph %q", name)
+	}
+	if err := cat.Replace(name, g); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestFeedFramesCoverEveryChange: whatever moves a view's ETag — or takes
 // the view away — puts a frame on the feed whose version is the one the
 // worker then stamps on its responses, and a graph's versions only grow.
@@ -146,10 +159,8 @@ func TestFeedFramesCoverEveryChange(t *testing.T) {
 		}
 	}
 	caughtUp("install", "g")
-	if _, err := s.cat.Touch("g"); err != nil {
-		t.Fatal(err)
-	}
-	caughtUp("Touch", "g")
+	replaceWithItself(t, s.cat, "g")
+	caughtUp("Replace", "g")
 	before, _, _ := s.viewOf("g")
 	if code, b := patchGraph(t, ts.URL, "g", `{"mutations":[{"op":"addEdge","u":0,"v":27}]}`); code != http.StatusAccepted {
 		t.Fatalf("PATCH: %d %s", code, b)
@@ -249,9 +260,7 @@ func TestFeedSlowRouterCutOff(t *testing.T) {
 			t.Fatal("a feed nobody reads is still subscribed after 30 s of changes")
 		}
 		for i := 0; i < 1000; i++ {
-			if _, err := s.cat.Touch(DefaultGraph); err != nil {
-				t.Fatal(err)
-			}
+			replaceWithItself(t, s.cat, DefaultGraph)
 		}
 	}
 }
@@ -271,15 +280,20 @@ func TestFeedChurnNoGoroutineLeak(t *testing.T) {
 		if got := s.feed.subscribers.Value(); got != int64(len(clients)) {
 			t.Fatalf("round %d: invalidation_subscribers = %d, want %d", round, got, len(clients))
 		}
-		if _, err := s.cat.Touch(DefaultGraph); err != nil {
-			t.Fatal(err)
-		}
+		replaceWithItself(t, s.cat, DefaultGraph)
 		v := headerVersion(t, ts.URL, DefaultGraph)
 		for i, c := range clients {
 			if fr := c.next(t); fr.Graph != DefaultGraph || fr.Version != v {
 				t.Fatalf("round %d client %d: frame %+v, want default at %d", round, i, fr, v)
 			}
 			c.close()
+		}
+		// A handler hears its client hang up asynchronously: the round's
+		// feeds must all unsubscribe before the next round counts its own.
+		for deadline := time.Now().Add(10 * time.Second); s.feed.subscribers.Value() != 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: %d feeds still subscribed 10 s after their clients left", round, s.feed.subscribers.Value())
+			}
 		}
 	}
 	deadline := time.Now().Add(10 * time.Second)

@@ -14,11 +14,11 @@ import (
 	"repro/internal/pipeline"
 )
 
-// PATCH /graphs/{name}: apply a batch of mutations to a (possibly
-// just-promoted) dynamic graph, refresh the catalog snapshot, journal the
-// batch, and queue a refinement layout. The response is 202 with the queued job — mutations
-// apply immediately (and are visible to /graphs and future jobs), the
-// picture catches up when the refinement installs and streams its delta.
+// PATCH /graphs/{name}: fold a batch of mutations into the graph, install
+// the result in the catalog, journal the batch, and queue a refinement
+// layout. The response is 202 with the queued job — mutations apply
+// immediately (and are visible to /graphs and future jobs), the picture
+// catches up when the refinement installs and streams its delta.
 
 // maxMutationBody bounds one PATCH body.
 const maxMutationBody = 8 << 20
@@ -86,31 +86,27 @@ func decodeMutationRequest(body io.Reader) (mutationRequest, error) {
 }
 
 // mutateGraph is the one way a mutation batch reaches the catalog, from a
-// live PATCH or from the journal at start-up. g is the named entry's
-// current graph. A batch that does not validate against it is refused
-// before anything changes — the entry is not even promoted — and a valid
-// one promotes the entry, is applied, and is folded into the catalog
-// snapshot, so every later layout job runs against the mutated graph and
-// the entry's generation (part of every render-cache key) moves past any
-// cached tile of the old one.
-func (s *Server) mutateGraph(name string, g *graph.CSR, ops []mutationOp) (dyngraph.Result, error) {
+// live PATCH or from the journal at start-up, under graphMu. g is the named
+// entry's current graph. A batch that does not validate against it is
+// refused before anything changes; a valid one is folded into a new graph
+// that replaces g in the catalog, so every later layout job runs against
+// the mutated graph and the entry's generation (part of every render-cache
+// key) moves past any cached tile of the old one. A batch that changes
+// nothing leaves the entry as it was. It returns the graph after the batch
+// and how many mutations changed something.
+func (s *Server) mutateGraph(name string, g *graph.CSR, ops []mutationOp) (*graph.CSR, int, error) {
 	batch, err := decodeMutations(ops)
-	if err == nil {
-		err = dyngraph.Validate(g.NumV, batch)
-	}
 	if err != nil {
-		return dyngraph.Result{}, badRequest{err}
+		return nil, 0, badRequest{err}
 	}
-	d, err := s.cat.Promote(name, dyngraph.Options{})
-	if err != nil {
-		return dyngraph.Result{}, err
+	next, applied, err := dyngraph.Apply(g, batch)
+	switch {
+	case errors.Is(err, dyngraph.ErrBadMutation):
+		return nil, 0, badRequest{err}
+	case err == nil && next != g:
+		err = s.cat.Replace(name, next)
 	}
-	res, err := d.Apply(batch)
-	if err != nil {
-		return res, badRequest{err}
-	}
-	_, _, err = s.cat.Refresh(name)
-	return res, err
+	return next, applied, err
 }
 
 // handleGraphMutate is PATCH /graphs/{name}.
@@ -122,10 +118,11 @@ func (s *Server) handleGraphMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.graphMu.Lock()
-	var res dyngraph.Result
+	var next *graph.CSR
+	var applied int
 	if g, ok := s.cat.Get(name); !ok {
 		err = fmt.Errorf("%w: %q", catalog.ErrNotFound, name)
-	} else if res, err = s.mutateGraph(name, g, req.Mutations); err == nil {
+	} else if next, applied, err = s.mutateGraph(name, g, req.Mutations); err == nil {
 		frame := mutationFrame{mutationRequest: req, Version: jobs.PersistVersion, Vertices: g.NumV, Edges: g.NumEdges()}
 		s.eng.Append(kindMutation, name, func(b []byte) ([]byte, error) {
 			p, err := json.Marshal(frame)
@@ -137,14 +134,14 @@ func (s *Server) handleGraphMutate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, codeFor(err), err)
 		return
 	}
-	s.mutationsApplied.Add(int64(res.Applied))
+	s.mutationsApplied.Add(int64(applied))
 	s.stampVersion(w, name)
 
 	// Queue the refinement. The accumulated not-yet-installed delta rides
 	// along as the warm-start staleness input; the current view's layout
 	// (if any) is the prior.
 	s.mu.Lock()
-	s.pending[name] += int64(res.Applied)
+	s.pending[name] += int64(applied)
 	delta := s.pending[name]
 	v := s.views[name]
 	s.mu.Unlock()
@@ -170,8 +167,8 @@ func (s *Server) handleGraphMutate(w http.ResponseWriter, r *http.Request) {
 	gen, _ := s.cat.Generation(name)
 	writeJSON(w, http.StatusAccepted, map[string]interface{}{
 		"graph":      name,
-		"applied":    res.Applied,
-		"vertices":   res.NumV,
+		"applied":    applied,
+		"vertices":   next.NumV,
 		"generation": gen,
 		"job":        j.Status(),
 	})

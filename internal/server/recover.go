@@ -100,7 +100,7 @@ func (s *Server) replayMutation(name string, m mutationFrame) error {
 		return fmt.Errorf("batch was applied to %d vertices and %d edges, the graph here has %d and %d",
 			m.Vertices, m.Edges, g.NumV, g.NumEdges())
 	}
-	_, err := s.mutateGraph(name, g, m.Mutations)
+	_, _, err := s.mutateGraph(name, g, m.Mutations)
 	return err
 }
 

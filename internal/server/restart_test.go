@@ -379,6 +379,51 @@ func TestRenderETagRevalidation(t *testing.T) {
 	}
 }
 
+// TestPreRestartETagGetsFreshBytes: view and catalog generations start over
+// at boot, so a worker restarted on another startup graph renders it under
+// the very key the previous boot used. The boot id in the ETag keeps a tag
+// of the previous boot from earning a 304 for the new graph's bytes.
+func TestPreRestartETagGetsFreshBytes(t *testing.T) {
+	opt := core.Options{Subspace: 4, Seed: 1}
+	old, err := New(gen.Grid2D(6, 6), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldTS := httptest.NewServer(old.Handler())
+	tags := map[string]string{}
+	for _, path := range []string{"/layout.png", "/stats"} {
+		resp, _ := doReq(t, "GET", oldTS.URL+path)
+		tags[path] = resp.Header.Get("ETag")
+	}
+	oldTS.Close()
+	old.Close()
+
+	restarted, err := New(gen.Grid2D(7, 7), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	ts := httptest.NewServer(restarted.Handler())
+	defer ts.Close()
+	for path, tag := range tags {
+		req, _ := http.NewRequest("GET", ts.URL+path, nil)
+		req.Header.Set("If-None-Match", tag)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || len(body) == 0 || resp.Header.Get("ETag") == tag {
+			t.Errorf("%s with the pre-restart tag %s: status %d, %d bytes, tag %s; want 200 with the new graph's bytes",
+				path, tag, resp.StatusCode, len(body), resp.Header.Get("ETag"))
+		}
+		if path == "/stats" && !strings.Contains(string(body), `"vertices":49`) {
+			t.Errorf("/stats after the restart = %s, want the 7×7 grid", body)
+		}
+	}
+}
+
 // TestShardzReportsIdentity checks the router's health/identity probe.
 func TestShardzReportsIdentity(t *testing.T) {
 	_, ts := newTestServerPair(t, Config{WorkerID: "w7"})

@@ -125,13 +125,18 @@ type view struct {
 
 // cacheKey namespaces a render kind under the view's graph, the view
 // generation, and the catalog entry's content generation. The catalog
-// generation is read at request time, so any mutation path that bumps it
-// (PATCH, Touch, Refresh) orphans every cached render of the old graph
-// immediately — even before a new layout installs.
+// generation is read at request time, so a PATCH (catalog.Replace) orphans
+// every cached render of the old graph immediately — even before a new
+// layout installs.
 func (s *Server) cacheKey(v *view, kind string) string {
 	catGen, _ := s.cat.Generation(v.name)
 	return fmt.Sprintf("%s%d:%d:%s", keyPrefix(v.name), v.gen, catGen, kind)
 }
+
+// etag is the validator of a response rendered under key: the key plus the
+// feed's boot id, since both generations in the key start over when the
+// process does, and a tag issued by an earlier boot must not earn a 304.
+func (s *Server) etag(key string) string { return `"` + key + ":" + s.feed.boot + `"` }
 
 // keyPrefix starts every cache key of the named graph and of no other:
 // catalog names hold no ':'.
@@ -616,7 +621,8 @@ func (s *Server) lookupView(w http.ResponseWriter, r *http.Request) (*view, bool
 
 // serveView writes one rendered representation of a view through the
 // render cache, with an ETag derived from the render-cache key — which
-// already encodes graph name, view generation, and catalog generation.
+// already encodes graph name, view generation, and catalog generation — and
+// the boot id.
 // A fronting router replicates hot tiles into its own LRU; when it has to
 // ask (its feed is down, or the graph's version moved), an unchanged key
 // costs a 304 instead of a re-download.
@@ -628,7 +634,7 @@ func (s *Server) serveView(w http.ResponseWriter, r *http.Request, v *view, kind
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	httpcache.WriteRevalidated(w, r, `"`+key+`"`, ctype, body)
+	httpcache.WriteRevalidated(w, r, s.etag(key), ctype, body)
 }
 
 func (s *Server) handleLayoutPNG(w http.ResponseWriter, r *http.Request) {
@@ -675,7 +681,7 @@ func (s *Server) handleZoom(w http.ResponseWriter, r *http.Request) {
 // nothing to render, so it bypasses the render cache.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if v, ok := s.lookupView(w, r); ok {
-		httpcache.WriteRevalidated(w, r, `"`+s.cacheKey(v, "stats")+`"`, "application/json", v.stats)
+		httpcache.WriteRevalidated(w, r, s.etag(s.cacheKey(v, "stats")), "application/json", v.stats)
 	}
 }
 

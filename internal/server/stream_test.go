@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"runtime"
 	"strings"
@@ -146,7 +147,7 @@ func TestMutateStreamMonotoneVersions(t *testing.T) {
 
 // TestStaleTileNeverServed is the cache-invalidation regression test: a
 // cached tile must not be served once the graph's catalog generation
-// moves — whether via the explicit Touch API or a PATCH mutation — even
+// moves — whether via a direct Replace or a PATCH mutation — even
 // before a new layout installs.
 func TestStaleTileNeverServed(t *testing.T) {
 	s, ts := newTestServerPair(t, Config{})
@@ -173,14 +174,13 @@ func TestStaleTileNeverServed(t *testing.T) {
 	if got := s.viewRenders.Value(); got != renders {
 		t.Fatalf("second request re-rendered (%d → %d), want cache hit", renders, got)
 	}
-	// Touch: same graph bytes, but the cached tile may no longer be
-	// trusted; the server must re-render rather than serve the old key.
-	if _, err := s.cat.Touch("default"); err != nil {
-		t.Fatal(err)
-	}
+	// Replace with the same graph: same bytes, but the cached tile may no
+	// longer be trusted; the server must re-render rather than serve the
+	// old key.
+	replaceWithItself(t, s.cat, "default")
 	get()
 	if got := s.viewRenders.Value(); got != renders+1 {
-		t.Fatalf("post-Touch renders = %d, want %d (stale tile served?)", got, renders+1)
+		t.Fatalf("post-Replace renders = %d, want %d (stale tile served?)", got, renders+1)
 	}
 
 	// PATCH: generation moves again; once the refinement installs, the
@@ -237,35 +237,122 @@ func TestRenderCacheBoundedOverPatchCycles(t *testing.T) {
 	}
 }
 
-// TestMutateErrors locks in the PATCH error discipline.
+// TestMutateErrors is the degenerate-PATCH table: one row per edge case of
+// the PATCH entry point, each with the status it must get. A rejected batch
+// changes nothing — not the graph, its generation, its dynamic flag nor the
+// mutation counter. An accepted one queues a refinement whose terminal state
+// is pinned too, and a refinement that ends done installs a view with
+// finite coordinates for every vertex.
 func TestMutateErrors(t *testing.T) {
 	s, ts := newTestServerPair(t, Config{})
-	cases := []struct {
-		name, graph, body string
-		want              int
-	}{
-		{"unknown graph", "nope", `{"mutations":[{"op":"addEdge","u":0,"v":1}]}`, http.StatusNotFound},
-		{"malformed body", "default", `{"mutations":`, http.StatusBadRequest},
-		{"unknown op", "default", `{"mutations":[{"op":"recolor","u":0,"v":1}]}`, http.StatusBadRequest},
-		{"empty batch", "default", `{"mutations":[]}`, http.StatusBadRequest},
-		{"self loop", "default", `{"mutations":[{"op":"addEdge","u":4,"v":4}]}`, http.StatusBadRequest},
-		{"out of range", "default", `{"mutations":[{"op":"addEdge","u":0,"v":99999999}]}`, http.StatusBadRequest},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			code, b := patchGraph(t, ts.URL, tc.graph, tc.body)
-			if code != tc.want {
-				t.Fatalf("status %d, want %d: %s", code, tc.want, b)
-			}
-		})
-	}
-	// Weighted graphs cannot be promoted: 409.
 	def, _ := s.cat.Get(DefaultGraph)
 	if err := s.cat.Add("wg", def.WithUnitWeights(), "test"); err != nil {
 		t.Fatal(err)
 	}
-	if code, _ := patchGraph(t, ts.URL, "wg", `{"mutations":[{"op":"addEdge","u":0,"v":9}]}`); code != http.StatusConflict {
-		t.Fatalf("weighted patch status %d, want 409", code)
+	// A path: every inner vertex is a cut vertex. Laid out first, so its
+	// refinement starts warm like the default graph's.
+	uploadGraph(t, ts.URL, "path", pathGraph(200))
+	waitJobState(t, ts.URL, submitJob(t, ts.URL, "path", 8), "done")
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, _, laidOut := s.viewOf("path"); laidOut {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the path's layout was never installed")
+		}
+	}
+	if g, _ := s.cat.Get("path"); g.Degree(100) != 2 {
+		t.Fatalf("vertex 100 of the path has degree %d", g.Degree(100))
+	}
+
+	cases := []struct {
+		name, graph, body string
+		want              int
+		state             string // the refinement's terminal state, for a 202
+		applied, vertices int    // the reply's counts, for a 202
+	}{
+		{name: "unknown graph", graph: "nope", body: `{"mutations":[{"op":"addEdge","u":0,"v":1}]}`, want: http.StatusNotFound},
+		{name: "malformed body", graph: "default", body: `{"mutations":`, want: http.StatusBadRequest},
+		{name: "unknown op", graph: "default", body: `{"mutations":[{"op":"recolor","u":0,"v":1}]}`, want: http.StatusBadRequest},
+		{name: "empty batch", graph: "default", body: `{"mutations":[]}`, want: http.StatusBadRequest},
+		{name: "self loop", graph: "default", body: `{"mutations":[{"op":"addEdge","u":4,"v":4}]}`, want: http.StatusBadRequest},
+		{name: "out of range", graph: "default", body: `{"mutations":[{"op":"addEdge","u":0,"v":99999999}]}`, want: http.StatusBadRequest},
+		{name: "out of range delVertex", graph: "default", body: `{"mutations":[{"op":"delVertex","u":-1}]}`, want: http.StatusBadRequest},
+		{name: "addVertices 0", graph: "default", body: `{"mutations":[{"op":"addEdge","u":0,"v":2},{"op":"addVertices","count":0}]}`, want: http.StatusBadRequest},
+		{name: "addVertices over 2^20", graph: "default", body: `{"mutations":[{"op":"addVertices","count":1048577}]}`, want: http.StatusBadRequest},
+		{name: "weighted graph", graph: "wg", body: `{"mutations":[{"op":"addEdge","u":0,"v":9}]}`, want: http.StatusConflict},
+		{name: "invalid batch on a weighted graph", graph: "wg", body: `{"mutations":[{"op":"addEdge","u":9,"v":9}]}`, want: http.StatusBadRequest},
+		{name: "same delVertex twice", graph: "default", body: `{"mutations":[{"op":"delVertex","u":5},{"op":"delVertex","u":5}]}`,
+			want: http.StatusAccepted, state: "done", applied: int(def.Degree(5)), vertices: def.NumV},
+		{name: "delVertex of a cut vertex", graph: "path", body: `{"mutations":[{"op":"delVertex","u":100}]}`,
+			want: http.StatusAccepted, state: "done", applied: 2, vertices: 200},
+		{name: "isolated vertices only", graph: "default", body: `{"mutations":[{"op":"addVertices","count":3}]}`,
+			want: http.StatusAccepted, state: "done", applied: 1, vertices: def.NumV + 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := graphInfos(t, ts.URL)
+			g0, _ := s.cat.Get(tc.graph)
+			v0, _, _ := s.viewOf(tc.graph)
+			applied0 := s.mutationsApplied.Value()
+			code, b := patchGraph(t, ts.URL, tc.graph, tc.body)
+			if code != tc.want {
+				t.Fatalf("status %d, want %d: %s", code, tc.want, b)
+			}
+			if code != http.StatusAccepted {
+				after := graphInfos(t, ts.URL)
+				g1, _ := s.cat.Get(tc.graph)
+				if after[tc.graph] != before[tc.graph] || g1 != g0 || s.mutationsApplied.Value() != applied0 {
+					t.Fatalf("a rejected PATCH changed %s: %+v → %+v (same graph: %v)", tc.graph, before[tc.graph], after[tc.graph], g1 == g0)
+				}
+				return
+			}
+			var patched struct {
+				Applied    int         `json:"applied"`
+				Vertices   int         `json:"vertices"`
+				Generation uint64      `json:"generation"`
+				Job        jobs.Status `json:"job"`
+			}
+			if err := json.Unmarshal(b, &patched); err != nil {
+				t.Fatal(err)
+			}
+			if in := graphInfos(t, ts.URL)[tc.graph]; patched.Applied != tc.applied || patched.Vertices != tc.vertices || in.Vertices != tc.vertices ||
+				!in.Dynamic || in.Generation != before[tc.graph].Generation+1 || patched.Generation != in.Generation {
+				t.Fatalf("after the PATCH %s = %+v, reply %s; want %d applied, %d vertices, dynamic, one generation on", tc.graph, in, b, tc.applied, tc.vertices)
+			}
+			var st jobs.Status
+			for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+				if st = jobStatus(t, ts.URL, patched.Job.ID); st.State == "done" || st.State == "failed" || st.State == "cancelled" {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("refinement %s never finished: %+v", patched.Job.ID, st)
+				}
+			}
+			if st.State != tc.state {
+				t.Fatalf("refinement ended %q (%s), want %q", st.State, st.Error, tc.state)
+			}
+			if st.State != "done" {
+				return
+			}
+			var v *view
+			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+				if v, _, _ = s.viewOf(tc.graph); v != v0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("the refinement was never installed")
+				}
+			}
+			if v.g.NumV != tc.vertices || v.layout.Coords.Rows != tc.vertices {
+				t.Fatalf("installed view: %d vertices, %d rows; want %d", v.g.NumV, v.layout.Coords.Rows, tc.vertices)
+			}
+			for i, x := range v.layout.Coords.Data {
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					t.Fatalf("coordinate %d of the installed view is %v", i, x)
+				}
+			}
+		})
 	}
 	// Unknown graph's stream is 404.
 	r2, err := http.Get(ts.URL + "/graphs/nope/stream")

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -127,6 +128,19 @@ func layJob(t *testing.T, workerURL, name string, seed int) {
 	})
 }
 
+// replaceWithItself moves a graph's catalog generation on the worker and
+// leaves the graph as it is.
+func replaceWithItself(t *testing.T, s *server.Server, name string) {
+	t.Helper()
+	g, ok := s.Catalog().Get(name)
+	if !ok {
+		t.Fatalf("no graph %q", name)
+	}
+	if err := s.Catalog().Replace(name, g); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // gridEdges is a small upload body.
 func gridEdges(t *testing.T, side int) string {
 	t.Helper()
@@ -237,11 +251,7 @@ func TestFeedChangesForceForward(t *testing.T) {
 				return viewGen(fetch(t, w1.URL+path, "").etag) != viewGen(before.etag)
 			})
 		}, http.StatusOK},
-		{"Touch", func() {
-			if _, err := s1.Catalog().Touch(name); err != nil {
-				t.Fatal(err)
-			}
-		}, http.StatusOK},
+		{"Replace", func() { replaceWithItself(t, s1, name) }, http.StatusOK},
 		{"delete", func() {
 			if code := send(t, http.MethodDelete, w1.URL+"/graphs/"+name, ""); code != http.StatusNoContent {
 				t.Fatalf("DELETE: status %d", code)
@@ -282,7 +292,7 @@ func TestFeedChangesForceForward(t *testing.T) {
 }
 
 // viewGen is the view-generation field of a worker ETag,
-// "g:<name>:<viewGen>:<catalogGen>:<kind>".
+// "g:<name>:<viewGen>:<catalogGen>:<kind>:<boot>".
 func viewGen(etag string) string {
 	if parts := strings.Split(etag, ":"); len(parts) >= 5 {
 		return parts[2]
@@ -702,12 +712,8 @@ func TestFeedOwnerOnlyAndDefaultAliases(t *testing.T) {
 	if err := sOther.Catalog().Add(mine, gen.Grid2D(4, 4), "test"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sOther.Catalog().Touch(defaultGraph); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sOther.Catalog().Touch(mine); err != nil {
-		t.Fatal(err)
-	}
+	replaceWithItself(t, sOther, defaultGraph)
+	replaceWithItself(t, sOther, mine)
 	awaitVersion(t, rt, other, mine, fetch(t, other+"/graphs/"+mine+"/stats", "").version)
 	if v := seenVersion(rt, other, defaultGraph); v != 0 {
 		t.Errorf("the non-owner's default frame was recorded (version %d)", v)
@@ -721,9 +727,7 @@ func TestFeedOwnerOnlyAndDefaultAliases(t *testing.T) {
 	}
 
 	// The owner's default changes: both aliases go.
-	if _, err := sOwner.Catalog().Touch(defaultGraph); err != nil {
-		t.Fatal(err)
-	}
+	replaceWithItself(t, sOwner, defaultGraph)
 	awaitVersion(t, rt, owner, defaultGraph, fetch(t, owner+"/stats", "").version)
 	for _, path := range aliases {
 		before := forwards(rt, owner)
@@ -742,6 +746,68 @@ func TestFeedOwnerOnlyAndDefaultAliases(t *testing.T) {
 		if _, ok := rt.cache.Peek(path); ok {
 			t.Errorf("%s outlived a PATCH of default relayed by this router", path)
 		}
+	}
+}
+
+// TestRouterTileFollowsWorkerRestart: a worker restarted at the same address
+// on another startup graph renders it under the key the previous boot used
+// (its generations start over). Before the router's feed redials — the
+// window in which a cached tile is revalidated, not dropped — the router
+// must still answer the new graph's bytes, not re-stamp its old tile on a
+// 304.
+func TestRouterTileFollowsWorkerRestart(t *testing.T) {
+	boot := func(g *graph.CSR, addr string) (*server.Server, *httptest.Server) {
+		t.Helper()
+		s, err := server.NewWithConfig(g, core.Options{Subspace: 8, Seed: 1}, server.Config{WorkerID: "w1", Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := net.Listen("tcp", addr)
+		if err != nil {
+			s.Close()
+			t.Fatal(err)
+		}
+		ts := httptest.NewUnstartedServer(s.Handler())
+		ts.Listener.Close()
+		ts.Listener = l
+		ts.Start()
+		return s, ts
+	}
+	s1, w1 := boot(gen.Grid2D(12, 12), "127.0.0.1:0")
+	// No keep-alives: the restarted worker is reached on a fresh connection,
+	// never on one the old process closed.
+	rt, err := NewRouter(Config{Peers: []string{w1.URL}, HealthInterval: time.Hour,
+		Client: &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rts := httptest.NewServer(rt.Handler())
+	t.Cleanup(func() { rts.Close(); rt.Close() })
+	awaitFeed(t, rt, w1.URL)
+
+	const path = "/layout.png"
+	before := fetch(t, rts.URL+path, "")
+	if before.status != http.StatusOK {
+		t.Fatalf("warming read: status %d", before.status)
+	}
+	s1.Hangup() // the feed ends now, not at Close's leisure
+	w1.Close()
+	s1.Close()
+	waitFor(t, "feed down", func() bool {
+		live, _ := rt.peers[w1.URL].feedStatus(time.Now())
+		return !live
+	})
+
+	s2, w2 := boot(gen.Grid2D(10, 10), strings.TrimPrefix(w1.URL, "http://"))
+	t.Cleanup(func() { s2.Hangup(); w2.Close(); s2.Close() })
+	direct := fetch(t, w2.URL+path, "")
+	if direct.status != http.StatusOK || bytes.Equal(direct.body, before.body) {
+		t.Fatalf("the restarted worker serves %d, same bytes as before: %v", direct.status, bytes.Equal(direct.body, before.body))
+	}
+	got := fetch(t, rts.URL+path, "")
+	if got.status != http.StatusOK || !bytes.Equal(got.body, direct.body) {
+		t.Errorf("router served %d, %d bytes (the pre-restart tile: %v); the worker serves %d bytes",
+			got.status, len(got.body), bytes.Equal(got.body, before.body), len(direct.body))
 	}
 }
 

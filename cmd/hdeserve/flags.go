@@ -88,7 +88,8 @@ func newFlagSet(opt *options) *flag.FlagSet {
 		"per-request graph upload size cap in bytes (0 = default)")
 
 	fs.DurationVar(&opt.readTimeout, "read-timeout", 10*time.Second, "HTTP read timeout")
-	fs.DurationVar(&opt.writeTimeout, "write-timeout", 60*time.Second, "HTTP write timeout")
+	fs.DurationVar(&opt.writeTimeout, "write-timeout", 60*time.Second,
+		"HTTP write timeout of a response (SSE streams and invalidation feeds set a deadline per write instead)")
 	fs.DurationVar(&opt.idleTimeout, "idle-timeout", 2*time.Minute, "HTTP keep-alive idle timeout")
 	fs.DurationVar(&opt.drainTimeout, "drain-timeout", 15*time.Second,
 		"how long graceful shutdown waits for in-flight requests")

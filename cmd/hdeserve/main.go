@@ -156,15 +156,15 @@ func runRouter(opt options) {
 		log.Fatal(err)
 	}
 	log.Printf("routing for %d workers on http://%s/", len(peers), opt.addr)
-	serveUntilSignal(opt, rt.Handler(), nil, rt.Close)
+	serveUntilSignal(opt, rt.Handler(), rt.Hangup, rt.Close)
 }
 
 // serveUntilSignal runs the hardened HTTP server until SIGINT/SIGTERM,
 // then drains in-flight requests and calls shutdown (job-engine close
-// for a worker, health-loop and feed stop for a router). hangup, when
-// non-nil, runs as the drain starts: a worker's SSE streams and
-// invalidation feeds never finish on their own and would hold the drain
-// for its whole timeout.
+// for a worker, health-loop and feed stop for a router). hangup runs as
+// the drain starts: a worker's SSE streams and invalidation feeds, and a
+// router's proxied streams, never finish on their own and would hold the
+// drain for its whole timeout.
 func serveUntilSignal(opt options, h http.Handler, hangup, shutdown func()) {
 	httpSrv := &http.Server{
 		Addr:              opt.addr,
@@ -174,9 +174,7 @@ func serveUntilSignal(opt options, h http.Handler, hangup, shutdown func()) {
 		WriteTimeout:      opt.writeTimeout,
 		IdleTimeout:       opt.idleTimeout,
 	}
-	if hangup != nil {
-		httpSrv.RegisterOnShutdown(hangup)
-	}
+	httpSrv.RegisterOnShutdown(hangup)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -22,7 +22,7 @@ const VersionHeader = "X-Hdeserve-Version"
 
 // Frame is one line of the feed. The hello frame has Boot and HeartbeatMs
 // set; a change frame has Graph and Version set; a frame with neither is
-// the heartbeat the worker writes every HeartbeatMs of silence.
+// the heartbeat the worker writes every HeartbeatMs.
 type Frame struct {
 	// Boot identifies the worker process: versions of different boots do
 	// not compare.

@@ -212,7 +212,7 @@ func TestFeedSlowRouterCutOff(t *testing.T) {
 
 	// A subscriber that never drains: the frame that does not fit closes its
 	// channel; every install returns, which a blocking send would not.
-	frames, unsubscribe := s.feed.subscribe()
+	frames, unsubscribe := s.feed.subscribe(s.feed.routers)
 	defer unsubscribe()
 	v, _, _ := s.viewOf(DefaultGraph)
 	for i := 0; i <= feedBuffer; i++ {
@@ -225,10 +225,10 @@ func TestFeedSlowRouterCutOff(t *testing.T) {
 	if n != feedBuffer {
 		t.Errorf("subscriber got %d frames before it was cut off, want %d", n, feedBuffer)
 	}
-	if got := s.feed.dropped.Value(); got != 1 {
+	if got := s.feed.routers.dropped.Value(); got != 1 {
 		t.Errorf("invalidations_dropped_total = %d, want 1", got)
 	}
-	if got := s.feed.subscribers.Value(); got != 0 {
+	if got := s.feed.routers.subscribers.Value(); got != 0 {
 		t.Errorf("invalidation_subscribers = %d after the cut", got)
 	}
 
@@ -252,10 +252,10 @@ func TestFeedSlowRouterCutOff(t *testing.T) {
 			break
 		}
 	}
-	if got := s.feed.subscribers.Value(); got != 1 {
+	if got := s.feed.routers.subscribers.Value(); got != 1 {
 		t.Fatalf("invalidation_subscribers = %d with one feed open", got)
 	}
-	for deadline := time.Now().Add(30 * time.Second); s.feed.subscribers.Value() != 0; {
+	for deadline := time.Now().Add(30 * time.Second); s.feed.routers.subscribers.Value() != 0; {
 		if time.Now().After(deadline) {
 			t.Fatal("a feed nobody reads is still subscribed after 30 s of changes")
 		}
@@ -277,7 +277,7 @@ func TestFeedChurnNoGoroutineLeak(t *testing.T) {
 		for i := range clients {
 			clients[i] = dialFeed(t, ts.URL)
 		}
-		if got := s.feed.subscribers.Value(); got != int64(len(clients)) {
+		if got := s.feed.routers.subscribers.Value(); got != int64(len(clients)) {
 			t.Fatalf("round %d: invalidation_subscribers = %d, want %d", round, got, len(clients))
 		}
 		replaceWithItself(t, s.cat, DefaultGraph)
@@ -290,23 +290,23 @@ func TestFeedChurnNoGoroutineLeak(t *testing.T) {
 		}
 		// A handler hears its client hang up asynchronously: the round's
 		// feeds must all unsubscribe before the next round counts its own.
-		for deadline := time.Now().Add(10 * time.Second); s.feed.subscribers.Value() != 0; time.Sleep(time.Millisecond) {
+		for deadline := time.Now().Add(10 * time.Second); s.feed.routers.subscribers.Value() != 0; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
-				t.Fatalf("round %d: %d feeds still subscribed 10 s after their clients left", round, s.feed.subscribers.Value())
+				t.Fatalf("round %d: %d feeds still subscribed 10 s after their clients left", round, s.feed.routers.subscribers.Value())
 			}
 		}
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		http.DefaultClient.CloseIdleConnections()
-		if s.feed.subscribers.Value() == 0 && runtime.NumGoroutine() <= before+2 {
+		if s.feed.routers.subscribers.Value() == 0 && runtime.NumGoroutine() <= before+2 {
 			break
 		}
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<20)
 			buf = buf[:runtime.Stack(buf, true)]
 			t.Fatalf("goroutines: %d before, %d after disconnect; %d feeds still subscribed\n%s",
-				before, runtime.NumGoroutine(), s.feed.subscribers.Value(), buf)
+				before, runtime.NumGoroutine(), s.feed.routers.subscribers.Value(), buf)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

@@ -146,7 +146,8 @@ func keyPrefix(name string) string { return "g:" + name + ":" }
 // hook (under the catalog lock) call once the named graph's view or
 // catalog generation has moved. Every render cached before that carries a
 // key no request will form again, so it is dropped here rather than left to
-// fill the budget, and the fronting routers are told.
+// fill the budget, and the feed tells the fronting routers and the SSE
+// streams.
 func (s *Server) changed(name string) {
 	prefix := keyPrefix(name)
 	s.cache.DropIf(func(key string, _ []byte) bool { return strings.HasPrefix(key, prefix) })
@@ -180,14 +181,11 @@ type Server struct {
 	// canvases for its duration, so their memory is bounded by that flag.
 	canvases chan *render.Canvas
 
-	// streams holds the per-graph SSE subscriber sets (see stream.go).
-	streamMu sync.Mutex
-	streams  map[string]map[chan []byte]struct{}
-	done     chan struct{} // closed by Close; unblocks SSE and feed handlers
-	closing  sync.Once
+	done    chan struct{} // closed by Hangup; ends the feed and SSE handlers
+	closing sync.Once
 
 	// feed numbers every change cacheKey can see and pushes it to the
-	// fronting routers (see feed.go).
+	// fronting routers and the SSE streams (see feed.go).
 	feed *feed
 
 	reg              *obs.Registry
@@ -202,8 +200,6 @@ type Server struct {
 	bfsBottomUp      *obs.Counter   // BFS-phase levels run bottom-up
 	bfsSwitches      *obs.Counter   // BFS-phase direction changes (≤ 2 per healthy traversal)
 	bfsScannedEdges  *obs.Counter   // adjacency entries BFS actually examined
-	streamSubs       *obs.Gauge     // currently connected SSE subscribers
-	broadcastLatency *obs.Histogram // install→fan-out delta latency
 	renderSeconds    *obs.Histogram // render-cache misses only: layout (zoom) + draw + encode
 
 	ready atomic.Bool
@@ -233,7 +229,6 @@ func NewWithConfig(g *graph.CSR, opt core.Options, cfg Config) (*Server, error) 
 		gens:     map[string]int{},
 		pending:  map[string]int64{},
 		jobDelta: map[string]int64{},
-		streams:  map[string]map[chan []byte]struct{}{},
 		done:     make(chan struct{}),
 		canvases: make(chan *render.Canvas, cfg.MaxConcurrentRenders),
 		reg:      reg,
@@ -251,8 +246,6 @@ func NewWithConfig(g *graph.CSR, opt core.Options, cfg Config) (*Server, error) 
 		bfsBottomUp:      reg.Counter(`bfs_steps_total{direction="bottomup"}`),
 		bfsSwitches:      reg.Counter("bfs_direction_switches_total"),
 		bfsScannedEdges:  reg.Counter("bfs_scanned_edges_total"),
-		streamSubs:       reg.Gauge("stream_subscribers"),
-		broadcastLatency: reg.Histogram("stream_broadcast_seconds"),
 		renderSeconds:    reg.Histogram("render_seconds"),
 	}
 	for i := 0; i < cfg.MaxConcurrentRenders; i++ {
@@ -376,9 +369,8 @@ func (s *Server) install(name string, g *graph.CSR, layout *core.Layout, rep *co
 		stats = []byte("{}")
 	}
 	s.mu.Lock()
-	old := s.views[name]
 	s.gens[name]++
-	nv := &view{
+	s.views[name] = &view{
 		name:   name,
 		gen:    s.gens[name],
 		g:      g,
@@ -387,13 +379,8 @@ func (s *Server) install(name string, g *graph.CSR, layout *core.Layout, rep *co
 		opt:    opt,
 		stats:  append(stats, '\n'),
 	}
-	s.views[name] = nv
 	s.mu.Unlock()
 	s.changed(name)
-	// Fan the coordinate delta out to the graph's stream subscribers
-	// (no-op without any). Outside the view lock: a slow marshal must not
-	// block readers, and sends never block regardless.
-	s.broadcast(old, nv)
 }
 
 // viewOf returns the named graph's current view. The boolean pair

@@ -1,215 +1,133 @@
 package server
 
 import (
+	"bufio"
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"time"
+	"strconv"
 
 	"repro/internal/core"
+	"repro/internal/httpcache"
 )
 
-// Live coordinate streaming: every layout install diffs the new view
-// against the one it replaces and fans a versioned delta out to the
-// graph's SSE subscribers. Versions are the per-graph view generations,
-// so a client sees a strictly increasing sequence and can detect dropped
-// frames (a slow subscriber whose buffer fills skips events rather than
-// stalling the install path; the next delta's version gap tells it to
-// resynchronize, e.g. by reconnecting for a fresh snapshot).
-
-// streamBuffer is each subscriber's event buffer; a subscriber further
-// than this many events behind starts losing frames.
-const streamBuffer = 32
-
-// streamEvent is the SSE payload of both event kinds. A "snapshot"
-// carries every vertex (Full=true, Changed=nil); a "delta" carries the
-// rows of Changed only. Coords is row-per-vertex, Dims values each.
-type streamEvent struct {
-	Graph   string      `json:"graph"`
-	Version int         `json:"version"`
-	Dims    int         `json:"dims"`
-	N       int         `json:"n"`
-	Full    bool        `json:"full"`
-	Changed []int32     `json:"changed,omitempty"`
-	Coords  [][]float64 `json:"coords"`
-}
-
-// subscribe registers a new SSE subscriber for the named graph and
-// returns its event channel plus the matching unsubscribe.
-func (s *Server) subscribe(name string) (chan []byte, func()) {
-	ch := make(chan []byte, streamBuffer)
-	s.streamMu.Lock()
-	if s.streams[name] == nil {
-		s.streams[name] = map[chan []byte]struct{}{}
-	}
-	s.streams[name][ch] = struct{}{}
-	s.streamMu.Unlock()
-	s.streamSubs.Add(1)
-	return ch, func() {
-		s.streamMu.Lock()
-		if subs, ok := s.streams[name]; ok {
-			if _, live := subs[ch]; live {
-				delete(subs, ch)
-				if len(subs) == 0 {
-					delete(s.streams, name)
-				}
-				s.streamSubs.Add(-1)
-			}
-		}
-		s.streamMu.Unlock()
-	}
-}
-
-// broadcast diffs old against the just-installed view and pushes one
-// delta event to every subscriber of the graph. Runs synchronously on
-// the install path (a send is one non-blocking channel op per
-// subscriber); the observed latency is exported as
-// stream_broadcast_seconds.
-func (s *Server) broadcast(old, nv *view) {
-	s.streamMu.Lock()
-	subs := s.streams[nv.name]
-	if len(subs) == 0 {
-		s.streamMu.Unlock()
-		return
-	}
-	// Snapshot the subscriber set so the (cheap) diff + marshal below
-	// doesn't hold the lock against subscribe/unsubscribe.
-	targets := make([]chan []byte, 0, len(subs))
-	for ch := range subs {
-		targets = append(targets, ch)
-	}
-	s.streamMu.Unlock()
-
-	start := time.Now()
-	ev := diffViews(old, nv)
-	b, err := json.Marshal(ev)
-	if err != nil {
-		return
-	}
-	for _, ch := range targets {
-		select {
-		case ch <- b:
-		default: // slow subscriber: drop the frame, never block an install
-		}
-	}
-	s.broadcastLatency.ObserveDuration(time.Since(start))
-}
-
-// diffViews builds the event describing nv relative to old: the changed
-// vertex rows when the views are comparable and the change is sparse, a
-// full snapshot otherwise.
-func diffViews(old, nv *view) streamEvent {
-	n, p := nv.layout.NumVertices(), nv.layout.Dims()
-	ev := streamEvent{Graph: nv.name, Version: nv.gen, Dims: p, N: n}
-	if old != nil && old.layout.Dims() == p && old.layout.NumVertices() <= n {
-		oldN := old.layout.NumVertices()
-		var changed []int32
-		for i := 0; i < n; i++ {
-			if i >= oldN {
-				changed = append(changed, int32(i))
-				continue
-			}
-			for j := 0; j < p; j++ {
-				if nv.layout.Coords.Col(j)[i] != old.layout.Coords.Col(j)[i] {
-					changed = append(changed, int32(i))
-					break
-				}
-			}
-		}
-		if len(changed) <= n/2 {
-			ev.Changed = changed
-			ev.Coords = coordRows(nv.layout, changed)
-			return ev
-		}
-	}
-	ev.Full = true
-	ev.Coords = coordRows(nv.layout, nil)
-	return ev
-}
-
-// coordRows extracts the listed vertex rows (all rows when idx is nil).
-func coordRows(l *core.Layout, idx []int32) [][]float64 {
-	p := l.Dims()
-	if idx == nil {
-		n := l.NumVertices()
-		rows := make([][]float64, n)
-		for i := 0; i < n; i++ {
-			row := make([]float64, p)
-			for j := 0; j < p; j++ {
-				row[j] = l.Coords.Col(j)[i]
-			}
-			rows[i] = row
-		}
-		return rows
-	}
-	rows := make([][]float64, len(idx))
-	for k, i := range idx {
-		row := make([]float64, p)
-		for j := 0; j < p; j++ {
-			row[j] = l.Coords.Col(j)[int(i)]
-		}
-		rows[k] = row
-	}
-	return rows
-}
+// Live coordinate streaming. The stream is a reader of the change feed
+// (feed.go): on every frame of its graph it looks at the graph's current
+// view and, when it is not the view this connection last delivered, writes
+// the difference between the two. A delta is therefore always relative to
+// the event before it on the same connection, so a slow client gets the
+// net change when it catches up — or, a full feed buffer behind, is cut
+// off and reconnects for a fresh snapshot — and never a silent gap.
+// Versions are the per-graph view generations: strictly increasing, and
+// skipping the views that were superseded before the stream read them.
 
 // handleGraphStream is GET /graphs/{name}/stream: a Server-Sent-Events
-// feed opening with a "snapshot" of the current layout and following
-// with one "delta" per install. The handler returns when the client
-// disconnects or the server shuts down.
+// response opening with a "snapshot" of the current layout and following
+// with a "delta" whenever the installed view moves, plus a ":" comment line
+// every heartbeat. It ends when the client leaves, the server hangs up, the
+// feed cuts it off or the graph's view is gone (DELETE, re-upload,
+// eviction).
 func (s *Server) handleGraphStream(w http.ResponseWriter, r *http.Request) {
 	v, ok := s.lookupView(w, r)
 	if !ok {
 		return
 	}
-	flusher, canFlush := w.(http.Flusher)
-	if !canFlush {
-		writeErr(w, http.StatusInternalServerError,
-			fmt.Errorf("streaming unsupported by this connection"))
-		return
-	}
-	// Subscribe before snapshotting: an install racing with the snapshot
-	// delivers a delta whose version is ≤ the snapshot's, which the
-	// client ignores; subscribing after could lose an install entirely.
-	ch, unsubscribe := s.subscribe(v.name)
-	defer unsubscribe()
-
+	name := v.name
+	graph, _ := json.Marshal(name) // a string always marshals
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream; charset=utf-8")
 	h.Set("Cache-Control", "no-cache")
 	h.Set("X-Accel-Buffering", "no")
 
-	snap := streamEvent{
-		Graph: v.name, Version: v.gen,
-		Dims: v.layout.Dims(), N: v.layout.NumVertices(),
-		Full: true, Coords: coordRows(v.layout, nil),
-	}
-	if err := writeSSE(w, "snapshot", snap); err != nil {
-		return
-	}
-	flusher.Flush()
-
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-s.done:
-			return
-		case b := <-ch:
-			if _, err := fmt.Fprintf(w, "event: delta\ndata: %s\n\n", b); err != nil {
-				return
+	var last *view // the view this connection last delivered
+	s.push(w, r, s.feed.streams, defaultHeartbeat, ":\n\n", httpcache.Frame{Graph: name},
+		func(bw *bufio.Writer, fr httpcache.Frame) bool {
+			if fr.Graph != name {
+				return true
 			}
-			flusher.Flush()
-		}
-	}
+			v, _, laidOut := s.viewOf(name)
+			if !laidOut {
+				return false
+			}
+			if v != last {
+				writeEvent(bw, graph, last, v)
+				last = v
+			}
+			return true
+		})
 }
 
-// writeSSE emits one named SSE event with a JSON payload.
-func writeSSE(w http.ResponseWriter, event string, v interface{}) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return err
+// writeEvent writes v as one SSE event: a "snapshot" of every row when last
+// is nil, otherwise a "delta" against last carrying the rows that moved —
+// every row ("full") when most did or the two layouts do not compare. The
+// JSON is appended row by row through one small buffer, so the event costs
+// one allocation whatever the graph's size. graph is the graph's name as a
+// JSON string. A failed write sticks in bw and is reported by its Flush.
+func writeEvent(bw *bufio.Writer, graph []byte, last, v *view) {
+	l := v.layout
+	n, p := l.NumVertices(), l.Dims()
+	event, full := "snapshot", true
+	var prev *core.Layout
+	if last != nil {
+		event, prev = "delta", last.layout
+		full = prev.Dims() != p || prev.NumVertices() > n
 	}
-	_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b)
-	return err
+	moved := func(i int) bool {
+		if full || i >= prev.NumVertices() {
+			return true
+		}
+		for j := 0; j < p; j++ {
+			if l.Coords.At(i, j) != prev.Coords.At(i, j) {
+				return true
+			}
+		}
+		return false
+	}
+	changed := 0
+	if !full {
+		for i := 0; i < n; i++ {
+			if moved(i) {
+				changed++
+			}
+		}
+		full = changed > n/2
+	}
+
+	b := make([]byte, 0, 128+len(graph)+25*p)
+	b = append(append(append(append(b, "event: "...), event...), "\ndata: {\"graph\":"...), graph...)
+	b = strconv.AppendInt(append(b, `,"version":`...), int64(v.gen), 10)
+	b = strconv.AppendInt(append(b, `,"dims":`...), int64(p), 10)
+	b = strconv.AppendInt(append(b, `,"n":`...), int64(n), 10)
+	b = strconv.AppendBool(append(b, `,"full":`...), full)
+	if !full && changed > 0 {
+		b = append(b, `,"changed":[`...)
+		for i, k := 0, 0; i < n; i++ {
+			if moved(i) {
+				b = strconv.AppendInt(appendSep(b, k), int64(i), 10)
+				_, _ = bw.Write(b)
+				b, k = b[:0], k+1
+			}
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"coords":[`...)
+	for i, k := 0, 0; i < n; i++ {
+		if moved(i) {
+			b = append(appendSep(b, k), '[')
+			for j := 0; j < p; j++ {
+				b = strconv.AppendFloat(appendSep(b, j), l.Coords.At(i, j), 'g', -1, 64)
+			}
+			b = append(b, ']')
+			_, _ = bw.Write(b)
+			b, k = b[:0], k+1
+		}
+	}
+	_, _ = bw.Write(append(b, "]}\n\n"...))
+}
+
+// appendSep appends the comma that precedes the k-th item of a JSON list.
+func appendSep(b []byte, k int) []byte {
+	if k > 0 {
+		return append(b, ',')
+	}
+	return b
 }

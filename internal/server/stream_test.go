@@ -5,17 +5,52 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
+	"net"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/jobs"
+	"repro/internal/linalg"
 )
+
+// streamEvent is the SSE payload of both event kinds. A "snapshot" (and a
+// "full" delta) carries every vertex; any other delta the rows of Changed
+// only. Coords is row-per-vertex, Dims values each.
+type streamEvent struct {
+	Graph   string      `json:"graph"`
+	Version int         `json:"version"`
+	Dims    int         `json:"dims"`
+	N       int         `json:"n"`
+	Full    bool        `json:"full"`
+	Changed []int32     `json:"changed"`
+	Coords  [][]float64 `json:"coords"`
+}
+
+// apply folds ev into the client's copy of the layout, row-per-vertex.
+func (ev streamEvent) apply(rows [][]float64) [][]float64 {
+	if ev.Full {
+		return ev.Coords
+	}
+	for len(rows) < ev.N {
+		rows = append(rows, nil)
+	}
+	for k, i := range ev.Changed {
+		rows[i] = ev.Coords[k]
+	}
+	return rows
+}
 
 // sseClient reads events off one /stream connection.
 type sseClient struct {
@@ -56,17 +91,25 @@ func (c *sseClient) close() {
 // next blocks for the next SSE event, decoding its JSON payload.
 func (c *sseClient) next(t *testing.T) (string, streamEvent) {
 	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	_ = c.resp.Body // the request context bounds reads; keep parsing simple
+	event, ev, err := c.read(time.Now().Add(15 * time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return event, ev
+}
+
+// read returns the next SSE event, skipping heartbeats, or the error that
+// ended the stream first. deadline is checked between lines.
+func (c *sseClient) read(deadline time.Time) (string, streamEvent, error) {
 	var event string
 	var data []byte
 	for {
 		if time.Now().After(deadline) {
-			t.Fatal("timed out waiting for SSE event")
+			return "", streamEvent{}, errors.New("timed out waiting for SSE event")
 		}
 		line, err := c.br.ReadString('\n')
 		if err != nil {
-			t.Fatalf("stream read: %v", err)
+			return "", streamEvent{}, fmt.Errorf("stream read: %w", err)
 		}
 		line = strings.TrimRight(line, "\n")
 		switch {
@@ -77,9 +120,9 @@ func (c *sseClient) next(t *testing.T) (string, streamEvent) {
 		case line == "" && event != "":
 			var ev streamEvent
 			if err := json.Unmarshal(data, &ev); err != nil {
-				t.Fatalf("bad event payload %q: %v", data, err)
+				return "", streamEvent{}, fmt.Errorf("bad event payload %q: %w", data, err)
 			}
-			return event, ev
+			return event, ev, nil
 		}
 	}
 }
@@ -380,8 +423,11 @@ func TestStreamSoakNoGoroutineLeak(t *testing.T) {
 			t.Fatalf("subscriber %d: expected snapshot, got %q", i, ev)
 		}
 	}
-	if got := s.streamSubs.Value(); got != subscribers {
+	if got := s.feed.streams.subscribers.Value(); got != subscribers {
 		t.Fatalf("stream_subscribers = %d, want %d", got, subscribers)
+	}
+	if got := s.feed.routers.subscribers.Value(); got != 0 {
+		t.Fatalf("invalidation_subscribers = %d with only streams open: it counts routers", got)
 	}
 
 	for round := 0; round < 3; round++ {
@@ -400,20 +446,26 @@ func TestStreamSoakNoGoroutineLeak(t *testing.T) {
 	for _, c := range clients {
 		c.close()
 	}
+	// A handler hears its client hang up asynchronously: every stream must
+	// unsubscribe before the goroutines are counted.
+	for deadline := time.Now().Add(10 * time.Second); s.feed.streams.subscribers.Value() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d streams still subscribed 10 s after their clients left", s.feed.streams.subscribers.Value())
+		}
+	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		// Idle keep-alive connections in the shared client transport hold
 		// goroutines on both ends; drop them so only a real server-side
 		// leak can keep the count elevated.
 		http.DefaultClient.CloseIdleConnections()
-		if s.streamSubs.Value() == 0 && runtime.NumGoroutine() <= before+2 {
+		if runtime.NumGoroutine() <= before+2 {
 			break
 		}
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<20)
 			buf = buf[:runtime.Stack(buf, true)]
-			t.Fatalf("goroutines: %d before, %d after disconnect; %d subscribers still registered\n%s",
-				before, runtime.NumGoroutine(), s.streamSubs.Value(), buf)
+			t.Fatalf("goroutines: %d before, %d after disconnect\n%s", before, runtime.NumGoroutine(), buf)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -470,12 +522,273 @@ func TestWarmInstallMetrics(t *testing.T) {
 	for _, want := range []string{
 		`layouts_installed_total{mode="warm"} 1`,
 		"refine_sweeps_total",
-		"stream_broadcast_seconds",
+		"streams_dropped_total",
 		"stream_subscribers",
 		"graph_mutations_total 1",
 	} {
 		if !strings.Contains(string(b), want) {
 			t.Fatalf("/metrics missing %q", want)
 		}
+	}
+}
+
+// installedAfter waits until the named graph's installed view is no longer
+// old and returns it.
+func installedAfter(t *testing.T, s *Server, name string, old *view) *view {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		if v, _, laidOut := s.viewOf(name); laidOut && v != old {
+			return v
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no new view of %s was installed", name)
+		}
+	}
+}
+
+// sameRows reports whether the client's rows are bit for bit the layout's.
+func sameRows(rows [][]float64, l *core.Layout) bool {
+	if len(rows) != l.NumVertices() {
+		return false
+	}
+	for i, row := range rows {
+		if len(row) != l.Dims() {
+			return false
+		}
+		for j, x := range row {
+			if math.Float64bits(x) != math.Float64bits(l.Coords.At(i, j)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestStreamSurvivesWriteTimeout: a stream outlives the http.Server's
+// WriteTimeout — every write carries its own deadline and the heartbeat
+// keeps the connection writing — and still delivers the delta of a PATCH
+// made after the timeout has passed.
+func TestStreamSurvivesWriteTimeout(t *testing.T) {
+	s, err := NewWithConfig(gen.PlateWithHoles(30, 30), core.Options{Subspace: 10, Seed: 1}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	ts := httptest.NewUnstartedServer(s.Handler())
+	ts.Config.WriteTimeout = 300 * time.Millisecond
+	ts.Start()
+	t.Cleanup(ts.Close)
+
+	c := dialStream(t, ts.URL, DefaultGraph)
+	if event, _ := c.next(t); event != "snapshot" {
+		t.Fatalf("first event %q, want snapshot", event)
+	}
+	time.Sleep(time.Second)
+	if code, b := patchGraph(t, ts.URL, DefaultGraph, `{"mutations":[{"op":"addEdge","u":0,"v":47}]}`); code != http.StatusAccepted {
+		t.Fatalf("patch status %d: %s", code, b)
+	}
+	if event, ev := c.next(t); event != "delta" || ev.Version <= 1 {
+		t.Fatalf("after the write timeout: %q %+v, want a delta", event, ev)
+	}
+}
+
+// edited returns a copy of l cut to its first n rows, with the listed rows
+// moved.
+func edited(l *core.Layout, n int, rows ...int) *core.Layout {
+	c := linalg.NewDense(n, l.Dims())
+	for j := 0; j < l.Dims(); j++ {
+		col := c.Col(j)
+		copy(col, l.Coords.Col(j))
+		for _, i := range rows {
+			col[i] = 1 - col[i]
+		}
+	}
+	return &core.Layout{Coords: c}
+}
+
+// TestStreamDeltasRebuildView: a client that applies the snapshot and then
+// every delta holds, after each of 24 PATCH batches — some adding vertices,
+// some deleting edges, some changing nothing — a bit-for-bit copy of the
+// installed view. A warm refinement moves every row, so after each batch
+// two rows of the view are moved by hand, and after a batch that added
+// vertices the view is cut back and regrown: the sparse deltas, new rows
+// included, are rebuilt bitwise too. The stream ends when the graph is
+// deleted.
+func TestStreamDeltasRebuildView(t *testing.T) {
+	s, ts := newTestServerPair(t, Config{Workers: 1})
+	var edges bytes.Buffer
+	if err := graph.WriteEdgeList(&edges, gen.Grid2D(12, 12)); err != nil {
+		t.Fatal(err)
+	}
+	uploadGraph(t, ts.URL, "g", edges.String())
+	waitJobState(t, ts.URL, submitJob(t, ts.URL, "g", 8), "done")
+	v := installedAfter(t, s, "g", nil)
+
+	c := dialStream(t, ts.URL, "g")
+	event, snap := c.next(t)
+	if event != "snapshot" || snap.Version != v.gen || !sameRows(snap.apply(nil), v.layout) {
+		t.Fatalf("first event %q version %d is not the installed view %d", event, snap.Version, v.gen)
+	}
+	rows, last := snap.apply(nil), snap.Version
+	// catchUp applies deltas until the client holds the installed view, and
+	// returns the rows the last one changed (nil for a full one).
+	catchUp := func(what string) []int32 {
+		t.Helper()
+		v, _, _ = s.viewOf("g")
+		var changed []int32
+		for last < v.gen {
+			event, ev := c.next(t)
+			if event != "delta" || ev.Version <= last {
+				t.Fatalf("%s: %q %+v after version %d", what, event, ev, last)
+			}
+			rows, last, changed = ev.apply(rows), ev.Version, ev.Changed
+		}
+		if last != v.gen || !sameRows(rows, v.layout) {
+			t.Fatalf("%s: the client holds version %d (%d rows), the installed view is %d (%d rows): not bitwise equal",
+				what, last, len(rows), v.gen, v.layout.NumVertices())
+		}
+		return changed
+	}
+	install := func(l *core.Layout) { s.install("g", v.g, l, v.report, v.opt, core.Quality{}, 0) }
+
+	rng := rand.New(rand.NewSource(1))
+	n := 144
+	for batch := 0; batch < 24; batch++ {
+		var ops []string
+		edge := func(op string, u, w int) {
+			ops = append(ops, fmt.Sprintf(`{"op":%q,"u":%d,"v":%d}`, op, u, w))
+		}
+		switch batch % 4 {
+		case 1:
+			edge("delEdge", 13*(batch%11), 13*(batch%11)+1) // a grid edge, while it lasts
+		case 2:
+			ops = append(ops, `{"op":"addVertices","count":2}`)
+			edge("addEdge", n, rng.Intn(n))
+			n += 2
+		}
+		if u := rng.Intn(n); batch%4 != 3 {
+			edge("addEdge", u, (u+1+rng.Intn(n-1))%n)
+		} else {
+			edge("addEdge", 0, 1) // present from the start: the batch changes nothing
+		}
+		what := fmt.Sprintf("batch %d", batch)
+		if code, b := patchGraph(t, ts.URL, "g", `{"mutations":[`+strings.Join(ops, ",")+`]}`); code != http.StatusAccepted {
+			t.Fatalf("%s: status %d: %s", what, code, b)
+		}
+		v = installedAfter(t, s, "g", v)
+		catchUp(what)
+
+		moved := edited(v.layout, n, batch, n-1)
+		install(moved)
+		if changed := catchUp(what + ", two rows moved"); len(changed) != 2 {
+			t.Fatalf("%s: moving two rows sent changed = %v", what, changed)
+		}
+		if batch%4 == 2 {
+			install(edited(moved, n-2))
+			catchUp(what + ", cut back")
+			install(moved)
+			if changed := catchUp(what + ", regrown"); len(changed) != 2 || changed[0] != int32(n-2) {
+				t.Fatalf("%s: regrowing two rows sent changed = %v", what, changed)
+			}
+		}
+	}
+	if v.layout.NumVertices() != n {
+		t.Fatalf("the installed view has %d vertices, the batches made %d", v.layout.NumVertices(), n)
+	}
+
+	if resp, _ := doReq(t, http.MethodDelete, ts.URL+"/graphs/g"); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("DELETE: status %d", resp.StatusCode)
+	}
+	if _, _, err := c.read(time.Now().Add(10 * time.Second)); !errors.Is(err, io.EOF) {
+		t.Fatalf("the stream of a deleted graph did not end: %v", err)
+	}
+}
+
+// TestStreamSlowClientCutOff is TestFeedSlowRouterCutOff's twin for the
+// SSE stream: a client that reads its snapshot and stops is cut off once it
+// is a full feed buffer behind, counted in streams_dropped_total, and its
+// response ends. No install waits for it, and what it was sent holds no
+// gap: applied in order, the events it can still read rebuild one whole
+// installed layout.
+func TestStreamSlowClientCutOff(t *testing.T) {
+	s, ts := newTestServerPair(t, Config{})
+	conn, err := net.Dial("tcp", strings.TrimPrefix(ts.URL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.(*net.TCPConn).SetReadBuffer(4 << 10) // fill up sooner
+	fmt.Fprintf(conn, "GET /graphs/%s/stream HTTP/1.1\r\nHost: worker\r\n\r\n", DefaultGraph)
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &sseClient{resp: resp, br: bufio.NewReader(resp.Body), cancel: func() {}}
+	event, snap := c.next(t)
+	if event != "snapshot" {
+		t.Fatalf("first event %q, want snapshot", event)
+	}
+	if got := s.feed.streams.subscribers.Value(); got != 1 {
+		t.Fatalf("stream_subscribers = %d with one stream open", got)
+	}
+
+	// Installs alternate between the layout and its mirror image, so a
+	// delta either moves every row or none, and is large or empty.
+	v, _, _ := s.viewOf(DefaultGraph)
+	mirror := v.layout.Clone()
+	for i := range mirror.Coords.Data {
+		mirror.Coords.Data[i] = -mirror.Coords.Data[i]
+	}
+	layouts := []*core.Layout{mirror, v.layout}
+	for deadline := time.Now().Add(30 * time.Second); s.feed.streams.subscribers.Value() != 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("a stream nobody reads is still subscribed after 30 s of installs")
+		}
+		for i := 0; i < 100; i++ {
+			s.install(v.name, v.g, layouts[i%2], v.report, v.opt, core.Quality{}, 0)
+		}
+	}
+	if got := s.feed.streams.dropped.Value(); got != 1 {
+		t.Errorf("streams_dropped_total = %d, want 1", got)
+	}
+	if got := s.feed.routers.dropped.Value(); got != 0 {
+		t.Errorf("invalidations_dropped_total = %d: a stream was counted as a router", got)
+	}
+
+	rows, last := snap.apply(nil), snap.Version
+	for {
+		event, ev, err := c.read(time.Now().Add(10 * time.Second))
+		if err != nil {
+			if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("the cut-off stream did not end: %v", err)
+			}
+			break
+		}
+		if event != "delta" || ev.Version <= last {
+			t.Fatalf("%q version %d after version %d", event, ev.Version, last)
+		}
+		rows, last = ev.apply(rows), ev.Version
+	}
+	if !sameRows(rows, v.layout) && !sameRows(rows, mirror) {
+		t.Fatalf("after version %d the client holds neither installed layout", last)
+	}
+}
+
+// TestStreamSnapshotAllocsFlat: a snapshot is written row by row through
+// one small buffer, so writing it costs the same allocations for a plate
+// 16 times the size.
+func TestStreamSnapshotAllocsFlat(t *testing.T) {
+	allocs := func(side int) float64 {
+		g := gen.PlateWithHoles(side, side)
+		l, _, err := core.ParHDE(g, core.Options{Subspace: 10, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := &view{name: "g", gen: 1, g: g, layout: l}
+		bw := bufio.NewWriter(io.Discard)
+		return testing.AllocsPerRun(5, func() { writeEvent(bw, []byte(`"g"`), nil, v) })
+	}
+	if small, large := allocs(30), allocs(120); small != large {
+		t.Fatalf("a snapshot of a 30² plate costs %v allocations, of a 120² plate %v", small, large)
 	}
 }

@@ -110,7 +110,7 @@ type Router struct {
 	invalidations *obs.Counter // change frames accepted from a graph's owner
 	revalidations *obs.Counter // forwards made only to revalidate a held tile
 
-	ctx    context.Context // cancelled by Close: stops the health loop and the feeds
+	ctx    context.Context // cancelled by Hangup: stops the health loop, the feeds and the proxied streams
 	cancel context.CancelFunc
 	done   chan struct{}  // closed when the health loop has exited
 	feeds  sync.WaitGroup // running feed connections
@@ -174,10 +174,17 @@ func NewRouter(cfg Config) (*Router, error) {
 	return rt, nil
 }
 
-// Close stops the health loop and hangs up the feeds, and returns when
-// both have exited. In-flight forwards are not interrupted.
+// Hangup ends every proxied SSE stream, hangs up the feeds and stops the
+// health loop. A proxied stream never finishes on its own, so a graceful
+// http.Server.Shutdown that is to return before its deadline must call it
+// first (RegisterOnShutdown); reads that are still in flight revalidate
+// at the owner meanwhile.
+func (rt *Router) Hangup() { rt.cancel() }
+
+// Close hangs up as Hangup does and returns when the health loop and the
+// feeds have exited. Other in-flight forwards are not interrupted.
 func (rt *Router) Close() {
-	rt.cancel()
+	rt.Hangup()
 	<-rt.done
 	rt.feeds.Wait()
 }
@@ -720,13 +727,23 @@ func (rt *Router) handleGraphMutate(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// streamWriteDeadline bounds each write of a proxied stream to its client:
+// two of the worker's one-second stream heartbeats. Every chunk sets it
+// afresh, which also lifts the router's WriteTimeout off the response (a
+// writer that cannot take a deadline stays bounded by WriteTimeout).
+const streamWriteDeadline = 2 * time.Second
+
 // handleStream proxies the SSE layout stream from the graph's owner,
 // flushing every chunk so deltas reach the client as they happen. The
 // proxy uses an untimed client: a stream is expected to stay open for
-// the whole editing session.
+// the whole editing session, and ends when the client or the worker does
+// or the router hangs up.
 func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
 	p := rt.owner(r.PathValue("name"))
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, p.url+r.URL.RequestURI(), nil)
+	ctx, cancel := context.WithCancel(r.Context())
+	defer cancel()
+	defer context.AfterFunc(rt.ctx, cancel)()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.url+r.URL.RequestURI(), nil)
 	if err != nil {
 		writeRouterErr(w, http.StatusBadGateway, err)
 		return
@@ -745,16 +762,14 @@ func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	flusher, _ := w.(http.Flusher)
+	rc := http.NewResponseController(w)
 	buf := make([]byte, 4096)
 	for {
 		n, err := resp.Body.Read(buf)
 		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
+			_ = rc.SetWriteDeadline(time.Now().Add(streamWriteDeadline))
+			if _, werr := w.Write(buf[:n]); werr != nil || rc.Flush() != nil {
 				return
-			}
-			if flusher != nil {
-				flusher.Flush()
 			}
 		}
 		if err != nil {

@@ -371,6 +371,71 @@ func TestRouterSSEPassThrough(t *testing.T) {
 	}
 }
 
+// TestRouterStreamSurvivesWriteTimeout: a stream proxied by a router whose
+// WriteTimeout is 300 ms still delivers a delta a second after it opened —
+// every chunk carries its own write deadline, and the worker's heartbeat
+// keeps chunks coming — and it ends as soon as the router hangs up, as a
+// drain does first.
+func TestRouterStreamSurvivesWriteTimeout(t *testing.T) {
+	_, w1 := newWorker(t, "w1")
+	rt, err := NewRouter(Config{Peers: []string{w1.URL}, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rts := httptest.NewUnstartedServer(rt.Handler())
+	rts.Config.WriteTimeout = 300 * time.Millisecond
+	rts.Start()
+	t.Cleanup(func() { rts.Close(); rt.Close() })
+
+	resp, err := http.Get(rts.URL + "/graphs/default/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	nextEvent := func() string {
+		t.Helper()
+		for {
+			line, err := br.ReadString('\n')
+			if err != nil {
+				t.Fatalf("stream read: %v", err)
+			}
+			if event, ok := strings.CutPrefix(strings.TrimSpace(line), "event: "); ok {
+				return event
+			}
+		}
+	}
+	if event := nextEvent(); event != "snapshot" {
+		t.Fatalf("first event %q, want snapshot", event)
+	}
+	time.Sleep(time.Second)
+	req, _ := http.NewRequest(http.MethodPatch, rts.URL+"/graphs/default",
+		strings.NewReader(`{"mutations":[{"op":"addEdge","u":0,"v":47}]}`))
+	patched, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patched.Body.Close()
+	if patched.StatusCode != http.StatusAccepted {
+		t.Fatalf("PATCH: status %d", patched.StatusCode)
+	}
+	if event := nextEvent(); event != "delta" {
+		t.Fatalf("after the write timeout: event %q, want delta", event)
+	}
+
+	rt.Hangup()
+	ended := make(chan error, 1)
+	go func() {
+		_, err := io.Copy(io.Discard, br)
+		ended <- err
+	}()
+	select {
+	case <-ended:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the proxied stream is still open 5 s after the router hung up")
+	}
+}
+
 // TestRouterJobIDFanout: a job id carrying a known worker's prefix —
 // dashes in the worker id included — costs exactly one forward to that
 // worker; an id whose prefix names no known worker is hunted across the

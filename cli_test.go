@@ -9,13 +9,14 @@ import (
 	"testing"
 )
 
-// buildTool compiles one of the cmd binaries into a shared temp dir. The
-// CLI integration tests exercise the tools end to end: generate → inspect
-// → lay out → render, through real files.
-func buildTool(t *testing.T, dir, name string) string {
+// buildTool compiles one of the cmd binaries into a shared temp dir, with
+// any extra go build flags. The CLI integration tests exercise the tools
+// end to end: generate → inspect → lay out → render, through real files.
+func buildTool(t *testing.T, dir, name string, flags ...string) string {
 	t.Helper()
 	bin := filepath.Join(dir, name)
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/"+name)
+	args := append(append([]string{"build"}, flags...), "-o", bin, "./cmd/"+name)
+	cmd := exec.Command("go", args...)
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("building %s: %v\n%s", name, err, out)
@@ -175,6 +176,28 @@ func TestCLIHdebenchList(t *testing.T) {
 	if !strings.Contains(out, "urand") || !strings.Contains(out, "pa2010") {
 		t.Fatalf("table2 output:\n%s", out)
 	}
+}
+
+// raceEnabled is set by race_test.go when this test binary is race-built.
+var raceEnabled bool
+
+// TestCLIHdesoak runs the recovery contract at smoke size: hdesoak starts
+// a router and two hdeserve workers, SIGKILLs one with jobs queued and
+// running, restarts it, and fails on any broken invariant. Under -race the
+// workers are race-built too, and a race report on their stderr fails it.
+func TestCLIHdesoak(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI integration test builds binaries")
+	}
+	dir := t.TempDir()
+	var flags []string
+	if raceEnabled {
+		flags = []string{"-race"}
+	}
+	serveBin := buildTool(t, dir, "hdeserve", flags...)
+	soakBin := buildTool(t, dir, "hdesoak")
+	runTool(t, soakBin, "-bin", serveBin, "-out", filepath.Join(dir, "soak.json"),
+		"-workers", "2", "-jobs", "4", "-grid", "40", "-s", "64")
 }
 
 func TestCLIWeightedAndRefine(t *testing.T) {

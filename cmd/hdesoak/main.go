@@ -1,20 +1,20 @@
-// Command hdesoak soak-tests a sharded hdeserve fleet end to end, with
-// real processes: it starts a router and N workers from a built hdeserve
-// binary, drives mixed upload/job/read traffic through the router,
-// SIGKILLs one worker mid-run and restarts it on the same address and
-// data directory, and verifies the zero-dropped-jobs invariant — every
-// accepted submission ends as exactly one result frame in a worker's
-// journal with no intent left pending — and that the victim's graph comes
-// back with the PATCH it took before the kill, from a data directory that
-// holds the journal and nothing else.
+// Command hdesoak is the recovery contract, run against real processes: it
+// starts a router and N workers from a built hdeserve binary on loopback
+// ports the kernel picks, drives mixed upload/job/read traffic through the
+// router, SIGKILLs one worker mid-run and restarts it on the same address
+// and data directory. Then every accepted submission must end as exactly
+// one result frame in a worker's journal — never under an id it was
+// interrupted under — with no intent left pending and no frame refused;
+// the victim's graph must come back with the PATCH it took before the
+// kill, from a data directory that holds the journal and nothing else;
+// and the router must answer for the fleet throughout, and not serve a
+// tile of the victim's cached before the kill once the victim is back
+// under a new boot id. A race-detector report on any member's stderr
+// fails the run, so a hdeserve built with -race arms the race check.
 //
-// Around the kill it also holds the router's tile cache to the restart: a
-// tile of the victim's cached before the kill must not be what the router
-// serves once the victim is back under a new boot id.
-//
-// It is the recovery contract, not a measuring stick: throughput numbers
-// come from bash benchmark/run.sh (serve_jobs). The run's counts are
-// written as JSON for CI artifacts.
+// It is not a measuring stick: throughput numbers come from bash
+// benchmark/run.sh (serve_jobs). TestCLIHdesoak runs it at smoke size; the
+// run's counts are written as JSON for CI artifacts.
 //
 // Usage:
 //
@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -48,51 +49,36 @@ type options struct {
 	jobs     int
 	gridSide int
 	subspace int
-	basePort int
 	out      string
 }
 
 // proc is one fleet member: a real hdeserve process we can SIGKILL and
 // restart with identical arguments.
 type proc struct {
-	name string
-	args []string
-	env  []string
-	url  string
-	cmd  *exec.Cmd
+	name   string
+	args   []string
+	env    []string
+	url    string
+	cmd    *exec.Cmd
+	stderr bytes.Buffer // every run's stderr; read only once the run is reaped
 }
 
 func (p *proc) start(bin string) error {
 	p.cmd = exec.Command(bin, p.args...)
 	p.cmd.Env = append(os.Environ(), p.env...)
-	p.cmd.Stderr = os.Stderr
+	p.cmd.Stderr = io.MultiWriter(os.Stderr, &p.stderr)
 	if err := p.cmd.Start(); err != nil {
 		return fmt.Errorf("start %s: %w", p.name, err)
 	}
-	go p.cmd.Wait() // reap whenever it exits; we poll health, not the process
 	return nil
 }
 
+// kill SIGKILLs the process and returns once it is reaped and its stderr
+// copied, so its port is free for a restart.
 func (p *proc) kill() {
 	if p.cmd != nil && p.cmd.Process != nil {
 		p.cmd.Process.Kill()
-	}
-}
-
-func waitHealthy(url string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		resp, err := http.Get(url + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("%s not healthy after %v", url, timeout)
-		}
-		time.Sleep(100 * time.Millisecond)
+		p.cmd.Wait()
 	}
 }
 
@@ -104,53 +90,63 @@ type fleet struct {
 	dirs    []string
 }
 
-func (f *fleet) stop() {
-	if f.router != nil {
-		f.router.kill()
+// stop kills every member and waits for each to exit. A race-built member
+// reports a race on its stderr and carries on, so a report fails the soak
+// here even when every invariant held.
+func (f *fleet) stop() error {
+	var raced []string
+	for _, p := range append([]*proc{f.router}, f.workers...) {
+		if p != nil {
+			p.kill()
+			if bytes.Contains(p.stderr.Bytes(), []byte("WARNING: DATA RACE")) {
+				raced = append(raced, p.name)
+			}
+		}
 	}
-	for _, w := range f.workers {
-		w.kill()
+	if len(raced) > 0 {
+		return fmt.Errorf("the race detector reported on the stderr of %v", raced)
 	}
+	return nil
+}
+
+// freeAddrs asks the kernel for n loopback ports nobody holds. Each probe
+// listener stays open until the last port is picked, so no two are the
+// same.
+func freeAddrs(n int) ([]string, error) {
+	addrs := make([]string, n)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return nil, err
+		}
+		defer ln.Close()
+		addrs[i] = ln.Addr().String()
+	}
+	return addrs, nil
 }
 
 // startFleet launches opt.workers workers (GOMAXPROCS=1 each — one worker
 // models one fixed-size box) and a router. Each graph lives on one worker,
 // so exactly one result frame per accepted job is the correct final count.
 func startFleet(opt options, tmp string) (*fleet, error) {
-	n := opt.workers
-	// Pre-flight: every port must be free, or a stray process from an
-	// earlier run would answer our health checks in the fleet's place.
-	// An earlier run's SIGKILLed fleet can take a moment to release its
-	// ports, so give each one a few seconds.
-	for i := 0; i <= n; i++ {
-		addr := fmt.Sprintf("127.0.0.1:%d", opt.basePort+i)
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			ln, err := net.Listen("tcp", addr)
-			if err == nil {
-				ln.Close()
-				break
-			}
-			if time.Now().After(deadline) {
-				return nil, fmt.Errorf("port check %s: %w (stray hdeserve process?)", addr, err)
-			}
-			time.Sleep(100 * time.Millisecond)
-		}
+	addrs, err := freeAddrs(opt.workers + 1)
+	if err != nil {
+		return nil, err
 	}
 	f := &fleet{}
 	var peers []string
-	for i := 0; i < n; i++ {
-		addr := fmt.Sprintf("127.0.0.1:%d", opt.basePort+1+i)
-		dir := filepath.Join(tmp, fmt.Sprintf("w%d", i+1))
+	for i, addr := range addrs[1:] {
+		name := fmt.Sprintf("w%d", i+1)
+		dir := filepath.Join(tmp, name)
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, err
 		}
 		w := &proc{
-			name: fmt.Sprintf("w%d", i+1),
+			name: name,
 			url:  "http://" + addr,
 			env:  []string{"GOMAXPROCS=1"},
 			args: []string{
-				"-worker-id", fmt.Sprintf("w%d", i+1),
+				"-worker-id", name,
 				"-demo", "-s", "8", "-addr", addr, "-data-dir", dir,
 				"-workers", "1", "-queue-depth", "256", "-quiet",
 			},
@@ -163,92 +159,92 @@ func startFleet(opt options, tmp string) (*fleet, error) {
 		f.dirs = append(f.dirs, dir)
 		peers = append(peers, w.url)
 	}
-	raddr := fmt.Sprintf("127.0.0.1:%d", opt.basePort)
 	f.router = &proc{
 		name: "router",
-		url:  "http://" + raddr,
+		url:  "http://" + addrs[0],
 		args: []string{
-			"-peers", strings.Join(peers, ","), "-addr", raddr, "-quiet",
+			"-peers", strings.Join(peers, ","), "-addr", addrs[0], "-quiet",
 		},
 	}
 	if err := f.router.start(opt.bin); err != nil {
 		f.stop()
 		return nil, err
 	}
-	for _, w := range f.workers {
-		if err := waitHealthy(w.url, 60*time.Second); err != nil {
+	for _, p := range append(f.workers, f.router) {
+		if err := waitHealthy(p.url); err != nil {
 			f.stop()
 			return nil, err
 		}
 	}
-	if err := waitHealthy(f.router.url, 30*time.Second); err != nil {
-		f.stop()
-		return nil, err
-	}
 	return f, nil
 }
 
-func post(url, ctype string, body []byte) (int, []byte, string, error) {
-	resp, err := http.Post(url, ctype, bytes.NewReader(body))
+func waitHealthy(url string) error {
+	return await(url+" healthy", time.Minute, func() (bool, error) {
+		code, _, _, err := do(http.MethodGet, url+"/healthz", "")
+		return code == http.StatusOK, err
+	})
+}
+
+// get fetches url and returns the status and body.
+func get(url string) (int, []byte, error) {
+	code, body, _, err := do(http.MethodGet, url, "")
+	return code, body, err
+}
+
+// do sends one request with a body (none when empty) and returns the
+// status, the body and the worker the router placed it on
+// (X-Hdeserve-Worker).
+func do(method, url, body string) (int, []byte, string, error) {
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		return 0, nil, "", err
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return 0, nil, "", err
 	}
 	defer resp.Body.Close()
 	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body)
-	return resp.StatusCode, buf.Bytes(), resp.Header.Get("X-Hdeserve-Worker"), nil
-}
-
-// get fetches url and returns the status and body.
-func get(url string) (int, []byte, error) { return do(http.MethodGet, url, "") }
-
-// do sends one request with a JSON body (none when empty).
-func do(method, url, body string) (int, []byte, error) {
-	req, err := http.NewRequest(method, url, strings.NewReader(body))
-	if err != nil {
-		return 0, nil, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
 	_, err = buf.ReadFrom(resp.Body)
-	return resp.StatusCode, buf.Bytes(), err
+	return resp.StatusCode, buf.Bytes(), resp.Header.Get("X-Hdeserve-Worker"), err
 }
 
-// feedOf asks the router's /shardz what it knows of one worker's
-// invalidation feed: whether it is live, and the boot id of its hello.
-func (f *fleet) feedOf(worker *proc) (live bool, boot string, err error) {
+// shardz asks the router's /shardz what it knows of worker — whether its
+// invalidation feed is live, and the boot id of its hello — and how many
+// of the fleet's workers it holds healthy.
+func (f *fleet) shardz(worker *proc) (feed bool, boot string, healthy int, err error) {
 	code, body, err := get(f.router.url + "/shardz")
-	if err != nil || code != http.StatusOK {
-		return false, "", fmt.Errorf("router /shardz: status %d: %v", code, err)
-	}
 	var fleetView struct {
 		Peers []struct {
-			URL  string `json:"url"`
-			Feed bool   `json:"feed"`
-			Boot string `json:"boot"`
+			URL     string `json:"url"`
+			Healthy bool   `json:"healthy"`
+			Feed    bool   `json:"feed"`
+			Boot    string `json:"boot"`
 		} `json:"peers"`
 	}
-	if err := json.Unmarshal(body, &fleetView); err != nil {
-		return false, "", err
+	if err != nil || code != http.StatusOK || json.Unmarshal(body, &fleetView) != nil {
+		return false, "", 0, fmt.Errorf("router /shardz: status %d: %s (%v)", code, body, err)
 	}
 	for _, p := range fleetView.Peers {
+		if p.Healthy {
+			healthy++
+		}
 		if p.URL == worker.url {
-			return p.Feed, p.Boot, nil
+			feed, boot = p.Feed, p.Boot
 		}
 	}
-	return false, "", fmt.Errorf("router /shardz does not list %s", worker.url)
+	return feed, boot, healthy, nil
 }
 
-// await polls cond every 50 ms until it holds.
-func await(what string, timeout time.Duration, cond func() (bool, error)) error {
+// await polls cond every 50 ms until it is done, and returns the error
+// it is done with. An error from a poll that is not done is transient:
+// await reports only the last one, at the timeout.
+func await(what string, timeout time.Duration, cond func() (done bool, err error)) error {
 	for deadline := time.Now().Add(timeout); ; time.Sleep(50 * time.Millisecond) {
-		ok, err := cond()
-		if ok {
-			return nil
+		done, err := cond()
+		if done {
+			return err
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("%s: not within %v (last error: %v)", what, timeout, err)
@@ -256,68 +252,68 @@ func await(what string, timeout time.Duration, cond func() (bool, error)) error 
 	}
 }
 
-// drain polls every worker until no job is queued or running and no
-// journal leaves an intent pending.
-func (f *fleet) drain(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		busy := false
+// drain waits until no worker has a job queued or running and no journal
+// leaves an intent pending. Nothing here cancels a job, so one that ends
+// cancelled, like one that fails, ends the wait with an error.
+func (f *fleet) drain() error {
+	return await("the fleet to drain", 5*time.Minute, func() (bool, error) {
+		js, err := readJournals(f.dirs)
+		if err != nil {
+			return true, err
+		}
+		busy := len(js.pending) > 0
 		for _, w := range f.workers {
-			resp, err := http.Get(w.url + "/jobs")
-			if err != nil {
-				busy = true // restarting worker; keep waiting
-				break
-			}
 			var list struct {
-				Jobs []struct {
-					ID    string `json:"id"`
-					State string `json:"state"`
-					Error string `json:"error"`
-				} `json:"jobs"`
+				Jobs []struct{ ID, State, Error string }
 			}
-			err = json.NewDecoder(resp.Body).Decode(&list)
-			resp.Body.Close()
-			if err != nil {
-				return err
+			code, body, err := get(w.url + "/jobs")
+			if err != nil || code != http.StatusOK || json.Unmarshal(body, &list) != nil {
+				return false, fmt.Errorf("GET %s/jobs: status %d: %s (%v)", w.url, code, body, err)
 			}
 			for _, j := range list.Jobs {
-				if j.State == "queued" || j.State == "running" {
-					busy = true
+				if j.State == "failed" || j.State == "cancelled" {
+					return true, fmt.Errorf("job %s ended %s: %s", j.ID, j.State, j.Error)
 				}
-				if j.State == "failed" {
-					return fmt.Errorf("job %s failed: %s", j.ID, j.Error)
-				}
+				busy = busy || j.State == "queued" || j.State == "running"
 			}
 		}
-		_, pending, _ := readJournals(f.dirs)
-		if !busy && pending == 0 {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("fleet did not drain within %v (%d intents pending)", timeout, pending)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
+		return !busy, nil
+	})
 }
 
-// readJournals sums the fleet's job journals: result frames, intents no
-// later frame resolved, and bytes. Every checksum is verified; a worker
-// caught mid-append shows a torn tail, which ReadJournal stops at quietly,
-// and one that has not created its journal yet counts as empty.
-func readJournals(dirs []string) (results, pending int, bytes int64) {
+// journals is what the fleet's job journals say between them.
+type journals struct {
+	results map[string]bool // ids with a result frame
+	pending []string        // ids of the intents no later frame resolved
+	bytes   int64
+}
+
+// readJournals reads every worker's job journal, every checksum verified.
+// A worker caught mid-append shows a torn tail, which ReadJournal stops at
+// quietly; a frame it refuses, or a second result frame for one job id,
+// is an error.
+func readJournals(dirs []string) (journals, error) {
+	js := journals{results: map[string]bool{}}
 	for _, dir := range dirs {
 		snap, err := jobs.ReadJournal(dir)
+		if err == nil && len(snap.Errs) > 0 {
+			err = fmt.Errorf("refused frames: %v", snap.Errs)
+		}
 		if err != nil {
-			continue
+			return js, fmt.Errorf("journal in %s: %w", dir, err)
 		}
-		for _, err := range snap.Errs {
-			log.Printf("journal %s: %v", dir, err)
+		for _, rec := range snap.Results {
+			if js.results[rec.Status.ID] {
+				return js, fmt.Errorf("job %s has two result frames", rec.Status.ID)
+			}
+			js.results[rec.Status.ID] = true
 		}
-		results += len(snap.Results)
-		pending += len(snap.Pending)
-		bytes += snap.Bytes
+		for _, in := range snap.Pending {
+			js.pending = append(js.pending, in.ID)
+		}
+		js.bytes += snap.Bytes
 	}
-	return results, pending, bytes
+	return js, nil
 }
 
 // soakResult is the -out JSON.
@@ -346,63 +342,41 @@ func soak(opt options, f *fleet) (soakResult, error) {
 		Jobs:    opt.jobs,
 	}
 
-	var edges bytes.Buffer
+	var edges strings.Builder
 	if err := graph.WriteEdgeList(&edges, gen.Grid2D(opt.gridSide, opt.gridSide)); err != nil {
 		return res, err
 	}
-	// One graph name per fleet slot ×2 so the ring has names to spread;
-	// job i goes to graph i mod len(names). The X-Hdeserve-Worker header
-	// on each upload response names the shard the router placed it on.
+	// One graph name per fleet slot ×2 so the ring has names to spread,
+	// and more until one lands on the victim's shard (to pin it down with)
+	// and one on a survivor's: the ring hashes worker URLs, and the ports
+	// in them change from run to run. Job i goes to graph i mod len(names).
 	victim := f.workers[len(f.workers)-1]
-	names := make([]string, 0, 2*len(f.workers))
-	victimName := ""
-	uploadTo := func(name string) (owner string, err error) {
-		code, body, owner, err := post(f.router.url+"/graphs?name="+name, "text/plain", edges.Bytes())
-		if err != nil {
-			return "", err
+	var names []string
+	victimName, survivorName := "", ""
+	for i := 0; i < 2*len(f.workers) || victimName == "" || survivorName == ""; i++ {
+		if i == 256 {
+			return res, fmt.Errorf("%d graph names and none hashed to %s, or all did", i, victim.name)
 		}
-		if code != http.StatusCreated {
-			return "", fmt.Errorf("upload %s: status %d: %s", name, code, body)
-		}
-		return owner, nil
-	}
-	for i := 0; i < 2*len(f.workers); i++ {
 		name := fmt.Sprintf("soak%d", i)
-		owner, err := uploadTo(name)
-		if err != nil {
-			return res, err
-		}
-		if owner == victim.name {
-			victimName = name
+		code, body, owner, err := do(http.MethodPost, f.router.url+"/graphs?name="+name, edges.String())
+		if err != nil || code != http.StatusCreated {
+			return res, fmt.Errorf("upload %s: status %d: %s (%v)", name, code, body, err)
 		}
 		names = append(names, name)
-	}
-	// The kill needs a graph on the victim's shard to pin it down with;
-	// scan extra names until the ring lands one there.
-	for i := 0; victimName == "" && i < 256; i++ {
-		name := fmt.Sprintf("pin%d", i)
-		owner, err := uploadTo(name)
-		if err != nil {
-			return res, err
-		}
 		if owner == victim.name {
 			victimName = name
+		} else {
+			survivorName = name
 		}
-	}
-	if victimName == "" {
-		return res, fmt.Errorf("no probe name hashed to %s", victim.name)
 	}
 
 	accepted := 0
 	submit := func(name string) error {
 		spec := fmt.Sprintf(`{"graph":%q,"subspace":%d,"seed":1,"skipQuality":true}`,
 			name, opt.subspace)
-		code, body, _, err := post(f.router.url+"/jobs", "application/json", []byte(spec))
-		if err != nil {
-			return err
-		}
-		if code != http.StatusAccepted {
-			return fmt.Errorf("submit %s: status %d: %s", name, code, body)
+		code, body, _, err := do(http.MethodPost, f.router.url+"/jobs", spec)
+		if err != nil || code != http.StatusAccepted {
+			return fmt.Errorf("submit %s: status %d: %s (%v)", name, code, body, err)
 		}
 		accepted++
 		return nil
@@ -423,7 +397,7 @@ func soak(opt options, f *fleet) (soakResult, error) {
 	// carries no intent, so only a finished one is a result frame). The
 	// kill must not cost the graph these two edges.
 	last := opt.gridSide*opt.gridSide - 1
-	code, body, err := do(http.MethodPatch, f.router.url+"/graphs/"+victimName,
+	code, body, _, err := do(http.MethodPatch, f.router.url+"/graphs/"+victimName,
 		fmt.Sprintf(`{"mutations":[{"op":"addEdge","u":0,"v":%d},{"op":"addEdge","u":1,"v":%d}]}`, last, last-1))
 	var patched struct {
 		Job struct {
@@ -445,7 +419,7 @@ func soak(opt options, f *fleet) (soakResult, error) {
 	// feeds one health interval later.
 	var bootBefore string
 	if err := await("router to hear "+victim.name+"'s feed say hello", 30*time.Second, func() (live bool, err error) {
-		live, bootBefore, err = f.feedOf(victim)
+		live, bootBefore, _, err = f.shardz(victim)
 		return live, err
 	}); err != nil {
 		return res, err
@@ -455,6 +429,9 @@ func soak(opt options, f *fleet) (soakResult, error) {
 		if err := submit(names[i%len(names)]); err != nil {
 			return res, err
 		}
+	}
+	if code, body, err := get(f.router.url + "/graphs"); err != nil || code != http.StatusOK {
+		return res, fmt.Errorf("GET /graphs through the router with jobs running: status %d: %s (%v)", code, body, err)
 	}
 
 	// Pin the victim's single pool worker with a backlog, then
@@ -466,16 +443,26 @@ func soak(opt options, f *fleet) (soakResult, error) {
 	}
 	log.Printf("SIGKILL %s mid-run", victim.name)
 	victim.kill()
-	time.Sleep(300 * time.Millisecond) // let the OS release the port
-	_, res.Replayed, _ = readJournals(f.dirs[len(f.dirs)-1:])
+	js, err := readJournals(f.dirs[len(f.dirs)-1:])
+	if err != nil {
+		return res, err
+	}
+	interrupted := js.pending
+	res.Replayed = len(interrupted)
 	log.Printf("%s died with %d journaled jobs unresolved", victim.name, res.Replayed)
 	if res.Replayed == 0 {
 		return res, fmt.Errorf("SIGKILL interrupted nothing; the victim drained its backlog first")
 	}
+	// A survivor's graph does not go down with it: 200, or 409 before a
+	// first layout, never the router's 502.
+	if code, body, err := get(f.router.url + "/graphs/" + survivorName + "/stats"); err != nil ||
+		code != http.StatusOK && code != http.StatusConflict {
+		return res, fmt.Errorf("stats of %s with %s down: status %d: %s (%v)", survivorName, victim.name, code, body, err)
+	}
 	if err := victim.start(opt.bin); err != nil {
 		return res, err
 	}
-	if err := waitHealthy(victim.url, 60*time.Second); err != nil {
+	if err := waitHealthy(victim.url); err != nil {
 		return res, err
 	}
 	var listing struct {
@@ -500,15 +487,16 @@ func soak(opt options, f *fleet) (soakResult, error) {
 	}
 	log.Printf("%s restarted with %s as PATCHed; replaying journaled jobs", victim.name, victimName)
 
-	if err := f.drain(5 * time.Minute); err != nil {
+	if err := f.drain(); err != nil {
 		return res, err
 	}
-	// The router must have noticed the new boot (its health loop redials
-	// the feed) and, with it, stopped vouching for what it cached before:
-	// a read through it now is the recovered worker's own answer.
-	if err := await("router to hear the restarted "+victim.name, 30*time.Second, func() (bool, error) {
-		live, boot, err := f.feedOf(victim)
-		return live && boot != bootBefore, err
+	// The router must have re-admitted the victim and noticed its new boot
+	// (its health loop redials the feed) and, with it, stopped vouching for
+	// what it cached before: a read through it now is the recovered
+	// worker's own answer.
+	if err := await("router to hear the restarted "+victim.name+" with every worker healthy", 30*time.Second, func() (bool, error) {
+		live, boot, healthy, err := f.shardz(victim)
+		return live && boot != bootBefore && healthy == len(f.workers), err
 	}); err != nil {
 		return res, err
 	}
@@ -524,15 +512,38 @@ func soak(opt options, f *fleet) (soakResult, error) {
 		return res, fmt.Errorf("after the restart the router serves %d %q for %s; the recovered worker serves %q",
 			code, via, victimStats, direct)
 	}
-	var journalBytes int64
-	res.Records, res.Intents, journalBytes = readJournals(f.dirs)
-	res.JournalBytesPerJob = float64(journalBytes) / float64(accepted)
-	if res.Intents != 0 {
-		return res, fmt.Errorf("%d intents left after drain", res.Intents)
+	// Every graph is servable through the router again. A 409 is a layout
+	// that died with the victim — a finished job does not replay, only an
+	// unresolved intent does — so a fresh job must bring it back.
+	for _, name := range names {
+		stats := f.router.url + "/graphs/" + name + "/stats"
+		code, body, err := get(stats)
+		if err == nil && code == http.StatusConflict {
+			if err = submit(name); err == nil {
+				err = await("a fresh layout of "+name, time.Minute, func() (bool, error) {
+					code, body, err = get(stats)
+					return code == http.StatusOK, err
+				})
+			}
+		}
+		if err != nil || code != http.StatusOK {
+			return res, fmt.Errorf("stats of %s after the restart: status %d: %s (%v)", name, code, body, err)
+		}
 	}
-	if res.Records != accepted {
-		return res, fmt.Errorf("records = %d, want %d (one per accepted job): jobs were dropped or duplicated",
-			res.Records, accepted)
+
+	if js, err = readJournals(f.dirs); err != nil {
+		return res, err
+	}
+	for _, id := range interrupted {
+		if js.results[id] {
+			return res, fmt.Errorf("interrupted job %s kept its id across the restart; a replay runs under a fresh one", id)
+		}
+	}
+	res.Records, res.Intents = len(js.results), len(js.pending)
+	res.JournalBytesPerJob = float64(js.bytes) / float64(accepted)
+	if res.Records != accepted || res.Intents != 0 {
+		return res, fmt.Errorf("%d records for %d accepted jobs (want one each), %d intents left after the drain",
+			res.Records, accepted, res.Intents)
 	}
 	for _, dir := range f.dirs {
 		if entries, _ := os.ReadDir(dir); len(entries) != 1 || entries[0].Name() != jobs.JournalFile {
@@ -545,17 +556,16 @@ func soak(opt options, f *fleet) (soakResult, error) {
 func main() {
 	var opt options
 	flag.StringVar(&opt.bin, "bin", "", "path to a built hdeserve binary (required)")
-	flag.IntVar(&opt.workers, "workers", 4, "fleet size")
+	flag.IntVar(&opt.workers, "workers", 4, "fleet size (at least 2: one to kill, one to keep serving)")
 	flag.IntVar(&opt.jobs, "jobs", 24, "layout jobs submitted before the kill")
 	flag.IntVar(&opt.gridSide, "grid", 80, "side of the square grid graph each job lays out")
 	flag.IntVar(&opt.subspace, "s", 128, "job subspace dimension (bigger = slower jobs)")
-	flag.IntVar(&opt.basePort, "port", 18300, "base port (router; workers use the ports above it)")
 	flag.StringVar(&opt.out, "out", "soak_shard.json", "result JSON path")
 	flag.Parse()
 	log.SetFlags(0)
 	log.SetPrefix("hdesoak: ")
-	if opt.bin == "" {
-		log.Fatal("-bin is required (go build -o /tmp/hdeserve ./cmd/hdeserve)")
+	if opt.bin == "" || opt.workers < 2 {
+		log.Fatal("need -bin (go build -o /tmp/hdeserve ./cmd/hdeserve) and -workers ≥ 2")
 	}
 
 	tmp, err := os.MkdirTemp("", "hdesoak")
@@ -574,7 +584,9 @@ func main() {
 	res, err := soak(opt, f)
 	// log.Fatal skips defers, so the fleet is stopped explicitly — a
 	// leaked worker process would outlive the harness and hold its port.
-	f.stop()
+	if stopErr := f.stop(); err == nil {
+		err = stopErr
+	}
 	if err != nil {
 		os.RemoveAll(tmp)
 		log.Fatal(err)

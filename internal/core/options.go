@@ -72,29 +72,22 @@ type Options struct {
 	Workspace *workspace.Workspace
 	// Prior supplies an earlier layout of (an earlier version of) the same
 	// graph as a warm start. When the graph delta is small — see
-	// PriorDeltaEdges / MaxPriorDelta — the run skips the full BFS + MGS
-	// pipeline and instead refines the prior with WarmSweeps batch-parallel
-	// SGD sweeps (sampled-edge attraction plus an implicit-orthogonality
-	// correction against the degree inner product). The prior is read-only:
-	// it is copied into the run's own buffers and never mutated, and may
-	// have fewer rows than the current graph (vertices added since; new
-	// vertices are seeded at the centroid of their placed neighbors).
-	// Ineligible priors — weighted graph, dimension mismatch, more rows
-	// than vertices, or a delta past the staleness bound — fall back to a
-	// cold run; Report.Warm records which path ran.
+	// PriorDeltaEdges / DefaultMaxPriorDelta — the run skips the full BFS +
+	// MGS pipeline and instead refines the prior with a staleness-scaled
+	// number of batch-parallel SGD sweeps (sampled-edge attraction plus an
+	// implicit-orthogonality correction against the degree inner product).
+	// The prior is read-only: it is copied into the run's own buffers and
+	// never mutated, and may have fewer rows than the current graph
+	// (vertices added since; new vertices are seeded at the centroid of
+	// their placed neighbors). Ineligible priors — weighted graph,
+	// dimension mismatch, more rows than vertices, or a delta past the
+	// staleness bound — fall back to a cold run; Report.Warm records which
+	// path ran.
 	Prior *Layout
 	// PriorDeltaEdges is the number of edges inserted or deleted since
 	// Prior was computed (the catalog's pending-delta count). Used only for
 	// the staleness test; < 0 means unknown and forces a cold run.
 	PriorDeltaEdges int64
-	// MaxPriorDelta is the staleness bound as a fraction of the current
-	// edge count: warm start runs only if PriorDeltaEdges ≤ MaxPriorDelta·m
-	// and the new-vertex fraction is within the same bound. ≤ 0 uses
-	// DefaultMaxPriorDelta.
-	MaxPriorDelta float64
-	// WarmSweeps is the number of refinement sweeps of the warm path; ≤ 0
-	// uses DefaultWarmSweeps.
-	WarmSweeps int
 }
 
 // withDefaults normalizes zero values.

@@ -24,14 +24,12 @@ import (
 // for every worker budget; the O(n·p) correction reductions run serially.
 
 const (
-	// DefaultWarmSweeps caps the refinement sweep count when
-	// Options.WarmSweeps is unset; the actual default scales with
-	// staleness (see defaultSweeps).
+	// DefaultWarmSweeps caps the refinement sweep count, which scales
+	// with staleness (see defaultSweeps).
 	DefaultWarmSweeps = 12
-	// DefaultMaxPriorDelta is the staleness bound when
-	// Options.MaxPriorDelta is unset: a prior is accepted while the
-	// mutated edges and the new vertices are each within 2% of the
-	// current graph.
+	// DefaultMaxPriorDelta is the staleness bound: a prior is accepted
+	// while the mutated edges and the new vertices are each within 2% of
+	// the current graph.
 	DefaultMaxPriorDelta = 0.02
 
 	// warmSampleK caps the neighbors sampled per vertex per sweep.
@@ -64,12 +62,8 @@ func warmEligible(g *graph.CSR, opt Options) bool {
 	if m == 0 {
 		return false
 	}
-	bound := opt.MaxPriorDelta
-	if bound <= 0 {
-		bound = DefaultMaxPriorDelta
-	}
-	return float64(opt.PriorDeltaEdges) <= bound*float64(m) &&
-		float64(n-n0) <= bound*float64(n)
+	return float64(opt.PriorDeltaEdges) <= DefaultMaxPriorDelta*float64(m) &&
+		float64(n-n0) <= DefaultMaxPriorDelta*float64(n)
 }
 
 // warmRefine runs the sweep loop. The returned layout aliases the
@@ -77,10 +71,7 @@ func warmEligible(g *graph.CSR, opt Options) bool {
 // path); the prior is never written.
 func warmRefine(ctx context.Context, bud parallel.Budget, g *graph.CSR, opt Options, rep *Report) (*Layout, error) {
 	n, p := g.NumV, opt.Dims
-	sweeps := opt.WarmSweeps
-	if sweeps <= 0 {
-		sweeps = defaultSweeps(g, opt)
-	}
+	sweeps := defaultSweeps(g, opt)
 
 	ws := opt.Workspace
 	var cur, nxt *linalg.Dense
@@ -126,10 +117,10 @@ func warmRefine(ctx context.Context, bud parallel.Budget, g *graph.CSR, opt Opti
 	return &Layout{Coords: cur}, nil
 }
 
-// defaultSweeps picks the sweep count for an unset Options.WarmSweeps:
-// proportional to how stale the prior is (the larger of the edge-delta
-// and new-vertex fractions), because a refinement only has to absorb a
-// local perturbation of an already-converged embedding. Two sweeps is
+// defaultSweeps picks the sweep count of a warm run: proportional to how
+// stale the prior is (the larger of the edge-delta and new-vertex
+// fractions), because a refinement only has to absorb a local
+// perturbation of an already-converged embedding. Two sweeps is
 // the floor (one to move, one to settle under the decayed step); the
 // count is capped at DefaultWarmSweeps, reached around the
 // DefaultMaxPriorDelta staleness bound.

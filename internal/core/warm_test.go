@@ -156,14 +156,6 @@ func TestWarmStartFallsBackCold(t *testing.T) {
 			}
 		})
 	}
-	// Tightening the bound flips an otherwise-eligible prior to cold.
-	_, rep, err := ParHDE(g, Options{Seed: 1, Prior: prior, PriorDeltaEdges: 4, MaxPriorDelta: 1e-9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Warm {
-		t.Fatal("MaxPriorDelta bound not enforced")
-	}
 }
 
 func TestWarmStartPlacesNewVertices(t *testing.T) {

@@ -131,7 +131,6 @@ func RunIncremental(cfg Config, fractions []float64) (*IncrementalReport, error)
 		warmOpt := opt
 		warmOpt.Prior = prior
 		warmOpt.PriorDeltaEdges = applied
-		warmOpt.MaxPriorDelta = 2 * frac
 		var warmLay *core.Layout
 		var warmRep *core.Report
 		tWarm := minTime(cfg.Reps, func() {

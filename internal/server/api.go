@@ -170,15 +170,15 @@ func validateJobRequest(req jobRequest) error {
 // badRequest marks a job body that failed decoding or validation.
 type badRequest struct{ error }
 
-// submitJob decodes and enqueues one live POST /jobs body.
-func (s *Server) submitJob(body io.Reader) (*jobs.Job, error) {
+// decodeJobRequest decodes one live POST /jobs body.
+func decodeJobRequest(body io.Reader) (jobRequest, error) {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	var req jobRequest
 	if err := dec.Decode(&req); err != nil {
-		return nil, badRequest{fmt.Errorf("malformed job request: %w", err)}
+		return req, badRequest{fmt.Errorf("malformed job request: %w", err)}
 	}
-	return s.enqueueJob(req)
+	return req, nil
 }
 
 // enqueueJob validates and enqueues one job request — from a live POST
@@ -198,7 +198,11 @@ func (s *Server) enqueueJob(req jobRequest) (*jobs.Job, error) {
 }
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	j, err := s.submitJob(http.MaxBytesReader(w, r.Body, 1<<20))
+	req, err := decodeJobRequest(http.MaxBytesReader(w, r.Body, 1<<20))
+	var j *jobs.Job
+	if err == nil {
+		j, err = s.enqueueJob(req)
+	}
 	if err != nil {
 		writeErr(w, codeFor(err), err)
 		return

@@ -345,6 +345,40 @@ func FuzzMutationRequest(f *testing.F) {
 	})
 }
 
+// FuzzJobRequest: an accepted POST /jobs body is journaled as its
+// re-marshaled request and replayed from that spec at every restart, so
+// the spec must decode, the way resubmitIntent decodes it, and validate
+// back to the same request — and neither path may panic on a body from
+// outside.
+func FuzzJobRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"graph":"default","subspace":20,"seed":1}`,
+		`{"graph":"g","algorithm":"parhde","subspace":4096,"dims":16,"seed":18446744073709551615,"coupled":true,"plainOrtho":true,"skipQuality":true}`,
+		`{"graph":"g","subspace":-1}`, `{"graph":"g","dims":17}`, `{"graph":"","subspace":4}`, `{"graph":"g","seed":-1}`,
+		`{"graph":"g","algorithm":"pivotmds"}`, `{"graph":"g","refineSweeps":3}`, `{"GRAPH":"g","Subspace":1e1}`,
+		`{"graph":"é\ud800<&> "}`, `{"graph":"g"} {"graph":"h"}`, `null`, `[]`, `{`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, err := decodeJobRequest(bytes.NewReader(body))
+		if err != nil || validateJobRequest(req) != nil {
+			return
+		}
+		spec, err := json.Marshal(req)
+		if err != nil {
+			t.Fatalf("accepted request %+v does not marshal: %v", req, err)
+		}
+		var back journaledRequest
+		if err := json.Unmarshal(spec, &back); err != nil || back.LegacyRefine != 0 || back.jobRequest != req {
+			t.Fatalf("spec %s decodes to %+v (err %v), the live request is %+v", spec, back, err, req)
+		}
+		if err := validateJobRequest(back.jobRequest); err != nil {
+			t.Fatalf("spec %s no longer validates: %v", spec, err)
+		}
+	})
+}
+
 // TestConcurrentPatchesReplayInOrder: PATCHes, uploads and DELETEs racing
 // on one worker reach the journal in the order they reached the catalog,
 // so the restart meets every batch with the graph it was applied to — no

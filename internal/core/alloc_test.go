@@ -115,18 +115,25 @@ func loadBudget(t *testing.T) allocBudget {
 // within the checked-in allocation budget. It pins GOMAXPROCS to 1 so the
 // parallel primitives take their serial fast paths and the measurement is
 // deterministic; what remains is the small shape-independent constant
-// (result headers, the s×s eigensolve) the budget file pins down.
+// (result and report headers) the budget file pins down. The s = 64 row
+// holds it to that: nothing a warm run allocates grows with s.
 func TestSteadyStateAllocBudget(t *testing.T) {
 	budget := loadBudget(t)
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
 
-	g := gen.Grid2D(24, 30) // n = 720 < MinGrain·2: serial primitives
-	for name, opt := range map[string]Options{
-		"parhde_decoupled": {Subspace: 10, Seed: 3, SkipConnectivityCheck: true},
-		"parhde_coupled":   {Subspace: 10, Seed: 3, SkipConnectivityCheck: true, Coupled: true},
-		"parhde_random_ms": {Subspace: 10, Seed: 3, SkipConnectivityCheck: true, Pivots: pivot.RandomMS},
+	grid := gen.Grid2D(24, 30)     // n = 720 < MinGrain·2: serial primitives
+	mesh := gen.Mesh3D(10, 10, 10) // n = 1000
+	for name, c := range map[string]struct {
+		g   *graph.CSR
+		opt Options
+	}{
+		"parhde_decoupled":     {grid, Options{Subspace: 10, Seed: 3, SkipConnectivityCheck: true}},
+		"parhde_coupled":       {grid, Options{Subspace: 10, Seed: 3, SkipConnectivityCheck: true, Coupled: true}},
+		"parhde_random_ms":     {grid, Options{Subspace: 10, Seed: 3, SkipConnectivityCheck: true, Pivots: pivot.RandomMS}},
+		"parhde_random_ms_s64": {mesh, Options{Subspace: 64, Seed: 3, SkipConnectivityCheck: true, Pivots: pivot.RandomMS}},
 	} {
+		g, opt := c.g, c.opt
 		t.Run(name, func(t *testing.T) {
 			want, ok := budget.SteadyState[name]
 			if !ok {

@@ -287,7 +287,11 @@ func ParHDECtx(ctx context.Context, g *graph.CSR, opt Options) (*Layout, *Report
 		NotifyPhase(ctx, "eigensolve")
 		var axes *linalg.Dense
 		timed(&bd.Eigensolve, func() {
-			axes, rep.Eigenvalues, err = projectedAxes(z, dNorms, opt.Dims)
+			var esc *eigen.Scratch
+			if ws != nil {
+				esc = ws.Eigen
+			}
+			axes, rep.Eigenvalues, err = projectedAxes(z, dNorms, opt.Dims, esc)
 		})
 		if err != nil {
 			return
@@ -318,23 +322,27 @@ func ParHDECtx(ctx context.Context, g *graph.CSR, opt Options) (*Layout, *Report
 // D-orthogonal (not D-orthonormal — Algorithm 3 normalizes in the
 // Euclidean norm). Substituting y = T·z with T = diag(dNorms)^{-1/2}
 // gives the standard symmetric problem (TZT)z = µz; the p axes are the
-// back-substituted eigenvectors of the p smallest eigenvalues.
-func projectedAxes(z *linalg.Dense, dNorms []float64, dims int) (*linalg.Dense, []float64, error) {
+// back-substituted eigenvectors of the p smallest eigenvalues. TZT, T and
+// the axes live in sc (nil means private storage), so with a workspace's
+// scratch only the returned eigenvalues are allocated.
+func projectedAxes(z *linalg.Dense, dNorms []float64, dims int, sc *eigen.Scratch) (*linalg.Dense, []float64, error) {
 	k := z.Rows
-	t := make([]float64, k)
+	if sc == nil {
+		sc = &eigen.Scratch{}
+	}
+	zs, t := sc.Input(k)
 	for i := range t {
 		if dNorms[i] <= 0 {
 			return nil, nil, fmt.Errorf("core: non-positive D-norm %g for column %d", dNorms[i], i)
 		}
 		t[i] = 1 / math.Sqrt(dNorms[i])
 	}
-	zs := linalg.NewDense(k, k)
 	for j := 0; j < k; j++ {
 		for i := 0; i < k; i++ {
 			zs.Set(i, j, z.At(i, j)*t[i]*t[j])
 		}
 	}
-	vals, vecs, err := eigen.BottomK(zs, dims)
+	vals, vecs, err := eigen.BottomKScratch(zs, dims, sc)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -345,7 +353,7 @@ func projectedAxes(z *linalg.Dense, dNorms []float64, dims int) (*linalg.Dense, 
 			col[i] *= t[i]
 		}
 	}
-	return vecs, vals, nil
+	return vecs, append([]float64(nil), vals...), nil
 }
 
 // splitmix advances one splitmix64 step, used for the start-vertex draw.

@@ -98,7 +98,7 @@ func Prior(g *graph.CSR, opt Options) (*Layout, *Report, error) {
 		// --- Eigensolve and projection --------------------------------------
 		var axes *linalg.Dense
 		timed(&bd.Eigensolve, func() {
-			axes, rep.Eigenvalues, err = projectedAxes(z, dNorms, opt.Dims)
+			axes, rep.Eigenvalues, err = projectedAxes(z, dNorms, opt.Dims, nil)
 		})
 		if err != nil {
 			return

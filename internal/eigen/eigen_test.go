@@ -375,3 +375,190 @@ func TestSymEigZeroAndOneByOne(t *testing.T) {
 		t.Fatalf("1x1: %v %v", vals, err)
 	}
 }
+
+// TestSymEigDegenerateInputs: every input either solves or returns an
+// error — none panics — and a solve never reports a non-finite value.
+func TestSymEigDegenerateInputs(t *testing.T) {
+	dense := func(k int, vals ...float64) *linalg.Dense {
+		a := linalg.NewDense(k, k)
+		copy(a.Data, vals)
+		return a
+	}
+	huge := linalg.NewDense(3, 3)
+	linalg.Fill(huge.Data, math.MaxFloat64/2) // finite, but ‖a‖ overflows
+	for _, c := range []struct {
+		name    string
+		a       *linalg.Dense
+		wantErr bool
+	}{
+		{"0x0", linalg.NewDense(0, 0), false},
+		{"1x1", dense(1, 3), false},
+		{"1x1 zero", dense(1, 0), false},
+		{"NaN", dense(2, 1, math.NaN(), math.NaN(), 1), true},
+		{"NaN on the diagonal", dense(3, 0, 0, 0, 0, math.NaN(), 0, 0, 0, 0), true},
+		{"+Inf", dense(2, math.Inf(1), 0, 0, 1), true},
+		{"-Inf off the diagonal", dense(2, 1, math.Inf(-1), math.Inf(-1), 1), true},
+		{"1x1 NaN", dense(1, math.NaN()), true},
+		{"overflow", huge, true},
+		{"non-square", linalg.NewDense(2, 3), true},
+		{"0x1", linalg.NewDense(0, 1), true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			vals, vecs, err := SymEig(c.a)
+			if (err != nil) != c.wantErr {
+				t.Fatalf("err = %v, want error %v", err, c.wantErr)
+			}
+			if err != nil {
+				return
+			}
+			k := c.a.Rows
+			if len(vals) != k || vecs.Rows != k || vecs.Cols != k {
+				t.Fatalf("%d values, %dx%d vectors for a %dx%d matrix", len(vals), vecs.Rows, vecs.Cols, k, k)
+			}
+			residualCheck(t, c.a, vals, vecs)
+			if k == 1 && (vecs.At(0, 0) != 1 || vals[0] != c.a.At(0, 0)) {
+				t.Fatalf("1x1: λ = %v, v = %v", vals, vecs.Data)
+			}
+			if _, bv, err := BottomK(c.a, 2); err != nil || bv.Cols != k {
+				t.Fatalf("BottomK: %d columns, %v", bv.Cols, err)
+			}
+			if _, tv, err := TopK(c.a, 2); err != nil || tv.Cols != k {
+				t.Fatalf("TopK: %d columns, %v", tv.Cols, err)
+			}
+		})
+	}
+
+	// A NaN reaching the QL stage (here planted past the input check, as
+	// an overflow would) ends the search for a negligible subdiagonal at
+	// the last row instead of running off the end of d, and is reported.
+	t.Run("NaN inside QL", func(t *testing.T) {
+		v := []float64{1, 0, 0, 1}
+		d := []float64{math.NaN(), 1}
+		e := []float64{0, math.NaN()}
+		if err := tql2(v, d, e, 2); err == nil {
+			t.Fatalf("NaN not reported: d = %v", d)
+		}
+	})
+
+	// The iteration bound: a matrix that needs more than one QL sweep for
+	// its first eigenvalue fails when only one is allowed.
+	t.Run("QL iteration cap", func(t *testing.T) {
+		defer func(prev int) { maxQLIters = prev }(maxQLIters)
+		a := dense(3, 2, 1, 1, 1, 3, 1, 1, 1, 4)
+		if _, _, err := SymEig(a); err != nil {
+			t.Fatalf("default bound: %v", err)
+		}
+		maxQLIters = 1
+		if _, _, err := SymEig(a); err == nil {
+			t.Fatal("a solve needing more than one QL sweep passed a bound of one")
+		}
+	})
+}
+
+// TestSymEigSignRule: every eigenvector's largest-magnitude entry is
+// positive, so an eigenvector and its negation — equally valid — come
+// out the same, whichever sign the rotations left.
+func TestSymEigSignRule(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 20; trial++ {
+		s := 1 + r.Intn(30)
+		a := linalg.NewDense(s, s)
+		fillSym(r, a)
+		_, vecs, err := SymEig(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < s; j++ {
+			if !signRuleHolds(vecs.Col(j)) {
+				t.Fatalf("s=%d column %d = %v breaks the sign rule", s, j, vecs.Col(j))
+			}
+		}
+	}
+	// Ties go to the lowest index: e.g. [[0,1],[1,0]] has eigenvectors
+	// (1,−1)/√2 and (1,1)/√2 up to sign.
+	a := linalg.NewDense(2, 2)
+	copy(a.Data, []float64{0, 1, 1, 0})
+	_, vecs, err := SymEig(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < 2; j++ {
+		if vecs.At(0, j) <= 0 {
+			t.Fatalf("column %d = %v: first entry not positive", j, vecs.Col(j))
+		}
+	}
+}
+
+// signRuleHolds reports whether the first largest-magnitude entry of v is
+// positive.
+func signRuleHolds(v []float64) bool {
+	big := 0
+	for i := range v {
+		if math.Abs(v[i]) > math.Abs(v[big]) {
+			big = i
+		}
+	}
+	return v[big] > 0
+}
+
+// TestBottomKScratchReuse: a solve in a dirtied, reused Scratch is
+// bit-identical to BottomK's private one, its axes alias the scratch, and
+// a same-size solve allocates nothing.
+func TestBottomKScratchReuse(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	sc := &Scratch{}
+	for _, s := range []int{40, 7, 40, 1, 25} {
+		in, w := sc.Input(s)
+		for i := range w {
+			w[i] = r.NormFloat64()
+		}
+		fillSym(r, in)
+		want, wantVecs, err := BottomK(in.Clone(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wCopy := append([]float64(nil), w...)
+		got, gotVecs, err := BottomKScratch(in, 2, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) || gotVecs.Cols != wantVecs.Cols {
+			t.Fatalf("s=%d: %d/%d values, %d/%d columns", s, len(got), len(want), gotVecs.Cols, wantVecs.Cols)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("s=%d: λ%d = %v, private solve %v", s, i, got[i], want[i])
+			}
+		}
+		for i := range wantVecs.Data {
+			if gotVecs.Data[i] != wantVecs.Data[i] {
+				t.Fatalf("s=%d: vector entry %d = %v, private solve %v", s, i, gotVecs.Data[i], wantVecs.Data[i])
+			}
+		}
+		for i := range w {
+			if w[i] != wCopy[i] {
+				t.Fatalf("s=%d: the solve wrote the caller's vector", s)
+			}
+		}
+	}
+	in, _ := sc.Input(40)
+	fillSym(r, in)
+	if allocs := testing.AllocsPerRun(5, func() {
+		if _, _, err := BottomKScratch(in, 2, sc); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a warm 40x40 solve allocates %.0f objects", allocs)
+	}
+}
+
+// fillSym fills a with a random symmetric matrix.
+func fillSym(r *rand.Rand, a *linalg.Dense) {
+	for i := 0; i < a.Rows; i++ {
+		for j := i; j < a.Rows; j++ {
+			v := r.NormFloat64()
+			a.Set(i, j, v)
+			a.Set(j, i, v)
+		}
+	}
+}

@@ -156,7 +156,7 @@ func ritzVectors(basis [][]float64, vals []float64, vecs *linalg.Dense, k, n int
 }
 
 // tridiagEig solves the symmetric tridiagonal eigenproblem with the dense
-// Jacobi solver (subspace dimensions here are ≤ a few hundred).
+// Householder + QL solver (subspace dimensions here are ≤ a few hundred).
 func tridiagEig(alphas, betas []float64) ([]float64, *linalg.Dense, error) {
 	m := len(alphas)
 	t := linalg.NewDense(m, m)

@@ -98,27 +98,18 @@ func SubspaceIterate(g *graph.CSR, k int, opt SubspaceOptions) SubspaceResult {
 				h.Set(i, j, linalg.DDot(w.Col(i), deg, tmp))
 			}
 		}
-		// Symmetrize roundoff and solve.
-		for i := 0; i < k; i++ {
-			for j := i + 1; j < k; j++ {
-				avg := (h.At(i, j) + h.At(j, i)) / 2
-				h.Set(i, j, avg)
-				h.Set(j, i, avg)
-			}
-		}
-		vals, vecs, err := SymEig(h)
+		// Solve (the solver symmetrizes the roundoff) and rotate, ordering
+		// Ritz pairs by descending eigenvalue.
+		vals, vecs, err := TopK(h, k)
 		if err != nil {
 			break
 		}
-		// Rotate, ordering Ritz pairs by descending eigenvalue.
+		res.Values = vals
 		rot := linalg.NewDense(n, k)
-		res.Values = make([]float64, k)
 		for j := 0; j < k; j++ {
-			src := k - 1 - j
-			res.Values[j] = vals[src]
 			dst := rot.Col(j)
 			for c := 0; c < k; c++ {
-				f := vecs.At(c, src)
+				f := vecs.At(c, j)
 				if f == 0 {
 					continue
 				}

@@ -21,6 +21,7 @@
 package workspace
 
 import (
+	"repro/internal/eigen"
 	"repro/internal/linalg"
 	"repro/internal/ortho"
 	"repro/internal/pivot"
@@ -51,6 +52,9 @@ type Workspace struct {
 	P []float64
 	// Z backs the s×s projected matrix Sᵀ(LS).
 	Z []float64
+	// Eigen is the k×k eigensolve's storage: the scaled projected matrix,
+	// its diagonal scaling, and the eigenvectors the axes are read from.
+	Eigen *eigen.Scratch
 	// GemmPartials is the per-tile panel arena of the deterministic AᵀB
 	// reduction, sized by linalg.ReduceBlocks(n) — a function of n only,
 	// so no worker-count change can desynchronize it from the kernel's
@@ -97,6 +101,10 @@ func (ws *Workspace) Reshape(n, s, p int) {
 	ws.SRM = growFloat(ws.SRM, n*s)
 	ws.P = growFloat(ws.P, n*s)
 	ws.Z = growFloat(ws.Z, s*s)
+	if ws.Eigen == nil {
+		ws.Eigen = &eigen.Scratch{}
+	}
+	ws.Eigen.Ensure(s)
 	ws.GemmPartials = growFloat(ws.GemmPartials, linalg.ReduceBlocks(n)*s*s)
 	if ws.Pack == nil {
 		ws.Pack = &linalg.PackArena{}

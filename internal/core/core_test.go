@@ -370,60 +370,6 @@ func TestDistanceCorrelation(t *testing.T) {
 	}
 }
 
-func TestCoupledMatchesDecoupled(t *testing.T) {
-	g := gen.PlateWithHoles(25, 25)
-	a, arep, err := ParHDE(g, Options{Subspace: 15, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, brep, err := ParHDE(g, Options{Subspace: 15, Seed: 6, Coupled: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Coords.Data {
-		if a.Coords.Data[i] != b.Coords.Data[i] {
-			t.Fatalf("coupled layout diverges at %d", i)
-		}
-	}
-	for i := range arep.Sources {
-		if arep.Sources[i] != brep.Sources[i] {
-			t.Fatal("coupled pivots diverge")
-		}
-	}
-	if brep.Breakdown.DOrtho == 0 || brep.Breakdown.BFSTraversal == 0 {
-		t.Fatal("coupled run did not attribute phase times")
-	}
-}
-
-func TestCoupledRejectsUnsupportedConfigs(t *testing.T) {
-	g := gen.Grid2D(10, 10)
-	cases := map[string]Options{
-		"cgs":      {Subspace: 5, Coupled: true, Ortho: ortho.CGS},
-		"random":   {Subspace: 5, Coupled: true, Pivots: pivot.Random},
-		"weighted": {Subspace: 5, Coupled: true},
-	}
-	for name, opt := range cases {
-		gg := g
-		if name == "weighted" {
-			gg = gen.WithRandomWeights(g, 5, 1)
-		}
-		if _, _, err := ParHDE(gg, opt); err == nil {
-			t.Fatalf("%s: coupled accepted", name)
-		}
-	}
-}
-
-func TestCoupledRejectsDisconnected(t *testing.T) {
-	edges := []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}}
-	g, err := graph.FromEdges(4, edges, graph.BuildOptions{KeepAllComponents: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ParHDE(g, Options{Subspace: 3, Coupled: true}); err == nil {
-		t.Fatal("coupled accepted disconnected graph")
-	}
-}
-
 func TestParHDE3D(t *testing.T) {
 	// p=3 layouts (the paper's "p is chosen to be 2 or 3").
 	g := gen.Mesh3D(8, 8, 8)

@@ -8,7 +8,6 @@
 package core
 
 import (
-	"repro/internal/bfs"
 	"repro/internal/ortho"
 	"repro/internal/pivot"
 	"repro/internal/workspace"
@@ -46,24 +45,11 @@ type Options struct {
 	// over the fixed linalg row tiling, the coordinates are bitwise
 	// identical for every value of Workers.
 	Workers int
-	// BFS tunes the direction-optimizing traversal.
-	BFS bfs.Options
 	// Delta is the Δ-stepping bucket width for weighted graphs; ≤ 0 uses
 	// the suggestion heuristic. Ignored for unweighted graphs.
 	Delta float64
-	// SkipConnectivityCheck suppresses the reachability verification after
-	// the first traversal (benchmarks on known-connected inputs).
-	SkipConnectivityCheck bool
-	// Coupled interleaves the BFS and DOrtho phases: each distance vector
-	// is orthogonalized as soon as its traversal finishes and the raw
-	// distance matrix is never stored, cutting the O(sn) extra memory of
-	// Table 1 roughly in half. Only the default configuration supports it
-	// (MGS — the §4.4 capability CGS gives up — with k-centers pivots on
-	// an unweighted graph); the result is bitwise identical to the
-	// decoupled run.
-	Coupled bool
 	// Workspace supplies pooled scratch for the run's large buffers
-	// (BFS frontiers, the distance matrix, the DOrtho column store, the
+	// (BFS frontiers and the distance column, the DOrtho column store, the
 	// TripleProd panels, the output coordinates). nil allocates fresh
 	// buffers per run. With a workspace the steady state performs no
 	// O(n)-sized allocations, and results are bit-identical to a

@@ -31,7 +31,7 @@ type Report struct {
 	// non-degenerate generalized eigenvalues µ of Lu = µDu).
 	Eigenvalues []float64
 	// BFSStats records per-traversal direction choices and scanned-edge
-	// counts: one entry per pivot (k-centers, coupled) or per 64-source
+	// counts: one entry per pivot (k-centers) or per 64-source
 	// multi-source batch (random-msbfs).
 	BFSStats []bfs.Stats
 	// Workers is the worker budget the run actually used (the snapshot
@@ -66,11 +66,11 @@ func ParHDE(g *graph.CSR, opt Options) (*Layout, *Report, error) {
 }
 
 // ParHDECtx is ParHDE with cooperative cancellation: ctx is checked at
-// every phase boundary (BFS → DOrtho → TripleProd → eigensolve →
-// projection) and between the pivot traversals of the BFS loop, coupled or
-// not, so a cancelled run stops within one traversal rather than after a
-// phase completes (the Random strategy's concurrent whole-BFS fan-out is
-// one traversal in this sense). On cancellation the returned error satisfies
+// every phase boundary (BFS+DOrtho → TripleProd → eigensolve → projection)
+// and before every traversal of the BFS loop, so a cancelled run stops
+// within one traversal rather than after a phase completes (a 64-source
+// RandomMS batch, or a Random round of one BFS per worker, is one
+// traversal in this sense). On cancellation the returned error satisfies
 // errors.Is(err, ctx.Err()). Phase transitions are reported to any
 // observer installed with WithPhaseNotify.
 func ParHDECtx(ctx context.Context, g *graph.CSR, opt Options) (*Layout, *Report, error) {
@@ -121,136 +121,37 @@ func ParHDECtx(ctx context.Context, g *graph.CSR, opt Options) (*Layout, *Report
 		return layout, rep, nil
 	}
 
-	if opt.Coupled {
-		if g.Weighted() || opt.Pivots != pivot.KCenters || opt.Ortho != ortho.MGS {
-			return nil, nil, fmt.Errorf("core: coupled mode requires the default configuration (unweighted graph, k-centers pivots, MGS)")
-		}
-	}
-
 	var layout *Layout
 	var err error
 	timed(&bd.Total, func() {
-		var deg []float64
-		var sMat *linalg.Dense
-		var dNorms []float64
-		// degrees computes diag(D) once per run, through the workspace's
-		// cached buffer when one is attached.
-		degrees := func() []float64 {
-			if ws != nil {
-				ws.Deg = g.WeightedDegreesIntoBudget(bud, ws.Deg)
-				return ws.Deg
-			}
-			return g.WeightedDegreesIntoBudget(bud, nil)
-		}
-		start := int32(splitmix(opt.Seed) % uint64(n))
-		// The decoupled BFS phase owns its pivot loop; these hooks are where
-		// a cancelled run stops it: once ctx is done every remaining
-		// traversal and column fill is skipped, and the check after the
-		// phase returns before anything reads the half-filled matrix.
-		onTrav := func(f func()) {
-			if ctx.Err() == nil {
-				timed(&bd.BFSTraversal, f)
-			}
-		}
-		onOther := func(f func()) {
-			if ctx.Err() == nil {
-				timed(&bd.BFSOther, f)
-			}
-		}
-
 		if err = ctx.Err(); err != nil {
 			return
 		}
-		NotifyPhase(ctx, "bfs")
-		if opt.Coupled {
-			// --- Coupled BFS + DOrtho: each distance vector is consumed by
-			// incremental MGS as soon as its traversal finishes; the O(sn)
-			// distance matrix B is never materialized.
-			if !opt.PlainOrtho {
-				deg = degrees()
-			}
-			var res ortho.Result
-			res, err = coupledPhase(ctx, bud, g, s, start, deg, opt, rep, bd)
-			if err != nil {
-				return
-			}
-			rep.KeptColumns = len(res.Kept)
-			rep.DroppedColumns = res.Dropped
-			if res.S.Cols < opt.Dims {
-				err = fmt.Errorf("core: only %d independent distance vectors (need %d); increase the subspace dimension", res.S.Cols, opt.Dims)
-				return
-			}
-			sMat = res.S
-			dNorms = res.DNorms
-		} else {
-			// --- BFS phase -------------------------------------------------
-			// Every entry of b is written before it is read, so a dirty
-			// workspace-backed matrix behaves exactly like a fresh one.
-			var b *linalg.Dense
-			var psc *pivot.Scratch
+		// diag(D) weights DOrtho's inner products, so its time is DOrtho's.
+		var deg []float64
+		timed(&bd.DOrtho, func() {
 			if ws != nil {
-				b = ws.DistView(n, s)
-				psc = ws.Pivot
+				ws.Deg = g.WeightedDegreesIntoBudget(bud, ws.Deg)
+				deg = ws.Deg
 			} else {
-				b = linalg.NewDense(n, s)
+				deg = g.WeightedDegreesIntoBudget(bud, nil)
 			}
-			var ps pivot.PhaseStats
-			if g.Weighted() {
-				// The Δ-stepping weighted path has its own internal
-				// scheduling and stays on the live budget.
-				ps = pivot.PhaseWeighted(g, b, start, opt.Delta, onTrav, onOther)
-			} else {
-				ps = pivot.PhaseBudget(bud, g, b, start, opt.Pivots, opt.BFS, psc, onTrav, onOther)
-			}
-			if err = ctx.Err(); err != nil {
-				return
-			}
-			rep.Sources = ps.Sources
-			rep.BFSStats = ps.Traversal
-			if !opt.SkipConnectivityCheck {
-				col := b.Col(0)
-				for i := range col {
-					if col[i] < 0 || math.IsInf(col[i], 1) {
-						err = fmt.Errorf("core: graph is not connected (vertex %d unreachable from %d); extract the largest component first", i, ps.Sources[0])
-						return
-					}
-				}
-			}
+		})
 
-			// --- DOrtho phase ----------------------------------------------
-			if err = ctx.Err(); err != nil {
-				return
-			}
-			NotifyPhase(ctx, "dortho")
-			timed(&bd.DOrtho, func() {
-				var d []float64
-				if !opt.PlainOrtho {
-					deg = degrees()
-					d = deg
-				}
-				var osc *ortho.Scratch
-				if ws != nil {
-					osc = ws.Ortho
-				}
-				res := ortho.DOrthogonalizeBudget(bud, b, d, opt.Ortho, osc)
-				rep.KeptColumns = len(res.Kept)
-				rep.DroppedColumns = res.Dropped
-				layoutCols := opt.Dims
-				if res.S.Cols < layoutCols {
-					err = fmt.Errorf("core: only %d independent distance vectors (need %d); increase the subspace dimension", res.S.Cols, layoutCols)
-					return
-				}
-				b = nil // release the raw distance matrix reference
-				sMat = res.S
-				dNorms = res.DNorms
-			})
-			if err != nil {
-				return
-			}
+		// --- BFS + DOrtho phase ------------------------------------------
+		NotifyPhase(ctx, "bfs")
+		var res ortho.Result
+		res, err = bfsOrtho(ctx, bud, g, s, deg, opt, rep)
+		if err != nil {
+			return
 		}
-		if deg == nil {
-			deg = degrees()
+		rep.KeptColumns = len(res.Kept)
+		rep.DroppedColumns = res.Dropped
+		if res.S.Cols < opt.Dims {
+			err = fmt.Errorf("core: only %d independent distance vectors (need %d); increase the subspace dimension", res.S.Cols, opt.Dims)
+			return
 		}
+		sMat, dNorms := res.S, res.DNorms
 
 		// --- TripleProd phase --------------------------------------------
 		if err = ctx.Err(); err != nil {
@@ -364,84 +265,64 @@ func splitmix(seed uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// coupledPhase runs the k-centers BFS loop with incremental MGS: the same
-// traversals and source selection as the decoupled path (so pivots and
-// layout are bitwise identical) with each distance vector orthogonalized
-// immediately after its BFS and then discarded. ctx is checked before
-// every pivot traversal, so cancelling a long run (s up to 50 traversals
-// over a million-vertex graph) takes effect within one BFS — milliseconds
-// — rather than after the whole phase.
-func coupledPhase(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int, start int32, deg []float64, opt Options, rep *Report, bd *Breakdown) (ortho.Result, error) {
-	n := g.NumV
-	var (
-		runner     *bfs.Runner
-		dist, dmin []int32
-		col        []float64
-		inc        *ortho.Incremental
-		amIdx      []int
-		amVals     []int32
-	)
+// bfsOrtho is the BFS and DOrtho phases as one stream (§4.4's coupled BFS
+// and D-orthogonalization): the pivot strategy hands each distance column,
+// in pivot order, to one incremental orthogonalizer, so the n×s distance
+// matrix is never stored. The pivot loop checks ctx before every
+// traversal, and the first column is checked for reachability before the
+// second traversal starts.
+func bfsOrtho(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int, deg []float64, opt Options, rep *Report) (ortho.Result, error) {
+	bd := &rep.Breakdown
+	if opt.PlainOrtho {
+		deg = nil
+	}
+	var osc *ortho.Scratch
+	var psc *pivot.Scratch
 	if ws := opt.Workspace; ws != nil {
-		runner = bfs.NewRunner(g, opt.BFS, ws.Pivot.BFS, bud)
-		dist, dmin = ws.Pivot.Dist, ws.Pivot.DMin
-		col = ws.Col
-		inc = ortho.NewIncremental(bud, n, s, deg, ws.Ortho)
-		ws.Pivot.Ensure(n)
-		amIdx, amVals = ws.Pivot.ArgmaxArenas()
-	} else {
-		runner = bfs.NewRunner(g, opt.BFS, nil, bud)
-		dist = make([]int32, n)
-		dmin = make([]int32, n)
-		col = make([]float64, n)
-		inc = ortho.NewIncremental(bud, n, s, deg, nil)
+		osc, psc = ws.Ortho, ws.Pivot
 	}
-	parallelFillInt32(bud, dmin, int32(1)<<30)
-
-	src := start
-	rep.Sources = make([]int32, 0, s)
-	rep.BFSStats = make([]bfs.Stats, 0, s)
-	// Hoist the per-pivot closures out of the loop so the steady-state
-	// loop body allocates nothing (a closure literal in the loop would be
-	// constructed s times per run).
-	var ts bfs.Stats
-	traverse := func() { ts = runner.Distances(src, dist) }
-	other := func() {
-		// Fused widen + min-update + argmax: one pass over the distance
-		// vector instead of three.
-		src = int32(linalg.WidenMinArgmaxBudget(bud, col, dmin, dist, amIdx, amVals))
-	}
-	addCol := func() { inc.Add(col) }
-	for i := 0; i < s; i++ {
-		if err := ctx.Err(); err != nil {
-			return ortho.Result{}, err
-		}
-		rep.Sources = append(rep.Sources, src)
-		timed(&bd.BFSTraversal, traverse)
-		rep.BFSStats = append(rep.BFSStats, ts)
-		if i == 0 && !opt.SkipConnectivityCheck {
-			for v := range dist {
-				if dist[v] == bfs.Unreached {
-					return ortho.Result{}, fmt.Errorf("core: graph is not connected (vertex %d unreachable from %d); extract the largest component first", v, src)
-				}
+	inc := ortho.NewIncremental(bud, g.NumV, s, deg, opt.Ortho, osc)
+	start := int32(splitmix(opt.Seed) % uint64(g.NumV))
+	// The timing closures are built once per run, not once per column.
+	var col []float64
+	add := func() { inc.Add(col) }
+	emit := func(i int, c []float64) error {
+		if i == 0 {
+			if err := checkConnected(c, start); err != nil {
+				return err
 			}
 		}
-		timed(&bd.BFSOther, other)
-		timed(&bd.DOrtho, addCol)
+		col = c
+		timed(&bd.DOrtho, add)
+		return nil
 	}
+	onTrav := func(f func()) { timed(&bd.BFSTraversal, f) }
+	onOther := func(f func()) { timed(&bd.BFSOther, f) }
+	var ps pivot.PhaseStats
+	var err error
+	if g.Weighted() {
+		// The Δ-stepping weighted path has its own internal scheduling and
+		// stays on the live budget.
+		ps, err = pivot.StreamWeighted(ctx, g, s, start, opt.Delta, emit, onTrav, onOther)
+	} else {
+		ps, err = pivot.Stream(ctx, bud, g, s, start, opt.Pivots, bfs.Options{}, psc, emit, onTrav, onOther)
+	}
+	if err != nil {
+		return ortho.Result{}, err
+	}
+	rep.Sources = ps.Sources
+	rep.BFSStats = ps.Traversal
 	return inc.Result(), nil
 }
 
-// parallelFillInt32 sets every element of x to v.
-func parallelFillInt32(bud parallel.Budget, x []int32, v int32) {
-	if bud.Serial(len(x)) {
-		for i := range x {
-			x[i] = v
+// checkConnected is the one reachability check every layout runs on its
+// first distance column: a negative hop count (bfs.Unreached) or an
+// infinite weighted distance means some vertex is in another component.
+func checkConnected(col []float64, src int32) error {
+	for v, d := range col {
+		if d < 0 || math.IsInf(d, 1) {
+			return fmt.Errorf("core: graph is not connected (vertex %d unreachable from %d); extract the largest component first", v, src)
 		}
-		return
 	}
-	bud.ForBlock(len(x), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			x[i] = v
-		}
-	})
+	return nil
 }

@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
-	"math"
 
+	"repro/internal/bfs"
 	"repro/internal/eigen"
 	"repro/internal/graph"
 	"repro/internal/linalg"
@@ -51,18 +51,12 @@ func pcaEmbed(g *graph.CSR, opt Options, doubleCenter bool) (*Layout, *Report, e
 		if g.Weighted() {
 			ps = pivot.PhaseWeighted(g, c, start, opt.Delta, onTrav, onOther)
 		} else {
-			ps = pivot.Phase(g, c, start, opt.Pivots, opt.BFS, onTrav, onOther)
+			ps = pivot.Phase(g, c, start, opt.Pivots, bfs.Options{}, onTrav, onOther)
 		}
 		rep.Sources = ps.Sources
 		rep.BFSStats = ps.Traversal
-		if !opt.SkipConnectivityCheck {
-			col := c.Col(0)
-			for i := range col {
-				if col[i] < 0 || math.IsInf(col[i], 1) {
-					err = fmt.Errorf("core: graph is not connected (vertex %d unreachable)", i)
-					return
-				}
-			}
+		if err = checkConnected(c.Col(0), start); err != nil {
+			return
 		}
 
 		// --- Centering ("DblCntr"/"ColCenter" in Figure 6) ----------------

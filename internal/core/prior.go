@@ -64,13 +64,8 @@ func Prior(g *graph.CSR, opt Options) (*Layout, *Report, error) {
 				src = int32(best)
 			})
 		}
-		if !opt.SkipConnectivityCheck {
-			for i := range dist {
-				if b.At(i, 0) < 0 {
-					err = fmt.Errorf("core: graph is not connected")
-					return
-				}
-			}
+		if err = checkConnected(b.Col(0), rep.Sources[0]); err != nil {
+			return
 		}
 
 		// --- DOrtho phase: sequential Gram-Schmidt -------------------------

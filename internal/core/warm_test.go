@@ -201,12 +201,12 @@ func TestWarmStartPlacesNewVertices(t *testing.T) {
 
 func TestWarmStartDeterministicAcrossBudgetsAndWorkspace(t *testing.T) {
 	g := gen.Kron(10, 8, 7)
-	prior, _, err := ParHDE(g, Options{Seed: 7, SkipConnectivityCheck: true})
+	prior, _, err := ParHDE(g, Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	g2 := mutateEdges(t, g, 6, 11)
-	base := Options{Seed: 7, Prior: prior, PriorDeltaEdges: 6, SkipConnectivityCheck: true}
+	base := Options{Seed: 7, Prior: prior, PriorDeltaEdges: 6}
 
 	var ref *Layout
 	for _, workers := range []int{1, 2, 4, 0} {

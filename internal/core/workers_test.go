@@ -5,14 +5,15 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/pivot"
 	"repro/internal/workspace"
 )
 
 // TestParHDEBitIdenticalAcrossWorkerBudgets is the layout-level budget
 // invariance property: for a fixed seed, the coordinates are bitwise
-// identical whether the run uses 1, 2, or 4 workers, decoupled or
-// coupled, fresh allocations or a pooled workspace shared across all
-// budgets.
+// identical whether the run uses 1, 2, or 4 workers — for Random, whose
+// rounds hold one BFS per worker, too — fresh allocations or a pooled
+// workspace shared across all budgets.
 func TestParHDEBitIdenticalAcrossWorkerBudgets(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
@@ -20,8 +21,8 @@ func TestParHDEBitIdenticalAcrossWorkerBudgets(t *testing.T) {
 		name string
 		opt  Options
 	}{
-		{"decoupled", Options{Subspace: 8, Seed: 11}},
-		{"coupled", Options{Subspace: 8, Seed: 11, Coupled: true}},
+		{"kcenters", Options{Subspace: 8, Seed: 11}},
+		{"random", Options{Subspace: 8, Seed: 11, Pivots: pivot.Random}},
 	}
 	g := gen.Kron(13, 8, 3) // n=8192: spans two reduction tiles, admits 4-way block fan-out
 	ws := workspace.New()   // shared across budgets: arenas must be budget-independent

@@ -23,7 +23,7 @@ func SubspaceExperiment(w io.Writer, cfg Config) error {
 	fprintf(w, "Eigensolver seeding (plate mesh, n=%d m=%d, subspace iteration, tol 1e-6)\n", g.NumV, g.NumEdges())
 
 	start := time.Now()
-	hdeLay, _, err := core.ParHDE(g, core.Options{Subspace: 50, Seed: 1, SkipConnectivityCheck: true})
+	hdeLay, _, err := core.ParHDE(g, core.Options{Subspace: 50, Seed: 1})
 	if err != nil {
 		return err
 	}
@@ -125,7 +125,7 @@ func ReorderExperiment(w io.Writer, cfg Config) error {
 	}
 	show("RCM", rcmG)
 
-	lay, _, err := core.ParHDE(scrambled, core.Options{Subspace: 10, Seed: 1, SkipConnectivityCheck: true})
+	lay, _, err := core.ParHDE(scrambled, core.Options{Subspace: 10, Seed: 1})
 	if err != nil {
 		return err
 	}

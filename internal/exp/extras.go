@@ -18,7 +18,7 @@ func SSSPExperiment(w io.Writer, cfg Config) error {
 	cfg = cfg.withDefaults()
 	side := scaled(220, cfg.Factor)
 	road := gen.Road(side, side, 105)
-	opt := core.Options{Subspace: 10, Seed: 42, SkipConnectivityCheck: true}
+	opt := core.Options{Subspace: 10, Seed: 42}
 
 	tBFS := minTime(cfg.Reps, func() {
 		if _, _, err := core.ParHDE(road, opt); err != nil {
@@ -70,7 +70,7 @@ func PermExperiment(w io.Writer, cfg Config) error {
 		{"web", "sk-2005", gen.WebGraph(scaled(200000, cfg.Factor), 16, 103)},
 		{"grid", "ordered mesh", gen.Grid2D(scaled(1000, cfg.Factor), scaled(1000, cfg.Factor))},
 	}
-	opt := core.Options{Subspace: 10, Seed: 42, SkipConnectivityCheck: true}
+	opt := core.Options{Subspace: 10, Seed: 42}
 	fprintf(w, "Vertex-ordering experiment (paper: LS 6.8x, overall 3.5x slower after permutation)\n")
 	fprintf(w, "%-8s %-22s %12s %12s %12s\n", "graph", "ordering", "total (s)", "LS (s)", "mean gap")
 	for _, ng := range inputs {
@@ -109,7 +109,7 @@ func RefineExperiment(w io.Writer, cfg Config) error {
 	// Warm path: ParHDE seed + refinement sweeps to a target residual.
 	const target = 1e-3
 	start := time.Now()
-	lay, _, err := core.ParHDE(g, core.Options{Subspace: 50, Seed: 1, SkipConnectivityCheck: true})
+	lay, _, err := core.ParHDE(g, core.Options{Subspace: 50, Seed: 1})
 	if err != nil {
 		return err
 	}

@@ -56,7 +56,7 @@ func Fig1(w io.Writer, cfg Config) error {
 	fprintf(w, "Figure 1: plate-with-holes (barth5 analogue), n=%d m=%d\n", g.NumV, g.NumEdges())
 
 	start := time.Now()
-	hdeLay, _, err := core.ParHDE(g, core.Options{Subspace: 50, Seed: 1, SkipConnectivityCheck: true})
+	hdeLay, _, err := core.ParHDE(g, core.Options{Subspace: 50, Seed: 1})
 	if err != nil {
 		return err
 	}
@@ -119,7 +119,7 @@ func Fig2(w io.Writer, cfg Config) error {
 // prior implementation (right), s = 10.
 func Fig3(w io.Writer, cfg Config) error {
 	cfg = cfg.withDefaults()
-	opt := core.Options{Subspace: 10, Seed: 42, SkipConnectivityCheck: true}
+	opt := core.Options{Subspace: 10, Seed: 42}
 	fprintf(w, "Figure 3: execution-time breakdown (%% of total), s=10\n")
 	fprintf(w, "%-10s %-10s %7s %11s %8s %7s\n", "config", "graph", "BFS%", "TripleProd%", "DOrtho%", "Other%")
 	for _, ng := range LargeCollection(cfg.Factor) {
@@ -158,7 +158,7 @@ func fig4(w io.Writer, cfg Config, layout func(*graph.CSR, core.Options) (*core.
 	fprintf(w, "Figure 4: relative speedup vs 1 thread (cores swept: %v), fastest of %d reps\n", sweep, cfg.Reps)
 	fprintf(w, "%-10s %6s %10s %9s %8s %12s %8s  %s\n", "graph", "cores", "time (s)", "overall", "BFS", "TripleProd", "DOrtho", "checksum")
 	for _, ng := range LargeCollection(cfg.Factor) {
-		opt := core.Options{Subspace: 10, Seed: 42, SkipConnectivityCheck: true, Workspace: workspace.New()}
+		opt := core.Options{Subspace: 10, Seed: 42, Workspace: workspace.New()}
 		var base core.Breakdown
 		var want string
 		for _, p := range sweep {
@@ -220,7 +220,7 @@ func coordsChecksum(coords []float64) string {
 // TripleProd into LS and Sᵀ(LS) (right).
 func Fig5(w io.Writer, cfg Config) error {
 	cfg = cfg.withDefaults()
-	opt := core.Options{Subspace: 50, Seed: 42, SkipConnectivityCheck: true}
+	opt := core.Options{Subspace: 50, Seed: 42}
 	fprintf(w, "Figure 5 (left): breakdown with s=50\n")
 	fprintf(w, "%-10s %7s %11s %8s %7s | %10s %10s | %7s %9s\n",
 		"graph", "BFS%", "TripleProd%", "DOrtho%", "Other%", "traversal%", "overhead%", "LS%", "S'(LS)%")
@@ -241,7 +241,7 @@ func Fig5(w io.Writer, cfg Config) error {
 // other.
 func Fig6(w io.Writer, cfg Config) error {
 	cfg = cfg.withDefaults()
-	opt := core.Options{Subspace: 10, Seed: 42, SkipConnectivityCheck: true}
+	opt := core.Options{Subspace: 10, Seed: 42}
 	fprintf(w, "Figure 6: PivotMDS and PHDE breakdown (%% of total), s=10\n")
 	fprintf(w, "%-16s %-10s %7s %9s %8s %7s\n", "config", "graph", "BFS%", "center%", "matmul%", "other%")
 	for _, ng := range LargeCollection(cfg.Factor) {
@@ -287,15 +287,15 @@ func Fig7(w io.Writer, cfg Config) error {
 		f    func() (*core.Layout, error)
 	}{
 		{"parhde-random-pivots", func() (*core.Layout, error) {
-			l, _, err := core.ParHDE(g, core.Options{Subspace: 50, Seed: 3, Pivots: pivot.Random, SkipConnectivityCheck: true})
+			l, _, err := core.ParHDE(g, core.Options{Subspace: 50, Seed: 3, Pivots: pivot.Random})
 			return l, err
 		}},
 		{"phde", func() (*core.Layout, error) {
-			l, _, err := core.PHDE(g, core.Options{Subspace: 50, Seed: 3, SkipConnectivityCheck: true})
+			l, _, err := core.PHDE(g, core.Options{Subspace: 50, Seed: 3})
 			return l, err
 		}},
 		{"pivotmds", func() (*core.Layout, error) {
-			l, _, err := core.PivotMDS(g, core.Options{Subspace: 50, Seed: 3, SkipConnectivityCheck: true})
+			l, _, err := core.PivotMDS(g, core.Options{Subspace: 50, Seed: 3})
 			return l, err
 		}},
 	}

@@ -41,8 +41,10 @@ type IncrementalReport struct {
 
 // flipEdges applies `count` deterministic edge flips to base as one
 // mutation batch: mostly inserts of random non-edges, with every eighth
-// flip deleting an existing edge, mimicking an evolving graph. Returns the
-// mutated graph and the number of flips applied.
+// flip deleting an existing edge, mimicking an evolving graph. A deletion
+// keeps the graph connected: it needs a common neighbour of its endpoints
+// whose two edges the batch then never deletes. Returns the mutated graph
+// and the number of flips applied.
 func flipEdges(base *graph.CSR, count int64, seed uint64) (*graph.CSR, int64, error) {
 	// Existing edges (u < v) to draw deletions from.
 	edges := make([][2]int32, 0, base.NumEdges())
@@ -62,16 +64,31 @@ func flipEdges(base *graph.CSR, count int64, seed uint64) (*graph.CSR, int64, er
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		return z ^ (z >> 31)
 	}
+	pair := func(u, v int32) [2]int32 { return [2]int32{min(u, v), max(u, v)} }
 	var batch []dyngraph.Mutation
-	seen := map[[2]int32]bool{}
+	seen := map[[2]int32]bool{} // flipped pairs
+	kept := map[[2]int32]bool{} // edges a deletion relies on
+	detour := func(e [2]int32) (int32, bool) {
+		for _, w := range base.Neighbors(e[0]) {
+			if w != e[1] && base.HasEdge(w, e[1]) && !seen[pair(e[0], w)] && !seen[pair(w, e[1])] {
+				return w, true
+			}
+		}
+		return 0, false
+	}
 	var applied int64
 	for applied < count {
 		if applied%8 == 7 && len(edges) > 0 {
 			e := edges[next()%uint64(len(edges))]
-			if seen[e] {
+			if seen[e] || kept[e] {
+				continue
+			}
+			w, ok := detour(e)
+			if !ok {
 				continue
 			}
 			seen[e] = true
+			kept[pair(e[0], w)], kept[pair(w, e[1])] = true, true
 			batch = append(batch, dyngraph.Mutation{Op: dyngraph.DelEdge, U: e[0], V: e[1]})
 			applied++
 			continue
@@ -100,7 +117,7 @@ func flipEdges(base *graph.CSR, count int64, seed uint64) (*graph.CSR, int64, er
 func RunIncremental(cfg Config, fractions []float64) (*IncrementalReport, error) {
 	cfg = cfg.withDefaults()
 	base := gen.Kron(16, 8, 107)
-	opt := core.Options{Subspace: cfg.Subspace, Seed: 1, SkipConnectivityCheck: true}
+	opt := core.Options{Subspace: cfg.Subspace, Seed: 1}
 	prior, _, err := core.ParHDE(base, opt)
 	if err != nil {
 		return nil, err

@@ -24,7 +24,7 @@ func Table1(w io.Writer, cfg Config) error {
 	fprintf(w, "%6s %10s %12s %10s\n", "s", "BFS (s)", "TripleProd", "DOrtho")
 	var bfsT, tpT, doT []float64
 	for _, s := range sValues {
-		opt := core.Options{Subspace: s, Seed: 42, SkipConnectivityCheck: true}
+		opt := core.Options{Subspace: s, Seed: 42}
 		var rep *core.Report
 		minTime(cfg.Reps, func() { rep = mustParHDE(NamedGraph{Name: "kron", G: g}, opt) })
 		bd := rep.Breakdown
@@ -46,7 +46,7 @@ func Table1(w io.Writer, cfg Config) error {
 	var ns, bfsN, tpN, doN []float64
 	for _, side := range []int{64, 96, 128, 192, 256} {
 		gg := gen.Grid2D(side*scaled(1, cfg.Factor), side*scaled(1, cfg.Factor))
-		opt := core.Options{Subspace: 10, Seed: 42, SkipConnectivityCheck: true}
+		opt := core.Options{Subspace: 10, Seed: 42}
 		var rep *core.Report
 		minTime(cfg.Reps, func() { rep = mustParHDE(NamedGraph{Name: "grid", G: gg}, opt) })
 		bd := rep.Breakdown

@@ -32,7 +32,7 @@ func Table3(w io.Writer, cfg Config) error {
 	fprintf(w, "Table 3: ParHDE vs prior parallel implementation, s=10\n")
 	fprintf(w, "%-10s %12s %12s %9s\n", "graph", "ParHDE (s)", "Prior (s)", "speedup")
 	for _, ng := range LargeCollection(cfg.Factor) {
-		opt := core.Options{Subspace: 10, Seed: 42, SkipConnectivityCheck: true}
+		opt := core.Options{Subspace: 10, Seed: 42}
 		tPar := minTime(cfg.Reps, func() {
 			if _, _, err := core.ParHDE(ng.G, opt); err != nil {
 				panic(err)
@@ -55,7 +55,7 @@ func Table4(w io.Writer, cfg Config) error {
 	cfg = cfg.withDefaults()
 	fprintf(w, "Table 4: ParHDE execution time and relative speedup (%d threads vs 1), s=10\n", cfg.MaxThreads)
 	fprintf(w, "%-10s %12s %12s %10s\n", "graph", "time (s)", "1-thread(s)", "rel.spdup")
-	opt := core.Options{Subspace: 10, Seed: 42, SkipConnectivityCheck: true}
+	opt := core.Options{Subspace: 10, Seed: 42}
 	for _, ng := range Collection(cfg.Factor) {
 		var tPar, tSer time.Duration
 		withThreads(cfg.MaxThreads, func() {
@@ -76,7 +76,7 @@ func Table5(w io.Writer, cfg Config) error {
 	cfg = cfg.withDefaults()
 	fprintf(w, "Table 5: PHDE and PivotMDS execution times and relative speedup, s=10\n")
 	fprintf(w, "%-10s %12s %10s %14s %10s\n", "graph", "PHDE (s)", "rel.spdup", "PivotMDS (s)", "rel.spdup")
-	opt := core.Options{Subspace: 10, Seed: 42, SkipConnectivityCheck: true}
+	opt := core.Options{Subspace: 10, Seed: 42}
 	for _, ng := range LargeCollection(cfg.Factor) {
 		var tP, tP1, tM, tM1 time.Duration
 		withThreads(cfg.MaxThreads, func() {

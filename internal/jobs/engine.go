@@ -2,8 +2,8 @@
 // queued, cancellable, observable jobs instead of work done inline in an
 // HTTP handler. A bounded FIFO queue with admission control feeds a
 // fixed worker pool; each job runs the full pipeline under a
-// context.Context so cancellation interrupts the engine mid-phase (and,
-// in coupled mode, mid-BFS-loop). Finished jobs are retained under a
+// context.Context so cancellation interrupts the engine mid-phase and
+// mid-BFS-loop. Finished jobs are retained under a
 // TTL + count budget and can optionally be journaled to disk (recover.go),
 // and the engine exports queue/state/latency metrics through internal/obs.
 package jobs

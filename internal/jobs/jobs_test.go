@@ -173,7 +173,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 }
 
-// TestCancelRunningJobInterruptsLayout cancels a real coupled-ParHDE run
+// TestCancelRunningJobInterruptsLayout cancels a real ParHDE run
 // mid-BFS-loop: the per-pivot ctx check must stop the layout long before
 // it finishes all s traversals.
 func TestCancelRunningJobInterruptsLayout(t *testing.T) {
@@ -184,7 +184,7 @@ func TestCancelRunningJobInterruptsLayout(t *testing.T) {
 	e := New(c, Config{Workers: 1})
 	defer e.Close()
 	j, err := e.Submit("slow", pipeline.Config{
-		Layout: core.Options{Subspace: 50, Seed: 1, Coupled: true},
+		Layout: core.Options{Subspace: 50, Seed: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

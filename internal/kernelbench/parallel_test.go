@@ -116,7 +116,7 @@ func TestParallelEfficiencyGate(t *testing.T) {
 	{
 		g := gen.Kron(18, 16, 102)
 		run := func(p int) func() {
-			opt := core.Options{Subspace: 10, Seed: 42, Workers: p, SkipConnectivityCheck: true}
+			opt := core.Options{Subspace: 10, Seed: 42, Workers: p}
 			return func() {
 				if _, _, err := core.ParHDE(g, opt); err != nil {
 					t.Fatal(err)

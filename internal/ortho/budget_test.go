@@ -95,37 +95,38 @@ func TestSharedScratchAcrossMethodsAndBudgets(t *testing.T) {
 	}
 }
 
-// TestIncrementalBudgetInvariance: the coupled-pipeline incremental
-// orthogonalizer matches the serial reference bitwise for every budget.
+// TestIncrementalBudgetInvariance: the streaming orthogonalizer the BFS
+// phase feeds matches the serial reference bitwise for every budget, under
+// both methods.
 func TestIncrementalBudgetInvariance(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	n, s := 9000, 8
 	degrees := randDegrees(n, 5)
-	run := func(bud parallel.Budget, d []float64) *Incremental {
-		inc := NewIncremental(bud, n, s, d, nil)
+	run := func(bud parallel.Budget, d []float64, method Method) Result {
+		inc := NewIncremental(bud, n, s, d, method, nil)
 		for j := 0; j < s; j++ {
 			inc.Add(randMatrix(n, 1, int64(20+j)).Col(0))
 		}
-		return inc
+		return inc.Result()
 	}
-	for _, d := range [][]float64{nil, degrees} {
-		ref := run(parallel.FixedBudget(1), d)
-		refRes := ref.Result()
-		for _, p := range []int{2, 4} {
-			got := run(parallel.FixedBudget(p), d)
-			res := got.Result()
-			if len(res.Kept) != len(refRes.Kept) {
-				t.Fatalf("workers=%d: kept %d, want %d", p, len(res.Kept), len(refRes.Kept))
-			}
-			for k := range refRes.S.Data {
-				if res.S.Data[k] != refRes.S.Data[k] {
-					t.Fatalf("workers=%d d=%v: S.Data[%d] diverged", p, d != nil, k)
+	for _, method := range []Method{MGS, CGS} {
+		for _, d := range [][]float64{nil, degrees} {
+			refRes := run(parallel.FixedBudget(1), d, method)
+			for _, p := range []int{2, 4} {
+				res := run(parallel.FixedBudget(p), d, method)
+				if len(res.Kept) != len(refRes.Kept) {
+					t.Fatalf("%v workers=%d: kept %d, want %d", method, p, len(res.Kept), len(refRes.Kept))
 				}
-			}
-			for j := range refRes.DNorms {
-				if res.DNorms[j] != refRes.DNorms[j] {
-					t.Fatalf("workers=%d: DNorms[%d] diverged", p, j)
+				for k := range refRes.S.Data {
+					if res.S.Data[k] != refRes.S.Data[k] {
+						t.Fatalf("%v workers=%d d=%v: S.Data[%d] diverged", method, p, d != nil, k)
+					}
+				}
+				for j := range refRes.DNorms {
+					if res.DNorms[j] != refRes.DNorms[j] {
+						t.Fatalf("%v workers=%d: DNorms[%d] diverged", method, p, j)
+					}
 				}
 			}
 		}

@@ -32,8 +32,7 @@ const (
 	// standard block Gram-Schmidt compromise.
 	MGS Method = iota
 	// CGS is Classical Gram-Schmidt: all projection coefficients for a
-	// column are computed from the original column at once (Level-2 BLAS),
-	// requiring all distance vectors to be precomputed.
+	// column are computed from the original column at once (Level-2 BLAS).
 	CGS
 )
 
@@ -77,22 +76,20 @@ type Result struct {
 // numbers bitwise identical for every budget, including the serial path,
 // and for pooled and private scratch.
 func DOrthogonalizeBudget(bud parallel.Budget, b *linalg.Dense, d []float64, method Method, sc *Scratch) Result {
-	inc := newIncremental(bud, b.Rows, b.Cols, d, method, sc)
+	inc := NewIncremental(bud, b.Rows, b.Cols, d, method, sc)
 	for i := 0; i < b.Cols; i++ {
 		inc.Add(b.Col(i))
 	}
 	return inc.Result()
 }
 
-// Incremental orthogonalizes one column at a time, so the BFS phase and
-// the DOrtho phase can be coupled: each distance vector is orthogonalized
-// (and either kept or dropped) as soon as its traversal finishes, and the
-// raw O(sn) distance matrix never needs to be stored. §4.4 notes this is
-// exactly the capability CGS gives up ("the use of CGS requires all
-// distance vectors to be precomputed… whereas the default procedure can
-// also be executed with a coupled BFS and D-orthogonalization steps").
+// Incremental orthogonalizes one column at a time, so the BFS phase can
+// hand it each distance vector as soon as its traversal finishes and the
+// raw O(sn) distance matrix never needs to be stored (§4.4's "coupled BFS
+// and D-orthogonalization"). Both methods stream: a column is projected
+// only against columns already kept, so CGS needs no look-ahead either.
 // DOrthogonalizeBudget is the same sweep fed from a stored matrix, so
-// coupled and decoupled runs are bitwise identical.
+// streamed and stored runs are bitwise identical.
 type Incremental struct {
 	n       int
 	d       []float64 // nil = plain orthogonalization
@@ -103,21 +100,15 @@ type Incremental struct {
 	seen    int
 }
 
-// NewIncremental starts a coupled MGS orthogonalization of up to capacity
-// length-n vectors with D-inner products diag(d) (nil for plain inner
-// products), over sc's pooled buffers (nil allocates private scratch).
-// The constant direction 1/√n is pre-seeded, exactly as in
-// DOrthogonalizeBudget. Every Add reuses bud, so a coupled layout's
-// orthogonalization fan-out is pinned for the whole run.
-func NewIncremental(bud parallel.Budget, n, capacity int, d []float64, sc *Scratch) *Incremental {
-	inc := newIncremental(bud, n, capacity, d, MGS, sc)
-	return &inc
-}
-
-// newIncremental shapes the scratch for capacity columns and seeds the
-// kept-column store with s0 = 1/√n, the degenerate direction every column
-// must be cleaned of.
-func newIncremental(bud parallel.Budget, n, capacity int, d []float64, method Method, sc *Scratch) Incremental {
+// NewIncremental starts an orthogonalization of up to capacity length-n
+// vectors with D-inner products diag(d) (nil for plain inner products),
+// over sc's pooled buffers (nil allocates private scratch). The scratch is
+// shaped for capacity columns and the kept-column store is seeded with
+// s0 = 1/√n, the degenerate direction every column must be cleaned of.
+// Every Add reuses bud, so the orthogonalization fan-out is pinned for the
+// whole sweep. It returns a value so a caller's sweep state can live on its
+// stack; all storage is in the scratch.
+func NewIncremental(bud parallel.Budget, n, capacity int, d []float64, method Method, sc *Scratch) Incremental {
 	if sc == nil {
 		sc = NewScratch(n, capacity)
 	} else {

@@ -243,7 +243,7 @@ func TestIncrementalMatchesBatchMGS(t *testing.T) {
 	b := randMatrix(1500, 7, 11)
 	d := randDegrees(1500, 12)
 	batch := dOrtho(b, d, MGS)
-	inc := NewIncremental(parallel.Live(), 1500, b.Cols, d, nil)
+	inc := NewIncremental(parallel.Live(), 1500, b.Cols, d, MGS, nil)
 	for j := 0; j < b.Cols; j++ {
 		inc.Add(b.Col(j))
 	}
@@ -269,7 +269,7 @@ func TestIncrementalMatchesBatchMGS(t *testing.T) {
 }
 
 func TestIncrementalDropsAndPanics(t *testing.T) {
-	inc := NewIncremental(parallel.Live(), 100, 3, nil, nil)
+	inc := NewIncremental(parallel.Live(), 100, 3, nil, MGS, nil)
 	col := make([]float64, 100)
 	for i := range col {
 		col[i] = float64(i)
@@ -298,10 +298,11 @@ func TestIncrementalDropsAndPanics(t *testing.T) {
 		f()
 	}
 	mustPanic("dimension mismatch", func() {
-		NewIncremental(parallel.Live(), 10, 1, nil, nil).Add(make([]float64, 5))
+		inc := NewIncremental(parallel.Live(), 10, 1, nil, MGS, nil)
+		inc.Add(make([]float64, 5))
 	})
 	mustPanic("a kept column past the capacity", func() {
-		over := NewIncremental(parallel.Live(), 100, 1, nil, nil)
+		over := NewIncremental(parallel.Live(), 100, 1, nil, MGS, nil)
 		over.Add(col)
 		sq := make([]float64, 100)
 		for i := range sq {

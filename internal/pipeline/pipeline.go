@@ -35,8 +35,8 @@ type Result struct {
 }
 
 // RunCtx lays out g according to cfg with cooperative cancellation: ctx
-// is checked at every phase boundary (and inside the coupled BFS pivot
-// loop). On cancellation the returned error satisfies
+// is checked at every phase boundary and before every traversal of the
+// BFS pivot loop. On cancellation the returned error satisfies
 // errors.Is(err, ctx.Err()).
 func RunCtx(ctx context.Context, g *graph.CSR, cfg Config) (*Result, error) {
 	start := time.Now()

@@ -1,5 +1,5 @@
 // Package pivot implements the BFS phase of ParHDE: source (pivot)
-// selection and the s traversals that build the distance matrix B. Two
+// selection and the s traversals that produce the distance columns. Two
 // strategies from the paper are provided. The default is the
 // farthest-first 2-approximation to k-centers (Gonzalez), where each BFS
 // is internally parallel and the next source is the vertex maximizing the
@@ -7,9 +7,15 @@
 // pivots uniformly at random without repetition and runs whole BFSes
 // concurrently — lower overhead for small or high-diameter graphs and when
 // s exceeds the core count.
+//
+// Every strategy streams: Stream hands each column, in pivot order, to a
+// consumer as soon as it is produced, so the n×s distance matrix B need
+// never be stored. Phase and PhaseBudget are the same stream written into
+// B, for the callers that need the whole matrix.
 package pivot
 
 import (
+	"context"
 	"sync"
 
 	"repro/internal/bfs"
@@ -46,7 +52,7 @@ func (s Strategy) String() string {
 
 // PhaseStats decomposes BFS-phase time the way Figure 5 (middle) does:
 // pure traversal versus "other" overhead (source selection, the min-update
-// reduction, and the int→float widening of B's columns).
+// reduction, and the int→float widening of each column).
 type PhaseStats struct {
 	Sources []int32
 	// Traversal holds per-traversal statistics: one entry per BFS under
@@ -56,47 +62,33 @@ type PhaseStats struct {
 	ScannedEdges int64
 }
 
-// Scratch bundles the reusable buffers of the k-centers BFS phase: the
-// traversal scratch plus the per-pivot hop vector and the running
-// minimum-distance vector that drives farthest-first source selection. A
-// pooled workspace owns one and hands it to PhaseBudget so repeated
-// layouts on same-shaped graphs re-pay no BFS-phase allocations.
+// Emit receives the distance columns of a streamed phase in pivot order:
+// col holds pivot i's distance to every vertex and is valid only during
+// the call. A non-nil error stops the phase before its next traversal.
+type Emit func(i int, col []float64) error
+
+// Scratch bundles the reusable buffers of the BFS phase: the traversal
+// scratch, the per-pivot hop vector and the running minimum-distance
+// vector that drives farthest-first source selection, and the widened
+// column every strategy hands its consumer. A pooled workspace owns one
+// and hands it to Stream so repeated layouts on same-shaped graphs re-pay
+// no BFS-phase allocations.
 type Scratch struct {
-	// BFS is the frontier/queue scratch shared by all s traversals.
-	BFS *bfs.Scratch
-	// Dist receives each traversal's hop distances (length ≥ n).
-	Dist []int32
-	// DMin tracks min distance to all previous sources (length ≥ n).
-	DMin []int32
-	// Multi-source buffers (lazily sized by the RandomMS strategy): the
-	// pivot permutation and one 64×n distance-row arena per batch.
+	trav *bfs.Scratch // frontier/queue scratch shared by all s traversals
+	dist []int32      // each traversal's hop distances
+	dmin []int32      // min distance to all previous sources
+	col  []float64
+	// Random-strategy buffers, sized on first use: the pivot permutation
+	// and an arena of length-n distance rows (one per MSBFS source in a
+	// batch, or one per worker of a Random round).
 	perm    []int32
-	msArena []int32
-	msRows  [][]int32
+	arena   []int32
+	rowsBuf [][]int32
 	// Per-tile argmax arenas for the fused widen/min/argmax reduction,
 	// sized by linalg.ReduceBlocks(n) — a function of n only, so the
 	// arenas can never be desynchronized by a worker-count change.
 	amIdx  []int
 	amVals []int32
-}
-
-// ensureMS sizes the RandomMS-only buffers: the permutation vector and
-// a 64-row distance arena covering one MSBFS batch.
-func (sc *Scratch) ensureMS(n int) {
-	if cap(sc.perm) < n {
-		sc.perm = make([]int32, n)
-	}
-	sc.perm = sc.perm[:n]
-	if cap(sc.msArena) < 64*n {
-		sc.msArena = make([]int32, 64*n)
-	}
-	sc.msArena = sc.msArena[:64*n]
-	if sc.msRows == nil {
-		sc.msRows = make([][]int32, 64)
-	}
-	for i := range sc.msRows {
-		sc.msRows[i] = sc.msArena[i*n : (i+1)*n]
-	}
 }
 
 // NewScratch returns BFS-phase scratch for n-vertex graphs.
@@ -106,27 +98,35 @@ func NewScratch(n int) *Scratch {
 	return sc
 }
 
-// Ensure grows the scratch to cover n vertices; sufficient buffers are
-// kept, so same-shape reuse touches no allocator.
+// Ensure grows the k-centers buffers and the column to cover n vertices;
+// sufficient buffers are kept, so same-shape reuse touches no allocator.
 func (sc *Scratch) Ensure(n int) {
-	if sc.BFS == nil {
-		sc.BFS = bfs.NewScratch(n, parallel.Workers())
+	if sc.trav == nil {
+		sc.trav = bfs.NewScratch(n, parallel.Workers())
 	}
-	if cap(sc.Dist) < n {
-		sc.Dist = make([]int32, n)
-		sc.DMin = make([]int32, n)
-	}
-	sc.Dist, sc.DMin = sc.Dist[:n], sc.DMin[:n]
-	if tiles := linalg.ReduceBlocks(n); cap(sc.amIdx) < tiles {
-		sc.amIdx = make([]int, tiles)
-		sc.amVals = make([]int32, tiles)
-	}
+	sc.dist, sc.dmin, sc.col = grow(sc.dist, n), grow(sc.dmin, n), grow(sc.col, n)
+	tiles := linalg.ReduceBlocks(n)
+	sc.amIdx, sc.amVals = grow(sc.amIdx, tiles), grow(sc.amVals, tiles)
 }
 
-// ArgmaxArenas exposes the per-tile argmax arenas (sized by Ensure) for
-// callers that run the fused widen/min/argmax reduction themselves — the
-// coupled core path, which owns the pivot loop but reuses this scratch.
-func (sc *Scratch) ArgmaxArenas() ([]int, []int32) { return sc.amIdx, sc.amVals }
+// rows returns k length-n rows over the scratch's arena.
+func (sc *Scratch) rows(n, k int) [][]int32 {
+	sc.arena = grow(sc.arena, k*n)
+	sc.rowsBuf = grow(sc.rowsBuf, k)
+	for i := range sc.rowsBuf {
+		sc.rowsBuf[i] = sc.arena[i*n : (i+1)*n]
+	}
+	return sc.rowsBuf
+}
+
+// grow returns buf resliced to n elements, reallocating only when its
+// capacity is short.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
 
 // Phase runs the complete BFS phase on the live worker budget with
 // private buffers; see PhaseBudget.
@@ -134,19 +134,34 @@ func Phase(g *graph.CSR, b *linalg.Dense, start int32, strat Strategy, opt bfs.O
 	return PhaseBudget(parallel.Live(), g, b, start, strat, opt, nil, onTraversal, onOther)
 }
 
-// PhaseBudget runs the complete BFS phase: s traversals from pivots chosen
-// by the given strategy, writing hop distances into the n×s column-major
-// matrix b. Unreachable is impossible by precondition (connected graph).
-// start is the randomly-chosen first vertex (Algorithm 3, line 4); timers
-// for traversal vs. other work are accumulated via the optional hooks.
-// The phase runs over sc's pooled buffers (nil allocates fresh ones): the
-// k-centers and multi-source random strategies consume the scratch —
-// plain Random keeps its per-worker private distance vectors — and results
-// are bit-identical either way. Live budgets are snapshotted once on
-// entry, so every traversal, fill, and reduction of the phase shares one
-// worker count — a GOMAXPROCS change mid-phase cannot re-partition running
-// kernels.
+// PhaseBudget is Stream materialized: pivot i's distances land in column
+// i of the n×s column-major matrix b, where s = b.Cols.
 func PhaseBudget(bud parallel.Budget, g *graph.CSR, b *linalg.Dense, start int32, strat Strategy, opt bfs.Options, sc *Scratch, onTraversal, onOther func(f func())) PhaseStats {
+	st, _ := Stream(context.Background(), bud, g, b.Cols, start, strat, opt, sc, fill(b), onTraversal, onOther)
+	return st
+}
+
+// fill is the consumer that stores each streamed column in b.
+func fill(b *linalg.Dense) Emit {
+	return func(i int, col []float64) error {
+		copy(b.Col(i), col)
+		return nil
+	}
+}
+
+// Stream runs the complete BFS phase: s traversals from pivots chosen by
+// the given strategy, each column of hop distances handed to emit in pivot
+// order (unreached vertices read as bfs.Unreached, i.e. -1). start is the
+// randomly-chosen first vertex (Algorithm 3, line 4); timers for traversal
+// vs. other work are accumulated via the optional hooks. The phase runs
+// over sc's pooled buffers (nil allocates fresh ones) and the columns are
+// bit-identical either way. Live budgets are snapshotted once on entry, so
+// every traversal, fill, and reduction of the phase shares one worker
+// count — a GOMAXPROCS change mid-phase cannot re-partition running
+// kernels. ctx is checked before every traversal — each pivot under
+// KCenters, each round under Random, each 64-source batch under RandomMS —
+// and the first error from ctx or emit stops the phase and is returned.
+func Stream(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int, start int32, strat Strategy, opt bfs.Options, sc *Scratch, emit Emit, onTraversal, onOther func(f func())) (PhaseStats, error) {
 	if !bud.Fixed() {
 		bud = parallel.SnapshotBudget()
 	}
@@ -156,26 +171,24 @@ func PhaseBudget(bud parallel.Budget, g *graph.CSR, b *linalg.Dense, start int32
 	if onOther == nil {
 		onOther = func(f func()) { f() }
 	}
+	if sc == nil {
+		sc = &Scratch{}
+	}
 	switch strat {
 	case Random:
-		return randomPhase(bud, g, b, start, onTraversal, onOther)
+		return randomPhase(ctx, bud, g, s, start, sc, emit, onTraversal, onOther)
 	case RandomMS:
-		return randomMSPhase(bud, g, b, start, opt, sc, onTraversal, onOther)
+		return randomMSPhase(ctx, bud, g, s, start, opt, sc, emit, onTraversal, onOther)
 	default:
-		return kCentersPhase(bud, g, b, start, opt, sc, onTraversal, onOther)
+		return kCentersPhase(ctx, bud, g, s, start, opt, sc, emit, onTraversal, onOther)
 	}
 }
 
-func kCentersPhase(bud parallel.Budget, g *graph.CSR, b *linalg.Dense, start int32, opt bfs.Options, sc *Scratch, onTraversal, onOther func(f func())) PhaseStats {
+func kCentersPhase(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int, start int32, opt bfs.Options, sc *Scratch, emit Emit, onTraversal, onOther func(f func())) (PhaseStats, error) {
 	n := g.NumV
-	s := b.Cols
-	if sc == nil {
-		sc = NewScratch(n)
-	} else {
-		sc.Ensure(n)
-	}
-	runner := bfs.NewRunner(g, opt, sc.BFS, bud)
-	dist, dmin := sc.Dist, sc.DMin
+	sc.Ensure(n)
+	runner := bfs.NewRunner(g, opt, sc.trav, bud)
+	dist, dmin, col := sc.dist, sc.dmin, sc.col
 	if bud.Serial(n) {
 		for i := range dmin {
 			dmin[i] = int32(1) << 30
@@ -192,140 +205,131 @@ func kCentersPhase(bud parallel.Budget, g *graph.CSR, b *linalg.Dense, start int
 	// The timing hooks' closures are hoisted out of the pivot loop (and
 	// read their loop state through captured variables) so the
 	// steady-state loop body allocates nothing.
-	var i int
 	var ts bfs.Stats
 	traverse := func() { ts = runner.Distances(src, dist) }
 	other := func() {
-		// One fused pass: widen the distances into the matrix column,
+		// One fused pass: widen the distances into the column,
 		// d(j) ← min(d(j), b_i(j)), and pick the next source as the
 		// farthest vertex from all previous sources (lines 13-15 of
 		// Algorithm 1).
-		src = int32(linalg.WidenMinArgmaxBudget(bud, b.Col(i), dmin, dist, sc.amIdx, sc.amVals))
+		src = int32(linalg.WidenMinArgmaxBudget(bud, col, dmin, dist, sc.amIdx, sc.amVals))
 	}
-	for i = 0; i < s; i++ {
+	for i := 0; i < s; i++ {
+		if err := ctx.Err(); err != nil {
+			return st, err
+		}
 		st.Sources = append(st.Sources, src)
 		onTraversal(traverse)
 		st.Traversal = append(st.Traversal, ts)
 		st.ScannedEdges += ts.ScannedEdges
 		onOther(other)
+		if err := emit(i, col); err != nil {
+			return st, err
+		}
 	}
-	return st
+	return st, nil
 }
 
-// randomPhase runs serial BFSes concurrently: pivot i is processed by
-// whichever worker claims it, each traversal single-threaded. With s ≥
-// workers this keeps every core busy without per-level barriers.
-func randomPhase(bud parallel.Budget, g *graph.CSR, b *linalg.Dense, start int32, onTraversal, onOther func(f func())) PhaseStats {
+// drawSources fills sources with start followed by distinct uniformly
+// random pivots, drawn from a permutation seeded by start so runs are
+// reproducible.
+func drawSources(sc *Scratch, n int, start int32, sources []int32) {
+	sc.perm = graph.RandomPermutationInto(grow(sc.perm, n), uint64(start)*0x9e3779b97f4a7c15+1)
+	sources[0] = start
+	k := 1
+	for _, v := range sc.perm {
+		if k == len(sources) {
+			break
+		}
+		if v != start {
+			sources[k] = v
+			k++
+		}
+	}
+}
+
+// randomPhase runs serial BFSes concurrently, in rounds of one pivot per
+// worker, each traversal single-threaded into its worker's row. With s ≥
+// workers this keeps every core busy without per-level barriers; the
+// round's columns are then widened and emitted in pivot order.
+func randomPhase(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int, start int32, sc *Scratch, emit Emit, onTraversal, onOther func(f func())) (PhaseStats, error) {
 	n := g.NumV
-	s := b.Cols
 	st := PhaseStats{Sources: make([]int32, s)}
-	onOther(func() {
-		// Uniform pivots without repetition, seeded by the start vertex so
-		// runs are reproducible.
-		perm := graph.RandomPermutation(n, uint64(start)*0x9e3779b97f4a7c15+1)
-		st.Sources[0] = start
-		k := 1
-		for _, v := range perm {
-			if k == s {
-				break
-			}
-			if v != start {
-				st.Sources[k] = v
-				k++
-			}
-		}
-	})
-	onTraversal(func() {
-		workers := bud.Workers()
-		var next int64
-		var mu sync.Mutex
+	onOther(func() { drawSources(sc, n, start, st.Sources) })
+	dists := sc.rows(n, min(bud.Workers(), s))
+	sc.col = grow(sc.col, n)
+	col := sc.col
+	var lo, hi, i int
+	traverse := func() {
 		var wg sync.WaitGroup
-		var scanned int64
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
+		for k := 1; k < hi-lo; k++ {
+			wg.Add(1)
+			go func(k int) {
 				defer wg.Done()
-				dist := make([]int32, n)
-				var local int64
-				for {
-					mu.Lock()
-					i := int(next)
-					next++
-					mu.Unlock()
-					if i >= s {
-						break
-					}
-					bfs.Serial(g, st.Sources[i], dist)
-					col := b.Col(i)
-					for j := 0; j < n; j++ {
-						col[j] = float64(dist[j])
-					}
-					local += int64(len(g.Adj))
-				}
-				mu.Lock()
-				scanned += local
-				mu.Unlock()
-			}()
+				bfs.Serial(g, st.Sources[lo+k], dists[k])
+			}(k)
 		}
+		bfs.Serial(g, st.Sources[lo], dists[0])
 		wg.Wait()
-		st.ScannedEdges = scanned
-	})
-	return st
+		st.ScannedEdges += int64(hi-lo) * int64(len(g.Adj))
+	}
+	widen := func() { linalg.Int32ToFloat64Budget(bud, col, dists[i-lo]) }
+	for lo = 0; lo < s; lo = hi {
+		if err := ctx.Err(); err != nil {
+			return st, err
+		}
+		hi = min(lo+len(dists), s)
+		onTraversal(traverse)
+		for i = lo; i < hi; i++ {
+			onOther(widen)
+			if err := emit(i, col); err != nil {
+				return st, err
+			}
+		}
+	}
+	return st, nil
 }
 
 // randomMSPhase draws random pivots like randomPhase but traverses them in
 // batches of 64 with the bit-parallel multi-source BFS, sharing adjacency
-// scans across all searches in a batch. With a scratch the batch distance
-// rows, the pivot permutation, and the traversal masks all come from
-// pooled buffers, so the steady-state phase performs no O(n) allocations.
-func randomMSPhase(bud parallel.Budget, g *graph.CSR, b *linalg.Dense, start int32, opt bfs.Options, sc *Scratch, onTraversal, onOther func(f func())) PhaseStats {
+// scans across all searches in a batch, then widens and emits the batch's
+// rows in turn. With a scratch the batch distance rows, the pivot
+// permutation, and the traversal masks all come from pooled buffers, so
+// the steady-state phase performs no O(n) allocations.
+func randomMSPhase(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int, start int32, opt bfs.Options, sc *Scratch, emit Emit, onTraversal, onOther func(f func())) (PhaseStats, error) {
 	n := g.NumV
-	s := b.Cols
-	if sc == nil {
-		sc = &Scratch{}
-	}
-	sc.ensureMS(n)
-	if sc.BFS == nil {
-		sc.BFS = bfs.NewScratch(n, bud.Workers())
+	if sc.trav == nil {
+		sc.trav = bfs.NewScratch(n, bud.Workers())
 	}
 	st := PhaseStats{
 		Sources:   make([]int32, s),
 		Traversal: make([]bfs.Stats, 0, (s+63)/64),
 	}
-	onOther(func() {
-		perm := graph.RandomPermutationInto(sc.perm, uint64(start)*0x9e3779b97f4a7c15+1)
-		st.Sources[0] = start
-		k := 1
-		for _, v := range perm {
-			if k == s {
-				break
-			}
-			if v != start {
-				st.Sources[k] = v
-				k++
-			}
-		}
-	})
-	// Hoisted batch closures: the loop body reads batch/hi through the
+	onOther(func() { drawSources(sc, n, start, st.Sources) })
+	rows := sc.rows(n, min(64, s))
+	sc.col = grow(sc.col, n)
+	col := sc.col
+	// Hoisted batch closures: the loop body reads batch/hi/i through the
 	// captured variables, so the steady-state loop allocates nothing.
-	var batch, hi int
+	var batch, hi, i int
 	traverse := func() {
-		ms := bfs.MSBFS(bud, g, st.Sources[batch:hi], sc.msRows[:hi-batch], sc.BFS, opt)
+		ms := bfs.MSBFS(bud, g, st.Sources[batch:hi], rows[:hi-batch], sc.trav, opt)
 		st.Traversal = append(st.Traversal, ms)
 		st.ScannedEdges += ms.ScannedEdges
 	}
-	widen := func() {
-		for i := batch; i < hi; i++ {
-			linalg.Int32ToFloat64Budget(bud, b.Col(i), sc.msRows[i-batch])
+	widen := func() { linalg.Int32ToFloat64Budget(bud, col, rows[i-batch]) }
+	for batch = 0; batch < s; batch = hi {
+		if err := ctx.Err(); err != nil {
+			return st, err
 		}
-	}
-	for batch = 0; batch < s; batch += 64 {
-		hi = batch + 64
-		if hi > s {
-			hi = s
-		}
+		hi = min(batch+64, s)
 		onTraversal(traverse)
-		onOther(widen)
+		for i = batch; i < hi; i++ {
+			onOther(widen)
+			if err := emit(i, col); err != nil {
+				return st, err
+			}
+		}
 	}
-	return st
+	return st, nil
 }

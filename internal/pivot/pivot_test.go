@@ -1,6 +1,8 @@
 package pivot
 
 import (
+	"context"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/linalg"
+	"repro/internal/ortho"
 	"repro/internal/parallel"
 	"repro/internal/sssp"
 )
@@ -273,5 +276,122 @@ func TestKCentersPhaseBudgetInvariance(t *testing.T) {
 				t.Fatalf("%s: distance matrix at %d workers differs from 1 worker", name, w)
 			}
 		}
+	}
+}
+
+// TestStreamMatchesMaterialized: for every strategy, the weighted
+// Δ-stepping stream included, the columns Stream hands its consumer, fed
+// one at a time to an ortho.Incremental, give the same orthogonalization
+// bit for bit as PhaseBudget's materialized matrix fed to
+// DOrthogonalizeBudget — under both methods, in pivot order, through one
+// scratch every stream before it has dirtied. This is what lets ParHDE
+// stream without ever storing the distance matrix.
+func TestStreamMatchesMaterialized(t *testing.T) {
+	const s, start = 70, 11 // 70 pivots: two MSBFS batches, two Random rounds or more
+	bud := parallel.FixedBudget(2)
+	grid := gen.Grid2D(40, 50) // dependent corner columns: the drop path runs
+	weighted := gen.WithRandomWeights(gen.Road(40, 40, 3), 9, 5)
+	sc := &Scratch{}
+	for _, c := range []struct {
+		name  string
+		g     *graph.CSR
+		strat Strategy
+	}{
+		{"kcenters", grid, KCenters},
+		{"random", grid, Random},
+		{"random-ms", grid, RandomMS},
+		{"weighted", weighted, KCenters},
+	} {
+		for _, method := range []ortho.Method{ortho.MGS, ortho.CGS} {
+			n := c.g.NumV
+			d := c.g.WeightedDegrees()
+			b := linalg.NewDense(n, s)
+			var want, got PhaseStats
+			if c.g.Weighted() {
+				want = PhaseWeighted(c.g, b, start, 0, nil, nil)
+			} else {
+				want = PhaseBudget(bud, c.g, b, start, c.strat, bfs.Options{}, nil, nil, nil)
+			}
+			ref := ortho.DOrthogonalizeBudget(bud, b, d, method, nil)
+
+			inc := ortho.NewIncremental(bud, n, s, d, method, nil)
+			next := 0
+			emit := func(i int, col []float64) error {
+				if i != next {
+					t.Fatalf("%s: column %d emitted, want %d", c.name, i, next)
+				}
+				next++
+				inc.Add(col)
+				return nil
+			}
+			var err error
+			if c.g.Weighted() {
+				got, err = StreamWeighted(context.Background(), c.g, s, start, 0, emit, nil, nil)
+			} else {
+				got, err = Stream(context.Background(), bud, c.g, s, start, c.strat, bfs.Options{}, sc, emit, nil, nil)
+			}
+			if err != nil || next != s {
+				t.Fatalf("%s/%v: %d columns emitted, error %v", c.name, method, next, err)
+			}
+			if c.g.Weighted() {
+				// Δ-stepping's relaxation count depends on scheduling.
+				got.ScannedEdges, want.ScannedEdges = 0, 0
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s/%v: stream stats %+v, materialized %+v", c.name, method, got, want)
+			}
+			res := inc.Result()
+			if !reflect.DeepEqual(res.Kept, ref.Kept) || res.Dropped != ref.Dropped {
+				t.Fatalf("%s/%v: kept %v dropped %d, materialized kept %v dropped %d", c.name, method, res.Kept, res.Dropped, ref.Kept, ref.Dropped)
+			}
+			if c.name == "kcenters" && res.Dropped == 0 {
+				t.Fatal("no grid corner column dropped")
+			}
+			for k := range ref.S.Data {
+				if res.S.Data[k] != ref.S.Data[k] {
+					t.Fatalf("%s/%v: S.Data[%d] = %v, materialized %v", c.name, method, k, res.S.Data[k], ref.S.Data[k])
+				}
+			}
+			for j := range ref.DNorms {
+				if res.DNorms[j] != ref.DNorms[j] {
+					t.Fatalf("%s/%v: DNorms[%d] = %v, materialized %v", c.name, method, j, res.DNorms[j], ref.DNorms[j])
+				}
+			}
+		}
+	}
+}
+
+// TestStreamStopsOnError: an error from the consumer or from ctx ends the
+// phase before its next traversal and is returned as is.
+func TestStreamStopsOnError(t *testing.T) {
+	g := gen.Grid2D(20, 20)
+	stop := errors.New("stop")
+	for _, strat := range []Strategy{KCenters, Random, RandomMS} {
+		var trav int
+		onTrav := func(f func()) { trav++; f() }
+		_, err := Stream(context.Background(), parallel.FixedBudget(1), g, 5, 0, strat, bfs.Options{}, nil,
+			func(i int, _ []float64) error {
+				if i == 1 {
+					return stop
+				}
+				return nil
+			}, onTrav, nil)
+		// Random runs one BFS per round on one worker; RandomMS traverses
+		// all five pivots in one batch.
+		want := map[Strategy]int{KCenters: 2, Random: 2, RandomMS: 1}[strat]
+		if !errors.Is(err, stop) || trav != want {
+			t.Fatalf("%v: error %v after %d traversals, want %v after %d", strat, err, trav, stop, want)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		trav = 0
+		if _, err := Stream(ctx, parallel.FixedBudget(1), g, 5, 0, strat, bfs.Options{}, nil,
+			func(int, []float64) error { return nil }, onTrav, nil); !errors.Is(err, context.Canceled) || trav != 0 {
+			t.Fatalf("%v: cancelled stream returned %v after %d traversals", strat, err, trav)
+		}
+	}
+	if _, err := StreamWeighted(context.Background(), gen.WithRandomWeights(g, 5, 1), 5, 0, 0,
+		func(i int, _ []float64) error { return stop }, nil, nil); !errors.Is(err, stop) {
+		t.Fatalf("weighted stream returned %v", err)
 	}
 }

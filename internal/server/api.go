@@ -144,7 +144,6 @@ type jobRequest struct {
 	Subspace    int    `json:"subspace"`
 	Dims        int    `json:"dims"`
 	Seed        uint64 `json:"seed"`
-	Coupled     bool   `json:"coupled"`
 	PlainOrtho  bool   `json:"plainOrtho"`
 	SkipQuality bool   `json:"skipQuality"`
 }

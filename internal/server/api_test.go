@@ -26,7 +26,7 @@ func pathGraph(n int) string {
 }
 
 // gridGraph returns an edge-list body for a side×side grid (slow enough
-// to layout, at s=50 coupled, that cancellation and queue tests can
+// to layout, at s=50, that cancellation and queue tests can
 // catch jobs in flight).
 func gridGraph(side int) string {
 	var sb strings.Builder
@@ -210,15 +210,16 @@ func TestAPIStatusCodes(t *testing.T) {
 		}
 	}
 
-	// The routes closed in PR 21 fail loudly: a removed backend is a 400
-	// that names the accepted set and where the baselines live, the removed
-	// post-pass is an unknown field.
+	// Closed routes fail loudly: a removed backend is a 400 that names the
+	// accepted set and where the baselines live, a removed option (the
+	// refinement post-pass, the coupled switch) is an unknown field.
 	closed := []struct{ body, msg string }{
 		{`{"graph":"default","algorithm":"phde"}`, "have parhde"},
 		{`{"graph":"default","algorithm":"pivotmds"}`, "have parhde"},
 		{`{"graph":"default","algorithm":"multilevel"}`, "cmd/parhde -algo"},
 		{`{"graph":"default","algorithm":"prior"}`, "hdebench -exp"},
 		{`{"graph":"default","refineSweeps":5}`, `unknown field "refineSweeps"`},
+		{`{"graph":"default","coupled":true}`, `unknown field "coupled"`},
 	}
 	for _, c := range closed {
 		resp, b := postJSON(t, ts.URL+"/jobs", c.body)
@@ -250,7 +251,7 @@ func TestQueueSaturation429(t *testing.T) {
 	uploadGraph(t, ts.URL, "slow", gridGraph(120))
 
 	const clients = 50
-	body := `{"graph":"slow","subspace":50,"seed":1,"coupled":true,"skipQuality":true}`
+	body := `{"graph":"slow","subspace":50,"seed":1,"skipQuality":true}`
 	codes := make([]int, clients)
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
@@ -281,7 +282,7 @@ func TestQueueSaturation429(t *testing.T) {
 	}
 	// 2 workers + 4 queue slots bound concurrent acceptance; a handful
 	// more can squeeze in if a job finishes mid-burst, but with multi-
-	// second coupled layouts the rejection count must stay large.
+	// second layouts the rejection count must stay large.
 	if accepted < 4 {
 		t.Errorf("accepted %d, want >= 4", accepted)
 	}
@@ -302,7 +303,7 @@ func TestCancelRunningJobViaHTTP(t *testing.T) {
 	uploadGraph(t, ts.URL, "slow", gridGraph(300))
 
 	resp, b := postJSON(t, ts.URL+"/jobs",
-		`{"graph":"slow","subspace":50,"seed":1,"coupled":true,"skipQuality":true}`)
+		`{"graph":"slow","subspace":50,"seed":1,"skipQuality":true}`)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("POST /jobs: %d %s", resp.StatusCode, b)
 	}

@@ -128,7 +128,9 @@ func (s *Server) resubmitPending() {
 // journaledRequest is a jobRequest as any version of this worker journaled
 // it. Before POST /jobs stopped routing the baselines and the refinement
 // post-pass, every canonical spec carried "refineSweeps" — zero on all but
-// the jobs that asked for the pass — so the key must decode, not 400.
+// the jobs that asked for the pass — so the key must decode, not 400. A key
+// that no longer selects anything, such as "coupled", is skipped by
+// json.Unmarshal and the job replays.
 type journaledRequest struct {
 	jobRequest
 	LegacyRefine int `json:"refineSweeps"`

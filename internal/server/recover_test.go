@@ -353,9 +353,9 @@ func FuzzMutationRequest(f *testing.F) {
 func FuzzJobRequest(f *testing.F) {
 	for _, seed := range []string{
 		`{"graph":"default","subspace":20,"seed":1}`,
-		`{"graph":"g","algorithm":"parhde","subspace":4096,"dims":16,"seed":18446744073709551615,"coupled":true,"plainOrtho":true,"skipQuality":true}`,
+		`{"graph":"g","algorithm":"parhde","subspace":4096,"dims":16,"seed":18446744073709551615,"plainOrtho":true,"skipQuality":true}`,
 		`{"graph":"g","subspace":-1}`, `{"graph":"g","dims":17}`, `{"graph":"","subspace":4}`, `{"graph":"g","seed":-1}`,
-		`{"graph":"g","algorithm":"pivotmds"}`, `{"graph":"g","refineSweeps":3}`, `{"GRAPH":"g","Subspace":1e1}`,
+		`{"graph":"g","algorithm":"pivotmds"}`, `{"graph":"g","refineSweeps":3}`, `{"graph":"g","coupled":true}`, `{"GRAPH":"g","Subspace":1e1}`,
 		`{"graph":"é\ud800<&> "}`, `{"graph":"g"} {"graph":"h"}`, `null`, `[]`, `{`,
 	} {
 		f.Add([]byte(seed))

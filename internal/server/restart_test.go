@@ -157,19 +157,21 @@ func TestWorkerRestartRecoversJobs(t *testing.T) {
 }
 
 // parentSpec is the canonical intent spec a pre-PR-21 worker journaled:
-// json.Marshal of a jobRequest that still had refineSweeps (no omitempty),
-// so every job — plain ParHDE included — carries the key.
-func parentSpec(algorithm string, refineSweeps int) json.RawMessage {
+// json.Marshal of a jobRequest that still had refineSweeps and coupled (no
+// omitempty), so every job — plain ParHDE included — carries both keys.
+func parentSpec(algorithm string, coupled bool, refineSweeps int) json.RawMessage {
 	return json.RawMessage(fmt.Sprintf(`{"graph":"default","algorithm":%q,"subspace":8,"dims":0,"seed":1,`+
-		`"coupled":false,"plainOrtho":false,"refineSweeps":%d,"skipQuality":false}`, algorithm, refineSweeps))
+		`"coupled":%t,"plainOrtho":false,"refineSweeps":%d,"skipQuality":false}`, algorithm, coupled, refineSweeps))
 }
 
 // TestRestartRetiresClosedRouteIntent: a journal written before POST /jobs
 // stopped routing the baselines and the refinement post-pass holds specs in
 // the old shape. The restarted worker comes up healthy, replays the ParHDE
-// intents (zero-valued refineSweeps and all) under fresh ids, and retires
-// the ones that ask for a closed route with one log line each instead of
-// running them or carrying them into every later restart. Such a data dir
+// intents under fresh ids (zero-valued refineSweeps and all; the coupled key
+// decodes and is ignored, true or false, since every job streams its BFS
+// into DOrtho), and retires the ones that ask for a closed route with one
+// log line each instead of running them or carrying them into every later
+// restart. Such a data dir
 // holds no graph frames — its uploads are snapshots under graphs/, which
 // are ignored with one log line, neither loaded nor touched.
 func TestRestartRetiresClosedRouteIntent(t *testing.T) {
@@ -189,13 +191,14 @@ func TestRestartRetiresClosedRouteIntent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const last = "w1-j000004"
-	stale := map[string]string{"w1-j000003": "multilevel", last: "refineSweeps 5"}
+	const last = "w1-j000005"
+	stale := map[string]string{"w1-j000004": "multilevel", last: "refineSweeps 5"}
 	for _, in := range []jobs.Intent{
-		{ID: "w1-j000001", Spec: parentSpec("", 0)},
-		{ID: "w1-j000002", Spec: parentSpec("parhde", 0)},
-		{ID: "w1-j000003", Spec: parentSpec("multilevel", 0)},
-		{ID: last, Spec: parentSpec("parhde", 5)},
+		{ID: "w1-j000001", Spec: parentSpec("", false, 0)},
+		{ID: "w1-j000002", Spec: parentSpec("parhde", false, 0)},
+		{ID: "w1-j000003", Spec: parentSpec("parhde", true, 0)},
+		{ID: "w1-j000004", Spec: parentSpec("multilevel", false, 0)},
+		{ID: last, Spec: parentSpec("parhde", false, 5)},
 	} {
 		in.Version, in.Graph, in.Created = jobs.PersistVersion, DefaultGraph, time.Now()
 		frame, err := json.Marshal(in)
@@ -207,8 +210,8 @@ func TestRestartRetiresClosedRouteIntent(t *testing.T) {
 		}
 	}
 	jrn.Close()
-	if left := readJournal(t, dir).Pending; len(left) != 4 {
-		t.Fatalf("hand-written journal holds %d pending intents, want 4", len(left))
+	if left := readJournal(t, dir).Pending; len(left) != 5 {
+		t.Fatalf("hand-written journal holds %d pending intents, want 5", len(left))
 	}
 
 	var logged bytes.Buffer
@@ -228,8 +231,8 @@ func TestRestartRetiresClosedRouteIntent(t *testing.T) {
 		t.Fatalf("the ignored snapshot was touched: %v", err)
 	}
 	list := s.Jobs().List()
-	if len(list) != 2 {
-		t.Fatalf("replayed jobs = %+v, want the two ParHDE intents", list)
+	if len(list) != 3 {
+		t.Fatalf("replayed jobs = %+v, want the three ParHDE intents", list)
 	}
 	replayed := map[string]bool{}
 	for _, st := range list {
@@ -243,7 +246,7 @@ func TestRestartRetiresClosedRouteIntent(t *testing.T) {
 	s.Close()
 
 	snap := readJournal(t, dir)
-	if len(snap.Pending) != 0 || len(snap.Results) != 2 {
+	if len(snap.Pending) != 0 || len(snap.Results) != 3 {
 		t.Fatalf("after recovery: %d intents left, results %+v; want 0 and the replayed jobs'", len(snap.Pending), snap.Results)
 	}
 	for _, rec := range snap.Results {

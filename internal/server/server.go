@@ -742,7 +742,6 @@ func submitConfig(req jobRequest) pipeline.Config {
 			Subspace:   req.Subspace,
 			Dims:       req.Dims,
 			Seed:       req.Seed,
-			Coupled:    req.Coupled,
 			PlainOrtho: req.PlainOrtho,
 		},
 		SkipQuality: req.SkipQuality,

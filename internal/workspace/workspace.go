@@ -1,9 +1,9 @@
 // Package workspace provides reusable, size-checked scratch memory for the
-// layout pipeline's hot path. A steady-state ParHDE run touches four
-// large buffer families — the BFS frontier/queue scratch and hop vectors,
-// the column-major distance matrix B, the DOrtho kept-column store behind
-// S, and the TripleProd product P with its row-major repack panel — and
-// without reuse every queued layout job re-pays those O(n·s) allocations
+// layout pipeline's hot path. A steady-state ParHDE run touches three
+// large buffer families — the BFS frontier/queue scratch, hop vectors and
+// the distance column it streams into DOrtho, the DOrtho kept-column store
+// behind S, and the TripleProd product P with its row-major repack panel —
+// and without reuse every queued layout job re-pays those O(n·s) allocations
 // and the GC traffic they induce, exactly the unbatched memory waste
 // BatchLayout attributes to shared-memory layout codes. A Workspace owns
 // one instance of every buffer; each job-engine worker owns one Workspace.
@@ -33,14 +33,14 @@ import (
 // worker that owns one Workspace and reshapes it per job allocates only
 // when the graph shape actually changes.
 type Workspace struct {
-	// Pivot is the BFS-phase scratch: traversal frontiers/queues plus the
-	// per-pivot hop vector and the k-centers min-distance vector.
+	// Pivot is the BFS-phase scratch: traversal frontiers/queues, the
+	// per-pivot hop vector, the k-centers min-distance vector and the
+	// widened column each traversal streams into DOrtho.
 	Pivot *pivot.Scratch
-	// Col is the widened float64 hop column of the coupled BFS+DOrtho loop.
-	Col []float64
 	// Deg caches the weighted-degree vector diag(D) between runs.
 	Deg []float64
-	// B backs the n×s distance matrix of the decoupled path.
+	// B backs an n×s distance matrix for a caller that materializes one
+	// (DistView). ParHDE never does, so Reshape leaves it alone.
 	B *linalg.Dense
 	// Ortho is the DOrtho packed kept-column store, work vector, and the
 	// reduction-partials buffers reused across every inner product.
@@ -89,10 +89,6 @@ func (ws *Workspace) Reshape(n, s, p int) {
 	} else {
 		ws.Pivot.Ensure(n)
 	}
-	ws.Col = growFloat(ws.Col, n)
-	if ws.B == nil || ws.B.Rows != n || ws.B.Cols < s {
-		ws.B = linalg.NewDense(n, s)
-	}
 	if ws.Ortho == nil {
 		ws.Ortho = ortho.NewScratch(n, s)
 	} else {
@@ -113,8 +109,12 @@ func (ws *Workspace) Reshape(n, s, p int) {
 	ws.Warm = growFloat(ws.Warm, n*p)
 }
 
-// DistView returns the n×cols distance-matrix view over B's storage.
+// DistView returns an n×cols distance-matrix view over B's storage,
+// allocating B on the first call and whenever it is too small.
 func (ws *Workspace) DistView(n, cols int) *linalg.Dense {
+	if ws.B == nil || ws.B.Rows != n || ws.B.Cols < cols {
+		ws.B = linalg.NewDense(n, cols)
+	}
 	return linalg.ViewDense(ws.B.Data, n, cols)
 }
 

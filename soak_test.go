@@ -48,13 +48,9 @@ func TestSoakRandomizedPipelines(t *testing.T) {
 		}
 		if !g.Weighted() {
 			opt.Pivots = []pivot.Strategy{pivot.KCenters, pivot.Random, pivot.RandomMS}[r.Intn(3)]
-			if r.Intn(3) == 0 && opt.Pivots == pivot.KCenters {
-				opt.Coupled = true
-			}
 		}
 		if r.Intn(2) == 0 {
 			opt.Ortho = ortho.CGS
-			opt.Coupled = false
 		}
 		lay, rep, err := core.ParHDE(g, opt)
 		if err != nil {

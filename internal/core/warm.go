@@ -214,41 +214,34 @@ func sweep(bud parallel.Budget, g *graph.CSR, cur, nxt *linalg.Dense, eta float6
 		cc[j], nc[j] = cur.Col(j), nxt.Col(j)
 	}
 	body := func(lo, hi int) {
-		var mean [8]float64
+		cc, nc := cc, nc // on the stack, not read through the closure
+		var pick [warmSampleK]int32
 		for i := lo; i < hi; i++ {
-			nb := g.Neighbors(int32(i))
-			d := len(nb)
-			if d == 0 {
+			sample := g.Neighbors(int32(i))
+			if d := len(sample); d == 0 {
 				for j := 0; j < p; j++ {
 					nc[j][i] = cc[j][i]
 				}
 				continue
-			}
-			for j := 0; j < p; j++ {
-				mean[j] = 0
-			}
-			k := d
-			if d <= warmSampleK {
-				for _, w := range nb {
-					for j := 0; j < p; j++ {
-						mean[j] += cc[j][int(w)]
-					}
-				}
-			} else {
-				k = warmSampleK
+			} else if d > warmSampleK {
 				h := salt ^ uint64(i)*0x94d049bb133111eb
-				for s := 0; s < warmSampleK; s++ {
+				for s := range pick {
 					h = splitmix(h)
-					w := nb[h%uint64(d)]
-					for j := 0; j < p; j++ {
-						mean[j] += cc[j][int(w)]
-					}
+					pick[s] = sample[h%uint64(d)]
 				}
+				sample = pick[:]
 			}
-			inv := eta / float64(k)
+			// One axis at a time, so each mean accumulates in a register.
+			k := float64(len(sample))
+			inv := eta / k
 			for j := 0; j < p; j++ {
-				c := cc[j][i]
-				nc[j][i] = c + inv*(mean[j]-float64(k)*c)
+				col := cc[j]
+				var mean float64
+				for _, w := range sample {
+					mean += col[w]
+				}
+				c := col[i]
+				nc[j][i] = c + inv*(mean-k*c)
 			}
 		}
 	}
@@ -270,12 +263,18 @@ func correct(deg []float64, x *linalg.Dense, target []float64) {
 		col := x.Col(j)
 		deflate(deg, col)
 		for l := 0; l < j; l++ {
+			// ‖prev‖²_D and ⟨prev, col⟩_D share one pass.
 			prev := x.Col(l)
-			pn := ddot(deg, prev, prev)
+			var pn, r float64
+			for i, d := range deg {
+				dp := d * prev[i]
+				pn += dp * prev[i]
+				r += dp * col[i]
+			}
 			if pn <= 0 {
 				continue
 			}
-			r := ddot(deg, prev, col) / pn
+			r /= pn
 			for i := range col {
 				col[i] -= r * prev[i]
 			}

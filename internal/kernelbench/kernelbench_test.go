@@ -130,6 +130,26 @@ func TestKernelBudgetGate(t *testing.T) {
 		check("panel_mgs_vs_level1", float64(tL1)/float64(tPanel))
 	}
 
+	// Row-packed L·S vs one SpMV per column (TripleProd's P = L·S) on the
+	// skewed-degree kron shape at the kron_k20 width: the s columns advance
+	// in register accumulators over one adjacency walk per column chunk.
+	{
+		g := gen.Kron(16, 16, 102)
+		deg := g.WeightedDegrees()
+		s := randDense(g.NumV, 20, 6)
+		p := linalg.NewDense(g.NumV, s.Cols)
+		srm := make([]float64, g.NumV*s.Cols)
+		var arena linalg.PackArena
+		bud := parallel.FixedBudget(1)
+		tRows := minTime(reps, func() { linalg.LapMulDenseTiledPackedBudget(bud, g, deg, s, p, srm, &arena) })
+		tSpMV := minTime(reps, func() {
+			for j := 0; j < s.Cols; j++ {
+				linalg.LapMulVecBudget(bud, g, deg, s.Col(j), p.Col(j))
+			}
+		})
+		check("ls_rowpacked_vs_spmv", float64(tSpMV)/float64(tRows))
+	}
+
 	// Fused widen+min+argmax vs the three-pass sequence (BFS bookkeeping).
 	{
 		n := 1 << 20

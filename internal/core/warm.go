@@ -90,12 +90,23 @@ func warmRefine(ctx context.Context, bud parallel.Budget, g *graph.CSR, opt Opti
 
 	// Capture the spectral invariants of the (deflated) prior: each
 	// axis's D-norm is held constant across sweeps so smoothing cannot
-	// contract the drawing.
+	// contract the drawing. Deflating an axis and taking its norm share
+	// one pass.
+	var tot float64
+	for _, d := range deg {
+		tot += d
+	}
 	target := make([]float64, p)
 	for j := 0; j < p; j++ {
-		col := cur.Col(j)
-		deflate(deg, col)
-		target[j] = math.Sqrt(ddot(deg, col, col))
+		col := cur.Col(j)[:len(deg)]
+		shift := deflateShift(dSum(deg, col), tot)
+		var n2 float64
+		for i, d := range deg {
+			v := col[i] - shift
+			col[i] = v
+			n2 += d * v * v
+		}
+		target[j] = math.Sqrt(n2)
 	}
 
 	for t := 0; t < sweeps; t++ {
@@ -104,7 +115,7 @@ func warmRefine(ctx context.Context, bud parallel.Budget, g *graph.CSR, opt Opti
 		}
 		eta := warmEta * math.Pow(warmEtaDecay, float64(t))
 		sweep(bud, g, cur, nxt, eta, opt.Seed, t)
-		correct(deg, nxt, target)
+		correct(deg, nxt, target, tot)
 		cur, nxt = nxt, cur
 	}
 	rep.RefineSweeps = sweeps
@@ -145,31 +156,11 @@ func defaultSweeps(g *graph.CSR, opt Options) int {
 func seedPrior(bud parallel.Budget, g *graph.CSR, prior *Layout, cur *linalg.Dense, seed uint64) {
 	n, p := cur.Rows, cur.Cols
 	n0 := prior.NumVertices()
-	var span float64
-	centroid := make([]float64, p)
 	for j := 0; j < p; j++ {
-		src := prior.Coords.Col(j)
-		dst := cur.Col(j)
-		copyBlock(bud, dst[:n0], src)
-		mn, mx := math.Inf(1), math.Inf(-1)
-		sum := 0.0
-		for _, v := range src {
-			sum += v
-			if v < mn {
-				mn = v
-			}
-			if v > mx {
-				mx = v
-			}
-		}
-		centroid[j] = sum / float64(n0)
-		if s := mx - mn; s > span {
-			span = s
-		}
+		copyBlock(bud, cur.Col(j)[:n0], prior.Coords.Col(j))
 	}
-	if span == 0 {
-		span = 1
-	}
+	var centroid []float64 // with span, scanned from the prior on first use
+	var span float64
 	for i := n0; i < n; i++ {
 		placed := 0
 		for j := 0; j < p; j++ {
@@ -190,6 +181,9 @@ func seedPrior(bud parallel.Budget, g *graph.CSR, prior *Layout, cur *linalg.Den
 			}
 			continue
 		}
+		if centroid == nil {
+			centroid, span = priorExtent(prior)
+		}
 		h := splitmix(seed ^ uint64(i)*0x9e3779b97f4a7c15)
 		for j := 0; j < p; j++ {
 			h = splitmix(h)
@@ -199,6 +193,35 @@ func seedPrior(bud parallel.Budget, g *graph.CSR, prior *Layout, cur *linalg.Den
 			cur.Col(j)[i] = centroid[j] + span*(float64(h>>11)/float64(1<<53)-0.5)/100
 		}
 	}
+}
+
+// priorExtent returns the prior drawing's centroid and its widest axis
+// extent (1 for a drawing collapsed to a point).
+func priorExtent(prior *Layout) ([]float64, float64) {
+	p, n0 := prior.Dims(), prior.NumVertices()
+	centroid := make([]float64, p)
+	var span float64
+	for j := 0; j < p; j++ {
+		mn, mx := math.Inf(1), math.Inf(-1)
+		sum := 0.0
+		for _, v := range prior.Coords.Col(j) {
+			sum += v
+			if v < mn {
+				mn = v
+			}
+			if v > mx {
+				mx = v
+			}
+		}
+		centroid[j] = sum / float64(n0)
+		if s := mx - mn; s > span {
+			span = s
+		}
+	}
+	if span == 0 {
+		span = 1
+	}
+	return centroid, span
 }
 
 // sweep advances every vertex one attraction step: toward the mean of up
@@ -231,10 +254,22 @@ func sweep(bud parallel.Budget, g *graph.CSR, cur, nxt *linalg.Dense, eta float6
 				}
 				sample = pick[:]
 			}
-			// One axis at a time, so each mean accumulates in a register.
+			// Two axes per walk of the sample, each mean in a register.
 			k := float64(len(sample))
 			inv := eta / k
-			for j := 0; j < p; j++ {
+			j := 0
+			for ; j+2 <= p; j += 2 {
+				c0, c1 := cc[j], cc[j+1]
+				var m0, m1 float64
+				for _, w := range sample {
+					m0 += c0[w]
+					m1 += c1[w]
+				}
+				x0, x1 := c0[i], c1[i]
+				nc[j][i] = x0 + inv*(m0-k*x0)
+				nc[j+1][i] = x1 + inv*(m1-k*x1)
+			}
+			if j < p {
 				col := cc[j]
 				var mean float64
 				for _, w := range sample {
@@ -255,66 +290,108 @@ func sweep(bud parallel.Budget, g *graph.CSR, cur, nxt *linalg.Dense, eta float6
 // correct restores the implicit-orthogonality invariants on x after a
 // smoothing sweep: deflation against the trivial eigenvector, MGS
 // D-orthogonalization of axis j against axes < j, and rescaling to the
-// captured target D-norm. Serial by design — O(n·p²) on p=2 is noise next
-// to the sweep, and a serial reduction is deterministic for free.
-func correct(deg []float64, x *linalg.Dense, target []float64) {
-	p := x.Cols
+// captured target D-norm; tot is Σ deg. Serial, so every sum is
+// deterministic for free. Each elementwise step is deferred into the
+// next pass that reads its axis: the deflation and each MGS subtraction
+// of axis j into the pass computing its next projection or its norm
+// (which also takes axis j+1's D-sum), and axis j's rescaling into axis
+// j+1's projection onto it. An axis is walked once per reduction instead
+// of once per step, and every value and sum is the one the step-by-step
+// order gives.
+func correct(deg []float64, x *linalg.Dense, target []float64, tot float64) {
+	p, n := x.Cols, len(deg)
+	sum := dSum(deg, x.Col(0)) // the D-sum of axis j, taken before axis j is written
+	scale := 1.0               // axis j−1's pending rescale
 	for j := 0; j < p; j++ {
-		col := x.Col(j)
-		deflate(deg, col)
+		col := x.Col(j)[:n]
+		// col's pending update: col − shift, then col − coef·src unless
+		// src is nil. Subtracting a zero shift leaves every bit alone.
+		shift := deflateShift(sum, tot)
+		var src []float64
+		var coef float64
 		for l := 0; l < j; l++ {
 			// ‖prev‖²_D and ⟨prev, col⟩_D share one pass.
-			prev := x.Col(l)
+			prev := x.Col(l)[:n]
+			rescale := l == j-1 && scale != 1
 			var pn, r float64
 			for i, d := range deg {
-				dp := d * prev[i]
-				pn += dp * prev[i]
-				r += dp * col[i]
+				v := col[i] - shift
+				if src != nil {
+					v -= coef * src[i]
+				}
+				col[i] = v
+				pv := prev[i]
+				if rescale {
+					pv *= scale
+					prev[i] = pv
+				}
+				dp := d * pv
+				pn += dp * pv
+				r += dp * v
 			}
-			if pn <= 0 {
-				continue
-			}
-			r /= pn
-			for i := range col {
-				col[i] -= r * prev[i]
+			shift, src, coef = 0, nil, 0
+			if !(pn <= 0) {
+				src, coef = prev, r/pn
 			}
 		}
-		if target[j] <= 0 {
-			continue
+		var next []float64
+		if j+1 < p {
+			next = x.Col(j + 1)[:n]
 		}
-		nrm := math.Sqrt(ddot(deg, col, col))
-		if nrm <= 0 {
-			continue
+		var n2, nextSum float64
+		for i, d := range deg {
+			v := col[i] - shift
+			if src != nil {
+				v -= coef * src[i]
+			}
+			col[i] = v
+			n2 += d * v * v
+			if next != nil {
+				nextSum += d * next[i]
+			}
 		}
-		scale := target[j] / nrm
-		for i := range col {
-			col[i] *= scale
+		sum = nextSum
+		scale = rescaleFactor(target[j], n2)
+	}
+	if scale != 1 {
+		last := x.Col(p - 1)
+		for i := range last {
+			last[i] *= scale
 		}
 	}
 }
 
-// deflate removes the D-weighted mean of col — its component along the
-// all-ones trivial eigenvector of Lu = µDu.
-func deflate(deg, col []float64) {
-	var sum, tot float64
-	for i := range col {
-		sum += deg[i] * col[i]
-		tot += deg[i]
+// rescaleFactor is the factor that brings an axis of squared D-norm n2 to
+// the target D-norm, or 1 (leave the axis alone) when either is not
+// positive.
+func rescaleFactor(target, n2 float64) float64 {
+	if target <= 0 {
+		return 1
 	}
+	nrm := math.Sqrt(n2)
+	if nrm <= 0 {
+		return 1
+	}
+	return target / nrm
+}
+
+// deflateShift is the D-weighted mean of an axis whose D-sum is sum: the
+// shift that removes its component along the all-ones trivial
+// eigenvector of Lu = µDu. It is zero when the total degree tot is not
+// positive.
+func deflateShift(sum, tot float64) float64 {
 	if tot <= 0 {
-		return
+		return 0
 	}
-	mean := sum / tot
-	for i := range col {
-		col[i] -= mean
-	}
+	return sum / tot
 }
 
-// ddot is the D inner product Σ deg_i·a_i·b_i, evaluated serially.
-func ddot(deg, a, b []float64) float64 {
+// dSum is Σ deg_i·col_i in index order.
+func dSum(deg, col []float64) float64 {
+	col = col[:len(deg)]
 	var s float64
-	for i := range a {
-		s += deg[i] * a[i] * b[i]
+	for i, d := range deg {
+		s += d * col[i]
 	}
 	return s
 }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/linalg"
 	"repro/internal/workspace"
 )
 
@@ -272,6 +274,101 @@ func TestWarmStartPriorNotMutated(t *testing.T) {
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("prior coordinate (%d,%d) mutated", i, j)
+			}
+		}
+	}
+}
+
+// refCorrect is correct done one step at a time — deflate axis j, project
+// out each earlier axis, rescale — with a full pass over the axis per
+// step: the oracle the fused passes of correct must reproduce bit for bit.
+func refCorrect(deg []float64, x *linalg.Dense, target []float64) {
+	dot := func(a, b []float64) float64 {
+		var s float64
+		for i := range a {
+			s += deg[i] * a[i] * b[i]
+		}
+		return s
+	}
+	for j := 0; j < x.Cols; j++ {
+		col := x.Col(j)
+		var sum, tot float64
+		for i := range col {
+			sum += deg[i] * col[i]
+			tot += deg[i]
+		}
+		if tot > 0 {
+			mean := sum / tot
+			for i := range col {
+				col[i] -= mean
+			}
+		}
+		for l := 0; l < j; l++ {
+			prev := x.Col(l)
+			pn := dot(prev, prev)
+			if pn <= 0 {
+				continue
+			}
+			r := dot(prev, col) / pn
+			for i := range col {
+				col[i] -= r * prev[i]
+			}
+		}
+		if target[j] <= 0 {
+			continue
+		}
+		nrm := math.Sqrt(dot(col, col))
+		if nrm <= 0 {
+			continue
+		}
+		for i := range col {
+			col[i] *= target[j] / nrm
+		}
+	}
+}
+
+// TestCorrectMatchesStepwise: the fused correction equals the step-by-step
+// oracle bit for bit at every axis count warm starts allow, including a
+// zero axis (skipped projection, unscaled), a non-positive target, and a
+// zero degree vector (no deflation).
+func TestCorrectMatchesStepwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{1, 7, 1000} {
+		for p := 1; p <= 8; p++ {
+			for _, tc := range []string{"plain", "zero axis", "zero target", "zero degrees"} {
+				deg := make([]float64, n)
+				for i := range deg {
+					if tc != "zero degrees" {
+						deg[i] = float64(1 + rng.Intn(20))
+					}
+				}
+				x := linalg.NewDense(n, p)
+				for i := range x.Data {
+					x.Data[i] = rng.NormFloat64()
+				}
+				target := make([]float64, p)
+				for j := range target {
+					target[j] = 0.5 + rng.Float64()
+				}
+				switch tc {
+				case "zero axis":
+					clear(x.Col(p / 2))
+				case "zero target":
+					target[p-1] = 0
+				}
+				want := linalg.NewDense(n, p)
+				copy(want.Data, x.Data)
+				refCorrect(deg, want, target)
+				var tot float64
+				for _, d := range deg {
+					tot += d
+				}
+				correct(deg, x, target, tot)
+				for k := range want.Data {
+					if math.Float64bits(x.Data[k]) != math.Float64bits(want.Data[k]) {
+						t.Fatalf("%s n=%d p=%d: element %d: %v != %v", tc, n, p, k, x.Data[k], want.Data[k])
+					}
+				}
 			}
 		}
 	}

@@ -188,22 +188,32 @@ func (r *Runner) topDownStep(level int32, dist []int32) (nf, ne, scanned int64) 
 	if r.bud.Serial(len(q)) {
 		// One worker, or a frontier too short to be worth a goroutine per
 		// worker (a road graph runs thousands of ~80-vertex levels): expand
-		// inline — no spawn, no atomics, no per-level allocation.
-		local := r.sc.nextQ[0][:0]
-		var localNE, localScan int64
+		// inline — no spawn, no atomics, no per-level allocation — and with
+		// no branch on the claim, which a sparse frontier mispredicts: m is
+		// all ones exactly when dist[v] is Unreached (−1), every neighbor is
+		// written to the tail slot of the n-slot queue, and the tail moves
+		// past the claimed ones only.
+		next := r.sc.nextQ[0][:g.NumV]
+		tail := 0
+		var localScan int64
 		for _, u := range q {
 			adj := g.Adj[g.Offsets[u]:g.Offsets[u+1]]
 			localScan += int64(len(adj))
 			for _, v := range adj {
-				if dist[v] == Unreached {
-					dist[v] = level + 1
-					local = append(local, v)
-					localNE += g.Offsets[v+1] - g.Offsets[v]
-				}
+				d := dist[v]
+				m := d >> 31
+				dist[v] = d ^ ((d ^ (level + 1)) & m)
+				next[tail] = v
+				tail += int(m & 1)
 			}
 		}
-		r.sc.queue, r.sc.nextQ[0] = local, q
-		return int64(len(local)), localNE, localScan
+		next = next[:tail]
+		var localNE int64
+		for _, v := range next {
+			localNE += g.Offsets[v+1] - g.Offsets[v]
+		}
+		r.sc.queue, r.sc.nextQ[0] = next, q
+		return int64(tail), localNE, localScan
 	}
 	var totNF, totNE, totScan int64
 	var wg sync.WaitGroup

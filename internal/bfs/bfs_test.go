@@ -168,6 +168,13 @@ func TestStarTraversalStats(t *testing.T) {
 			t.Fatalf("leaf %d at distance %d", i, dist[i])
 		}
 	}
+	// From its hub a 1 500-vertex star claims 1 499 vertices in one serial
+	// top-down step, which writes its next queue unchecked: a queue sized
+	// below n would fail here.
+	star := gen.Star(1500)
+	for _, opt := range []Options{{}, {ForceTopDown: true}} {
+		assertBudgetInvariant(t, "star from hub", star, opt, 0, 1, 4)
+	}
 }
 
 func TestRunnerReuseAcrossSources(t *testing.T) {

@@ -177,13 +177,20 @@ func completeBipartite(a, b int) *graph.CSR {
 }
 
 // assertBudgetInvariant fails unless Runner.Distances from src under every
-// worker budget in workers yields the distances of bfs.Serial and the
-// Stats of the first budget.
+// worker budget in workers yields the distances and level count of
+// bfs.Serial and the Stats of the first budget; a traversal pinned top-down
+// must also have scanned exactly the adjacency of every reached vertex.
 func assertBudgetInvariant(t *testing.T, label string, g *graph.CSR, opt Options, src int32, workers ...int) {
 	t.Helper()
 	want := make([]int32, g.NumV)
 	got := make([]int32, g.NumV)
-	Serial(g, src, want)
+	levels := Serial(g, src, want)
+	var reachedAdj int64
+	for v, d := range want {
+		if d != Unreached {
+			reachedAdj += int64(g.Degree(int32(v)))
+		}
+	}
 	var ref Stats
 	for i, w := range workers {
 		st := NewRunner(g, opt, nil, parallel.FixedBudget(w)).Distances(src, got)
@@ -191,6 +198,12 @@ func assertBudgetInvariant(t *testing.T, label string, g *graph.CSR, opt Options
 			if got[v] != want[v] {
 				t.Fatalf("%s %+v src=%d workers=%d: dist[%d] = %d, want %d", label, opt, src, w, v, got[v], want[v])
 			}
+		}
+		if st.Levels != levels || st.TopDownSteps+st.BottomUpSteps != levels {
+			t.Fatalf("%s %+v src=%d workers=%d: stats %+v, bfs.Serial ran %d levels", label, opt, src, w, st, levels)
+		}
+		if opt.ForceTopDown && st.ScannedEdges != reachedAdj {
+			t.Fatalf("%s src=%d workers=%d: top-down scanned %d entries, reached vertices hold %d", label, src, w, st.ScannedEdges, reachedAdj)
 		}
 		if i == 0 {
 			ref = st
@@ -245,6 +258,8 @@ func FuzzDistancesBudgetEquivalence(f *testing.F) {
 		if err != nil || g.NumV < 2 {
 			t.Skip()
 		}
-		assertBudgetInvariant(t, "fuzz", g, Options{}, int32(r.Intn(g.NumV)), 1, 4)
+		src := int32(r.Intn(g.NumV))
+		assertBudgetInvariant(t, "fuzz", g, Options{}, src, 1, 4)
+		assertBudgetInvariant(t, "fuzz top-down", g, Options{ForceTopDown: true}, src, 1, 4)
 	})
 }

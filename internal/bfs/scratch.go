@@ -41,13 +41,15 @@ func (sc *Scratch) ensure(n, workers int) {
 		sc.front = NewBitmap(n)
 		sc.next = NewBitmap(n)
 	}
-	if sc.queue == nil {
-		sc.queue = make([]int32, 0, 1024)
-	}
 	if len(sc.nextQ) < workers {
 		nq := make([][]int32, workers)
 		copy(nq, sc.nextQ)
 		sc.nextQ = nq
+	}
+	// The serial top-down step writes its next queue without a bounds
+	// test, so the two queues it swaps hold n slots each.
+	if cap(sc.queue) < n || cap(sc.nextQ[0]) < n {
+		sc.queue, sc.nextQ[0] = make([]int32, 0, n), make([]int32, 0, n)
 	}
 }
 

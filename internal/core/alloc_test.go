@@ -143,6 +143,7 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 		// Every ParHDE run couples BFS and DOrtho (§4.4).
 		"parhde_coupled":       {grid, Options{Subspace: 10, Seed: 3}, false},
 		"parhde_decoupled":     {grid, Options{Subspace: 10, Seed: 3}, true},
+		"parhde_random":        {grid, Options{Subspace: 10, Seed: 3, Pivots: pivot.Random}, false},
 		"parhde_random_ms":     {grid, Options{Subspace: 10, Seed: 3, Pivots: pivot.RandomMS}, false},
 		"parhde_random_ms_s64": {mesh, Options{Subspace: 64, Seed: 3, Pivots: pivot.RandomMS}, false},
 	} {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -412,5 +414,33 @@ func TestOptionsDefaultsAndClamps(t *testing.T) {
 	g := gen.Grid2D(10, 10)
 	if _, _, err := ParHDE(g, Options{Subspace: 2, Dims: 4, Seed: 1}); err == nil {
 		t.Fatal("dims > kept columns accepted")
+	}
+}
+
+// TestTripleProdBreakdownSplit: the one-walk TripleProd still reports Fig.
+// 5's two halves: Breakdown.LS and Breakdown.Gemm are both positive, and
+// their sum, the phase's wall time, fits between the "tripleprod" and
+// "eigensolve" notifications.
+func TestTripleProdBreakdownSplit(t *testing.T) {
+	g := graph.LargestComponent(gen.Kron(13, 8, 13))
+	for _, workers := range []int{1, 2} {
+		var start, end time.Time
+		ctx := WithPhaseNotify(context.Background(), func(phase string) {
+			switch phase {
+			case "tripleprod":
+				start = time.Now()
+			case "eigensolve":
+				end = time.Now()
+			}
+		})
+		_, rep, err := ParHDECtx(ctx, g, Options{Subspace: 20, Seed: 1, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bd := rep.Breakdown
+		phase := end.Sub(start)
+		if bd.LS <= 0 || bd.Gemm <= 0 || bd.TripleProd() > phase {
+			t.Fatalf("workers=%d: LS %v + Gemm %v against a %v TripleProd phase", workers, bd.LS, bd.Gemm, phase)
+		}
 	}
 }

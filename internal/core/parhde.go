@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"time"
 
 	"repro/internal/bfs"
 	"repro/internal/eigen"
@@ -145,41 +146,40 @@ func ParHDECtx(ctx context.Context, g *graph.CSR, opt Options) (*Layout, *Report
 		if err != nil {
 			return
 		}
-		rep.KeptColumns = len(res.Kept)
+		k := len(res.Kept)
+		rep.KeptColumns = k
 		rep.DroppedColumns = res.Dropped
-		if res.S.Cols < opt.Dims {
-			err = fmt.Errorf("core: only %d independent distance vectors (need %d); increase the subspace dimension", res.S.Cols, opt.Dims)
+		if k < opt.Dims {
+			err = fmt.Errorf("core: only %d independent distance vectors (need %d); increase the subspace dimension", k, opt.Dims)
 			return
 		}
-		sMat, dNorms := res.S, res.DNorms
 
-		// --- TripleProd phase --------------------------------------------
+		// --- TripleProd phase: Z = Sᵀ(L·S) in one walk over the rows -----
 		if err = ctx.Err(); err != nil {
 			return
 		}
 		NotifyPhase(ctx, "tripleprod")
-		var p *linalg.Dense
-		timed(&bd.LS, func() {
-			var pOut *linalg.Dense
-			var srm []float64
-			var arena *linalg.PackArena
-			if ws != nil {
-				pOut, srm, arena = linalg.ViewDense(ws.P, n, sMat.Cols), ws.SRM, ws.Pack
-			}
-			p = linalg.LapMulDenseTiledPackedBudget(bud, g, deg, sMat, pOut, srm, arena)
-		})
 		var z *linalg.Dense
-		timed(&bd.Gemm, func() {
+		var srm []float64 // S row-major, left by the walk for the projection
+		var tripleProd time.Duration
+		var lsShare float64
+		timed(&tripleProd, func() {
 			var zOut *linalg.Dense
 			var partials []float64
 			var arena *linalg.PackArena
 			if ws != nil {
-				zOut = linalg.ViewDense(ws.Z, sMat.Cols, sMat.Cols)
-				partials = ws.GemmPartials
-				arena = ws.Pack
+				zOut, srm, partials, arena = linalg.ViewDense(ws.Z, k, k), ws.SRM[:n*k], ws.GemmPartials, ws.Pack
+			} else {
+				srm = make([]float64, n*k)
 			}
-			z = linalg.AtBPackedBudget(bud, sMat, p, zOut, partials, arena)
+			z, lsShare = linalg.TripleProdBudget(bud, g, deg, res.Packed, 1, zOut, srm, partials, arena)
 		})
+		// Fig. 5 splits TripleProd into L·S and SᵀP: the walk reports its
+		// workers' time in each half, and the phase's wall time is divided
+		// in that proportion.
+		ls := time.Duration(lsShare * float64(tripleProd))
+		bd.LS += ls
+		bd.Gemm += tripleProd - ls
 
 		// --- Eigensolve ---------------------------------------------------
 		if err = ctx.Err(); err != nil {
@@ -192,7 +192,7 @@ func ParHDECtx(ctx context.Context, g *graph.CSR, opt Options) (*Layout, *Report
 			if ws != nil {
 				esc = ws.Eigen
 			}
-			axes, rep.Eigenvalues, err = projectedAxes(z, dNorms, opt.Dims, esc)
+			axes, rep.Eigenvalues, err = projectedAxes(z, res.DNorms, opt.Dims, esc)
 		})
 		if err != nil {
 			return
@@ -204,12 +204,11 @@ func ParHDECtx(ctx context.Context, g *graph.CSR, opt Options) (*Layout, *Report
 		}
 		NotifyPhase(ctx, "project")
 		timed(&bd.Project, func() {
+			var c *linalg.Dense
 			if ws != nil {
-				c := linalg.MulSmallBudget(bud, sMat, axes, linalg.ViewDense(ws.Coords, n, axes.Cols))
-				layout = &Layout{Coords: c}
-			} else {
-				layout = &Layout{Coords: linalg.MulSmallBudget(bud, sMat, axes, nil)}
+				c = linalg.ViewDense(ws.Coords, n, axes.Cols)
 			}
+			layout = &Layout{Coords: linalg.MulSmallRowMajorBudget(bud, srm, axes, c)}
 		})
 	})
 	if err != nil {
@@ -312,7 +311,7 @@ func bfsOrtho(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int, deg
 	}
 	rep.Sources = ps.Sources
 	rep.BFSStats = ps.Traversal
-	return inc.Result(), nil
+	return inc.Packed(), nil
 }
 
 // checkConnected is the one reachability check every layout runs on its

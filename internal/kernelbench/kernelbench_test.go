@@ -150,6 +150,28 @@ func TestKernelBudgetGate(t *testing.T) {
 		check("ls_rowpacked_vs_spmv", float64(tSpMV)/float64(tRows))
 	}
 
+	// One-walk TripleProd vs the two passes it replaces — unpack S from the
+	// DOrtho store, L·S into an n×s P, then SᵀP — on the road shape of
+	// road_k10: the walk reads S in place and consumes each chunk of P
+	// while it is in cache.
+	{
+		g, deg, s, pc := tripleProdFixture()
+		p, z := linalg.NewDense(g.NumV, s.Cols), linalg.NewDense(s.Cols, s.Cols)
+		srm := make([]float64, g.NumV*s.Cols)
+		partials := make([]float64, linalg.ReduceBlocks(g.NumV)*s.Cols*s.Cols)
+		var arena linalg.PackArena
+		bud := parallel.FixedBudget(1)
+		tFused := minTime(reps, func() { linalg.TripleProdBudget(bud, g, deg, pc, 0, z, srm, partials, &arena) })
+		tTwo := minTime(reps, func() {
+			for j := 0; j < s.Cols; j++ {
+				pc.CopyColIntoBudget(bud, s.Col(j), j)
+			}
+			linalg.LapMulDenseTiledPackedBudget(bud, g, deg, s, p, srm, &arena)
+			linalg.AtBPackedBudget(bud, s, p, z, partials, &arena)
+		})
+		check("tripleprod_fused_vs_twopass", float64(tTwo)/float64(tFused))
+	}
+
 	// Fused widen+min+argmax vs the three-pass sequence (BFS bookkeeping).
 	{
 		n := 1 << 20
@@ -328,5 +350,45 @@ func BenchmarkWidenMinArgmaxUnfused(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		unfusedWidenMinArgmax(dst, dmin, src)
+	}
+}
+
+// tripleProdFixture builds the tripleprod_fused_vs_twopass inputs: the
+// road graph, S (n×10) and the same columns in a PackedCols store.
+func tripleProdFixture() (*graph.CSR, []float64, *linalg.Dense, *linalg.PackedCols) {
+	g := gen.Road(256, 256, 1)
+	s := randDense(g.NumV, 10, 7)
+	pc := &linalg.PackedCols{}
+	pc.Ensure(g.NumV, s.Cols)
+	for j := 0; j < s.Cols; j++ {
+		pc.AppendScaledDDotBudget(parallel.FixedBudget(1), s.Col(j), nil, 1, nil)
+	}
+	return g, g.WeightedDegrees(), s, pc
+}
+
+// BenchmarkTripleProdFused / BenchmarkTripleProdTwoPass are the raw
+// microbenchmarks behind the tripleprod_fused_vs_twopass ratio; run with
+// go test -tags perf -bench TripleProd ./internal/kernelbench/.
+func BenchmarkTripleProdFused(b *testing.B) {
+	g, deg, s, pc := tripleProdFixture()
+	z, srm := linalg.NewDense(s.Cols, s.Cols), make([]float64, g.NumV*s.Cols)
+	var arena linalg.PackArena
+	for i := 0; i < b.N; i++ {
+		linalg.TripleProdBudget(parallel.FixedBudget(1), g, deg, pc, 0, z, srm, nil, &arena)
+	}
+}
+
+func BenchmarkTripleProdTwoPass(b *testing.B) {
+	g, deg, s, pc := tripleProdFixture()
+	bud := parallel.FixedBudget(1)
+	p, z := linalg.NewDense(g.NumV, s.Cols), linalg.NewDense(s.Cols, s.Cols)
+	srm := make([]float64, g.NumV*s.Cols)
+	var arena linalg.PackArena
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < s.Cols; j++ {
+			pc.CopyColIntoBudget(bud, s.Col(j), j)
+		}
+		linalg.LapMulDenseTiledPackedBudget(bud, g, deg, s, p, srm, &arena)
+		linalg.AtBPackedBudget(bud, s, p, z, nil, &arena)
 	}
 }

@@ -17,27 +17,42 @@ func MulSmallBudget(bud parallel.Budget, a, y, c *Dense) *Dense {
 	if a.Cols != y.Rows {
 		panic("linalg: MulSmall dimension mismatch")
 	}
-	n, p := a.Rows, y.Cols
+	return mulSmall(bud, a.Data, a.Rows, 1, a.Rows, y, c)
+}
+
+// MulSmallRowMajorBudget is MulSmallBudget with A given row-major: a holds
+// n rows of s = y.Rows floats, as TripleProdBudget leaves srm. Both run
+// one kernel, so they agree bit for bit on the same matrix.
+func MulSmallRowMajorBudget(bud parallel.Budget, a []float64, y, c *Dense) *Dense {
+	n := len(a) / y.Rows
+	if n*y.Rows != len(a) {
+		panic("linalg: MulSmall dimension mismatch")
+	}
+	return mulSmall(bud, a, n, y.Rows, 1, y, c)
+}
+
+// mulSmall computes c = A·y over row blocks for the n-row A whose element
+// (r, k) is a[r·rs + k·ks].
+func mulSmall(bud parallel.Budget, a []float64, n, rs, ks int, y, c *Dense) *Dense {
 	if c == nil {
-		c = NewDense(n, p)
-	} else if c.Rows != n || c.Cols != p {
+		c = NewDense(n, y.Cols)
+	} else if c.Rows != n || c.Cols != y.Cols {
 		panic("linalg: MulSmall output shape mismatch")
 	}
 	if bud.Serial(n) {
-		mulSmallRows(a, y, c, 0, n)
+		mulSmallRows(a, rs, ks, y, c, 0, n)
 	} else {
-		bud.ForBlock(n, func(lo, hi int) { mulSmallRows(a, y, c, lo, hi) })
+		bud.ForBlock(n, func(lo, hi int) { mulSmallRows(a, rs, ks, y, c, lo, hi) })
 	}
 	return c
 }
 
-// mulSmallRows computes rows [lo, hi) of c = a·y, two output columns at a
-// time: for each row quad the k-loop reads a[k·n+r] once and feeds both
+// mulSmallRows computes rows [lo, hi) of c = A·y, two output columns at a
+// time: for each row quad the k-loop reads A(r…r+3, k) once and feeds both
 // columns' accumulators, summing over k in ascending order exactly like
 // the one-column-at-a-time reference.
-func mulSmallRows(a, y, c *Dense, lo, hi int) {
-	n, s, p := a.Rows, a.Cols, y.Cols
-	ad := a.Data
+func mulSmallRows(a []float64, rs, ks int, y, c *Dense, lo, hi int) {
+	s, p := y.Rows, y.Cols
 	j := 0
 	for ; j+2 <= p; j += 2 {
 		y0, y1 := y.Col(j), y.Col(j+1)
@@ -45,10 +60,9 @@ func mulSmallRows(a, y, c *Dense, lo, hi int) {
 		r := lo
 		for ; r+4 <= hi; r += 4 {
 			var s00, s01, s02, s03, s10, s11, s12, s13 float64
-			for k := 0; k < s; k++ {
-				base := k * n
+			for k, at := 0, r*rs; k < s; k, at = k+1, at+ks {
 				f0, f1 := y0[k], y1[k]
-				a0, a1, a2, a3 := ad[base+r], ad[base+r+1], ad[base+r+2], ad[base+r+3]
+				a0, a1, a2, a3 := a[at], a[at+rs], a[at+2*rs], a[at+3*rs]
 				s00 += a0 * f0
 				s10 += a0 * f1
 				s01 += a1 * f0
@@ -63,8 +77,8 @@ func mulSmallRows(a, y, c *Dense, lo, hi int) {
 		}
 		for ; r < hi; r++ {
 			var s0, s1 float64
-			for k := 0; k < s; k++ {
-				av := ad[k*n+r]
+			for k, at := 0, r*rs; k < s; k, at = k+1, at+ks {
+				av := a[at]
 				s0 += av * y0[k]
 				s1 += av * y1[k]
 			}
@@ -76,8 +90,8 @@ func mulSmallRows(a, y, c *Dense, lo, hi int) {
 		c0 := c.Col(j)
 		for r := lo; r < hi; r++ {
 			var s0 float64
-			for k := 0; k < s; k++ {
-				s0 += ad[k*n+r] * y0[k]
+			for k, at := 0, r*rs; k < s; k, at = k+1, at+ks {
+				s0 += a[at] * y0[k]
 			}
 			c0[r] = s0
 		}

@@ -1,6 +1,8 @@
 package linalg
 
 import (
+	"time"
+
 	"repro/internal/graph"
 	"repro/internal/parallel"
 )
@@ -46,35 +48,148 @@ func LapMulDenseTiledPackedBudget(bud parallel.Budget, g *graph.CSR, deg []float
 	workers := bud.BlockWorkers(n)
 	arena.Ensure(workers, min(PackRows, n)*cols)
 	if workers <= 1 {
-		packRowMajor(s, srm, 0, n, cols)
+		packRowMajor(strided{s.Data, n, n}, srm, 0, cols)
 		slot := arena.slot(0)
 		for r0 := 0; r0 < n; r0 += PackRows {
 			r1 := min(r0+PackRows, n)
 			fusedRows(g, deg, srm, slot, r0, r1, cols)
-			unpackRowMajor(p, slot, r0, r1, cols)
+			unpackRowMajor(strided{p.Data[r0:], n, r1 - r0}, slot, cols)
 		}
 		return p
 	}
 	parallel.ForBlockIndexed(workers, n, func(_, lo, hi int) {
-		packRowMajor(s, srm, lo, hi, cols)
+		packRowMajor(strided{s.Data[lo:], n, hi - lo}, srm, lo, cols)
 	})
 	parallel.ForBlockIndexed(workers, n, func(w, lo, hi int) {
 		slot := arena.slot(w)
 		for r0 := lo; r0 < hi; r0 += PackRows {
 			r1 := min(r0+PackRows, hi)
 			fusedRows(g, deg, srm, slot, r0, r1, cols)
-			unpackRowMajor(p, slot, r0, r1, cols)
+			unpackRowMajor(strided{p.Data[r0:], n, r1 - r0}, slot, cols)
 		}
 	})
 	return p
 }
 
-// packRowMajor transposes rows [lo, hi) of the column-major s into srm.
-func packRowMajor(s *Dense, srm []float64, lo, hi, cols int) {
-	for j := 0; j < cols; j++ {
-		col := s.Col(j)
-		for i := lo; i < hi; i++ {
-			srm[i*cols+j] = col[i]
+// TripleProdBudget computes the TripleProd phase Z = Sᵀ(L·S) in one walk
+// over the rows, S being the n×k matrix in pc's stored columns [first,
+// pc.Len()), read in place. S is first transposed into the row-major srm
+// (capacity ≥ n·k). The walk takes AtBPackedBudget's tile grid; per
+// PackRows chunk of a tile it runs fusedRows into the worker's arena
+// slot, transposes that in cache into a column-packed P chunk, and
+// extends the tile's SᵀP partial (partials: capacity ≥ ReduceBlocks(n)·k²,
+// grown when short) by atbSweep over the chunk and the tile's S slots.
+// Every element of P and of each partial adds the products of
+// LapMulDenseTiledPackedBudget and AtBPackedBudget in the same order, and
+// the partials are combined in tile order, so Z equals that two-pass
+// product bit for bit under every budget while P never outlives a chunk.
+// srm is left holding S for MulSmallRowMajorBudget. z receives Z
+// (allocated when nil); arena may be nil. lsShare is the L·S half's
+// fraction of the workers' time (srm transpose, fusedRows, chunk
+// transpose); the SᵀP sweeps and the combine are the rest.
+func TripleProdBudget(bud parallel.Budget, g *graph.CSR, deg []float64, pc *PackedCols, first int, z *Dense, srm, partials []float64, arena *PackArena) (_ *Dense, lsShare float64) {
+	n, k := pc.n, pc.k-first
+	if n != g.NumV {
+		panic("linalg: TripleProd dimension mismatch")
+	}
+	if z == nil {
+		z = NewDense(k, k)
+	} else if z.Rows != k || z.Cols != k {
+		panic("linalg: TripleProd output shape mismatch")
+	}
+	tiles := ReduceBlocks(n)
+	panels := z.Data
+	if tiles > 1 {
+		if cap(partials) < tiles*k*k {
+			partials = make([]float64, tiles*k*k)
+		}
+		panels = partials[:tiles*k*k]
+	}
+	if arena == nil {
+		arena = &PackArena{}
+	}
+	workers := min(bud.Workers(), tiles)
+	arena.Ensure(workers, 2*PackRows*k)
+	tp := tripleProd{g: g, deg: deg, pc: pc, srm: srm[:n*k], first: first, k: k}
+	var ls, atb time.Duration
+	if workers <= 1 {
+		for t := 0; t < tiles; t++ {
+			ls += tp.pack(t, t*n/tiles, (t+1)*n/tiles)
+		}
+		for t := 0; t < tiles; t++ {
+			l, a := tp.walk(t, t*n/tiles, (t+1)*n/tiles, panels[t*k*k:(t+1)*k*k], arena.slot(0))
+			ls, atb = ls+l, atb+a
+		}
+	} else {
+		busy := make([]time.Duration, 2*workers) // worker w's L·S and SᵀP time
+		forTilesIndexed(workers, n, tiles, func(w, t, lo, hi int) { busy[2*w] += tp.pack(t, lo, hi) })
+		forTilesIndexed(workers, n, tiles, func(w, t, lo, hi int) {
+			l, a := tp.walk(t, lo, hi, panels[t*k*k:(t+1)*k*k], arena.slot(w))
+			busy[2*w], busy[2*w+1] = busy[2*w]+l, busy[2*w+1]+a
+		})
+		for w := 0; w < workers; w++ {
+			ls, atb = ls+busy[2*w], atb+busy[2*w+1]
+		}
+	}
+	if tiles > 1 {
+		start := time.Now()
+		combinePanels(z.Data, panels, tiles, k*k)
+		atb += time.Since(start)
+	}
+	if ls+atb > 0 {
+		lsShare = float64(ls) / float64(ls+atb)
+	}
+	return z, lsShare
+}
+
+// tripleProd is the operands of one TripleProdBudget call. Its methods take
+// it by value, so the serial path's copy never escapes to the heap.
+type tripleProd struct {
+	g        *graph.CSR
+	deg, srm []float64
+	pc       *PackedCols
+	first, k int
+}
+
+// pack transposes tile t's S rows [lo, hi) into srm and returns its time.
+func (tp tripleProd) pack(t, lo, hi int) time.Duration {
+	start := time.Now()
+	packRowMajor(tp.pc.tileCols(t, tp.first, 0, hi-lo), tp.srm, lo, tp.k)
+	return time.Since(start)
+}
+
+// walk writes tile t's panel Σ_{r∈[lo,hi)} S_r·(L·S)_rᵀ into out, one
+// PackRows chunk of P at a time through slot, and returns the time of its
+// L·S and SᵀP halves.
+func (tp tripleProd) walk(t, lo, hi int, out, slot []float64) (ls, atb time.Duration) {
+	k := tp.k
+	clear(out)
+	t0 := time.Now()
+	for r0 := lo; r0 < hi; r0 += PackRows {
+		r1 := min(r0+PackRows, hi)
+		p := strided{slot[PackRows*k:], r1 - r0, r1 - r0}
+		fusedRows(tp.g, tp.deg, tp.srm, slot, r0, r1, k)
+		unpackRowMajor(p, slot, k)
+		t1 := time.Now()
+		atbSweep(tp.pc.tileCols(t, tp.first, r0-lo, r1-r0), p, k, k, out)
+		t2 := time.Now()
+		ls, atb, t0 = ls+t1.Sub(t0), atb+t2.Sub(t1), t2
+	}
+	return ls, atb
+}
+
+// packRowMajor transposes the column view src, whose row 0 is vertex lo,
+// into rows [lo, lo+src.h) of the row-major srm. It runs in 64-row strips
+// so the strip's srm rows stay in L1 while every column is written into
+// them, instead of striding all of srm once per column.
+func packRowMajor(src strided, srm []float64, lo, cols int) {
+	for i0 := 0; i0 < src.h; i0 += 64 {
+		i1 := min(i0+64, src.h)
+		rows := srm[(lo+i0)*cols : (lo+i1)*cols]
+		for j := 0; j < cols; j++ {
+			for i, v := range src.col(j)[i0:i1] {
+				rows[i*cols+j] = v
+			}
 		}
 	}
 }
@@ -186,13 +301,13 @@ func adjSum1(adj []int32, wts, srm []float64, cols, c int) (s float64) {
 	return
 }
 
-// unpackRowMajor transposes the chunk prm (row 0 is vertex lo, like
-// fusedRows) into rows [lo, hi) of the column-major p.
-func unpackRowMajor(p *Dense, prm []float64, lo, hi, cols int) {
+// unpackRowMajor transposes the row-major chunk prm (dst.h rows of cols
+// floats, like fusedRows writes) into the cols columns of dst.
+func unpackRowMajor(dst strided, prm []float64, cols int) {
 	for j := 0; j < cols; j++ {
-		col := p.Col(j)
-		for i := lo; i < hi; i++ {
-			col[i] = prm[(i-lo)*cols+j]
+		col := dst.col(j)
+		for i := range col {
+			col[i] = prm[i*cols+j]
 		}
 	}
 }

@@ -121,54 +121,66 @@ func AtBPackedBudget(bud parallel.Budget, a, b, c *Dense, partials []float64, ar
 // atbPackedPanel writes the s×t column-major panel out[j*s+i] =
 // Σ_{r∈[lo,hi)} a_i[r]·b_j[r] out of packed storage: rows [lo, hi) are
 // consumed in PackRows-high chunks, each chunk's A and B columns copied
-// contiguously into the worker's arena slot before the 4×2 kernels sweep
-// it. The output panel doubles as the accumulator store between chunks —
-// every element is loaded, extended by the chunk's products in ascending
-// row order, and stored back — so the additions happen in exactly the
-// order of one full-range pass.
+// contiguously into the worker's arena slot before atbSweep runs over it.
 func atbPackedPanel(a, b *Dense, out []float64, lo, hi int, pack []float64) {
 	s, t := a.Cols, b.Cols
-	for k := range out[: s*t : s*t] {
-		out[k] = 0
-	}
+	clear(out[:s*t])
 	for r0 := lo; r0 < hi; r0 += PackRows {
 		r1 := min(r0+PackRows, hi)
 		w := r1 - r0
-		packA := pack[: s*w : s*w]
-		packB := pack[s*w : (s+t)*w]
+		packA, packB := strided{pack, w, w}, strided{pack[s*w:], w, w}
 		for i := 0; i < s; i++ {
-			copy(packA[i*w:(i+1)*w], a.Col(i)[r0:r1])
+			copy(packA.col(i), a.Col(i)[r0:r1])
 		}
 		for j := 0; j < t; j++ {
-			copy(packB[j*w:(j+1)*w], b.Col(j)[r0:r1])
+			copy(packB.col(j), b.Col(j)[r0:r1])
 		}
-		j := 0
-		for ; j+2 <= t; j += 2 {
-			b0, b1 := packB[j*w:(j+1)*w], packB[(j+1)*w:(j+2)*w]
-			o0, o1 := out[j*s:(j+1)*s], out[(j+1)*s:(j+2)*s]
-			i := 0
-			for ; i+4 <= s; i += 4 {
-				o0[i], o0[i+1], o0[i+2], o0[i+3], o1[i], o1[i+1], o1[i+2], o1[i+3] = dot4x2(
-					packA[i*w:(i+1)*w], packA[(i+1)*w:(i+2)*w], packA[(i+2)*w:(i+3)*w], packA[(i+3)*w:(i+4)*w],
-					b0, b1,
-					o0[i], o0[i+1], o0[i+2], o0[i+3], o1[i], o1[i+1], o1[i+2], o1[i+3])
-			}
-			for ; i < s; i++ {
-				o0[i], o1[i] = dot1x2(packA[i*w:(i+1)*w], b0, b1, o0[i], o1[i])
-			}
+		atbSweep(packA, packB, s, t, out)
+	}
+}
+
+// strided is a view of equal-height columns at a fixed stride in one
+// buffer: column j is buf[j·stride:][:h]. An arena chunk, rows of a
+// column-major matrix and a PackedCols tile are all read through it.
+type strided struct {
+	buf       []float64
+	stride, h int
+}
+
+func (v strided) col(j int) []float64 { return v.buf[j*v.stride:][:v.h] }
+
+// atbSweep extends the s×t column-major panel out[j*s+i] by ⟨a_i, b_j⟩
+// over the rows of the column views a and b with the 4×2 micro-kernels
+// and their tails. The panel doubles as the accumulator store between
+// calls — every element is loaded, extended by the rows' products in
+// ascending row order, and stored back — so a caller feeding a row range
+// through in chunks performs exactly the additions of one full-range pass.
+func atbSweep(a, b strided, s, t int, out []float64) {
+	j := 0
+	for ; j+2 <= t; j += 2 {
+		b0, b1 := b.col(j), b.col(j+1)
+		o0, o1 := out[j*s:(j+1)*s], out[(j+1)*s:(j+2)*s]
+		i := 0
+		for ; i+4 <= s; i += 4 {
+			o0[i], o0[i+1], o0[i+2], o0[i+3], o1[i], o1[i+1], o1[i+2], o1[i+3] = dot4x2(
+				a.col(i), a.col(i+1), a.col(i+2), a.col(i+3), b0, b1,
+				o0[i], o0[i+1], o0[i+2], o0[i+3], o1[i], o1[i+1], o1[i+2], o1[i+3])
 		}
-		if j < t {
-			b0 := packB[j*w : (j+1)*w]
-			o0 := out[j*s : (j+1)*s]
-			i := 0
-			for ; i+4 <= s; i += 4 {
-				o0[i], o0[i+1], o0[i+2], o0[i+3] = dot4x1(
-					packA[i*w:(i+1)*w], packA[(i+1)*w:(i+2)*w], packA[(i+2)*w:(i+3)*w], packA[(i+3)*w:(i+4)*w],
-					b0, o0[i], o0[i+1], o0[i+2], o0[i+3])
-			}
-			for ; i < s; i++ {
-				o0[i] = dot1x1(packA[i*w:(i+1)*w], b0, o0[i])
-			}
+		for ; i < s; i++ {
+			o0[i], o1[i] = dot1x2(a.col(i), b0, b1, o0[i], o1[i])
+		}
+	}
+	if j < t {
+		b0 := b.col(j)
+		o0 := out[j*s : (j+1)*s]
+		i := 0
+		for ; i+4 <= s; i += 4 {
+			o0[i], o0[i+1], o0[i+2], o0[i+3] = dot4x1(
+				a.col(i), a.col(i+1), a.col(i+2), a.col(i+3),
+				b0, o0[i], o0[i+1], o0[i+2], o0[i+3])
+		}
+		for ; i < s; i++ {
+			o0[i] = dot1x1(a.col(i), b0, o0[i])
 		}
 	}
 }

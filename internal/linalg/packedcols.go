@@ -71,6 +71,12 @@ func (pc *PackedCols) slot(t, j int) []float64 {
 	return pc.buf[base : base+pc.stride]
 }
 
+// tileCols views the stored columns j0, j0+1, … of tile t over the h rows
+// that start off rows into the tile.
+func (pc *PackedCols) tileCols(t, j0, off, h int) strided {
+	return strided{pc.buf[(t*pc.capCols+j0)*pc.stride+off:], pc.stride, h}
+}
+
 // AppendScaledDDotBudget appends the column a·src to the store and
 // returns its D-norm ⟨a·src, a·src⟩_D (plain when d is nil) from the
 // same pass: the fused form of the DOrtho keep step, which would

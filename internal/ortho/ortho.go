@@ -53,8 +53,11 @@ const DropTolerance = 1e-3
 type Result struct {
 	// S holds the kept orthonormal columns (the 0th constant column is
 	// already dropped, per Algorithm 3 line 16). Columns have unit
-	// Euclidean norm.
+	// Euclidean norm. Incremental.Packed leaves it nil.
 	S *linalg.Dense
+	// Packed is the sweep's tile-major kept-column store: S's column j is
+	// its stored column j+1 (column 0 is the constant direction).
+	Packed *linalg.PackedCols
 	// DNorms[j] = S_jᵀ D S_j for each kept column: the diagonal of SᵀDS,
 	// needed to convert the projected eigenproblem to standard form when
 	// D-orthogonalization (rather than D-orthonormalization) is used.
@@ -183,17 +186,19 @@ func (inc *Incremental) project() {
 // Result unpacks the kept columns (constant column excluded) into the
 // scratch's output matrix. The Incremental must not be used after.
 func (inc *Incremental) Result() Result {
+	res := inc.Packed()
+	res.S = linalg.ViewDense(inc.sc.sOut.Data, inc.n, len(res.Kept))
+	for j := range res.Kept {
+		res.Packed.CopyColIntoBudget(inc.bud, res.S.Col(j), j+1) // skip the constant column
+	}
+	return res
+}
+
+// Packed is Result without the unpacking: S stays nil, and a caller reads
+// the kept columns where the sweep left them, in Result.Packed.
+func (inc *Incremental) Packed() Result {
 	sc := inc.sc
-	out := linalg.ViewDense(sc.sOut.Data, inc.n, len(sc.keptIdx))
-	for j := range sc.keptIdx {
-		sc.packed.CopyColIntoBudget(inc.bud, out.Col(j), j+1) // skip the constant column
-	}
-	return Result{
-		S:       out,
-		DNorms:  sc.dNorms[1:],
-		Kept:    sc.keptIdx,
-		Dropped: inc.dropped,
-	}
+	return Result{Packed: &sc.packed, DNorms: sc.dNorms[1:], Kept: sc.keptIdx, Dropped: inc.dropped}
 }
 
 // norm2P computes ‖x‖₂ with the shared partials buffer.

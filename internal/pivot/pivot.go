@@ -78,12 +78,14 @@ type Scratch struct {
 	dist []int32      // each traversal's hop distances
 	dmin []int32      // min distance to all previous sources
 	col  []float64
-	// Random-strategy buffers, sized on first use: the pivot permutation
-	// and an arena of length-n distance rows (one per MSBFS source in a
-	// batch, or one per worker of a Random round).
+	// Random-strategy buffers, sized on first use: the pivot permutation,
+	// an arena of length-n distance rows (one per MSBFS source in a batch,
+	// or one per worker of a Random round) and the traversal scratch of
+	// each Random worker's one-worker runner.
 	perm    []int32
 	arena   []int32
 	rowsBuf [][]int32
+	travs   []*bfs.Scratch
 	// Per-tile argmax arenas for the fused widen/min/argmax reduction,
 	// sized by linalg.ReduceBlocks(n) — a function of n only, so the
 	// arenas can never be desynchronized by a worker-count change.
@@ -249,14 +251,23 @@ func drawSources(sc *Scratch, n int, start int32, sources []int32) {
 }
 
 // randomPhase runs serial BFSes concurrently, in rounds of one pivot per
-// worker, each traversal single-threaded into its worker's row. With s ≥
-// workers this keeps every core busy without per-level barriers; the
-// round's columns are then widened and emitted in pivot order.
+// worker, each traversal into its worker's row by a one-worker Runner on
+// the worker's own pooled scratch, pinned top-down like the bfs.Serial it
+// replaced. With s ≥ workers this keeps every core busy without per-level
+// barriers; the round's columns are then widened and emitted in pivot
+// order.
 func randomPhase(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int, start int32, sc *Scratch, emit Emit, onTraversal, onOther func(f func())) (PhaseStats, error) {
 	n := g.NumV
 	st := PhaseStats{Sources: make([]int32, s)}
 	onOther(func() { drawSources(sc, n, start, st.Sources) })
 	dists := sc.rows(n, min(bud.Workers(), s))
+	runners := make([]*bfs.Runner, len(dists))
+	for len(sc.travs) < len(dists) {
+		sc.travs = append(sc.travs, &bfs.Scratch{})
+	}
+	for k := range runners {
+		runners[k] = bfs.NewRunner(g, bfs.Options{ForceTopDown: true}, sc.travs[k], parallel.FixedBudget(1))
+	}
 	sc.col = grow(sc.col, n)
 	col := sc.col
 	var lo, hi, i int
@@ -266,10 +277,10 @@ func randomPhase(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int, 
 			wg.Add(1)
 			go func(k int) {
 				defer wg.Done()
-				bfs.Serial(g, st.Sources[lo+k], dists[k])
+				runners[k].Distances(st.Sources[lo+k], dists[k])
 			}(k)
 		}
-		bfs.Serial(g, st.Sources[lo], dists[0])
+		runners[0].Distances(st.Sources[lo], dists[0])
 		wg.Wait()
 		st.ScannedEdges += int64(hi-lo) * int64(len(g.Adj))
 	}

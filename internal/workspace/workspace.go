@@ -2,7 +2,7 @@
 // layout pipeline's hot path. A steady-state ParHDE run touches three
 // large buffer families — the BFS frontier/queue scratch, hop vectors and
 // the distance column it streams into DOrtho, the DOrtho kept-column store
-// behind S, and the TripleProd product P with its row-major repack panel —
+// behind S, and the row-major copy of S the TripleProd walk gathers from —
 // and without reuse every queued layout job re-pays those O(n·s) allocations
 // and the GC traffic they induce, exactly the unbatched memory waste
 // BatchLayout attributes to shared-memory layout codes. A Workspace owns
@@ -45,10 +45,13 @@ type Workspace struct {
 	// Ortho is the DOrtho packed kept-column store, work vector, and the
 	// reduction-partials buffers reused across every inner product.
 	Ortho *ortho.Scratch
-	// SRM is the n·s row-major repack panel of the tiled TripleProd
-	// kernel (one edge-list pass advances all s columns).
+	// SRM is the n·s row-major copy of S that the TripleProd walk gathers
+	// neighbours' rows from (one edge-list pass advances all s columns);
+	// the projection reads it afterwards.
 	SRM []float64
-	// P backs the n×s TripleProd product L·S.
+	// P backs an n×s product L·S. ParHDE never writes it — its TripleProd
+	// walk consumes P a chunk at a time — only the benchmark's staged
+	// replay, which still runs L·S and SᵀP as two passes, does.
 	P []float64
 	// Z backs the s×s projected matrix Sᵀ(LS).
 	Z []float64
@@ -61,7 +64,7 @@ type Workspace struct {
 	// tile grid.
 	GemmPartials []float64
 	// Pack is the per-worker packed-chunk arena of the cache-resident
-	// dense kernels (packed AᵀB and the fused TripleProd unpack). The
+	// dense kernels (the TripleProd walk's P chunks, packed AᵀB). The
 	// kernels size it themselves from the worker count they snapshot at
 	// entry, so it carries across budget changes; it only grows.
 	Pack *linalg.PackArena

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"repro/internal/bfs"
 	"repro/internal/graph"
 	"repro/internal/linalg"
 	"repro/internal/parallel"
@@ -148,7 +149,7 @@ func DistanceCorrelation(g *graph.CSR, l *Layout, sources int, seed uint64) floa
 	var count float64
 	for si := 0; si < sources; si++ {
 		src := perm[si]
-		serialBFSInto(g, src, hops)
+		bfs.Serial(g, src, hops)
 		for v := 0; v < n; v++ {
 			if int32(v) == src || hops[v] < 0 {
 				continue
@@ -173,27 +174,4 @@ func DistanceCorrelation(g *graph.CSR, l *Layout, sources int, seed uint64) floa
 		return 0
 	}
 	return cov / math.Sqrt(vx*vy)
-}
-
-// serialBFSInto is a minimal BFS used by the quality metric (avoids an
-// import cycle with the bfs package, which depends on nothing here but
-// keeps core free of traversal state).
-func serialBFSInto(g *graph.CSR, src int32, dist []int32) {
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []int32{src}
-	for len(queue) > 0 {
-		var next []int32
-		for _, u := range queue {
-			for _, v := range g.Neighbors(u) {
-				if dist[v] < 0 {
-					dist[v] = dist[u] + 1
-					next = append(next, v)
-				}
-			}
-		}
-		queue = next
-	}
 }

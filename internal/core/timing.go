@@ -17,7 +17,7 @@ type Breakdown struct {
 	Project      time.Duration // [x, y] = S·Y ("Other" in Fig. 3)
 	Centering    time.Duration // PHDE column centering / PivotMDS double centering
 	LapBuild     time.Duration // prior baseline: explicit Laplacian materialization
-	WarmRefine   time.Duration // warm-start SGD refinement (replaces all phases above)
+	WarmRefine   time.Duration // warm update of a basis (replaces all phases above)
 	Total        time.Duration // whole-run wall time
 }
 

@@ -49,7 +49,7 @@ func (s State) String() string {
 func (s State) terminal() bool { return s >= StateDone }
 
 // Algorithm is the one layout backend the engine runs (cold, or warm when
-// the job carries a prior). It stays in Status and in journaled result
+// the job carries a basis). It stays in Status and in journaled result
 // frames because both are read by clients that predate the single backend.
 const Algorithm = "parhde"
 

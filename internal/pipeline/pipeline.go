@@ -1,5 +1,5 @@
 // Package pipeline is the one layout path the serving tier and the
-// benchmark drive: ParHDE (cold, or warm when Layout.Prior is set) plus
+// benchmark drive: ParHDE (cold, or warm when Layout.Basis serves) plus
 // the optional quality evaluation. The paper's baselines (PHDE, PivotMDS,
 // the prior-work code) are reached through cmd/parhde -algo and
 // hdebench -exp, which call internal/core directly.

@@ -25,7 +25,7 @@ import (
 // unresolved through the validation of a live POST /jobs, so a worker that
 // dies comes back owning the same graphs, PATCHes included, with the
 // interrupted work re-queued. Mutation-refinement jobs are the deliberate
-// exception: their prior layout died with the process, so they carry no
+// exception: the basis they update died with the process, so they carry no
 // intent and the next layout of a patched graph is a cold one (see
 // OPERATIONS.md).
 

@@ -72,10 +72,6 @@ type Workspace struct {
 	// workspace-backed run aliases it; Clone before the next run if
 	// retained.
 	Coords []float64
-	// Warm is the n×p ping-pong buffer of the warm-start refinement
-	// sweeps (each sweep reads one coordinate buffer and writes the
-	// other; Coords always holds the final result).
-	Warm []float64
 }
 
 // New returns an empty workspace; the first Reshape sizes it.
@@ -109,7 +105,6 @@ func (ws *Workspace) Reshape(n, s, p int) {
 		ws.Pack = &linalg.PackArena{}
 	}
 	ws.Coords = growFloat(ws.Coords, n*p)
-	ws.Warm = growFloat(ws.Warm, n*p)
 }
 
 // DistView returns an n×cols distance-matrix view over B's storage,

@@ -36,7 +36,7 @@ var registry = map[string]struct {
 	"subspace":    {SubspaceExperiment, "HDE-seeded block eigensolver vs cold start (§4.5.3)"},
 	"alphabeta":   {AlphaBetaExperiment, "direction-optimizing BFS switch-threshold sweep (§3.1)"},
 	"reorder":     {ReorderExperiment, "RCM and Hilbert-from-layout locality recovery (§4.4)"},
-	"incremental": {IncrementalExperiment, "warm-start refinement vs cold relayout after edge deltas (dynamic graphs)"},
+	"incremental": {IncrementalExperiment, "exact warm update vs cold relayout after edge deltas (dynamic graphs)"},
 }
 
 // Names returns all experiment ids, sorted.

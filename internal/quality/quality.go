@@ -184,8 +184,7 @@ func SampledStress(g *graph.CSR, l *core.Layout, sources int, seed uint64) float
 	dist := make([]int32, n)
 	queue := make([]int32, 0, n)
 	var swdr, swrr float64 // Σ w·d·r, Σ w·r²
-	type pair struct{ d, r float64 }
-	var pairs []pair
+	pairs := 0
 	for si := 0; si < sources; si++ {
 		s := perm[si]
 		for i := range dist {
@@ -217,19 +216,15 @@ func SampledStress(g *graph.CSR, l *core.Layout, sources int, seed uint64) float
 			w := 1 / (fd * fd)
 			swdr += w * fd * r
 			swrr += w * r * r
-			pairs = append(pairs, pair{fd, r})
+			pairs++
 		}
 	}
-	if len(pairs) == 0 || swrr == 0 {
+	if pairs == 0 || swrr == 0 {
 		return 0
 	}
-	alpha := swdr / swrr
-	var total float64
-	for _, q := range pairs {
-		e := q.d - alpha*q.r
-		total += e * e / (q.d * q.d)
-	}
-	return total / float64(len(pairs))
+	// With w·d² = 1, Σ w(d − αr)² = |P| − 2α·Σwdr + α²·Σwr², which the
+	// optimal α = Σwdr / Σwr² brings to |P| − (Σwdr)²/Σwr².
+	return (float64(pairs) - swdr*swdr/swrr) / float64(pairs)
 }
 
 func minMax(v []float64) (float64, float64) {

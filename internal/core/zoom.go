@@ -45,6 +45,7 @@ func Zoom(g *graph.CSR, center int32, hops int, opt Options) (*ZoomResult, error
 	if opt.Subspace <= 0 {
 		opt.Subspace = DefaultSubspace
 	}
+	opt.Basis = nil // sub renumbers g's vertices
 	lay, _, err := ParHDE(sub, opt)
 	if err != nil {
 		return nil, err

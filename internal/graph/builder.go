@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"repro/internal/parallel"
 )
@@ -36,6 +38,9 @@ func FromEdges(n int, edges []Edge, opt BuildOptions) (*CSR, error) {
 		if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
 			return nil, fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", e.U, e.V, n)
 		}
+		if opt.Weighted && (math.IsNaN(e.W) || math.IsInf(e.W, 0)) {
+			return nil, fmt.Errorf("graph: non-finite weight %g on edge {%d,%d}", e.W, e.U, e.V)
+		}
 		if opt.Weighted && e.W < 0 {
 			return nil, fmt.Errorf("graph: negative weight %g on edge {%d,%d}", e.W, e.U, e.V)
 		}
@@ -45,6 +50,12 @@ func FromEdges(n int, edges []Edge, opt BuildOptions) (*CSR, error) {
 		g = LargestComponent(g)
 	}
 	return g, nil
+}
+
+// arc is one weighted adjacency entry while a row is sorted.
+type arc struct {
+	to int32
+	w  float64
 }
 
 // assemble symmetrizes, deduplicates, and packs the edge list into CSR
@@ -92,47 +103,34 @@ func assemble(n int, edges []Edge, weighted bool) *CSR {
 	// Sort each adjacency list and drop duplicates (parallel edges). When
 	// weighted, duplicates are merged by keeping the maximum similarity.
 	newLen := make([]int64, n)
-	parallel.For(n, func(v int) {
-		lo, hi := counts[v], counts[v+1]
-		a := adj[lo:hi]
-		if weighted {
-			w := wts[lo:hi]
-			idx := make([]int, len(a))
-			for i := range idx {
-				idx[i] = i
+	parallel.ForBlock(n, func(lo, hi int) {
+		var pairs []arc // one sort buffer per worker
+		for v := lo; v < hi; v++ {
+			a := adj[counts[v]:counts[v+1]]
+			if !weighted {
+				slices.Sort(a)
+				newLen[v] = int64(len(slices.Compact(a)))
+				continue
 			}
-			sort.Slice(idx, func(i, j int) bool { return a[idx[i]] < a[idx[j]] })
-			sa := make([]int32, len(a))
-			sw := make([]float64, len(a))
-			for i, k := range idx {
-				sa[i], sw[i] = a[k], w[k]
+			w := wts[counts[v]:counts[v+1]]
+			pairs = pairs[:0]
+			for i, u := range a {
+				pairs = append(pairs, arc{u, w[i]})
 			}
+			slices.SortFunc(pairs, func(x, y arc) int { return cmp.Compare(x.to, y.to) })
 			out := 0
-			for i := 0; i < len(sa); i++ {
-				if out > 0 && sa[i] == sa[out-1] {
-					if sw[i] > sw[out-1] {
-						sw[out-1] = sw[i]
+			for _, p := range pairs {
+				if out > 0 && p.to == a[out-1] {
+					if p.w > w[out-1] {
+						w[out-1] = p.w
 					}
 					continue
 				}
-				sa[out], sw[out] = sa[i], sw[i]
+				a[out], w[out] = p.to, p.w
 				out++
 			}
-			copy(a, sa[:out])
-			copy(w, sw[:out])
 			newLen[v] = int64(out)
-			return
 		}
-		sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
-		out := 0
-		for i := 0; i < len(a); i++ {
-			if out > 0 && a[i] == a[out-1] {
-				continue
-			}
-			a[out] = a[i]
-			out++
-		}
-		newLen[v] = int64(out)
 	})
 	// Compact into final CSR arrays.
 	offsets := make([]int64, n+1)

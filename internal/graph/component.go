@@ -2,8 +2,9 @@ package graph
 
 // Components labels the connected components of g. It returns a component
 // id per vertex (ids are assigned in order of the smallest vertex in each
-// component) and the number of components. A simple iterative BFS is used;
-// this is a preprocessing step and is not on the timed path.
+// component) and the number of components. A simple iterative BFS is used.
+// Through LargestComponent it is a set-up stage: the benchmark's graph.lcc
+// span, part of every workload's setup_s.
 func Components(g *CSR) (label []int32, count int) {
 	label = make([]int32, g.NumV)
 	for i := range label {

@@ -25,9 +25,9 @@ func Read(r io.Reader, format string, opts BuildOptions) (*CSR, error) {
 			err   error
 		)
 		if format == "edges" {
-			n, edges, err = ReadEdgeList(bufio.NewReader(r))
+			n, edges, err = ReadEdgeList(r)
 		} else {
-			n, edges, err = ReadMatrixMarket(bufio.NewReader(r))
+			n, edges, err = ReadMatrixMarket(r)
 		}
 		if err != nil {
 			return nil, err

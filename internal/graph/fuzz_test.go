@@ -34,10 +34,18 @@ func FuzzReadMatrixMarket(f *testing.F) {
 	f.Add("%%MatrixMarket matrix coordinate real general\n2 3 1\n1 2 1\n")
 	f.Add("garbage")
 	f.Add("")
+	// Size lines whose entry count once sized an allocation up front.
+	f.Add("%%MatrixMarket matrix coordinate pattern general\n2 2 -1\n1 2\n")
+	f.Add("%%MatrixMarket matrix coordinate pattern general\n2 2 99999999999999\n1 2\n")
+	f.Add("%%MatrixMarket matrix coordinate pattern general\n2 2 200000000\n1 2\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		n, edges, err := ReadMatrixMarket(strings.NewReader(input))
 		if err != nil {
 			return
+		}
+		// The reservation follows the input, at most twice its line count.
+		if c := cap(edges); c > 2*(strings.Count(input, "\n")+1) {
+			t.Fatalf("room for %d entries after a %d-byte input", c, len(input))
 		}
 		for _, e := range edges {
 			if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {

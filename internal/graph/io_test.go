@@ -34,6 +34,16 @@ func TestReadEdgeListErrors(t *testing.T) {
 			t.Errorf("input %q accepted", in)
 		}
 	}
+	// Non-finite weights parse, and only a weighted build refuses them.
+	for _, in := range []string{"0 1 NaN\n", "1 2 1\n0 1 +Inf\n", "0 1 -inf\n"} {
+		if _, err := Read(strings.NewReader(in), "edges", BuildOptions{}); err != nil {
+			t.Errorf("unweighted %q: %v", in, err)
+		}
+		_, err := Read(strings.NewReader(in), "edges", BuildOptions{Weighted: true})
+		if err == nil || !strings.Contains(err.Error(), "non-finite weight") || !strings.Contains(err.Error(), "{0,1}") {
+			t.Errorf("weighted %q: error %v, want a non-finite weight on edge {0,1}", in, err)
+		}
+	}
 }
 
 func TestEdgeListRoundTrip(t *testing.T) {
@@ -108,6 +118,7 @@ func TestReadMatrixMarketErrors(t *testing.T) {
 		"%%MatrixMarket matrix coordinate real general\n2 3 1\n1 2 1\n",
 		"%%MatrixMarket matrix coordinate real general\n2 2 1\n0 1 1\n",
 		"%%MatrixMarket matrix coordinate real general\n2 2 1\n9 1 1\n",
+		"%%MatrixMarket matrix coordinate real general\n2 2 -1\n1 2 1\n",
 	}
 	for _, in := range cases {
 		if _, _, err := ReadMatrixMarket(strings.NewReader(in)); err == nil {

@@ -191,10 +191,17 @@ func TestAPIStatusCodes(t *testing.T) {
 		{"POST", "/graphs?name=x&format=nope", "0 1\n", 400},         // unknown format
 		{"POST", "/graphs?name=bad/name&format=edges", "0 1\n", 400}, // invalid name
 		{"POST", "/graphs?name=x&format=edges", "zz\n", 400},         // parse error
+		{"POST", "/graphs?name=x&format=edges&weighted=1", "0 1 NaN\n", 400},
+		{"POST", "/graphs?name=x&format=edges&weighted=1", "0 1 2\n1 2 -Inf\n", 400},
+		{"POST", "/graphs?name=x&format=mtx", mtxPattern + "2 2 -1\n1 2\n", 400},
 		{"GET", "/zoom.png?v=-1", "", 400},
 		// 409: duplicates, pinned deletes, not-laid-out views.
 		{"POST", "/graphs?name=default&format=edges", "0 1\n", 409},
 		{"DELETE", "/graphs/default", "", 409},
+		// 201: a size line's entry count bounds nothing up front, and an
+		// unweighted build ignores the weight field.
+		{"POST", "/graphs?name=nnz&format=mtx", mtxPattern + "2 2 99999999999999\n1 2\n", 201},
+		{"POST", "/graphs?name=nan&format=edges", "0 1 NaN\n", 201},
 	}
 	for _, c := range cases {
 		var resp *http.Response
@@ -239,6 +246,29 @@ func TestAPIStatusCodes(t *testing.T) {
 	}
 	if resp, _ := doReq(t, "DELETE", ts.URL+"/graphs/tmp"); resp.StatusCode != 404 {
 		t.Fatalf("second DELETE: %d, want 404", resp.StatusCode)
+	}
+}
+
+// mtxPattern is the banner of a pattern MatrixMarket upload.
+const mtxPattern = "%%MatrixMarket matrix coordinate pattern general\n"
+
+// TestUploadCutMidLineIs413: an upload past MaxUploadBytes is a 413
+// wherever in a line the limit cuts it, never a 400 for the partial line.
+func TestUploadCutMidLineIs413(t *testing.T) {
+	const limit = 100
+	_, ts := newTestServerPair(t, Config{Workers: 1, MaxUploadBytes: limit})
+	heads := map[string]string{"edges": "0 1\n", "mtx": mtxPattern + "12 12 3\n1 2\n"}
+	const line = "10 11\n"
+	for format, head := range heads {
+		for cut := 0; cut <= len(line); cut++ {
+			// A comment line sized so that the limit falls cut bytes into line.
+			pad := "%" + strings.Repeat(" ", limit-cut-len(head)-2) + "\n"
+			body := head + pad + line + "2 3\n"
+			resp, b := postJSON(t, ts.URL+"/graphs?name=big&format="+format, body)
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Errorf("%s cut %d bytes into %q: status %d (%s), want 413", format, cut, line, resp.StatusCode, b)
+			}
+		}
 	}
 }
 

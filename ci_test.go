@@ -189,6 +189,33 @@ func TestCIWorkflowPatternsMatchTests(t *testing.T) {
 	}
 }
 
+// TestCISpectralReferenceGate keeps the differential test and the
+// eigensolver's dense check in their own verbose workflow step; the
+// pattern check above makes sure both names still exist.
+func TestCISpectralReferenceGate(t *testing.T) {
+	lines := workflowLines(t)
+	for i, line := range lines {
+		if !strings.Contains(line, "- name: Spectral reference gate") {
+			continue
+		}
+		for _, run := range lines[i+1:] {
+			if strings.Contains(run, "- name:") {
+				break
+			}
+			if !strings.Contains(run, "go test ") {
+				continue
+			}
+			for _, want := range []string{"TestParHDESpanNearSpectral", "TestLOBPCGMatchesDense", " -v "} {
+				if !strings.Contains(run, want) {
+					t.Errorf("ci.yml: the spectral reference gate %q lacks %q", strings.TrimSpace(run), want)
+				}
+			}
+			return
+		}
+	}
+	t.Fatal("ci.yml has no \"Spectral reference gate\" step running go test")
+}
+
 var flagDecl = regexp.MustCompile(`\b(?:flag|fs)\.\w+\((?:&[\w.]+, )?"([\w-]+)"`)
 
 // toolFlags lists the flag names the sources of ./cmd/<tool> register.

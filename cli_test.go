@@ -154,7 +154,7 @@ func TestCLIHdebenchList(t *testing.T) {
 	dir := t.TempDir()
 	bin := buildTool(t, dir, "hdebench")
 	out := runTool(t, bin, "-list")
-	for _, id := range []string{"table3", "fig4", "sssp", "subspace", "incremental"} {
+	for _, id := range []string{"table3", "fig4", "sssp", "refine", "incremental"} {
 		if !strings.Contains(out, id) {
 			t.Fatalf("hdebench -list missing %s:\n%s", id, out)
 		}
@@ -210,7 +210,7 @@ func TestCLIWeightedAndRefine(t *testing.T) {
 	wPath := filepath.Join(dir, "wgrid.txt")
 	runTool(t, gengraphBin, "-kind", "grid", "-rows", "40", "-cols", "40", "-weights", "9", "-o", wPath)
 	out := runTool(t, parhdeBin, "-in", wPath, "-weighted", "-s", "8", "-refine", "5")
-	if !strings.Contains(out, "refine: 5 sweeps") {
+	if !strings.Contains(out, "refine: 5 LOBPCG iterations") {
 		t.Fatalf("weighted+refine output: %s", out)
 	}
 }

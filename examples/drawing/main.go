@@ -1,6 +1,7 @@
 // Drawing gallery: reproduces the paper's Figures 1, 7, and 8 on the
 // barth5 analogue — the same mesh drawn by ParHDE, ParHDE with random
-// pivots, PHDE, PivotMDS, the full spectral method, and a 10-hop zoom.
+// pivots, PHDE, PivotMDS, the full spectral method (LOBPCG to residual
+// 1e-6), and a 10-hop zoom.
 //
 // Run with: go run ./examples/drawing [-out dir]
 package main
@@ -54,8 +55,8 @@ func main() {
 			return l, err
 		}},
 		{"spectral", func() (*core.Layout, error) {
-			pw := eigen.WalkPower(g, 2, eigen.PowerOptions{Seed: 1, MaxIters: 5000, Tol: 1e-9})
-			return &core.Layout{Coords: pw.Vectors}, nil
+			ref := eigen.LOBPCG(g, 2, eigen.LOBPCGOptions{Seed: 1, MaxIters: 100000, Tol: 1e-6})
+			return &core.Layout{Coords: ref.Vectors}, nil
 		}},
 	}
 	for _, m := range methods {

@@ -307,29 +307,6 @@ func TestZoomNeighborhood(t *testing.T) {
 	}
 }
 
-func TestRefineReducesEigenResidual(t *testing.T) {
-	g := gen.PlateWithHoles(25, 25)
-	lay, _, err := ParHDE(g, Options{Subspace: 10, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := EigenResidual(g, lay)
-	st := Refine(g, lay, 50, 0)
-	after := EigenResidual(g, lay)
-	if after >= before {
-		t.Fatalf("refinement did not reduce residual: %.4g → %.4g", before, after)
-	}
-	if st.Iterations != 50 {
-		t.Fatalf("iterations %d", st.Iterations)
-	}
-	// Early stopping with tolerance.
-	lay2, _, _ := ParHDE(g, Options{Subspace: 10, Seed: 3})
-	st2 := Refine(g, lay2, 10000, 1e-3)
-	if st2.Iterations >= 10000 {
-		t.Fatal("tolerance did not stop refinement early")
-	}
-}
-
 func TestQualityMetricsSane(t *testing.T) {
 	g := gen.Grid2D(15, 15)
 	lay, _, err := ParHDE(g, Options{Subspace: 8, Seed: 9})

@@ -3,8 +3,9 @@
 // (ICPP'20 Algorithm 3), together with the closely related PHDE and
 // PivotMDS parallelizations (§3.2), the weighted-graph extension (§3.3),
 // the prior-work baseline it is evaluated against (§4.2), and the §4.5
-// extensions: zoomed neighborhood layout, plain-orthogonalization
-// eigen-projection, and centroid refinement toward true eigenvectors.
+// extensions: zoomed neighborhood layout and plain-orthogonalization
+// eigen-projection. Driving a layout to the true eigenvectors (§4.5.3) is
+// eigen.LOBPCG seeded with it.
 package core
 
 import (

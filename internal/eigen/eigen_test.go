@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/gen"
 	"repro/internal/linalg"
 )
 
@@ -195,134 +194,6 @@ func TestBottomKTopK(t *testing.T) {
 	// k larger than s clamps.
 	if v, _, _ := TopK(a, 10); len(v) != 4 {
 		t.Fatalf("TopK clamp: %v", v)
-	}
-}
-
-func TestWalkPowerGridMatchesDenseEigen(t *testing.T) {
-	// On a small graph, the power-iteration eigenvalues of D⁻¹A must
-	// match a dense solve of the similar symmetric matrix
-	// D^{-1/2} A D^{-1/2}.
-	g := gen.Grid2D(5, 4)
-	n := g.NumV
-	deg := g.WeightedDegrees()
-	sym := linalg.NewDense(n, n)
-	for v := 0; v < n; v++ {
-		for _, u := range g.Neighbors(int32(v)) {
-			sym.Set(v, int(u), 1/math.Sqrt(deg[v]*deg[u]))
-		}
-	}
-	vals, _, err := SymEig(sym)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Largest is the trivial 1; next two are what WalkPower should find.
-	want1, want2 := vals[n-2], vals[n-3]
-	res := WalkPower(g, 2, PowerOptions{Seed: 3, MaxIters: 20000, Tol: 1e-12})
-	if math.Abs(res.Values[0]-want1) > 1e-6 {
-		t.Fatalf("power λ1 = %g, dense %g", res.Values[0], want1)
-	}
-	if math.Abs(res.Values[1]-want2) > 1e-5 {
-		t.Fatalf("power λ2 = %g, dense %g", res.Values[1], want2)
-	}
-}
-
-func TestWalkPowerVectorsAreDOrthogonal(t *testing.T) {
-	g := gen.PlateWithHoles(20, 20)
-	deg := g.WeightedDegrees()
-	res := WalkPower(g, 2, PowerOptions{Seed: 1, MaxIters: 20000, Tol: 1e-10})
-	v0, v1 := res.Vectors.Col(0), res.Vectors.Col(1)
-	ones := make([]float64, g.NumV)
-	linalg.Fill(ones, 1)
-	if d := linalg.DDot(v0, deg, ones); math.Abs(d) > 1e-5 {
-		t.Fatalf("v0 not deflated against 1: %g", d)
-	}
-	if d := linalg.DDot(v0, deg, v1); math.Abs(d) > 1e-5 {
-		t.Fatalf("v0, v1 not D-orthogonal: %g", d)
-	}
-	// Unit D-norms.
-	if d := linalg.DDot(v0, deg, v0); math.Abs(d-1) > 1e-6 {
-		t.Fatalf("v0 D-norm %g", d)
-	}
-	// Residual ‖Wv − λv‖ small.
-	y := make([]float64, g.NumV)
-	linalg.WalkMulVec(g, deg, v0, y)
-	linalg.Axpy(-res.Values[0], v0, y)
-	if r := math.Sqrt(linalg.DDot(y, deg, y)); r > 1e-4 {
-		t.Fatalf("eigen residual %g", r)
-	}
-}
-
-func TestWalkPowerDeterministic(t *testing.T) {
-	g := gen.Grid2D(8, 8)
-	a := WalkPower(g, 1, PowerOptions{Seed: 5})
-	b := WalkPower(g, 1, PowerOptions{Seed: 5})
-	for i := range a.Vectors.Data {
-		if a.Vectors.Data[i] != b.Vectors.Data[i] {
-			t.Fatal("same seed, different power iteration result")
-		}
-	}
-}
-
-func TestLanczosMatchesDense(t *testing.T) {
-	g := gen.Grid2D(6, 5)
-	n := g.NumV
-	deg := g.WeightedDegrees()
-	sym := linalg.NewDense(n, n)
-	for v := 0; v < n; v++ {
-		for _, u := range g.Neighbors(int32(v)) {
-			sym.Set(v, int(u), 1/math.Sqrt(deg[v]*deg[u]))
-		}
-	}
-	vals, _, err := SymEig(sym)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := Lanczos(g, 2, LanczosOptions{Seed: 1, Tol: 1e-10})
-	if math.Abs(res.Values[0]-vals[n-2]) > 1e-7 {
-		t.Fatalf("Lanczos λ1 = %g, dense %g", res.Values[0], vals[n-2])
-	}
-	if math.Abs(res.Values[1]-vals[n-3]) > 1e-7 {
-		t.Fatalf("Lanczos λ2 = %g, dense %g", res.Values[1], vals[n-3])
-	}
-}
-
-func TestLanczosResidualsAndOrthogonality(t *testing.T) {
-	g := gen.PlateWithHoles(20, 20)
-	deg := g.WeightedDegrees()
-	res := Lanczos(g, 2, LanczosOptions{Seed: 2, Tol: 1e-9})
-	y := make([]float64, g.NumV)
-	for j := 0; j < 2; j++ {
-		v := res.Vectors.Col(j)
-		linalg.WalkMulVec(g, deg, v, y)
-		lambda := linalg.DDot(v, deg, y) / linalg.DDot(v, deg, v)
-		linalg.Axpy(-lambda, v, y)
-		// Residual orthogonal to trivial direction before measuring.
-		ones := make([]float64, g.NumV)
-		linalg.Fill(ones, 1)
-		c := linalg.DDot(ones, deg, y) / linalg.DDot(ones, deg, ones)
-		linalg.Axpy(-c, ones, y)
-		if r := math.Sqrt(linalg.DDot(y, deg, y)); r > 1e-6 {
-			t.Fatalf("Ritz pair %d residual %g", j, r)
-		}
-	}
-	if d := linalg.DDot(res.Vectors.Col(0), deg, res.Vectors.Col(1)); math.Abs(d) > 1e-7 {
-		t.Fatalf("Ritz vectors not D-orthogonal: %g", d)
-	}
-}
-
-func TestLanczosFarFewerOpsThanPower(t *testing.T) {
-	// The point of the stronger baseline: Lanczos needs dramatically fewer
-	// operator applications than power iteration for the same accuracy.
-	g := gen.PlateWithHoles(20, 20)
-	lz := Lanczos(g, 2, LanczosOptions{Seed: 3, Tol: 1e-8})
-	pw := WalkPower(g, 2, PowerOptions{Seed: 3, MaxIters: 100000, Tol: 1e-10})
-	powerOps := pw.Iterations[0] + pw.Iterations[1]
-	if lz.Iterations*5 >= powerOps {
-		t.Fatalf("Lanczos used %d ops vs power %d — expected ≥5x fewer", lz.Iterations, powerOps)
-	}
-	// And they agree on the eigenvalues.
-	if math.Abs(lz.Values[0]-pw.Values[0]) > 1e-5 {
-		t.Fatalf("λ1 disagreement: lanczos %g power %g", lz.Values[0], pw.Values[0])
 	}
 }
 

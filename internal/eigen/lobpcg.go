@@ -33,8 +33,8 @@ type LOBPCGResult struct {
 // Rayleigh-Ritz extraction over the 3k-dimensional space
 // span{X, R, P}: the current block, its residuals, and the previous
 // search directions. No preconditioner is applied (T = I), which is the
-// "locally optimal block CG" special case; the structure still converges
-// far faster than plain power/subspace iteration on clustered spectra.
+// "locally optimal block CG" special case; the recurrence still converges
+// far faster than block power iteration on clustered spectra.
 //
 // The operator is B = (I + D⁻¹A)/2 under the D-inner product (self-
 // adjoint, spectrum in [0, 1]), with the trivial eigenvector deflated.
@@ -196,4 +196,30 @@ func LOBPCG(g *graph.CSR, k int, opt LOBPCGOptions) LOBPCGResult {
 	}
 	res.Vectors = x
 	return res
+}
+
+// dNormalize scales x to unit D-norm.
+func dNormalize(x, d []float64) {
+	nrm := math.Sqrt(linalg.DDot(x, d, x))
+	if nrm > 0 {
+		linalg.Scale(1/nrm, x)
+	}
+}
+
+// dOrthonormalizeBlock makes the columns of x D-orthonormal and
+// D-orthogonal to the (already D-normalized) deflation vector.
+func dOrthonormalizeBlock(x *linalg.Dense, deflate []float64, deg []float64) {
+	for j := 0; j < x.Cols; j++ {
+		col := x.Col(j)
+		c := linalg.DDot(deflate, deg, col)
+		linalg.Axpy(-c, deflate, col)
+		for i := 0; i < j; i++ {
+			prev := x.Col(i)
+			linalg.Axpy(-linalg.DDot(prev, deg, col), prev, col)
+		}
+		nrm := math.Sqrt(linalg.DDot(col, deg, col))
+		if nrm > 1e-300 {
+			linalg.Scale(1/nrm, col)
+		}
+	}
 }

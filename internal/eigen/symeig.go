@@ -1,10 +1,9 @@
-// Package eigen provides the eigensolvers the reproduction needs: one
+// Package eigen provides the two eigensolvers the reproduction needs: one
 // dense symmetric solver for the small projected problem at the end of the
 // HDE pipeline — Householder tridiagonalization, then implicit QL: the
-// method of the Eigen library solver the paper uses there — and power
-// iteration, Lanczos, subspace iteration and LOBPCG over the transition
-// matrix D⁻¹A for the full-graph spectral baselines of Figure 1 and the
-// preprocessing extension of §4.5.3.
+// method of the Eigen library solver the paper uses there — and LOBPCG
+// over the transition matrix D⁻¹A, the full-graph spectral reference of
+// Figure 1 and the solver the §4.5.3 preprocessing extension seeds.
 package eigen
 
 import (

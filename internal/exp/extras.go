@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/eigen"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -95,53 +94,5 @@ func PermExperiment(w io.Writer, cfg Config) error {
 		fprintf(w, "%-8s %-22s %12.4f %12.4f %12.0f\n", ng.Name, "random permutation", seconds(tPerm), seconds(lsPerm), graph.GapSummary(gp).Mean)
 		fprintf(w, "%-8s slowdown: LS %.1fx, overall %.1fx\n", ng.Name, ratio(lsPerm, lsOrig), ratio(tPerm, tOrig))
 	}
-	return nil
-}
-
-// RefineExperiment reproduces the §4.5.3 claim: ParHDE followed by
-// centroid refinement reaches an eigenvector-quality layout much faster
-// than cold power iteration (22×–131× in Kirmani et al. [27]).
-func RefineExperiment(w io.Writer, cfg Config) error {
-	cfg = cfg.withDefaults()
-	g := plate(cfg)
-	fprintf(w, "Preprocessing experiment (plate mesh, n=%d m=%d)\n", g.NumV, g.NumEdges())
-
-	// Warm path: ParHDE seed + refinement sweeps to a target residual.
-	const target = 1e-3
-	start := time.Now()
-	lay, _, err := core.ParHDE(g, core.Options{Subspace: 50, Seed: 1})
-	if err != nil {
-		return err
-	}
-	var warmSweeps int
-	for it := 0; it < 100000; it += 10 {
-		st := core.Refine(g, lay, 10, 0)
-		warmSweeps += st.Iterations
-		if st.Residual < target {
-			break
-		}
-	}
-	tWarm := time.Since(start)
-	warmRes := core.EigenResidual(g, lay)
-
-	// Cold path: power iteration from random vectors to the same residual.
-	start = time.Now()
-	var coldIters int
-	var coldRes float64
-	for iters := 200; ; iters *= 2 {
-		pw := eigen.WalkPower(g, 2, eigen.PowerOptions{Seed: 9, MaxIters: iters, Tol: 0})
-		coldIters = pw.Iterations[0] + pw.Iterations[1]
-		coldLay := &core.Layout{Coords: pw.Vectors}
-		coldRes = core.EigenResidual(g, coldLay)
-		if coldRes <= warmRes*1.05 || iters > 100000 {
-			break
-		}
-	}
-	tCold := time.Since(start)
-
-	fprintf(w, "%-34s %12s %12s %10s\n", "method", "time (s)", "residual", "sweeps")
-	fprintf(w, "%-34s %12.4f %12.2e %10d\n", "ParHDE + centroid refinement", seconds(tWarm), warmRes, warmSweeps)
-	fprintf(w, "%-34s %12.4f %12.2e %10d\n", "cold power iteration", seconds(tCold), coldRes, coldIters)
-	fprintf(w, "speedup of warm start: %.1fx (paper reports 22x-131x for the full scheme)\n", ratio(tCold, tWarm))
 	return nil
 }

@@ -32,8 +32,7 @@ var registry = map[string]struct {
 	"fig8":        {Fig8, "zoomed 10-hop neighborhood drawing"},
 	"sssp":        {SSSPExperiment, "weighted SSSP vs BFS phase (§4.4)"},
 	"perm":        {PermExperiment, "random vertex permutation vs locality order (§4.4)"},
-	"refine":      {RefineExperiment, "HDE-seeded refinement vs cold power iteration (§4.5.3)"},
-	"subspace":    {SubspaceExperiment, "HDE-seeded block eigensolver vs cold start (§4.5.3)"},
+	"refine":      {RefineExperiment, "ParHDE-seeded vs cold LOBPCG to one residual tolerance (§4.5.3)"},
 	"alphabeta":   {AlphaBetaExperiment, "direction-optimizing BFS switch-threshold sweep (§3.1)"},
 	"reorder":     {ReorderExperiment, "RCM and Hilbert-from-layout locality recovery (§4.4)"},
 	"incremental": {IncrementalExperiment, "exact warm update vs cold relayout after edge deltas (dynamic graphs)"},

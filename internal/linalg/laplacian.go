@@ -45,9 +45,9 @@ func LapMulVecBudget(bud parallel.Budget, g *graph.CSR, deg []float64, x, p []fl
 	})
 }
 
-// WalkMulVec computes p ← D⁻¹A·x, the transition-matrix product used by
-// the power-iteration baseline for Figure 1's bottom drawing (dominant
-// eigenvectors of the normalized adjacency matrix).
+// WalkMulVec computes p ← D⁻¹A·x, the transition-matrix product LOBPCG
+// applies to find the spectral reference of Figure 1's bottom drawing
+// (dominant eigenvectors of the normalized adjacency matrix).
 func WalkMulVec(g *graph.CSR, deg []float64, x, p []float64) {
 	checkLen(len(x), g.NumV)
 	checkLen(len(p), g.NumV)

@@ -106,8 +106,8 @@ func TestProcrustesHDECloseToSpectral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pw := eigen.WalkPower(g, 2, eigen.PowerOptions{Seed: 1, MaxIters: 5000, Tol: 1e-9})
-	spectral := &core.Layout{Coords: pw.Vectors}
+	ref := eigen.LOBPCG(g, 2, eigen.LOBPCGOptions{Seed: 1, MaxIters: 5000, Tol: 1e-8})
+	spectral := &core.Layout{Coords: ref.Vectors}
 	dHDE, err := ProcrustesDistance(spectral, hde, true)
 	if err != nil {
 		t.Fatal(err)

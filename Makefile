@@ -20,11 +20,11 @@ cover:
 	$(GO) test -cover ./internal/...
 
 fuzz:
-	$(GO) test ./internal/graph/ -fuzz FuzzReadBinary -fuzztime 30s
-	$(GO) test ./internal/graph/ -fuzz FuzzReadEdgeList -fuzztime 15s
-	$(GO) test ./internal/graph/ -fuzz FuzzReadMatrixMarket -fuzztime 15s
-	$(GO) test ./internal/journal/ -fuzz FuzzJournalScan -fuzztime 15s
-	$(GO) test ./internal/server/ -fuzz FuzzMutationRequest -fuzztime 15s
+	$(GO) test ./internal/graph/ -fuzz '^FuzzReadBinary$$' -fuzztime 30s
+	$(GO) test ./internal/graph/ -fuzz '^FuzzReadEdgeList$$' -fuzztime 15s
+	$(GO) test ./internal/graph/ -fuzz '^FuzzReadMatrixMarket$$' -fuzztime 15s
+	$(GO) test ./internal/journal/ -fuzz '^FuzzJournalScan$$' -fuzztime 15s
+	$(GO) test ./internal/server/ -fuzz '^FuzzMutationRequest$$' -fuzztime 15s
 
 # Every performance number comes from the benchmark harness (BENCHMARK.json).
 bench:

@@ -63,7 +63,13 @@ func splitAlternatives(pattern string) []string {
 // joined, so a multi-line command is one line.
 func workflowLines(t *testing.T) []string {
 	t.Helper()
-	raw, err := os.ReadFile(".github/workflows/ci.yml")
+	return fileLines(t, ".github/workflows/ci.yml")
+}
+
+// fileLines returns path's lines with backslash continuations joined.
+func fileLines(t *testing.T, path string) []string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +114,13 @@ func testFuncs(t *testing.T, pkgArg string) []string {
 	return names
 }
 
-// TestCIWorkflowPatternsMatchTests guards the workflow's -run / -fuzz /
-// -bench lists against renames: `go test -run` passes when nothing
-// matches, so a step naming a removed test would keep going green while
-// checking nothing. Every '|' alternative of every pattern must match a
-// function of the right kind in the packages its step names.
+// TestCIWorkflowPatternsMatchTests guards the -run / -fuzz / -bench
+// lists of the workflow's and the Makefile's go test lines against
+// renames: `go test -run` passes when nothing matches, so a step naming a
+// removed test would keep going green while checking nothing. Every '|'
+// alternative of every pattern must match a function of the right kind in
+// the packages its line names, and a -fuzz pattern exactly one, since go
+// test refuses to fuzz more than one target.
 func TestCIWorkflowPatternsMatchTests(t *testing.T) {
 	kinds := map[string][]string{
 		"-run":   {"Test", "Fuzz"},
@@ -120,7 +128,11 @@ func TestCIWorkflowPatternsMatchTests(t *testing.T) {
 		"-bench": {"Benchmark"},
 	}
 	checked := 0
-	for _, line := range workflowLines(t) {
+	var lines []string
+	for _, line := range fileLines(t, "Makefile") {
+		lines = append(lines, strings.ReplaceAll(strings.ReplaceAll(line, "$(GO) test ", "go test "), "$$", "$"))
+	}
+	for _, line := range append(workflowLines(t), lines...) {
 		i := strings.Index(line, "go test ")
 		if i < 0 {
 			continue
@@ -167,19 +179,21 @@ func TestCIWorkflowPatternsMatchTests(t *testing.T) {
 			for _, alt := range splitAlternatives(pattern) {
 				re, err := regexp.Compile(alt)
 				if err != nil {
-					t.Errorf("ci.yml: %s %q: %v", flagName, pattern, err)
+					t.Errorf("%s: %s %q: %v", line[i:], flagName, pattern, err)
 					continue
 				}
 				checked++
-				matched := false
+				var matched []string
 				for _, name := range names {
 					if re.MatchString(name) {
-						matched = true
-						break
+						matched = append(matched, name)
 					}
 				}
-				if !matched {
-					t.Errorf("ci.yml: %s alternative %q matches no %v function in %v", flagName, alt, kinds[flagName], pkgs)
+				switch {
+				case len(matched) == 0:
+					t.Errorf("%s: %s alternative %q matches no %v function in %v", line[i:], flagName, alt, kinds[flagName], pkgs)
+				case flagName == "-fuzz" && len(matched) > 1:
+					t.Errorf("%s: -fuzz %q matches %d fuzz targets %v; go test fuzzes exactly one", line[i:], alt, len(matched), matched)
 				}
 			}
 		}

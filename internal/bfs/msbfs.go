@@ -9,24 +9,15 @@ import (
 )
 
 // msBlockVerts is the vertex-range width of one MSBFS block: the fixed,
-// worker-count-independent tiling every per-level pass runs over (the
-// same 4096-row tile the linalg reduction layer uses, see
-// linalg.ReduceBlocks). One block's three mask slabs (seen, frontier,
+// worker-count-independent tiling every per-level pass runs over, one
+// parallel.TileRows wide, so parallel.ReduceBlocks(n) counts the blocks
+// and summary bitmaps sized by it can never be desynchronized by a
+// worker-count change. One block's three mask slabs (seen, frontier,
 // next) are 3·4096·8 B = 96 KiB, so the fused finish pass re-touches
 // words the expand pass just wrote while they are still cache-resident
-// instead of striding all n again.
-const msBlockVerts = 4096
-
-// msBlocks returns the number of fixed vertex-range blocks covering n
-// vertices (at least 1). Like linalg.ReduceBlocks it depends only on n,
-// so summary bitmaps sized by it can never be desynchronized by a
-// worker-count change.
-func msBlocks(n int) int {
-	if n <= msBlockVerts {
-		return 1
-	}
-	return (n + msBlockVerts - 1) / msBlockVerts
-}
+// instead of striding all n again. Unlike the reduction grid, blocks are
+// aligned: block b is [b·msBlockVerts, (b+1)·msBlockVerts) ∩ [0, n).
+const msBlockVerts = parallel.TileRows
 
 // MSBFS runs up to 64 breadth-first searches simultaneously using
 // bit-parallel frontiers (the multi-source BFS of Then et al.): each
@@ -87,7 +78,7 @@ func MSBFS(bud parallel.Budget, g *graph.CSR, sources []int32, dists [][]int32, 
 			bud.For(n, func(i int) { d[i] = Unreached })
 		}
 	}
-	blocks := msBlocks(n)
+	blocks := parallel.ReduceBlocks(n)
 	sumWords := (blocks + 63) / 64
 	var seen, frontier, next, frontSum, nextSum []uint64
 	if sc != nil {

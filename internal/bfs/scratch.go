@@ -1,5 +1,7 @@
 package bfs
 
+import "repro/internal/parallel"
+
 // Scratch owns the reusable traversal state of a Runner: the two frontier
 // bitmaps, the top-down queue, and the per-worker next-queue buffers. A
 // Runner is bound to one graph; a Scratch is bound only to a vertex-count
@@ -62,7 +64,7 @@ func (sc *Scratch) ensureMS(n int) {
 		sc.msNext = make([]uint64, n)
 	}
 	sc.msSeen, sc.msFront, sc.msNext = sc.msSeen[:n], sc.msFront[:n], sc.msNext[:n]
-	sw := (msBlocks(n) + 63) / 64
+	sw := (parallel.ReduceBlocks(n) + 63) / 64
 	if cap(sc.msFrontSum) < sw {
 		sc.msFrontSum = make([]uint64, sw)
 		sc.msNextSum = make([]uint64, sw)

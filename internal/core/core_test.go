@@ -421,3 +421,20 @@ func TestTripleProdBreakdownSplit(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkEvaluate measures the quality sweep every installed layout and
+// every PATCH refinement job runs, on Kron(14, 24)'s largest component.
+func BenchmarkEvaluate(b *testing.B) {
+	g := graph.LargestComponent(gen.Kron(14, 24, 1))
+	lay, _, err := ParHDE(g, Options{Subspace: 10, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		evaluateSink = Evaluate(g, lay)
+	}
+}
+
+var evaluateSink Quality

@@ -63,7 +63,7 @@ func (l *Layout) NormalizeUnit() {
 	for k := 0; k < l.Dims(); k++ {
 		col := l.Coords.Col(k)
 		mn := min[k]
-		parallel.ForBlock(len(col), func(lo, hi int) {
+		parallel.Live().ForBlock(len(col), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				col[i] = (col[i] - mn) / span
 			}

@@ -10,6 +10,7 @@ package core
 
 import (
 	"repro/internal/ortho"
+	"repro/internal/parallel"
 	"repro/internal/pivot"
 	"repro/internal/workspace"
 )
@@ -66,6 +67,19 @@ type Options struct {
 	// cold layout and a stale basis of a connected graph run cold;
 	// Report.Warm records which path ran.
 	Basis *Basis
+}
+
+// budget captures the run's worker budget from Workers and records it in
+// rep. It is captured exactly once per layout: every kernel of the run
+// fans out across its worker count and nothing re-reads GOMAXPROCS
+// mid-run.
+func (o Options) budget(rep *Report) parallel.Budget {
+	bud := parallel.FixedBudget(o.Workers)
+	if o.Workers <= 0 {
+		bud = parallel.SnapshotBudget()
+	}
+	rep.Workers = bud.Workers()
+	return bud
 }
 
 // withDefaults normalizes zero values.

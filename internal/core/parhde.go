@@ -91,14 +91,7 @@ func ParHDECtx(ctx context.Context, g *graph.CSR, opt Options) (*Layout, *Report
 	if ws != nil {
 		ws.Reshape(n, s, opt.Dims)
 	}
-	// The worker budget is captured exactly once per layout: every kernel
-	// below fans out across bud's worker count and nothing re-reads
-	// GOMAXPROCS mid-run.
-	bud := parallel.FixedBudget(opt.Workers)
-	if opt.Workers <= 0 {
-		bud = parallel.SnapshotBudget()
-	}
-	rep.Workers = bud.Workers()
+	bud := opt.budget(rep)
 
 	var layout *Layout
 	var err error

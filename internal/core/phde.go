@@ -7,7 +7,6 @@ import (
 	"repro/internal/eigen"
 	"repro/internal/graph"
 	"repro/internal/linalg"
-	"repro/internal/parallel"
 	"repro/internal/pivot"
 )
 
@@ -33,6 +32,7 @@ func pcaEmbed(g *graph.CSR, opt Options, doubleCenter bool) (*Layout, *Report, e
 		return nil, nil, fmt.Errorf("core: graph has %d vertices, need at least 2", g.NumV)
 	}
 	rep := &Report{}
+	bud := opt.budget(rep)
 	bd := &rep.Breakdown
 	n := g.NumV
 	s := opt.Subspace
@@ -51,7 +51,7 @@ func pcaEmbed(g *graph.CSR, opt Options, doubleCenter bool) (*Layout, *Report, e
 		if g.Weighted() {
 			ps = pivot.PhaseWeighted(g, c, start, opt.Delta, onTrav, onOther)
 		} else {
-			ps = pivot.Phase(g, c, start, opt.Pivots, bfs.Options{}, onTrav, onOther)
+			ps = pivot.PhaseBudget(bud, g, c, start, opt.Pivots, bfs.Options{}, nil, onTrav, onOther)
 		}
 		rep.Sources = ps.Sources
 		rep.BFSStats = ps.Traversal
@@ -62,16 +62,16 @@ func pcaEmbed(g *graph.CSR, opt Options, doubleCenter bool) (*Layout, *Report, e
 		// --- Centering ("DblCntr"/"ColCenter" in Figure 6) ----------------
 		timed(&bd.Centering, func() {
 			if doubleCenter {
-				linalg.SquareElements(c)
-				linalg.DoubleCenter(c)
+				linalg.SquareElements(bud, c)
+				linalg.DoubleCenter(bud, c)
 			} else {
-				linalg.ColumnCenter(c)
+				linalg.ColumnCenter(bud, c)
 			}
 		})
 
 		// --- MatMul: Z = CᵀC ----------------------------------------------
 		var z *linalg.Dense
-		timed(&bd.Gemm, func() { z = linalg.AtBPackedBudget(parallel.Live(), c, c, nil, nil, nil) })
+		timed(&bd.Gemm, func() { z = linalg.AtBPackedBudget(bud, c, c, nil, nil, nil) })
 
 		// --- Eigensolve: top two eigenvectors of the covariance -----------
 		var axes *linalg.Dense
@@ -85,7 +85,7 @@ func pcaEmbed(g *graph.CSR, opt Options, doubleCenter bool) (*Layout, *Report, e
 
 		// --- Projection [x, y] = C·Y --------------------------------------
 		timed(&bd.Project, func() {
-			layout = &Layout{Coords: linalg.MulSmallBudget(parallel.Live(), c, axes, nil)}
+			layout = &Layout{Coords: linalg.MulSmallBudget(bud, c, axes, nil)}
 		})
 	})
 	if err != nil {

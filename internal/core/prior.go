@@ -7,7 +7,6 @@ import (
 	"repro/internal/bfs"
 	"repro/internal/graph"
 	"repro/internal/linalg"
-	"repro/internal/parallel"
 )
 
 // Prior reimplements the prior parallel HDE of Kirmani and Madduri
@@ -29,6 +28,7 @@ func Prior(g *graph.CSR, opt Options) (*Layout, *Report, error) {
 		return nil, nil, fmt.Errorf("core: the prior baseline is defined for unweighted graphs (its traversal is a plain BFS)")
 	}
 	rep := &Report{}
+	bud := opt.budget(rep)
 	bd := &rep.Breakdown
 	n := g.NumV
 	s := opt.Subspace
@@ -69,7 +69,7 @@ func Prior(g *graph.CSR, opt Options) (*Layout, *Report, error) {
 		}
 
 		// --- DOrtho phase: sequential Gram-Schmidt -------------------------
-		deg := g.WeightedDegrees()
+		deg := g.WeightedDegreesIntoBudget(bud, nil)
 		var sMat *linalg.Dense
 		var dNorms []float64
 		timed(&bd.DOrtho, func() {
@@ -82,13 +82,13 @@ func Prior(g *graph.CSR, opt Options) (*Layout, *Report, error) {
 
 		// --- Explicit Laplacian (the memory blow-up Table 3 charges for) ---
 		var lap *linalg.ExplicitLaplacian
-		timed(&bd.LapBuild, func() { lap = linalg.NewExplicitLaplacian(g) })
+		timed(&bd.LapBuild, func() { lap = linalg.NewExplicitLaplacian(bud, g) })
 
 		// --- TripleProd through the explicit structure ----------------------
 		var p *linalg.Dense
-		timed(&bd.LS, func() { p = lap.MulDense(sMat) })
+		timed(&bd.LS, func() { p = lap.MulDense(bud, sMat) })
 		var z *linalg.Dense
-		timed(&bd.Gemm, func() { z = linalg.AtBPackedBudget(parallel.Live(), sMat, p, nil, nil, nil) })
+		timed(&bd.Gemm, func() { z = linalg.AtBPackedBudget(bud, sMat, p, nil, nil, nil) })
 
 		// --- Eigensolve and projection --------------------------------------
 		var axes *linalg.Dense
@@ -99,7 +99,7 @@ func Prior(g *graph.CSR, opt Options) (*Layout, *Report, error) {
 			return
 		}
 		timed(&bd.Project, func() {
-			layout = &Layout{Coords: linalg.MulSmallBudget(parallel.Live(), sMat, axes, nil)}
+			layout = &Layout{Coords: linalg.MulSmallBudget(bud, sMat, axes, nil)}
 		})
 	})
 	if err != nil {

@@ -24,14 +24,17 @@ type Quality struct {
 	EdgeLengthCV float64
 }
 
-// Evaluate computes layout-quality metrics for l on g.
+// Evaluate computes layout-quality metrics for l on g. Every sum runs
+// over parallel's fixed tile grid, so the result is bitwise identical for
+// every GOMAXPROCS.
 func Evaluate(g *graph.CSR, l *Layout) Quality {
 	n := g.NumV
+	bud := parallel.Live()
 	deg := g.WeightedDegrees()
 	var num, den float64
 	tmp := make([]float64, n)
 	for k := 0; k < l.Dims(); k++ {
-		x := centered(g, l.Coords.Col(k), deg)
+		x := centered(bud, l.Coords.Col(k), deg)
 		linalg.LapMulVec(g, deg, x, tmp)
 		num += linalg.Dot(x, tmp)
 		den += linalg.DDot(x, deg, x)
@@ -44,9 +47,7 @@ func Evaluate(g *graph.CSR, l *Layout) Quality {
 	// Edge-length statistics on a unit-normalized copy.
 	copyL := l.Clone()
 	copyL.NormalizeUnit()
-	var sum, sumSq float64
-	var count int64
-	sum = parallel.SumFloat64(n, func(v int) float64 {
+	sum := parallel.Sum(bud, n, func(v int) float64 {
 		var s float64
 		for _, u := range g.Neighbors(int32(v)) {
 			if u <= int32(v) {
@@ -56,7 +57,7 @@ func Evaluate(g *graph.CSR, l *Layout) Quality {
 		}
 		return s
 	})
-	sumSq = parallel.SumFloat64(n, func(v int) float64 {
+	sumSq := parallel.Sum(bud, n, func(v int) float64 {
 		var s float64
 		for _, u := range g.Neighbors(int32(v)) {
 			if u <= int32(v) {
@@ -67,8 +68,7 @@ func Evaluate(g *graph.CSR, l *Layout) Quality {
 		}
 		return s
 	})
-	count = g.NumEdges()
-	if count > 0 {
+	if count := g.NumEdges(); count > 0 {
 		mean := sum / float64(count)
 		q.MeanEdgeLength = mean
 		variance := sumSq/float64(count) - mean*mean
@@ -84,17 +84,16 @@ func Evaluate(g *graph.CSR, l *Layout) Quality {
 
 // centered returns x minus its D-weighted mean — Equation 1's constraint
 // xᵀD1 = 0 imposed before measuring energy.
-func centered(g *graph.CSR, x, deg []float64) []float64 {
+func centered(bud parallel.Budget, x, deg []float64) []float64 {
 	n := len(x)
-	var wsum, dsum float64
-	wsum = parallel.SumFloat64(n, func(i int) float64 { return deg[i] * x[i] })
-	dsum = parallel.SumFloat64(n, func(i int) float64 { return deg[i] })
+	wsum := parallel.Sum(bud, n, func(i int) float64 { return deg[i] * x[i] })
+	dsum := parallel.Sum(bud, n, func(i int) float64 { return deg[i] })
 	mean := 0.0
 	if dsum > 0 {
 		mean = wsum / dsum
 	}
 	out := make([]float64, n)
-	parallel.ForBlock(n, func(lo, hi int) {
+	bud.ForBlock(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = x[i] - mean
 		}

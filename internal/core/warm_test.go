@@ -8,6 +8,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/linalg"
+	"repro/internal/parallel"
 	"repro/internal/workspace"
 )
 
@@ -440,7 +441,7 @@ func TestBasisUpdateMatchesDense(t *testing.T) {
 					col[i] -= gamma
 				}
 			}
-			ls := linalg.NewExplicitLaplacian(h).MulDense(s)
+			ls := linalg.NewExplicitLaplacian(parallel.Live(), h).MulDense(parallel.Live(), s)
 			for i := 0; i < k; i++ {
 				for j := 0; j < k; j++ {
 					wantZ := linalg.Dot(s.Col(i), ls.Col(j))

@@ -5,31 +5,41 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/parallel"
 	"repro/internal/pivot"
 	"repro/internal/workspace"
 )
 
+// budgetEngines are the layout engines with the options the budget
+// invariance tests run them under.
+var budgetEngines = []struct {
+	name string
+	run  func(*graph.CSR, Options) (*Layout, *Report, error)
+	opt  Options
+}{
+	{"parhde/kcenters", ParHDE, Options{Subspace: 8, Seed: 11}},
+	{"parhde/random", ParHDE, Options{Subspace: 8, Seed: 11, Pivots: pivot.Random}},
+	{"phde", PHDE, Options{Subspace: 8, Seed: 11}},
+	{"pivotmds", PivotMDS, Options{Subspace: 8, Seed: 11}},
+	{"prior", Prior, Options{Subspace: 8, Seed: 11}},
+}
+
 // TestParHDEBitIdenticalAcrossWorkerBudgets is the layout-level budget
 // invariance property: for a fixed seed, the coordinates are bitwise
-// identical whether the run uses 1, 2, or 4 workers — for Random, whose
-// rounds hold one BFS per worker, too — fresh allocations or a pooled
-// workspace shared across all budgets.
+// identical whether the run uses 1, 2, or 4 workers — for every engine
+// and, under ParHDE, for Random, whose rounds hold one BFS per worker —
+// with fresh allocations or a pooled workspace shared across all
+// budgets; every engine reports the budget it ran on.
 func TestParHDEBitIdenticalAcrossWorkerBudgets(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
-	graphs := []struct {
-		name string
-		opt  Options
-	}{
-		{"kcenters", Options{Subspace: 8, Seed: 11}},
-		{"random", Options{Subspace: 8, Seed: 11, Pivots: pivot.Random}},
-	}
 	g := gen.Kron(13, 8, 3) // n=8192: spans two reduction tiles, admits 4-way block fan-out
 	ws := workspace.New()   // shared across budgets: arenas must be budget-independent
-	for _, c := range graphs {
+	for _, c := range budgetEngines {
 		opt := c.opt
 		opt.Workers = 1
-		ref, refRep, err := ParHDE(g, opt)
+		ref, refRep, err := c.run(g, opt)
 		if err != nil {
 			t.Fatalf("%s workers=1: %v", c.name, err)
 		}
@@ -40,7 +50,7 @@ func TestParHDEBitIdenticalAcrossWorkerBudgets(t *testing.T) {
 			opt := c.opt
 			opt.Workers = p
 			opt.Workspace = ws
-			lay, rep, err := ParHDE(g, opt)
+			lay, rep, err := c.run(g, opt)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", c.name, p, err)
 			}
@@ -55,6 +65,36 @@ func TestParHDEBitIdenticalAcrossWorkerBudgets(t *testing.T) {
 					t.Fatalf("%s workers=%d: Coords[%d] = %v, want %v (bitwise)",
 						c.name, p, k, lay.Coords.Data[k], ref.Coords.Data[k])
 				}
+			}
+		}
+	}
+}
+
+// TestEvaluateBudgetInvariance: Evaluate runs on the live budget, and
+// every one of its sums is taken over the fixed tile grid, so the quality
+// of each engine's layout is bitwise the same under GOMAXPROCS 1, 2 and
+// 4. The graph spans at least three tiles, so a per-worker partition
+// would regroup the sums.
+func TestEvaluateBudgetInvariance(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	g := graph.LargestComponent(gen.Kron(14, 16, 3))
+	if tiles := parallel.ReduceBlocks(g.NumV); tiles < 3 {
+		t.Fatalf("n=%d spans %d tiles; need at least 3", g.NumV, tiles)
+	}
+	for _, c := range budgetEngines {
+		opt := c.opt
+		opt.Workers = 1
+		lay, _, err := c.run(g, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		runtime.GOMAXPROCS(1)
+		want := Evaluate(g, lay)
+		for _, p := range []int{2, 4} {
+			runtime.GOMAXPROCS(p)
+			if got := Evaluate(g, lay); got != want {
+				t.Fatalf("%s: Evaluate under GOMAXPROCS(%d) = %+v, want %+v (bitwise, as under 1)", c.name, p, got, want)
 			}
 		}
 	}

@@ -49,8 +49,9 @@ type IncrementalReport struct {
 // mutation batch: mostly inserts of random non-edges, with every eighth
 // flip deleting an existing edge, mimicking an evolving graph. A deletion
 // keeps the graph connected: it needs a common neighbour of its endpoints
-// whose two edges the batch then never deletes. Returns the mutated graph
-// and the number of flips applied.
+// whose two edges the batch then never deletes; a deletion without one
+// becomes an addition. Returns the mutated graph and the number of flips
+// applied.
 func flipEdges(base *graph.CSR, count int64, seed uint64) (*graph.CSR, int64, error) {
 	// Existing edges (u < v) to draw deletions from.
 	edges := make([][2]int32, 0, base.NumEdges())
@@ -89,15 +90,15 @@ func flipEdges(base *graph.CSR, count int64, seed uint64) (*graph.CSR, int64, er
 			if seen[e] || kept[e] {
 				continue
 			}
-			w, ok := detour(e)
-			if !ok {
+			if w, ok := detour(e); ok {
+				seen[e] = true
+				kept[pair(e[0], w)], kept[pair(w, e[1])] = true, true
+				batch = append(batch, dyngraph.Mutation{Op: dyngraph.DelEdge, U: e[0], V: e[1]})
+				applied++
 				continue
 			}
-			seen[e] = true
-			kept[pair(e[0], w)], kept[pair(w, e[1])] = true, true
-			batch = append(batch, dyngraph.Mutation{Op: dyngraph.DelEdge, U: e[0], V: e[1]})
-			applied++
-			continue
+			// No detour (always so on a triangle-free graph): this flip
+			// is an addition instead.
 		}
 		u := int32(next() % uint64(n))
 		v := int32(next() % uint64(n))

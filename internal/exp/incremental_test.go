@@ -3,6 +3,10 @@ package exp
 import (
 	"bytes"
 	"testing"
+	"time"
+
+	"repro/internal/gen"
+	"repro/internal/graph"
 )
 
 // TestIncrementalWarmStartAcceptance pins the dynamic-graph acceptance
@@ -44,5 +48,36 @@ func TestIncrementalExperimentTable(t *testing.T) {
 	}
 	if rows := bytes.Count(buf.Bytes(), []byte("\n")) - 2; rows != 3 {
 		t.Fatalf("table has %d rows, want 3:\n%s", rows, buf.String())
+	}
+}
+
+// TestFlipEdgesTriangleFree: a grid has no triangles, so no deletion has
+// a detour; each becomes an addition and the call still applies every
+// requested flip instead of redrawing deletions forever.
+func TestFlipEdgesTriangleFree(t *testing.T) {
+	base := gen.Grid2D(30, 20)
+	type result struct {
+		g       *graph.CSR
+		applied int64
+		err     error
+	}
+	done := make(chan result, 1)
+	go func() {
+		g, applied, err := flipEdges(base, 8, 1)
+		done <- result{g, applied, err}
+	}()
+	select {
+	case r := <-done:
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if r.applied != 8 {
+			t.Fatalf("applied %d flips, want 8", r.applied)
+		}
+		if got, want := r.g.NumEdges(), base.NumEdges()+8; got != want {
+			t.Fatalf("mutated grid has %d edges, want %d (8 additions)", got, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("flipEdges on a triangle-free graph did not return within 10s")
 	}
 }

@@ -103,7 +103,7 @@ func assemble(n int, edges []Edge, weighted bool) *CSR {
 	// Sort each adjacency list and drop duplicates (parallel edges). When
 	// weighted, duplicates are merged by keeping the maximum similarity.
 	newLen := make([]int64, n)
-	parallel.ForBlock(n, func(lo, hi int) {
+	parallel.Live().ForBlock(n, func(lo, hi int) {
 		var pairs []arc // one sort buffer per worker
 		for v := lo; v < hi; v++ {
 			a := adj[counts[v]:counts[v+1]]
@@ -142,7 +142,7 @@ func assemble(n int, edges []Edge, weighted bool) *CSR {
 	if weighted {
 		outW = make([]float64, offsets[n])
 	}
-	parallel.For(n, func(v int) {
+	parallel.Live().For(n, func(v int) {
 		lo := counts[v]
 		copy(outAdj[offsets[v]:offsets[v+1]], adj[lo:lo+newLen[v]])
 		if weighted {

@@ -101,7 +101,7 @@ func (g *CSR) MaxDegree() int32 {
 	if g.NumV == 0 {
 		return 0
 	}
-	v := parallel.MaxIndexInt32(g.NumV, func(i int) int32 {
+	v := parallel.MaxIndex(parallel.Live(), g.NumV, func(i int) int32 {
 		return int32(g.Offsets[i+1] - g.Offsets[i])
 	})
 	return g.Degree(int32(v))

@@ -18,7 +18,7 @@ type GapStats struct {
 // sink is called concurrently from multiple goroutines and must be
 // thread-safe (the Fibonacci-binning histogram uses atomic counters).
 func Gaps(g *CSR, sink func(gap int64)) {
-	parallel.ForBlock(g.NumV, func(lo, hi int) {
+	parallel.Live().ForBlock(g.NumV, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			adj := g.Adj[g.Offsets[v]:g.Offsets[v+1]]
 			for k := 1; k < len(adj); k++ {
@@ -28,35 +28,22 @@ func Gaps(g *CSR, sink func(gap int64)) {
 	})
 }
 
-// GapSummary returns aggregate gap statistics in one pass.
+// GapSummary returns aggregate gap statistics without visiting each gap.
 func GapSummary(g *CSR) GapStats {
-	type acc struct {
-		count int64
-		sum   int64
-	}
-	total := acc{}
-	// Serial accumulate over parallel per-block partials via SumInt64 twice
-	// would traverse twice; do a single blocked pass instead.
-	partialCount := parallel.SumInt64(g.NumV, func(v int) int64 {
-		d := g.Offsets[v+1] - g.Offsets[v]
-		if d <= 1 {
-			return 0
-		}
-		return d - 1
+	bud := parallel.Live()
+	count := parallel.Sum(bud, g.NumV, func(v int) int64 {
+		return max(g.Offsets[v+1]-g.Offsets[v]-1, 0)
 	})
-	partialSum := parallel.SumInt64(g.NumV, func(v int) int64 {
-		adj := g.Adj[g.Offsets[v]:g.Offsets[v+1]]
-		var s int64
-		for k := 1; k < len(adj); k++ {
-			s += int64(adj[k]) - int64(adj[k-1])
+	// The gaps of a sorted list telescope to its last minus its first id.
+	sum := parallel.Sum(bud, g.NumV, func(v int) int64 {
+		if lo, hi := g.Offsets[v], g.Offsets[v+1]; hi-lo > 1 {
+			return int64(g.Adj[hi-1]) - int64(g.Adj[lo])
 		}
-		return s
+		return 0
 	})
-	total.count = partialCount
-	total.sum = partialSum
-	gs := GapStats{Count: total.count}
-	if total.count > 0 {
-		gs.Mean = float64(total.sum) / float64(total.count)
+	gs := GapStats{Count: count}
+	if count > 0 {
+		gs.Mean = float64(sum) / float64(count)
 	}
 	return gs
 }

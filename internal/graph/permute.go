@@ -36,7 +36,7 @@ func Permute(g *CSR, perm []int32) (*CSR, error) {
 	if g.Weights != nil {
 		wts = make([]float64, len(g.Weights))
 	}
-	parallel.For(n, func(nw int) {
+	parallel.Live().For(n, func(nw int) {
 		old := inv[nw]
 		pos := offsets[nw]
 		for k := g.Offsets[old]; k < g.Offsets[old+1]; k++ {

@@ -107,7 +107,7 @@ func TestKernelBudgetGate(t *testing.T) {
 		n, s := 1<<16, 48
 		a, b := randDense(n, s, 1), randDense(n, s, 2)
 		c := linalg.NewDense(s, s)
-		partials := make([]float64, linalg.ReduceBlocks(n)*s*s)
+		partials := make([]float64, parallel.ReduceBlocks(n)*s*s)
 		var arena linalg.PackArena
 		tBlocked := minTime(reps, func() { linalg.AtBPackedBudget(parallel.Live(), a, b, c, partials, &arena) })
 		tNaive := minTime(reps, func() { naiveAtB(a, b, c) })
@@ -158,7 +158,7 @@ func TestKernelBudgetGate(t *testing.T) {
 		g, deg, s, pc := tripleProdFixture()
 		p, z := linalg.NewDense(g.NumV, s.Cols), linalg.NewDense(s.Cols, s.Cols)
 		srm := make([]float64, g.NumV*s.Cols)
-		partials := make([]float64, linalg.ReduceBlocks(g.NumV)*s.Cols*s.Cols)
+		partials := make([]float64, parallel.ReduceBlocks(g.NumV)*s.Cols*s.Cols)
 		var arena linalg.PackArena
 		bud := parallel.FixedBudget(1)
 		tFused := minTime(reps, func() { linalg.TripleProdBudget(bud, g, deg, pc, 0, z, srm, partials, &arena) })
@@ -277,7 +277,7 @@ func BenchmarkAtBPacked(b *testing.B) {
 	n, s := 1<<16, 48
 	x, y := randDense(n, s, 1), randDense(n, s, 2)
 	c := linalg.NewDense(s, s)
-	partials := make([]float64, linalg.ReduceBlocks(n)*s*s)
+	partials := make([]float64, parallel.ReduceBlocks(n)*s*s)
 	var arena linalg.PackArena
 	b.SetBytes(int64(2 * n * s * 8))
 	b.ResetTimer()

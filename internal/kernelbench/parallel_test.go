@@ -55,7 +55,7 @@ func TestParallelEfficiencyGate(t *testing.T) {
 	{
 		n, s := 1<<20, 48
 		a, b := randDense(n, s, 11), randDense(n, s, 12)
-		partials := make([]float64, linalg.ReduceBlocks(n)*s*s)
+		partials := make([]float64, parallel.ReduceBlocks(n)*s*s)
 		var arena linalg.PackArena
 		t1 := minTime(reps, func() { linalg.AtBPackedBudget(serial, a, b, nil, partials, &arena) })
 		tp := minTime(reps, func() { linalg.AtBPackedBudget(par, a, b, nil, partials, &arena) })
@@ -87,7 +87,7 @@ func TestParallelEfficiencyGate(t *testing.T) {
 		for i := range src {
 			src[i] = int32(r.Intn(1 << 20))
 		}
-		tiles := linalg.ReduceBlocks(n)
+		tiles := parallel.ReduceBlocks(n)
 		idxs, vals := make([]int, tiles), make([]int32, tiles)
 		reset := func() {
 			for i := range dmin {

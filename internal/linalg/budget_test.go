@@ -33,9 +33,9 @@ func testBudgets() []parallel.Budget {
 func TestDotBudgetInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	withProcs(4, func() {
-		for _, n := range []int{1, 100, TileRows, TileRows + 1, 3*TileRows + 17, 20000} {
+		for _, n := range []int{1, 100, parallel.TileRows, parallel.TileRows + 1, 3*parallel.TileRows + 17, 20000} {
 			x, y, d := randVec(n, rng), randVec(n, rng), randVec(n, rng)
-			partials := make([]float64, ReduceBlocks(n))
+			partials := make([]float64, parallel.ReduceBlocks(n))
 			ref := DotBudget(parallel.FixedBudget(1), x, y, nil)
 			for _, bud := range testBudgets() {
 				if got := DotBudget(bud, x, y, partials); got != ref {
@@ -65,7 +65,7 @@ func TestDotBudgetInvariance(t *testing.T) {
 func TestDDotPanelBudgetInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	withProcs(4, func() {
-		n := 2*TileRows + 31
+		n := 2*parallel.TileRows + 31
 		work, d := randVec(n, rng), randVec(n, rng)
 		for _, k := range []int{1, PanelCols - 1, PanelCols, PanelCols + 3, 2*PanelCols + 1} {
 			cols := make([][]float64, k)
@@ -73,7 +73,7 @@ func TestDDotPanelBudgetInvariance(t *testing.T) {
 				cols[j] = randVec(n, rng)
 			}
 			pc := packCols(n, cols)
-			partials := make([]float64, ReduceBlocks(n)*k)
+			partials := make([]float64, parallel.ReduceBlocks(n)*k)
 			ref := refPanelDots(cols, work, d)
 			refPlain := refPanelDots(cols, work, nil)
 			for _, bud := range testBudgets() {
@@ -100,7 +100,7 @@ func TestDDotPanelBudgetInvariance(t *testing.T) {
 func TestWidenMinArgmaxBudgetInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	withProcs(4, func() {
-		for _, n := range []int{1, 513, TileRows, 3*TileRows + 9} {
+		for _, n := range []int{1, 513, parallel.TileRows, 3*parallel.TileRows + 9} {
 			for trial := 0; trial < 3; trial++ {
 				src := make([]int32, n)
 				base := make([]int32, n)
@@ -113,7 +113,7 @@ func TestWidenMinArgmaxBudgetInvariance(t *testing.T) {
 						src[i], base[i] = 7, 7
 					}
 				}
-				tiles := ReduceBlocks(n)
+				tiles := parallel.ReduceBlocks(n)
 				idxs, vals := make([]int, tiles), make([]int32, tiles)
 				refDst := make([]float64, n)
 				refMin := append([]int32(nil), base...)
@@ -142,9 +142,9 @@ func TestWidenMinArgmaxBudgetInvariance(t *testing.T) {
 func TestScaledCopyDDotBudgetInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	withProcs(4, func() {
-		for _, n := range []int{100, TileRows + 1, 2*TileRows + 77} {
+		for _, n := range []int{100, parallel.TileRows + 1, 2*parallel.TileRows + 77} {
 			src, d := randVec(n, rng), randVec(n, rng)
-			partials := make([]float64, ReduceBlocks(n))
+			partials := make([]float64, parallel.ReduceBlocks(n))
 			refDst := make([]float64, n)
 			ref := refScaledDDot(refDst, src, d, 1.25)
 			refPlain := refScaledDDot(refDst, src, nil, 1.25)
@@ -173,7 +173,7 @@ func TestScaledCopyDDotBudgetInvariance(t *testing.T) {
 // across budgets, and the tiled kernel agrees with it.
 func TestLapMulBudgetInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	g := gen.Path(2*TileRows + 13)
+	g := gen.Path(2*parallel.TileRows + 13)
 	n := g.NumV
 	deg := g.WeightedDegrees()
 	withProcs(4, func() {

@@ -15,19 +15,19 @@ import (
 // WidenMinArgmaxBudget fuses the per-pivot bookkeeping of the k-centers
 // BFS loop: dst[i] = float64(src[i]), dmin[i] = min(dmin[i], src[i]), and
 // the return value is the index of the maximum of the updated dmin (ties
-// toward the smallest index, matching parallel.ArgmaxInt32). One pass
-// over memory instead of the three the unfused widen → min-update →
-// argmax sequence performs, with identical results. idxs/vals are the
-// per-tile argmax arenas (capacity ≥ ReduceBlocks(n) each, allocated when
-// short); a pooled caller passes both so the steady-state call allocates
-// nothing. The elementwise writes are partition-independent, and the
+// toward the smallest index, matching parallel.MaxIndex). One pass over
+// memory instead of the three the unfused widen → min-update → argmax
+// sequence performs, with identical results. idxs/vals are the per-tile
+// argmax arenas (capacity ≥ parallel.ReduceBlocks(n) each, allocated
+// when short); a pooled caller passes both so the steady-state call
+// allocates nothing. The elementwise writes are partition-independent, and the
 // cross-tile first-maximum combine matches the serial first-maximum scan,
 // so every budget returns the same index.
 func WidenMinArgmaxBudget(bud parallel.Budget, dst []float64, dmin, src []int32, idxs []int, vals []int32) int {
 	checkLen(len(dst), len(src))
 	checkLen(len(dmin), len(src))
 	n := len(src)
-	tiles := ReduceBlocks(n)
+	tiles := parallel.ReduceBlocks(n)
 	if tiles == 1 || bud.Workers() <= 1 {
 		best, _ := widenMinArgmaxRange(dst, dmin, src, 0, n)
 		return best
@@ -44,7 +44,7 @@ func WidenMinArgmaxBudget(bud parallel.Budget, dst []float64, dmin, src []int32,
 	} else {
 		vb = make([]int32, tiles)
 	}
-	forTiles(bud, n, tiles, func(t, lo, hi int) {
+	bud.ForTiles(n, tiles, func(t, lo, hi int) {
 		ib[t], vb[t] = widenMinArgmaxRange(dst, dmin, src, lo, hi)
 	})
 	best, bv := ib[0], vb[0]

@@ -52,7 +52,7 @@ func WalkMulVec(g *graph.CSR, deg []float64, x, p []float64) {
 	checkLen(len(x), g.NumV)
 	checkLen(len(p), g.NumV)
 	if g.Weighted() {
-		parallel.ForBlock(g.NumV, func(lo, hi int) {
+		parallel.Live().ForBlock(g.NumV, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				var sum float64
 				o0, o1 := g.Offsets[i], g.Offsets[i+1]
@@ -68,7 +68,7 @@ func WalkMulVec(g *graph.CSR, deg []float64, x, p []float64) {
 		})
 		return
 	}
-	parallel.ForBlock(g.NumV, func(lo, hi int) {
+	parallel.Live().ForBlock(g.NumV, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			var sum float64
 			for _, j := range g.Adj[g.Offsets[i]:g.Offsets[i+1]] {
@@ -95,17 +95,17 @@ type ExplicitLaplacian struct {
 	Vals    []float64
 }
 
-// NewExplicitLaplacian materializes L = D − A for g.
-func NewExplicitLaplacian(g *graph.CSR) *ExplicitLaplacian {
+// NewExplicitLaplacian materializes L = D − A for g under bud.
+func NewExplicitLaplacian(bud parallel.Budget, g *graph.CSR) *ExplicitLaplacian {
 	n := g.NumV
-	deg := g.WeightedDegrees()
+	deg := g.WeightedDegreesIntoBudget(bud, nil)
 	offsets := make([]int64, n+1)
 	for i := 0; i < n; i++ {
 		offsets[i+1] = offsets[i] + (g.Offsets[i+1] - g.Offsets[i]) + 1
 	}
 	cols := make([]int32, offsets[n])
 	vals := make([]float64, offsets[n])
-	parallel.For(n, func(i int) {
+	bud.For(n, func(i int) {
 		pos := offsets[i]
 		placedDiag := false
 		for k := g.Offsets[i]; k < g.Offsets[i+1]; k++ {
@@ -134,10 +134,10 @@ func NewExplicitLaplacian(g *graph.CSR) *ExplicitLaplacian {
 
 // MulVec computes p ← L·x through the explicit CSR structure (the generic
 // SpMV the prior baseline pays for).
-func (l *ExplicitLaplacian) MulVec(x, p []float64) {
+func (l *ExplicitLaplacian) MulVec(bud parallel.Budget, x, p []float64) {
 	checkLen(len(x), l.N)
 	checkLen(len(p), l.N)
-	parallel.ForBlock(l.N, func(lo, hi int) {
+	bud.ForBlock(l.N, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			var sum float64
 			for k := l.Offsets[i]; k < l.Offsets[i+1]; k++ {
@@ -149,10 +149,10 @@ func (l *ExplicitLaplacian) MulVec(x, p []float64) {
 }
 
 // MulDense computes P = L·S column by column.
-func (l *ExplicitLaplacian) MulDense(s *Dense) *Dense {
+func (l *ExplicitLaplacian) MulDense(bud parallel.Budget, s *Dense) *Dense {
 	p := NewDense(s.Rows, s.Cols)
 	for j := 0; j < s.Cols; j++ {
-		l.MulVec(s.Col(j), p.Col(j))
+		l.MulVec(bud, s.Col(j), p.Col(j))
 	}
 	return p
 }

@@ -259,7 +259,7 @@ func TestFusedMatchesExplicitLaplacian(t *testing.T) {
 			s.Data[i] = r.NormFloat64()
 		}
 		fused := LapMulDenseTiledPackedBudget(parallel.Live(), g, deg, s, nil, nil, nil)
-		explicit := NewExplicitLaplacian(g).MulDense(s)
+		explicit := NewExplicitLaplacian(parallel.Live(), g).MulDense(parallel.Live(), s)
 		for i := range fused.Data {
 			if !approxEq(fused.Data[i], explicit.Data[i], 1e-10) {
 				t.Fatalf("weighted=%v: fused[%d] = %g, explicit %g", weighted, i, fused.Data[i], explicit.Data[i])
@@ -270,11 +270,11 @@ func TestFusedMatchesExplicitLaplacian(t *testing.T) {
 
 func TestExplicitLaplacianStructure(t *testing.T) {
 	g := gen.Path(5)
-	lap := NewExplicitLaplacian(g)
+	lap := NewExplicitLaplacian(parallel.Live(), g)
 	// Path Laplacian row 0: [1, -1, 0, 0, 0]; row 2: [0,-1,2,-1,0].
 	x := []float64{1, 2, 3, 4, 5}
 	p := make([]float64, 5)
-	lap.MulVec(x, p)
+	lap.MulVec(parallel.Live(), x, p)
 	want := []float64{-1, 0, 0, 0, 1}
 	for i := range want {
 		if !approxEq(p[i], want[i], 1e-12) {
@@ -304,7 +304,7 @@ func TestColumnCenterZeroMeans(t *testing.T) {
 	for i := range m.Data {
 		m.Data[i] = r.NormFloat64()*10 + 3
 	}
-	ColumnCenter(m)
+	ColumnCenter(parallel.Live(), m)
 	for j := 0; j < m.Cols; j++ {
 		var sum float64
 		for _, v := range m.Col(j) {
@@ -322,7 +322,7 @@ func TestDoubleCenterZeroRowAndColMeans(t *testing.T) {
 	for i := range m.Data {
 		m.Data[i] = math.Abs(r.NormFloat64()) * 5
 	}
-	DoubleCenter(m)
+	DoubleCenter(parallel.Live(), m)
 	for j := 0; j < m.Cols; j++ {
 		var sum float64
 		for _, v := range m.Col(j) {
@@ -346,7 +346,7 @@ func TestDoubleCenterZeroRowAndColMeans(t *testing.T) {
 func TestSquareElements(t *testing.T) {
 	m := NewDense(2, 2)
 	copy(m.Data, []float64{-3, 2, 0, 5})
-	SquareElements(m)
+	SquareElements(parallel.Live(), m)
 	want := []float64{9, 4, 0, 25}
 	for i := range want {
 		if m.Data[i] != want[i] {

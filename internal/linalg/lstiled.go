@@ -74,19 +74,19 @@ func LapMulDenseTiledPackedBudget(bud parallel.Budget, g *graph.CSR, deg []float
 // TripleProdBudget computes the TripleProd phase Z = Sᵀ(L·S) in one walk
 // over the rows, S being the n×k matrix in pc's stored columns [first,
 // pc.Len()), read in place. S is first transposed into the row-major srm
-// (capacity ≥ n·k). The walk takes AtBPackedBudget's tile grid; per
-// PackRows chunk of a tile it runs fusedRows into the worker's arena
-// slot, transposes that in cache into a column-packed P chunk, and
-// extends the tile's SᵀP partial (partials: capacity ≥ ReduceBlocks(n)·k²,
-// grown when short) by atbSweep over the chunk and the tile's S slots.
-// Every element of P and of each partial adds the products of
-// LapMulDenseTiledPackedBudget and AtBPackedBudget in the same order, and
-// the partials are combined in tile order, so Z equals that two-pass
-// product bit for bit under every budget while P never outlives a chunk.
-// srm is left holding S for MulSmallRowMajorBudget. z receives Z
-// (allocated when nil); arena may be nil. lsShare is the L·S half's
-// fraction of the workers' time (srm transpose, fusedRows, chunk
-// transpose); the SᵀP sweeps and the combine are the rest.
+// (capacity ≥ n·k). The walk takes AtBPackedBudget's tile grid; per PackRows
+// chunk of a tile it runs fusedRows into the worker's arena slot, transposes
+// that in cache into a column-packed P chunk, and extends the tile's SᵀP
+// partial (partials: capacity ≥ parallel.ReduceBlocks(n)·k², grown when
+// short) by atbSweep over the chunk and the tile's S slots. Every element of
+// P and of each partial adds the products of LapMulDenseTiledPackedBudget
+// and AtBPackedBudget in the same order, and the partials are combined in
+// tile order, so Z equals that two-pass product bit for bit under every
+// budget while P never outlives a chunk. srm is left holding S for
+// MulSmallRowMajorBudget. z receives Z (allocated when nil); arena may be
+// nil. lsShare is the L·S half's fraction of the workers' time (srm
+// transpose, fusedRows, chunk transpose); the SᵀP sweeps and the combine are
+// the rest.
 func TripleProdBudget(bud parallel.Budget, g *graph.CSR, deg []float64, pc *PackedCols, first int, z *Dense, srm, partials []float64, arena *PackArena) (_ *Dense, lsShare float64) {
 	n, k := pc.n, pc.k-first
 	if n != g.NumV {
@@ -97,7 +97,7 @@ func TripleProdBudget(bud parallel.Budget, g *graph.CSR, deg []float64, pc *Pack
 	} else if z.Rows != k || z.Cols != k {
 		panic("linalg: TripleProd output shape mismatch")
 	}
-	tiles := ReduceBlocks(n)
+	tiles := parallel.ReduceBlocks(n)
 	panels := z.Data
 	if tiles > 1 {
 		if cap(partials) < tiles*k*k {
@@ -122,8 +122,8 @@ func TripleProdBudget(bud parallel.Budget, g *graph.CSR, deg []float64, pc *Pack
 		}
 	} else {
 		busy := make([]time.Duration, 2*workers) // worker w's L·S and SᵀP time
-		forTilesIndexed(workers, n, tiles, func(w, t, lo, hi int) { busy[2*w] += tp.pack(t, lo, hi) })
-		forTilesIndexed(workers, n, tiles, func(w, t, lo, hi int) {
+		parallel.ForTilesIndexed(workers, n, tiles, func(w, t, lo, hi int) { busy[2*w] += tp.pack(t, lo, hi) })
+		parallel.ForTilesIndexed(workers, n, tiles, func(w, t, lo, hi int) {
 			l, a := tp.walk(t, lo, hi, panels[t*k*k:(t+1)*k*k], arena.slot(w))
 			busy[2*w], busy[2*w+1] = busy[2*w]+l, busy[2*w+1]+a
 		})

@@ -7,13 +7,13 @@ import (
 
 // Reference oracles for the bitwise equivalence suites. Each is a minimal
 // serial loop nest that shares no code with the kernel it checks; what it
-// does share is the documented summation order — per TileRows tile in
-// ascending row order, tiles combined in ascending order — because that
+// does share is the documented summation order — per parallel.TileRows tile
+// in ascending row order, tiles combined in ascending order — because that
 // order is the kernels' contract.
 
 // tileBounds returns the row range of tile t of an n-row reduction.
 func tileBounds(n, t int) (lo, hi int) {
-	tiles := ReduceBlocks(n)
+	tiles := parallel.ReduceBlocks(n)
 	return t * n / tiles, (t + 1) * n / tiles
 }
 
@@ -25,7 +25,7 @@ func refAtB(a, b *Dense) *Dense {
 		for i := 0; i < a.Cols; i++ {
 			ai, bj := a.Col(i), b.Col(j)
 			var sum float64
-			for t := 0; t < ReduceBlocks(n); t++ {
+			for t := 0; t < parallel.ReduceBlocks(n); t++ {
 				lo, hi := tileBounds(n, t)
 				var part float64
 				for r := lo; r < hi; r++ {
@@ -56,7 +56,7 @@ func refScaledDDot(dst, src, d []float64, a float64) float64 {
 		dst[i] = a * v
 	}
 	var sum float64
-	for t := 0; t < ReduceBlocks(n); t++ {
+	for t := 0; t < parallel.ReduceBlocks(n); t++ {
 		lo, hi := tileBounds(n, t)
 		var part float64
 		for i := lo; i < hi; i++ {
@@ -77,7 +77,7 @@ func refPanelDots(cols [][]float64, work, d []float64) []float64 {
 	n := len(work)
 	out := make([]float64, len(cols))
 	for j, col := range cols {
-		for t := 0; t < ReduceBlocks(n); t++ {
+		for t := 0; t < parallel.ReduceBlocks(n); t++ {
 			lo, hi := tileBounds(n, t)
 			var part float64
 			for r := lo; r < hi; r++ {

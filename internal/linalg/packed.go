@@ -70,22 +70,21 @@ func (pa *PackArena) slot(w int) []float64 {
 // (Table 1). c receives the product (allocated when nil; contents are
 // overwritten).
 //
-// The row dimension is cut into the fixed TileRows tiling; each tile is
-// reduced into its own s×t panel of partials (capacity ≥
-// ReduceBlocks(n)·s·t floats, grown when short) and the panels are
+// The row dimension is cut into the fixed parallel.TileRows tiling; each
+// tile is reduced into its own s×t panel of partials (capacity ≥
+// parallel.ReduceBlocks(n)·s·t floats, grown when short) and the panels are
 // combined serially in tile order. Within a tile each worker packs the
 // PackRows-high chunk of A and B columns it is about to consume into its
-// arena slot and runs the 4×2 micro-kernels out of the packed copy, so
-// the chunk is read from DRAM once and served from cache for all s·t/8
-// kernel passes. The accumulator chains are carried through the output
-// panel between chunks, and the tile grid depends only on n, so the
-// result is bitwise identical for every worker budget, including the
-// serial path. arena may be nil (private storage) — a workspace-backed
-// caller passes the pooled arena and partials and the steady state
-// allocates nothing.
+// arena slot and runs the 4×2 micro-kernels out of the packed copy, so the
+// chunk is read from DRAM once and served from cache for all s·t/8 kernel
+// passes. The accumulator chains are carried through the output panel
+// between chunks, and the tile grid depends only on n, so the result is
+// bitwise identical for every worker budget, including the serial path.
+// arena may be nil (private storage) — a workspace-backed caller passes the
+// pooled arena and partials and the steady state allocates nothing.
 func AtBPackedBudget(bud parallel.Budget, a, b, c *Dense, partials []float64, arena *PackArena) *Dense {
 	n, s, t, c := atbCheck(a, b, c)
-	tiles := ReduceBlocks(n)
+	tiles := parallel.ReduceBlocks(n)
 	workers := bud.Workers()
 	if workers > tiles {
 		workers = tiles
@@ -110,7 +109,7 @@ func AtBPackedBudget(bud parallel.Budget, a, b, c *Dense, partials []float64, ar
 			atbPackedPanel(a, b, buf[tl*s*t:(tl+1)*s*t], tl*n/tiles, (tl+1)*n/tiles, slot)
 		}
 	} else {
-		forTilesIndexed(workers, n, tiles, func(w, tl, lo, hi int) {
+		parallel.ForTilesIndexed(workers, n, tiles, func(w, tl, lo, hi int) {
 			atbPackedPanel(a, b, buf[tl*s*t:(tl+1)*s*t], lo, hi, arena.slot(w))
 		})
 	}

@@ -11,30 +11,30 @@ import (
 )
 
 // Adversarial equivalence suite for the packed kernels. The hazard of
-// packing is silent numerical divergence on shapes where the chunk,
-// tile, and panel boundaries interact — row counts straddling PackRows
-// and TileRows, degenerate column counts, empty inputs — so every test
+// packing is silent numerical divergence on shapes where the chunk, tile,
+// and panel boundaries interact — row counts straddling PackRows and
+// parallel.TileRows, degenerate column counts, empty inputs — so every test
 // here compares bitwise against the oracles of oracle_test.go on exactly
-// those shapes, under every worker budget, with arenas reused across
-// calls the way a pooled workspace reuses them.
+// those shapes, under every worker budget, with arenas reused across calls
+// the way a pooled workspace reuses them.
 
 // adversarialAtBShapes are the (n, s, t) cases the packed AᵀB kernel
 // must survive bitwise: rows not a multiple of the pack chunk or the
 // reduction tile, rows below one chunk/tile, single and odd column
 // counts (micro-kernel tails), and the empty-row matrix.
 var adversarialAtBShapes = []struct{ n, s, t int }{
-	{0, 3, 2},                // empty rows: output must still zero
-	{1, 1, 1},                // scalar corner everywhere
-	{5, 1, 3},                // t odd, s=1: 1x2 + 1x1 tails only
-	{100, 7, 5},              // n < PackRows, both columns odd
-	{PackRows - 1, 4, 2},     // one short chunk
-	{PackRows, 3, 3},         // exactly one chunk
-	{PackRows + 1, 8, 8},     // chunk + 1-row tail
-	{3*PackRows + 17, 5, 4},  // several chunks + ragged tail
-	{TileRows, 7, 2},         // exactly one reduction tile
-	{TileRows + 1, 2, 7},     // first multi-tile shape
-	{2*TileRows + 317, 9, 3}, // tiles and chunks both ragged
-	{3*TileRows + 1, 12, 12}, // wide panel, ragged tiles
+	{0, 3, 2},                         // empty rows: output must still zero
+	{1, 1, 1},                         // scalar corner everywhere
+	{5, 1, 3},                         // t odd, s=1: 1x2 + 1x1 tails only
+	{100, 7, 5},                       // n < PackRows, both columns odd
+	{PackRows - 1, 4, 2},              // one short chunk
+	{PackRows, 3, 3},                  // exactly one chunk
+	{PackRows + 1, 8, 8},              // chunk + 1-row tail
+	{3*PackRows + 17, 5, 4},           // several chunks + ragged tail
+	{parallel.TileRows, 7, 2},         // exactly one reduction tile
+	{parallel.TileRows + 1, 2, 7},     // first multi-tile shape
+	{2*parallel.TileRows + 317, 9, 3}, // tiles and chunks both ragged
+	{3*parallel.TileRows + 1, 12, 12}, // wide panel, ragged tiles
 }
 
 func fillRand(d *Dense, rng *rand.Rand) {
@@ -67,7 +67,7 @@ func TestAtBPackedAdversarialShapes(t *testing.T) {
 			fillRand(a, rng)
 			fillRand(b, rng)
 			ref := refAtB(a, b)
-			partials := make([]float64, ReduceBlocks(sh.n)*sh.s*sh.t)
+			partials := make([]float64, parallel.ReduceBlocks(sh.n)*sh.s*sh.t)
 			for _, bud := range testBudgets() {
 				got := AtBPackedBudget(bud, a, b, nil, nil, nil)
 				assertDenseEqual(t, "private arena", got, ref)
@@ -85,12 +85,12 @@ func TestAtBPackedBudgetInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	arena := &PackArena{}
 	withProcs(4, func() {
-		for _, n := range []int{64, TileRows, 3*TileRows + 5} {
+		for _, n := range []int{64, parallel.TileRows, 3*parallel.TileRows + 5} {
 			s, u := 7, 5
 			a, b := NewDense(n, s), NewDense(n, u)
 			fillRand(a, rng)
 			fillRand(b, rng)
-			partials := make([]float64, ReduceBlocks(n)*s*u)
+			partials := make([]float64, parallel.ReduceBlocks(n)*s*u)
 			ref := refAtB(a, b)
 			for _, bud := range testBudgets() {
 				got := AtBPackedBudget(bud, a, b, nil, partials, arena)
@@ -117,7 +117,7 @@ func lsGraphs() map[string]*graph.CSR {
 		"weighted kron": gen.WithRandomWeights(g, 9, 2),
 		"path 97":       gen.Path(97),
 		"path chunk+3":  gen.Path(PackRows + 3),
-		"path 2 tiles":  gen.Path(2*TileRows + 13),
+		"path 2 tiles":  gen.Path(2*parallel.TileRows + 13),
 	}
 }
 
@@ -166,7 +166,7 @@ func TestPackedColsBitwiseVsFlat(t *testing.T) {
 		ks = append(ks, k)
 	}
 	withProcs(4, func() {
-		for _, n := range []int{1, 37, TileRows, 2*TileRows + 317} {
+		for _, n := range []int{1, 37, parallel.TileRows, 2*parallel.TileRows + 317} {
 			for _, k := range ks {
 				cols := make([][]float64, k)
 				flat := make([][]float64, k)
@@ -177,7 +177,7 @@ func TestPackedColsBitwiseVsFlat(t *testing.T) {
 				}
 				d := randVec(n, rng)
 				work := randVec(n, rng)
-				partials := make([]float64, ReduceBlocks(n)*(k+1))
+				partials := make([]float64, parallel.ReduceBlocks(n)*(k+1))
 				for _, bud := range testBudgets() {
 					pc.Ensure(n, k)
 					// Append every column; D-norms must match the flat fused
@@ -304,8 +304,8 @@ func TestPackedColsRangeChecks(t *testing.T) {
 func FuzzPackedColsEquivalence(f *testing.F) {
 	f.Add(0, 3, int64(1))
 	f.Add(37, 3*PanelCols, int64(2))
-	f.Add(TileRows+1, 2*PanelCols+7, int64(3))
-	f.Add(2*TileRows+317, PanelCols+5, int64(4))
+	f.Add(parallel.TileRows+1, 2*PanelCols+7, int64(3))
+	f.Add(2*parallel.TileRows+317, PanelCols+5, int64(4))
 	var pc PackedCols // reused across inputs, like a pooled scratch
 	f.Fuzz(func(t *testing.T, n, k int, seed int64) {
 		if n < 0 {
@@ -314,7 +314,7 @@ func FuzzPackedColsEquivalence(f *testing.F) {
 		if k < 0 {
 			k = -k
 		}
-		n %= 2*TileRows + 512
+		n %= 2*parallel.TileRows + 512
 		k = k%(3*PanelCols) + 1
 		rng := rand.New(rand.NewSource(seed))
 		cols := make([][]float64, k)
@@ -376,8 +376,8 @@ func FuzzAtBPackedEquivalence(f *testing.F) {
 	f.Add(0, 3, 2, int64(1))
 	f.Add(1, 1, 1, int64(2))
 	f.Add(PackRows+1, 8, 8, int64(3))
-	f.Add(TileRows+1, 5, 1, int64(4))
-	f.Add(2*TileRows+317, 9, 3, int64(5))
+	f.Add(parallel.TileRows+1, 5, 1, int64(4))
+	f.Add(2*parallel.TileRows+317, 9, 3, int64(5))
 	arena := &PackArena{}
 	f.Fuzz(func(t *testing.T, n, s, u int, seed int64) {
 		// Clamp to shapes that stress boundaries without slowing the fuzzer:
@@ -391,7 +391,7 @@ func FuzzAtBPackedEquivalence(f *testing.F) {
 		if u < 0 {
 			u = -u
 		}
-		n %= 2*TileRows + 512
+		n %= 2*parallel.TileRows + 512
 		s = s%17 + 1
 		u = u%17 + 1
 		rng := rand.New(rand.NewSource(seed))

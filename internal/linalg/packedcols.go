@@ -19,23 +19,23 @@ const PanelCols = 8
 // columns, and every kept column exactly as often as before — the
 // remaining bandwidth is the irreducible column traffic of Gram-Schmidt.
 //
-// A flat column-major arena keeps each kept column n·8 bytes from the
-// next — a power of two at layout sizes, so the eight columns of a panel
-// chunk collide in the same cache sets and each projection pass re-reads
-// them from DRAM. Here every column is split over the fixed
-// ReduceBlocks(n) reduction tiles and stored tile-major: tile t holds all
-// columns' [t·n/tiles, (t+1)·n/tiles) rows contiguously, each column slot
-// padded by packColPad floats so adjacent slots sit a non-power-of-two
-// stride apart and panel chunks stream conflict-free. A column is packed
-// once when it is kept (AppendScaledDDotBudget, the fused keep step) and
-// then re-read in packed form by every later projection, so packing costs
-// nothing extra. Every reduction runs over the fixed tiling with per-tile
-// partials combined serially in tile order, so all results are bitwise
-// identical for every worker budget.
+// A flat column-major arena keeps each kept column n·8 bytes from the next —
+// a power of two at layout sizes, so the eight columns of a panel chunk
+// collide in the same cache sets and each projection pass re-reads them from
+// DRAM. Here every column is split over the fixed parallel.ReduceBlocks(n)
+// reduction tiles and stored tile-major: tile t holds all columns'
+// [t·n/tiles, (t+1)·n/tiles) rows contiguously, each column slot padded by
+// packColPad floats so adjacent slots sit a non-power-of-two stride apart
+// and panel chunks stream conflict-free. A column is packed once when it is
+// kept (AppendScaledDDotBudget, the fused keep step) and then re-read in
+// packed form by every later projection, so packing costs nothing extra.
+// Every reduction runs over the fixed tiling with per-tile partials combined
+// serially in tile order, so all results are bitwise identical for every
+// worker budget.
 type PackedCols struct {
 	buf     []float64
 	n       int // rows per column
-	tiles   int // ReduceBlocks(n)
+	tiles   int // parallel.ReduceBlocks(n)
 	stride  int // floats per column slot: ⌈n/tiles⌉ + packColPad
 	capCols int // column slots per tile
 	k       int // columns currently stored
@@ -51,7 +51,7 @@ const packColPad = 8
 // them, growing the backing storage only when the footprint exceeds its
 // capacity, and resets the column count to zero.
 func (pc *PackedCols) Ensure(n, capCols int) {
-	tiles := ReduceBlocks(n)
+	tiles := parallel.ReduceBlocks(n)
 	stride := (n+tiles-1)/tiles + packColPad
 	need := tiles * capCols * stride
 	if cap(pc.buf) < need {
@@ -77,13 +77,12 @@ func (pc *PackedCols) tileCols(t, j0, off, h int) strided {
 	return strided{pc.buf[(t*pc.capCols+j0)*pc.stride+off:], pc.stride, h}
 }
 
-// AppendScaledDDotBudget appends the column a·src to the store and
-// returns its D-norm ⟨a·src, a·src⟩_D (plain when d is nil) from the
-// same pass: the fused form of the DOrtho keep step, which would
-// otherwise copy, scale, and then re-stream the column a third time for
-// its D-norm. partials is the reduction buffer (capacity ≥
-// ReduceBlocks(n), grown when short). The store must have a free column
-// slot (see Ensure).
+// AppendScaledDDotBudget appends the column a·src to the store and returns
+// its D-norm ⟨a·src, a·src⟩_D (plain when d is nil) from the same pass: the
+// fused form of the DOrtho keep step, which would otherwise copy, scale, and
+// then re-stream the column a third time for its D-norm. partials is the
+// reduction buffer (capacity ≥ parallel.ReduceBlocks(n), grown when short).
+// The store must have a free column slot (see Ensure).
 func (pc *PackedCols) AppendScaledDDotBudget(bud parallel.Budget, src, d []float64, a float64, partials []float64) float64 {
 	if pc.k == pc.capCols {
 		panic("linalg: PackedCols is full")
@@ -107,7 +106,7 @@ func (pc *PackedCols) AppendScaledDDotBudget(bud parallel.Budget, src, d []float
 	} else {
 		buf = make([]float64, tiles)
 	}
-	forTiles(bud, n, tiles, func(t, lo, hi int) {
+	bud.ForTiles(n, tiles, func(t, lo, hi int) {
 		buf[t] = packScaledDDotRange(pc.slot(t, j), src, d, a, lo, hi)
 	})
 	var s float64
@@ -137,11 +136,11 @@ func packScaledDDotRange(slot, src, d []float64, a float64, lo, hi int) float64 
 	return s
 }
 
-// DDotPanelRangeBudget appends ⟨col_j, work⟩_D (plain inner products
-// when d is nil) for every stored column j in [j0, j1) to out and returns
-// it. partials is the per-tile arena (capacity ≥ ReduceBlocks(n)·(j1−j0),
-// grown when short); out should have spare capacity for j1−j0 more
-// entries to keep the call allocation-free.
+// DDotPanelRangeBudget appends ⟨col_j, work⟩_D (plain inner products when d
+// is nil) for every stored column j in [j0, j1) to out and returns it.
+// partials is the per-tile arena (capacity ≥
+// parallel.ReduceBlocks(n)·(j1−j0), grown when short); out should have spare
+// capacity for j1−j0 more entries to keep the call allocation-free.
 func (pc *PackedCols) DDotPanelRangeBudget(bud parallel.Budget, j0, j1 int, work, d, out, partials []float64) []float64 {
 	k := j1 - j0
 	if j1 > pc.k {
@@ -170,7 +169,7 @@ func (pc *PackedCols) DDotPanelRangeBudget(bud parallel.Budget, j0, j1 int, work
 			pc.dDotPackedRange(t, j0, j1, work, d, t*n/tiles, (t+1)*n/tiles, buf[t*k:(t+1)*k])
 		}
 	} else {
-		forTiles(bud, n, tiles, func(t, lo, hi int) {
+		bud.ForTiles(n, tiles, func(t, lo, hi int) {
 			pc.dDotPackedRange(t, j0, j1, work, d, lo, hi, buf[t*k:(t+1)*k])
 		})
 	}
@@ -291,7 +290,7 @@ func (pc *PackedCols) SubtractScaledRangeBudget(bud parallel.Budget, j0, j1 int,
 		}
 		return
 	}
-	forTiles(bud, n, tiles, func(t, lo, hi int) {
+	bud.ForTiles(n, tiles, func(t, lo, hi int) {
 		pc.subPackedRange(t, j0, j1, work, coeffs, lo, hi)
 	})
 }
@@ -365,7 +364,7 @@ func (pc *PackedCols) CopyColIntoBudget(bud parallel.Budget, dst []float64, j in
 		}
 		return
 	}
-	forTiles(bud, n, tiles, func(t, lo, hi int) {
+	bud.ForTiles(n, tiles, func(t, lo, hi int) {
 		copy(dst[lo:hi], pc.slot(t, j)[:hi-lo])
 	})
 }

@@ -67,12 +67,12 @@ func dirty(buf []float64) []float64 {
 func TestTripleProdMatchesTwoPass(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	maxCols := lsColCounts[len(lsColCounts)-1]
-	maxN := 2*TileRows + 13
+	maxN := 2*parallel.TileRows + 13
 	arena := &PackArena{}
 	arena.Ensure(4, 2*PackRows*maxCols)
 	dirty(arena.buf)
 	srm := dirty(make([]float64, maxN*maxCols))
-	partials := dirty(make([]float64, ReduceBlocks(maxN)*maxCols*maxCols))
+	partials := dirty(make([]float64, parallel.ReduceBlocks(maxN)*maxCols*maxCols))
 	var pc PackedCols
 	withProcs(4, func() {
 		for name, g := range lsGraphs() {
@@ -105,8 +105,8 @@ func TestTripleProdMatchesTwoPass(t *testing.T) {
 func FuzzTripleProdEquivalence(f *testing.F) {
 	f.Add(97, 3, int64(1), false)
 	f.Add(PackRows+3, 9, int64(2), true)
-	f.Add(TileRows+1, 17, int64(3), false)
-	f.Add(2*TileRows+13, 20, int64(4), true)
+	f.Add(parallel.TileRows+1, 17, int64(3), false)
+	f.Add(2*parallel.TileRows+13, 20, int64(4), true)
 	arena := &PackArena{}
 	var partials []float64
 	var pc PackedCols
@@ -117,7 +117,7 @@ func FuzzTripleProdEquivalence(f *testing.F) {
 		if cols < 0 {
 			cols = -cols
 		}
-		n = 2 + n%(2*TileRows+512)
+		n = 2 + n%(2*parallel.TileRows+512)
 		cols = cols%20 + 1
 		rng := rand.New(rand.NewSource(seed))
 		edges := make([]graph.Edge, n+rng.Intn(4*n))
@@ -136,7 +136,7 @@ func FuzzTripleProdEquivalence(f *testing.F) {
 		fillRand(s, rng)
 		want := twoPass(g, deg, s)
 		packInto(&pc, s, rng)
-		if need := ReduceBlocks(g.NumV) * cols * cols; cap(partials) < need {
+		if need := parallel.ReduceBlocks(g.NumV) * cols * cols; cap(partials) < need {
 			partials = make([]float64, need)
 		}
 		dirty(partials[:cap(partials)])

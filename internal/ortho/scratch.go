@@ -2,6 +2,7 @@ package ortho
 
 import (
 	"repro/internal/linalg"
+	"repro/internal/parallel"
 )
 
 // Scratch owns the DOrtho phase's reusable storage: the packed
@@ -49,10 +50,10 @@ func (sc *Scratch) Ensure(n, s int) {
 		sc.work = make([]float64, n)
 	}
 	sc.work = sc.work[:n]
-	if p := linalg.ReduceBlocks(n); cap(sc.partials) < p {
+	if p := parallel.ReduceBlocks(n); cap(sc.partials) < p {
 		sc.partials = make([]float64, p)
 	}
-	if p := linalg.ReduceBlocks(n) * (s + 1); cap(sc.panelPartials) < p {
+	if p := parallel.ReduceBlocks(n) * (s + 1); cap(sc.panelPartials) < p {
 		sc.panelPartials = make([]float64, p)
 	}
 	if cap(sc.coeffs) < s+1 {

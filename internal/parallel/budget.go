@@ -5,14 +5,15 @@ import (
 	"sync"
 )
 
-// Budget is an explicit worker-count budget for the fan-out primitives.
-// The zero value is "live": it follows runtime.GOMAXPROCS at each use,
-// matching the package-level For/ForBlock helpers. A fixed budget
-// (FixedBudget, SnapshotBudget) pins the worker count for its lifetime, so
-// a layout that captures one budget at entry keeps a stable partition even
-// while a harness sweeps GOMAXPROCS underneath it — the mid-layout
-// repartitioning race the PR-6 scaling work closes. Budgets are small
-// values; copy them freely.
+// Budget is an explicit worker-count budget for the fan-out primitives,
+// and the only way to reach them: every loop and reduction names the
+// budget it runs on. The zero value is "live": it follows
+// runtime.GOMAXPROCS at each use, so harnesses can sweep core counts the
+// way the paper sweeps 1..28 cores. A fixed budget (FixedBudget,
+// SnapshotBudget) pins the worker count for its lifetime, so a layout
+// that captures one budget at entry keeps a stable partition even while
+// a harness sweeps GOMAXPROCS underneath it. Budgets are small values;
+// copy them freely.
 type Budget struct{ p int }
 
 // FixedBudget returns a budget pinned to p workers (values below 1 pin to
@@ -31,8 +32,9 @@ func SnapshotBudget() Budget {
 	return FixedBudget(runtime.GOMAXPROCS(0))
 }
 
-// Live returns the zero budget, which re-reads GOMAXPROCS at every use —
-// the legacy behavior of the package-level helpers.
+// Live returns the zero budget, which re-reads GOMAXPROCS at every use:
+// the budget of code with no run-wide budget to thread (graph building,
+// quality evaluation, drawing helpers).
 func Live() Budget {
 	return Budget{}
 }
@@ -94,7 +96,8 @@ func ForBlockIndexed(workers, n int, body func(w, lo, hi int)) {
 }
 
 // For executes body(i) for every i in [0, n) using up to Workers()
-// goroutines, in contiguous per-worker blocks (static scheduling).
+// goroutines, in contiguous per-worker blocks (static scheduling, as
+// the paper's OpenMP pragmas use).
 func (b Budget) For(n int, body func(i int)) {
 	b.ForBlock(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -104,7 +107,10 @@ func (b Budget) For(n int, body func(i int)) {
 }
 
 // ForBlock divides [0, n) into one contiguous block per worker and runs
-// body(lo, hi) on each block concurrently.
+// body(lo, hi) on each block concurrently. It is the preferred loop for
+// kernels that carry per-block state (local accumulators, buffers); a
+// reduction whose bits must not depend on the budget uses the tile grid
+// (ForTiles, Sum, MaxIndex) instead.
 func (b Budget) ForBlock(n int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -125,6 +131,16 @@ func (b Budget) ForBlock(n int, body func(lo, hi int)) {
 		}(lo, hi)
 	}
 	wg.Wait()
+}
+
+// ForTiles runs body(t, lo, hi) for every tile t of the fixed [0, n)
+// tiling (tiles = ReduceBlocks(n)), fanning the tiles out across
+// min(Workers(), tiles) goroutines; each worker owns a contiguous tile
+// range so its memory access stays sequential. Callers needing an
+// allocation-free serial path must branch on Workers() <= 1 themselves
+// before constructing the body closure.
+func (b Budget) ForTiles(n, tiles int, body func(t, lo, hi int)) {
+	ForTilesIndexed(b.Workers(), n, tiles, func(_, t, lo, hi int) { body(t, lo, hi) })
 }
 
 // blockWorkers clamps a static partition's worker count so every worker

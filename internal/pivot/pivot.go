@@ -87,7 +87,7 @@ type Scratch struct {
 	rowsBuf [][]int32
 	travs   []*bfs.Scratch
 	// Per-tile argmax arenas for the fused widen/min/argmax reduction,
-	// sized by linalg.ReduceBlocks(n) — a function of n only, so the
+	// sized by parallel.ReduceBlocks(n) — a function of n only, so the
 	// arenas can never be desynchronized by a worker-count change.
 	amIdx  []int
 	amVals []int32
@@ -104,10 +104,10 @@ func NewScratch(n int) *Scratch {
 // sufficient buffers are kept, so same-shape reuse touches no allocator.
 func (sc *Scratch) Ensure(n int) {
 	if sc.trav == nil {
-		sc.trav = bfs.NewScratch(n, parallel.Workers())
+		sc.trav = bfs.NewScratch(n, parallel.Live().Workers())
 	}
 	sc.dist, sc.dmin, sc.col = grow(sc.dist, n), grow(sc.dmin, n), grow(sc.col, n)
-	tiles := linalg.ReduceBlocks(n)
+	tiles := parallel.ReduceBlocks(n)
 	sc.amIdx, sc.amVals = grow(sc.amIdx, tiles), grow(sc.amVals, tiles)
 }
 

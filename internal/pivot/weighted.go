@@ -33,7 +33,8 @@ func StreamWeighted(ctx context.Context, g *graph.CSR, s int, start int32, delta
 	n := g.NumV
 	dist := make([]float64, n)
 	dmin := make([]float64, n)
-	parallel.For(n, func(i int) { dmin[i] = sssp.Inf })
+	bud := parallel.Live()
+	bud.For(n, func(i int) { dmin[i] = sssp.Inf })
 
 	st := PhaseStats{Sources: make([]int32, 0, s)}
 	src := start
@@ -47,14 +48,14 @@ func StreamWeighted(ctx context.Context, g *graph.CSR, s int, start int32, delta
 			st.ScannedEdges += ds.EdgesScanned
 		})
 		onOther(func() {
-			parallel.ForBlock(n, func(lo, hi int) {
-				for j := lo; j < hi; j++ {
-					if dist[j] < dmin[j] {
-						dmin[j] = dist[j]
-					}
+			// One pass: d(j) ← min(d(j), dist(j)) and the farthest vertex
+			// from all previous sources (MaxIndex calls key once per j).
+			src = int32(parallel.MaxIndex(bud, n, func(j int) float64 {
+				if dist[j] < dmin[j] {
+					dmin[j] = dist[j]
 				}
-			})
-			src = int32(parallel.MaxIndexFloat64(n, func(j int) float64 { return dmin[j] }))
+				return dmin[j]
+			}))
 		})
 		if err := emit(i, dist); err != nil {
 			return st, err

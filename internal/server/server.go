@@ -195,6 +195,9 @@ type Server struct {
 	bfsSwitches      *obs.Counter   // BFS-phase direction changes (≤ 2 per healthy traversal)
 	bfsScannedEdges  *obs.Counter   // adjacency entries BFS actually examined
 	renderSeconds    *obs.Histogram // render-cache misses only: layout (zoom) + draw + encode
+	// lastPhases is the phase split of the last installed layout, of any
+	// graph: what the parhde_phase_seconds gauges report.
+	lastPhases atomic.Pointer[core.Breakdown]
 
 	ready atomic.Bool
 }
@@ -245,10 +248,9 @@ func NewWithConfig(g *graph.CSR, opt core.Options, cfg Config) (*Server, error) 
 	reg.GaugeFunc("render_cache_entries", func() float64 { return float64(s.cache.Len()) })
 	reg.GaugeFunc("catalog_graphs", func() float64 { return float64(s.cat.Len()) })
 	reg.GaugeFunc("catalog_bytes", func() float64 { return float64(s.cat.Bytes()) })
-	for _, p := range rep.Breakdown.Phases() {
-		d := p.D
+	for i, p := range rep.Breakdown.Phases() {
 		reg.GaugeFunc(fmt.Sprintf("parhde_phase_seconds{phase=%q}", p.Name),
-			func() float64 { return d.Seconds() })
+			func() float64 { return s.lastPhases.Load().Phases()[i].D.Seconds() })
 	}
 
 	s.cat.OnChange(s.changed)
@@ -327,8 +329,8 @@ func (s *Server) recordBFS(rep *core.Report) {
 	s.bfsScannedEdges.Add(t.ScannedEdges)
 }
 
-// install makes (layout, report) the current view of the named graph and
-// precomputes its /stats body.
+// install makes (layout, report) the current view of the named graph,
+// precomputes its /stats body and points the phase gauges at its report.
 func (s *Server) install(name string, g *graph.CSR, layout *core.Layout, rep *core.Report,
 	opt core.Options, q core.Quality, layoutTime time.Duration) {
 	stats, err := json.Marshal(map[string]interface{}{
@@ -350,6 +352,8 @@ func (s *Server) install(name string, g *graph.CSR, layout *core.Layout, rep *co
 	if !rep.Warm || opt.Basis == nil {
 		opt.Basis = core.NewBasis(g, opt)
 	}
+	bd := rep.Breakdown
+	s.lastPhases.Store(&bd)
 	s.mu.Lock()
 	s.gens[name]++
 	s.views[name] = &view{

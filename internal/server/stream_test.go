@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -526,6 +527,43 @@ func TestWarmInstallMetrics(t *testing.T) {
 			t.Fatalf("/metrics missing %q", want)
 		}
 	}
+}
+
+// TestPhaseGaugesFollowInstall: the parhde_phase_seconds gauges report
+// the last installed layout, so a job's install moves {phase="total"} from
+// the start-up layout's time to that job's.
+func TestPhaseGaugesFollowInstall(t *testing.T) {
+	s, ts := newTestServerPair(t, Config{})
+	c := dialStream(t, ts.URL, "default")
+	c.next(t)
+	startup := s.Report().Breakdown.Total.Seconds()
+	id := submitJob(t, ts.URL, "default", 8)
+	waitJobState(t, ts.URL, id, "done")
+	c.next(t) // wait for the install
+	j, ok := s.Jobs().Get(id)
+	if !ok {
+		t.Fatalf("job %s not retained", id)
+	}
+	want := j.Result().Report.Breakdown.Total.Seconds()
+	if want == startup {
+		t.Fatal("the job's total equals the start-up layout's; the test checks nothing")
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, _ := io.ReadAll(resp.Body)
+	const series = `parhde_phase_seconds{phase="total"} `
+	for _, line := range strings.Split(string(b), "\n") {
+		if v, ok := strings.CutPrefix(line, series); ok {
+			if got, err := strconv.ParseFloat(v, 64); err != nil || got != want {
+				t.Fatalf("%s%s, want the job's total %g", series, v, want)
+			}
+			return
+		}
+	}
+	t.Fatalf("/metrics has no %q line", series)
 }
 
 // TestPatchRoundTripRestoresColdView: a PATCH that adds edges and one that

@@ -41,11 +41,12 @@ func DeltaStepping(g *graph.CSR, src int32, delta float64, dist []float64) Stats
 	n := g.NumV
 	bits := make([]uint64, n)
 	infBits := math.Float64bits(Inf)
-	parallel.For(n, func(i int) { bits[i] = infBits })
+	bud := parallel.Live()
+	bud.For(n, func(i int) { bits[i] = infBits })
 	atomic.StoreUint64(&bits[src], math.Float64bits(0))
 
 	var st Stats
-	workers := parallel.Workers()
+	workers := bud.Workers()
 	type bv struct {
 		bucket int32
 		v      int32
@@ -155,7 +156,7 @@ func DeltaStepping(g *graph.CSR, src int32, delta float64, dist []float64) Stats
 		processFrontier(settled, cur, false)
 	}
 
-	parallel.For(n, func(i int) { dist[i] = math.Float64frombits(bits[i]) })
+	bud.For(n, func(i int) { dist[i] = math.Float64frombits(bits[i]) })
 	return st
 }
 

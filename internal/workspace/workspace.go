@@ -15,7 +15,7 @@
 // (core.Layout.Clone). Results computed through a workspace are
 // bit-identical to a fresh-allocation run with the same options, for any
 // worker budget: every reduction arena here is sized by the fixed
-// problem-shape tiling (linalg.ReduceBlocks), never by the worker count,
+// problem-shape tiling (parallel.ReduceBlocks), never by the worker count,
 // so a GOMAXPROCS change between or during runs cannot leave an arena
 // short or change any sum's combine order.
 package workspace
@@ -24,6 +24,7 @@ import (
 	"repro/internal/eigen"
 	"repro/internal/linalg"
 	"repro/internal/ortho"
+	"repro/internal/parallel"
 	"repro/internal/pivot"
 )
 
@@ -59,7 +60,7 @@ type Workspace struct {
 	// its diagonal scaling, and the eigenvectors the axes are read from.
 	Eigen *eigen.Scratch
 	// GemmPartials is the per-tile panel arena of the deterministic AᵀB
-	// reduction, sized by linalg.ReduceBlocks(n) — a function of n only,
+	// reduction, sized by parallel.ReduceBlocks(n) — a function of n only,
 	// so no worker-count change can desynchronize it from the kernel's
 	// tile grid.
 	GemmPartials []float64
@@ -100,7 +101,7 @@ func (ws *Workspace) Reshape(n, s, p int) {
 		ws.Eigen = &eigen.Scratch{}
 	}
 	ws.Eigen.Ensure(s)
-	ws.GemmPartials = growFloat(ws.GemmPartials, linalg.ReduceBlocks(n)*s*s)
+	ws.GemmPartials = growFloat(ws.GemmPartials, parallel.ReduceBlocks(n)*s*s)
 	if ws.Pack == nil {
 		ws.Pack = &linalg.PackArena{}
 	}

@@ -2,7 +2,6 @@ package bfs
 
 import (
 	"math/bits"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -215,40 +214,32 @@ func (r *Runner) topDownStep(level int32, dist []int32) (nf, ne, scanned int64) 
 		r.sc.queue, r.sc.nextQ[0] = next, q
 		return int64(tail), localNE, localScan
 	}
-	var totNF, totNE, totScan int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for wk := 0; wk < w; wk++ {
-		go func(wk int) {
-			defer wg.Done()
-			local := r.sc.nextQ[wk][:0]
-			var localNE, localScan int64
-			lo := wk * len(q) / w
-			hi := (wk + 1) * len(q) / w
-			for _, u := range q[lo:hi] {
-				adj := g.Adj[g.Offsets[u]:g.Offsets[u+1]]
-				localScan += int64(len(adj))
-				for _, v := range adj {
-					if atomic.LoadInt32(&dist[v]) == Unreached &&
-						atomic.CompareAndSwapInt32(&dist[v], Unreached, level+1) {
-						local = append(local, v)
-						localNE += g.Offsets[v+1] - g.Offsets[v]
-					}
+	var totNF, totNE, totScan atomic.Int64
+	parallel.ForBlockIndexed(w, len(q), func(wk, lo, hi int) {
+		local := r.sc.nextQ[wk][:0]
+		var localNE, localScan int64
+		for _, u := range q[lo:hi] {
+			adj := g.Adj[g.Offsets[u]:g.Offsets[u+1]]
+			localScan += int64(len(adj))
+			for _, v := range adj {
+				if atomic.LoadInt32(&dist[v]) == Unreached &&
+					atomic.CompareAndSwapInt32(&dist[v], Unreached, level+1) {
+					local = append(local, v)
+					localNE += g.Offsets[v+1] - g.Offsets[v]
 				}
 			}
-			r.sc.nextQ[wk] = local
-			atomic.AddInt64(&totNF, int64(len(local)))
-			atomic.AddInt64(&totNE, localNE)
-			atomic.AddInt64(&totScan, localScan)
-		}(wk)
-	}
-	wg.Wait()
+		}
+		r.sc.nextQ[wk] = local
+		totNF.Add(int64(len(local)))
+		totNE.Add(localNE)
+		totScan.Add(localScan)
+	})
 	// Concatenate per-worker buffers into the next queue.
 	r.sc.queue = r.sc.queue[:0]
 	for wk := 0; wk < w; wk++ {
 		r.sc.queue = append(r.sc.queue, r.sc.nextQ[wk]...)
 	}
-	return totNF, totNE, totScan
+	return totNF.Load(), totNE.Load(), totScan.Load()
 }
 
 // bottomUpStep has every unvisited vertex scan its own adjacency for a

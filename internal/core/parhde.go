@@ -303,9 +303,7 @@ func bfsOrtho(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int, deg
 	var ps pivot.PhaseStats
 	var err error
 	if g.Weighted() {
-		// The Δ-stepping weighted path has its own internal scheduling and
-		// stays on the live budget.
-		ps, err = pivot.StreamWeighted(ctx, g, s, start, opt.Delta, emit, onTrav, onOther)
+		ps, err = pivot.StreamWeighted(ctx, bud, g, s, start, opt.Delta, emit, onTrav, onOther)
 	} else {
 		ps, err = pivot.Stream(ctx, bud, g, s, start, opt.Pivots, bfs.Options{}, psc, emit, onTrav, onOther)
 	}

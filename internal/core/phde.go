@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/bfs"
@@ -49,7 +50,10 @@ func pcaEmbed(g *graph.CSR, opt Options, doubleCenter bool) (*Layout, *Report, e
 		onTrav := func(f func()) { timed(&bd.BFSTraversal, f) }
 		onOther := func(f func()) { timed(&bd.BFSOther, f) }
 		if g.Weighted() {
-			ps = pivot.PhaseWeighted(g, c, start, opt.Delta, onTrav, onOther)
+			// The stream can fail only through ctx or emit, and neither
+			// Background nor fill ever returns an error.
+			fill := func(i int, col []float64) error { copy(c.Col(i), col); return nil }
+			ps, _ = pivot.StreamWeighted(context.Background(), bud, g, s, start, opt.Delta, fill, onTrav, onOther)
 		} else {
 			ps = pivot.PhaseBudget(bud, g, c, start, opt.Pivots, bfs.Options{}, nil, onTrav, onOther)
 		}

@@ -11,13 +11,17 @@ import (
 	"repro/internal/workspace"
 )
 
-// budgetEngines are the layout engines with the options the budget
-// invariance tests run them under.
-var budgetEngines = []struct {
+// budgetEngine is a layout engine with the options the budget invariance
+// tests run it under.
+type budgetEngine struct {
 	name string
 	run  func(*graph.CSR, Options) (*Layout, *Report, error)
 	opt  Options
-}{
+}
+
+// budgetEngines are the engines the budget invariance tests run on an
+// unweighted graph.
+var budgetEngines = []budgetEngine{
 	{"parhde/kcenters", ParHDE, Options{Subspace: 8, Seed: 11}},
 	{"parhde/random", ParHDE, Options{Subspace: 8, Seed: 11, Pivots: pivot.Random}},
 	{"phde", PHDE, Options{Subspace: 8, Seed: 11}},
@@ -25,45 +29,60 @@ var budgetEngines = []struct {
 	{"prior", Prior, Options{Subspace: 8, Seed: 11}},
 }
 
+// weightedEngines are the engines whose weighted path runs Δ-stepping in
+// place of BFS, on the layout's budget.
+var weightedEngines = []budgetEngine{
+	{"parhde/weighted", ParHDE, Options{Subspace: 8, Seed: 11}},
+	{"phde/weighted", PHDE, Options{Subspace: 8, Seed: 11}},
+}
+
 // TestParHDEBitIdenticalAcrossWorkerBudgets is the layout-level budget
 // invariance property: for a fixed seed, the coordinates are bitwise
 // identical whether the run uses 1, 2, or 4 workers — for every engine
-// and, under ParHDE, for Random, whose rounds hold one BFS per worker —
-// with fresh allocations or a pooled workspace shared across all
-// budgets; every engine reports the budget it ran on.
+// and, under ParHDE, for Random, whose rounds hold one BFS per worker,
+// and for the weighted ParHDE and PHDE — with fresh allocations or a
+// pooled workspace shared across all budgets; every engine reports the
+// budget it ran on.
 func TestParHDEBitIdenticalAcrossWorkerBudgets(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
-	g := gen.Kron(13, 8, 3) // n=8192: spans two reduction tiles, admits 4-way block fan-out
-	ws := workspace.New()   // shared across budgets: arenas must be budget-independent
-	for _, c := range budgetEngines {
-		opt := c.opt
-		opt.Workers = 1
-		ref, refRep, err := c.run(g, opt)
-		if err != nil {
-			t.Fatalf("%s workers=1: %v", c.name, err)
-		}
-		if refRep.Workers != 1 {
-			t.Fatalf("%s: Report.Workers = %d, want 1", c.name, refRep.Workers)
-		}
-		for _, p := range []int{2, 4} {
+	kron := gen.Kron(13, 8, 3)                                // n=8192: spans two reduction tiles, admits 4-way block fan-out
+	road := gen.WithRandomWeights(gen.Road(96, 96, 7), 9, 11) // n=9216: spans three tiles
+	ws := workspace.New()                                     // shared across budgets: arenas must be budget-independent
+	for _, set := range []struct {
+		g       *graph.CSR
+		engines []budgetEngine
+	}{{kron, budgetEngines}, {road, weightedEngines}} {
+		g := set.g
+		for _, c := range set.engines {
 			opt := c.opt
-			opt.Workers = p
-			opt.Workspace = ws
-			lay, rep, err := c.run(g, opt)
+			opt.Workers = 1
+			ref, refRep, err := c.run(g, opt)
 			if err != nil {
-				t.Fatalf("%s workers=%d: %v", c.name, p, err)
+				t.Fatalf("%s workers=1: %v", c.name, err)
 			}
-			if rep.Workers != p {
-				t.Fatalf("%s workers=%d: Report.Workers = %d", c.name, p, rep.Workers)
+			if refRep.Workers != 1 {
+				t.Fatalf("%s: Report.Workers = %d, want 1", c.name, refRep.Workers)
 			}
-			if len(lay.Coords.Data) != len(ref.Coords.Data) {
-				t.Fatalf("%s workers=%d: coordinate count diverged", c.name, p)
-			}
-			for k := range ref.Coords.Data {
-				if lay.Coords.Data[k] != ref.Coords.Data[k] {
-					t.Fatalf("%s workers=%d: Coords[%d] = %v, want %v (bitwise)",
-						c.name, p, k, lay.Coords.Data[k], ref.Coords.Data[k])
+			for _, p := range []int{2, 4} {
+				opt := c.opt
+				opt.Workers = p
+				opt.Workspace = ws
+				lay, rep, err := c.run(g, opt)
+				if err != nil {
+					t.Fatalf("%s workers=%d: %v", c.name, p, err)
+				}
+				if rep.Workers != p {
+					t.Fatalf("%s workers=%d: Report.Workers = %d", c.name, p, rep.Workers)
+				}
+				if len(lay.Coords.Data) != len(ref.Coords.Data) {
+					t.Fatalf("%s workers=%d: coordinate count diverged", c.name, p)
+				}
+				for k := range ref.Coords.Data {
+					if lay.Coords.Data[k] != ref.Coords.Data[k] {
+						t.Fatalf("%s workers=%d: Coords[%d] = %v, want %v (bitwise)",
+							c.name, p, k, lay.Coords.Data[k], ref.Coords.Data[k])
+					}
 				}
 			}
 		}

@@ -193,8 +193,10 @@ func TestConfigDefaults(t *testing.T) {
 
 func TestCheapExperimentsSmoke(t *testing.T) {
 	// Fast experiments run end-to-end in the test suite; the heavier ones
-	// are exercised by cmd/hdebench and the CLI integration tests.
-	for _, id := range []string{"table2", "fig2", "alphabeta"} {
+	// are exercised by cmd/hdebench and the CLI integration tests. table6
+	// runs the Random pivot rounds and sssp the Δ-stepping rounds, both of
+	// which fan out through parallel.ForBlockIndexed.
+	for _, id := range []string{"table2", "fig2", "alphabeta", "table6", "sssp"} {
 		var buf bytes.Buffer
 		if err := Run(id, &buf, Config{Factor: 1, Reps: 1}); err != nil {
 			t.Fatalf("%s: %v", id, err)

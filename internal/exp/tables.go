@@ -109,13 +109,13 @@ func Table6(w io.Writer, cfg Config) error {
 		}
 		b := linalg.NewDense(g.NumV, s)
 		tDefault := minTime(cfg.Reps, func() {
-			pivot.Phase(g, b, 0, pivot.KCenters, bfs.Options{}, nil, nil)
+			pivot.PhaseBudget(parallel.Live(), g, b, 0, pivot.KCenters, bfs.Options{}, nil, nil, nil)
 		})
 		tRandom := minTime(cfg.Reps, func() {
-			pivot.Phase(g, b, 0, pivot.Random, bfs.Options{}, nil, nil)
+			pivot.PhaseBudget(parallel.Live(), g, b, 0, pivot.Random, bfs.Options{}, nil, nil, nil)
 		})
 		tMS := minTime(cfg.Reps, func() {
-			pivot.Phase(g, b, 0, pivot.RandomMS, bfs.Options{}, nil, nil)
+			pivot.PhaseBudget(parallel.Live(), g, b, 0, pivot.RandomMS, bfs.Options{}, nil, nil, nil)
 		})
 		fprintf(w, "%-10s %14.4f %14.4f %8.1fx %12.4f %8.1fx\n",
 			ng.Name, seconds(tDefault), seconds(tRandom), ratio(tDefault, tRandom),
@@ -134,7 +134,7 @@ func Table7(w io.Writer, cfg Config) error {
 		g := ng.G
 		s := cfg.Subspace
 		b := linalg.NewDense(g.NumV, s)
-		pivot.Phase(g, b, 0, pivot.KCenters, bfs.Options{}, nil, nil)
+		pivot.PhaseBudget(parallel.Live(), g, b, 0, pivot.KCenters, bfs.Options{}, nil, nil, nil)
 		deg := g.WeightedDegrees()
 		tMGS := minTime(cfg.Reps, func() { ortho.DOrthogonalizeBudget(parallel.Live(), b, deg, ortho.MGS, nil) })
 		tCGS := minTime(cfg.Reps, func() { ortho.DOrthogonalizeBudget(parallel.Live(), b, deg, ortho.CGS, nil) })

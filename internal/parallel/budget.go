@@ -34,7 +34,9 @@ func SnapshotBudget() Budget {
 
 // Live returns the zero budget, which re-reads GOMAXPROCS at every use:
 // the budget of code with no run-wide budget to thread (graph building,
-// quality evaluation, drawing helpers).
+// quality evaluation, drawing helpers). No layout kernel runs on it: BFS,
+// Δ-stepping SSSP and every other phase of a layout take the layout's
+// budget.
 func Live() Budget {
 	return Budget{}
 }
@@ -76,6 +78,10 @@ func (b Budget) BlockWorkers(n int) int {
 // on each block concurrently, with w the owning worker's index. The
 // worker count is the caller's, already clamped (BlockWorkers), so the
 // fan-out matches whatever per-worker state the caller sized for it.
+// Worker 0's block runs on the calling goroutine. This is the package's
+// one scheduler: every loop, tile walk and per-worker kernel of the
+// repository fans out through it, and no other kernel code starts a
+// goroutine (TestOneScheduler).
 func ForBlockIndexed(workers, n int, body func(w, lo, hi int)) {
 	if n <= 0 {
 		return
@@ -85,13 +91,14 @@ func ForBlockIndexed(workers, n int, body func(w, lo, hi int)) {
 		return
 	}
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
 			body(w, w*n/workers, (w+1)*n/workers)
 		}(w)
 	}
+	body(0, 0, n/workers)
 	wg.Wait()
 }
 
@@ -112,25 +119,11 @@ func (b Budget) For(n int, body func(i int)) {
 // reduction whose bits must not depend on the budget uses the tile grid
 // (ForTiles, Sum, MaxIndex) instead.
 func (b Budget) ForBlock(n int, body func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	p := blockWorkers(n, b.Workers())
-	if p <= 1 {
+	if p := b.BlockWorkers(n); p > 1 {
+		ForBlockIndexed(p, n, func(_, lo, hi int) { body(lo, hi) })
+	} else if n > 0 {
 		body(0, n)
-		return
 	}
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for w := 0; w < p; w++ {
-		lo := w * n / p
-		hi := (w + 1) * n / p
-		go func(lo, hi int) {
-			defer wg.Done()
-			body(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // ForTiles runs body(t, lo, hi) for every tile t of the fixed [0, n)

@@ -13,9 +13,15 @@
 // and arenas sized by ReduceBlocks can never be desynchronized by a
 // GOMAXPROCS change mid-run. A Budget only controls how many goroutines
 // the tiles fan out across.
+//
+// There is one scheduler: ForBlockIndexed is the only code in this
+// package, and in every package that imports it, that starts a
+// goroutine. Budget.ForBlock, the tile walks and the kernels that keep
+// per-worker buffers (the top-down BFS step, Random-pivot rounds,
+// Δ-stepping) all fan out through it, so a new partition or a pool of
+// persistent workers is built once, there. TestOneScheduler holds the
+// rule.
 package parallel
-
-import "sync"
 
 // MinGrain is the smallest per-worker chunk of loop iterations worth the
 // cost of spawning a goroutine. Loops shorter than MinGrain run serially.
@@ -48,26 +54,17 @@ func ReduceBlocks(n int) int {
 // mid-call can never fan out across more workers than the arena has
 // slots. Worker w owns the contiguous tile range [w·tiles/p, (w+1)·tiles/p).
 func ForTilesIndexed(p, n, tiles int, body func(w, t, lo, hi int)) {
-	if p > tiles {
-		p = tiles
-	}
-	if p <= 1 {
+	if p = min(p, tiles); p <= 1 {
 		for t := 0; t < tiles; t++ {
 			body(0, t, t*n/tiles, (t+1)*n/tiles)
 		}
 		return
 	}
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for w := 0; w < p; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for t := w * tiles / p; t < (w+1)*tiles/p; t++ {
-				body(w, t, t*n/tiles, (t+1)*n/tiles)
-			}
-		}(w)
-	}
-	wg.Wait()
+	ForBlockIndexed(p, tiles, func(w, t0, t1 int) {
+		for t := t0; t < t1; t++ {
+			body(w, t, t*n/tiles, (t+1)*n/tiles)
+		}
+	})
 }
 
 // Sum returns the sum of f(i) over [0, n): each tile of the fixed grid is

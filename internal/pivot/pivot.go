@@ -10,13 +10,12 @@
 //
 // Every strategy streams: Stream hands each column, in pivot order, to a
 // consumer as soon as it is produced, so the n×s distance matrix B need
-// never be stored. Phase and PhaseBudget are the same stream written into
-// B, for the callers that need the whole matrix.
+// never be stored. PhaseBudget is the same stream written into B, for the
+// callers that need the whole matrix.
 package pivot
 
 import (
 	"context"
-	"sync"
 
 	"repro/internal/bfs"
 	"repro/internal/graph"
@@ -104,7 +103,7 @@ func NewScratch(n int) *Scratch {
 // sufficient buffers are kept, so same-shape reuse touches no allocator.
 func (sc *Scratch) Ensure(n int) {
 	if sc.trav == nil {
-		sc.trav = bfs.NewScratch(n, parallel.Live().Workers())
+		sc.trav = bfs.NewScratch(n, 1) // a Runner grows the per-worker queues
 	}
 	sc.dist, sc.dmin, sc.col = grow(sc.dist, n), grow(sc.dmin, n), grow(sc.col, n)
 	tiles := parallel.ReduceBlocks(n)
@@ -128,12 +127,6 @@ func grow[T any](buf []T, n int) []T {
 		return make([]T, n)
 	}
 	return buf[:n]
-}
-
-// Phase runs the complete BFS phase on the live worker budget with
-// private buffers; see PhaseBudget.
-func Phase(g *graph.CSR, b *linalg.Dense, start int32, strat Strategy, opt bfs.Options, onTraversal, onOther func(f func())) PhaseStats {
-	return PhaseBudget(parallel.Live(), g, b, start, strat, opt, nil, onTraversal, onOther)
 }
 
 // PhaseBudget is Stream materialized: pivot i's distances land in column
@@ -271,17 +264,10 @@ func randomPhase(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int, 
 	sc.col = grow(sc.col, n)
 	col := sc.col
 	var lo, hi, i int
+	// Round worker k traverses pivot lo+k; the closures are built once.
+	one := func(k, _, _ int) { runners[k].Distances(st.Sources[lo+k], dists[k]) }
 	traverse := func() {
-		var wg sync.WaitGroup
-		for k := 1; k < hi-lo; k++ {
-			wg.Add(1)
-			go func(k int) {
-				defer wg.Done()
-				runners[k].Distances(st.Sources[lo+k], dists[k])
-			}(k)
-		}
-		runners[0].Distances(st.Sources[lo], dists[0])
-		wg.Wait()
+		parallel.ForBlockIndexed(hi-lo, hi-lo, one)
 		st.ScannedEdges += int64(hi-lo) * int64(len(g.Adj))
 	}
 	widen := func() { linalg.Int32ToFloat64Budget(bud, col, dists[i-lo]) }

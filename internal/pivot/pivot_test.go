@@ -16,11 +16,14 @@ import (
 	"repro/internal/sssp"
 )
 
+// bud4 runs the phases on four workers, whatever GOMAXPROCS is.
+var bud4 = parallel.FixedBudget(4)
+
 func TestKCentersPhaseColumnsAreBFSDistances(t *testing.T) {
 	g := gen.Grid2D(20, 20)
 	s := 5
 	b := linalg.NewDense(g.NumV, s)
-	ps := Phase(g, b, 0, KCenters, bfs.Options{}, nil, nil)
+	ps := PhaseBudget(bud4, g, b, 0, KCenters, bfs.Options{}, nil, nil, nil)
 	if len(ps.Sources) != s {
 		t.Fatalf("%d sources, want %d", len(ps.Sources), s)
 	}
@@ -42,7 +45,7 @@ func TestKCentersFarthestFirstProperty(t *testing.T) {
 	g := gen.PlateWithHoles(25, 25)
 	s := 4
 	b := linalg.NewDense(g.NumV, s)
-	ps := Phase(g, b, 3, KCenters, bfs.Options{}, nil, nil)
+	ps := PhaseBudget(bud4, g, b, 3, KCenters, bfs.Options{}, nil, nil, nil)
 	for i := 1; i < s; i++ {
 		chosen := ps.Sources[i]
 		var chosenMin float64 = math.Inf(1)
@@ -71,7 +74,7 @@ func TestKCentersSourcesOnPath(t *testing.T) {
 	// On a path started at vertex 0, the second pivot must be the far end.
 	g := gen.Path(100)
 	b := linalg.NewDense(g.NumV, 2)
-	ps := Phase(g, b, 0, KCenters, bfs.Options{}, nil, nil)
+	ps := PhaseBudget(bud4, g, b, 0, KCenters, bfs.Options{}, nil, nil, nil)
 	if ps.Sources[1] != 99 {
 		t.Fatalf("second pivot %d, want 99", ps.Sources[1])
 	}
@@ -81,7 +84,7 @@ func TestRandomPhaseDistancesCorrect(t *testing.T) {
 	g := gen.Kron(9, 8, 4)
 	s := 6
 	b := linalg.NewDense(g.NumV, s)
-	ps := Phase(g, b, 7, Random, bfs.Options{}, nil, nil)
+	ps := PhaseBudget(bud4, g, b, 7, Random, bfs.Options{}, nil, nil, nil)
 	if len(ps.Sources) != s {
 		t.Fatalf("%d sources", len(ps.Sources))
 	}
@@ -111,7 +114,7 @@ func TestPhaseTimerHooksInvoked(t *testing.T) {
 	g := gen.Grid2D(10, 10)
 	b := linalg.NewDense(g.NumV, 3)
 	var trav, other int
-	Phase(g, b, 0, KCenters, bfs.Options{},
+	PhaseBudget(bud4, g, b, 0, KCenters, bfs.Options{}, nil,
 		func(f func()) { trav++; f() },
 		func(f func()) { other++; f() })
 	if trav != 3 || other != 3 {
@@ -119,11 +122,14 @@ func TestPhaseTimerHooksInvoked(t *testing.T) {
 	}
 }
 
-func TestPhaseWeightedMatchesDijkstra(t *testing.T) {
+func TestStreamWeightedMatchesDijkstra(t *testing.T) {
 	g := gen.WithRandomWeights(gen.Grid2D(15, 15), 9, 5)
 	s := 4
 	b := linalg.NewDense(g.NumV, s)
-	ps := PhaseWeighted(g, b, 2, 0, nil, nil)
+	ps, err := StreamWeighted(context.Background(), bud4, g, s, 2, 0, fill(b), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := make([]float64, g.NumV)
 	for i, src := range ps.Sources {
 		sssp.Dijkstra(g, src, want)
@@ -157,7 +163,7 @@ func TestStrategyString(t *testing.T) {
 func TestRandomPhaseMoreSourcesThanVertices(t *testing.T) {
 	g := gen.Complete(5)
 	b := linalg.NewDense(g.NumV, 4)
-	ps := Phase(g, b, 1, Random, bfs.Options{}, nil, nil)
+	ps := PhaseBudget(bud4, g, b, 1, Random, bfs.Options{}, nil, nil, nil)
 	if len(ps.Sources) != 4 {
 		t.Fatalf("%d sources", len(ps.Sources))
 	}
@@ -169,7 +175,7 @@ func TestRandomMSPhaseDistancesCorrect(t *testing.T) {
 	g := gen.Kron(9, 8, 4)
 	s := 70 // exercises two MSBFS batches
 	b := linalg.NewDense(g.NumV, s)
-	ps := Phase(g, b, 3, RandomMS, bfs.Options{}, nil, nil)
+	ps := PhaseBudget(bud4, g, b, 3, RandomMS, bfs.Options{}, nil, nil, nil)
 	if len(ps.Sources) != s || ps.Sources[0] != 3 {
 		t.Fatalf("sources %v", ps.Sources[:3])
 	}
@@ -211,8 +217,8 @@ func TestRandomMSForceTopDownMatchesDefault(t *testing.T) {
 	s := 40
 	b1 := linalg.NewDense(g.NumV, s)
 	b2 := linalg.NewDense(g.NumV, s)
-	p1 := Phase(g, b1, 5, RandomMS, bfs.Options{}, nil, nil)
-	p2 := Phase(g, b2, 5, RandomMS, bfs.Options{ForceTopDown: true}, nil, nil)
+	p1 := PhaseBudget(bud4, g, b1, 5, RandomMS, bfs.Options{}, nil, nil, nil)
+	p2 := PhaseBudget(bud4, g, b2, 5, RandomMS, bfs.Options{ForceTopDown: true}, nil, nil, nil)
 	for i := range b1.Data {
 		if b1.Data[i] != b2.Data[i] {
 			t.Fatal("ForceTopDown changed the distance matrix")
@@ -239,8 +245,8 @@ func TestRandomMSMatchesRandomPhase(t *testing.T) {
 	s := 10
 	b1 := linalg.NewDense(g.NumV, s)
 	b2 := linalg.NewDense(g.NumV, s)
-	p1 := Phase(g, b1, 7, Random, bfs.Options{}, nil, nil)
-	p2 := Phase(g, b2, 7, RandomMS, bfs.Options{}, nil, nil)
+	p1 := PhaseBudget(bud4, g, b1, 7, Random, bfs.Options{}, nil, nil, nil)
+	p2 := PhaseBudget(bud4, g, b2, 7, RandomMS, bfs.Options{}, nil, nil, nil)
 	for i := range p1.Sources {
 		if p1.Sources[i] != p2.Sources[i] {
 			t.Fatalf("pivot sets diverge at %d", i)
@@ -308,7 +314,7 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 			b := linalg.NewDense(n, s)
 			var want, got PhaseStats
 			if c.g.Weighted() {
-				want = PhaseWeighted(c.g, b, start, 0, nil, nil)
+				want, _ = StreamWeighted(context.Background(), bud, c.g, s, start, 0, fill(b), nil, nil)
 			} else {
 				want = PhaseBudget(bud, c.g, b, start, c.strat, bfs.Options{}, nil, nil, nil)
 			}
@@ -326,7 +332,7 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 			}
 			var err error
 			if c.g.Weighted() {
-				got, err = StreamWeighted(context.Background(), c.g, s, start, 0, emit, nil, nil)
+				got, err = StreamWeighted(context.Background(), bud, c.g, s, start, 0, emit, nil, nil)
 			} else {
 				got, err = Stream(context.Background(), bud, c.g, s, start, c.strat, bfs.Options{}, sc, emit, nil, nil)
 			}
@@ -390,7 +396,7 @@ func TestStreamStopsOnError(t *testing.T) {
 			t.Fatalf("%v: cancelled stream returned %v after %d traversals", strat, err, trav)
 		}
 	}
-	if _, err := StreamWeighted(context.Background(), gen.WithRandomWeights(g, 5, 1), 5, 0, 0,
+	if _, err := StreamWeighted(context.Background(), parallel.FixedBudget(1), gen.WithRandomWeights(g, 5, 1), 5, 0, 0,
 		func(i int, _ []float64) error { return stop }, nil, nil); !errors.Is(err, stop) {
 		t.Fatalf("weighted stream returned %v", err)
 	}

@@ -8,7 +8,6 @@ package sssp
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -30,28 +29,33 @@ type Stats struct {
 // graph, writing them into dist (length NumV; unreachable = +Inf). delta
 // is the bucket width Δ; edges with weight ≤ Δ are light and are relaxed
 // iteratively within a bucket, heavier edges once per bucket. delta must
-// be positive.
-func DeltaStepping(g *graph.CSR, src int32, delta float64, dist []float64) Stats {
+// be positive. Each relaxation round fans its frontier out across the
+// budget's workers in w·n/p blocks (a live budget is snapshotted once on
+// entry); a frontier shorter than 2·MinGrain runs inline. The distances
+// are the unique fixpoint of the relaxation, so they are bitwise the same
+// under every budget.
+func DeltaStepping(bud parallel.Budget, g *graph.CSR, src int32, delta float64, dist []float64) Stats {
 	if !g.Weighted() {
 		panic("sssp: DeltaStepping requires a weighted graph")
 	}
 	if delta <= 0 {
 		panic("sssp: non-positive delta")
 	}
+	if !bud.Fixed() {
+		bud = parallel.SnapshotBudget()
+	}
 	n := g.NumV
 	bits := make([]uint64, n)
 	infBits := math.Float64bits(Inf)
-	bud := parallel.Live()
 	bud.For(n, func(i int) { bits[i] = infBits })
 	atomic.StoreUint64(&bits[src], math.Float64bits(0))
 
 	var st Stats
-	workers := bud.Workers()
 	type bv struct {
 		bucket int32
 		v      int32
 	}
-	locals := make([][]bv, workers)
+	locals := make([][]bv, bud.Workers())
 
 	// Shared buckets, grown on demand; GAP likewise never recycles them.
 	var buckets [][]int32
@@ -79,58 +83,56 @@ func DeltaStepping(g *graph.CSR, src int32, delta float64, dist []float64) Stats
 	}
 	bucketOf := func(d float64) int32 { return int32(d / delta) }
 
-	// processFrontier relaxes the given edge class for every live vertex in
-	// frontier, accumulating newly bucketed vertices in per-worker locals.
-	processFrontier := func(frontier []int32, cur int32, light bool) {
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		var scanned, relaxed int64
-		for wk := 0; wk < workers; wk++ {
-			go func(wk int) {
-				defer wg.Done()
-				local := locals[wk][:0]
-				var lScan, lRelax int64
-				lo := wk * len(frontier) / workers
-				hi := (wk + 1) * len(frontier) / workers
-				for _, u := range frontier[lo:hi] {
-					du := distOf(u)
-					// Skip vertices already settled into an earlier bucket
-					// (stale queue entries), per the GAP implementation.
-					if bucketOf(du) != cur && light {
-						continue
-					}
-					adj := g.Adj[g.Offsets[u]:g.Offsets[u+1]]
-					wts := g.Weights[g.Offsets[u]:g.Offsets[u+1]]
-					for k, v := range adj {
-						w := wts[k]
-						if light != (w <= delta) {
-							continue
-						}
-						lScan++
-						nd := du + w
-						if relax(v, nd) {
-							lRelax++
-							local = append(local, bv{bucketOf(nd), v})
-						}
-					}
+	// One relaxation round: relax the given edge class (light or heavy)
+	// for every live vertex of the frontier, then merge the workers' locals
+	// into the shared buckets. relaxBlock is one worker's block of it; it
+	// is built once and reads the round through the captured variables.
+	var (
+		frontier         []int32
+		cur              int32
+		light            bool
+		scanned, relaxed atomic.Int64
+	)
+	relaxBlock := func(wk, lo, hi int) {
+		local := locals[wk][:0]
+		var lScan, lRelax int64
+		for _, u := range frontier[lo:hi] {
+			du := distOf(u)
+			// Skip vertices already settled into an earlier bucket
+			// (stale queue entries), per the GAP implementation.
+			if bucketOf(du) != cur && light {
+				continue
+			}
+			adj := g.Adj[g.Offsets[u]:g.Offsets[u+1]]
+			wts := g.Weights[g.Offsets[u]:g.Offsets[u+1]]
+			for k, v := range adj {
+				w := wts[k]
+				if light != (w <= delta) {
+					continue
 				}
-				locals[wk] = local
-				atomic.AddInt64(&scanned, lScan)
-				atomic.AddInt64(&relaxed, lRelax)
-			}(wk)
+				lScan++
+				nd := du + w
+				if relax(v, nd) {
+					lRelax++
+					local = append(local, bv{bucketOf(nd), v})
+				}
+			}
 		}
-		wg.Wait()
-		st.EdgesScanned += scanned
-		st.Relaxations += relaxed
-		// Second phase: merge thread-local buckets into the shared ones.
-		for wk := 0; wk < workers; wk++ {
-			for _, e := range locals[wk] {
+		locals[wk] = local
+		scanned.Add(lScan)
+		relaxed.Add(lRelax)
+	}
+	round := func() {
+		p := bud.BlockWorkers(len(frontier))
+		parallel.ForBlockIndexed(p, len(frontier), relaxBlock)
+		for _, l := range locals[:p] {
+			for _, e := range l {
 				putShared(e.bucket, e.v)
 			}
 		}
 	}
 
-	for cur := int32(0); ; cur++ {
+	for ; ; cur++ {
 		for int(cur) < len(buckets) && buckets[cur] == nil {
 			cur++
 		}
@@ -142,21 +144,23 @@ func DeltaStepping(g *graph.CSR, src int32, delta float64, dist []float64) Stats
 		var settled []int32
 		for len(buckets[cur]) > 0 {
 			st.LightPhases++
-			frontier := buckets[cur]
+			frontier, light = buckets[cur], true
 			buckets[cur] = nil
-			// Deduplicate against settled by distance check inside
-			// processFrontier; remember for heavy pass.
+			// Deduplicate against settled by distance check inside the
+			// round; remember for heavy pass.
 			for _, u := range frontier {
 				if bucketOf(distOf(u)) == cur {
 					settled = append(settled, u)
 				}
 			}
-			processFrontier(frontier, cur, true)
+			round()
 		}
-		processFrontier(settled, cur, false)
+		frontier, light = settled, false
+		round()
 	}
 
 	bud.For(n, func(i int) { dist[i] = math.Float64frombits(bits[i]) })
+	st.EdgesScanned, st.Relaxations = scanned.Load(), relaxed.Load()
 	return st
 }
 

@@ -9,7 +9,12 @@ import (
 	"repro/internal/bfs"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/parallel"
 )
+
+// bud4 fans every frontier of 2·MinGrain or more out across four workers,
+// whatever GOMAXPROCS is.
+var bud4 = parallel.FixedBudget(4)
 
 func weightedFixture(seed uint64) *graph.CSR {
 	return gen.WithRandomWeights(gen.Grid2D(25, 25), 10, seed)
@@ -27,10 +32,46 @@ func TestDeltaSteppingMatchesDijkstraFixtures(t *testing.T) {
 		got := make([]float64, g.NumV)
 		for _, delta := range []float64{0.5, 1, 3, 25} {
 			Dijkstra(g, 0, want)
-			DeltaStepping(g, 0, delta, got)
+			DeltaStepping(bud4, g, 0, delta, got)
 			for i := range want {
 				if math.Abs(want[i]-got[i]) > 1e-9 {
 					t.Fatalf("%s Δ=%g: dist[%d] = %g, want %g", name, delta, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestDeltaSteppingBudgetInvariance: on a graph whose relaxation rounds
+// cross 2·MinGrain (so they fan out rather than run inline), the distances
+// under budgets 1, 2 and 4 are bitwise those of Dijkstra, at the heuristic
+// Δ and at a Δ above every distance (one bucket, Bellman-Ford rounds).
+func TestDeltaSteppingBudgetInvariance(t *testing.T) {
+	base := graph.LargestComponent(gen.Kron(14, 8, 5))
+	g := gen.WithRandomWeights(base, 20, 7)
+	// With Δ above every distance the whole graph is bucket 0, and round
+	// k's frontier holds every vertex first reached at hop k-1: one BFS
+	// level of 2·MinGrain vertices is a round that fans out.
+	hops := make([]int32, g.NumV)
+	bfs.Serial(base, 0, hops)
+	level := map[int32]int{}
+	widest := 0
+	for _, h := range hops {
+		level[h]++
+		widest = max(widest, level[h])
+	}
+	if widest < 2*parallel.MinGrain {
+		t.Fatalf("widest BFS level %d < 2·MinGrain: no round fans out", widest)
+	}
+	want := make([]float64, g.NumV)
+	Dijkstra(g, 0, want)
+	for _, delta := range []float64{SuggestDelta(g), 1e6} {
+		for _, p := range []int{1, 2, 4} {
+			got := make([]float64, g.NumV)
+			DeltaStepping(parallel.FixedBudget(p), g, 0, delta, got)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("Δ=%g workers=%d: dist[%d] = %v, want %v (bitwise, as Dijkstra)", delta, p, i, got[i], want[i])
 				}
 			}
 		}
@@ -58,7 +99,7 @@ func TestDeltaSteppingProperty(t *testing.T) {
 		want := make([]float64, g.NumV)
 		got := make([]float64, g.NumV)
 		Dijkstra(g, src, want)
-		DeltaStepping(g, src, delta, got)
+		DeltaStepping(bud4, g, src, delta, got)
 		for i := range want {
 			if math.Abs(want[i]-got[i]) > 1e-9 {
 				return false
@@ -78,7 +119,7 @@ func TestUnitWeightsMatchBFS(t *testing.T) {
 	hops := make([]int32, g.NumV)
 	bfs.Serial(base, 0, hops)
 	dist := make([]float64, g.NumV)
-	DeltaStepping(g, 0, 1, dist)
+	DeltaStepping(bud4, g, 0, 1, dist)
 	for i := range hops {
 		if float64(hops[i]) != dist[i] {
 			t.Fatalf("vertex %d: sssp %g, bfs %d", i, dist[i], hops[i])
@@ -93,7 +134,7 @@ func TestDeltaSteppingDisconnected(t *testing.T) {
 		t.Fatal(err)
 	}
 	dist := make([]float64, 4)
-	DeltaStepping(g, 0, 1, dist)
+	DeltaStepping(bud4, g, 0, 1, dist)
 	if !math.IsInf(dist[2], 1) || !math.IsInf(dist[3], 1) {
 		t.Fatalf("unreachable distances %v", dist)
 	}
@@ -105,7 +146,7 @@ func TestDeltaSteppingDisconnected(t *testing.T) {
 func TestDeltaSteppingStats(t *testing.T) {
 	g := weightedFixture(9)
 	dist := make([]float64, g.NumV)
-	st := DeltaStepping(g, 0, 2, dist)
+	st := DeltaStepping(bud4, g, 0, 2, dist)
 	if st.Buckets == 0 || st.LightPhases == 0 || st.Relaxations == 0 {
 		t.Fatalf("implausible stats: %+v", st)
 	}
@@ -122,7 +163,7 @@ func TestDeltaSensitivity(t *testing.T) {
 	Dijkstra(g, 5, want)
 	for _, delta := range []float64{0.1, 1000} {
 		got := make([]float64, g.NumV)
-		DeltaStepping(g, 5, delta, got)
+		DeltaStepping(bud4, g, 5, delta, got)
 		for i := range want {
 			if math.Abs(want[i]-got[i]) > 1e-9 {
 				t.Fatalf("Δ=%g wrong at %d", delta, i)
@@ -133,10 +174,10 @@ func TestDeltaSensitivity(t *testing.T) {
 
 func TestPanicsOnMisuse(t *testing.T) {
 	unweighted := gen.Path(5)
-	assertPanics(t, func() { DeltaStepping(unweighted, 0, 1, make([]float64, 5)) })
+	assertPanics(t, func() { DeltaStepping(bud4, unweighted, 0, 1, make([]float64, 5)) })
 	assertPanics(t, func() { Dijkstra(unweighted, 0, make([]float64, 5)) })
 	weighted := weightedFixture(1)
-	assertPanics(t, func() { DeltaStepping(weighted, 0, 0, make([]float64, weighted.NumV)) })
+	assertPanics(t, func() { DeltaStepping(bud4, weighted, 0, 0, make([]float64, weighted.NumV)) })
 }
 
 func assertPanics(t *testing.T, f func()) {

@@ -25,6 +25,8 @@ fuzz:
 	$(GO) test ./internal/graph/ -fuzz '^FuzzReadMatrixMarket$$' -fuzztime 15s
 	$(GO) test ./internal/journal/ -fuzz '^FuzzJournalScan$$' -fuzztime 15s
 	$(GO) test ./internal/server/ -fuzz '^FuzzMutationRequest$$' -fuzztime 15s
+	$(GO) test ./internal/bfs/ -fuzz '^FuzzMSBFSDirOptEquivalence$$' -fuzztime 15s
+	$(GO) test ./internal/bfs/ -fuzz '^FuzzDistancesBudgetEquivalence$$' -fuzztime 15s
 
 # Every performance number comes from the benchmark harness (BENCHMARK.json).
 bench:

@@ -29,15 +29,18 @@ const msBlockVerts = parallel.TileRows
 // sources.
 //
 // dists must have one row (length NumV) per source. Unreached vertices
-// keep Unreached. The traversal runs over sc's pooled mask buffers (nil
-// allocates fresh ones); with a scratch it performs no O(n)-sized
-// allocations, and on one worker the whole call is allocation-free: every
-// level loop has a plain serial body, so no closure ever escapes. opt
-// carries the same direction-switch parameters as the single-source
-// Runner, so one configuration drives both engines.
+// keep Unreached. The traversal runs over sc's pooled mask slabs (nil
+// starts from an empty Scratch, sized here). opt carries the same
+// direction-switch parameters as the single-source Runner, so one
+// configuration drives both engines.
 //
-// The engine is direction-optimizing (Beamer α/β) and cache-tiled. Per
-// level it runs two passes over the fixed msBlockVerts tiling:
+// The engine is direction-optimizing (Beamer α/β) and cache-tiled. Every
+// pass is written once, as a method on the scratch's msState, and runs
+// over the fixed msBlockVerts tiling through parallel.ForBlockIndexed on
+// min(workers, blocks) workers — a one-worker call runs inline on the
+// calling goroutine, so one worker runs the same passes as many, and a
+// call on a warmed scratch allocates nothing. A reset pass clears the
+// distance rows and mask slabs; then each level runs two passes:
 //
 //  1. Expand — top-down (frontier vertices push: CAS-claim bits of
 //     seen[u], OR them into next[u]) or bottom-up (every vertex still
@@ -56,8 +59,8 @@ const msBlockVerts = parallel.TileRows
 //
 // Claims always store the same level regardless of direction or of which
 // worker wins, so the distance rows are bitwise identical for every
-// budget and either direction: opt.ForceTopDown changes timing and Stats
-// only.
+// budget and either direction, and the Stats counts are identical for
+// every budget: opt.ForceTopDown changes timing and Stats only.
 func MSBFS(bud parallel.Budget, g *graph.CSR, sources []int32, dists [][]int32, sc *Scratch, opt Options) Stats {
 	if len(sources) > 64 {
 		panic("bfs: MSBFS supports at most 64 sources per batch")
@@ -66,200 +69,48 @@ func MSBFS(bud parallel.Budget, g *graph.CSR, sources []int32, dists [][]int32, 
 		panic("bfs: MSBFS needs one distance row per source")
 	}
 	opt = opt.withDefaults()
+	if sc == nil {
+		sc = &Scratch{}
+	}
 	n := g.NumV
-	serial := bud.Serial(n)
-	for s := range sources {
-		d := dists[s]
-		if serial {
-			for i := range d {
-				d[i] = Unreached
-			}
-		} else {
-			bud.For(n, func(i int) { d[i] = Unreached })
-		}
-	}
+	sc.ensureMS(n)
+	s := &sc.ms
+	s.g, s.dists = g, dists[:len(sources)]
 	blocks := parallel.ReduceBlocks(n)
-	sumWords := (blocks + 63) / 64
-	var seen, frontier, next, frontSum, nextSum []uint64
-	if sc != nil {
-		sc.ensureMS(n)
-		seen, frontier, next = sc.msSeen, sc.msFront, sc.msNext
-		frontSum, nextSum = sc.msFrontSum, sc.msNextSum
-		if serial {
-			for i := 0; i < n; i++ {
-				seen[i], frontier[i], next[i] = 0, 0, 0
-			}
-		} else {
-			bud.For(n, func(i int) { seen[i], frontier[i], next[i] = 0, 0, 0 })
-		}
-		for i := range frontSum {
-			frontSum[i], nextSum[i] = 0, 0
-		}
-	} else {
-		seen = make([]uint64, n)     // searches that have reached each vertex
-		frontier = make([]uint64, n) // searches whose current level includes the vertex
-		next = make([]uint64, n)
-		frontSum = make([]uint64, sumWords) // blocks with any frontier bit
-		nextSum = make([]uint64, sumWords)  // blocks with any next bit
-	}
+	// The clamp is against the block count, not MinGrain: one block is
+	// 4096 vertices of real work.
+	p := min(bud.Workers(), blocks)
+	parallel.ForBlockIndexed(p, blocks, s.resetPass)
+	clear(s.frontSum)
+	clear(s.nextSum)
 
 	// full is the active source mask: bottom-up skips vertices already
 	// seen by every search in the batch.
-	full := ^uint64(0)
+	s.full = ^uint64(0)
 	if len(sources) < 64 {
-		full = uint64(1)<<uint(len(sources)) - 1
+		s.full = uint64(1)<<uint(len(sources)) - 1
 	}
-
 	var frontierVerts, frontierEdges int64
-	for s, src := range sources {
-		bit := uint64(1) << uint(s)
-		if frontier[src] == 0 {
+	for i, src := range sources {
+		bit := uint64(1) << uint(i)
+		if s.frontier[src] == 0 {
 			frontierVerts++
 			frontierEdges += int64(g.Degree(src))
 		}
-		seen[src] |= bit
-		frontier[src] |= bit
+		s.seen[src] |= bit
+		s.frontier[src] |= bit
 		blk := int(src) / msBlockVerts
-		frontSum[blk>>6] |= uint64(1) << uint(blk&63)
-		dists[s][src] = 0
+		s.frontSum[blk>>6] |= uint64(1) << uint(blk&63)
+		dists[i][src] = 0
 	}
 	unexplored := int64(len(g.Adj)) - frontierEdges
 
 	var st Stats
-	level := int32(0)
+	s.level = 0
 	bottomUp := false
-	// Workers for the block passes: the clamp is against the block count,
-	// not MinGrain — one block is 4096 vertices of real work.
-	p := 1
-	if !serial {
-		if p = bud.Workers(); p > blocks {
-			p = blocks
-		}
-	}
-	var scanTot, nfTot, neTot int64
-	// The parallel pass bodies are hoisted out of the level loop (reading
-	// level/frontier state through captured variables) so each closure is
-	// constructed once per traversal, not once per level.
-	tdPar := func(w, blo, bhi int) {
-		var localScan int64
-		for blk := blo; blk < bhi; blk++ {
-			if frontSum[blk>>6]&(uint64(1)<<uint(blk&63)) == 0 {
-				continue
-			}
-			lo := blk * msBlockVerts
-			hi := lo + msBlockVerts
-			if hi > n {
-				hi = n
-			}
-			for v := lo; v < hi; v++ {
-				f := frontier[v]
-				if f == 0 {
-					continue
-				}
-				adj := g.Adj[g.Offsets[v]:g.Offsets[v+1]]
-				localScan += int64(len(adj))
-				for _, u := range adj {
-					for {
-						old := atomic.LoadUint64(&seen[u])
-						newBits := f &^ old
-						if newBits == 0 {
-							break
-						}
-						if atomic.CompareAndSwapUint64(&seen[u], old, old|newBits) {
-							// Claimed newBits for u: record distances and
-							// queue u for those searches.
-							for b := newBits; b != 0; b &= b - 1 {
-								dists[bits.TrailingZeros64(b)][u] = level
-							}
-							atomicOr(&next[u], newBits)
-							ub := int(u) / msBlockVerts
-							if m := uint64(1) << uint(ub&63); atomic.LoadUint64(&nextSum[ub>>6])&m == 0 {
-								atomicOr(&nextSum[ub>>6], m)
-							}
-							break
-						}
-					}
-				}
-			}
-		}
-		atomic.AddInt64(&scanTot, localScan)
-	}
-	buPar := func(w, blo, bhi int) {
-		var localScan int64
-		for blk := blo; blk < bhi; blk++ {
-			lo := blk * msBlockVerts
-			hi := lo + msBlockVerts
-			if hi > n {
-				hi = n
-			}
-			claimed := false
-			for v := lo; v < hi; v++ {
-				missing := full &^ seen[v]
-				if missing == 0 {
-					continue
-				}
-				adj := g.Adj[g.Offsets[v]:g.Offsets[v+1]]
-				var claim uint64
-				scanned := len(adj)
-				for k := 0; k < len(adj); k++ {
-					claim |= frontier[adj[k]]
-					if claim&missing == missing {
-						scanned = k + 1
-						break
-					}
-				}
-				localScan += int64(scanned)
-				newBits := claim & missing
-				if newBits == 0 {
-					continue
-				}
-				// The vertex claims its own bits: this worker owns [lo, hi),
-				// frontier is read-only this level, and next[v] was cleared
-				// by the previous finish pass — one plain store each, no CAS.
-				seen[v] |= newBits
-				next[v] = newBits
-				for b := newBits; b != 0; b &= b - 1 {
-					dists[bits.TrailingZeros64(b)][v] = level
-				}
-				claimed = true
-			}
-			if claimed {
-				// Once per claiming block; the summary word spans 64 blocks
-				// and may straddle a worker boundary, hence the atomic.
-				atomicOr(&nextSum[blk>>6], uint64(1)<<uint(blk&63))
-			}
-		}
-		atomic.AddInt64(&scanTot, localScan)
-	}
-	finPar := func(w, blo, bhi int) {
-		var verts, edges int64
-		for blk := blo; blk < bhi; blk++ {
-			lo := blk * msBlockVerts
-			hi := lo + msBlockVerts
-			if hi > n {
-				hi = n
-			}
-			if nextSum[blk>>6]&(uint64(1)<<uint(blk&63)) != 0 {
-				for v := lo; v < hi; v++ {
-					if next[v] != 0 {
-						verts++
-						edges += g.Offsets[v+1] - g.Offsets[v]
-					}
-				}
-			}
-			if frontSum[blk>>6]&(uint64(1)<<uint(blk&63)) != 0 {
-				for v := lo; v < hi; v++ {
-					frontier[v] = 0
-				}
-			}
-		}
-		atomic.AddInt64(&nfTot, verts)
-		atomic.AddInt64(&neTot, edges)
-	}
-
 	for frontierVerts > 0 {
 		st.Levels++
-		level++
+		s.level++
 		// Beamer α/β direction switch on the scanned-edge estimates; no
 		// frontier conversion is needed — both directions read and write
 		// the same bitmap slabs, which is why this engine keeps the plain
@@ -272,135 +123,199 @@ func MSBFS(bud parallel.Budget, g *graph.CSR, sources []int32, dists [][]int32, 
 			bottomUp = false
 			st.Switches++
 		}
-		if p <= 1 {
-			// Plain single-worker sweeps: no atomics, no closure dispatch.
-			var localScan int64
-			if bottomUp {
-				for blk := 0; blk < blocks; blk++ {
-					lo := blk * msBlockVerts
-					hi := lo + msBlockVerts
-					if hi > n {
-						hi = n
-					}
-					claimed := false
-					for v := lo; v < hi; v++ {
-						missing := full &^ seen[v]
-						if missing == 0 {
-							continue
-						}
-						adj := g.Adj[g.Offsets[v]:g.Offsets[v+1]]
-						var claim uint64
-						scanned := len(adj)
-						for k := 0; k < len(adj); k++ {
-							claim |= frontier[adj[k]]
-							if claim&missing == missing {
-								scanned = k + 1
-								break
-							}
-						}
-						localScan += int64(scanned)
-						newBits := claim & missing
-						if newBits == 0 {
-							continue
-						}
-						seen[v] |= newBits
-						next[v] = newBits
-						for b := newBits; b != 0; b &= b - 1 {
-							dists[bits.TrailingZeros64(b)][v] = level
-						}
-						claimed = true
-					}
-					if claimed {
-						nextSum[blk>>6] |= uint64(1) << uint(blk&63)
-					}
-				}
-			} else {
-				for blk := 0; blk < blocks; blk++ {
-					if frontSum[blk>>6]&(uint64(1)<<uint(blk&63)) == 0 {
-						continue
-					}
-					lo := blk * msBlockVerts
-					hi := lo + msBlockVerts
-					if hi > n {
-						hi = n
-					}
-					for v := lo; v < hi; v++ {
-						f := frontier[v]
-						if f == 0 {
-							continue
-						}
-						adj := g.Adj[g.Offsets[v]:g.Offsets[v+1]]
-						localScan += int64(len(adj))
-						for _, u := range adj {
-							newBits := f &^ seen[u]
-							if newBits == 0 {
-								continue
-							}
-							seen[u] |= newBits
-							for b := newBits; b != 0; b &= b - 1 {
-								dists[bits.TrailingZeros64(b)][u] = level
-							}
-							next[u] |= newBits
-							ub := int(u) / msBlockVerts
-							nextSum[ub>>6] |= uint64(1) << uint(ub&63)
-						}
-					}
-				}
-			}
-			scanTot = localScan
-			nfTot, neTot = 0, 0
-			for blk := 0; blk < blocks; blk++ {
-				lo := blk * msBlockVerts
-				hi := lo + msBlockVerts
-				if hi > n {
-					hi = n
-				}
-				if nextSum[blk>>6]&(uint64(1)<<uint(blk&63)) != 0 {
-					for v := lo; v < hi; v++ {
-						if next[v] != 0 {
-							nfTot++
-							neTot += g.Offsets[v+1] - g.Offsets[v]
-						}
-					}
-				}
-				if frontSum[blk>>6]&(uint64(1)<<uint(blk&63)) != 0 {
-					for v := lo; v < hi; v++ {
-						frontier[v] = 0
-					}
-				}
-			}
-		} else {
-			scanTot, nfTot, neTot = 0, 0, 0
-			if bottomUp {
-				parallel.ForBlockIndexed(p, blocks, buPar)
-			} else {
-				parallel.ForBlockIndexed(p, blocks, tdPar)
-			}
-			parallel.ForBlockIndexed(p, blocks, finPar)
-		}
+		s.scanned, s.verts, s.edges = 0, 0, 0
 		if bottomUp {
+			parallel.ForBlockIndexed(p, blocks, s.bottomUpPass)
 			st.BottomUpSteps++
 		} else {
+			parallel.ForBlockIndexed(p, blocks, s.topDownPass)
 			st.TopDownSteps++
 		}
-		st.ScannedEdges += scanTot
+		parallel.ForBlockIndexed(p, blocks, s.finishPass)
+		st.ScannedEdges += s.scanned
 		// Swap the roles of the two frontier slabs and their summaries; the
 		// finish pass already zeroed the outgoing frontier's words, so the
 		// incoming next buffer is clean. Only the tiny summary needs a
 		// fresh clear (⌈blocks/64⌉ words, ≤ n/2^18).
-		frontier, next = next, frontier
-		frontSum, nextSum = nextSum, frontSum
-		for i := range nextSum {
-			nextSum[i] = 0
-		}
-		frontierVerts, frontierEdges = nfTot, neTot
-		unexplored -= neTot
+		s.frontier, s.next = s.next, s.frontier
+		s.frontSum, s.nextSum = s.nextSum, s.frontSum
+		clear(s.nextSum)
+		frontierVerts, frontierEdges = s.verts, s.edges
+		unexplored -= s.edges
 	}
+	// Drop the caller's graph and rows so a pooled scratch pins neither.
+	s.g, s.dists = nil, nil
 	st.Levels-- // the last level discovered nothing
 	if st.Levels < 0 {
 		st.Levels = 0
 	}
 	return st
+}
+
+// msState is one MSBFS call's traversal state, kept in Scratch. The
+// passes are its methods; their method values are built once per Scratch
+// (ensureMS), so a level hands a stored func to parallel.ForBlockIndexed
+// and nothing escapes per call.
+type msState struct {
+	g     *graph.CSR
+	dists [][]int32 // one distance row per source of the batch
+	// Per-vertex 64-bit search masks: the searches that have reached the
+	// vertex, whose current level includes it, and whose next level does.
+	seen, frontier, next []uint64
+	// Per-block summaries, one bit per msBlockVerts-vertex block: blocks
+	// holding frontier bits and blocks holding next bits, so sparse
+	// levels skip whole blocks instead of striding all n.
+	frontSum, nextSum []uint64
+	full              uint64 // the active source mask
+	level             int32
+	// The level's scanned edges and new frontier's vertices and degree
+	// sum, each worker adding its share once per pass.
+	scanned, verts, edges int64
+
+	resetPass, topDownPass, bottomUpPass, finishPass func(w, blo, bhi int)
+}
+
+// blockSpan returns block blk's vertex range in an n-vertex graph.
+func blockSpan(blk, n int) (lo, hi int) {
+	lo = blk * msBlockVerts
+	return lo, min(lo+msBlockVerts, n)
+}
+
+// reset fills blocks [blo, bhi) of every distance row with Unreached and
+// zeroes them in the three mask slabs.
+func (s *msState) reset(_, blo, bhi int) {
+	lo, hi := blo*msBlockVerts, min(bhi*msBlockVerts, s.g.NumV)
+	for _, d := range s.dists {
+		d = d[lo:hi]
+		for i := range d {
+			d[i] = Unreached
+		}
+	}
+	clear(s.seen[lo:hi])
+	clear(s.frontier[lo:hi])
+	clear(s.next[lo:hi])
+}
+
+// topDown is the top-down expand over blocks [blo, bhi): every frontier
+// vertex pushes its mask, CAS-claiming the bits of seen[u] no other
+// search brought first, then records their distances and ORs them into
+// next[u] and u's block summary. Claims race across workers, so every
+// shared word is read and written atomically.
+func (s *msState) topDown(_, blo, bhi int) {
+	g, dists, level := s.g, s.dists, s.level
+	seen, frontier, next, frontSum, nextSum := s.seen, s.frontier, s.next, s.frontSum, s.nextSum
+	var scanned int64
+	for blk := blo; blk < bhi; blk++ {
+		if frontSum[blk>>6]&(uint64(1)<<uint(blk&63)) == 0 {
+			continue
+		}
+		lo, hi := blockSpan(blk, g.NumV)
+		for v := lo; v < hi; v++ {
+			f := frontier[v]
+			if f == 0 {
+				continue
+			}
+			adj := g.Adj[g.Offsets[v]:g.Offsets[v+1]]
+			scanned += int64(len(adj))
+			for _, u := range adj {
+				for {
+					old := atomic.LoadUint64(&seen[u])
+					newBits := f &^ old
+					if newBits == 0 {
+						break
+					}
+					if atomic.CompareAndSwapUint64(&seen[u], old, old|newBits) {
+						// Claimed newBits for u: record distances and
+						// queue u for those searches.
+						for b := newBits; b != 0; b &= b - 1 {
+							dists[bits.TrailingZeros64(b)][u] = level
+						}
+						atomicOr(&next[u], newBits)
+						ub := int(u) / msBlockVerts
+						if m := uint64(1) << uint(ub&63); atomic.LoadUint64(&nextSum[ub>>6])&m == 0 {
+							atomicOr(&nextSum[ub>>6], m)
+						}
+						break
+					}
+				}
+			}
+		}
+	}
+	atomic.AddInt64(&s.scanned, scanned)
+}
+
+// bottomUp is the bottom-up expand over blocks [blo, bhi): every vertex
+// still missing bits of the active mask ORs its neighbors' frontier masks
+// until it has them all or runs out of neighbors, and claims what it
+// found.
+func (s *msState) bottomUp(_, blo, bhi int) {
+	g, dists, level, full := s.g, s.dists, s.level, s.full
+	seen, frontier, next, nextSum := s.seen, s.frontier, s.next, s.nextSum
+	var scanned int64
+	for blk := blo; blk < bhi; blk++ {
+		lo, hi := blockSpan(blk, g.NumV)
+		claimed := false
+		for v := lo; v < hi; v++ {
+			missing := full &^ seen[v]
+			if missing == 0 {
+				continue
+			}
+			adj := g.Adj[g.Offsets[v]:g.Offsets[v+1]]
+			var claim uint64
+			used := len(adj)
+			for k := 0; k < len(adj); k++ {
+				claim |= frontier[adj[k]]
+				if claim&missing == missing {
+					used = k + 1
+					break
+				}
+			}
+			scanned += int64(used)
+			newBits := claim & missing
+			if newBits == 0 {
+				continue
+			}
+			// The vertex claims its own bits: this worker owns [lo, hi),
+			// frontier is read-only this level, and next[v] was cleared
+			// by the previous finish pass — one plain store each, no CAS.
+			seen[v] |= newBits
+			next[v] = newBits
+			for b := newBits; b != 0; b &= b - 1 {
+				dists[bits.TrailingZeros64(b)][v] = level
+			}
+			claimed = true
+		}
+		if claimed {
+			// Once per claiming block; the summary word spans 64 blocks
+			// and may straddle a worker boundary, hence the atomic.
+			atomicOr(&nextSum[blk>>6], uint64(1)<<uint(blk&63))
+		}
+	}
+	atomic.AddInt64(&s.scanned, scanned)
+}
+
+// finish counts the new frontier's vertices and degree sum over blocks
+// [blo, bhi) and zeroes the old frontier's words there, each half
+// skipping blocks its summary marks empty.
+func (s *msState) finish(_, blo, bhi int) {
+	g, frontier, next, frontSum, nextSum := s.g, s.frontier, s.next, s.frontSum, s.nextSum
+	var verts, edges int64
+	for blk := blo; blk < bhi; blk++ {
+		lo, hi := blockSpan(blk, g.NumV)
+		if nextSum[blk>>6]&(uint64(1)<<uint(blk&63)) != 0 {
+			for v := lo; v < hi; v++ {
+				if next[v] != 0 {
+					verts++
+					edges += g.Offsets[v+1] - g.Offsets[v]
+				}
+			}
+		}
+		if frontSum[blk>>6]&(uint64(1)<<uint(blk&63)) != 0 {
+			clear(frontier[lo:hi])
+		}
+	}
+	atomic.AddInt64(&s.verts, verts)
+	atomic.AddInt64(&s.edges, edges)
 }
 
 // atomicOr ORs mask into *addr. Every caller holds bits of mask

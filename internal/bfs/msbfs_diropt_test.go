@@ -47,8 +47,9 @@ func assertRowsEqual(t *testing.T, label string, want, got [][]int32) {
 	}
 }
 
-// msbfsBudgets is the budget sweep of the equivalence tests: the serial
-// fast path, two fixed parallel partitions, and the live budget.
+// msbfsBudgets is the budget sweep of the equivalence tests: one worker
+// (first: the reference for the Stats check), two fixed parallel
+// partitions, and the live budget.
 func msbfsBudgets() []parallel.Budget {
 	return []parallel.Budget{
 		parallel.FixedBudget(1),
@@ -94,15 +95,46 @@ func TestMSBFSDirOptAdversarial(t *testing.T) {
 			}
 		}
 		want := serialRows(tc.g, sources)
-		for _, bud := range msbfsBudgets() {
-			got, _ := msRun(tc.g, sources, bud, Options{})
+		var wantSt, wantStTD Stats
+		for i, bud := range msbfsBudgets() {
+			got, st := msRun(tc.g, sources, bud, Options{})
 			assertRowsEqual(t, tc.name+"/diropt", want, got)
-			gotTD, st := msRun(tc.g, sources, bud, Options{ForceTopDown: true})
+			gotTD, stTD := msRun(tc.g, sources, bud, Options{ForceTopDown: true})
 			assertRowsEqual(t, tc.name+"/topdown", want, gotTD)
-			if st.BottomUpSteps != 0 {
+			if stTD.BottomUpSteps != 0 {
 				t.Fatalf("%s: ForceTopDown under budget ran bottom-up", tc.name)
 			}
+			// The counts feed bfs_steps_total and the scanned-edge
+			// metric: every budget must report the one-worker figures.
+			if i == 0 {
+				wantSt, wantStTD = st, stTD
+				continue
+			}
+			if st != wantSt {
+				t.Fatalf("%s/diropt: budget %d stats %+v, one worker %+v", tc.name, bud.Workers(), st, wantSt)
+			}
+			if stTD != wantStTD {
+				t.Fatalf("%s/topdown: budget %d stats %+v, one worker %+v", tc.name, bud.Workers(), stTD, wantStTD)
+			}
 		}
+	}
+}
+
+// TestMSBFSWarmScratchAllocatesNothing: once a Scratch has been sized by
+// one call, a one-worker MSBFS allocates nothing — the pass state and its
+// method values live in the scratch, and a one-worker fan-out runs inline.
+func TestMSBFSWarmScratchAllocatesNothing(t *testing.T) {
+	g := gen.Mesh3D(20, 20, 20)
+	sources := make([]int32, 64)
+	for i := range sources {
+		sources[i] = int32((i * 997) % g.NumV)
+	}
+	rows := msRows(len(sources), g.NumV)
+	sc := &Scratch{}
+	bud := parallel.FixedBudget(1)
+	MSBFS(bud, g, sources, rows, sc, Options{}) // size the scratch
+	if allocs := testing.AllocsPerRun(10, func() { MSBFS(bud, g, sources, rows, sc, Options{}) }); allocs != 0 {
+		t.Fatalf("warm one-worker MSBFS allocates %.1f objects per call, want 0", allocs)
 	}
 }
 

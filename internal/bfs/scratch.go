@@ -2,29 +2,22 @@ package bfs
 
 import "repro/internal/parallel"
 
-// Scratch owns the reusable traversal state of a Runner: the two frontier
-// bitmaps, the top-down queue, and the per-worker next-queue buffers. A
-// Runner is bound to one graph; a Scratch is bound only to a vertex-count
-// ceiling, so a pooled workspace can carry one Scratch across many
-// same-shaped graphs (and regrow it when a bigger graph arrives) without
-// re-paying the frontier allocations on every layout job.
+// Scratch owns the reusable traversal state of a Runner — the two
+// frontier bitmaps, the top-down queue, and the per-worker next-queue
+// buffers — and of MSBFS. A Runner is bound to one graph; a Scratch is
+// bound only to a vertex-count ceiling, so a pooled workspace can carry
+// one Scratch across many same-shaped graphs (and regrow it when a bigger
+// graph arrives) without re-paying the frontier allocations on every
+// layout job. A Scratch must not be copied: its MSBFS passes are bound to
+// its own msState.
 type Scratch struct {
 	front *Bitmap
 	next  *Bitmap
 	queue []int32
 	nextQ [][]int32
-	// Multi-source traversal state: per-vertex 64-bit search masks. Only
-	// allocated once an MSBFS call arrives (the single-source
-	// runner never touches them).
-	msSeen  []uint64
-	msFront []uint64
-	msNext  []uint64
-	// Per-block frontier summaries for the tiled direction-optimizing
-	// engine: one bit per msBlockVerts-vertex block (msFrontSum marks
-	// blocks holding frontier bits, msNextSum next-frontier bits), so
-	// sparse levels skip whole blocks instead of striding all n.
-	msFrontSum []uint64
-	msNextSum  []uint64
+	// Multi-source traversal state, sized only once an MSBFS call
+	// arrives (the single-source runner never touches it).
+	ms msState
 }
 
 // NewScratch returns traversal scratch sized for n-vertex graphs and the
@@ -55,19 +48,21 @@ func (sc *Scratch) ensure(n, workers int) {
 	}
 }
 
-// ensureMS grows the multi-source mask buffers (and their block
-// summaries) to cover n vertices.
+// ensureMS grows the multi-source mask slabs (and their block
+// summaries) to cover n vertices, and binds the pass method values on
+// first use.
 func (sc *Scratch) ensureMS(n int) {
-	if cap(sc.msSeen) < n {
-		sc.msSeen = make([]uint64, n)
-		sc.msFront = make([]uint64, n)
-		sc.msNext = make([]uint64, n)
+	s := &sc.ms
+	if cap(s.seen) < n {
+		s.seen, s.frontier, s.next = make([]uint64, n), make([]uint64, n), make([]uint64, n)
 	}
-	sc.msSeen, sc.msFront, sc.msNext = sc.msSeen[:n], sc.msFront[:n], sc.msNext[:n]
+	s.seen, s.frontier, s.next = s.seen[:n], s.frontier[:n], s.next[:n]
 	sw := (parallel.ReduceBlocks(n) + 63) / 64
-	if cap(sc.msFrontSum) < sw {
-		sc.msFrontSum = make([]uint64, sw)
-		sc.msNextSum = make([]uint64, sw)
+	if cap(s.frontSum) < sw {
+		s.frontSum, s.nextSum = make([]uint64, sw), make([]uint64, sw)
 	}
-	sc.msFrontSum, sc.msNextSum = sc.msFrontSum[:sw], sc.msNextSum[:sw]
+	s.frontSum, s.nextSum = s.frontSum[:sw], s.nextSum[:sw]
+	if s.resetPass == nil {
+		s.resetPass, s.topDownPass, s.bottomUpPass, s.finishPass = s.reset, s.topDown, s.bottomUp, s.finish
+	}
 }

@@ -296,7 +296,7 @@ func randomPhase(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int, 
 func randomMSPhase(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int, start int32, opt bfs.Options, sc *Scratch, emit Emit, onTraversal, onOther func(f func())) (PhaseStats, error) {
 	n := g.NumV
 	if sc.trav == nil {
-		sc.trav = bfs.NewScratch(n, bud.Workers())
+		sc.trav = &bfs.Scratch{} // MSBFS sizes only its mask slabs
 	}
 	st := PhaseStats{
 		Sources:   make([]int32, s),

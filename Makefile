@@ -27,6 +27,9 @@ fuzz:
 	$(GO) test ./internal/server/ -fuzz '^FuzzMutationRequest$$' -fuzztime 15s
 	$(GO) test ./internal/bfs/ -fuzz '^FuzzMSBFSDirOptEquivalence$$' -fuzztime 15s
 	$(GO) test ./internal/bfs/ -fuzz '^FuzzDistancesBudgetEquivalence$$' -fuzztime 15s
+	$(GO) test ./internal/linalg/ -fuzz '^FuzzTripleProdEquivalence$$' -fuzztime 15s
+	$(GO) test ./internal/linalg/ -fuzz '^FuzzAtBPackedEquivalence$$' -fuzztime 15s
+	$(GO) test ./internal/linalg/ -fuzz '^FuzzPackedColsEquivalence$$' -fuzztime 15s
 
 # Every performance number comes from the benchmark harness (BENCHMARK.json).
 bench:

@@ -101,13 +101,7 @@ func NewRunner(g *graph.CSR, opt Options, sc *Scratch, bud parallel.Budget) *Run
 func (r *Runner) Distances(src int32, dist []int32) Stats {
 	g := r.g
 	n := g.NumV
-	if r.workers == 1 {
-		for i := range dist {
-			dist[i] = Unreached
-		}
-	} else {
-		r.bud.For(n, func(i int) { dist[i] = Unreached })
-	}
+	parallel.Blocks(r.bud.BlockWorkers(n), n, dist, resetDist)
 	dist[src] = 0
 
 	var st Stats
@@ -157,6 +151,14 @@ func (r *Runner) Distances(src int32, dist []int32) Stats {
 	return st
 }
 
+// resetDist marks dist[lo:hi] unreached.
+func resetDist(dist []int32, _, lo, hi int) {
+	d := dist[lo:hi]
+	for i := range d {
+		d[i] = Unreached
+	}
+}
+
 // goBottomUp is the whole direction rule: given the direction the last
 // level ran in, it reports whether the next one runs bottom-up. nf and mf
 // are the frontier's vertex count and total degree, prevNF the previous
@@ -184,7 +186,7 @@ func (r *Runner) topDownStep(level int32, dist []int32) (nf, ne, scanned int64) 
 	g := r.g
 	q := r.sc.queue
 	w := r.workers
-	if r.bud.Serial(len(q)) {
+	if r.bud.BlockWorkers(len(q)) == 1 {
 		// One worker, or a frontier too short to be worth a goroutine per
 		// worker (a road graph runs thousands of ~80-vertex levels): expand
 		// inline — no spawn, no atomics, no per-level allocation — and with
@@ -246,26 +248,32 @@ func (r *Runner) topDownStep(level int32, dist []int32) (nf, ne, scanned int64) 
 // parent on the current level (held in dist), stopping at the first hit —
 // the step that slashes edge traffic on low-diameter skewed graphs.
 func (r *Runner) bottomUpStep(level int32, dist []int32) (nf, ne, scanned int64) {
-	g := r.g
 	r.sc.next.Reset()
-	if r.workers == 1 {
-		// Single-worker fast path: no goroutine, no closure, no atomics.
-		nf, ne, scanned = r.bottomUpRange(level, dist, 0, g.NumV)
-		r.sc.front.Swap(r.sc.next)
-		return nf, ne, scanned
-	}
-	// Membership in the frontier bitmap (fully built before this phase's
-	// barrier) is the parent test; consulting dist for it would race with
-	// other workers claiming their own vertices.
-	var totNF, totNE, totScan int64
-	r.bud.ForBlock(g.NumV, func(lo, hi int) {
-		localNF, localNE, localScan := r.bottomUpRange(level, dist, lo, hi)
-		atomic.AddInt64(&totNF, localNF)
-		atomic.AddInt64(&totNE, localNE)
-		atomic.AddInt64(&totScan, localScan)
-	})
+	bu := &r.sc.bu
+	*bu = [3]atomic.Int64{}
+	parallel.Blocks(r.bud.BlockWorkers(r.g.NumV), r.g.NumV, bottomUpArgs{r, dist, level}, bottomUpArgs.block)
 	r.sc.front.Swap(r.sc.next)
-	return totNF, totNE, totScan
+	return bu[0].Load(), bu[1].Load(), bu[2].Load()
+}
+
+// bottomUpArgs is the operands of one bottom-up step, its block body a
+// method taking them by value, so a one-worker step allocates nothing.
+type bottomUpArgs struct {
+	r     *Runner
+	dist  []int32
+	level int32
+}
+
+// block runs the step over [lo, hi) and adds its counts to the scratch's.
+// Membership in the frontier bitmap (fully built before the step) is the
+// parent test; consulting dist for it would race with other workers
+// claiming their own vertices.
+func (a bottomUpArgs) block(_, lo, hi int) {
+	nf, ne, scanned := a.r.bottomUpRange(a.level, a.dist, lo, hi)
+	bu := &a.r.sc.bu
+	bu[0].Add(nf)
+	bu[1].Add(ne)
+	bu[2].Add(scanned)
 }
 
 // bottomUpRange is one contiguous chunk of the bottom-up step: every

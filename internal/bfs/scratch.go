@@ -1,6 +1,10 @@
 package bfs
 
-import "repro/internal/parallel"
+import (
+	"sync/atomic"
+
+	"repro/internal/parallel"
+)
 
 // Scratch owns the reusable traversal state of a Runner — the two
 // frontier bitmaps, the top-down queue, and the per-worker next-queue
@@ -15,6 +19,9 @@ type Scratch struct {
 	next  *Bitmap
 	queue []int32
 	nextQ [][]int32
+	// A bottom-up step's new frontier vertices, their degree sum and its
+	// scanned edges, each worker adding its share once.
+	bu [3]atomic.Int64
 	// Multi-source traversal state, sized only once an MSBFS call
 	// arrives (the single-source runner never touches it).
 	ms msState

@@ -123,8 +123,8 @@ func loadBudget(t *testing.T) allocBudget {
 }
 
 // TestSteadyStateAllocBudget asserts the warmed-workspace hot path stays
-// within the checked-in allocation budget. It pins GOMAXPROCS to 1 so the
-// parallel primitives take their serial fast paths and the measurement is
+// within the checked-in allocation budget. It pins GOMAXPROCS to 1 so
+// every kernel runs its body inline on one worker and the measurement is
 // deterministic; what remains is the small shape-independent constant
 // (result and report headers) the budget file pins down. The s = 64 row
 // holds it to that: nothing a warm run allocates grows with s.

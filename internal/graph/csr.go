@@ -74,26 +74,30 @@ func (g *CSR) WeightedDegreesIntoBudget(bud parallel.Budget, buf []float64) []fl
 		d = make([]float64, g.NumV)
 	}
 	d = d[:g.NumV]
-	if g.Weights == nil {
-		if bud.Serial(g.NumV) {
-			for i := 0; i < g.NumV; i++ {
-				d[i] = float64(g.Offsets[i+1] - g.Offsets[i])
-			}
-			return d
+	parallel.Blocks(bud.BlockWorkers(g.NumV), g.NumV, degArgs{g, d}, degArgs.block)
+	return d
+}
+
+// degArgs is the operands of one WeightedDegreesIntoBudget call.
+type degArgs struct {
+	g *CSR
+	d []float64
+}
+
+func (a degArgs) block(_, lo, hi int) {
+	g, d := a.g, a.d
+	for i := lo; i < hi; i++ {
+		o0, o1 := g.Offsets[i], g.Offsets[i+1]
+		if g.Weights == nil {
+			d[i] = float64(o1 - o0)
+			continue
 		}
-		bud.For(g.NumV, func(i int) {
-			d[i] = float64(g.Offsets[i+1] - g.Offsets[i])
-		})
-		return d
-	}
-	bud.For(g.NumV, func(i int) {
 		var s float64
-		for _, w := range g.Weights[g.Offsets[i]:g.Offsets[i+1]] {
+		for _, w := range g.Weights[o0:o1] {
 			s += w
 		}
 		d[i] = s
-	})
-	return d
+	}
 }
 
 // MaxDegree returns the maximum vertex degree, or 0 for an empty graph.

@@ -29,7 +29,7 @@ func testBudgets() []parallel.Budget {
 }
 
 // TestDotBudgetInvariance: the dot reductions are bitwise identical for
-// every worker budget, including the allocation-free serial path.
+// every worker budget, one worker included.
 func TestDotBudgetInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	withProcs(4, func() {

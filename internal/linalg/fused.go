@@ -26,48 +26,28 @@ import (
 func WidenMinArgmaxBudget(bud parallel.Budget, dst []float64, dmin, src []int32, idxs []int, vals []int32) int {
 	checkLen(len(dst), len(src))
 	checkLen(len(dmin), len(src))
-	n := len(src)
-	tiles := parallel.ReduceBlocks(n)
-	if tiles == 1 || bud.Workers() <= 1 {
-		best, _ := widenMinArgmaxRange(dst, dmin, src, 0, n)
-		return best
-	}
-	var ib []int
-	if cap(idxs) >= tiles {
-		ib = idxs[:tiles]
-	} else {
-		ib = make([]int, tiles)
-	}
-	var vb []int32
-	if cap(vals) >= tiles {
-		vb = vals[:tiles]
-	} else {
-		vb = make([]int32, tiles)
-	}
-	bud.ForTiles(n, tiles, func(t, lo, hi int) {
-		ib[t], vb[t] = widenMinArgmaxRange(dst, dmin, src, lo, hi)
-	})
-	best, bv := ib[0], vb[0]
-	for t := 1; t < tiles; t++ {
-		if vb[t] > bv {
-			best, bv = ib[t], vb[t]
-		}
-	}
-	return best
+	return parallel.MaxTiles(bud.Workers(), len(src), widenArgs{dst, dmin, src}, idxs, vals, widenArgs.tile)
 }
 
-// widenMinArgmaxRange is WidenMinArgmaxBudget over rows [lo, hi): the
-// first maximum of the updated dmin in the range, and its value.
-func widenMinArgmaxRange(dst []float64, dmin, src []int32, lo, hi int) (best int, bv int32) {
+// widenArgs is the operands of one WidenMinArgmaxBudget call.
+type widenArgs struct {
+	dst       []float64
+	dmin, src []int32
+}
+
+// tile is WidenMinArgmaxBudget over rows [lo, hi): the first maximum of
+// the updated dmin in the range, and its value.
+func (a widenArgs) tile(_, lo, hi int) (best int, bv int32) {
+	src := a.src[lo:hi]
+	dst, dmin := a.dst[lo:hi][:len(src)], a.dmin[lo:hi][:len(src)]
 	best, bv = lo, int32(-1<<31)
-	for i := lo; i < hi; i++ {
-		v := src[i]
+	for i, v := range src {
 		dst[i] = float64(v)
 		if v < dmin[i] {
 			dmin[i] = v
 		}
 		if dmin[i] > bv {
-			best, bv = i, dmin[i]
+			best, bv = lo+i, dmin[i]
 		}
 	}
 	return best, bv
@@ -78,15 +58,12 @@ func widenMinArgmaxRange(dst []float64, dmin, src []int32, lo, hi int) (best int
 // worker, so results are partition-independent.
 func ScaledCopyBudget(bud parallel.Budget, dst, src []float64, a float64) {
 	checkLen(len(dst), len(src))
-	if bud.Serial(len(src)) {
-		for i, v := range src {
-			dst[i] = a * v
-		}
-		return
+	parallel.Blocks(bud.BlockWorkers(len(src)), len(src), vecArgs{x: src, y: dst, a: a}, vecArgs.scaledCopy)
+}
+
+func (v vecArgs) scaledCopy(_, lo, hi int) {
+	src, dst, a := v.x[lo:hi], v.y[lo:hi], v.a
+	for i := range src {
+		dst[i] = a * src[i]
 	}
-	bud.ForBlock(len(src), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = a * src[i]
-		}
-	})
 }

@@ -39,19 +39,24 @@ func mulSmall(bud parallel.Budget, a []float64, n, rs, ks int, y, c *Dense) *Den
 	} else if c.Rows != n || c.Cols != y.Cols {
 		panic("linalg: MulSmall output shape mismatch")
 	}
-	if bud.Serial(n) {
-		mulSmallRows(a, rs, ks, y, c, 0, n)
-	} else {
-		bud.ForBlock(n, func(lo, hi int) { mulSmallRows(a, rs, ks, y, c, lo, hi) })
-	}
+	parallel.Blocks(bud.BlockWorkers(n), n, mulArgs{a, rs, ks, y, c}, mulArgs.rows)
 	return c
 }
 
-// mulSmallRows computes rows [lo, hi) of c = A·y, two output columns at a
-// time: for each row quad the k-loop reads A(r…r+3, k) once and feeds both
+// mulArgs is the operands of one mulSmall call: A's element (r, k) is
+// a[r·rs + k·ks].
+type mulArgs struct {
+	a      []float64
+	rs, ks int
+	y, c   *Dense
+}
+
+// rows computes rows [lo, hi) of c = A·y, two output columns at a time:
+// for each row quad the k-loop reads A(r…r+3, k) once and feeds both
 // columns' accumulators, summing over k in ascending order exactly like
 // the one-column-at-a-time reference.
-func mulSmallRows(a []float64, rs, ks int, y, c *Dense, lo, hi int) {
+func (m mulArgs) rows(_, lo, hi int) {
+	a, rs, ks, y, c := m.a, m.rs, m.ks, m.y, m.c
 	s, p := y.Rows, y.Cols
 	j := 0
 	for ; j+2 <= p; j += 2 {

@@ -21,28 +21,7 @@ func LapMulVec(g *graph.CSR, deg []float64, x, p []float64) {
 func LapMulVecBudget(bud parallel.Budget, g *graph.CSR, deg []float64, x, p []float64) {
 	checkLen(len(x), g.NumV)
 	checkLen(len(p), g.NumV)
-	if g.Weighted() {
-		bud.ForBlock(g.NumV, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				var sum float64
-				o0, o1 := g.Offsets[i], g.Offsets[i+1]
-				for k := o0; k < o1; k++ {
-					sum += g.Weights[k] * x[g.Adj[k]]
-				}
-				p[i] = deg[i]*x[i] - sum
-			}
-		})
-		return
-	}
-	bud.ForBlock(g.NumV, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var sum float64
-			for _, j := range g.Adj[g.Offsets[i]:g.Offsets[i+1]] {
-				sum += x[j]
-			}
-			p[i] = deg[i]*x[i] - sum
-		}
-	})
+	parallel.Blocks(bud.BlockWorkers(g.NumV), g.NumV, spmvArgs{g: g, deg: deg, x: x, p: p}, spmvArgs.rows)
 }
 
 // WalkMulVec computes p ← D⁻¹A·x, the transition-matrix product LOBPCG
@@ -51,36 +30,44 @@ func LapMulVecBudget(bud parallel.Budget, g *graph.CSR, deg []float64, x, p []fl
 func WalkMulVec(g *graph.CSR, deg []float64, x, p []float64) {
 	checkLen(len(x), g.NumV)
 	checkLen(len(p), g.NumV)
-	if g.Weighted() {
-		parallel.Live().ForBlock(g.NumV, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				var sum float64
-				o0, o1 := g.Offsets[i], g.Offsets[i+1]
-				for k := o0; k < o1; k++ {
-					sum += g.Weights[k] * x[g.Adj[k]]
-				}
-				if deg[i] != 0 {
-					p[i] = sum / deg[i]
-				} else {
-					p[i] = 0
-				}
+	parallel.Blocks(parallel.Live().BlockWorkers(g.NumV), g.NumV, spmvArgs{g: g, deg: deg, x: x, p: p, walk: true}, spmvArgs.rows)
+}
+
+// spmvArgs is the operands of one LapMulVecBudget (walk false) or
+// WalkMulVec (walk true) call.
+type spmvArgs struct {
+	g         *graph.CSR
+	deg, x, p []float64
+	walk      bool
+}
+
+// rows computes rows [lo, hi) of p: each row's (weighted) neighbor sum in
+// adjacency order, then deg·x − sum for L, or sum/deg (0 for an isolated
+// vertex) for D⁻¹A.
+func (a spmvArgs) rows(_, lo, hi int) {
+	g, deg, x, p := a.g, a.deg, a.x, a.p
+	for i := lo; i < hi; i++ {
+		o0, o1 := g.Offsets[i], g.Offsets[i+1]
+		var sum float64
+		if g.Weighted() {
+			w := g.Weights[o0:o1]
+			for k, j := range g.Adj[o0:o1] {
+				sum += w[k] * x[j]
 			}
-		})
-		return
-	}
-	parallel.Live().ForBlock(g.NumV, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var sum float64
-			for _, j := range g.Adj[g.Offsets[i]:g.Offsets[i+1]] {
+		} else {
+			for _, j := range g.Adj[o0:o1] {
 				sum += x[j]
 			}
-			if deg[i] != 0 {
-				p[i] = sum / deg[i]
-			} else {
-				p[i] = 0
-			}
 		}
-	})
+		switch {
+		case !a.walk:
+			p[i] = deg[i]*x[i] - sum
+		case deg[i] != 0:
+			p[i] = sum / deg[i]
+		default:
+			p[i] = 0
+		}
+	}
 }
 
 // ExplicitLaplacian is the materialized CSR Laplacian used by the

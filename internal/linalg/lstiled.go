@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/graph"
@@ -47,28 +48,37 @@ func LapMulDenseTiledPackedBudget(bud parallel.Budget, g *graph.CSR, deg []float
 	}
 	workers := bud.BlockWorkers(n)
 	arena.Ensure(workers, min(PackRows, n)*cols)
-	if workers <= 1 {
-		packRowMajor(strided{s.Data, n, n}, srm, 0, cols)
-		slot := arena.slot(0)
-		for r0 := 0; r0 < n; r0 += PackRows {
-			r1 := min(r0+PackRows, n)
-			fusedRows(g, deg, srm, slot, r0, r1, cols)
-			unpackRowMajor(strided{p.Data[r0:], n, r1 - r0}, slot, cols)
-		}
-		return p
-	}
-	parallel.ForBlockIndexed(workers, n, func(_, lo, hi int) {
-		packRowMajor(strided{s.Data[lo:], n, hi - lo}, srm, lo, cols)
-	})
-	parallel.ForBlockIndexed(workers, n, func(w, lo, hi int) {
-		slot := arena.slot(w)
-		for r0 := lo; r0 < hi; r0 += PackRows {
-			r1 := min(r0+PackRows, hi)
-			fusedRows(g, deg, srm, slot, r0, r1, cols)
-			unpackRowMajor(strided{p.Data[r0:], n, r1 - r0}, slot, cols)
-		}
-	})
+	ls := lsArgs{g: g, deg: deg, s: s, p: p, srm: srm, arena: arena}
+	parallel.Blocks(workers, n, ls, lsArgs.pack)
+	parallel.Blocks(workers, n, ls, lsArgs.fuse)
 	return p
+}
+
+// lsArgs is the operands of one LapMulDenseTiledPackedBudget call; its
+// methods are the two passes' block bodies.
+type lsArgs struct {
+	g     *graph.CSR
+	deg   []float64
+	s, p  *Dense
+	srm   []float64
+	arena *PackArena
+}
+
+// pack transposes rows [lo, hi) of S into srm.
+func (x lsArgs) pack(_, lo, hi int) {
+	n := x.s.Rows
+	packRowMajor(strided{x.s.Data[lo:], n, hi - lo}, x.srm, lo, x.s.Cols)
+}
+
+// fuse computes rows [lo, hi) of P = L·S one PackRows chunk at a time in
+// worker w's arena slot, unpacking each chunk into p while it is in cache.
+func (x lsArgs) fuse(w, lo, hi int) {
+	n, cols, slot := x.s.Rows, x.s.Cols, x.arena.slot(w)
+	for r0 := lo; r0 < hi; r0 += PackRows {
+		r1 := min(r0+PackRows, hi)
+		fusedRows(x.g, x.deg, x.srm, slot, r0, r1, cols)
+		unpackRowMajor(strided{x.p.Data[r0:], n, r1 - r0}, slot, cols)
+	}
 }
 
 // TripleProdBudget computes the TripleProd phase Z = Sᵀ(L·S) in one walk
@@ -98,72 +108,58 @@ func TripleProdBudget(bud parallel.Budget, g *graph.CSR, deg []float64, pc *Pack
 		panic("linalg: TripleProd output shape mismatch")
 	}
 	tiles := parallel.ReduceBlocks(n)
-	panels := z.Data
-	if tiles > 1 {
-		if cap(partials) < tiles*k*k {
-			partials = make([]float64, tiles*k*k)
-		}
-		panels = partials[:tiles*k*k]
-	}
+	panels := tilePanels(z.Data, partials, tiles, k*k)
 	if arena == nil {
 		arena = &PackArena{}
 	}
 	workers := min(bud.Workers(), tiles)
 	arena.Ensure(workers, 2*PackRows*k)
-	tp := tripleProd{g: g, deg: deg, pc: pc, srm: srm[:n*k], first: first, k: k}
+	arena.busy = slices.Grow(arena.busy[:0], 2*workers)[:2*workers]
+	clear(arena.busy)
+	tp := tripleProd{g: g, deg: deg, pc: pc, srm: srm[:n*k], panels: panels, arena: arena, first: first, k: k}
+	parallel.Tiles(workers, n, tiles, tp, tripleProd.packTile)
+	parallel.Tiles(workers, n, tiles, tp, tripleProd.walkTile)
 	var ls, atb time.Duration
-	if workers <= 1 {
-		for t := 0; t < tiles; t++ {
-			ls += tp.pack(t, t*n/tiles, (t+1)*n/tiles)
-		}
-		for t := 0; t < tiles; t++ {
-			l, a := tp.walk(t, t*n/tiles, (t+1)*n/tiles, panels[t*k*k:(t+1)*k*k], arena.slot(0))
-			ls, atb = ls+l, atb+a
-		}
-	} else {
-		busy := make([]time.Duration, 2*workers) // worker w's L·S and SᵀP time
-		parallel.ForTilesIndexed(workers, n, tiles, func(w, t, lo, hi int) { busy[2*w] += tp.pack(t, lo, hi) })
-		parallel.ForTilesIndexed(workers, n, tiles, func(w, t, lo, hi int) {
-			l, a := tp.walk(t, lo, hi, panels[t*k*k:(t+1)*k*k], arena.slot(w))
-			busy[2*w], busy[2*w+1] = busy[2*w]+l, busy[2*w+1]+a
-		})
-		for w := 0; w < workers; w++ {
-			ls, atb = ls+busy[2*w], atb+busy[2*w+1]
-		}
+	for w := 0; w < workers; w++ {
+		ls, atb = ls+arena.busy[2*w], atb+arena.busy[2*w+1]
 	}
-	if tiles > 1 {
-		start := time.Now()
-		combinePanels(z.Data, panels, tiles, k*k)
-		atb += time.Since(start)
-	}
+	start := time.Now()
+	combinePanels(z.Data, panels, tiles, k*k)
+	atb += time.Since(start)
 	if ls+atb > 0 {
 		lsShare = float64(ls) / float64(ls+atb)
 	}
 	return z, lsShare
 }
 
-// tripleProd is the operands of one TripleProdBudget call. Its methods take
-// it by value, so the serial path's copy never escapes to the heap.
+// tripleProd is the operands of one TripleProdBudget call. Its methods are
+// the two tile walks' bodies and take it by value, so a one-worker call
+// allocates nothing.
 type tripleProd struct {
 	g        *graph.CSR
 	deg, srm []float64
+	panels   []float64 // per-tile k×k SᵀP partials
 	pc       *PackedCols
+	arena    *PackArena // worker slots and busy times
 	first, k int
 }
 
-// pack transposes tile t's S rows [lo, hi) into srm and returns its time.
-func (tp tripleProd) pack(t, lo, hi int) time.Duration {
+// packTile transposes tile t's S rows [lo, hi) into srm, charging worker
+// w's L·S time.
+func (tp tripleProd) packTile(w, t, lo, hi int) {
 	start := time.Now()
 	packRowMajor(tp.pc.tileCols(t, tp.first, 0, hi-lo), tp.srm, lo, tp.k)
-	return time.Since(start)
+	tp.arena.busy[2*w] += time.Since(start)
 }
 
-// walk writes tile t's panel Σ_{r∈[lo,hi)} S_r·(L·S)_rᵀ into out, one
-// PackRows chunk of P at a time through slot, and returns the time of its
-// L·S and SᵀP halves.
-func (tp tripleProd) walk(t, lo, hi int, out, slot []float64) (ls, atb time.Duration) {
-	k := tp.k
+// walkTile writes tile t's panel Σ_{r∈[lo,hi)} S_r·(L·S)_rᵀ, one PackRows
+// chunk of P at a time through worker w's arena slot, and charges w the
+// time of its L·S and SᵀP halves.
+func (tp tripleProd) walkTile(w, t, lo, hi int) {
+	k, slot := tp.k, tp.arena.slot(w)
+	out := tp.panels[t*k*k : (t+1)*k*k]
 	clear(out)
+	var ls, atb time.Duration
 	t0 := time.Now()
 	for r0 := lo; r0 < hi; r0 += PackRows {
 		r1 := min(r0+PackRows, hi)
@@ -175,7 +171,8 @@ func (tp tripleProd) walk(t, lo, hi int, out, slot []float64) (ls, atb time.Dura
 		t2 := time.Now()
 		ls, atb, t0 = ls+t1.Sub(t0), atb+t2.Sub(t1), t2
 	}
-	return ls, atb
+	tp.arena.busy[2*w] += ls
+	tp.arena.busy[2*w+1] += atb
 }
 
 // packRowMajor transposes the column view src, whose row 0 is vertex lo,

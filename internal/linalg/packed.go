@@ -1,6 +1,8 @@
 package linalg
 
 import (
+	"time"
+
 	"repro/internal/parallel"
 )
 
@@ -42,15 +44,14 @@ const PackRows = 512
 type PackArena struct {
 	buf []float64
 	per int
+	// busy holds TripleProdBudget's per-worker L·S and SᵀP times.
+	busy []time.Duration
 }
 
 // Ensure shapes the arena to workers slots of per floats each, growing
 // the backing storage only when the total footprint exceeds its capacity.
 func (pa *PackArena) Ensure(workers, per int) {
-	if workers < 1 {
-		workers = 1
-	}
-	need := workers * per
+	need := max(workers, 1) * per
 	if cap(pa.buf) < need {
 		pa.buf = make([]float64, need)
 	}
@@ -79,42 +80,35 @@ func (pa *PackArena) slot(w int) []float64 {
 // chunk is read from DRAM once and served from cache for all s·t/8 kernel
 // passes. The accumulator chains are carried through the output panel
 // between chunks, and the tile grid depends only on n, so the result is
-// bitwise identical for every worker budget, including the serial path.
+// bitwise identical for every worker budget, one worker included.
 // arena may be nil (private storage) — a workspace-backed caller passes the
 // pooled arena and partials and the steady state allocates nothing.
 func AtBPackedBudget(bud parallel.Budget, a, b, c *Dense, partials []float64, arena *PackArena) *Dense {
 	n, s, t, c := atbCheck(a, b, c)
 	tiles := parallel.ReduceBlocks(n)
-	workers := bud.Workers()
-	if workers > tiles {
-		workers = tiles
-	}
+	workers := min(bud.Workers(), tiles)
 	if arena == nil {
 		arena = &PackArena{}
 	}
 	arena.Ensure(workers, PackRows*(s+t))
-	if tiles == 1 {
-		atbPackedPanel(a, b, c.Data, 0, n, arena.slot(0))
-		return c
-	}
-	var buf []float64
-	if cap(partials) >= tiles*s*t {
-		buf = partials[:tiles*s*t]
-	} else {
-		buf = make([]float64, tiles*s*t)
-	}
-	if workers <= 1 {
-		slot := arena.slot(0)
-		for tl := 0; tl < tiles; tl++ {
-			atbPackedPanel(a, b, buf[tl*s*t:(tl+1)*s*t], tl*n/tiles, (tl+1)*n/tiles, slot)
-		}
-	} else {
-		parallel.ForTilesIndexed(workers, n, tiles, func(w, tl, lo, hi int) {
-			atbPackedPanel(a, b, buf[tl*s*t:(tl+1)*s*t], lo, hi, arena.slot(w))
-		})
-	}
-	combinePanels(c.Data, buf, tiles, s*t)
+	panels := tilePanels(c.Data, partials, tiles, s*t)
+	parallel.Tiles(workers, n, tiles, atbArgs{a, b, panels, arena}, atbArgs.tile)
+	combinePanels(c.Data, panels, tiles, s*t)
 	return c
+}
+
+// atbArgs is the operands of one AtBPackedBudget call.
+type atbArgs struct {
+	a, b   *Dense
+	panels []float64
+	arena  *PackArena
+}
+
+// tile reduces tile t's rows [lo, hi) into its panel through worker w's
+// arena slot.
+func (x atbArgs) tile(w, t, lo, hi int) {
+	size := x.a.Cols * x.b.Cols
+	atbPackedPanel(x.a, x.b, x.panels[t*size:(t+1)*size], lo, hi, x.arena.slot(w))
 }
 
 // atbPackedPanel writes the s×t column-major panel out[j*s+i] =
@@ -198,9 +192,22 @@ func atbCheck(a, b, c *Dense) (n, s, t int, out *Dense) {
 	return n, s, t, c
 }
 
-// combinePanels sums the nb per-tile panels serially in ascending tile
-// order — the fixed combine order that keeps results identical across
-// worker budgets.
+// tilePanels returns the store for tiles per-tile panels of size floats
+// each: out itself when a single tile's panel is the result, else partials
+// (capacity ≥ tiles·size, grown when short).
+func tilePanels(out, partials []float64, tiles, size int) []float64 {
+	if tiles == 1 {
+		return out[:size]
+	}
+	if cap(partials) < tiles*size {
+		return make([]float64, tiles*size)
+	}
+	return partials[:tiles*size]
+}
+
+// combinePanels sums the nb per-tile panels of buf serially in ascending
+// tile order into dst — the fixed combine order that keeps results
+// identical across worker budgets. A single panel may be dst itself.
 func combinePanels(dst, buf []float64, nb, panel int) {
 	for k := 0; k < panel; k++ {
 		var sum float64

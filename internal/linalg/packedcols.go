@@ -1,6 +1,8 @@
 package linalg
 
 import (
+	"slices"
+
 	"repro/internal/parallel"
 )
 
@@ -87,38 +89,28 @@ func (pc *PackedCols) AppendScaledDDotBudget(bud parallel.Budget, src, d []float
 	if pc.k == pc.capCols {
 		panic("linalg: PackedCols is full")
 	}
-	j := pc.k
 	pc.k++
-	n, tiles := pc.n, pc.tiles
-	if tiles == 1 {
-		return packScaledDDotRange(pc.slot(0, j), src, d, a, 0, n)
-	}
-	if bud.Workers() <= 1 {
-		var s float64
-		for t := 0; t < tiles; t++ {
-			s += packScaledDDotRange(pc.slot(t, j), src, d, a, t*n/tiles, (t+1)*n/tiles)
-		}
-		return s
-	}
-	var buf []float64
-	if cap(partials) >= tiles {
-		buf = partials[:tiles]
-	} else {
-		buf = make([]float64, tiles)
-	}
-	bud.ForTiles(n, tiles, func(t, lo, hi int) {
-		buf[t] = packScaledDDotRange(pc.slot(t, j), src, d, a, lo, hi)
-	})
-	var s float64
-	for _, v := range buf {
-		s += v
-	}
-	return s
+	return parallel.SumTiles(bud.Workers(), pc.n, packArgs{pc: pc, j0: pc.k - 1, work: src, d: d, a: a}, partials, packArgs.appendTile)
 }
 
-// packScaledDDotRange is one tile of AppendScaledDDotBudget: rows
-// [lo, hi) of a·src written to the tile's slot, their D-norm returned.
-func packScaledDDotRange(slot, src, d []float64, a float64, lo, hi int) float64 {
+// packArgs is the operands of one PackedCols kernel call: the store, the
+// column range [j0, j1), the vectors and the scalar. Its methods are the
+// kernels' tile bodies; the walks take it by value, so a one-worker call
+// allocates nothing.
+type packArgs struct {
+	pc     *PackedCols
+	j0, j1 int
+	// work is the streamed vector (the source column of an append, the
+	// destination of a copy), d the optional D weights, and coeffs the
+	// multi-axpy's coefficients or the multi-dot's per-tile panels.
+	work, d, coeffs []float64
+	a               float64
+}
+
+// appendTile is one tile of AppendScaledDDotBudget: rows [lo, hi) of
+// a·src written to tile t's slot of column j0, their D-norm returned.
+func (pa packArgs) appendTile(t, lo, hi int) float64 {
+	slot, src, d, a := pa.pc.slot(t, pa.j0), pa.work, pa.d, pa.a
 	var s float64
 	if d == nil {
 		for i := lo; i < hi; i++ {
@@ -149,46 +141,22 @@ func (pc *PackedCols) DDotPanelRangeBudget(bud parallel.Budget, j0, j1 int, work
 	if k <= 0 {
 		return out
 	}
-	n, tiles := pc.n, pc.tiles
 	base := len(out)
-	for i := 0; i < k; i++ {
-		out = append(out, 0)
-	}
-	if tiles == 1 {
-		pc.dDotPackedRange(0, j0, j1, work, d, 0, n, out[base:])
-		return out
-	}
-	var buf []float64
-	if cap(partials) >= tiles*k {
-		buf = partials[:tiles*k]
-	} else {
-		buf = make([]float64, tiles*k)
-	}
-	if bud.Workers() <= 1 {
-		for t := 0; t < tiles; t++ {
-			pc.dDotPackedRange(t, j0, j1, work, d, t*n/tiles, (t+1)*n/tiles, buf[t*k:(t+1)*k])
-		}
-	} else {
-		bud.ForTiles(n, tiles, func(t, lo, hi int) {
-			pc.dDotPackedRange(t, j0, j1, work, d, lo, hi, buf[t*k:(t+1)*k])
-		})
-	}
-	for j := 0; j < k; j++ {
-		var s float64
-		for t := 0; t < tiles; t++ {
-			s += buf[t*k+j]
-		}
-		out[base+j] = s
-	}
+	out = slices.Grow(out, k)[:base+k]
+	panels := tilePanels(out[base:], partials, pc.tiles, k)
+	parallel.Tiles(bud.Workers(), pc.n, pc.tiles, packArgs{pc: pc, j0: j0, j1: j1, work: work, d: d, coeffs: panels}, packArgs.dotTile)
+	combinePanels(out[base:], panels, pc.tiles, k)
 	return out
 }
 
-// dDotPackedRange fills acc[j−j0] = ⟨col_j, work⟩_D over rows [lo, hi)
-// of tile t. The inner products are independent, so columns [j0, j1) are
+// dotTile fills tile t's panel acc[j−j0] = ⟨col_j, work⟩_D over its rows
+// [lo, hi). The inner products are independent, so columns [j0, j1) are
 // taken four, then two, then one at a time by register kernels; each
 // accumulator still adds one product per row in ascending row order.
-func (pc *PackedCols) dDotPackedRange(t, j0, j1 int, work, d []float64, lo, hi int, acc []float64) {
-	work = work[lo:hi]
+func (pa packArgs) dotTile(_, t, lo, hi int) {
+	pc, j0, j1 := pa.pc, pa.j0, pa.j1
+	acc := pa.coeffs[t*(j1-j0) : (t+1)*(j1-j0)]
+	work, d := pa.work[lo:hi], pa.d
 	if d != nil {
 		d = d[lo:hi]
 	}
@@ -283,26 +251,18 @@ func (pc *PackedCols) SubtractScaledRangeBudget(bud parallel.Budget, j0, j1 int,
 	if j1 <= j0 {
 		return
 	}
-	n, tiles := pc.n, pc.tiles
-	if tiles == 1 || bud.Workers() <= 1 {
-		for t := 0; t < tiles; t++ {
-			pc.subPackedRange(t, j0, j1, work, coeffs, t*n/tiles, (t+1)*n/tiles)
-		}
-		return
-	}
-	bud.ForTiles(n, tiles, func(t, lo, hi int) {
-		pc.subPackedRange(t, j0, j1, work, coeffs, lo, hi)
-	})
+	parallel.Tiles(bud.Workers(), pc.n, pc.tiles, packArgs{pc: pc, j0: j0, j1: j1, work: work, coeffs: coeffs}, packArgs.subTile)
 }
 
-// subPackedRange applies the multi-axpy over rows [lo, hi) of tile t for
+// subTile applies the multi-axpy over rows [lo, hi) of tile t for
 // columns [j0, j1), walked from j0: each full PanelCols-wide chunk
 // subtracts the sum of its eight products in one pass, and the narrow
 // tail subtracts product by product in column order, two columns per pass
 // and then one. Per element that is one fixed sequence of operations
 // whatever the row partition.
-func (pc *PackedCols) subPackedRange(t, j0, j1 int, work, coeffs []float64, lo, hi int) {
-	work = work[lo:hi]
+func (pa packArgs) subTile(_, t, lo, hi int) {
+	pc, j0, j1, coeffs := pa.pc, pa.j0, pa.j1, pa.coeffs
+	work := pa.work[lo:hi]
 	j := j0
 	for ; j+PanelCols <= j1; j += PanelCols {
 		f := coeffs[j-j0 : j-j0+PanelCols]
@@ -356,15 +316,9 @@ func sub1(w []float64, f0 float64, c0 []float64) {
 // CopyColIntoBudget unpacks stored column j into the flat dst (length ≥
 // n), the tiles fanned out across the budget's workers.
 func (pc *PackedCols) CopyColIntoBudget(bud parallel.Budget, dst []float64, j int) {
-	n, tiles := pc.n, pc.tiles
-	if tiles == 1 || bud.Workers() <= 1 {
-		for t := 0; t < tiles; t++ {
-			lo, hi := t*n/tiles, (t+1)*n/tiles
-			copy(dst[lo:hi], pc.slot(t, j)[:hi-lo])
-		}
-		return
-	}
-	bud.ForTiles(n, tiles, func(t, lo, hi int) {
-		copy(dst[lo:hi], pc.slot(t, j)[:hi-lo])
-	})
+	parallel.Tiles(bud.Workers(), pc.n, pc.tiles, packArgs{pc: pc, j0: j, work: dst}, packArgs.copyTile)
+}
+
+func (pa packArgs) copyTile(_, t, lo, hi int) {
+	copy(pa.work[lo:hi], pa.pc.slot(t, pa.j0)[:hi-lo])
 }

@@ -8,8 +8,9 @@
 // the row dimension (parallel.TileRows rows per tile, see
 // parallel.ReduceBlocks) with the per-tile partial sums combined serially
 // in ascending tile order, so a reduction's result is bitwise identical
-// across any worker budget, including the serial path. A parallel.Budget
-// only controls how many goroutines the tiles fan out across.
+// across any worker budget. A parallel.Budget only controls how many
+// goroutines the tiles fan out across: every kernel's body is written
+// once and one worker runs it inline.
 package linalg
 
 import "repro/internal/parallel"
@@ -41,46 +42,25 @@ func DDot(x, d, y []float64) float64 {
 	return dotBlocks(parallel.Live(), x, d, y, nil)
 }
 
-// dotBlocks computes xᵀy (d == nil) or xᵀdiag(d)y over the fixed tiling.
-// The serial path streams the per-tile sums into one accumulator in tile
-// order — the same additions, in the same order, as the parallel arena +
-// combine path — so all budgets produce identical bits, and the serial
-// path needs neither arena nor closure (allocation-free).
+// dotBlocks computes xᵀy (d == nil) or xᵀdiag(d)y over the fixed tiling,
+// one vecArgs.dot per tile, added in tile order on every budget.
 func dotBlocks(bud parallel.Budget, x, d, y, partials []float64) float64 {
-	n := len(x)
-	tiles := parallel.ReduceBlocks(n)
-	if tiles == 1 {
-		return dotRange(x, d, y, 0, n)
-	}
-	if bud.Workers() <= 1 {
-		var s float64
-		for t := 0; t < tiles; t++ {
-			s += dotRange(x, d, y, t*n/tiles, (t+1)*n/tiles)
-		}
-		return s
-	}
-	// buf is written only before the goroutines capture it: a captured
-	// variable assigned after capture would be heap-boxed at function
-	// entry, charging even the serial early-return path one allocation.
-	var buf []float64
-	if cap(partials) >= tiles {
-		buf = partials[:tiles]
-	} else {
-		buf = make([]float64, tiles)
-	}
-	bud.ForTiles(n, tiles, func(t, lo, hi int) {
-		buf[t] = dotRange(x, d, y, lo, hi)
-	})
-	var s float64
-	for _, v := range buf {
-		s += v
-	}
-	return s
+	return parallel.SumTiles(bud.Workers(), len(x), vecArgs{x: x, y: y, d: d}, partials, vecArgs.dot)
 }
 
-// dotRange is one tile of dotBlocks: a straight accumulation over rows
+// vecArgs is the operands of one Level-1 kernel call. Its methods are the
+// kernels' tile and block bodies; the walks take it by value, so a
+// one-worker call allocates nothing.
+type vecArgs struct {
+	x, y, d []float64
+	ints    []int32
+	a       float64
+}
+
+// dot is one tile of dotBlocks: a straight accumulation over rows
 // [lo, hi).
-func dotRange(x, d, y []float64, lo, hi int) float64 {
+func (v vecArgs) dot(_, lo, hi int) float64 {
+	x, y, d := v.x, v.y, v.d
 	var s float64
 	if d == nil {
 		for i := lo; i < hi; i++ {
@@ -94,39 +74,29 @@ func dotRange(x, d, y []float64, lo, hi int) float64 {
 	return s
 }
 
-// Axpy computes y ← y + a·x. Like every Level-1 kernel here, the serial
-// branch is written out so small or single-worker calls construct no
-// escaping closure and allocate nothing.
+// Axpy computes y ← y + a·x.
 func Axpy(a float64, x, y []float64) {
 	checkLen(len(x), len(y))
-	bud := parallel.Live()
-	if bud.Serial(len(x)) {
-		for i := range x {
-			y[i] += a * x[i]
-		}
-		return
+	parallel.Blocks(parallel.Live().BlockWorkers(len(x)), len(x), vecArgs{x: x, y: y, a: a}, vecArgs.axpy)
+}
+
+func (v vecArgs) axpy(_, lo, hi int) {
+	x, y, a := v.x[lo:hi], v.y[lo:hi], v.a
+	for i := range x {
+		y[i] += a * x[i]
 	}
-	bud.ForBlock(len(x), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			y[i] += a * x[i]
-		}
-	})
 }
 
 // Scale computes x ← a·x.
 func Scale(a float64, x []float64) {
-	bud := parallel.Live()
-	if bud.Serial(len(x)) {
-		for i := range x {
-			x[i] *= a
-		}
-		return
+	parallel.Blocks(parallel.Live().BlockWorkers(len(x)), len(x), vecArgs{x: x, a: a}, vecArgs.scale)
+}
+
+func (v vecArgs) scale(_, lo, hi int) {
+	x, a := v.x[lo:hi], v.a
+	for i := range x {
+		x[i] *= a
 	}
-	bud.ForBlock(len(x), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			x[i] *= a
-		}
-	})
 }
 
 // Fill sets every element of x to a.
@@ -136,47 +106,38 @@ func Fill(x []float64, a float64) {
 
 // FillBudget is Fill under an explicit worker budget.
 func FillBudget(bud parallel.Budget, x []float64, a float64) {
-	if bud.Serial(len(x)) {
-		for i := range x {
-			x[i] = a
-		}
-		return
+	parallel.Blocks(bud.BlockWorkers(len(x)), len(x), vecArgs{x: x, a: a}, vecArgs.fill)
+}
+
+func (v vecArgs) fill(_, lo, hi int) {
+	x, a := v.x[lo:hi], v.a
+	for i := range x {
+		x[i] = a
 	}
-	bud.ForBlock(len(x), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			x[i] = a
-		}
-	})
 }
 
 // CopyVec copies src into dst.
 func CopyVec(dst, src []float64) {
 	checkLen(len(dst), len(src))
-	bud := parallel.Live()
-	if bud.Serial(len(src)) {
-		copy(dst, src)
-		return
-	}
-	bud.ForBlock(len(src), func(lo, hi int) {
-		copy(dst[lo:hi], src[lo:hi])
-	})
+	parallel.Blocks(parallel.Live().BlockWorkers(len(src)), len(src), vecArgs{x: src, y: dst}, vecArgs.copy)
+}
+
+func (v vecArgs) copy(_, lo, hi int) {
+	copy(v.y[lo:hi], v.x[lo:hi])
 }
 
 // Int32ToFloat64Budget widens an int32 hop-distance vector into a float64
 // column under an explicit worker budget.
 func Int32ToFloat64Budget(bud parallel.Budget, dst []float64, src []int32) {
 	checkLen(len(dst), len(src))
-	if bud.Serial(len(src)) {
-		for i := range src {
-			dst[i] = float64(src[i])
-		}
-		return
+	parallel.Blocks(bud.BlockWorkers(len(src)), len(src), vecArgs{y: dst, ints: src}, vecArgs.widen)
+}
+
+func (v vecArgs) widen(_, lo, hi int) {
+	src, dst := v.ints[lo:hi], v.y[lo:hi]
+	for i := range src {
+		dst[i] = float64(src[i])
 	}
-	bud.ForBlock(len(src), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = float64(src[i])
-		}
-	})
 }
 
 func checkLen(a, b int) {

@@ -76,7 +76,7 @@ type Result struct {
 // private scratch) and performs no O(n)-sized allocations when they are
 // already shaped. The budget only sets how many goroutines each kernel
 // fans out across; the fixed row tiling of every reduction makes the
-// numbers bitwise identical for every budget, including the serial path,
+// numbers bitwise identical for every budget, one worker included,
 // and for pooled and private scratch.
 func DOrthogonalizeBudget(bud parallel.Budget, b *linalg.Dense, d []float64, method Method, sc *Scratch) Result {
 	inc := NewIncremental(bud, b.Rows, b.Cols, d, method, sc)

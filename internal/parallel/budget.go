@@ -55,14 +55,6 @@ func (b Budget) Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Serial reports whether a length-n loop will run on one worker under
-// this budget. Hot kernels branch on it to run a plain loop instead of
-// For/ForBlock: a func literal passed to those escapes to the heap, so
-// skipping the call skips the closure allocation.
-func (b Budget) Serial(n int) bool {
-	return b.Workers() <= 1 || n < 2*MinGrain
-}
-
 // BlockWorkers reports how many workers ForBlock would actually fan a
 // length-n loop across under this budget — Workers() clamped by the
 // MinGrain floor. Packed kernels call it once at entry to size their
@@ -79,7 +71,7 @@ func (b Budget) BlockWorkers(n int) int {
 // worker count is the caller's, already clamped (BlockWorkers), so the
 // fan-out matches whatever per-worker state the caller sized for it.
 // Worker 0's block runs on the calling goroutine. This is the package's
-// one scheduler: every loop, tile walk and per-worker kernel of the
+// one scheduler: every walk, loop and per-worker kernel of the
 // repository fans out through it, and no other kernel code starts a
 // goroutine (TestOneScheduler).
 func ForBlockIndexed(workers, n int, body func(w, lo, hi int)) {
@@ -106,34 +98,27 @@ func ForBlockIndexed(workers, n int, body func(w, lo, hi int)) {
 // goroutines, in contiguous per-worker blocks (static scheduling, as
 // the paper's OpenMP pragmas use).
 func (b Budget) For(n int, body func(i int)) {
-	b.ForBlock(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-	})
+	Blocks(b.BlockWorkers(n), n, body, forRange)
 }
 
-// ForBlock divides [0, n) into one contiguous block per worker and runs
-// body(lo, hi) on each block concurrently. It is the preferred loop for
-// kernels that carry per-block state (local accumulators, buffers); a
-// reduction whose bits must not depend on the budget uses the tile grid
-// (ForTiles, Sum, MaxIndex) instead.
-func (b Budget) ForBlock(n int, body func(lo, hi int)) {
-	if p := b.BlockWorkers(n); p > 1 {
-		ForBlockIndexed(p, n, func(_, lo, hi int) { body(lo, hi) })
-	} else if n > 0 {
-		body(0, n)
+func forRange(body func(i int), _, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		body(i)
 	}
 }
 
-// ForTiles runs body(t, lo, hi) for every tile t of the fixed [0, n)
-// tiling (tiles = ReduceBlocks(n)), fanning the tiles out across
-// min(Workers(), tiles) goroutines; each worker owns a contiguous tile
-// range so its memory access stays sequential. Callers needing an
-// allocation-free serial path must branch on Workers() <= 1 themselves
-// before constructing the body closure.
-func (b Budget) ForTiles(n, tiles int, body func(t, lo, hi int)) {
-	ForTilesIndexed(b.Workers(), n, tiles, func(_, t, lo, hi int) { body(t, lo, hi) })
+// ForBlock divides [0, n) into one contiguous block per worker and runs
+// body(lo, hi) on each block concurrently. It serves callers whose body
+// is a closure (graph building, centering, quality evaluation, SSSP): a
+// hot kernel passes its operands by value to Blocks or Tiles instead, so
+// its one-worker call builds no closure, and a reduction whose bits must
+// not depend on the budget uses the tile grid (SumTiles, MaxTiles).
+func (b Budget) ForBlock(n int, body func(lo, hi int)) {
+	Blocks(b.BlockWorkers(n), n, body, blockRange)
+}
+
+func blockRange(body func(lo, hi int), _, lo, hi int) {
+	body(lo, hi)
 }
 
 // blockWorkers clamps a static partition's worker count so every worker

@@ -138,7 +138,7 @@ func TestMaxIndexFloat64(t *testing.T) {
 		t.Fatalf("MaxIndex = %d, want %d", got, target)
 	}
 	// Over several tiles every budget picks the same index, NaN keys
-	// included: the serial path combines tile maxima in tile order too, so
+	// included: one worker combines tile maxima in tile order too, so
 	// a NaN heading tile 1 hides that tile's larger key on every path.
 	n = 3*TileRows + 77
 	vals := make([]float64, n)

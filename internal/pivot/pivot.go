@@ -184,13 +184,7 @@ func kCentersPhase(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int
 	sc.Ensure(n)
 	runner := bfs.NewRunner(g, opt, sc.trav, bud)
 	dist, dmin, col := sc.dist, sc.dmin, sc.col
-	if bud.Serial(n) {
-		for i := range dmin {
-			dmin[i] = int32(1) << 30
-		}
-	} else {
-		bud.For(n, func(i int) { dmin[i] = int32(1) << 30 })
-	}
+	parallel.Blocks(bud.BlockWorkers(n), n, dmin, resetDmin)
 
 	st := PhaseStats{
 		Sources:   make([]int32, 0, s),
@@ -223,6 +217,15 @@ func kCentersPhase(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int
 		}
 	}
 	return st, nil
+}
+
+// resetDmin is the k-centers dmin reset over [lo, hi): every vertex
+// starts "infinitely" far from the (still empty) pivot set.
+func resetDmin(dmin []int32, _, lo, hi int) {
+	d := dmin[lo:hi]
+	for i := range d {
+		d[i] = int32(1) << 30
+	}
 }
 
 // drawSources fills sources with start followed by distinct uniformly

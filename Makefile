@@ -30,6 +30,7 @@ fuzz:
 	$(GO) test ./internal/linalg/ -fuzz '^FuzzTripleProdEquivalence$$' -fuzztime 15s
 	$(GO) test ./internal/linalg/ -fuzz '^FuzzAtBPackedEquivalence$$' -fuzztime 15s
 	$(GO) test ./internal/linalg/ -fuzz '^FuzzPackedColsEquivalence$$' -fuzztime 15s
+	$(GO) test ./internal/render/ -fuzz '^FuzzCanvasPNG$$' -fuzztime 15s
 
 # Every performance number comes from the benchmark harness (BENCHMARK.json).
 bench:

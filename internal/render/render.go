@@ -5,18 +5,21 @@
 // Graphviz input (WriteDOT). In the serving tier a cache miss on
 // layout.png / zoom.png is this package end to end, so it sits on the
 // interactive path of §4.5.2 and is built like the layout kernels: a
-// Canvas owns every buffer a draw needs — an 8-bit paletted pixel
-// buffer, per-vertex pixel coordinates, the PNG encoder's state and its
-// output — and a warm Canvas draws without allocating. Both renderers
+// Canvas owns every buffer a draw needs — an 8-bit index per pixel,
+// per-vertex pixel coordinates, the packed rows, the zlib state and the
+// file — and a warm Canvas draws without allocating. It writes the PNG
+// itself, at one bit per pixel for a two-colour drawing (every server
+// tile); only the deflate is compress/zlib's. Both renderers
 // share one layout→pixel mapping (pixelMap), so a PNG and an SVG of the
 // same layout agree on where every vertex is.
 package render
 
 import (
 	"bytes"
-	"image"
+	"compress/zlib"
+	"encoding/binary"
+	"hash/crc32"
 	"image/color"
-	"image/png"
 	"io"
 	"math"
 	"slices"
@@ -37,9 +40,9 @@ type Options struct {
 	// beyond the palette wraps around it; a negative class (an unassigned
 	// partition label) draws in Edge.
 	EdgeClass func(u, v int32) int
-	// Palette holds the class colours. The PNG is 8-bit indexed and Back
-	// and Edge take two of its 256 entries, so only the first 254 are
-	// used: class k draws in Palette[k mod min(len(Palette), 254)], in
+	// Palette holds the class colours. With a palette the PNG is 8-bit
+	// indexed and Back and Edge take two of its 256 entries, so only the
+	// first 254 are used: class k draws in Palette[k mod min(len(Palette), 254)], in
 	// DrawSVG too so both formats agree.
 	Palette []color.RGBA
 }
@@ -169,26 +172,23 @@ func (m pixelMap) at(v int32) (x, y float64, ok bool) {
 // writes depend only on the arguments of that draw, never on what the
 // canvas drew before.
 //
-// The image is 8-bit indexed colour: index 0 is Back (so clearing is
-// zeroing), 1 is Edge, 2… are Options.Palette.
+// The image is indexed colour: index 0 is Back (so clearing is
+// zeroing), 1 is Edge, 2… are Options.Palette. Canvas writes the PNG
+// itself (writePNG): at one bit per pixel when Back and Edge are the
+// whole palette, as on every server tile, and at eight otherwise.
 type Canvas struct {
-	// img has one guard column and row beyond Rect: with a zero margin
-	// (Size < 8) a coordinate can round to Size itself, and the guard
-	// takes that pixel so the walk needs no bounds test.
-	img    image.Paletted
-	colors []color.RGBA // what img.Palette was built from
-	px, py []int32      // per-vertex pixel position; px < 0 = not drawable
-	enc    png.Encoder
-	pool   encoderPool
-	out    bytes.Buffer
+	// pix holds one index byte per pixel, at stride Size+1: the guard
+	// column and row beyond the image take the Size-th pixel a zero
+	// margin (Size < 8) can round to, so the walk needs no bounds test.
+	pix        []uint8
+	stride     int
+	colors     []color.RGBA // what plte and trns were built from
+	plte, trns []byte       // PLTE and tRNS chunk data of colors
+	px, py     []int32      // per-vertex pixel position; px < 0 = not drawable
+	rows       []byte       // the filtered scanlines, deflated in one Write
+	zw         *zlib.Writer
+	out        bytes.Buffer
 }
-
-// encoderPool hands the one png.EncoderBuffer of a Canvas back to its
-// encoder, so zlib state and row buffers survive between draws.
-type encoderPool struct{ b *png.EncoderBuffer }
-
-func (p *encoderPool) Get() *png.EncoderBuffer  { return p.b }
-func (p *encoderPool) Put(b *png.EncoderBuffer) { p.b = b }
 
 // Draw renders like the package-level Draw and writes the PNG to w in a
 // single Write.
@@ -211,7 +211,7 @@ func (c *Canvas) PNG(g *graph.CSR, l *core.Layout, opt Options) ([]byte, error) 
 	return b, nil
 }
 
-// draw rasterizes into c.img and encodes it into c.out.
+// draw rasterizes into c.pix and encodes it into c.out.
 func (c *Canvas) draw(g *graph.CSR, l *core.Layout, opt Options) error {
 	opt = opt.withDefaults()
 	l = Project3D(l)
@@ -232,23 +232,17 @@ func (c *Canvas) draw(g *graph.CSR, l *core.Layout, opt Options) error {
 			c.line(int(c.px[v]), int(c.py[v]), int(c.px[u]), int(c.py[u]), ci)
 		}
 	}
-	c.out.Reset()
-	return c.enc.Encode(&c.out, &c.img)
+	return c.writePNG(opt.Size)
 }
 
 // reset sizes and clears the pixel buffer and installs opt's colours.
 func (c *Canvas) reset(opt Options) {
-	side := opt.Size + 1
-	if n := side * side; cap(c.img.Pix) < n {
-		c.img.Pix = make([]uint8, n)
+	c.stride = opt.Size + 1
+	if n := c.stride * c.stride; cap(c.pix) < n {
+		c.pix = make([]uint8, n)
 	} else {
-		c.img.Pix = c.img.Pix[:n]
-		clear(c.img.Pix)
-	}
-	c.img.Stride = side
-	c.img.Rect = image.Rect(0, 0, opt.Size, opt.Size)
-	if c.enc.BufferPool == nil {
-		c.enc = png.Encoder{CompressionLevel: png.BestSpeed, BufferPool: &c.pool}
+		c.pix = c.pix[:n]
+		clear(c.pix)
 	}
 
 	usable := min(len(opt.Palette), maxPalette)
@@ -257,17 +251,121 @@ func (c *Canvas) reset(opt Options) {
 		return
 	}
 	c.colors = append(append(c.colors[:0], opt.Back, opt.Edge), opt.Palette[:usable]...)
-	// Entries are stored as the NRGBA the encoder would convert them to
-	// (it then writes them without allocating), and padded with Back
-	// past 16: at 16 colours or fewer the encoder switches to sub-byte
-	// depths and packs every pixel through an interface call, ~3× the
-	// cost of the 8-bit row copy.
-	c.img.Palette = c.img.Palette[:0]
-	for _, rgba := range c.colors {
-		c.img.Palette = append(c.img.Palette, color.NRGBAModel.Convert(rgba))
+	// PNG palettes are not premultiplied. tRNS runs to the last
+	// translucent entry; the decoder reads the rest as opaque.
+	c.plte, c.trns = c.plte[:0], c.trns[:0]
+	trnsLen := 0
+	for i, rgba := range c.colors {
+		nc := color.NRGBAModel.Convert(rgba).(color.NRGBA)
+		c.plte = append(c.plte, nc.R, nc.G, nc.B)
+		c.trns = append(c.trns, nc.A)
+		if nc.A != 0xff {
+			trnsLen = i + 1
+		}
 	}
-	for len(c.img.Palette) <= 16 {
-		c.img.Palette = append(c.img.Palette, c.img.Palette[0])
+	c.trns = c.trns[:trnsLen]
+}
+
+// writePNG encodes the size×size image in c.pix into c.out: signature,
+// IHDR, PLTE, tRNS when a colour is translucent, one IDAT holding the
+// zlib stream of every row at BestSpeed, IEND.
+func (c *Canvas) writePNG(size int) error {
+	depth := byte(8)
+	if len(c.colors) == 2 {
+		depth = 1
+	}
+	c.packRows(size, depth)
+
+	c.out.Reset()
+	c.out.WriteString("\x89PNG\r\n\x1a\n")
+	start := c.beginChunk("IHDR")
+	ihdr := binary.BigEndian.AppendUint32(c.out.AvailableBuffer(), uint32(size))
+	ihdr = binary.BigEndian.AppendUint32(ihdr, uint32(size))
+	// Colour type 3 (indexed), compression 0 (deflate), filter method
+	// 0, not interlaced.
+	c.out.Write(append(ihdr, depth, 3, 0, 0, 0))
+	c.endChunk(start)
+	start = c.beginChunk("PLTE")
+	c.out.Write(c.plte)
+	c.endChunk(start)
+	if len(c.trns) > 0 {
+		start = c.beginChunk("tRNS")
+		c.out.Write(c.trns)
+		c.endChunk(start)
+	}
+
+	start = c.beginChunk("IDAT")
+	if c.zw == nil {
+		c.zw, _ = zlib.NewWriterLevel(&c.out, zlib.BestSpeed) // the level is valid
+	} else {
+		c.zw.Reset(&c.out)
+	}
+	if _, err := c.zw.Write(c.rows); err != nil {
+		return err
+	}
+	if err := c.zw.Close(); err != nil {
+		return err
+	}
+	c.endChunk(start)
+	c.endChunk(c.beginChunk("IEND"))
+	return nil
+}
+
+// beginChunk writes a chunk's length placeholder and type and returns
+// where the chunk starts; its data follows.
+func (c *Canvas) beginChunk(typ string) int {
+	start := c.out.Len()
+	c.out.WriteString("\x00\x00\x00\x00")
+	c.out.WriteString(typ)
+	return start
+}
+
+// endChunk fills in the length of the chunk at start and appends the
+// CRC-32 of its type and data.
+func (c *Canvas) endChunk(start int) {
+	b := c.out.Bytes()[start:]
+	binary.BigEndian.PutUint32(b, uint32(len(b)-8))
+	c.out.Write(binary.BigEndian.AppendUint32(c.out.AvailableBuffer(), crc32.ChecksumIEEE(b[4:])))
+}
+
+// packRows writes every row of the image into c.rows behind its filter
+// byte (0, none — filters rarely help indexed images): the index bytes
+// at depth 8, one bit per pixel, first pixel in the high bit, at depth 1.
+func (c *Canvas) packRows(size int, depth byte) {
+	rowLen := size
+	if depth == 1 {
+		rowLen = (size + 7) / 8
+	}
+	n := size * (1 + rowLen)
+	c.rows = slices.Grow(c.rows[:0], n)[:n]
+	for y := 0; y < size; y++ {
+		src := c.pix[y*c.stride : y*c.stride+size]
+		dst := c.rows[y*(1+rowLen) : (y+1)*(1+rowLen)]
+		dst[0] = 0
+		if depth == 8 {
+			copy(dst[1:], src)
+		} else {
+			packBits(dst[1:], src)
+		}
+	}
+}
+
+// packBits packs src, whose bytes are 0 or 1, into dst at one bit per
+// pixel. Eight pixels take one load and one multiply: the multiplier
+// moves byte i's low bit to bit 63−i with no two partial products
+// overlapping, so the top byte is the eight bits in order.
+func packBits(dst, src []uint8) {
+	i := 0
+	for ; i+8 <= len(src); i += 8 {
+		v := binary.LittleEndian.Uint64(src[i:])
+		dst[i/8] = byte((v & 0x0101010101010101) * 0x8040201008040201 >> 56)
+	}
+	if i < len(src) {
+		var b byte
+		for k, p := range src[i:] {
+			b |= p << (7 - k)
+		}
+		dst[i/8] = b
 	}
 }
 
@@ -292,7 +390,7 @@ func (c *Canvas) place(n int, m pixelMap) {
 // walk, stepping a Pix index. Both ends are inside the guarded buffer
 // (pixelMap.at), so every pixel between them is.
 func (c *Canvas) line(x0, y0, x1, y1 int, ci uint8) {
-	pix, stride := c.img.Pix, c.img.Stride
+	pix, stride := c.pix, c.stride
 	dx, dy := x1-x0, y1-y0
 	sx, sy := 1, stride
 	if dx < 0 {

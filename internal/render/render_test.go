@@ -2,10 +2,12 @@ package render
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"encoding/xml"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"image"
 	"image/color"
 	"image/png"
@@ -84,7 +86,7 @@ func abs(a int) int {
 	return a
 }
 
-func hde(t *testing.T, g *graph.CSR, opt core.Options) *core.Layout {
+func hde(t testing.TB, g *graph.CSR, opt core.Options) *core.Layout {
 	t.Helper()
 	l, _, err := core.ParHDE(g, opt)
 	if err != nil {
@@ -196,6 +198,200 @@ func TestCanvasReuseIsDeterministic(t *testing.T) {
 		if !bytes.Equal(p, b.Bytes()) || cap(p) != len(p) {
 			t.Fatalf("step %d: PNG() returned len %d cap %d, Draw wrote %d bytes", i, len(p), cap(p), b.Len())
 		}
+	}
+}
+
+// pngChunk is one chunk of a PNG file.
+type pngChunk struct {
+	typ  string
+	data []byte
+}
+
+// pngChunks splits a PNG file into its chunks, checking the signature,
+// every length and every CRC, and that IEND comes last.
+func pngChunks(t *testing.T, file []byte) []pngChunk {
+	t.Helper()
+	if !bytes.HasPrefix(file, []byte("\x89PNG\r\n\x1a\n")) {
+		t.Fatalf("no PNG signature: % x", file[:min(8, len(file))])
+	}
+	var chunks []pngChunk
+	for rest := file[8:]; len(rest) > 0; {
+		if len(rest) < 12 {
+			t.Fatalf("%d stray bytes after chunk %d", len(rest), len(chunks))
+		}
+		n := int(binary.BigEndian.Uint32(rest))
+		if n > len(rest)-12 {
+			t.Fatalf("chunk %q claims %d bytes, %d left", rest[4:8], n, len(rest)-12)
+		}
+		if crc := binary.BigEndian.Uint32(rest[8+n:]); crc != crc32.ChecksumIEEE(rest[4:8+n]) {
+			t.Fatalf("chunk %q: bad CRC", rest[4:8])
+		}
+		chunks = append(chunks, pngChunk{string(rest[4:8]), rest[8 : 8+n]})
+		rest = rest[12+n:]
+	}
+	if len(chunks) == 0 || chunks[len(chunks)-1].typ != "IEND" {
+		t.Fatal("file does not end in IEND")
+	}
+	return chunks
+}
+
+// TestCanvasPNGHeader pins what the pixel tests cannot see: a two-colour
+// drawing is written at one bit per pixel, a larger palette at eight,
+// PLTE holds exactly the drawing's colours, and tRNS appears only for a
+// translucent one, running to the last of them.
+func TestCanvasPNGHeader(t *testing.T) {
+	g := gen.Grid2D(6, 6)
+	l := hde(t, g, core.Options{Subspace: 4, Seed: 1})
+	half := color.RGBA{R: 60, G: 60, B: 60, A: 128}
+	classes := func(u, v int32) int { return 0 }
+	for _, tc := range []struct {
+		name  string
+		opt   Options
+		depth byte
+		plte  []color.NRGBA
+		trns  []byte
+	}{
+		{"default", Options{}, 1,
+			[]color.NRGBA{{R: 255, G: 255, B: 255, A: 255}, {R: 40, G: 40, B: 60, A: 255}}, nil},
+		{"translucent back", Options{Back: half}, 1,
+			[]color.NRGBA{{R: 119, G: 119, B: 119, A: 128}, {R: 40, G: 40, B: 60, A: 255}}, []byte{128}},
+		{"three colours", Options{EdgeClass: classes, Palette: []color.RGBA{{G: 255, A: 255}}}, 8,
+			[]color.NRGBA{{R: 255, G: 255, B: 255, A: 255}, {R: 40, G: 40, B: 60, A: 255}, {G: 255, A: 255}}, nil},
+		{"translucent edge", Options{Edge: half, EdgeClass: classes, Palette: []color.RGBA{{G: 255, A: 255}, {B: 9, A: 255}}}, 8,
+			[]color.NRGBA{{R: 255, G: 255, B: 255, A: 255}, {R: 119, G: 119, B: 119, A: 128}, {G: 255, A: 255}, {B: 9, A: 255}},
+			[]byte{255, 128}},
+	} {
+		tc.opt.Size = 61
+		file, err := new(Canvas).PNG(g, l, tc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunks := pngChunks(t, file)
+		var types []string
+		for _, c := range chunks {
+			types = append(types, c.typ)
+		}
+		want := "IHDR PLTE IDAT IEND"
+		if tc.trns != nil {
+			want = "IHDR PLTE tRNS IDAT IEND"
+		}
+		if got := strings.Join(types, " "); got != want {
+			t.Fatalf("%s: chunks %s, want %s", tc.name, got, want)
+		}
+		ihdr := chunks[0].data
+		if len(ihdr) != 13 || binary.BigEndian.Uint32(ihdr) != 61 || binary.BigEndian.Uint32(ihdr[4:]) != 61 {
+			t.Fatalf("%s: IHDR % x", tc.name, ihdr)
+		}
+		if depth, ctype := ihdr[8], ihdr[9]; depth != tc.depth || ctype != 3 {
+			t.Errorf("%s: depth %d colour type %d, want depth %d colour type 3", tc.name, depth, ctype, tc.depth)
+		}
+		var plte []byte
+		for _, c := range tc.plte {
+			plte = append(plte, c.R, c.G, c.B)
+		}
+		if !bytes.Equal(chunks[1].data, plte) {
+			t.Errorf("%s: PLTE % x, want % x", tc.name, chunks[1].data, plte)
+		}
+		if tc.trns != nil && !bytes.Equal(chunks[2].data, tc.trns) {
+			t.Errorf("%s: tRNS % x, want % x", tc.name, chunks[2].data, tc.trns)
+		}
+	}
+}
+
+// FuzzCanvasPNG draws random graphs at every size up to 80 px — so rows
+// end in every packing tail — with random colours and palettes, and
+// requires the decoded file to be the oracle's pixels and a reused
+// canvas to write a fresh canvas's bytes. A PNG palette is not
+// premultiplied, so pixels compare as the NRGBA values the file holds.
+func FuzzCanvasPNG(f *testing.F) {
+	f.Add(uint64(1), uint8(64), uint8(0), uint64(0), uint32(0), uint32(0))
+	f.Add(uint64(2), uint8(7), uint8(3), uint64(99), uint32(0xff000000), uint32(0x80404040))
+	f.Add(uint64(3), uint8(17), uint8(20), uint64(7), uint32(0x10203040), uint32(0xffffffff))
+	f.Add(uint64(4), uint8(1), uint8(1), uint64(5), uint32(0), uint32(0x01010101))
+	var reused Canvas
+	f.Fuzz(func(t *testing.T, seed uint64, size, palLen uint8, alphas uint64, back, edge uint32) {
+		nrgba := func(x uint32) color.RGBA {
+			return color.RGBAModel.Convert(color.NRGBA{R: uint8(x), G: uint8(x >> 8), B: uint8(x >> 16), A: uint8(x >> 24)}).(color.RGBA)
+		}
+		opt := Options{Size: 1 + int(size)%80, Back: nrgba(back), Edge: nrgba(edge)}
+		if n := int(palLen) % 21; n > 0 {
+			for i := 0; i < n; i++ {
+				a := uint32(255)
+				if alphas>>i&1 != 0 {
+					a = uint32(alphas>>(8+i)) & 0xff
+				}
+				opt.Palette = append(opt.Palette, nrgba(a<<24|uint32(seed>>i)&0xffffff))
+			}
+			opt.EdgeClass = func(u, v int32) int { return int(uint64(u)*31+uint64(v)+seed) % 97 }
+		}
+		g := gen.Road(6, 5, seed)
+		l := core.RandomLayout(g.NumV, 2, seed)
+
+		fresh, err := new(Canvas).PNG(g, l, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := reused.Draw(&buf, g, l, opt); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), fresh) {
+			t.Fatalf("reused canvas wrote %d bytes that differ from a fresh canvas's %d", buf.Len(), len(fresh))
+		}
+		got, err := png.Decode(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := oracleDraw(g, l, opt)
+		if got.Bounds() != want.Bounds() {
+			t.Fatalf("bounds %v, want %v", got.Bounds(), want.Bounds())
+		}
+		for y := 0; y < opt.Size; y++ {
+			for x := 0; x < opt.Size; x++ {
+				gc, wc := color.NRGBAModel.Convert(got.At(x, y)), color.NRGBAModel.Convert(want.At(x, y))
+				if gc != wc {
+					t.Fatalf("size %d: pixel (%d,%d) = %v, oracle has %v", opt.Size, x, y, gc, wc)
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkCanvasDraw times a warm canvas on the server's two kinds of
+// tile at the server's 700 px: a whole Road(100²) layout, and a 2-hop
+// zoom of it, a few dozen edges on a mostly blank image.
+func BenchmarkCanvasDraw(b *testing.B) {
+	road := gen.Road(100, 100, 1)
+	opt := core.Options{Subspace: 8, Seed: 1}
+	z, err := core.Zoom(road, int32(road.NumV/2), 2, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		g    *graph.CSR
+		l    *core.Layout
+	}{
+		{"full", road, hde(b, road, opt)},
+		{"zoom", z.Subgraph, z.Layout},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			var c Canvas
+			var out bytes.Buffer
+			draw := func() {
+				out.Reset()
+				if err := c.Draw(&out, tc.g, tc.l, Options{Size: 700}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			draw()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				draw()
+			}
+			b.ReportMetric(float64(out.Len()), "png_bytes")
+		})
 	}
 }
 
@@ -442,7 +638,7 @@ func TestCanvasSteadyStateAllocs(t *testing.T) {
 			allocs, base, maxAllocs, maxBytes)
 	}
 	// "The same" is to within the runtime's own stray bytes between two
-	// ReadMemStats; the smallest buffer a draw could leak is its ~20 KB output.
+	// ReadMemStats; the smallest buffer a draw could leak is its ~9 KB output.
 	const stray = 256
 	for _, tc := range []struct{ side, size int }{{100, 300}, {100, 900}, {50, 700}, {150, 700}} {
 		if got := bytesPerDraw(t, &c, graphs[tc.side], layouts[tc.side], Options{Size: tc.size}); got > base+stray {

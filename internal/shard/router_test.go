@@ -222,17 +222,28 @@ func TestRouterShardsGraphsAcrossWorkers(t *testing.T) {
 	if hits := metricValue(t, rts.URL, "router_cache_hits_total"); hits < 1 {
 		t.Fatalf("router_cache_hits_total = %g after repeat read", hits)
 	}
-	// A real worker declares its tile's length, so the cached copy is
-	// exactly as large as the byte budget says.
-	r3, err := http.Get(rts.URL + "/graphs/" + names[0] + "/layout.png")
+	// The router caches the owner's tile byte for byte, and a real worker
+	// declares its tile's length, so the cached copy is exactly as large
+	// as the byte budget says.
+	tilePath := "/graphs/" + names[0] + "/layout.png"
+	r3, err := http.Get(rts.URL + tilePath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r3.Body.Close()
-	if tl, ok := rt.cache.Peek("/graphs/" + names[0] + "/layout.png"); !ok {
+	direct, err := http.Get(ring.Owner(names[0]) + tilePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := io.ReadAll(direct.Body)
+	direct.Body.Close()
+	if err != nil || direct.StatusCode != http.StatusOK {
+		t.Fatalf("owner's layout.png: status %d, %v", direct.StatusCode, err)
+	}
+	if tl, ok := rt.cache.Peek(tilePath); !ok {
 		t.Fatal("layout.png was not cached")
-	} else if len(tl.body) < 2048 || cap(tl.body) != len(tl.body) {
-		t.Fatalf("cached layout.png has len %d cap %d", len(tl.body), cap(tl.body))
+	} else if !bytes.Equal(tl.body, want) || cap(tl.body) != len(tl.body) {
+		t.Fatalf("cached layout.png has len %d cap %d, the owner serves %d bytes", len(tl.body), cap(tl.body), len(want))
 	}
 
 	// Unknown graphs pass the worker's 404 through.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -196,7 +197,7 @@ func decoupledPhases(g *graph.CSR, opt Options) {
 	ws.Reshape(n, s, 2)
 	b := ws.DistView(n, s)
 	start := int32(splitmix(opt.Seed) % uint64(n))
-	pivot.PhaseBudget(bud, g, b, start, opt.Pivots, bfs.Options{}, ws.Pivot, nil, nil)
+	pivot.Stream(context.Background(), bud, g, s, start, opt.Pivots, bfs.Options{}, ws.Pivot, pivot.Fill(b), &ws.Clock)
 	ws.Deg = g.WeightedDegreesIntoBudget(bud, ws.Deg)
 	ortho.DOrthogonalizeBudget(bud, b, ws.Deg, ortho.MGS, ws.Ortho)
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/linalg"
 	"repro/internal/parallel"
+	"repro/internal/phase"
 	"repro/internal/workspace"
 )
 
@@ -63,9 +64,10 @@ func (b *Basis) serves(g *graph.CSR, opt Options) bool {
 	return b.g.NumV <= g.NumV && !g.Weighted() && !b.g.Weighted() && opt.layoutKey() == b.opt
 }
 
-// build makes sure b's pencil exists. A build that fails (a cancelled
-// run) leaves the basis for the next run to build.
-func (b *Basis) build(ctx context.Context, bud parallel.Budget, ws *workspace.Workspace, rep *Report) error {
+// build makes sure b's pencil exists, on clk's BFS, DOrtho and TripleProd
+// phases; the copies it keeps are warm_refine time. A build that fails (a
+// cancelled run) leaves the basis for the next run to build.
+func (b *Basis) build(ctx context.Context, bud parallel.Budget, clk *phase.Clock, ws *workspace.Workspace, rep *Report) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.srm != nil {
@@ -73,10 +75,11 @@ func (b *Basis) build(ctx context.Context, bud parallel.Budget, ws *workspace.Wo
 	}
 	opt := b.opt
 	opt.Workspace = ws
-	sub, err := buildSubspace(ctx, bud, b.g, min(opt.Subspace, b.g.NumV-1), opt, rep)
+	sub, err := buildSubspace(ctx, bud, clk, b.g, min(opt.Subspace, b.g.NumV-1), opt, rep)
 	if err != nil {
 		return err
 	}
+	clk.Enter(phase.WarmRefine)
 	k := len(sub.dNorms)
 	b.m = linalg.NewDense(k, k)
 	for i, d := range sub.dNorms {
@@ -90,38 +93,23 @@ func (b *Basis) build(ctx context.Context, bud parallel.Budget, ws *workspace.Wo
 // warm lays out g as an update of b. It returns a nil layout and no error
 // when g is connected and too far from the basis graph, or when the
 // updated M is not positive definite; the caller then runs cold.
-func (b *Basis) warm(ctx context.Context, bud parallel.Budget, g *graph.CSR, opt Options, rep *Report) (*Layout, error) {
-	NotifyPhase(ctx, "warm_refine")
-	var flips []edgeFlip
-	stale := false
-	timed(&rep.Breakdown.WarmRefine, func() {
-		n, n0 := float64(g.NumV), float64(b.g.NumV)
-		var ok bool
-		flips, ok = diffEdges(b.g, g, int(DefaultMaxPriorDelta*float64(g.NumEdges())))
-		stale = !ok || n-n0 > DefaultMaxPriorDelta*n
-		if !stale {
-			return
+func (b *Basis) warm(ctx context.Context, bud parallel.Budget, clk *phase.Clock, g *graph.CSR, opt Options, rep *Report) (*Layout, error) {
+	clk.Enter(phase.WarmRefine)
+	n, n0 := float64(g.NumV), float64(b.g.NumV)
+	flips, ok := diffEdges(b.g, g, int(DefaultMaxPriorDelta*float64(g.NumEdges())))
+	if !ok || n-n0 > DefaultMaxPriorDelta*n {
+		if _, parts := graph.Components(g); parts < 2 {
+			return nil, nil
 		}
-		if _, parts := graph.Components(g); parts > 1 {
-			flips, _ = diffEdges(b.g, g, math.MaxInt)
-			stale = false
-		}
-	})
-	if stale {
-		return nil, nil
+		flips, _ = diffEdges(b.g, g, math.MaxInt)
 	}
-	if err := b.build(ctx, bud, opt.Workspace, rep); err != nil {
+	if err := b.build(ctx, bud, clk, opt.Workspace, rep); err != nil {
 		return nil, err
 	}
-	NotifyPhase(ctx, "warm_refine")
-	var layout *Layout
-	var err error
-	timed(&rep.Breakdown.WarmRefine, func() {
-		next := b.update(g, flips, opt.PlainOrtho)
-		if layout, rep.Eigenvalues, err = next.project(bud, opt); layout != nil {
-			rep.Warm, rep.DeltaEdges = true, len(flips)
-		}
-	})
+	layout, vals, err := b.update(g, flips, opt.PlainOrtho).project(bud, opt)
+	if layout != nil {
+		rep.Eigenvalues, rep.Warm, rep.DeltaEdges = vals, true, len(flips)
+	}
 	return layout, err
 }
 

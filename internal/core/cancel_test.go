@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/gen"
+	"repro/internal/phase"
 	"repro/internal/pivot"
 	"repro/internal/workspace"
 )
@@ -20,13 +22,36 @@ func TestParHDECtxPreCancelled(t *testing.T) {
 	}
 }
 
+// checkedCtx is a context that counts and stamps its Err checks, and
+// reports Canceled from check cancelAt on (never when it is 0). A run
+// checks its context only on its own goroutine.
+type checkedCtx struct {
+	context.Context
+	cancelAt int
+	at       []time.Time // one stamp per check
+	live     []string    // the run's live phase at each check
+	clk      *phase.Clock
+}
+
+func (c *checkedCtx) Err() error {
+	c.at = append(c.at, time.Now())
+	if c.clk != nil {
+		c.live = append(c.live, c.clk.Live())
+	}
+	if c.cancelAt > 0 && len(c.at) >= c.cancelAt {
+		return context.Canceled
+	}
+	return nil
+}
+
 // TestParHDECtxCancelDuringBFS times the BFS phase of an undisturbed run
-// (large grid, many pivots), then cancels the same run as that phase
-// starts: the pivot loop's ctx check, before every traversal, must abandon
-// the remaining ones. Both runs go through one workspace, so the second
-// pays no allocation and its whole cost is what it ran before it noticed:
-// a run that waits the phase out takes about bfs, one that stops at the
-// next traversal — a pivot, or a 64-source batch — a fraction of it.
+// (large grid, many pivots), then runs it again with a context that turns
+// cancelled after the run's first check, so the pivot loop's check before
+// the first traversal sees it: the loop must abandon every traversal.
+// Both runs go through one workspace, so the second pays no allocation
+// and its whole cost is what it ran before it noticed: a run that waits
+// the phase out takes about bfs, one that stops at the next traversal — a
+// pivot, or a 64-source batch — a fraction of it.
 func TestParHDECtxCancelDuringBFS(t *testing.T) {
 	g := gen.Grid2D(300, 300)
 	for name, strat := range map[string]pivot.Strategy{"kcenters": pivot.KCenters, "random-ms": pivot.RandomMS} {
@@ -37,13 +62,7 @@ func TestParHDECtxCancelDuringBFS(t *testing.T) {
 				t.Fatal(err)
 			}
 			bfs := rep.Breakdown.BFSTraversal
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			ctx = WithPhaseNotify(ctx, func(phase string) {
-				if phase == "bfs" {
-					cancel()
-				}
-			})
+			ctx := &checkedCtx{Context: context.Background(), cancelAt: 2}
 			start := time.Now()
 			layout, _, err := ParHDECtx(ctx, g, opt)
 			elapsed := time.Since(start)
@@ -60,21 +79,24 @@ func TestParHDECtxCancelDuringBFS(t *testing.T) {
 	}
 }
 
-func TestWithPhaseNotifyObservesPhaseOrder(t *testing.T) {
-	var phases []string
-	ctx := WithPhaseNotify(context.Background(), func(phase string) {
-		phases = append(phases, phase)
-	})
-	if _, _, err := ParHDECtx(ctx, gen.Grid2D(12, 12), Options{Subspace: 8, Seed: 1}); err != nil {
+// TestLivePhaseFollowsRun reads the workspace clock's live phase at each of
+// a run's context checks: idle at the first, then the BFS set-up, DOrtho
+// between traversals and before TripleProd, and the eigensolve and
+// projection checks inside their own phases.
+func TestLivePhaseFollowsRun(t *testing.T) {
+	ws := workspace.New()
+	ctx := &checkedCtx{Context: context.Background(), clk: &ws.Clock}
+	if _, _, err := ParHDECtx(ctx, gen.Grid2D(12, 12), Options{Subspace: 8, Seed: 1, Workspace: ws}); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"bfs", "tripleprod", "eigensolve", "project"}
-	if len(phases) != len(want) {
-		t.Fatalf("phases = %v, want %v", phases, want)
-	}
-	for i := range want {
-		if phases[i] != want[i] {
-			t.Fatalf("phase[%d] = %q, want %q (all: %v)", i, phases[i], want[i], phases)
+	var seen []string
+	for _, p := range ctx.live {
+		if len(seen) == 0 || seen[len(seen)-1] != p {
+			seen = append(seen, p)
 		}
+	}
+	want := []string{"", "bfs_other", "dortho", "eigensolve", "project"}
+	if !slices.Equal(seen, want) {
+		t.Fatalf("live phases at the checks = %v, want %v (all: %v)", seen, want, ctx.live)
 	}
 }

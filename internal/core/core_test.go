@@ -11,6 +11,7 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/ortho"
 	"repro/internal/pivot"
+	"repro/internal/workspace"
 )
 
 func TestParHDEOnPathRecoversLine(t *testing.T) {
@@ -177,6 +178,65 @@ func TestBreakdownAccounting(t *testing.T) {
 	}
 	if bd.String() == "" {
 		t.Fatal("empty breakdown string")
+	}
+}
+
+// TestPhasesSumToTotal: a run is timed on one clock, each boundary
+// charging the phase it leaves, so Breakdown.Phases() other than total sum
+// to Total to the nanosecond — for every engine, pivot strategy, warm run
+// and worker budget, and on a reused workspace clock. A warm attempt that
+// falls back is the one exception: its phases drop the attempt, which
+// Total still counts.
+func TestPhasesSumToTotal(t *testing.T) {
+	g := gen.Grid2D(20, 20)
+	weighted := gen.WithRandomWeights(g, 9, 5)
+	patched, far := mutateEdges(t, g, 3, 5), mutateEdges(t, g, 40, 5)
+	ws := workspace.New()
+	for _, workers := range []int{1, 2} {
+		opt := Options{Subspace: 10, Seed: 1, Workers: workers}
+		random, randomMS, reused, warm, stale := opt, opt, opt, opt, opt
+		random.Pivots, randomMS.Pivots, reused.Workspace = pivot.Random, pivot.RandomMS, ws
+		warm.Basis, stale.Basis = NewBasis(g, opt), NewBasis(g, opt)
+		for _, c := range []struct {
+			name     string
+			run      func(*graph.CSR, Options) (*Layout, *Report, error)
+			g        *graph.CSR
+			opt      Options
+			fallback bool
+		}{
+			{"kcenters", ParHDE, g, opt, false},
+			{"random", ParHDE, g, random, false},
+			{"random-ms", ParHDE, g, randomMS, false},
+			{"weighted", ParHDE, weighted, opt, false},
+			{"workspace", ParHDE, g, reused, false},
+			{"warm-build", ParHDE, patched, warm, false}, // builds the basis, then refines
+			{"warm", ParHDE, patched, warm, false},       // refines the built basis
+			{"fallback", ParHDE, far, stale, true},
+			{"phde", PHDE, g, opt, false},
+			{"pivotmds", PivotMDS, g, opt, false},
+			{"prior", Prior, g, opt, false},
+		} {
+			_, rep, err := c.run(c.g, c.opt)
+			if err != nil {
+				t.Fatalf("%s/%dw: %v", c.name, workers, err)
+			}
+			bd := rep.Breakdown
+			var sum time.Duration
+			for _, p := range bd.Phases() {
+				if p.Name != "total" {
+					sum += p.D
+				}
+			}
+			if rep.Warm != (c.opt.Basis != nil && !c.fallback) {
+				t.Fatalf("%s/%dw: warm = %v", c.name, workers, rep.Warm)
+			}
+			switch {
+			case c.fallback && (bd.WarmRefine != 0 || sum > bd.Total):
+				t.Fatalf("%s/%dw: warm_refine %v, phases sum to %v of total %v", c.name, workers, bd.WarmRefine, sum, bd.Total)
+			case !c.fallback && (sum != bd.Total || bd.Total <= 0):
+				t.Fatalf("%s/%dw: phases sum to %v, total %v (%v)", c.name, workers, sum, bd.Total, bd.Phases())
+			}
+		}
 	}
 }
 
@@ -396,26 +456,20 @@ func TestOptionsDefaultsAndClamps(t *testing.T) {
 
 // TestTripleProdBreakdownSplit: the one-walk TripleProd still reports Fig.
 // 5's two halves: Breakdown.LS and Breakdown.Gemm are both positive, and
-// their sum, the phase's wall time, fits between the "tripleprod" and
-// "eigensolve" notifications.
+// their sum, the phase's wall time, fits between the run's context checks
+// before TripleProd and inside the eigensolve (the last three checks of a
+// run are those and the projection's).
 func TestTripleProdBreakdownSplit(t *testing.T) {
 	g := graph.LargestComponent(gen.Kron(13, 8, 13))
 	for _, workers := range []int{1, 2} {
-		var start, end time.Time
-		ctx := WithPhaseNotify(context.Background(), func(phase string) {
-			switch phase {
-			case "tripleprod":
-				start = time.Now()
-			case "eigensolve":
-				end = time.Now()
-			}
-		})
+		ctx := &checkedCtx{Context: context.Background()}
 		_, rep, err := ParHDECtx(ctx, g, Options{Subspace: 20, Seed: 1, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		bd := rep.Breakdown
-		phase := end.Sub(start)
+		at := ctx.at
+		phase := at[len(at)-2].Sub(at[len(at)-3])
 		if bd.LS <= 0 || bd.Gemm <= 0 || bd.TripleProd() > phase {
 			t.Fatalf("workers=%d: LS %v + Gemm %v against a %v TripleProd phase", workers, bd.LS, bd.Gemm, phase)
 		}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/ortho"
 	"repro/internal/parallel"
+	"repro/internal/phase"
 	"repro/internal/pivot"
 )
 
@@ -73,84 +74,76 @@ func ParHDE(g *graph.CSR, opt Options) (*Layout, *Report, error) {
 // within one traversal rather than after a phase completes (a 64-source
 // RandomMS batch, or a Random round of one BFS per worker, is one
 // traversal in this sense). On cancellation the returned error satisfies
-// errors.Is(err, ctx.Err()). Phase transitions are reported to any
-// observer installed with WithPhaseNotify.
+// errors.Is(err, ctx.Err()). The run is timed on opt.Workspace's clock,
+// whose live phase another goroutine may read, or on a private one.
 func ParHDECtx(ctx context.Context, g *graph.CSR, opt Options) (*Layout, *Report, error) {
 	opt = opt.withDefaults()
 	if g.NumV < 2 {
 		return nil, nil, fmt.Errorf("core: graph has %d vertices, need at least 2", g.NumV)
 	}
 	rep := &Report{}
-	bd := &rep.Breakdown
 	n := g.NumV
-	s := opt.Subspace
-	if s >= n {
-		s = n - 1
-	}
+	s := min(opt.Subspace, n-1)
 	ws := opt.Workspace
+	var clk *phase.Clock
+	var esc *eigen.Scratch
 	if ws != nil {
 		ws.Reshape(n, s, opt.Dims)
+		clk, esc = &ws.Clock, ws.Eigen
+		clk.Reset()
+	} else {
+		clk = new(phase.Clock)
 	}
 	bud := opt.budget(rep)
-
-	var layout *Layout
-	var err error
-	timed(&bd.Total, func() {
-		if err = ctx.Err(); err != nil {
-			return
-		}
-		// A basis of an earlier version of g replaces the whole pipeline
-		// with an exact update of its projected problem; a stale or
-		// incompatible basis falls through to the cold path below.
-		if b := opt.Basis; b != nil && b.serves(g, opt) {
-			tried := *rep
-			if layout, err = b.warm(ctx, bud, g, opt, rep); layout != nil || err != nil {
-				return
-			}
-			// A run that falls back reports its cold run alone: no
-			// warm_refine time and no traversals of a basis build.
-			*rep = tried
-		}
-
-		var sub subspace
-		sub, err = buildSubspace(ctx, bud, g, s, opt, rep)
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	// A basis of an earlier version of g replaces the whole pipeline with
+	// an exact update of its projected problem; a stale or incompatible
+	// basis falls through to the cold path below.
+	if b := opt.Basis; b != nil && b.serves(g, opt) {
+		tried := *rep
+		layout, err := b.warm(ctx, bud, clk, g, opt, rep)
 		if err != nil {
-			return
+			return nil, nil, err
 		}
+		if layout != nil {
+			rep.Breakdown = breakdown(clk)
+			return layout, rep, nil
+		}
+		// A run that falls back reports its cold run alone: no
+		// warm_refine time and no traversals of a basis build.
+		*rep = tried
+		clk.Drop()
+	}
 
-		// --- Eigensolve ---------------------------------------------------
-		if err = ctx.Err(); err != nil {
-			return
-		}
-		NotifyPhase(ctx, "eigensolve")
-		var axes *linalg.Dense
-		timed(&bd.Eigensolve, func() {
-			var esc *eigen.Scratch
-			if ws != nil {
-				esc = ws.Eigen
-			}
-			axes, rep.Eigenvalues, err = projectedAxes(sub.z, sub.dNorms, opt.Dims, esc)
-		})
-		if err != nil {
-			return
-		}
-
-		// --- Projection [x, y] = S·Y --------------------------------------
-		if err = ctx.Err(); err != nil {
-			return
-		}
-		NotifyPhase(ctx, "project")
-		timed(&bd.Project, func() {
-			var c *linalg.Dense
-			if ws != nil {
-				c = linalg.ViewDense(ws.Coords, n, axes.Cols)
-			}
-			layout = &Layout{Coords: linalg.MulSmallRowMajorBudget(bud, sub.srm, axes, c)}
-		})
-	})
+	sub, err := buildSubspace(ctx, bud, clk, g, s, opt, rep)
 	if err != nil {
 		return nil, nil, err
 	}
+
+	// --- Eigensolve -------------------------------------------------------
+	clk.Enter(phase.Eigensolve)
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	axes, vals, err := projectedAxes(sub.z, sub.dNorms, opt.Dims, esc)
+	if err != nil {
+		return nil, nil, err
+	}
+	rep.Eigenvalues = vals
+
+	// --- Projection [x, y] = S·Y ------------------------------------------
+	clk.Enter(phase.Project)
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	var c *linalg.Dense
+	if ws != nil {
+		c = linalg.ViewDense(ws.Coords, n, axes.Cols)
+	}
+	layout := &Layout{Coords: linalg.MulSmallRowMajorBudget(bud, sub.srm, axes, c)}
+	rep.Breakdown = breakdown(clk)
 	return layout, rep, nil
 }
 
@@ -162,26 +155,23 @@ type subspace struct {
 	dNorms []float64
 }
 
-// buildSubspace runs the BFS + DOrtho and TripleProd phases of g. Its
-// results live in opt.Workspace when there is one.
-func buildSubspace(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int, opt Options, rep *Report) (subspace, error) {
-	bd := &rep.Breakdown
+// buildSubspace runs the BFS + DOrtho and TripleProd phases of g on clk.
+// Its results live in opt.Workspace when there is one.
+func buildSubspace(ctx context.Context, bud parallel.Budget, clk *phase.Clock, g *graph.CSR, s int, opt Options, rep *Report) (subspace, error) {
 	ws := opt.Workspace
 	n := g.NumV
 	// diag(D) weights DOrtho's inner products, so its time is DOrtho's.
+	clk.Enter(phase.DOrtho)
 	var deg []float64
-	timed(&bd.DOrtho, func() {
-		if ws != nil {
-			ws.Deg = g.WeightedDegreesIntoBudget(bud, ws.Deg)
-			deg = ws.Deg
-		} else {
-			deg = g.WeightedDegreesIntoBudget(bud, nil)
-		}
-	})
+	if ws != nil {
+		ws.Deg = g.WeightedDegreesIntoBudget(bud, ws.Deg)
+		deg = ws.Deg
+	} else {
+		deg = g.WeightedDegreesIntoBudget(bud, nil)
+	}
 
 	// --- BFS + DOrtho phase ----------------------------------------------
-	NotifyPhase(ctx, "bfs")
-	res, err := bfsOrtho(ctx, bud, g, s, deg, opt, rep)
+	res, err := bfsOrtho(ctx, bud, clk, g, s, deg, opt, rep)
 	if err != nil {
 		return subspace{}, err
 	}
@@ -196,27 +186,23 @@ func buildSubspace(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int
 	if err := ctx.Err(); err != nil {
 		return subspace{}, err
 	}
-	NotifyPhase(ctx, "tripleprod")
+	clk.Enter(phase.LS)
 	sub := subspace{dNorms: res.DNorms}
-	var tripleProd time.Duration
+	var zOut *linalg.Dense
+	var partials []float64
+	var arena *linalg.PackArena
+	if ws != nil {
+		zOut, sub.srm, partials, arena = linalg.ViewDense(ws.Z, k, k), ws.SRM[:n*k], ws.GemmPartials, ws.Pack
+	} else {
+		sub.srm = make([]float64, n*k)
+	}
 	var lsShare float64
-	timed(&tripleProd, func() {
-		var zOut *linalg.Dense
-		var partials []float64
-		var arena *linalg.PackArena
-		if ws != nil {
-			zOut, sub.srm, partials, arena = linalg.ViewDense(ws.Z, k, k), ws.SRM[:n*k], ws.GemmPartials, ws.Pack
-		} else {
-			sub.srm = make([]float64, n*k)
-		}
-		sub.z, lsShare = linalg.TripleProdBudget(bud, g, deg, res.Packed, 1, zOut, sub.srm, partials, arena)
-	})
-	// Fig. 5 splits TripleProd into L·S and SᵀP: the walk reports its
-	// workers' time in each half, and the phase's wall time is divided in
-	// that proportion.
-	ls := time.Duration(lsShare * float64(tripleProd))
-	bd.LS += ls
-	bd.Gemm += tripleProd - ls
+	sub.z, lsShare = linalg.TripleProdBudget(bud, g, deg, res.Packed, 1, zOut, sub.srm, partials, arena)
+	// Fig. 5 splits TripleProd into L·S and SᵀP, which no boundary
+	// separates in the one walk: it reports its workers' time in each
+	// half, and the walk's span is divided in that proportion.
+	walk := clk.Enter(phase.Gemm)
+	clk.Move(phase.LS, phase.Gemm, walk-time.Duration(lsShare*float64(walk)))
 	return sub, nil
 }
 
@@ -271,10 +257,9 @@ func splitmix(seed uint64) uint64 {
 // and D-orthogonalization): the pivot strategy hands each distance column,
 // in pivot order, to one incremental orthogonalizer, so the n×s distance
 // matrix is never stored. The pivot loop checks ctx before every
-// traversal, and the first column is checked for reachability before the
-// second traversal starts.
-func bfsOrtho(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int, deg []float64, opt Options, rep *Report) (ortho.Result, error) {
-	bd := &rep.Breakdown
+// traversal, and the first column is checked for reachability, a
+// bfs_other step, before the second traversal starts.
+func bfsOrtho(ctx context.Context, bud parallel.Budget, clk *phase.Clock, g *graph.CSR, s int, deg []float64, opt Options, rep *Report) (ortho.Result, error) {
 	if opt.PlainOrtho {
 		deg = nil
 	}
@@ -285,34 +270,32 @@ func bfsOrtho(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int, deg
 	}
 	inc := ortho.NewIncremental(bud, g.NumV, s, deg, opt.Ortho, osc)
 	start := int32(splitmix(opt.Seed) % uint64(g.NumV))
-	// The timing closures are built once per run, not once per column.
-	var col []float64
-	add := func() { inc.Add(col) }
 	emit := func(i int, c []float64) error {
 		if i == 0 {
 			if err := checkConnected(c, start); err != nil {
 				return err
 			}
 		}
-		col = c
-		timed(&bd.DOrtho, add)
+		clk.Enter(phase.DOrtho)
+		inc.Add(c)
 		return nil
 	}
-	onTrav := func(f func()) { timed(&bd.BFSTraversal, f) }
-	onOther := func(f func()) { timed(&bd.BFSOther, f) }
-	var ps pivot.PhaseStats
-	var err error
-	if g.Weighted() {
-		ps, err = pivot.StreamWeighted(ctx, bud, g, s, start, opt.Delta, emit, onTrav, onOther)
-	} else {
-		ps, err = pivot.Stream(ctx, bud, g, s, start, opt.Pivots, bfs.Options{}, psc, emit, onTrav, onOther)
-	}
+	ps, err := distances(ctx, bud, clk, g, s, start, opt, psc, emit)
 	if err != nil {
 		return ortho.Result{}, err
 	}
 	rep.Sources = ps.Sources
 	rep.BFSStats = ps.Traversal
 	return inc.Packed(), nil
+}
+
+// distances streams g's s distance columns from start to emit on clk:
+// Δ-stepping SSSP on a weighted g, the BFS of opt.Pivots on sc otherwise.
+func distances(ctx context.Context, bud parallel.Budget, clk *phase.Clock, g *graph.CSR, s int, start int32, opt Options, sc *pivot.Scratch, emit pivot.Emit) (pivot.PhaseStats, error) {
+	if g.Weighted() {
+		return pivot.StreamWeighted(ctx, bud, g, s, start, opt.Delta, emit, clk)
+	}
+	return pivot.Stream(ctx, bud, g, s, start, opt.Pivots, bfs.Options{}, sc, emit, clk)
 }
 
 // checkConnected is the one reachability check every layout runs on its

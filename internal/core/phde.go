@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/bfs"
 	"repro/internal/eigen"
 	"repro/internal/graph"
 	"repro/internal/linalg"
+	"repro/internal/phase"
 	"repro/internal/pivot"
 )
 
@@ -34,66 +34,48 @@ func pcaEmbed(g *graph.CSR, opt Options, doubleCenter bool) (*Layout, *Report, e
 	}
 	rep := &Report{}
 	bud := opt.budget(rep)
-	bd := &rep.Breakdown
 	n := g.NumV
-	s := opt.Subspace
-	if s >= n {
-		s = n - 1
+	s := min(opt.Subspace, n-1)
+	clk := new(phase.Clock)
+
+	// --- BFS phase, into the distance matrix C ----------------------------
+	clk.Enter(phase.BFSOther)
+	c := linalg.NewDense(n, s)
+	start := int32(splitmix(opt.Seed) % uint64(n))
+	// The stream can fail only through ctx or emit, and neither
+	// Background nor Fill ever returns an error.
+	ps, _ := distances(context.Background(), bud, clk, g, s, start, opt, nil, pivot.Fill(c))
+	rep.Sources = ps.Sources
+	rep.BFSStats = ps.Traversal
+	if err := checkConnected(c.Col(0), start); err != nil {
+		return nil, nil, err
 	}
-	var layout *Layout
-	var err error
-	timed(&bd.Total, func() {
-		// --- BFS phase ---------------------------------------------------
-		c := linalg.NewDense(n, s)
-		start := int32(splitmix(opt.Seed) % uint64(n))
-		var ps pivot.PhaseStats
-		onTrav := func(f func()) { timed(&bd.BFSTraversal, f) }
-		onOther := func(f func()) { timed(&bd.BFSOther, f) }
-		if g.Weighted() {
-			// The stream can fail only through ctx or emit, and neither
-			// Background nor fill ever returns an error.
-			fill := func(i int, col []float64) error { copy(c.Col(i), col); return nil }
-			ps, _ = pivot.StreamWeighted(context.Background(), bud, g, s, start, opt.Delta, fill, onTrav, onOther)
-		} else {
-			ps = pivot.PhaseBudget(bud, g, c, start, opt.Pivots, bfs.Options{}, nil, onTrav, onOther)
-		}
-		rep.Sources = ps.Sources
-		rep.BFSStats = ps.Traversal
-		if err = checkConnected(c.Col(0), start); err != nil {
-			return
-		}
 
-		// --- Centering ("DblCntr"/"ColCenter" in Figure 6) ----------------
-		timed(&bd.Centering, func() {
-			if doubleCenter {
-				linalg.SquareElements(bud, c)
-				linalg.DoubleCenter(bud, c)
-			} else {
-				linalg.ColumnCenter(bud, c)
-			}
-		})
+	// --- Centering ("DblCntr"/"ColCenter" in Figure 6) --------------------
+	clk.Enter(phase.Centering)
+	if doubleCenter {
+		linalg.SquareElements(bud, c)
+		linalg.DoubleCenter(bud, c)
+	} else {
+		linalg.ColumnCenter(bud, c)
+	}
 
-		// --- MatMul: Z = CᵀC ----------------------------------------------
-		var z *linalg.Dense
-		timed(&bd.Gemm, func() { z = linalg.AtBPackedBudget(bud, c, c, nil, nil, nil) })
+	// --- MatMul: Z = CᵀC --------------------------------------------------
+	clk.Enter(phase.Gemm)
+	z := linalg.AtBPackedBudget(bud, c, c, nil, nil, nil)
 
-		// --- Eigensolve: top two eigenvectors of the covariance -----------
-		var axes *linalg.Dense
-		timed(&bd.Eigensolve, func() {
-			rep.Eigenvalues, axes, err = eigen.TopK(z, opt.Dims)
-		})
-		if err != nil {
-			return
-		}
-		rep.KeptColumns = s
-
-		// --- Projection [x, y] = C·Y --------------------------------------
-		timed(&bd.Project, func() {
-			layout = &Layout{Coords: linalg.MulSmallBudget(bud, c, axes, nil)}
-		})
-	})
+	// --- Eigensolve: top two eigenvectors of the covariance ---------------
+	clk.Enter(phase.Eigensolve)
+	vals, axes, err := eigen.TopK(z, opt.Dims)
 	if err != nil {
 		return nil, nil, err
 	}
+	rep.Eigenvalues = vals
+	rep.KeptColumns = s
+
+	// --- Projection [x, y] = C·Y ------------------------------------------
+	clk.Enter(phase.Project)
+	layout := &Layout{Coords: linalg.MulSmallBudget(bud, c, axes, nil)}
+	rep.Breakdown = breakdown(clk)
 	return layout, rep, nil
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/bfs"
 	"repro/internal/graph"
 	"repro/internal/linalg"
+	"repro/internal/phase"
 )
 
 // Prior reimplements the prior parallel HDE of Kirmani and Madduri
@@ -29,82 +30,69 @@ func Prior(g *graph.CSR, opt Options) (*Layout, *Report, error) {
 	}
 	rep := &Report{}
 	bud := opt.budget(rep)
-	bd := &rep.Breakdown
 	n := g.NumV
-	s := opt.Subspace
-	if s >= n {
-		s = n - 1
+	s := min(opt.Subspace, n-1)
+	clk := new(phase.Clock)
+
+	// --- BFS phase: sequential traversal, sequential selection ------------
+	clk.Enter(phase.BFSOther)
+	b := linalg.NewDense(n, s)
+	dist := make([]int32, n)
+	dmin := make([]int32, n)
+	for i := range dmin {
+		dmin[i] = int32(1) << 30
 	}
-	var layout *Layout
-	var err error
-	timed(&bd.Total, func() {
-		// --- BFS phase: sequential traversal, sequential selection --------
-		b := linalg.NewDense(n, s)
-		dist := make([]int32, n)
-		dmin := make([]int32, n)
-		for i := range dmin {
-			dmin[i] = int32(1) << 30
+	src := int32(splitmix(opt.Seed) % uint64(n))
+	for i := 0; i < s; i++ {
+		rep.Sources = append(rep.Sources, src)
+		clk.Enter(phase.BFSTraversal)
+		bfs.Serial(g, src, dist)
+		clk.Enter(phase.BFSOther)
+		col := b.Col(i)
+		best := 0
+		for j := 0; j < n; j++ {
+			col[j] = float64(dist[j])
+			if dist[j] < dmin[j] {
+				dmin[j] = dist[j]
+			}
+			if dmin[j] > dmin[best] {
+				best = j
+			}
 		}
-		src := int32(splitmix(opt.Seed) % uint64(n))
-		for i := 0; i < s; i++ {
-			rep.Sources = append(rep.Sources, src)
-			timed(&bd.BFSTraversal, func() { bfs.Serial(g, src, dist) })
-			timed(&bd.BFSOther, func() {
-				col := b.Col(i)
-				best := 0
-				for j := 0; j < n; j++ {
-					col[j] = float64(dist[j])
-					if dist[j] < dmin[j] {
-						dmin[j] = dist[j]
-					}
-					if dmin[j] > dmin[best] {
-						best = j
-					}
-				}
-				src = int32(best)
-			})
-		}
-		if err = checkConnected(b.Col(0), rep.Sources[0]); err != nil {
-			return
-		}
+		src = int32(best)
+	}
+	if err := checkConnected(b.Col(0), rep.Sources[0]); err != nil {
+		return nil, nil, err
+	}
 
-		// --- DOrtho phase: sequential Gram-Schmidt -------------------------
-		deg := g.WeightedDegreesIntoBudget(bud, nil)
-		var sMat *linalg.Dense
-		var dNorms []float64
-		timed(&bd.DOrtho, func() {
-			sMat, dNorms = serialDOrtho(b, deg)
-		})
-		if sMat.Cols < opt.Dims {
-			err = fmt.Errorf("core: only %d independent distance vectors", sMat.Cols)
-			return
-		}
+	// --- DOrtho phase: sequential Gram-Schmidt ----------------------------
+	clk.Enter(phase.DOrtho)
+	deg := g.WeightedDegreesIntoBudget(bud, nil)
+	sMat, dNorms := serialDOrtho(b, deg)
+	if sMat.Cols < opt.Dims {
+		return nil, nil, fmt.Errorf("core: only %d independent distance vectors", sMat.Cols)
+	}
 
-		// --- Explicit Laplacian (the memory blow-up Table 3 charges for) ---
-		var lap *linalg.ExplicitLaplacian
-		timed(&bd.LapBuild, func() { lap = linalg.NewExplicitLaplacian(bud, g) })
+	// --- Explicit Laplacian (the memory blow-up Table 3 charges for) ------
+	clk.Enter(phase.LapBuild)
+	lap := linalg.NewExplicitLaplacian(bud, g)
 
-		// --- TripleProd through the explicit structure ----------------------
-		var p *linalg.Dense
-		timed(&bd.LS, func() { p = lap.MulDense(bud, sMat) })
-		var z *linalg.Dense
-		timed(&bd.Gemm, func() { z = linalg.AtBPackedBudget(bud, sMat, p, nil, nil, nil) })
+	// --- TripleProd through the explicit structure ------------------------
+	clk.Enter(phase.LS)
+	p := lap.MulDense(bud, sMat)
+	clk.Enter(phase.Gemm)
+	z := linalg.AtBPackedBudget(bud, sMat, p, nil, nil, nil)
 
-		// --- Eigensolve and projection --------------------------------------
-		var axes *linalg.Dense
-		timed(&bd.Eigensolve, func() {
-			axes, rep.Eigenvalues, err = projectedAxes(z, dNorms, opt.Dims, nil)
-		})
-		if err != nil {
-			return
-		}
-		timed(&bd.Project, func() {
-			layout = &Layout{Coords: linalg.MulSmallBudget(bud, sMat, axes, nil)}
-		})
-	})
+	// --- Eigensolve and projection ----------------------------------------
+	clk.Enter(phase.Eigensolve)
+	axes, vals, err := projectedAxes(z, dNorms, opt.Dims, nil)
 	if err != nil {
 		return nil, nil, err
 	}
+	rep.Eigenvalues = vals
+	clk.Enter(phase.Project)
+	layout := &Layout{Coords: linalg.MulSmallBudget(bud, sMat, axes, nil)}
+	rep.Breakdown = breakdown(clk)
 	return layout, rep, nil
 }
 

@@ -3,10 +3,13 @@ package core
 import (
 	"fmt"
 	"time"
+
+	"repro/internal/phase"
 )
 
 // Breakdown records per-phase wall time: the raw material for the paper's
-// Figures 3, 5, and 6. All durations are cumulative over a run.
+// Figures 3, 5, and 6: the run's phase clock, read when the layout is done
+// (see breakdown), so the phases sum to Total. Fields are in phase.ID order.
 type Breakdown struct {
 	BFSTraversal time.Duration // actual traversals (or SSSP)
 	BFSOther     time.Duration // source selection, min-update, widening B
@@ -53,21 +56,23 @@ type Phase struct {
 }
 
 // Phases returns the breakdown as an ordered name/duration list, the form
-// a metrics layer exports (one gauge per phase).
+// a metrics layer exports (one gauge per phase). The names are the
+// phase.ID names a running job reports live.
 func (b Breakdown) Phases() []Phase {
-	return []Phase{
-		{"bfs_traversal", b.BFSTraversal},
-		{"bfs_other", b.BFSOther},
-		{"dortho", b.DOrtho},
-		{"ls", b.LS},
-		{"gemm", b.Gemm},
-		{"eigensolve", b.Eigensolve},
-		{"project", b.Project},
-		{"centering", b.Centering},
-		{"lap_build", b.LapBuild},
-		{"warm_refine", b.WarmRefine},
-		{"total", b.Total},
+	d := [...]time.Duration{b.BFSTraversal, b.BFSOther, b.DOrtho, b.LS, b.Gemm,
+		b.Eigensolve, b.Project, b.Centering, b.LapBuild, b.WarmRefine}
+	ps := make([]Phase, len(d), len(d)+1)
+	for i := range d {
+		ps[i] = Phase{phase.ID(i).String(), d[i]}
 	}
+	return append(ps, Phase{"total", b.Total})
+}
+
+// breakdown reads clk, the run's clock, into a Breakdown.
+func breakdown(clk *phase.Clock) Breakdown {
+	d, total := clk.Read()
+	return Breakdown{d[phase.BFSTraversal], d[phase.BFSOther], d[phase.DOrtho], d[phase.LS], d[phase.Gemm],
+		d[phase.Eigensolve], d[phase.Project], d[phase.Centering], d[phase.LapBuild], d[phase.WarmRefine], total}
 }
 
 // String renders the Figure 3-style percentage split on one line.
@@ -78,11 +83,4 @@ func (b Breakdown) String() string {
 		b.TripleProd().Round(time.Microsecond), tp,
 		b.DOrtho.Round(time.Microsecond), op,
 		b.Other().Round(time.Microsecond), rp)
-}
-
-// timed runs f and adds its wall time to *acc.
-func timed(acc *time.Duration, f func()) {
-	start := time.Now()
-	f()
-	*acc += time.Since(start)
 }

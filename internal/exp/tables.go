@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"io"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/ortho"
 	"repro/internal/parallel"
+	"repro/internal/phase"
 	"repro/internal/pivot"
 )
 
@@ -108,15 +110,12 @@ func Table6(w io.Writer, cfg Config) error {
 			s = g.NumV - 1
 		}
 		b := linalg.NewDense(g.NumV, s)
-		tDefault := minTime(cfg.Reps, func() {
-			pivot.PhaseBudget(parallel.Live(), g, b, 0, pivot.KCenters, bfs.Options{}, nil, nil, nil)
-		})
-		tRandom := minTime(cfg.Reps, func() {
-			pivot.PhaseBudget(parallel.Live(), g, b, 0, pivot.Random, bfs.Options{}, nil, nil, nil)
-		})
-		tMS := minTime(cfg.Reps, func() {
-			pivot.PhaseBudget(parallel.Live(), g, b, 0, pivot.RandomMS, bfs.Options{}, nil, nil, nil)
-		})
+		bfsPhase := func(strat pivot.Strategy) time.Duration {
+			return minTime(cfg.Reps, func() {
+				pivot.Stream(context.Background(), parallel.Live(), g, s, 0, strat, bfs.Options{}, nil, pivot.Fill(b), new(phase.Clock))
+			})
+		}
+		tDefault, tRandom, tMS := bfsPhase(pivot.KCenters), bfsPhase(pivot.Random), bfsPhase(pivot.RandomMS)
 		fprintf(w, "%-10s %14.4f %14.4f %8.1fx %12.4f %8.1fx\n",
 			ng.Name, seconds(tDefault), seconds(tRandom), ratio(tDefault, tRandom),
 			seconds(tMS), ratio(tDefault, tMS))
@@ -134,7 +133,7 @@ func Table7(w io.Writer, cfg Config) error {
 		g := ng.G
 		s := cfg.Subspace
 		b := linalg.NewDense(g.NumV, s)
-		pivot.PhaseBudget(parallel.Live(), g, b, 0, pivot.KCenters, bfs.Options{}, nil, nil, nil)
+		pivot.Stream(context.Background(), parallel.Live(), g, s, 0, pivot.KCenters, bfs.Options{}, nil, pivot.Fill(b), new(phase.Clock))
 		deg := g.WeightedDegrees()
 		tMGS := minTime(cfg.Reps, func() { ortho.DOrthogonalizeBudget(parallel.Live(), b, deg, ortho.MGS, nil) })
 		tCGS := minTime(cfg.Reps, func() { ortho.DOrthogonalizeBudget(parallel.Live(), b, deg, ortho.CGS, nil) })

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/journal"
 	"repro/internal/obs"
@@ -325,12 +324,12 @@ func (e *Engine) worker() {
 }
 
 func (e *Engine) runJob(j *Job, ws *workspace.Workspace) {
-	if !j.begin() {
+	ws.Clock.Reset() // the last job's phase is not this one's
+	if !j.begin(&ws.Clock) {
 		// Cancelled while queued; Cancel already finalized it.
 		return
 	}
 	e.running.Add(1)
-	ctx := core.WithPhaseNotify(j.ctx, j.setPhase)
 	// Work on a copy of the config: j.cfg is read concurrently by
 	// Config(), and the workspace is a per-run attachment, not part of
 	// the submitted configuration.
@@ -341,7 +340,7 @@ func (e *Engine) runJob(j *Job, ws *workspace.Workspace) {
 	if cfg.Layout.Workers <= 0 {
 		cfg.Layout.Workers = e.cfg.KernelWorkers
 	}
-	res, err := e.cfg.run(ctx, j.g, cfg)
+	res, err := e.cfg.run(j.ctx, j.g, cfg)
 	e.running.Add(-1)
 	switch {
 	case err == nil:

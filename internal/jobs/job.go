@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/phase"
 	"repro/internal/pipeline"
 )
 
@@ -65,7 +66,8 @@ type Status struct {
 	Graph     string `json:"graph"`     // catalog name of the input graph
 	Algorithm string `json:"algorithm"` // always Algorithm
 	State     string `json:"state"`     // State.String() of the snapshot
-	// Phase is the engine phase currently executing (running jobs only).
+	// Phase is the phase the run is in, one of the Phases names or
+	// "quality" (running jobs only).
 	Phase string `json:"phase,omitempty"`
 	// Error carries the failure message of a StateFailed job.
 	Error string `json:"error,omitempty"`
@@ -92,9 +94,10 @@ type Job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu       sync.Mutex
-	state    State
-	phase    string
+	mu    sync.Mutex
+	state State
+	// clock is a Running job's workspace clock, whose live phase Status reports.
+	clock    *phase.Clock
 	err      error
 	result   *pipeline.Result
 	created  time.Time
@@ -132,23 +135,16 @@ func (j *Job) State() State {
 	return j.state
 }
 
-// setPhase records the engine phase currently executing (the
-// core.WithPhaseNotify observer).
-func (j *Job) setPhase(phase string) {
-	j.mu.Lock()
-	j.phase = phase
-	j.mu.Unlock()
-}
-
-// begin moves the job to Running. It returns false if the job reached a
-// terminal state first (cancelled while queued).
-func (j *Job) begin() bool {
+// begin moves the job to Running, timed on clk. It returns false if the
+// job reached a terminal state first (cancelled while queued).
+func (j *Job) begin(clk *phase.Clock) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.terminal() {
 		return false
 	}
 	j.state = StateRunning
+	j.clock = clk
 	j.started = time.Now()
 	return true
 }
@@ -164,7 +160,7 @@ func (j *Job) finish(s State, res *pipeline.Result, err error) bool {
 	j.state = s
 	j.result = res
 	j.err = err
-	j.phase = ""
+	j.clock = nil
 	j.finished = time.Now()
 	return true
 }
@@ -192,8 +188,10 @@ func (j *Job) Status() Status {
 		Graph:     j.graph,
 		Algorithm: Algorithm,
 		State:     j.state.String(),
-		Phase:     j.phase,
 		Created:   j.created,
+	}
+	if j.clock != nil {
+		st.Phase = j.clock.Live()
 	}
 	if j.err != nil {
 		st.Error = j.err.Error()

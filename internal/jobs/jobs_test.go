@@ -88,6 +88,66 @@ func TestSubmitRunsRealPipeline(t *testing.T) {
 	}
 }
 
+// TestLivePhaseFromRunClock polls the status of real layout jobs while
+// they run: the live phase is read off the worker's workspace clock, so a
+// running job reports a Breakdown phase name or "quality" ("" only
+// before its run enters its first phase), and a finished job reports "".
+// Two jobs on one worker check that the second never shows the first's
+// last phase.
+func TestLivePhaseFromRunClock(t *testing.T) {
+	vocab := map[string]bool{"quality": true}
+	for _, p := range (core.Breakdown{}).Phases() {
+		if p.Name != "total" {
+			vocab[p.Name] = true
+		}
+	}
+	cat := testCatalog(t)
+	if err := cat.Add("big", gen.Grid2D(90, 90), "test"); err != nil {
+		t.Fatal(err)
+	}
+	e := New(cat, Config{Workers: 1, KernelWorkers: 2})
+	defer e.Close()
+	cfg := pipeline.Config{Layout: core.Options{Subspace: 40, Seed: 1}}
+	var js []*Job
+	for i := 0; i < 2; i++ {
+		j, err := e.Submit("big", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		js = append(js, j)
+	}
+	for _, j := range js {
+		seen := map[string]bool{}
+		for {
+			st := j.Status()
+			if st.State == "done" {
+				if st.Phase != "" {
+					t.Fatalf("%s done with phase %q", j.ID(), st.Phase)
+				}
+				break
+			}
+			if st.State == "running" {
+				if st.Phase != "" && !vocab[st.Phase] {
+					t.Fatalf("%s running in phase %q, not a Breakdown phase or quality", j.ID(), st.Phase)
+				}
+				if len(seen) == 0 && st.Phase == "quality" {
+					t.Fatalf("%s starts in phase quality: the last job's", j.ID())
+				}
+				if st.Phase != "" {
+					seen[st.Phase] = true
+				}
+			} else if st.State != "queued" {
+				t.Fatalf("%s ended %s: %s", j.ID(), st.State, st.Error)
+			}
+			time.Sleep(200 * time.Microsecond)
+		}
+		if len(seen) == 0 {
+			t.Fatalf("%s ran without reporting a phase", j.ID())
+		}
+		t.Logf("%s phases seen: %v", j.ID(), seen)
+	}
+}
+
 func TestSubmitUnknownGraph(t *testing.T) {
 	e := New(testCatalog(t), Config{Workers: 1})
 	defer e.Close()

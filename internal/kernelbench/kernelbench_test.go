@@ -15,6 +15,7 @@ package kernelbench
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -54,18 +55,25 @@ func loadBudget(t *testing.T) kernelBudget {
 	return budget
 }
 
-// minTime returns the fastest of reps timings of f — the standard
-// minimum-of-repetitions estimator, robust to scheduling noise.
-func minTime(reps int, f func()) time.Duration {
-	best := time.Duration(1<<63 - 1)
+// speedup times a kernel pair with their repetitions interleaved — fast,
+// ref, fast, ref, … — so both see the same host state (frequency, cache
+// and neighbour load drift between back-to-back blocks), and returns the
+// ratio of ref's fastest repetition to fast's: the minimum-of-repetitions
+// estimator, robust to scheduling noise, taken per kernel.
+func speedup(reps int, fast, ref func()) float64 {
+	bestFast, bestRef := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
 	for i := 0; i < reps; i++ {
-		t0 := time.Now()
-		f()
-		if d := time.Since(t0); d < best {
-			best = d
-		}
+		bestFast = min(bestFast, timeOf(fast))
+		bestRef = min(bestRef, timeOf(ref))
 	}
-	return best
+	return float64(bestRef) / float64(bestFast)
+}
+
+// timeOf returns the wall time of one call of f.
+func timeOf(f func()) time.Duration {
+	t0 := time.Now()
+	f()
+	return time.Since(t0)
 }
 
 func randDense(n, s int, seed int64) *linalg.Dense {
@@ -100,7 +108,7 @@ func TestKernelBudgetGate(t *testing.T) {
 		}
 	}
 
-	const reps = 5
+	const reps = 15
 
 	// Packed 4×2 AtB vs the unblocked triple loop (TripleProd's Z = SᵀP).
 	{
@@ -109,9 +117,9 @@ func TestKernelBudgetGate(t *testing.T) {
 		c := linalg.NewDense(s, s)
 		partials := make([]float64, parallel.ReduceBlocks(n)*s*s)
 		var arena linalg.PackArena
-		tBlocked := minTime(reps, func() { linalg.AtBPackedBudget(parallel.Live(), a, b, c, partials, &arena) })
-		tNaive := minTime(reps, func() { naiveAtB(a, b, c) })
-		check("atb_blocked_vs_naive", float64(tNaive)/float64(tBlocked))
+		check("atb_blocked_vs_naive", speedup(reps,
+			func() { linalg.AtBPackedBudget(parallel.Live(), a, b, c, partials, &arena) },
+			func() { naiveAtB(a, b, c) }))
 	}
 
 	// Panel-blocked Gram-Schmidt vs the unblocked Level-1 sweep (DOrtho).
@@ -125,9 +133,9 @@ func TestKernelBudgetGate(t *testing.T) {
 		}
 		sc := ortho.NewScratch(n, s)
 		l1 := newLevel1Scratch(n, s)
-		tPanel := minTime(reps, func() { ortho.DOrthogonalizeBudget(parallel.Live(), b, d, ortho.MGS, sc) })
-		tL1 := minTime(reps, func() { l1.sweep(b, d) })
-		check("panel_mgs_vs_level1", float64(tL1)/float64(tPanel))
+		check("panel_mgs_vs_level1", speedup(reps,
+			func() { ortho.DOrthogonalizeBudget(parallel.Live(), b, d, ortho.MGS, sc) },
+			func() { l1.sweep(b, d) }))
 	}
 
 	// Row-packed L·S vs one SpMV per column (TripleProd's P = L·S) on the
@@ -141,13 +149,13 @@ func TestKernelBudgetGate(t *testing.T) {
 		srm := make([]float64, g.NumV*s.Cols)
 		var arena linalg.PackArena
 		bud := parallel.FixedBudget(1)
-		tRows := minTime(reps, func() { linalg.LapMulDenseTiledPackedBudget(bud, g, deg, s, p, srm, &arena) })
-		tSpMV := minTime(reps, func() {
-			for j := 0; j < s.Cols; j++ {
-				linalg.LapMulVecBudget(bud, g, deg, s.Col(j), p.Col(j))
-			}
-		})
-		check("ls_rowpacked_vs_spmv", float64(tSpMV)/float64(tRows))
+		check("ls_rowpacked_vs_spmv", speedup(reps,
+			func() { linalg.LapMulDenseTiledPackedBudget(bud, g, deg, s, p, srm, &arena) },
+			func() {
+				for j := 0; j < s.Cols; j++ {
+					linalg.LapMulVecBudget(bud, g, deg, s.Col(j), p.Col(j))
+				}
+			}))
 	}
 
 	// One-walk TripleProd vs the two passes it replaces — unpack S from the
@@ -161,15 +169,15 @@ func TestKernelBudgetGate(t *testing.T) {
 		partials := make([]float64, parallel.ReduceBlocks(g.NumV)*s.Cols*s.Cols)
 		var arena linalg.PackArena
 		bud := parallel.FixedBudget(1)
-		tFused := minTime(reps, func() { linalg.TripleProdBudget(bud, g, deg, pc, 0, z, srm, partials, &arena) })
-		tTwo := minTime(reps, func() {
-			for j := 0; j < s.Cols; j++ {
-				pc.CopyColIntoBudget(bud, s.Col(j), j)
-			}
-			linalg.LapMulDenseTiledPackedBudget(bud, g, deg, s, p, srm, &arena)
-			linalg.AtBPackedBudget(bud, s, p, z, partials, &arena)
-		})
-		check("tripleprod_fused_vs_twopass", float64(tTwo)/float64(tFused))
+		check("tripleprod_fused_vs_twopass", speedup(reps,
+			func() { linalg.TripleProdBudget(bud, g, deg, pc, 0, z, srm, partials, &arena) },
+			func() {
+				for j := 0; j < s.Cols; j++ {
+					pc.CopyColIntoBudget(bud, s.Col(j), j)
+				}
+				linalg.LapMulDenseTiledPackedBudget(bud, g, deg, s, p, srm, &arena)
+				linalg.AtBPackedBudget(bud, s, p, z, partials, &arena)
+			}))
 	}
 
 	// Fused widen+min+argmax vs the three-pass sequence (BFS bookkeeping).
@@ -182,16 +190,14 @@ func TestKernelBudgetGate(t *testing.T) {
 		for i := range src {
 			src[i] = int32(r.Intn(1 << 20))
 		}
-		reset := func() {
-			for i := range dmin {
-				dmin[i] = int32(1) << 30
-			}
+		for i := range dmin {
+			dmin[i] = int32(1) << 30
 		}
-		reset()
-		tFused := minTime(reps, func() { linalg.WidenMinArgmaxBudget(parallel.Live(), dst, dmin, src, nil, nil) })
-		reset()
-		tUnfused := minTime(reps, func() { unfusedWidenMinArgmax(dst, dmin, src) })
-		check("fused_widen_vs_unfused", float64(tUnfused)/float64(tFused))
+		// Both kernels run the same min pass over dmin, which holds src
+		// from the first call on.
+		check("fused_widen_vs_unfused", speedup(reps,
+			func() { linalg.WidenMinArgmaxBudget(parallel.Live(), dst, dmin, src, nil, nil) },
+			func() { unfusedWidenMinArgmax(dst, dmin, src) }))
 	}
 
 	// Direction-optimizing tiled MSBFS vs the same engine pinned top-down
@@ -201,9 +207,9 @@ func TestKernelBudgetGate(t *testing.T) {
 	{
 		g, sources, rows, sc := msbfsFixture(18, 16)
 		bud := parallel.FixedBudget(1)
-		tOpt := minTime(3, func() { bfs.MSBFS(bud, g, sources, rows, sc, bfs.Options{}) })
-		tTD := minTime(3, func() { bfs.MSBFS(bud, g, sources, rows, sc, bfs.Options{ForceTopDown: true}) })
-		check("msbfs_diropt_vs_topdown", float64(tTD)/float64(tOpt))
+		check("msbfs_diropt_vs_topdown", speedup(3,
+			func() { bfs.MSBFS(bud, g, sources, rows, sc, bfs.Options{}) },
+			func() { bfs.MSBFS(bud, g, sources, rows, sc, bfs.Options{ForceTopDown: true}) }))
 	}
 
 	// Single-source Runner vs itself pinned top-down, 10 strided sources.
@@ -212,15 +218,16 @@ func TestKernelBudgetGate(t *testing.T) {
 	// measured 0.40); on kron it must keep the bottom-up win.
 	dirOptSpeedup := func(g *graph.CSR) float64 {
 		dist := make([]int32, g.NumV)
-		run := func(opt bfs.Options) time.Duration {
-			r := bfs.NewRunner(g, opt, nil, parallel.FixedBudget(1))
-			return minTime(reps, func() {
+		sc := bfs.NewScratch(g.NumV, 1) // both runners traverse over the same memory
+		run := func(opt bfs.Options) func() {
+			r := bfs.NewRunner(g, opt, sc, parallel.FixedBudget(1))
+			return func() {
 				for i := 0; i < 10; i++ {
 					r.Distances(int32(i*(g.NumV/10)), dist)
 				}
-			})
+			}
 		}
-		return float64(run(bfs.Options{ForceTopDown: true})) / float64(run(bfs.Options{}))
+		return speedup(reps, run(bfs.Options{}), run(bfs.Options{ForceTopDown: true}))
 	}
 	check("bfs_diropt_vs_topdown_road", dirOptSpeedup(gen.Road(256, 256, 1)))
 	check("bfs_diropt_vs_topdown_kron", dirOptSpeedup(gen.Kron(16, 16, 102)))

@@ -57,9 +57,9 @@ func TestParallelEfficiencyGate(t *testing.T) {
 		a, b := randDense(n, s, 11), randDense(n, s, 12)
 		partials := make([]float64, parallel.ReduceBlocks(n)*s*s)
 		var arena linalg.PackArena
-		t1 := minTime(reps, func() { linalg.AtBPackedBudget(serial, a, b, nil, partials, &arena) })
-		tp := minTime(reps, func() { linalg.AtBPackedBudget(par, a, b, nil, partials, &arena) })
-		check("atb_parallel", float64(t1)/float64(tp))
+		check("atb_parallel", speedup(reps,
+			func() { linalg.AtBPackedBudget(par, a, b, nil, partials, &arena) },
+			func() { linalg.AtBPackedBudget(serial, a, b, nil, partials, &arena) }))
 	}
 
 	// Parallel panel MGS: packed fan-out scaling.
@@ -72,9 +72,9 @@ func TestParallelEfficiencyGate(t *testing.T) {
 		}
 		sc := ortho.NewScratch(n, s)
 		b1 := randDense(n, s, 14)
-		t1 := minTime(reps, func() { ortho.DOrthogonalizeBudget(serial, cloneDense(b1), d, ortho.MGS, sc) })
-		tp := minTime(reps, func() { ortho.DOrthogonalizeBudget(par, cloneDense(b1), d, ortho.MGS, sc) })
-		check("panel_mgs_parallel", float64(t1)/float64(tp))
+		check("panel_mgs_parallel", speedup(reps,
+			func() { ortho.DOrthogonalizeBudget(par, cloneDense(b1), d, ortho.MGS, sc) },
+			func() { ortho.DOrthogonalizeBudget(serial, cloneDense(b1), d, ortho.MGS, sc) }))
 	}
 
 	// Parallel fused widen/min/argmax with the fixed-tile reduction.
@@ -89,16 +89,12 @@ func TestParallelEfficiencyGate(t *testing.T) {
 		}
 		tiles := parallel.ReduceBlocks(n)
 		idxs, vals := make([]int, tiles), make([]int32, tiles)
-		reset := func() {
-			for i := range dmin {
-				dmin[i] = int32(1) << 30
-			}
+		for i := range dmin {
+			dmin[i] = int32(1) << 30
 		}
-		reset()
-		t1 := minTime(reps, func() { linalg.WidenMinArgmaxBudget(serial, dst, dmin, src, idxs, vals) })
-		reset()
-		tp := minTime(reps, func() { linalg.WidenMinArgmaxBudget(par, dst, dmin, src, idxs, vals) })
-		check("fused_widen_parallel", float64(t1)/float64(tp))
+		check("fused_widen_parallel", speedup(reps,
+			func() { linalg.WidenMinArgmaxBudget(par, dst, dmin, src, idxs, vals) },
+			func() { linalg.WidenMinArgmaxBudget(serial, dst, dmin, src, idxs, vals) }))
 	}
 
 	// Tiled direction-optimizing MSBFS: the blocked bitmap passes must
@@ -106,9 +102,9 @@ func TestParallelEfficiencyGate(t *testing.T) {
 	// writes are CAS-free precisely because of that ownership).
 	{
 		g, sources, rows, sc := msbfsFixture(18, 16)
-		t1 := minTime(reps, func() { bfs.MSBFS(serial, g, sources, rows, sc, bfs.Options{}) })
-		tp := minTime(reps, func() { bfs.MSBFS(par, g, sources, rows, sc, bfs.Options{}) })
-		check("msbfs_tiled", float64(t1)/float64(tp))
+		check("msbfs_tiled", speedup(reps,
+			func() { bfs.MSBFS(par, g, sources, rows, sc, bfs.Options{}) },
+			func() { bfs.MSBFS(serial, g, sources, rows, sc, bfs.Options{}) }))
 	}
 
 	// Whole-layout scaling on the paper's headline graph shape: kron 2^18
@@ -123,9 +119,7 @@ func TestParallelEfficiencyGate(t *testing.T) {
 				}
 			}
 		}
-		t1 := minTime(3, run(1))
-		tp := minTime(3, run(workers))
-		check("layout_parallel", float64(t1)/float64(tp))
+		check("layout_parallel", speedup(3, run(workers), run(1)))
 	}
 }
 

@@ -8,10 +8,10 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/phase"
 )
 
 // Config bundles one end-to-end run.
@@ -31,7 +31,6 @@ type Result struct {
 	Layout  *core.Layout
 	Report  *core.Report
 	Quality core.Quality // zero value when SkipQuality
-	Elapsed time.Duration
 }
 
 // RunCtx lays out g according to cfg with cooperative cancellation: ctx
@@ -39,7 +38,6 @@ type Result struct {
 // BFS pivot loop. On cancellation the returned error satisfies
 // errors.Is(err, ctx.Err()).
 func RunCtx(ctx context.Context, g *graph.CSR, cfg Config) (*Result, error) {
-	start := time.Now()
 	res := &Result{}
 	var err error
 	res.Layout, res.Report, err = core.ParHDECtx(ctx, g, cfg.Layout)
@@ -50,9 +48,10 @@ func RunCtx(ctx context.Context, g *graph.CSR, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("pipeline: parhde: %w", err)
 	}
 	if !cfg.SkipQuality {
-		core.NotifyPhase(ctx, "quality")
+		if ws := cfg.Layout.Workspace; ws != nil {
+			ws.Clock.Enter(phase.Quality) // the run's clock, after its Breakdown was read
+		}
 		res.Quality = core.Evaluate(g, res.Layout)
 	}
-	res.Elapsed = time.Since(start)
 	return res, nil
 }

@@ -7,11 +7,13 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/workspace"
 )
 
 func TestRunCtx(t *testing.T) {
 	g := gen.PlateWithHoles(25, 25)
-	res, err := RunCtx(context.Background(), g, Config{Layout: core.Options{Subspace: 10, Seed: 1}})
+	ws := workspace.New()
+	res, err := RunCtx(context.Background(), g, Config{Layout: core.Options{Subspace: 10, Seed: 1, Workspace: ws}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,8 +26,12 @@ func TestRunCtx(t *testing.T) {
 	if res.Report == nil {
 		t.Fatal("missing report")
 	}
-	if res.Elapsed <= 0 {
-		t.Fatal("elapsed not recorded")
+	if res.Report.Breakdown.Total <= 0 {
+		t.Fatal("run not timed")
+	}
+	// The quality step runs on the layout's clock, after its Breakdown.
+	if p := ws.Clock.Live(); p != "quality" {
+		t.Fatalf("live phase after the quality step %q, want quality", p)
 	}
 
 	skipped, err := RunCtx(context.Background(), g, Config{Layout: core.Options{Subspace: 10, Seed: 1}, SkipQuality: true})

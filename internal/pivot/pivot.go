@@ -10,8 +10,8 @@
 //
 // Every strategy streams: Stream hands each column, in pivot order, to a
 // consumer as soon as it is produced, so the n×s distance matrix B need
-// never be stored. PhaseBudget is the same stream written into B, for the
-// callers that need the whole matrix.
+// never be stored; Fill is the consumer that writes B, for the callers
+// that need the whole matrix.
 package pivot
 
 import (
@@ -21,6 +21,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/linalg"
 	"repro/internal/parallel"
+	"repro/internal/phase"
 )
 
 // Strategy selects the pivot-selection algorithm.
@@ -49,9 +50,8 @@ func (s Strategy) String() string {
 	}
 }
 
-// PhaseStats decomposes BFS-phase time the way Figure 5 (middle) does:
-// pure traversal versus "other" overhead (source selection, the min-update
-// reduction, and the int→float widening of each column).
+// PhaseStats is what the BFS phase records besides its time, which it
+// charges to a phase clock.
 type PhaseStats struct {
 	Sources []int32
 	// Traversal holds per-traversal statistics: one entry per BFS under
@@ -129,57 +129,70 @@ func grow[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// PhaseBudget is Stream materialized: pivot i's distances land in column
-// i of the n×s column-major matrix b, where s = b.Cols.
+// PhaseBudget is Stream into Fill(b), timed by a hook pair instead of a
+// clock: each traversal runs inside onTraversal, the rest inside onOther.
 func PhaseBudget(bud parallel.Budget, g *graph.CSR, b *linalg.Dense, start int32, strat Strategy, opt bfs.Options, sc *Scratch, onTraversal, onOther func(f func())) PhaseStats {
-	st, _ := Stream(context.Background(), bud, g, b.Cols, start, strat, opt, sc, fill(b), onTraversal, onOther)
+	hooks := func(p phase.ID, f func()) {
+		if p == phase.BFSTraversal {
+			onTraversal(f)
+		} else {
+			onOther(f)
+		}
+	}
+	st, _ := stream(context.Background(), bud, g, b.Cols, start, strat, opt, sc, Fill(b), hooks)
 	return st
 }
 
-// fill is the consumer that stores each streamed column in b.
-func fill(b *linalg.Dense) Emit {
+// Fill returns the consumer that stores each streamed column in b.
+func Fill(b *linalg.Dense) Emit {
 	return func(i int, col []float64) error {
 		copy(b.Col(i), col)
 		return nil
 	}
 }
 
+// timer runs f as BFS phase p, BFSTraversal or BFSOther: Stream enters p
+// on its clock, PhaseBudget hands f to its hook for p.
+type timer func(p phase.ID, f func())
+
 // Stream runs the complete BFS phase: s traversals from pivots chosen by
 // the given strategy, each column of hop distances handed to emit in pivot
 // order (unreached vertices read as bfs.Unreached, i.e. -1). start is the
-// randomly-chosen first vertex (Algorithm 3, line 4); timers for traversal
-// vs. other work are accumulated via the optional hooks. The phase runs
-// over sc's pooled buffers (nil allocates fresh ones) and the columns are
-// bit-identical either way. Live budgets are snapshotted once on entry, so
-// every traversal, fill, and reduction of the phase shares one worker
-// count — a GOMAXPROCS change mid-phase cannot re-partition running
-// kernels. ctx is checked before every traversal — each pivot under
-// KCenters, each round under Random, each 64-source batch under RandomMS —
-// and the first error from ctx or emit stops the phase and is returned.
-func Stream(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int, start int32, strat Strategy, opt bfs.Options, sc *Scratch, emit Emit, onTraversal, onOther func(f func())) (PhaseStats, error) {
+// randomly-chosen first vertex (Algorithm 3, line 4). clk enters
+// BFSTraversal for each traversal and BFSOther for the work around them;
+// emit enters its own phase. The phase runs over sc's pooled buffers (nil
+// allocates fresh ones), bit-identically either way, and on one snapshot
+// of a live bud, so a GOMAXPROCS change mid-phase cannot re-partition
+// running kernels. ctx is checked before every traversal — each pivot
+// under KCenters, each round under Random, each 64-source batch under
+// RandomMS — and the first error from ctx or emit stops the phase and is
+// returned.
+func Stream(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int, start int32, strat Strategy, opt bfs.Options, sc *Scratch, emit Emit, clk *phase.Clock) (PhaseStats, error) {
+	clk.Enter(phase.BFSOther)
+	return stream(ctx, bud, g, s, start, strat, opt, sc, emit, func(p phase.ID, f func()) {
+		clk.Enter(p)
+		f()
+	})
+}
+
+func stream(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int, start int32, strat Strategy, opt bfs.Options, sc *Scratch, emit Emit, t timer) (PhaseStats, error) {
 	if !bud.Fixed() {
 		bud = parallel.SnapshotBudget()
-	}
-	if onTraversal == nil {
-		onTraversal = func(f func()) { f() }
-	}
-	if onOther == nil {
-		onOther = func(f func()) { f() }
 	}
 	if sc == nil {
 		sc = &Scratch{}
 	}
 	switch strat {
 	case Random:
-		return randomPhase(ctx, bud, g, s, start, sc, emit, onTraversal, onOther)
+		return randomPhase(ctx, bud, g, s, start, sc, emit, t)
 	case RandomMS:
-		return randomMSPhase(ctx, bud, g, s, start, opt, sc, emit, onTraversal, onOther)
+		return randomMSPhase(ctx, bud, g, s, start, opt, sc, emit, t)
 	default:
-		return kCentersPhase(ctx, bud, g, s, start, opt, sc, emit, onTraversal, onOther)
+		return kCentersPhase(ctx, bud, g, s, start, opt, sc, emit, t)
 	}
 }
 
-func kCentersPhase(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int, start int32, opt bfs.Options, sc *Scratch, emit Emit, onTraversal, onOther func(f func())) (PhaseStats, error) {
+func kCentersPhase(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int, start int32, opt bfs.Options, sc *Scratch, emit Emit, t timer) (PhaseStats, error) {
 	n := g.NumV
 	sc.Ensure(n)
 	runner := bfs.NewRunner(g, opt, sc.trav, bud)
@@ -191,9 +204,9 @@ func kCentersPhase(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int
 		Traversal: make([]bfs.Stats, 0, s),
 	}
 	src := start
-	// The timing hooks' closures are hoisted out of the pivot loop (and
-	// read their loop state through captured variables) so the
-	// steady-state loop body allocates nothing.
+	// The timed closures are hoisted out of the pivot loop (and read their
+	// loop state through captured variables) so the steady-state loop body
+	// allocates nothing.
 	var ts bfs.Stats
 	traverse := func() { ts = runner.Distances(src, dist) }
 	other := func() {
@@ -208,10 +221,10 @@ func kCentersPhase(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int
 			return st, err
 		}
 		st.Sources = append(st.Sources, src)
-		onTraversal(traverse)
+		t(phase.BFSTraversal, traverse)
 		st.Traversal = append(st.Traversal, ts)
 		st.ScannedEdges += ts.ScannedEdges
-		onOther(other)
+		t(phase.BFSOther, other)
 		if err := emit(i, col); err != nil {
 			return st, err
 		}
@@ -250,13 +263,10 @@ func drawSources(sc *Scratch, n int, start int32, sources []int32) {
 // worker, each traversal into its worker's row by a one-worker Runner on
 // the worker's own pooled scratch, pinned top-down like the bfs.Serial it
 // replaced. With s ≥ workers this keeps every core busy without per-level
-// barriers; the round's columns are then widened and emitted in pivot
-// order.
-func randomPhase(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int, start int32, sc *Scratch, emit Emit, onTraversal, onOther func(f func())) (PhaseStats, error) {
-	n := g.NumV
+// barriers.
+func randomPhase(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int, start int32, sc *Scratch, emit Emit, t timer) (PhaseStats, error) {
 	st := PhaseStats{Sources: make([]int32, s)}
-	onOther(func() { drawSources(sc, n, start, st.Sources) })
-	dists := sc.rows(n, min(bud.Workers(), s))
+	dists := sc.rows(g.NumV, min(bud.Workers(), s))
 	runners := make([]*bfs.Runner, len(dists))
 	for len(sc.travs) < len(dists) {
 		sc.travs = append(sc.travs, &bfs.Scratch{})
@@ -264,40 +274,23 @@ func randomPhase(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int, 
 	for k := range runners {
 		runners[k] = bfs.NewRunner(g, bfs.Options{ForceTopDown: true}, sc.travs[k], parallel.FixedBudget(1))
 	}
-	sc.col = grow(sc.col, n)
-	col := sc.col
-	var lo, hi, i int
-	// Round worker k traverses pivot lo+k; the closures are built once.
+	// Round worker k traverses pivot lo+k; the closure is built once.
+	var lo int
 	one := func(k, _, _ int) { runners[k].Distances(st.Sources[lo+k], dists[k]) }
-	traverse := func() {
+	err := rounds(ctx, bud, g, start, sc, emit, t, st.Sources, dists, func(l, hi int) {
+		lo = l
 		parallel.ForBlockIndexed(hi-lo, hi-lo, one)
 		st.ScannedEdges += int64(hi-lo) * int64(len(g.Adj))
-	}
-	widen := func() { linalg.Int32ToFloat64Budget(bud, col, dists[i-lo]) }
-	for lo = 0; lo < s; lo = hi {
-		if err := ctx.Err(); err != nil {
-			return st, err
-		}
-		hi = min(lo+len(dists), s)
-		onTraversal(traverse)
-		for i = lo; i < hi; i++ {
-			onOther(widen)
-			if err := emit(i, col); err != nil {
-				return st, err
-			}
-		}
-	}
-	return st, nil
+	})
+	return st, err
 }
 
 // randomMSPhase draws random pivots like randomPhase but traverses them in
 // batches of 64 with the bit-parallel multi-source BFS, sharing adjacency
-// scans across all searches in a batch, then widens and emits the batch's
-// rows in turn. With a scratch the batch distance rows, the pivot
-// permutation, and the traversal masks all come from pooled buffers, so
-// the steady-state phase performs no O(n) allocations.
-func randomMSPhase(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int, start int32, opt bfs.Options, sc *Scratch, emit Emit, onTraversal, onOther func(f func())) (PhaseStats, error) {
-	n := g.NumV
+// scans across all searches in a batch. With a scratch the batch distance
+// rows, the pivot permutation, and the traversal masks all come from
+// pooled buffers, so the steady-state phase performs no O(n) allocations.
+func randomMSPhase(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int, start int32, opt bfs.Options, sc *Scratch, emit Emit, t timer) (PhaseStats, error) {
 	if sc.trav == nil {
 		sc.trav = &bfs.Scratch{} // MSBFS sizes only its mask slabs
 	}
@@ -305,31 +298,40 @@ func randomMSPhase(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int
 		Sources:   make([]int32, s),
 		Traversal: make([]bfs.Stats, 0, (s+63)/64),
 	}
-	onOther(func() { drawSources(sc, n, start, st.Sources) })
-	rows := sc.rows(n, min(64, s))
-	sc.col = grow(sc.col, n)
-	col := sc.col
-	// Hoisted batch closures: the loop body reads batch/hi/i through the
-	// captured variables, so the steady-state loop allocates nothing.
-	var batch, hi, i int
-	traverse := func() {
-		ms := bfs.MSBFS(bud, g, st.Sources[batch:hi], rows[:hi-batch], sc.trav, opt)
+	rows := sc.rows(g.NumV, min(64, s))
+	err := rounds(ctx, bud, g, start, sc, emit, t, st.Sources, rows, func(lo, hi int) {
+		ms := bfs.MSBFS(bud, g, st.Sources[lo:hi], rows[:hi-lo], sc.trav, opt)
 		st.Traversal = append(st.Traversal, ms)
 		st.ScannedEdges += ms.ScannedEdges
-	}
-	widen := func() { linalg.Int32ToFloat64Budget(bud, col, rows[i-batch]) }
-	for batch = 0; batch < s; batch = hi {
+	})
+	return st, err
+}
+
+// rounds is the random strategies' one loop: it draws the pivots into
+// sources, then runs them in rounds of len(rows), where traverse(lo, hi)
+// fills rows[:hi-lo] with pivots lo..hi-1's distances, and widens and
+// emits each row in pivot order. ctx is checked before every round.
+func rounds(ctx context.Context, bud parallel.Budget, g *graph.CSR, start int32, sc *Scratch, emit Emit, t timer, sources []int32, rows [][]int32, traverse func(lo, hi int)) error {
+	n := g.NumV
+	t(phase.BFSOther, func() { drawSources(sc, n, start, sources) })
+	sc.col = grow(sc.col, n)
+	col := sc.col
+	// The closures are built once and read lo, hi and i as the loop moves.
+	var lo, hi, i int
+	round := func() { traverse(lo, hi) }
+	widen := func() { linalg.Int32ToFloat64Budget(bud, col, rows[i-lo]) }
+	for lo = 0; lo < len(sources); lo = hi {
 		if err := ctx.Err(); err != nil {
-			return st, err
+			return err
 		}
-		hi = min(batch+64, s)
-		onTraversal(traverse)
-		for i = batch; i < hi; i++ {
-			onOther(widen)
+		hi = min(lo+len(rows), len(sources))
+		t(phase.BFSTraversal, round)
+		for i = lo; i < hi; i++ {
+			t(phase.BFSOther, widen)
 			if err := emit(i, col); err != nil {
-				return st, err
+				return err
 			}
 		}
 	}
-	return st, nil
+	return nil
 }

@@ -13,17 +13,24 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/ortho"
 	"repro/internal/parallel"
+	"repro/internal/phase"
 	"repro/internal/sssp"
 )
 
 // bud4 runs the phases on four workers, whatever GOMAXPROCS is.
 var bud4 = parallel.FixedBudget(4)
 
+// phaseInto streams the BFS phase into b's columns, as PHDE does.
+func phaseInto(bud parallel.Budget, g *graph.CSR, b *linalg.Dense, start int32, strat Strategy, opt bfs.Options) PhaseStats {
+	ps, _ := Stream(context.Background(), bud, g, b.Cols, start, strat, opt, nil, Fill(b), new(phase.Clock))
+	return ps
+}
+
 func TestKCentersPhaseColumnsAreBFSDistances(t *testing.T) {
 	g := gen.Grid2D(20, 20)
 	s := 5
 	b := linalg.NewDense(g.NumV, s)
-	ps := PhaseBudget(bud4, g, b, 0, KCenters, bfs.Options{}, nil, nil, nil)
+	ps := phaseInto(bud4, g, b, 0, KCenters, bfs.Options{})
 	if len(ps.Sources) != s {
 		t.Fatalf("%d sources, want %d", len(ps.Sources), s)
 	}
@@ -45,7 +52,7 @@ func TestKCentersFarthestFirstProperty(t *testing.T) {
 	g := gen.PlateWithHoles(25, 25)
 	s := 4
 	b := linalg.NewDense(g.NumV, s)
-	ps := PhaseBudget(bud4, g, b, 3, KCenters, bfs.Options{}, nil, nil, nil)
+	ps := phaseInto(bud4, g, b, 3, KCenters, bfs.Options{})
 	for i := 1; i < s; i++ {
 		chosen := ps.Sources[i]
 		var chosenMin float64 = math.Inf(1)
@@ -74,7 +81,7 @@ func TestKCentersSourcesOnPath(t *testing.T) {
 	// On a path started at vertex 0, the second pivot must be the far end.
 	g := gen.Path(100)
 	b := linalg.NewDense(g.NumV, 2)
-	ps := PhaseBudget(bud4, g, b, 0, KCenters, bfs.Options{}, nil, nil, nil)
+	ps := phaseInto(bud4, g, b, 0, KCenters, bfs.Options{})
 	if ps.Sources[1] != 99 {
 		t.Fatalf("second pivot %d, want 99", ps.Sources[1])
 	}
@@ -84,7 +91,7 @@ func TestRandomPhaseDistancesCorrect(t *testing.T) {
 	g := gen.Kron(9, 8, 4)
 	s := 6
 	b := linalg.NewDense(g.NumV, s)
-	ps := PhaseBudget(bud4, g, b, 7, Random, bfs.Options{}, nil, nil, nil)
+	ps := phaseInto(bud4, g, b, 7, Random, bfs.Options{})
 	if len(ps.Sources) != s {
 		t.Fatalf("%d sources", len(ps.Sources))
 	}
@@ -126,7 +133,7 @@ func TestStreamWeightedMatchesDijkstra(t *testing.T) {
 	g := gen.WithRandomWeights(gen.Grid2D(15, 15), 9, 5)
 	s := 4
 	b := linalg.NewDense(g.NumV, s)
-	ps, err := StreamWeighted(context.Background(), bud4, g, s, 2, 0, fill(b), nil, nil)
+	ps, err := StreamWeighted(context.Background(), bud4, g, s, 2, 0, Fill(b), new(phase.Clock))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +170,7 @@ func TestStrategyString(t *testing.T) {
 func TestRandomPhaseMoreSourcesThanVertices(t *testing.T) {
 	g := gen.Complete(5)
 	b := linalg.NewDense(g.NumV, 4)
-	ps := PhaseBudget(bud4, g, b, 1, Random, bfs.Options{}, nil, nil, nil)
+	ps := phaseInto(bud4, g, b, 1, Random, bfs.Options{})
 	if len(ps.Sources) != 4 {
 		t.Fatalf("%d sources", len(ps.Sources))
 	}
@@ -175,7 +182,7 @@ func TestRandomMSPhaseDistancesCorrect(t *testing.T) {
 	g := gen.Kron(9, 8, 4)
 	s := 70 // exercises two MSBFS batches
 	b := linalg.NewDense(g.NumV, s)
-	ps := PhaseBudget(bud4, g, b, 3, RandomMS, bfs.Options{}, nil, nil, nil)
+	ps := phaseInto(bud4, g, b, 3, RandomMS, bfs.Options{})
 	if len(ps.Sources) != s || ps.Sources[0] != 3 {
 		t.Fatalf("sources %v", ps.Sources[:3])
 	}
@@ -217,8 +224,8 @@ func TestRandomMSForceTopDownMatchesDefault(t *testing.T) {
 	s := 40
 	b1 := linalg.NewDense(g.NumV, s)
 	b2 := linalg.NewDense(g.NumV, s)
-	p1 := PhaseBudget(bud4, g, b1, 5, RandomMS, bfs.Options{}, nil, nil, nil)
-	p2 := PhaseBudget(bud4, g, b2, 5, RandomMS, bfs.Options{ForceTopDown: true}, nil, nil, nil)
+	p1 := phaseInto(bud4, g, b1, 5, RandomMS, bfs.Options{})
+	p2 := phaseInto(bud4, g, b2, 5, RandomMS, bfs.Options{ForceTopDown: true})
 	for i := range b1.Data {
 		if b1.Data[i] != b2.Data[i] {
 			t.Fatal("ForceTopDown changed the distance matrix")
@@ -245,8 +252,8 @@ func TestRandomMSMatchesRandomPhase(t *testing.T) {
 	s := 10
 	b1 := linalg.NewDense(g.NumV, s)
 	b2 := linalg.NewDense(g.NumV, s)
-	p1 := PhaseBudget(bud4, g, b1, 7, Random, bfs.Options{}, nil, nil, nil)
-	p2 := PhaseBudget(bud4, g, b2, 7, RandomMS, bfs.Options{}, nil, nil, nil)
+	p1 := phaseInto(bud4, g, b1, 7, Random, bfs.Options{})
+	p2 := phaseInto(bud4, g, b2, 7, RandomMS, bfs.Options{})
 	for i := range p1.Sources {
 		if p1.Sources[i] != p2.Sources[i] {
 			t.Fatalf("pivot sets diverge at %d", i)
@@ -270,7 +277,7 @@ func TestKCentersPhaseBudgetInvariance(t *testing.T) {
 		var ref PhaseStats
 		for _, w := range []int{1, 2, 4} {
 			b := linalg.NewDense(g.NumV, 6)
-			ps := PhaseBudget(parallel.FixedBudget(w), g, b, 7, KCenters, bfs.Options{}, nil, nil, nil)
+			ps := phaseInto(parallel.FixedBudget(w), g, b, 7, KCenters, bfs.Options{})
 			if w == 1 {
 				refB, ref = b, ps
 				continue
@@ -288,7 +295,7 @@ func TestKCentersPhaseBudgetInvariance(t *testing.T) {
 // TestStreamMatchesMaterialized: for every strategy, the weighted
 // Δ-stepping stream included, the columns Stream hands its consumer, fed
 // one at a time to an ortho.Incremental, give the same orthogonalization
-// bit for bit as PhaseBudget's materialized matrix fed to
+// bit for bit as the materialized matrix (Fill) fed to
 // DOrthogonalizeBudget — under both methods, in pivot order, through one
 // scratch every stream before it has dirtied. This is what lets ParHDE
 // stream without ever storing the distance matrix.
@@ -314,9 +321,9 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 			b := linalg.NewDense(n, s)
 			var want, got PhaseStats
 			if c.g.Weighted() {
-				want, _ = StreamWeighted(context.Background(), bud, c.g, s, start, 0, fill(b), nil, nil)
+				want, _ = StreamWeighted(context.Background(), bud, c.g, s, start, 0, Fill(b), new(phase.Clock))
 			} else {
-				want = PhaseBudget(bud, c.g, b, start, c.strat, bfs.Options{}, nil, nil, nil)
+				want = phaseInto(bud, c.g, b, start, c.strat, bfs.Options{})
 			}
 			ref := ortho.DOrthogonalizeBudget(bud, b, d, method, nil)
 
@@ -332,9 +339,9 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 			}
 			var err error
 			if c.g.Weighted() {
-				got, err = StreamWeighted(context.Background(), bud, c.g, s, start, 0, emit, nil, nil)
+				got, err = StreamWeighted(context.Background(), bud, c.g, s, start, 0, emit, new(phase.Clock))
 			} else {
-				got, err = Stream(context.Background(), bud, c.g, s, start, c.strat, bfs.Options{}, sc, emit, nil, nil)
+				got, err = Stream(context.Background(), bud, c.g, s, start, c.strat, bfs.Options{}, sc, emit, new(phase.Clock))
 			}
 			if err != nil || next != s {
 				t.Fatalf("%s/%v: %d columns emitted, error %v", c.name, method, next, err)
@@ -374,14 +381,19 @@ func TestStreamStopsOnError(t *testing.T) {
 	stop := errors.New("stop")
 	for _, strat := range []Strategy{KCenters, Random, RandomMS} {
 		var trav int
-		onTrav := func(f func()) { trav++; f() }
-		_, err := Stream(context.Background(), parallel.FixedBudget(1), g, 5, 0, strat, bfs.Options{}, nil,
+		count := func(p phase.ID, f func()) {
+			if p == phase.BFSTraversal {
+				trav++
+			}
+			f()
+		}
+		_, err := stream(context.Background(), parallel.FixedBudget(1), g, 5, 0, strat, bfs.Options{}, nil,
 			func(i int, _ []float64) error {
 				if i == 1 {
 					return stop
 				}
 				return nil
-			}, onTrav, nil)
+			}, count)
 		// Random runs one BFS per round on one worker; RandomMS traverses
 		// all five pivots in one batch.
 		want := map[Strategy]int{KCenters: 2, Random: 2, RandomMS: 1}[strat]
@@ -391,13 +403,13 @@ func TestStreamStopsOnError(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		trav = 0
-		if _, err := Stream(ctx, parallel.FixedBudget(1), g, 5, 0, strat, bfs.Options{}, nil,
-			func(int, []float64) error { return nil }, onTrav, nil); !errors.Is(err, context.Canceled) || trav != 0 {
+		if _, err := stream(ctx, parallel.FixedBudget(1), g, 5, 0, strat, bfs.Options{}, nil,
+			func(int, []float64) error { return nil }, count); !errors.Is(err, context.Canceled) || trav != 0 {
 			t.Fatalf("%v: cancelled stream returned %v after %d traversals", strat, err, trav)
 		}
 	}
 	if _, err := StreamWeighted(context.Background(), parallel.FixedBudget(1), gen.WithRandomWeights(g, 5, 1), 5, 0, 0,
-		func(i int, _ []float64) error { return stop }, nil, nil); !errors.Is(err, stop) {
+		func(i int, _ []float64) error { return stop }, new(phase.Clock)); !errors.Is(err, stop) {
 		t.Fatalf("weighted stream returned %v", err)
 	}
 }

@@ -258,7 +258,7 @@ func NewWithConfig(g *graph.CSR, opt core.Options, cfg Config) (*Server, error) 
 		return nil, err
 	}
 	s.recordBFS(rep)
-	s.install(DefaultGraph, g, layout, rep, opt, core.Evaluate(g, layout), rep.Breakdown.Total)
+	s.install(DefaultGraph, g, layout, rep, opt, core.Evaluate(g, layout))
 
 	idPrefix := ""
 	if cfg.WorkerID != "" {
@@ -316,7 +316,7 @@ func (s *Server) onJobDone(j *jobs.Job) {
 		s.coldLayouts.Inc()
 	}
 	s.recordBFS(rep)
-	s.install(j.Graph(), j.Input(), res.Layout, rep, j.Config().Layout, res.Quality, rep.Breakdown.Total)
+	s.install(j.Graph(), j.Input(), res.Layout, rep, j.Config().Layout, res.Quality)
 }
 
 // recordBFS folds a run's traversal-direction split into the BFS
@@ -331,8 +331,7 @@ func (s *Server) recordBFS(rep *core.Report) {
 
 // install makes (layout, report) the current view of the named graph,
 // precomputes its /stats body and points the phase gauges at its report.
-func (s *Server) install(name string, g *graph.CSR, layout *core.Layout, rep *core.Report,
-	opt core.Options, q core.Quality, layoutTime time.Duration) {
+func (s *Server) install(name string, g *graph.CSR, layout *core.Layout, rep *core.Report, opt core.Options, q core.Quality) {
 	stats, err := json.Marshal(map[string]interface{}{
 		"graph":          name,
 		"vertices":       g.NumV,
@@ -341,7 +340,7 @@ func (s *Server) install(name string, g *graph.CSR, layout *core.Layout, rep *co
 		"hallRatio":      q.HallRatio,
 		"meanEdgeLength": q.MeanEdgeLength,
 		"edgeLengthCV":   q.EdgeLengthCV,
-		"layoutSeconds":  layoutTime.Seconds(),
+		"layoutSeconds":  rep.Breakdown.Total.Seconds(),
 	})
 	if err != nil {
 		stats = []byte("{}")
@@ -352,8 +351,7 @@ func (s *Server) install(name string, g *graph.CSR, layout *core.Layout, rep *co
 	if !rep.Warm || opt.Basis == nil {
 		opt.Basis = core.NewBasis(g, opt)
 	}
-	bd := rep.Breakdown
-	s.lastPhases.Store(&bd)
+	s.lastPhases.Store(&rep.Breakdown)
 	s.mu.Lock()
 	s.gens[name]++
 	s.views[name] = &view{

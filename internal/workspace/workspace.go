@@ -25,6 +25,7 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/ortho"
 	"repro/internal/parallel"
+	"repro/internal/phase"
 	"repro/internal/pivot"
 )
 
@@ -73,6 +74,9 @@ type Workspace struct {
 	// workspace-backed run aliases it; Clone before the next run if
 	// retained.
 	Coords []float64
+	// Clock times the run, whose live phase a job engine reads from
+	// another goroutine while the run fills its Report.
+	Clock phase.Clock
 }
 
 // New returns an empty workspace; the first Reshape sizes it.

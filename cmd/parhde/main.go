@@ -12,7 +12,8 @@
 // loops and parallel edges removed, largest connected component extracted.
 // -refine N runs N iterations of eigen.LOBPCG seeded by the layout
 // (§4.5.3) and draws the result, which moves the axes toward the true
-// degree-normalized eigenvectors.
+// degree-normalized eigenvectors. The run report ends with the process's
+// peak RSS where /proc/self/status gives it (Linux).
 package main
 
 import (
@@ -20,6 +21,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/eigen"
@@ -131,6 +134,9 @@ func run() error {
 		q := core.Evaluate(g, lay)
 		fmt.Printf("quality: Hall ratio %.5f, mean edge length %.4f, edge CV %.3f\n",
 			q.HallRatio, q.MeanEdgeLength, q.EdgeLengthCV)
+		if kb, ok := peakRSSKB(); ok {
+			fmt.Printf("peak RSS: %.1f MiB (VmHWM)\n", float64(kb)/1024)
+		}
 	}
 	return emit(g, lay, *pngOut, *svgOut, *dotOut, *coords)
 }
@@ -186,4 +192,20 @@ func emit(g *graph.CSR, lay *core.Layout, pngOut, svgOut, dotOut, coordsOut stri
 		}
 	}
 	return nil
+}
+
+// peakRSSKB returns the process's resident-set high-water mark in KiB, the
+// VmHWM line of /proc/self/status; ok is false where there is none.
+func peakRSSKB() (kb int64, ok bool) {
+	b, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0, false
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if v, found := strings.CutPrefix(line, "VmHWM:"); found {
+			kb, err := strconv.ParseInt(strings.TrimSpace(strings.TrimSuffix(v, "kB")), 10, 64)
+			return kb, err == nil
+		}
+	}
+	return 0, false
 }

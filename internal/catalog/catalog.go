@@ -125,6 +125,15 @@ func (c *Catalog) AddPinned(name string, g *graph.CSR, source string) error {
 	return c.add(name, g, source, true)
 }
 
+// Fits returns ErrTooLarge when a graph of b bytes exceeds the whole
+// budget, so an upload can be refused before its CSR is built.
+func (c *Catalog) Fits(b int64) error {
+	if c.budget > 0 && b > c.budget {
+		return fmt.Errorf("%w: %d bytes against a %d budget", ErrTooLarge, b, c.budget)
+	}
+	return nil
+}
+
 func (c *Catalog) add(name string, g *graph.CSR, source string, pinned bool) error {
 	// "." and ".." pass the character class but are hostile as URL path
 	// segments and filenames; reject them explicitly.
@@ -132,8 +141,8 @@ func (c *Catalog) add(name string, g *graph.CSR, source string, pinned bool) err
 		return fmt.Errorf("%w: %q (want %s)", ErrBadName, name, validName)
 	}
 	gb := GraphBytes(g)
-	if c.budget > 0 && gb > c.budget {
-		return fmt.Errorf("%w: %d bytes against a %d budget", ErrTooLarge, gb, c.budget)
+	if err := c.Fits(gb); err != nil {
+		return err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -224,3 +224,35 @@ func BenchmarkParHDEFresh(b *testing.B) { benchmarkParHDE(b, nil) }
 // BenchmarkParHDEWorkspace reuses one warmed workspace across all runs —
 // the steady state of a job-engine worker.
 func BenchmarkParHDEWorkspace(b *testing.B) { benchmarkParHDE(b, workspace.New()) }
+
+// TestColdLayoutHoldsSOnce: a cold layout's first run through a new
+// workspace allocates S (n·s floats) in one place, the DOrtho store, which
+// the TripleProd phase rewrites in place as the row-major S the walk and
+// the projection read. The bound is three n·s buffers: the store and the
+// workspace's P (still sized for the benchmark's staged replay) take two,
+// and the transpose's tile buffer and every O(n) vector fit in the third.
+// A second row-major copy of S, or an unread n·s DOrtho output matrix,
+// takes the run past it (≈ 4·n·s·8 B before the store became S).
+func TestColdLayoutHoldsSOnce(t *testing.T) {
+	g := gen.Grid2D(130, 130)
+	const s = 64
+	n := g.NumV
+	if tiles := parallel.ReduceBlocks(n); tiles < 4 {
+		t.Fatalf("n = %d spans %d tiles; the test needs at least 4", n, tiles)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ws := workspace.New()
+	ws.Reshape(n, s, 2)
+	if _, _, err := ParHDE(g, Options{Subspace: s, Workers: 1, Workspace: ws}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got, bound := after.TotalAlloc-before.TotalAlloc, uint64(3*n*s*8)
+	t.Logf("first cold layout allocated %.1f MB; n·s·8 = %.1f MB, bound %.1f MB",
+		float64(got)/1e6, float64(n*s*8)/1e6, float64(bound)/1e6)
+	if got > bound {
+		t.Errorf("first cold layout allocated %d B, want at most 3·n·s·8 = %d B", got, bound)
+	}
+}

@@ -148,7 +148,8 @@ func ParHDECtx(ctx context.Context, g *graph.CSR, opt Options) (*Layout, *Report
 }
 
 // subspace is what the BFS + DOrtho and TripleProd phases hand the
-// eigensolve: Z = SᵀLS (k×k), S row-major (n×k) and the diagonal of SᵀDS.
+// eigensolve: Z = SᵀLS (k×k), S row-major (n×k, in the DOrtho store's
+// memory) and the diagonal of SᵀDS.
 type subspace struct {
 	z      *linalg.Dense
 	srm    []float64
@@ -159,7 +160,6 @@ type subspace struct {
 // Its results live in opt.Workspace when there is one.
 func buildSubspace(ctx context.Context, bud parallel.Budget, clk *phase.Clock, g *graph.CSR, s int, opt Options, rep *Report) (subspace, error) {
 	ws := opt.Workspace
-	n := g.NumV
 	// diag(D) weights DOrtho's inner products, so its time is DOrtho's.
 	clk.Enter(phase.DOrtho)
 	var deg []float64
@@ -192,12 +192,10 @@ func buildSubspace(ctx context.Context, bud parallel.Budget, clk *phase.Clock, g
 	var partials []float64
 	var arena *linalg.PackArena
 	if ws != nil {
-		zOut, sub.srm, partials, arena = linalg.ViewDense(ws.Z, k, k), ws.SRM[:n*k], ws.GemmPartials, ws.Pack
-	} else {
-		sub.srm = make([]float64, n*k)
+		zOut, partials, arena = linalg.ViewDense(ws.Z, k, k), ws.GemmPartials, ws.Pack
 	}
 	var lsShare float64
-	sub.z, lsShare = linalg.TripleProdBudget(bud, g, deg, res.Packed, 1, zOut, sub.srm, partials, arena)
+	sub.z, sub.srm, lsShare = linalg.TripleProdBudget(bud, g, deg, res.Packed, 1, zOut, partials, arena)
 	// Fig. 5 splits TripleProd into L·S and SᵀP, which no boundary
 	// separates in the one walk: it reports its workers' time in each
 	// half, and the walk's span is divided in that proportion.

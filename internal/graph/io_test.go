@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -235,5 +236,34 @@ func TestWritersPropagateErrors(t *testing.T) {
 				t.Errorf("%s: write succeeded with %d-byte budget", name, budget)
 			}
 		}
+	}
+}
+
+// TestReadRefusesVertexCountOutOfProportion: a text input whose vertex
+// count (an edge list's largest id + 1, a MatrixMarket size line) exceeds
+// its byte count is refused with ErrTooManyVertices before FromEdges
+// allocates per vertex; a count equal to the byte count still builds.
+// The ids here are small enough that a reader without the check would
+// only allocate a few MB.
+func TestReadRefusesVertexCountOutOfProportion(t *testing.T) {
+	refused := map[string]string{
+		"edges":   "0 1\n1 1000000\n",
+		"mtx":     "%%MatrixMarket matrix coordinate pattern general\n1000000 1000000 1\n1 2\n",
+		"mtx-eof": "%%MatrixMarket matrix coordinate pattern general\n500 500 0\n",
+	}
+	for name, body := range refused {
+		format := strings.TrimSuffix(name, "-eof")
+		if _, err := Read(strings.NewReader(body), format, BuildOptions{KeepAllComponents: true}); !errors.Is(err, ErrTooManyVertices) {
+			t.Errorf("%s: err = %v, want ErrTooManyVertices", name, err)
+		}
+	}
+	// Eight bytes naming vertex 9 (n = 10) are refused; naming vertex 7
+	// (n = 8), they build.
+	if _, err := Read(strings.NewReader("0 1\n1 9\n"), "edges", BuildOptions{KeepAllComponents: true}); !errors.Is(err, ErrTooManyVertices) {
+		t.Errorf("10 vertices from 8 bytes: err = %v, want ErrTooManyVertices", err)
+	}
+	g, err := Read(strings.NewReader("0 1\n1 7\n"), "edges", BuildOptions{KeepAllComponents: true})
+	if err != nil || g.NumV != 8 {
+		t.Fatalf("8 vertices from 8 bytes: g = %v, err = %v; want 8 vertices", g, err)
 	}
 }

@@ -45,7 +45,16 @@ func TestOneWorkerKernelsAllocateNothing(t *testing.T) {
 	}
 	app.Ensure(n, 1)
 	coeffs, dots := randVec(k, rng), make([]float64, 0, k)
-	srm, z := make([]float64, n*k), NewDense(k, k)
+	z := NewDense(k, k)
+	// TripleProd empties its store, so each call refills its own.
+	tp := &PackedCols{}
+	tripleProd := func() {
+		tp.Ensure(n, k+1)
+		for j := 0; j <= k; j++ {
+			tp.AppendScaledDDotBudget(bud, x, nil, 1, partials)
+		}
+		TripleProdBudget(bud, g, deg, tp, 1, z, partials, arena)
+	}
 
 	kernels := []struct {
 		name string
@@ -59,7 +68,7 @@ func TestOneWorkerKernelsAllocateNothing(t *testing.T) {
 		{"MulSmallBudget", func() { MulSmallBudget(bud, a, ycoef, proj) }},
 		{"MulSmallRowMajorBudget", func() { MulSmallRowMajorBudget(bud, arm, ycoef, proj) }},
 		{"AtBPackedBudget", func() { AtBPackedBudget(bud, a, b, c, partials, arena) }},
-		{"TripleProdBudget", func() { TripleProdBudget(bud, g, deg, pc, 1, z, srm, partials, arena) }},
+		{"TripleProdBudget", tripleProd},
 		{"LapMulVecBudget", func() { LapMulVecBudget(bud, g, deg, x, out) }},
 		{"PackedCols.AppendScaledDDotBudget", func() {
 			app.Ensure(n, 1)

@@ -21,7 +21,7 @@ func MulSmallBudget(bud parallel.Budget, a, y, c *Dense) *Dense {
 }
 
 // MulSmallRowMajorBudget is MulSmallBudget with A given row-major: a holds
-// n rows of s = y.Rows floats, as TripleProdBudget leaves srm. Both run
+// n rows of s = y.Rows floats, as TripleProdBudget returns S. Both run
 // one kernel, so they agree bit for bit on the same matrix.
 func MulSmallRowMajorBudget(bud parallel.Budget, a []float64, y, c *Dense) *Dense {
 	n := len(a) / y.Rows

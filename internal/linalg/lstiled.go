@@ -1,7 +1,6 @@
 package linalg
 
 import (
-	"slices"
 	"time"
 
 	"repro/internal/graph"
@@ -48,6 +47,7 @@ func LapMulDenseTiledPackedBudget(bud parallel.Budget, g *graph.CSR, deg []float
 	}
 	workers := bud.BlockWorkers(n)
 	arena.Ensure(workers, min(PackRows, n)*cols)
+	arena.track(workers)
 	ls := lsArgs{g: g, deg: deg, s: s, p: p, srm: srm, arena: arena}
 	parallel.Blocks(workers, n, ls, lsArgs.pack)
 	parallel.Blocks(workers, n, ls, lsArgs.fuse)
@@ -76,28 +76,29 @@ func (x lsArgs) fuse(w, lo, hi int) {
 	n, cols, slot := x.s.Rows, x.s.Cols, x.arena.slot(w)
 	for r0 := lo; r0 < hi; r0 += PackRows {
 		r1 := min(r0+PackRows, hi)
-		fusedRows(x.g, x.deg, x.srm, slot, r0, r1, cols)
+		x.arena.gathers[w] += fusedRows(x.g, x.deg, x.srm, slot, r0, r1, cols)
 		unpackRowMajor(strided{x.p.Data[r0:], n, r1 - r0}, slot, cols)
 	}
 }
 
 // TripleProdBudget computes the TripleProd phase Z = Sᵀ(L·S) in one walk
 // over the rows, S being the n×k matrix in pc's stored columns [first,
-// pc.Len()), read in place. S is first transposed into the row-major srm
-// (capacity ≥ n·k). The walk takes AtBPackedBudget's tile grid; per PackRows
-// chunk of a tile it runs fusedRows into the worker's arena slot, transposes
-// that in cache into a column-packed P chunk, and extends the tile's SᵀP
-// partial (partials: capacity ≥ parallel.ReduceBlocks(n)·k², grown when
-// short) by atbSweep over the chunk and the tile's S slots. Every element of
-// P and of each partial adds the products of LapMulDenseTiledPackedBudget
-// and AtBPackedBudget in the same order, and the partials are combined in
-// tile order, so Z equals that two-pass product bit for bit under every
-// budget while P never outlives a chunk. srm is left holding S for
-// MulSmallRowMajorBudget. z receives Z (allocated when nil); arena may be
-// nil. lsShare is the L·S half's fraction of the workers' time (srm
-// transpose, fusedRows, chunk transpose); the SᵀP sweeps and the combine are
-// the rest.
-func TripleProdBudget(bud parallel.Budget, g *graph.CSR, deg []float64, pc *PackedCols, first int, z *Dense, srm, partials []float64, arena *PackArena) (_ *Dense, lsShare float64) {
+// pc.Len()). It returns S row-major, in the store's memory: the store is
+// first rewritten in place by RowMajorBudget, which empties it. The walk
+// takes AtBPackedBudget's tile grid; per PackRows chunk of a tile it runs
+// fusedRows into the worker's arena slot, transposes that in cache into a
+// column-packed P chunk, gathers the chunk's S rows into a column-packed S
+// chunk, and extends the tile's SᵀP partial (partials: capacity ≥
+// parallel.ReduceBlocks(n)·k², grown when short) by atbSweep over the two.
+// Every element of P and of each partial adds the products of
+// LapMulDenseTiledPackedBudget and AtBPackedBudget in the same order, and
+// the partials are combined in tile order, so Z equals that two-pass
+// product bit for bit under every budget while P never outlives a chunk.
+// srm is what MulSmallRowMajorBudget projects. z receives Z (allocated when
+// nil); arena may be nil. lsShare is the L·S half's fraction of the
+// workers' time (the in-place transpose, fusedRows, the P chunk transpose);
+// the S gathers, the SᵀP sweeps and the combine are the rest.
+func TripleProdBudget(bud parallel.Budget, g *graph.CSR, deg []float64, pc *PackedCols, first int, z *Dense, partials []float64, arena *PackArena) (_ *Dense, srm []float64, lsShare float64) {
 	n, k := pc.n, pc.k-first
 	if n != g.NumV {
 		panic("linalg: TripleProd dimension mismatch")
@@ -113,48 +114,40 @@ func TripleProdBudget(bud parallel.Budget, g *graph.CSR, deg []float64, pc *Pack
 		arena = &PackArena{}
 	}
 	workers := min(bud.Workers(), tiles)
-	arena.Ensure(workers, 2*PackRows*k)
-	arena.busy = slices.Grow(arena.busy[:0], 2*workers)[:2*workers]
-	clear(arena.busy)
-	tp := tripleProd{g: g, deg: deg, pc: pc, srm: srm[:n*k], panels: panels, arena: arena, first: first, k: k}
-	parallel.Tiles(workers, n, tiles, tp, tripleProd.packTile)
-	parallel.Tiles(workers, n, tiles, tp, tripleProd.walkTile)
-	var ls, atb time.Duration
+	start := time.Now()
+	srm = pc.RowMajorBudget(bud, first, arena)
+	// Every worker spends the transpose's span in it.
+	ls := time.Since(start) * time.Duration(workers)
+	arena.Ensure(workers, 3*PackRows*k)
+	arena.track(workers)
+	parallel.Tiles(workers, n, tiles, tripleProd{g: g, deg: deg, srm: srm, panels: panels, arena: arena, k: k}, tripleProd.walkTile)
+	var atb time.Duration
 	for w := 0; w < workers; w++ {
 		ls, atb = ls+arena.busy[2*w], atb+arena.busy[2*w+1]
 	}
-	start := time.Now()
+	start = time.Now()
 	combinePanels(z.Data, panels, tiles, k*k)
 	atb += time.Since(start)
 	if ls+atb > 0 {
 		lsShare = float64(ls) / float64(ls+atb)
 	}
-	return z, lsShare
+	return z, srm, lsShare
 }
 
-// tripleProd is the operands of one TripleProdBudget call. Its methods are
-// the two tile walks' bodies and take it by value, so a one-worker call
+// tripleProd is the operands of one TripleProdBudget call. Its method is
+// the tile walk's body and takes it by value, so a one-worker call
 // allocates nothing.
 type tripleProd struct {
 	g        *graph.CSR
 	deg, srm []float64
-	panels   []float64 // per-tile k×k SᵀP partials
-	pc       *PackedCols
+	panels   []float64  // per-tile k×k SᵀP partials
 	arena    *PackArena // worker slots and busy times
-	first, k int
-}
-
-// packTile transposes tile t's S rows [lo, hi) into srm, charging worker
-// w's L·S time.
-func (tp tripleProd) packTile(w, t, lo, hi int) {
-	start := time.Now()
-	packRowMajor(tp.pc.tileCols(t, tp.first, 0, hi-lo), tp.srm, lo, tp.k)
-	tp.arena.busy[2*w] += time.Since(start)
+	k        int
 }
 
 // walkTile writes tile t's panel Σ_{r∈[lo,hi)} S_r·(L·S)_rᵀ, one PackRows
-// chunk of P at a time through worker w's arena slot, and charges w the
-// time of its L·S and SᵀP halves.
+// chunk of P and of S at a time through worker w's arena slot, and charges
+// w the time of its L·S and SᵀP halves.
 func (tp tripleProd) walkTile(w, t, lo, hi int) {
 	k, slot := tp.k, tp.arena.slot(w)
 	out := tp.panels[t*k*k : (t+1)*k*k]
@@ -164,10 +157,12 @@ func (tp tripleProd) walkTile(w, t, lo, hi int) {
 	for r0 := lo; r0 < hi; r0 += PackRows {
 		r1 := min(r0+PackRows, hi)
 		p := strided{slot[PackRows*k:], r1 - r0, r1 - r0}
-		fusedRows(tp.g, tp.deg, tp.srm, slot, r0, r1, k)
+		s := strided{slot[2*PackRows*k:], r1 - r0, r1 - r0}
+		tp.arena.gathers[w] += fusedRows(tp.g, tp.deg, tp.srm, slot, r0, r1, k)
 		unpackRowMajor(p, slot, k)
 		t1 := time.Now()
-		atbSweep(tp.pc.tileCols(t, tp.first, r0-lo, r1-r0), p, k, k, out)
+		unpackRowMajor(s, tp.srm[r0*k:r1*k], k)
+		atbSweep(s, p, k, k, out)
 		t2 := time.Now()
 		ls, atb, t0 = ls+t1.Sub(t0), atb+t2.Sub(t1), t2
 	}
@@ -198,7 +193,9 @@ func packRowMajor(src strided, srm []float64, lo, cols int) {
 // register locals, so an edge costs one load-add per column instead of a
 // load-add-store through prm. The accumulation order per element matches
 // LapMulVecBudget exactly (from zero, adjacency order, degree term last).
-func fusedRows(g *graph.CSR, deg, srm, prm []float64, lo, hi, cols int) {
+// It returns the neighbour rows it gathered, one per adjacency entry per
+// chunk.
+func fusedRows(g *graph.CSR, deg, srm, prm []float64, lo, hi, cols int) (gathers int64) {
 	for i := lo; i < hi; i++ {
 		o0, o1 := g.Offsets[i], g.Offsets[i+1]
 		adj := g.Adj[o0:o1]
@@ -209,8 +206,8 @@ func fusedRows(g *graph.CSR, deg, srm, prm []float64, lo, hi, cols int) {
 		d := deg[i]
 		self := srm[i*cols : (i+1)*cols]
 		out := prm[(i-lo)*cols : (i-lo+1)*cols]
-		c := 0
-		for ; c+8 <= cols; c += 8 {
+		c, walks := 0, 0
+		for ; c+8 <= cols; c, walks = c+8, walks+1 {
 			s0, s1, s2, s3, s4, s5, s6, s7 := adjSum8(adj, wts, srm, cols, c)
 			x, o := self[c:c+8], out[c:c+8]
 			o[0], o[1], o[2], o[3] = d*x[0]-s0, d*x[1]-s1, d*x[2]-s2, d*x[3]-s3
@@ -220,12 +217,14 @@ func fusedRows(g *graph.CSR, deg, srm, prm []float64, lo, hi, cols int) {
 			s0, s1, s2, s3 := adjSum4(adj, wts, srm, cols, c)
 			x, o := self[c:c+4], out[c:c+4]
 			o[0], o[1], o[2], o[3] = d*x[0]-s0, d*x[1]-s1, d*x[2]-s2, d*x[3]-s3
-			c += 4
+			c, walks = c+4, walks+1
 		}
-		for ; c < cols; c++ {
+		for ; c < cols; c, walks = c+1, walks+1 {
 			out[c] = d*self[c] - adjSum1(adj, wts, srm, cols, c)
 		}
+		gathers += int64(walks * len(adj))
 	}
+	return gathers
 }
 
 // adjSum8 returns Σ_a wts[a]·srm[adj[a]·cols + c + k] for k < 8 (unit

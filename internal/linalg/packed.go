@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/parallel"
@@ -46,6 +47,31 @@ type PackArena struct {
 	per int
 	// busy holds TripleProdBudget's per-worker L·S and SᵀP times.
 	busy []time.Duration
+	// gathers holds the last L·S pass's per-worker gather counts (see
+	// Gathers).
+	gathers []int64
+}
+
+// track sizes and clears the per-worker busy times and gather counts of
+// a call fanned out across workers.
+func (pa *PackArena) track(workers int) {
+	pa.busy = slices.Grow(pa.busy[:0], 2*workers)[:2*workers]
+	clear(pa.busy)
+	pa.gathers = slices.Grow(pa.gathers[:0], workers)[:workers]
+	clear(pa.gathers)
+}
+
+// Gathers reports how many neighbour rows the last L·S pass through the
+// arena (LapMulDenseTiledPackedBudget or TripleProdBudget) loaded: one per
+// adjacency entry per column chunk that fusedRows walks. These are the
+// kernel's random-access loads; s SpMV passes make one per adjacency
+// entry per column. It is the same under every worker budget.
+func (pa *PackArena) Gathers() int64 {
+	var sum int64
+	for _, g := range pa.gathers {
+		sum += g
+	}
+	return sum
 }
 
 // Ensure shapes the arena to workers slots of per floats each, growing

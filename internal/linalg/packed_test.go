@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -405,6 +406,61 @@ func FuzzAtBPackedEquivalence(f *testing.F) {
 				if got.Data[k] != ref.Data[k] {
 					t.Fatalf("n=%d s=%d t=%d workers=%d: packed[%d] %v != triple loop %v",
 						n, s, u, bud.Workers(), k, got.Data[k], ref.Data[k])
+				}
+			}
+		}
+	})
+}
+
+// TestPackedColsRowMajorMatchesColumnCopy: RowMajorBudget leaves the
+// stored columns [first, Len()) as n×k row-major S, bit for bit what a
+// column-by-column copy reads, and an empty store — on one tile, an exact
+// multiple of TileRows and uneven tiles, for one column, for all but one
+// slot and for a full store, after zero or one leading columns, under
+// budgets 1, 2 and 3 with one dirty arena.
+func TestPackedColsRowMajorMatchesColumnCopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	const capCols = 6
+	arena := &PackArena{}
+	arena.Ensure(3, parallel.TileRows*capCols)
+	dirty(arena.buf)
+	withProcs(3, func() {
+		for _, n := range []int{97, parallel.TileRows, 2 * parallel.TileRows, 2*parallel.TileRows + 14} {
+			for _, first := range []int{0, 1} {
+				for _, k := range []int{1, capCols - 1, capCols - first} {
+					cols := make([][]float64, first+k)
+					for j := range cols {
+						cols[j] = randVec(n, rng)
+					}
+					for _, w := range []int{1, 2, 3} {
+						tag := fmt.Sprintf("n=%d tiles=%d first=%d k=%d workers=%d", n, parallel.ReduceBlocks(n), first, k, w)
+						var pc PackedCols
+						pc.Ensure(n, capCols)
+						dirty(pc.buf)
+						for _, c := range cols {
+							pc.AppendScaledDDotBudget(parallel.FixedBudget(1), c, nil, 1, nil)
+						}
+						want := make([]float64, n*k)
+						col := make([]float64, n)
+						for j := 0; j < k; j++ {
+							pc.CopyColIntoBudget(parallel.FixedBudget(1), col, first+j)
+							for i, v := range col {
+								want[i*k+j] = v
+							}
+						}
+						got := pc.RowMajorBudget(parallel.FixedBudget(w), first, arena)
+						if len(got) != n*k {
+							t.Fatalf("%s: len %d, want %d", tag, len(got), n*k)
+						}
+						for i := range want {
+							if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+								t.Fatalf("%s: S[%d][%d] = %v, column copy has %v", tag, i/k, i%k, got[i], want[i])
+							}
+						}
+						if pc.Len() != 0 {
+							t.Fatalf("%s: %d columns stored after RowMajorBudget, want 0", tag, pc.Len())
+						}
+					}
 				}
 			}
 		}

@@ -105,6 +105,7 @@ type packArgs struct {
 	// multi-axpy's coefficients or the multi-dot's per-tile panels.
 	work, d, coeffs []float64
 	a               float64
+	arena           *PackArena // RowMajorBudget's per-worker tile buffers
 }
 
 // appendTile is one tile of AppendScaledDDotBudget: rows [lo, hi) of
@@ -321,4 +322,45 @@ func (pc *PackedCols) CopyColIntoBudget(bud parallel.Budget, dst []float64, j in
 
 func (pa packArgs) copyTile(_, t, lo, hi int) {
 	copy(pa.work[lo:hi], pa.pc.slot(t, pa.j0)[:hi-lo])
+}
+
+// RowMajorBudget rewrites the stored columns [first, Len()) as the n×k
+// row-major matrix S, k = Len()−first, at the front of the store's own
+// buffer, returns that view (valid until the next Ensure) and empties the
+// store: S ends the DOrtho sweep in one copy, with no second n·k buffer.
+// Each tile is transposed through its worker's arena slot (one tile's
+// rows, ≤ ⌈n/tiles⌉·k floats; arena may be nil) and written back to the
+// start of its own tile block; then the tiles move down to row lo·k, one
+// copy each, in tile order. Tile t's block starts at t·capCols·stride ≥
+// lo·k, and its rows end at hi·k ≤ (t+1)·⌈n/tiles⌉·k, short of tile t+1's
+// block at (t+1)·capCols·stride because k ≤ capCols and ⌈n/tiles⌉ <
+// stride, so no copy overwrites a tile that has not moved yet. Only copies
+// move the values, so S holds the stored bits.
+func (pc *PackedCols) RowMajorBudget(bud parallel.Budget, first int, arena *PackArena) []float64 {
+	k := pc.k - first
+	if first < 0 || k < 0 {
+		panic("linalg: PackedCols column range exceeds stored columns")
+	}
+	if arena == nil {
+		arena = &PackArena{}
+	}
+	workers := min(bud.Workers(), pc.tiles)
+	arena.Ensure(workers, (pc.stride-packColPad)*k)
+	parallel.Tiles(workers, pc.n, pc.tiles, packArgs{pc: pc, j0: first, j1: pc.k, arena: arena}, packArgs.rowMajorTile)
+	for t := 1; t < pc.tiles; t++ {
+		lo, hi := t*pc.n/pc.tiles, (t+1)*pc.n/pc.tiles
+		block := t * pc.capCols * pc.stride
+		copy(pc.buf[lo*k:hi*k], pc.buf[block:block+(hi-lo)*k])
+	}
+	pc.k = 0
+	return pc.buf[:pc.n*k]
+}
+
+// rowMajorTile transposes tile t's columns [j0, j1) into worker w's arena
+// slot and writes the rows back to the start of the tile's block.
+func (pa packArgs) rowMajorTile(w, t, lo, hi int) {
+	pc, k := pa.pc, pa.j1-pa.j0
+	rows := pa.arena.slot(w)[:(hi-lo)*k]
+	packRowMajor(pc.tileCols(t, pa.j0, 0, hi-lo), rows, 0, k)
+	copy(pc.buf[t*pc.capCols*pc.stride:], rows)
 }

@@ -30,15 +30,25 @@ func twoPass(g *graph.CSR, deg []float64, s *Dense) *Dense {
 	return AtBPackedBudget(bud, s, p, nil, nil, nil)
 }
 
-// assertTripleProd runs TripleProdBudget over pc (S after one filler
-// column) and checks Z against want and srm against S row-major, bitwise.
-func assertTripleProd(t *testing.T, tag string, bud parallel.Budget, g *graph.CSR, deg []float64, s, want *Dense, pc *PackedCols, srm, partials []float64, arena *PackArena) {
+// assertTripleProd packs s into pc after one filler column over a dirty
+// buffer, runs TripleProdBudget over it and checks Z against want and the
+// returned srm against S row-major, bitwise, and that the store is left
+// empty. It returns srm.
+func assertTripleProd(t *testing.T, tag string, bud parallel.Budget, g *graph.CSR, deg []float64, s, want *Dense, pc *PackedCols, partials []float64, arena *PackArena) []float64 {
 	t.Helper()
 	n, cols := s.Rows, s.Cols
-	got, share := TripleProdBudget(bud, g, deg, pc, 1, nil, srm, partials, arena)
+	dirty(pc.buf)
+	packInto(pc, s, rand.New(rand.NewSource(int64(n))))
+	got, srm, share := TripleProdBudget(bud, g, deg, pc, 1, nil, partials, arena)
 	assertDenseEqual(t, tag, got, want)
 	if !(share >= 0 && share <= 1) {
 		t.Fatalf("%s: L·S share %v outside [0, 1]", tag, share)
+	}
+	if pc.Len() != 0 {
+		t.Fatalf("%s: the store holds %d columns after TripleProd, want 0", tag, pc.Len())
+	}
+	if len(srm) != n*cols {
+		t.Fatalf("%s: len(srm) = %d, want %d", tag, len(srm), n*cols)
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < cols; j++ {
@@ -47,6 +57,7 @@ func assertTripleProd(t *testing.T, tag string, bud parallel.Budget, g *graph.CS
 			}
 		}
 	}
+	return srm
 }
 
 // dirty fills buf with NaN, so a kernel that reads a reused buffer before
@@ -60,18 +71,17 @@ func dirty(buf []float64) []float64 {
 
 // TestTripleProdMatchesTwoPass: the one-walk TripleProd kernel reproduces
 // LapMulDenseTiledPackedBudget followed by AtBPackedBudget bit for bit,
-// and the projection read from the srm it leaves behind reproduces
+// and the projection read from the srm it returns reproduces
 // MulSmallBudget, on the L·S graphs at every column count and under every
-// budget — with one arena, partials buffer and srm reused dirty across all
-// of them, and with private storage.
+// budget — with one store, arena and partials buffer reused dirty across
+// all of them, and with private storage.
 func TestTripleProdMatchesTwoPass(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	maxCols := lsColCounts[len(lsColCounts)-1]
 	maxN := 2*parallel.TileRows + 13
 	arena := &PackArena{}
-	arena.Ensure(4, 2*PackRows*maxCols)
+	arena.Ensure(4, 3*PackRows*maxCols)
 	dirty(arena.buf)
-	srm := dirty(make([]float64, maxN*maxCols))
 	partials := dirty(make([]float64, parallel.ReduceBlocks(maxN)*maxCols*maxCols))
 	var pc PackedCols
 	withProcs(4, func() {
@@ -84,13 +94,12 @@ func TestTripleProdMatchesTwoPass(t *testing.T) {
 				fillRand(y, rng)
 				want := twoPass(g, deg, s)
 				wantXY := MulSmallBudget(parallel.FixedBudget(1), s, y, nil)
-				packInto(&pc, s, rng)
 				for _, bud := range testBudgets() {
 					tag := fmt.Sprintf("%s cols=%d workers=%d", name, cols, bud.Workers())
-					assertTripleProd(t, tag+" pooled", bud, g, deg, s, want, &pc, srm, partials, arena)
-					gotXY := MulSmallRowMajorBudget(bud, srm[:n*cols], y, NewDense(n, 3))
+					srm := assertTripleProd(t, tag+" pooled", bud, g, deg, s, want, &pc, partials, arena)
+					gotXY := MulSmallRowMajorBudget(bud, srm, y, NewDense(n, 3))
 					assertDenseEqual(t, tag+" projection", gotXY, wantXY)
-					assertTripleProd(t, tag+" private", bud, g, deg, s, want, &pc, make([]float64, n*cols), nil, nil)
+					assertTripleProd(t, tag+" private", bud, g, deg, s, want, &PackedCols{}, nil, nil)
 				}
 			}
 		}
@@ -135,14 +144,13 @@ func FuzzTripleProdEquivalence(f *testing.F) {
 		s := NewDense(g.NumV, cols)
 		fillRand(s, rng)
 		want := twoPass(g, deg, s)
-		packInto(&pc, s, rng)
 		if need := parallel.ReduceBlocks(g.NumV) * cols * cols; cap(partials) < need {
 			partials = make([]float64, need)
 		}
 		dirty(partials[:cap(partials)])
 		for _, bud := range []parallel.Budget{parallel.FixedBudget(1), parallel.FixedBudget(3), parallel.Live()} {
 			tag := fmt.Sprintf("n=%d cols=%d weighted=%v workers=%d", g.NumV, cols, weighted, bud.Workers())
-			assertTripleProd(t, tag, bud, g, deg, s, want, &pc, dirty(make([]float64, g.NumV*cols)), partials, arena)
+			assertTripleProd(t, tag, bud, g, deg, s, want, &pc, partials, arena)
 		}
 	})
 }

@@ -184,10 +184,14 @@ func (inc *Incremental) project() {
 }
 
 // Result unpacks the kept columns (constant column excluded) into the
-// scratch's output matrix. The Incremental must not be used after.
+// scratch's output matrix, allocated on first use. The Incremental must
+// not be used after.
 func (inc *Incremental) Result() Result {
-	res := inc.Packed()
-	res.S = linalg.ViewDense(inc.sc.sOut.Data, inc.n, len(res.Kept))
+	sc, res := inc.sc, inc.Packed()
+	if sc.sOut == nil || sc.sOut.Rows != inc.n || sc.sOut.Cols < sc.s {
+		sc.sOut = linalg.NewDense(inc.n, sc.s)
+	}
+	res.S = linalg.ViewDense(sc.sOut.Data, inc.n, len(res.Kept))
 	for j := range res.Kept {
 		res.Packed.CopyColIntoBudget(inc.bud, res.S.Col(j), j+1) // skip the constant column
 	}

@@ -7,7 +7,8 @@ import (
 
 // Scratch owns the DOrtho phase's reusable storage: the packed
 // kept-column store (the constant direction plus up to s survivors), the
-// working vector, the output matrix backing Result.S, and the
+// working vector, the output matrix backing Result.S (allocated by the
+// first Result, which only DOrthogonalizeBudget callers reach), and the
 // reduction-partials buffers every inner product of the sweep reuses
 // instead of allocating per dot product. One Scratch serves both
 // DOrthogonalizeBudget and NewIncremental; a pooled workspace keeps one
@@ -58,9 +59,6 @@ func (sc *Scratch) Ensure(n, s int) {
 	}
 	if cap(sc.coeffs) < s+1 {
 		sc.coeffs = make([]float64, 0, s+1)
-	}
-	if sc.sOut == nil || sc.sOut.Rows != n || sc.sOut.Cols < s {
-		sc.sOut = linalg.NewDense(n, s)
 	}
 	if cap(sc.dNorms) < s+1 {
 		sc.dNorms = make([]float64, 0, s+1)

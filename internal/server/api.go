@@ -76,15 +76,18 @@ func (s *Server) handleGraphUpload(w http.ResponseWriter, r *http.Request) {
 	}
 	format := defaultStr(q.Get("format"), "edges")
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
-	g, err := graph.Read(body, format, graph.BuildOptions{Weighted: q.Get("weighted") == "1"})
+	g, err := s.readUpload(body, format, graph.BuildOptions{Weighted: q.Get("weighted") == "1"})
 	if err != nil {
 		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
+		switch {
+		case errors.As(err, &tooBig):
 			writeErr(w, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("upload exceeds %d bytes", s.cfg.MaxUploadBytes))
-			return
+		case errors.Is(err, graph.ErrTooManyVertices), errors.Is(err, catalog.ErrTooLarge):
+			writeErr(w, http.StatusRequestEntityTooLarge, err)
+		default:
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("parsing %s upload: %w", format, err))
 		}
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("parsing %s upload: %w", format, err))
 		return
 	}
 	s.graphMu.Lock()
@@ -113,6 +116,24 @@ func (s *Server) handleGraphUpload(w http.ResponseWriter, r *http.Request) {
 		"bytes":    catalog.GraphBytes(g),
 		"weighted": g.Weighted(),
 	})
+}
+
+// readUpload parses an upload body. A text format's vertex count is
+// checked before FromEdges allocates its 8 bytes per vertex: graph.ReadEdges
+// refuses one out of proportion to the body, and one whose offsets alone
+// exceed the catalog's whole budget is refused here.
+func (s *Server) readUpload(body io.Reader, format string, opts graph.BuildOptions) (*graph.CSR, error) {
+	if format == "bin" {
+		return graph.Read(body, format, opts)
+	}
+	n, edges, err := graph.ReadEdges(body, format)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.cat.Fits(8 * int64(n+1)); err != nil {
+		return nil, fmt.Errorf("%d vertices: %w", n, err)
+	}
+	return graph.FromEdges(n, edges, opts)
 }
 
 func (s *Server) handleGraphDelete(w http.ResponseWriter, r *http.Request) {

@@ -443,3 +443,32 @@ func TestCatalogEvictionHonoured(t *testing.T) {
 		t.Fatalf("layout of re-uploaded C: status %d, want 409 (no layout yet)", code)
 	}
 }
+
+// TestUploadVertexCountOutOfProportionIs413: a text upload whose vertex
+// count is out of proportion to its body, or whose 8-byte-per-vertex
+// offsets alone exceed the catalog's whole budget, is refused with 413
+// before its CSR is built, and nothing is registered; an upload in
+// proportion to both still lands.
+func TestUploadVertexCountOutOfProportionIs413(t *testing.T) {
+	budget := catalog.GraphBytes(gen.PlateWithHoles(30, 30)) + 4096 // the pinned default + a little
+	s, ts := newTestServerPair(t, Config{Workers: 1, CatalogBytes: budget})
+	n := budget/8 + 1 // fits the body below, not the catalog
+	bodies := map[string]string{
+		"body-edges":    "0 1\n1 1000000\n",
+		"body-mtx":      mtxPattern + "1000000 1000000 1\n1 2\n",
+		"catalog-edges": "%" + strings.Repeat(" ", int(n)) + "\n0 1\n1 " + fmt.Sprint(n-1) + "\n",
+	}
+	for name, body := range bodies {
+		format := name[strings.LastIndex(name, "-")+1:]
+		resp, b := postJSON(t, ts.URL+"/graphs?name=huge&format="+format, body)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d (%s), want 413", name, resp.StatusCode, b)
+		}
+	}
+	for _, in := range s.cat.List() {
+		if in.Name == "huge" {
+			t.Errorf("a refused upload is registered: %+v", in)
+		}
+	}
+	uploadGraph(t, ts.URL, "small", "0 1\n1 2\n2 0\n")
+}

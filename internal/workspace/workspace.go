@@ -1,12 +1,13 @@
 // Package workspace provides reusable, size-checked scratch memory for the
-// layout pipeline's hot path. A steady-state ParHDE run touches three
-// large buffer families — the BFS frontier/queue scratch, hop vectors and
-// the distance column it streams into DOrtho, the DOrtho kept-column store
-// behind S, and the row-major copy of S the TripleProd walk gathers from —
-// and without reuse every queued layout job re-pays those O(n·s) allocations
-// and the GC traffic they induce, exactly the unbatched memory waste
-// BatchLayout attributes to shared-memory layout codes. A Workspace owns
-// one instance of every buffer; each job-engine worker owns one Workspace.
+// layout pipeline's hot path. A steady-state ParHDE run touches two large
+// buffer families — the BFS frontier/queue scratch, hop vectors and the
+// distance column it streams into DOrtho, and the DOrtho kept-column store,
+// which the TripleProd phase rewrites in place into the one row-major copy
+// of S that the walk gathers from and the projection reads — and without
+// reuse every queued layout job re-pays those O(n·s) allocations and the
+// GC traffic they induce, exactly the unbatched memory waste BatchLayout
+// attributes to shared-memory layout codes. A Workspace owns one instance
+// of every buffer; each job-engine worker owns one Workspace.
 //
 // Ownership contract: a Workspace serves one layout run at a time. The
 // run's outputs that alias workspace storage (the layout coordinates and
@@ -42,14 +43,18 @@ type Workspace struct {
 	// Deg caches the weighted-degree vector diag(D) between runs.
 	Deg []float64
 	// B backs an n×s distance matrix for a caller that materializes one
-	// (DistView). ParHDE never does, so Reshape leaves it alone.
+	// (DistView). ParHDE never does, so Reshape leaves it alone; only the
+	// benchmark's staged replay reads it.
 	B *linalg.Dense
 	// Ortho is the DOrtho packed kept-column store, work vector, and the
-	// reduction-partials buffers reused across every inner product.
+	// reduction-partials buffers reused across every inner product. The
+	// store is the run's one n·s copy of S: the TripleProd phase rewrites
+	// it in place as S row-major, which the walk gathers neighbours' rows
+	// from and the projection reads.
 	Ortho *ortho.Scratch
-	// SRM is the n·s row-major copy of S that the TripleProd walk gathers
-	// neighbours' rows from (one edge-list pass advances all s columns);
-	// the projection reads it afterwards.
+	// SRM is an n·s row-major S for the benchmark's staged replay, whose
+	// L·S kernel allocates one when it is short. ParHDE never reads it, and
+	// Reshape leaves it alone.
 	SRM []float64
 	// P backs an n×s product L·S. ParHDE never writes it — its TripleProd
 	// walk consumes P a chunk at a time — only the benchmark's staged
@@ -98,7 +103,6 @@ func (ws *Workspace) Reshape(n, s, p int) {
 	} else {
 		ws.Ortho.Ensure(n, s)
 	}
-	ws.SRM = growFloat(ws.SRM, n*s)
 	ws.P = growFloat(ws.P, n*s)
 	ws.Z = growFloat(ws.Z, s*s)
 	if ws.Eigen == nil {

@@ -477,17 +477,26 @@ func TestTripleProdBreakdownSplit(t *testing.T) {
 }
 
 // BenchmarkEvaluate measures the quality sweep every installed layout and
-// every PATCH refinement job runs, on Kron(14, 24)'s largest component.
+// every PATCH refinement job runs, on Kron(14, 24)'s largest component
+// and on Road(100²), the graph of the serve_session workload.
 func BenchmarkEvaluate(b *testing.B) {
-	g := graph.LargestComponent(gen.Kron(14, 24, 1))
-	lay, _, err := ParHDE(g, Options{Subspace: 10, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		evaluateSink = Evaluate(g, lay)
+	for _, c := range []struct {
+		name string
+		g    *graph.CSR
+	}{
+		{"kron", graph.LargestComponent(gen.Kron(14, 24, 1))},
+		{"road100", gen.Road(100, 100, 1)},
+	} {
+		lay, _, err := ParHDE(c.g, Options{Subspace: 10, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				evaluateSink = Evaluate(c.g, lay)
+			}
+		})
 	}
 }
 

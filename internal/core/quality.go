@@ -24,50 +24,52 @@ type Quality struct {
 	EdgeLengthCV float64
 }
 
-// Evaluate computes layout-quality metrics for l on g. Every sum runs
-// over parallel's fixed tile grid, so the result is bitwise identical for
-// every GOMAXPROCS.
+// Evaluate computes layout-quality metrics for l on g in two sweeps over
+// parallel's fixed tile grid, one over the vertices and one over the
+// edges, with each tile's partial sums folded in tile order, so the
+// result is bitwise identical for every GOMAXPROCS. Nothing it allocates
+// grows with the graph: the degrees, the centered axes and the
+// unit-normalized coordinates are never materialized.
 func Evaluate(g *graph.CSR, l *Layout) Quality {
-	n := g.NumV
-	bud := parallel.Live()
-	deg := g.WeightedDegrees()
-	var num, den float64
-	tmp := make([]float64, n)
-	for k := 0; k < l.Dims(); k++ {
-		x := centered(bud, l.Coords.Col(k), deg)
-		linalg.LapMulVec(g, deg, x, tmp)
-		num += linalg.Dot(x, tmp)
-		den += linalg.DDot(x, deg, x)
+	p := l.Dims()
+	workers := parallel.Live().Workers()
+	e := evalSweep{g: g, x: l.Coords.Data, rows: l.Coords.Rows, p: p}
+	// The vertex sweep's vector is Σdeg, then Σ deg·xₖ, min xₖ and max xₖ
+	// for every axis k; the edge sweep's is xᵀLx, Σ deg·(x − mean)², and
+	// the sum and the sum of squares of the unit-normalized edge lengths.
+	width := 1 + 3*p
+	buf := make([]float64, 2*width+p+4)
+	moments, scratch := buf[:width], buf[width:2*width:2*width]
+	mean, sums := buf[2*width:2*width+p], buf[2*width+p:]
+	for k := 0; k < p; k++ {
+		moments[1+p+k], moments[1+2*p+k] = math.Inf(1), math.Inf(-1)
 	}
+	parallel.FoldTiles(workers, g.NumV, e, moments, scratch, evalSweep.vertices, foldMoments)
+
+	// Equation 1's constraint xᵀD1 = 0: each axis is measured about its
+	// D-weighted mean. The energy xᵀLx needs no centering (L·1 = 0).
+	if dsum := moments[0]; dsum > 0 {
+		for k := range mean {
+			mean[k] = moments[1+k] / dsum
+		}
+	}
+	// NormalizeUnit's scale: the widest axis spans [0, 1].
+	for k := 0; k < p; k++ {
+		if s := moments[1+2*p+k] - moments[1+p+k]; s > e.span {
+			e.span = s
+		}
+	}
+	if e.span == 0 {
+		e.span = 1
+	}
+	e.mean = mean
+	parallel.FoldTiles(workers, g.NumV, e, sums, scratch, evalSweep.edges, foldSums)
+	lap, den, sum, sumSq := sums[0], sums[1], sums[2], sums[3]
+
 	q := Quality{}
 	if den > 0 {
-		q.HallRatio = num / den
+		q.HallRatio = lap / den
 	}
-
-	// Edge-length statistics on a unit-normalized copy.
-	copyL := l.Clone()
-	copyL.NormalizeUnit()
-	sum := parallel.Sum(bud, n, func(v int) float64 {
-		var s float64
-		for _, u := range g.Neighbors(int32(v)) {
-			if u <= int32(v) {
-				continue
-			}
-			s += edgeLen(copyL, int32(v), u)
-		}
-		return s
-	})
-	sumSq := parallel.Sum(bud, n, func(v int) float64 {
-		var s float64
-		for _, u := range g.Neighbors(int32(v)) {
-			if u <= int32(v) {
-				continue
-			}
-			d := edgeLen(copyL, int32(v), u)
-			s += d * d
-		}
-		return s
-	})
 	if count := g.NumEdges(); count > 0 {
 		mean := sum / float64(count)
 		q.MeanEdgeLength = mean
@@ -82,23 +84,115 @@ func Evaluate(g *graph.CSR, l *Layout) Quality {
 	return q
 }
 
-// centered returns x minus its D-weighted mean — Equation 1's constraint
-// xᵀD1 = 0 imposed before measuring energy.
-func centered(bud parallel.Budget, x, deg []float64) []float64 {
-	n := len(x)
-	wsum := parallel.Sum(bud, n, func(i int) float64 { return deg[i] * x[i] })
-	dsum := parallel.Sum(bud, n, func(i int) float64 { return deg[i] })
-	mean := 0.0
-	if dsum > 0 {
-		mean = wsum / dsum
+// evalSweep is the operands of Evaluate's two sweeps: the graph, the
+// layout's column-major coordinates (x[k·rows + v] is vertex v's axis k)
+// and, for the edge sweep, the axes' D-weighted means and the
+// normalization scale.
+type evalSweep struct {
+	g       *graph.CSR
+	x, mean []float64
+	rows, p int
+	span    float64
+}
+
+// degree returns v's weighted degree, its weights summed in adjacency
+// order as graph.WeightedDegrees sums them.
+func (e evalSweep) degree(v int) float64 {
+	g := e.g
+	o0, o1 := g.Offsets[v], g.Offsets[v+1]
+	if g.Weights == nil {
+		return float64(o1 - o0)
 	}
-	out := make([]float64, n)
-	bud.ForBlock(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = x[i] - mean
+	var s float64
+	for _, w := range g.Weights[o0:o1] {
+		s += w
+	}
+	return s
+}
+
+// vertices is one tile of the vertex sweep.
+func (e evalSweep) vertices(_, lo, hi int, part []float64) {
+	x, rows, p := e.x, e.rows, e.p
+	sums, lows, highs := part[1:1+p], part[1+p:1+2*p], part[1+2*p:]
+	for k := range lows {
+		lows[k], highs[k] = math.Inf(1), math.Inf(-1)
+	}
+	var dsum float64
+	for v := lo; v < hi; v++ {
+		deg := e.degree(v)
+		dsum += deg
+		for k := 0; k < p; k++ {
+			xv := x[k*rows+v]
+			sums[k] += deg * xv
+			if xv < lows[k] {
+				lows[k] = xv
+			}
+			if xv > highs[k] {
+				highs[k] = xv
+			}
 		}
-	})
-	return out
+	}
+	part[0] = dsum
+}
+
+// edges is one tile of the edge sweep: every edge {u, v} once, from its
+// smaller end v, and every vertex's centered D-norm, its degree summed
+// along the row as degree sums it.
+func (e evalSweep) edges(_, lo, hi int, part []float64) {
+	g, x, rows, p := e.g, e.x, e.rows, e.p
+	var lap, den, sum, sumSq float64
+	for v := lo; v < hi; v++ {
+		var deg float64
+		for a := g.Offsets[v]; a < g.Offsets[v+1]; a++ {
+			w := 1.0
+			if g.Weights != nil {
+				w = g.Weights[a]
+			}
+			deg += w
+			u := int(g.Adj[a])
+			if u <= v {
+				continue
+			}
+			var d2 float64
+			for k := 0; k < p; k++ {
+				d := x[k*rows+v] - x[k*rows+u]
+				d2 += d * d
+			}
+			lap += w * d2
+			length := math.Sqrt(d2) / e.span
+			sum += length
+			sumSq += length * length
+		}
+		var c2 float64
+		for k := 0; k < p; k++ {
+			c := x[k*rows+v] - e.mean[k]
+			c2 += c * c
+		}
+		den += deg * c2
+	}
+	part[0], part[1], part[2], part[3] = lap, den, sum, sumSq
+}
+
+// foldMoments folds one tile's vertex-sweep vector into acc: the 1+p sums
+// add, the p minima and p maxima keep the extreme.
+func foldMoments(acc, part []float64) {
+	p := (len(acc) - 1) / 3
+	foldSums(acc[:1+p], part[:1+p])
+	for k := 1 + p; k < 1+2*p; k++ {
+		if part[k] < acc[k] {
+			acc[k] = part[k]
+		}
+		if part[k+p] > acc[k+p] {
+			acc[k+p] = part[k+p]
+		}
+	}
+}
+
+// foldSums adds one tile's partial sums into acc.
+func foldSums(acc, part []float64) {
+	for i, v := range part {
+		acc[i] += v
+	}
 }
 
 func edgeLen(l *Layout, v, u int32) float64 {

@@ -7,15 +7,17 @@
 // of the old graph and moves the entry's generation, which invalidates
 // anything derived from the older topology.
 //
-// The fold merges the old CSR with per-vertex sorted delta lists in one
-// linear pass — O(n + m + Δ log Δ) — instead of re-running the full
-// graph.Builder sort/dedupe pipeline.
+// The fold copies the old CSR run by run and merges only the rows the
+// batch touches against their sorted delta lists — O(n + m + Δ log Δ),
+// with the O(m) part one copy per untouched run — instead of re-running
+// the full graph.Builder sort/dedupe pipeline.
 package dyngraph
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -78,12 +80,20 @@ func key(u, v int32) uint64 {
 	if u > v {
 		u, v = v, u
 	}
-	return uint64(uint32(u))<<32 | uint64(uint32(v))
+	return arc(u, v)
 }
 
 func unkey(k uint64) (u, v int32) {
-	return int32(k >> 32), int32(uint32(k))
+	return tail(k), head(k)
 }
+
+// arc packs the arc from t to h so that packed arcs sort by tail, then
+// head; tail and head unpack it.
+func arc(t, h int32) uint64 { return uint64(uint32(t))<<32 | uint64(uint32(h)) }
+
+func tail(a uint64) int32 { return int32(a >> 32) }
+
+func head(a uint64) int32 { return int32(uint32(a)) }
 
 // Apply returns g with batch applied and the number of mutations that
 // changed something (no-ops excluded; an addVertices op counts once). The
@@ -210,77 +220,109 @@ func (d *delta) delVertex(v int32) int {
 	return removed
 }
 
-// fold builds the CSR the delta describes: per-vertex sorted delta lists
-// merged against g's sorted adjacency in one linear pass.
+// fold builds the CSR the delta describes. The changed edges become one
+// sorted arc list per kind, both directions of each edge, so the vertices
+// they touch come out in ascending order: each run of untouched vertices
+// between two touched ones moves in one copy of g's adjacency (its
+// offsets are g's plus the run's shift), and only a touched vertex's row
+// is merged against its delta lists.
 func (d *delta) fold() *graph.CSR {
 	n, old := d.numV, d.g
-	// Per-vertex sorted delta lists, both directions of every changed edge.
-	addList := deltaLists(d.adds)
-	delList := deltaLists(d.dels)
-
+	add, del := arcs(d.adds), arcs(d.dels)
 	offsets := make([]int64, n+1)
-	for v := 0; v < n; v++ {
-		deg := int64(len(addList[int32(v)]) - len(delList[int32(v)]))
-		if v < old.NumV {
-			deg += old.Offsets[v+1] - old.Offsets[v]
+	adj := make([]int32, len(old.Adj)+len(add)-len(del))
+	next := 0 // first vertex whose row is not written yet
+	for len(add) > 0 || len(del) > 0 {
+		v := int32(math.MaxInt32)
+		if len(add) > 0 {
+			v = tail(add[0])
 		}
-		offsets[v+1] = offsets[v] + deg
-	}
-	adj := make([]int32, offsets[n])
-	for v := 0; v < n; v++ {
-		out := adj[offsets[v]:offsets[v]:offsets[v+1]]
+		if len(del) > 0 {
+			v = min(v, tail(del[0]))
+		}
+		copyRun(offsets, adj, old, next, int(v))
+		var addV, delV []uint64
+		addV, add = splitRun(add, v)
+		delV, del = splitRun(del, v)
 		var base []int32
-		if v < old.NumV {
-			base = old.Neighbors(int32(v))
+		if int(v) < old.NumV {
+			base = old.Neighbors(v)
 		}
-		out = mergeAdj(out, base, addList[int32(v)], delList[int32(v)])
-		if int64(len(out)) != offsets[v+1]-offsets[v] {
+		want := int64(len(base) + len(addV) - len(delV))
+		o := offsets[v]
+		if out := mergeAdj(adj[o:o:o+want], base, addV, delV); int64(len(out)) != want {
 			// Only reachable through a bookkeeping bug (a delta entry
 			// disagreeing with g); fail loudly rather than serve a
 			// corrupt CSR.
-			panic(fmt.Sprintf("dyngraph: vertex %d merged to %d arcs, expected %d", v, len(out), offsets[v+1]-offsets[v]))
+			panic(fmt.Sprintf("dyngraph: vertex %d merged to %d arcs, expected %d", v, len(out), want))
 		}
+		offsets[v+1] = o + want
+		next = int(v) + 1
 	}
+	copyRun(offsets, adj, old, next, n)
 	return &graph.CSR{NumV: n, Offsets: offsets, Adj: adj}
 }
 
-// deltaLists explodes canonical edge keys into per-vertex sorted
-// neighbor lists (both directions).
-func deltaLists(set map[uint64]struct{}) map[int32][]int32 {
-	if len(set) == 0 {
-		return nil
+// copyRun writes the rows of the untouched vertices [lo, hi): g's move in
+// one copy, shifted by the arcs the touched vertices before lo gained or
+// lost, and the ones the batch appends are empty.
+func copyRun(offsets []int64, adj []int32, old *graph.CSR, lo, hi int) {
+	if mid := min(hi, old.NumV); lo < mid {
+		shift := offsets[lo] - old.Offsets[lo]
+		copy(adj[offsets[lo]:], old.Adj[old.Offsets[lo]:old.Offsets[mid]])
+		for v := lo; v < mid; v++ {
+			offsets[v+1] = old.Offsets[v+1] + shift
+		}
+		lo = mid
 	}
-	out := make(map[int32][]int32, len(set))
+	for v := lo; v < hi; v++ {
+		offsets[v+1] = offsets[v]
+	}
+}
+
+// arcs explodes canonical edge keys into both arcs of each edge, packed
+// as arc packs them and sorted, so each vertex's delta list is one run.
+func arcs(set map[uint64]struct{}) []uint64 {
+	out := make([]uint64, 0, 2*len(set))
 	for k := range set {
 		u, v := unkey(k)
-		out[u] = append(out[u], v)
-		out[v] = append(out[v], u)
+		out = append(out, k, arc(v, u))
 	}
-	for _, l := range out {
-		sort.Slice(l, func(i, j int) bool { return l[i] < l[j] })
-	}
+	slices.Sort(out)
 	return out
 }
 
-// mergeAdj appends (base − del) ∪ add to out, keeping sorted order. base,
-// add, and del are each sorted; add is disjoint from base and del ⊆ base
-// by the delta's invariants.
-func mergeAdj(out, base, add, del []int32) []int32 {
+// splitRun splits the sorted arcs into those leaving v, which lead them,
+// and the rest.
+func splitRun(arcs []uint64, v int32) (run, rest []uint64) {
+	i := 0
+	for i < len(arcs) && tail(arcs[i]) == v {
+		i++
+	}
+	return arcs[:i], arcs[i:]
+}
+
+// mergeAdj appends (base − del) ∪ add to out, keeping sorted order. base
+// is sorted; add and del are one vertex's sorted arcs, compared by head;
+// add is disjoint from base and del ⊆ base by the delta's invariants.
+func mergeAdj(out, base []int32, add, del []uint64) []int32 {
 	ai, di := 0, 0
 	for _, u := range base {
-		for di < len(del) && del[di] < u {
+		for di < len(del) && head(del[di]) < u {
 			di++
 		}
-		if di < len(del) && del[di] == u {
+		if di < len(del) && head(del[di]) == u {
 			di++
 			continue
 		}
-		for ai < len(add) && add[ai] < u {
-			out = append(out, add[ai])
+		for ai < len(add) && head(add[ai]) < u {
+			out = append(out, head(add[ai]))
 			ai++
 		}
 		out = append(out, u)
 	}
-	out = append(out, add[ai:]...)
+	for _, a := range add[ai:] {
+		out = append(out, head(a))
+	}
 	return out
 }

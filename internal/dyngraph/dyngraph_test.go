@@ -150,3 +150,26 @@ func TestNumEdgesTracksOverlay(t *testing.T) {
 		t.Fatalf("NumEdges = %d, want %d", next.NumEdges(), m0+2)
 	}
 }
+
+// BenchmarkApplyFourEdges is the fold behind a four-edge PATCH on
+// Road(100²): four inserted edges touch eight rows, and the other 9 992
+// rows move as a few copied runs.
+func BenchmarkApplyFourEdges(b *testing.B) {
+	g := gen.Road(100, 100, 1)
+	batch := []Mutation{
+		{Op: AddEdge, U: 0, V: 9999},
+		{Op: AddEdge, U: 1234, V: 8765},
+		{Op: AddEdge, U: 4321, V: 5678},
+		{Op: AddEdge, U: 2500, V: 7500},
+	}
+	if _, applied, err := Apply(g, batch); err != nil || applied != len(batch) {
+		b.Fatalf("Apply = %d applied, %v; want %d", applied, err, len(batch))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Apply(g, batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package dyngraph
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -88,6 +89,17 @@ func FuzzApplyEquivalence(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 2, 2, 0, 1, 0, 2, 3, 1, 0, 0, 0})
 	f.Add([]byte{4, 0, 3, 0, 0, 0, 0, 5, 0, 1, 1, 0, 2, 0, 5})
 	f.Add(make([]byte, 60))
+	// Grid2D(3, 4)'s boundary rows: one batch inserts {0, 11} and deletes
+	// {0, 1} and {10, 11}, so the fold's first and last rows are merged
+	// and no untouched run precedes or follows them.
+	f.Add([]byte{2, 0, 0, 0, 0, 11, 2, 0, 0, 0, 1, 2, 0, 10, 0, 11})
+	// Appended vertices interleaved with touched ones: 2 appended (12,
+	// 13), {3, 13} inserted, 2 more (14, 15), {15, 7} inserted, vertex 5
+	// cleared; 12 and 14 stay empty between touched rows.
+	f.Add([]byte{4, 3, 1, 0, 0, 0, 0, 0, 3, 0, 13, 3, 1, 0, 0, 0, 0, 0, 15, 0, 7, 4, 0, 5, 0, 0})
+	// A batch that changes nothing: an edge of the grid re-inserted, a
+	// missing edge deleted, and {2, 9} inserted and deleted again.
+	f.Add([]byte{3, 0, 0, 0, 0, 1, 2, 0, 0, 0, 11, 0, 0, 2, 0, 9, 2, 0, 9, 0, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
 			t.Skip()
@@ -144,7 +156,9 @@ func FuzzApplyEquivalence(f *testing.F) {
 	})
 }
 
-// clone deep-copies a CSR, so a test can tell whether Apply wrote it.
+// clone deep-copies a CSR, so a test can tell whether Apply wrote it. An
+// empty adjacency stays empty, not nil: reflect.DeepEqual tells the two
+// apart, and an edgeless graph is a fold result like any other.
 func clone(g *graph.CSR) *graph.CSR {
-	return &graph.CSR{NumV: g.NumV, Offsets: append([]int64(nil), g.Offsets...), Adj: append([]int32(nil), g.Adj...)}
+	return &graph.CSR{NumV: g.NumV, Offsets: slices.Clone(g.Offsets), Adj: slices.Clone(g.Adj)}
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"slices"
 )
 
 // Binary CSR serialization: a compact on-disk format so large synthetic
@@ -67,14 +69,20 @@ func WriteBinary(w io.Writer, g *CSR) error {
 }
 
 // ReadBinary deserializes a graph written by WriteBinary and validates its
-// structural invariants before returning it.
+// structural invariants before returning it. When r knows how many bytes
+// it has left (an in-memory reader, or a regular *os.File), the header's
+// sizes are checked against that count and each array is allocated once;
+// an unsized stream's arrays grow a bounded chunk at a time, so a forged
+// size field costs at most reading to EOF rather than a giant up-front
+// allocation.
 func ReadBinary(r io.Reader) (*CSR, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+	var raw [32]byte
+	if _, err := io.ReadFull(r, raw[:]); err != nil {
+		return nil, fmt.Errorf("graph: reading binary header: %w", err)
+	}
 	var hdr [4]uint64
 	for i := range hdr {
-		if err := binary.Read(br, binary.LittleEndian, &hdr[i]); err != nil {
-			return nil, fmt.Errorf("graph: reading binary header: %w", err)
-		}
+		hdr[i] = binary.LittleEndian.Uint64(raw[8*i:])
 	}
 	if hdr[0]>>32 != binMagic {
 		return nil, fmt.Errorf("graph: bad binary magic %#x", hdr[0]>>32)
@@ -88,26 +96,19 @@ func ReadBinary(r io.Reader) (*CSR, error) {
 	if numV < 0 || numArcs < 0 || numV > 1<<31 || numArcs > 1<<33 {
 		return nil, fmt.Errorf("graph: corrupt binary sizes (n=%d arcs=%d)", hdr[2], hdr[3])
 	}
-	// The header is untrusted: allocate incrementally (bounded growth per
-	// read) so a forged size field costs at most reading to EOF rather
-	// than a giant up-front allocation.
+	avail := remaining(r)
 	g := &CSR{NumV: int(numV)}
-	offsets, err := readChunkedU64(br, numV+1)
-	if err != nil {
+	var err error
+	if g.Offsets, err = readArray(r, numV+1, 8, &avail, decodeI64); err != nil {
 		return nil, fmt.Errorf("graph: reading offsets: %w", err)
 	}
-	g.Offsets = offsets
-	adj, err := readChunkedU32(br, numArcs)
-	if err != nil {
+	if g.Adj, err = readArray(r, numArcs, 4, &avail, decodeI32); err != nil {
 		return nil, fmt.Errorf("graph: reading adjacency: %w", err)
 	}
-	g.Adj = adj
 	if weighted {
-		w, err := readChunkedF64(br, numArcs)
-		if err != nil {
+		if g.Weights, err = readArray(r, numArcs, 8, &avail, decodeF64); err != nil {
 			return nil, fmt.Errorf("graph: reading weights: %w", err)
 		}
-		g.Weights = w
 	}
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("graph: binary input failed validation: %w", err)
@@ -115,55 +116,74 @@ func ReadBinary(r io.Reader) (*CSR, error) {
 	return g, nil
 }
 
-// chunkEntries bounds each allocation step while streaming untrusted
-// length-prefixed arrays.
+// remaining returns the number of bytes r has left to read when r can
+// tell — a bytes or strings reader, or a regular file from its current
+// offset — and -1 otherwise.
+func remaining(r io.Reader) int64 {
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		return int64(r.Len())
+	case *os.File:
+		fi, err := r.Stat()
+		if err != nil || !fi.Mode().IsRegular() {
+			return -1
+		}
+		off, err := r.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return -1
+		}
+		return fi.Size() - off
+	}
+	return -1
+}
+
+// chunkEntries bounds each read, and each allocation step of an unsized
+// stream's arrays.
 const chunkEntries = 1 << 16
 
-func readChunkedU64(r io.Reader, count int64) ([]int64, error) {
-	out := make([]int64, 0, min64(count, chunkEntries))
-	buf := make([]byte, 8*chunkEntries)
+// readArray reads count little-endian elements of size bytes each,
+// decoded a chunk at a time. With *avail ≥ 0 bytes known to be left, an
+// array that does not fit is refused before anything is allocated, and
+// one that fits is allocated once; with *avail < 0 the array grows as
+// chunks arrive.
+func readArray[T any](r io.Reader, count, size int64, avail *int64, decode func(dst []T, src []byte)) ([]T, error) {
+	chunk := min(count, chunkEntries)
+	capacity := chunk
+	if *avail >= 0 {
+		if count*size > *avail {
+			return nil, io.ErrUnexpectedEOF
+		}
+		*avail -= count * size
+		capacity = count
+	}
+	out := make([]T, 0, capacity)
+	buf := make([]byte, size*chunk)
 	for int64(len(out)) < count {
-		want := min64(count-int64(len(out)), chunkEntries)
-		if _, err := io.ReadFull(r, buf[:8*want]); err != nil {
+		want := min(count-int64(len(out)), chunkEntries)
+		if _, err := io.ReadFull(r, buf[:size*want]); err != nil {
 			return nil, err
 		}
-		for i := int64(0); i < want; i++ {
-			out = append(out, int64(binary.LittleEndian.Uint64(buf[8*i:])))
-		}
+		k := len(out)
+		out = slices.Grow(out, int(want))[:k+int(want)]
+		decode(out[k:], buf)
 	}
 	return out, nil
 }
 
-func readChunkedU32(r io.Reader, count int64) ([]int32, error) {
-	out := make([]int32, 0, min64(count, chunkEntries))
-	buf := make([]byte, 4*chunkEntries)
-	for int64(len(out)) < count {
-		want := min64(count-int64(len(out)), chunkEntries)
-		if _, err := io.ReadFull(r, buf[:4*want]); err != nil {
-			return nil, err
-		}
-		for i := int64(0); i < want; i++ {
-			out = append(out, int32(binary.LittleEndian.Uint32(buf[4*i:])))
-		}
+func decodeI64(dst []int64, src []byte) {
+	for i := range dst {
+		dst[i] = int64(binary.LittleEndian.Uint64(src[8*i:]))
 	}
-	return out, nil
 }
 
-func readChunkedF64(r io.Reader, count int64) ([]float64, error) {
-	raw, err := readChunkedU64(r, count)
-	if err != nil {
-		return nil, err
+func decodeI32(dst []int32, src []byte) {
+	for i := range dst {
+		dst[i] = int32(binary.LittleEndian.Uint32(src[4*i:]))
 	}
-	out := make([]float64, len(raw))
-	for i, v := range raw {
-		out[i] = math.Float64frombits(uint64(v))
-	}
-	return out, nil
 }
 
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
+func decodeF64(dst []float64, src []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 	}
-	return b
 }

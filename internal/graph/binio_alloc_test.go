@@ -1,0 +1,54 @@
+package graph_test
+
+import (
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/graph"
+)
+
+// TestReadBinaryFileAllocatesCSROnce loads a Kron(16, 16) binary CSR
+// (≈ 7.6 MB) from a file, whose size graph.Read learns from Stat: each
+// array is allocated once at its final size, so the load allocates at
+// most 1.3× the CSR's own bytes. Growing the arrays by append, behind
+// two bufio layers, allocated 5.4× them.
+func TestReadBinaryFileAllocatesCSROnce(t *testing.T) {
+	g := gen.Kron(16, 16, 1)
+	path := filepath.Join(t.TempDir(), "kron.bin")
+	out, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := graph.WriteBinary(out, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := out.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	csrBytes := 8*len(g.Offsets) + 4*len(g.Adj)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := graph.Read(f, "bin", graph.BuildOptions{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumV != g.NumV || !reflect.DeepEqual(got.Offsets, g.Offsets) || !reflect.DeepEqual(got.Adj, g.Adj) {
+		t.Fatal("the loaded CSR differs from the one written")
+	}
+	ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(csrBytes)
+	t.Logf("CSR %d bytes; graph.Read allocated %d bytes (%.2f×)", csrBytes, after.TotalAlloc-before.TotalAlloc, ratio)
+	if ratio > 1.3 {
+		t.Fatalf("graph.Read allocated %.2f× the CSR's %d bytes, want ≤ 1.3×", ratio, csrBytes)
+	}
+}

@@ -3,6 +3,8 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -194,5 +196,34 @@ func TestReadBinaryTrailingGarbageIgnored(t *testing.T) {
 	}
 	if g.NumV != numV {
 		t.Fatalf("NumV = %d, want %d", g.NumV, numV)
+	}
+}
+
+// TestReadBinaryForgedSizeAllocatesNothing: a header claiming 2^33 arcs
+// followed by the offsets and nothing else, read from an input that knows
+// its length, is refused before the adjacency is allocated; from an
+// unsized stream it costs one bounded chunk before EOF.
+func TestReadBinaryForgedSizeAllocatesNothing(t *testing.T) {
+	raw, numV, _ := goodBinary(t)
+	forged := append([]byte(nil), raw[:32+8*(numV+1)]...)
+	binary.LittleEndian.PutUint64(forged[24:], 1<<33)
+	for _, c := range []struct {
+		name string
+		r    func() io.Reader
+	}{
+		{"sized", func() io.Reader { return bytes.NewReader(forged) }},
+		{"unsized", func() io.Reader { return struct{ io.Reader }{bytes.NewReader(forged)} }},
+	} {
+		var before, after runtime.MemStats
+		r := c.r()
+		runtime.ReadMemStats(&before)
+		_, err := ReadBinary(r)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "reading adjacency") {
+			t.Fatalf("%s: error = %v, want a short read of the adjacency", c.name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Fatalf("%s: refusing a forged header allocated %d bytes", c.name, got)
+		}
 	}
 }

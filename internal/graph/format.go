@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -21,7 +20,7 @@ var ErrTooManyVertices = errors.New("graph: vertex count out of proportion to th
 // preprocessed CSR already, so opts is ignored for it.
 func Read(r io.Reader, format string, opts BuildOptions) (*CSR, error) {
 	if format == "bin" {
-		return ReadBinary(bufio.NewReader(r))
+		return ReadBinary(r)
 	}
 	n, edges, err := ReadEdges(r, format)
 	if err != nil {

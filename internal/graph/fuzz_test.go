@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
@@ -74,8 +75,18 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add([]byte("not a graph at all, just some text padding 0123456789"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := ReadBinary(bytes.NewReader(data))
+		// The same bytes as an unsized stream take the chunked path and
+		// must reach the same verdict and the same graph, bit for bit.
+		streamed, serr := ReadBinary(struct{ io.Reader }{bytes.NewReader(data)})
+		if (err == nil) != (serr == nil) {
+			t.Fatalf("sized read error %v, unsized read error %v", err, serr)
+		}
 		if err != nil {
 			return
+		}
+		var a, b bytes.Buffer
+		if WriteBinary(&a, g) != nil || WriteBinary(&b, streamed) != nil || !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatal("sized and unsized reads built different graphs")
 		}
 		// Anything accepted must be structurally valid.
 		if err := g.Validate(); err != nil {

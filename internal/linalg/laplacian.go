@@ -5,19 +5,14 @@ import (
 	"repro/internal/parallel"
 )
 
-// LapMulVec computes p ← L·x for the graph Laplacian L = D − A without
-// materializing L: (L·x)(i) = deg(i)·x(i) − Σ_{j∈Adj(i)} w(i,j)·x(j).
+// LapMulVecBudget computes p ← L·x for the graph Laplacian L = D − A
+// without materializing L: (L·x)(i) = deg(i)·x(i) − Σ_{j∈Adj(i)} w(i,j)·x(j).
 // deg is the weighted degree vector (the dense degrees array the paper
 // uses for the diagonal). One call is one SpMV; the irregular reads
 // x[g.Adj[k]] are the accesses whose cost tracks the adjacency-gap
-// distribution of Figure 2.
-func LapMulVec(g *graph.CSR, deg []float64, x, p []float64) {
-	LapMulVecBudget(parallel.Live(), g, deg, x, p)
-}
-
-// LapMulVecBudget is LapMulVec under an explicit worker budget. Each
-// output element is produced by one worker with a fixed adjacency-order
-// summation, so results are partition-independent.
+// distribution of Figure 2. Each output element is produced by one worker
+// with a fixed adjacency-order summation, so results are
+// partition-independent.
 func LapMulVecBudget(bud parallel.Budget, g *graph.CSR, deg []float64, x, p []float64) {
 	checkLen(len(x), g.NumV)
 	checkLen(len(p), g.NumV)

@@ -207,7 +207,7 @@ func TestLaplacianQuadraticFormIdentity(t *testing.T) {
 		y := randVec(g.NumV, r)
 		deg := g.WeightedDegrees()
 		ly := make([]float64, g.NumV)
-		LapMulVec(g, deg, y, ly)
+		LapMulVecBudget(parallel.Live(), g, deg, y, ly)
 		got := Dot(y, ly)
 		var want float64
 		for v := int32(0); int(v) < g.NumV; v++ {
@@ -236,7 +236,7 @@ func TestLaplacianAnnihilatesConstants(t *testing.T) {
 	ones := make([]float64, g.NumV)
 	Fill(ones, 3.7)
 	out := make([]float64, g.NumV)
-	LapMulVec(g, deg, ones, out)
+	LapMulVecBudget(parallel.Live(), g, deg, ones, out)
 	for i, v := range out {
 		if math.Abs(v) > 1e-9 {
 			t.Fatalf("L·const ≠ 0 at %d: %g", i, v)

@@ -132,6 +132,39 @@ func fanSum[T int64 | float64, S any](p, n, tiles int, st S, partials []T, body 
 	return s
 }
 
+// FoldTiles is SumTiles for len(acc) results at once: body writes tile
+// t's results into part (len(acc) entries, zero on entry) and fold(acc,
+// part) merges each tile's vector into acc — adding, or keeping a minimum
+// or maximum, entry by entry — in tile order, on p workers (clamped to the
+// tile count), so the result is bitwise identical for every p. One worker
+// folds each tile as it goes through scratch (capacity ≥ len(acc), grown
+// when short), so it allocates nothing that grows with n; a fan-out keeps
+// every tile's vector in scratch (grown to ReduceBlocks(n)·len(acc)) and
+// folds them afterwards.
+func FoldTiles[S any](p, n int, st S, acc, scratch []float64, body func(st S, t, lo, hi int, part []float64), fold func(acc, part []float64)) {
+	tiles, width := ReduceBlocks(n), len(acc)
+	if p = min(p, tiles); p > 1 {
+		fanFold(p, n, tiles, st, acc, scratch, body, fold)
+		return
+	}
+	part := grow(scratch, width)
+	for t := 0; t < tiles; t++ {
+		clear(part)
+		body(st, t, t*n/tiles, (t+1)*n/tiles, part)
+		fold(acc, part)
+	}
+}
+
+func fanFold[S any](p, n, tiles int, st S, acc, scratch []float64, body func(st S, t, lo, hi int, part []float64), fold func(acc, part []float64)) {
+	width := len(acc)
+	buf := grow(scratch, tiles*width)
+	clear(buf)
+	fanTiles(p, n, tiles, st, func(st S, _, t, lo, hi int) { body(st, t, lo, hi, buf[t*width:(t+1)*width]) })
+	for t := 0; t < tiles; t++ {
+		fold(acc, buf[t*width:(t+1)*width])
+	}
+}
+
 // MaxTiles returns the index of the maximum over the tiles of the fixed
 // [0, n) grid, body(st, t, lo, hi) reporting tile t's maximizing index and
 // its value. The tile maxima are combined in tile order, the first of tied

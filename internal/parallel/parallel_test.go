@@ -248,3 +248,39 @@ func TestSumBudgetInvariance(t *testing.T) {
 		}
 	})
 }
+
+// TestFoldTilesBudgetInvariance: FoldTiles' sums equal Sum's bitwise,
+// because both fold per-tile partials in tile order, and its minimum and
+// maximum are exact, on 1 to 4 workers and with a scratch too short for
+// a fan-out's tile vectors.
+func TestFoldTilesBudgetInvariance(t *testing.T) {
+	n := 5*TileRows + 123
+	vals := make([]float64, n)
+	for i := range vals {
+		vals[i] = 1 / float64(i+1)
+		if i%3 == 0 {
+			vals[i] *= -1e8
+		}
+	}
+	body := func(vals []float64, _, lo, hi int, part []float64) {
+		part[1], part[2] = math.Inf(1), math.Inf(-1)
+		for _, v := range vals[lo:hi] {
+			part[0] += v
+			part[1] = math.Min(part[1], v)
+			part[2] = math.Max(part[2], v)
+		}
+	}
+	fold := func(acc, part []float64) {
+		acc[0] += part[0]
+		acc[1] = math.Min(acc[1], part[1])
+		acc[2] = math.Max(acc[2], part[2])
+	}
+	want := [3]float64{Sum(FixedBudget(1), n, func(i int) float64 { return vals[i] }), -1e8, 0.5}
+	for p := 1; p <= 4; p++ {
+		acc := []float64{0, math.Inf(1), math.Inf(-1)}
+		FoldTiles(p, n, vals, acc, make([]float64, 3), body, fold)
+		if [3]float64(acc) != want {
+			t.Fatalf("p=%d: FoldTiles = %v, want %v (bitwise)", p, acc, want)
+		}
+	}
+}

@@ -228,11 +228,12 @@ func BenchmarkParHDEWorkspace(b *testing.B) { benchmarkParHDE(b, workspace.New()
 // TestColdLayoutHoldsSOnce: a cold layout's first run through a new
 // workspace allocates S (n·s floats) in one place, the DOrtho store, which
 // the TripleProd phase rewrites in place as the row-major S the walk and
-// the projection read. The bound is three n·s buffers: the store and the
-// workspace's P (still sized for the benchmark's staged replay) take two,
-// and the transpose's tile buffer and every O(n) vector fit in the third.
-// A second row-major copy of S, or an unread n·s DOrtho output matrix,
-// takes the run past it (≈ 4·n·s·8 B before the store became S).
+// the projection read. The bound is two n·s buffers: the store takes one,
+// and the transpose's tile buffer and every O(n) vector fit in the other.
+// A second row-major copy of S, an unread n·s DOrtho output matrix, or a
+// P panel for the benchmark's staged replay takes the run past it
+// (≈ 4·n·s·8 B before the store became S, ≈ 2.4·n·s·8 B while ParHDE
+// sized P).
 func TestColdLayoutHoldsSOnce(t *testing.T) {
 	g := gen.Grid2D(130, 130)
 	const s = 64
@@ -244,15 +245,34 @@ func TestColdLayoutHoldsSOnce(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	ws := workspace.New()
-	ws.Reshape(n, s, 2)
 	if _, _, err := ParHDE(g, Options{Subspace: s, Workers: 1, Workspace: ws}); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	got, bound := after.TotalAlloc-before.TotalAlloc, uint64(3*n*s*8)
+	got, bound := after.TotalAlloc-before.TotalAlloc, uint64(2*n*s*8)
 	t.Logf("first cold layout allocated %.1f MB; n·s·8 = %.1f MB, bound %.1f MB",
 		float64(got)/1e6, float64(n*s*8)/1e6, float64(bound)/1e6)
 	if got > bound {
-		t.Errorf("first cold layout allocated %d B, want at most 3·n·s·8 = %d B", got, bound)
+		t.Errorf("first cold layout allocated %d B, want at most 2·n·s·8 = %d B", got, bound)
+	}
+}
+
+// TestParHDELeavesPUnsized: P is the benchmark's staged-replay panel, which
+// ParHDE never writes, so neither a cold run nor a warm one through the
+// same workspace sizes it; the buffers ParHDE does read are sized.
+func TestParHDELeavesPUnsized(t *testing.T) {
+	g := gen.Grid2D(30, 30)
+	ws := workspace.New()
+	opt := Options{Subspace: 10, Seed: 1, Workspace: ws, Basis: NewBasis(g, Options{Subspace: 10, Seed: 1})}
+	for _, h := range []*graph.CSR{g, gen.Grid2D(30, 30)} {
+		if _, _, err := ParHDE(h, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cap(ws.P) != 0 {
+		t.Errorf("ParHDE sized P to %d floats", cap(ws.P))
+	}
+	if len(ws.Coords) != 2*g.NumV || len(ws.Z) == 0 || ws.Ortho == nil {
+		t.Errorf("ParHDE left its own buffers unsized: coords %d, Z %d, ortho %v", len(ws.Coords), len(ws.Z), ws.Ortho != nil)
 	}
 }

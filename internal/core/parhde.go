@@ -88,7 +88,7 @@ func ParHDECtx(ctx context.Context, g *graph.CSR, opt Options) (*Layout, *Report
 	var clk *phase.Clock
 	var esc *eigen.Scratch
 	if ws != nil {
-		ws.Reshape(n, s, opt.Dims)
+		ws.Fit(n, s, opt.Dims)
 		clk, esc = &ws.Clock, ws.Eigen
 		clk.Reset()
 	} else {

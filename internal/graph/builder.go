@@ -132,6 +132,15 @@ func assemble(n int, edges []Edge, weighted bool) *CSR {
 			newLen[v] = int64(out)
 		}
 	})
+	// When no parallel edge was merged, counts already is the offsets
+	// array and adj the packed adjacency.
+	var kept int64
+	for _, l := range newLen {
+		kept += l
+	}
+	if kept == counts[n] {
+		return &CSR{NumV: n, Offsets: counts, Adj: adj, Weights: wts}
+	}
 	// Compact into final CSR arrays.
 	offsets := make([]int64, n+1)
 	for v := 0; v < n; v++ {

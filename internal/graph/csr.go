@@ -149,16 +149,28 @@ func (g *CSR) Validate() error {
 		}
 	}
 	// Symmetry: every arc must have a reverse arc with matching weight.
+	// Rows are sorted, so visiting v in ascending order meets the reverse
+	// arcs u->v of each row u in its own order: cur[u] is the next arc of
+	// u's row no earlier v has matched, and each arc v->u must find it
+	// pointing at v. Each arc claims a distinct reverse arc, so when all
+	// match, every cursor has reached its row's end.
+	cur := make([]int64, g.NumV)
+	copy(cur, g.Offsets)
 	for v := 0; v < g.NumV; v++ {
 		for k := g.Offsets[v]; k < g.Offsets[v+1]; k++ {
 			u := g.Adj[k]
-			j, ok := g.findArc(u, int32(v))
-			if !ok {
+			j := cur[u]
+			if j == g.Offsets[u+1] || g.Adj[j] > int32(v) {
 				return fmt.Errorf("graph: missing reverse arc %d->%d", u, v)
+			}
+			if g.Adj[j] < int32(v) {
+				// Row g.Adj[j], visited already, has no arc to u.
+				return fmt.Errorf("graph: missing reverse arc %d->%d", g.Adj[j], u)
 			}
 			if g.Weights != nil && g.Weights[j] != g.Weights[k] {
 				return fmt.Errorf("graph: asymmetric weight on edge {%d,%d}", v, u)
 			}
+			cur[u] = j + 1
 		}
 	}
 	return nil

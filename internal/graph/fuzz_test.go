@@ -88,9 +88,13 @@ func FuzzReadBinary(f *testing.F) {
 		if WriteBinary(&a, g) != nil || WriteBinary(&b, streamed) != nil || !bytes.Equal(a.Bytes(), b.Bytes()) {
 			t.Fatal("sized and unsized reads built different graphs")
 		}
-		// Anything accepted must be structurally valid.
+		// Anything accepted must be structurally valid, and symmetric by
+		// the per-arc search Validate's cursor walk replaced.
 		if err := g.Validate(); err != nil {
 			t.Fatalf("ReadBinary accepted invalid graph: %v", err)
+		}
+		if err := validateSymmetryOracle(g); err != nil {
+			t.Fatalf("ReadBinary accepted an asymmetric graph: %v", err)
 		}
 	})
 }

@@ -52,7 +52,8 @@ type runFunc func(ctx context.Context, g *graph.CSR, cfg pipeline.Config) (*pipe
 type Config struct {
 	// Workers is the layout worker pool size (0 = GOMAXPROCS). Each
 	// layout is internally parallel already, so more workers trade
-	// per-job latency for throughput under concurrent load.
+	// per-job latency for throughput under concurrent load. It also caps
+	// the engine's workspaces: one per job running at once.
 	Workers int
 	// IDPrefix is prepended to every job id. A sharded deployment gives
 	// each layout worker a distinct prefix ("w1-" → "w1-j000001") so the
@@ -126,7 +127,12 @@ type Engine struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 	queue      chan *Job
-	wg         sync.WaitGroup
+	// free holds the workspaces no job is running on, Workers slots: a
+	// job takes one or makes one, and puts it back when it finishes, so
+	// the engine holds one workspace per job that ran at once, never more
+	// than Workers, and a sequential job stream warms exactly one.
+	free chan *workspace.Workspace
+	wg   sync.WaitGroup
 
 	mu       sync.Mutex
 	closed   bool
@@ -157,6 +163,7 @@ func New(cat *catalog.Catalog, cfg Config) *Engine {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		queue:      make(chan *Job, cfg.QueueDepth),
+		free:       make(chan *workspace.Workspace, cfg.Workers),
 		jobs:       map[string]*Job{},
 		jrn:        new(journal.Journal),
 		submitted:  cfg.Metrics.Counter("jobs_submitted_total"),
@@ -313,20 +320,26 @@ func (e *Engine) Close() {
 
 func (e *Engine) worker() {
 	defer e.wg.Done()
-	// Each worker owns one workspace for the jobs it runs: consecutive
-	// same-shaped layouts reuse warm buffers and the steady state performs
-	// no O(n)-sized allocations. Worker-private ownership means no
-	// cross-goroutine handoff and no locking on the hot path.
-	ws := workspace.New()
 	for j := range e.queue {
-		e.runJob(j, ws)
+		e.runJob(j)
 	}
 }
 
-func (e *Engine) runJob(j *Job, ws *workspace.Workspace) {
+// runJob runs j on a workspace from the free list: consecutive
+// same-shaped layouts reuse warm buffers, and the steady state performs no
+// O(n)-sized allocations. The handoff is one channel operation each way
+// per job; the run itself owns the workspace and takes no lock on it.
+func (e *Engine) runJob(j *Job) {
+	var ws *workspace.Workspace
+	select {
+	case ws = <-e.free:
+	default:
+		ws = workspace.New()
+	}
 	ws.Clock.Reset() // the last job's phase is not this one's
 	if !j.begin(&ws.Clock) {
 		// Cancelled while queued; Cancel already finalized it.
+		e.free <- ws
 		return
 	}
 	e.running.Add(1)
@@ -344,8 +357,8 @@ func (e *Engine) runJob(j *Job, ws *workspace.Workspace) {
 	e.running.Add(-1)
 	switch {
 	case err == nil:
-		// The layout aliases the worker's workspace and is only valid
-		// until the next job; deep-copy it so retained results stay
+		// The layout aliases the workspace and is only valid until the
+		// workspace's next job; deep-copy it so retained results stay
 		// immutable.
 		if res != nil && res.Layout != nil {
 			res.Layout = res.Layout.Clone()
@@ -356,6 +369,12 @@ func (e *Engine) runJob(j *Job, ws *workspace.Workspace) {
 	default:
 		j.finish(StateFailed, nil, err)
 	}
+	// The layout is cloned and finish detached the job from the clock:
+	// nothing of this job refers to the workspace any more, so the next
+	// job may take it while this one is journaled and installed. The send
+	// never blocks: each worker holds at most one of the ≤ Workers
+	// workspaces, so the list always has a free slot.
+	e.free <- ws
 	e.finalize(j, true)
 }
 

@@ -89,7 +89,7 @@ func TestSubmitRunsRealPipeline(t *testing.T) {
 }
 
 // TestLivePhaseFromRunClock polls the status of real layout jobs while
-// they run: the live phase is read off the worker's workspace clock, so a
+// they run: the live phase is read off the job's workspace clock, so a
 // running job reports a Breakdown phase name or "quality" ("" only
 // before its run enters its first phase), and a finished job reports "".
 // Two jobs on one worker check that the second never shows the first's

@@ -8,15 +8,18 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/journal"
 	"repro/internal/linalg"
 	"repro/internal/pipeline"
+	"repro/internal/workspace"
 )
 
 // writeFrames writes a job journal holding the given frames into a fresh
@@ -239,36 +242,119 @@ func TestJournalAppendAllocBudget(t *testing.T) {
 	}
 }
 
-// TestWorkerWorkspaceReuseMatchesFresh runs the same job repeatedly
-// through a single worker — whose workspace is dirtied by each run — and
-// checks every retained layout is bit-identical to a fresh standalone
-// pipeline run, proving the clone-out of workspace-backed results.
+// workspaceSpy wraps the real pipeline in a run hook that records every
+// distinct workspace a job is handed.
+type workspaceSpy struct {
+	mu   sync.Mutex
+	seen map[*workspace.Workspace]bool
+}
+
+func (w *workspaceSpy) run(ctx context.Context, g *graph.CSR, cfg pipeline.Config) (*pipeline.Result, error) {
+	w.mu.Lock()
+	if w.seen == nil {
+		w.seen = map[*workspace.Workspace]bool{}
+	}
+	w.seen[cfg.Layout.Workspace] = true
+	w.mu.Unlock()
+	return pipeline.RunCtx(ctx, g, cfg)
+}
+
+func (w *workspaceSpy) count() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.seen)
+}
+
+// TestWorkerWorkspaceReuseMatchesFresh submits 12 jobs at once over two
+// graph shapes to three workers, which hand a few workspaces between
+// them, each dirtied and reshaped by the runs before: every retained
+// layout must be bit-identical to a fresh standalone pipeline run of its
+// graph (the clone-out of workspace-backed results), and no more
+// workspaces than workers may exist.
 func TestWorkerWorkspaceReuseMatchesFresh(t *testing.T) {
 	cfg := pipeline.Config{Layout: core.Options{Subspace: 8, Seed: 7}, SkipQuality: true}
-	want, err := pipeline.RunCtx(context.Background(), gen.Grid2D(12, 12), cfg)
-	if err != nil {
+	cat := testCatalog(t)
+	if err := cat.Add("road", gen.Road(17, 23, 3), "test"); err != nil {
 		t.Fatal(err)
 	}
-	e := New(testCatalog(t), Config{Workers: 1})
-	defer e.Close()
-	var jobsRun []*Job
-	for i := 0; i < 3; i++ {
-		j, err := e.Submit("grid", cfg)
+	want := map[string][]float64{}
+	for _, name := range []string{"grid", "road"} {
+		g, _ := cat.Get(name)
+		res, err := pipeline.RunCtx(context.Background(), g, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		waitState(t, j, StateDone)
+		want[name] = res.Layout.Coords.Data
+	}
+	spy := &workspaceSpy{}
+	const workers = 3
+	e := New(cat, Config{Workers: workers, run: spy.run})
+	defer e.Close()
+	var jobsRun []*Job
+	for i := 0; i < 12; i++ {
+		j, err := e.Submit([]string{"grid", "road"}[i%2], cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		jobsRun = append(jobsRun, j)
 	}
 	for i, j := range jobsRun {
-		got := j.Result().Layout.Coords.Data
-		if len(got) != len(want.Layout.Coords.Data) {
-			t.Fatalf("job %d: %d coords, want %d", i, len(got), len(want.Layout.Coords.Data))
+		waitState(t, j, StateDone)
+		got, w := j.Result().Layout.Coords.Data, want[j.Graph()]
+		if len(got) != len(w) {
+			t.Fatalf("job %d (%s): %d coords, want %d", i, j.Graph(), len(got), len(w))
 		}
 		for k := range got {
-			if got[k] != want.Layout.Coords.Data[k] {
-				t.Fatalf("job %d: coord %d = %v, fresh run has %v", i, k, got[k], want.Layout.Coords.Data[k])
+			if got[k] != w[k] {
+				t.Fatalf("job %d (%s): coord %d = %v, fresh run has %v", i, j.Graph(), k, got[k], w[k])
 			}
 		}
+	}
+	if n := spy.count(); n > workers {
+		t.Fatalf("%d workspaces for %d workers", n, workers)
+	}
+}
+
+// TestSequentialJobsShareOneWorkspace runs 8 Road(100²) jobs one after
+// another on four workers: each job finds the last one's workspace on the
+// free list, so after the first job the engine allocates only the result
+// clones and per-job headers. Four private workspaces, one per worker,
+// would each be warmed in turn (≈ 1.7 MB apiece at s = 10).
+func TestSequentialJobsShareOneWorkspace(t *testing.T) {
+	g := gen.Road(100, 100, 1)
+	cat := catalog.New(-1)
+	if err := cat.Add("road", g, "test"); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan *Job, 1)
+	spy := &workspaceSpy{}
+	e := New(cat, Config{Workers: 4, run: spy.run, OnDone: func(j *Job) { done <- j }})
+	defer e.Close()
+	cfg := pipeline.Config{Layout: core.Options{Seed: 1}}
+	runOne := func() {
+		if _, err := e.Submit("road", cfg); err != nil {
+			t.Fatal(err)
+		}
+		if j := <-done; j.State() != StateDone {
+			t.Fatalf("job %s ended %v", j.ID(), j.State())
+		}
+	}
+	runOne()
+	const jobs = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 1; i < jobs; i++ {
+		runOne()
+	}
+	runtime.ReadMemStats(&after)
+	clones := uint64(jobs * g.NumV * 2 * 8)
+	const slack = 256 << 10
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("jobs 2..%d allocated %d B; %d result clones are %d B; %d workspaces", jobs, got, jobs, clones, spy.count())
+	if got > clones+slack {
+		t.Errorf("jobs 2..%d allocated %d B, want at most the clones (%d B) + %d B", jobs, got, clones, slack)
+	}
+	if n := spy.count(); n != 1 {
+		t.Errorf("a sequential job stream ran on %d workspaces, want 1", n)
 	}
 }

@@ -75,7 +75,10 @@ func (s *Server) handleGraphUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	format := defaultStr(q.Get("format"), "edges")
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
+	body := io.Reader(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes))
+	if r.ContentLength >= 0 && r.ContentLength <= s.cfg.MaxUploadBytes {
+		body = &sizedBody{r: body, left: r.ContentLength}
+	}
 	g, err := s.readUpload(body, format, graph.BuildOptions{Weighted: q.Get("weighted") == "1"})
 	if err != nil {
 		var tooBig *http.MaxBytesError
@@ -135,6 +138,25 @@ func (s *Server) readUpload(body io.Reader, format string, opts graph.BuildOptio
 	}
 	return graph.FromEdges(n, edges, opts)
 }
+
+// sizedBody is an upload body of declared length that reports the bytes
+// it has left, so graph.ReadBinary checks a binary header against them and
+// allocates each array once instead of growing it a chunk at a time. The
+// HTTP server ends the body at the declared length and fails one that
+// stops short, which ReadBinary reports like any truncated input.
+type sizedBody struct {
+	r    io.Reader
+	left int64
+}
+
+func (b *sizedBody) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p)
+	b.left -= int64(n)
+	return n, err
+}
+
+// Len returns the bytes the body has left to read.
+func (b *sizedBody) Len() int { return int(b.left) }
 
 func (s *Server) handleGraphDelete(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +15,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/jobs"
 )
 
@@ -471,4 +474,77 @@ func TestUploadVertexCountOutOfProportionIs413(t *testing.T) {
 		}
 	}
 	uploadGraph(t, ts.URL, "small", "0 1\n1 2\n2 0\n")
+}
+
+// TestBinaryUploadAllocatesCSROnce: a binary upload with a declared
+// Content-Length reaches graph.ReadBinary through a reader that reports
+// the bytes left, so each CSR array is allocated once: one Kron(16, 16)
+// upload (≈ 7.6 MB of CSR) allocates at most 1.3× the CSR plus a fixed
+// 1 MB for the request and the catalog entry. Behind the bare
+// MaxBytesReader the arrays grew a chunk at a time (4.7× the CSR).
+func TestBinaryUploadAllocatesCSROnce(t *testing.T) {
+	g := gen.Kron(16, 16, 1)
+	var buf bytes.Buffer
+	if err := graph.WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServerPair(t, Config{Workers: 1})
+	uploadGraph(t, ts.URL, "warm", "0 1\n1 2\n") // connection and handler warm-up
+	csrBytes := 8*len(g.Offsets) + 4*len(g.Adj)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, err := http.Post(ts.URL+"/graphs?name=kron&format=bin", "application/octet-stream", bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("upload: status %d: %s", resp.StatusCode, b)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("CSR %d B; the upload allocated %d B (%.2f×)", csrBytes, got, float64(got)/float64(csrBytes))
+	if bound := uint64(1.3*float64(csrBytes)) + 1<<20; got > bound {
+		t.Errorf("the upload allocated %d B, want at most 1.3× the CSR + 1 MB = %d B", got, bound)
+	}
+}
+
+// TestBinaryUploadShortOrOversizeBody: a body that stops short of its
+// declared length is a 400 however far its header's arrays reach into the
+// missing bytes, and a body over MaxUploadBytes is still a 413, declared
+// or not.
+func TestBinaryUploadShortOrOversizeBody(t *testing.T) {
+	var buf bytes.Buffer
+	if err := graph.WriteBinary(&buf, gen.Grid2D(20, 20)); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	limit := int64(len(full) - 1)
+	s, ts := newTestServerPair(t, Config{Workers: 1, MaxUploadBytes: limit})
+	for _, cut := range []int{len(full) - 1, len(full) / 2, 40} {
+		req := httptest.NewRequest("POST", "/graphs?name=short&format=bin", bytes.NewReader(full[:cut]))
+		req.ContentLength = int64(len(full) - 1) // declared, within the limit, longer than sent
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%d of %d declared bytes: status %d (%s), want 400", cut, len(full)-1, rec.Code, rec.Body)
+		}
+	}
+	resp, b := postJSON(t, ts.URL+"/graphs?name=big&format=bin", string(full))
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("declared oversize body: status %d (%s), want 413", resp.StatusCode, b)
+	}
+	req := httptest.NewRequest("POST", "/graphs?name=big&format=bin", struct{ io.Reader }{bytes.NewReader(full)})
+	req.ContentLength = -1
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("undeclared oversize body: status %d (%s), want 413", rec.Code, rec.Body)
+	}
+	for _, in := range s.cat.List() {
+		if in.Name == "short" || in.Name == "big" {
+			t.Errorf("a refused upload is registered: %+v", in)
+		}
+	}
 }

@@ -7,7 +7,8 @@
 // reuse every queued layout job re-pays those O(n·s) allocations and the
 // GC traffic they induce, exactly the unbatched memory waste BatchLayout
 // attributes to shared-memory layout codes. A Workspace owns one instance
-// of every buffer; each job-engine worker owns one Workspace.
+// of every buffer; a job engine keeps a free list of them, and each
+// running job holds one.
 //
 // Ownership contract: a Workspace serves one layout run at a time. The
 // run's outputs that alias workspace storage (the layout coordinates and
@@ -31,10 +32,10 @@ import (
 )
 
 // Workspace holds every reusable scratch buffer of one ParHDE run. The
-// zero value from New is empty; Reshape sizes it for a (n, s) problem and
-// is idempotent for a same-shaped sequence of runs, so a job-engine
-// worker that owns one Workspace and reshapes it per job allocates only
-// when the graph shape actually changes.
+// zero value from New is empty; Fit sizes it for a (n, s) problem and is
+// idempotent for a same-shaped sequence of runs, so jobs that pass one
+// Workspace from run to run allocate only when the graph shape actually
+// changes.
 type Workspace struct {
 	// Pivot is the BFS-phase scratch: traversal frontiers/queues, the
 	// per-pivot hop vector, the k-centers min-distance vector and the
@@ -43,8 +44,8 @@ type Workspace struct {
 	// Deg caches the weighted-degree vector diag(D) between runs.
 	Deg []float64
 	// B backs an n×s distance matrix for a caller that materializes one
-	// (DistView). ParHDE never does, so Reshape leaves it alone; only the
-	// benchmark's staged replay reads it.
+	// (DistView). ParHDE never does, so Fit and Reshape leave it alone;
+	// only the benchmark's staged replay reads it.
 	B *linalg.Dense
 	// Ortho is the DOrtho packed kept-column store, work vector, and the
 	// reduction-partials buffers reused across every inner product. The
@@ -54,11 +55,11 @@ type Workspace struct {
 	Ortho *ortho.Scratch
 	// SRM is an n·s row-major S for the benchmark's staged replay, whose
 	// L·S kernel allocates one when it is short. ParHDE never reads it, and
-	// Reshape leaves it alone.
+	// Fit and Reshape leave it alone.
 	SRM []float64
-	// P backs an n×s product L·S. ParHDE never writes it — its TripleProd
-	// walk consumes P a chunk at a time — only the benchmark's staged
-	// replay, which still runs L·S and SᵀP as two passes, does.
+	// P backs an n×s product L·S for the benchmark's staged replay, which
+	// still runs L·S and SᵀP as two passes; Reshape sizes it. ParHDE's
+	// TripleProd walk consumes P a chunk at a time, so Fit leaves it alone.
 	P []float64
 	// Z backs the s×s projected matrix Sᵀ(LS).
 	Z []float64
@@ -84,15 +85,16 @@ type Workspace struct {
 	Clock phase.Clock
 }
 
-// New returns an empty workspace; the first Reshape sizes it.
+// New returns an empty workspace; the first Fit sizes it.
 func New() *Workspace {
 	return &Workspace{}
 }
 
-// Reshape grows the workspace to serve an n-vertex, s-pivot, p-dimension
-// run. Buffers already large enough are kept as-is (capacity is never
-// shed), so reshaping between same-shaped jobs performs no allocations.
-func (ws *Workspace) Reshape(n, s, p int) {
+// Fit grows every buffer ParHDE reads to serve an n-vertex, s-pivot,
+// p-dimension run, and leaves P, B and SRM alone. Buffers already large
+// enough are kept as-is (capacity is never shed), so fitting between
+// same-shaped jobs performs no allocations.
+func (ws *Workspace) Fit(n, s, p int) {
 	if ws.Pivot == nil {
 		ws.Pivot = pivot.NewScratch(n)
 	} else {
@@ -103,7 +105,6 @@ func (ws *Workspace) Reshape(n, s, p int) {
 	} else {
 		ws.Ortho.Ensure(n, s)
 	}
-	ws.P = growFloat(ws.P, n*s)
 	ws.Z = growFloat(ws.Z, s*s)
 	if ws.Eigen == nil {
 		ws.Eigen = &eigen.Scratch{}
@@ -114,6 +115,14 @@ func (ws *Workspace) Reshape(n, s, p int) {
 		ws.Pack = &linalg.PackArena{}
 	}
 	ws.Coords = growFloat(ws.Coords, n*p)
+}
+
+// Reshape is Fit plus an n×s P. Only the benchmark's staged replay, which
+// still runs L·S and SᵀP as two passes, writes P; when that replay goes,
+// Reshape folds into Fit.
+func (ws *Workspace) Reshape(n, s, p int) {
+	ws.Fit(n, s, p)
+	ws.P = growFloat(ws.P, n*s)
 }
 
 // DistView returns an n×cols distance-matrix view over B's storage,

@@ -41,3 +41,20 @@ func TestDistViewAliasesB(t *testing.T) {
 		t.Fatalf("DistView(20, 3) left B %dx%d", ws.B.Rows, ws.B.Cols)
 	}
 }
+
+// TestFitLeavesReplayBuffersAlone: Fit sizes what ParHDE reads and none of
+// the staged replay's buffers; Reshape adds P on top.
+func TestFitLeavesReplayBuffersAlone(t *testing.T) {
+	ws := New()
+	ws.Fit(100, 4, 2)
+	if ws.P != nil || ws.B != nil || ws.SRM != nil {
+		t.Fatalf("Fit sized a replay buffer: P %d, B %v, SRM %d", len(ws.P), ws.B, len(ws.SRM))
+	}
+	if len(ws.Coords) != 200 || len(ws.Z) != 16 || ws.Pivot == nil || ws.Ortho == nil || ws.Eigen == nil || ws.Pack == nil {
+		t.Fatalf("Fit(100,4,2) left a ParHDE buffer unsized: coords %d, Z %d", len(ws.Coords), len(ws.Z))
+	}
+	ws.Reshape(100, 4, 2)
+	if len(ws.P) != 400 {
+		t.Fatalf("Reshape after Fit: P len %d, want 400", len(ws.P))
+	}
+}

@@ -2,11 +2,17 @@ package repro_bench
 
 import (
 	"bytes"
+	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/jobs"
+	"repro/internal/journal"
 )
 
 // buildTool compiles one of the cmd binaries into a shared temp dir, with
@@ -198,6 +204,71 @@ func TestCLIHdesoak(t *testing.T) {
 	soakBin := buildTool(t, dir, "hdesoak")
 	runTool(t, soakBin, "-bin", serveBin, "-out", filepath.Join(dir, "soak.json"),
 		"-workers", "2", "-jobs", "4", "-grid", "40", "-s", "64")
+}
+
+// TestCLIHdeserveQuietKeepsWarnings: -quiet hides the access lines and
+// nothing else. A worker whose journal holds a graph-put frame that
+// graph.ReadBinary refuses comes up without that graph and says so on
+// stderr at Warn, as hdesoak's -quiet workers must be able to.
+func TestCLIHdeserveQuietKeepsWarnings(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI integration test builds binaries")
+	}
+	dir := t.TempDir()
+	bin := buildTool(t, dir, "hdeserve")
+	data := filepath.Join(dir, "w1")
+	if err := os.MkdirAll(data, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	jrn, err := journal.Open(filepath.Join(data, jobs.JournalFile), nil, func(journal.Frame) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 'g' is the server's graph-put frame kind; the payload is no graph.
+	err = jrn.Append('g', "bad", func(b []byte) ([]byte, error) { return append(b, "not a csr"...), nil })
+	jrn.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	cmd := exec.Command(bin, "-quiet", "-worker-id", "w1", "-data-dir", data, "-demo", "-s", "8", "-addr", addr)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill()
+	healthy := false
+	for deadline := time.Now().Add(time.Minute); !healthy && time.Now().Before(deadline); time.Sleep(50 * time.Millisecond) {
+		if resp, err := http.Get("http://" + addr + "/healthz"); err == nil {
+			resp.Body.Close()
+			healthy = resp.StatusCode == http.StatusOK
+		}
+	}
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("hdeserve: %v\n%s", err, stderr.String())
+	}
+	out := stderr.String()
+	if !healthy {
+		t.Fatalf("hdeserve never answered /healthz:\n%s", out)
+	}
+	var warned bool
+	for _, line := range strings.Split(out, "\n") {
+		warned = warned || strings.Contains(line, "level=WARN") && strings.Contains(line, "not replayed") &&
+			strings.Contains(line, "graph=bad")
+	}
+	if !warned || strings.Contains(out, "msg=access") {
+		t.Fatalf("stderr of hdeserve -quiet: want the Warn line about the refused frame and no access line:\n%s", out)
+	}
 }
 
 func TestCLIWeightedAndRefine(t *testing.T) {

@@ -72,7 +72,7 @@ func newFlagSet(opt *options) *flag.FlagSet {
 	fs.IntVar(&opt.maxRenders, "max-renders", 0,
 		"max concurrently executing renders (0 = GOMAXPROCS)")
 	fs.BoolVar(&opt.pprofOn, "pprof", false, "expose /debug/pprof/ endpoints")
-	fs.BoolVar(&opt.quiet, "quiet", false, "disable the per-request access log")
+	fs.BoolVar(&opt.quiet, "quiet", false, "hide access lines; warnings stay")
 
 	fs.IntVar(&opt.workers, "workers", 0,
 		"layout job worker pool size (0 = GOMAXPROCS)")

@@ -39,7 +39,7 @@ package main
 import (
 	"context"
 	"flag"
-	"log"
+	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -61,8 +61,13 @@ func main() {
 		if err == flag.ErrHelp {
 			os.Exit(2)
 		}
-		log.Fatal(err)
+		fatal("parsing flags", "err", err)
 	}
+	level := slog.LevelInfo
+	if opt.quiet {
+		level = slog.LevelWarn
+	}
+	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level})))
 
 	if opt.peers == "" {
 		runServer(fs, opt)
@@ -71,7 +76,7 @@ func main() {
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "in", "demo", "worker-id", "data-dir":
-			log.Fatalf("-%s is a worker flag, and -peers makes this process a router", f.Name)
+			fatal("-peers makes this process a router: drop the worker flag", "flag", "-"+f.Name)
 		}
 	})
 	runRouter(opt)
@@ -88,13 +93,13 @@ func runServer(fs *flag.FlagSet, opt options) {
 	case opt.in != "":
 		f, err := os.Open(opt.in)
 		if err != nil {
-			log.Fatal(err)
+			fatal("opening the startup graph", "err", err)
 		}
 		var rerr error
 		g, rerr = graph.Read(f, opt.format, graph.BuildOptions{})
 		f.Close()
 		if rerr != nil {
-			log.Fatal(rerr)
+			fatal("reading the startup graph", "err", rerr)
 		}
 	default:
 		fs.Usage()
@@ -112,22 +117,14 @@ func runServer(fs *flag.FlagSet, opt options) {
 		DataDir:              opt.dataDir,
 		CatalogBytes:         opt.catalogBytes,
 		MaxUploadBytes:       opt.maxUpload,
-	}
-	if !opt.quiet {
-		cfg.AccessLog = log.New(os.Stderr, "access ", log.LstdFlags)
+		Logger:               slog.Default(),
 	}
 	srv, err := server.NewWithConfig(g, core.Options{Subspace: opt.subspace, Seed: 1}, cfg)
 	if err != nil {
-		log.Fatal(err)
+		fatal("starting the worker", "err", err)
 	}
-
-	role := ""
-	if opt.workerID != "" {
-		role = " as worker " + opt.workerID
-	}
-	log.Printf("serving layout of n=%d m=%d on http://%s/%s (layout took %v)",
-		g.NumV, g.NumEdges(), opt.addr, role,
-		srv.Report().Breakdown.Total.Round(time.Millisecond))
+	slog.Info("serving layout", "n", g.NumV, "m", g.NumEdges(), "url", "http://"+opt.addr+"/",
+		"worker", opt.workerID, "layout", srv.Report().Breakdown.Total.Round(time.Millisecond))
 	serveUntilSignal(opt, srv.Handler(), srv.Hangup, srv.Close)
 }
 
@@ -141,22 +138,19 @@ func runRouter(opt options) {
 		}
 	}
 	if len(peers) == 0 {
-		log.Fatal("-peers names no worker URL")
+		fatal("-peers names no worker URL")
 	}
-	cfg := shard.Config{
+	rt, err := shard.NewRouter(shard.Config{
 		Peers:          peers,
 		HealthInterval: opt.healthInterval,
 		CacheBytes:     opt.routerCache,
 		MaxUploadBytes: opt.maxUpload,
-	}
-	if !opt.quiet {
-		cfg.Logger = log.New(os.Stderr, "access ", log.LstdFlags)
-	}
-	rt, err := shard.NewRouter(cfg)
+		Logger:         slog.Default(),
+	})
 	if err != nil {
-		log.Fatal(err)
+		fatal("starting the router", "err", err)
 	}
-	log.Printf("routing for %d workers on http://%s/", len(peers), opt.addr)
+	slog.Info("routing", "workers", len(peers), "url", "http://"+opt.addr+"/")
 	serveUntilSignal(opt, rt.Handler(), rt.Hangup, rt.Close)
 }
 
@@ -185,15 +179,21 @@ func serveUntilSignal(opt options, h http.Handler, hangup, shutdown func()) {
 
 	select {
 	case err := <-errCh:
-		log.Fatal(err)
+		fatal("serving", "err", err)
 	case <-ctx.Done():
 		stop() // a second signal kills immediately
-		log.Printf("signal received; draining in-flight requests (up to %v)", opt.drainTimeout)
+		slog.Info("signal received; draining in-flight requests", "timeout", opt.drainTimeout)
 		shCtx, cancel := context.WithTimeout(context.Background(), opt.drainTimeout)
 		defer cancel()
 		if err := httpSrv.Shutdown(shCtx); err != nil {
-			log.Printf("shutdown: %v", err)
+			slog.Warn("shutdown", "err", err)
 		}
 		shutdown()
 	}
+}
+
+// fatal logs msg and args at Error and exits 1.
+func fatal(msg string, args ...any) {
+	slog.Error(msg, args...)
+	os.Exit(1)
 }

@@ -25,10 +25,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"log"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -441,7 +442,7 @@ func soak(opt options, f *fleet) (soakResult, error) {
 			return res, err
 		}
 	}
-	log.Printf("SIGKILL %s mid-run", victim.name)
+	slog.Info("SIGKILL mid-run", "worker", victim.name)
 	victim.kill()
 	js, err := readJournals(f.dirs[len(f.dirs)-1:])
 	if err != nil {
@@ -449,7 +450,7 @@ func soak(opt options, f *fleet) (soakResult, error) {
 	}
 	interrupted := js.pending
 	res.Replayed = len(interrupted)
-	log.Printf("%s died with %d journaled jobs unresolved", victim.name, res.Replayed)
+	slog.Info("died with journaled jobs unresolved", "worker", victim.name, "jobs", res.Replayed)
 	if res.Replayed == 0 {
 		return res, fmt.Errorf("SIGKILL interrupted nothing; the victim drained its backlog first")
 	}
@@ -485,7 +486,7 @@ func soak(opt options, f *fleet) (soakResult, error) {
 		return res, fmt.Errorf("the restarted %s lists %+v; want %s dynamic with %d edges: the PATCH did not survive the kill",
 			victim.name, listing.Graphs, victimName, patchedEdges)
 	}
-	log.Printf("%s restarted with %s as PATCHed; replaying journaled jobs", victim.name, victimName)
+	slog.Info("restarted with its graph as PATCHed; replaying journaled jobs", "worker", victim.name, "graph", victimName)
 
 	if err := f.drain(); err != nil {
 		return res, err
@@ -562,40 +563,43 @@ func main() {
 	flag.IntVar(&opt.subspace, "s", 128, "job subspace dimension (bigger = slower jobs)")
 	flag.StringVar(&opt.out, "out", "soak_shard.json", "result JSON path")
 	flag.Parse()
-	log.SetFlags(0)
-	log.SetPrefix("hdesoak: ")
-	if opt.bin == "" || opt.workers < 2 {
-		log.Fatal("need -bin (go build -o /tmp/hdeserve ./cmd/hdeserve) and -workers ≥ 2")
+	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, nil)).With("cmd", "hdesoak"))
+	if err := run(opt); err != nil {
+		slog.Error("soak failed", "err", err)
+		os.Exit(1)
 	}
+}
 
+// run soaks a fleet and stops it whatever the soak returns: a leaked
+// worker process would outlive the harness and hold its port.
+func run(opt options) error {
+	if opt.bin == "" || opt.workers < 2 {
+		return errors.New("need -bin (go build -o /tmp/hdeserve ./cmd/hdeserve) and -workers ≥ 2")
+	}
 	tmp, err := os.MkdirTemp("", "hdesoak")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer os.RemoveAll(tmp)
 
-	log.Printf("%d worker(s), %d jobs, one SIGKILL + restart", opt.workers, opt.jobs)
+	slog.Info("soak", "workers", opt.workers, "jobs", opt.jobs, "kills", 1)
 	f, err := startFleet(opt, tmp)
 	if err != nil {
-		os.RemoveAll(tmp)
-		log.Fatal(err)
+		return err
 	}
 	start := time.Now()
 	res, err := soak(opt, f)
-	// log.Fatal skips defers, so the fleet is stopped explicitly — a
-	// leaked worker process would outlive the harness and hold its port.
 	if stopErr := f.stop(); err == nil {
 		err = stopErr
 	}
 	if err != nil {
-		os.RemoveAll(tmp)
-		log.Fatal(err)
+		return err
 	}
-
 	blob, _ := json.MarshalIndent(res, "", "  ")
 	if err := os.WriteFile(opt.out, append(blob, '\n'), 0o644); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	log.Printf("done in %.1fs: %d intents replayed, %d records (one per accepted job), 0 dropped, %.0f journal bytes/job → %s",
-		time.Since(start).Seconds(), res.Replayed, res.Records, res.JournalBytesPerJob, opt.out)
+	slog.Info("done: no job dropped", "seconds", time.Since(start).Round(100*time.Millisecond).Seconds(),
+		"replayed", res.Replayed, "records", res.Records, "journalBytesPerJob", res.JournalBytesPerJob, "out", opt.out)
+	return nil
 }

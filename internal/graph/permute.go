@@ -2,6 +2,8 @@ package graph
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"repro/internal/parallel"
 )
@@ -46,37 +48,29 @@ func Permute(g *CSR, perm []int32) (*CSR, error) {
 			}
 			pos++
 		}
-		// Re-sort the relabeled adjacency (insertion sort is fine for
-		// typical degrees; fall back to a simple quicksort via sortInt32).
-		sortAdjRange(adj, wts, offsets[nw], pos)
+		// Relabelling scrambles the row's order: sort it again, in
+		// O(d log d), since a hub row can hold most of the graph.
+		if wts == nil {
+			slices.Sort(adj[offsets[nw]:pos])
+		} else {
+			sort.Sort(&adjRow{adj[offsets[nw]:pos], wts[offsets[nw]:pos]})
+		}
 	})
 	return &CSR{NumV: n, Offsets: offsets, Adj: adj, Weights: wts}, nil
 }
 
-// sortAdjRange sorts adj[lo:hi] ascending, permuting wts in lockstep when
-// present.
-func sortAdjRange(adj []int32, wts []float64, lo, hi int64) {
-	// Insertion sort: adjacency lists are short relative to n and this
-	// runs once per vertex during preprocessing.
-	for i := lo + 1; i < hi; i++ {
-		a := adj[i]
-		var w float64
-		if wts != nil {
-			w = wts[i]
-		}
-		j := i - 1
-		for j >= lo && adj[j] > a {
-			adj[j+1] = adj[j]
-			if wts != nil {
-				wts[j+1] = wts[j]
-			}
-			j--
-		}
-		adj[j+1] = a
-		if wts != nil {
-			wts[j+1] = w
-		}
-	}
+// adjRow is one adjacency row with its weights, sorted by neighbour with
+// the weights in lockstep.
+type adjRow struct {
+	adj []int32
+	wts []float64
+}
+
+func (r *adjRow) Len() int           { return len(r.adj) }
+func (r *adjRow) Less(i, j int) bool { return r.adj[i] < r.adj[j] }
+func (r *adjRow) Swap(i, j int) {
+	r.adj[i], r.adj[j] = r.adj[j], r.adj[i]
+	r.wts[i], r.wts[j] = r.wts[j], r.wts[i]
 }
 
 // RandomPermutation returns a uniformly random permutation of [0, n) using

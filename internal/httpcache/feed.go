@@ -35,4 +35,7 @@ type Frame struct {
 	Graph string `json:"graph,omitempty"`
 	// Version is Graph's version after the change.
 	Version uint64 `json:"version,omitempty"`
+	// RequestID is, on the frame of a layout install, the ID of the
+	// request whose job installed it.
+	RequestID string `json:"requestId,omitempty"`
 }

@@ -13,7 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
+	"log/slog"
 	"runtime"
 	"sort"
 	"sync"
@@ -85,8 +85,8 @@ type Config struct {
 	// OnDone, when non-nil, runs after every terminal transition, from
 	// the worker goroutine (the server uses it to install fresh layouts).
 	OnDone func(*Job)
-	// Logger receives non-fatal engine warnings (nil = discard).
-	Logger *log.Logger
+	// Logger receives the engine's journal warnings (nil = obs.Discard).
+	Logger *slog.Logger
 
 	run runFunc // test seam; nil = pipeline.RunCtx
 }
@@ -112,6 +112,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()
+	}
+	if c.Logger == nil {
+		c.Logger = obs.Discard()
 	}
 	if c.run == nil {
 		c.run = pipeline.RunCtx
@@ -185,9 +188,7 @@ func New(cat *catalog.Catalog, cfg Config) *Engine {
 	if j := cfg.Journal; j != nil {
 		e.jrn, e.seq, e.pending = j.file, j.snap.Seq, j.snap.Pending
 		for _, err := range j.snap.Errs {
-			if cfg.Logger != nil {
-				cfg.Logger.Printf("jobs: opening the journal: %v", err)
-			}
+			cfg.Logger.Warn("reading the journal", "err", err)
 		}
 	}
 	for i := 0; i < cfg.Workers; i++ {
@@ -201,16 +202,17 @@ func New(cat *catalog.Catalog, cfg Config) *Engine {
 // graph immediately (so a later eviction cannot break a queued job) and
 // rejects with ErrQueueFull when the queue is saturated.
 func (e *Engine) Submit(graphName string, cfg pipeline.Config) (*Job, error) {
-	return e.SubmitSpec(graphName, cfg, nil)
+	return e.SubmitSpec(graphName, cfg, nil, "")
 }
 
 // SubmitSpec is Submit plus a self-contained, re-parseable description of
-// the request (the validated API body, typically). With a journal the
-// spec is journaled as an intent frame before the submission returns, so
-// a worker that dies mid-run can recover the job on restart (see
-// Pending). A nil spec submits without an intent: the job runs normally
-// but is not crash-recoverable.
-func (e *Engine) SubmitSpec(graphName string, cfg pipeline.Config, spec []byte) (*Job, error) {
+// the request (the validated API body, typically) and the ID of the
+// request that asked for the job, which its status reports. With a
+// journal the spec and the ID are journaled as an intent frame before the
+// submission returns, so a worker that dies mid-run can recover the job,
+// under the same request ID, on restart (see Pending). A nil spec submits
+// without an intent: the job runs normally but is not crash-recoverable.
+func (e *Engine) SubmitSpec(graphName string, cfg pipeline.Config, spec []byte, requestID string) (*Job, error) {
 	g, ok := e.cat.Get(graphName)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", catalog.ErrNotFound, graphName)
@@ -224,15 +226,16 @@ func (e *Engine) SubmitSpec(graphName string, cfg pipeline.Config, spec []byte) 
 	e.seq++
 	ctx, cancel := context.WithCancel(e.baseCtx)
 	j := &Job{
-		id:      fmt.Sprintf("%sj%06d", e.cfg.IDPrefix, e.seq),
-		graph:   graphName,
-		g:       g,
-		spec:    spec,
-		cfg:     cfg,
-		ctx:     ctx,
-		cancel:  cancel,
-		state:   StateQueued,
-		created: time.Now(),
+		id:        fmt.Sprintf("%sj%06d", e.cfg.IDPrefix, e.seq),
+		graph:     graphName,
+		requestID: requestID,
+		g:         g,
+		spec:      spec,
+		cfg:       cfg,
+		ctx:       ctx,
+		cancel:    cancel,
+		state:     StateQueued,
+		created:   time.Now(),
 	}
 	select {
 	case e.queue <- j:
@@ -240,7 +243,8 @@ func (e *Engine) SubmitSpec(graphName string, cfg pipeline.Config, spec []byte) 
 		// a 202, the job either completes or survives as a pending intent.
 		// (One small write under e.mu — submissions are not a hot path.)
 		if spec != nil {
-			e.record(kindIntent, j.id, Intent{Version: PersistVersion, ID: j.id, Graph: graphName, Spec: spec, Created: j.created}, nil)
+			e.record(kindIntent, j.id, Intent{Version: PersistVersion, ID: j.id, Graph: graphName,
+				RequestID: requestID, Spec: spec, Created: j.created}, nil)
 		}
 		e.jobs[j.id] = j
 		e.submitted.Inc()

@@ -66,6 +66,9 @@ type Status struct {
 	Graph     string `json:"graph"`     // catalog name of the input graph
 	Algorithm string `json:"algorithm"` // always Algorithm
 	State     string `json:"state"`     // State.String() of the snapshot
+	// RequestID is the X-Request-Id of the request that submitted the job
+	// (a POST /jobs, or the PATCH that queued a refinement).
+	RequestID string `json:"requestId,omitempty"`
 	// Phase is the phase the run is in, one of the Phases names or
 	// "quality" (running jobs only).
 	Phase string `json:"phase,omitempty"`
@@ -85,11 +88,12 @@ type Status struct {
 // Job is one queued/running/finished layout request. All mutable fields
 // are guarded by mu; Status() takes consistent snapshots for the API.
 type Job struct {
-	id    string
-	graph string // catalog name, for display
-	g     *graph.CSR
-	cfg   pipeline.Config
-	spec  []byte // re-parseable request body journaled as the intent frame
+	id        string
+	graph     string // catalog name, for display
+	requestID string // ID of the request that submitted it
+	g         *graph.CSR
+	cfg       pipeline.Config
+	spec      []byte // re-parseable request body journaled as the intent frame
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -113,6 +117,9 @@ func (j *Job) ID() string { return j.id }
 
 // Graph returns the catalog name the job was submitted against.
 func (j *Job) Graph() string { return j.graph }
+
+// RequestID returns the ID of the request that submitted the job.
+func (j *Job) RequestID() string { return j.requestID }
 
 // Input returns the graph the job operates on (resolved at submit time,
 // so catalog eviction cannot invalidate it).
@@ -188,6 +195,7 @@ func (j *Job) Status() Status {
 		Graph:     j.graph,
 		Algorithm: Algorithm,
 		State:     j.state.String(),
+		RequestID: j.requestID,
 		Created:   j.created,
 	}
 	if j.clock != nil {

@@ -141,11 +141,11 @@ func TestResultRoundTripsBitExact(t *testing.T) {
 			return pipeline.RunCtx(ctx, g, cfg)
 		}})
 	defer e.Close()
-	plain, err := e.SubmitSpec("grid", pipeline.Config{Layout: core.Options{Subspace: 8, Seed: 1}}, []byte(`{"graph":"grid"}`))
+	plain, err := e.SubmitSpec("grid", pipeline.Config{Layout: core.Options{Subspace: 8, Seed: 1}}, []byte(`{"graph":"grid"}`), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	odd, err := e.SubmitSpec("grid", pipeline.Config{Layout: core.Options{Seed: 99}}, []byte(`{"graph":"grid"}`))
+	odd, err := e.SubmitSpec("grid", pipeline.Config{Layout: core.Options{Seed: 99}}, []byte(`{"graph":"grid"}`), "")
 	if err != nil {
 		t.Fatal(err)
 	}

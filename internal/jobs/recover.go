@@ -52,11 +52,14 @@ const PersistVersion = 1
 // layer that built the submission (the HTTP server) re-parses it on
 // recovery, so the wire format and the recovery format are the same bytes.
 type Intent struct {
-	Version int             `json:"version"` // schema version written with
-	ID      string          `json:"id"`      // job id; also the frame's key
-	Graph   string          `json:"graph"`   // catalog name submitted against
-	Spec    json.RawMessage `json:"spec"`
-	Created time.Time       `json:"created"` // original submission time
+	Version int    `json:"version"` // schema version written with
+	ID      string `json:"id"`      // job id; also the frame's key
+	Graph   string `json:"graph"`   // catalog name submitted against
+	// RequestID is the ID of the request that submitted the job; the
+	// replayed job reports it again.
+	RequestID string          `json:"requestId,omitempty"`
+	Spec      json.RawMessage `json:"spec"`
+	Created   time.Time       `json:"created"` // original submission time
 }
 
 // Record is a completed job as its result frame holds it: everything but
@@ -207,9 +210,7 @@ func (e *Engine) Append(kind byte, key string, fill func([]byte) ([]byte, error)
 	e.appendSeconds.ObserveDuration(time.Since(start))
 	if err != nil {
 		e.journalErrs.Inc()
-		if e.cfg.Logger != nil {
-			e.cfg.Logger.Printf("jobs: journaling %c frame for %s: %v", kind, key, err)
-		}
+		e.cfg.Logger.Warn("journal append failed", "kind", string(kind), "key", key, "err", err)
 	}
 }
 

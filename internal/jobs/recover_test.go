@@ -4,7 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"log"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"slices"
@@ -42,7 +42,7 @@ func TestIntentRetiredOnDone(t *testing.T) {
 	dir := t.TempDir()
 	e := New(testCatalog(t), Config{Workers: 1, Journal: OpenJournal(dir, nil), run: fastRun})
 	defer e.Close()
-	j, err := e.SubmitSpec("grid", pipeline.Config{}, []byte(`{"graph":"grid"}`))
+	j, err := e.SubmitSpec("grid", pipeline.Config{}, []byte(`{"graph":"grid"}`), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +67,11 @@ func TestIntentRetiredOnUserCancel(t *testing.T) {
 	defer e.Close()
 	defer close(release)
 	// First job occupies the worker; the second stays queued.
-	j1, err := e.SubmitSpec("grid", pipeline.Config{}, []byte(`{}`))
+	j1, err := e.SubmitSpec("grid", pipeline.Config{}, []byte(`{}`), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := e.SubmitSpec("grid", pipeline.Config{}, []byte(`{}`))
+	j2, err := e.SubmitSpec("grid", pipeline.Config{}, []byte(`{}`), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,12 +91,12 @@ func TestIntentSurvivesShutdownAndRecovers(t *testing.T) {
 	dir := t.TempDir()
 	run, release := blockingRun()
 	e := New(testCatalog(t), Config{Workers: 1, QueueDepth: 8, IDPrefix: "w1-", Journal: OpenJournal(dir, nil), run: run})
-	running, err := e.SubmitSpec("grid", pipeline.Config{}, []byte(`{"graph":"grid","subspace":8}`))
+	running, err := e.SubmitSpec("grid", pipeline.Config{}, []byte(`{"graph":"grid","subspace":8}`), "req-8")
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, running, StateRunning)
-	queued, err := e.SubmitSpec("grid", pipeline.Config{}, []byte(`{"graph":"grid","subspace":9}`))
+	queued, err := e.SubmitSpec("grid", pipeline.Config{}, []byte(`{"graph":"grid","subspace":9}`), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,12 +117,16 @@ func TestIntentSurvivesShutdownAndRecovers(t *testing.T) {
 	if pending[0].ID != running.ID() || pending[1].ID != queued.ID() {
 		t.Fatalf("pending order %q, %q", pending[0].ID, pending[1].ID)
 	}
-	if string(pending[0].Spec) != `{"graph":"grid","subspace":8}` || pending[0].Graph != "grid" {
-		t.Fatalf("intent round-trip: %+v", pending[0])
+	if string(pending[0].Spec) != `{"graph":"grid","subspace":8}` || pending[0].Graph != "grid" ||
+		pending[0].RequestID != "req-8" || pending[1].RequestID != "" {
+		t.Fatalf("intent round-trip: %+v", pending)
 	}
-	j, err := e2.SubmitSpec("grid", pipeline.Config{}, pending[0].Spec)
+	j, err := e2.SubmitSpec("grid", pipeline.Config{}, pending[0].Spec, pending[0].RequestID)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := j.Status().RequestID; got != "req-8" {
+		t.Fatalf("replayed job reports request ID %q, want req-8", got)
 	}
 	if j.ID() != "w1-j000003" {
 		t.Fatalf("restarted engine issued id %q, want w1-j000003", j.ID())
@@ -191,7 +195,7 @@ func TestPendingIntentsToleratesCorruptAndFuture(t *testing.T) {
 
 	// The engine's own start-up scan (which skips result payloads) agrees.
 	var logged strings.Builder
-	e := New(testCatalog(t), Config{Workers: 1, Journal: OpenJournal(dir, nil), run: fastRun, Logger: log.New(&logged, "", 0)})
+	e := New(testCatalog(t), Config{Workers: 1, Journal: OpenJournal(dir, nil), run: fastRun, Logger: slog.New(slog.NewTextHandler(&logged, nil))})
 	defer e.Close()
 	check("engine", e.Pending(), strings.Split(strings.TrimSpace(logged.String()), "\n"), e.seq)
 }
@@ -202,7 +206,7 @@ func TestPendingIntentsToleratesCorruptAndFuture(t *testing.T) {
 func TestTornResultFrameReplaysTheJob(t *testing.T) {
 	dir := t.TempDir()
 	e := New(testCatalog(t), Config{Workers: 1, Journal: OpenJournal(dir, nil), run: fastRun})
-	j, err := e.SubmitSpec("grid", pipeline.Config{}, []byte(`{"graph":"grid"}`))
+	j, err := e.SubmitSpec("grid", pipeline.Config{}, []byte(`{"graph":"grid"}`), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +225,7 @@ func TestTornResultFrameReplaysTheJob(t *testing.T) {
 	if p := e2.Pending(); len(p) != 1 || p[0].ID != j.ID() {
 		t.Fatalf("pending after a torn result = %+v, want %s", p, j.ID())
 	}
-	j2, err := e2.SubmitSpec("grid", pipeline.Config{}, e2.Pending()[0].Spec)
+	j2, err := e2.SubmitSpec("grid", pipeline.Config{}, e2.Pending()[0].Spec, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +318,7 @@ func TestForeignFramesAreNotJobs(t *testing.T) {
 		e.Append(kind, key, func(b []byte) ([]byte, error) { return append(b, payload...), nil })
 	}
 	put('g', "proj7", "graph bytes")
-	j, err := e.SubmitSpec("grid", pipeline.Config{}, []byte(`{"graph":"grid"}`))
+	j, err := e.SubmitSpec("grid", pipeline.Config{}, []byte(`{"graph":"grid"}`), "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,18 +1,45 @@
 package obs
 
 import (
+	"crypto/rand"
+	"encoding/hex"
 	"fmt"
-	"log"
+	"io"
+	"log/slog"
+	"math"
 	"net/http"
+	"regexp"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 )
+
+// RequestIDHeader carries a request's ID. A client may send one; every
+// response carries the ID its request was served under, and a router
+// forwards it on every request it makes to a worker for that request.
+const RequestIDHeader = "X-Request-Id"
+
+var requestIDForm = regexp.MustCompile(`^[A-Za-z0-9._-]{1,64}$`)
+
+// validRequestID reports whether id is one Middleware keeps as it came:
+// 1 to 64 bytes of [A-Za-z0-9._-]. Any other value is replaced.
+func validRequestID(id string) bool { return requestIDForm.MatchString(id) }
+
+// Discard returns the logger a nil *slog.Logger config field stands for:
+// every level is disabled, so a record is never formatted.
+func Discard() *slog.Logger { return discard }
+
+var discard = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 
 // statusWriter captures the status code and body size a handler produced.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
 	bytes  int64
+	// id backs the request ID header value of both the request and the
+	// response, so the ID costs no slice of its own.
+	id [1]string
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -43,14 +70,21 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// Middleware wraps next with request accounting and an optional
-// structured access log. Per-route request counters
+// Middleware wraps next with request accounting, the request ID and an
+// access line. Per-route request counters
 // (http_requests_total{route=...,code=...}) and latency histograms
 // (http_request_duration_seconds{route=...}) land in reg. routeOf maps a
 // request to a bounded route label — pass nil to use the raw URL path
-// (only safe when the path space is bounded). logger, when non-nil,
-// receives one logfmt-style line per request.
-func Middleware(reg *Registry, logger *log.Logger, routeOf func(*http.Request) string, next http.Handler) http.Handler {
+// (only safe when the path space is bounded).
+//
+// A request keeps the X-Request-Id it came with when it is 1 to 64 bytes
+// of [A-Za-z0-9._-]; otherwise the middleware mints one (a random prefix
+// drawn once here and a sequence number) and sets it on the request, so
+// the handler reads the ID from the request's header either way. The
+// response carries it too. logger (never nil: Discard is the silent one)
+// gets one "access" record per request at Info; its attributes are built
+// only when logger is enabled for Info.
+func Middleware(reg *Registry, logger *slog.Logger, routeOf func(*http.Request) string, next http.Handler) http.Handler {
 	// The series of a (route, status) pair are resolved once: formatting
 	// two names and taking the registry lock three times per request was a
 	// measurable share of a cache hit.
@@ -80,12 +114,24 @@ func Middleware(reg *Registry, logger *log.Logger, routeOf func(*http.Request) s
 		}
 		return s
 	}
+	var boot [8]byte
+	_, _ = rand.Read(boot[:]) // crypto/rand.Read does not fail on supported platforms
+	prefix := hex.EncodeToString(boot[:]) + "-"
+	var seq atomic.Uint64
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		route := r.URL.Path
 		if routeOf != nil {
 			route = routeOf(r)
 		}
 		sw := &statusWriter{ResponseWriter: w}
+		if vs := r.Header[RequestIDHeader]; len(vs) > 0 && validRequestID(vs[0]) {
+			sw.id[0] = vs[0]
+		} else {
+			var b [40]byte
+			sw.id[0] = string(strconv.AppendUint(append(b[:0], prefix...), seq.Add(1), 36))
+			r.Header[RequestIDHeader] = sw.id[:]
+		}
+		w.Header()[RequestIDHeader] = sw.id[:]
 		start := time.Now()
 		next.ServeHTTP(sw, r)
 		dur := time.Since(start)
@@ -96,10 +142,12 @@ func Middleware(reg *Registry, logger *log.Logger, routeOf func(*http.Request) s
 		s.requests.Inc()
 		responseBytes.Add(sw.bytes)
 		s.duration.ObserveDuration(dur)
-		if logger != nil {
-			logger.Printf("method=%s path=%s route=%s status=%d bytes=%d dur=%s remote=%s",
-				r.Method, r.URL.RequestURI(), route, sw.status, sw.bytes,
-				dur.Round(time.Microsecond), r.RemoteAddr)
+		if logger.Enabled(r.Context(), slog.LevelInfo) {
+			logger.LogAttrs(r.Context(), slog.LevelInfo, "access",
+				slog.String("method", r.Method), slog.String("path", r.URL.RequestURI()),
+				slog.String("route", route), slog.Int("status", sw.status), slog.Int64("bytes", sw.bytes),
+				slog.Duration("dur", dur.Round(time.Microsecond)), slog.String("remote", r.RemoteAddr),
+				slog.String("requestId", sw.id[0]))
 		}
 	})
 }

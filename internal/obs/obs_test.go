@@ -1,11 +1,13 @@
 package obs
 
 import (
-	"log"
+	"context"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -110,7 +112,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 func TestMiddleware(t *testing.T) {
 	r := NewRegistry()
 	var logged strings.Builder
-	logger := log.New(&logged, "", 0)
+	logger := slog.New(slog.NewTextHandler(&logged, nil))
 	inner := http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if req.URL.Path == "/missing" {
 			http.NotFound(w, req)
@@ -150,8 +152,96 @@ func TestMiddleware(t *testing.T) {
 	if len(lines) != 3 {
 		t.Fatalf("access log has %d lines, want 3:\n%s", len(lines), logged.String())
 	}
-	if !strings.Contains(lines[0], "method=GET") || !strings.Contains(lines[0], "status=200") ||
-		!strings.Contains(lines[0], "route=/ok") {
+	if !strings.Contains(lines[0], "level=INFO msg=access method=GET") || !strings.Contains(lines[0], "status=200") ||
+		!strings.Contains(lines[0], "route=/ok") || !strings.Contains(lines[0], "requestId=") {
 		t.Fatalf("unexpected access-log line: %s", lines[0])
+	}
+}
+
+// TestMiddlewareRequestID: a valid client ID is kept — on the request the
+// handler sees, on the response and in the access record — and an
+// over-long or ill-formed one is replaced by a minted ID, unique per
+// request.
+func TestMiddlewareRequestID(t *testing.T) {
+	var logged strings.Builder
+	var seen string // the ID the handler read off its request
+	h := Middleware(NewRegistry(), slog.New(slog.NewTextHandler(&logged, nil)), nil,
+		http.HandlerFunc(func(_ http.ResponseWriter, req *http.Request) { seen = req.Header.Get(RequestIDHeader) }))
+	serve := func(sent ...string) string {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodGet, "/", nil)
+		req.Header[RequestIDHeader] = sent
+		rec := httptest.NewRecorder()
+		logged.Reset()
+		h.ServeHTTP(rec, req)
+		id := rec.Header().Get(RequestIDHeader)
+		if seen != id || !strings.Contains(logged.String(), " requestId="+id+"\n") {
+			t.Fatalf("sent %q: response says %q, handler saw %q, access record %q", sent, id, seen, logged.String())
+		}
+		return id
+	}
+	max := strings.Repeat("a", 64)
+	for _, id := range []string{"abc-123", "A.b_C-9", max} {
+		if got := serve(id); got != id {
+			t.Errorf("valid ID %q replaced by %q", id, got)
+		}
+	}
+	if got := serve("first", "second"); got != "first" {
+		t.Errorf("two IDs sent: kept %q, want the first", got)
+	}
+	minted := map[string]bool{}
+	for _, sent := range [][]string{nil, {""}, {max + "a"}, {"a b"}, {"x/y"}, {"é"}, {`"q"`}} {
+		got := serve(sent...)
+		if !validRequestID(got) || minted[got] || len(sent) > 0 && got == sent[0] {
+			t.Errorf("sent %q: got %q, want a fresh valid ID", sent, got)
+		}
+		minted[got] = true
+	}
+}
+
+// countingHandler counts the records that reach Handle; it is enabled
+// from level min up.
+type countingHandler struct {
+	min     slog.Level
+	handled atomic.Int64
+}
+
+func (h *countingHandler) Enabled(_ context.Context, l slog.Level) bool { return l >= h.min }
+func (h *countingHandler) Handle(context.Context, slog.Record) error {
+	h.handled.Add(1)
+	return nil
+}
+func (h *countingHandler) WithAttrs([]slog.Attr) slog.Handler { return h }
+func (h *countingHandler) WithGroup(string) slog.Handler      { return h }
+
+// TestMiddlewareSilentPathAllocs: with access records off — the Discard
+// logger of a zero Config, or a Warn-level one as hdeserve -quiet builds —
+// no record reaches a handler and a request allocates what it did before
+// request IDs: parentAllocs, its statusWriter, measured with this loop on
+// the middleware of the parent commit, which had no ID. A request that
+// brings a valid ID adds nothing to that; one whose ID is minted adds the
+// one short string of the ID.
+func TestMiddlewareSilentPathAllocs(t *testing.T) {
+	const parentAllocs = 1
+	warn := &countingHandler{min: slog.LevelWarn}
+	for name, logger := range map[string]*slog.Logger{"discard": Discard(), "warn": slog.New(warn)} {
+		h := Middleware(NewRegistry(), logger, func(*http.Request) string { return "/ok" },
+			http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+		req := httptest.NewRequest(http.MethodGet, "/ok", nil)
+		rec := httptest.NewRecorder()
+		req.Header.Set(RequestIDHeader, "client-1")
+		if n := testing.AllocsPerRun(200, func() { h.ServeHTTP(rec, req) }); n > parentAllocs {
+			t.Errorf("%s: a request with its own ID allocates %v times, want at most %d", name, n, parentAllocs)
+		}
+		minted := testing.AllocsPerRun(200, func() {
+			delete(req.Header, RequestIDHeader)
+			h.ServeHTTP(rec, req)
+		})
+		if minted > parentAllocs+1 {
+			t.Errorf("%s: a request whose ID is minted allocates %v times, want at most %d", name, minted, parentAllocs+1)
+		}
+	}
+	if n := warn.handled.Load(); n != 0 {
+		t.Errorf("%d records reached a Warn-level handler", n)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/dyngraph"
 	"repro/internal/graph"
 	"repro/internal/jobs"
+	"repro/internal/obs"
 )
 
 // The catalog/jobs REST API. Error discipline (the point of the
@@ -224,11 +225,11 @@ func decodeJobRequest(body io.Reader) (jobRequest, error) {
 }
 
 // enqueueJob validates and enqueues one job request — from a live POST
-// /jobs, or from the journal on restart (recover.go). The intent spec it
-// journals is the canonical (validated, re-marshaled) request: if this
-// process dies before the job resolves, the restart replays exactly this
-// submission.
-func (s *Server) enqueueJob(req jobRequest) (*jobs.Job, error) {
+// /jobs, or from the journal on restart (recover.go) — made under
+// requestID. The intent spec it journals is the canonical (validated,
+// re-marshaled) request: if this process dies before the job resolves,
+// the restart replays exactly this submission, under the same ID.
+func (s *Server) enqueueJob(req jobRequest, requestID string) (*jobs.Job, error) {
 	if err := validateJobRequest(req); err != nil {
 		return nil, badRequest{err}
 	}
@@ -236,14 +237,14 @@ func (s *Server) enqueueJob(req jobRequest) (*jobs.Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.eng.SubmitSpec(req.Graph, submitConfig(req), spec)
+	return s.eng.SubmitSpec(req.Graph, submitConfig(req), spec, requestID)
 }
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	req, err := decodeJobRequest(http.MaxBytesReader(w, r.Body, 1<<20))
 	var j *jobs.Job
 	if err == nil {
-		j, err = s.enqueueJob(req)
+		j, err = s.enqueueJob(req, r.Header.Get(obs.RequestIDHeader))
 	}
 	if err != nil {
 		writeErr(w, codeFor(err), err)

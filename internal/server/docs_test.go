@@ -163,7 +163,7 @@ func TestAPIDocJobFieldsMatchRequest(t *testing.T) {
 
 	s, _ := newTestServerPair(t, Config{Workers: 1})
 	accepts := func(algorithm string) bool {
-		_, err := s.enqueueJob(jobRequest{Graph: "default", Subspace: 4, Algorithm: algorithm})
+		_, err := s.enqueueJob(jobRequest{Graph: "default", Subspace: 4, Algorithm: algorithm}, "")
 		if err != nil && !errors.As(err, new(badRequest)) {
 			t.Fatalf("submitting algorithm %q: %v", algorithm, err)
 		}

@@ -72,13 +72,13 @@ func newFeed(reg *obs.Registry) *feed {
 // and readers take the version first and the state second (stampVersion),
 // so a response never carries a version newer than its content. It never
 // blocks: a subscriber with no room left is cut off, not waited for. The
-// catalog calls it under its own lock.
-func (f *feed) changed(name string) {
+// catalog calls it under its own lock. requestID goes on the frame.
+func (f *feed) changed(name, requestID string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.seq++
 	f.versions[name] = f.seq
-	fr := httpcache.Frame{Graph: name, Version: f.seq}
+	fr := httpcache.Frame{Graph: name, Version: f.seq, RequestID: requestID}
 	for ch, k := range f.subs {
 		select {
 		case ch <- fr:

@@ -216,7 +216,7 @@ func TestFeedSlowRouterCutOff(t *testing.T) {
 	defer unsubscribe()
 	v, _, _ := s.viewOf(DefaultGraph)
 	for i := 0; i <= feedBuffer; i++ {
-		s.install(v.name, v.g, v.layout, v.report, v.opt, core.Quality{})
+		s.install(v.name, v.g, v.layout, v.report, v.opt, core.Quality{}, "")
 	}
 	n := 0
 	for range frames { // ends only because the channel was closed

@@ -11,6 +11,7 @@ import (
 	"repro/internal/dyngraph"
 	"repro/internal/graph"
 	"repro/internal/jobs"
+	"repro/internal/obs"
 	"repro/internal/pipeline"
 )
 
@@ -147,7 +148,7 @@ func (s *Server) handleGraphMutate(w http.ResponseWriter, r *http.Request) {
 	if v != nil {
 		cfg.Layout = v.opt
 	}
-	j, err := s.eng.Submit(name, cfg)
+	j, err := s.eng.SubmitSpec(name, cfg, nil, r.Header.Get(obs.RequestIDHeader))
 	if err != nil {
 		// The mutation itself is applied; only the refinement
 		// could not be queued. 429/503 tell the client to retry the

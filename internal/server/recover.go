@@ -49,13 +49,6 @@ type mutationFrame struct {
 	Edges    int64 `json:"edges"`
 }
 
-// logf writes a server-level (non-access) log line when logging is on.
-func (s *Server) logf(format string, args ...interface{}) {
-	if s.cfg.AccessLog != nil {
-		s.cfg.AccessLog.Printf("server: "+format, args...)
-	}
-}
-
 // replayGraphFrame applies one journaled catalog change at start-up, before
 // the engine exists. A frame that cannot be applied is logged and skipped:
 // one corrupt upload must not keep the rest of the shard down.
@@ -83,7 +76,7 @@ func (s *Server) replayGraphFrame(f journal.Frame) {
 		err = errors.New("unknown frame kind")
 	}
 	if err != nil {
-		s.logf("journal: %c frame for graph %q not replayed: %v", f.Kind, f.Key, err)
+		s.cfg.Logger.Warn("journal frame not replayed", "kind", string(f.Kind), "graph", f.Key, "err", err)
 	}
 }
 
@@ -109,7 +102,7 @@ func (s *Server) replayMutation(name string, m mutationFrame) error {
 func (s *Server) openJournal() *jobs.Journal {
 	old := filepath.Join(s.cfg.DataDir, "graphs")
 	if _, err := os.Stat(old); err == nil {
-		s.logf("%s was written by an older version and is ignored: uploads and PATCHes are frames of %s now", old, jobs.JournalFile)
+		s.cfg.Logger.Warn("directory of an older version is ignored: uploads and PATCHes are journal frames now", "path", old)
 	}
 	return jobs.OpenJournal(s.cfg.DataDir, s.replayGraphFrame)
 }
@@ -151,13 +144,13 @@ func (s *Server) resubmitIntent(in jobs.Intent) bool {
 	case req.LegacyRefine != 0:
 		err = badRequest{fmt.Errorf("refineSweeps %d: the post-pass is no longer routed (cmd/parhde -refine)", req.LegacyRefine)}
 	default:
-		j, err = s.enqueueJob(req.jobRequest)
+		j, err = s.enqueueJob(req.jobRequest, in.RequestID)
 	}
 	if err == nil {
-		s.logf("recovered job %s as %s (graph %q)", in.ID, j.ID(), j.Graph())
+		s.cfg.Logger.Info("recovered job", "intent", in.ID, "job", j.ID(), "graph", j.Graph(), "requestId", in.RequestID)
 		return true
 	}
 	permanent := errors.Is(err, catalog.ErrNotFound) || errors.As(err, new(badRequest))
-	s.logf("intent %s not replayed (dropped for good: %v): %v", in.ID, permanent, err)
+	s.cfg.Logger.Warn("intent not replayed", "intent", in.ID, "droppedForGood", permanent, "requestId", in.RequestID, "err", err)
 	return permanent
 }

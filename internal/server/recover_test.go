@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"log"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -28,7 +28,7 @@ func startWorker(t *testing.T, dir string, startup *graph.CSR, logged *bytes.Buf
 	t.Helper()
 	cfg := Config{WorkerID: "w1", DataDir: dir, Workers: 1}
 	if logged != nil {
-		cfg.AccessLog = log.New(logged, "", 0)
+		cfg.Logger = slog.New(slog.NewTextHandler(logged, nil))
 	}
 	s, err := NewWithConfig(startup, core.Options{Subspace: 4, Seed: 1}, cfg)
 	if err != nil {
@@ -240,7 +240,7 @@ func TestMutationForAnotherGraphRefused(t *testing.T) {
 			refused = append(refused, line)
 		}
 	}
-	if len(refused) != 2 || !strings.Contains(refused[0], `"default"`) || !strings.Contains(refused[0], "36 vertices and 60 edges") {
+	if len(refused) != 2 || !strings.Contains(refused[0], "graph=default") || !strings.Contains(refused[0], "36 vertices and 60 edges") {
 		t.Fatalf("log lines about refused frames = %q, want one per batch naming the graph and the counts it was applied to", refused)
 	}
 }
@@ -281,7 +281,7 @@ func TestCorruptGraphFrameSkipped(t *testing.T) {
 	if len(got) != 3 || got["good"].Edges != 40 || got["good"].Dynamic || got["also"].Vertices != 25 {
 		t.Fatalf("GET /graphs = %+v, want default, good (unpatched) and also", got)
 	}
-	for _, want := range []string{`"bad" not replayed`, `"../evil" not replayed`, "out of range", "newer than supported", "unknown frame kind"} {
+	for _, want := range []string{`not replayed" kind=g graph=bad `, `not replayed" kind=g graph=../evil `, "out of range", "newer than supported", "unknown frame kind"} {
 		if n := strings.Count(logged.String(), want); n != 1 {
 			t.Errorf("%d log lines say %q, want 1:\n%s", n, want, logged.String())
 		}

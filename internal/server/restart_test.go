@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -227,7 +227,7 @@ func TestRestartRetiresClosedRouteIntent(t *testing.T) {
 
 	var logged bytes.Buffer
 	s, err := NewWithConfig(gen.PlateWithHoles(20, 20), core.Options{Subspace: 8, Seed: 1},
-		Config{WorkerID: "w1", DataDir: dir, Workers: 1, AccessLog: log.New(&logged, "", 0)})
+		Config{WorkerID: "w1", DataDir: dir, Workers: 1, Logger: slog.New(slog.NewTextHandler(&logged, nil))})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"html/template"
-	"log"
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -67,8 +67,8 @@ type Config struct {
 	MaxConcurrentRenders int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
-	// AccessLog, when non-nil, receives one structured line per request.
-	AccessLog *log.Logger
+	// Logger gets access records (Info) and warnings (Warn); nil = obs.Discard.
+	Logger *slog.Logger
 
 	// CatalogBytes is the graph-catalog byte budget (0 = the catalog
 	// package default, negative = unbounded).
@@ -106,6 +106,9 @@ func (c Config) withDefaults() Config {
 	if c.MaxUploadBytes == 0 {
 		c.MaxUploadBytes = DefaultMaxUploadBytes
 	}
+	if c.Logger == nil {
+		c.Logger = obs.Discard()
+	}
 	return c
 }
 
@@ -121,6 +124,10 @@ type view struct {
 	report *core.Report
 	opt    core.Options // a PATCH's job and zoom layouts reuse these; Basis is what the job updates
 	stats  []byte       // per-graph /stats body, computed at install
+	// requestID is the X-Request-Id of the request whose job installed
+	// the view ("" for the startup layout); its feed frame and stream
+	// events carry it.
+	requestID string
 }
 
 // cacheKey namespaces a render kind under the view's graph, the view
@@ -147,11 +154,12 @@ func keyPrefix(name string) string { return "g:" + name + ":" }
 // catalog generation has moved. Every render cached before that carries a
 // key no request will form again, so it is dropped here rather than left to
 // fill the budget, and the feed tells the fronting routers and the SSE
-// streams.
-func (s *Server) changed(name string) {
+// streams. requestID is the installing request's ID, "" for any other
+// change.
+func (s *Server) changed(name, requestID string) {
 	prefix := keyPrefix(name)
 	s.cache.DropIf(func(key string, _ []byte) bool { return strings.HasPrefix(key, prefix) })
-	s.feed.changed(name)
+	s.feed.changed(name, requestID)
 }
 
 // Server fronts a catalog of graphs: it renders installed layouts and
@@ -253,12 +261,12 @@ func NewWithConfig(g *graph.CSR, opt core.Options, cfg Config) (*Server, error) 
 			func() float64 { return s.lastPhases.Load().Phases()[i].D.Seconds() })
 	}
 
-	s.cat.OnChange(s.changed)
+	s.cat.OnChange(func(name string) { s.changed(name, "") })
 	if err := s.cat.AddPinned(DefaultGraph, g, "startup"); err != nil {
 		return nil, err
 	}
 	s.recordBFS(rep)
-	s.install(DefaultGraph, g, layout, rep, opt, core.Evaluate(g, layout))
+	s.install(DefaultGraph, g, layout, rep, opt, core.Evaluate(g, layout), "")
 
 	idPrefix := ""
 	if cfg.WorkerID != "" {
@@ -276,7 +284,7 @@ func NewWithConfig(g *graph.CSR, opt core.Options, cfg Config) (*Server, error) 
 		MaxResults: cfg.MaxResults,
 		Journal:    jrn,
 		Metrics:    reg,
-		Logger:     cfg.AccessLog,
+		Logger:     cfg.Logger,
 		OnDone:     s.onJobDone,
 	})
 	s.resubmitPending()
@@ -316,7 +324,7 @@ func (s *Server) onJobDone(j *jobs.Job) {
 		s.coldLayouts.Inc()
 	}
 	s.recordBFS(rep)
-	s.install(j.Graph(), j.Input(), res.Layout, rep, j.Config().Layout, res.Quality)
+	s.install(j.Graph(), j.Input(), res.Layout, rep, j.Config().Layout, res.Quality, j.RequestID())
 }
 
 // recordBFS folds a run's traversal-direction split into the BFS
@@ -331,7 +339,8 @@ func (s *Server) recordBFS(rep *core.Report) {
 
 // install makes (layout, report) the current view of the named graph,
 // precomputes its /stats body and points the phase gauges at its report.
-func (s *Server) install(name string, g *graph.CSR, layout *core.Layout, rep *core.Report, opt core.Options, q core.Quality) {
+// requestID is the ID of the request whose job computed the layout.
+func (s *Server) install(name string, g *graph.CSR, layout *core.Layout, rep *core.Report, opt core.Options, q core.Quality, requestID string) {
 	stats, err := json.Marshal(map[string]interface{}{
 		"graph":          name,
 		"vertices":       g.NumV,
@@ -355,16 +364,17 @@ func (s *Server) install(name string, g *graph.CSR, layout *core.Layout, rep *co
 	s.mu.Lock()
 	s.gens[name]++
 	s.views[name] = &view{
-		name:   name,
-		gen:    s.gens[name],
-		g:      g,
-		layout: layout,
-		report: rep,
-		opt:    opt,
-		stats:  append(stats, '\n'),
+		name:      name,
+		gen:       s.gens[name],
+		g:         g,
+		layout:    layout,
+		report:    rep,
+		opt:       opt,
+		stats:     append(stats, '\n'),
+		requestID: requestID,
 	}
 	s.mu.Unlock()
-	s.changed(name)
+	s.changed(name, requestID)
 }
 
 // viewOf returns the named graph's current view. The boolean pair
@@ -394,7 +404,7 @@ func (s *Server) dropView(name string, v *view) {
 		delete(s.views, name)
 	}
 	s.mu.Unlock()
-	s.changed(name)
+	s.changed(name, "")
 }
 
 // Report returns the startup layout run's per-phase report.
@@ -511,7 +521,7 @@ func (s *Server) Handler() http.Handler {
 			inner.ServeHTTP(w, r)
 		})
 	}
-	return obs.Middleware(s.reg, s.cfg.AccessLog, routeOf, h)
+	return obs.Middleware(s.reg, s.cfg.Logger, routeOf, h)
 }
 
 // handleShardz reports this process's slice of the sharded deployment:

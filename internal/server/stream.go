@@ -58,9 +58,10 @@ func (s *Server) handleGraphStream(w http.ResponseWriter, r *http.Request) {
 
 // writeEvent writes v as one SSE event: a "snapshot" of every row when last
 // is nil, otherwise a "delta" against last carrying the rows that moved —
-// every row ("full") when most did or the two layouts do not compare. The
-// JSON is appended row by row through one small buffer, so the event costs
-// one allocation whatever the graph's size. graph is the graph's name as a
+// every row ("full") when most did or the two layouts do not compare. It
+// names the request whose job installed v, when there was one. The JSON is
+// appended row by row through one small buffer, so the event's allocations
+// do not grow with the graph. graph is the graph's name as a
 // JSON string. A failed write sticks in bw and is reported by its Flush.
 func writeEvent(bw *bufio.Writer, graph []byte, last, v *view) {
 	l := v.layout
@@ -95,6 +96,10 @@ func writeEvent(bw *bufio.Writer, graph []byte, last, v *view) {
 	b := make([]byte, 0, 128+len(graph)+25*p)
 	b = append(append(append(append(b, "event: "...), event...), "\ndata: {\"graph\":"...), graph...)
 	b = strconv.AppendInt(append(b, `,"version":`...), int64(v.gen), 10)
+	if v.requestID != "" {
+		id, _ := json.Marshal(v.requestID) // a string always marshals
+		b = append(append(b, `,"requestId":`...), id...)
+	}
 	b = strconv.AppendInt(append(b, `,"dims":`...), int64(p), 10)
 	b = strconv.AppendInt(append(b, `,"n":`...), int64(n), 10)
 	b = strconv.AppendBool(append(b, `,"full":`...), full)

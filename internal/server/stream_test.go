@@ -751,7 +751,7 @@ func TestStreamDeltasRebuildView(t *testing.T) {
 		}
 		return changed
 	}
-	install := func(l *core.Layout) { s.install("g", v.g, l, v.report, v.opt, core.Quality{}) }
+	install := func(l *core.Layout) { s.install("g", v.g, l, v.report, v.opt, core.Quality{}, "") }
 
 	rng := rand.New(rand.NewSource(1))
 	n := 144
@@ -847,7 +847,7 @@ func TestStreamSlowClientCutOff(t *testing.T) {
 			t.Fatal("a stream nobody reads is still subscribed after 30 s of installs")
 		}
 		for i := 0; i < 100; i++ {
-			s.install(v.name, v.g, layouts[i%2], v.report, v.opt, core.Quality{})
+			s.install(v.name, v.g, layouts[i%2], v.report, v.opt, core.Quality{}, "")
 		}
 	}
 	if got := s.feed.streams.dropped.Value(); got != 1 {

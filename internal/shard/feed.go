@@ -165,12 +165,12 @@ func (rt *Router) runFeed(ctx context.Context, p *peer) {
 	f.latest = map[string]uint64{}
 	p.mu.Unlock()
 	p.feedConnected.Set(1)
-	rt.logf("feed of worker %s (%s) connected, boot %s (restarted=%v)", p.workerID(), p.url, hello.Boot, restarted)
+	rt.cfg.Logger.Info("feed connected", "worker", p.workerID(), "url", p.url, "boot", hello.Boot, "restarted", restarted)
 
 	for {
 		var fr httpcache.Frame
 		if err := dec.Decode(&fr); err != nil {
-			rt.logf("feed of worker %s (%s) ended: %v", p.workerID(), p.url, err)
+			rt.cfg.Logger.Info("feed ended", "worker", p.workerID(), "url", p.url, "err", err)
 			return
 		}
 		// Every worker pins its own "default", so a frame counts only when

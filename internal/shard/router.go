@@ -7,7 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
+	"log/slog"
 	"net/http"
 	"slices"
 	"strings"
@@ -41,8 +41,8 @@ type Config struct {
 	// Metrics receives router metrics; a fresh registry is created when
 	// nil. It is also served on the router's /metrics.
 	Metrics *obs.Registry
-	// Logger, when non-nil, receives access log lines and router events.
-	Logger *log.Logger
+	// Logger gets access records (Info) and warnings (Warn); nil = obs.Discard.
+	Logger *slog.Logger
 	// Client performs forwarded requests. Default: 30s total timeout.
 	// Streaming (SSE) forwards always use an untimed client regardless.
 	Client *http.Client
@@ -143,6 +143,9 @@ func NewRouter(cfg Config) (*Router, error) {
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{Timeout: 30 * time.Second}
 	}
+	if cfg.Logger == nil {
+		cfg.Logger = obs.Discard()
+	}
 
 	rt := &Router{
 		cfg:           cfg,
@@ -187,13 +190,6 @@ func (rt *Router) Close() {
 	rt.Hangup()
 	<-rt.done
 	rt.feeds.Wait()
-}
-
-// logf writes a router event line when logging is configured.
-func (rt *Router) logf(format string, args ...interface{}) {
-	if rt.cfg.Logger != nil {
-		rt.cfg.Logger.Printf("router: "+format, args...)
-	}
 }
 
 // --- health ------------------------------------------------------------
@@ -250,7 +246,7 @@ func (rt *Router) probe(p *peer) {
 	}
 	was := p.healthy.Swap(healthy)
 	if was != healthy {
-		rt.logf("worker %s (%s) now healthy=%v", p.workerID(), p.url, healthy)
+		rt.cfg.Logger.Warn("worker health changed", "worker", p.workerID(), "url", p.url, "healthy", healthy)
 	}
 	v := int64(0)
 	if healthy {
@@ -277,11 +273,12 @@ func (rt *Router) Workers() map[string]string {
 
 // --- forwarding core ---------------------------------------------------
 
-// do sends method+pathQuery with body to a peer and returns the
-// response, recording per-worker forward metrics. Every proxied request
+// do sends method+pathQuery with body to a peer, on behalf of the client's
+// request r, and returns the response, recording per-worker forward
+// metrics. The forward carries r's request ID. Every proxied request
 // except the SSE stream goes through it, exactly once: nothing is
 // retried, so a worker's 429 or 5xx reaches the client untouched.
-func (rt *Router) do(method string, p *peer, pathQuery string, hdr http.Header, body []byte) (*http.Response, error) {
+func (rt *Router) do(r *http.Request, method string, p *peer, pathQuery string, hdr http.Header, body []byte) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -293,6 +290,7 @@ func (rt *Router) do(method string, p *peer, pathQuery string, hdr http.Header, 
 	for k, vs := range hdr {
 		req.Header[k] = vs
 	}
+	req.Header[obs.RequestIDHeader] = r.Header[obs.RequestIDHeader]
 	p.forwards.Inc()
 	start := time.Now()
 	resp, err := rt.client.Do(req)
@@ -311,7 +309,7 @@ func (rt *Router) forward(r *http.Request, p *peer, body []byte) (*http.Response
 	if body != nil {
 		hdr = http.Header{"Content-Type": r.Header.Values("Content-Type")}
 	}
-	return rt.do(r.Method, p, r.URL.RequestURI(), hdr, body)
+	return rt.do(r, r.Method, p, r.URL.RequestURI(), hdr, body)
 }
 
 // relay forwards the client's request to p and copies the worker's answer
@@ -441,7 +439,7 @@ func (rt *Router) serveCachedView(name string, w http.ResponseWriter, r *http.Re
 		return
 	}
 	f, _, err := rt.flight.Do(key, func() (fetched, error) {
-		return rt.fetchTile(p, name, key, cached)
+		return rt.fetchTile(r, p, name, key, cached)
 	})
 	if err != nil {
 		writeRouterErr(w, http.StatusBadGateway, err)
@@ -467,19 +465,19 @@ const maxErrorBody = 64 << 10
 // leaves the tile behind the graph's newest version: it is served to this
 // caller, cached for its ETag, and not trusted. Non-200 answers are
 // reported with a nil tile (and are never cached — a 404 must vanish the
-// moment the graph is uploaded).
-func (rt *Router) fetchTile(p *peer, name, key string, cached *tile) (fetched, error) {
+// moment the graph is uploaded). r is the request that leads the flight.
+func (rt *Router) fetchTile(r *http.Request, p *peer, name, key string, cached *tile) (fetched, error) {
 	var hdr http.Header
 	if cached != nil {
 		hdr = http.Header{"If-None-Match": {cached.etag}}
 		rt.revalidations.Inc()
 	}
 	epoch := p.feedEpoch()
-	resp, err := rt.do(http.MethodGet, p, key, hdr, nil)
+	resp, err := rt.do(r, http.MethodGet, p, key, hdr, nil)
 	if err != nil {
 		if cached != nil {
 			// The owner is down but we hold a copy: stale beats 502.
-			rt.logf("serving stale %s: %v", key, err)
+			rt.cfg.Logger.Warn("serving stale tile", "key", key, "requestId", r.Header.Get(obs.RequestIDHeader), "err", err)
 			return fetched{tile: cached}, nil
 		}
 		return fetched{}, err
@@ -636,11 +634,11 @@ type listing struct {
 	Bytes  int64             `json:"bytes"`
 }
 
-// gather GETs path from every healthy worker concurrently and
-// concatenates what they list, sorted; bytes is the fleet-wide resident
-// total. Every worker holds its own pinned "default" graph, so that
-// name appears once per worker. ok is false when no worker answered.
-func (rt *Router) gather(path string) (all listing, ok bool) {
+// gather GETs path from every healthy worker concurrently, on behalf of
+// r, and concatenates what they list, sorted; bytes is the fleet-wide
+// resident total. Every worker holds its own pinned "default" graph, so
+// that name appears once per worker. ok is false when no worker answered.
+func (rt *Router) gather(r *http.Request, path string) (all listing, ok bool) {
 	var (
 		mu sync.Mutex
 		wg sync.WaitGroup
@@ -652,7 +650,7 @@ func (rt *Router) gather(path string) (all listing, ok bool) {
 		wg.Add(1)
 		go func(p *peer) {
 			defer wg.Done()
-			resp, err := rt.do(http.MethodGet, p, path, nil, nil)
+			resp, err := rt.do(r, http.MethodGet, p, path, nil, nil)
 			if err != nil {
 				return
 			}
@@ -678,7 +676,7 @@ func (rt *Router) gather(path string) (all listing, ok bool) {
 
 // handleGraphsList merges every healthy worker's catalog.
 func (rt *Router) handleGraphsList(w http.ResponseWriter, r *http.Request) {
-	all, ok := rt.gather("/graphs")
+	all, ok := rt.gather(r, "/graphs")
 	if !ok {
 		writeRouterErr(w, http.StatusBadGateway, errNoWorker)
 		return
@@ -689,7 +687,7 @@ func (rt *Router) handleGraphsList(w http.ResponseWriter, r *http.Request) {
 
 // handleJobsList merges every healthy worker's job list, sorted by id.
 func (rt *Router) handleJobsList(w http.ResponseWriter, r *http.Request) {
-	all, ok := rt.gather("/jobs")
+	all, ok := rt.gather(r, "/jobs")
 	if !ok {
 		writeRouterErr(w, http.StatusBadGateway, errNoWorker)
 		return
@@ -748,6 +746,7 @@ func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
 		writeRouterErr(w, http.StatusBadGateway, err)
 		return
 	}
+	req.Header[obs.RequestIDHeader] = r.Header[obs.RequestIDHeader]
 	p.forwards.Inc()
 	resp, err := rt.streamClient.Do(req)
 	if err != nil {
@@ -832,7 +831,7 @@ func (rt *Router) handleJobByID(w http.ResponseWriter, r *http.Request) {
 		if !p.healthy.Load() {
 			continue
 		}
-		resp, err := rt.do(r.Method, p, r.URL.Path, nil, nil)
+		resp, err := rt.do(r, r.Method, p, r.URL.Path, nil, nil)
 		if err != nil {
 			continue
 		}

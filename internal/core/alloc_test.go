@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"testing"
@@ -274,5 +275,42 @@ func TestParHDELeavesPUnsized(t *testing.T) {
 	}
 	if len(ws.Coords) != 2*g.NumV || len(ws.Z) == 0 || ws.Ortho == nil {
 		t.Errorf("ParHDE left its own buffers unsized: coords %d, Z %d, ortho %v", len(ws.Coords), len(ws.Z), ws.Ortho != nil)
+	}
+}
+
+// TestSmallGraphParHDEAllocBytes bounds what a workspace-less ParHDE
+// allocates on graphs of at most 32 vertices, the shape of a zoom's 2-hop
+// subgraph: scratch follows the rows that exist. TripleProd's arena slots
+// hold three chunks of min(PackRows, n) rows, not three 512-row panels,
+// which alone were ≈ 100 KB per run here (≈ 17–23 KB per run is
+// measured now).
+func TestSmallGraphParHDEAllocBytes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const maxBytes = 48 << 10
+	for _, dims := range [][2]int{{5, 6}, {4, 8}, {2, 16}} {
+		g := gen.Grid2D(dims[0], dims[1])
+		run := func() {
+			if _, _, err := ParHDE(g, Options{Subspace: DefaultSubspace, Seed: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		// The least of a few rounds is the run's own cost: TotalAlloc
+		// also counts what other goroutines allocate meanwhile.
+		const reps = 20
+		bytesPer := uint64(math.MaxUint64)
+		for round := 0; round < 3; round++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < reps; i++ {
+				run()
+			}
+			runtime.ReadMemStats(&after)
+			bytesPer = min(bytesPer, (after.TotalAlloc-before.TotalAlloc)/reps)
+		}
+		t.Logf("Grid(%d×%d): %d bytes/run", dims[0], dims[1], bytesPer)
+		if bytesPer > maxBytes {
+			t.Errorf("Grid(%d×%d), %d vertices: ParHDE allocates %d bytes/run, want at most %d", dims[0], dims[1], g.NumV, bytesPer, maxBytes)
+		}
 	}
 }

@@ -3,7 +3,7 @@
 // HTTP handler. A bounded FIFO queue with admission control feeds a
 // fixed worker pool; each job runs the full pipeline under a
 // context.Context so cancellation interrupts the engine mid-phase and
-// mid-BFS-loop. Finished jobs are retained under a
+// mid-BFS-loop. Finished jobs are retained, as their status alone, under a
 // TTL + count budget and can optionally be journaled to disk (recover.go),
 // and the engine exports queue/state/latency metrics through internal/obs.
 package jobs
@@ -84,7 +84,10 @@ type Config struct {
 	Metrics *obs.Registry
 	// OnDone, when non-nil, runs after every terminal transition, from
 	// the worker goroutine (the server uses it to install fresh layouts).
-	OnDone func(*Job)
+	// It gets the job's payload: its input graph, its config and its
+	// result (nil unless the job is done; the layout is the caller's). The
+	// job drops all three when OnDone returns.
+	OnDone func(j *Job, g *graph.CSR, cfg pipeline.Config, res *pipeline.Result)
 	// Logger receives the engine's journal warnings (nil = obs.Discard).
 	Logger *slog.Logger
 
@@ -302,7 +305,7 @@ func (e *Engine) Cancel(id string) (*Job, error) {
 	// skips it on dequeue. A running job is only finished by its worker,
 	// which observes the context cancellation below.
 	if j.cancelQueued() {
-		e.finalize(j, false)
+		e.finalize(j, nil, false)
 	}
 	j.cancel()
 	return j, nil
@@ -347,9 +350,8 @@ func (e *Engine) runJob(j *Job) {
 		return
 	}
 	e.running.Add(1)
-	// Work on a copy of the config: j.cfg is read concurrently by
-	// Config(), and the workspace is a per-run attachment, not part of
-	// the submitted configuration.
+	// Work on a copy of the config: the workspace is a per-run
+	// attachment, not part of the submitted configuration.
 	cfg := j.cfg
 	cfg.Layout.Workspace = ws
 	// Cap each layout's kernel fan-out so Workers concurrent jobs don't
@@ -359,37 +361,39 @@ func (e *Engine) runJob(j *Job) {
 	}
 	res, err := e.cfg.run(j.ctx, j.g, cfg)
 	e.running.Add(-1)
+	state := StateDone
 	switch {
 	case err == nil:
 		// The layout aliases the workspace and is only valid until the
-		// workspace's next job; deep-copy it so retained results stay
-		// immutable.
+		// workspace's next job; deep-copy it for OnDone to keep.
 		if res != nil && res.Layout != nil {
 			res.Layout = res.Layout.Clone()
 		}
-		j.finish(StateDone, res, nil)
 	case j.ctx.Err() != nil:
-		j.finish(StateCancelled, nil, err)
+		state, res = StateCancelled, nil
 	default:
-		j.finish(StateFailed, nil, err)
+		state, res = StateFailed, nil
 	}
+	j.finish(state, res, err)
 	// The layout is cloned and finish detached the job from the clock:
 	// nothing of this job refers to the workspace any more, so the next
 	// job may take it while this one is journaled and installed. The send
 	// never blocks: each worker holds at most one of the ≤ Workers
 	// workspaces, so the list always has a free slot.
 	e.free <- ws
-	e.finalize(j, true)
+	e.finalize(j, res, true)
 }
 
 // finalize records metrics, persistence, and the OnDone hook for a job
-// that just reached a terminal state. ran says a worker executed it (so
-// the latency histogram only sees real runs, not queue-cancelled jobs).
-func (e *Engine) finalize(j *Job, ran bool) {
+// that just reached a terminal state with result res (nil unless done),
+// then drops the job's payload. ran says a worker executed it (so the
+// latency histogram only sees real runs, not queue-cancelled jobs).
+func (e *Engine) finalize(j *Job, res *pipeline.Result, ran bool) {
 	j.mu.Lock()
 	state := j.state
 	dur := j.finished.Sub(j.started)
 	userCancel := j.userCancel
+	g, cfg, spec := j.g, j.cfg, j.spec
 	j.mu.Unlock()
 	if c, ok := e.byState[state]; ok {
 		c.Inc()
@@ -405,18 +409,23 @@ func (e *Engine) finalize(j *Job, ran bool) {
 	// or explicitly cancelled). The one exception is a shutdown-time
 	// cancellation — the job was interrupted, not resolved — whose intent
 	// must stay pending for restart recovery.
-	if res := j.Result(); state == StateDone && res != nil && res.Layout != nil {
+	if state == StateDone && res != nil && res.Layout != nil {
 		rec := Record{Version: PersistVersion, Status: j.Status(), Quality: res.Quality, Dims: res.Layout.Dims()}
 		if _, err := json.Marshal(rec.Quality); err != nil {
 			rec.Quality = nil // a NaN metric must not cost the job its coordinates
 		}
 		e.record(kindResult, j.id, rec, res.Layout.Coords.Data)
-	} else if j.spec != nil && (state != StateCancelled || userCancel) {
+	} else if spec != nil && (state != StateCancelled || userCancel) {
 		e.record(kindRetire, j.id, nil, nil)
 	}
 	if e.cfg.OnDone != nil {
-		e.cfg.OnDone(j)
+		e.cfg.OnDone(j, g, cfg, res)
 	}
+	// The result is journaled and handed on: from here the job is its
+	// status, and a retained job pins no graph version, layout or basis.
+	j.mu.Lock()
+	j.g, j.cfg, j.spec = nil, pipeline.Config{}, nil
+	j.mu.Unlock()
 	j.cancel() // release the context's resources
 }
 

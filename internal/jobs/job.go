@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 
@@ -91,9 +92,13 @@ type Job struct {
 	id        string
 	graph     string // catalog name, for display
 	requestID string // ID of the request that submitted it
-	g         *graph.CSR
-	cfg       pipeline.Config
-	spec      []byte // re-parseable request body journaled as the intent frame
+	// g, cfg and spec are the payload: the input, the submitted config and
+	// the re-parseable request body journaled as the intent frame. finalize
+	// hands g and cfg to OnDone and then drops all three, so a finished job
+	// holds only what Status reads.
+	g    *graph.CSR
+	cfg  pipeline.Config
+	spec []byte
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -103,7 +108,7 @@ type Job struct {
 	// clock is a Running job's workspace clock, whose live phase Status reports.
 	clock    *phase.Clock
 	err      error
-	result   *pipeline.Result
+	phases   []PhaseSeconds // the report's split, set when the job is done
 	created  time.Time
 	started  time.Time
 	finished time.Time
@@ -120,20 +125,6 @@ func (j *Job) Graph() string { return j.graph }
 
 // RequestID returns the ID of the request that submitted the job.
 func (j *Job) RequestID() string { return j.requestID }
-
-// Input returns the graph the job operates on (resolved at submit time,
-// so catalog eviction cannot invalidate it).
-func (j *Job) Input() *graph.CSR { return j.g }
-
-// Config returns the pipeline configuration the job runs.
-func (j *Job) Config() pipeline.Config { return j.cfg }
-
-// Result returns the pipeline result, or nil unless the job is done.
-func (j *Job) Result() *pipeline.Result {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.result
-}
 
 // State returns the job's current state.
 func (j *Job) State() State {
@@ -156,8 +147,9 @@ func (j *Job) begin(clk *phase.Clock) bool {
 	return true
 }
 
-// finish moves the job to a terminal state; later calls are no-ops so a
-// racing Cancel cannot overwrite a completed result.
+// finish moves the job to a terminal state, keeping res's phase split
+// (res is nil unless the job is done); later calls are no-ops so a racing
+// Cancel cannot overwrite a completed result.
 func (j *Job) finish(s State, res *pipeline.Result, err error) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -165,7 +157,13 @@ func (j *Job) finish(s State, res *pipeline.Result, err error) bool {
 		return false
 	}
 	j.state = s
-	j.result = res
+	if res != nil {
+		ps := res.Report.Breakdown.Phases()
+		j.phases = make([]PhaseSeconds, len(ps))
+		for i, p := range ps {
+			j.phases[i] = PhaseSeconds{Name: p.Name, Seconds: p.D.Seconds()}
+		}
+	}
 	j.err = err
 	j.clock = nil
 	j.finished = time.Now()
@@ -218,10 +216,6 @@ func (j *Job) Status() Status {
 		t := j.finished
 		st.Finished = &t
 	}
-	if j.result != nil {
-		for _, p := range j.result.Report.Breakdown.Phases() {
-			st.Phases = append(st.Phases, PhaseSeconds{Name: p.Name, Seconds: p.D.Seconds()})
-		}
-	}
+	st.Phases = slices.Clone(j.phases)
 	return st
 }

@@ -1,8 +1,11 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -59,14 +62,15 @@ func waitState(t *testing.T, j *Job, want State) {
 }
 
 func TestSubmitRunsRealPipeline(t *testing.T) {
-	e := New(testCatalog(t), Config{Workers: 2})
+	done := make(chan *pipeline.Result, 1)
+	e := New(testCatalog(t), Config{Workers: 2,
+		OnDone: func(_ *Job, _ *graph.CSR, _ pipeline.Config, res *pipeline.Result) { done <- res }})
 	defer e.Close()
 	j, err := e.Submit("grid", pipeline.Config{Layout: core.Options{Subspace: 8, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, j, StateDone)
-	res := j.Result()
+	res := <-done
 	if res == nil || res.Layout == nil || res.Layout.NumVertices() != 144 {
 		t.Fatalf("result = %+v", res)
 	}
@@ -241,7 +245,9 @@ func TestCancelRunningJobInterruptsLayout(t *testing.T) {
 	if err := c.Add("slow", gen.Grid2D(250, 250), "test"); err != nil {
 		t.Fatal(err)
 	}
-	e := New(c, Config{Workers: 1})
+	done := make(chan *pipeline.Result, 1)
+	e := New(c, Config{Workers: 1,
+		OnDone: func(_ *Job, _ *graph.CSR, _ pipeline.Config, res *pipeline.Result) { done <- res }})
 	defer e.Close()
 	j, err := e.Submit("slow", pipeline.Config{
 		Layout: core.Options{Subspace: 50, Seed: 1},
@@ -258,7 +264,7 @@ func TestCancelRunningJobInterruptsLayout(t *testing.T) {
 	if d := time.Since(start); d > 10*time.Second {
 		t.Fatalf("cancellation took %v", d)
 	}
-	if j.Result() != nil {
+	if <-done != nil {
 		t.Fatal("cancelled job has a result")
 	}
 	if st := j.Status(); st.Error == "" {
@@ -351,6 +357,78 @@ func TestResultRetentionTTLAndCount(t *testing.T) {
 	time.Sleep(80 * time.Millisecond)
 	if got := len(e.List()); got != 0 {
 		t.Fatalf("%d jobs survived the TTL", got)
+	}
+}
+
+// TestFinishedJobKeepsOnlyItsStatus runs layouts of distinct versions of
+// a Grid(150²) through an engine whose OnDone installs each result and
+// drops the one before, as the server does. A retained finished job costs
+// its status, not its 360 KB layout or its ≈ 540 KB graph version: the
+// live heap grows by under 16 KB per job (≈ 2 KB measured, ≈ 5 KB under
+// -race, the encoded bodies this test keeps included). Every job's status still
+// has its phases, timestamps and request ID, and encodes (the body of GET
+// /jobs/{id}) as it did when OnDone ran, before the payload was dropped.
+func TestFinishedJobKeepsOnlyItsStatus(t *testing.T) {
+	const side, versions, perJob = 150, 24, 16 << 10
+	cat := catalog.New(-1)
+	if err := cat.Add("g", gen.Grid2D(side, side), "test"); err != nil {
+		t.Fatal(err)
+	}
+	var view struct { // the installed view; written only by OnDone
+		g      *graph.CSR
+		layout *core.Layout
+	}
+	bodies := map[string][]byte{}
+	done := make(chan struct{})
+	e := New(cat, Config{Workers: 1, OnDone: func(j *Job, g *graph.CSR, _ pipeline.Config, res *pipeline.Result) {
+		if res != nil {
+			view.g, view.layout = g, res.Layout
+		}
+		bodies[j.ID()], _ = json.Marshal(j.Status())
+		done <- struct{}{}
+	}})
+	defer e.Close()
+	cfg := pipeline.Config{Layout: core.Options{Subspace: 8, Seed: 1}, SkipQuality: true}
+	var retained []*Job
+	runOne := func() {
+		if err := cat.Replace("g", gen.Grid2D(side, side)); err != nil {
+			t.Fatal(err)
+		}
+		j, err := e.SubmitSpec("g", cfg, []byte(`{"graph":"g"}`), fmt.Sprintf("req-%d", len(retained)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-done
+		retained = append(retained, j)
+	}
+	heapInuse := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapInuse)
+	}
+	runOne() // warms the workspace and installs one view
+	before := heapInuse()
+	for i := 0; i < versions; i++ {
+		runOne()
+	}
+	grown := heapInuse() - before
+	t.Logf("%d retained jobs grew the live heap by %d B (%d B each)", versions, grown, grown/versions)
+	if grown > versions*perJob {
+		t.Errorf("%d retained jobs grew the live heap by %d B, want at most %d B each", versions, grown, perJob)
+	}
+	if view.layout == nil || view.layout.NumVertices() != side*side || view.g.NumV != side*side {
+		t.Fatal("OnDone installed no layout")
+	}
+	for i, j := range retained {
+		st := j.Status()
+		if st.State != "done" || len(st.Phases) == 0 || st.Started == nil || st.Finished == nil ||
+			st.Created.IsZero() || st.RequestID != fmt.Sprintf("req-%d", i) {
+			t.Fatalf("retained job %s: status %+v", j.ID(), st)
+		}
+		if body, _ := json.Marshal(st); !bytes.Equal(body, bodies[j.ID()]) {
+			t.Fatalf("job %s: status after the release\n%s\nwant, as at install,\n%s", j.ID(), body, bodies[j.ID()])
+		}
 	}
 }
 

@@ -129,7 +129,9 @@ func TestResultRoundTripsBitExact(t *testing.T) {
 	weird := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Float64frombits(0x7ff8000000000abc),
 		math.Copysign(0, -1), 5e-324, math.MaxFloat64, 1.0 / 3}
 	dir := t.TempDir()
+	layouts := map[string]*core.Layout{} // by job id; read after Close
 	e := New(testCatalog(t), Config{Workers: 1, Journal: OpenJournal(dir, nil),
+		OnDone: func(j *Job, _ *graph.CSR, _ pipeline.Config, res *pipeline.Result) { layouts[j.ID()] = res.Layout },
 		run: func(ctx context.Context, g *graph.CSR, cfg pipeline.Config) (*pipeline.Result, error) {
 			if cfg.Layout.Seed == 99 {
 				l := &core.Layout{Coords: linalg.NewDense(len(weird)/2, 2)}
@@ -158,7 +160,7 @@ func TestResultRoundTripsBitExact(t *testing.T) {
 		t.Fatalf("journal holds %d results, %d pending, errs %v", len(snap.Results), len(snap.Pending), snap.Errs)
 	}
 	for i, j := range []*Job{plain, odd} {
-		rec, want := snap.Results[i], j.Result().Layout.Coords.Data
+		rec, want := snap.Results[i], layouts[j.ID()].Coords.Data
 		if rec.Status.ID != j.ID() || rec.Status.State != "done" || rec.Dims != 2 || len(rec.Coords) != len(want) {
 			t.Fatalf("record %d = id %s state %s dims %d, %d coords (want %d)", i, rec.Status.ID, rec.Status.State, rec.Dims, len(rec.Coords), len(want))
 		}
@@ -213,9 +215,9 @@ func TestJournalAppendAllocBudget(t *testing.T) {
 	// What a worker does after a job's last phase, minus the run itself:
 	// metrics, the result frame (status snapshot, header, coordinates), hook.
 	now := time.Now()
-	j := &Job{id: "j000001", graph: "road", spec: []byte(`{}`), state: StateDone, result: res,
-		started: now, finished: now, cancel: func() {}}
-	appendOne := func() { e.finalize(j, true) }
+	j := &Job{id: "j000001", graph: "road", spec: []byte(`{}`), started: now, cancel: func() {}}
+	j.finish(StateDone, res, nil)
+	appendOne := func() { e.finalize(j, res, true) }
 	appendOne()
 	const runs = 20
 	// TotalAlloc also counts what other goroutines allocate meanwhile (the
@@ -267,9 +269,10 @@ func (w *workspaceSpy) count() int {
 
 // TestWorkerWorkspaceReuseMatchesFresh submits 12 jobs at once over two
 // graph shapes to three workers, which hand a few workspaces between
-// them, each dirtied and reshaped by the runs before: every retained
-// layout must be bit-identical to a fresh standalone pipeline run of its
-// graph (the clone-out of workspace-backed results), and no more
+// them, each dirtied and reshaped by the runs before: every layout handed
+// to OnDone must stay bit-identical to a fresh standalone pipeline run of
+// its graph after the later runs (the clone-out of workspace-backed
+// results), and no more
 // workspaces than workers may exist.
 func TestWorkerWorkspaceReuseMatchesFresh(t *testing.T) {
 	cfg := pipeline.Config{Layout: core.Options{Subspace: 8, Seed: 7}, SkipQuality: true}
@@ -288,25 +291,36 @@ func TestWorkerWorkspaceReuseMatchesFresh(t *testing.T) {
 	}
 	spy := &workspaceSpy{}
 	const workers = 3
-	e := New(cat, Config{Workers: workers, run: spy.run})
+	type finished struct {
+		j   *Job
+		res *pipeline.Result
+	}
+	const submits = 12
+	done := make(chan finished, submits)
+	e := New(cat, Config{Workers: workers, run: spy.run,
+		OnDone: func(j *Job, _ *graph.CSR, _ pipeline.Config, res *pipeline.Result) { done <- finished{j, res} }})
 	defer e.Close()
-	var jobsRun []*Job
-	for i := 0; i < 12; i++ {
-		j, err := e.Submit([]string{"grid", "road"}[i%2], cfg)
-		if err != nil {
+	for i := 0; i < submits; i++ {
+		if _, err := e.Submit([]string{"grid", "road"}[i%2], cfg); err != nil {
 			t.Fatal(err)
 		}
-		jobsRun = append(jobsRun, j)
 	}
-	for i, j := range jobsRun {
-		waitState(t, j, StateDone)
-		got, w := j.Result().Layout.Coords.Data, want[j.Graph()]
-		if len(got) != len(w) {
-			t.Fatalf("job %d (%s): %d coords, want %d", i, j.Graph(), len(got), len(w))
+	var got []finished // all in before any is checked: later runs reuse the workspaces
+	for i := 0; i < submits; i++ {
+		got = append(got, <-done)
+	}
+	for i, f := range got {
+		j := f.j
+		if f.res == nil {
+			t.Fatalf("job %s (%s) ended %v", j.ID(), j.Graph(), j.State())
 		}
-		for k := range got {
-			if got[k] != w[k] {
-				t.Fatalf("job %d (%s): coord %d = %v, fresh run has %v", i, j.Graph(), k, got[k], w[k])
+		c, w := f.res.Layout.Coords.Data, want[j.Graph()]
+		if len(c) != len(w) {
+			t.Fatalf("job %d (%s): %d coords, want %d", i, j.Graph(), len(c), len(w))
+		}
+		for k := range c {
+			if c[k] != w[k] {
+				t.Fatalf("job %d (%s): coord %d = %v, fresh run has %v", i, j.Graph(), k, c[k], w[k])
 			}
 		}
 	}
@@ -328,7 +342,8 @@ func TestSequentialJobsShareOneWorkspace(t *testing.T) {
 	}
 	done := make(chan *Job, 1)
 	spy := &workspaceSpy{}
-	e := New(cat, Config{Workers: 4, run: spy.run, OnDone: func(j *Job) { done <- j }})
+	e := New(cat, Config{Workers: 4, run: spy.run,
+		OnDone: func(j *Job, _ *graph.CSR, _ pipeline.Config, _ *pipeline.Result) { done <- j }})
 	defer e.Close()
 	cfg := pipeline.Config{Layout: core.Options{Seed: 1}}
 	runOne := func() {

@@ -118,9 +118,12 @@ func TripleProdBudget(bud parallel.Budget, g *graph.CSR, deg []float64, pc *Pack
 	srm = pc.RowMajorBudget(bud, first, arena)
 	// Every worker spends the transpose's span in it.
 	ls := time.Since(start) * time.Duration(workers)
-	arena.Ensure(workers, 3*PackRows*k)
+	// A chunk holds at most min(PackRows, n) rows: a small graph gets
+	// small slots.
+	rows := min(PackRows, n)
+	arena.Ensure(workers, 3*rows*k)
 	arena.track(workers)
-	parallel.Tiles(workers, n, tiles, tripleProd{g: g, deg: deg, srm: srm, panels: panels, arena: arena, k: k}, tripleProd.walkTile)
+	parallel.Tiles(workers, n, tiles, tripleProd{g: g, deg: deg, srm: srm, panels: panels, arena: arena, k: k, rows: rows}, tripleProd.walkTile)
 	var atb time.Duration
 	for w := 0; w < workers; w++ {
 		ls, atb = ls+arena.busy[2*w], atb+arena.busy[2*w+1]
@@ -143,6 +146,7 @@ type tripleProd struct {
 	panels   []float64  // per-tile k×k SᵀP partials
 	arena    *PackArena // worker slots and busy times
 	k        int
+	rows     int // chunk height bound: the offset of a slot's P and S regions, in rows
 }
 
 // walkTile writes tile t's panel Σ_{r∈[lo,hi)} S_r·(L·S)_rᵀ, one PackRows
@@ -156,8 +160,8 @@ func (tp tripleProd) walkTile(w, t, lo, hi int) {
 	t0 := time.Now()
 	for r0 := lo; r0 < hi; r0 += PackRows {
 		r1 := min(r0+PackRows, hi)
-		p := strided{slot[PackRows*k:], r1 - r0, r1 - r0}
-		s := strided{slot[2*PackRows*k:], r1 - r0, r1 - r0}
+		p := strided{slot[tp.rows*k:], r1 - r0, r1 - r0}
+		s := strided{slot[2*tp.rows*k:], r1 - r0, r1 - r0}
 		tp.arena.gathers[w] += fusedRows(tp.g, tp.deg, tp.srm, slot, r0, r1, k)
 		unpackRowMajor(p, slot, k)
 		t1 := time.Now()

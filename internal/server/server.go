@@ -307,13 +307,10 @@ func (s *Server) Hangup() {
 	s.closing.Do(func() { close(s.done) })
 }
 
-// onJobDone installs a completed job's layout as its graph's current
-// view (runs on the worker goroutine).
-func (s *Server) onJobDone(j *jobs.Job) {
-	if j.State() != jobs.StateDone {
-		return
-	}
-	res := j.Result()
+// onJobDone installs a completed job's layout, computed on g under cfg,
+// as its graph's current view (runs on the worker goroutine); the view is
+// then the layout's only owner. res is nil unless the job is done.
+func (s *Server) onJobDone(j *jobs.Job, g *graph.CSR, cfg pipeline.Config, res *pipeline.Result) {
 	if res == nil || res.Layout == nil {
 		return
 	}
@@ -324,7 +321,7 @@ func (s *Server) onJobDone(j *jobs.Job) {
 		s.coldLayouts.Inc()
 	}
 	s.recordBFS(rep)
-	s.install(j.Graph(), j.Input(), res.Layout, rep, j.Config().Layout, res.Quality, j.RequestID())
+	s.install(j.Graph(), g, res.Layout, rep, cfg.Layout, res.Quality, j.RequestID())
 }
 
 // recordBFS folds a run's traversal-direction split into the BFS

@@ -366,6 +366,11 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool
 // passHeaders are the upstream response headers forwarded to clients.
 var passHeaders = []string{"Content-Type", "ETag", workerHeader}
 
+// relayBufs holds copyResponse's copy buffers. The client's writer (the
+// access log's wrapper) has no ReadFrom, so io.Copy would allocate 32 KB
+// for every relayed body, most of them a status or stats object.
+var relayBufs = sync.Pool{New: func() any { return new([4 << 10]byte) }}
+
 // copyResponse relays an upstream response (selected headers, status,
 // body) to the client.
 func copyResponse(w http.ResponseWriter, resp *http.Response) {
@@ -375,7 +380,9 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
+	buf := relayBufs.Get().(*[4 << 10]byte)
+	_, _ = io.CopyBuffer(w, resp.Body, buf[:])
+	relayBufs.Put(buf)
 }
 
 // errNoWorker is returned when no worker answered a fan-out.

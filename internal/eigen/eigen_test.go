@@ -433,3 +433,51 @@ func fillSym(r *rand.Rand, a *linalg.Dense) {
 		}
 	}
 }
+
+// TestBottomKReadsUpperTriangle: the solve reads the upper triangle only.
+// A strict lower triangle perturbed within the asymmetry tolerance leaves
+// every eigenpair bit for bit as it was, so a Z = SᵀLS built over its
+// upper triangle and mirrored solves exactly as the full AᵀB product with
+// the same upper triangle does; a perturbation above the tolerance is
+// still rejected.
+func TestBottomKReadsUpperTriangle(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	for _, s := range []int{2, 7, 12, 40, 64} {
+		a := linalg.NewDense(s, s)
+		fillSym(r, a)
+		var scale float64
+		for _, x := range a.Data {
+			scale = max(scale, math.Abs(x))
+		}
+		tol := 1e-8 * max(scale, 1)
+		wantVals, wantVecs, err := BottomKScratch(a, s, &Scratch{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := a.Clone()
+		for j := 0; j < s; j++ {
+			for i := j + 1; i < s; i++ {
+				b.Set(i, j, b.At(i, j)+(r.Float64()-0.5)*tol)
+			}
+		}
+		gotVals, gotVecs, err := BottomKScratch(b, s, &Scratch{})
+		if err != nil {
+			t.Fatalf("s=%d: perturbed within tolerance: %v", s, err)
+		}
+		for i := range wantVals {
+			if gotVals[i] != wantVals[i] {
+				t.Fatalf("s=%d: λ%d = %v with the lower triangle perturbed, %v without", s, i, gotVals[i], wantVals[i])
+			}
+		}
+		for i := range wantVecs.Data {
+			if gotVecs.Data[i] != wantVecs.Data[i] {
+				t.Fatalf("s=%d: vector entry %d = %v with the lower triangle perturbed, %v without", s, i, gotVecs.Data[i], wantVecs.Data[i])
+			}
+		}
+		c := a.Clone()
+		c.Set(s-1, 0, c.At(s-1, 0)+2*tol)
+		if _, _, err := BottomKScratch(c, s, &Scratch{}); err == nil {
+			t.Fatalf("s=%d: a lower entry off by twice the tolerance was accepted", s)
+		}
+	}
+}

@@ -56,9 +56,8 @@ func grow(buf []float64, n int) []float64 {
 // matching eigenvectors as the columns of a k×k matrix, each signed so
 // that its largest-magnitude entry is positive (the lowest index wins a
 // tie), so a sign does not depend on the solver's rotation order. a is not
-// modified. a may be asymmetric only within roundoff
-// (1e-8 relative), and is symmetrized before the solve; a NaN or ±Inf
-// entry is an error.
+// modified. a may be asymmetric only within roundoff (1e-8 relative); the
+// solve reads its upper triangle. A NaN or ±Inf entry is an error.
 func SymEig(a *linalg.Dense) (vals []float64, vecs *linalg.Dense, err error) {
 	return symEig(a, &Scratch{})
 }
@@ -107,9 +106,10 @@ func TopK(a *linalg.Dense, k int) ([]float64, *linalg.Dense, error) {
 	return outVals, out, nil
 }
 
-// symEig validates a, symmetrizes it into sc, and solves it with the
-// EISPACK routines tred2 and tql2 as JAMA transcribes them, on
-// column-major storage so that every inner loop runs down a column.
+// symEig validates a, copies its upper triangle into sc as a symmetric
+// matrix, and solves it with the EISPACK routines tred2 and tql2 as JAMA
+// transcribes them, on column-major storage so that every inner loop runs
+// down a column.
 func symEig(a *linalg.Dense, sc *Scratch) ([]float64, *linalg.Dense, error) {
 	n := a.Rows
 	if a.Cols != n {
@@ -125,17 +125,18 @@ func symEig(a *linalg.Dense, sc *Scratch) ([]float64, *linalg.Dense, error) {
 	sc.Ensure(n)
 	v, d, e := sc.v, sc.d, sc.e
 	copy(v, a.Data)
-	// Callers build a as SᵀLS, which is symmetric up to floating-point
-	// noise: symmetrize below a small relative tolerance, reject anything
-	// worse.
+	// Callers build a as SᵀLS, which may be symmetric only up to
+	// floating-point noise: reject an asymmetry above a small relative
+	// tolerance, then solve the upper triangle, copied onto the lower one
+	// (the one tred2 reads), so the result does not depend on the lower
+	// triangle's rounding.
 	for j := 0; j < n; j++ {
 		for i := j + 1; i < n; i++ {
 			lo, up := v[j*n+i], v[i*n+j]
 			if math.Abs(lo-up) > 1e-8*math.Max(scale, 1) {
 				return nil, nil, fmt.Errorf("eigen: matrix asymmetric at (%d,%d): |%g - %g|", j, i, up, lo)
 			}
-			v[j*n+i] = (up + lo) / 2
-			v[i*n+j] = v[j*n+i]
+			v[j*n+i] = up
 		}
 	}
 	sc.vecs = linalg.Dense{Rows: n, Cols: n, Data: v}

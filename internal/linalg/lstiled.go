@@ -16,15 +16,14 @@ import (
 // its capacity is short) so one pass over the edge list advances all s
 // columns — each neighbor access loads a vertex's full s-wide row
 // contiguously, raising the kernel's arithmetic intensity from O(1) to
-// O(s) (Table 1's analysis). The output pass stays cache-resident: each
-// worker fuses a PackRows-high chunk into its arena slot and unpacks it
-// into the column-major p (allocated when nil) while it is still in
-// cache, so no n·s row-major product panel ever exists. The source pack
-// srm stays global because fusedRows gathers arbitrary neighbors' rows.
-// Every output element is produced by one worker with the per-element
-// accumulation order of a column-at-a-time SpMV (adjacency order, degree
-// term last), so the result equals s LapMulVecBudget calls bit for bit
-// under every worker budget. arena may be nil (private storage).
+// O(s) (Table 1's analysis). Each vertex's s sums are stored straight
+// into the columns of p (allocated when nil), so no n·s row-major product
+// panel ever exists. The source pack srm stays global because fusedRows
+// gathers arbitrary neighbors' rows. Every output element is produced by
+// one worker with the per-element accumulation order of a
+// column-at-a-time SpMV (adjacency order, degree term last), so the
+// result equals s LapMulVecBudget calls bit for bit under every worker
+// budget. arena only counts the gathers and may be nil.
 func LapMulDenseTiledPackedBudget(bud parallel.Budget, g *graph.CSR, deg []float64, s, p *Dense, srm []float64, arena *PackArena) *Dense {
 	n, cols := s.Rows, s.Cols
 	if n != g.NumV {
@@ -46,7 +45,6 @@ func LapMulDenseTiledPackedBudget(bud parallel.Budget, g *graph.CSR, deg []float
 		arena = &PackArena{}
 	}
 	workers := bud.BlockWorkers(n)
-	arena.Ensure(workers, min(PackRows, n)*cols)
 	arena.track(workers)
 	ls := lsArgs{g: g, deg: deg, s: s, p: p, srm: srm, arena: arena}
 	parallel.Blocks(workers, n, ls, lsArgs.pack)
@@ -70,15 +68,10 @@ func (x lsArgs) pack(_, lo, hi int) {
 	packRowMajor(strided{x.s.Data[lo:], n, hi - lo}, x.srm, lo, x.s.Cols)
 }
 
-// fuse computes rows [lo, hi) of P = L·S one PackRows chunk at a time in
-// worker w's arena slot, unpacking each chunk into p while it is in cache.
+// fuse computes rows [lo, hi) of P = L·S into p's columns.
 func (x lsArgs) fuse(w, lo, hi int) {
-	n, cols, slot := x.s.Rows, x.s.Cols, x.arena.slot(w)
-	for r0 := lo; r0 < hi; r0 += PackRows {
-		r1 := min(r0+PackRows, hi)
-		x.arena.gathers[w] += fusedRows(x.g, x.deg, x.srm, slot, r0, r1, cols)
-		unpackRowMajor(strided{x.p.Data[r0:], n, r1 - r0}, slot, cols)
-	}
+	n := x.s.Rows
+	x.arena.gathers[w] += fusedRows(x.g, x.deg, x.srm, strided{x.p.Data[lo:], n, hi - lo}, lo, hi, x.s.Cols)
 }
 
 // TripleProdBudget computes the TripleProd phase Z = Sᵀ(L·S) in one walk
@@ -86,18 +79,21 @@ func (x lsArgs) fuse(w, lo, hi int) {
 // pc.Len()). It returns S row-major, in the store's memory: the store is
 // first rewritten in place by RowMajorBudget, which empties it. The walk
 // takes AtBPackedBudget's tile grid; per PackRows chunk of a tile it runs
-// fusedRows into the worker's arena slot, transposes that in cache into a
-// column-packed P chunk, gathers the chunk's S rows into a column-packed S
-// chunk, and extends the tile's SᵀP partial (partials: capacity ≥
+// fusedRows into the column-packed P region of the worker's arena slot,
+// gathers the chunk's S rows into its column-packed S region, and extends
+// the upper triangle of the tile's SᵀP partial (partials: capacity ≥
 // parallel.ReduceBlocks(n)·k², grown when short) by atbSweep over the two.
-// Every element of P and of each partial adds the products of
-// LapMulDenseTiledPackedBudget and AtBPackedBudget in the same order, and
-// the partials are combined in tile order, so Z equals that two-pass
-// product bit for bit under every budget while P never outlives a chunk.
-// srm is what MulSmallRowMajorBudget projects. z receives Z (allocated when
-// nil); arena may be nil. lsShare is the L·S half's fraction of the
-// workers' time (the in-place transpose, fusedRows, the P chunk transpose);
-// the S gathers, the SᵀP sweeps and the combine are the rest.
+// Z = SᵀLS is symmetric, so the blocks wholly below the diagonal are
+// skipped and, once the partials are combined, the strict upper triangle
+// is mirrored onto the lower one. Every element of P and of each upper
+// partial adds the products of LapMulDenseTiledPackedBudget and
+// AtBPackedBudget in the same order, and the partials are combined in
+// tile order, so Z's upper triangle equals that two-pass product bit for
+// bit under every budget, Z is exactly symmetric, and P never outlives a
+// chunk. srm is what MulSmallRowMajorBudget projects. z receives Z
+// (allocated when nil); arena may be nil. lsShare is the L·S half's
+// fraction of the workers' time (the in-place transpose, fusedRows); the
+// S gathers, the SᵀP sweeps, the combine and the mirror are the rest.
 func TripleProdBudget(bud parallel.Budget, g *graph.CSR, deg []float64, pc *PackedCols, first int, z *Dense, partials []float64, arena *PackArena) (_ *Dense, srm []float64, lsShare float64) {
 	n, k := pc.n, pc.k-first
 	if n != g.NumV {
@@ -121,7 +117,7 @@ func TripleProdBudget(bud parallel.Budget, g *graph.CSR, deg []float64, pc *Pack
 	// A chunk holds at most min(PackRows, n) rows: a small graph gets
 	// small slots.
 	rows := min(PackRows, n)
-	arena.Ensure(workers, 3*rows*k)
+	arena.Ensure(workers, 2*rows*k)
 	arena.track(workers)
 	parallel.Tiles(workers, n, tiles, tripleProd{g: g, deg: deg, srm: srm, panels: panels, arena: arena, k: k, rows: rows}, tripleProd.walkTile)
 	var atb time.Duration
@@ -130,6 +126,11 @@ func TripleProdBudget(bud parallel.Budget, g *graph.CSR, deg []float64, pc *Pack
 	}
 	start = time.Now()
 	combinePanels(z.Data, panels, tiles, k*k)
+	for j := 0; j < k; j++ {
+		for i := j + 1; i < k; i++ {
+			z.Data[j*k+i] = z.Data[i*k+j]
+		}
+	}
 	atb += time.Since(start)
 	if ls+atb > 0 {
 		lsShare = float64(ls) / float64(ls+atb)
@@ -146,7 +147,7 @@ type tripleProd struct {
 	panels   []float64  // per-tile k×k SᵀP partials
 	arena    *PackArena // worker slots and busy times
 	k        int
-	rows     int // chunk height bound: the offset of a slot's P and S regions, in rows
+	rows     int // chunk height bound: the offset of a slot's S region, in rows
 }
 
 // walkTile writes tile t's panel Σ_{r∈[lo,hi)} S_r·(L·S)_rᵀ, one PackRows
@@ -160,13 +161,12 @@ func (tp tripleProd) walkTile(w, t, lo, hi int) {
 	t0 := time.Now()
 	for r0 := lo; r0 < hi; r0 += PackRows {
 		r1 := min(r0+PackRows, hi)
-		p := strided{slot[tp.rows*k:], r1 - r0, r1 - r0}
-		s := strided{slot[2*tp.rows*k:], r1 - r0, r1 - r0}
-		tp.arena.gathers[w] += fusedRows(tp.g, tp.deg, tp.srm, slot, r0, r1, k)
-		unpackRowMajor(p, slot, k)
+		p := strided{slot, r1 - r0, r1 - r0}
+		s := strided{slot[tp.rows*k:], r1 - r0, r1 - r0}
+		tp.arena.gathers[w] += fusedRows(tp.g, tp.deg, tp.srm, p, r0, r1, k)
 		t1 := time.Now()
 		unpackRowMajor(s, tp.srm[r0*k:r1*k], k)
-		atbSweep(s, p, k, k, out)
+		atbSweep(s, p, k, k, out, true)
 		t2 := time.Now()
 		ls, atb, t0 = ls+t1.Sub(t0), atb+t2.Sub(t1), t2
 	}
@@ -190,16 +190,17 @@ func packRowMajor(src strided, srm []float64, lo, cols int) {
 	}
 }
 
-// fusedRows computes rows [lo, hi) of the row-major product L·S over the
-// row-major pack srm into the chunk prm, whose row 0 is vertex lo:
-// prm_i = deg_i·srm_i − Σ_{u∈adj(i)} w_iu·srm_u. Each vertex's adjacency
+// fusedRows computes rows [lo, hi) of the product L·S over the row-major
+// pack srm into the column view dst, whose row 0 is vertex lo:
+// dst_i = deg_i·srm_i − Σ_{u∈adj(i)} w_iu·srm_u. Each vertex's adjacency
 // is walked once per 8-, 4- or 1-column chunk with that chunk's sums in
 // register locals, so an edge costs one load-add per column instead of a
-// load-add-store through prm. The accumulation order per element matches
+// load-add-store through dst. The accumulation order per element matches
 // LapMulVecBudget exactly (from zero, adjacency order, degree term last).
 // It returns the neighbour rows it gathered, one per adjacency entry per
 // chunk.
-func fusedRows(g *graph.CSR, deg, srm, prm []float64, lo, hi, cols int) (gathers int64) {
+func fusedRows(g *graph.CSR, deg, srm []float64, dst strided, lo, hi, cols int) (gathers int64) {
+	st := dst.stride
 	for i := lo; i < hi; i++ {
 		o0, o1 := g.Offsets[i], g.Offsets[i+1]
 		adj := g.Adj[o0:o1]
@@ -209,22 +210,23 @@ func fusedRows(g *graph.CSR, deg, srm, prm []float64, lo, hi, cols int) (gathers
 		}
 		d := deg[i]
 		self := srm[i*cols : (i+1)*cols]
-		out := prm[(i-lo)*cols : (i-lo+1)*cols]
+		// Column c of vertex i is out[c·st].
+		out := dst.buf[i-lo:]
 		c, walks := 0, 0
 		for ; c+8 <= cols; c, walks = c+8, walks+1 {
 			s0, s1, s2, s3, s4, s5, s6, s7 := adjSum8(adj, wts, srm, cols, c)
-			x, o := self[c:c+8], out[c:c+8]
-			o[0], o[1], o[2], o[3] = d*x[0]-s0, d*x[1]-s1, d*x[2]-s2, d*x[3]-s3
-			o[4], o[5], o[6], o[7] = d*x[4]-s4, d*x[5]-s5, d*x[6]-s6, d*x[7]-s7
+			x, o := self[c:c+8], out[c*st:]
+			o[0], o[st], o[2*st], o[3*st] = d*x[0]-s0, d*x[1]-s1, d*x[2]-s2, d*x[3]-s3
+			o[4*st], o[5*st], o[6*st], o[7*st] = d*x[4]-s4, d*x[5]-s5, d*x[6]-s6, d*x[7]-s7
 		}
 		if c+4 <= cols {
 			s0, s1, s2, s3 := adjSum4(adj, wts, srm, cols, c)
-			x, o := self[c:c+4], out[c:c+4]
-			o[0], o[1], o[2], o[3] = d*x[0]-s0, d*x[1]-s1, d*x[2]-s2, d*x[3]-s3
+			x, o := self[c:c+4], out[c*st:]
+			o[0], o[st], o[2*st], o[3*st] = d*x[0]-s0, d*x[1]-s1, d*x[2]-s2, d*x[3]-s3
 			c, walks = c+4, walks+1
 		}
 		for ; c < cols; c, walks = c+1, walks+1 {
-			out[c] = d*self[c] - adjSum1(adj, wts, srm, cols, c)
+			out[c*st] = d*self[c] - adjSum1(adj, wts, srm, cols, c)
 		}
 		gathers += int64(walks * len(adj))
 	}
@@ -302,7 +304,7 @@ func adjSum1(adj []int32, wts, srm []float64, cols, c int) (s float64) {
 }
 
 // unpackRowMajor transposes the row-major chunk prm (dst.h rows of cols
-// floats, like fusedRows writes) into the cols columns of dst.
+// floats) into the cols columns of dst.
 func unpackRowMajor(dst strided, prm []float64, cols int) {
 	for j := 0; j < cols; j++ {
 		col := dst.col(j)

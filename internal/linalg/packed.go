@@ -154,7 +154,7 @@ func atbPackedPanel(a, b *Dense, out []float64, lo, hi int, pack []float64) {
 		for j := 0; j < t; j++ {
 			copy(packB.col(j), b.Col(j)[r0:r1])
 		}
-		atbSweep(packA, packB, s, t, out)
+		atbSweep(packA, packB, s, t, out, false)
 	}
 }
 
@@ -174,34 +174,50 @@ func (v strided) col(j int) []float64 { return v.buf[j*v.stride:][:v.h] }
 // calls — every element is loaded, extended by the rows' products in
 // ascending row order, and stored back — so a caller feeding a row range
 // through in chunks performs exactly the additions of one full-range pass.
-func atbSweep(a, b strided, s, t int, out []float64) {
+// With upper set (s = t) it skips every block that lies wholly below the
+// diagonal: columns j, j+1 sweep only rows [0, h), h the first multiple
+// of four past row j+1 (at most s). Every element it writes takes the
+// kernel, and so the bits, of a full sweep; the rest are left as they were.
+func atbSweep(a, b strided, s, t int, out []float64, upper bool) {
 	j := 0
 	for ; j+2 <= t; j += 2 {
 		b0, b1 := b.col(j), b.col(j+1)
 		o0, o1 := out[j*s:(j+1)*s], out[(j+1)*s:(j+2)*s]
+		h := sweepHeight(s, j+1, upper)
 		i := 0
-		for ; i+4 <= s; i += 4 {
+		for ; i+4 <= h; i += 4 {
 			o0[i], o0[i+1], o0[i+2], o0[i+3], o1[i], o1[i+1], o1[i+2], o1[i+3] = dot4x2(
 				a.col(i), a.col(i+1), a.col(i+2), a.col(i+3), b0, b1,
 				o0[i], o0[i+1], o0[i+2], o0[i+3], o1[i], o1[i+1], o1[i+2], o1[i+3])
 		}
-		for ; i < s; i++ {
+		for ; i < h; i++ {
 			o0[i], o1[i] = dot1x2(a.col(i), b0, b1, o0[i], o1[i])
 		}
 	}
 	if j < t {
 		b0 := b.col(j)
 		o0 := out[j*s : (j+1)*s]
+		h := sweepHeight(s, j, upper)
 		i := 0
-		for ; i+4 <= s; i += 4 {
+		for ; i+4 <= h; i += 4 {
 			o0[i], o0[i+1], o0[i+2], o0[i+3] = dot4x1(
 				a.col(i), a.col(i+1), a.col(i+2), a.col(i+3),
 				b0, o0[i], o0[i+1], o0[i+2], o0[i+3])
 		}
-		for ; i < s; i++ {
+		for ; i < h; i++ {
 			o0[i] = dot1x1(a.col(i), b0, o0[i])
 		}
 	}
+}
+
+// sweepHeight is the number of rows atbSweep sweeps for a column group
+// whose last column is jMax: all s, or with upper only the 4-row blocks
+// that reach row jMax.
+func sweepHeight(s, jMax int, upper bool) int {
+	if !upper {
+		return s
+	}
+	return min(s, (jMax+4)&^3)
 }
 
 // atbCheck validates shapes and allocates c when nil.

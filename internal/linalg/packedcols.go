@@ -105,7 +105,6 @@ type packArgs struct {
 	// multi-axpy's coefficients or the multi-dot's per-tile panels.
 	work, d, coeffs []float64
 	a               float64
-	arena           *PackArena // RowMajorBudget's per-worker tile buffers
 }
 
 // appendTile is one tile of AppendScaledDDotBudget: rows [lo, hi) of
@@ -328,14 +327,15 @@ func (pa packArgs) copyTile(_, t, lo, hi int) {
 // row-major matrix S, k = Len()−first, at the front of the store's own
 // buffer, returns that view (valid until the next Ensure) and empties the
 // store: S ends the DOrtho sweep in one copy, with no second n·k buffer.
-// Each tile is transposed through its worker's arena slot (one tile's
-// rows, ≤ ⌈n/tiles⌉·k floats; arena may be nil) and written back to the
-// start of its own tile block; then the tiles move down to row lo·k, one
-// copy each, in tile order. Tile t's block starts at t·capCols·stride ≥
-// lo·k, and its rows end at hi·k ≤ (t+1)·⌈n/tiles⌉·k, short of tile t+1's
-// block at (t+1)·capCols·stride because k ≤ capCols and ⌈n/tiles⌉ <
-// stride, so no copy overwrites a tile that has not moved yet. Only copies
-// move the values, so S holds the stored bits.
+// The tiles go in order, each in two passes fanned out over the budget:
+// its 64-row strips are transposed into one tile-sized region of arena
+// (≤ ⌈n/tiles⌉·k floats; arena may be nil), then that region is copied to
+// the tile's final rows [lo·k, hi·k). Tile t's source block starts at
+// t·capCols·stride ≥ lo·k and is wholly read before its copy starts, and
+// its rows end at hi·k ≤ (t+1)·⌈n/tiles⌉·k, short of tile t+1's block at
+// (t+1)·capCols·stride because k ≤ capCols and ⌈n/tiles⌉ < stride, so no
+// copy overwrites a tile that has not been read yet. Only copies move the
+// values, so S holds the stored bits.
 func (pc *PackedCols) RowMajorBudget(bud parallel.Budget, first int, arena *PackArena) []float64 {
 	k := pc.k - first
 	if first < 0 || k < 0 {
@@ -344,23 +344,38 @@ func (pc *PackedCols) RowMajorBudget(bud parallel.Budget, first int, arena *Pack
 	if arena == nil {
 		arena = &PackArena{}
 	}
-	workers := min(bud.Workers(), pc.tiles)
-	arena.Ensure(workers, (pc.stride-packColPad)*k)
-	parallel.Tiles(workers, pc.n, pc.tiles, packArgs{pc: pc, j0: first, j1: pc.k, arena: arena}, packArgs.rowMajorTile)
-	for t := 1; t < pc.tiles; t++ {
+	arena.Ensure(1, (pc.stride-packColPad)*k)
+	p := bud.Workers()
+	x := rowMajorArgs{pc: pc, j0: first, k: k, rows: arena.slot(0)}
+	for t := 0; t < pc.tiles; t++ {
 		lo, hi := t*pc.n/pc.tiles, (t+1)*pc.n/pc.tiles
-		block := t * pc.capCols * pc.stride
-		copy(pc.buf[lo*k:hi*k], pc.buf[block:block+(hi-lo)*k])
+		x.t, x.h, x.dst = t, hi-lo, pc.buf[lo*k:hi*k]
+		strips := (x.h + 63) / 64
+		parallel.Blocks(min(p, strips), strips, x, rowMajorArgs.transpose)
+		parallel.Blocks(min(p, strips), strips, x, rowMajorArgs.place)
 	}
 	pc.k = 0
 	return pc.buf[:pc.n*k]
 }
 
-// rowMajorTile transposes tile t's columns [j0, j1) into worker w's arena
-// slot and writes the rows back to the start of the tile's block.
-func (pa packArgs) rowMajorTile(w, t, lo, hi int) {
-	pc, k := pa.pc, pa.j1-pa.j0
-	rows := pa.arena.slot(w)[:(hi-lo)*k]
-	packRowMajor(pc.tileCols(t, pa.j0, 0, hi-lo), rows, 0, k)
-	copy(pc.buf[t*pc.capCols*pc.stride:], rows)
+// rowMajorArgs is one tile of a RowMajorBudget call: the store, the tile
+// t, its h rows of the k columns from j0, the arena region rows they are
+// transposed into and their final place dst. Its methods run on ranges of
+// the tile's 64-row strips.
+type rowMajorArgs struct {
+	pc          *PackedCols
+	t, j0, k, h int
+	rows, dst   []float64
+}
+
+// transpose writes strips [s0, s1) of the tile row-major into rows.
+func (x rowMajorArgs) transpose(_, s0, s1 int) {
+	r0, r1 := s0*64, min(s1*64, x.h)
+	packRowMajor(x.pc.tileCols(x.t, x.j0, r0, r1-r0), x.rows, r0, x.k)
+}
+
+// place copies strips [s0, s1) of the transposed tile to their final rows.
+func (x rowMajorArgs) place(_, s0, s1 int) {
+	r0, r1 := s0*64, min(s1*64, x.h)
+	copy(x.dst[r0*x.k:r1*x.k], x.rows[r0*x.k:r1*x.k])
 }

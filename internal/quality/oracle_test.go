@@ -42,6 +42,12 @@ func TestParHDEMatchesDenseOracle(t *testing.T) {
 		{"weighted-road/k-centers/s20", gen.WithRandomWeights(gen.Road(30, 30, 5), 9, 5), pivot.KCenters, 20},
 		{"kron/k-centers/s20", graph.LargestComponent(gen.Kron(10, 8, 3)), pivot.KCenters, 20},
 		{"urand/random-ms/s20", graph.LargestComponent(gen.Urand(10, 8, 3)), pivot.RandomMS, 20},
+		// The wide shape of mesh_ms64, where TripleProd's upper-triangle
+		// sweep skips the most blocks: 27 columns survive DOrtho (the hop
+		// columns of a 12×10×8 box span 12+10+8−3 directions beyond the
+		// constant). Unequal sides keep the bottom pair apart (Ritz values
+		// 0.0130, 0.0188, 0.0295); on a cube they coincide.
+		{"mesh3d/random-ms/s64", gen.Mesh3D(12, 10, 8), pivot.RandomMS, 64},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			lay, rep, err := core.ParHDE(c.g, core.Options{Subspace: c.s, Seed: 1, Pivots: c.pivot})

@@ -1,7 +1,7 @@
 package graph
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -29,43 +29,46 @@ const (
 	binVersion = 1
 )
 
-// WriteBinary serializes g in the binary CSR format.
+// WriteBinary serializes g in the binary CSR format. The header and each
+// array are encoded a chunk at a time into one 4 KB buffer and written
+// in bulk; a *bytes.Buffer destination is grown to the encoded size
+// first, so it allocates once.
 func WriteBinary(w io.Writer, g *CSR) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	var flags uint32
+	var flags int64
+	size := 32 + 8*len(g.Offsets) + 4*len(g.Adj)
 	if g.Weights != nil {
-		flags |= 1
+		flags, size = 1, size+8*len(g.Weights)
 	}
-	hdr := []uint64{
-		uint64(binMagic)<<32 | uint64(binVersion),
-		uint64(flags),
-		uint64(g.NumV),
-		uint64(len(g.Adj)),
+	if b, ok := w.(*bytes.Buffer); ok {
+		b.Grow(size)
 	}
-	for _, h := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
+	buf := make([]byte, min(size, 4<<10))
+	hdr := []int64{binMagic<<32 | binVersion, flags, int64(g.NumV), int64(len(g.Adj))}
+	if err := writeArray(w, buf, hdr, 8, encodeI64); err != nil {
+		return err
+	}
+	if err := writeArray(w, buf, g.Offsets, 8, encodeI64); err != nil {
+		return err
+	}
+	if err := writeArray(w, buf, g.Adj, 4, encodeI32); err != nil {
+		return err
+	}
+	return writeArray(w, buf, g.Weights, 8, encodeF64)
+}
+
+// writeArray writes src as little-endian elements of size bytes each,
+// encoded into buf as many at a time as it holds.
+func writeArray[T any](w io.Writer, buf []byte, src []T, size int, encode func(dst []byte, src []T)) error {
+	per := len(buf) / size
+	for len(src) > 0 {
+		k := min(len(src), per)
+		encode(buf, src[:k])
+		if _, err := w.Write(buf[:size*k]); err != nil {
 			return err
 		}
+		src = src[k:]
 	}
-	buf := make([]byte, 8)
-	for _, off := range g.Offsets {
-		binary.LittleEndian.PutUint64(buf, uint64(off))
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	for _, a := range g.Adj {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(a))
-		if _, err := bw.Write(buf[:4]); err != nil {
-			return err
-		}
-	}
-	if g.Weights != nil {
-		if err := binary.Write(bw, binary.LittleEndian, g.Weights); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return nil
 }
 
 // ReadBinary deserializes a graph written by WriteBinary and validates its
@@ -185,5 +188,23 @@ func decodeI32(dst []int32, src []byte) {
 func decodeF64(dst []float64, src []byte) {
 	for i := range dst {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
+}
+
+func encodeI64(dst []byte, src []int64) {
+	for i, x := range src {
+		binary.LittleEndian.PutUint64(dst[8*i:], uint64(x))
+	}
+}
+
+func encodeI32(dst []byte, src []int32) {
+	for i, x := range src {
+		binary.LittleEndian.PutUint32(dst[4*i:], uint32(x))
+	}
+}
+
+func encodeF64(dst []byte, src []float64) {
+	for i, x := range src {
+		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(x))
 	}
 }

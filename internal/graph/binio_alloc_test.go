@@ -1,6 +1,7 @@
 package graph_test
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -50,5 +51,37 @@ func TestReadBinaryFileAllocatesCSROnce(t *testing.T) {
 	t.Logf("CSR %d bytes; graph.Read allocated %d bytes (%.2f×)", csrBytes, after.TotalAlloc-before.TotalAlloc, ratio)
 	if ratio > 1.3 {
 		t.Fatalf("graph.Read allocated %.2f× the CSR's %d bytes, want ≤ 1.3×", ratio, csrBytes)
+	}
+}
+
+// raceEnabled is set by race_test.go when this test binary is race-built.
+var raceEnabled bool
+
+// TestWriteBinaryAllocatesTheFileOnce: one WriteBinary of Road(100²) into
+// an empty bytes.Buffer grows the buffer once to the encoded size and
+// encodes through one 4 KB chunk, so it allocates at most 1.1× the
+// 176 KB file (a 1 MiB bufio.Writer made it ≈ 7×).
+func TestWriteBinaryAllocatesTheFileOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation doubles bytes.Buffer.Grow's allocation")
+	}
+	g := gen.Road(100, 100, 1)
+	const runs = 5
+	var size int
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		var buf bytes.Buffer
+		if err := graph.WriteBinary(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		size = buf.Len()
+	}
+	runtime.ReadMemStats(&after)
+	perWrite := (after.TotalAlloc - before.TotalAlloc) / runs
+	ratio := float64(perWrite) / float64(size)
+	t.Logf("%d-byte file; WriteBinary allocated %d bytes (%.3f×)", size, perWrite, ratio)
+	if ratio > 1.1 {
+		t.Fatalf("WriteBinary into a bytes.Buffer allocated %.2f× the %d-byte file, want ≤ 1.1×", ratio, size)
 	}
 }

@@ -5,11 +5,11 @@
 // Graphviz input (WriteDOT). In the serving tier a cache miss on
 // layout.png / zoom.png is this package end to end, so it sits on the
 // interactive path of §4.5.2 and is built like the layout kernels: a
-// Canvas owns every buffer a draw needs — an 8-bit index per pixel,
-// per-vertex pixel coordinates, the packed rows, the zlib state and the
-// file — and a warm Canvas draws without allocating. It writes the PNG
-// itself, at one bit per pixel for a two-colour drawing (every server
-// tile); only the deflate is compress/zlib's. Both renderers
+// Canvas owns every buffer a draw needs — per-vertex pixel coordinates,
+// the PNG's scanlines (its only image), the zlib state and the file —
+// and a warm Canvas draws without allocating. It draws straight into the
+// file's rows, at one bit per pixel for a two-colour drawing (every
+// server tile); only the deflate is compress/zlib's. Both renderers
 // share one layout→pixel mapping (pixelMap), so a PNG and an SVG of the
 // same layout agree on where every vertex is.
 package render
@@ -173,21 +173,19 @@ func (m pixelMap) at(v int32) (x, y float64, ok bool) {
 // canvas drew before.
 //
 // The image is indexed colour: index 0 is Back (so clearing is
-// zeroing), 1 is Edge, 2… are Options.Palette. Canvas writes the PNG
-// itself (writePNG): at one bit per pixel when Back and Edge are the
-// whole palette, as on every server tile, and at eight otherwise.
+// zeroing), 1 is Edge, 2… are Options.Palette. The canvas holds it only
+// as the PNG's filtered scanlines and draws straight into them: at one
+// bit per pixel when Back and Edge are the whole palette, as on every
+// server tile, and at eight otherwise.
 type Canvas struct {
-	// pix holds one index byte per pixel, at stride Size+1: the guard
-	// column and row beyond the image take the Size-th pixel a zero
-	// margin (Size < 8) can round to, so the walk needs no bounds test.
-	pix        []uint8
-	stride     int
-	colors     []color.RGBA // what plte and trns were built from
-	plte, trns []byte       // PLTE and tRNS chunk data of colors
-	px, py     []int32      // per-vertex pixel position; px < 0 = not drawable
-	rows       []byte       // the filtered scanlines, deflated in one Write
-	zw         *zlib.Writer
-	out        bytes.Buffer
+	size, rowLen int          // image side; bytes per scanline, filter byte included
+	depth        byte         // PNG bit depth: 1 or 8
+	colors       []color.RGBA // what plte and trns were built from
+	plte, trns   []byte       // PLTE and tRNS chunk data of colors
+	px, py       []int32      // per-vertex pixel position; px < 0 = not drawable
+	rows         []byte       // the scanlines, filter byte 0 then the pixels, deflated in one Write
+	zw           *zlib.Writer
+	out          bytes.Buffer
 }
 
 // Draw renders like the package-level Draw and writes the PNG to w in a
@@ -211,12 +209,13 @@ func (c *Canvas) PNG(g *graph.CSR, l *core.Layout, opt Options) ([]byte, error) 
 	return b, nil
 }
 
-// draw rasterizes into c.pix and encodes it into c.out.
+// draw rasterizes into c.rows and encodes them into c.out.
 func (c *Canvas) draw(g *graph.CSR, l *core.Layout, opt Options) error {
 	opt = opt.withDefaults()
 	l = Project3D(l)
 	c.reset(opt)
 	c.place(g.NumV, newPixelMap(l, opt))
+	classed := opt.EdgeClass != nil && len(opt.Palette) > 0
 	for v := int32(0); int(v) < g.NumV; v++ {
 		if c.px[v] < 0 {
 			continue
@@ -226,26 +225,32 @@ func (c *Canvas) draw(g *graph.CSR, l *core.Layout, opt Options) error {
 				continue
 			}
 			ci := uint8(1)
-			if k := opt.paletteIndex(v, u); k >= 0 {
-				ci = uint8(2 + k)
+			if classed {
+				if k := opt.paletteIndex(v, u); k >= 0 {
+					ci = uint8(2 + k)
+				}
 			}
 			c.line(int(c.px[v]), int(c.py[v]), int(c.px[u]), int(c.py[u]), ci)
 		}
 	}
-	return c.writePNG(opt.Size)
+	return c.writePNG()
 }
 
-// reset sizes and clears the pixel buffer and installs opt's colours.
+// reset sizes and clears the scanlines for opt's bit depth (filter byte
+// 0, none: filters rarely help indexed images) and installs opt's colours.
 func (c *Canvas) reset(opt Options) {
-	c.stride = opt.Size + 1
-	if n := c.stride * c.stride; cap(c.pix) < n {
-		c.pix = make([]uint8, n)
+	usable := min(len(opt.Palette), maxPalette)
+	c.size, c.depth, c.rowLen = opt.Size, 8, 1+opt.Size
+	if usable == 0 {
+		c.depth, c.rowLen = 1, 1+(opt.Size+7)/8
+	}
+	if n := c.size * c.rowLen; cap(c.rows) < n {
+		c.rows = make([]byte, n)
 	} else {
-		c.pix = c.pix[:n]
-		clear(c.pix)
+		c.rows = c.rows[:n]
+		clear(c.rows)
 	}
 
-	usable := min(len(opt.Palette), maxPalette)
 	if len(c.colors) == 2+usable && c.colors[0] == opt.Back && c.colors[1] == opt.Edge &&
 		slices.Equal(c.colors[2:], opt.Palette[:usable]) {
 		return
@@ -266,24 +271,18 @@ func (c *Canvas) reset(opt Options) {
 	c.trns = c.trns[:trnsLen]
 }
 
-// writePNG encodes the size×size image in c.pix into c.out: signature,
-// IHDR, PLTE, tRNS when a colour is translucent, one IDAT holding the
-// zlib stream of every row at BestSpeed, IEND.
-func (c *Canvas) writePNG(size int) error {
-	depth := byte(8)
-	if len(c.colors) == 2 {
-		depth = 1
-	}
-	c.packRows(size, depth)
-
+// writePNG encodes the image in c.rows into c.out: signature, IHDR,
+// PLTE, tRNS when a colour is translucent, one IDAT holding the zlib
+// stream of the scanlines as they stand at BestSpeed, IEND.
+func (c *Canvas) writePNG() error {
 	c.out.Reset()
 	c.out.WriteString("\x89PNG\r\n\x1a\n")
 	start := c.beginChunk("IHDR")
-	ihdr := binary.BigEndian.AppendUint32(c.out.AvailableBuffer(), uint32(size))
-	ihdr = binary.BigEndian.AppendUint32(ihdr, uint32(size))
+	ihdr := binary.BigEndian.AppendUint32(c.out.AvailableBuffer(), uint32(c.size))
+	ihdr = binary.BigEndian.AppendUint32(ihdr, uint32(c.size))
 	// Colour type 3 (indexed), compression 0 (deflate), filter method
 	// 0, not interlaced.
-	c.out.Write(append(ihdr, depth, 3, 0, 0, 0))
+	c.out.Write(append(ihdr, c.depth, 3, 0, 0, 0))
 	c.endChunk(start)
 	start = c.beginChunk("PLTE")
 	c.out.Write(c.plte)
@@ -328,47 +327,6 @@ func (c *Canvas) endChunk(start int) {
 	c.out.Write(binary.BigEndian.AppendUint32(c.out.AvailableBuffer(), crc32.ChecksumIEEE(b[4:])))
 }
 
-// packRows writes every row of the image into c.rows behind its filter
-// byte (0, none — filters rarely help indexed images): the index bytes
-// at depth 8, one bit per pixel, first pixel in the high bit, at depth 1.
-func (c *Canvas) packRows(size int, depth byte) {
-	rowLen := size
-	if depth == 1 {
-		rowLen = (size + 7) / 8
-	}
-	n := size * (1 + rowLen)
-	c.rows = slices.Grow(c.rows[:0], n)[:n]
-	for y := 0; y < size; y++ {
-		src := c.pix[y*c.stride : y*c.stride+size]
-		dst := c.rows[y*(1+rowLen) : (y+1)*(1+rowLen)]
-		dst[0] = 0
-		if depth == 8 {
-			copy(dst[1:], src)
-		} else {
-			packBits(dst[1:], src)
-		}
-	}
-}
-
-// packBits packs src, whose bytes are 0 or 1, into dst at one bit per
-// pixel. Eight pixels take one load and one multiply: the multiplier
-// moves byte i's low bit to bit 63−i with no two partial products
-// overlapping, so the top byte is the eight bits in order.
-func packBits(dst, src []uint8) {
-	i := 0
-	for ; i+8 <= len(src); i += 8 {
-		v := binary.LittleEndian.Uint64(src[i:])
-		dst[i/8] = byte((v & 0x0101010101010101) * 0x8040201008040201 >> 56)
-	}
-	if i < len(src) {
-		var b byte
-		for k, p := range src[i:] {
-			b |= p << (7 - k)
-		}
-		dst[i/8] = b
-	}
-}
-
 // place computes every vertex's pixel once, rounding half up as the
 // line walk's endpoints always have.
 func (c *Canvas) place(n int, m pixelMap) {
@@ -387,10 +345,22 @@ func (c *Canvas) place(n int, m pixelMap) {
 }
 
 // line draws an anti-alias-free 1px line with the integer Bresenham
-// walk, stepping a Pix index. Both ends are inside the guarded buffer
-// (pixelMap.at), so every pixel between them is.
+// walk, stepping an index i that counts pixels from the start of c.rows:
+// at depth 1 a pixel is bit 7−i&7 of byte i/8, at depth 8 byte i. Both
+// ends lie in [0, Size] (pixelMap.at); only with a zero margin (Size < 8)
+// can one lie on the guard line x or y = Size, outside the image, and
+// only such a line takes clippedLine.
 func (c *Canvas) line(x0, y0, x1, y1 int, ci uint8) {
-	pix, stride := c.pix, c.stride
+	if max(x0, y0, x1, y1) >= c.size {
+		c.clippedLine(x0, y0, x1, y1, ci)
+		return
+	}
+	rows, bits := c.rows, c.depth == 1
+	// Row y's first pixel is index y·stride + first, past its filter byte.
+	stride, first := c.rowLen, 1
+	if bits {
+		stride, first = 8*stride, 8
+	}
 	dx, dy := x1-x0, y1-y0
 	sx, sy := 1, stride
 	if dx < 0 {
@@ -400,10 +370,14 @@ func (c *Canvas) line(x0, y0, x1, y1 int, ci uint8) {
 		dy, sy = -dy, -stride
 	}
 	dy = -dy
-	i, end := y0*stride+x0, y1*stride+x1
+	i, end := y0*stride+first+x0, y1*stride+first+x1
 	err := dx + dy
 	for {
-		pix[i] = ci
+		if bits {
+			rows[i>>3] |= 0x80 >> (i & 7)
+		} else {
+			rows[i] = ci
+		}
 		if i == end {
 			return
 		}
@@ -415,6 +389,38 @@ func (c *Canvas) line(x0, y0, x1, y1 int, ci uint8) {
 		if e2 <= dx {
 			err += dx
 			i += sy
+		}
+	}
+}
+
+// clippedLine is line's walk in (x, y), drawing the pixels off the
+// guard line one by one.
+func (c *Canvas) clippedLine(x0, y0, x1, y1 int, ci uint8) {
+	dx, dy := x1-x0, y1-y0
+	sx, sy := 1, 1
+	if dx < 0 {
+		dx, sx = -dx, -1
+	}
+	if dy < 0 {
+		dy, sy = -dy, -1
+	}
+	dy = -dy
+	err := dx + dy
+	for x, y := x0, y0; ; {
+		if x < c.size && y < c.size {
+			c.line(x, y, x, y, ci)
+		}
+		if x == x1 && y == y1 {
+			return
+		}
+		e2 := 2 * err
+		if e2 >= dy {
+			err += dy
+			x += sx
+		}
+		if e2 <= dx {
+			err += dx
+			y += sy
 		}
 	}
 }

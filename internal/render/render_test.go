@@ -2,6 +2,8 @@ package render
 
 import (
 	"bytes"
+	"compress/zlib"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"encoding/xml"
@@ -28,7 +30,8 @@ import (
 // oracleDraw is the RGBA rasterizer Draw was before Canvas, kept as the
 // reference the golden-pixel test compares against: clone and normalise
 // the layout, walk a Bresenham line per edge with a bounds test per
-// pixel, into a full-colour image.
+// pixel, into a full-colour image. A non-finite coordinate takes no part
+// in the bounding box and its vertex's edges are not drawn.
 func oracleDraw(g *graph.CSR, l *core.Layout, opt Options) *image.RGBA {
 	opt = opt.withDefaults()
 	img := image.NewRGBA(image.Rect(0, 0, opt.Size, opt.Size))
@@ -36,6 +39,22 @@ func oracleDraw(g *graph.CSR, l *core.Layout, opt Options) *image.RGBA {
 		copy(img.Pix[i:], []uint8{opt.Back.R, opt.Back.G, opt.Back.B, opt.Back.A})
 	}
 	norm := Project3D(l).Clone()
+	bad := make([]bool, g.NumV)
+	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+	for _, col := range [][]float64{norm.X(), norm.Y()} {
+		fill := 0.0 // a finite value of the column leaves its bounds alone
+		for _, x := range col {
+			if finite(x) {
+				fill = x
+				break
+			}
+		}
+		for i, x := range col {
+			if !finite(x) {
+				col[i], bad[i] = fill, true
+			}
+		}
+	}
 	norm.NormalizeUnit()
 	scale := float64(opt.Size - 2*opt.Margin)
 	px := func(v int32) (int, int) {
@@ -43,7 +62,7 @@ func oracleDraw(g *graph.CSR, l *core.Layout, opt Options) *image.RGBA {
 	}
 	for v := int32(0); int(v) < g.NumV; v++ {
 		for _, u := range g.Neighbors(v) {
-			if u <= v {
+			if u <= v || bad[u] || bad[v] {
 				continue
 			}
 			c := opt.Edge
@@ -131,8 +150,8 @@ func TestCanvasGoldenPixels(t *testing.T) {
 		{"zero-span", gen.Path(3), constLayout(3, -2, 5), Options{}},
 	}
 	var c Canvas
-	// Size 7 has a zero margin: coordinates round to Size itself and the
-	// canvas's guard row and column have to absorb them.
+	// Size 7 has a zero margin: coordinates round to Size itself, just
+	// outside the image, and the canvas has to leave those pixels out.
 	for _, size := range []int{64, 700, 900, 7} {
 		for _, tc := range cases {
 			tc.opt.Size = size
@@ -197,6 +216,66 @@ func TestCanvasReuseIsDeterministic(t *testing.T) {
 		}
 		if !bytes.Equal(p, b.Bytes()) || cap(p) != len(p) {
 			t.Fatalf("step %d: PNG() returned len %d cap %d, Draw wrote %d bytes", i, len(p), cap(p), b.Len())
+		}
+	}
+}
+
+// TestCanvasPNGChecksums pins the files themselves, which the pixel tests
+// cannot: the SHA-256 of Canvas.PNG for the server's two tiles, a
+// translucent palette, the zero-margin sizes whose vertices round onto
+// the guard line x or y = Size, and a layout with non-finite vertices.
+// The sums were recorded from the canvas that drew an index byte per
+// pixel and packed the rows afterwards.
+func TestCanvasPNGChecksums(t *testing.T) {
+	road := gen.Road(100, 100, 1)
+	opt := core.Options{Subspace: 8, Seed: 1}
+	z, err := core.Zoom(road, int32(road.NumV/2), 2, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lr := hde(t, road, opt)
+	grid := gen.Grid2D(12, 17)
+	lg := core.RandomLayout(grid.NumV, 2, 5)
+	hostile := core.RandomLayout(grid.NumV, 2, 6)
+	hostile.X()[4], hostile.Y()[40] = math.NaN(), math.Inf(1)
+	translucent := Options{
+		Back:      color.RGBA{R: 10, G: 10, B: 30, A: 255},
+		EdgeClass: func(u, v int32) int { return int(u+v) % 7 },
+		Palette: []color.RGBA{{R: 255, A: 255}, {G: 100, A: 128}, {B: 200, A: 200},
+			{R: 64, G: 64, B: 64, A: 64}, {R: 1, G: 2, B: 3, A: 255}},
+	}
+	sized := func(o Options, size int) Options { o.Size = size; return o }
+	var c Canvas
+	for _, tc := range []struct {
+		name string
+		g    *graph.CSR
+		l    *core.Layout
+		opt  Options
+		sum  string
+	}{
+		{"road 700", road, lr, Options{Size: 700},
+			"05ad5a8a1096cf1705062ed5c8a6110ad72ae2792c973b720ddd9a9eafbbf356"},
+		{"zoom 700", z.Subgraph, z.Layout, Options{Size: 700},
+			"19c2fa56f56ab96913b679f5efde5c0542d8cfd184caf191608a511321a4c37a"},
+		{"translucent palette 300", road, lr, sized(translucent, 300),
+			"bcad249e3717c5c296ac426913f60b6d1e82e6948c672421c270ac29359ffb3c"},
+		{"size 1", grid, lg, Options{Size: 1},
+			"baa5282da3bde468114e0ba436de30e158ad1c031f5feabae370d7f6a3b18181"},
+		{"size 7", grid, lg, Options{Size: 7},
+			"f8b3ad8632e1cbd2dda334028bf0ed47414c9a4b0e735222d2438cd9cf13117b"},
+		{"size 9", grid, lg, Options{Size: 9},
+			"5a7cfb7d16ddc0411adf689b9fb31befad12e5043e95e2e6077578f3f59a3fd0"},
+		{"translucent palette 7", grid, lg, sized(translucent, 7),
+			"c5b765d3976dd1a201298d789e2d69c8347a9f47231b6b7721f0ecaafd9c3a92"},
+		{"nan and inf", grid, hostile, Options{Size: 200},
+			"7e25abc8c4629892db50227c4228b66d9bec7ccfb9ff6e16580e07ba81b67af1"},
+	} {
+		file, err := c.PNG(tc.g, tc.l, tc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(file)); got != tc.sum {
+			t.Errorf("%s: sha256 %s, want %s", tc.name, got, tc.sum)
 		}
 	}
 }
@@ -298,18 +377,27 @@ func TestCanvasPNGHeader(t *testing.T) {
 	}
 }
 
-// FuzzCanvasPNG draws random graphs at every size up to 80 px — so rows
-// end in every packing tail — with random colours and palettes, and
-// requires the decoded file to be the oracle's pixels and a reused
-// canvas to write a fresh canvas's bytes. A PNG palette is not
-// premultiplied, so pixels compare as the NRGBA values the file holds.
+// FuzzCanvasPNG draws random graphs at every size up to 80 px — so 1-bit
+// rows end in every partial byte, and sizes under 8 put vertices on the
+// guard line — with random colours and palettes, and with a NaN x and a
+// +Inf y when hostile asks for them. It requires the decoded file to be
+// the oracle's pixels and a reused canvas to write a fresh canvas's
+// bytes. A PNG palette is not premultiplied, so pixels compare as the
+// NRGBA values the file holds.
 func FuzzCanvasPNG(f *testing.F) {
-	f.Add(uint64(1), uint8(64), uint8(0), uint64(0), uint32(0), uint32(0))
-	f.Add(uint64(2), uint8(7), uint8(3), uint64(99), uint32(0xff000000), uint32(0x80404040))
-	f.Add(uint64(3), uint8(17), uint8(20), uint64(7), uint32(0x10203040), uint32(0xffffffff))
-	f.Add(uint64(4), uint8(1), uint8(1), uint64(5), uint32(0), uint32(0x01010101))
+	f.Add(uint64(1), uint8(64), uint8(0), uint64(0), uint32(0), uint32(0), uint8(0))
+	f.Add(uint64(2), uint8(7), uint8(3), uint64(99), uint32(0xff000000), uint32(0x80404040), uint8(0))
+	f.Add(uint64(3), uint8(17), uint8(20), uint64(7), uint32(0x10203040), uint32(0xffffffff), uint8(0))
+	f.Add(uint64(4), uint8(1), uint8(1), uint64(5), uint32(0), uint32(0x01010101), uint8(0))
+	// A translucent palette; sizes 1, 7 and 9, where the zero margin of
+	// the first two puts vertices on the guard line; non-finite vertices.
+	f.Add(uint64(5), uint8(40), uint8(6), uint64(0x40c08000_2f), uint32(0xff1e0a0a), uint32(0), uint8(0))
+	f.Add(uint64(6), uint8(0), uint8(0), uint64(0), uint32(0), uint32(0), uint8(0))
+	f.Add(uint64(7), uint8(6), uint8(5), uint64(0x80ff40_1b), uint32(0), uint32(0), uint8(0))
+	f.Add(uint64(8), uint8(8), uint8(0), uint64(0), uint32(0), uint32(0), uint8(0))
+	f.Add(uint64(9), uint8(49), uint8(0), uint64(0), uint32(0), uint32(0), uint8(3|4<<2))
 	var reused Canvas
-	f.Fuzz(func(t *testing.T, seed uint64, size, palLen uint8, alphas uint64, back, edge uint32) {
+	f.Fuzz(func(t *testing.T, seed uint64, size, palLen uint8, alphas uint64, back, edge uint32, hostile uint8) {
 		nrgba := func(x uint32) color.RGBA {
 			return color.RGBAModel.Convert(color.NRGBA{R: uint8(x), G: uint8(x >> 8), B: uint8(x >> 16), A: uint8(x >> 24)}).(color.RGBA)
 		}
@@ -326,6 +414,12 @@ func FuzzCanvasPNG(f *testing.F) {
 		}
 		g := gen.Road(6, 5, seed)
 		l := core.RandomLayout(g.NumV, 2, seed)
+		if v := int(hostile>>2) % g.NumV; hostile&1 != 0 {
+			l.X()[v] = math.NaN()
+		}
+		if v := (int(hostile>>2) + 1) % g.NumV; hostile&2 != 0 {
+			l.Y()[v] = math.Inf(1)
+		}
 
 		fresh, err := new(Canvas).PNG(g, l, opt)
 		if err != nil {
@@ -645,6 +739,58 @@ func TestCanvasSteadyStateAllocs(t *testing.T) {
 			t.Errorf("Road(%d²) at %dpx allocates %d bytes per draw, Road(100²) at 700px %d: something scales with the input",
 				tc.side, tc.size, got, base)
 		}
+	}
+}
+
+// liveHeap is the heap still reachable after a collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestCanvasRetainedBytes bounds what a warm canvas keeps between draws of
+// a two-colour Road(100²) at 700 px, the server's full tile: its zlib
+// state, the 1-bit scanlines, the file and two int32 per vertex. An image
+// held a byte per pixel beside the scanlines would add 490 KB.
+func TestCanvasRetainedBytes(t *testing.T) {
+	const size, slack = 700, 32 << 10
+	road := gen.Road(100, 100, 1)
+	l := hde(t, road, core.Options{Subspace: 8, Seed: 1})
+	rows := make([]byte, size*(1+(size+7)/8))
+
+	// The zlib state, warmed by the same amount of input as the canvas's.
+	before := liveHeap()
+	zw, err := zlib.NewWriterLevel(io.Discard, zlib.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := zw.Write(rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	zstate := liveHeap() - before
+	runtime.KeepAlive(zw)
+
+	before = liveHeap()
+	c := new(Canvas)
+	for i := 0; i < 2; i++ {
+		if err := c.Draw(io.Discard, road, l, Options{Size: size}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := liveHeap() - before
+	runtime.KeepAlive(c)
+	file := c.out.Len()
+	budget := zstate + uint64(len(rows)+file) + 8*uint64(road.NumV) + slack
+	t.Logf("warm canvas holds %d bytes: zlib state %d, rows %d, file %d, %d vertices; budget %d",
+		held, zstate, len(rows), file, road.NumV, budget)
+	if held > budget {
+		t.Errorf("a warm canvas holds %d bytes, over the %d of its zlib state, scanlines, file and pixel coordinates (+%d slack)",
+			held, budget, slack)
 	}
 }
 

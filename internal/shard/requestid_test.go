@@ -248,10 +248,15 @@ func TestRequestIDFollowsRoutedJob(t *testing.T) {
 	if id != clientID {
 		t.Fatalf("the router replaced the valid ID %q by %q", clientID, id)
 	}
+	// A job reads done before OnDone has installed its layout, and the
+	// stream answers 409 until then: wait for the install itself.
 	waitFor(t, "first install", func() bool {
-		var job jobs.Status
-		call(http.MethodGet, "/jobs/"+st.ID, "", "", &job)
-		return job.State == "done"
+		resp, err := http.Get(w1.URL + "/graphs/g/layout.png")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode != http.StatusConflict
 	})
 	events, closeStream := stream(t, rts.URL+"/graphs/g/stream", "stream-1")
 	follow(id, st, "snapshot", events, frames)

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/parallel"
 )
 
 func main() {
@@ -65,7 +66,7 @@ func run() error {
 	}
 	if *permute {
 		perm := graph.RandomPermutation(g.NumV, *seed)
-		g, err = graph.Permute(g, perm)
+		g, err = graph.Permute(g, perm, parallel.Live())
 		if err != nil {
 			return err
 		}

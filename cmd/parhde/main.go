@@ -28,6 +28,7 @@ import (
 	"repro/internal/eigen"
 	"repro/internal/graph"
 	"repro/internal/ortho"
+	"repro/internal/parallel"
 	"repro/internal/pivot"
 	"repro/internal/render"
 )
@@ -87,7 +88,8 @@ func run() error {
 		return fmt.Errorf("unknown orthogonalization %q (want mgs or cgs)", *orthoM)
 	}
 
-	g, err := loadGraph(*in, *format, *weighted)
+	// The load runs on the budget the layout will snapshot.
+	g, err := loadGraph(*in, *format, graph.BuildOptions{Weighted: *weighted, Budget: parallel.SnapshotBudget()})
 	if err != nil {
 		return err
 	}
@@ -141,13 +143,13 @@ func run() error {
 	return emit(g, lay, *pngOut, *svgOut, *dotOut, *coords)
 }
 
-func loadGraph(path, format string, weighted bool) (*graph.CSR, error) {
+func loadGraph(path, format string, opts graph.BuildOptions) (*graph.CSR, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return graph.Read(f, format, graph.BuildOptions{Weighted: weighted})
+	return graph.Read(f, format, opts)
 }
 
 func emit(g *graph.CSR, lay *core.Layout, pngOut, svgOut, dotOut, coordsOut string) error {

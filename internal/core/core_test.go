@@ -314,22 +314,18 @@ func TestEigenvaluesApproximateSpectrum(t *testing.T) {
 }
 
 func TestLayoutHelpers(t *testing.T) {
-	coords := linalg.NewDense(3, 2)
-	copy(coords.Col(0), []float64{0, 5, 10})
-	copy(coords.Col(1), []float64{-2, 0, 2})
+	coords := linalg.NewDense(4, 2)
+	copy(coords.Col(0), []float64{0, 5, math.Inf(1), 10})
+	copy(coords.Col(1), []float64{-2, math.NaN(), 0, 2})
 	l := &Layout{Coords: coords}
-	min, max := l.Bounds()
-	if min[0] != 0 || max[0] != 10 || min[1] != -2 || max[1] != 2 {
-		t.Fatalf("bounds %v %v", min, max)
+	if mn, mx := FiniteBounds(l.X()); mn != 0 || mx != 10 {
+		t.Fatalf("x bounds [%g, %g], want [0, 10]", mn, mx)
 	}
-	l.NormalizeUnit()
-	min, max = l.Bounds()
-	if min[0] != 0 || math.Abs(max[0]-1) > 1e-12 {
-		t.Fatalf("normalized x bounds [%g,%g]", min[0], max[0])
+	if mn, mx := FiniteBounds(l.Y()); mn != -2 || mx != 2 {
+		t.Fatalf("y bounds [%g, %g], want [-2, 2]", mn, mx)
 	}
-	// Aspect ratio preserved: y span (4) scaled by same factor as x (10).
-	if math.Abs((max[1]-min[1])-0.4) > 1e-12 {
-		t.Fatalf("y span %g, want 0.4", max[1]-min[1])
+	if mn, mx := FiniteBounds([]float64{math.NaN(), math.Inf(-1)}); !math.IsInf(mn, 1) || !math.IsInf(mx, -1) {
+		t.Fatalf("bounds of no finite value [%g, %g], want [+Inf, -Inf]", mn, mx)
 	}
 	c := l.Clone()
 	c.X()[0] = 99

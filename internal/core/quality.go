@@ -53,7 +53,7 @@ func Evaluate(g *graph.CSR, l *Layout) Quality {
 			mean[k] = moments[1+k] / dsum
 		}
 	}
-	// NormalizeUnit's scale: the widest axis spans [0, 1].
+	// A drawing's scale: the widest axis spans [0, 1].
 	for k := 0; k < p; k++ {
 		if s := moments[1+2*p+k] - moments[1+p+k]; s > e.span {
 			e.span = s

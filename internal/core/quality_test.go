@@ -51,7 +51,7 @@ func evaluateOracle(g *graph.CSR, l *Layout) Quality {
 		q.HallRatio = num / den
 	}
 	norm := l.Clone()
-	norm.NormalizeUnit()
+	normalizeUnit(norm)
 	var sum, sumSq float64
 	for v := int32(0); int(v) < n; v++ {
 		for _, u := range g.Neighbors(v) {
@@ -75,6 +75,29 @@ func evaluateOracle(g *graph.CSR, l *Layout) Quality {
 		}
 	}
 	return q
+}
+
+// normalizeUnit rescales l in place into [0, 1]^p by its widest axis: the
+// drawing scale Evaluate measures edge lengths in.
+func normalizeUnit(l *Layout) {
+	mins := make([]float64, l.Dims())
+	span := 0.0
+	for k := range mins {
+		mn, mx := math.Inf(1), math.Inf(-1)
+		for _, v := range l.Coords.Col(k) {
+			mn, mx = math.Min(mn, v), math.Max(mx, v)
+		}
+		mins[k], span = mn, math.Max(span, mx-mn)
+	}
+	if span == 0 {
+		span = 1
+	}
+	for k, mn := range mins {
+		col := l.Coords.Col(k)
+		for i := range col {
+			col[i] = (col[i] - mn) / span
+		}
+	}
 }
 
 // assertQualityClose holds every field of got to want within tol
@@ -176,7 +199,7 @@ func TestEvaluateSelfLoopArc(t *testing.T) {
 func TestEvaluateRelabelInvariant(t *testing.T) {
 	for gname, g := range qualityGraphs(t) {
 		perm := graph.RandomPermutation(g.NumV, 17)
-		pg, err := graph.Permute(g, perm)
+		pg, err := graph.Permute(g, perm, parallel.Live())
 		if err != nil {
 			t.Fatal(err)
 		}

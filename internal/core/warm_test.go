@@ -281,8 +281,9 @@ func TestWarmStartPlacesNewVertices(t *testing.T) {
 	// The new leaf should land near its anchor, not at the far edge of
 	// the drawing: distance(400, 0) well under the drawing span.
 	dx, dy := lay.X()[400]-lay.X()[0], lay.Y()[400]-lay.Y()[0]
-	mn, mx := lay.Bounds()
-	span := math.Max(mx[0]-mn[0], mx[1]-mn[1])
+	mnX, mxX := FiniteBounds(lay.X())
+	mnY, mxY := FiniteBounds(lay.Y())
+	span := math.Max(mxX-mnX, mxY-mnY)
 	if d := math.Hypot(dx, dy); d > span/4 {
 		t.Fatalf("new vertex placed %.3g from anchor (span %.3g)", d, span)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/parallel"
 )
 
 func apply(t *testing.T, g *graph.CSR, batch ...Mutation) (*graph.CSR, int) {
@@ -14,7 +15,7 @@ func apply(t *testing.T, g *graph.CSR, batch ...Mutation) (*graph.CSR, int) {
 	if err != nil {
 		t.Fatalf("Apply(%v): %v", batch, err)
 	}
-	if err := next.Validate(); err != nil {
+	if err := next.Validate(parallel.Live()); err != nil {
 		t.Fatalf("Apply(%v) returned an invalid CSR: %v", batch, err)
 	}
 	return next, applied
@@ -116,7 +117,7 @@ func TestBatchAtomicity(t *testing.T) {
 			t.Fatalf("Apply(%v) = %v, %d, %v; want ErrBadMutation", batch, next, applied, err)
 		}
 	}
-	if g.HasEdge(0, 4) || g.Validate() != nil {
+	if g.HasEdge(0, 4) || g.Validate(parallel.Live()) != nil {
 		t.Fatal("a rejected batch wrote its input")
 	}
 	// Edges may reference vertices added earlier in the same batch.

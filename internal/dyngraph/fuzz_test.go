@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/parallel"
 )
 
 // edgeKey mirrors the package's canonical packing for the model below.
@@ -125,7 +126,7 @@ func FuzzApplyEquivalence(f *testing.F) {
 			if !reflect.DeepEqual(g, before) {
 				t.Fatalf("Apply(%v) wrote its input", batch)
 			}
-			if err := next.Validate(); err != nil {
+			if err := next.Validate(parallel.Live()); err != nil {
 				t.Fatalf("Apply(%v) returned an invalid CSR: %v", batch, err)
 			}
 			want := ref.csr(t)

@@ -103,7 +103,7 @@ func AlphaBetaExperiment(w io.Writer, cfg Config) error {
 func ReorderExperiment(w io.Writer, cfg Config) error {
 	cfg = cfg.withDefaults()
 	orig := gen.WebGraph(scaled(100000, cfg.Factor), 16, 103)
-	scrambled, err := graph.Permute(orig, graph.RandomPermutation(orig.NumV, 99))
+	scrambled, err := graph.Permute(orig, graph.RandomPermutation(orig.NumV, 99), parallel.Live())
 	if err != nil {
 		return err
 	}
@@ -128,7 +128,7 @@ func ReorderExperiment(w io.Writer, cfg Config) error {
 	show("random permutation", scrambled)
 
 	rcmPerm := order.RCM(scrambled)
-	rcmG, err := graph.Permute(scrambled, rcmPerm)
+	rcmG, err := graph.Permute(scrambled, rcmPerm, parallel.Live())
 	if err != nil {
 		return err
 	}
@@ -142,7 +142,7 @@ func ReorderExperiment(w io.Writer, cfg Config) error {
 	if err != nil {
 		return err
 	}
-	hilG, err := graph.Permute(scrambled, hilPerm)
+	hilG, err := graph.Permute(scrambled, hilPerm, parallel.Live())
 	if err != nil {
 		return err
 	}

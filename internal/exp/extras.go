@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/parallel"
 )
 
 // SSSPExperiment reproduces the §4.4 weighted-graph study on the road
@@ -74,7 +75,7 @@ func PermExperiment(w io.Writer, cfg Config) error {
 	fprintf(w, "%-8s %-22s %12s %12s %12s\n", "graph", "ordering", "total (s)", "LS (s)", "mean gap")
 	for _, ng := range inputs {
 		perm := graph.RandomPermutation(ng.G.NumV, 99)
-		gp, err := graph.Permute(ng.G, perm)
+		gp, err := graph.Permute(ng.G, perm, parallel.Live())
 		if err != nil {
 			return err
 		}

@@ -5,11 +5,12 @@ import (
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/parallel"
 )
 
 func assertConnectedValid(t *testing.T, g *graph.CSR, name string) {
 	t.Helper()
-	if err := g.Validate(); err != nil {
+	if err := g.Validate(parallel.Live()); err != nil {
 		t.Fatalf("%s: invalid graph: %v", name, err)
 	}
 	if _, count := graph.Components(g); count != 1 {
@@ -182,7 +183,7 @@ func TestSimpleGraphs(t *testing.T) {
 func TestWithRandomWeightsSymmetric(t *testing.T) {
 	g := Grid2D(8, 8)
 	wg := WithRandomWeights(g, 10, 3)
-	if err := wg.Validate(); err != nil {
+	if err := wg.Validate(parallel.Live()); err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range wg.Weights {

@@ -8,6 +8,8 @@ import (
 	"math"
 	"os"
 	"slices"
+
+	"repro/internal/parallel"
 )
 
 // Binary CSR serialization: a compact on-disk format so large synthetic
@@ -72,13 +74,13 @@ func writeArray[T any](w io.Writer, buf []byte, src []T, size int, encode func(d
 }
 
 // ReadBinary deserializes a graph written by WriteBinary and validates its
-// structural invariants before returning it. When r knows how many bytes
-// it has left (an in-memory reader, or a regular *os.File), the header's
-// sizes are checked against that count and each array is allocated once;
-// an unsized stream's arrays grow a bounded chunk at a time, so a forged
-// size field costs at most reading to EOF rather than a giant up-front
-// allocation.
-func ReadBinary(r io.Reader) (*CSR, error) {
+// structural invariants, on bud's workers, before returning it. When r
+// knows how many bytes it has left (an in-memory reader, or a regular
+// *os.File), the header's sizes are checked against that count and each
+// array is allocated once; an unsized stream's arrays grow a bounded chunk
+// at a time, so a forged size field costs at most reading to EOF rather
+// than a giant up-front allocation.
+func ReadBinary(r io.Reader, bud parallel.Budget) (*CSR, error) {
 	var raw [32]byte
 	if _, err := io.ReadFull(r, raw[:]); err != nil {
 		return nil, fmt.Errorf("graph: reading binary header: %w", err)
@@ -113,7 +115,7 @@ func ReadBinary(r io.Reader) (*CSR, error) {
 			return nil, fmt.Errorf("graph: reading weights: %w", err)
 		}
 	}
-	if err := g.Validate(); err != nil {
+	if err := g.Validate(bud); err != nil {
 		return nil, fmt.Errorf("graph: binary input failed validation: %w", err)
 	}
 	return g, nil
@@ -121,9 +123,11 @@ func ReadBinary(r io.Reader) (*CSR, error) {
 
 // remaining returns the number of bytes r has left to read when r can
 // tell — a bytes or strings reader, or a regular file from its current
-// offset — and -1 otherwise.
+// offset, also behind ReadEdges' byte counter — and -1 otherwise.
 func remaining(r io.Reader) int64 {
 	switch r := r.(type) {
+	case *countingReader:
+		return remaining(r.r)
 	case interface{ Len() int }:
 		return int64(r.Len())
 	case *os.File:

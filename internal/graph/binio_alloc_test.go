@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/parallel"
 )
 
 // TestReadBinaryFileAllocatesCSROnce loads a Kron(16, 16) binary CSR
@@ -51,6 +52,56 @@ func TestReadBinaryFileAllocatesCSROnce(t *testing.T) {
 	t.Logf("CSR %d bytes; graph.Read allocated %d bytes (%.2f×)", csrBytes, after.TotalAlloc-before.TotalAlloc, ratio)
 	if ratio > 1.3 {
 		t.Fatalf("graph.Read allocated %.2f× the CSR's %d bytes, want ≤ 1.3×", ratio, csrBytes)
+	}
+}
+
+// TestReadEdgesAllocatesTheEdgeArrayOnce reads a 3.1 MB edge list of
+// Kron(14, 24)'s largest component from a file, whose size ReadEdges
+// learns from Stat: the text is read into one buffer and parsed as one
+// block, so the read allocates the text and its final edge array and
+// nothing that grows with either (two 2 MiB blocks, each growing the edge
+// array, allocated 10.6 MB).
+func TestReadEdgesAllocatesTheEdgeArrayOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation makes slices.Grow allocate a second edge array")
+	}
+	g := graph.LargestComponent(gen.Kron(14, 24, 1))
+	path := filepath.Join(t.TempDir(), "kron.edges")
+	out, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := graph.WriteEdgeList(out, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := out.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, edges, err := graph.ReadEdges(f, "edges", parallel.FixedBudget(2))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(edges)) != g.NumEdges() {
+		t.Fatalf("read %d edges, want %d", len(edges), g.NumEdges())
+	}
+	want := fi.Size() + 16*int64(len(edges))
+	got := int64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("%d-byte text, %d edges; ReadEdges allocated %d bytes (%.3f× text + edges)", fi.Size(), len(edges), got, float64(got)/float64(want))
+	if got > want+64<<10 {
+		t.Fatalf("ReadEdges allocated %d bytes, want ≤ the text and its edges (%d) + 64 KiB", got, want)
 	}
 }
 

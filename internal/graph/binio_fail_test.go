@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/parallel"
 )
 
 // goodBinary serializes a small valid 6×6 grid and returns the bytes
@@ -163,7 +165,7 @@ func TestReadBinaryFailurePaths(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			b := tc.corrupt(append([]byte(nil), raw...))
-			g, err := ReadBinary(bytes.NewReader(b))
+			g, err := ReadBinary(bytes.NewReader(b), parallel.Live())
 			if err == nil {
 				t.Fatalf("ReadBinary accepted corrupt input, returned %v", g)
 			}
@@ -175,7 +177,7 @@ func TestReadBinaryFailurePaths(t *testing.T) {
 
 	// The uncorrupted bytes still round-trip: the helpers above did not
 	// damage the shared base slice.
-	g, err := ReadBinary(bytes.NewReader(raw))
+	g, err := ReadBinary(bytes.NewReader(raw), parallel.Live())
 	if err != nil {
 		t.Fatalf("pristine input rejected: %v", err)
 	}
@@ -190,7 +192,7 @@ func TestReadBinaryFailurePaths(t *testing.T) {
 func TestReadBinaryTrailingGarbageIgnored(t *testing.T) {
 	raw, numV, _ := goodBinary(t)
 	raw = append(raw, 0xde, 0xad, 0xbe, 0xef)
-	g, err := ReadBinary(bytes.NewReader(raw))
+	g, err := ReadBinary(bytes.NewReader(raw), parallel.Live())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +219,7 @@ func TestReadBinaryForgedSizeAllocatesNothing(t *testing.T) {
 		var before, after runtime.MemStats
 		r := c.r()
 		runtime.ReadMemStats(&before)
-		_, err := ReadBinary(r)
+		_, err := ReadBinary(r, parallel.Live())
 		runtime.ReadMemStats(&after)
 		if err == nil || !strings.Contains(err.Error(), "reading adjacency") {
 			t.Fatalf("%s: error = %v, want a short read of the adjacency", c.name, err)

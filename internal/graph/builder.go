@@ -24,32 +24,43 @@ type BuildOptions struct {
 	Weighted bool
 	// KeepAllComponents skips the largest-connected-component extraction.
 	KeepAllComponents bool
+	// Budget is the worker budget every pass of the build (and of Read)
+	// runs on; the zero value is live (GOMAXPROCS). The graph built does
+	// not depend on it, bit for bit.
+	Budget parallel.Budget
 }
 
 // FromEdges builds a preprocessed CSR graph from an arbitrary edge list,
 // applying the paper's §4.1 pipeline: ignore direction, drop self loops,
 // merge parallel edges, and (unless disabled) extract the largest connected
-// component with an order-preserving contiguous relabeling.
+// component with an order-preserving contiguous relabeling. An edge out of
+// [0, n), or a weighted build's non-finite or negative weight, is refused:
+// the first such edge in list order is the one reported.
 func FromEdges(n int, edges []Edge, opt BuildOptions) (*CSR, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
 	}
-	for _, e := range edges {
-		if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
-			return nil, fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", e.U, e.V, n)
-		}
-		if opt.Weighted && (math.IsNaN(e.W) || math.IsInf(e.W, 0)) {
-			return nil, fmt.Errorf("graph: non-finite weight %g on edge {%d,%d}", e.W, e.U, e.V)
-		}
-		if opt.Weighted && e.W < 0 {
-			return nil, fmt.Errorf("graph: negative weight %g on edge {%d,%d}", e.W, e.U, e.V)
-		}
+	g, err := assemble(n, edges, opt.Weighted, opt.Budget)
+	if err != nil {
+		return nil, err
 	}
-	g := assemble(n, edges, opt.Weighted)
 	if !opt.KeepAllComponents {
-		g = LargestComponent(g)
+		g = largestComponent(g, opt.Budget)
 	}
 	return g, nil
+}
+
+// edgeError words why FromEdges refuses e, or is nil when it does not.
+func edgeError(e Edge, n int, weighted bool) error {
+	switch {
+	case e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n:
+		return fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", e.U, e.V, n)
+	case weighted && (math.IsNaN(e.W) || math.IsInf(e.W, 0)):
+		return fmt.Errorf("graph: non-finite weight %g on edge {%d,%d}", e.W, e.U, e.V)
+	case weighted && e.W < 0:
+		return fmt.Errorf("graph: negative weight %g on edge {%d,%d}", e.W, e.U, e.V)
+	}
+	return nil
 }
 
 // arc is one weighted adjacency entry while a row is sorted.
@@ -58,61 +69,102 @@ type arc struct {
 	w  float64
 }
 
-// assemble symmetrizes, deduplicates, and packs the edge list into CSR
-// form. Counting and filling are parallelized over the arc array; the
-// per-vertex sort/dedupe pass is parallelized over vertices.
-func assemble(n int, edges []Edge, weighted bool) *CSR {
-	// Count both directions of every non-loop edge.
-	counts := make([]int64, n+1)
-	for _, e := range edges {
-		if e.U == e.V {
-			continue
+// assemble checks the edge list, then symmetrizes, deduplicates and packs
+// it into CSR form on bud's workers. The list is cut into contiguous
+// chunks. Each chunk checks its edges and counts its arcs per tail; a
+// tail's row then gives each chunk a run of slots, in chunk order, and
+// each chunk fills its runs in list order. Every arc so lands where a
+// serial fill in list order puts it: a row of a sorted list comes out
+// sorted, and the weighted max-merge meets duplicates in list order. The
+// sort/dedupe pass is split by vertices. A vertex with 2^31 or more arcs
+// is refused.
+func assemble(n int, edges []Edge, weighted bool, bud parallel.Budget) (*CSR, error) {
+	// A chunk's count row costs 4n bytes, so a chunk takes at least 4n
+	// edges, and at most 4 rows take no more than the 16n bytes of a
+	// serial fill's count and cursor arrays.
+	p := min(bud.BlockWorkers(len(edges)), max(1, len(edges)/max(4*n, 1)), 4)
+	// Row c of cur counts chunk c's arcs out of each vertex, then holds
+	// where in the vertex's row the chunk's next arc goes.
+	cur := make([]int32, p*n)
+	errs := make([]error, p)
+	parallel.ForBlockIndexed(p, len(edges), func(c, lo, hi int) {
+		row := cur[c*n : (c+1)*n]
+		for _, e := range edges[lo:hi] {
+			if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n ||
+				weighted && !(e.W >= 0 && e.W <= math.MaxFloat64) {
+				errs[c] = edgeError(e, n, weighted)
+				return
+			}
+			if e.U != e.V {
+				row[e.U]++
+				row[e.V]++
+			}
 		}
-		counts[e.U+1]++
-		counts[e.V+1]++
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
-	for i := 0; i < n; i++ {
-		counts[i+1] += counts[i]
+	offsets := make([]int64, n+1)
+	parallel.ForBlockIndexed(p, n, func(_, lo, hi int) {
+		for v := lo; v < hi; v++ {
+			var d int64
+			for c := 0; c < p; c++ {
+				k := cur[c*n+v]
+				cur[c*n+v] = int32(d)
+				d += int64(k)
+				if k < 0 || d > math.MaxInt32 { // a count wrapped
+					d = -1
+					break
+				}
+			}
+			offsets[v+1] = d
+		}
+	})
+	for v := 0; v < n; v++ {
+		if offsets[v+1] < 0 {
+			return nil, fmt.Errorf("graph: vertex %d has 2^31 or more arcs", v)
+		}
+		offsets[v+1] += offsets[v]
 	}
-	adj := make([]int32, counts[n])
+	adj := make([]int32, offsets[n])
 	var wts []float64
 	if weighted {
-		wts = make([]float64, counts[n])
+		wts = make([]float64, offsets[n])
 	}
-	fill := make([]int64, n)
-	copy(fill, counts[:n])
-	for _, e := range edges {
-		if e.U == e.V {
-			continue
-		}
-		w := e.W
-		if !weighted {
-			w = 1
-		}
-		ku := fill[e.U]
-		adj[ku] = e.V
-		fill[e.U] = ku + 1
-		kv := fill[e.V]
-		adj[kv] = e.U
-		fill[e.V] = kv + 1
-		if weighted {
-			wts[ku] = w
-			wts[kv] = w
-		}
-	}
-	// Sort each adjacency list and drop duplicates (parallel edges). When
-	// weighted, duplicates are merged by keeping the maximum similarity.
-	newLen := make([]int64, n)
-	parallel.Live().ForBlock(n, func(lo, hi int) {
-		var pairs []arc // one sort buffer per worker
-		for v := lo; v < hi; v++ {
-			a := adj[counts[v]:counts[v+1]]
-			if !weighted {
-				slices.Sort(a)
-				newLen[v] = int64(len(slices.Compact(a)))
+	parallel.ForBlockIndexed(p, len(edges), func(c, lo, hi int) {
+		next := cur[c*n : (c+1)*n]
+		for _, e := range edges[lo:hi] {
+			if e.U == e.V {
 				continue
 			}
-			w := wts[counts[v]:counts[v+1]]
+			ku, kv := offsets[e.U]+int64(next[e.U]), offsets[e.V]+int64(next[e.V])
+			next[e.U]++
+			next[e.V]++
+			adj[ku], adj[kv] = e.V, e.U
+			if weighted {
+				wts[ku], wts[kv] = e.W, e.W
+			}
+		}
+	})
+	// Sort each adjacency list and drop duplicates (parallel edges). When
+	// weighted, duplicates are merged by keeping the maximum similarity.
+	newLen := cur[:n] // the fill is done with row 0
+	bud.ForBlock(n, func(lo, hi int) {
+		var pairs []arc // one sort buffer per worker
+		for v := lo; v < hi; v++ {
+			a := adj[offsets[v]:offsets[v+1]]
+			if !weighted {
+				// A row of a sorted list without parallel edges needs no sort.
+				if !strictlySorted(a) {
+					slices.Sort(a)
+					a = slices.Compact(a)
+				}
+				newLen[v] = int32(len(a))
+				continue
+			}
+			w := wts[offsets[v]:offsets[v+1]]
 			pairs = pairs[:0]
 			for i, u := range a {
 				pairs = append(pairs, arc{u, w[i]})
@@ -129,36 +181,46 @@ func assemble(n int, edges []Edge, weighted bool) *CSR {
 				a[out], w[out] = p.to, p.w
 				out++
 			}
-			newLen[v] = int64(out)
+			newLen[v] = int32(out)
 		}
 	})
-	// When no parallel edge was merged, counts already is the offsets
+	// When no parallel edge was merged, offsets already is the offsets
 	// array and adj the packed adjacency.
 	var kept int64
 	for _, l := range newLen {
-		kept += l
+		kept += int64(l)
 	}
-	if kept == counts[n] {
-		return &CSR{NumV: n, Offsets: counts, Adj: adj, Weights: wts}
+	if kept == offsets[n] {
+		return &CSR{NumV: n, Offsets: offsets, Adj: adj, Weights: wts}, nil
 	}
 	// Compact into final CSR arrays.
-	offsets := make([]int64, n+1)
+	packed := make([]int64, n+1)
 	for v := 0; v < n; v++ {
-		offsets[v+1] = offsets[v] + newLen[v]
+		packed[v+1] = packed[v] + int64(newLen[v])
 	}
-	outAdj := make([]int32, offsets[n])
+	outAdj := make([]int32, packed[n])
 	var outW []float64
 	if weighted {
-		outW = make([]float64, offsets[n])
+		outW = make([]float64, packed[n])
 	}
-	parallel.Live().For(n, func(v int) {
-		lo := counts[v]
-		copy(outAdj[offsets[v]:offsets[v+1]], adj[lo:lo+newLen[v]])
+	bud.For(n, func(v int) {
+		lo := offsets[v]
+		copy(outAdj[packed[v]:packed[v+1]], adj[lo:])
 		if weighted {
-			copy(outW[offsets[v]:offsets[v+1]], wts[lo:lo+newLen[v]])
+			copy(outW[packed[v]:packed[v+1]], wts[lo:])
 		}
 	})
-	return &CSR{NumV: n, Offsets: offsets, Adj: outAdj, Weights: outW}
+	return &CSR{NumV: n, Offsets: packed, Adj: outAdj, Weights: outW}, nil
+}
+
+// strictlySorted reports whether a is in strictly ascending order.
+func strictlySorted(a []int32) bool {
+	for i := 1; i < len(a); i++ {
+		if a[i-1] >= a[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Unweighted returns a view of g with weights stripped. The topology

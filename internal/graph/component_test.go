@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/parallel"
 )
 
 func TestComponentsTwoIslands(t *testing.T) {
@@ -35,7 +37,7 @@ func TestLargestComponentExtraction(t *testing.T) {
 	if g.NumEdges() != 4 {
 		t.Fatalf("LCC edges = %d, want 4", g.NumEdges())
 	}
-	if err := g.Validate(); err != nil {
+	if err := g.Validate(parallel.Live()); err != nil {
 		t.Fatal(err)
 	}
 	// Order preservation: old 1<3<5<7 must map to new 0<1<2<3 — the cycle
@@ -67,7 +69,7 @@ func TestLargestComponentProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if g.Validate() != nil {
+		if g.Validate(parallel.Live()) != nil {
 			return false
 		}
 		_, count := Components(g)
@@ -87,7 +89,7 @@ func TestLargestComponentPreservesWeights(t *testing.T) {
 	if g.NumV != 3 || !g.Weighted() {
 		t.Fatalf("LCC n=%d weighted=%v", g.NumV, g.Weighted())
 	}
-	if err := g.Validate(); err != nil {
+	if err := g.Validate(parallel.Live()); err != nil {
 		t.Fatal(err)
 	}
 	// Weight of edge {0,1} must survive as 5.

@@ -7,6 +7,8 @@ package graph
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"repro/internal/parallel"
 )
@@ -114,8 +116,19 @@ func (g *CSR) MaxDegree() int32 {
 // Validate checks the CSR structural invariants: monotone offsets, sorted
 // adjacency, in-range neighbor ids, no self loops, no duplicate neighbors,
 // and symmetry (u ∈ Adj(v) ⇔ v ∈ Adj(u), with equal weights when
-// weighted). It is used by tests and by loaders of untrusted input.
-func (g *CSR) Validate() error {
+// weighted). It is used by tests and by loaders of untrusted input. Both
+// passes are split by vertex range across bud's workers; the fault
+// reported is the one a serial walk meets first, whatever the budget.
+func (g *CSR) Validate(bud parallel.Budget) error {
+	// A symmetry range costs a cursor per vertex, so a range takes at
+	// least 8 arcs per vertex.
+	ranges := min(bud.Workers(), max(1, len(g.Adj)/(8*max(g.NumV, 1))))
+	return g.validate(bud.BlockWorkers(g.NumV), ranges)
+}
+
+// validate is Validate with the structural check split into blocks of
+// rows and the symmetry walk into ranges.
+func (g *CSR) validate(blocks, ranges int) error {
 	if len(g.Offsets) != g.NumV+1 {
 		return fmt.Errorf("graph: offsets length %d, want %d", len(g.Offsets), g.NumV+1)
 	}
@@ -128,7 +141,21 @@ func (g *CSR) Validate() error {
 	if g.Weights != nil && len(g.Weights) != len(g.Adj) {
 		return fmt.Errorf("graph: weights length %d, want %d", len(g.Weights), len(g.Adj))
 	}
-	for v := 0; v < g.NumV; v++ {
+	// A vertex's checks read only its own row, so the lowest block's first
+	// fault is the serial loop's.
+	errs := make([]error, blocks)
+	parallel.ForBlockIndexed(blocks, g.NumV, func(b, lo, hi int) { errs[b] = g.checkRows(lo, hi) })
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return g.checkSymmetry(ranges)
+}
+
+// checkRows is Validate's structural check of rows [lo, hi).
+func (g *CSR) checkRows(lo, hi int) error {
+	for v := lo; v < hi; v++ {
 		if g.Offsets[v] > g.Offsets[v+1] {
 			return fmt.Errorf("graph: offsets not monotone at vertex %d", v)
 		}
@@ -148,15 +175,66 @@ func (g *CSR) Validate() error {
 			}
 		}
 	}
-	// Symmetry: every arc must have a reverse arc with matching weight.
-	// Rows are sorted, so visiting v in ascending order meets the reverse
-	// arcs u->v of each row u in its own order: cur[u] is the next arc of
-	// u's row no earlier v has matched, and each arc v->u must find it
-	// pointing at v. Each arc claims a distinct reverse arc, so when all
-	// match, every cursor has reached its row's end.
-	cur := make([]int64, g.NumV)
-	copy(cur, g.Offsets)
-	for v := 0; v < g.NumV; v++ {
+	return nil
+}
+
+// checkSymmetry checks that every arc has a reverse arc with matching
+// weight, walking p ranges of rows, of about equal arc counts, at once.
+// Rows are sorted, so visiting v in ascending order meets the reverse
+// arcs u->v of each row u in its own order: a range [a, b) keeps a cursor
+// per row u at the next arc of u's row no earlier v of the range has
+// matched, starting at u's first arc to a vertex ≥ a, and each arc v->u
+// must find it pointing at v. Each arc claims a distinct reverse arc,
+// within its range and so across ranges, so when all match, every arc
+// has been claimed. The verdict thus does not depend on p. Nor does the
+// fault reported: range 0's walk is a serial walk's first part, and when
+// a later range failed, range 0's walk runs on to the serial walk's first
+// fault.
+func (g *CSR) checkSymmetry(p int) error {
+	cursors := make([][]int64, p)
+	errs := make([]error, p)
+	ends := make([]int, p)
+	m := int64(len(g.Adj))
+	cut := func(r int) int {
+		return sort.Search(g.NumV, func(v int) bool { return g.Offsets[v] >= int64(r)*m/int64(p) })
+	}
+	parallel.ForBlockIndexed(p, p, func(r, _, _ int) {
+		lo, hi := cut(r), g.NumV
+		if r+1 < p {
+			hi = cut(r + 1)
+		}
+		if r > 0 && lo == hi {
+			return
+		}
+		cur := make([]int64, g.NumV)
+		if r == 0 {
+			copy(cur, g.Offsets)
+		} else {
+			for u := range cur {
+				row := g.Adj[g.Offsets[u]:g.Offsets[u+1]]
+				i, _ := slices.BinarySearch(row, int32(lo))
+				cur[u] = g.Offsets[u] + int64(i)
+			}
+		}
+		cursors[r], ends[r] = cur, hi
+		errs[r] = g.walkSymmetry(cur, lo, hi)
+	})
+	for r, err := range errs {
+		if err != nil {
+			if r > 0 {
+				if first := g.walkSymmetry(cursors[0], ends[0], g.NumV); first != nil {
+					return first
+				}
+			}
+			return err
+		}
+	}
+	return nil
+}
+
+// walkSymmetry is checkSymmetry's walk of rows [lo, hi) from cursors cur.
+func (g *CSR) walkSymmetry(cur []int64, lo, hi int) error {
+	for v := lo; v < hi; v++ {
 		for k := g.Offsets[v]; k < g.Offsets[v+1]; k++ {
 			u := g.Adj[k]
 			j := cur[u]

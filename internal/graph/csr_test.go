@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/parallel"
 )
 
 // randomEdges generates a reproducible random edge list over n vertices.
@@ -41,7 +43,7 @@ func TestFromEdgesBasic(t *testing.T) {
 		{U: 3, V: 0},
 	}
 	g := mustFromEdges(t, 4, edges, BuildOptions{KeepAllComponents: true})
-	if err := g.Validate(); err != nil {
+	if err := g.Validate(parallel.Live()); err != nil {
 		t.Fatal(err)
 	}
 	if g.NumV != 4 || g.NumEdges() != 4 {
@@ -127,7 +129,7 @@ func TestFromEdgesValidateProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return g.Validate() == nil
+		return g.Validate(parallel.Live()) == nil
 	}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +149,7 @@ func TestWeightedMergeKeepsMaxSimilarity(t *testing.T) {
 	if w := g.NeighborWeights(0)[0]; w != 7 {
 		t.Fatalf("merged weight = %g, want 7", w)
 	}
-	if err := g.Validate(); err != nil {
+	if err := g.Validate(parallel.Live()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -200,7 +202,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 			Adj:     append([]int32(nil), good.Adj...),
 		}
 		corrupt(g)
-		if g.Validate() == nil {
+		if g.Validate(parallel.Live()) == nil {
 			t.Errorf("%s: corruption not detected", name)
 		}
 	}
@@ -255,7 +257,8 @@ func symmetryKind(err error) string {
 
 // TestValidateSymmetryMatchesOracle: the cursor walk and the per-arc
 // search reach the same verdict, and name the same fault, on every
-// single-fault corruption of a weighted path-plus-chords graph.
+// single-fault corruption of a weighted path-plus-chords graph, with the
+// walk split into 1–4 ranges; every split reports the serial walk's fault.
 func TestValidateSymmetryMatchesOracle(t *testing.T) {
 	// 0-1-2-3-4 plus {0,2}, {1,4}, {2,4}.
 	rows := [][]int32{{1, 2}, {0, 2, 4}, {0, 1, 3, 4}, {2, 4}, {1, 2, 3}}
@@ -290,17 +293,26 @@ func TestValidateSymmetryMatchesOracle(t *testing.T) {
 			ws = nil
 		}
 		g := csrFromRows(c.rows, ws)
-		got, want := symmetryKind(g.Validate()), symmetryKind(validateSymmetryOracle(g))
-		if got != want || got != c.wantFault {
-			t.Errorf("%s: Validate %q (%v), oracle %q, want %q", c.name, got, g.Validate(), want, c.wantFault)
+		serial := g.validate(1, 1)
+		want := symmetryKind(validateSymmetryOracle(g))
+		for p := 1; p <= 4; p++ {
+			for _, err := range []error{g.validate(p, p), g.Validate(parallel.FixedBudget(p))} {
+				if got := symmetryKind(err); got != want || got != c.wantFault {
+					t.Errorf("%s, split %d: Validate %q (%v), oracle %q, want %q", c.name, p, got, err, want, c.wantFault)
+				}
+				if fmt.Sprint(err) != fmt.Sprint(serial) {
+					t.Errorf("%s, split %d: Validate %v, serial walk %v", c.name, p, err, serial)
+				}
+			}
 		}
 	}
 }
 
 // FuzzValidateMatchesOracle builds graphs of up to 8 vertices whose rows
 // are bitmasks (symmetrized, then one arc toggled, when the flag bit is
-// set) with weights from a small alphabet, and checks the cursor walk
-// accepts exactly what the per-arc search accepts.
+// set) with weights from a small alphabet, and checks the cursor walk,
+// split into 1–4 ranges, accepts exactly what the per-arc search accepts
+// and reports the serial walk's fault.
 func FuzzValidateMatchesOracle(f *testing.F) {
 	f.Add([]byte{0x85, 0x06, 0x05, 0x03, 0x00, 0x01, 0x02, 0x03, 0x04})
 	f.Add([]byte{0x84, 0x0e, 0x01, 0x01, 0x01, 0x10, 0x00})
@@ -350,9 +362,15 @@ func FuzzValidateMatchesOracle(f *testing.F) {
 			wts = nil
 		}
 		g := csrFromRows(rows, wts)
-		got, want := g.Validate(), validateSymmetryOracle(g)
-		if (got == nil) != (want == nil) {
-			t.Fatalf("Validate %v, oracle %v on rows %v weights %v", got, want, rows, wts)
+		want, serial := validateSymmetryOracle(g), g.validate(1, 1)
+		for p := 1; p <= 4; p++ {
+			got := g.validate(p, p)
+			if (got == nil) != (want == nil) {
+				t.Fatalf("split %d: Validate %v, oracle %v on rows %v weights %v", p, got, want, rows, wts)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(serial) {
+				t.Fatalf("split %d: Validate %v, serial walk %v on rows %v weights %v", p, got, serial, rows, wts)
+			}
 		}
 	})
 }
@@ -368,7 +386,7 @@ func TestWithUnitWeights(t *testing.T) {
 			t.Fatalf("unit weight = %g", w)
 		}
 	}
-	if err := wg.Validate(); err != nil {
+	if err := wg.Validate(parallel.Live()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"repro/internal/parallel"
 )
 
 // Formats lists the input formats Read accepts, in the spelling the CLI
@@ -15,14 +17,15 @@ var Formats = []string{"edges", "mtx", "bin"}
 var ErrTooManyVertices = errors.New("graph: vertex count out of proportion to the input")
 
 // Read parses a graph from r in the named format ("edges", "mtx", or
-// "bin") and builds the CSR. The text formats go through ReadEdges and
-// FromEdges with the given build options; the binary format is a
-// preprocessed CSR already, so opts is ignored for it.
+// "bin") and builds the CSR, every pass on opts.Budget. The text formats
+// go through ReadEdges and FromEdges with the given build options; the
+// binary format is a preprocessed CSR already, so only opts.Budget
+// applies to it.
 func Read(r io.Reader, format string, opts BuildOptions) (*CSR, error) {
 	if format == "bin" {
-		return ReadBinary(r)
+		return ReadBinary(r, opts.Budget)
 	}
-	n, edges, err := ReadEdges(r, format)
+	n, edges, err := ReadEdges(r, format, opts.Budget)
 	if err != nil {
 		return nil, err
 	}
@@ -35,14 +38,15 @@ func Read(r io.Reader, format string, opts BuildOptions) (*CSR, error) {
 // before anything else, so a count above the input's byte count is
 // refused with ErrTooManyVertices: an input whose ids have no gaps spends
 // more than a byte per vertex naming them, while a few bytes naming
-// vertex 2^31 − 2 would ask for ≈ 16 GB.
-func ReadEdges(r io.Reader, format string) (n int, edges []Edge, err error) {
+// vertex 2^31 − 2 would ask for ≈ 16 GB. The input is parsed on bud's
+// workers.
+func ReadEdges(r io.Reader, format string, bud parallel.Budget) (n int, edges []Edge, err error) {
 	cr := &countingReader{r: r}
 	switch format {
 	case "edges":
-		n, edges, err = ReadEdgeList(cr)
+		n, edges, err = ReadEdgeList(cr, bud)
 	case "mtx":
-		n, edges, err = ReadMatrixMarket(cr)
+		n, edges, err = ReadMatrixMarket(cr, bud)
 	default:
 		return 0, nil, fmt.Errorf("graph: unknown format %q (have %v)", format, Formats)
 	}

@@ -5,6 +5,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/parallel"
 )
 
 // Fuzz targets: the three parsers must never panic on arbitrary input —
@@ -17,7 +19,7 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("x y\n")
 	f.Add("999999999999999999 1\n")
 	f.Fuzz(func(t *testing.T, input string) {
-		n, edges, err := ReadEdgeList(strings.NewReader(input))
+		n, edges, err := ReadEdgeList(strings.NewReader(input), parallel.Live())
 		if err != nil {
 			return
 		}
@@ -40,7 +42,7 @@ func FuzzReadMatrixMarket(f *testing.F) {
 	f.Add("%%MatrixMarket matrix coordinate pattern general\n2 2 99999999999999\n1 2\n")
 	f.Add("%%MatrixMarket matrix coordinate pattern general\n2 2 200000000\n1 2\n")
 	f.Fuzz(func(t *testing.T, input string) {
-		n, edges, err := ReadMatrixMarket(strings.NewReader(input))
+		n, edges, err := ReadMatrixMarket(strings.NewReader(input), parallel.Live())
 		if err != nil {
 			return
 		}
@@ -74,10 +76,10 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("not a graph at all, just some text padding 0123456789"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadBinary(bytes.NewReader(data))
+		g, err := ReadBinary(bytes.NewReader(data), parallel.Live())
 		// The same bytes as an unsized stream take the chunked path and
 		// must reach the same verdict and the same graph, bit for bit.
-		streamed, serr := ReadBinary(struct{ io.Reader }{bytes.NewReader(data)})
+		streamed, serr := ReadBinary(struct{ io.Reader }{bytes.NewReader(data)}, parallel.Live())
 		if (err == nil) != (serr == nil) {
 			t.Fatalf("sized read error %v, unsized read error %v", err, serr)
 		}
@@ -90,7 +92,7 @@ func FuzzReadBinary(f *testing.F) {
 		}
 		// Anything accepted must be structurally valid, and symmetric by
 		// the per-arc search Validate's cursor walk replaced.
-		if err := g.Validate(); err != nil {
+		if err := g.Validate(parallel.Live()); err != nil {
 			t.Fatalf("ReadBinary accepted invalid graph: %v", err)
 		}
 		if err := validateSymmetryOracle(g); err != nil {

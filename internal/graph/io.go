@@ -7,23 +7,23 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"repro/internal/parallel"
 )
 
 // ReadEdgeList parses a whitespace-separated edge list: one "u v" or
 // "u v w" pair per line, '#' and '%' comment lines ignored. Vertex ids are
 // 0-based. The number of vertices is 1 + the maximum id seen. The returned
 // edges are raw (not preprocessed); pass them to FromEdges. A line may be
-// at most 1 MiB long.
-func ReadEdgeList(r io.Reader) (n int, edges []Edge, err error) {
+// at most 1 MiB long. The lines are parsed on bud's workers; the result
+// and any error do not depend on how many there are.
+func ReadEdgeList(r io.Reader, bud parallel.Budget) (n int, edges []Edge, err error) {
 	f := lineFormat{hi: math.MaxInt32, slow: parseEdgeLine}
-	if edges, err = f.read(r, 1); err != nil {
+	edges, top, err := f.read(r, 1, remaining(r), bud)
+	if err != nil {
 		return 0, nil, err
 	}
-	maxID := int32(-1)
-	for _, e := range edges {
-		maxID = max(maxID, e.U, e.V)
-	}
-	return int(maxID + 1), edges, nil
+	return int(top + 1), edges, nil
 }
 
 // parseEdgeLine parses line number line of an edge list; skip reports a
@@ -87,8 +87,9 @@ func WriteEdgeList(w io.Writer, g *CSR) error {
 // the SuiteSparse collection the paper draws its real graphs from) into a
 // raw edge list. Pattern, real, and integer fields are supported; the
 // matrix is interpreted as a graph regardless of declared symmetry, since
-// preprocessing symmetrizes anyway. Entries use 1-based indices.
-func ReadMatrixMarket(r io.Reader) (n int, edges []Edge, err error) {
+// preprocessing symmetrizes anyway. Entries use 1-based indices. The
+// entries are parsed on bud's workers, as ReadEdgeList's lines are.
+func ReadMatrixMarket(r io.Reader, bud parallel.Budget) (n int, edges []Edge, err error) {
 	br := bufio.NewReaderSize(r, maxLine)
 	next := func() (string, error) {
 		line, err := br.ReadSlice('\n')
@@ -143,7 +144,11 @@ func ReadMatrixMarket(r io.Reader) (n int, edges []Edge, err error) {
 	}
 	f := lineFormat{lo: 1, hi: min(rows, math.MaxInt32), pattern: pattern, abs: true,
 		slow: func(text string, _ int) (Edge, bool, error) { return parseEntry(text, rows, pattern) }}
-	if edges, err = f.read(br, 1); err != nil {
+	size := remaining(r)
+	if size >= 0 {
+		size += int64(br.Buffered())
+	}
+	if edges, _, err = f.read(br, 1, size, bud); err != nil {
 		return 0, nil, err
 	}
 	return int(rows), edges, nil

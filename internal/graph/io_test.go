@@ -7,6 +7,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/parallel"
 )
 
 func TestReadEdgeList(t *testing.T) {
@@ -17,7 +19,7 @@ func TestReadEdgeList(t *testing.T) {
 
 2 0
 `
-	n, edges, err := ReadEdgeList(strings.NewReader(in))
+	n, edges, err := ReadEdgeList(strings.NewReader(in), parallel.Live())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +33,7 @@ func TestReadEdgeList(t *testing.T) {
 
 func TestReadEdgeListErrors(t *testing.T) {
 	for _, in := range []string{"0\n", "a b\n", "0 x\n", "-1 2\n", "0 1 zzz\n"} {
-		if _, _, err := ReadEdgeList(strings.NewReader(in)); err == nil {
+		if _, _, err := ReadEdgeList(strings.NewReader(in), parallel.Live()); err == nil {
 			t.Errorf("input %q accepted", in)
 		}
 	}
@@ -53,7 +55,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	if err := WriteEdgeList(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	n, edges, err := ReadEdgeList(&buf)
+	n, edges, err := ReadEdgeList(&buf, parallel.Live())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +84,7 @@ func TestReadMatrixMarket(t *testing.T) {
 2 3 -2.0
 3 1 4.0
 `
-	n, edges, err := ReadMatrixMarket(strings.NewReader(in))
+	n, edges, err := ReadMatrixMarket(strings.NewReader(in), parallel.Live())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +104,7 @@ func TestReadMatrixMarketPattern(t *testing.T) {
 2 2 1
 1 2
 `
-	_, edges, err := ReadMatrixMarket(strings.NewReader(in))
+	_, edges, err := ReadMatrixMarket(strings.NewReader(in), parallel.Live())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +124,7 @@ func TestReadMatrixMarketErrors(t *testing.T) {
 		"%%MatrixMarket matrix coordinate real general\n2 2 -1\n1 2 1\n",
 	}
 	for _, in := range cases {
-		if _, _, err := ReadMatrixMarket(strings.NewReader(in)); err == nil {
+		if _, _, err := ReadMatrixMarket(strings.NewReader(in), parallel.Live()); err == nil {
 			t.Errorf("input %q accepted", in)
 		}
 	}
@@ -135,7 +137,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 		if err := WriteBinary(&buf, g); err != nil {
 			t.Fatal(err)
 		}
-		g2, err := ReadBinary(&buf)
+		g2, err := ReadBinary(&buf, parallel.Live())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,10 +156,10 @@ func TestBinaryRoundTrip(t *testing.T) {
 }
 
 func TestReadBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("short"))); err == nil {
+	if _, err := ReadBinary(bytes.NewReader([]byte("short")), parallel.Live()); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if _, err := ReadBinary(bytes.NewReader(make([]byte, 64))); err == nil {
+	if _, err := ReadBinary(bytes.NewReader(make([]byte, 64)), parallel.Live()); err == nil {
 		t.Fatal("zero header accepted")
 	}
 }
@@ -176,7 +178,7 @@ func TestMatrixMarketRoundTrip(t *testing.T) {
 		if err := WriteMatrixMarket(&buf, g); err != nil {
 			t.Fatal(err)
 		}
-		n, edges, err := ReadMatrixMarket(&buf)
+		n, edges, err := ReadMatrixMarket(&buf, parallel.Live())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,15 +26,27 @@ type lineFormat struct {
 	slow func(text string, line int) (e Edge, skip bool, err error)
 }
 
-// read parses r to its end, numbering lines from line. It reads blocks of
-// up to two maximal lines into one buffer, carrying a cut line over to
-// the next block; a read error is reported after the whole lines before
-// it, and ahead of the line it cut.
-func (f *lineFormat) read(r io.Reader, line int) ([]Edge, error) {
-	buf := make([]byte, 2*maxLine)
+// read parses r to its end, numbering lines from line, on bud's workers,
+// and returns the edges and their largest stored id (-1 for none). size is
+// how many bytes r is known to hold, or -1: a sized input is read into one
+// buffer of its size and parsed as one block, so its edge array is
+// allocated once at its final length; an unsized one is read in blocks of
+// up to two maximal lines, carrying a cut line over to the next block. A
+// read error is reported after the whole lines before it, and ahead of
+// the line it cut.
+func (f *lineFormat) read(r io.Reader, line int, size int64, bud parallel.Budget) ([]Edge, int32, error) {
+	n := int64(2 * maxLine)
+	if size >= 0 {
+		n = size + 1 // the extra byte meets EOF in the first block
+	}
+	buf := make([]byte, n)
 	var edges []Edge
+	top := int32(-1)
 	var rerr error
 	for start, end := 0, 0; ; {
+		if end == len(buf) && len(buf) < 2*maxLine {
+			buf = append(buf, make([]byte, 2*maxLine)...) // r held more than size said
+		}
 		end = copy(buf, buf[start:end])
 		for end < len(buf) && rerr == nil {
 			var n int
@@ -46,75 +58,95 @@ func (f *lineFormat) read(r io.Reader, line int) ([]Edge, error) {
 			data = data[:bytes.LastIndexByte(data, '\n')+1]
 		}
 		var lines int
+		var hi int32
 		var err error
-		if edges, lines, err = f.block(edges, data, line); err != nil {
-			return nil, err
+		if edges, lines, hi, err = f.block(edges, data, line, bud); err != nil {
+			return nil, 0, err
 		}
+		top = max(top, hi)
 		start, line = len(data), line+lines
 		switch {
 		case rerr == io.EOF:
-			return edges, nil
+			return edges, top, nil
 		case rerr != nil:
-			return nil, rerr
+			return nil, 0, rerr
 		case end-start >= maxLine:
-			return nil, bufio.ErrTooLong
+			return nil, 0, bufio.ErrTooLong
 		}
 	}
 }
 
+// linePart is one worker's share of a block: whole lines, their first
+// line number, where their edges go and what parsing them found.
+type linePart struct {
+	data        []byte
+	line, at, n int
+	hi          int32 // largest stored id, -1 for none
+	err         error
+}
+
 // block appends the edges of data's lines, numbered from line, and
-// returns how many lines it held. The lines are split at newlines across
-// the live workers, each writing into a range sized by its line count;
-// the ranges are then closed up in file order and the first error in file
-// order wins, so the result does not depend on the split.
-func (f *lineFormat) block(edges []Edge, data []byte, line int) ([]Edge, int, error) {
-	type part struct {
-		data        []byte
-		line, at, n int
-		err         error
-	}
+// returns how many lines it held and the largest id it stored. The lines
+// are split at newlines into one part per worker; the workers count their
+// part's lines, and then each parses its part into a range of edges sized
+// by that count and placed by the counts of the parts before it. The
+// ranges are closed up in file order and the first error in file order
+// wins, so the result does not depend on the split.
+func (f *lineFormat) block(edges []Edge, data []byte, line int, bud parallel.Budget) ([]Edge, int, int32, error) {
 	// A worker gets at least 64 KiB of the block.
-	parts := make([]part, max(1, min(parallel.Live().Workers(), len(data)>>16)))
-	base, lines, lo := len(edges), 0, 0
-	for w := range parts {
-		hi := len(data)
-		if w < len(parts)-1 {
-			hi = max(lo, (w+1)*len(data)/len(parts))
-			if i := bytes.IndexByte(data[hi:], '\n'); i >= 0 {
-				hi += i + 1
-			} else {
-				hi = len(data)
-			}
-		}
-		parts[w] = part{data: data[lo:hi], line: line + lines, at: base + lines}
-		lines += bytes.Count(data[lo:hi], []byte{'\n'})
-		lo = hi
-	}
+	parts := make([]linePart, max(1, min(bud.Workers(), len(data)>>16)))
+	parallel.ForBlockIndexed(len(parts), len(parts), func(w, _, _ int) {
+		lo, hi := lineCut(data, w, len(parts)), lineCut(data, w+1, len(parts))
+		parts[w] = linePart{data: data[lo:hi], n: bytes.Count(data[lo:hi], []byte{'\n'})}
+	})
 	if len(data) > 0 && data[len(data)-1] != '\n' {
-		lines++ // the input's last line has no newline
+		parts[len(parts)-1].n++ // the input's last line has no newline
+	}
+	base, lines := len(edges), 0
+	for w := range parts {
+		p := &parts[w]
+		p.line, p.at = line+lines, base+lines
+		lines += p.n
 	}
 	edges = slices.Grow(edges, lines)[:base+lines]
 	parallel.ForBlockIndexed(len(parts), len(parts), func(w, _, _ int) {
 		p := &parts[w]
-		p.n, p.err = f.parse(edges[p.at:], p.data, p.line)
+		p.n, p.hi, p.err = f.parse(edges[p.at:], p.data, p.line)
 	})
-	out := base
+	out, top := base, int32(-1)
 	for _, p := range parts {
 		if out != p.at {
 			copy(edges[out:], edges[p.at:p.at+p.n])
 		}
 		out += p.n
 		if p.err != nil {
-			return nil, 0, p.err
+			return nil, 0, 0, p.err
 		}
+		top = max(top, p.hi)
 	}
-	return edges[:out], lines, nil
+	return edges[:out], lines, top, nil
+}
+
+// lineCut is where part w of parts starts in data: just past the first
+// newline at or after w·len(data)/parts, so every part holds whole lines.
+func lineCut(data []byte, w, parts int) int {
+	if w == 0 {
+		return 0
+	}
+	if w == parts {
+		return len(data)
+	}
+	at := w * len(data) / parts
+	if i := bytes.IndexByte(data[at:], '\n'); i >= 0 {
+		return at + i + 1
+	}
+	return len(data)
 }
 
 // parse writes the edges of data's lines, numbered from line, to dst and
-// returns their count.
-func (f *lineFormat) parse(dst []Edge, data []byte, line int) (int, error) {
-	k := 0
+// returns their count and the largest id among them (-1 for none).
+func (f *lineFormat) parse(dst []Edge, data []byte, line int) (int, int32, error) {
+	k, hi := 0, int32(-1)
 	for ; len(data) > 0; line++ {
 		e, n, ok := f.fast(data)
 		if !ok {
@@ -125,21 +157,22 @@ func (f *lineFormat) parse(dst []Edge, data []byte, line int) (int, error) {
 		text := data[:n]
 		data = data[min(n+1, len(data)):]
 		if n >= maxLine {
-			return k, bufio.ErrTooLong
+			return k, hi, bufio.ErrTooLong
 		}
 		if !ok {
 			var skip bool
 			var err error
 			if e, skip, err = f.slow(string(text), line); err != nil {
-				return k, err
+				return k, hi, err
 			} else if skip {
 				continue
 			}
 		}
 		dst[k] = e
 		k++
+		hi = max(hi, e.U, e.V)
 	}
-	return k, nil
+	return k, hi, nil
 }
 
 // fast parses the line at the head of data if it is the common kind:

@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/parallel"
 )
 
 // readEdgeListOracle is the line-at-a-time edge list reader the block
@@ -60,21 +62,24 @@ func readEdgeListOracle(r io.Reader) (n int, edges []Edge, err error) {
 	return int(maxID + 1), edges, nil
 }
 
-// matchOracle fails t unless ReadEdgeList and the oracle agree on input.
+// matchOracle fails t unless ReadEdgeList, on budgets 1–4, and the oracle
+// agree on input.
 func matchOracle(t *testing.T, input string) {
 	t.Helper()
-	n, edges, err := ReadEdgeList(strings.NewReader(input))
 	wantN, wantEdges, wantErr := readEdgeListOracle(strings.NewReader(input))
-	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
-		t.Fatalf("error %v, oracle %v", err, wantErr)
-	}
-	if n != wantN || len(edges) != len(wantEdges) {
-		t.Fatalf("n=%d with %d edges, oracle n=%d with %d", n, len(edges), wantN, len(wantEdges))
-	}
-	for i, e := range edges {
-		o := wantEdges[i]
-		if e.U != o.U || e.V != o.V || math.Float64bits(e.W) != math.Float64bits(o.W) {
-			t.Fatalf("edge %d = %+v, oracle %+v", i, e, o)
+	for b := 1; b <= 4; b++ {
+		n, edges, err := ReadEdgeList(strings.NewReader(input), parallel.FixedBudget(b))
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("budget %d: error %v, oracle %v", b, err, wantErr)
+		}
+		if n != wantN || len(edges) != len(wantEdges) {
+			t.Fatalf("budget %d: n=%d with %d edges, oracle n=%d with %d", b, n, len(edges), wantN, len(wantEdges))
+		}
+		for i, e := range edges {
+			o := wantEdges[i]
+			if e.U != o.U || e.V != o.V || math.Float64bits(e.W) != math.Float64bits(o.W) {
+				t.Fatalf("budget %d: edge %d = %+v, oracle %+v", b, i, e, o)
+			}
 		}
 	}
 }
@@ -130,4 +135,29 @@ func TestReadEdgeListMultiBlockMatchesOracle(t *testing.T) {
 	matchOracle(t, input)
 	matchOracle(t, input+"1 zzz\n")
 	matchOracle(t, input+strings.Repeat(" ", 2*maxLine+1)+"\n0 1\n") // longer than a block
+}
+
+// understated is a reader whose Len says it holds fewer bytes than it does.
+type understated struct {
+	*strings.Reader
+	len int
+}
+
+func (u understated) Len() int { return u.len }
+
+// TestReadEdgeListSizeUnderstated: an input longer than its reader's Len
+// says is still read to its end, through more blocks, and parsed as the
+// oracle parses it.
+func TestReadEdgeListSizeUnderstated(t *testing.T) {
+	long := "0 1\n" + strings.Repeat("7", maxLine-1) + " 8\n2 3\n"
+	for _, input := range []string{"0 1\n1 2 0.5\n2 3\n", "0 1\n1 2 zz\n", long, long + strings.Repeat("7", maxLine) + "\n"} {
+		wantN, wantEdges, wantErr := readEdgeListOracle(strings.NewReader(input))
+		for _, claimed := range []int{0, 5, len(input) / 2} {
+			n, edges, err := ReadEdgeList(understated{strings.NewReader(input), claimed}, parallel.FixedBudget(2))
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) || n != wantN || len(edges) != len(wantEdges) {
+				t.Fatalf("Len %d of %d bytes: n=%d, %d edges, error %v; oracle n=%d, %d edges, error %v",
+					claimed, len(input), n, len(edges), err, wantN, len(wantEdges), wantErr)
+			}
+		}
+	}
 }

@@ -11,8 +11,9 @@ import (
 // Permute relabels the vertices of g by the permutation perm, where
 // perm[old] = new. It is the operation behind the paper's §4.4 ordering
 // study: randomly permuting a locality-ordered graph (sk-2005) destroys
-// adjacency-gap locality and slows the LS SpMM by ~6.8×.
-func Permute(g *CSR, perm []int32) (*CSR, error) {
+// adjacency-gap locality and slows the LS SpMM by ~6.8×. The rows are
+// relabelled and sorted on bud's workers, each row by one worker.
+func Permute(g *CSR, perm []int32, bud parallel.Budget) (*CSR, error) {
 	n := g.NumV
 	if len(perm) != n {
 		return nil, fmt.Errorf("graph: permutation length %d, want %d", len(perm), n)
@@ -38,7 +39,7 @@ func Permute(g *CSR, perm []int32) (*CSR, error) {
 	if g.Weights != nil {
 		wts = make([]float64, len(g.Weights))
 	}
-	parallel.Live().For(n, func(nw int) {
+	bud.For(n, func(nw int) {
 		old := inv[nw]
 		pos := offsets[nw]
 		for k := g.Offsets[old]; k < g.Offsets[old+1]; k++ {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/parallel"
 )
 
 // insertionSortRow sorts adj[lo:hi] ascending, permuting wts in lockstep
@@ -72,12 +73,12 @@ func TestPermuteMatchesInsertionSort(t *testing.T) {
 		"wkron": gen.WithRandomWeights(gen.Kron(10, 8, 3), 1000, 5),
 	} {
 		perm := graph.RandomPermutation(g.NumV, 11)
-		got, err := graph.Permute(g, perm)
+		got, err := graph.Permute(g, perm, parallel.Live())
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := permuteRef(g, perm)
-		if err := got.Validate(); err != nil {
+		if err := got.Validate(parallel.Live()); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		same := len(got.Adj) == len(want.Adj) && len(got.Weights) == len(want.Weights)

@@ -4,12 +4,14 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/parallel"
 )
 
 func TestPermuteIdentity(t *testing.T) {
 	g := mustFromEdges(t, 4, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}}, BuildOptions{})
 	perm := []int32{0, 1, 2, 3}
-	p, err := Permute(g, perm)
+	p, err := Permute(g, perm, parallel.Live())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +37,7 @@ func TestPermuteRejectsInvalid(t *testing.T) {
 		{0, -1, 2},      // negative
 		{0, 1, 2, 3, 4}, // long
 	} {
-		if _, err := Permute(g, perm); err == nil {
+		if _, err := Permute(g, perm, parallel.Live()); err == nil {
 			t.Fatalf("permutation %v accepted", perm)
 		}
 	}
@@ -51,8 +53,8 @@ func TestPermutePreservesStructure(t *testing.T) {
 			return false
 		}
 		perm := RandomPermutation(g.NumV, uint64(seed))
-		p, err := Permute(g, perm)
-		if err != nil || p.Validate() != nil {
+		p, err := Permute(g, perm, parallel.Live())
+		if err != nil || p.Validate(parallel.Live()) != nil {
 			return false
 		}
 		if p.NumEdges() != g.NumEdges() {
@@ -88,11 +90,11 @@ func TestPermuteRoundTrip(t *testing.T) {
 	for old, nw := range perm {
 		inv[nw] = int32(old)
 	}
-	p, err := Permute(g, perm)
+	p, err := Permute(g, perm, parallel.Live())
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Permute(p, inv)
+	back, err := Permute(p, inv, parallel.Live())
 	if err != nil {
 		t.Fatal(err)
 	}

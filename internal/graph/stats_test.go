@@ -3,6 +3,8 @@ package graph
 import (
 	"math"
 	"testing"
+
+	"repro/internal/parallel"
 )
 
 func pathGraph(t *testing.T, n int) *CSR {
@@ -110,7 +112,7 @@ func TestInducedSubgraph(t *testing.T) {
 			t.Fatalf("weight lost: %g", sub.NeighborWeights(0)[k])
 		}
 	}
-	if err := sub.Validate(); err != nil {
+	if err := sub.Validate(parallel.Live()); err != nil {
 		t.Fatal(err)
 	}
 	// Errors.

@@ -201,6 +201,13 @@ func New(cat *catalog.Catalog, cfg Config) *Engine {
 	return e
 }
 
+// KernelWorkers is the worker budget of one layout's kernels on this
+// engine (Config.KernelWorkers, defaults applied): what work sharing the
+// machine with the pool, such as an upload's parse and build, runs on.
+func (e *Engine) KernelWorkers() int {
+	return e.cfg.KernelWorkers
+}
+
 // Submit enqueues a layout of the named catalog graph. It resolves the
 // graph immediately (so a later eviction cannot break a queued job) and
 // rejects with ErrQueueFull when the queue is saturated.

@@ -11,6 +11,7 @@ package order
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -102,7 +103,9 @@ func collectComponent(g *graph.CSR, start int32, visited []bool) []int32 {
 // over their 2-D layout coordinates: vertices drawn near each other get
 // nearby ids, so graph locality (which a good drawing exposes) becomes
 // memory locality. order is the curve resolution in bits per axis
-// (default 12 → a 4096×4096 grid).
+// (default 12 → a 4096×4096 grid). The grid spans the finite coordinates'
+// bounding box; a vertex with a non-finite coordinate goes after every
+// other.
 func HilbertFromLayout(l *core.Layout, order int) ([]int32, error) {
 	if l.Dims() < 2 {
 		return nil, fmt.Errorf("order: Hilbert ordering needs a 2-D layout")
@@ -114,8 +117,13 @@ func HilbertFromLayout(l *core.Layout, order int) ([]int32, error) {
 		order = 15
 	}
 	n := l.NumVertices()
-	norm := l.Clone()
-	norm.NormalizeUnit()
+	xs, ys := l.X(), l.Y()
+	minX, maxX := core.FiniteBounds(xs)
+	minY, maxY := core.FiniteBounds(ys)
+	span := math.Max(maxX-minX, maxY-minY)
+	if !(span > 0) {
+		span = 1
+	}
 	side := int32(1) << uint(order)
 	type hv struct {
 		h uint64
@@ -123,9 +131,12 @@ func HilbertFromLayout(l *core.Layout, order int) ([]int32, error) {
 	}
 	keys := make([]hv, n)
 	for v := 0; v < n; v++ {
-		x := int32(norm.X()[v] * float64(side-1))
-		y := int32(norm.Y()[v] * float64(side-1))
-		keys[v] = hv{hilbertD(order, x, y), int32(v)}
+		x, y := (xs[v]-minX)/span, (ys[v]-minY)/span
+		h := uint64(math.MaxUint64)
+		if x >= 0 && x <= 1 && y >= 0 && y <= 1 { // false for NaN and ±Inf
+			h = hilbertD(order, int32(x*float64(side-1)), int32(y*float64(side-1)))
+		}
+		keys[v] = hv{h, int32(v)}
 	}
 	sort.Slice(keys, func(a, b int) bool {
 		if keys[a].h != keys[b].h {

@@ -1,18 +1,20 @@
 package order
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/parallel"
 )
 
 func TestRCMIsPermutationAndReducesBandwidth(t *testing.T) {
 	// Start from a deliberately scrambled grid.
 	g := gen.Grid2D(30, 30)
 	scramble := graph.RandomPermutation(g.NumV, 9)
-	bad, err := graph.Permute(g, scramble)
+	bad, err := graph.Permute(g, scramble, parallel.Live())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +26,7 @@ func TestRCMIsPermutationAndReducesBandwidth(t *testing.T) {
 		}
 		seen[p] = true
 	}
-	fixed, err := graph.Permute(bad, perm)
+	fixed, err := graph.Permute(bad, perm, parallel.Live())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +63,7 @@ func TestHilbertFromLayoutRecoversLocality(t *testing.T) {
 	// curve of the drawing: the mean adjacency gap must drop dramatically.
 	g := gen.Grid2D(40, 40)
 	scramble := graph.RandomPermutation(g.NumV, 4)
-	bad, err := graph.Permute(g, scramble)
+	bad, err := graph.Permute(g, scramble, parallel.Live())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +75,7 @@ func TestHilbertFromLayoutRecoversLocality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed, err := graph.Permute(bad, perm)
+	fixed, err := graph.Permute(bad, perm, parallel.Live())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,5 +148,44 @@ func BenchmarkRCM(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		RCM(g)
+	}
+}
+
+// TestHilbertFromLayoutNonFiniteCoordinate: a +Inf or NaN coordinate
+// leaves every other vertex's order as the finite layout without that
+// vertex gives it, and puts its own vertex last.
+func TestHilbertFromLayoutNonFiniteCoordinate(t *testing.T) {
+	l := core.RandomLayout(50, 2, 3)
+	rest := core.RandomLayout(49, 2, 3)
+	for v := 0; v < 49; v++ { // l less vertex 7
+		u := v
+		if v >= 7 {
+			u++
+		}
+		rest.Coords.Set(v, 0, l.Coords.At(u, 0))
+		rest.Coords.Set(v, 1, l.Coords.At(u, 1))
+	}
+	want, err := HilbertFromLayout(rest, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{math.Inf(1), math.NaN()} {
+		l.Coords.Set(7, 0, bad)
+		perm, err := HilbertFromLayout(l, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if perm[7] != 49 {
+			t.Fatalf("x = %g: vertex 7 placed at %d, want last", bad, perm[7])
+		}
+		for v := 0; v < 49; v++ {
+			u := v
+			if v >= 7 {
+				u++
+			}
+			if perm[u] != want[v] {
+				t.Fatalf("x = %g: vertex %d placed at %d, want %d", bad, u, perm[u], want[v])
+			}
+		}
 	}
 }

@@ -33,8 +33,8 @@ func SnapshotBudget() Budget {
 }
 
 // Live returns the zero budget, which re-reads GOMAXPROCS at every use:
-// the budget of code with no run-wide budget to thread (graph building,
-// quality evaluation, drawing helpers). No layout kernel runs on it: BFS,
+// the budget of code with no run-wide budget to thread (quality
+// evaluation, drawing helpers, a graph load whose caller has none). No layout kernel runs on it: BFS,
 // Δ-stepping SSSP and every other phase of a layout take the layout's
 // budget.
 func Live() Budget {

@@ -12,22 +12,25 @@ import (
 // WriteDOT exports the graph with pinned layout positions in Graphviz DOT
 // format (`neato -n` renders it verbatim), so ParHDE coordinates flow into
 // the wider graph-drawing toolchain. Coordinates are scaled to a
-// `scale`-inch canvas; weighted graphs carry edge weights as attributes.
+// `scale`-inch canvas by the drawings' pixelMap, so a vertex with a
+// non-finite coordinate is written without a position and moves no other;
+// weighted graphs carry edge weights as attributes.
 func WriteDOT(w io.Writer, g *graph.CSR, l *core.Layout, scale float64) error {
 	if scale <= 0 {
 		scale = 10
 	}
-	l = Project3D(l)
-	norm := l.Clone()
-	norm.NormalizeUnit()
+	m := newPixelMap(Project3D(l), 0, scale)
 	bw := bufio.NewWriterSize(w, 1<<16)
 	if _, err := fmt.Fprintln(bw, "graph parhde {"); err != nil {
 		return err
 	}
 	fmt.Fprintln(bw, `  node [shape=point, width=0.02];`)
-	for v := 0; v < g.NumV; v++ {
-		fmt.Fprintf(bw, "  %d [pos=\"%.4f,%.4f!\"];\n",
-			v, norm.X()[v]*scale, norm.Y()[v]*scale)
+	for v := int32(0); int(v) < g.NumV; v++ {
+		if x, y, ok := m.at(v); ok {
+			fmt.Fprintf(bw, "  %d [pos=\"%.4f,%.4f!\"];\n", v, x, y)
+		} else {
+			fmt.Fprintf(bw, "  %d;\n", v)
+		}
 	}
 	for v := int32(0); int(v) < g.NumV; v++ {
 		for k := g.Offsets[v]; k < g.Offsets[v+1]; k++ {

@@ -109,7 +109,7 @@ func (o Options) paletteIndex(v, u int32) int {
 	return k % min(len(o.Palette), maxPalette)
 }
 
-// pixelMap is the layout→pixel mapping of both renderers: shift to the
+// pixelMap is the layout→pixel mapping of every writer: shift to the
 // layout's bounding box, divide by the box's larger side (so the aspect
 // ratio survives), scale to the drawable square inside the margin.
 // Non-finite coordinates are left out of the box, so one NaN or ±Inf
@@ -120,37 +120,16 @@ type pixelMap struct {
 	margin, scale, size float64
 }
 
-func newPixelMap(l *core.Layout, opt Options) pixelMap {
-	m := pixelMap{
-		x: l.X(), y: l.Y(),
-		margin: float64(opt.Margin),
-		scale:  float64(opt.Size - 2*opt.Margin),
-		size:   float64(opt.Size),
-	}
+func newPixelMap(l *core.Layout, margin, side float64) pixelMap {
+	m := pixelMap{x: l.X(), y: l.Y(), margin: margin, scale: side - 2*margin, size: side}
 	var maxX, maxY float64
-	m.minX, maxX = finiteBounds(m.x)
-	m.minY, maxY = finiteBounds(m.y)
+	m.minX, maxX = core.FiniteBounds(m.x)
+	m.minY, maxY = core.FiniteBounds(m.y)
 	m.span = math.Max(maxX-m.minX, maxY-m.minY)
 	if !(m.span > 0) {
 		m.span = 1
 	}
 	return m
-}
-
-func finiteBounds(col []float64) (mn, mx float64) {
-	mn, mx = math.Inf(1), math.Inf(-1)
-	for _, v := range col {
-		if math.IsInf(v, 0) {
-			continue
-		}
-		if v < mn { // false for NaN
-			mn = v
-		}
-		if v > mx {
-			mx = v
-		}
-	}
-	return mn, mx
 }
 
 // at returns vertex v's position in pixels and whether it is drawable.
@@ -214,7 +193,7 @@ func (c *Canvas) draw(g *graph.CSR, l *core.Layout, opt Options) error {
 	opt = opt.withDefaults()
 	l = Project3D(l)
 	c.reset(opt)
-	c.place(g.NumV, newPixelMap(l, opt))
+	c.place(g.NumV, newPixelMap(l, float64(opt.Margin), float64(opt.Size)))
 	classed := opt.EdgeClass != nil && len(opt.Palette) > 0
 	for v := int32(0); int(v) < g.NumV; v++ {
 		if c.px[v] < 0 {

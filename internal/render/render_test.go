@@ -17,6 +17,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -55,7 +56,20 @@ func oracleDraw(g *graph.CSR, l *core.Layout, opt Options) *image.RGBA {
 			}
 		}
 	}
-	norm.NormalizeUnit()
+	var mins [2]float64
+	span := 0.0
+	for k, col := range [][]float64{norm.X(), norm.Y()} {
+		mn, mx := slices.Min(col), slices.Max(col)
+		mins[k], span = mn, math.Max(span, mx-mn)
+	}
+	if span == 0 {
+		span = 1
+	}
+	for k, col := range [][]float64{norm.X(), norm.Y()} {
+		for i := range col {
+			col[i] = (col[i] - mins[k]) / span
+		}
+	}
 	scale := float64(opt.Size - 2*opt.Margin)
 	px := func(v int32) (int, int) {
 		return int(float64(opt.Margin) + norm.X()[v]*scale + 0.5), int(float64(opt.Margin) + norm.Y()[v]*scale + 0.5)
@@ -648,7 +662,8 @@ func TestSVGAndPNGAgreeOnPixels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := newPixelMap(l, Options{Size: 200}.withDefaults())
+	opt := Options{Size: 200}.withDefaults()
+	m := newPixelMap(l, float64(opt.Margin), float64(opt.Size))
 	for v := int32(0); int(v) < g.NumV; v++ {
 		x, y, ok := m.at(v)
 		if !ok {
@@ -984,5 +999,36 @@ func TestWriteDOT(t *testing.T) {
 	}
 	if !strings.Contains(out, "weight=") {
 		t.Fatal("weighted graph lost weights in DOT")
+	}
+}
+
+// TestWriteDOTNonFiniteCoordinate: one +Inf coordinate of a 3×3 grid
+// drawn as the grid itself leaves every other vertex where the finite
+// bounding box puts it (it once put all of them at the origin), and its
+// own vertex keeps its edges but gets no position.
+func TestWriteDOTNonFiniteCoordinate(t *testing.T) {
+	g := gen.Grid2D(3, 3)
+	coords := linalg.NewDense(9, 2)
+	for v := 0; v < 9; v++ {
+		coords.Set(v, 0, float64(v%3))
+		coords.Set(v, 1, float64(v/3))
+	}
+	coords.Set(4, 0, math.Inf(1))
+	var buf bytes.Buffer
+	if err := WriteDOT(&buf, g, &core.Layout{Coords: coords}, 10); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for v := 0; v < 9; v++ {
+		want := fmt.Sprintf("  %d [pos=\"%.4f,%.4f!\"];\n", v, 5*float64(v%3), 5*float64(v/3))
+		if v == 4 {
+			want = "  4;\n"
+		}
+		if !strings.Contains(out, want) {
+			t.Errorf("vertex %d: no %q in\n%s", v, want, out)
+		}
+	}
+	if got := strings.Count(out, " -- "); int64(got) != g.NumEdges() {
+		t.Fatalf("%d edges in DOT for m=%d", got, g.NumEdges())
 	}
 }

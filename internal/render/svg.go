@@ -17,7 +17,7 @@ import (
 // the first write error.
 func DrawSVG(w io.Writer, g *graph.CSR, l *core.Layout, opt Options) error {
 	opt = opt.withDefaults()
-	m := newPixelMap(Project3D(l), opt)
+	m := newPixelMap(Project3D(l), float64(opt.Margin), float64(opt.Size))
 	bw := bufio.NewWriterSize(w, 1<<16)
 	if _, err := fmt.Fprintf(bw,
 		`<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`+"\n"+

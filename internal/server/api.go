@@ -13,6 +13,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/jobs"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 )
 
 // The catalog/jobs REST API. Error discipline (the point of the
@@ -80,7 +81,10 @@ func (s *Server) handleGraphUpload(w http.ResponseWriter, r *http.Request) {
 	if r.ContentLength >= 0 && r.ContentLength <= s.cfg.MaxUploadBytes {
 		body = &sizedBody{r: body, left: r.ContentLength}
 	}
-	g, err := s.readUpload(body, format, graph.BuildOptions{Weighted: q.Get("weighted") == "1"})
+	// The parse and build share the machine with the job pool, so they
+	// get one layout's kernel budget.
+	g, err := s.readUpload(body, format,
+		graph.BuildOptions{Weighted: q.Get("weighted") == "1", Budget: parallel.FixedBudget(s.eng.KernelWorkers())})
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		switch {
@@ -130,7 +134,7 @@ func (s *Server) readUpload(body io.Reader, format string, opts graph.BuildOptio
 	if format == "bin" {
 		return graph.Read(body, format, opts)
 	}
-	n, edges, err := graph.ReadEdges(body, format)
+	n, edges, err := graph.ReadEdges(body, format, opts.Budget)
 	if err != nil {
 		return nil, err
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/jobs"
 	"repro/internal/journal"
+	"repro/internal/parallel"
 )
 
 // Worker restart recovery. A layout worker's durable state is one file,
@@ -56,8 +57,10 @@ func (s *Server) replayGraphFrame(f journal.Frame) {
 	var err error
 	switch f.Kind {
 	case kindGraphPut:
+		// No job runs yet, so the load has the whole machine. The frame's
+		// checksum proves its bytes, not its graph: ReadBinary validates it.
 		var g *graph.CSR
-		if g, err = graph.ReadBinary(bytes.NewReader(f.Payload)); err == nil {
+		if g, err = graph.ReadBinary(bytes.NewReader(f.Payload), parallel.Live()); err == nil {
 			// A live upload only succeeds on a free name, so a put that
 			// meets an entry here follows an eviction the journal never saw.
 			_ = s.cat.Remove(f.Key)

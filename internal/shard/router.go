@@ -363,8 +363,10 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool
 	return nil, false
 }
 
-// passHeaders are the upstream response headers forwarded to clients.
-var passHeaders = []string{"Content-Type", "ETag", workerHeader}
+// passHeaders are the upstream response headers forwarded to clients, in
+// canonical form. A worker echoes the request ID the router sent it, which
+// is the one the router's own access middleware already answers under.
+var passHeaders = []string{"Content-Type", "Etag", workerHeader, obs.RequestIDHeader}
 
 // relayBufs holds copyResponse's copy buffers. The client's writer (the
 // access log's wrapper) has no ReadFrom, so io.Copy would allocate 32 KB
@@ -375,8 +377,8 @@ var relayBufs = sync.Pool{New: func() any { return new([4 << 10]byte) }}
 // body) to the client.
 func copyResponse(w http.ResponseWriter, resp *http.Response) {
 	for _, k := range passHeaders {
-		if v := resp.Header.Get(k); v != "" {
-			w.Header().Set(k, v)
+		if vs := resp.Header[k]; len(vs) > 0 && vs[0] != "" {
+			w.Header()[k] = vs[:1]
 		}
 	}
 	w.WriteHeader(resp.StatusCode)

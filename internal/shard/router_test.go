@@ -19,6 +19,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/httpcache"
+	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -736,5 +737,27 @@ func TestRelaySmallBodyAllocs(t *testing.T) {
 	}
 	if bytesPer > maxBytes {
 		t.Errorf("relaying a %d-byte body allocates %d bytes, want at most %d", len(body), bytesPer, maxBytes)
+	}
+}
+
+// TestRelayForwardsPassHeaders: a relayed response carries the worker's
+// content type, ETag, worker identity and request ID, the last being the
+// one the router sent the worker, and no other upstream header.
+func TestRelayForwardsPassHeaders(t *testing.T) {
+	up := http.Header{}
+	up.Set("Content-Type", "image/png")
+	up.Set("ETag", `"g-3"`)
+	up.Set(workerHeader, "w2")
+	up.Set(obs.RequestIDHeader, "client-req.1")
+	up.Set("Date", "Mon, 19 Oct 2026 20:00:00 GMT")
+	w := &headerSink{h: http.Header{}}
+	copyResponse(w, &http.Response{StatusCode: http.StatusOK, Header: up, Body: io.NopCloser(strings.NewReader(""))})
+	for _, k := range []string{"Content-Type", "ETag", workerHeader, obs.RequestIDHeader} {
+		if got, want := w.h.Get(k), up.Get(k); got != want {
+			t.Errorf("%s relayed as %q, want %q", k, got, want)
+		}
+	}
+	if len(w.h) != 4 {
+		t.Errorf("relayed headers %v, want exactly the four passed", w.h)
 	}
 }

@@ -25,7 +25,6 @@ fuzz:
 	$(GO) test ./internal/graph/ -fuzz '^FuzzReadMatrixMarket$$' -fuzztime 15s
 	$(GO) test ./internal/journal/ -fuzz '^FuzzJournalScan$$' -fuzztime 15s
 	$(GO) test ./internal/server/ -fuzz '^FuzzMutationRequest$$' -fuzztime 15s
-	$(GO) test ./internal/bfs/ -fuzz '^FuzzMSBFSDirOptEquivalence$$' -fuzztime 15s
 	$(GO) test ./internal/bfs/ -fuzz '^FuzzDistancesBudgetEquivalence$$' -fuzztime 15s
 	$(GO) test ./internal/linalg/ -fuzz '^FuzzTripleProdEquivalence$$' -fuzztime 15s
 	$(GO) test ./internal/linalg/ -fuzz '^FuzzAtBPackedEquivalence$$' -fuzztime 15s

@@ -39,7 +39,7 @@ func (s *Stats) Add(o Stats) {
 	s.ScannedEdges += o.ScannedEdges
 }
 
-// Options configures a traversal, single- or multi-source.
+// Options configures a traversal.
 type Options struct {
 	Alpha int64 // top-down → bottom-up switch threshold (0 = DefaultAlpha)
 	Beta  int64 // bottom-up → top-down switch threshold (0 = DefaultBeta)
@@ -80,17 +80,26 @@ type Runner struct {
 // desynchronize the partition from the scratch (live budgets are
 // snapshotted once here for exactly that reason).
 func NewRunner(g *graph.CSR, opt Options, sc *Scratch, bud parallel.Budget) *Runner {
-	opt = opt.withDefaults()
 	if !bud.Fixed() {
 		bud = parallel.SnapshotBudget()
 	}
-	w := bud.Workers()
 	if sc == nil {
-		sc = NewScratch(g.NumV, w)
-	} else {
-		sc.ensure(g.NumV, w)
+		sc = &Scratch{}
 	}
-	return &Runner{g: g, opt: opt, sc: sc, bud: bud, workers: w}
+	r := &Runner{opt: opt.withDefaults(), sc: sc, bud: bud, workers: bud.Workers()}
+	r.Bind(g)
+	return r
+}
+
+// Bind points r at g, regrowing its scratch if g has more vertices than
+// it covers; the options, scratch and budget stay. A pooled Runner serves
+// successive graphs this way, and Bind(nil) drops the graph so the pool
+// does not keep it alive.
+func (r *Runner) Bind(g *graph.CSR) {
+	r.g = g
+	if g != nil {
+		r.sc.ensure(g.NumV, r.workers)
+	}
 }
 
 // Distances runs a BFS from src, writing hop counts into dist (length

@@ -220,97 +220,60 @@ func TestBitmap(t *testing.T) {
 	}
 }
 
-func TestMSBFSMatchesSerial(t *testing.T) {
-	graphs := map[string]*graph.CSR{
-		"grid": gen.Grid2D(30, 30),
-		"kron": gen.Kron(9, 8, 2),
-		"path": gen.Path(500),
+// TestStatsAdd covers the aggregation the observability rollups use.
+func TestStatsAdd(t *testing.T) {
+	a := Stats{Levels: 3, TopDownSteps: 2, BottomUpSteps: 1, Switches: 1, ScannedEdges: 10}
+	a.Add(Stats{Levels: 2, TopDownSteps: 1, BottomUpSteps: 1, Switches: 2, ScannedEdges: 5})
+	want := Stats{Levels: 5, TopDownSteps: 3, BottomUpSteps: 2, Switches: 3, ScannedEdges: 15}
+	if a != want {
+		t.Fatalf("Add = %+v, want %+v", a, want)
 	}
-	for name, g := range graphs {
-		sources := []int32{0, int32(g.NumV / 3), int32(g.NumV / 2), int32(g.NumV - 1)}
-		dists := make([][]int32, len(sources))
-		for i := range dists {
-			dists[i] = make([]int32, g.NumV)
-		}
-		st := MSBFS(parallel.Live(), g, sources, dists, nil, Options{})
-		want := make([]int32, g.NumV)
-		for i, src := range sources {
-			Serial(g, src, want)
-			for v := range want {
-				if dists[i][v] != want[v] {
-					t.Fatalf("%s src=%d: dist[%d] = %d, want %d", name, src, v, dists[i][v], want[v])
+}
+
+// TestOptionsDefaults: the zero Options normalizes to the GAP α/β, and
+// explicit values pass through.
+func TestOptionsDefaults(t *testing.T) {
+	def := Options{}.withDefaults()
+	if def.Alpha != DefaultAlpha || def.Beta != DefaultBeta {
+		t.Fatalf("defaults = %+v, want α=%d β=%d", def, DefaultAlpha, DefaultBeta)
+	}
+	if o := (Options{Alpha: 7, Beta: 9, ForceTopDown: true}).withDefaults(); o.Alpha != 7 || o.Beta != 9 || !o.ForceTopDown {
+		t.Fatalf("withDefaults changed explicit fields: %+v", o)
+	}
+}
+
+// TestRunnerBindShrinkReuse drives one Runner, rebound with Bind, through
+// a big graph, then a small one, then the big one again, one-worker
+// top-down as the random pivot phase pools it and direction-optimizing on
+// four workers: the scratch must serve both sizes, and nothing left by an
+// earlier graph may leak into a later distance vector.
+func TestRunnerBindShrinkReuse(t *testing.T) {
+	big := gen.Kron(11, 8, 3)
+	small := gen.Path(500)
+	for _, c := range []struct {
+		opt Options
+		bud parallel.Budget
+	}{
+		{Options{ForceTopDown: true}, parallel.FixedBudget(1)},
+		{Options{}, parallel.FixedBudget(4)},
+	} {
+		r := NewRunner(small, c.opt, nil, c.bud)
+		for round := 0; round < 2; round++ {
+			for _, g := range []*graph.CSR{big, small} {
+				r.Bind(g)
+				got, want := make([]int32, g.NumV), make([]int32, g.NumV)
+				for _, src := range []int32{0, int32(g.NumV / 2)} {
+					r.Distances(src, got)
+					Serial(g, src, want)
+					for v := range want {
+						if got[v] != want[v] {
+							t.Fatalf("%+v round %d n=%d src=%d: dist[%d] = %d, want %d",
+								c.opt, round, g.NumV, src, v, got[v], want[v])
+						}
+					}
 				}
 			}
 		}
-		if st.ScannedEdges == 0 || st.Levels == 0 {
-			t.Fatalf("%s: implausible stats %+v", name, st)
-		}
-	}
-}
-
-func TestMSBFS64Sources(t *testing.T) {
-	g := gen.Kron(10, 8, 5)
-	sources := make([]int32, 64)
-	for i := range sources {
-		sources[i] = int32((i * 131) % g.NumV)
-	}
-	dists := make([][]int32, 64)
-	for i := range dists {
-		dists[i] = make([]int32, g.NumV)
-	}
-	MSBFS(parallel.Live(), g, sources, dists, nil, Options{})
-	want := make([]int32, g.NumV)
-	for _, i := range []int{0, 31, 63} {
-		Serial(g, sources[i], want)
-		for v := range want {
-			if dists[i][v] != want[v] {
-				t.Fatalf("source %d wrong at %d", i, v)
-			}
-		}
-	}
-}
-
-func TestMSBFSDuplicateSources(t *testing.T) {
-	g := gen.Grid2D(10, 10)
-	sources := []int32{5, 5}
-	dists := [][]int32{make([]int32, g.NumV), make([]int32, g.NumV)}
-	MSBFS(parallel.Live(), g, sources, dists, nil, Options{})
-	for v := 0; v < g.NumV; v++ {
-		if dists[0][v] != dists[1][v] {
-			t.Fatalf("duplicate sources disagree at %d", v)
-		}
-	}
-}
-
-func TestMSBFSPanicsOnMisuse(t *testing.T) {
-	g := gen.Path(4)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("65 sources accepted")
-			}
-		}()
-		MSBFS(parallel.Live(), g, make([]int32, 65), make([][]int32, 65), nil, Options{})
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("short dists accepted")
-			}
-		}()
-		MSBFS(parallel.Live(), g, []int32{0, 1}, [][]int32{make([]int32, 4)}, nil, Options{})
-	}()
-}
-
-func TestMSBFSDisconnected(t *testing.T) {
-	edges := []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}}
-	g, err := graph.FromEdges(4, edges, graph.BuildOptions{KeepAllComponents: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dists := [][]int32{make([]int32, 4)}
-	MSBFS(parallel.Live(), g, []int32{0}, dists, nil, Options{})
-	if dists[0][2] != Unreached || dists[0][3] != Unreached {
-		t.Fatalf("unreachable not marked: %v", dists[0])
+		r.Bind(nil)
 	}
 }

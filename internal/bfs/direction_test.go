@@ -238,10 +238,9 @@ func TestStatsAndDistancesBudgetInvariant(t *testing.T) {
 	}
 }
 
-// FuzzDistancesBudgetEquivalence is FuzzMSBFSDirOptEquivalence's
-// single-source sibling: on random (possibly disconnected) graphs
-// Runner.Distances under budgets 1 and 4 equals bfs.Serial, with
-// identical Stats.
+// FuzzDistancesBudgetEquivalence: on random (possibly disconnected)
+// graphs Runner.Distances, direction-optimizing and pinned top-down,
+// under budgets 1 and 4 equals bfs.Serial, with identical Stats.
 func FuzzDistancesBudgetEquivalence(f *testing.F) {
 	f.Add(int64(1), uint16(50), uint8(1))
 	f.Add(int64(2), uint16(3000), uint8(2))

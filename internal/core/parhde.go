@@ -33,8 +33,8 @@ type Report struct {
 	// non-degenerate generalized eigenvalues µ of Lu = µDu).
 	Eigenvalues []float64
 	// BFSStats records per-traversal direction choices and scanned-edge
-	// counts: one entry per pivot (k-centers) or per 64-source
-	// multi-source batch (random-msbfs).
+	// counts: one entry per pivot under k-centers, none under random
+	// pivots.
 	BFSStats []bfs.Stats
 	// Workers is the worker budget the run actually used (the snapshot
 	// taken when Options.Workers ≤ 0).
@@ -71,9 +71,8 @@ func ParHDE(g *graph.CSR, opt Options) (*Layout, *Report, error) {
 // ParHDECtx is ParHDE with cooperative cancellation: ctx is checked at
 // every phase boundary (BFS+DOrtho → TripleProd → eigensolve → projection)
 // and before every traversal of the BFS loop, so a cancelled run stops
-// within one traversal rather than after a phase completes (a 64-source
-// RandomMS batch, or a Random round of one BFS per worker, is one
-// traversal in this sense). On cancellation the returned error satisfies
+// within one traversal rather than after a phase completes (a random-pivot
+// round of one BFS per worker is one traversal in this sense). On cancellation the returned error satisfies
 // errors.Is(err, ctx.Err()). The run is timed on opt.Workspace's clock,
 // whose live phase another goroutine may read, or on a private one.
 func ParHDECtx(ctx context.Context, g *graph.CSR, opt Options) (*Layout, *Report, error) {

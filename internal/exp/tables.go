@@ -101,8 +101,8 @@ func Table5(w io.Writer, cfg Config) error {
 func Table6(w io.Writer, cfg Config) error {
 	cfg = cfg.withDefaults()
 	const sources = 30
-	fprintf(w, "Table 6: BFS phase, k-centers vs random pivots (plus bit-parallel MS-BFS), %d sources\n", sources)
-	fprintf(w, "%-10s %14s %14s %9s %12s %9s\n", "graph", "k-centers (s)", "random (s)", "speedup", "ms-bfs (s)", "speedup")
+	fprintf(w, "Table 6: BFS phase, k-centers vs random pivots, %d sources\n", sources)
+	fprintf(w, "%-10s %14s %14s %9s\n", "graph", "k-centers (s)", "random (s)", "speedup")
 	for _, ng := range SmallCollection(cfg.Factor) {
 		g := ng.G
 		s := sources
@@ -115,10 +115,9 @@ func Table6(w io.Writer, cfg Config) error {
 				pivot.Stream(context.Background(), parallel.Live(), g, s, 0, strat, bfs.Options{}, nil, pivot.Fill(b), new(phase.Clock))
 			})
 		}
-		tDefault, tRandom, tMS := bfsPhase(pivot.KCenters), bfsPhase(pivot.Random), bfsPhase(pivot.RandomMS)
-		fprintf(w, "%-10s %14.4f %14.4f %8.1fx %12.4f %8.1fx\n",
-			ng.Name, seconds(tDefault), seconds(tRandom), ratio(tDefault, tRandom),
-			seconds(tMS), ratio(tDefault, tMS))
+		tDefault, tRandom := bfsPhase(pivot.KCenters), bfsPhase(pivot.Random)
+		fprintf(w, "%-10s %14.4f %14.4f %8.1fx\n",
+			ng.Name, seconds(tDefault), seconds(tRandom), ratio(tDefault, tRandom))
 	}
 	return nil
 }

@@ -209,12 +209,6 @@ func TestRNGProperties(t *testing.T) {
 			t.Fatalf("Float64 = %g", f)
 		}
 	}
-	// Split streams diverge.
-	a := NewRNG(9)
-	b := a.Split()
-	if a.Uint64() == b.Uint64() {
-		t.Fatal("split stream identical to parent")
-	}
 }
 
 func TestRNGIntnPanicsOnNonPositive(t *testing.T) {

@@ -6,16 +6,12 @@
 // diameter, degree skew, and adjacency-gap locality.
 package gen
 
-// RNG is a splitmix64 pseudo-random generator: tiny state, excellent
-// statistical quality, and trivially splittable so parallel generators can
-// give each worker an independent deterministic stream.
+// RNG is a splitmix64 pseudo-random generator: tiny state and excellent
+// statistical quality.
 type RNG struct{ state uint64 }
 
 // NewRNG returns a generator seeded with the given value.
 func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
-
-// Split returns a new independent generator derived from r's stream.
-func (r *RNG) Split() *RNG { return &RNG{state: r.Uint64()} }
 
 // Uint64 returns the next 64 uniformly random bits.
 func (r *RNG) Uint64() uint64 {

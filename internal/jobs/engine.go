@@ -59,13 +59,6 @@ type Config struct {
 	// each layout worker a distinct prefix ("w1-" → "w1-j000001") so the
 	// router can map a job id back to the process that owns it.
 	IDPrefix string
-	// KernelWorkers is the per-layout kernel worker budget
-	// (core.Options.Workers) applied to jobs that don't set their own.
-	// It defaults to max(1, GOMAXPROCS / Workers): with the pool
-	// saturated, Workers × KernelWorkers goroutines ≈ GOMAXPROCS,
-	// instead of the P² oversubscription of every layout fanning its
-	// kernels out GOMAXPROCS-wide.
-	KernelWorkers int
 	// QueueDepth bounds the jobs waiting for a worker; submissions
 	// beyond it are rejected with ErrQueueFull (0 = DefaultQueueDepth).
 	QueueDepth int
@@ -98,12 +91,6 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.KernelWorkers <= 0 {
-		c.KernelWorkers = runtime.GOMAXPROCS(0) / c.Workers
-		if c.KernelWorkers < 1 {
-			c.KernelWorkers = 1
-		}
-	}
 	if c.QueueDepth == 0 {
 		c.QueueDepth = DefaultQueueDepth
 	}
@@ -129,6 +116,13 @@ func (c Config) withDefaults() Config {
 type Engine struct {
 	cat *catalog.Catalog
 	cfg Config
+	// kernelWorkers is the per-layout kernel worker budget
+	// (core.Options.Workers) applied to jobs that don't set their own:
+	// max(1, GOMAXPROCS / Workers) at New, so with the pool saturated
+	// Workers × kernelWorkers goroutines ≈ GOMAXPROCS, instead of the P²
+	// oversubscription of every layout fanning its kernels out
+	// GOMAXPROCS-wide.
+	kernelWorkers int
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -186,6 +180,7 @@ func New(cat *catalog.Catalog, cfg Config) *Engine {
 			StateCancelled: cfg.Metrics.Counter(`jobs_finished_total{state="cancelled"}`),
 		},
 	}
+	e.kernelWorkers = max(1, runtime.GOMAXPROCS(0)/cfg.Workers)
 	cfg.Metrics.GaugeFunc("jobs_queue_depth", func() float64 { return float64(len(e.queue)) })
 	cfg.Metrics.GaugeFunc("jobs_journal_bytes", func() float64 { return float64(e.jrn.Size()) })
 	if j := cfg.Journal; j != nil {
@@ -202,22 +197,19 @@ func New(cat *catalog.Catalog, cfg Config) *Engine {
 }
 
 // KernelWorkers is the worker budget of one layout's kernels on this
-// engine (Config.KernelWorkers, defaults applied): what work sharing the
-// machine with the pool, such as an upload's parse and build, runs on.
+// engine, max(1, GOMAXPROCS / Workers) when it was made: what work
+// sharing the machine with the pool, such as an upload's parse and build,
+// runs on.
 func (e *Engine) KernelWorkers() int {
-	return e.cfg.KernelWorkers
+	return e.kernelWorkers
 }
 
-// Submit enqueues a layout of the named catalog graph. It resolves the
-// graph immediately (so a later eviction cannot break a queued job) and
-// rejects with ErrQueueFull when the queue is saturated.
-func (e *Engine) Submit(graphName string, cfg pipeline.Config) (*Job, error) {
-	return e.SubmitSpec(graphName, cfg, nil, "")
-}
-
-// SubmitSpec is Submit plus a self-contained, re-parseable description of
-// the request (the validated API body, typically) and the ID of the
-// request that asked for the job, which its status reports. With a
+// SubmitSpec enqueues a layout of the named catalog graph. It resolves
+// the graph immediately (so a later eviction cannot break a queued job)
+// and rejects with ErrQueueFull when the queue is saturated. spec is a
+// self-contained, re-parseable description of the request (the validated
+// API body, typically) and requestID the ID of the request that asked for
+// the job, which its status reports. With a
 // journal the spec and the ID are journaled as an intent frame before the
 // submission returns, so a worker that dies mid-run can recover the job,
 // under the same request ID, on restart (see Pending). A nil spec submits
@@ -249,7 +241,7 @@ func (e *Engine) SubmitSpec(graphName string, cfg pipeline.Config, spec []byte, 
 	}
 	select {
 	case e.queue <- j:
-		// Journal the intent before Submit returns: once the caller holds
+		// Journal the intent before SubmitSpec returns: once the caller holds
 		// a 202, the job either completes or survives as a pending intent.
 		// (One small write under e.mu — submissions are not a hot path.)
 		if spec != nil {
@@ -364,7 +356,7 @@ func (e *Engine) runJob(j *Job) {
 	// Cap each layout's kernel fan-out so Workers concurrent jobs don't
 	// oversubscribe the machine; a job that set its own budget keeps it.
 	if cfg.Layout.Workers <= 0 {
-		cfg.Layout.Workers = e.cfg.KernelWorkers
+		cfg.Layout.Workers = e.kernelWorkers
 	}
 	res, err := e.cfg.run(j.ctx, j.g, cfg)
 	e.running.Add(-1)

@@ -126,13 +126,6 @@ func (j *Job) Graph() string { return j.graph }
 // RequestID returns the ID of the request that submitted the job.
 func (j *Job) RequestID() string { return j.requestID }
 
-// State returns the job's current state.
-func (j *Job) State() State {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
-}
-
 // begin moves the job to Running, timed on clk. It returns false if the
 // job reached a terminal state first (cancelled while queued).
 func (j *Job) begin(clk *phase.Clock) bool {

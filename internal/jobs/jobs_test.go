@@ -53,12 +53,12 @@ func waitState(t *testing.T, j *Job, want State) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		if j.State() == want {
+		if j.Status().State == want.String() {
 			return
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("job %s stuck in %v, want %v", j.ID(), j.State(), want)
+	t.Fatalf("job %s stuck in %v, want %v", j.ID(), j.Status().State, want)
 }
 
 func TestSubmitRunsRealPipeline(t *testing.T) {
@@ -66,7 +66,7 @@ func TestSubmitRunsRealPipeline(t *testing.T) {
 	e := New(testCatalog(t), Config{Workers: 2,
 		OnDone: func(_ *Job, _ *graph.CSR, _ pipeline.Config, res *pipeline.Result) { done <- res }})
 	defer e.Close()
-	j, err := e.Submit("grid", pipeline.Config{Layout: core.Options{Subspace: 8, Seed: 1}})
+	j, err := e.SubmitSpec("grid", pipeline.Config{Layout: core.Options{Subspace: 8, Seed: 1}}, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,12 +109,14 @@ func TestLivePhaseFromRunClock(t *testing.T) {
 	if err := cat.Add("big", gen.Grid2D(90, 90), "test"); err != nil {
 		t.Fatal(err)
 	}
-	e := New(cat, Config{Workers: 1, KernelWorkers: 2})
+	prev := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
+	e := New(cat, Config{Workers: 1}) // kernel budget 2/1 = 2
 	defer e.Close()
 	cfg := pipeline.Config{Layout: core.Options{Subspace: 40, Seed: 1}}
 	var js []*Job
 	for i := 0; i < 2; i++ {
-		j, err := e.Submit("big", cfg)
+		j, err := e.SubmitSpec("big", cfg, nil, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +157,7 @@ func TestLivePhaseFromRunClock(t *testing.T) {
 func TestSubmitUnknownGraph(t *testing.T) {
 	e := New(testCatalog(t), Config{Workers: 1})
 	defer e.Close()
-	if _, err := e.Submit("nope", pipeline.Config{}); !errors.Is(err, catalog.ErrNotFound) {
+	if _, err := e.SubmitSpec("nope", pipeline.Config{}, nil, ""); !errors.Is(err, catalog.ErrNotFound) {
 		t.Fatalf("error = %v, want catalog.ErrNotFound", err)
 	}
 }
@@ -172,7 +174,7 @@ func TestBoundedQueueAdmission(t *testing.T) {
 	// Occupy both workers and let them park in the blocking run.
 	var held []*Job
 	for i := 0; i < 2; i++ {
-		j, err := e.Submit("grid", pipeline.Config{})
+		j, err := e.SubmitSpec("grid", pipeline.Config{}, nil, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +192,7 @@ func TestBoundedQueueAdmission(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := e.Submit("grid", pipeline.Config{})
+			_, err := e.SubmitSpec("grid", pipeline.Config{}, nil, "")
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
@@ -215,12 +217,12 @@ func TestCancelQueuedJob(t *testing.T) {
 	defer close(release)
 	e := New(testCatalog(t), Config{Workers: 1, QueueDepth: 4, run: run})
 	defer e.Close()
-	first, err := e.Submit("grid", pipeline.Config{})
+	first, err := e.SubmitSpec("grid", pipeline.Config{}, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, first, StateRunning)
-	queued, err := e.Submit("grid", pipeline.Config{})
+	queued, err := e.SubmitSpec("grid", pipeline.Config{}, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +231,7 @@ func TestCancelQueuedJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A queued job flips to cancelled immediately, not when dequeued.
-	if got := j.State(); got != StateCancelled {
+	if got := j.Status().State; got != StateCancelled.String() {
 		t.Fatalf("state = %v, want cancelled", got)
 	}
 	if _, err := e.Cancel("jnope"); !errors.Is(err, ErrUnknownJob) {
@@ -249,9 +251,9 @@ func TestCancelRunningJobInterruptsLayout(t *testing.T) {
 	e := New(c, Config{Workers: 1,
 		OnDone: func(_ *Job, _ *graph.CSR, _ pipeline.Config, res *pipeline.Result) { done <- res }})
 	defer e.Close()
-	j, err := e.Submit("slow", pipeline.Config{
+	j, err := e.SubmitSpec("slow", pipeline.Config{
 		Layout: core.Options{Subspace: 50, Seed: 1},
-	})
+	}, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +287,7 @@ func TestFailedJobState(t *testing.T) {
 	}
 	e := New(c, Config{Workers: 1})
 	defer e.Close()
-	j, err := e.Submit("split", pipeline.Config{Layout: core.Options{Subspace: 4}})
+	j, err := e.SubmitSpec("split", pipeline.Config{Layout: core.Options{Subspace: 4}}, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +306,7 @@ func TestShutdownNoGoroutineLeak(t *testing.T) {
 	e := New(testCatalog(t), Config{Workers: 4, QueueDepth: 8, run: run})
 	var js []*Job
 	for i := 0; i < 8; i++ {
-		j, err := e.Submit("grid", pipeline.Config{})
+		j, err := e.SubmitSpec("grid", pipeline.Config{}, nil, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,11 +314,11 @@ func TestShutdownNoGoroutineLeak(t *testing.T) {
 	}
 	e.Close()
 	for _, j := range js {
-		if s := j.State(); !s.terminal() {
-			t.Fatalf("job %s left in %v after Close", j.ID(), s)
+		if s := j.Status().State; s != StateDone.String() && s != StateFailed.String() && s != StateCancelled.String() {
+			t.Fatalf("job %s left in %s after Close", j.ID(), s)
 		}
 	}
-	if _, err := e.Submit("grid", pipeline.Config{}); !errors.Is(err, ErrClosed) {
+	if _, err := e.SubmitSpec("grid", pipeline.Config{}, nil, ""); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
 	}
 	e.Close() // idempotent
@@ -339,7 +341,7 @@ func TestResultRetentionTTLAndCount(t *testing.T) {
 	defer e.Close()
 	var ids []string
 	for i := 0; i < 4; i++ {
-		j, err := e.Submit("grid", pipeline.Config{})
+		j, err := e.SubmitSpec("grid", pipeline.Config{}, nil, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -437,7 +439,7 @@ func TestPersistence(t *testing.T) {
 	c := testCatalog(t)
 	e := New(c, Config{Workers: 1, Journal: OpenJournal(dir, nil)})
 	defer e.Close()
-	j, err := e.Submit("grid", pipeline.Config{Layout: core.Options{Subspace: 8, Seed: 1}})
+	j, err := e.SubmitSpec("grid", pipeline.Config{Layout: core.Options{Subspace: 8, Seed: 1}}, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,15 +465,15 @@ func TestMetrics(t *testing.T) {
 	run, release := blockingRun()
 	e := New(testCatalog(t), Config{Workers: 1, QueueDepth: 1, Metrics: reg, run: run})
 	defer e.Close()
-	j1, err := e.Submit("grid", pipeline.Config{})
+	j1, err := e.SubmitSpec("grid", pipeline.Config{}, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, j1, StateRunning)
-	if _, err := e.Submit("grid", pipeline.Config{}); err != nil {
+	if _, err := e.SubmitSpec("grid", pipeline.Config{}, nil, ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Submit("grid", pipeline.Config{}); !errors.Is(err, ErrQueueFull) {
+	if _, err := e.SubmitSpec("grid", pipeline.Config{}, nil, ""); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("third submit = %v, want ErrQueueFull", err)
 	}
 	close(release)

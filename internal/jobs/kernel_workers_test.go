@@ -12,36 +12,35 @@ import (
 	"repro/internal/pipeline"
 )
 
-// TestKernelWorkersDefault: the per-layout kernel budget defaults to
+// TestKernelWorkersDefault: the per-layout kernel budget is
 // GOMAXPROCS / Workers so a saturated pool lands near GOMAXPROCS total
 // goroutines instead of Workers × GOMAXPROCS.
 func TestKernelWorkersDefault(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
-	cases := []struct {
-		workers, kernel, want int
-	}{
-		{4, 0, 1}, // full pool: serial kernels
-		{2, 0, 2}, // half pool: split the machine
-		{1, 0, 4}, // single worker: kernels get everything
-		{8, 0, 1}, // oversubscribed pool still gets >= 1
-		{2, 3, 3}, // explicit value wins
-	}
-	for _, c := range cases {
-		got := Config{Workers: c.workers, KernelWorkers: c.kernel}.withDefaults().KernelWorkers
-		if got != c.want {
-			t.Errorf("Workers=%d KernelWorkers=%d: default %d, want %d", c.workers, c.kernel, got, c.want)
+	for _, c := range []struct{ workers, want int }{
+		{4, 1}, // full pool: serial kernels
+		{2, 2}, // half pool: split the machine
+		{1, 4}, // single worker: kernels get everything
+		{8, 1}, // oversubscribed pool still gets >= 1
+		{0, 1}, // the default pool is GOMAXPROCS workers
+	} {
+		e := New(testCatalog(t), Config{Workers: c.workers})
+		if got := e.KernelWorkers(); got != c.want {
+			t.Errorf("Workers=%d: kernel budget %d, want %d", c.workers, got, c.want)
 		}
+		e.Close()
 	}
 }
 
 // TestKernelWorkersAppliedToJobs: a job that doesn't pin its own layout
-// budget runs with the engine's KernelWorkers; a job that does keeps it.
+// budget runs with the engine's kernel budget; a job that does keeps it.
 func TestKernelWorkersAppliedToJobs(t *testing.T) {
+	prev := runtime.GOMAXPROCS(3)
+	defer runtime.GOMAXPROCS(prev)
 	var sawDefault, sawExplicit int32
 	e := New(testCatalog(t), Config{
-		Workers:       1,
-		KernelWorkers: 3,
+		Workers: 1, // kernel budget 3/1 = 3
 		run: func(ctx context.Context, g *graph.CSR, cfg pipeline.Config) (*pipeline.Result, error) {
 			if cfg.Layout.Workers == 3 {
 				atomic.AddInt32(&sawDefault, 1)
@@ -53,11 +52,11 @@ func TestKernelWorkersAppliedToJobs(t *testing.T) {
 		},
 	})
 	defer e.Close()
-	j1, err := e.Submit("grid", pipeline.Config{SkipQuality: true})
+	j1, err := e.SubmitSpec("grid", pipeline.Config{SkipQuality: true}, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := e.Submit("grid", pipeline.Config{Layout: core.Options{Workers: 2}, SkipQuality: true})
+	j2, err := e.SubmitSpec("grid", pipeline.Config{Layout: core.Options{Workers: 2}, SkipQuality: true}, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,20 +70,20 @@ func TestKernelWorkersAppliedToJobs(t *testing.T) {
 // TestBoundedGoroutinesUnderSaturatedQueue is the oversubscription
 // regression test: with the pool saturated by real layout jobs, the
 // process goroutine count stays near baseline + Workers. Before the
-// KernelWorkers default, every running layout fanned its kernels out
+// per-layout kernel budget, every running layout fanned its kernels out
 // GOMAXPROCS-wide, so W jobs cost up to W × GOMAXPROCS goroutines.
 func TestBoundedGoroutinesUnderSaturatedQueue(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	const workers = 4
-	// KernelWorkers defaults to 4/4 = 1: layouts run their kernels
+	// The kernel budget is 4/4 = 1: layouts run their kernels
 	// serially, so the only fan-out is the worker pool itself.
 	e := New(testCatalog(t), Config{Workers: workers})
 	defer e.Close()
 	base := runtime.NumGoroutine()
 	var jobsList []*Job
 	for i := 0; i < 24; i++ {
-		j, err := e.Submit("grid", pipeline.Config{SkipQuality: true})
+		j, err := e.SubmitSpec("grid", pipeline.Config{SkipQuality: true}, nil, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +97,7 @@ func TestBoundedGoroutinesUnderSaturatedQueue(t *testing.T) {
 		}
 		done := 0
 		for _, j := range jobsList {
-			if j.State() == StateDone {
+			if j.Status().State == StateDone.String() {
 				done++
 			}
 		}

@@ -301,7 +301,7 @@ func TestWorkerWorkspaceReuseMatchesFresh(t *testing.T) {
 		OnDone: func(j *Job, _ *graph.CSR, _ pipeline.Config, res *pipeline.Result) { done <- finished{j, res} }})
 	defer e.Close()
 	for i := 0; i < submits; i++ {
-		if _, err := e.Submit([]string{"grid", "road"}[i%2], cfg); err != nil {
+		if _, err := e.SubmitSpec([]string{"grid", "road"}[i%2], cfg, nil, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -312,7 +312,7 @@ func TestWorkerWorkspaceReuseMatchesFresh(t *testing.T) {
 	for i, f := range got {
 		j := f.j
 		if f.res == nil {
-			t.Fatalf("job %s (%s) ended %v", j.ID(), j.Graph(), j.State())
+			t.Fatalf("job %s (%s) ended %v", j.ID(), j.Graph(), j.Status().State)
 		}
 		c, w := f.res.Layout.Coords.Data, want[j.Graph()]
 		if len(c) != len(w) {
@@ -347,11 +347,11 @@ func TestSequentialJobsShareOneWorkspace(t *testing.T) {
 	defer e.Close()
 	cfg := pipeline.Config{Layout: core.Options{Seed: 1}}
 	runOne := func() {
-		if _, err := e.Submit("road", cfg); err != nil {
+		if _, err := e.SubmitSpec("road", cfg, nil, ""); err != nil {
 			t.Fatal(err)
 		}
-		if j := <-done; j.State() != StateDone {
-			t.Fatalf("job %s ended %v", j.ID(), j.State())
+		if j := <-done; j.Status().State != StateDone.String() {
+			t.Fatalf("job %s ended %v", j.ID(), j.Status().State)
 		}
 	}
 	runOne()

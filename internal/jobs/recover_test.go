@@ -145,7 +145,7 @@ func TestIntentSurvivesShutdownAndRecovers(t *testing.T) {
 	if len(e3.Pending()) != 0 {
 		t.Fatalf("third start replays %+v", e3.Pending())
 	}
-	if j, err := e3.Submit("grid", pipeline.Config{}); err != nil || j.ID() != "w1-j000004" {
+	if j, err := e3.SubmitSpec("grid", pipeline.Config{}, nil, ""); err != nil || j.ID() != "w1-j000004" {
 		t.Fatalf("third life issued %v (err %v), want w1-j000004", j, err)
 	}
 }
@@ -300,7 +300,7 @@ func TestRestartDoesNotReadResultPayloads(t *testing.T) {
 	if p := e.Pending(); len(p) != 1 || p[0].ID != fmt.Sprintf("w1-j%06d", jobs/2) {
 		t.Fatalf("engine pending = %+v", p)
 	}
-	if nj, err := e.Submit("grid", pipeline.Config{}); err != nil || nj.ID() != fmt.Sprintf("w1-j%06d", jobs+1) {
+	if nj, err := e.SubmitSpec("grid", pipeline.Config{}, nil, ""); err != nil || nj.ID() != fmt.Sprintf("w1-j%06d", jobs+1) {
 		t.Fatalf("next id %v (err %v)", nj, err)
 	}
 }
@@ -342,7 +342,7 @@ func TestForeignFramesAreNotJobs(t *testing.T) {
 	}
 	e2 := New(testCatalog(t), Config{Workers: 1, Journal: jrn, run: fastRun})
 	defer e2.Close()
-	if nj, err := e2.Submit("grid", pipeline.Config{}); err != nil || nj.ID() != "j000002" || len(e2.Pending()) != 0 {
+	if nj, err := e2.SubmitSpec("grid", pipeline.Config{}, nil, ""); err != nil || nj.ID() != "j000002" || len(e2.Pending()) != 0 {
 		t.Fatalf("next id %v (err %v), pending %+v; want j000002 and nothing to replay", nj, err, e2.Pending())
 	}
 }

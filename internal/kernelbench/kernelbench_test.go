@@ -203,18 +203,6 @@ func TestKernelBudgetGate(t *testing.T) {
 			func() { unfusedWidenMinArgmax(dst, dmin, src) }))
 	}
 
-	// Direction-optimizing tiled MSBFS vs the same engine pinned top-down
-	// on the paper's headline kron shape, one full 64-source batch. Bottom-up
-	// must win on a skewed low-diameter graph even on one core — the γ < 1
-	// work reduction, not a parallel effect.
-	{
-		g, sources, rows, sc := msbfsFixture(18, 16)
-		bud := parallel.FixedBudget(1)
-		check("msbfs_diropt_vs_topdown", speedup(3,
-			func() { bfs.MSBFS(bud, g, sources, rows, sc, bfs.Options{}) },
-			func() { bfs.MSBFS(bud, g, sources, rows, sc, bfs.Options{ForceTopDown: true}) }))
-	}
-
 	// Single-source Runner vs itself pinned top-down, 10 strided sources.
 	// On a road network the direction rule must cost nothing (a ratio well
 	// below 1 means bottom-up round trips are back: the two-term rule
@@ -245,39 +233,6 @@ func TestKernelBudgetGate(t *testing.T) {
 	check("bfs_diropt_vs_topdown_road", float64(roadTopDown())/float64(road()))
 	kron, kronTopDown := dirOpt(gen.Kron(16, 16, 102))
 	check("bfs_diropt_vs_topdown_kron", speedup(reps, func() { kron() }, func() { kronTopDown() }))
-}
-
-// msbfsFixture builds the MSBFS gate/bench inputs: a kron graph, one full
-// 64-source batch, its distance rows, and a warm traversal scratch.
-func msbfsFixture(scale, factor int) (*graph.CSR, []int32, [][]int32, *bfs.Scratch) {
-	g := gen.Kron(scale, factor, 102)
-	sources := make([]int32, 64)
-	for i := range sources {
-		sources[i] = int32((i * 997) % g.NumV)
-	}
-	rows := make([][]int32, 64)
-	arena := make([]int32, 64*g.NumV)
-	for i := range rows {
-		rows[i] = arena[i*g.NumV : (i+1)*g.NumV]
-	}
-	return g, sources, rows, bfs.NewScratch(g.NumV, runtime.GOMAXPROCS(0))
-}
-
-// BenchmarkMSBFSDirOpt / BenchmarkMSBFSTopDown are the raw
-// microbenchmarks behind the msbfs_diropt_vs_topdown gate ratio; run with
-// go test -tags perf -bench MSBFS ./internal/kernelbench/.
-func BenchmarkMSBFSDirOpt(b *testing.B) { benchmarkMSBFS(b, bfs.Options{}) }
-
-func BenchmarkMSBFSTopDown(b *testing.B) { benchmarkMSBFS(b, bfs.Options{ForceTopDown: true}) }
-
-func benchmarkMSBFS(b *testing.B, opt bfs.Options) {
-	g, sources, rows, sc := msbfsFixture(18, 16)
-	bud := parallel.FixedBudget(runtime.GOMAXPROCS(0))
-	b.SetBytes(int64(len(g.Adj) * 4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bfs.MSBFS(bud, g, sources, rows, sc, opt)
-	}
 }
 
 // BenchmarkAtBNaive / BenchmarkAtBPacked are the raw microbenchmarks

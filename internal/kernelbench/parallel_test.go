@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/bfs"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/linalg"
@@ -17,8 +16,8 @@ import (
 
 // TestParallelEfficiencyGate measures the 2-worker speedup of each
 // parallel kernel path over its 1-worker (serial) path on the same
-// machine in the same run, and gates against the *_parallel_2w and
-// msbfs_tiled_2w entries of perf/kernel_budget.json. Ratios, not absolute
+// machine in the same run, and gates against the *_2w entries of
+// perf/kernel_budget.json. Ratios, not absolute
 // times, so the gate travels across machines. It runs at 2 workers on any
 // host with at least 2 cores (the only worker count whose floors were ever
 // measured); a single-core host skips — loudly, with the reason in the
@@ -95,16 +94,6 @@ func TestParallelEfficiencyGate(t *testing.T) {
 		check("fused_widen_parallel", speedup(reps,
 			func() { linalg.WidenMinArgmaxBudget(par, dst, dmin, src, idxs, vals) },
 			func() { linalg.WidenMinArgmaxBudget(serial, dst, dmin, src, idxs, vals) }))
-	}
-
-	// Tiled direction-optimizing MSBFS: the blocked bitmap passes must
-	// scale when workers own disjoint vertex-range blocks (bottom-up
-	// writes are CAS-free precisely because of that ownership).
-	{
-		g, sources, rows, sc := msbfsFixture(18, 16)
-		check("msbfs_tiled", speedup(reps,
-			func() { bfs.MSBFS(par, g, sources, rows, sc, bfs.Options{}) },
-			func() { bfs.MSBFS(serial, g, sources, rows, sc, bfs.Options{}) }))
 	}
 
 	// Whole-layout scaling on the paper's headline graph shape: kron 2^18

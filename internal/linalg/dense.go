@@ -38,14 +38,6 @@ func (m *Dense) At(i, j int) float64 { return m.Data[j*m.Rows+i] }
 // Set assigns element (i, j).
 func (m *Dense) Set(i, j int, v float64) { m.Data[j*m.Rows+i] = v }
 
-// Slice returns a view of the first cols columns (no copy).
-func (m *Dense) Slice(cols int) *Dense {
-	if cols > m.Cols {
-		panic(fmt.Sprintf("linalg: slicing %d cols from %d", cols, m.Cols))
-	}
-	return &Dense{Rows: m.Rows, Cols: cols, Data: m.Data[:cols*m.Rows]}
-}
-
 // Clone returns a deep copy.
 func (m *Dense) Clone() *Dense {
 	out := NewDense(m.Rows, m.Cols)

@@ -120,10 +120,6 @@ func TestDenseBasics(t *testing.T) {
 	if m.At(0, 0) == 5 {
 		t.Fatal("Clone aliases storage")
 	}
-	s := m.Slice(1)
-	if s.Cols != 1 || s.Rows != 3 {
-		t.Fatal("Slice wrong shape")
-	}
 	d := m.DropColumns([]int{1})
 	if d.Cols != 1 || d.At(2, 0) != 9 {
 		t.Fatal("DropColumns wrong")

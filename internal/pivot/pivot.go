@@ -33,30 +33,26 @@ const (
 	// Random picks pivots uniformly at random and runs serial BFSes
 	// concurrently, one per worker.
 	Random
-	// RandomMS picks pivots uniformly at random and runs them through the
-	// bit-parallel multi-source BFS (64 searches share each adjacency
-	// scan) — the strongest engine when s is large relative to cores.
-	RandomMS
 )
 
+// RandomMS is Random. It named a bit-parallel 64-source engine whose
+// columns were bitwise those of Random's concurrent BFSes; the alias
+// stays because the benchmark harness names the strategy.
+const RandomMS = Random
+
 func (s Strategy) String() string {
-	switch s {
-	case Random:
+	if s == Random {
 		return "random"
-	case RandomMS:
-		return "random-msbfs"
-	default:
-		return "k-centers"
 	}
+	return "k-centers"
 }
 
 // PhaseStats is what the BFS phase records besides its time, which it
 // charges to a phase clock.
 type PhaseStats struct {
 	Sources []int32
-	// Traversal holds per-traversal statistics: one entry per BFS under
-	// KCenters, one per 64-source batch under RandomMS (direction-step
-	// counts included either way; plain Random records none).
+	// Traversal holds per-traversal statistics, direction-step counts
+	// included: one entry per BFS under KCenters, none under Random.
 	Traversal    []bfs.Stats
 	ScannedEdges int64
 }
@@ -73,18 +69,17 @@ type Emit func(i int, col []float64) error
 // and hands it to Stream so repeated layouts on same-shaped graphs re-pay
 // no BFS-phase allocations.
 type Scratch struct {
-	trav *bfs.Scratch // frontier/queue scratch shared by all s traversals
+	trav *bfs.Scratch // k-centers frontier/queue scratch shared by all s traversals
 	dist []int32      // each traversal's hop distances
 	dmin []int32      // min distance to all previous sources
 	col  []float64
 	// Random-strategy buffers, sized on first use: the pivot permutation,
-	// an arena of length-n distance rows (one per MSBFS source in a batch,
-	// or one per worker of a Random round) and the traversal scratch of
-	// each Random worker's one-worker runner.
+	// an arena of length-n distance rows, one per worker of a round, and
+	// each worker's one-worker runner with its own traversal scratch.
 	perm    []int32
 	arena   []int32
 	rowsBuf [][]int32
-	travs   []*bfs.Scratch
+	runners []*bfs.Runner
 	// Per-tile argmax arenas for the fused widen/min/argmax reduction,
 	// sized by parallel.ReduceBlocks(n) — a function of n only, so the
 	// arenas can never be desynchronized by a worker-count change.
@@ -164,9 +159,8 @@ type timer func(p phase.ID, f func())
 // allocates fresh ones), bit-identically either way, and on one snapshot
 // of a live bud, so a GOMAXPROCS change mid-phase cannot re-partition
 // running kernels. ctx is checked before every traversal — each pivot
-// under KCenters, each round under Random, each 64-source batch under
-// RandomMS — and the first error from ctx or emit stops the phase and is
-// returned.
+// under KCenters, each round of one BFS per worker under Random — and the
+// first error from ctx or emit stops the phase and is returned.
 func Stream(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int, start int32, strat Strategy, opt bfs.Options, sc *Scratch, emit Emit, clk *phase.Clock) (PhaseStats, error) {
 	clk.Enter(phase.BFSOther)
 	return stream(ctx, bud, g, s, start, strat, opt, sc, emit, func(p phase.ID, f func()) {
@@ -182,14 +176,10 @@ func stream(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int, start
 	if sc == nil {
 		sc = &Scratch{}
 	}
-	switch strat {
-	case Random:
+	if strat == Random {
 		return randomPhase(ctx, bud, g, s, start, sc, emit, t)
-	case RandomMS:
-		return randomMSPhase(ctx, bud, g, s, start, opt, sc, emit, t)
-	default:
-		return kCentersPhase(ctx, bud, g, s, start, opt, sc, emit, t)
 	}
+	return kCentersPhase(ctx, bud, g, s, start, opt, sc, emit, t)
 }
 
 func kCentersPhase(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int, start int32, opt bfs.Options, sc *Scratch, emit Emit, t timer) (PhaseStats, error) {
@@ -259,79 +249,54 @@ func drawSources(sc *Scratch, n int, start int32, sources []int32) {
 	}
 }
 
-// randomPhase runs serial BFSes concurrently, in rounds of one pivot per
-// worker, each traversal into its worker's row by a one-worker Runner on
-// the worker's own pooled scratch, pinned top-down like the bfs.Serial it
-// replaced. With s ≥ workers this keeps every core busy without per-level
-// barriers.
+// randomPhase draws the pivots and runs serial BFSes concurrently, in
+// rounds of one pivot per worker, each traversal into its worker's row by
+// a one-worker Runner on the worker's own pooled scratch, pinned top-down
+// like the bfs.Serial it replaced. With s ≥ workers this keeps every core
+// busy without per-level barriers. The rows are widened and emitted in
+// pivot order after each round; ctx is checked before every round.
 func randomPhase(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int, start int32, sc *Scratch, emit Emit, t timer) (PhaseStats, error) {
-	st := PhaseStats{Sources: make([]int32, s)}
-	dists := sc.rows(g.NumV, min(bud.Workers(), s))
-	runners := make([]*bfs.Runner, len(dists))
-	for len(sc.travs) < len(dists) {
-		sc.travs = append(sc.travs, &bfs.Scratch{})
-	}
-	for k := range runners {
-		runners[k] = bfs.NewRunner(g, bfs.Options{ForceTopDown: true}, sc.travs[k], parallel.FixedBudget(1))
-	}
-	// Round worker k traverses pivot lo+k; the closure is built once.
-	var lo int
-	one := func(k, _, _ int) { runners[k].Distances(st.Sources[lo+k], dists[k]) }
-	err := rounds(ctx, bud, g, start, sc, emit, t, st.Sources, dists, func(l, hi int) {
-		lo = l
-		parallel.ForBlockIndexed(hi-lo, hi-lo, one)
-		st.ScannedEdges += int64(hi-lo) * int64(len(g.Adj))
-	})
-	return st, err
-}
-
-// randomMSPhase draws random pivots like randomPhase but traverses them in
-// batches of 64 with the bit-parallel multi-source BFS, sharing adjacency
-// scans across all searches in a batch. With a scratch the batch distance
-// rows, the pivot permutation, and the traversal masks all come from
-// pooled buffers, so the steady-state phase performs no O(n) allocations.
-func randomMSPhase(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int, start int32, opt bfs.Options, sc *Scratch, emit Emit, t timer) (PhaseStats, error) {
-	if sc.trav == nil {
-		sc.trav = &bfs.Scratch{} // MSBFS sizes only its mask slabs
-	}
-	st := PhaseStats{
-		Sources:   make([]int32, s),
-		Traversal: make([]bfs.Stats, 0, (s+63)/64),
-	}
-	rows := sc.rows(g.NumV, min(64, s))
-	err := rounds(ctx, bud, g, start, sc, emit, t, st.Sources, rows, func(lo, hi int) {
-		ms := bfs.MSBFS(bud, g, st.Sources[lo:hi], rows[:hi-lo], sc.trav, opt)
-		st.Traversal = append(st.Traversal, ms)
-		st.ScannedEdges += ms.ScannedEdges
-	})
-	return st, err
-}
-
-// rounds is the random strategies' one loop: it draws the pivots into
-// sources, then runs them in rounds of len(rows), where traverse(lo, hi)
-// fills rows[:hi-lo] with pivots lo..hi-1's distances, and widens and
-// emits each row in pivot order. ctx is checked before every round.
-func rounds(ctx context.Context, bud parallel.Budget, g *graph.CSR, start int32, sc *Scratch, emit Emit, t timer, sources []int32, rows [][]int32, traverse func(lo, hi int)) error {
 	n := g.NumV
+	st := PhaseStats{Sources: make([]int32, s)}
+	sources := st.Sources
 	t(phase.BFSOther, func() { drawSources(sc, n, start, sources) })
+	rows := sc.rows(n, min(bud.Workers(), s))
+	runners := sc.bindRunners(g, len(rows))
+	defer sc.bindRunners(nil, len(rows))
 	sc.col = grow(sc.col, n)
 	col := sc.col
-	// The closures are built once and read lo, hi and i as the loop moves.
+	// The closures are built once and read lo, hi and i as the loop
+	// moves: round worker k traverses pivot lo+k.
 	var lo, hi, i int
-	round := func() { traverse(lo, hi) }
+	one := func(k, _, _ int) { runners[k].Distances(sources[lo+k], rows[k]) }
+	round := func() { parallel.ForBlockIndexed(hi-lo, hi-lo, one) }
 	widen := func() { linalg.Int32ToFloat64Budget(bud, col, rows[i-lo]) }
-	for lo = 0; lo < len(sources); lo = hi {
+	for lo = 0; lo < s; lo = hi {
 		if err := ctx.Err(); err != nil {
-			return err
+			return st, err
 		}
-		hi = min(lo+len(rows), len(sources))
+		hi = min(lo+len(rows), s)
 		t(phase.BFSTraversal, round)
+		st.ScannedEdges += int64(hi-lo) * int64(len(g.Adj))
 		for i = lo; i < hi; i++ {
 			t(phase.BFSOther, widen)
 			if err := emit(i, col); err != nil {
-				return err
+				return st, err
 			}
 		}
 	}
-	return nil
+	return st, nil
+}
+
+// bindRunners binds the first k pooled one-worker top-down runners to g,
+// building the ones the pool lacks, and returns them; a nil g unbinds
+// them, so the pooled scratch keeps no graph alive between phases.
+func (sc *Scratch) bindRunners(g *graph.CSR, k int) []*bfs.Runner {
+	for len(sc.runners) < k {
+		sc.runners = append(sc.runners, bfs.NewRunner(g, bfs.Options{ForceTopDown: true}, nil, parallel.FixedBudget(1)))
+	}
+	for _, r := range sc.runners[:k] {
+		r.Bind(g)
+	}
+	return sc.runners[:k]
 }

@@ -87,31 +87,42 @@ func TestKCentersSourcesOnPath(t *testing.T) {
 	}
 }
 
+// TestRandomPhaseDistancesCorrect: every random-phase column is the
+// bfs.Serial column of its pivot, under worker budgets 1 to 4, on a kron
+// graph (s = 70 > 64), a road network and a 3-D mesh, and the pivots are
+// start followed by distinct vertices.
 func TestRandomPhaseDistancesCorrect(t *testing.T) {
-	g := gen.Kron(9, 8, 4)
-	s := 6
-	b := linalg.NewDense(g.NumV, s)
-	ps := phaseInto(bud4, g, b, 7, Random, bfs.Options{})
-	if len(ps.Sources) != s {
-		t.Fatalf("%d sources", len(ps.Sources))
-	}
-	if ps.Sources[0] != 7 {
-		t.Fatalf("start vertex %d, want 7", ps.Sources[0])
-	}
-	seen := map[int32]bool{}
-	for _, src := range ps.Sources {
-		if seen[src] {
-			t.Fatalf("repeated pivot %d", src)
-		}
-		seen[src] = true
-	}
-	want := make([]int32, g.NumV)
-	for i, src := range ps.Sources {
-		bfs.Serial(g, src, want)
-		col := b.Col(i)
-		for j := range want {
-			if col[j] != float64(want[j]) {
-				t.Fatalf("random phase column %d wrong at %d", i, j)
+	for _, c := range []struct {
+		name  string
+		g     *graph.CSR
+		s     int
+		start int32
+	}{
+		{"kron", gen.Kron(9, 8, 4), 70, 7},
+		{"road", gen.Road(40, 40, 3), 12, 5},
+		{"mesh3d", gen.Mesh3D(8, 7, 6), 20, 9},
+	} {
+		g := c.g
+		want := make([]int32, g.NumV)
+		for w := 1; w <= 4; w++ {
+			b := linalg.NewDense(g.NumV, c.s)
+			ps := phaseInto(parallel.FixedBudget(w), g, b, c.start, Random, bfs.Options{})
+			if len(ps.Sources) != c.s || ps.Sources[0] != c.start {
+				t.Fatalf("%s/%dw: %d sources starting %d, want %d starting %d", c.name, w, len(ps.Sources), ps.Sources[0], c.s, c.start)
+			}
+			seen := map[int32]bool{}
+			for i, src := range ps.Sources {
+				if seen[src] {
+					t.Fatalf("%s/%dw: repeated pivot %d", c.name, w, src)
+				}
+				seen[src] = true
+				bfs.Serial(g, src, want)
+				col := b.Col(i)
+				for j := range want {
+					if col[j] != float64(want[j]) {
+						t.Fatalf("%s/%dw: column %d (src %d) wrong at %d: %g vs %d", c.name, w, i, src, j, col[j], want[j])
+					}
+				}
 			}
 		}
 	}
@@ -176,96 +187,6 @@ func TestRandomPhaseMoreSourcesThanVertices(t *testing.T) {
 	}
 }
 
-var _ = graph.CSR{} // keep the import for fixture helpers extended later
-
-func TestRandomMSPhaseDistancesCorrect(t *testing.T) {
-	g := gen.Kron(9, 8, 4)
-	s := 70 // exercises two MSBFS batches
-	b := linalg.NewDense(g.NumV, s)
-	ps := phaseInto(bud4, g, b, 3, RandomMS, bfs.Options{})
-	if len(ps.Sources) != s || ps.Sources[0] != 3 {
-		t.Fatalf("sources %v", ps.Sources[:3])
-	}
-	want := make([]int32, g.NumV)
-	for _, i := range []int{0, 33, 69} {
-		bfs.Serial(g, ps.Sources[i], want)
-		col := b.Col(i)
-		for j := range want {
-			if col[j] != float64(want[j]) {
-				t.Fatalf("msbfs phase column %d wrong at %d: %g vs %d", i, j, col[j], want[j])
-			}
-		}
-	}
-	if RandomMS.String() != "random-msbfs" {
-		t.Fatal("strategy name")
-	}
-	// The phase records one Stats entry per 64-source batch (70 pivots →
-	// 2 batches) for the observability rollups.
-	if len(ps.Traversal) != 2 {
-		t.Fatalf("traversal stats entries = %d, want 2", len(ps.Traversal))
-	}
-	var steps int
-	for _, st := range ps.Traversal {
-		steps += st.TopDownSteps + st.BottomUpSteps
-		if st.ScannedEdges <= 0 {
-			t.Fatalf("batch recorded no scanned edges: %+v", st)
-		}
-	}
-	if steps <= 0 {
-		t.Fatal("no direction steps recorded")
-	}
-}
-
-func TestRandomMSForceTopDownMatchesDefault(t *testing.T) {
-	// bfs.Options flow through to the multi-source engine: ForceTopDown
-	// must keep columns bitwise identical while running zero bottom-up
-	// steps.
-	g := gen.Kron(9, 8, 6)
-	s := 40
-	b1 := linalg.NewDense(g.NumV, s)
-	b2 := linalg.NewDense(g.NumV, s)
-	p1 := phaseInto(bud4, g, b1, 5, RandomMS, bfs.Options{})
-	p2 := phaseInto(bud4, g, b2, 5, RandomMS, bfs.Options{ForceTopDown: true})
-	for i := range b1.Data {
-		if b1.Data[i] != b2.Data[i] {
-			t.Fatal("ForceTopDown changed the distance matrix")
-		}
-	}
-	for _, st := range p2.Traversal {
-		if st.BottomUpSteps != 0 {
-			t.Fatalf("ForceTopDown phase ran bottom-up: %+v", st)
-		}
-	}
-	var bu int
-	for _, st := range p1.Traversal {
-		bu += st.BottomUpSteps
-	}
-	if bu == 0 {
-		t.Fatal("default phase never switched bottom-up on kron")
-	}
-}
-
-func TestRandomMSMatchesRandomPhase(t *testing.T) {
-	// Same seed → same pivot set; distance columns must agree between the
-	// serial-concurrent and bit-parallel engines.
-	g := gen.Grid2D(20, 20)
-	s := 10
-	b1 := linalg.NewDense(g.NumV, s)
-	b2 := linalg.NewDense(g.NumV, s)
-	p1 := phaseInto(bud4, g, b1, 7, Random, bfs.Options{})
-	p2 := phaseInto(bud4, g, b2, 7, RandomMS, bfs.Options{})
-	for i := range p1.Sources {
-		if p1.Sources[i] != p2.Sources[i] {
-			t.Fatalf("pivot sets diverge at %d", i)
-		}
-	}
-	for i := range b1.Data {
-		if b1.Data[i] != b2.Data[i] {
-			t.Fatal("distance matrices diverge")
-		}
-	}
-}
-
 // TestKCentersPhaseBudgetInvariance: the k-centers phase — pivots,
 // distance matrix and every traversal's Stats — is the same under worker
 // budgets 1, 2 and 4, on a road network (thousands of levels below the
@@ -300,7 +221,7 @@ func TestKCentersPhaseBudgetInvariance(t *testing.T) {
 // scratch every stream before it has dirtied. This is what lets ParHDE
 // stream without ever storing the distance matrix.
 func TestStreamMatchesMaterialized(t *testing.T) {
-	const s, start = 70, 11 // 70 pivots: two MSBFS batches, two Random rounds or more
+	const s, start = 70, 11 // 70 pivots: 35 Random rounds on two workers
 	bud := parallel.FixedBudget(2)
 	grid := gen.Grid2D(40, 50) // dependent corner columns: the drop path runs
 	weighted := gen.WithRandomWeights(gen.Road(40, 40, 3), 9, 5)
@@ -312,7 +233,6 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 	}{
 		{"kcenters", grid, KCenters},
 		{"random", grid, Random},
-		{"random-ms", grid, RandomMS},
 		{"weighted", weighted, KCenters},
 	} {
 		for _, method := range []ortho.Method{ortho.MGS, ortho.CGS} {
@@ -379,7 +299,7 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 func TestStreamStopsOnError(t *testing.T) {
 	g := gen.Grid2D(20, 20)
 	stop := errors.New("stop")
-	for _, strat := range []Strategy{KCenters, Random, RandomMS} {
+	for _, strat := range []Strategy{KCenters, Random} {
 		var trav int
 		count := func(p phase.ID, f func()) {
 			if p == phase.BFSTraversal {
@@ -394,11 +314,9 @@ func TestStreamStopsOnError(t *testing.T) {
 				}
 				return nil
 			}, count)
-		// Random runs one BFS per round on one worker; RandomMS traverses
-		// all five pivots in one batch.
-		want := map[Strategy]int{KCenters: 2, Random: 2, RandomMS: 1}[strat]
-		if !errors.Is(err, stop) || trav != want {
-			t.Fatalf("%v: error %v after %d traversals, want %v after %d", strat, err, trav, stop, want)
+		// Random runs one BFS per round on one worker.
+		if !errors.Is(err, stop) || trav != 2 {
+			t.Fatalf("%v: error %v after %d traversals, want %v after 2", strat, err, trav, stop)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()

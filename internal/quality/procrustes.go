@@ -16,6 +16,7 @@ import (
 // the invariances of spectral layouts, whose axes are defined only up to
 // sign and rotation within eigenspaces. This makes "ParHDE captures the
 // same structure as the spectral drawing" (Figure 1) a measurable claim.
+// A non-finite coordinate in either layout is an error.
 func ProcrustesDistance(a, b *core.Layout, allowReflection bool) (float64, error) {
 	if a.NumVertices() != b.NumVertices() {
 		return 0, fmt.Errorf("quality: layouts have %d and %d vertices", a.NumVertices(), b.NumVertices())
@@ -24,6 +25,13 @@ func ProcrustesDistance(a, b *core.Layout, allowReflection bool) (float64, error
 		return 0, fmt.Errorf("quality: Procrustes alignment implemented for 2-D layouts")
 	}
 	n := a.NumVertices()
+	for _, l := range []*core.Layout{a, b} {
+		for i, x := range l.X() {
+			if !finite(x, l.Y()[i]) {
+				return 0, fmt.Errorf("quality: vertex %d has non-finite coordinates (%g, %g)", i, x, l.Y()[i])
+			}
+		}
+	}
 	ax, ay := normalize2D(a)
 	bx, by := normalize2D(b)
 

@@ -83,13 +83,18 @@ func graphKNearest(g *graph.CSR, v int32, k int, dist []int32) map[int32]bool {
 }
 
 // layoutKNearest returns the k vertices closest to v in the drawing,
-// via a uniform grid over the unit-normalized coordinates.
+// via a uniform grid over the coordinates normalized by their finite
+// bounding box. A vertex with a non-finite coordinate is drawn nowhere:
+// it stays out of the grid, so it moves no other vertex's cell, and has
+// no drawn neighbours itself.
 func layoutKNearest(l *core.Layout, v int32, k int) map[int32]bool {
 	n := l.NumVertices()
 	x, y := l.X(), l.Y()
-	// Normalize bounds for binning.
-	minX, maxX := minMax(x)
-	minY, maxY := minMax(y)
+	if !finite(x[v], y[v]) {
+		return nil
+	}
+	minX, maxX := core.FiniteBounds(x)
+	minY, maxY := core.FiniteBounds(y)
 	spanX := maxX - minX
 	spanY := maxY - minY
 	if spanX == 0 {
@@ -109,6 +114,9 @@ func layoutKNearest(l *core.Layout, v int32, k int) map[int32]bool {
 	}
 	grid := make(map[[2]int][]int32, n/4)
 	for u := int32(0); int(u) < n; u++ {
+		if !finite(x[u], y[u]) {
+			continue
+		}
 		cx, cy := cellOf(u)
 		grid[[2]int{cx, cy}] = append(grid[[2]int{cx, cy}], u)
 	}
@@ -227,17 +235,9 @@ func SampledStress(g *graph.CSR, l *core.Layout, sources int, seed uint64) float
 	return (float64(pairs) - swdr*swdr/swrr) / float64(pairs)
 }
 
-func minMax(v []float64) (float64, float64) {
-	mn, mx := math.Inf(1), math.Inf(-1)
-	for _, x := range v {
-		if x < mn {
-			mn = x
-		}
-		if x > mx {
-			mx = x
-		}
-	}
-	return mn, mx
+// finite reports whether both coordinates of a point are finite.
+func finite(x, y float64) bool {
+	return !math.IsInf(x, 0) && !math.IsNaN(x) && !math.IsInf(y, 0) && !math.IsNaN(y)
 }
 
 func maxAbs(a, b int) int {

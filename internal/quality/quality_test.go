@@ -59,6 +59,31 @@ func TestNeighborhoodPreservationEdgeCases(t *testing.T) {
 	}
 }
 
+// TestNeighborhoodPreservationIgnoresNonFinite: one vertex drawn at
+// infinity (or NaN) is left out of the layout grid, which is binned by
+// the finite bounding box, so the score stays that of the finite drawing
+// (the vertex itself, if sampled, counts as preserving nothing). Binned
+// over every value, one +Inf x squeezed every other vertex into one
+// column of cells and the score fell from 0.74 to 0.52.
+func TestNeighborhoodPreservationIgnoresNonFinite(t *testing.T) {
+	g := gen.Grid2D(30, 30)
+	l, _, err := core.ParHDE(g, core.Options{Subspace: 10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := NeighborhoodPreservation(g, l, 8, 200, 7)
+	for _, bad := range []struct {
+		v   int
+		val float64
+	}{{0, math.Inf(1)}, {451, math.Inf(-1)}, {899, math.NaN()}} {
+		m := l.Clone()
+		m.X()[bad.v] = bad.val
+		if got := NeighborhoodPreservation(g, m, 8, 200, 7); math.Abs(got-want) > 0.01 {
+			t.Errorf("x[%d] = %g: preservation %.3f, finite layout %.3f", bad.v, bad.val, got, want)
+		}
+	}
+}
+
 func TestProcrustesIdentityAndRotation(t *testing.T) {
 	g := gen.Grid2D(10, 10)
 	lay, _, err := core.ParHDE(g, core.Options{Subspace: 8, Seed: 1})
@@ -136,6 +161,25 @@ func TestProcrustesErrors(t *testing.T) {
 // TestSampledStressMatchesPairwise checks the closed-form sum against the
 // per-pair definition (1/|P|) Σ w(d − αr)² with every vertex a source,
 // and that a path drawn on a line has zero stress.
+// TestProcrustesNonFiniteIsError: a non-finite coordinate in either
+// layout is an error, not a NaN distance.
+func TestProcrustesNonFiniteIsError(t *testing.T) {
+	g := gen.Grid2D(30, 30)
+	l, _, err := core.ParHDE(g, core.Options{Subspace: 10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, val := range []float64{math.Inf(1), math.NaN()} {
+		bad := l.Clone()
+		bad.X()[0] = val
+		for _, pair := range [][2]*core.Layout{{l, bad}, {bad, l}} {
+			if d, err := ProcrustesDistance(pair[0], pair[1], true); err == nil {
+				t.Errorf("x[0] = %g: distance %g with no error", val, d)
+			}
+		}
+	}
+}
+
 func TestSampledStressMatchesPairwise(t *testing.T) {
 	g := gen.PlateWithHoles(12, 12)
 	l := core.RandomLayout(g.NumV, 2, 5)

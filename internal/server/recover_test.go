@@ -130,7 +130,7 @@ func TestPatchedGraphSurvivesRestart(t *testing.T) {
 	if _, ok := after["doomed"]; ok {
 		t.Error("a deleted graph came back")
 	}
-	g, _ := s2.Catalog().Get("proj7")
+	g, _ := s2.cat.Get("proj7")
 	if g.HasEdge(0, 1) || !g.HasEdge(0, 24) || !g.HasEdge(26, 27) || g.Degree(12) != 1 {
 		t.Error("proj7 came back with the right counts and the wrong edges")
 	}

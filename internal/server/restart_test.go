@@ -104,7 +104,7 @@ func TestWorkerRestartRecoversJobs(t *testing.T) {
 	defer ts2.Close()
 
 	for _, name := range []string{"ga", "gb"} {
-		if _, ok := s2.Catalog().Get(name); !ok {
+		if _, ok := s2.cat.Get(name); !ok {
 			t.Fatalf("graph %q not restored after restart", name)
 		}
 	}
@@ -119,7 +119,7 @@ func TestWorkerRestartRecoversJobs(t *testing.T) {
 		cur := readJournal(t, dir)
 		left, done := len(cur.Pending), len(cur.Results)
 		busy := false
-		for _, st := range s2.Jobs().List() {
+		for _, st := range s2.eng.List() {
 			if st.State == "queued" || st.State == "running" {
 				busy = true
 			}
@@ -235,13 +235,13 @@ func TestRestartRetiresClosedRouteIntent(t *testing.T) {
 	if resp, _ := doReq(t, "GET", ts.URL+"/healthz"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("restarted worker /healthz: %d", resp.StatusCode)
 	}
-	if _, ok := s.Catalog().Get("web"); ok {
+	if _, ok := s.cat.Get("web"); ok {
 		t.Fatal("a graphs/ snapshot of an older version was loaded")
 	}
 	if _, err := os.Stat(oldSnapshot); err != nil {
 		t.Fatalf("the ignored snapshot was touched: %v", err)
 	}
-	list := s.Jobs().List()
+	list := s.eng.List()
 	if len(list) != 3 {
 		t.Fatalf("replayed jobs = %+v, want the three ParHDE intents", list)
 	}
@@ -313,8 +313,8 @@ func TestUnwritableDataDirCostsFramesNotJobs(t *testing.T) {
 	id := submitJob(t, ts.URL, DefaultGraph, 8)
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		j, ok := s.Jobs().Get(id)
-		if ok && j.State() == jobs.StateDone {
+		j, ok := s.eng.Get(id)
+		if ok && j.Status().State == jobs.StateDone.String() {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -399,7 +399,7 @@ func TestRenderETagRevalidation(t *testing.T) {
 // of the previous boot from earning a 304 for the new graph's bytes.
 func TestPreRestartETagGetsFreshBytes(t *testing.T) {
 	opt := core.Options{Subspace: 4, Seed: 1}
-	old, err := New(gen.Grid2D(6, 6), opt)
+	old, err := NewWithConfig(gen.Grid2D(6, 6), opt, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func TestPreRestartETagGetsFreshBytes(t *testing.T) {
 	oldTS.Close()
 	old.Close()
 
-	restarted, err := New(gen.Grid2D(7, 7), opt)
+	restarted, err := NewWithConfig(gen.Grid2D(7, 7), opt, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

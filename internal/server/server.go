@@ -210,12 +210,6 @@ type Server struct {
 	ready atomic.Bool
 }
 
-// New computes the global layout of g and returns a ready-to-serve
-// Server with the default Config.
-func New(g *graph.CSR, opt core.Options) (*Server, error) {
-	return NewWithConfig(g, opt, Config{})
-}
-
 // NewWithConfig computes the global layout of g, registers it as the
 // pinned catalog entry "default", and returns a ready-to-serve Server
 // with the job engine running. The layout-quality sweep for /stats runs
@@ -414,14 +408,8 @@ func (s *Server) Report() *core.Report {
 	return nil
 }
 
-// Metrics returns the server's metric registry (also served on /metrics).
-func (s *Server) Metrics() *obs.Registry { return s.reg }
-
 // Catalog returns the server's graph catalog.
 func (s *Server) Catalog() *catalog.Catalog { return s.cat }
-
-// Jobs returns the server's layout job engine.
-func (s *Server) Jobs() *jobs.Engine { return s.eng }
 
 // routes are the label values the access-log middleware may emit; every
 // other path collapses into a prefix family or "other" to bound metric

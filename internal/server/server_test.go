@@ -103,7 +103,7 @@ func TestZoomPNGAndValidation(t *testing.T) {
 
 func TestZoomCaching(t *testing.T) {
 	g := gen.Grid2D(15, 15)
-	s, err := New(g, core.Options{Subspace: 6, Seed: 2})
+	s, err := NewWithConfig(g, core.Options{Subspace: 6, Seed: 2}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

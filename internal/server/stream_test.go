@@ -276,7 +276,7 @@ func TestRenderCacheBoundedOverPatchCycles(t *testing.T) {
 			t.Fatalf("cycle %d: render_cache_entries = %d with %d tiles current: superseded tiles are kept", i, n, len(reads))
 		}
 	}
-	if hits := s.Metrics().Counter("render_cache_evictions_total").Value(); hits != 0 {
+	if hits := s.reg.Counter("render_cache_evictions_total").Value(); hits != 0 {
 		t.Fatalf("%d budget evictions: the cache was bounded by its budget, not by the drop", hits)
 	}
 }
@@ -503,7 +503,7 @@ func TestWarmInstallMetrics(t *testing.T) {
 		if v, _, _ := s.viewOf("default"); v.report == nil || v.report.Warm != warm {
 			t.Fatalf("job %s installed report %+v, want warm=%v", id, v.report, warm)
 		}
-		j, ok := s.Jobs().Get(id)
+		j, ok := s.eng.Get(id)
 		if !ok {
 			t.Fatalf("job %s not retained", id)
 		}
@@ -545,7 +545,7 @@ func TestPhaseGaugesFollowInstall(t *testing.T) {
 	id := submitJob(t, ts.URL, "default", 8)
 	waitJobState(t, ts.URL, id, "done")
 	c.next(t) // wait for the install
-	j, ok := s.Jobs().Get(id)
+	j, ok := s.eng.Get(id)
 	if !ok {
 		t.Fatalf("job %s not retained", id)
 	}

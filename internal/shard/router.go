@@ -262,7 +262,8 @@ func (rt *Router) owner(name string) *peer {
 }
 
 // Workers returns the last-probed worker id for each peer URL (peers
-// never probed successfully map to ""). Tests and /shardz use it.
+// never probed successfully map to ""): the ids /shardz reports per
+// peer, which reads them itself. Only tests call it.
 func (rt *Router) Workers() map[string]string {
 	out := map[string]string{}
 	for u, p := range rt.peers {

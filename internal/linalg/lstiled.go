@@ -79,21 +79,21 @@ func (x lsArgs) fuse(w, lo, hi int) {
 // pc.Len()). It returns S row-major, in the store's memory: the store is
 // first rewritten in place by RowMajorBudget, which empties it. The walk
 // takes AtBPackedBudget's tile grid; per PackRows chunk of a tile it runs
-// fusedRows into the column-packed P region of the worker's arena slot,
-// gathers the chunk's S rows into its column-packed S region, and extends
-// the upper triangle of the tile's SᵀP partial (partials: capacity ≥
-// parallel.ReduceBlocks(n)·k², grown when short) by atbSweep over the two.
-// Z = SᵀLS is symmetric, so the blocks wholly below the diagonal are
-// skipped and, once the partials are combined, the strict upper triangle
-// is mirrored onto the lower one. Every element of P and of each upper
-// partial adds the products of LapMulDenseTiledPackedBudget and
+// fusedRows into the column-packed P chunk of the worker's arena slot and
+// extends the tile's SᵀP partial (partials: capacity ≥
+// parallel.ReduceBlocks(n)·k², grown when short) by stpSweep over that
+// chunk and the chunk's rows of srm. Z = SᵀLS is symmetric, so only the
+// elements on or above the diagonal, and the one below it in each column
+// pair, are swept and, once the partials are combined, the strict upper
+// triangle is mirrored onto the lower one. Every element of P and of each
+// upper partial adds the products of LapMulDenseTiledPackedBudget and
 // AtBPackedBudget in the same order, and the partials are combined in
 // tile order, so Z's upper triangle equals that two-pass product bit for
 // bit under every budget, Z is exactly symmetric, and P never outlives a
 // chunk. srm is what MulSmallRowMajorBudget projects. z receives Z
 // (allocated when nil); arena may be nil. lsShare is the L·S half's
 // fraction of the workers' time (the in-place transpose, fusedRows); the
-// S gathers, the SᵀP sweeps, the combine and the mirror are the rest.
+// SᵀP sweeps, the combine and the mirror are the rest.
 func TripleProdBudget(bud parallel.Budget, g *graph.CSR, deg []float64, pc *PackedCols, first int, z *Dense, partials []float64, arena *PackArena) (_ *Dense, srm []float64, lsShare float64) {
 	n, k := pc.n, pc.k-first
 	if n != g.NumV {
@@ -114,12 +114,13 @@ func TripleProdBudget(bud parallel.Budget, g *graph.CSR, deg []float64, pc *Pack
 	srm = pc.RowMajorBudget(bud, first, arena)
 	// Every worker spends the transpose's span in it.
 	ls := time.Since(start) * time.Duration(workers)
-	// A chunk holds at most min(PackRows, n) rows: a small graph gets
-	// small slots.
-	rows := min(PackRows, n)
-	arena.Ensure(workers, 2*rows*k)
+	// A slot holds one chunk of P, at most min(PackRows, n) rows (a small
+	// graph gets small slots), its columns packColPad floats further apart
+	// than that: at 512 rows an unpadded column stride is 4 KiB, and a
+	// vertex's k stores would all land in one L1 set.
+	arena.Ensure(workers, (min(PackRows, n)+packColPad)*k)
 	arena.track(workers)
-	parallel.Tiles(workers, n, tiles, tripleProd{g: g, deg: deg, srm: srm, panels: panels, arena: arena, k: k, rows: rows}, tripleProd.walkTile)
+	parallel.Tiles(workers, n, tiles, tripleProd{g: g, deg: deg, srm: srm, panels: panels, arena: arena, k: k}, tripleProd.walkTile)
 	var atb time.Duration
 	for w := 0; w < workers; w++ {
 		ls, atb = ls+arena.busy[2*w], atb+arena.busy[2*w+1]
@@ -147,12 +148,12 @@ type tripleProd struct {
 	panels   []float64  // per-tile k×k SᵀP partials
 	arena    *PackArena // worker slots and busy times
 	k        int
-	rows     int // chunk height bound: the offset of a slot's S region, in rows
 }
 
 // walkTile writes tile t's panel Σ_{r∈[lo,hi)} S_r·(L·S)_rᵀ, one PackRows
-// chunk of P and of S at a time through worker w's arena slot, and charges
-// w the time of its L·S and SᵀP halves.
+// chunk of P at a time through worker w's arena slot, the SᵀP sweep
+// reading the chunk's S rows straight from srm, and charges w the time of
+// its L·S and SᵀP halves.
 func (tp tripleProd) walkTile(w, t, lo, hi int) {
 	k, slot := tp.k, tp.arena.slot(w)
 	out := tp.panels[t*k*k : (t+1)*k*k]
@@ -161,12 +162,10 @@ func (tp tripleProd) walkTile(w, t, lo, hi int) {
 	t0 := time.Now()
 	for r0 := lo; r0 < hi; r0 += PackRows {
 		r1 := min(r0+PackRows, hi)
-		p := strided{slot, r1 - r0, r1 - r0}
-		s := strided{slot[tp.rows*k:], r1 - r0, r1 - r0}
+		p := strided{slot, r1 - r0 + packColPad, r1 - r0}
 		tp.arena.gathers[w] += fusedRows(tp.g, tp.deg, tp.srm, p, r0, r1, k)
 		t1 := time.Now()
-		unpackRowMajor(s, tp.srm[r0*k:r1*k], k)
-		atbSweep(s, p, k, k, out, true)
+		stpSweep(tp.srm[r0*k:r1*k], p, k, out)
 		t2 := time.Now()
 		ls, atb, t0 = ls+t1.Sub(t0), atb+t2.Sub(t1), t2
 	}
@@ -190,16 +189,16 @@ func packRowMajor(src strided, srm []float64, lo, cols int) {
 	}
 }
 
-// fusedRows computes rows [lo, hi) of the product L·S over the row-major
-// pack srm into the column view dst, whose row 0 is vertex lo:
+// fusedRowsGo computes rows [lo, hi) of the product L·S over the
+// row-major pack srm into the column view dst, whose row 0 is vertex lo:
 // dst_i = deg_i·srm_i − Σ_{u∈adj(i)} w_iu·srm_u. Each vertex's adjacency
 // is walked once per 8-, 4- or 1-column chunk with that chunk's sums in
 // register locals, so an edge costs one load-add per column instead of a
 // load-add-store through dst. The accumulation order per element matches
 // LapMulVecBudget exactly (from zero, adjacency order, degree term last).
 // It returns the neighbour rows it gathered, one per adjacency entry per
-// chunk.
-func fusedRows(g *graph.CSR, deg, srm []float64, dst strided, lo, hi, cols int) (gathers int64) {
+// chunk. It is fusedRows off amd64 and the oracle of the SSE2 walk.
+func fusedRowsGo(g *graph.CSR, deg, srm []float64, dst strided, lo, hi, cols int) (gathers int64) {
 	st := dst.stride
 	for i := lo; i < hi; i++ {
 		o0, o1 := g.Offsets[i], g.Offsets[i+1]
@@ -303,13 +302,65 @@ func adjSum1(adj []int32, wts, srm []float64, cols, c int) (s float64) {
 	return
 }
 
-// unpackRowMajor transposes the row-major chunk prm (dst.h rows of cols
-// floats) into the cols columns of dst.
-func unpackRowMajor(dst strided, prm []float64, cols int) {
-	for j := 0; j < cols; j++ {
-		col := dst.col(j)
-		for i := range col {
-			col[i] = prm[i*cols+j]
+// stpSweepGo extends the k×k column-major SᵀP panel out[j·k+i] by
+// Σ_r s[r·k+i]·p_j[r] over the rows of the row-major chunk s and the
+// column view p of the matching P chunk. Column pair (j, j+1) takes rows
+// i < j+2, so a pair sweeps the diagonal block and the one element below
+// it; a lone last column (odd k) takes rows i ≤ j. Every element is
+// loaded, extended by one product per row in ascending row order and
+// stored back, so feeding a tile through chunk by chunk performs the
+// additions of one full-range AᵀB sweep. It is stpSweep off amd64 and the
+// oracle of the SSE2 sweep.
+func stpSweepGo(s []float64, p strided, k int, out []float64) {
+	if p.h == 0 {
+		return
+	}
+	s = s[:p.h*k]
+	for j := 0; j < k; j += 2 {
+		p0, o0 := p.col(j), out[j*k:(j+1)*k]
+		if j+1 == k {
+			for i := range o0 {
+				o0[i] = stpDot(s[i:], k, p0, o0[i])
+			}
+			break
+		}
+		p1, o1 := p.col(j+1), out[(j+1)*k:(j+2)*k]
+		top, i := j+2, 0
+		for ; i+4 <= top; i += 4 {
+			stp4x2Go(s[i:], k, p0, p1, o0[i:i+4], o1[i:i+4])
+		}
+		for ; i < top; i++ {
+			o0[i], o1[i] = stpDot(s[i:], k, p0, o0[i]), stpDot(s[i:], k, p1, o1[i])
 		}
 	}
+}
+
+// stp4x2Go extends o0[0:4] and o1[0:4] by the products of the four
+// row-major S columns at s[0:4] (rows k apart) with p0 and p1, each
+// accumulator in a register local.
+func stp4x2Go(s []float64, k int, p0, p1, o0, o1 []float64) {
+	c00, c10, c20, c30 := o0[0], o0[1], o0[2], o0[3]
+	c01, c11, c21, c31 := o1[0], o1[1], o1[2], o1[3]
+	p1 = p1[:len(p0)]
+	for r, x0 := range p0 {
+		a, x1 := s[r*k:][:4], p1[r]
+		c00 += a[0] * x0
+		c01 += a[0] * x1
+		c10 += a[1] * x0
+		c11 += a[1] * x1
+		c20 += a[2] * x0
+		c21 += a[2] * x1
+		c30 += a[3] * x0
+		c31 += a[3] * x1
+	}
+	o0[0], o0[1], o0[2], o0[3] = c00, c10, c20, c30
+	o1[0], o1[1], o1[2], o1[3] = c01, c11, c21, c31
+}
+
+// stpDot returns c + Σ_r s[r·k]·p[r], one product at a time.
+func stpDot(s []float64, k int, p []float64, c float64) float64 {
+	for r, x := range p {
+		c += s[r*k] * x
+	}
+	return c
 }

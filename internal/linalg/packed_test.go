@@ -102,9 +102,10 @@ func TestAtBPackedBudgetInvariance(t *testing.T) {
 }
 
 // lsColCounts are the L·S column counts the bitwise suites run: every
-// remainder of the kernel's 8-, 4- and 1-column chunks, alone and after
-// one or more full 8-column chunks, up to the s = 64 of mesh_ms64.
-var lsColCounts = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 20, 57, 64}
+// remainder of the Go kernel's 8-, 4- and 1-column chunks, alone and after
+// one or more full 8-column chunks, the SSE2 kernel's single 28-column
+// walk and its first two-walk width, up to the s = 64 of mesh_ms64.
+var lsColCounts = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 20, 28, 29, 57, 64}
 
 // lsGraphs are the L·S suites' graphs: a skewed-degree kron component,
 // unweighted and with integer weights, large enough (> 2·MinGrain rows)
@@ -307,6 +308,10 @@ func FuzzPackedColsEquivalence(f *testing.F) {
 	f.Add(37, 3*PanelCols, int64(2))
 	f.Add(parallel.TileRows+1, 2*PanelCols+7, int64(3))
 	f.Add(2*parallel.TileRows+317, PanelCols+5, int64(4))
+	// Odd row counts: the SSE2 multi-axpy's last row runs alone.
+	f.Add(1, PanelCols, int64(5))
+	f.Add(PackRows+1, 2*PanelCols+1, int64(6))
+	f.Add(parallel.TileRows+3, 3*PanelCols-1, int64(7))
 	var pc PackedCols // reused across inputs, like a pooled scratch
 	f.Fuzz(func(t *testing.T, n, k int, seed int64) {
 		if n < 0 {

@@ -151,7 +151,7 @@ func (pc *PackedCols) DDotPanelRangeBudget(bud parallel.Budget, j0, j1 int, work
 
 // dotTile fills tile t's panel acc[j−j0] = ⟨col_j, work⟩_D over its rows
 // [lo, hi). The inner products are independent, so columns [j0, j1) are
-// taken four, then two, then one at a time by register kernels; each
+// taken eight, four, two, then one at a time by register kernels; each
 // accumulator still adds one product per row in ascending row order.
 func (pa packArgs) dotTile(_, t, lo, hi int) {
 	pc, j0, j1 := pa.pc, pa.j0, pa.j1
@@ -161,6 +161,10 @@ func (pa packArgs) dotTile(_, t, lo, hi int) {
 		d = d[lo:hi]
 	}
 	j := j0
+	for ; j+PanelCols <= j1; j += PanelCols {
+		dDots8(pc.slot(t, j), pc.slot(t, j+1), pc.slot(t, j+2), pc.slot(t, j+3),
+			pc.slot(t, j+4), pc.slot(t, j+5), pc.slot(t, j+6), pc.slot(t, j+7), work, d, acc[j-j0:])
+	}
 	for ; j+4 <= j1; j += 4 {
 		a := acc[j-j0 : j-j0+4]
 		a[0], a[1], a[2], a[3] = dDot4(pc.slot(t, j), pc.slot(t, j+1), pc.slot(t, j+2), pc.slot(t, j+3), work, d)
@@ -277,10 +281,11 @@ func (pa packArgs) subTile(_, t, lo, hi int) {
 	}
 }
 
-// sub8 is the full-chunk multi-axpy: w ← w − (f0·c0 + … + f7·c7), the
+// sub8Go is the full-chunk multi-axpy: w ← w − (f0·c0 + … + f7·c7), the
 // eight products summed first. The slots are cut to len(w), so the loop
-// carries no bounds checks.
-func sub8(w, f, c0, c1, c2, c3, c4, c5, c6, c7 []float64) {
+// carries no bounds checks. It and sub2Go, sub1Go are sub8, sub2, sub1
+// off amd64 and the oracles of their SSE2 forms.
+func sub8Go(w, f, c0, c1, c2, c3, c4, c5, c6, c7 []float64) {
 	f = f[:PanelCols]
 	f0, f1, f2, f3, f4, f5, f6, f7 := f[0], f[1], f[2], f[3], f[4], f[5], f[6], f[7]
 	c0, c1, c2, c3 = c0[:len(w)], c1[:len(w)], c2[:len(w)], c3[:len(w)]
@@ -291,10 +296,10 @@ func sub8(w, f, c0, c1, c2, c3, c4, c5, c6, c7 []float64) {
 	}
 }
 
-// sub2 is a tail multi-axpy over two columns: one subtraction per column,
-// in column order, on a register copy of each element. A four-column
-// version measured no faster than two sub2 passes.
-func sub2(w, f, c0, c1 []float64) {
+// sub2Go is a tail multi-axpy over two columns: one subtraction per
+// column, in column order, on a register copy of each element. A
+// four-column version measured no faster than two sub2 passes.
+func sub2Go(w, f, c0, c1 []float64) {
 	f = f[:2]
 	f0, f1 := f[0], f[1]
 	c0, c1 = c0[:len(w)], c1[:len(w)]
@@ -305,8 +310,8 @@ func sub2(w, f, c0, c1 []float64) {
 	}
 }
 
-// sub1 is sub2 for one column.
-func sub1(w []float64, f0 float64, c0 []float64) {
+// sub1Go is sub2Go for one column.
+func sub1Go(w []float64, f0 float64, c0 []float64) {
 	c0 = c0[:len(w)]
 	for r := range w {
 		w[r] -= f0 * c0[r]

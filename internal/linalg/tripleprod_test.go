@@ -130,7 +130,8 @@ func TestTripleProdMatchesTwoPass(t *testing.T) {
 }
 
 // FuzzTripleProdEquivalence fuzzes the graph (random edges over n
-// vertices, optionally weighted), the column count and the values of S,
+// vertices, optionally weighted), the column count (1–70: one to three
+// 28-column L·S walks) and the values of S,
 // and holds the one-walk kernel to the two-pass product's upper triangle
 // bitwise, and to an exactly symmetric Z, under budgets 1, 3 and live with a shared dirty arena and partials buffer —
 // the randomized arm of TestTripleProdMatchesTwoPass.
@@ -139,6 +140,11 @@ func FuzzTripleProdEquivalence(f *testing.F) {
 	f.Add(PackRows+3, 9, int64(2), true)
 	f.Add(parallel.TileRows+1, 17, int64(3), false)
 	f.Add(2*parallel.TileRows+13, 20, int64(4), true)
+	// Odd widths: one SSE2 walk whose last column pair overlaps, two walks
+	// (29 = 15 + 14), three walks (57 = 19 · 3).
+	f.Add(PackRows+1, 21, int64(5), false)
+	f.Add(parallel.TileRows+3, 29, int64(6), true)
+	f.Add(2*PackRows+1, 57, int64(7), true)
 	arena := &PackArena{}
 	var partials []float64
 	var pc PackedCols
@@ -150,7 +156,7 @@ func FuzzTripleProdEquivalence(f *testing.F) {
 			cols = -cols
 		}
 		n = 2 + n%(2*parallel.TileRows+512)
-		cols = cols%20 + 1
+		cols = cols%70 + 1
 		rng := rand.New(rand.NewSource(seed))
 		edges := make([]graph.Edge, n+rng.Intn(4*n))
 		for i := range edges {

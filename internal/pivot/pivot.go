@@ -74,12 +74,14 @@ type Scratch struct {
 	dmin []int32      // min distance to all previous sources
 	col  []float64
 	// Random-strategy buffers, sized on first use: the pivot permutation,
-	// an arena of length-n distance rows, one per worker of a round, and
-	// each worker's one-worker runner with its own traversal scratch.
+	// an arena of length-n distance rows, one per worker of a round, each
+	// worker's one-worker runner with its own traversal scratch, and the
+	// statistics of each worker's traversal in the current round.
 	perm    []int32
 	arena   []int32
 	rowsBuf [][]int32
 	runners []*bfs.Runner
+	stats   []bfs.Stats
 	// Per-tile argmax arenas for the fused widen/min/argmax reduction,
 	// sized by parallel.ReduceBlocks(n) — a function of n only, so the
 	// arenas can never be desynchronized by a worker-count change.
@@ -254,7 +256,9 @@ func drawSources(sc *Scratch, n int, start int32, sources []int32) {
 // a one-worker Runner on the worker's own pooled scratch, pinned top-down
 // like the bfs.Serial it replaced. With s ≥ workers this keeps every core
 // busy without per-level barriers. The rows are widened and emitted in
-// pivot order after each round; ctx is checked before every round.
+// pivot order after each round; ctx is checked before every round. The
+// phase's ScannedEdges sums what each traversal scanned: the reached
+// vertices' adjacencies, all of g's only when g is connected.
 func randomPhase(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int, start int32, sc *Scratch, emit Emit, t timer) (PhaseStats, error) {
 	n := g.NumV
 	st := PhaseStats{Sources: make([]int32, s)}
@@ -264,11 +268,12 @@ func randomPhase(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int, 
 	runners := sc.bindRunners(g, len(rows))
 	defer sc.bindRunners(nil, len(rows))
 	sc.col = grow(sc.col, n)
+	sc.stats = grow(sc.stats, len(rows))
 	col := sc.col
 	// The closures are built once and read lo, hi and i as the loop
 	// moves: round worker k traverses pivot lo+k.
 	var lo, hi, i int
-	one := func(k, _, _ int) { runners[k].Distances(sources[lo+k], rows[k]) }
+	one := func(k, _, _ int) { sc.stats[k] = runners[k].Distances(sources[lo+k], rows[k]) }
 	round := func() { parallel.ForBlockIndexed(hi-lo, hi-lo, one) }
 	widen := func() { linalg.Int32ToFloat64Budget(bud, col, rows[i-lo]) }
 	for lo = 0; lo < s; lo = hi {
@@ -277,7 +282,9 @@ func randomPhase(ctx context.Context, bud parallel.Budget, g *graph.CSR, s int, 
 		}
 		hi = min(lo+len(rows), s)
 		t(phase.BFSTraversal, round)
-		st.ScannedEdges += int64(hi-lo) * int64(len(g.Adj))
+		for _, ts := range sc.stats[:hi-lo] {
+			st.ScannedEdges += ts.ScannedEdges
+		}
 		for i = lo; i < hi; i++ {
 			t(phase.BFSOther, widen)
 			if err := emit(i, col); err != nil {

@@ -3,6 +3,7 @@ package pivot
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -329,5 +330,96 @@ func TestStreamStopsOnError(t *testing.T) {
 	if _, err := StreamWeighted(context.Background(), parallel.FixedBudget(1), gen.WithRandomWeights(g, 5, 1), 5, 0, 0,
 		func(i int, _ []float64) error { return stop }, new(phase.Clock)); !errors.Is(err, stop) {
 		t.Fatalf("weighted stream returned %v", err)
+	}
+}
+
+// TestRandomPhaseCountsScannedEdges: the Random phase's ScannedEdges sums
+// what its traversals scanned, the degrees of the vertices each one
+// reached, and not s·len(Adj) whatever the graph: on a graph of two
+// components a traversal scans only its own component.
+func TestRandomPhaseCountsScannedEdges(t *testing.T) {
+	const a, b = 30, 70 // a path on vertices [0, a), a cycle on [a, a+b)
+	var edges []graph.Edge
+	for i := 0; i+1 < a; i++ {
+		edges = append(edges, graph.Edge{U: int32(i), V: int32(i + 1)})
+	}
+	for i := 0; i < b; i++ {
+		edges = append(edges, graph.Edge{U: int32(a + i), V: int32(a + (i+1)%b)})
+	}
+	g, err := graph.FromEdges(a+b, edges, graph.BuildOptions{KeepAllComponents: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	connected := gen.Grid2D(12, 9)
+	dist := make([]int32, max(g.NumV, connected.NumV))
+	for _, w := range []int{1, 2, 3} {
+		for _, c := range []struct {
+			g *graph.CSR
+			s int
+		}{{g, 9}, {connected, 7}} {
+			b := linalg.NewDense(c.g.NumV, c.s)
+			ps := phaseInto(parallel.FixedBudget(w), c.g, b, 5, Random, bfs.Options{})
+			var want int64
+			for _, src := range ps.Sources {
+				bfs.Serial(c.g, src, dist[:c.g.NumV])
+				for v, d := range dist[:c.g.NumV] {
+					if d != bfs.Unreached {
+						want += int64(c.g.Degree(int32(v)))
+					}
+				}
+			}
+			if ps.ScannedEdges != want {
+				t.Fatalf("n=%d s=%d workers=%d: ScannedEdges = %d, the reached vertices' degrees sum to %d (s·len(Adj) = %d)",
+					c.g.NumV, c.s, w, ps.ScannedEdges, want, int64(c.s)*int64(len(c.g.Adj)))
+			}
+		}
+	}
+}
+
+// TestStreamedColumnsAreLevelStructures: every column Stream emits, under
+// both strategies and budgets 1 and 2, is a BFS level structure of its
+// pivot on a connected graph — the pivot is the one vertex at level 0, no
+// vertex is unreached, and the levels of an edge's ends differ by at most
+// one — checked against the edges themselves, not against another BFS.
+func TestStreamedColumnsAreLevelStructures(t *testing.T) {
+	const s = 10
+	for name, g := range map[string]*graph.CSR{
+		"road":   gen.Road(40, 40, 3),
+		"kron12": graph.LargestComponent(gen.Kron(12, 8, 4)),
+		"mesh3d": gen.Mesh3D(9, 8, 7),
+	} {
+		for _, strat := range []Strategy{KCenters, Random} {
+			for _, w := range []int{1, 2} {
+				tag := fmt.Sprintf("%s/%v/%dw", name, strat, w)
+				var roots []int32 // each column's level-0 vertex
+				emit := func(i int, col []float64) error {
+					root := int32(-1)
+					for v, d := range col {
+						switch {
+						case d == float64(bfs.Unreached):
+							t.Fatalf("%s: column %d leaves vertex %d unreached", tag, i, v)
+						case d == 0 && root >= 0:
+							t.Fatalf("%s: column %d has vertices %d and %d at level 0", tag, i, root, v)
+						case d == 0:
+							root = int32(v)
+						}
+						for _, u := range g.Neighbors(int32(v)) {
+							if math.Abs(d-col[u]) > 1 {
+								t.Fatalf("%s: column %d: edge %d–%d spans levels %v and %v", tag, i, v, u, d, col[u])
+							}
+						}
+					}
+					roots = append(roots, root)
+					return nil
+				}
+				ps, err := Stream(context.Background(), parallel.FixedBudget(w), g, s, 3, strat, bfs.Options{}, nil, emit, new(phase.Clock))
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				if !reflect.DeepEqual(roots, ps.Sources) {
+					t.Fatalf("%s: level-0 vertices %v, pivots %v", tag, roots, ps.Sources)
+				}
+			}
+		}
 	}
 }

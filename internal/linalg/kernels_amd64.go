@@ -11,9 +11,11 @@ import (
 // and applies to it exactly the Go kernel's operations in the same order,
 // MULPD/ADDPD/SUBPD and never a fused multiply-add, so they equal the Go
 // kernels — the implementation off amd64 and the oracles of
-// kernels_test.go — bit for bit. SSE2 is the amd64 baseline: nothing is dispatched on CPU
-// features. The assembly trusts its operands, so the wrappers below bound
-// every address it forms before the call.
+// kernels_test.go — bit for bit. SSE2 is the amd64 baseline: nothing is
+// dispatched on CPU features. The assembly trusts its operands: the
+// wrappers below bound the slices it reads and writes before the call,
+// and the L·S walk's adjacency (offsets ascending, neighbour ids below
+// NumV) is trusted under the CSR invariant graph.(*CSR).Validate checks.
 
 //go:generate go run mkasm.go -out kernels_amd64.s
 
@@ -21,7 +23,7 @@ import (
 const lsWalkCols = 28
 
 //go:noescape
-func lsWalk(offsets *int64, adj *int32, wts, deg, srm, dst *float64, lo, hi, rowBytes, dstStride, w int)
+func lsWalk(offsets *int64, adj *int32, deg, srm, dst *float64, lo, hi, rowBytes, dstStride, w int)
 
 //go:noescape
 func stp8x2(s, p, o *float64, h, k8, pcol int)
@@ -52,26 +54,24 @@ func sub1Pairs(w *float64, f0 float64, c0 *float64, n int)
 // three at s = 64) instead of once per 8-, 4- or 1-column chunk. The
 // rows go in PackRows-high pieces, each piece walked chunk by chunk, so
 // the piece's adjacency stays in cache for the later chunks. A lone
-// column runs fusedRowsGo.
+// column and weighted graphs run fusedRowsGo.
 func fusedRows(g *graph.CSR, deg, srm []float64, dst strided, lo, hi, cols int) (gathers int64) {
-	if cols < 2 || lo >= hi {
+	if cols < 2 || lo >= hi || g.Weighted() {
 		return fusedRowsGo(g, deg, srm, dst, lo, hi, cols)
 	}
-	_ = g.Offsets[hi]
+	if e0, e1 := g.Offsets[lo], g.Offsets[hi]; e1 > e0 {
+		_, _ = g.Adj[e0], g.Adj[e1-1]
+	}
 	_ = deg[hi-1]
 	_ = srm[g.NumV*cols-1]
 	_ = dst.buf[hi-1-lo+(cols-1)*dst.stride]
-	var wts *float64
-	if g.Weighted() {
-		wts = unsafe.SliceData(g.Weights)
-	}
 	adj := unsafe.SliceData(g.Adj)
 	walks := (cols + lsWalkCols - 1) / lsWalkCols
 	for r0 := lo; r0 < hi; r0 += PackRows {
 		r1 := min(r0+PackRows, hi)
 		for c, left := 0, walks; left > 0; left-- {
 			w := (cols - c + left - 1) / left
-			lsWalk(&g.Offsets[0], adj, wts, &deg[0], &srm[c], &dst.buf[r0-lo+c*dst.stride], r0, r1, cols*8, dst.stride, w)
+			lsWalk(&g.Offsets[0], adj, &deg[0], &srm[c], &dst.buf[r0-lo+c*dst.stride], r0, r1, cols*8, dst.stride, w)
 			c += w
 		}
 	}

@@ -81,7 +81,8 @@ func oracleGraph(rng *rand.Rand) *graph.CSR {
 
 // TestFusedRowsMatchesGo: the L·S walk equals fusedRowsGo bit for bit
 // at every width 1–70 (one to three SSE2 walks, odd widths whose last pair
-// overlaps), unweighted and with weights that include the specials, over
+// overlaps), unweighted and with weights that include the specials (which
+// fusedRows hands to fusedRowsGo), over
 // row ranges that start and end inside, on and across PackRows chunks, into
 // a column view whose stride exceeds its height; no float outside the view
 // is written.
@@ -113,6 +114,27 @@ func TestFusedRowsMatchesGo(t *testing.T) {
 				assertSameBits(t, tag, got, want)
 			}
 		}
+	}
+}
+
+// TestFusedRowsRefusesShortAdjacency: offsets that run past the end of
+// Adj panic before any neighbour is read, on every path of the walk.
+func TestFusedRowsRefusesShortAdjacency(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	g := oracleGraph(rng)
+	short := *g
+	short.Adj = g.Adj[: len(g.Adj)-1 : len(g.Adj)-1]
+	n := g.NumV
+	for _, cols := range []int{1, 20, 64} {
+		srm, deg := randVec(n*cols, rng), randVec(n, rng)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("cols=%d: walked offsets past len(Adj) without a panic", cols)
+				}
+			}()
+			fusedRows(&short, deg, srm, strided{make([]float64, n*cols), n, n}, 0, n, cols)
+		}()
 	}
 }
 

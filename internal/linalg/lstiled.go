@@ -310,11 +310,20 @@ func adjSum1(adj []int32, wts, srm []float64, cols, c int) (s float64) {
 // loaded, extended by one product per row in ascending row order and
 // stored back, so feeding a tile through chunk by chunk performs the
 // additions of one full-range AᵀB sweep. It is stpSweep off amd64 and the
-// oracle of the SSE2 sweep.
+// oracle of the SSE2 sweep. The rows go stpRows at a time, so the column
+// pairs re-read a block of S from L1 rather than the whole chunk from L2.
 func stpSweepGo(s []float64, p strided, k int, out []float64) {
-	if p.h == 0 {
-		return
+	for r0 := 0; r0 < p.h; r0 += stpRows {
+		r1 := min(r0+stpRows, p.h)
+		stpSweepRows(s[r0*k:r1*k], strided{p.buf[r0:], p.stride, r1 - r0}, k, out)
 	}
+}
+
+// stpRows is stpSweepGo's row block: 32 rows of S are 16 KiB at k = 64.
+const stpRows = 32
+
+// stpSweepRows is stpSweepGo over one row block.
+func stpSweepRows(s []float64, p strided, k int, out []float64) {
 	s = s[:p.h*k]
 	for j := 0; j < k; j += 2 {
 		p0, o0 := p.col(j), out[j*k:(j+1)*k]

@@ -22,7 +22,7 @@ import (
 )
 
 // maxPairs is the widest L·S walk in column pairs: 14 XMM accumulators,
-// leaving X14 for the edge weight or the degree and X15 for the row load.
+// leaving X14 for the degree and X15 for the row load.
 const maxPairs = 14
 
 var buf bytes.Buffer
@@ -53,31 +53,30 @@ func main() {
 
 // lsWalk emits
 //
-//	func lsWalk(offsets *int64, adj *int32, wts, deg, srm, dst *float64, lo, hi, rowBytes, dstStride, w int)
+//	func lsWalk(offsets *int64, adj *int32, deg, srm, dst *float64, lo, hi, rowBytes, dstStride, w int)
 //
-// which writes dst_i[c] = deg_i·srm_i[c] − Σ_a wts[a]·srm_adj[a][c] for
-// the w ≥ 2 columns c of one walk and every vertex i in [lo, hi). srm
-// points at the walk's first column of row 0 (rows are rowBytes apart),
-// dst at that column of vertex lo (columns are dstStride floats apart),
-// wts is nil for unit weights. The walk keeps ⌈w/2⌉ column pairs in
+// which writes dst_i[c] = deg_i·srm_i[c] − Σ_{u∈adj(i)} srm_u[c] for the
+// w ≥ 2 columns c of one walk and every vertex i in [lo, hi) of an
+// unweighted graph. srm points at the walk's first column of row 0 (rows
+// are rowBytes apart), dst at that column of vertex lo (columns are
+// dstStride floats apart). The walk keeps ⌈w/2⌉ column pairs in
 // registers; for odd w the last pair starts one column early, so its low
 // lane recomputes the previous pair's high lane with the same operations
-// and stores the same bits. Each pair count has a weighted and an
-// unweighted loop and one epilogue they share.
+// and stores the same bits.
 func lsWalk() {
 	emit("")
-	emit("// func lsWalk(offsets *int64, adj *int32, wts, deg, srm, dst *float64, lo, hi, rowBytes, dstStride, w int)")
-	emit("TEXT ·lsWalk(SB), NOSPLIT, $0-88")
+	emit("// func lsWalk(offsets *int64, adj *int32, deg, srm, dst *float64, lo, hi, rowBytes, dstStride, w int)")
+	emit("TEXT ·lsWalk(SB), NOSPLIT, $0-80")
 	emit("\tMOVQ offsets+0(FP), SI")
 	emit("\tMOVQ adj+8(FP), DI")
-	emit("\tMOVQ wts+16(FP), R8")
-	emit("\tMOVQ srm+32(FP), R9")
-	emit("\tMOVQ dst+40(FP), R10")
-	emit("\tMOVQ lo+48(FP), AX")
-	emit("\tMOVQ rowBytes+64(FP), R11")
-	emit("\tMOVQ dstStride+72(FP), R12")
+	emit("\tMOVQ deg+16(FP), R8")
+	emit("\tMOVQ srm+24(FP), R9")
+	emit("\tMOVQ dst+32(FP), R10")
+	emit("\tMOVQ lo+40(FP), AX")
+	emit("\tMOVQ rowBytes+56(FP), R11")
+	emit("\tMOVQ dstStride+64(FP), R12")
 	emit("\tSHLQ $3, R12")
-	emit("\tMOVQ w+80(FP), R13")
+	emit("\tMOVQ w+72(FP), R13")
 	emit("\t// R10 addresses vertex i's output as (R10)(i*8).")
 	emit("\tMOVQ AX, BX")
 	emit("\tSHLQ $3, BX")
@@ -91,78 +90,48 @@ func lsWalk() {
 	emit("\t// R13 = ⌈w/2⌉ pairs.")
 	emit("\tINCQ R13")
 	emit("\tSHRQ $1, R13")
-	emit("\tTESTQ R8, R8")
-	emit("\tJNE weighted")
 	for p := 1; p <= maxPairs; p++ {
 		emit("\tCMPQ R13, $%d", p)
-		emit("\tJEQ u%d", p)
-	}
-	emit("\tRET")
-	emit("weighted:")
-	for p := 1; p <= maxPairs; p++ {
-		emit("\tCMPQ R13, $%d", p)
-		emit("\tJEQ w%d", p)
+		emit("\tJEQ walk%d", p)
 	}
 	emit("\tRET")
 	for p := 1; p <= maxPairs; p++ {
-		lsWalkLoop(p, false)
-		lsWalkLoop(p, true)
-		lsWalkStore(p)
+		lsWalkShape(p)
 	}
 }
 
-// lsWalkLoop emits the vertex loop of one lsWalk shape, pairs column
-// pairs weighted or not, up to its accumulated sums; lsWalkStore finishes
-// the vertex.
-func lsWalkLoop(pairs int, weighted bool) {
-	l := fmt.Sprintf("u%d", pairs)
-	if weighted {
-		l = fmt.Sprintf("w%d", pairs)
-	}
-	store := fmt.Sprintf("s%d", pairs)
+// lsWalkShape emits the vertex loop of the pairs-wide walk: the
+// neighbour rows summed into the accumulators, then dst = deg·self − sums
+// column by column.
+func lsWalkShape(pairs int) {
+	l, last := fmt.Sprintf("walk%d", pairs), pairs-1
 	emit("%s:", l)
-	emit("\tCMPQ AX, hi+56(FP)")
-	emit("\tJGE done%d", pairs)
+	emit("\tCMPQ AX, hi+48(FP)")
+	emit("\tJGE %s_done", l)
 	emit("\tMOVQ (SI)(AX*8), CX")
 	emit("\tMOVQ 8(SI)(AX*8), DX")
 	for p := 0; p < pairs; p++ {
 		emit("\tXORPS X%d, X%d", p, p)
 	}
 	emit("\tCMPQ CX, DX")
-	emit("\tJGE %s", store)
+	emit("\tJGE %s_store", l)
 	emit("%s_edge:", l)
 	emit("\tMOVLQSX (DI)(CX*4), BX")
 	emit("\tIMULQ R11, BX")
 	emit("\tADDQ R9, BX")
-	if weighted {
-		emit("\tMOVSD (R8)(CX*8), X14")
-		emit("\tUNPCKLPD X14, X14")
-	}
 	for p := 0; p < pairs; p++ {
-		if p == pairs-1 {
+		if p == last {
 			emit("\tMOVUPD (BX)(R14*1), X15")
 		} else {
 			emit("\tMOVUPD %d(BX), X15", 16*p)
-		}
-		if weighted {
-			emit("\tMULPD X14, X15")
 		}
 		emit("\tADDPD X15, X%d", p)
 	}
 	emit("\tINCQ CX")
 	emit("\tCMPQ CX, DX")
 	emit("\tJLT %s_edge", l)
-	emit("\tJMP %s", store)
-}
-
-// lsWalkStore emits the vertex epilogue shared by the two loops of a
-// pairs-wide walk: dst = deg·self − sums, column by column, then the next
-// vertex in the loop the weights select.
-func lsWalkStore(pairs int) {
-	last := pairs - 1
-	emit("s%d:", pairs)
-	emit("\tMOVQ deg+24(FP), BX")
-	emit("\tMOVSD (BX)(AX*8), X14")
+	emit("%s_store:", l)
+	emit("\tMOVSD (R8)(AX*8), X14")
 	emit("\tUNPCKLPD X14, X14")
 	emit("\tMOVQ AX, BX")
 	emit("\tIMULQ R11, BX")
@@ -185,10 +154,8 @@ func lsWalkStore(pairs int) {
 	emit("\tMOVLPD X15, (CX)")
 	emit("\tMOVHPD X15, (CX)(R12*1)")
 	emit("\tINCQ AX")
-	emit("\tTESTQ R8, R8")
-	emit("\tJNE w%d", pairs)
-	emit("\tJMP u%d", pairs)
-	emit("done%d:", pairs)
+	emit("\tJMP %s", l)
+	emit("%s_done:", l)
 	emit("\tRET")
 }
 

@@ -64,8 +64,8 @@ func (pa *PackArena) track(workers int) {
 // Gathers reports how many neighbour rows the last L·S pass through the
 // arena (LapMulDenseTiledPackedBudget or TripleProdBudget) loaded: one per
 // adjacency entry per column chunk that fusedRows walks — ⌈s/28⌉ chunks
-// of the SSE2 walk on amd64 (one for s ≤ 28, three at s = 64), else the
-// Go walk's 8-, 4- and 1-column chunks. These are the kernel's
+// of the SSE2 walk on amd64 for an unweighted graph (one for s ≤ 28,
+// three at s = 64), else the Go walk's 8-, 4- and 1-column chunks. These are the kernel's
 // random-access loads; s SpMV passes make one per adjacency entry per
 // column. It is the same under every worker budget.
 func (pa *PackArena) Gathers() int64 {
